@@ -9,8 +9,11 @@
 //! analogous cached key-set for antijoins.
 //!
 //! Probing is allocation-free: the index is keyed by a 64-bit hash computed
-//! directly over the join-key positions of a row (no boxed key tuples), with
-//! bucket entries verified by positional equality.
+//! directly over the join-key values (no boxed key tuples), with bucket
+//! entries verified by positional equality. Neither index builds output
+//! rows: a probe hands back the matching build rows (or a yes/no), and the
+//! caller — the fused recursive step in `mura-dist` — projects straight
+//! into whatever it materialises next.
 
 use crate::fxhash::{FxHashMap, FxHasher};
 use crate::kernel::kernel_stats;
@@ -19,21 +22,21 @@ use crate::schema::Schema;
 use crate::value::Value;
 use std::hash::{Hash, Hasher};
 
-/// Hashes the values of `row` at `positions` (in order) to a single `u64`.
-/// Both sides of a join must use the same column order for their key
-/// positions so equal keys collide.
+/// Hashes a sequence of values to a single `u64`. Both sides of a join must
+/// feed their key values in the same column order so equal keys collide.
 #[inline]
-pub fn hash_key(row: &[Value], positions: &[usize]) -> u64 {
+pub fn hash_values(values: impl IntoIterator<Item = Value>) -> u64 {
     let mut h = FxHasher::default();
-    for &p in positions {
-        row[p].hash(&mut h);
+    for v in values {
+        v.hash(&mut h);
     }
     h.finish()
 }
 
+/// Hashes the values of `row` at `positions` (in order); see [`hash_values`].
 #[inline]
-fn keys_match(a: &[Value], a_pos: &[usize], b: &[Value], b_pos: &[usize]) -> bool {
-    a_pos.iter().zip(b_pos).all(|(&pa, &pb)| a[pa] == b[pb])
+pub fn hash_key(row: &[Value], positions: &[usize]) -> u64 {
+    hash_values(positions.iter().map(|&p| row[p]))
 }
 
 /// A build-side hash index for a natural join with a fixed probe schema.
@@ -98,39 +101,34 @@ impl JoinIndex {
         self.build_rows.len()
     }
 
-    /// True if the build side is empty (every probe yields nothing).
-    pub fn is_empty(&self) -> bool {
-        self.build_rows.is_empty()
-    }
-
     /// Estimated footprint of the cached build side (payload values only),
     /// charged against byte budgets by the fixpoint drivers.
     pub fn approx_bytes(&self) -> u64 {
         self.approx_bytes
     }
 
-    /// Probes one row, emitting each joined output row. Returns the number
-    /// of rows emitted. No per-row key allocation: the probe key is hashed
-    /// in place and candidates verified positionally.
+    /// Positions of the join key in the probe schema (join-key order).
+    pub fn probe_key(&self) -> &[usize] {
+        &self.probe_key
+    }
+
+    /// Positions of the join key in a build row (join-key order).
+    pub fn build_key(&self) -> &[usize] {
+        &self.build_key
+    }
+
+    /// For each output position: `(true, p)` takes position `p` of the
+    /// probe row, `(false, p)` position `p` of the matched build row.
+    pub fn out_src(&self) -> &[(bool, usize)] {
+        &self.out_src
+    }
+
+    /// The build rows whose join key hashes to `hash` (a [`hash_values`]
+    /// of the probe's key values in join-key order). Candidates only: the
+    /// caller verifies equality on [`JoinIndex::build_key`].
     #[inline]
-    pub fn probe(&self, prow: &[Value], mut emit: impl FnMut(Row)) -> u64 {
-        let Some(bucket) = self.buckets.get(&hash_key(prow, &self.probe_key)) else {
-            return 0;
-        };
-        let mut emitted = 0;
-        for &i in bucket {
-            let brow = &self.build_rows[i as usize];
-            if keys_match(prow, &self.probe_key, brow, &self.build_key) {
-                let out_row: Row = self
-                    .out_src
-                    .iter()
-                    .map(|&(from_probe, p)| if from_probe { prow[p] } else { brow[p] })
-                    .collect();
-                emit(out_row);
-                emitted += 1;
-            }
-        }
-        emitted
+    pub fn bucket(&self, hash: u64) -> impl Iterator<Item = &[Value]> {
+        self.buckets.get(&hash).into_iter().flatten().map(|&i| &*self.build_rows[i as usize])
     }
 }
 
@@ -192,18 +190,25 @@ impl KeyIndex {
         self.approx_bytes
     }
 
-    /// True if `prow`'s key appears in the build side (i.e. the antijoin
-    /// drops the row). With disjoint schemas this is "is the build side
-    /// non-empty", matching standard antijoin semantics.
+    /// Positions of the antijoin key in the probe schema (join-key order).
+    pub fn probe_key(&self) -> &[usize] {
+        &self.probe_key
+    }
+
+    /// True if the key whose `i`-th value (join-key order) is `key(i)`
+    /// appears in the build side, i.e. the antijoin drops the probing row.
+    /// With disjoint schemas this is "is the build side non-empty",
+    /// matching standard antijoin semantics.
     #[inline]
-    pub fn contains(&self, prow: &[Value]) -> bool {
+    pub fn contains_key(&self, key: impl Fn(usize) -> Value) -> bool {
         if self.disjoint {
             return !self.build_empty;
         }
-        let Some(bucket) = self.buckets.get(&hash_key(prow, &self.probe_key)) else {
+        let hash = hash_values((0..self.probe_key.len()).map(&key));
+        let Some(bucket) = self.buckets.get(&hash) else {
             return false;
         };
-        bucket.iter().any(|k| k.iter().zip(&self.probe_key).all(|(v, &p)| *v == prow[p]))
+        bucket.iter().any(|k| k.iter().enumerate().all(|(i, v)| *v == key(i)))
     }
 }
 
@@ -214,6 +219,28 @@ mod tests {
 
     fn sym(i: u32) -> Sym {
         Sym(i)
+    }
+
+    /// Probes one row laid out in the probe schema the way the fused step
+    /// does: hash the key, verify candidates, project through `out_src`.
+    fn probe_row(idx: &JoinIndex, prow: &[Value], mut emit: impl FnMut(Row)) -> u64 {
+        let mut emitted = 0;
+        for brow in idx.bucket(hash_key(prow, idx.probe_key())) {
+            if idx.probe_key().iter().zip(idx.build_key()).all(|(&pp, &bp)| prow[pp] == brow[bp]) {
+                emit(
+                    idx.out_src()
+                        .iter()
+                        .map(|&(from_probe, p)| if from_probe { prow[p] } else { brow[p] })
+                        .collect(),
+                );
+                emitted += 1;
+            }
+        }
+        emitted
+    }
+
+    fn contains(idx: &KeyIndex, prow: &[Value]) -> bool {
+        idx.contains_key(|i| prow[idx.probe_key()[i]])
     }
 
     fn rel(cols: &[u32], rows: &[&[i64]]) -> Relation {
@@ -236,7 +263,7 @@ mod tests {
         let idx = JoinIndex::build(probe.schema(), &build);
         let mut out = Relation::new(idx.out_schema().clone());
         for prow in probe.iter() {
-            idx.probe(prow, |row| {
+            probe_row(&idx, prow, |row| {
                 out.insert(row);
             });
         }
@@ -250,7 +277,7 @@ mod tests {
         let idx = JoinIndex::build(probe.schema(), &build);
         let mut n = 0;
         for prow in probe.iter() {
-            n += idx.probe(prow, |_| {});
+            n += probe_row(&idx, prow, |_| {});
         }
         assert_eq!(n, 4);
     }
@@ -260,8 +287,8 @@ mod tests {
         let probe = rel(&[1], &[&[1]]);
         let build = rel(&[1], &[]);
         let idx = JoinIndex::build(probe.schema(), &build);
-        assert!(idx.is_empty());
-        assert_eq!(idx.probe(&[Value::Int(1)], |_| panic!("no match expected")), 0);
+        assert_eq!(idx.build_len(), 0);
+        assert_eq!(probe_row(&idx, &[Value::Int(1)], |_| panic!("no match expected")), 0);
     }
 
     #[test]
@@ -269,7 +296,7 @@ mod tests {
         let probe = rel(&[1, 2], &[&[1, 10], &[2, 20]]);
         let build = rel(&[2], &[&[10]]);
         let idx = KeyIndex::build(probe.schema(), &build);
-        let kept: Vec<_> = probe.iter().filter(|r| !idx.contains(r)).cloned().collect();
+        let kept: Vec<_> = probe.iter().filter(|r| !contains(&idx, r)).cloned().collect();
         let expected = probe.antijoin(&build);
         assert_eq!(
             Relation::from_rows(probe.schema().clone(), kept.into_iter()).sorted_rows(),
@@ -282,8 +309,8 @@ mod tests {
         let probe = rel(&[1], &[&[1]]);
         let empty = rel(&[9], &[]);
         let nonempty = rel(&[9], &[&[5]]);
-        assert!(!KeyIndex::build(probe.schema(), &empty).contains(&[Value::Int(1)]));
-        assert!(KeyIndex::build(probe.schema(), &nonempty).contains(&[Value::Int(1)]));
+        assert!(!contains(&KeyIndex::build(probe.schema(), &empty), &[Value::Int(1)]));
+        assert!(contains(&KeyIndex::build(probe.schema(), &nonempty), &[Value::Int(1)]));
     }
 
     #[test]
@@ -295,7 +322,7 @@ mod tests {
         let idx = JoinIndex::build(probe.schema(), &build);
         let mut n = 0;
         for prow in probe.iter() {
-            n += idx.probe(prow, |_| {});
+            n += probe_row(&idx, prow, |_| {});
         }
         assert_eq!(n, 0);
     }

@@ -156,6 +156,35 @@ impl Relation {
         }
     }
 
+    /// In-place accumulate, the update of BigDatalog's SetRDD: inserts every
+    /// row of `produced` that is absent and returns exactly those rows — the
+    /// next semi-naive delta. Costs O(|produced|) whatever the size of
+    /// `self`, as long as the row set is not shared; a set a checkpoint
+    /// still references is deep-copied once, by the first row that is new.
+    ///
+    /// # Panics
+    /// Panics if a row's arity differs from the schema's.
+    pub fn absorb_new(&mut self, produced: impl IntoIterator<Item = Row>) -> Relation {
+        let arity = self.schema.arity();
+        let mut produced = produced.into_iter().inspect(|row| {
+            assert_eq!(row.len(), arity, "row arity {} != schema arity {arity}", row.len());
+        });
+        let mut delta = FxHashSet::default();
+        // Shared storage is left alone until a row actually is new.
+        if let Some(first) = produced.by_ref().find(|row| !self.rows.contains(row)) {
+            let acc = Arc::make_mut(&mut self.rows);
+            acc.insert(first.clone());
+            delta.insert(first);
+            for row in produced {
+                if !acc.contains(&row) {
+                    acc.insert(row.clone());
+                    delta.insert(row);
+                }
+            }
+        }
+        Relation { schema: self.schema.clone(), rows: Arc::new(delta) }
+    }
+
     /// Consumes the relation, yielding its rows (clones only if shared).
     pub fn into_rows(self) -> FxHashSet<Row> {
         Arc::try_unwrap(self.rows).unwrap_or_else(|shared| (*shared).clone())
@@ -506,6 +535,21 @@ mod tests {
         let d = r.minus(&s);
         assert_eq!(d.len(), 1);
         assert!(d.contains(&[Value::Int(1)]));
+    }
+
+    #[test]
+    fn absorb_new_returns_exactly_the_new_rows() {
+        let mut acc = rel(&[1], &[&[1], &[2]]);
+        let checkpoint = acc.clone();
+        let produced = rel(&[1], &[&[2], &[3], &[4]]);
+        let delta = acc.absorb_new(produced.into_rows());
+        assert_eq!(delta.sorted_rows(), rel(&[1], &[&[3], &[4]]).sorted_rows());
+        assert_eq!(acc.len(), 4);
+        // The clone taken before is a snapshot, not a view of the update.
+        assert_eq!(checkpoint.len(), 2);
+        // Nothing new: empty delta, accumulator untouched.
+        assert!(acc.absorb_new(rel(&[1], &[&[1], &[4]]).into_rows()).is_empty());
+        assert_eq!(acc.len(), 4);
     }
 
     #[test]

@@ -213,19 +213,12 @@ pub fn eval_async_at(
                                 // exactly once per run, so the counts are
                                 // reproducible even though batch boundaries are
                                 // not.
-                                let mut delta = Relation::new(schema.clone());
-                                for row in batch {
-                                    if acc.insert(row.clone()) {
-                                        if fault.is_active() {
-                                            let h = row_hash(&row);
-                                            if fault.would_drop_row(h) {
-                                                drops += 1;
-                                            }
-                                            if fault.would_duplicate_row(h) {
-                                                dups += 1;
-                                            }
-                                        }
-                                        delta.insert(row);
+                                let delta = acc.absorb_new(batch);
+                                if fault.is_active() {
+                                    for row in delta.iter() {
+                                        let h = row_hash(row);
+                                        drops += u64::from(fault.would_drop_row(h));
+                                        dups += u64::from(fault.would_duplicate_row(h));
                                     }
                                 }
                                 if !delta.is_empty() {
@@ -242,7 +235,7 @@ pub fn eval_async_at(
                                     let mut outgoing: Vec<Vec<Row>> =
                                         (0..senders.len()).map(|_| Vec::new()).collect();
                                     for p in prepared {
-                                        let produced = eval_branch(p, &delta).map_err(fail)?;
+                                        let produced = eval_branch(p, &delta);
                                         for row in produced.into_rows() {
                                             outgoing[row_owner(&row, senders.len())].push(row);
                                         }

@@ -18,6 +18,7 @@ use crate::metrics::CommStats;
 use crate::wire::TraceCtx;
 use mura_core::{CancellationToken, MuraError, Relation, Result, Row, Schema};
 use mura_obs::TraceEvent;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -417,75 +418,88 @@ impl Cluster {
         F: Fn(usize, &T) -> Result<R> + Sync,
     {
         assert_eq!(items.len(), self.workers, "one item per worker expected");
-        if self.workers == 1 {
-            return Ok(vec![self.run_task(site, attempt_base, 0, &items[0], &f)?]);
-        }
-        let results: Vec<Result<R>> = std::thread::scope(|s| {
-            let handles: Vec<_> = items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    s.spawn({
-                        let f = &f;
-                        move || self.run_task(site, attempt_base, i, item, f)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(i, h)| {
-                    h.join().unwrap_or_else(|payload| {
-                        // The supervisor catches task panics inside the
-                        // thread; reaching this means the harness itself
-                        // failed. Still report instead of aborting.
-                        Err(MuraError::WorkerFailed {
-                            worker: i,
-                            payload: payload_text(payload.as_ref()),
-                        })
-                    })
-                })
-                .collect()
-        });
-        results.into_iter().collect()
+        let f = &f;
+        join_tasks(
+            items.iter().enumerate().map(|(i, item)| {
+                move || self.run_task(site, attempt_base, i, || f(i, item), || true)
+            }),
+        )
+    }
+
+    /// [`Cluster::try_par_map_at`] for tasks that own their item — a
+    /// partition to update in place, rows to move rather than copy. Fault
+    /// injection, panic capture, cancellation and retries are the same,
+    /// except that an item is handed to `f` only once: injected faults fire
+    /// before `f` runs and are retried as usual, but a failure of `f` itself
+    /// is final for the task (its input is gone) and goes to the caller,
+    /// whose own recovery must not rely on what `f` was given.
+    pub fn try_par_map_owned_at<T, R, F>(
+        &self,
+        site: u64,
+        attempt_base: u32,
+        items: Vec<T>,
+        f: F,
+    ) -> Result<Vec<R>>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> Result<R> + Sync,
+    {
+        assert_eq!(items.len(), self.workers, "one item per worker expected");
+        let f = &f;
+        join_tasks(items.into_iter().enumerate().map(|(i, item)| {
+            move || {
+                let slot = Cell::new(Some(item));
+                let unused = Cell::new(true);
+                self.run_task(
+                    site,
+                    attempt_base,
+                    i,
+                    || {
+                        unused.set(false);
+                        f(i, slot.take().expect("an owned item is handed out once"))
+                    },
+                    || unused.get(),
+                )
+            }
+        }))
     }
 
     /// Runs one partition task under supervision: fault injection, panic
-    /// capture, bounded retries with backoff, cancellation checks.
-    fn run_task<T, R, F>(
+    /// capture, bounded retries with backoff, cancellation checks. `attempt`
+    /// is the task body; it is re-run after a retryable failure for as long
+    /// as `may_retry` holds.
+    fn run_task<R>(
         &self,
         site: u64,
         attempt_base: u32,
         i: usize,
-        item: &T,
-        f: &F,
-    ) -> Result<R>
-    where
-        F: Fn(usize, &T) -> Result<R>,
-    {
+        mut attempt: impl FnMut() -> Result<R>,
+        may_retry: impl Fn() -> bool,
+    ) -> Result<R> {
         let mut retry = 0u32;
         loop {
-            let attempt = attempt_base + retry;
+            let attempt_no = attempt_base + retry;
             // A cancelled or deadline-expired query must not keep retrying.
             if let Some(c) = &self.cancel {
                 c.check()?;
             }
-            if let Some(delay) = self.fault.straggler_delay(site, i, 0, attempt) {
+            if let Some(delay) = self.fault.straggler_delay(site, i, 0, attempt_no) {
                 std::thread::sleep(delay);
             }
             let started = std::time::Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<R> {
-                self.fault.maybe_panic(site, i, 0, attempt);
-                self.fault.maybe_transient(site, i, 0, attempt)?;
-                self.fault.maybe_memory_pressure(site, i, 0, attempt)?;
-                f(i, item)
+                self.fault.maybe_panic(site, i, 0, attempt_no);
+                self.fault.maybe_transient(site, i, 0, attempt_no)?;
+                self.fault.maybe_memory_pressure(site, i, 0, attempt_no)?;
+                attempt()
             }))
             .unwrap_or_else(|payload| {
                 Err(MuraError::WorkerFailed { worker: i, payload: payload_text(payload.as_ref()) })
             });
             match outcome {
                 Ok(r) => return Ok(r),
-                Err(e) if e.is_retryable() => {
+                Err(e) if e.is_retryable() && may_retry() => {
                     self.fault.record_time_lost(started.elapsed());
                     if retry >= self.recovery.max_retries {
                         return Err(e);
@@ -500,6 +514,40 @@ impl Cluster {
             }
         }
     }
+}
+
+/// Runs one task per worker and collects the results in worker order: all
+/// but the last on scoped threads of their own, the last on the calling
+/// thread, which would otherwise only wait (a stage costs `n − 1` thread
+/// spawns, and none on a single-worker cluster).
+fn join_tasks<R, Task>(tasks: impl Iterator<Item = Task>) -> Result<Vec<R>>
+where
+    R: Send,
+    Task: FnOnce() -> Result<R> + Send,
+{
+    let mut tasks: Vec<Task> = tasks.collect();
+    let last = tasks.pop().expect("a cluster has at least one worker");
+    std::thread::scope(|s| {
+        let handles: Vec<_> = tasks.into_iter().map(|task| s.spawn(task)).collect();
+        let last = last();
+        let mut results: Vec<Result<R>> = handles
+            .into_iter()
+            .enumerate()
+            .map(|(i, h)| {
+                h.join().unwrap_or_else(|payload| {
+                    // The supervisor catches task panics inside the thread;
+                    // reaching this means the harness itself failed. Still
+                    // report instead of aborting.
+                    Err(MuraError::WorkerFailed {
+                        worker: i,
+                        payload: payload_text(payload.as_ref()),
+                    })
+                })
+            })
+            .collect();
+        results.push(last);
+        results.into_iter().collect()
+    })
 }
 
 /// Extracts a human-readable message from a captured panic payload.
@@ -531,6 +579,45 @@ mod tests {
         let data = vec![1u64, 2, 3, 4];
         let out = c.par_map(&data, |i, x| (i, x * 10)).unwrap();
         assert_eq!(out, vec![(0, 10), (1, 20), (2, 30), (3, 40)]);
+    }
+
+    #[test]
+    fn last_task_runs_on_the_calling_thread() {
+        let c = Cluster::new(3);
+        let caller = std::thread::current().id();
+        let on_caller = c.par_map(&[(); 3], |_, _| std::thread::current().id() == caller).unwrap();
+        assert_eq!(on_caller, vec![false, false, true]);
+    }
+
+    #[test]
+    fn owned_items_survive_injected_faults_and_are_handed_out_once() {
+        // Injected faults fire before the task body: the items are still
+        // there when the site heals, and every body runs exactly once.
+        let cfg = FaultConfig { transient_prob: 0.9, seed: 5, ..Default::default() };
+        let plan = Arc::new(FaultPlan::new(cfg));
+        let c = Cluster::new(4).with_faults(Arc::clone(&plan), RecoveryPolicy::default());
+        let items: Vec<Vec<u64>> = (0..4).map(|i| vec![i; 3]).collect();
+        let site = c.fault().next_site();
+        let out = c.try_par_map_owned_at(site, 0, items, |i, v| Ok((i, v.len()))).unwrap();
+        assert_eq!(out, vec![(0, 3), (1, 3), (2, 3), (3, 3)]);
+        assert!(plan.snapshot().task_retries > 0);
+
+        // A body that fails has consumed its item: no retry, the (still
+        // retryable) error goes to the caller.
+        let c = Cluster::new(2);
+        let calls = std::sync::atomic::AtomicU32::new(0);
+        let err = c
+            .try_par_map_owned_at(0, 0, vec![1u64, 2], |i, _| {
+                calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                if i == 0 {
+                    Err(MuraError::TransientFault { worker: 0 })
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap_err();
+        assert!(err.is_retryable(), "{err:?}");
+        assert_eq!(calls.into_inner(), 2, "one call per item, none repeated");
     }
 
     #[test]

@@ -17,54 +17,65 @@
 //! the hash is computed over key values in that order, so the metadata
 //! stays valid under renames (values don't move) and is compared
 //! positionally when deciding whether a shuffle can be skipped.
+//!
+//! Placement is **lazy**: [`DistRel::from_relation`] keeps the relation
+//! whole and splits it on the first [`DistRel::parts`] call. Row-local
+//! operators (`rename`, `filter_preds`) and the driver-side reads (`len`,
+//! `collect`, `into_relation`) work on the whole relation, so a value that
+//! is only ever renamed and then broadcast — every hoisted loop invariant —
+//! is never partitioned at all. Because the lazy split hashes the
+//! `partitioned_by` key in key order, every row lands where the eager split
+//! would have put it, and every shuffle decision is the same.
 
 use crate::cluster::Cluster;
 use mura_core::eval::apply_filter;
-use mura_core::fxhash::FxHasher;
-use mura_core::{Pred, Relation, Result, Row, Schema, Sym, Value};
-use std::hash::{Hash, Hasher};
+use mura_core::index::hash_key;
+use mura_core::{Pred, Relation, Result, Row, Schema, Sym};
+use std::sync::OnceLock;
 
 /// A relation partitioned across the workers of a [`Cluster`].
 #[derive(Debug, Clone)]
 pub struct DistRel {
     schema: Schema,
-    parts: Vec<Relation>,
+    /// The relation as loaded, for as long as every operator applied since
+    /// could work on it whole. Always hash-placed: `partitioned_by` is set.
+    whole: Option<Relation>,
+    /// One partition per worker; split from `whole` on first use.
+    parts: OnceLock<Vec<Relation>>,
+    workers: usize,
     /// Ordered hash key this relation is partitioned by, if any.
     partitioned_by: Option<Vec<Sym>>,
 }
 
-/// Hash of the key fields of a row (positions into the row).
-fn key_hash(row: &[Value], key_pos: &[usize]) -> u64 {
-    let mut h = FxHasher::default();
-    for &p in key_pos {
-        row[p].hash(&mut h);
-    }
-    h.finish()
+/// Positions of the ordered `key` columns in `schema`.
+fn key_positions(schema: &Schema, key: &[Sym]) -> Vec<usize> {
+    key.iter().map(|&c| schema.position(c).expect("partitioning key must be in schema")).collect()
 }
 
 impl DistRel {
     /// Empty distributed relation.
     pub fn empty(schema: Schema, cluster: &Cluster) -> Self {
-        DistRel {
-            parts: (0..cluster.workers()).map(|_| Relation::new(schema.clone())).collect(),
-            partitioned_by: Some(schema.columns().to_vec()),
-            schema,
-        }
+        DistRel::from_relation(&Relation::new(schema), cluster)
     }
 
     /// Loads a relation into the cluster, partitioned by full-row hash.
-    /// (Initial placement of base data — not charged as a shuffle.)
+    /// (Initial placement of base data — not charged as a shuffle, and not
+    /// carried out before something asks for [`DistRel::parts`].)
     pub fn from_relation(rel: &Relation, cluster: &Cluster) -> Self {
-        let schema = rel.schema().clone();
-        let key: Vec<Sym> = schema.columns().to_vec();
-        let key_pos: Vec<usize> = (0..schema.arity()).collect();
-        let n = cluster.workers();
-        let mut parts: Vec<Relation> = (0..n).map(|_| Relation::new(schema.clone())).collect();
-        for row in rel.iter() {
-            let p = (key_hash(row, &key_pos) as usize) % n;
-            parts[p].insert(row.clone());
+        DistRel::placed(rel.clone(), rel.schema().columns().to_vec(), cluster.workers())
+    }
+
+    /// A whole relation hash-placed by the ordered `key` over `workers`
+    /// partitions: row `r` belongs to partition `hash(key(r)) mod workers`,
+    /// which is where every exchange on `key` puts it too.
+    pub(crate) fn placed(rel: Relation, key: Vec<Sym>, workers: usize) -> Self {
+        DistRel {
+            schema: rel.schema().clone(),
+            whole: Some(rel),
+            parts: OnceLock::new(),
+            workers,
+            partitioned_by: Some(key),
         }
-        DistRel { schema, parts, partitioned_by: Some(key) }
     }
 
     /// The schema.
@@ -74,17 +85,38 @@ impl DistRel {
 
     /// Total rows across partitions.
     pub fn len(&self) -> usize {
-        self.parts.iter().map(|p| p.len()).sum()
+        match &self.whole {
+            Some(rel) => rel.len(),
+            None => self.parts().iter().map(|p| p.len()).sum(),
+        }
     }
 
     /// True if all partitions are empty.
     pub fn is_empty(&self) -> bool {
-        self.parts.iter().all(|p| p.is_empty())
+        match &self.whole {
+            Some(rel) => rel.is_empty(),
+            None => self.parts().iter().all(|p| p.is_empty()),
+        }
     }
 
-    /// The partitions.
+    /// The partitions, one per worker.
     pub fn parts(&self) -> &[Relation] {
-        &self.parts
+        self.parts.get_or_init(|| {
+            let rel = self.whole.as_ref().expect("a DistRel is whole or split");
+            let key_pos = key_positions(&self.schema, self.whole_key());
+            let n = self.workers;
+            let mut parts: Vec<Relation> =
+                (0..n).map(|_| Relation::new(self.schema.clone())).collect();
+            for row in rel.iter() {
+                parts[(hash_key(row, &key_pos) as usize) % n].insert(row.clone());
+            }
+            parts
+        })
+    }
+
+    /// The key a whole relation is placed by.
+    fn whole_key(&self) -> &[Sym] {
+        self.partitioned_by.as_deref().expect("a whole relation is hash-placed")
     }
 
     /// Current partitioning key (ordered), if known.
@@ -92,47 +124,62 @@ impl DistRel {
         self.partitioned_by.as_deref()
     }
 
-    /// Gathers all partitions into one local relation (a driver collect).
+    /// Gathers all partitions into one local relation (a driver collect),
+    /// copying the rows; [`DistRel::into_relation`] moves them instead.
     pub fn collect(&self) -> Relation {
-        let mut out = Relation::new(self.schema.clone());
-        for p in &self.parts {
-            out.absorb(p.clone());
+        self.clone().into_relation()
+    }
+
+    /// Gathers all partitions into one local relation, consuming `self`:
+    /// rows this value alone owns are moved, not copied, and a relation
+    /// that was never split is handed back as it is.
+    pub fn into_relation(self) -> Relation {
+        if let Some(rel) = self.whole {
+            return rel;
+        }
+        let mut out = Relation::new(self.schema);
+        for p in self.parts.into_inner().expect("a DistRel is whole or split") {
+            out.absorb(p);
         }
         out
     }
 
     /// Partition-wise filter.
     pub fn filter_preds(&self, preds: &[Pred], cluster: &Cluster) -> Result<DistRel> {
-        let parts = cluster.try_par_map(&self.parts, |_, p| apply_filter(p, preds))?;
-        Ok(DistRel {
-            schema: self.schema.clone(),
-            parts,
-            partitioned_by: self.partitioned_by.clone(),
-        })
+        if let Some(rel) = &self.whole {
+            let kept = apply_filter(rel, preds)?;
+            return Ok(DistRel::placed(kept, self.whole_key().to_vec(), self.workers));
+        }
+        let parts = cluster.try_par_map(self.parts(), |_, p| apply_filter(p, preds))?;
+        Ok(DistRel::from_parts(self.schema.clone(), parts, self.partitioned_by.clone()))
     }
 
     /// Partition-wise rename. Keeps partitioning metadata (values do not
     /// move; the ordered key is renamed in place).
     pub fn rename(&self, from: Sym, to: Sym, cluster: &Cluster) -> Result<DistRel> {
-        let parts = cluster.par_map(&self.parts, |_, p| p.rename(from, to))?;
+        let renamed = |key: &[Sym]| -> Vec<Sym> {
+            key.iter().map(|&c| if c == from { to } else { c }).collect()
+        };
+        if let Some(rel) = &self.whole {
+            let key = renamed(self.whole_key());
+            return Ok(DistRel::placed(rel.rename(from, to), key, self.workers));
+        }
+        let partitioned_by = self.partitioned_by.as_deref().map(renamed);
+        let parts = cluster.par_map(self.parts(), |_, p| p.rename(from, to))?;
         let schema = parts[0].schema().clone();
-        let partitioned_by = self
-            .partitioned_by
-            .as_ref()
-            .map(|key| key.iter().map(|&c| if c == from { to } else { c }).collect());
-        Ok(DistRel { schema, parts, partitioned_by })
+        Ok(DistRel::from_parts(schema, parts, partitioned_by))
     }
 
     /// Partition-wise antiprojection. Partitioning survives only if no key
     /// column is dropped.
     pub fn antiproject(&self, cols: &[Sym], cluster: &Cluster) -> Result<DistRel> {
-        let parts = cluster.par_map(&self.parts, |_, p| p.antiproject(cols))?;
+        let parts = cluster.par_map(self.parts(), |_, p| p.antiproject(cols))?;
         let schema = parts[0].schema().clone();
         let partitioned_by = match &self.partitioned_by {
             Some(key) if key.iter().all(|c| !cols.contains(c)) => Some(key.clone()),
             _ => None,
         };
-        Ok(DistRel { schema, parts, partitioned_by })
+        Ok(DistRel::from_parts(schema, parts, partitioned_by))
     }
 
     /// Repartitions by the given ordered key. Skipped (free) when the data
@@ -153,24 +200,21 @@ impl DistRel {
             out.partitioned_by = Some(key.to_vec());
             return Ok(out);
         }
-        let key_pos: Vec<usize> = key
-            .iter()
-            .map(|&c| self.schema.position(c).expect("repartition key must be in schema"))
-            .collect();
+        let key_pos = key_positions(&self.schema, key);
         let n = cluster.workers();
         cluster.metrics().record_shuffle(self.len() as u64);
         let exchange_site = cluster.fault().next_site();
         // Each worker buckets its partition; the backend moves the buckets
         // (driver-side merge on the simulator, real sockets on ProcCluster).
-        let bucketed: Vec<Vec<Vec<Row>>> = cluster.par_map(&self.parts, |_, p| {
+        let bucketed: Vec<Vec<Vec<Row>>> = cluster.par_map(self.parts(), |_, p| {
             let mut buckets: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
             for row in p.iter() {
-                buckets[(key_hash(row, &key_pos) as usize) % n].push(row.clone());
+                buckets[(hash_key(row, &key_pos) as usize) % n].push(row.clone());
             }
             buckets
         })?;
         let parts = cluster.exchange_at(exchange_site, &self.schema, bucketed)?;
-        Ok(DistRel { schema: self.schema.clone(), parts, partitioned_by: Some(key.to_vec()) })
+        Ok(DistRel::from_parts(self.schema.clone(), parts, Some(key.to_vec())))
     }
 
     /// Global distinct: partitions are sets already, so colocating equal
@@ -190,20 +234,61 @@ impl DistRel {
     pub fn union(&self, other: &DistRel, cluster: &Cluster) -> Result<DistRel> {
         assert_eq!(self.schema, other.schema, "union of incompatible schemas");
         let (a, b) = self.copartition(other, cluster)?;
-        let pairs: Vec<(Relation, Relation)> =
-            a.parts.iter().cloned().zip(b.parts.iter().cloned()).collect();
-        let parts = cluster.par_map(&pairs, |_, (x, y)| x.union(y))?;
-        Ok(DistRel { schema: a.schema.clone(), parts, partitioned_by: a.partitioned_by.clone() })
+        let parts = cluster.par_map(&a.zip_parts(&b), |_, (x, y)| x.union(y))?;
+        Ok(DistRel::from_parts(a.schema, parts, a.partitioned_by))
     }
 
-    /// Set difference `self \ other`; co-partitions like [`DistRel::union`].
-    pub fn minus(&self, other: &DistRel, cluster: &Cluster) -> Result<DistRel> {
-        assert_eq!(self.schema, other.schema, "difference of incompatible schemas");
-        let (a, b) = self.copartition(other, cluster)?;
+    /// The accumulate step of `P_gld`: `self ∪= new` in place, returning
+    /// `new \ self` — the next delta — partitioned like the accumulator.
+    /// The two sides are co-partitioned the way a set difference followed
+    /// by a union would co-partition them (one shuffle of `new` unless it
+    /// already shares the accumulator's key); then every worker runs
+    /// [`Relation::absorb_new`] on its own partition, so the step costs
+    /// O(|new|) whatever the accumulator holds.
+    ///
+    /// On an error `self` is left empty: its partitions were moved into
+    /// the failed tasks. The superstep supervisor resets the accumulator
+    /// from its checkpoint (or the seed) before it iterates again.
+    pub fn absorb_new(&mut self, new: DistRel, cluster: &Cluster) -> Result<DistRel> {
+        assert_eq!(self.schema, new.schema, "accumulating incompatible schemas");
+        let mut new = new;
+        if self.partitioned_by.is_none() || self.partitioned_by != new.partitioned_by {
+            let key: Vec<Sym> = self.schema.columns().to_vec();
+            new = new.repartition(&key, cluster)?;
+            if self.partitioned_by.as_deref() != Some(&key[..]) {
+                *self = self.repartition(&key, cluster)?;
+                // In the plan of §IV-A1 the difference and the union each
+                // co-partition the accumulator. Fused, it moves once; the
+                // communication model still charges both.
+                if cluster.workers() > 1 {
+                    cluster.metrics().record_shuffle(self.len() as u64);
+                }
+            }
+        }
+        let (schema, key) = (self.schema.clone(), self.partitioned_by.clone());
+        let emptied = DistRel::from_relation(&Relation::new(schema.clone()), cluster);
+        let acc_parts = std::mem::replace(self, emptied).into_parts();
         let pairs: Vec<(Relation, Relation)> =
-            a.parts.iter().cloned().zip(b.parts.iter().cloned()).collect();
-        let parts = cluster.par_map(&pairs, |_, (x, y)| x.minus(y))?;
-        Ok(DistRel { schema: a.schema.clone(), parts, partitioned_by: a.partitioned_by.clone() })
+            acc_parts.into_iter().zip(new.into_parts()).collect();
+        let site = cluster.fault().next_site();
+        let absorbed = cluster.try_par_map_owned_at(site, 0, pairs, |_, (mut acc, new)| {
+            let delta = acc.absorb_new(new.into_rows());
+            Ok((acc, delta))
+        })?;
+        let (acc_parts, delta_parts): (Vec<Relation>, Vec<Relation>) = absorbed.into_iter().unzip();
+        *self = DistRel::from_parts(schema.clone(), acc_parts, key.clone());
+        Ok(DistRel::from_parts(schema, delta_parts, key))
+    }
+
+    /// The partitions, owned.
+    fn into_parts(self) -> Vec<Relation> {
+        self.parts();
+        self.parts.into_inner().expect("just split")
+    }
+
+    /// Partition pairs of two co-partitioned relations.
+    fn zip_parts(&self, other: &DistRel) -> Vec<(Relation, Relation)> {
+        self.parts().iter().cloned().zip(other.parts().iter().cloned()).collect()
     }
 
     /// Ensures both relations are partitioned by the same key (equal rows
@@ -223,11 +308,8 @@ impl DistRel {
         let a = self.repartition(&common, cluster)?;
         let b = other.repartition(&common, cluster)?;
         let plan = mura_core::relation::join_plan(&a.schema, &b.schema);
-        let pairs: Vec<(Relation, Relation)> =
-            a.parts.iter().cloned().zip(b.parts.iter().cloned()).collect();
-        let parts = cluster.par_map(&pairs, |_, (x, y)| plan.execute(x, y))?;
-        let schema = plan.out_schema.clone();
-        Ok(DistRel { schema, parts, partitioned_by: Some(common) })
+        let parts = cluster.par_map(&a.zip_parts(&b), |_, (x, y)| plan.execute(x, y))?;
+        Ok(DistRel::from_parts(plan.out_schema, parts, Some(common)))
     }
 
     /// Broadcast join: `other` is collected and replicated to every worker
@@ -241,14 +323,10 @@ impl DistRel {
     /// broadcast variable) — no communication charged.
     pub fn join_local(&self, other: &Relation, cluster: &Cluster) -> Result<DistRel> {
         let plan = mura_core::relation::join_plan(&self.schema, other.schema());
-        let parts = cluster.par_map(&self.parts, |_, p| plan.execute(p, other))?;
+        let parts = cluster.par_map(self.parts(), |_, p| plan.execute(p, other))?;
         // Output keeps big-side placement; metadata survives if the key is
         // still part of the output schema (it always is for natural joins).
-        Ok(DistRel {
-            schema: plan.out_schema.clone(),
-            parts,
-            partitioned_by: self.partitioned_by.clone(),
-        })
+        Ok(DistRel::from_parts(plan.out_schema, parts, self.partitioned_by.clone()))
     }
 
     /// Antijoin retaining rows of `self` without a match in `other`
@@ -261,12 +339,8 @@ impl DistRel {
     /// Antijoin against a relation every worker already holds — no
     /// communication charged.
     pub fn antijoin_local(&self, other: &Relation, cluster: &Cluster) -> Result<DistRel> {
-        let parts = cluster.par_map(&self.parts, |_, p| p.antijoin(other))?;
-        Ok(DistRel {
-            schema: self.schema.clone(),
-            parts,
-            partitioned_by: self.partitioned_by.clone(),
-        })
+        let parts = cluster.par_map(self.parts(), |_, p| p.antijoin(other))?;
+        Ok(DistRel::from_parts(self.schema.clone(), parts, self.partitioned_by.clone()))
     }
 
     /// Antijoin via co-partitioning on the common columns.
@@ -275,10 +349,8 @@ impl DistRel {
         assert!(!common.is_empty(), "shuffle antijoin requires common columns");
         let a = self.repartition(&common, cluster)?;
         let b = other.repartition(&common, cluster)?;
-        let pairs: Vec<(Relation, Relation)> =
-            a.parts.iter().cloned().zip(b.parts.iter().cloned()).collect();
-        let parts = cluster.par_map(&pairs, |_, (x, y)| x.antijoin(y))?;
-        Ok(DistRel { schema: a.schema.clone(), parts, partitioned_by: a.partitioned_by.clone() })
+        let parts = cluster.par_map(&a.zip_parts(&b), |_, (x, y)| x.antijoin(y))?;
+        Ok(DistRel::from_parts(a.schema, parts, a.partitioned_by))
     }
 
     /// Builds a `DistRel` from explicit partitions (used by the local
@@ -288,7 +360,7 @@ impl DistRel {
         parts: Vec<Relation>,
         partitioned_by: Option<Vec<Sym>>,
     ) -> Self {
-        DistRel { schema, parts, partitioned_by }
+        DistRel { schema, whole: None, workers: parts.len(), parts: parts.into(), partitioned_by }
     }
 }
 
@@ -374,16 +446,140 @@ mod tests {
     }
 
     #[test]
-    fn minus_removes_colocated() {
+    fn absorb_new_accumulates_in_place_and_returns_the_new_rows() {
         let mut db = mura_core::Database::new();
         let r1 = rel(&mut db, &[(1, 2), (3, 4), (5, 6)]);
-        let r2 = rel(&mut db, &[(3, 4)]);
+        let r2 = rel(&mut db, &[(3, 4), (7, 8), (9, 10)]);
         let c = cluster();
-        let a = DistRel::from_relation(&r1, &c);
-        let b = DistRel::from_relation(&r2, &c);
-        let m = a.minus(&b, &c).unwrap();
-        assert_eq!(m.len(), 2);
-        assert!(!m.collect().contains(&[Value::node(3), Value::node(4)]));
+        let mut acc = DistRel::from_relation(&r1, &c);
+        let checkpoint = acc.clone();
+        let before = c.metrics().snapshot();
+        let delta = acc.absorb_new(DistRel::from_relation(&r2, &c), &c).unwrap();
+        // Both sides loaded with the same full-row key → no shuffle.
+        assert_eq!(c.metrics().snapshot().since(&before).shuffles, 0);
+        assert_eq!(delta.collect().sorted_rows(), rel(&mut db, &[(7, 8), (9, 10)]).sorted_rows());
+        assert_eq!(acc.collect().sorted_rows(), r1.union(&r2).sorted_rows());
+        assert_eq!(delta.partitioned_by(), acc.partitioned_by());
+        // Every new row sits in the accumulator partition it was absorbed by.
+        for (d, a) in delta.parts().iter().zip(acc.parts()) {
+            assert!(d.iter().all(|row| a.contains(row)));
+        }
+        // The clone taken before is a snapshot, not a view of the update.
+        assert_eq!(checkpoint.collect().sorted_rows(), r1.sorted_rows());
+    }
+
+    #[test]
+    fn absorb_new_charges_what_difference_then_union_charged() {
+        // `new` without a key is shuffled once. An accumulator keyed in
+        // another order moves once and is charged twice: once for the
+        // difference, once for the union (see `DistRel::absorb_new`).
+        let mut db = mura_core::Database::new();
+        let (src, dst) = (db.intern("src"), db.intern("dst"));
+        let r1 = rel(&mut db, &[(1, 2), (3, 4), (5, 6)]);
+        let r2 = rel(&mut db, &[(3, 4), (7, 8)]);
+        let c = cluster();
+        let unkeyed = |r: &Relation| {
+            let parts = DistRel::from_relation(r, &c).parts().to_vec();
+            DistRel::from_parts(r.schema().clone(), parts, None)
+        };
+        let mut acc = DistRel::from_relation(&r1, &c);
+        let before = c.metrics().snapshot();
+        let delta = acc.absorb_new(unkeyed(&r2), &c).unwrap();
+        let moved = c.metrics().snapshot().since(&before);
+        assert_eq!((moved.shuffles, moved.rows_shuffled), (1, 2));
+        assert_eq!(delta.len(), 1);
+
+        let mut acc = DistRel::from_relation(&r1, &c).repartition(&[dst, src], &c).unwrap();
+        let before = c.metrics().snapshot();
+        let delta = acc.absorb_new(unkeyed(&r2), &c).unwrap();
+        let moved = c.metrics().snapshot().since(&before);
+        assert_eq!((moved.shuffles, moved.rows_shuffled), (3, 2 + 3 + 3));
+        assert_eq!(delta.len(), 1);
+        assert_eq!(acc.collect().sorted_rows(), r1.union(&r2).sorted_rows());
+    }
+
+    /// The eager split `from_relation` used to perform: every row placed by
+    /// the hash of its fields in schema order.
+    fn eager_parts(r: &Relation, n: usize) -> Vec<Relation> {
+        let all: Vec<usize> = (0..r.schema().arity()).collect();
+        let mut parts: Vec<Relation> = (0..n).map(|_| Relation::new(r.schema().clone())).collect();
+        for row in r.iter() {
+            parts[(hash_key(row, &all) as usize) % n].insert(row.clone());
+        }
+        parts
+    }
+
+    #[test]
+    fn lazy_placement_equals_eager_placement() {
+        let mut db = mura_core::Database::new();
+        // Interned first, `aa` sorts before both columns, and `zz` after
+        // them: two of the renames below permute the row's fields, so
+        // hashing in schema order would move rows.
+        let aa = db.intern("aa");
+        let (src, dst, zz) = (db.intern("src"), db.intern("dst"), db.intern("zz"));
+        let pairs: Vec<(u64, u64)> = (0..200).map(|i| (i % 17, i * 7 % 31)).collect();
+        let r = rel(&mut db, &pairs);
+        let c = cluster();
+        let eager = eager_parts(&r, c.workers());
+        let check = |lazy: &DistRel, map: &dyn Fn(&Relation) -> Relation| {
+            for (l, e) in lazy.parts().iter().zip(&eager) {
+                assert_eq!(l.sorted_rows(), map(e).sorted_rows());
+            }
+        };
+        let d = DistRel::from_relation(&r, &c);
+        check(&d, &|e| e.clone());
+        for (from, to) in [(src, aa), (dst, aa), (src, zz), (dst, zz)] {
+            let renamed = DistRel::from_relation(&r, &c).rename(from, to, &c).unwrap();
+            let key: Vec<Sym> =
+                r.schema().columns().iter().map(|&k| if k == from { to } else { k }).collect();
+            assert_eq!(renamed.partitioned_by(), Some(&key[..]));
+            check(&renamed, &|e| e.rename(from, to));
+        }
+        let pred = [Pred::Neq(src, Value::node(3))];
+        let filtered = DistRel::from_relation(&r, &c)
+            .rename(dst, aa, &c)
+            .unwrap()
+            .filter_preds(&pred, &c)
+            .unwrap();
+        check(&filtered, &|e| apply_filter(&e.rename(dst, aa), &pred).unwrap());
+    }
+
+    #[test]
+    fn lazy_values_skip_and_charge_the_same_shuffles() {
+        let mut db = mura_core::Database::new();
+        let (src, dst, m) = (db.intern("src"), db.intern("dst"), db.intern("m"));
+        let r = rel(&mut db, &[(1, 2), (1, 3), (2, 4), (3, 5), (4, 1)]);
+        let c = cluster();
+        let shuffled = |f: &dyn Fn() -> DistRel| {
+            let before = c.metrics().snapshot();
+            let out = f();
+            let d = c.metrics().snapshot().since(&before);
+            (d.shuffles, d.rows_shuffled, out)
+        };
+        let lazy = DistRel::from_relation(&r, &c).rename(dst, m, &c).unwrap();
+        // Already keyed (by the renamed full row): distinct and a
+        // repartition on that very key are free, and stay lazy.
+        let (n, rows, out) = shuffled(&|| lazy.distinct(&c).unwrap());
+        assert_eq!((n, rows), (0, 0));
+        assert_eq!(out.partitioned_by(), lazy.partitioned_by());
+        let key = lazy.partitioned_by().unwrap().to_vec();
+        assert_eq!(shuffled(&|| lazy.repartition(&key, &c).unwrap()).0, 0);
+        // Any other key — the same columns in another order included — is
+        // one shuffle of every row.
+        let (n, rows, out) = shuffled(&|| lazy.repartition(&[src], &c).unwrap());
+        assert_eq!((n, rows), (1, 5));
+        assert_eq!(out.collect().sorted_rows(), r.rename(dst, m).sorted_rows());
+        let reversed: Vec<Sym> = key.iter().rev().copied().collect();
+        assert_eq!(shuffled(&|| lazy.repartition(&reversed, &c).unwrap()).0, 1);
+        // Two lazy loads share the full-row key: a union moves nothing.
+        let other = DistRel::from_relation(&r, &c);
+        let (n, _, out) = shuffled(&|| other.union(&DistRel::from_relation(&r, &c), &c).unwrap());
+        assert_eq!((n, out.len()), (0, 5));
+        // A renamed side no longer shares it: both sides are co-partitioned.
+        let back = lazy.rename(m, dst, &c).unwrap();
+        let swapped = DistRel::from_relation(&r, &c).repartition(&[dst, src], &c).unwrap();
+        let (n, rows, out) = shuffled(&|| back.union(&swapped, &c).unwrap());
+        assert_eq!((n, rows, out.len()), (1, 5, 5));
     }
 
     #[test]

@@ -303,7 +303,7 @@ impl<'db> DistEvaluator<'db> {
         self.flush_worker_trace();
         self.stats.trace = self.sink.as_ref().map(|s| s.finish());
         let out = match v? {
-            DVal::Dist(d) => d.distinct(&self.cluster)?.collect(),
+            DVal::Dist(d) => d.distinct(&self.cluster)?.into_relation(),
             DVal::Repl(r) => (*r).clone(),
         };
         self.stats.fault = self.cluster.fault().snapshot();
@@ -442,9 +442,9 @@ impl<'db> DistEvaluator<'db> {
             }
             (DVal::Dist(x), DVal::Dist(y)) => {
                 let common = x.schema().intersection(y.schema());
-                let (small, big) = if x.len() <= y.len() { (&x, &y) } else { (&y, &x) };
-                if small.len() <= self.config.broadcast_threshold || common.is_empty() {
-                    let rel = small.collect();
+                if x.len().min(y.len()) <= self.config.broadcast_threshold || common.is_empty() {
+                    let (small, big) = if x.len() <= y.len() { (x, y) } else { (y, x) };
+                    let rel = small.into_relation();
                     self.cluster.broadcast_rel(&rel)?;
                     DVal::Dist(big.join_local(&rel, &self.cluster)?)
                 } else {
@@ -465,7 +465,7 @@ impl<'db> DistEvaluator<'db> {
             (DVal::Dist(x), DVal::Dist(y)) => {
                 let common = x.schema().intersection(y.schema());
                 if y.len() <= self.config.broadcast_threshold || common.is_empty() {
-                    let rel = y.collect();
+                    let rel = y.into_relation();
                     self.cluster.broadcast_rel(&rel)?;
                     DVal::Dist(x.antijoin_local(&rel, &self.cluster)?)
                 } else {
@@ -591,8 +591,7 @@ impl<'db> DistEvaluator<'db> {
         let seed = seed.expect("decompose guarantees a constant part").into_dist(&self.cluster);
         let seed = seed.distinct(&self.cluster)?;
         if recs.is_empty() {
-            self.capture_total(key, &seed)?;
-            return Ok(seed);
+            return self.capture_total(key, seed);
         }
         // Fold the (possibly changed) seed into the maintained state:
         // acc₀ = acc ∪ seed ∪ delta and delta₀ = delta ∪ (seed \ acc), so
@@ -652,23 +651,29 @@ impl<'db> DistEvaluator<'db> {
                 self.eval_gld(x, seed, &recs, initial)?
             }
         };
-        self.capture_total(key, &out)?;
-        Ok(out)
+        self.capture_total(key, out)
     }
 
     /// Collects `rel` into [`ExecStats::fix_totals`] under `key` when
-    /// capture is enabled. The driver-side copy is charged against the byte
-    /// budget like any other materialized state.
-    fn capture_total(&mut self, key: Option<u64>, rel: &DistRel) -> Result<()> {
-        let Some(k) = key else { return Ok(()) };
-        if !self.config.capture_fixpoints {
-            return Ok(());
-        }
-        let total = rel.collect();
+    /// capture is enabled, and hands the fixpoint's value back. A
+    /// hash-placed value is gathered by moving its rows and goes on whole
+    /// (placement is a function of the key, so its partitions come back
+    /// the same if anything asks for them); the captured total is then the
+    /// same storage, not a copy. The driver-side total is charged against
+    /// the byte budget like any other materialized state.
+    fn capture_total(&mut self, key: Option<u64>, rel: DistRel) -> Result<DistRel> {
+        let Some(k) = key.filter(|_| self.config.capture_fixpoints) else { return Ok(rel) };
+        let (total, rel) = match rel.partitioned_by().map(<[Sym]>::to_vec) {
+            Some(by) => {
+                let total = rel.into_relation();
+                (total.clone(), DistRel::placed(total, by, self.cluster.workers()))
+            }
+            None => (rel.collect(), rel),
+        };
         self.budget
             .charge_bytes(mura_core::rel_bytes(total.len() as u64, total.schema().arity()))?;
         self.stats.fix_totals.get_or_insert_with(FxHashMap::default).insert(k, total);
-        Ok(())
+        Ok(rel)
     }
 
     /// `P_async`: barrier-free delta exchange (see [`crate::asyncfix`]).
@@ -768,9 +773,10 @@ impl<'db> DistEvaluator<'db> {
 
     /// `P_gld`: the driver iterates; every step applies the prepared
     /// branch kernels partition-wise to the delta (loop invariants folded
-    /// and indexed once, before the loop starts), and the union/difference
-    /// with the accumulator forces a shuffle of the new tuples each
-    /// iteration (paper §IV-A1).
+    /// and indexed once, before the loop starts), and accumulating what
+    /// they produced forces a shuffle of the new tuples each iteration
+    /// (paper §IV-A1). The accumulator is updated in place, partition by
+    /// partition, after that shuffle.
     ///
     /// The driver is also the recovery supervisor for this plan: every
     /// [`ExecConfig::checkpoint_every`] supersteps it snapshots
@@ -778,7 +784,8 @@ impl<'db> DistEvaluator<'db> {
     /// when a superstep fails with a retryable error after the cluster's
     /// task retries are exhausted, it rolls back to the last checkpoint —
     /// or restarts from the seed when none exists — up to
-    /// [`RecoveryPolicy::max_restores`] times.
+    /// [`RecoveryPolicy::max_restores`] times. The rollback is also what
+    /// discards whatever the failed superstep had already accumulated.
     fn eval_gld(
         &mut self,
         x: Sym,
@@ -829,19 +836,20 @@ impl<'db> DistEvaluator<'db> {
             let window = self.probe_superstep();
             // Frames shuffled by this superstep carry its 1-based number.
             self.set_trace_step(fx, iter as u32 + 1);
-            match self.gld_superstep(&prepared, &acc, &delta) {
+            // A failed superstep may leave `acc` emptied or half-absorbed;
+            // every failure path below resets `(acc, delta)` or returns.
+            match self.gld_superstep(&prepared, &mut acc, &delta) {
                 Ok(None) => {
                     let mut ev = TraceEvent::new(EventKind::Superstep, fx, PlanKind::Gld);
                     ev.iteration = iter + 1;
                     self.record_window(&window, ev);
                     break;
                 }
-                Ok(Some((a, d))) => {
+                Ok(Some(d)) => {
                     let mut ev = TraceEvent::new(EventKind::Superstep, fx, PlanKind::Gld);
                     ev.iteration = iter + 1;
                     ev.delta_rows = d.len() as u64;
                     self.record_window(&window, ev);
-                    acc = a;
                     delta = d;
                     iter += 1;
                     if checkpoint_every > 0 && iter.is_multiple_of(checkpoint_every) {
@@ -889,14 +897,16 @@ impl<'db> DistEvaluator<'db> {
         Ok(acc)
     }
 
-    /// One `P_gld` superstep. Returns the next `(acc, delta)` pair, or
-    /// `None` when the fixpoint is reached.
+    /// One `P_gld` superstep: applies the branches to `delta`
+    /// partition-wise, shuffles what they produced to the accumulator's
+    /// partitioning and accumulates it into `acc` in place. Returns the
+    /// next delta, or `None` when the fixpoint is reached.
     fn gld_superstep(
         &mut self,
         prepared: &[Prepared<Relation>],
-        acc: &DistRel,
+        acc: &mut DistRel,
         delta: &DistRel,
-    ) -> Result<Option<(DistRel, DistRel)>> {
+    ) -> Result<Option<DistRel>> {
         self.stats.fixpoint_iterations += 1;
         kernel_stats().record_iteration();
         let mut new: Option<DistRel> = None;
@@ -908,7 +918,7 @@ impl<'db> DistEvaluator<'db> {
             let site = self.cluster.fault().next_site();
             let parts = self
                 .cluster
-                .try_par_map_at(site, 0, delta.parts(), |_, part| eval_branch(p, part))?;
+                .try_par_map_at(site, 0, delta.parts(), |_, part| Ok(eval_branch(p, part)))?;
             kernel_stats().record_eval_time(start.elapsed());
             let schema = parts[0].schema().clone();
             let produced = DistRel::from_parts(schema, parts, None);
@@ -926,12 +936,9 @@ impl<'db> DistEvaluator<'db> {
                 context: "fixpoint recursive part",
             });
         }
-        let new = new.minus(acc, &self.cluster)?;
+        let new = acc.absorb_new(new, &self.cluster)?;
         self.charge(new.len(), new.schema().arity())?;
-        if new.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some((acc.union(&new, &self.cluster)?, new)))
+        Ok(if new.is_empty() { None } else { Some(new) })
     }
 
     /// `P_plw`: repartition the constant part (by the stable columns when
@@ -1067,7 +1074,7 @@ impl<'db> DistEvaluator<'db> {
                     DVal::Repl(r) => r,
                     DVal::Dist(d) => {
                         // Workers need the full relation locally: broadcast.
-                        let rel = Arc::new(d.collect());
+                        let rel = Arc::new(d.into_relation());
                         self.cluster.broadcast_rel(&rel)?;
                         let repl = DVal::Repl(rel.clone());
                         self.bound.insert(*v, repl);

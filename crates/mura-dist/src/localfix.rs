@@ -12,9 +12,18 @@
 //!   style);
 //! * [`LocalEngine::Sorted`] — sort-merge relations standing in for the
 //!   per-worker PostgreSQL instances of `P_plw^pg`.
+//!
+//! Both run the same compiled branches ([`prepare`]): loop invariants are
+//! folded and indexed once per fixpoint, the operators over the delta are
+//! fused into chains that build no intermediate row, and a superstep
+//! accumulates what the chains put out into the accumulator **in place**
+//! ([`LocalRel::absorb_new`]) — the rows that were new are the next delta.
+//! The `P_gld` driver and the `P_async` workers apply the same branches
+//! through [`eval_branch`].
 
 use crate::fault::{FaultPlan, RecoveryPolicy};
 use crate::sorted::SortedRelation;
+use mura_core::index::hash_values;
 use mura_core::kernel::kernel_stats;
 use mura_core::mem::{mem_gauge, rel_bytes};
 use mura_core::{
@@ -22,6 +31,7 @@ use mura_core::{
     Term, Value,
 };
 use mura_obs::trace::{EventKind, PlanKind, RecoveryKind, TraceEvent, TraceSink};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -154,6 +164,11 @@ impl Drop for Budget {
 
 /// Local relation operations shared by the two engines. `Send + Sync` so a
 /// branch prepared once can be shared by every worker of a fixpoint.
+///
+/// The semi-naive loops need only [`LocalRel::iter_rows`],
+/// [`LocalRel::from_row_vec`] and [`LocalRel::absorb_new`]; the relational
+/// operators serve constant folding, the rare pipeline breakers of a
+/// prepared branch, and the reference kernel.
 pub trait LocalRel: Sized + Clone + Send + Sync {
     fn from_relation(r: &Relation) -> Self;
     fn into_relation(self) -> Relation;
@@ -171,10 +186,36 @@ pub trait LocalRel: Sized + Clone + Send + Sync {
     fn iter_rows(&self) -> impl Iterator<Item = &Row>;
     /// Builds from raw rows, deduplicating as the engine requires.
     fn from_row_vec(schema: Schema, rows: Vec<Row>) -> Self;
+    /// In-place accumulate: inserts the rows of `produced` that are absent
+    /// and returns exactly those — the next semi-naive delta.
+    fn absorb_new(&mut self, produced: Vec<Row>) -> Self;
 }
 
-/// Compiles predicates to a positional closure over a schema.
-fn compile_preds(schema: &Schema, preds: &[Pred]) -> Result<Vec<CompiledPred>> {
+/// A predicate over operands of type `P`: row positions for a materialized
+/// relation, [`Src`]s inside a fused chain.
+enum CompiledPred<P> {
+    Eq(P, Value),
+    Neq(P, Value),
+    EqCol(P, P),
+}
+
+impl<P: Copy> CompiledPred<P> {
+    fn matches(&self, value: impl Fn(P) -> Value) -> bool {
+        match self {
+            CompiledPred::Eq(p, v) => value(*p) == *v,
+            CompiledPred::Neq(p, v) => value(*p) != *v,
+            CompiledPred::EqCol(a, b) => value(*a) == value(*b),
+        }
+    }
+}
+
+/// Compiles predicates over `schema`, resolving every column to its
+/// operand through `locate`.
+fn compile_preds<P>(
+    schema: &Schema,
+    preds: &[Pred],
+    locate: impl Fn(Sym) -> P,
+) -> Result<Vec<CompiledPred<P>>> {
     let mut out = Vec::with_capacity(preds.len());
     for p in preds {
         for c in p.columns() {
@@ -187,30 +228,17 @@ fn compile_preds(schema: &Schema, preds: &[Pred]) -> Result<Vec<CompiledPred>> {
             }
         }
         out.push(match p {
-            Pred::Eq(c, v) => CompiledPred::Eq(schema.position(*c).unwrap(), *v),
-            Pred::Neq(c, v) => CompiledPred::Neq(schema.position(*c).unwrap(), *v),
-            Pred::EqCol(a, b) => {
-                CompiledPred::EqCol(schema.position(*a).unwrap(), schema.position(*b).unwrap())
-            }
+            Pred::Eq(c, v) => CompiledPred::Eq(locate(*c), *v),
+            Pred::Neq(c, v) => CompiledPred::Neq(locate(*c), *v),
+            Pred::EqCol(a, b) => CompiledPred::EqCol(locate(*a), locate(*b)),
         });
     }
     Ok(out)
 }
 
-enum CompiledPred {
-    Eq(usize, Value),
-    Neq(usize, Value),
-    EqCol(usize, usize),
-}
-
-impl CompiledPred {
-    fn matches(&self, row: &[Value]) -> bool {
-        match self {
-            CompiledPred::Eq(p, v) => row[*p] == *v,
-            CompiledPred::Neq(p, v) => row[*p] != *v,
-            CompiledPred::EqCol(a, b) => row[*a] == row[*b],
-        }
-    }
+/// Compiles predicates to row positions of `schema`.
+fn positional_preds(schema: &Schema, preds: &[Pred]) -> Result<Vec<CompiledPred<usize>>> {
+    compile_preds(schema, preds, |c| schema.position(c).expect("column checked above"))
 }
 
 impl LocalRel for Relation {
@@ -230,8 +258,8 @@ impl LocalRel for Relation {
         Relation::is_empty(self)
     }
     fn filter_preds(&self, preds: &[Pred]) -> Result<Self> {
-        let compiled = compile_preds(Relation::schema(self), preds)?;
-        Ok(self.filter(|row| compiled.iter().all(|p| p.matches(row))))
+        let compiled = positional_preds(Relation::schema(self), preds)?;
+        Ok(self.filter(|row| compiled.iter().all(|p| p.matches(|pos| row[pos]))))
     }
     fn rename_col(&self, from: Sym, to: Sym) -> Self {
         self.rename(from, to)
@@ -257,6 +285,9 @@ impl LocalRel for Relation {
     fn from_row_vec(schema: Schema, rows: Vec<Row>) -> Self {
         Relation::from_rows(schema, rows)
     }
+    fn absorb_new(&mut self, produced: Vec<Row>) -> Self {
+        Relation::absorb_new(self, produced)
+    }
 }
 
 impl LocalRel for SortedRelation {
@@ -276,8 +307,8 @@ impl LocalRel for SortedRelation {
         SortedRelation::is_empty(self)
     }
     fn filter_preds(&self, preds: &[Pred]) -> Result<Self> {
-        let compiled = compile_preds(SortedRelation::schema(self), preds)?;
-        Ok(self.filter(|row| compiled.iter().all(|p| p.matches(row))))
+        let compiled = positional_preds(SortedRelation::schema(self), preds)?;
+        Ok(self.filter(|row| compiled.iter().all(|p| p.matches(|pos| row[pos]))))
     }
     fn rename_col(&self, from: Sym, to: Sym) -> Self {
         self.rename(from, to)
@@ -303,6 +334,189 @@ impl LocalRel for SortedRelation {
     fn from_row_vec(schema: Schema, rows: Vec<Row>) -> Self {
         SortedRelation::from_rows(schema, rows)
     }
+    fn absorb_new(&mut self, produced: Vec<Row>) -> Self {
+        SortedRelation::absorb_new(self, produced)
+    }
+}
+
+/// Where a value of the row a chain is assembling lives: position `pos` of
+/// source row `row`. Source 0 is the chain's input row; source `k` is the
+/// build row matched by the chain's `k`-th join.
+#[derive(Debug, Clone, Copy)]
+struct Src {
+    row: usize,
+    pos: usize,
+}
+
+/// One run-time step of a fused chain. Renames and antiprojections are not
+/// steps: they only edit [`Chain::cols`] at prepare time.
+enum Stage {
+    /// Keep the row if every predicate holds.
+    Filter(Vec<CompiledPred<Src>>),
+    /// Continue once per build row matching the key; the match becomes the
+    /// next source row.
+    Join { idx: JoinIndex, key: Vec<Src> },
+    /// Keep the row if its key is absent from the cached key-set.
+    Antijoin { idx: KeyIndex, key: Vec<Src> },
+}
+
+/// A maximal run of `Rename / Filter / AntiProject / Join-with-constant /
+/// Antijoin-with-constant` operators compiled into one pass: every input
+/// row walks the stages as a stack of borrowed source rows — no
+/// intermediate row is ever built — and each surviving combination is
+/// materialised exactly once, projected through [`Chain::cols`] into the
+/// output schema.
+struct Chain {
+    stages: Vec<Stage>,
+    /// The live columns in schema (sorted) order, each with where its value
+    /// lives. A rename relabels an entry, an antiprojection removes one: the
+    /// projection a join would have performed happens here, once, at the end.
+    cols: Vec<(Sym, Src)>,
+    /// Source rows on the stack once every join has matched.
+    sources: usize,
+}
+
+/// What a superstep's chains produced, plus the probe counts they owe the
+/// process-wide kernel counters (flushed once, not per row).
+#[derive(Default)]
+struct Sink {
+    rows: Vec<Row>,
+    join_probes: u64,
+    antijoin_probes: u64,
+}
+
+impl Sink {
+    /// Hands the rows over and reports the counts.
+    fn finish(self) -> Vec<Row> {
+        let stats = kernel_stats();
+        stats.record_join_probes(self.join_probes);
+        stats.record_antijoin_probes(self.antijoin_probes);
+        stats.record_rows_allocated(self.rows.len() as u64);
+        self.rows
+    }
+}
+
+impl Chain {
+    /// The identity chain over rows of `schema`.
+    fn over(schema: &Schema) -> Chain {
+        let cols =
+            schema.columns().iter().enumerate().map(|(pos, &c)| (c, Src { row: 0, pos })).collect();
+        Chain { stages: Vec::new(), cols, sources: 1 }
+    }
+
+    fn schema(&self) -> Schema {
+        Schema::new(self.cols.iter().map(|&(c, _)| c).collect())
+    }
+
+    fn src_of(&self, column: Sym) -> Src {
+        self.cols.iter().find(|(c, _)| *c == column).expect("column of the chain's schema").1
+    }
+
+    fn filter(&mut self, preds: &[Pred]) -> Result<()> {
+        let compiled = compile_preds(&self.schema(), preds, |c| self.src_of(c))?;
+        self.stages.push(Stage::Filter(compiled));
+        Ok(())
+    }
+
+    fn rename(&mut self, from: Sym, to: Sym) {
+        let schema = self.schema();
+        if schema.rename(from, to).is_none() {
+            panic!("invalid rename {from:?} -> {to:?} on {schema}");
+        }
+        self.cols.iter_mut().find(|(c, _)| *c == from).expect("rename checked above").0 = to;
+        self.cols.sort_unstable_by_key(|&(c, _)| c);
+    }
+
+    fn antiproject(&mut self, drop: &[Sym]) {
+        let schema = self.schema();
+        if schema.antiproject(drop).is_none() {
+            panic!("invalid antiprojection of {drop:?} on {schema}");
+        }
+        self.cols.retain(|(c, _)| !drop.contains(c));
+    }
+
+    /// Natural join with a loop-invariant relation, through an index built
+    /// here, once.
+    fn join(&mut self, build: &Relation) {
+        let idx = JoinIndex::build(&self.schema(), build);
+        let key = idx.probe_key().iter().map(|&p| self.cols[p].1).collect();
+        let matched = self.sources;
+        self.cols = idx
+            .out_schema()
+            .columns()
+            .iter()
+            .zip(idx.out_src())
+            .map(|(&c, &(from_probe, pos))| {
+                (c, if from_probe { self.cols[pos].1 } else { Src { row: matched, pos } })
+            })
+            .collect();
+        self.sources += 1;
+        self.stages.push(Stage::Join { idx, key });
+    }
+
+    /// Antijoin against a loop-invariant relation, through a key-set built
+    /// here, once.
+    fn antijoin(&mut self, build: &Relation) {
+        let idx = KeyIndex::build(&self.schema(), build);
+        let key = idx.probe_key().iter().map(|&p| self.cols[p].1).collect();
+        self.stages.push(Stage::Antijoin { idx, key });
+    }
+
+    fn cached_bytes(&self) -> u64 {
+        self.stages
+            .iter()
+            .map(|stage| match stage {
+                Stage::Filter(_) => 0,
+                Stage::Join { idx, .. } => idx.approx_bytes(),
+                Stage::Antijoin { idx, .. } => idx.approx_bytes(),
+            })
+            .sum()
+    }
+
+    /// Streams every input row through the stages into `sink`.
+    fn run<'a>(&'a self, input: impl Iterator<Item = &'a Row>, sink: &mut Sink) {
+        let mut srcs: Vec<&'a [Value]> = Vec::with_capacity(self.sources);
+        for row in input {
+            srcs.push(row);
+            self.step(0, &mut srcs, sink);
+            srcs.pop();
+        }
+    }
+
+    fn step<'a>(&'a self, at: usize, srcs: &mut Vec<&'a [Value]>, sink: &mut Sink) {
+        let Some(stage) = self.stages.get(at) else {
+            sink.rows.push(self.cols.iter().map(|&(_, s)| srcs[s.row][s.pos]).collect());
+            return;
+        };
+        match stage {
+            Stage::Filter(preds) => {
+                if preds.iter().all(|p| p.matches(|s| srcs[s.row][s.pos])) {
+                    self.step(at + 1, srcs, sink);
+                }
+            }
+            Stage::Join { idx, key } => {
+                sink.join_probes += 1;
+                let hash = hash_values(key.iter().map(|s| srcs[s.row][s.pos]));
+                for build_row in idx.bucket(hash) {
+                    let matches = key
+                        .iter()
+                        .zip(idx.build_key())
+                        .all(|(s, &bp)| srcs[s.row][s.pos] == build_row[bp]);
+                    if matches {
+                        srcs.push(build_row);
+                        self.step(at + 1, srcs, sink);
+                        srcs.pop();
+                    }
+                }
+            }
+            Stage::Antijoin { idx, key } => {
+                sink.antijoin_probes += 1;
+                if !idx.contains_key(|i| srcs[key[i].row][key[i].pos]) {
+                    self.step(at + 1, srcs, sink);
+                }
+            }
+        }
+    }
 }
 
 /// A recursive branch compiled for local execution.
@@ -310,27 +524,107 @@ impl LocalRel for SortedRelation {
 /// Built once per fixpoint by [`prepare`] and shared by every worker:
 ///
 /// * every `x`-free subtree is **folded** into a single pre-materialized
-///   [`Prepared::Const`] before iteration starts (no per-iteration
-///   re-evaluation of loop-invariant expressions);
-/// * every `Join(delta-side, const-side)` carries a [`JoinIndex`] over the
-///   constant side, built once and probed with the delta each iteration
-///   ([`Prepared::JoinIdx`]); antijoins against a constant get the analogous
-///   cached key-set ([`Prepared::AntijoinIdx`]).
-pub enum Prepared<R> {
-    Delta,
+///   constant before iteration starts (no per-iteration re-evaluation of
+///   loop-invariant expressions);
+/// * every run of row-local operators over the delta — renames, filters,
+///   antiprojections, joins and antijoins against a folded constant — is
+///   **fused** into one [`Chain`]: the build-side [`JoinIndex`] / [`KeyIndex`]
+///   is built once, and each iteration streams the delta's rows through the
+///   chain, materialising only the rows that come out of it;
+/// * a union, or a join/antijoin whose two sides both depend on the delta,
+///   is a pipeline breaker: its inputs are materialized and combined with
+///   the engine's own operator.
+pub struct Prepared<R> {
+    root: Node<R>,
+    schema: Schema,
+}
+
+enum Node<R> {
+    /// The rows of the delta, of the given schema.
+    Delta(Schema),
+    /// A folded loop-invariant.
     Const(R),
-    Filter(Vec<Pred>, Box<Prepared<R>>),
-    Rename(Sym, Sym, Box<Prepared<R>>),
-    AntiProject(Vec<Sym>, Box<Prepared<R>>),
-    Join(Box<Prepared<R>>, Box<Prepared<R>>),
-    Antijoin(Box<Prepared<R>>, Box<Prepared<R>>),
-    Union(Box<Prepared<R>>, Box<Prepared<R>>),
-    /// Delta-dependent subtree joined against a loop-invariant side through
-    /// a cached build-side index.
-    JoinIdx(Box<Prepared<R>>, JoinIndex),
-    /// Delta-dependent subtree antijoined against a cached key-set; the
-    /// schema is the subtree's output schema.
-    AntijoinIdx(Box<Prepared<R>>, KeyIndex, Schema),
+    /// A fused chain over the rows of its input.
+    Chain(Box<Node<R>>, Chain),
+    Union(Box<Node<R>>, Box<Node<R>>),
+    /// Two delta-dependent sides, with the join's output schema.
+    Join(Box<Node<R>>, Box<Node<R>>, Schema),
+    Antijoin(Box<Node<R>>, Box<Node<R>>),
+}
+
+impl<R: LocalRel> Node<R> {
+    fn schema(&self) -> Schema {
+        match self {
+            Node::Delta(schema) | Node::Join(_, _, schema) => schema.clone(),
+            Node::Const(r) => r.schema().clone(),
+            Node::Chain(_, chain) => chain.schema(),
+            Node::Union(a, _) | Node::Antijoin(a, _) => a.schema(),
+        }
+    }
+
+    fn cached_bytes(&self) -> u64 {
+        match self {
+            Node::Delta(_) => 0,
+            Node::Const(r) => rel_bytes(r.len() as u64, r.schema().arity()),
+            Node::Chain(input, chain) => input.cached_bytes() + chain.cached_bytes(),
+            Node::Union(a, b) | Node::Join(a, b, _) | Node::Antijoin(a, b) => {
+                a.cached_bytes() + b.cached_bytes()
+            }
+        }
+    }
+
+    /// Appends this node's rows over `delta` to `sink`. Duplicates may
+    /// appear (a union is a concatenation here): whatever consumes the
+    /// sink is a set.
+    fn rows_into(&self, delta: &R, sink: &mut Sink) {
+        match self {
+            Node::Chain(input, chain) => chain.run(input.materialize(delta).iter_rows(), sink),
+            Node::Union(a, b) => {
+                a.rows_into(delta, sink);
+                b.rows_into(delta, sink);
+            }
+            breaker => sink.rows.extend(breaker.materialize(delta).iter_rows().cloned()),
+        }
+    }
+
+    /// This node's value over `delta` as a relation: borrowed for the two
+    /// leaves, built for everything else.
+    fn materialize<'a>(&'a self, delta: &'a R) -> Cow<'a, R> {
+        match self {
+            Node::Delta(_) => Cow::Borrowed(delta),
+            Node::Const(r) => Cow::Borrowed(r),
+            Node::Join(a, b, _) => {
+                Cow::Owned(a.materialize(delta).join_with(&b.materialize(delta)))
+            }
+            Node::Antijoin(a, b) => {
+                Cow::Owned(a.materialize(delta).antijoin_with(&b.materialize(delta)))
+            }
+            Node::Chain(..) | Node::Union(..) => {
+                let mut sink = Sink::default();
+                self.rows_into(delta, &mut sink);
+                Cow::Owned(R::from_row_vec(self.schema(), sink.finish()))
+            }
+        }
+    }
+
+    /// Splits off the chain ending at this node — the identity chain if
+    /// the node is not one — so that an operator can be appended to it.
+    fn into_chain(self) -> (Box<Node<R>>, Chain) {
+        match self {
+            Node::Chain(input, chain) => (input, chain),
+            other => {
+                let chain = Chain::over(&other.schema());
+                (Box::new(other), chain)
+            }
+        }
+    }
+
+    /// This node with one more row-local operator fused onto it.
+    fn fuse(self, op: impl FnOnce(&mut Chain)) -> Node<R> {
+        let (input, mut chain) = self.into_chain();
+        op(&mut chain);
+        Node::Chain(input, chain)
+    }
 }
 
 impl<R: LocalRel> Prepared<R> {
@@ -340,26 +634,19 @@ impl<R: LocalRel> Prepared<R> {
     /// [`prepare`], so an index build that would blow the budget fails
     /// typed before iteration starts.
     pub fn cached_bytes(&self) -> u64 {
-        match self {
-            Prepared::Delta => 0,
-            Prepared::Const(r) => rel_bytes(r.len() as u64, r.schema().arity()),
-            Prepared::Filter(_, t) | Prepared::Rename(_, _, t) | Prepared::AntiProject(_, t) => {
-                t.cached_bytes()
-            }
-            Prepared::Join(a, b) | Prepared::Antijoin(a, b) | Prepared::Union(a, b) => {
-                a.cached_bytes() + b.cached_bytes()
-            }
-            Prepared::JoinIdx(t, idx) => t.cached_bytes() + idx.approx_bytes(),
-            Prepared::AntijoinIdx(t, idx, _) => t.cached_bytes() + idx.approx_bytes(),
-        }
+        self.root.cached_bytes()
+    }
+
+    /// Schema of the rows the branch produces.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
     }
 }
 
-/// Result of `prep`: a fully folded constant, or a delta-dependent kernel
-/// with its output schema.
+/// Result of `prep`: a fully folded constant, or a delta-dependent kernel.
 enum Prep<R> {
     Const(Relation),
-    Dyn(Prepared<R>, Schema),
+    Dyn(Node<R>),
 }
 
 /// Evaluates a constant folding step, counting it so tests can assert the
@@ -370,19 +657,22 @@ fn fold<R>(r: Relation) -> Prep<R> {
 }
 
 /// Compiles a hoisted recursive branch (all `x`-free subterms are `Cst`):
-/// folds loop-invariant subtrees and builds join/antijoin indexes against
-/// them. `delta_schema` is the schema bound to the recursion variable.
+/// folds loop-invariant subtrees, builds join/antijoin indexes against
+/// them and fuses the operators over the delta into chains. `delta_schema`
+/// is the schema bound to the recursion variable.
 pub fn prepare<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prepared<R>> {
-    Ok(match prep(term, x, delta_schema)? {
-        Prep::Dyn(p, _) => p,
+    let root = match prep(term, x, delta_schema)? {
+        Prep::Dyn(node) => node,
         // A branch without the recursion variable at all: constant forever.
-        Prep::Const(r) => Prepared::Const(R::from_relation(&r)),
-    })
+        Prep::Const(r) => Node::Const(R::from_relation(&r)),
+    };
+    Ok(Prepared { schema: root.schema(), root })
 }
 
 fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<R>> {
+    let lift = |r: &Relation| Box::new(Node::Const(R::from_relation(r)));
     Ok(match term {
-        Term::Var(v) if *v == x => Prep::Dyn(Prepared::Delta, delta_schema.clone()),
+        Term::Var(v) if *v == x => Prep::Dyn(Node::Delta(delta_schema.clone())),
         Term::Var(v) => {
             return Err(MuraError::Other(format!(
                 "unhoisted variable {v} in local fixpoint branch"
@@ -391,39 +681,31 @@ fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<
         Term::Cst(r) => Prep::Const((**r).clone()),
         Term::Filter(ps, t) => match prep(t, x, delta_schema)? {
             Prep::Const(r) => fold(LocalRel::filter_preds(&r, ps)?),
-            Prep::Dyn(p, s) => Prep::Dyn(Prepared::Filter(ps.clone(), Box::new(p)), s),
+            Prep::Dyn(n) => {
+                let (input, mut chain) = n.into_chain();
+                chain.filter(ps)?;
+                Prep::Dyn(Node::Chain(input, chain))
+            }
         },
         Term::Rename(a, b, t) => match prep(t, x, delta_schema)? {
             Prep::Const(r) => fold(r.rename(*a, *b)),
-            Prep::Dyn(p, s) => {
-                let out = s
-                    .rename(*a, *b)
-                    .unwrap_or_else(|| panic!("invalid rename {a:?} -> {b:?} on {s}"));
-                Prep::Dyn(Prepared::Rename(*a, *b, Box::new(p)), out)
-            }
+            Prep::Dyn(n) => Prep::Dyn(n.fuse(|chain| chain.rename(*a, *b))),
         },
         Term::AntiProject(cs, t) => match prep(t, x, delta_schema)? {
             Prep::Const(r) => fold(r.antiproject(cs)),
-            Prep::Dyn(p, s) => {
-                let out = s
-                    .antiproject(cs)
-                    .unwrap_or_else(|| panic!("invalid antiprojection of {cs:?} on {s}"));
-                Prep::Dyn(Prepared::AntiProject(cs.clone(), Box::new(p)), out)
-            }
+            Prep::Dyn(n) => Prep::Dyn(n.fuse(|chain| chain.antiproject(cs))),
         },
         Term::Join(a, b) => {
             match (prep(a, x, delta_schema)?, prep(b, x, delta_schema)?) {
                 (Prep::Const(ra), Prep::Const(rb)) => fold(ra.join(&rb)),
                 // One loop-invariant side: index it once, probe with the
                 // delta-dependent side each iteration.
-                (Prep::Const(ra), Prep::Dyn(p, s)) | (Prep::Dyn(p, s), Prep::Const(ra)) => {
-                    let idx = JoinIndex::build(&s, &ra);
-                    let out = idx.out_schema().clone();
-                    Prep::Dyn(Prepared::JoinIdx(Box::new(p), idx), out)
+                (Prep::Const(r), Prep::Dyn(n)) | (Prep::Dyn(n), Prep::Const(r)) => {
+                    Prep::Dyn(n.fuse(|chain| chain.join(&r)))
                 }
-                (Prep::Dyn(pa, sa), Prep::Dyn(pb, sb)) => {
-                    let out = sa.union(&sb);
-                    Prep::Dyn(Prepared::Join(Box::new(pa), Box::new(pb)), out)
+                (Prep::Dyn(na), Prep::Dyn(nb)) => {
+                    let out = na.schema().union(&nb.schema());
+                    Prep::Dyn(Node::Join(Box::new(na), Box::new(nb), out))
                 }
             }
         }
@@ -431,29 +713,21 @@ fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<
             match (prep(a, x, delta_schema)?, prep(b, x, delta_schema)?) {
                 (Prep::Const(ra), Prep::Const(rb)) => fold(ra.antijoin(&rb)),
                 // Loop-invariant right side: cache its key-set.
-                (Prep::Dyn(pa, sa), Prep::Const(rb)) => {
-                    let idx = KeyIndex::build(&sa, &rb);
-                    Prep::Dyn(Prepared::AntijoinIdx(Box::new(pa), idx, sa.clone()), sa)
+                (Prep::Dyn(n), Prep::Const(r)) => Prep::Dyn(n.fuse(|chain| chain.antijoin(&r))),
+                (Prep::Const(ra), Prep::Dyn(nb)) => {
+                    Prep::Dyn(Node::Antijoin(lift(&ra), Box::new(nb)))
                 }
-                (Prep::Const(ra), Prep::Dyn(pb, _)) => {
-                    let sa = ra.schema().clone();
-                    let ca = Prepared::Const(R::from_relation(&ra));
-                    Prep::Dyn(Prepared::Antijoin(Box::new(ca), Box::new(pb)), sa)
-                }
-                (Prep::Dyn(pa, sa), Prep::Dyn(pb, _)) => {
-                    Prep::Dyn(Prepared::Antijoin(Box::new(pa), Box::new(pb)), sa)
+                (Prep::Dyn(na), Prep::Dyn(nb)) => {
+                    Prep::Dyn(Node::Antijoin(Box::new(na), Box::new(nb)))
                 }
             }
         }
         Term::Union(a, b) => match (prep(a, x, delta_schema)?, prep(b, x, delta_schema)?) {
             (Prep::Const(ra), Prep::Const(rb)) => fold(ra.union(&rb)),
-            (Prep::Const(ra), Prep::Dyn(p, s)) | (Prep::Dyn(p, s), Prep::Const(ra)) => {
-                let ca = Prepared::Const(R::from_relation(&ra));
-                Prep::Dyn(Prepared::Union(Box::new(ca), Box::new(p)), s)
+            (Prep::Const(r), Prep::Dyn(n)) | (Prep::Dyn(n), Prep::Const(r)) => {
+                Prep::Dyn(Node::Union(lift(&r), Box::new(n)))
             }
-            (Prep::Dyn(pa, sa), Prep::Dyn(pb, _)) => {
-                Prep::Dyn(Prepared::Union(Box::new(pa), Box::new(pb)), sa)
-            }
+            (Prep::Dyn(na), Prep::Dyn(nb)) => Prep::Dyn(Node::Union(Box::new(na), Box::new(nb))),
         },
         Term::Fix(_, _) => {
             return Err(MuraError::Other(
@@ -463,98 +737,13 @@ fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<
     })
 }
 
-/// Borrow-or-owned evaluation result: `Delta` and `Const` leaves evaluate to
-/// borrows (zero-clone), operators to owned values. A union with an empty
-/// side passes the other side through unchanged.
-enum Ev<'a, R> {
-    Ref(&'a R),
-    Own(R),
-}
-
-impl<R: LocalRel> Ev<'_, R> {
-    #[inline]
-    fn get(&self) -> &R {
-        match self {
-            Ev::Ref(r) => r,
-            Ev::Own(r) => r,
-        }
-    }
-
-    #[inline]
-    fn into_owned(self) -> R {
-        match self {
-            Ev::Ref(r) => r.clone(),
-            Ev::Own(r) => r,
-        }
-    }
-}
-
-fn eval_prepared<'a, R: LocalRel>(p: &'a Prepared<R>, delta: &'a R) -> Result<Ev<'a, R>> {
-    Ok(match p {
-        Prepared::Delta => Ev::Ref(delta),
-        Prepared::Const(r) => Ev::Ref(r),
-        Prepared::Filter(ps, t) => Ev::Own(eval_prepared(t, delta)?.get().filter_preds(ps)?),
-        Prepared::Rename(a, b, t) => Ev::Own(eval_prepared(t, delta)?.get().rename_col(*a, *b)),
-        Prepared::AntiProject(cs, t) => {
-            Ev::Own(eval_prepared(t, delta)?.get().antiproject_cols(cs))
-        }
-        Prepared::Join(a, b) => {
-            let ea = eval_prepared(a, delta)?;
-            let eb = eval_prepared(b, delta)?;
-            Ev::Own(ea.get().join_with(eb.get()))
-        }
-        Prepared::Antijoin(a, b) => {
-            let ea = eval_prepared(a, delta)?;
-            let eb = eval_prepared(b, delta)?;
-            Ev::Own(ea.get().antijoin_with(eb.get()))
-        }
-        Prepared::Union(a, b) => {
-            let ea = eval_prepared(a, delta)?;
-            let eb = eval_prepared(b, delta)?;
-            if ea.get().is_empty() {
-                eb
-            } else if eb.get().is_empty() {
-                ea
-            } else {
-                Ev::Own(ea.get().union_with(eb.get()))
-            }
-        }
-        Prepared::JoinIdx(t, idx) => {
-            let ev = eval_prepared(t, delta)?;
-            let input = ev.get();
-            let stats = kernel_stats();
-            stats.record_join_probes(input.len() as u64);
-            let mut rows = Vec::new();
-            if !idx.is_empty() && !input.is_empty() {
-                rows.reserve(input.len());
-                for prow in input.iter_rows() {
-                    idx.probe(prow, |row| rows.push(row));
-                }
-            }
-            stats.record_rows_allocated(rows.len() as u64);
-            Ev::Own(R::from_row_vec(idx.out_schema().clone(), rows))
-        }
-        Prepared::AntijoinIdx(t, idx, schema) => {
-            let ev = eval_prepared(t, delta)?;
-            let input = ev.get();
-            let stats = kernel_stats();
-            stats.record_antijoin_probes(input.len() as u64);
-            let mut rows = Vec::with_capacity(input.len());
-            for prow in input.iter_rows() {
-                if !idx.contains(prow) {
-                    rows.push(prow.clone());
-                }
-            }
-            stats.record_rows_allocated(rows.len() as u64);
-            Ev::Own(R::from_row_vec(schema.clone(), rows))
-        }
-    })
-}
-
-/// Applies one prepared recursive branch to a delta, yielding an owned
-/// result (used by `P_async` workers and the `P_gld` driver).
-pub fn eval_branch<R: LocalRel>(p: &Prepared<R>, delta: &R) -> Result<R> {
-    Ok(eval_prepared(p, delta)?.into_owned())
+/// Applies one prepared recursive branch to a delta, yielding the produced
+/// rows as a relation of their own (used by `P_async` workers and the
+/// `P_gld` driver, which exchange them before they are accumulated).
+pub fn eval_branch<R: LocalRel>(p: &Prepared<R>, delta: &R) -> R {
+    let mut sink = Sink::default();
+    p.root.rows_into(delta, &mut sink);
+    R::from_row_vec(p.schema.clone(), sink.finish())
 }
 
 /// Runs a worker-local semi-naive fixpoint (Algorithm 1) over this
@@ -583,40 +772,33 @@ pub fn local_fixpoint(
     }
 }
 
-/// One semi-naive superstep: applies every prepared branch to `delta`,
-/// subtracts `acc`, charges the budget. Returns the next `(acc, delta)`
-/// pair, or `None` when the fixpoint is reached.
+/// One semi-naive superstep: streams `delta` through every prepared branch
+/// and accumulates what comes out into `acc`, in place. Returns the next
+/// delta — the rows that were new to `acc` — or `None` when the fixpoint is
+/// reached. On an error `acc` may hold part of the superstep's rows: the
+/// caller must not iterate on it again without resetting it.
 fn local_superstep<R: LocalRel>(
     prepared: &[Prepared<R>],
-    acc: &R,
+    acc: &mut R,
     delta: &R,
     budget: &Budget,
-) -> Result<Option<(R, R)>> {
+) -> Result<Option<R>> {
+    if prepared.is_empty() {
+        return Ok(None); // no recursive branch
+    }
     let stats = kernel_stats();
     let start = Instant::now();
-    let mut new: Option<R> = None;
+    let mut sink = Sink::default();
     for p in prepared {
-        let produced = eval_prepared(p, delta)?;
-        new = Some(match new {
-            None => produced.into_owned(),
-            Some(n) => n.union_with(produced.get()),
-        });
+        assert_eq!(p.schema(), acc.schema(), "recursive branch and accumulator schemas differ");
+        p.root.rows_into(delta, &mut sink);
     }
-    let new = match new {
-        None => {
-            stats.record_eval_time(start.elapsed());
-            return Ok(None); // no recursive branch
-        }
-        Some(n) => n.minus_with(acc),
-    };
+    let new = acc.absorb_new(sink.finish());
     stats.record_eval_time(start.elapsed());
     stats.record_iteration();
     budget.charge(new.len() as u64)?;
     budget.charge_bytes(rel_bytes(new.len() as u64, new.schema().arity()))?;
-    if new.is_empty() {
-        return Ok(None);
-    }
-    Ok(Some((acc.union_with(&new), new)))
+    Ok(if new.is_empty() { None } else { Some(new) })
 }
 
 /// Runs the semi-naive loop over already-prepared branches. Distributed
@@ -657,12 +839,9 @@ fn local_fixpoint_prepared_from<R: LocalRel>(
     };
     while !delta.is_empty() {
         budget.check()?;
-        match local_superstep(prepared, &acc, &delta, budget)? {
+        match local_superstep(prepared, &mut acc, &delta, budget)? {
             None => break,
-            Some((a, d)) => {
-                acc = a;
-                delta = d;
-            }
+            Some(d) => delta = d,
         }
     }
     Ok(acc.into_relation())
@@ -757,11 +936,13 @@ pub fn local_fixpoint_supervised<R: LocalRel>(
         }
         let t_us = steps.map_or(0, |s| s.now_us());
         let started = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<Option<(R, R)>> {
+        // A superstep that fails below may leave `acc` half-absorbed; every
+        // failure path either resets `(acc, delta)` or returns.
+        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<Option<R>> {
             ctx.fault.maybe_panic(ctx.site, ctx.worker, next, attempt);
             ctx.fault.maybe_transient(ctx.site, ctx.worker, next, attempt)?;
             ctx.fault.maybe_memory_pressure(ctx.site, ctx.worker, next, attempt)?;
-            local_superstep(prepared, &acc, &delta, ctx.budget)
+            local_superstep(prepared, &mut acc, &delta, ctx.budget)
         }))
         .unwrap_or_else(|payload| {
             Err(MuraError::WorkerFailed {
@@ -774,9 +955,8 @@ pub fn local_fixpoint_supervised<R: LocalRel>(
                 record_step(next, 0, t_us, &started);
                 break;
             }
-            Ok(Some((a, d))) => {
+            Ok(Some(d)) => {
                 record_step(next, d.len() as u64, t_us, &started);
-                acc = a;
                 delta = d;
                 iter = next;
                 if ctx.checkpoint_every > 0 && iter.is_multiple_of(ctx.checkpoint_every) {
@@ -823,32 +1003,45 @@ pub fn local_fixpoint_supervised<R: LocalRel>(
     Ok(acc.into_relation())
 }
 
+/// The operator tree the reference kernel interprets, one relation per
+/// operator per iteration.
+enum Reference<R> {
+    Delta,
+    Const(R),
+    Filter(Vec<Pred>, Box<Reference<R>>),
+    Rename(Sym, Sym, Box<Reference<R>>),
+    AntiProject(Vec<Sym>, Box<Reference<R>>),
+    Join(Box<Reference<R>>, Box<Reference<R>>),
+    Antijoin(Box<Reference<R>>, Box<Reference<R>>),
+    Union(Box<Reference<R>>, Box<Reference<R>>),
+}
+
 /// Compiles a branch the way the pre-optimization kernel did: constants are
 /// converted but never folded, and joins rebuild their hash tables every
 /// iteration. Kept as a differential baseline for tests and benchmarks.
-pub fn prepare_reference<R: LocalRel>(term: &Term, x: Sym) -> Result<Prepared<R>> {
+fn prepare_reference<R: LocalRel>(term: &Term, x: Sym) -> Result<Reference<R>> {
     Ok(match term {
-        Term::Var(v) if *v == x => Prepared::Delta,
+        Term::Var(v) if *v == x => Reference::Delta,
         Term::Var(v) => {
             return Err(MuraError::Other(format!(
                 "unhoisted variable {v} in local fixpoint branch"
             )))
         }
-        Term::Cst(r) => Prepared::Const(R::from_relation(r)),
-        Term::Filter(ps, t) => Prepared::Filter(ps.clone(), Box::new(prepare_reference(t, x)?)),
-        Term::Rename(a, b, t) => Prepared::Rename(*a, *b, Box::new(prepare_reference(t, x)?)),
+        Term::Cst(r) => Reference::Const(R::from_relation(r)),
+        Term::Filter(ps, t) => Reference::Filter(ps.clone(), Box::new(prepare_reference(t, x)?)),
+        Term::Rename(a, b, t) => Reference::Rename(*a, *b, Box::new(prepare_reference(t, x)?)),
         Term::AntiProject(cs, t) => {
-            Prepared::AntiProject(cs.clone(), Box::new(prepare_reference(t, x)?))
+            Reference::AntiProject(cs.clone(), Box::new(prepare_reference(t, x)?))
         }
         Term::Join(a, b) => {
-            Prepared::Join(Box::new(prepare_reference(a, x)?), Box::new(prepare_reference(b, x)?))
+            Reference::Join(Box::new(prepare_reference(a, x)?), Box::new(prepare_reference(b, x)?))
         }
-        Term::Antijoin(a, b) => Prepared::Antijoin(
+        Term::Antijoin(a, b) => Reference::Antijoin(
             Box::new(prepare_reference(a, x)?),
             Box::new(prepare_reference(b, x)?),
         ),
         Term::Union(a, b) => {
-            Prepared::Union(Box::new(prepare_reference(a, x)?), Box::new(prepare_reference(b, x)?))
+            Reference::Union(Box::new(prepare_reference(a, x)?), Box::new(prepare_reference(b, x)?))
         }
         Term::Fix(_, _) => {
             return Err(MuraError::Other(
@@ -858,21 +1051,18 @@ pub fn prepare_reference<R: LocalRel>(term: &Term, x: Sym) -> Result<Prepared<R>
     })
 }
 
-fn eval_reference<R: LocalRel>(p: &Prepared<R>, delta: &R) -> Result<R> {
+fn eval_reference<R: LocalRel>(p: &Reference<R>, delta: &R) -> Result<R> {
     Ok(match p {
-        Prepared::Delta => delta.clone(),
-        Prepared::Const(r) => r.clone(),
-        Prepared::Filter(ps, t) => eval_reference(t, delta)?.filter_preds(ps)?,
-        Prepared::Rename(a, b, t) => eval_reference(t, delta)?.rename_col(*a, *b),
-        Prepared::AntiProject(cs, t) => eval_reference(t, delta)?.antiproject_cols(cs),
-        Prepared::Join(a, b) => eval_reference(a, delta)?.join_with(&eval_reference(b, delta)?),
-        Prepared::Antijoin(a, b) => {
+        Reference::Delta => delta.clone(),
+        Reference::Const(r) => r.clone(),
+        Reference::Filter(ps, t) => eval_reference(t, delta)?.filter_preds(ps)?,
+        Reference::Rename(a, b, t) => eval_reference(t, delta)?.rename_col(*a, *b),
+        Reference::AntiProject(cs, t) => eval_reference(t, delta)?.antiproject_cols(cs),
+        Reference::Join(a, b) => eval_reference(a, delta)?.join_with(&eval_reference(b, delta)?),
+        Reference::Antijoin(a, b) => {
             eval_reference(a, delta)?.antijoin_with(&eval_reference(b, delta)?)
         }
-        Prepared::Union(a, b) => eval_reference(a, delta)?.union_with(&eval_reference(b, delta)?),
-        Prepared::JoinIdx(..) | Prepared::AntijoinIdx(..) => {
-            unreachable!("reference kernel is built by prepare_reference (no index nodes)")
-        }
+        Reference::Union(a, b) => eval_reference(a, delta)?.union_with(&eval_reference(b, delta)?),
     })
 }
 
@@ -900,7 +1090,7 @@ fn local_fixpoint_reference_typed<R: LocalRel>(
     x: Sym,
     budget: &Budget,
 ) -> Result<Relation> {
-    let prepared: Vec<Prepared<R>> =
+    let prepared: Vec<Reference<R>> =
         recs.iter().map(|r| prepare_reference(r, x)).collect::<Result<_>>()?;
     let mut acc = R::from_relation(seed);
     let mut delta = acc.clone();

@@ -202,6 +202,30 @@ impl SortedRelation {
         SortedRelation { schema: self.schema.clone(), rows: out }
     }
 
+    /// In-place accumulate: merges in the rows of `produced` that are
+    /// absent and returns exactly those — the next semi-naive delta. Rows
+    /// already held are found by binary search and never copied; the merge
+    /// moves rows, it does not clone them.
+    pub fn absorb_new(&mut self, produced: Vec<Row>) -> SortedRelation {
+        let mut new = produced;
+        new.sort_unstable();
+        new.dedup();
+        new.retain(|row| self.rows.binary_search(row).is_err());
+        if !new.is_empty() {
+            let mut merged = Vec::with_capacity(self.rows.len() + new.len());
+            let mut added = new.iter().cloned().peekable();
+            for row in std::mem::take(&mut self.rows) {
+                while let Some(n) = added.next_if(|n| *n < row) {
+                    merged.push(n);
+                }
+                merged.push(row);
+            }
+            merged.extend(added);
+            self.rows = merged;
+        }
+        SortedRelation { schema: self.schema.clone(), rows: new }
+    }
+
     /// Antijoin on common columns (sorted key lookup).
     pub fn antijoin(&self, other: &SortedRelation) -> SortedRelation {
         let common = self.schema.intersection(&other.schema);
@@ -266,6 +290,11 @@ mod tests {
         let j_hash = r1.rename(dst, m).join(&r2.rename(src, m));
         assert_eq!(j_sorted.to_relation().sorted_rows(), j_hash.sorted_rows());
         assert_eq!(s1.antijoin(&s2).to_relation().sorted_rows(), r1.antijoin(&r2).sorted_rows());
+        let (mut acc_sorted, mut acc_hash) = (s1.clone(), r1.clone());
+        let delta_sorted = acc_sorted.absorb_new(r2.iter().cloned().collect());
+        let delta_hash = acc_hash.absorb_new(r2.iter().cloned());
+        assert_eq!(delta_sorted.to_relation().sorted_rows(), delta_hash.sorted_rows());
+        assert_eq!(acc_sorted, SortedRelation::from_relation(&acc_hash));
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! * constant subtrees are folded **once at prepare time** (counted via the
 //!   `const_folds` probe), never re-evaluated during iteration;
 //! * the build-side join index is constructed **once per fixpoint**, not
-//!   once per iteration or once per worker.
+//!   once per iteration or once per worker;
+//! * the fused recursive step probes that index **once per delta row** and
+//!   materialises **only the rows the chain puts out** — the rename below
+//!   the join and the antiprojection above it cost no row.
 //!
 //! The counters are global to the process, so everything lives in a single
 //! `#[test]` in its own integration-test binary: no other test can run
@@ -58,7 +61,18 @@ fn const_folds_and_index_builds_happen_once_per_fixpoint() {
         during_loop.index_builds, 0,
         "the join index must be reused across all iterations, never rebuilt"
     );
-    assert!(during_loop.join_probes > 0, "delta rows must probe the cached index");
+    // Every row of the closure is in the delta of exactly one iteration, and
+    // in a chain every derived row has exactly one derivation.
+    assert_eq!(
+        during_loop.join_probes,
+        out.len() as u64,
+        "each delta row probes the cached index once: {during_loop:?}"
+    );
+    assert_eq!(
+        during_loop.rows_allocated,
+        (out.len() - e.len()) as u64,
+        "the fused step materialises the chain's output rows and nothing else: {during_loop:?}"
+    );
     assert!(during_loop.eval_nanos > 0, "per-iteration kernel timings must be recorded");
 
     // --- distributed P_plw: prepare is shared, so still once per fixpoint

@@ -226,7 +226,11 @@ fn drain_mid_mutation_loses_no_responses() {
     let mut applied = 0u64;
     let mut changed = 0u64;
     let mut refused = 0u64;
-    for i in 0..200u64 {
+    // Mutate until the drain — requested concurrently from mutation 60 on —
+    // has been seen to refuse one: how many mutations fit before the
+    // drainer thread is scheduled depends on how fast maintenance is.
+    let mut i = 0u64;
+    while i < 200 || refused == 0 {
         if i == 60 {
             let drainer = client.clone();
             std::thread::spawn(move || drainer.request_drain());
@@ -242,6 +246,7 @@ fn drain_mid_mutation_loses_no_responses() {
             Err(ServeError::Closed) => refused += 1,
             Err(e) => panic!("mutation {i}: unexpected error {e}"),
         }
+        i += 1;
     }
     stop.store(true, Ordering::Relaxed);
     let answered = querier.join().expect("querier thread");
