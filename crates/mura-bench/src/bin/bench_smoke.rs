@@ -36,6 +36,13 @@
 //! bounds the wire-side cost of span batching and TRACE flushes. The
 //! worker binary resolves via `MURA_WORKER_BIN` or as a sibling of the
 //! bench executable.
+//!
+//! A `wire` section times the process backend's data plane layer by layer:
+//! the sliced CRC-32 against the bytewise table walk it replaced (gated by
+//! `BENCH_MIN_CRC_SPEEDUP`, default 2.0), the row-block encode and decode
+//! in rows per second (bytes per second do not compare across layouts),
+//! and — with `BENCH_PROC_WORKERS` set — one broadcast and one exchange of
+//! 20,000 rows through the worker processes, in microseconds.
 
 use std::time::{Duration, Instant};
 
@@ -50,6 +57,46 @@ use mura_dist::{
 };
 
 const WORKERS: usize = 4;
+
+/// Rows in the timed broadcast and exchange of the `wire` section.
+const WIRE_ROWS: usize = 20_000;
+
+/// The byte-at-a-time table CRC-32 that `mura_core::crc32` replaced: the
+/// reference the sliced kernel's throughput is gated against.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    const TABLE: [u32; 256] = {
+        let mut table = [0u32; 256];
+        let mut i = 0;
+        while i < 256 {
+            let mut crc = i as u32;
+            let mut bit = 0;
+            while bit < 8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+                bit += 1;
+            }
+            table[i] = crc;
+            i += 1;
+        }
+        table
+    };
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    }
+    !crc
+}
+
+/// Best time of `samples` runs of `f`.
+fn min_time<R>(samples: usize, mut f: impl FnMut() -> R) -> Duration {
+    (0..samples)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(f());
+            t.elapsed()
+        })
+        .min()
+        .expect("at least one sample")
+}
 
 fn env_u64(key: &str, default: u64) -> u64 {
     std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -211,6 +258,7 @@ fn main() {
     // frames at fixpoint end. ---
     let proc_workers = env_u64("BENCH_PROC_WORKERS", 0) as usize;
     let mut proc_tracing = None;
+    let mut wire_proc = None;
     if proc_workers > 0 {
         let backend: std::sync::Arc<dyn mura_dist::CommBackend> =
             mura_dist::ProcCluster::spawn(proc_workers).expect("spawn worker processes");
@@ -246,7 +294,44 @@ fn main() {
         );
         let pct = (p_traced.as_secs_f64() / p_off.as_secs_f64() - 1.0) * 100.0;
         proc_tracing = Some((p_off, p_traced, pct, p_trace.events.len()));
+
+        // --- wire: one broadcast and one exchange of WIRE_ROWS rows through
+        // the worker processes (encode, frames out, forward, frames back,
+        // decode), the unit the data plane's cost is quoted in. ---
+        let wire_cluster = Cluster::new(proc_workers).with_backend(std::sync::Arc::clone(&backend));
+        let rows: Vec<mura_core::Row> = full.iter().take(WIRE_ROWS).cloned().collect();
+        assert_eq!(rows.len(), WIRE_ROWS, "the closure has fewer rows than the wire section moves");
+        let rel = Relation::from_rows(full.schema().clone(), rows.iter().cloned());
+        let broadcast =
+            min_time(samples.max(5), || wire_cluster.broadcast_rel(&rel).expect("broadcast"));
+        let exchange = min_time(samples.max(5), || {
+            // Every worker sends an equal share to every worker.
+            let mut buckets = vec![vec![Vec::new(); proc_workers]; proc_workers];
+            for (i, row) in rows.iter().enumerate() {
+                buckets[i % proc_workers][(i / proc_workers) % proc_workers].push(row.clone());
+            }
+            let site = wire_cluster.fault().next_site();
+            let parts = wire_cluster.exchange_at(site, rel.schema(), buckets).expect("exchange");
+            assert_eq!(parts.iter().map(Relation::len).sum::<usize>(), WIRE_ROWS);
+        });
+        wire_proc = Some((broadcast, exchange));
     }
+
+    // --- wire, in-process layers: checksum and row codec. ---
+    let crc_input: Vec<u8> =
+        (0..(4usize << 20)).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+    assert_eq!(mura_core::crc32(&crc_input), crc32_bytewise(&crc_input), "CRC kernels disagree");
+    let mb_s = |d: Duration| crc_input.len() as f64 / 1e6 / d.as_secs_f64();
+    let crc_sliced = mb_s(min_time(samples.max(5), || mura_core::crc32(&crc_input)));
+    let crc_bytewise = mb_s(min_time(samples.max(5), || crc32_bytewise(&crc_input)));
+    let crc_speedup = crc_sliced / crc_bytewise;
+    let encoded = mura_dist::wire::encode_relation(&full);
+    let rows_s = |d: Duration| full.len() as f64 / d.as_secs_f64();
+    let encode_rows_s =
+        rows_s(min_time(samples.max(5), || mura_dist::wire::encode_relation(&full)));
+    let decode_rows_s = rows_s(min_time(samples.max(5), || {
+        mura_dist::wire::decode_relation(&encoded, full.schema()).expect("decode")
+    }));
 
     // --- WAL overhead: the identical IVM mutation stream against a durable
     // serving tier (WAL on, fsync off — CI filesystems make fsync walls
@@ -328,6 +413,19 @@ fn main() {
         );
     }
     println!(
+        "  wire:      crc {crc_sliced:.0} MB/s sliced vs {crc_bytewise:.0} MB/s bytewise ({crc_speedup:.1}x); row block {:.1}M rows/s encode, {:.1}M rows/s decode, {:.1} bytes/row",
+        encode_rows_s / 1e6,
+        decode_rows_s / 1e6,
+        encoded.len() as f64 / full.len() as f64,
+    );
+    if let Some((broadcast, exchange)) = &wire_proc {
+        println!(
+            "  wire ({proc_workers} procs): {WIRE_ROWS} rows broadcast in {:.0} µs, exchanged in {:.0} µs",
+            broadcast.as_secs_f64() * 1e6,
+            exchange.as_secs_f64() * 1e6,
+        );
+    }
+    println!(
         "  wal:       off {:.1} ms, on {:.1} ms ({wal_batches} batches, no fsync) → overhead {wal_overhead_pct:+.1}%",
         wal_off.as_secs_f64() * 1e3,
         wal_on.as_secs_f64() * 1e3,
@@ -343,8 +441,22 @@ fn main() {
             )
         })
         .unwrap_or_default();
+    let wire_proc_json = wire_proc
+        .as_ref()
+        .map(|(broadcast, exchange)| {
+            format!(
+                ", \"proc\": {{\"workers\": {proc_workers}, \"rows\": {WIRE_ROWS}, \"broadcast_us\": {:.0}, \"exchange_us\": {:.0}}}",
+                broadcast.as_secs_f64() * 1e6,
+                exchange.as_secs_f64() * 1e6,
+            )
+        })
+        .unwrap_or_default();
+    let wire_json = format!(
+        "  \"wire\": {{\"crc_sliced_mb_s\": {crc_sliced:.0}, \"crc_bytewise_mb_s\": {crc_bytewise:.0}, \"crc_speedup\": {crc_speedup:.2}, \"encode_rows_per_s\": {encode_rows_s:.0}, \"decode_rows_per_s\": {decode_rows_s:.0}, \"bytes_per_row\": {:.2}{wire_proc_json}}},\n",
+        encoded.len() as f64 / full.len() as f64,
+    );
     let json = format!(
-        "{{\n  \"bench\": \"fixpoint_tc_er\",\n  \"plan\": \"p_plw\",\n  \"engine\": \"set_rdd\",\n  \"workers\": {WORKERS},\n  \"graph\": {{\"nodes\": {n}, \"edge_prob\": {p}, \"seed\": {seed}, \"edges\": {}, \"tc_rows\": {opt_rows}}},\n  \"samples\": {samples},\n  \"iterations\": {loop_iterations},\n  \"reference\": {},\n  \"optimized\": {},\n  \"speedup\": {speedup:.3},\n  \"tracing\": {{\"off_min_ms\": {:.3}, \"superstep_min_ms\": {:.3}, \"overhead_pct\": {overhead_pct:.2}, \"events\": {}}},\n{proc_json}  \"wal\": {{\"off_min_ms\": {:.3}, \"on_min_ms\": {:.3}, \"overhead_pct\": {wal_overhead_pct:.2}, \"batches\": {wal_batches}}},\n  \"comm\": {{\"shuffles\": {}, \"rows_shuffled\": {}}},\n  \"kernel\": {{\"index_builds\": {}, \"key_index_builds\": {}, \"join_probes\": {}, \"antijoin_probes\": {}, \"rows_allocated\": {}, \"const_folds\": {}, \"iterations\": {}, \"eval_nanos\": {}}}\n}}\n",
+        "{{\n  \"bench\": \"fixpoint_tc_er\",\n  \"plan\": \"p_plw\",\n  \"engine\": \"set_rdd\",\n  \"workers\": {WORKERS},\n  \"graph\": {{\"nodes\": {n}, \"edge_prob\": {p}, \"seed\": {seed}, \"edges\": {}, \"tc_rows\": {opt_rows}}},\n  \"samples\": {samples},\n  \"iterations\": {loop_iterations},\n  \"reference\": {},\n  \"optimized\": {},\n  \"speedup\": {speedup:.3},\n  \"tracing\": {{\"off_min_ms\": {:.3}, \"superstep_min_ms\": {:.3}, \"overhead_pct\": {overhead_pct:.2}, \"events\": {}}},\n{proc_json}{wire_json}  \"wal\": {{\"off_min_ms\": {:.3}, \"on_min_ms\": {:.3}, \"overhead_pct\": {wal_overhead_pct:.2}, \"batches\": {wal_batches}}},\n  \"comm\": {{\"shuffles\": {}, \"rows_shuffled\": {}}},\n  \"kernel\": {{\"index_builds\": {}, \"key_index_builds\": {}, \"join_probes\": {}, \"antijoin_probes\": {}, \"rows_allocated\": {}, \"const_folds\": {}, \"iterations\": {}, \"eval_nanos\": {}}}\n}}\n",
         e.len(),
         json_timings(&reference),
         json_timings(&optimized),
@@ -385,6 +497,13 @@ fn main() {
             );
             failed = true;
         }
+    }
+    let min_crc_speedup = env_f64("BENCH_MIN_CRC_SPEEDUP", 2.0);
+    if crc_speedup < min_crc_speedup {
+        eprintln!(
+            "FAIL: sliced CRC-32 is {crc_speedup:.2}x the bytewise kernel, below the required {min_crc_speedup:.2}x"
+        );
+        failed = true;
     }
     let max_wal_overhead = env_f64("BENCH_MAX_WAL_OVERHEAD", 10.0);
     if wal_overhead_pct > max_wal_overhead {

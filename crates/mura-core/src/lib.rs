@@ -39,6 +39,7 @@
 pub mod analysis;
 pub mod cancel;
 pub mod catalog;
+pub mod codec;
 pub mod crc;
 pub mod error;
 pub mod eval;
@@ -64,3 +65,14 @@ pub use relation::{Relation, Row};
 pub use schema::Schema;
 pub use term::{term_key, Pred, Term};
 pub use value::{Sym, Value};
+
+/// SplitMix64 for this crate's seeded tests (`mura-core` sits below
+/// `mura-datagen`, whose generator this restates).
+#[cfg(test)]
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

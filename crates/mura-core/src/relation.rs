@@ -44,12 +44,8 @@ impl Relation {
     where
         I: IntoIterator<Item = Row>,
     {
-        let it = rows.into_iter();
         let mut r = Relation::new(schema);
-        r.reserve(it.size_hint().0);
-        for row in it {
-            r.insert(row);
-        }
+        r.extend(rows);
         r
     }
 
@@ -327,6 +323,36 @@ impl Relation {
         let mut v: Vec<Row> = self.rows.iter().cloned().collect();
         v.sort();
         v
+    }
+}
+
+impl<'a> IntoIterator for &'a Relation {
+    type Item = &'a Row;
+    type IntoIter = std::collections::hash_set::Iter<'a, Row>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.rows.iter()
+    }
+}
+
+impl Extend<Row> for Relation {
+    /// Inserts every row, deduplicating; the row set is made unique and
+    /// grown once for the whole batch.
+    ///
+    /// # Panics
+    /// Panics if a row's arity differs from the schema's.
+    fn extend<I: IntoIterator<Item = Row>>(&mut self, rows: I) {
+        let arity = self.schema.arity();
+        let mut rows = rows.into_iter().peekable();
+        if rows.peek().is_none() {
+            return; // leave a shared row set shared
+        }
+        let set = Arc::make_mut(&mut self.rows);
+        set.reserve(rows.size_hint().0);
+        for row in rows {
+            assert_eq!(row.len(), arity, "row arity {} != schema arity {arity}", row.len());
+            set.insert(row);
+        }
     }
 }
 

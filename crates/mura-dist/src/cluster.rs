@@ -60,6 +60,10 @@ pub struct ClusterHealth {
     pub reconnects: u64,
     /// Heartbeat deadlines missed by the supervisor since startup.
     pub liveness_misses: u64,
+    /// Rows the coordinator encoded into exchange and broadcast frames
+    /// since startup. A row counts once per exchange, however many
+    /// attempts, injected retransmissions or duplicates carried its bytes.
+    pub rows_encoded: u64,
     /// Total bytes written to worker sockets (heartbeats included).
     pub wire_tx_bytes: u64,
     /// Total bytes read from worker sockets (heartbeats included).

@@ -6,15 +6,20 @@
 //! [`CommBackend`], so the three fixpoint drivers run **unchanged** — only
 //! the exchange/broadcast data plane moves:
 //!
-//! * `exchange`: each source partition's buckets are serialized once and
-//!   relayed to the source worker ([`Msg::Relay`]), which forwards every
-//!   bucket to its destination peer over a worker↔worker connection; the
-//!   coordinator then collects each destination's inbox ([`Msg::Take`]).
-//!   Every exchanged partition genuinely crosses sockets, so the
-//!   [`crate::metrics::CommStats`] wire counters measure real traffic — the basis of the
-//!   paper's `P_plw` zero-communication claim, asserted in measured bytes.
-//! * `broadcast`: the encoded relation is shipped to every worker
-//!   ([`Msg::Bcast`]).
+//! * `exchange`: each source partition's buckets are encoded once, straight
+//!   into that source's [`Msg::Relay`] frame; the relays go out to all
+//!   source workers before any acknowledgement is awaited (scatter/gather,
+//!   [`ProcInner::round`]), each worker forwards every bucket to its
+//!   destination peer over a worker↔worker connection, and the coordinator
+//!   then collects every destination's inbox the same way ([`Msg::Take`]),
+//!   decoding each reply straight into the destination partition. A retry
+//!   re-seals the same frames under a fresh exchange id; rows are never
+//!   encoded twice. Every exchanged partition genuinely crosses sockets,
+//!   so the [`crate::metrics::CommStats`] wire counters measure real
+//!   traffic — the basis of the paper's `P_plw` zero-communication claim,
+//!   asserted in measured bytes.
+//! * `broadcast`: the relation is encoded into one [`Msg::Bcast`] frame and
+//!   the same bytes are shipped to every worker, again scatter/gather.
 //!
 //! Computation stays on the coordinator's task threads (partition tasks
 //! are Rust closures and cannot cross a process boundary); the workers are
@@ -41,14 +46,15 @@ use crate::cluster::{
 };
 use crate::fault::FaultPlan;
 use crate::wire::{
-    decode_rows, encode_relation, encode_rows, read_frame, write_corrupted_frame, write_frame, Msg,
-    WireError, SPAN_BCAST, SPAN_DELIVER, SPAN_RELAY, SPAN_TAKE,
+    bcast_frame, decode_rows_into, framed, read_frame, write_corrupted_frame, write_frame,
+    BucketFrame, Msg, WireError, WireResult, MAX_FRAME, SPAN_BCAST, SPAN_DELIVER, SPAN_RELAY,
+    SPAN_TAKE, TAKE_REPLY_HEAD,
 };
 use mura_core::{Relation, Result, Row, Schema};
 use mura_obs::histogram::HistogramSnapshot;
 use mura_obs::{EventKind, Histogram, TraceEvent};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -103,6 +109,8 @@ struct CtlSlot {
     child: Option<Child>,
     conn: Option<TcpStream>,
     port: u16,
+    /// Every reply on `conn` is read into this one buffer.
+    read_buf: Vec<u8>,
 }
 
 /// One worker as seen by the coordinator.
@@ -160,6 +168,7 @@ struct ProcInner {
     respawns: AtomicU64,
     reconnects: AtomicU64,
     liveness_misses: AtomicU64,
+    rows_encoded: AtomicU64,
     /// Zero point of the coordinator's span clock (backend startup).
     epoch: Instant,
     /// Heartbeat round-trip latencies.
@@ -310,48 +319,92 @@ impl ProcInner {
         self.worker_bcasts.fetch_add(bcasts, Ordering::Relaxed);
     }
 
-    /// Sends one request on worker `w`'s control socket and reads the
-    /// reply, (re)connecting — with a fresh [`Msg::Hello`] — as needed.
-    /// Returns `(reply, tx_bytes, rx_bytes)` including any handshake
-    /// traffic; lifetime byte totals are counted here, per-query payload
-    /// accounting is the caller's job. Any failure drops the connection.
-    fn send_ctl(&self, w: usize, msg: &Msg) -> std::result::Result<(Msg, u64, u64), WireError> {
-        let mut guard = self.slots[w].ctl.lock().unwrap();
-        let mut tx = 0u64;
-        let mut rx = 0u64;
-        if guard.conn.is_none() {
+    /// Writes the request `frame` on worker `w`'s control socket,
+    /// (re)connecting — with a fresh [`Msg::Hello`] — as needed. Returns
+    /// the bytes `(written, read)`, handshake traffic included; lifetime
+    /// byte totals are counted here.
+    fn send(&self, w: usize, slot: &mut CtlSlot, frame: &[u8]) -> WireResult<(u64, u64)> {
+        let (mut tx, mut rx) = (0u64, 0u64);
+        if slot.conn.is_none() {
             let port = self.ports.lock().unwrap()[w];
             let mut conn = connect(port, self.cfg.io_timeout, self.cfg.connect_attempts)?;
-            tx += write_frame(&mut conn, &Msg::Hello { id: w as u32, n: self.n as u32 })?;
-            let (reply, k) = read_frame(&mut conn)?;
-            rx += k;
+            tx = write_frame(&mut conn, &Msg::Hello { id: w as u32, n: self.n as u32 })?;
+            self.count_tx(tx);
+            let (reply, k) = read_frame(&mut conn, &mut slot.read_buf)?;
+            rx = k;
+            self.count_rx(rx);
             if reply != Msg::Ok {
-                self.count_tx(tx);
-                self.count_rx(rx);
                 return Err(WireError::Malformed("hello rejected"));
             }
             if self.started.load(Ordering::Relaxed) {
                 self.reconnects.fetch_add(1, Ordering::Relaxed);
                 self.journal_push(w, SupervisorEventKind::Reconnect);
             }
-            guard.conn = Some(conn);
+            slot.conn = Some(conn);
         }
-        let conn = guard.conn.as_mut().expect("just connected");
-        let out = write_frame(conn, msg).and_then(|k| {
-            tx += k;
-            let (reply, k) = read_frame(conn)?;
-            rx += k;
-            Ok(reply)
-        });
-        self.count_tx(tx);
-        self.count_rx(rx);
-        match out {
-            Ok(reply) => Ok((reply, tx, rx)),
-            Err(e) => {
-                guard.conn = None;
-                Err(e)
-            }
-        }
+        slot.conn.as_mut().expect("just connected").write_all(frame)?;
+        self.count_tx(frame.len() as u64);
+        Ok((tx + frame.len() as u64, rx))
+    }
+
+    /// One scatter/gather round on the control sockets: every request frame
+    /// `(worker, bytes)` is written before any reply is awaited, so the
+    /// workers verify, forward and answer concurrently; the replies are
+    /// then read in request order and handed to `on_reply(worker, reply,
+    /// tx, rx)` — the reply borrows the slot's read buffer, `tx`/`rx` are
+    /// the bytes this request put on and took off the wire. Requests must
+    /// name workers in ascending order: the round holds all their control
+    /// locks (taken in that order, so concurrent rounds cannot deadlock;
+    /// everything else takes one control lock at a time), which keeps any
+    /// other request from interleaving with a pending reply.
+    ///
+    /// It cannot deadlock on the sockets either: a worker reads a request
+    /// frame whole before acting on it, forwards to peers over connections
+    /// that separate peer threads drain unconditionally, and writes a reply
+    /// that is either tiny (`Ok`) or read by the coordinator as soon as the
+    /// earlier workers' replies are in — nobody waits on a reader that
+    /// waits on them.
+    ///
+    /// Returns one outcome per request. A request that failed — on the
+    /// socket or in `on_reply` — has had its connection dropped (the next
+    /// use reconnects); the others' replies were still read, so their
+    /// connections stay in step.
+    fn round(
+        &self,
+        requests: &[(usize, &[u8])],
+        mut on_reply: impl FnMut(usize, Msg<'_>, u64, u64) -> WireResult<()>,
+    ) -> Vec<WireResult<()>> {
+        debug_assert!(requests.windows(2).all(|p| p[0].0 < p[1].0), "ascending workers");
+        let mut slots: Vec<_> =
+            requests.iter().map(|&(w, _)| self.slots[w].ctl.lock().unwrap()).collect();
+        let sent: Vec<_> = requests
+            .iter()
+            .zip(slots.iter_mut())
+            .map(|(&(w, frame), slot)| self.send(w, slot, frame))
+            .collect();
+        let gather = requests.iter().zip(slots.iter_mut()).zip(sent);
+        gather
+            .map(|((&(w, _), slot), sent)| {
+                let CtlSlot { conn, read_buf, .. } = &mut **slot;
+                let outcome = sent.and_then(|(tx, handshake_rx)| {
+                    let (reply, rx) = read_frame(conn.as_mut().expect("sent on it"), read_buf)?;
+                    self.count_rx(rx);
+                    on_reply(w, reply, tx, handshake_rx + rx)
+                });
+                if outcome.is_err() {
+                    *conn = None;
+                }
+                outcome
+            })
+            .collect()
+    }
+
+    /// Sends the control message `msg` to every worker in one round;
+    /// returns, per worker, whether it answered [`Msg::Ok`].
+    fn tell_all(&self, msg: &Msg<'_>) -> Vec<WireResult<()>> {
+        let frame = framed(msg).expect("a control message is a small frame");
+        let everyone: Vec<(usize, &[u8])> = (0..self.n).map(|w| (w, &frame[..])).collect();
+        self.round(&everyone, |_, reply, _, _| expect_ok(reply))
     }
 
     /// Drops worker `w`'s control connection (next use reconnects).
@@ -439,19 +492,21 @@ impl ProcInner {
         Ok(())
     }
 
-    /// Re-announces the current port map to every worker (one control lock
-    /// at a time). Best-effort per worker: one being down does not stop
-    /// the sync — its own repair re-syncs. Called after every respawn and
+    /// Re-announces the current port map to every worker and returns who
+    /// took it. Best-effort per worker: one being down does not stop the
+    /// sync — its own repair re-syncs. Called after every respawn and
     /// after every failed exchange attempt, because a worker that missed a
     /// respawn announcement (e.g. it was itself down at the time) would
     /// otherwise keep delivering to the dead peer's old port forever.
-    fn sync_peers(&self) {
+    fn sync_peers(&self) -> Vec<WireResult<()>> {
         let ports = self.ports.lock().unwrap().clone();
-        for v in 0..self.n {
-            if let Ok((Msg::Ok, _, _)) = self.send_ctl(v, &Msg::Peers(ports.clone())) {
-                self.slots[v].live.store(true, Ordering::Relaxed);
+        let told = self.tell_all(&Msg::Peers(ports));
+        for (slot, outcome) in self.slots.iter().zip(&told) {
+            if outcome.is_ok() {
+                slot.live.store(true, Ordering::Relaxed);
             }
         }
+        told
     }
 
     /// One PING/PONG on the dedicated heartbeat connection. The reply
@@ -476,8 +531,9 @@ impl ProcInner {
         }
         let conn = hb.as_mut().expect("just connected");
         let t0 = self.epoch.elapsed().as_micros() as u64;
+        let mut reply = Vec::new();
         let pong = write_frame(conn, &Msg::Ping).map(|k| self.count_tx(k)).ok().and_then(|()| {
-            read_frame(conn)
+            read_frame(conn, &mut reply)
                 .map(|(m, k)| {
                     self.count_rx(k);
                     m
@@ -536,6 +592,7 @@ impl ProcInner {
             respawns: self.respawns.load(Ordering::Relaxed),
             reconnects: self.reconnects.load(Ordering::Relaxed),
             liveness_misses: self.liveness_misses.load(Ordering::Relaxed),
+            rows_encoded: self.rows_encoded.load(Ordering::Relaxed),
             wire_tx_bytes: self.wire_tx_bytes.load(Ordering::Relaxed),
             wire_rx_bytes: self.wire_rx_bytes.load(Ordering::Relaxed),
             trace_dropped: self.trace_dropped.load(Ordering::Relaxed),
@@ -578,6 +635,7 @@ impl ProcCluster {
             respawns: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
             liveness_misses: AtomicU64::new(0),
+            rows_encoded: AtomicU64::new(0),
             epoch: Instant::now(),
             rtt_hist: Histogram::new(),
             journal: Mutex::new(VecDeque::new()),
@@ -595,7 +653,7 @@ impl ProcCluster {
         for w in 0..n {
             let (child, port) = spawn_worker(&cluster.inner.cfg).map_err(|e| {
                 cluster.shutdown();
-                e.into_worker_failed(w)
+                e.into_mura_error(w)
             })?;
             let mut guard = cluster.inner.slots[w].ctl.lock().unwrap();
             guard.child = Some(child);
@@ -603,18 +661,10 @@ impl ProcCluster {
             drop(guard);
             cluster.inner.ports.lock().unwrap()[w] = port;
         }
-        let ports = cluster.inner.ports.lock().unwrap().clone();
-        for w in 0..n {
-            match cluster.inner.send_ctl(w, &Msg::Peers(ports.clone())) {
-                Ok((Msg::Ok, _, _)) => cluster.inner.slots[w].live.store(true, Ordering::Relaxed),
-                Ok(_) => {
-                    cluster.shutdown();
-                    return Err(WireError::Malformed("peers rejected").into_worker_failed(w));
-                }
-                Err(e) => {
-                    cluster.shutdown();
-                    return Err(e.into_worker_failed(w));
-                }
+        for (w, told) in cluster.inner.sync_peers().into_iter().enumerate() {
+            if let Err(e) = told {
+                cluster.shutdown();
+                return Err(e.into_mura_error(w));
             }
         }
         // Seed every worker's clock-offset estimate before the first query
@@ -672,9 +722,7 @@ impl ProcCluster {
     /// Best-effort CANCEL to every worker: clears their exchange inboxes
     /// so cancelled/drained queries do not leak buffered buckets.
     fn cancel_all(&self) {
-        for w in 0..self.inner.n {
-            let _ = self.inner.send_ctl(w, &Msg::Cancel);
-        }
+        self.inner.tell_all(&Msg::Cancel);
     }
 
     /// Stops the supervisor, asks workers to exit, and reaps them. Called
@@ -686,7 +734,8 @@ impl ProcCluster {
         }
         for slot in &self.inner.slots {
             let mut guard = slot.ctl.lock().unwrap();
-            if let Some(conn) = guard.conn.as_mut() {
+            let CtlSlot { conn, read_buf, .. } = &mut *guard;
+            if let Some(conn) = conn.as_mut() {
                 // Best-effort residual drain so worker-side frame counters
                 // recorded since the last per-fixpoint flush still land in
                 // the lifetime totals.
@@ -694,7 +743,7 @@ impl ProcCluster {
                     if let Ok((
                         Msg::TraceBatch { dropped, relays, delivers, takes, bcasts, .. },
                         _,
-                    )) = read_frame(conn)
+                    )) = read_frame(conn, read_buf)
                     {
                         self.inner.apply_batch_counters(dropped, relays, delivers, takes, bcasts);
                     }
@@ -711,16 +760,17 @@ impl ProcCluster {
         }
     }
 
-    /// One attempt of an exchange: relay every source's entries, apply the
-    /// kill injection between the phases (buffered data is genuinely
-    /// lost), then collect every destination's inbox. Errors name the
-    /// worker so the caller can repair it.
-    #[allow(clippy::type_complexity)]
+    /// One attempt of an exchange: seal every source's relay under a fresh
+    /// exchange id and scatter them, apply the kill injection between the
+    /// phases (buffered data is genuinely lost), then scatter the takes and
+    /// decode every destination's inbox into its partition. It is handed
+    /// frames, not rows: nothing is encoded here, whichever attempt this
+    /// is. Errors name the worker so the caller can repair it.
     fn try_exchange(
         &self,
         ctx: &ExchangeCtx<'_>,
         schema: &Schema,
-        entries: &[Vec<(u32, Vec<u8>)>],
+        relays: &mut [BucketFrame],
         expect: &[u32],
         attempt: u32,
     ) -> std::result::Result<Vec<Relation>, (usize, WireError)> {
@@ -740,35 +790,23 @@ impl ProcCluster {
         }
         let _dereg = Deregister(inner, xid);
         for w in 0..inner.n {
-            if let Some(d) = ctx.fault.delay_socket(ctx.site, w, attempt) {
-                std::thread::sleep(d);
-            }
-            if ctx.fault.drop_connection(ctx.site, w, attempt) {
-                inner.sever(w);
-                // The next send on this slot re-establishes the connection.
-                ctx.fault.record_reconnect();
-            }
-            if let Some(entropy) = ctx.fault.corrupt_frame(ctx.site, w, attempt) {
-                inner.corrupt_control_frame(w, entropy);
-            }
+            inject_socket_faults(inner, ctx.fault, ctx.site, w, attempt);
         }
-        for (from, batch) in entries.iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let payload: u64 = batch.iter().map(|(_, p)| p.len() as u64).sum();
-            let msg = Msg::Relay { xid, watermark, ctx: ctx.trace, entries: batch.clone() };
-            let (reply, tx, rx) = inner.send_ctl(from, &msg).map_err(|e| (from, e))?;
-            ctx.metrics.record_wire_tx(tx, payload);
+        for (from, relay) in relays.iter_mut().enumerate() {
+            relay.seal_relay(xid, watermark).map_err(|e| (from, e))?;
+        }
+        let sources: Vec<(usize, &[u8])> = relays
+            .iter()
+            .enumerate()
+            .filter(|(_, relay)| relay.count() > 0)
+            .map(|(from, relay)| (from, relay.bytes()))
+            .collect();
+        let acks = inner.round(&sources, |from, reply, tx, rx| {
+            ctx.metrics.record_wire_tx(tx, relays[from].payload_bytes());
             ctx.metrics.record_wire_rx(rx, 0);
-            match reply {
-                Msg::Ok => {}
-                Msg::Err(e) => {
-                    return Err((from, WireError::Io(std::io::Error::other(e))));
-                }
-                _ => return Err((from, WireError::Malformed("unexpected relay reply"))),
-            }
-        }
+            expect_ok(reply)
+        });
+        first_failure(&sources, acks)?;
         // Injection point: between relay and collect, so a killed worker
         // takes its buffered buckets down with it.
         for w in 0..inner.n {
@@ -776,45 +814,73 @@ impl ProcCluster {
                 inner.kill(w);
             }
         }
+        let takes: Vec<(usize, Vec<u8>)> = (0..inner.n)
+            .filter(|&to| expect[to] > 0)
+            .map(|to| {
+                let take = Msg::Take {
+                    xid,
+                    expect: expect[to],
+                    timeout_ms: inner.cfg.take_timeout.as_millis() as u64,
+                    ctx: ctx.trace,
+                };
+                (to, framed(&take).expect("a take request is a small frame"))
+            })
+            .collect();
+        let destinations: Vec<(usize, &[u8])> =
+            takes.iter().map(|(to, frame)| (*to, &frame[..])).collect();
         let mut parts: Vec<Relation> =
             (0..inner.n).map(|_| Relation::new(schema.clone())).collect();
-        let arity = schema.arity();
-        for (to, &want) in expect.iter().enumerate() {
-            if want == 0 {
-                continue;
-            }
-            let msg = Msg::Take {
-                xid,
-                expect: want,
-                timeout_ms: inner.cfg.take_timeout.as_millis() as u64,
-                ctx: ctx.trace,
-            };
-            let (reply, tx, rx) = inner.send_ctl(to, &msg).map_err(|e| (to, e))?;
+        let collected = inner.round(&destinations, |to, reply, tx, rx| {
             ctx.metrics.record_wire_tx(tx, 0);
-            match reply {
-                Msg::TakeReply(got) => {
-                    let payload: u64 = got.iter().map(|(_, p)| p.len() as u64).sum();
-                    ctx.metrics.record_wire_rx(rx, payload);
-                    if (got.len() as u32) < want {
-                        return Err((
-                            to,
-                            WireError::Io(std::io::Error::other(format!(
-                                "short exchange: {} of {want} buckets",
-                                got.len()
-                            ))),
-                        ));
-                    }
-                    for (_, payload) in got {
-                        let rows = decode_rows(&payload, arity).map_err(|e| (to, e))?;
-                        for row in rows {
-                            parts[to].insert(row);
-                        }
-                    }
-                }
-                _ => return Err((to, WireError::Malformed("unexpected take reply"))),
+            let Msg::TakeReply(got) = reply else {
+                return Err(WireError::Malformed("unexpected take reply"));
+            };
+            let payload: u64 = got.iter().map(|(_, p)| p.len() as u64).sum();
+            ctx.metrics.record_wire_rx(rx, payload);
+            if (got.len() as u32) < expect[to] {
+                return Err(WireError::Io(std::io::Error::other(format!(
+                    "short exchange: {} of {} buckets",
+                    got.len(),
+                    expect[to]
+                ))));
             }
-        }
+            got.iter().try_for_each(|(_, payload)| decode_rows_into(payload, &mut parts[to]))
+        });
+        first_failure(&destinations, collected)?;
         Ok(parts)
+    }
+}
+
+/// The reply to a request that has nothing to say but yes or no.
+fn expect_ok(reply: Msg<'_>) -> WireResult<()> {
+    match reply {
+        Msg::Ok => Ok(()),
+        Msg::Err(e) => Err(WireError::Io(std::io::Error::other(e))),
+        _ => Err(WireError::Malformed("unexpected reply")),
+    }
+}
+
+/// The first failed request of a round, with the worker it was sent to.
+fn first_failure(
+    requests: &[(usize, &[u8])],
+    outcomes: Vec<WireResult<()>>,
+) -> std::result::Result<(), (usize, WireError)> {
+    requests.iter().zip(outcomes).try_for_each(|(&(w, _), outcome)| outcome.map_err(|e| (w, e)))
+}
+
+/// Applies the socket-level injections due at `(site, w, attempt)` before a
+/// request goes out: a stall, a severed control connection (the send
+/// re-establishes it), a frame with seeded bit rot.
+fn inject_socket_faults(inner: &ProcInner, fault: &FaultPlan, site: u64, w: usize, attempt: u32) {
+    if let Some(d) = fault.delay_socket(site, w, attempt) {
+        std::thread::sleep(d);
+    }
+    if fault.drop_connection(site, w, attempt) {
+        inner.sever(w);
+        fault.record_reconnect();
+    }
+    if let Some(entropy) = fault.corrupt_frame(site, w, attempt) {
+        inner.corrupt_control_frame(w, entropy);
     }
 }
 
@@ -836,35 +902,44 @@ impl CommBackend for ProcCluster {
         let n = self.inner.n;
         assert_eq!(ctx.workers, n, "exchange shape must match the process cluster");
         let arity = schema.arity();
-        // Serialize every bucket once, and take the injection decisions
-        // once, up front: retries of the same exchange must not re-roll
-        // (or re-count) the same fault coordinates. An injected drop is a
-        // first copy lost in transit — we ship the retransmission too, so
-        // it costs real extra bytes; an injected duplicate ships twice.
-        // Both extra copies are absorbed by the set merge.
-        let mut entries: Vec<Vec<(u32, Vec<u8>)>> = vec![Vec::new(); n];
+        // Encode every bucket once, straight into its source's relay
+        // frame, and take the injection decisions once, up front: retries
+        // of the same exchange must not re-roll (or re-count) the same
+        // fault coordinates. An injected drop is a first copy lost in
+        // transit — we ship the retransmission too, so it costs real extra
+        // bytes; an injected duplicate ships twice. Both extra copies are
+        // the encoded bytes again, and both are absorbed by the set merge.
+        let mut relays: Vec<BucketFrame> = (0..n).map(|_| BucketFrame::relay(ctx.trace)).collect();
         let mut expect = vec![0u32; n];
+        let mut inbound = vec![TAKE_REPLY_HEAD; n];
         for (from, worker_buckets) in buckets.iter().enumerate() {
             for (to, bucket) in worker_buckets.iter().enumerate() {
                 if bucket.is_empty() {
                     continue;
                 }
-                let payload = encode_rows(arity, bucket);
-                let mut copies = 1u32;
+                let before = relays[from].wire_len();
+                relays[from].push_rows(to as u32, arity, bucket);
+                self.inner.rows_encoded.fetch_add(bucket.len() as u64, Ordering::Relaxed);
+                expect[to] += 1;
                 if ctx.fault.is_active() {
                     if ctx.fault.drop_exchange(ctx.site, from, to) {
                         ctx.fault.record_time_lost(Duration::from_micros(bucket.len() as u64));
-                        copies += 1;
+                        relays[from].repeat_last();
+                        expect[to] += 1;
                     }
                     if ctx.fault.duplicate_exchange(ctx.site, from, to) {
-                        copies += 1;
+                        relays[from].repeat_last();
+                        expect[to] += 1;
                     }
                 }
-                for _ in 0..copies {
-                    entries[from].push((to as u32, payload.clone()));
-                    expect[to] += 1;
-                }
+                inbound[to] += relays[from].wire_len() - before;
             }
+        }
+        drop(buckets);
+        // A destination whose inbox cannot come back in one frame: final,
+        // like a relay that cannot go out in one (see `try_exchange`).
+        if let Some((to, &len)) = inbound.iter().enumerate().find(|(_, &len)| len > MAX_FRAME) {
+            return Err(WireError::FrameTooLarge { len: len as u64 }.into_mura_error(to));
         }
         let max_attempts = ctx.recovery.max_retries + ctx.fault.config().failures_per_site + 2;
         let mut last: (usize, WireError) = (0, WireError::Malformed("exchange never attempted"));
@@ -875,15 +950,10 @@ impl CommBackend for ProcCluster {
                     return Err(e);
                 }
             }
-            match self.try_exchange(ctx, schema, &entries, &expect, attempt) {
+            match self.try_exchange(ctx, schema, &mut relays, &expect, attempt) {
                 Ok(parts) => return Ok(parts),
+                Err((w, e @ WireError::FrameTooLarge { .. })) => return Err(e.into_mura_error(w)),
                 Err((w, e)) => {
-                    if std::env::var("MURA_PROC_DEBUG").is_ok() {
-                        eprintln!(
-                            "exchange site={} attempt={attempt} failed at w{w}: {e}",
-                            ctx.site
-                        );
-                    }
                     last = (w, e);
                     // Respawn whatever died, then re-announce the port map
                     // to everyone: the failure may be a live worker still
@@ -900,56 +970,53 @@ impl CommBackend for ProcCluster {
         }
         // Retryable: escalates into the recovery ladder (stage rerun,
         // checkpoint restore, restart) exactly like a task failure.
-        Err(last.1.into_worker_failed(last.0))
+        Err(last.1.into_mura_error(last.0))
     }
 
     fn broadcast(&self, ctx: &ExchangeCtx<'_>, rel: &Relation) -> Result<()> {
-        let payload = encode_relation(rel);
+        // One frame, encoded and checksummed once; every worker is sent
+        // these same bytes. Too large for a frame is final.
+        let (frame, payload) = bcast_frame(ctx.trace, rel).map_err(|e| e.into_mura_error(0))?;
+        self.inner.rows_encoded.fetch_add(rel.len() as u64, Ordering::Relaxed);
         // The broadcast allocates its own fault site: the simulator backend
         // never consumes one here, and site streams must stay aligned.
         let site = ctx.fault.next_site();
         let max_attempts = ctx.recovery.max_retries + ctx.fault.config().failures_per_site + 2;
-        for w in 0..self.inner.n {
-            let mut attempt = 0u32;
-            loop {
-                if let Some(c) = ctx.cancel {
-                    c.check()?;
-                }
-                if let Some(d) = ctx.fault.delay_socket(site, w, attempt) {
-                    std::thread::sleep(d);
-                }
-                if ctx.fault.drop_connection(site, w, attempt) {
-                    self.inner.sever(w);
-                    ctx.fault.record_reconnect();
-                }
-                if let Some(entropy) = ctx.fault.corrupt_frame(site, w, attempt) {
-                    self.inner.corrupt_control_frame(w, entropy);
-                }
+        // Scatter to every worker still owed the replica, gather the
+        // acknowledgements, repair and retry the ones that failed — each
+        // with its own attempt count, so a fault coordinate is rolled once.
+        let mut pending: Vec<(usize, u32)> = (0..self.inner.n).map(|w| (w, 0)).collect();
+        while !pending.is_empty() {
+            if let Some(c) = ctx.cancel {
+                c.check()?;
+            }
+            for &(w, attempt) in &pending {
+                inject_socket_faults(&self.inner, ctx.fault, site, w, attempt);
                 if ctx.fault.kill_worker(site, w, attempt) {
                     self.inner.kill(w);
                 }
-                let msg = Msg::Bcast { ctx: ctx.trace, payload: payload.clone() };
-                let sent = match self.inner.send_ctl(w, &msg) {
-                    Ok((Msg::Ok, tx, rx)) => {
-                        ctx.metrics.record_wire_tx(tx, payload.len() as u64);
-                        ctx.metrics.record_wire_rx(rx, 0);
-                        Ok(())
+            }
+            let requests: Vec<(usize, &[u8])> =
+                pending.iter().map(|&(w, _)| (w, &frame[..])).collect();
+            let acks = self.inner.round(&requests, |_, reply, tx, rx| {
+                ctx.metrics.record_wire_tx(tx, payload);
+                ctx.metrics.record_wire_rx(rx, 0);
+                expect_ok(reply)
+            });
+            let mut failed = Vec::new();
+            for ((w, attempt), ack) in pending.into_iter().zip(acks) {
+                if let Err(e) = ack {
+                    if attempt + 1 >= max_attempts {
+                        return Err(e.into_mura_error(w));
                     }
-                    Ok(_) => Err(WireError::Malformed("unexpected broadcast reply")),
-                    Err(e) => Err(e),
-                };
-                match sent {
-                    Ok(()) => break,
-                    Err(e) => {
-                        attempt += 1;
-                        if attempt >= max_attempts {
-                            return Err(e.into_worker_failed(w));
-                        }
-                        let _ = self.inner.repair(w, Some(ctx.fault), true);
-                        self.inner.sync_peers();
-                    }
+                    let _ = self.inner.repair(w, Some(ctx.fault), true);
+                    failed.push((w, attempt + 1));
                 }
             }
+            if !failed.is_empty() {
+                self.inner.sync_peers();
+            }
+            pending = failed;
         }
         Ok(())
     }
@@ -970,13 +1037,14 @@ impl CommBackend for ProcCluster {
         let inner = &self.inner;
         let mut events = Vec::new();
         let mut dropped = 0u64;
-        for w in 0..inner.n {
-            let Ok((reply, _, _)) = inner.send_ctl(w, &Msg::TraceFlush { trace_id }) else {
-                continue;
-            };
+        let flush =
+            framed(&Msg::TraceFlush { trace_id }).expect("a flush request is a small frame");
+        let everyone: Vec<(usize, &[u8])> = (0..inner.n).map(|w| (w, &flush[..])).collect();
+        // Best effort per worker: one that cannot answer keeps its spans.
+        inner.round(&everyone, |w, reply, _, _| {
             let Msg::TraceBatch { spans, dropped: d, relays, delivers, takes, bcasts } = reply
             else {
-                continue;
+                return Err(WireError::Malformed("unexpected trace-flush reply"));
             };
             inner.apply_batch_counters(d, relays, delivers, takes, bcasts);
             dropped += d;
@@ -1008,7 +1076,8 @@ impl CommBackend for ProcCluster {
                     ..TraceEvent::new(kind, s.ctx.fixpoint, mura_obs::PlanKind::None)
                 });
             }
-        }
+            Ok(())
+        });
         // Merge supervisor events this trace has not seen yet.
         let mut cursors = inner.journal_cursor.lock().unwrap_or_else(|e| e.into_inner());
         let last = cursors.iter().find(|(t, _)| *t == trace_id).map_or(0, |&(_, s)| s);

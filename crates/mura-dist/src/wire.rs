@@ -3,25 +3,36 @@
 //! Every frame on a coordinator↔worker or worker↔worker connection is
 //! `[u32 len LE][u8 opcode][body][u32 crc LE]` where `len` counts the
 //! opcode byte plus the body, and `crc` is the CRC-32 (IEEE) of exactly
-//! those `len` bytes. Frames are capped at [`MAX_FRAME`]: a corrupt or
-//! hostile length prefix yields a typed [`WireError::Oversized`] instead
-//! of an unbounded allocation, a connection that ends mid-frame yields
+//! those `len` bytes. Frames are capped at [`MAX_FRAME`] on both sides: a
+//! sender refuses to build a larger one ([`WireError::FrameTooLarge`],
+//! final, before a byte reaches the socket), a corrupt or hostile length
+//! prefix yields a typed [`WireError::Oversized`] instead of an unbounded
+//! allocation, a connection that ends mid-frame yields
 //! [`WireError::Truncated`] instead of a partial read being interpreted
 //! as data, and a body whose trailer does not match yields
 //! [`WireError::BadChecksum`] — the receiver closes the connection, so
 //! in-flight bit rot is handled by the same supervisor ladder as a
 //! dropped connection and corrupted rows are never delivered.
 //!
+//! A frame is built in **one buffer** — prefix, opcode, header, payload and
+//! trailer — and leaves in one `write_all`; a frame is read into a buffer
+//! the connection reuses, checksummed once, and decoded as a [`Msg`] that
+//! *borrows* its payloads from that buffer. Rows are encoded once, as
+//! [`mura_core::codec`] row blocks written straight into the outgoing frame
+//! ([`BucketFrame::push_rows`], [`bcast_frame`]), and decoded once, straight
+//! into the destination relation ([`decode_rows_into`]).
+//!
 //! Exchange payloads (partition buckets, broadcast relations) are opaque
 //! byte blobs to the workers — only the coordinator encodes and decodes
-//! rows, with [`encode_rows`] / [`decode_rows`]. A worker's job is purely
-//! to move the bytes: receive `Relay`, forward each bucket to its
-//! destination peer as `Deliver`, and hand buffered buckets back to the
-//! coordinator on `Take`. This keeps the three fixpoint drivers unchanged
-//! (computation stays with the coordinator's task threads) while making
-//! hash-exchange and broadcast traffic *real* socket bytes.
+//! rows. A worker's job is purely to move the bytes: receive `Relay`,
+//! forward each bucket to its destination peer as `Deliver`, and hand
+//! buffered buckets back to the coordinator on `Take`. This keeps the three
+//! fixpoint drivers unchanged (computation stays with the coordinator's
+//! task threads) while making hash-exchange and broadcast traffic *real*
+//! socket bytes.
 
-use mura_core::{MuraError, Relation, Row, Schema, Value};
+use mura_core::codec::{self, put_bytes_with, put_u32, put_u64, CodecError, Cur};
+use mura_core::{MuraError, Relation, Row, Schema};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -30,6 +41,20 @@ use std::io::{Read, Write};
 /// corrupt or hostile.
 pub const MAX_FRAME: usize = 64 << 20;
 
+/// A connection's frame buffers keep their allocation from frame to frame
+/// up to this size; one large frame does not pin its megabytes for the
+/// connection's lifetime.
+const RETAINED_FRAME_BUFFER: usize = 1 << 20;
+
+/// Empties `buf` for the next frame.
+fn recycle(buf: &mut Vec<u8>) {
+    if buf.capacity() > RETAINED_FRAME_BUFFER {
+        *buf = Vec::new();
+    } else {
+        buf.clear();
+    }
+}
+
 /// Typed failures of the frame layer.
 #[derive(Debug)]
 pub enum WireError {
@@ -37,6 +62,10 @@ pub enum WireError {
     Truncated,
     /// A frame header claimed more than [`MAX_FRAME`] bytes.
     Oversized { len: u64 },
+    /// This side was asked to send a frame of more than [`MAX_FRAME`]
+    /// bytes. Nothing was written; sending the same data again cannot
+    /// succeed, so this is final (see [`WireError::into_mura_error`]).
+    FrameTooLarge { len: u64 },
     /// An unknown opcode byte.
     BadOpcode(u8),
     /// The CRC-32 trailer did not match the frame body: the bytes were
@@ -54,6 +83,9 @@ impl fmt::Display for WireError {
             WireError::Truncated => write!(f, "connection closed mid-frame"),
             WireError::Oversized { len } => {
                 write!(f, "frame of {len} bytes exceeds cap of {MAX_FRAME}")
+            }
+            WireError::FrameTooLarge { len } => {
+                write!(f, "refusing to send a frame of {len} bytes (cap {MAX_FRAME})")
             }
             WireError::BadOpcode(op) => write!(f, "unknown opcode {op}"),
             WireError::BadChecksum { expected, got } => {
@@ -77,13 +109,33 @@ impl From<std::io::Error> for WireError {
     }
 }
 
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        WireError::Malformed(match e {
+            CodecError::Truncated { .. } => "field extends past frame end",
+            CodecError::BadUtf8 { .. } => "string is not utf-8",
+            CodecError::BadTag { what, .. } | CodecError::Invalid { what, .. } => what,
+        })
+    }
+}
+
 impl WireError {
-    /// Maps a wire failure on worker `w`'s connection to the retryable
-    /// [`MuraError::WorkerFailed`], so the exchange layer's repair loop and
-    /// the existing recovery ladder (task retry → stage rerun → checkpoint
-    /// restore → restart) handle it like any other worker death.
-    pub fn into_worker_failed(self, worker: usize) -> MuraError {
-        MuraError::WorkerFailed { worker, payload: format!("wire: {self}") }
+    /// Maps a wire failure on worker `w`'s connection into the engine's
+    /// error space. Everything a fresh connection or a respawned worker may
+    /// fix becomes the retryable [`MuraError::WorkerFailed`], so the
+    /// exchange layer's repair loop and the existing recovery ladder (task
+    /// retry → stage rerun → checkpoint restore → restart) handle it like
+    /// any other worker death; a frame this side refused to build is
+    /// [`MuraError::ResourceExhausted`], which nothing retries.
+    pub fn into_mura_error(self, worker: usize) -> MuraError {
+        match self {
+            WireError::FrameTooLarge { len } => MuraError::ResourceExhausted {
+                what: "wire frame bytes",
+                limit: MAX_FRAME as u64,
+                reached: len,
+            },
+            other => MuraError::WorkerFailed { worker, payload: format!("wire: {other}") },
+        }
     }
 }
 
@@ -133,14 +185,14 @@ const TRACE_CTX_BYTES: usize = 25;
 
 impl TraceCtx {
     fn put(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.trace_id.to_le_bytes());
-        out.extend_from_slice(&self.query_id.to_le_bytes());
-        out.extend_from_slice(&self.fixpoint.to_le_bytes());
-        out.extend_from_slice(&self.superstep.to_le_bytes());
+        put_u64(out, self.trace_id);
+        put_u64(out, self.query_id);
+        put_u32(out, self.fixpoint);
+        put_u32(out, self.superstep);
         out.push(self.level);
     }
 
-    fn get(c: &mut Cursor<'_>) -> WireResult<TraceCtx> {
+    fn get(c: &mut Cur<'_>) -> WireResult<TraceCtx> {
         Ok(TraceCtx {
             trace_id: c.u64()?,
             query_id: c.u64()?,
@@ -187,13 +239,13 @@ impl WorkerSpan {
     fn put(&self, out: &mut Vec<u8>) {
         out.push(self.kind);
         self.ctx.put(out);
-        out.extend_from_slice(&self.xid.to_le_bytes());
-        out.extend_from_slice(&self.bytes.to_le_bytes());
-        out.extend_from_slice(&self.t_us.to_le_bytes());
-        out.extend_from_slice(&self.dur_us.to_le_bytes());
+        put_u64(out, self.xid);
+        put_u64(out, self.bytes);
+        put_u64(out, self.t_us);
+        put_u64(out, self.dur_us);
     }
 
-    fn get(c: &mut Cursor<'_>) -> WireResult<WorkerSpan> {
+    fn get(c: &mut Cur<'_>) -> WireResult<WorkerSpan> {
         Ok(WorkerSpan {
             kind: c.u8()?,
             ctx: TraceCtx::get(c)?,
@@ -205,9 +257,10 @@ impl WorkerSpan {
     }
 }
 
-/// One protocol message (a decoded frame).
+/// One protocol message. A decoded message borrows its payloads from the
+/// frame buffer it was read into; nothing is copied out of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Msg {
+pub enum Msg<'a> {
     /// Coordinator introduces worker `id` of `n` on a fresh connection.
     Hello { id: u32, n: u32 },
     /// The (re-broadcast after every respawn) table of peer listen ports.
@@ -220,14 +273,14 @@ pub enum Msg {
     /// Exchange `xid`: forward each `(to, payload)` bucket to its peer.
     /// `watermark` is the lowest still-active exchange id; buffered buckets
     /// of older exchanges are pruned (they belong to abandoned attempts).
-    Relay { xid: u64, watermark: u64, ctx: TraceCtx, entries: Vec<(u32, Vec<u8>)> },
+    Relay { xid: u64, watermark: u64, ctx: TraceCtx, entries: Vec<(u32, &'a [u8])> },
     /// Collect `expect` buckets buffered for exchange `xid`, waiting up to
     /// `timeout_ms` for stragglers.
     Take { xid: u64, expect: u32, timeout_ms: u64, ctx: TraceCtx },
     /// Reply to [`Msg::Take`]: the `(from, payload)` buckets received.
-    TakeReply(Vec<(u32, Vec<u8>)>),
+    TakeReply(Vec<(u32, &'a [u8])>),
     /// A broadcast relation payload replicated to this worker.
-    Bcast { ctx: TraceCtx, payload: Vec<u8> },
+    Bcast { ctx: TraceCtx, payload: &'a [u8] },
     /// Coordinator-side cancel/drain: discard all buffered exchange state.
     Cancel,
     /// Orderly shutdown request; the worker process exits.
@@ -238,7 +291,7 @@ pub enum Msg {
     Err(String),
     /// Worker → worker: bucket `payload` of exchange `xid` sent by `from`,
     /// carrying the trace context of the originating relay.
-    Deliver { xid: u64, from: u32, ctx: TraceCtx, payload: Vec<u8> },
+    Deliver { xid: u64, from: u32, ctx: TraceCtx, payload: &'a [u8] },
     /// Coordinator → worker: hand over buffered spans of `trace_id`
     /// (0 = everything), plus the per-opcode frame-counter deltas.
     TraceFlush { trace_id: u64 },
@@ -256,24 +309,44 @@ pub enum Msg {
     },
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
+/// One `[u32 peer][u32 len][payload]` entry of a relay or take-reply body,
+/// its payload written in place by `fill`.
+fn put_entry(out: &mut Vec<u8>, peer: u32, fill: impl FnOnce(&mut Vec<u8>)) {
+    put_u32(out, peer);
+    put_bytes_with(out, fill);
 }
 
-impl Msg {
-    /// Encodes the frame body (opcode byte included, length prefix not).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16);
+fn put_entries(out: &mut Vec<u8>, entries: &[(u32, &[u8])]) {
+    put_u32(out, entries.len() as u32);
+    for &(peer, payload) in entries {
+        put_entry(out, peer, |out| out.extend_from_slice(payload));
+    }
+}
+
+fn get_entries<'a>(c: &mut Cur<'a>) -> WireResult<Vec<(u32, &'a [u8])>> {
+    // An entry is at least its two `u32`s: a count the frame cannot hold
+    // is refused before anything is allocated for it.
+    let n = c.seq_len(8)?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        entries.push((c.u32()?, c.bytes()?));
+    }
+    Ok(entries)
+}
+
+impl<'a> Msg<'a> {
+    /// Appends the frame body (opcode byte included, length prefix and
+    /// trailer not) to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Msg::Hello { id, n } => {
                 out.push(OP_HELLO);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&n.to_le_bytes());
+                put_u32(out, *id);
+                put_u32(out, *n);
             }
             Msg::Peers(ports) => {
                 out.push(OP_PEERS);
-                out.extend_from_slice(&(ports.len() as u32).to_le_bytes());
+                put_u32(out, ports.len() as u32);
                 for p in ports {
                     out.extend_from_slice(&p.to_le_bytes());
                 }
@@ -281,84 +354,77 @@ impl Msg {
             Msg::Ping => out.push(OP_PING),
             Msg::Pong { t_us } => {
                 out.push(OP_PONG);
-                out.extend_from_slice(&t_us.to_le_bytes());
+                put_u64(out, *t_us);
             }
             Msg::Relay { xid, watermark, ctx, entries } => {
                 out.push(OP_RELAY);
-                out.extend_from_slice(&xid.to_le_bytes());
-                out.extend_from_slice(&watermark.to_le_bytes());
-                ctx.put(&mut out);
-                out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                for (to, payload) in entries {
-                    out.extend_from_slice(&to.to_le_bytes());
-                    put_bytes(&mut out, payload);
-                }
+                put_u64(out, *xid);
+                put_u64(out, *watermark);
+                ctx.put(out);
+                put_entries(out, entries);
             }
             Msg::Take { xid, expect, timeout_ms, ctx } => {
                 out.push(OP_TAKE);
-                out.extend_from_slice(&xid.to_le_bytes());
-                out.extend_from_slice(&expect.to_le_bytes());
-                out.extend_from_slice(&timeout_ms.to_le_bytes());
-                ctx.put(&mut out);
+                put_u64(out, *xid);
+                put_u32(out, *expect);
+                put_u64(out, *timeout_ms);
+                ctx.put(out);
             }
             Msg::TakeReply(entries) => {
                 out.push(OP_TAKE_REPLY);
-                out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-                for (from, payload) in entries {
-                    out.extend_from_slice(&from.to_le_bytes());
-                    put_bytes(&mut out, payload);
-                }
+                put_entries(out, entries);
             }
             Msg::Bcast { ctx, payload } => {
                 out.push(OP_BCAST);
-                ctx.put(&mut out);
-                put_bytes(&mut out, payload);
+                ctx.put(out);
+                put_bytes_with(out, |out| out.extend_from_slice(payload));
             }
             Msg::Cancel => out.push(OP_CANCEL),
             Msg::Exit => out.push(OP_EXIT),
             Msg::Ok => out.push(OP_OK),
             Msg::Err(msg) => {
                 out.push(OP_ERR);
-                put_bytes(&mut out, msg.as_bytes());
+                codec::put_string(out, msg);
             }
             Msg::Deliver { xid, from, ctx, payload } => {
                 out.push(OP_DELIVER);
-                out.extend_from_slice(&xid.to_le_bytes());
-                out.extend_from_slice(&from.to_le_bytes());
-                ctx.put(&mut out);
-                put_bytes(&mut out, payload);
+                put_u64(out, *xid);
+                put_u32(out, *from);
+                ctx.put(out);
+                put_bytes_with(out, |out| out.extend_from_slice(payload));
             }
             Msg::TraceFlush { trace_id } => {
                 out.push(OP_TRACE_FLUSH);
-                out.extend_from_slice(&trace_id.to_le_bytes());
+                put_u64(out, *trace_id);
             }
             Msg::TraceBatch { spans, dropped, relays, delivers, takes, bcasts } => {
                 out.push(OP_TRACE);
-                out.extend_from_slice(&dropped.to_le_bytes());
-                out.extend_from_slice(&relays.to_le_bytes());
-                out.extend_from_slice(&delivers.to_le_bytes());
-                out.extend_from_slice(&takes.to_le_bytes());
-                out.extend_from_slice(&bcasts.to_le_bytes());
-                out.extend_from_slice(&(spans.len() as u32).to_le_bytes());
+                for counter in [dropped, relays, delivers, takes, bcasts] {
+                    put_u64(out, *counter);
+                }
+                put_u32(out, spans.len() as u32);
                 for s in spans {
-                    s.put(&mut out);
+                    s.put(out);
                 }
             }
         }
+    }
+
+    /// The frame body as a buffer of its own (tests and diagnostics).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(16);
+        self.encode_into(&mut out);
         out
     }
 
-    /// Decodes a frame body produced by [`Msg::encode`].
-    pub fn decode(buf: &[u8]) -> WireResult<Msg> {
-        let mut c = Cursor { buf, pos: 0 };
-        let op = c.u8()?;
-        let msg = match op {
+    /// Decodes a frame body produced by [`Msg::encode_into`]; payloads stay
+    /// where they are in `buf`.
+    pub fn decode(buf: &'a [u8]) -> WireResult<Msg<'a>> {
+        let mut c = Cur::new(buf);
+        let msg = match c.u8()? {
             OP_HELLO => Msg::Hello { id: c.u32()?, n: c.u32()? },
             OP_PEERS => {
-                let n = c.u32()? as usize;
-                if n > buf.len() {
-                    return Err(WireError::Malformed("peers count exceeds frame"));
-                }
+                let n = c.seq_len(2)?;
                 let mut ports = Vec::with_capacity(n);
                 for _ in 0..n {
                     ports.push(c.u16()?);
@@ -367,49 +433,24 @@ impl Msg {
             }
             OP_PING => Msg::Ping,
             OP_PONG => Msg::Pong { t_us: c.u64()? },
-            OP_RELAY => {
-                let xid = c.u64()?;
-                let watermark = c.u64()?;
-                let ctx = TraceCtx::get(&mut c)?;
-                let n = c.u32()? as usize;
-                if n > buf.len() {
-                    return Err(WireError::Malformed("relay count exceeds frame"));
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let to = c.u32()?;
-                    entries.push((to, c.bytes()?));
-                }
-                Msg::Relay { xid, watermark, ctx, entries }
-            }
+            OP_RELAY => Msg::Relay {
+                xid: c.u64()?,
+                watermark: c.u64()?,
+                ctx: TraceCtx::get(&mut c)?,
+                entries: get_entries(&mut c)?,
+            },
             OP_TAKE => Msg::Take {
                 xid: c.u64()?,
                 expect: c.u32()?,
                 timeout_ms: c.u64()?,
                 ctx: TraceCtx::get(&mut c)?,
             },
-            OP_TAKE_REPLY => {
-                let n = c.u32()? as usize;
-                if n > buf.len() {
-                    return Err(WireError::Malformed("take-reply count exceeds frame"));
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let from = c.u32()?;
-                    entries.push((from, c.bytes()?));
-                }
-                Msg::TakeReply(entries)
-            }
+            OP_TAKE_REPLY => Msg::TakeReply(get_entries(&mut c)?),
             OP_BCAST => Msg::Bcast { ctx: TraceCtx::get(&mut c)?, payload: c.bytes()? },
             OP_CANCEL => Msg::Cancel,
             OP_EXIT => Msg::Exit,
             OP_OK => Msg::Ok,
-            OP_ERR => {
-                let raw = c.bytes()?;
-                let msg = String::from_utf8(raw)
-                    .map_err(|_| WireError::Malformed("err message is not utf-8"))?;
-                Msg::Err(msg)
-            }
+            OP_ERR => Msg::Err(c.string()?),
             OP_DELIVER => Msg::Deliver {
                 xid: c.u64()?,
                 from: c.u32()?,
@@ -423,12 +464,7 @@ impl Msg {
                 let delivers = c.u64()?;
                 let takes = c.u64()?;
                 let bcasts = c.u64()?;
-                let n = c.u32()? as usize;
-                // Each span costs a fixed SPAN_BYTES; reject counts the
-                // frame cannot hold before allocating for them.
-                if n.saturating_mul(SPAN_BYTES) > buf.len() {
-                    return Err(WireError::Malformed("span count exceeds frame"));
-                }
+                let n = c.seq_len(SPAN_BYTES)?;
                 let mut spans = Vec::with_capacity(n);
                 for _ in 0..n {
                     spans.push(WorkerSpan::get(&mut c)?);
@@ -441,60 +477,55 @@ impl Msg {
     }
 }
 
-/// Bounds-checked reader over a frame body.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+// ----------------------------------------------------------------- frames
+
+/// Bytes a frame adds around its body: length prefix and CRC-32 trailer.
+const FRAME_OVERHEAD: usize = 8;
+
+/// Completes the frame whose prefix starts `buf` and whose body follows
+/// it: checks the body against `cap`, writes the length into the prefix and
+/// appends the CRC-32 of the body — the one pass over the frame's bytes on
+/// the sending side.
+fn end_frame(buf: &mut Vec<u8>, cap: usize) -> WireResult<()> {
+    let len = buf.len() - 4;
+    if len > cap {
+        return Err(WireError::FrameTooLarge { len: len as u64 });
+    }
+    buf[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = mura_core::crc32(&buf[4..]);
+    put_u32(buf, crc);
+    Ok(())
 }
 
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> WireResult<&[u8]> {
-        let end = self.pos.checked_add(n).ok_or(WireError::Malformed("length overflow"))?;
-        if end > self.buf.len() {
-            return Err(WireError::Malformed("field extends past frame end"));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> WireResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> WireResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> WireResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> WireResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> WireResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self) -> WireResult<Vec<u8>> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
+fn frame_within(buf: &mut Vec<u8>, msg: &Msg<'_>, cap: usize) -> WireResult<()> {
+    recycle(buf);
+    put_u32(buf, 0);
+    msg.encode_into(buf);
+    end_frame(buf, cap)
 }
 
-/// Writes one frame: length prefix, the encoded message, then the CRC-32
-/// trailer over the encoded bytes. Returns the total bytes put on the wire
-/// (prefix and trailer included) for traffic accounting.
-pub fn write_frame(w: &mut impl Write, msg: &Msg) -> WireResult<u64> {
-    let body = msg.encode();
-    debug_assert!(body.len() <= MAX_FRAME);
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)?;
-    w.write_all(&mura_core::crc32(&body).to_le_bytes())?;
+/// Builds the complete frame of `msg` in `buf` (replacing its contents, so
+/// a connection can reuse one buffer for everything it sends). Fails with
+/// [`WireError::FrameTooLarge`] when the body exceeds [`MAX_FRAME`].
+pub fn frame(buf: &mut Vec<u8>, msg: &Msg<'_>) -> WireResult<()> {
+    frame_within(buf, msg, MAX_FRAME)
+}
+
+/// The complete frame of `msg` as a buffer of its own.
+pub fn framed(msg: &Msg<'_>) -> WireResult<Vec<u8>> {
+    let mut buf = Vec::new();
+    frame(&mut buf, msg)?;
+    Ok(buf)
+}
+
+/// Writes `msg` as one frame in one `write_all`. Returns the total bytes
+/// put on the wire (prefix and trailer included) for traffic accounting.
+/// An over-large message is refused before the writer is touched.
+pub fn write_frame(w: &mut impl Write, msg: &Msg<'_>) -> WireResult<u64> {
+    let buf = framed(msg)?;
+    w.write_all(&buf)?;
     w.flush()?;
-    Ok(8 + body.len() as u64)
+    Ok(buf.len() as u64)
 }
 
 /// Fault injection only: writes `msg` as a frame whose body has one byte
@@ -502,23 +533,23 @@ pub fn write_frame(w: &mut impl Write, msg: &Msg) -> WireResult<u64> {
 /// rot. `entropy` seeds which byte and which bit. The receiver must
 /// surface [`WireError::BadChecksum`] and drop the connection rather than
 /// act on the damaged frame.
-pub fn write_corrupted_frame(w: &mut impl Write, msg: &Msg, entropy: u64) -> WireResult<u64> {
-    let mut body = msg.encode();
-    let crc = mura_core::crc32(&body);
-    let idx = (entropy as usize) % body.len();
+pub fn write_corrupted_frame(w: &mut impl Write, msg: &Msg<'_>, entropy: u64) -> WireResult<u64> {
+    let mut buf = framed(msg)?;
+    let body = buf.len() - FRAME_OVERHEAD;
+    let idx = 4 + (entropy as usize) % body;
     let bit = ((entropy >> 32) % 8) as u8;
-    body[idx] ^= 1 << bit;
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)?;
-    w.write_all(&crc.to_le_bytes())?;
+    buf[idx] ^= 1 << bit;
+    w.write_all(&buf)?;
     w.flush()?;
-    Ok(8 + body.len() as u64)
+    Ok(buf.len() as u64)
 }
 
-/// Reads one frame, enforcing [`MAX_FRAME`] and the CRC-32 trailer.
-/// Returns the decoded message and the total bytes read (prefix and
+/// Reads one frame into `buf` (the connection's reusable read buffer),
+/// enforcing [`MAX_FRAME`] and the CRC-32 trailer — the one pass over the
+/// frame's bytes on the receiving side. Returns the decoded message, which
+/// borrows its payloads from `buf`, and the total bytes read (prefix and
 /// trailer included).
-pub fn read_frame(r: &mut impl Read) -> WireResult<(Msg, u64)> {
+pub fn read_frame<'b>(r: &mut impl Read, buf: &'b mut Vec<u8>) -> WireResult<(Msg<'b>, u64)> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf) as usize;
@@ -528,103 +559,232 @@ pub fn read_frame(r: &mut impl Read) -> WireResult<(Msg, u64)> {
     if len == 0 {
         return Err(WireError::Malformed("empty frame"));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    let mut crc_buf = [0u8; 4];
-    r.read_exact(&mut crc_buf)?;
-    let expected = u32::from_le_bytes(crc_buf);
-    let got = mura_core::crc32(&body);
+    let rest = len + 4;
+    recycle(buf);
+    buf.reserve(rest);
+    // Straight into the spare capacity: no zero-fill of bytes about to be
+    // overwritten.
+    if r.by_ref().take(rest as u64).read_to_end(buf)? < rest {
+        return Err(WireError::Truncated);
+    }
+    let (body, trailer) = buf.split_at(len);
+    let expected = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
+    let got = mura_core::crc32(body);
     if got != expected {
         return Err(WireError::BadChecksum { expected, got });
     }
-    let msg = Msg::decode(&body)?;
-    Ok((msg, 8 + len as u64))
+    Ok((Msg::decode(body)?, (FRAME_OVERHEAD + len) as u64))
+}
+
+/// A relay or take-reply frame under construction: a frame whose body ends
+/// in a counted list of `[u32 peer][u32 len][payload]` buckets, each written
+/// (or encoded from rows) exactly once, in place. Sealing patches the
+/// header and appends the trailer, so the bytes that go to the socket are
+/// the buffer itself; a relay can be sealed again under a fresh exchange
+/// id without touching its buckets.
+#[derive(Debug)]
+pub struct BucketFrame {
+    buf: Vec<u8>,
+    /// Where the `u32` bucket count sits in `buf`.
+    count_at: usize,
+    count: u32,
+    /// Where the most recent bucket starts.
+    last_at: usize,
+    payload_bytes: u64,
+    sealed: bool,
+}
+
+/// Body bytes of a [`Msg::TakeReply`] ahead of its buckets (opcode and
+/// count): with the buckets' own sizes, what the reply to a take will weigh.
+pub(crate) const TAKE_REPLY_HEAD: usize = 5;
+
+/// Offset of a relay frame's `xid` (the `watermark` follows it): behind
+/// the length prefix and the opcode.
+const RELAY_XID_AT: usize = 5;
+
+impl BucketFrame {
+    fn start(head: impl FnOnce(&mut Vec<u8>)) -> BucketFrame {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 0);
+        head(&mut buf);
+        let count_at = buf.len();
+        put_u32(&mut buf, 0);
+        BucketFrame { buf, count_at, count: 0, last_at: 0, payload_bytes: 0, sealed: false }
+    }
+
+    /// An empty [`Msg::Relay`] frame; exchange id and watermark are set
+    /// when it is sealed.
+    pub fn relay(ctx: TraceCtx) -> BucketFrame {
+        BucketFrame::start(|buf| {
+            buf.push(OP_RELAY);
+            put_u64(buf, 0);
+            put_u64(buf, 0);
+            ctx.put(buf);
+        })
+    }
+
+    /// An empty [`Msg::TakeReply`] frame (a worker's inbox for one
+    /// exchange: buckets are appended as they arrive, and the reply is the
+    /// buffer itself).
+    pub fn take_reply() -> BucketFrame {
+        BucketFrame::start(|buf| buf.push(OP_TAKE_REPLY))
+    }
+
+    fn push_with(&mut self, peer: u32, fill: impl FnOnce(&mut Vec<u8>)) {
+        debug_assert!(!self.sealed, "bucket pushed into a sealed frame");
+        self.last_at = self.buf.len();
+        put_entry(&mut self.buf, peer, fill);
+        self.count += 1;
+        self.payload_bytes += (self.buf.len() - self.last_at - 8) as u64;
+    }
+
+    /// Appends the bucket `payload` for (or from) `peer`.
+    pub fn push(&mut self, peer: u32, payload: &[u8]) {
+        self.push_with(peer, |buf| buf.extend_from_slice(payload));
+    }
+
+    /// Encodes `rows` as the bucket for `peer`, straight into the frame.
+    pub fn push_rows(&mut self, peer: u32, arity: usize, rows: &[Row]) {
+        self.push_with(peer, |buf| codec::put_rows(buf, arity, rows));
+    }
+
+    /// Appends a copy of the most recent bucket (an injected duplicate or
+    /// retransmission: the same bytes again, not the rows encoded again).
+    pub fn repeat_last(&mut self) {
+        assert!(self.count > 0, "no bucket to repeat");
+        let from = self.last_at;
+        self.last_at = self.buf.len();
+        self.buf.extend_from_within(from..self.last_at);
+        self.count += 1;
+        self.payload_bytes += (self.buf.len() - self.last_at - 8) as u64;
+    }
+
+    /// Buckets in the frame.
+    pub fn count(&self) -> u32 {
+        self.count
+    }
+
+    /// Payload bytes of all buckets (entry heads and framing excluded) —
+    /// what [`crate::CommStats`] counts as exchange bytes.
+    pub fn payload_bytes(&self) -> u64 {
+        self.payload_bytes
+    }
+
+    /// Size of the sealed frame on the wire.
+    pub fn wire_len(&self) -> usize {
+        self.buf.len() + if self.sealed { 0 } else { 4 }
+    }
+
+    fn seal_within(&mut self, cap: usize) -> WireResult<()> {
+        if self.sealed {
+            self.buf.truncate(self.buf.len() - 4);
+            self.sealed = false;
+        }
+        self.buf[self.count_at..self.count_at + 4].copy_from_slice(&self.count.to_le_bytes());
+        end_frame(&mut self.buf, cap)?;
+        self.sealed = true;
+        Ok(())
+    }
+
+    /// Completes the frame: patches the bucket count and the length prefix
+    /// and appends the trailer. Fails with [`WireError::FrameTooLarge`]
+    /// beyond [`MAX_FRAME`].
+    pub fn seal(&mut self) -> WireResult<()> {
+        self.seal_within(MAX_FRAME)
+    }
+
+    /// [`BucketFrame::seal`] for a relay, stamping this attempt's exchange
+    /// id and prune watermark into the header. A retry calls this again:
+    /// header and trailer are rewritten around the buckets, which stay as
+    /// they were encoded.
+    pub fn seal_relay(&mut self, xid: u64, watermark: u64) -> WireResult<()> {
+        debug_assert_eq!(self.buf[4], OP_RELAY);
+        self.buf[RELAY_XID_AT..RELAY_XID_AT + 8].copy_from_slice(&xid.to_le_bytes());
+        self.buf[RELAY_XID_AT + 8..RELAY_XID_AT + 16].copy_from_slice(&watermark.to_le_bytes());
+        self.seal()
+    }
+
+    /// The sealed frame, ready for one `write_all`.
+    ///
+    /// # Panics
+    /// Panics if the frame was not sealed (it has no trailer yet).
+    pub fn bytes(&self) -> &[u8] {
+        assert!(self.sealed, "frame read before it was sealed");
+        &self.buf
+    }
+}
+
+/// Builds the complete [`Msg::Bcast`] frame of `rel`, its rows encoded
+/// straight into the frame. Every worker is sent these same bytes. Returns
+/// the frame and the size of the row-block payload inside it.
+pub fn bcast_frame(ctx: TraceCtx, rel: &Relation) -> WireResult<(Vec<u8>, u64)> {
+    let mut buf = Vec::new();
+    put_u32(&mut buf, 0);
+    buf.push(OP_BCAST);
+    ctx.put(&mut buf);
+    let payload_at = buf.len() + 4;
+    put_bytes_with(&mut buf, |buf| codec::put_rows(buf, rel.schema().arity(), rel));
+    let payload = (buf.len() - payload_at) as u64;
+    end_frame(&mut buf, MAX_FRAME)?;
+    Ok((buf, payload))
 }
 
 // ------------------------------------------------------------- row codec
 
-const VAL_INT: u8 = 0;
-const VAL_SYM: u8 = 1;
-
-/// Encodes a bucket of rows: `[u32 arity][u64 nrows][tagged values…]`.
-/// Values are `[0][i64 LE]` for integers and `[1][u32 LE]` for interned
-/// symbols — the full [`Value`] domain.
+/// Encodes a bucket of rows as one [`mura_core::codec`] row block.
 pub fn encode_rows(arity: usize, rows: &[Row]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + rows.len() * arity * 9);
-    out.extend_from_slice(&(arity as u32).to_le_bytes());
-    out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
-    for row in rows {
-        debug_assert_eq!(row.len(), arity);
-        for v in row.iter() {
-            match v {
-                Value::Int(i) => {
-                    out.push(VAL_INT);
-                    out.extend_from_slice(&i.to_le_bytes());
-                }
-                Value::Str(s) => {
-                    out.push(VAL_SYM);
-                    out.extend_from_slice(&s.0.to_le_bytes());
-                }
-            }
-        }
-    }
+    let mut out = Vec::new();
+    codec::put_rows(&mut out, arity, rows);
     out
+}
+
+fn row_block(buf: &[u8], arity: usize) -> WireResult<codec::RowBlock<'_>> {
+    let mut cur = Cur::new(buf);
+    let block = codec::get_rows(&mut cur, arity)?;
+    cur.expect_done()?;
+    Ok(block)
 }
 
 /// Decodes a bucket encoded by [`encode_rows`], checking the arity against
 /// `expected_arity`.
 pub fn decode_rows(buf: &[u8], expected_arity: usize) -> WireResult<Vec<Row>> {
-    let mut c = Cursor { buf, pos: 0 };
-    let arity = c.u32()? as usize;
-    if arity != expected_arity {
-        return Err(WireError::Malformed("bucket arity does not match schema"));
-    }
-    let nrows = c.u64()? as usize;
-    // Each value costs at least 5 bytes; reject row counts the frame
-    // cannot possibly hold before allocating for them.
-    if arity > 0 && nrows.saturating_mul(arity).saturating_mul(5) > buf.len() {
-        return Err(WireError::Malformed("row count exceeds frame"));
-    }
-    let mut rows = Vec::with_capacity(nrows);
-    for _ in 0..nrows {
-        let mut row = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            let v = match c.u8()? {
-                VAL_INT => Value::Int(c.i64()?),
-                VAL_SYM => Value::Str(mura_core::Sym(c.u32()?)),
-                _ => return Err(WireError::Malformed("unknown value tag")),
-            };
-            row.push(v);
-        }
-        rows.push(row.into_boxed_slice());
-    }
-    Ok(rows)
+    Ok(row_block(buf, expected_arity)?.collect())
+}
+
+/// Decodes a bucket straight into `dest` (reserved once for the bucket's
+/// row count; no intermediate row vector).
+pub fn decode_rows_into(buf: &[u8], dest: &mut Relation) -> WireResult<()> {
+    dest.extend(row_block(buf, dest.schema().arity())?);
+    Ok(())
 }
 
 /// Encodes a whole relation (broadcast payloads).
 pub fn encode_relation(rel: &Relation) -> Vec<u8> {
-    let rows: Vec<Row> = rel.iter().cloned().collect();
-    encode_rows(rel.schema().arity(), &rows)
+    let mut out = Vec::new();
+    codec::put_rows(&mut out, rel.schema().arity(), rel);
+    out
 }
 
 /// Decodes a relation payload against `schema`.
 pub fn decode_relation(buf: &[u8], schema: &Schema) -> WireResult<Relation> {
-    let rows = decode_rows(buf, schema.arity())?;
-    Ok(Relation::from_rows(schema.clone(), rows))
+    let mut rel = Relation::new(schema.clone());
+    decode_rows_into(buf, &mut rel)?;
+    Ok(rel)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mura_core::Sym;
+    use mura_core::{Sym, Value};
 
-    fn round_trip(msg: Msg) {
+    fn round_trip(msg: Msg<'_>) {
         let body = msg.encode();
         assert_eq!(Msg::decode(&body).unwrap(), msg);
         // And through a stream.
         let mut wire = Vec::new();
         write_frame(&mut wire, &msg).unwrap();
-        let (back, n) = read_frame(&mut wire.as_slice()).unwrap();
+        let mut buf = Vec::new();
+        let (back, n) = read_frame(&mut wire.as_slice(), &mut buf).unwrap();
         assert_eq!(back, msg);
         assert_eq!(n as usize, wire.len());
     }
@@ -643,16 +803,16 @@ mod tests {
             xid: 9,
             watermark: 7,
             ctx: test_ctx(),
-            entries: vec![(0, vec![1, 2, 3]), (3, vec![])],
+            entries: vec![(0, &[1, 2, 3][..]), (3, &[][..])],
         });
         round_trip(Msg::Take { xid: 9, expect: 3, timeout_ms: 2000, ctx: test_ctx() });
-        round_trip(Msg::TakeReply(vec![(1, vec![0xFF; 32])]));
-        round_trip(Msg::Bcast { ctx: TraceCtx::default(), payload: vec![5; 100] });
+        round_trip(Msg::TakeReply(vec![(1, &[0xFF; 32][..])]));
+        round_trip(Msg::Bcast { ctx: TraceCtx::default(), payload: &[5; 100] });
         round_trip(Msg::Cancel);
         round_trip(Msg::Exit);
         round_trip(Msg::Ok);
         round_trip(Msg::Err("no route to peer".into()));
-        round_trip(Msg::Deliver { xid: 1, from: 2, ctx: test_ctx(), payload: vec![9, 9] });
+        round_trip(Msg::Deliver { xid: 1, from: 2, ctx: test_ctx(), payload: &[9, 9] });
         round_trip(Msg::TraceFlush { trace_id: 0xDEAD_BEEF });
         round_trip(Msg::TraceBatch {
             spans: vec![
@@ -675,6 +835,129 @@ mod tests {
     }
 
     #[test]
+    fn one_read_buffer_serves_frame_after_frame() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Msg::Bcast { ctx: test_ctx(), payload: &[7; 300] }).unwrap();
+        write_frame(&mut wire, &Msg::Ok).unwrap();
+        write_frame(&mut wire, &Msg::TakeReply(vec![(2, &[1; 40][..])])).unwrap();
+        let mut stream = wire.as_slice();
+        let mut buf = Vec::new();
+        let (first, _) = read_frame(&mut stream, &mut buf).unwrap();
+        assert_eq!(first, Msg::Bcast { ctx: test_ctx(), payload: &[7; 300] });
+        let cap = buf.capacity();
+        assert_eq!(read_frame(&mut stream, &mut buf).unwrap().0, Msg::Ok);
+        let (third, _) = read_frame(&mut stream, &mut buf).unwrap();
+        assert_eq!(third, Msg::TakeReply(vec![(2, &[1; 40][..])]));
+        assert_eq!(buf.capacity(), cap, "smaller frames reuse the allocation");
+        assert!(stream.is_empty());
+        // A frame past the retention limit does not stay allocated.
+        let big = vec![3u8; RETAINED_FRAME_BUFFER + 1];
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Msg::Bcast { ctx: test_ctx(), payload: &big }).unwrap();
+        write_frame(&mut wire, &Msg::Ok).unwrap();
+        let mut stream = wire.as_slice();
+        read_frame(&mut stream, &mut buf).unwrap();
+        assert!(buf.capacity() > RETAINED_FRAME_BUFFER);
+        read_frame(&mut stream, &mut buf).unwrap();
+        assert!(buf.capacity() <= RETAINED_FRAME_BUFFER);
+    }
+
+    fn pair(a: i64, b: i64) -> Row {
+        vec![Value::Int(a), Value::Int(b)].into_boxed_slice()
+    }
+
+    #[test]
+    fn bucket_frames_are_the_messages_they_stand_for() {
+        let rows = [pair(1, 2), pair(3, 4)];
+        let block = encode_rows(2, &rows);
+        let mut relay = BucketFrame::relay(test_ctx());
+        relay.push_rows(1, 2, &rows);
+        relay.repeat_last();
+        relay.push(0, &[9, 9, 9]);
+        assert_eq!(relay.count(), 3);
+        assert_eq!(relay.payload_bytes(), 2 * block.len() as u64 + 3);
+        let expected_len = relay.wire_len();
+        relay.seal_relay(77, 70).unwrap();
+        let wire = relay.bytes().to_vec();
+        assert_eq!(wire.len(), expected_len);
+        assert_eq!(relay.wire_len(), expected_len);
+        let mut buf = Vec::new();
+        let (msg, n) = read_frame(&mut wire.as_slice(), &mut buf).unwrap();
+        assert_eq!(n as usize, wire.len());
+        let expected = Msg::Relay {
+            xid: 77,
+            watermark: 70,
+            ctx: test_ctx(),
+            entries: vec![(1, &block[..]), (1, &block[..]), (0, &[9, 9, 9][..])],
+        };
+        assert_eq!(msg, expected);
+        // Byte for byte what the generic encoder writes.
+        let mut generic = Vec::new();
+        frame(&mut generic, &expected).unwrap();
+        assert_eq!(wire, generic);
+
+        let mut reply = BucketFrame::take_reply();
+        reply.seal().unwrap();
+        assert_eq!(read_frame(&mut reply.bytes(), &mut buf).unwrap().0, Msg::TakeReply(vec![]));
+        let mut reply = BucketFrame::take_reply();
+        reply.push(3, &block);
+        reply.seal().unwrap();
+        let (msg, _) = read_frame(&mut reply.bytes(), &mut buf).unwrap();
+        assert_eq!(msg, Msg::TakeReply(vec![(3, &block[..])]));
+
+        let rel = Relation::from_rows(Schema::new(vec![Sym(0), Sym(1)]), rows.iter().cloned());
+        let (wire, payload) = bcast_frame(test_ctx(), &rel).unwrap();
+        let (msg, _) = read_frame(&mut wire.as_slice(), &mut buf).unwrap();
+        let Msg::Bcast { ctx, payload: bytes } = msg else { panic!("not a broadcast: {msg:?}") };
+        assert_eq!(ctx, test_ctx());
+        assert_eq!(bytes.len() as u64, payload);
+        assert_eq!(decode_relation(bytes, rel.schema()).unwrap(), rel);
+    }
+
+    #[test]
+    fn resealing_a_relay_rewrites_header_and_trailer_only() {
+        let mut relay = BucketFrame::relay(test_ctx());
+        relay.push_rows(1, 2, &[pair(10, 20), pair(30, 40)]);
+        relay.push_rows(0, 2, &[pair(50, 60)]);
+        relay.seal_relay(5, 5).unwrap();
+        let first = relay.bytes().to_vec();
+        relay.seal_relay(6, 5).unwrap();
+        let second = relay.bytes().to_vec();
+        assert_eq!(first.len(), second.len());
+        let buckets = RELAY_XID_AT + 16..first.len() - 4;
+        assert_eq!(first[buckets.clone()], second[buckets], "buckets are not re-encoded");
+        assert_eq!(first[..RELAY_XID_AT], second[..RELAY_XID_AT]);
+        assert_ne!(first[RELAY_XID_AT..RELAY_XID_AT + 8], second[RELAY_XID_AT..RELAY_XID_AT + 8]);
+        let mut buf = Vec::new();
+        let (msg, _) = read_frame(&mut second.as_slice(), &mut buf).unwrap();
+        assert!(
+            matches!(msg, Msg::Relay { xid: 6, watermark: 5, ref entries, .. } if entries.len() == 2)
+        );
+    }
+
+    #[test]
+    fn an_oversized_frame_is_refused_before_the_socket_is_touched() {
+        // Lowered cap: the production path differs only in the constant.
+        let msg = Msg::Bcast { ctx: test_ctx(), payload: &[1; 64] };
+        let mut buf = Vec::new();
+        match frame_within(&mut buf, &msg, 32) {
+            Err(WireError::FrameTooLarge { len }) => assert_eq!(len as usize, msg.encode().len()),
+            other => panic!("expected FrameTooLarge, got {other:?}"),
+        }
+        frame_within(&mut buf, &msg, 128).unwrap();
+        let mut relay = BucketFrame::relay(test_ctx());
+        relay.push(0, &[0; 100]);
+        assert!(matches!(relay.seal_within(64), Err(WireError::FrameTooLarge { .. })));
+        assert!(relay.seal_within(4096).is_ok());
+        // Final, not retryable: resending the same rows cannot fit either.
+        let err = WireError::FrameTooLarge { len: 1 << 30 }.into_mura_error(2);
+        assert!(!err.is_retryable(), "{err:?}");
+        assert!(matches!(err, MuraError::ResourceExhausted { reached, .. } if reached == 1 << 30));
+        // Whereas a length prefix the *peer* sent is a connection fault.
+        assert!(WireError::Oversized { len: 1 << 30 }.into_mura_error(2).is_retryable());
+    }
+
+    #[test]
     fn span_count_lie_is_rejected() {
         // A TRACE body claiming 2^30 spans in a tiny frame must not allocate.
         let mut buf = vec![OP_TRACE];
@@ -683,6 +966,13 @@ mod tests {
         }
         buf.extend_from_slice(&(1u32 << 30).to_le_bytes());
         assert!(matches!(Msg::decode(&buf), Err(WireError::Malformed(_))));
+        // Likewise bucket and port counts.
+        for op in [OP_TAKE_REPLY, OP_PEERS] {
+            let mut buf = vec![op];
+            buf.extend_from_slice(&u32::MAX.to_le_bytes());
+            buf.extend_from_slice(&[0; 64]);
+            assert!(matches!(Msg::decode(&buf), Err(WireError::Malformed(_))));
+        }
     }
 
     #[test]
@@ -691,10 +981,12 @@ mod tests {
         let mut wire = Vec::new();
         wire.extend_from_slice(&(u32::MAX).to_le_bytes());
         wire.extend_from_slice(&[0; 16]);
-        match read_frame(&mut wire.as_slice()) {
+        let mut buf = Vec::new();
+        match read_frame(&mut wire.as_slice(), &mut buf) {
             Err(WireError::Oversized { len }) => assert_eq!(len, u32::MAX as u64),
             other => panic!("expected Oversized, got {other:?}"),
         }
+        assert_eq!(buf.capacity(), 0);
     }
 
     #[test]
@@ -703,10 +995,11 @@ mod tests {
         let mut wire = Vec::new();
         wire.extend_from_slice(&(body.len() as u32 + 10).to_le_bytes());
         wire.extend_from_slice(&body); // 10 bytes short of the claim
-        assert!(matches!(read_frame(&mut wire.as_slice()), Err(WireError::Truncated)));
+        let mut buf = Vec::new();
+        assert!(matches!(read_frame(&mut wire.as_slice(), &mut buf), Err(WireError::Truncated)));
         // Cut mid-header too.
         let short = vec![3u8, 0];
-        assert!(matches!(read_frame(&mut short.as_slice()), Err(WireError::Truncated)));
+        assert!(matches!(read_frame(&mut short.as_slice(), &mut buf), Err(WireError::Truncated)));
     }
 
     #[test]
@@ -715,15 +1008,16 @@ mod tests {
             xid: 4,
             watermark: 1,
             ctx: test_ctx(),
-            entries: vec![(1, vec![0xAB; 64])],
+            entries: vec![(1, &[0xAB; 64][..])],
         };
         let mut wire = Vec::new();
         write_frame(&mut wire, &msg).unwrap();
         // Flip one payload bit (past the length prefix, before the CRC).
+        let mut buf = Vec::new();
         for idx in [4usize, 20, wire.len() - 6] {
             let mut damaged = wire.clone();
             damaged[idx] ^= 0x10;
-            match read_frame(&mut damaged.as_slice()) {
+            match read_frame(&mut damaged.as_slice(), &mut buf) {
                 Err(WireError::BadChecksum { expected, got }) => assert_ne!(expected, got),
                 other => panic!("flip at {idx}: expected BadChecksum, got {other:?}"),
             }
@@ -732,13 +1026,17 @@ mod tests {
 
     #[test]
     fn corrupted_frame_helper_is_detected() {
-        let msg = Msg::Bcast { ctx: test_ctx(), payload: vec![7; 128] };
+        let msg = Msg::Bcast { ctx: test_ctx(), payload: &[7; 128] };
+        let mut buf = Vec::new();
         for entropy in [0u64, 1, 0xDEAD_BEEF_0000_0005, u64::MAX] {
             let mut wire = Vec::new();
             let n = write_corrupted_frame(&mut wire, &msg, entropy).unwrap();
             assert_eq!(n as usize, wire.len());
             assert!(
-                matches!(read_frame(&mut wire.as_slice()), Err(WireError::BadChecksum { .. })),
+                matches!(
+                    read_frame(&mut wire.as_slice(), &mut buf),
+                    Err(WireError::BadChecksum { .. })
+                ),
                 "entropy {entropy:#x} must yield a checksum mismatch"
             );
         }
@@ -755,32 +1053,53 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             garbage.push((state >> 33) as u8);
         }
+        let mut buf = Vec::new();
         for start in 0..64 {
             let mut slice = &garbage[start..];
             // Read frames until the garbage runs out or errors — both fine.
             for _ in 0..8 {
-                match read_frame(&mut slice) {
-                    Ok(_) => continue,
-                    Err(_) => break,
+                if read_frame(&mut slice, &mut buf).is_err() {
+                    break;
                 }
             }
         }
-        // Decoding raw garbage as a body is equally safe.
+        // Decoding raw garbage as a body or as a row block is equally
+        // safe, and what a block yields is bounded by its input.
+        let mut rel = Relation::new(Schema::new(vec![Sym(0), Sym(1)]));
         for start in 0..64 {
-            let _ = Msg::decode(&garbage[start..]);
-            let _ = decode_rows(&garbage[start..], 2);
+            let input = &garbage[start..];
+            let _ = Msg::decode(input);
+            for arity in [0, 1, 2, 5] {
+                if let Ok(rows) = decode_rows(input, arity) {
+                    assert!(rows.len() <= input.len());
+                }
+            }
+            let _ = decode_rows_into(input, &mut rel);
+            // A well-formed header in front of the garbage: the claimed
+            // row count is checked against what is actually there.
+            let mut block = Vec::new();
+            put_u32(&mut block, 2);
+            put_u64(&mut block, u64::from_le_bytes(input[..8].try_into().unwrap()));
+            block.extend_from_slice(&[0, 1]);
+            block.extend_from_slice(&input[8..40]);
+            assert!(decode_rows(&block, 2).is_err());
         }
+        assert!(rel.len() <= garbage.len());
     }
 
     #[test]
     fn rows_round_trip() {
         let rows: Vec<Row> = vec![
             vec![Value::Int(-5), Value::Str(Sym(7))].into_boxed_slice(),
-            vec![Value::Int(i64::MAX), Value::Int(0)].into_boxed_slice(),
+            vec![Value::Int(i64::MAX), Value::Str(Sym(0))].into_boxed_slice(),
         ];
         let buf = encode_rows(2, &rows);
         assert_eq!(decode_rows(&buf, 2).unwrap(), rows);
         assert!(matches!(decode_rows(&buf, 3), Err(WireError::Malformed(_))));
+        // Bytes after the block are not silently ignored.
+        let mut long = buf.clone();
+        long.push(0);
+        assert!(matches!(decode_rows(&long, 2), Err(WireError::Malformed("trailing bytes"))));
     }
 
     #[test]
@@ -790,8 +1109,14 @@ mod tests {
         let dst = db.intern("dst");
         let rel = Relation::from_pairs(src, dst, [(1, 2), (3, 4), (5, 6)]);
         let buf = encode_relation(&rel);
+        // Node ids that fit 32 bits cost 4 bytes each.
+        assert_eq!(buf.len(), 12 + 2 + 3 * 8);
         let back = decode_relation(&buf, rel.schema()).unwrap();
         assert_eq!(back.sorted_rows(), rel.sorted_rows());
+        // Decoding into a relation that already holds rows merges.
+        let mut dest = Relation::from_pairs(src, dst, [(1, 2), (7, 8)]);
+        decode_rows_into(&buf, &mut dest).unwrap();
+        assert_eq!(dest.len(), 4);
     }
 
     #[test]
@@ -802,5 +1127,8 @@ mod tests {
         buf.extend_from_slice(&(1u64 << 40).to_le_bytes());
         buf.extend_from_slice(&[0; 32]);
         assert!(matches!(decode_rows(&buf, 2), Err(WireError::Malformed(_))));
+        let mut rel = Relation::new(Schema::new(vec![Sym(0), Sym(1)]));
+        assert!(matches!(decode_rows_into(&buf, &mut rel), Err(WireError::Malformed(_))));
+        assert!(rel.is_empty());
     }
 }

@@ -12,6 +12,13 @@
 //! * on [`Msg::Take`], block (bounded) until the expected number of
 //!   buckets arrived, then hand them to the coordinator.
 //!
+//! A payload is copied once per hop and no more: a frame is read into the
+//! connection's reusable buffer and checksummed there; a forwarded bucket
+//! goes from that buffer into the peer connection's reusable frame buffer;
+//! a buffered bucket goes from it into the exchange's inbox, which *is* the
+//! [`Msg::TakeReply`] frame under construction ([`BucketFrame`]), so
+//! answering a `Take` seals and sends the inbox as it stands.
+//!
 //! The coordinator keeps computation (the fixpoint drivers run its task
 //! threads unchanged); the workers make the *communication* real: every
 //! exchanged partition genuinely crosses two sockets, so bytes-on-the-wire
@@ -31,18 +38,27 @@
 //! processes), or when it receives [`Msg::Exit`].
 
 use crate::wire::{
-    read_frame, write_frame, Msg, TraceCtx, WireError, WorkerSpan, SPAN_BCAST, SPAN_DELIVER,
-    SPAN_RELAY, SPAN_TAKE,
+    frame, read_frame, write_frame, BucketFrame, Msg, TraceCtx, WireError, WorkerSpan, SPAN_BCAST,
+    SPAN_DELIVER, SPAN_RELAY, SPAN_TAKE,
 };
 use std::collections::{HashMap, VecDeque};
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Buffered exchange buckets awaiting a [`Msg::Take`]: `xid → [(from, payload)]`.
-type Inbox = HashMap<u64, Vec<(u32, Vec<u8>)>>;
+/// Buffered exchange buckets awaiting a [`Msg::Take`]: `xid →` the reply
+/// frame they are appended to as they arrive.
+type Inbox = HashMap<u64, BucketFrame>;
+
+/// Outgoing peer connections and the frame buffer every forwarded bucket
+/// is built in (one lock covers both: a forward holds it for the write).
+#[derive(Debug, Default)]
+struct PeerLinks {
+    conns: HashMap<u32, TcpStream>,
+    frame: Vec<u8>,
+}
 
 /// Cap on the worker-side span ring. A long fixpoint at
 /// `TraceLevel::Superstep` keeps producing spans between flushes; beyond
@@ -59,8 +75,8 @@ struct WorkerState {
     /// after every respawn.
     peers: Mutex<Vec<u16>>,
     /// Cached outgoing peer connections, invalidated on [`Msg::Peers`].
-    peer_conns: Mutex<HashMap<u32, TcpStream>>,
-    /// Buffered exchange buckets: `xid → [(from, payload)]`.
+    peer_links: Mutex<PeerLinks>,
+    /// Buffered exchange buckets, by exchange id.
     inbox: Mutex<Inbox>,
     /// Wakes [`Msg::Take`] waiters when a bucket arrives.
     arrived: Condvar,
@@ -82,7 +98,7 @@ impl WorkerState {
         WorkerState {
             id: AtomicU32::new(0),
             peers: Mutex::new(Vec::new()),
-            peer_conns: Mutex::new(HashMap::new()),
+            peer_links: Mutex::new(PeerLinks::default()),
             inbox: Mutex::new(Inbox::new()),
             arrived: Condvar::new(),
             epoch: Instant::now(),
@@ -120,7 +136,7 @@ impl WorkerState {
     /// Drains spans of `trace_id` (0 = everything) plus the frame-counter
     /// deltas into a [`Msg::TraceBatch`]. Counters are swap-to-zero so
     /// repeated per-fixpoint flushes accumulate correctly coordinator-side.
-    fn flush_trace(&self, trace_id: u64) -> Msg {
+    fn flush_trace(&self, trace_id: u64) -> Msg<'static> {
         let drained: Vec<WorkerSpan> = {
             let mut ring = self.spans.lock().unwrap();
             if trace_id == 0 {
@@ -142,18 +158,21 @@ impl WorkerState {
         }
     }
 
-    fn buffer(&self, xid: u64, from: u32, payload: Vec<u8>) {
+    fn buffer(&self, xid: u64, from: u32, payload: &[u8]) {
         let mut inbox = self.inbox.lock().unwrap();
-        inbox.entry(xid).or_default().push((from, payload));
+        inbox.entry(xid).or_insert_with(BucketFrame::take_reply).push(from, payload);
         self.arrived.notify_all();
     }
 
-    /// Sends `payload` to peer `to`, reconnecting once on a stale cached
-    /// connection (the peer may have been respawned on a new port).
-    fn deliver(&self, to: u32, msg: &Msg) -> Result<(), WireError> {
-        let mut conns = self.peer_conns.lock().unwrap();
+    /// Sends `msg` to peer `to` as one frame in one write, reconnecting
+    /// once on a stale cached connection (the peer may have been respawned
+    /// on a new port).
+    fn deliver(&self, to: u32, msg: &Msg<'_>) -> Result<(), WireError> {
+        let mut links = self.peer_links.lock().unwrap();
+        let PeerLinks { conns, frame: buf } = &mut *links;
+        frame(buf, msg)?;
         if let Some(conn) = conns.get_mut(&to) {
-            if write_frame(conn, msg).is_ok() {
+            if conn.write_all(buf).is_ok() {
                 return Ok(());
             }
             conns.remove(&to);
@@ -166,7 +185,7 @@ impl WorkerState {
         let mut conn = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
         conn.set_nodelay(true).ok();
         conn.set_write_timeout(Some(Duration::from_secs(5))).ok();
-        write_frame(&mut conn, msg)?;
+        conn.write_all(buf)?;
         conns.insert(to, conn);
         Ok(())
     }
@@ -177,8 +196,9 @@ impl WorkerState {
 /// `Deliver` streams all land here.
 fn handle_conn(state: &Arc<WorkerState>, mut conn: TcpStream) {
     conn.set_nodelay(true).ok();
+    let mut read_buf = Vec::new();
     loop {
-        let msg = match read_frame(&mut conn) {
+        let msg = match read_frame(&mut conn, &mut read_buf) {
             Ok((msg, _)) => msg,
             Err(_) => return, // EOF or a bad frame: close this connection.
         };
@@ -190,7 +210,7 @@ fn handle_conn(state: &Arc<WorkerState>, mut conn: TcpStream) {
             Msg::Peers(ports) => {
                 *state.peers.lock().unwrap() = ports;
                 // Ports may have changed (respawn): cached streams are stale.
-                state.peer_conns.lock().unwrap().clear();
+                state.peer_links.lock().unwrap().conns.clear();
                 Some(Msg::Ok)
             }
             Msg::Ping => Some(Msg::Pong { t_us: state.now_us() }),
@@ -234,8 +254,8 @@ fn handle_conn(state: &Arc<WorkerState>, mut conn: TcpStream) {
                 let deadline = Instant::now() + Duration::from_millis(timeout_ms);
                 let mut inbox = state.inbox.lock().unwrap();
                 loop {
-                    let have = inbox.get(&xid).map_or(0, |v| v.len());
-                    if have >= expect as usize {
+                    let have = inbox.get(&xid).map_or(0, BucketFrame::count);
+                    if have >= expect {
                         break;
                     }
                     let left = deadline.saturating_duration_since(Instant::now());
@@ -247,11 +267,19 @@ fn handle_conn(state: &Arc<WorkerState>, mut conn: TcpStream) {
                 }
                 // Hand over whatever arrived; the coordinator checks the
                 // count and retries the whole exchange (fresh xid) if short.
-                let buckets = inbox.remove(&xid).unwrap_or_default();
+                let mut buckets = inbox.remove(&xid).unwrap_or_else(BucketFrame::take_reply);
                 drop(inbox);
-                let bytes = buckets.iter().map(|(_, p)| p.len() as u64).sum();
+                let bytes = buckets.payload_bytes();
                 state.record_span(SPAN_TAKE, ctx, xid, bytes, t0, state.now_us() - t0);
-                Some(Msg::TakeReply(buckets))
+                // The inbox is the reply frame: seal it and send it as it is.
+                let sent = match buckets.seal() {
+                    Ok(()) => conn.write_all(buckets.bytes()).is_ok(),
+                    Err(e) => write_frame(&mut conn, &Msg::Err(e.to_string())).is_ok(),
+                };
+                if !sent {
+                    return;
+                }
+                None
             }
             Msg::Bcast { ctx, payload } => {
                 // Broadcast replication traffic: the bytes crossed the wire

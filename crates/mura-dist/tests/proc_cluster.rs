@@ -21,11 +21,11 @@
 //! The chaos CI job sweeps `MURA_CHAOS_SEED` over a seed matrix through
 //! these same tests.
 
-use mura_core::{eval, Relation};
+use mura_core::{eval, Relation, Row, Schema, Sym, Value};
 use mura_datagen::{erdos_renyi, with_random_labels, SplitMix64};
 use mura_dist::{
-    CommBackend, ExecConfig, FaultConfig, FaultSnapshot, FixpointPlan, ProcCluster,
-    ProcClusterConfig, QueryEngine, TraceLevel,
+    Cluster, CommBackend, DistRel, ExecConfig, FaultConfig, FaultPlan, FaultSnapshot, FixpointPlan,
+    ProcCluster, ProcClusterConfig, QueryEngine, RecoveryPolicy, TraceLevel,
 };
 use mura_obs::trace::{EventKind, PlanKind};
 use mura_ucrpq::{parse_ucrpq, to_mura};
@@ -385,6 +385,164 @@ fn seeded_frame_corruption_recovers_exactly() {
         assert!(f1.corrupted_frames > 0, "{plan:?}: chaos injected no frame corruption: {f1}");
         cluster.shutdown();
     }
+}
+
+/// The compact row block on real sockets: on a graph whose node ids fit 32
+/// bits a moved value costs its 4 bytes plus a share of the block header
+/// (the per-value-tag layout cost 9), and the bytes are a function of the
+/// seed — two runs of one query ship exactly the same number.
+#[test]
+fn moved_values_cost_at_most_five_bytes_and_bytes_repeat_for_a_seed() {
+    let workers = 2;
+    let proc = proc_cluster(workers);
+    let graph = erdos_renyi(2_000, 0.002, 9);
+    let rel = Relation::from_pairs(Sym(0), Sym(1), graph.plain_edges());
+    assert!(rel.len() > 1_000, "graph too small to average the block headers out");
+    let cluster = Cluster::new(workers).with_backend(proc.clone() as Arc<dyn CommBackend>);
+    cluster.broadcast_rel(&rel).unwrap();
+    let moved = DistRel::from_relation(&rel, &cluster).repartition(&[Sym(0)], &cluster).unwrap();
+    assert_eq!(moved.collect().sorted_rows(), rel.sorted_rows());
+    // A broadcast puts the relation on the wire once per worker; an
+    // exchange puts every row on it twice (relay out, take back).
+    let values = (rel.len() * rel.schema().arity() * (workers + 2)) as f64;
+    let per_value = cluster.metrics().snapshot().wire_exchange_bytes as f64 / values;
+    assert!((4.0..=5.0).contains(&per_value), "{per_value:.2} bytes per moved value");
+
+    let db = er_db(11);
+    let bytes_of = |plan| {
+        let config = ExecConfig {
+            workers,
+            plan,
+            backend: Some(proc.clone() as Arc<dyn CommBackend>),
+            ..Default::default()
+        };
+        run_on(&db, TC_QUERY, config).2.wire_exchange_bytes
+    };
+    for plan in PLANS {
+        let first = bytes_of(plan);
+        assert!(first > 0, "{plan:?} moved no payload");
+        assert_eq!(first, bytes_of(plan), "{plan:?}: same seed, different bytes on the wire");
+    }
+    proc.shutdown();
+}
+
+/// Scatter/gather under each process-mode fault on its own: the relays,
+/// takes and broadcasts that go out to every worker before any reply is
+/// read still recover from a real `SIGKILL`, a severed connection, a
+/// corrupted frame and a stalled socket — the answer equals the
+/// simulator's under the same fault plan, and so do the rows moved.
+#[test]
+fn scatter_gather_survives_each_process_fault_with_the_simulators_rows_moved() {
+    let base = chaos_seed();
+    let fault = |f: fn(&mut FaultConfig)| {
+        let mut cfg = FaultConfig { seed: base, failures_per_site: 1, ..Default::default() };
+        f(&mut cfg);
+        cfg
+    };
+    type Injected = fn(&FaultSnapshot) -> u64;
+    let classes: [(&str, FaultConfig, Injected); 4] = [
+        ("kill_worker", fault(|c| c.panic_prob = 0.3), |f| f.killed_workers),
+        ("drop_connection", fault(|c| c.drop_prob = 0.4), |f| f.dropped_connections),
+        ("corrupt_frame", fault(|c| c.corrupt_frame_prob = 0.4), |f| f.corrupted_frames),
+        ("delay_socket", fault(|c| (c.straggler_prob, c.straggler_delay_ms) = (0.4, 1)), |f| {
+            f.delayed_sockets
+        }),
+    ];
+    let mut db = er_db(5);
+    let expected = centralized(&mut db, TC_QUERY);
+    for (name, fault, injected) in classes {
+        let cluster = proc_cluster(2);
+        let (mut broadcasts, mut shuffles, mut injections) = (0, 0, 0);
+        for plan in [FixpointPlan::ForceGld, FixpointPlan::ForcePlw] {
+            let config = |backend| ExecConfig {
+                workers: 2,
+                plan,
+                fault,
+                checkpoint_every: 2,
+                backend,
+                ..Default::default()
+            };
+            let (sim, _, sim_comm) = run_on(&db, TC_QUERY, config(None));
+            let (got, faults, comm) =
+                run_on(&db, TC_QUERY, config(Some(cluster.clone() as Arc<dyn CommBackend>)));
+            assert_eq!(got.sorted_rows(), expected.sorted_rows(), "{name} {plan:?}: wrong answer");
+            assert_eq!(sim.sorted_rows(), expected.sorted_rows(), "{name} {plan:?}: simulator");
+            assert_eq!(
+                (comm.shuffles, comm.rows_shuffled, comm.broadcasts, comm.rows_broadcast),
+                (
+                    sim_comm.shuffles,
+                    sim_comm.rows_shuffled,
+                    sim_comm.broadcasts,
+                    sim_comm.rows_broadcast
+                ),
+                "{name} {plan:?}: rows moved differ from the simulator's"
+            );
+            broadcasts += comm.broadcasts;
+            shuffles += comm.shuffles;
+            injections += injected(&faults);
+        }
+        assert!(broadcasts > 0 && shuffles > 0, "{name}: both data paths must run");
+        assert!(injections > 0, "{name}: nothing was injected");
+        cluster.shutdown();
+    }
+}
+
+/// An exchange that has to go round again — every control connection is
+/// severed before the first attempt and every worker killed between its
+/// relay and its take — encodes its rows once all the same: a retry
+/// re-seals the frames it already has, and an injected retransmission or
+/// duplicate is the encoded bytes again, not the rows encoded again.
+#[test]
+fn a_retried_exchange_encodes_its_rows_exactly_once() {
+    let workers = 2;
+    let proc = proc_cluster(workers);
+    let plan = Arc::new(FaultPlan::new(FaultConfig {
+        seed: chaos_seed(),
+        panic_prob: 1.0,     // kill_worker
+        drop_prob: 1.0,      // drop_connection, and every bucket retransmitted
+        duplicate_prob: 1.0, // every bucket duplicated
+        failures_per_site: 1,
+        ..Default::default()
+    }));
+    let cluster = Cluster::new(workers)
+        .with_backend(proc.clone() as Arc<dyn CommBackend>)
+        .with_faults(plan.clone(), RecoveryPolicy::default());
+    let schema = Schema::new(vec![Sym(0), Sym(1)]);
+    let per_bucket = 50;
+    let bucket = |from: usize, to: usize| -> Vec<Row> {
+        (0..per_bucket)
+            .map(|i| vec![Value::node((from * 2 + to) as u64), Value::node(i)].into_boxed_slice())
+            .collect()
+    };
+    let buckets: Vec<Vec<Vec<Row>>> =
+        (0..workers).map(|from| (0..workers).map(|to| bucket(from, to)).collect()).collect();
+    let rows = (workers * workers) as u64 * per_bucket;
+    let block = mura_dist::wire::encode_rows(2, &buckets[0][0]).len() as u64;
+
+    let encoded_before = proc.health_snapshot().rows_encoded;
+    let parts = cluster.exchange_at(plan.next_site(), &schema, buckets.clone()).unwrap();
+
+    for (to, part) in parts.iter().enumerate() {
+        let want = Relation::from_rows(
+            schema.clone(),
+            (0..workers).flat_map(|from| buckets[from][to].iter().cloned()),
+        );
+        assert_eq!(part.sorted_rows(), want.sorted_rows(), "partition {to}");
+    }
+    let faults = plan.snapshot();
+    assert_eq!(faults.dropped_connections, workers as u64, "{faults}");
+    assert_eq!(faults.killed_workers, workers as u64, "{faults}");
+    assert!(faults.worker_respawns > 0, "the first attempt must have failed: {faults}");
+    // Three copies of every bucket went out with the first attempt and
+    // again with the second, and came back once...
+    let comm = cluster.metrics().snapshot();
+    assert!(
+        comm.wire_exchange_bytes >= 9 * (workers * workers) as u64 * block,
+        "the exchange was not retried on the wire: {comm:?}"
+    );
+    // ... but each row was encoded once.
+    assert_eq!(proc.health_snapshot().rows_encoded - encoded_before, rows);
+    proc.shutdown();
 }
 
 /// Supervision: an out-of-band `SIGKILL` of a worker process (no fault

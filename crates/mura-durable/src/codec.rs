@@ -1,190 +1,24 @@
-//! Bounds-checked binary codec for the engine types.
+//! Binary codec for the engine types, on top of [`mura_core::codec`].
 //!
-//! Hand-rolled (the workspace builds offline, no serde): little-endian
-//! fixed-width integers, `u32`-length-prefixed sequences, one tag byte per
-//! enum variant. Every decode is bounds-checked against the buffer and
-//! returns a typed [`CodecError`] — decoding untrusted bytes never panics.
+//! The bounds-checked reader, the primitive writers and the row block are
+//! the workspace's one codec in `mura-core`; this module adds the layouts
+//! of the types only the durability layer persists (schemas, terms, delta
+//! batches, databases, feedback state): `u32`-length-prefixed sequences,
+//! one tag byte per enum variant. Every decode returns a typed
+//! [`CodecError`] — decoding untrusted bytes never panics.
 //! Encoding is canonical: maps are emitted in sorted key order and
 //! relation rows in sorted row order, so equal states produce equal bytes
 //! (checksums and tests can compare encodings directly).
 
-use mura_core::{Database, Pred, Relation, Row, Schema, Sym, Term, Value};
+use mura_core::codec::{get_rows, put_rows};
+pub use mura_core::codec::{put_f64, put_i64, put_string, put_u32, put_u64, CodecError, Cur};
+use mura_core::{Database, Pred, Relation, Schema, Sym, Term, Value};
 use mura_ivm::{DeltaBatch, RelDelta};
 use mura_rewrite::FeedbackState;
 use std::sync::Arc;
 
-/// Decoding failure. Carries the buffer offset where decoding stopped.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CodecError {
-    /// The buffer ended before the value was complete.
-    Truncated {
-        /// Offset at which more bytes were needed.
-        at: usize,
-        /// How many bytes the decoder wanted.
-        want: usize,
-    },
-    /// An enum tag byte had no corresponding variant.
-    BadTag {
-        /// Offset of the offending tag byte.
-        at: usize,
-        /// The tag value read.
-        tag: u8,
-        /// Which type was being decoded.
-        what: &'static str,
-    },
-    /// A length-prefixed string was not valid UTF-8.
-    BadUtf8 {
-        /// Offset of the string payload.
-        at: usize,
-    },
-    /// A decoded value violated an invariant (row arity, term depth…).
-    Invalid {
-        /// Offset where the violation was detected.
-        at: usize,
-        /// Human-readable description.
-        what: &'static str,
-    },
-}
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodecError::Truncated { at, want } => {
-                write!(f, "truncated at byte {at}: wanted {want} more bytes")
-            }
-            CodecError::BadTag { at, tag, what } => {
-                write!(f, "bad {what} tag {tag} at byte {at}")
-            }
-            CodecError::BadUtf8 { at } => write!(f, "invalid utf-8 at byte {at}"),
-            CodecError::Invalid { at, what } => write!(f, "invalid {what} at byte {at}"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-/// Decoder position over a byte buffer.
-pub struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
 /// Guards against stack exhaustion when decoding adversarial nesting.
 const MAX_TERM_DEPTH: usize = 512;
-
-impl<'a> Cur<'a> {
-    /// Starts decoding at the beginning of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Cur { buf, pos: 0 }
-    }
-
-    /// Current offset.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// True when every byte has been consumed.
-    pub fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    /// Fails with [`CodecError::Invalid`] if bytes remain.
-    pub fn expect_done(&self) -> Result<(), CodecError> {
-        if self.done() {
-            Ok(())
-        } else {
-            Err(CodecError::Invalid { at: self.pos, what: "trailing bytes" })
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.buf.len() - self.pos < n {
-            return Err(CodecError::Truncated { at: self.pos, want: n });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64, CodecError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an `f64` from its IEEE-754 bit pattern.
-    pub fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `u32`-length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String, CodecError> {
-        let n = self.u32()? as usize;
-        let at = self.pos;
-        let bytes = self.take(n)?;
-        std::str::from_utf8(bytes).map(|s| s.to_string()).map_err(|_| CodecError::BadUtf8 { at })
-    }
-
-    /// Reads a sequence length, sanity-capped against the bytes remaining
-    /// (`min_elem_bytes` is the smallest possible encoded element size) so
-    /// a corrupt length cannot trigger a huge allocation.
-    pub fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
-        let n = self.u32()? as usize;
-        let cap = self.buf.len() - self.pos;
-        if n.saturating_mul(min_elem_bytes.max(1)) > cap {
-            return Err(CodecError::Truncated { at: self.pos, want: n * min_elem_bytes.max(1) });
-        }
-        Ok(n)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Primitive writers
-// ---------------------------------------------------------------------------
-
-/// Appends a little-endian `u32`.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a little-endian `u64`.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a little-endian `i64`.
-pub fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends an `f64` as its IEEE-754 bit pattern.
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-/// Appends a `u32`-length-prefixed UTF-8 string.
-pub fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-// ---------------------------------------------------------------------------
-// Engine types
-// ---------------------------------------------------------------------------
 
 /// Encodes a symbol (its dictionary index).
 pub fn put_sym(out: &mut Vec<u8>, s: Sym) {
@@ -245,38 +79,17 @@ pub fn get_schema(cur: &mut Cur) -> Result<Schema, CodecError> {
     Ok(Schema::new(cols))
 }
 
-/// Encodes a relation: schema, row count, then rows in sorted order so the
-/// encoding is canonical.
+/// Encodes a relation: schema, then one row block of the rows in sorted
+/// order so the encoding is canonical.
 pub fn put_relation(out: &mut Vec<u8>, r: &Relation) {
     put_schema(out, r.schema());
-    put_u64(out, r.len() as u64);
-    for row in r.sorted_rows() {
-        for &v in row.iter() {
-            put_value(out, v);
-        }
-    }
+    put_rows(out, r.schema().arity(), &r.sorted_rows());
 }
 
 /// Decodes a relation.
 pub fn get_relation(cur: &mut Cur) -> Result<Relation, CodecError> {
     let schema = get_schema(cur)?;
-    let at = cur.pos();
-    let n = cur.u64()? as usize;
-    let arity = schema.arity();
-    // Each value is at least 5 bytes; an empty-schema relation has at most
-    // one (empty) row.
-    let min_row = arity * 5;
-    if n.saturating_mul(min_row) > cur.buf.len() - cur.pos || (arity == 0 && n > 1) {
-        return Err(CodecError::Invalid { at, what: "relation row count" });
-    }
-    let mut rows: Vec<Row> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut row = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            row.push(get_value(cur)?);
-        }
-        rows.push(row.into_boxed_slice());
-    }
+    let rows = get_rows(cur, schema.arity())?;
     Ok(Relation::from_rows(schema, rows))
 }
 

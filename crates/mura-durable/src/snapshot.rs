@@ -19,8 +19,8 @@ use std::path::{Path, PathBuf};
 
 /// Snapshot file magic.
 pub const SNAP_MAGIC: &[u8; 8] = b"MURASNP1";
-/// On-disk format version.
-pub const SNAP_FORMAT: u32 = 1;
+/// On-disk format version (2: relations are `mura_core::codec` row blocks).
+pub const SNAP_FORMAT: u32 = 2;
 
 /// Snapshot failure. Unlike WAL torn tails, there is no partial-snapshot
 /// recovery: a file either validates end-to-end or is skipped.

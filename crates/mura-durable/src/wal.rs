@@ -29,8 +29,8 @@ use std::path::{Path, PathBuf};
 
 /// WAL file magic.
 pub const WAL_MAGIC: &[u8; 8] = b"MURAWAL1";
-/// On-disk format version.
-pub const WAL_FORMAT: u32 = 1;
+/// On-disk format version (2: relations are `mura_core::codec` row blocks).
+pub const WAL_FORMAT: u32 = 2;
 /// WAL file name inside the data directory.
 pub const WAL_FILE: &str = "wal.log";
 /// Header size: magic + format version.
