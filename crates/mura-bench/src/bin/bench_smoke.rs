@@ -43,7 +43,16 @@
 //! in rows per second (bytes per second do not compare across layouts),
 //! and — with `BENCH_PROC_WORKERS` set — one broadcast and one exchange of
 //! 20,000 rows through the worker processes, in microseconds.
+//!
+//! A `relation` section times the flat row store itself, in nanoseconds per
+//! row at 20,000 and 200,000 binary rows — insert, `contains` hit and miss,
+//! permuting rename, deep copy (clone, then the first mutation), drop, lazy
+//! split over four workers — and counts the allocations of building a
+//! 100,000-row relation row by row, gated at 64: the buffers double their
+//! way up, no row is an allocation.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use mura_core::kernel::kernel_stats;
@@ -57,6 +66,97 @@ use mura_dist::{
 };
 
 const WORKERS: usize = 4;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting calls (for the `relation` section's
+/// allocation gate; one relaxed increment per call).
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to the system allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, passed on as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`, and `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Rows of the allocation-gated build of the `relation` section.
+const BUILD_ROWS: usize = 100_000;
+
+/// `rows` distinct binary rows (and, from `rows` on, as many that are not
+/// among them).
+fn bench_row(i: usize, rows: usize) -> [mura_core::Value; 2] {
+    let node = |x: usize| mura_core::Value::node(x as u64);
+    [node(i.wrapping_mul(7_919) % (rows / 4 + 1)), node(i)]
+}
+
+/// The `relation` section at one size: ns per row of each store operation,
+/// best of `samples`.
+fn relation_section(db: &mut Database, rows: usize, samples: usize) -> String {
+    let (src, dst, zz) = (db.intern("src"), db.intern("dst"), db.intern("zz"));
+    let schema = mura_core::Schema::new(vec![src, dst]);
+    let build = || {
+        let mut rel = Relation::new(schema.clone());
+        for i in 0..rows {
+            rel.insert(bench_row(i, rows));
+        }
+        rel
+    };
+    let rel = build();
+    assert_eq!(rel.len(), rows);
+    let per_row = |d: Duration| d.as_secs_f64() * 1e9 / rows as f64;
+    let insert = per_row(min_time(samples, build));
+    let count =
+        |from: usize| (from..from + rows).filter(|&i| rel.contains(&bench_row(i, rows))).count();
+    assert_eq!((count(0), count(rows)), (rows, 0));
+    let hit = per_row(min_time(samples, || count(0)));
+    let miss = per_row(min_time(samples, || count(rows)));
+    // `src → zz` moves the first column behind `dst`: every row is permuted.
+    assert!(src < dst && dst < zz, "the renamed column must change places");
+    let rename = per_row(min_time(samples, || rel.rename(src, zz)));
+    // A clone is a pointer until the first mutation copies the store.
+    let deep_copy = || {
+        let mut copy = rel.clone();
+        copy.insert(bench_row(rows, rows));
+        copy
+    };
+    let clone = per_row(min_time(samples, deep_copy));
+    let dropped = per_row(
+        (0..samples)
+            .map(|_| {
+                let copy = deep_copy();
+                let t = Instant::now();
+                drop(copy);
+                t.elapsed()
+            })
+            .min()
+            .expect("at least one sample"),
+    );
+    let cluster = Cluster::new(WORKERS);
+    let split = per_row(min_time(samples, || DistRel::from_relation(&rel, &cluster).parts().len()));
+    println!(
+        "  relation:  {rows} rows, ns/row: insert {insert:.1}, contains hit {hit:.1} / miss {miss:.1}, rename {rename:.1}, clone {clone:.1}, drop {dropped:.2}, split {split:.1}"
+    );
+    format!(
+        "{{\"rows\": {rows}, \"insert_ns\": {insert:.2}, \"contains_hit_ns\": {hit:.2}, \"contains_miss_ns\": {miss:.2}, \"rename_ns\": {rename:.2}, \"clone_ns\": {clone:.2}, \"drop_ns\": {dropped:.3}, \"split_ns\": {split:.2}}}"
+    )
+}
 
 /// Rows in the timed broadcast and exchange of the `wire` section.
 const WIRE_ROWS: usize = 20_000;
@@ -299,16 +399,17 @@ fn main() {
         // the worker processes (encode, frames out, forward, frames back,
         // decode), the unit the data plane's cost is quoted in. ---
         let wire_cluster = Cluster::new(proc_workers).with_backend(std::sync::Arc::clone(&backend));
-        let rows: Vec<mura_core::Row> = full.iter().take(WIRE_ROWS).cloned().collect();
+        let rows: Vec<&[mura_core::Value]> = full.iter().take(WIRE_ROWS).collect();
         assert_eq!(rows.len(), WIRE_ROWS, "the closure has fewer rows than the wire section moves");
-        let rel = Relation::from_rows(full.schema().clone(), rows.iter().cloned());
+        let rel = Relation::from_rows(full.schema().clone(), &rows);
         let broadcast =
             min_time(samples.max(5), || wire_cluster.broadcast_rel(&rel).expect("broadcast"));
         let exchange = min_time(samples.max(5), || {
             // Every worker sends an equal share to every worker.
-            let mut buckets = vec![vec![Vec::new(); proc_workers]; proc_workers];
+            let empty = mura_core::Rows::new(rel.schema().arity());
+            let mut buckets = vec![vec![empty; proc_workers]; proc_workers];
             for (i, row) in rows.iter().enumerate() {
-                buckets[i % proc_workers][(i / proc_workers) % proc_workers].push(row.clone());
+                buckets[i % proc_workers][(i / proc_workers) % proc_workers].push(row);
             }
             let site = wire_cluster.fault().next_site();
             let parts = wire_cluster.exchange_at(site, rel.schema(), buckets).expect("exchange");
@@ -332,6 +433,24 @@ fn main() {
     let decode_rows_s = rows_s(min_time(samples.max(5), || {
         mura_dist::wire::decode_relation(&encoded, full.schema()).expect("decode")
     }));
+
+    // --- relation: the flat store, operation by operation. ---
+    let relation_sizes: Vec<String> = [20_000, 200_000]
+        .iter()
+        .map(|&rows| relation_section(&mut db, rows, samples.max(5)))
+        .collect();
+    let build_allocations = {
+        let schema = e.schema().clone();
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let mut rel = Relation::new(schema);
+        for i in 0..BUILD_ROWS {
+            rel.insert(bench_row(i, BUILD_ROWS));
+        }
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(rel.len(), BUILD_ROWS);
+        allocations
+    };
+    println!("  relation:  {BUILD_ROWS}-row build by insert: {build_allocations} allocations");
 
     // --- WAL overhead: the identical IVM mutation stream against a durable
     // serving tier (WAL on, fsync off — CI filesystems make fsync walls
@@ -455,8 +574,12 @@ fn main() {
         "  \"wire\": {{\"crc_sliced_mb_s\": {crc_sliced:.0}, \"crc_bytewise_mb_s\": {crc_bytewise:.0}, \"crc_speedup\": {crc_speedup:.2}, \"encode_rows_per_s\": {encode_rows_s:.0}, \"decode_rows_per_s\": {decode_rows_s:.0}, \"bytes_per_row\": {:.2}{wire_proc_json}}},\n",
         encoded.len() as f64 / full.len() as f64,
     );
+    let relation_json = format!(
+        "  \"relation\": {{\"sizes\": [{}], \"build_rows\": {BUILD_ROWS}, \"build_allocations\": {build_allocations}}},\n",
+        relation_sizes.join(", "),
+    );
     let json = format!(
-        "{{\n  \"bench\": \"fixpoint_tc_er\",\n  \"plan\": \"p_plw\",\n  \"engine\": \"set_rdd\",\n  \"workers\": {WORKERS},\n  \"graph\": {{\"nodes\": {n}, \"edge_prob\": {p}, \"seed\": {seed}, \"edges\": {}, \"tc_rows\": {opt_rows}}},\n  \"samples\": {samples},\n  \"iterations\": {loop_iterations},\n  \"reference\": {},\n  \"optimized\": {},\n  \"speedup\": {speedup:.3},\n  \"tracing\": {{\"off_min_ms\": {:.3}, \"superstep_min_ms\": {:.3}, \"overhead_pct\": {overhead_pct:.2}, \"events\": {}}},\n{proc_json}{wire_json}  \"wal\": {{\"off_min_ms\": {:.3}, \"on_min_ms\": {:.3}, \"overhead_pct\": {wal_overhead_pct:.2}, \"batches\": {wal_batches}}},\n  \"comm\": {{\"shuffles\": {}, \"rows_shuffled\": {}}},\n  \"kernel\": {{\"index_builds\": {}, \"key_index_builds\": {}, \"join_probes\": {}, \"antijoin_probes\": {}, \"rows_allocated\": {}, \"const_folds\": {}, \"iterations\": {}, \"eval_nanos\": {}}}\n}}\n",
+        "{{\n  \"bench\": \"fixpoint_tc_er\",\n  \"plan\": \"p_plw\",\n  \"engine\": \"set_rdd\",\n  \"workers\": {WORKERS},\n  \"graph\": {{\"nodes\": {n}, \"edge_prob\": {p}, \"seed\": {seed}, \"edges\": {}, \"tc_rows\": {opt_rows}}},\n  \"samples\": {samples},\n  \"iterations\": {loop_iterations},\n  \"reference\": {},\n  \"optimized\": {},\n  \"speedup\": {speedup:.3},\n  \"tracing\": {{\"off_min_ms\": {:.3}, \"superstep_min_ms\": {:.3}, \"overhead_pct\": {overhead_pct:.2}, \"events\": {}}},\n{proc_json}{wire_json}{relation_json}  \"wal\": {{\"off_min_ms\": {:.3}, \"on_min_ms\": {:.3}, \"overhead_pct\": {wal_overhead_pct:.2}, \"batches\": {wal_batches}}},\n  \"comm\": {{\"shuffles\": {}, \"rows_shuffled\": {}}},\n  \"kernel\": {{\"index_builds\": {}, \"key_index_builds\": {}, \"join_probes\": {}, \"antijoin_probes\": {}, \"rows_allocated\": {}, \"const_folds\": {}, \"iterations\": {}, \"eval_nanos\": {}}}\n}}\n",
         e.len(),
         json_timings(&reference),
         json_timings(&optimized),
@@ -502,6 +625,12 @@ fn main() {
     if crc_speedup < min_crc_speedup {
         eprintln!(
             "FAIL: sliced CRC-32 is {crc_speedup:.2}x the bytewise kernel, below the required {min_crc_speedup:.2}x"
+        );
+        failed = true;
+    }
+    if build_allocations > 64 {
+        eprintln!(
+            "FAIL: building {BUILD_ROWS} rows took {build_allocations} allocations, above the 64 a handful of buffer doublings needs"
         );
         failed = true;
     }

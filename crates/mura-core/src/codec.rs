@@ -31,7 +31,7 @@
 //! order. A node id of the benchmark graphs costs 4 bytes instead of the 9
 //! a tag byte per value cost.
 
-use crate::relation::Row;
+use crate::relation::Rows;
 use crate::value::{Sym, Value};
 
 /// Decoding failure. Carries the buffer offset where decoding stopped.
@@ -272,13 +272,14 @@ fn field_width(kind: u8) -> Option<usize> {
 ///
 /// # Panics
 /// Panics if a row's arity differs from `arity`.
-pub fn put_rows<'a, I>(out: &mut Vec<u8>, arity: usize, rows: I)
+pub fn put_rows<I>(out: &mut Vec<u8>, arity: usize, rows: I)
 where
-    I: IntoIterator<Item = &'a Row> + Copy,
+    I: IntoIterator + Clone,
+    I::Item: AsRef<[Value]>,
 {
     let start = out.len();
-    let mut kinds: Vec<u8> = match rows.into_iter().next() {
-        Some(first) => first.iter().map(|&v| kind_of(v)).collect(),
+    let mut kinds: Vec<u8> = match rows.clone().into_iter().next() {
+        Some(first) => first.as_ref().iter().map(|&v| kind_of(v)).collect(),
         None => vec![COL_U32; arity],
     };
     'block: loop {
@@ -287,10 +288,11 @@ where
         put_u64(out, 0);
         out.extend_from_slice(&kinds);
         let stride: usize = kinds.iter().map(|&k| field_width(k).expect("own kind")).sum();
-        let it = rows.into_iter();
+        let it = rows.clone().into_iter();
         out.reserve(it.size_hint().0.saturating_mul(stride));
         let mut nrows = 0u64;
         for row in it {
+            let row = row.as_ref();
             assert_eq!(row.len(), arity, "row arity {} != block arity {arity}", row.len());
             for (kind, &v) in kinds.iter_mut().zip(row.iter()) {
                 match (*kind, v) {
@@ -318,15 +320,16 @@ where
     }
 }
 
-/// The rows of one decoded row block, yielded lazily: the block was bounds-
-/// and tag-checked by [`get_rows`], so iteration cannot fail, and the only
-/// allocation per row is the row itself.
+/// One row block, bounds- and tag-checked by [`get_rows`] but not yet
+/// decoded: [`RowBlock::decode_into`] cannot fail, reserves once for the
+/// block's row count and writes the values straight into the destination
+/// buffer — no row is built on the way.
 #[derive(Debug, Clone)]
 pub struct RowBlock<'a> {
     kinds: &'a [u8],
     data: &'a [u8],
     stride: usize,
-    left: usize,
+    nrows: usize,
 }
 
 fn le_u32(b: &[u8]) -> u32 {
@@ -337,43 +340,59 @@ fn le_i64(b: &[u8]) -> i64 {
     i64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
 }
 
-impl Iterator for RowBlock<'_> {
-    type Item = Row;
-
-    fn next(&mut self) -> Option<Row> {
-        if self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        let (mut fields, rest) = self.data.split_at(self.stride);
-        self.data = rest;
-        let mut row = Vec::with_capacity(self.kinds.len());
-        for &kind in self.kinds {
-            let (v, width) = match kind {
-                COL_U32 => (Value::Int(i64::from(le_u32(fields))), 4),
-                COL_I64 => (Value::Int(le_i64(fields)), 8),
-                COL_SYM => (Value::Str(Sym(le_u32(fields))), 4),
-                _ if fields[0] == 0 => (Value::Int(le_i64(&fields[1..])), 9),
-                // Checked by `get_rows` to be a `u32`.
-                _ => (Value::Str(Sym(le_i64(&fields[1..]) as u32)), 9),
-            };
-            fields = &fields[width..];
-            row.push(v);
-        }
-        Some(row.into_boxed_slice())
+impl RowBlock<'_> {
+    /// Rows in the block.
+    pub fn len(&self) -> usize {
+        self.nrows
     }
 
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
+    /// True if the block holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.nrows == 0
+    }
+
+    /// Appends the block's rows to `dest`.
+    ///
+    /// # Panics
+    /// Panics if `dest` is not of the block's arity.
+    pub fn decode_into(&self, dest: &mut Rows) {
+        assert_eq!(dest.arity(), self.kinds.len(), "row block decoded into another arity");
+        dest.reserve(self.nrows);
+        if self.stride == 0 {
+            // Rows of no columns take no bytes.
+            for _ in 0..self.nrows {
+                dest.push(&[]);
+            }
+            return;
+        }
+        for mut fields in self.data.chunks_exact(self.stride) {
+            dest.push_values(self.kinds.iter().map(|&kind| {
+                let (v, width) = match kind {
+                    COL_U32 => (Value::Int(i64::from(le_u32(fields))), 4),
+                    COL_I64 => (Value::Int(le_i64(fields)), 8),
+                    COL_SYM => (Value::Str(Sym(le_u32(fields))), 4),
+                    _ if fields[0] == 0 => (Value::Int(le_i64(&fields[1..])), 9),
+                    // Checked by `get_rows` to be a `u32`.
+                    _ => (Value::Str(Sym(le_i64(&fields[1..]) as u32)), 9),
+                };
+                fields = &fields[width..];
+                v
+            }));
+        }
+    }
+
+    /// The block's rows as a buffer of their own.
+    pub fn decode(&self) -> Rows {
+        let mut rows = Rows::new(self.kinds.len());
+        self.decode_into(&mut rows);
+        rows
     }
 }
-
-impl ExactSizeIterator for RowBlock<'_> {}
 
 /// Reads one row block written by [`put_rows`], which must be of `arity`
 /// columns. The row count is checked against the bytes that remain before
 /// it is believed (a row of no columns can occur at most once in a set),
-/// so the rows a caller collects are bounded by the input's length.
+/// so the rows a caller decodes are bounded by the input's length.
 pub fn get_rows<'a>(cur: &mut Cur<'a>, arity: usize) -> Result<RowBlock<'a>, CodecError> {
     let at = cur.pos();
     if cur.u32()? as usize != arity {
@@ -399,7 +418,7 @@ pub fn get_rows<'a>(cur: &mut Cur<'a>, arity: usize) -> Result<RowBlock<'a>, Cod
     let data_at = cur.pos();
     let data = cur.take(bytes)?;
     // Mixed columns carry the only per-value tags: check them here so that
-    // iteration stays infallible.
+    // decoding stays infallible.
     let mut offset = 0;
     for &kind in kinds {
         if kind == COL_ANY {
@@ -418,12 +437,13 @@ pub fn get_rows<'a>(cur: &mut Cur<'a>, arity: usize) -> Result<RowBlock<'a>, Cod
         }
         offset += field_width(kind).expect("checked above");
     }
-    Ok(RowBlock { kinds, data, stride, left: nrows as usize })
+    Ok(RowBlock { kinds, data, stride, nrows: nrows as usize })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::Row;
 
     struct Rng(u64);
 
@@ -440,7 +460,15 @@ mod tests {
         let block = get_rows(&mut cur, arity).expect("decodes");
         cur.expect_done().expect("block consumed exactly");
         assert_eq!(block.len(), rows.len());
-        assert_eq!(block.collect::<Vec<Row>>(), rows);
+        // Decoded behind whatever the destination already holds.
+        let mut dest = Rows::new(arity);
+        if let Some(first) = rows.first() {
+            dest.push(first);
+        }
+        let held = dest.len();
+        block.decode_into(&mut dest);
+        let decoded: Vec<Row> = dest.iter().skip(held).map(Row::from).collect();
+        assert_eq!(decoded, rows);
         out.split_off(3)
     }
 
@@ -589,7 +617,7 @@ mod tests {
                 if let Ok(block) = get_rows(&mut Cur::new(input), arity) {
                     // Whatever decodes is no larger than its input.
                     assert!(block.len() <= input.len().max(1));
-                    let _ = block.count();
+                    assert_eq!(block.decode().len(), block.len());
                 }
             }
         }

@@ -8,16 +8,19 @@
 //! constant side and probed with each iteration's delta; [`KeyIndex`] is the
 //! analogous cached key-set for antijoins.
 //!
-//! Probing is allocation-free: the index is keyed by a 64-bit hash computed
-//! directly over the join-key values (no boxed key tuples), with bucket
+//! An index is a second view of storage that already exists: it keeps the
+//! build relation by `Arc` (no row is copied into it) and chains its rows by
+//! key hash through two `u32` arrays ([`Buckets`]) — no allocation per key.
+//! Probing is allocation-free too: the chains are entered by a 64-bit hash
+//! computed directly over the join-key values (no boxed key tuples), with
 //! entries verified by positional equality. Neither index builds output
 //! rows: a probe hands back the matching build rows (or a yes/no), and the
 //! caller — the fused recursive step in `mura-dist` — projects straight
 //! into whatever it materialises next.
 
-use crate::fxhash::{FxHashMap, FxHasher};
+use crate::fxhash::FxHasher;
 use crate::kernel::kernel_stats;
-use crate::relation::{join_plan, Relation, Row};
+use crate::relation::{join_plan, Relation, Rows};
 use crate::schema::Schema;
 use crate::value::Value;
 use std::hash::{Hash, Hasher};
@@ -39,11 +42,75 @@ pub fn hash_key(row: &[Value], positions: &[usize]) -> u64 {
     hash_values(positions.iter().map(|&p| row[p]))
 }
 
+/// The rows of a [`Rows`] buffer chained by the hash of their key: `heads`
+/// is a power-of-two array entered by the top bits of a [`hash_key`] (an Fx
+/// hash ends in a multiply, so its top bits are the mixed ones — and they
+/// are not the bits a hash placement took its worker from), `next` links
+/// the rows of a chain. Both hold `id + 1`, `0` ending a chain. A chain
+/// mixes every key that shares its head: whoever walks it verifies.
+#[derive(Debug, Clone)]
+pub(crate) struct Buckets {
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    shift: u32,
+}
+
+impl Buckets {
+    fn empty_for(rows: &Rows) -> Buckets {
+        let bits = crate::relation::slot_bits(rows.len());
+        Buckets { heads: vec![0; 1 << bits], next: vec![0; rows.len()], shift: 64 - bits }
+    }
+
+    #[inline]
+    fn link(&mut self, hash: u64, id: usize) {
+        let head = &mut self.heads[(hash >> self.shift) as usize];
+        self.next[id] = *head;
+        *head = id as u32 + 1;
+    }
+
+    /// Chains every row of `rows` under the hash of its `key` positions.
+    pub(crate) fn of_rows(rows: &Rows, key: &[usize]) -> Buckets {
+        let mut buckets = Buckets::empty_for(rows);
+        for (id, row) in rows.iter().enumerate() {
+            buckets.link(hash_key(row, key), id);
+        }
+        buckets
+    }
+
+    /// Chains one row per distinct `key` of `rows` (the first that carries
+    /// it) and returns the chains with the number of distinct keys.
+    pub(crate) fn of_distinct_keys(rows: &Rows, key: &[usize]) -> (Buckets, u64) {
+        let mut buckets = Buckets::empty_for(rows);
+        let mut distinct = 0;
+        for (id, row) in rows.iter().enumerate() {
+            let hash = hash_key(row, key);
+            let seen =
+                buckets.chain(hash).any(|other| key.iter().all(|&p| rows.get(other)[p] == row[p]));
+            if !seen {
+                buckets.link(hash, id);
+                distinct += 1;
+            }
+        }
+        (buckets, distinct)
+    }
+
+    /// Ids of the rows chained under `hash`'s head — candidates only.
+    #[inline]
+    pub(crate) fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let mut at = self.heads[(hash >> self.shift) as usize];
+        std::iter::from_fn(move || {
+            let id = at.checked_sub(1)? as usize;
+            at = self.next[id];
+            Some(id)
+        })
+    }
+}
+
 /// A build-side hash index for a natural join with a fixed probe schema.
 ///
 /// Built once from the loop-invariant side; probed with delta rows each
-/// iteration. Bucket values are indices into an owned row store, keyed by
-/// [`hash_key`] over the build-side key positions.
+/// iteration. The build relation is shared, not copied; its rows are
+/// chained by [`hash_key`] over the build-side key positions.
 #[derive(Debug, Clone)]
 pub struct JoinIndex {
     out_schema: Schema,
@@ -51,44 +118,27 @@ pub struct JoinIndex {
     out_src: Vec<(bool, usize)>,
     probe_key: Vec<usize>,
     build_key: Vec<usize>,
-    build_rows: Vec<Row>,
-    buckets: FxHashMap<u64, Vec<u32>>,
-    approx_bytes: u64,
+    build: Relation,
+    buckets: Buckets,
 }
 
 impl JoinIndex {
-    /// Builds the index over `build_rows` for probes with `probe_schema`.
-    pub fn build_from<'a>(
-        probe_schema: &Schema,
-        build_schema: &Schema,
-        build_rows: impl Iterator<Item = &'a Row>,
-    ) -> JoinIndex {
+    /// Builds the index over a materialized relation, for probes with
+    /// `probe_schema`.
+    pub fn build(probe_schema: &Schema, build: &Relation) -> JoinIndex {
         // join_plan(left=probe, right=build): left_key/out_src booleans then
         // refer to the probe side directly.
-        let plan = join_plan(probe_schema, build_schema);
-        let rows: Vec<Row> = build_rows.cloned().collect();
-        let mut buckets: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for (i, row) in rows.iter().enumerate() {
-            let h = hash_key(row, &plan.right_key);
-            buckets.entry(h).or_default().push(i as u32);
-        }
+        let plan = join_plan(probe_schema, build.schema());
+        let buckets = Buckets::of_rows(build.rows(), &plan.right_key);
         kernel_stats().record_index_build();
-        let approx_bytes =
-            rows.len() as u64 * build_schema.arity() as u64 * std::mem::size_of::<Value>() as u64;
         JoinIndex {
             out_schema: plan.out_schema,
             out_src: plan.out_src,
             probe_key: plan.left_key,
             build_key: plan.right_key,
-            build_rows: rows,
+            build: build.clone(),
             buckets,
-            approx_bytes,
         }
-    }
-
-    /// Builds the index over a materialized relation.
-    pub fn build(probe_schema: &Schema, build: &Relation) -> JoinIndex {
-        JoinIndex::build_from(probe_schema, build.schema(), build.iter())
     }
 
     /// Schema of the join output.
@@ -98,13 +148,13 @@ impl JoinIndex {
 
     /// Number of build-side rows.
     pub fn build_len(&self) -> usize {
-        self.build_rows.len()
+        self.build.len()
     }
 
     /// Estimated footprint of the cached build side (payload values only),
     /// charged against byte budgets by the fixpoint drivers.
     pub fn approx_bytes(&self) -> u64 {
-        self.approx_bytes
+        crate::mem::rel_bytes(self.build.len() as u64, self.build.schema().arity())
     }
 
     /// Positions of the join key in the probe schema (join-key order).
@@ -123,12 +173,13 @@ impl JoinIndex {
         &self.out_src
     }
 
-    /// The build rows whose join key hashes to `hash` (a [`hash_values`]
-    /// of the probe's key values in join-key order). Candidates only: the
+    /// The build rows chained where `hash` (a [`hash_values`] of the
+    /// probe's key values in join-key order) enters. Candidates only: the
     /// caller verifies equality on [`JoinIndex::build_key`].
     #[inline]
     pub fn bucket(&self, hash: u64) -> impl Iterator<Item = &[Value]> {
-        self.buckets.get(&hash).into_iter().flatten().map(|&i| &*self.build_rows[i as usize])
+        let rows = self.build.rows();
+        self.buckets.chain(hash).map(move |id| rows.get(id))
     }
 }
 
@@ -138,56 +189,31 @@ impl JoinIndex {
 #[derive(Debug, Clone)]
 pub struct KeyIndex {
     probe_key: Vec<usize>,
-    /// Distinct build-side key tuples, bucketed by hash. Key tuples (not full
-    /// rows) are stored, so verification reads only the key values.
-    buckets: FxHashMap<u64, Vec<Box<[Value]>>>,
-    /// Schemas share no columns: antijoin degenerates to all-or-nothing.
-    disjoint: bool,
-    build_empty: bool,
-    approx_bytes: u64,
+    build_key: Vec<usize>,
+    build: Relation,
+    /// One build row per distinct key, so that a walk reads each key once.
+    buckets: Buckets,
+    distinct_keys: u64,
 }
 
 impl KeyIndex {
-    /// Builds the key-set over `build_rows` for probes with `probe_schema`.
-    pub fn build_from<'a>(
-        probe_schema: &Schema,
-        build_schema: &Schema,
-        build_rows: impl Iterator<Item = &'a Row>,
-    ) -> KeyIndex {
-        let common = probe_schema.intersection(build_schema);
+    /// Builds the key-set over a materialized relation, for probes with
+    /// `probe_schema`. With no common column the antijoin degenerates to
+    /// all-or-nothing: the one (empty) key is present iff `build` has a row.
+    pub fn build(probe_schema: &Schema, build: &Relation) -> KeyIndex {
+        let common = probe_schema.intersection(build.schema());
         let probe_key: Vec<usize> =
             common.iter().map(|&c| probe_schema.position(c).unwrap()).collect();
         let build_key: Vec<usize> =
-            common.iter().map(|&c| build_schema.position(c).unwrap()).collect();
-        let disjoint = common.is_empty();
-        let mut buckets: FxHashMap<u64, Vec<Box<[Value]>>> = FxHashMap::default();
-        let mut build_empty = true;
-        for row in build_rows {
-            build_empty = false;
-            if disjoint {
-                continue;
-            }
-            let h = hash_key(row, &build_key);
-            let entry = buckets.entry(h).or_default();
-            if !entry.iter().any(|k| k.iter().zip(&build_key).all(|(v, &p)| *v == row[p])) {
-                entry.push(build_key.iter().map(|&p| row[p]).collect());
-            }
-        }
+            common.iter().map(|&c| build.schema().position(c).unwrap()).collect();
+        let (buckets, distinct_keys) = Buckets::of_distinct_keys(build.rows(), &build_key);
         kernel_stats().record_key_index_build();
-        let approx_bytes =
-            buckets.values().map(|b| b.iter().map(|k| k.len() as u64).sum::<u64>()).sum::<u64>()
-                * std::mem::size_of::<Value>() as u64;
-        KeyIndex { probe_key, buckets, disjoint, build_empty, approx_bytes }
-    }
-
-    /// Builds the key-set over a materialized relation.
-    pub fn build(probe_schema: &Schema, build: &Relation) -> KeyIndex {
-        KeyIndex::build_from(probe_schema, build.schema(), build.iter())
+        KeyIndex { probe_key, build_key, build: build.clone(), buckets, distinct_keys }
     }
 
     /// Estimated footprint of the cached key-set (payload values only).
     pub fn approx_bytes(&self) -> u64 {
-        self.approx_bytes
+        crate::mem::rel_bytes(self.distinct_keys, self.build_key.len())
     }
 
     /// Positions of the antijoin key in the probe schema (join-key order).
@@ -201,20 +227,18 @@ impl KeyIndex {
     /// matching standard antijoin semantics.
     #[inline]
     pub fn contains_key(&self, key: impl Fn(usize) -> Value) -> bool {
-        if self.disjoint {
-            return !self.build_empty;
-        }
         let hash = hash_values((0..self.probe_key.len()).map(&key));
-        let Some(bucket) = self.buckets.get(&hash) else {
-            return false;
-        };
-        bucket.iter().any(|k| k.iter().enumerate().all(|(i, v)| *v == key(i)))
+        let rows = self.build.rows();
+        self.buckets
+            .chain(hash)
+            .any(|id| self.build_key.iter().enumerate().all(|(i, &p)| rows.get(id)[p] == key(i)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::Row;
     use crate::value::Sym;
 
     fn sym(i: u32) -> Sym {
@@ -296,12 +320,8 @@ mod tests {
         let probe = rel(&[1, 2], &[&[1, 10], &[2, 20]]);
         let build = rel(&[2], &[&[10]]);
         let idx = KeyIndex::build(probe.schema(), &build);
-        let kept: Vec<_> = probe.iter().filter(|r| !contains(&idx, r)).cloned().collect();
-        let expected = probe.antijoin(&build);
-        assert_eq!(
-            Relation::from_rows(probe.schema().clone(), kept.into_iter()).sorted_rows(),
-            expected.sorted_rows()
-        );
+        let kept = probe.iter().filter(|r| !contains(&idx, r));
+        assert_eq!(Relation::from_rows(probe.schema().clone(), kept), probe.antijoin(&build));
     }
 
     #[test]

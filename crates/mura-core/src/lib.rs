@@ -61,7 +61,7 @@ pub use eval::{eval, eval_naive_fixpoints, EvalStats, Evaluator};
 pub use index::{JoinIndex, KeyIndex};
 pub use kernel::{kernel_stats, KernelSnapshot, KernelStats};
 pub use mem::{mem_gauge, rel_bytes, MemCharge, MemGauge};
-pub use relation::{Relation, Row};
+pub use relation::{Relation, Row, Rows};
 pub use schema::Schema;
 pub use term::{term_key, Pred, Term};
 pub use value::{Sym, Value};

@@ -1,39 +1,539 @@
 //! Relations: sets of tuples over a schema.
 //!
-//! The μ-RA data model is set-based (no duplicates). A [`Relation`] stores a
-//! [`Schema`] plus a hash set of rows whose fields are aligned with the
-//! schema's sorted column order. All algebra operators (filter, rename,
-//! antiprojection, natural join, antijoin, union, difference) are implemented
-//! here on materialized relations; the distributed layer reuses these
-//! per-partition.
+//! The μ-RA data model is set-based (no duplicates). A [`Relation`] is a
+//! [`Schema`] plus one flat row store: every row's fields, aligned with the
+//! schema's sorted column order, back to back in a single buffer ([`Rows`]),
+//! and — once something asks whether a row is present — an open-addressing
+//! table of row ids over that buffer. No row is an allocation of its own.
+//! All algebra operators (filter, rename, antiprojection, natural join,
+//! antijoin, union, difference) are implemented here on materialized
+//! relations; the distributed layer reuses these per-partition.
+//!
+//! # The store
+//!
+//! Row `i` is `vals[i * arity..(i + 1) * arity]`; the row count is kept
+//! explicitly, so the relation of no columns (which holds zero rows or one)
+//! works like any other. The table is a power-of-two array of `u64` slots,
+//! `tag << 32 | id + 1` with `0` for an empty slot: the tag is 32 bits of
+//! the row's hash, so a probe that passes over another row's slot is decided
+//! by the slot alone and only a probable match touches row memory. Collisions
+//! are resolved by linear probing at a load of at most one half (at 7/8 a
+//! miss walks three times as far). The table's hash is its own function of
+//! the row, finalised so that it shares no bits with
+//! [`hash_key`](crate::index::hash_key): that hash *placed* the rows of a
+//! partition, so all of them agree on it modulo the worker count, and a table
+//! indexed by it would leave the other slots empty.
+//!
+//! The table is **built on demand**: a relation that is only built and
+//! iterated — the result of a rename, filter or join, a partition cut from a
+//! set, a decoded exchange block, a semi-naive delta — never has one. The
+//! operators that produce such results know their output rows are distinct
+//! and append them without looking ([`Relation::from_distinct`],
+//! [`Relation::extend_distinct`]); the first [`Relation::contains`],
+//! [`Relation::insert`] or [`Relation::remove`] builds the table over
+//! whatever is there.
+//!
+//! Row ids are `u32`: a relation holds at most [`MAX_ROWS`] rows
+//! ([`check_room`] is the typed check the fixpoint drivers run before they
+//! grow one).
 
-use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::index::hash_key;
+use crate::error::{MuraError, Result};
+use crate::index::{hash_key, Buckets};
 use crate::schema::Schema;
 use crate::value::{Sym, Value};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// A tuple. Fields are ordered by the owning relation's schema.
+/// One owned tuple, for values that are a single row (a mutation, a test
+/// expectation). Relations do not store these: see [`Rows`].
 pub type Row = Box<[Value]>;
+
+/// The most rows one relation (or [`Rows`]) holds: ids are `u32` and a
+/// table slot stores `id + 1`.
+pub const MAX_ROWS: usize = u32::MAX as usize - 1;
+
+/// A bag of rows of one arity in one buffer: row `i` is values
+/// `i * arity..(i + 1) * arity`. The container rows travel in — a chain's
+/// output, an exchange bucket, a decoded block — and what a [`Relation`]
+/// stores. Equality is positional (same rows in the same order).
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Rows {
+    arity: usize,
+    vals: Vec<Value>,
+    /// Explicit, so that rows of no columns still count.
+    len: usize,
+}
+
+impl Rows {
+    /// No rows, of `arity` columns.
+    pub fn new(arity: usize) -> Rows {
+        Rows { arity, vals: Vec::new(), len: 0 }
+    }
+
+    /// No rows, with room for `rows`.
+    pub fn with_capacity(arity: usize, rows: usize) -> Rows {
+        Rows { arity, vals: Vec::with_capacity(rows.saturating_mul(arity)), len: 0 }
+    }
+
+    /// Columns per row.
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if there are no rows.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Makes room for `additional` more rows.
+    pub fn reserve(&mut self, additional: usize) {
+        self.vals.reserve(additional.saturating_mul(self.arity));
+    }
+
+    /// Row `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` is past the end of the buffer.
+    #[inline]
+    pub fn get(&self, id: usize) -> &[Value] {
+        debug_assert!(id < self.len, "row {id} of {}", self.len);
+        &self.vals[id * self.arity..(id + 1) * self.arity]
+    }
+
+    /// Appends a row.
+    ///
+    /// # Panics
+    /// Panics if the row's arity differs.
+    #[inline]
+    pub fn push(&mut self, row: &[Value]) {
+        assert_eq!(row.len(), self.arity, "row arity {} != {}", row.len(), self.arity);
+        self.vals.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    /// Appends the row whose fields `values` yields, in order.
+    ///
+    /// # Panics
+    /// Panics if it does not yield exactly `arity` values.
+    #[inline]
+    pub fn push_values(&mut self, values: impl IntoIterator<Item = Value>) {
+        self.vals.extend(values);
+        self.len += 1;
+        assert_eq!(self.vals.len(), self.len * self.arity, "row arity != {}", self.arity);
+    }
+
+    /// Appends every row of `other` (one copy of its buffer).
+    ///
+    /// # Panics
+    /// Panics if the arities differ.
+    pub fn append(&mut self, other: &Rows) {
+        assert_eq!(other.arity, self.arity, "row arity {} != {}", other.arity, self.arity);
+        self.vals.extend_from_slice(&other.vals);
+        self.len += other.len;
+    }
+
+    /// Keeps the first `len` rows.
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len {
+            self.vals.truncate(len * self.arity);
+            self.len = len;
+        }
+    }
+
+    /// Removes every row, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.truncate(0);
+    }
+
+    /// Removes row `id` by moving the last row into its place.
+    fn swap_remove(&mut self, id: usize) {
+        let last = self.len - 1;
+        if id != last {
+            self.vals.copy_within(last * self.arity..(last + 1) * self.arity, id * self.arity);
+        }
+        self.truncate(last);
+    }
+
+    /// The rows, in storage order.
+    #[inline]
+    pub fn iter(&self) -> RowIter<'_> {
+        RowIter { vals: &self.vals, arity: self.arity, left: self.len }
+    }
+
+    /// The row ids in lexicographic order of their rows. Sorting the ids
+    /// and reading through them moves no row at all.
+    pub fn sorted_ids(&self) -> Vec<u32> {
+        self.sorted_ids_by(|a, b| a.cmp(b))
+    }
+
+    /// The row ids ordered by `cmp` over their rows.
+    pub fn sorted_ids_by(
+        &self,
+        mut cmp: impl FnMut(&[Value], &[Value]) -> std::cmp::Ordering,
+    ) -> Vec<u32> {
+        assert!(self.len <= MAX_ROWS, "{} rows exceed the u32 row-id space", self.len);
+        let mut ids: Vec<u32> = (0..self.len as u32).collect();
+        ids.sort_unstable_by(|&a, &b| cmp(self.get(a as usize), self.get(b as usize)));
+        ids
+    }
+
+    /// Every row cut down (or permuted) to the values at `positions`, in
+    /// storage order. Two rows may come out equal unless `positions` is a
+    /// permutation of all of them.
+    pub fn project(&self, positions: &[usize]) -> Rows {
+        let mut out = Rows::with_capacity(positions.len(), self.len);
+        for row in self.iter() {
+            out.push_values(positions.iter().map(|&p| row[p]));
+        }
+        out
+    }
+
+    /// The rows `pred` holds for, in storage order.
+    pub fn filter(&self, mut pred: impl FnMut(&[Value]) -> bool) -> Rows {
+        let mut out = Rows::new(self.arity);
+        self.iter().filter(|row| pred(row)).for_each(|row| out.push(row));
+        out
+    }
+}
+
+impl fmt::Debug for Rows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a Rows {
+    type Item = &'a [Value];
+    type IntoIter = RowIter<'a>;
+
+    fn into_iter(self) -> RowIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the rows of a [`Rows`] buffer.
+#[derive(Debug, Clone)]
+pub struct RowIter<'a> {
+    vals: &'a [Value],
+    arity: usize,
+    left: usize,
+}
+
+impl<'a> Iterator for RowIter<'a> {
+    type Item = &'a [Value];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Value]> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let (row, rest) = self.vals.split_at(self.arity);
+        self.vals = rest;
+        Some(row)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for RowIter<'_> {}
+
+// ------------------------------------------------------------------ table
+
+/// The table's own hash of a row: one multiply-rotate round per value and a
+/// fold-and-multiply finaliser. The slot index is taken from its top bits,
+/// the tag from its bottom 32.
+#[inline]
+fn row_hash(row: &[Value]) -> u64 {
+    const ROUND: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    const FINAL: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = 0u64;
+    for v in row {
+        let word = match *v {
+            Value::Int(i) => i as u64,
+            Value::Str(s) => !u64::from(s.0),
+        };
+        h = (h.rotate_left(5) ^ word).wrapping_mul(ROUND);
+    }
+    (h ^ (h >> 32)).wrapping_mul(FINAL)
+}
+
+/// Open-addressing index of row ids: see the module docs for the slot
+/// format. `slots.len()` is `1 << (64 - shift)` and at least twice the
+/// number of rows indexed.
+#[derive(Debug, Clone)]
+struct Table {
+    slots: Vec<u64>,
+    shift: u32,
+}
+
+/// log2 of the slots a table or a bucket directory over `rows` rows has:
+/// the power of two that keeps its load at or under one half.
+///
+/// # Panics
+/// Panics if `rows` exceeds [`MAX_ROWS`].
+pub(crate) fn slot_bits(rows: usize) -> u32 {
+    assert!(rows <= MAX_ROWS, "{rows} rows exceed the u32 row-id space");
+    (rows.max(4) * 2).next_power_of_two().trailing_zeros()
+}
+
+#[inline]
+fn slot_of(hash: u64, id: usize) -> u64 {
+    (hash << 32) | (id as u64 + 1)
+}
+
+#[inline]
+fn slot_id(slot: u64) -> usize {
+    (slot as u32 - 1) as usize
+}
+
+impl Table {
+    /// An empty table able to index `rows` rows.
+    fn for_rows(rows: usize) -> Table {
+        let bits = slot_bits(rows);
+        Table { slots: vec![0; 1 << bits], shift: 64 - bits }
+    }
+
+    /// The table over `rows`, which must be distinct, with room to index
+    /// `capacity` rows in all.
+    fn build(rows: &Rows, capacity: usize) -> Table {
+        let mut table = Table::for_rows(capacity.max(rows.len));
+        for (id, row) in rows.iter().enumerate() {
+            table.place(row_hash(row), id);
+        }
+        table
+    }
+
+    /// True if indexing `rows` rows keeps the load at or under one half.
+    #[inline]
+    fn fits(&self, rows: usize) -> bool {
+        rows * 2 <= self.slots.len()
+    }
+
+    #[inline]
+    fn home(&self, hash: u64) -> usize {
+        (hash >> self.shift) as usize
+    }
+
+    /// Points the first empty slot of `hash`'s probe sequence at row `id`,
+    /// which the caller knows is not in the table.
+    #[inline]
+    fn place(&mut self, hash: u64, id: usize) {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(hash);
+        while self.slots[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = slot_of(hash, id);
+    }
+
+    /// Replaces the table by one over `rows` with room for `capacity`,
+    /// releasing the old slots first: growing holds one table at a time.
+    fn rebuild(&mut self, rows: &Rows, capacity: usize) {
+        self.slots = Vec::new();
+        *self = Table::build(rows, capacity);
+    }
+
+    /// Looks `row` up: the slot that holds it, or else the empty slot where
+    /// it belongs.
+    #[inline]
+    fn probe(&self, rows: &Rows, row: &[Value], hash: u64) -> std::result::Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let tag = hash << 32;
+        let mut at = self.home(hash);
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                return Err(at);
+            }
+            if (slot ^ tag) >> 32 == 0 && rows.get(slot_id(slot)) == row {
+                return Ok(at);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The slot that points at row `id`, whose hash is `hash`.
+    fn slot_of_id(&self, hash: u64, id: usize) -> usize {
+        let mask = self.slots.len() - 1;
+        let want = slot_of(hash, id);
+        let mut at = self.home(hash);
+        while self.slots[at] != want {
+            debug_assert!(self.slots[at] != 0, "row {id} is not in the table");
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// Empties slot `hole` and closes the gap: every later entry of the
+    /// cluster that may move back towards its home does, so probe sequences
+    /// stay unbroken without tombstones.
+    fn delete(&mut self, rows: &Rows, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut at = hole;
+        loop {
+            at = (at + 1) & mask;
+            let slot = self.slots[at];
+            if slot == 0 {
+                break;
+            }
+            let home = self.home(row_hash(rows.get(slot_id(slot))));
+            // The entry may move iff its home is not inside (hole, at].
+            if (at.wrapping_sub(home) & mask) >= (at.wrapping_sub(hole) & mask) {
+                self.slots[hole] = slot;
+                hole = at;
+            }
+        }
+        self.slots[hole] = 0;
+    }
+}
+
+/// What a [`Relation`] shares by `Arc`: the rows and, once it was asked
+/// for, the table over them. Invariant: the rows are distinct, and an
+/// initialised table indexes exactly them.
+#[derive(Debug, Clone, Default)]
+struct Store {
+    rows: Rows,
+    table: OnceLock<Table>,
+}
+
+impl Store {
+    fn table(&self) -> &Table {
+        self.table.get_or_init(|| Table::build(&self.rows, 0))
+    }
+
+    /// The rows and the (now built) table, both mutable.
+    fn parts_mut(&mut self) -> (&mut Rows, &mut Table) {
+        self.table();
+        (&mut self.rows, self.table.get_mut().expect("just built"))
+    }
+
+    fn contains(&self, row: &[Value]) -> bool {
+        self.table().probe(&self.rows, row, row_hash(row)).is_ok()
+    }
+
+    /// Inserts `row`; true if it was new.
+    #[inline]
+    fn insert(&mut self, row: &[Value]) -> bool {
+        let (rows, table) = self.parts_mut();
+        let hash = row_hash(row);
+        let Err(at) = table.probe(rows, row, hash) else {
+            return false;
+        };
+        assert!(rows.len < MAX_ROWS, "relation exceeds the u32 row-id space");
+        rows.push(row);
+        if table.fits(rows.len) {
+            table.slots[at] = slot_of(hash, rows.len - 1);
+        } else {
+            table.rebuild(rows, 0);
+        }
+        true
+    }
+
+    /// Appends rows the caller knows are distinct from one another and from
+    /// every row held. No row is compared with any other.
+    fn extend_distinct(&mut self, more: &Rows) {
+        let from = self.rows.len;
+        assert!(from + more.len <= MAX_ROWS, "relation exceeds the u32 row-id space");
+        self.rows.append(more);
+        if let Some(table) = self.table.get_mut() {
+            if table.fits(self.rows.len) {
+                for (id, row) in more.iter().enumerate() {
+                    table.place(row_hash(row), from + id);
+                }
+            } else {
+                table.rebuild(&self.rows, 0);
+            }
+        }
+    }
+
+    /// Makes room for `additional` more rows, in the table too if there
+    /// is one.
+    fn reserve(&mut self, additional: usize) {
+        self.rows.reserve(additional);
+        let want = self.rows.len + additional;
+        if let Some(table) = self.table.get_mut() {
+            if !table.fits(want) {
+                table.rebuild(&self.rows, want);
+            }
+        }
+    }
+
+    /// Removes the row slot `at` points to: the last row moves into its
+    /// place (its slot is re-pointed), then the slot is deleted.
+    fn remove_at(&mut self, at: usize) {
+        let (rows, table) = self.parts_mut();
+        let id = slot_id(table.slots[at]);
+        let last = rows.len - 1;
+        if id != last {
+            let hash = row_hash(rows.get(last));
+            let moved = table.slot_of_id(hash, last);
+            table.slots[moved] = slot_of(hash, id);
+        }
+        rows.swap_remove(id);
+        table.delete(rows, at);
+    }
+}
+
+/// Fails with [`MuraError::ResourceExhausted`] if a relation of `held` rows
+/// cannot take `additional` more within the `u32` row-id space
+/// ([`MAX_ROWS`]). The fixpoint drivers ask before they grow an
+/// accumulator; growing past the limit without asking panics.
+pub fn check_room(held: usize, additional: usize) -> Result<()> {
+    match held.checked_add(additional) {
+        Some(total) if total <= MAX_ROWS => Ok(()),
+        reached => Err(MuraError::ResourceExhausted {
+            what: "rows in one relation",
+            limit: MAX_ROWS as u64,
+            reached: reached.map_or(u64::MAX, |r| r as u64),
+        }),
+    }
+}
+
+// --------------------------------------------------------------- relation
 
 /// A set of rows with a fixed schema.
 ///
 /// Row storage is `Arc`-shared copy-on-write: cloning a relation, an
 /// identity rename, or a union with an empty side are O(1) pointer copies.
-/// Mutation goes through [`Arc::make_mut`], so the set is deep-copied only
-/// when actually shared — the fixpoint kernels rely on this to keep
-/// loop-invariant relations zero-copy across iterations.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Mutation goes through [`Arc::make_mut`], so the store is copied — two
+/// buffer copies, whatever the row count — only when actually shared; the
+/// fixpoint kernels rely on this to keep loop-invariant relations zero-copy
+/// across iterations and checkpoints cheap.
+///
+/// Equality is set equality: same schema, same rows, in whatever order
+/// each side happens to store them.
+#[derive(Debug, Clone, Default)]
 pub struct Relation {
     schema: Schema,
-    rows: Arc<FxHashSet<Row>>,
+    store: Arc<Store>,
 }
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Relation) -> bool {
+        self.schema == other.schema
+            && self.len() == other.len()
+            && (Arc::ptr_eq(&self.store, &other.store) || self.iter().all(|r| other.contains(r)))
+    }
+}
+
+impl Eq for Relation {}
 
 impl Relation {
     /// Empty relation with the given schema.
     pub fn new(schema: Schema) -> Self {
-        Relation { schema, rows: Arc::new(FxHashSet::default()) }
+        let rows = Rows::new(schema.arity());
+        Relation::from_distinct(schema, rows)
     }
 
     /// Builds a relation from rows, deduplicating.
@@ -42,11 +542,48 @@ impl Relation {
     /// Panics if a row's arity differs from the schema's.
     pub fn from_rows<I>(schema: Schema, rows: I) -> Self
     where
-        I: IntoIterator<Item = Row>,
+        I: IntoIterator,
+        I::Item: AsRef<[Value]>,
     {
         let mut r = Relation::new(schema);
         r.extend(rows);
         r
+    }
+
+    /// Wraps rows the caller knows are distinct — the output of an operator
+    /// that cannot produce a row twice — taking the buffer as it is. No row
+    /// is hashed or compared.
+    ///
+    /// # Panics
+    /// Panics if the rows' arity differs from the schema's.
+    pub fn from_distinct(schema: Schema, rows: Rows) -> Self {
+        assert_eq!(rows.arity, schema.arity(), "row arity != schema arity");
+        assert!(rows.len <= MAX_ROWS, "{} rows exceed the u32 row-id space", rows.len);
+        Relation { schema, store: Arc::new(Store { rows, table: OnceLock::new() }) }
+    }
+
+    /// Builds a relation from a bag of rows, deduplicating **in place**:
+    /// the bag's buffer becomes the relation's, later copies of a row are
+    /// squeezed out of it, and the table comes out built.
+    ///
+    /// # Panics
+    /// Panics if the rows' arity differs from the schema's.
+    pub fn from_bag(schema: Schema, mut rows: Rows) -> Self {
+        assert_eq!(rows.arity, schema.arity(), "row arity != schema arity");
+        let mut table = Table::for_rows(rows.len);
+        let arity = rows.arity;
+        let mut kept = 0;
+        for read in 0..rows.len {
+            // Rows `..kept` are the distinct prefix the table indexes.
+            let hash = row_hash(rows.get(read));
+            if let Err(at) = table.probe(&rows, rows.get(read), hash) {
+                rows.vals.copy_within(read * arity..(read + 1) * arity, kept * arity);
+                table.slots[at] = slot_of(hash, kept);
+                kept += 1;
+            }
+        }
+        rows.truncate(kept);
+        Relation { schema, store: Arc::new(Store { rows, table: table.into() }) }
     }
 
     /// Convenience: a binary relation over `(a, b)` from integer pairs.
@@ -55,20 +592,18 @@ impl Relation {
         // Schema sorts columns; figure out which position a and b landed in.
         let pa = schema.position(a).unwrap();
         let it = pairs.into_iter();
-        let mut rel = Relation::new(schema);
-        rel.reserve(it.size_hint().0);
+        let mut rows = Rows::with_capacity(2, it.size_hint().0);
         for (x, y) in it {
             let (vx, vy) = (Value::node(x), Value::node(y));
-            let row: Row = if pa == 0 { Box::new([vx, vy]) } else { Box::new([vy, vx]) };
-            rel.insert(row);
+            rows.push(&if pa == 0 { [vx, vy] } else { [vy, vx] });
         }
-        rel
+        Relation::from_bag(schema, rows)
     }
 
     /// Reserves capacity for at least `additional` more rows.
     pub fn reserve(&mut self, additional: usize) {
         if additional > 0 {
-            Arc::make_mut(&mut self.rows).reserve(additional);
+            Arc::make_mut(&mut self.store).reserve(additional);
         }
     }
 
@@ -81,117 +616,151 @@ impl Relation {
     /// Number of rows.
     #[inline]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.store.rows.len
     }
 
     /// True if the relation has no rows.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.store.rows.is_empty()
     }
 
-    /// Row iterator (unordered).
-    pub fn iter(&self) -> impl Iterator<Item = &Row> {
-        self.rows.iter()
+    /// Row iterator, in storage (insertion) order.
+    #[inline]
+    pub fn iter(&self) -> RowIter<'_> {
+        self.store.rows.iter()
     }
 
-    /// Membership test.
+    /// The rows as one buffer.
+    #[inline]
+    pub fn rows(&self) -> &Rows {
+        &self.store.rows
+    }
+
+    /// Membership test (builds the table if nothing has yet).
     #[inline]
     pub fn contains(&self, row: &[Value]) -> bool {
-        self.rows.contains(row)
+        row.len() == self.schema.arity() && self.store.contains(row)
     }
 
     /// Inserts a row; returns `true` if it was new.
     ///
     /// # Panics
     /// Panics if the row arity differs from the schema arity.
-    pub fn insert(&mut self, row: Row) -> bool {
-        assert_eq!(
-            row.len(),
-            self.schema.arity(),
-            "row arity {} != schema arity {}",
-            row.len(),
-            self.schema.arity()
-        );
-        Arc::make_mut(&mut self.rows).insert(row)
+    pub fn insert(&mut self, row: impl AsRef<[Value]>) -> bool {
+        let row = row.as_ref();
+        self.assert_arity(row);
+        Arc::make_mut(&mut self.store).insert(row)
     }
 
-    /// Removes a row; returns `true` if it was present. Like [`insert`],
-    /// mutation goes through `Arc::make_mut`, so shared row sets are
-    /// deep-copied only when a removal actually happens on a shared set.
+    fn assert_arity(&self, row: &[Value]) {
+        let arity = self.schema.arity();
+        assert_eq!(row.len(), arity, "row arity {} != schema arity {arity}", row.len());
+    }
+
+    /// Removes a row; returns `true` if it was present. O(1): the last row
+    /// takes the removed row's place. Like [`insert`], mutation goes through
+    /// `Arc::make_mut`, and a shared store is copied only when a removal
+    /// actually happens.
     ///
     /// [`insert`]: Relation::insert
     pub fn remove(&mut self, row: &[Value]) -> bool {
-        if !self.rows.contains(row) {
+        if row.len() != self.schema.arity() {
             return false;
         }
-        Arc::make_mut(&mut self.rows).remove(row)
+        let Ok(at) = self.store.table().probe(&self.store.rows, row, row_hash(row)) else {
+            return false;
+        };
+        // A copy of the store has the same slots in the same places.
+        Arc::make_mut(&mut self.store).remove_at(at);
+        true
     }
 
     /// Moves all rows of `other` into `self` (schemas must match). When one
-    /// side is empty this is an O(1) pointer move; otherwise the smaller row
-    /// set is drained into the larger one.
+    /// side is empty this is an O(1) pointer move; otherwise the rows of the
+    /// smaller side are inserted into the larger one.
     pub fn absorb(&mut self, other: Relation) {
         assert_eq!(self.schema, other.schema, "union of incompatible schemas");
-        if other.rows.is_empty() {
-            return;
-        }
-        if self.rows.is_empty() {
-            self.rows = other.rows;
+        if other.is_empty() {
             return;
         }
         let mut other = other;
-        if other.rows.len() > self.rows.len() {
-            std::mem::swap(&mut self.rows, &mut other.rows);
+        if other.len() > self.len() {
+            std::mem::swap(&mut self.store, &mut other.store);
         }
-        let dst = Arc::make_mut(&mut self.rows);
-        dst.reserve(other.rows.len());
-        match Arc::try_unwrap(other.rows) {
-            Ok(set) => dst.extend(set),
-            Err(shared) => dst.extend(shared.iter().cloned()),
+        self.extend(other.iter());
+    }
+
+    /// Unions in a buffer of rows the caller knows are distinct from one
+    /// another — an exchange bucket, a block decoded from a set — though
+    /// not from the rows of `self`. An empty relation takes the buffer over
+    /// as it is; otherwise the rows are inserted one by one.
+    ///
+    /// # Panics
+    /// Panics if the rows' arity differs from the schema's.
+    pub fn absorb_rows(&mut self, rows: Rows) {
+        if self.is_empty() {
+            *self = Relation::from_distinct(std::mem::take(&mut self.schema), rows);
+        } else {
+            self.extend(&rows);
+        }
+    }
+
+    /// Appends rows the caller knows are distinct from one another and from
+    /// every row of `self`: partitions of one hash-placed set. No row is compared; if
+    /// the table was never built, none is hashed either.
+    ///
+    /// # Panics
+    /// Panics if the rows' arity differs from the schema's.
+    pub fn extend_distinct(&mut self, rows: &Rows) {
+        assert_eq!(rows.arity, self.schema.arity(), "row arity != schema arity");
+        if !rows.is_empty() {
+            Arc::make_mut(&mut self.store).extend_distinct(rows);
         }
     }
 
     /// In-place accumulate, the update of BigDatalog's SetRDD: inserts every
     /// row of `produced` that is absent and returns exactly those rows — the
     /// next semi-naive delta. Costs O(|produced|) whatever the size of
-    /// `self`, as long as the row set is not shared; a set a checkpoint
-    /// still references is deep-copied once, by the first row that is new.
+    /// `self`, as long as the store is not shared; a store a checkpoint
+    /// still references is copied once, by the first row that is new.
     ///
     /// # Panics
-    /// Panics if a row's arity differs from the schema's.
-    pub fn absorb_new(&mut self, produced: impl IntoIterator<Item = Row>) -> Relation {
-        let arity = self.schema.arity();
-        let mut produced = produced.into_iter().inspect(|row| {
-            assert_eq!(row.len(), arity, "row arity {} != schema arity {arity}", row.len());
-        });
-        let mut delta = FxHashSet::default();
+    /// Panics if the rows' arity differs from the schema's.
+    pub fn absorb_new(&mut self, produced: &Rows) -> Relation {
+        assert_eq!(produced.arity, self.schema.arity(), "row arity != schema arity");
+        let mut delta = Rows::new(produced.arity);
+        let mut produced = produced.iter();
         // Shared storage is left alone until a row actually is new.
-        if let Some(first) = produced.by_ref().find(|row| !self.rows.contains(row)) {
-            let acc = Arc::make_mut(&mut self.rows);
-            acc.insert(first.clone());
-            delta.insert(first);
+        if let Some(first) = produced.by_ref().find(|row| !self.store.contains(row)) {
+            let acc = Arc::make_mut(&mut self.store);
+            acc.insert(first);
+            delta.push(first);
             for row in produced {
-                if !acc.contains(&row) {
-                    acc.insert(row.clone());
-                    delta.insert(row);
+                if acc.insert(row) {
+                    delta.push(row);
                 }
             }
         }
-        Relation { schema: self.schema.clone(), rows: Arc::new(delta) }
+        Relation::from_distinct(self.schema.clone(), delta)
     }
 
-    /// Consumes the relation, yielding its rows (clones only if shared).
-    pub fn into_rows(self) -> FxHashSet<Row> {
-        Arc::try_unwrap(self.rows).unwrap_or_else(|shared| (*shared).clone())
+    /// Consumes the relation, yielding its rows (copied only if shared).
+    pub fn into_rows(self) -> Rows {
+        match Arc::try_unwrap(self.store) {
+            Ok(store) => store.rows,
+            Err(shared) => shared.rows.clone(),
+        }
+    }
+
+    /// The same rows under another schema of the same arity.
+    fn with_schema(&self, schema: Schema) -> Relation {
+        Relation { schema, store: Arc::clone(&self.store) }
     }
 
     /// Rows kept only when `pred` holds.
-    pub fn filter(&self, pred: impl Fn(&[Value]) -> bool) -> Relation {
-        Relation {
-            schema: self.schema.clone(),
-            rows: Arc::new(self.rows.iter().filter(|r| pred(r)).cloned().collect()),
-        }
+    pub fn filter(&self, pred: impl FnMut(&[Value]) -> bool) -> Relation {
+        Relation::from_distinct(self.schema.clone(), self.rows().filter(pred))
     }
 
     /// ρ_from^to: renames a column. The schema stays sorted, so row fields are
@@ -213,17 +782,12 @@ impl Relation {
                 self.schema.position(oc).unwrap()
             })
             .collect();
-        let identity = perm.iter().enumerate().all(|(i, &p)| i == p);
-        let rows = if identity {
-            // Identity permutation: share the row set, O(1).
-            Arc::clone(&self.rows)
-        } else {
-            let mut out = FxHashSet::default();
-            out.reserve(self.rows.len());
-            out.extend(self.rows.iter().map(|r| perm.iter().map(|&p| r[p]).collect::<Row>()));
-            Arc::new(out)
-        };
-        Relation { schema: new_schema, rows }
+        if perm.iter().enumerate().all(|(i, &p)| i == p) {
+            // Identity permutation: share the store, O(1).
+            return self.with_schema(new_schema);
+        }
+        // A permutation of the fields maps distinct rows to distinct rows.
+        Relation::from_distinct(new_schema, self.rows().project(&perm))
     }
 
     /// π̃_cols: drops the given columns, deduplicating the result.
@@ -236,15 +800,12 @@ impl Relation {
             .antiproject(drop)
             .unwrap_or_else(|| panic!("invalid antiprojection of {drop:?} on {}", self.schema));
         if new_schema.arity() == self.schema.arity() {
-            // Nothing actually dropped: share the row set, O(1).
-            return Relation { schema: new_schema, rows: Arc::clone(&self.rows) };
+            // Nothing actually dropped: share the store, O(1).
+            return self.with_schema(new_schema);
         }
         let keep: Vec<usize> =
             new_schema.columns().iter().map(|&c| self.schema.position(c).unwrap()).collect();
-        let mut rows = FxHashSet::default();
-        rows.reserve(self.rows.len());
-        rows.extend(self.rows.iter().map(|r| keep.iter().map(|&p| r[p]).collect::<Row>()));
-        Relation { schema: new_schema, rows: Arc::new(rows) }
+        Relation::from_bag(new_schema, self.rows().project(&keep))
     }
 
     /// Natural join on all common columns. If there are no common columns the
@@ -271,40 +832,25 @@ impl Relation {
         let my_pos: Vec<usize> = common.iter().map(|&c| self.schema.position(c).unwrap()).collect();
         let their_pos: Vec<usize> =
             common.iter().map(|&c| other.schema.position(c).unwrap()).collect();
-        // Bucket the right side by key hash; probe without building key rows.
-        let mut keys: FxHashMap<u64, Vec<&Row>> = FxHashMap::default();
-        for r in other.rows.iter() {
-            keys.entry(hash_key(r, &their_pos)).or_default().push(r);
-        }
-        let rows = self
-            .rows
-            .iter()
-            .filter(|r| {
-                keys.get(&hash_key(r, &my_pos)).is_none_or(|bucket| {
-                    !bucket
-                        .iter()
-                        .any(|o| my_pos.iter().zip(&their_pos).all(|(&mp, &tp)| r[mp] == o[tp]))
-                })
+        // Chain the right side's rows by key hash; probe without building
+        // key rows.
+        let theirs = other.rows();
+        let (keys, _) = Buckets::of_distinct_keys(theirs, &their_pos);
+        self.filter(|r| {
+            !keys.chain(hash_key(r, &my_pos)).any(|id| {
+                let o = theirs.get(id);
+                my_pos.iter().zip(&their_pos).all(|(&mp, &tp)| r[mp] == o[tp])
             })
-            .cloned()
-            .collect();
-        Relation { schema: self.schema.clone(), rows: Arc::new(rows) }
+        })
     }
 
     /// Set union (schemas must match). O(1) when either side is empty.
     pub fn union(&self, other: &Relation) -> Relation {
         assert_eq!(self.schema, other.schema, "union of incompatible schemas");
-        if other.is_empty() {
-            return self.clone();
-        }
-        if self.is_empty() {
-            return other.clone();
-        }
         let (big, small) = if self.len() >= other.len() { (self, other) } else { (other, self) };
-        let mut rows = (*big.rows).clone();
-        rows.reserve(small.len());
-        rows.extend(small.rows.iter().cloned());
-        Relation { schema: self.schema.clone(), rows: Arc::new(rows) }
+        let mut out = big.clone();
+        out.extend(small.iter());
+        out
     }
 
     /// Set difference `self \ other` (schemas must match). O(1) when `other`
@@ -314,44 +860,65 @@ impl Relation {
         if other.is_empty() || self.is_empty() {
             return self.clone();
         }
-        let rows = self.rows.iter().filter(|r| !other.rows.contains(*r)).cloned().collect();
-        Relation { schema: self.schema.clone(), rows: Arc::new(rows) }
+        self.filter(|r| !other.store.contains(r))
     }
 
-    /// Sorted list of rows; useful for deterministic test assertions.
+    /// The row ids in lexicographic order of their rows: `rows().get(id)`
+    /// for each is the relation in sorted order, with no row copied.
+    pub fn sorted_ids(&self) -> Vec<u32> {
+        self.rows().sorted_ids()
+    }
+
+    /// The rows in lexicographic order, read where they are: what a
+    /// canonical rendering, encoding or hash of the relation walks.
+    pub fn iter_sorted(&self) -> impl ExactSizeIterator<Item = &[Value]> {
+        let rows = self.rows();
+        self.sorted_ids().into_iter().map(move |id| rows.get(id as usize))
+    }
+
+    /// Sorted list of rows, each an owned [`Row`]; useful for deterministic
+    /// test assertions. Readers on a hot path go through
+    /// [`Relation::iter_sorted`] instead.
     pub fn sorted_rows(&self) -> Vec<Row> {
-        let mut v: Vec<Row> = self.rows.iter().cloned().collect();
-        v.sort();
-        v
+        self.iter_sorted().map(Row::from).collect()
+    }
+
+    /// Whether anything has built the table yet.
+    #[cfg(test)]
+    pub(crate) fn has_table(&self) -> bool {
+        self.store.table.get().is_some()
     }
 }
 
 impl<'a> IntoIterator for &'a Relation {
-    type Item = &'a Row;
-    type IntoIter = std::collections::hash_set::Iter<'a, Row>;
+    type Item = &'a [Value];
+    type IntoIter = RowIter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.rows.iter()
+        self.iter()
     }
 }
 
-impl Extend<Row> for Relation {
-    /// Inserts every row, deduplicating; the row set is made unique and
+impl<R: AsRef<[Value]>> Extend<R> for Relation {
+    /// Inserts every row, deduplicating; the store is made unique and
     /// grown once for the whole batch.
     ///
     /// # Panics
     /// Panics if a row's arity differs from the schema's.
-    fn extend<I: IntoIterator<Item = Row>>(&mut self, rows: I) {
-        let arity = self.schema.arity();
+    fn extend<I: IntoIterator<Item = R>>(&mut self, rows: I) {
         let mut rows = rows.into_iter().peekable();
         if rows.peek().is_none() {
-            return; // leave a shared row set shared
+            return; // leave a shared store shared
         }
-        let set = Arc::make_mut(&mut self.rows);
-        set.reserve(rows.size_hint().0);
+        let expected = rows.size_hint().0;
+        self.reserve(expected);
+        let store = Arc::make_mut(&mut self.store);
+        // Sized for the batch, if this is what builds it.
+        store.table.get_or_init(|| Table::build(&store.rows, store.rows.len + expected));
         for row in rows {
-            assert_eq!(row.len(), arity, "row arity {} != schema arity {arity}", row.len());
-            set.insert(row);
+            let row = row.as_ref();
+            assert_eq!(row.len(), store.rows.arity, "row arity != schema arity");
+            store.insert(row);
         }
     }
 }
@@ -359,7 +926,7 @@ impl Extend<Row> for Relation {
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{} [{} rows]", self.schema, self.len())?;
-        for row in self.sorted_rows().iter().take(20) {
+        for row in self.iter_sorted().take(20) {
             write!(f, "  (")?;
             for (i, v) in row.iter().enumerate() {
                 if i > 0 {
@@ -409,16 +976,25 @@ pub fn join_plan(left: &Schema, right: &Schema) -> JoinPlan {
 }
 
 impl JoinPlan {
+    /// Appends to `out` the output row of one matching pair.
+    #[inline]
+    pub fn push_joined(&self, out: &mut Rows, left: &[Value], right: &[Value]) {
+        out.push_values(
+            self.out_src.iter().map(|&(from_left, p)| if from_left { left[p] } else { right[p] }),
+        );
+    }
+
     /// Hash join of two relations with this plan. Builds on the smaller
-    /// side. The table is keyed by a 64-bit hash of the join-key positions
-    /// (no boxed key rows on either build or probe path); bucket entries are
-    /// verified by positional equality.
+    /// side, whose rows are chained by a 64-bit hash of the join-key
+    /// positions where they are (no boxed key rows on either build or probe
+    /// path, no copy of the build side); chain entries are verified by
+    /// positional equality. The output holds every column of both sides,
+    /// so each matching pair yields a row no other pair yields: it is
+    /// appended, never looked up.
     pub fn execute(&self, left: &Relation, right: &Relation) -> Relation {
-        let mut out = Relation::new(self.out_schema.clone());
         if left.is_empty() || right.is_empty() {
-            return out;
+            return Relation::new(self.out_schema.clone());
         }
-        // Build a hash table keyed by the join key on the smaller input.
         let build_left = left.len() <= right.len();
         let (build, probe) = if build_left { (left, right) } else { (right, left) };
         let (build_key, probe_key) = if build_left {
@@ -426,164 +1002,22 @@ impl JoinPlan {
         } else {
             (&self.right_key, &self.left_key)
         };
-        let mut table: FxHashMap<u64, Vec<&Row>> = FxHashMap::default();
-        table.reserve(build.len());
-        for row in build.iter() {
-            table.entry(hash_key(row, build_key)).or_default().push(row);
-        }
-        out.reserve(probe.len());
+        let build_rows = build.rows();
+        let chains = Buckets::of_rows(build_rows, build_key);
+        let mut out = Rows::with_capacity(self.out_src.len(), probe.len());
         for prow in probe.iter() {
-            let Some(matches) = table.get(&hash_key(prow, probe_key)) else {
-                continue;
-            };
-            for brow in matches {
+            for id in chains.chain(hash_key(prow, probe_key)) {
+                let brow = build_rows.get(id);
                 if !probe_key.iter().zip(build_key).all(|(&pp, &bp)| prow[pp] == brow[bp]) {
                     continue;
                 }
-                let (lrow, rrow): (&Row, &Row) =
-                    if build_left { (brow, prow) } else { (prow, brow) };
-                let out_row: Row = self
-                    .out_src
-                    .iter()
-                    .map(|&(from_left, p)| if from_left { lrow[p] } else { rrow[p] })
-                    .collect();
-                out.insert(out_row);
+                let (lrow, rrow) = if build_left { (brow, prow) } else { (prow, brow) };
+                self.push_joined(&mut out, lrow, rrow);
             }
         }
-        out
+        Relation::from_distinct(self.out_schema.clone(), out)
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sym(i: u32) -> Sym {
-        Sym(i)
-    }
-
-    fn rel(cols: &[u32], rows: &[&[i64]]) -> Relation {
-        let schema = Schema::new(cols.iter().map(|&c| sym(c)).collect());
-        // Caller gives rows in the *given* column order; permute to schema order.
-        let perm: Vec<usize> = schema
-            .columns()
-            .iter()
-            .map(|c| cols.iter().position(|&x| sym(x) == *c).unwrap())
-            .collect();
-        Relation::from_rows(
-            schema,
-            rows.iter().map(|r| perm.iter().map(|&p| Value::Int(r[p])).collect::<Row>()),
-        )
-    }
-
-    #[test]
-    fn dedup_on_insert() {
-        let r = rel(&[1, 2], &[&[1, 2], &[1, 2], &[3, 4]]);
-        assert_eq!(r.len(), 2);
-    }
-
-    #[test]
-    fn filter_keeps_matching() {
-        let r = rel(&[1], &[&[1], &[2], &[3]]);
-        let f = r.filter(|row| row[0].as_int().unwrap() >= 2);
-        assert_eq!(f.len(), 2);
-        assert!(f.contains(&[Value::Int(2)]));
-    }
-
-    #[test]
-    fn rename_permutes_fields() {
-        // schema (1,2); rename 1 -> 5 gives sorted schema (2,5): fields swap.
-        let r = rel(&[1, 2], &[&[10, 20]]);
-        let rn = r.rename(sym(1), sym(5));
-        assert_eq!(rn.schema().columns(), &[sym(2), sym(5)]);
-        assert!(rn.contains(&[Value::Int(20), Value::Int(10)]));
-    }
-
-    #[test]
-    fn antiproject_dedups() {
-        let r = rel(&[1, 2], &[&[1, 10], &[1, 20]]);
-        let p = r.antiproject(&[sym(2)]);
-        assert_eq!(p.len(), 1);
-        assert!(p.contains(&[Value::Int(1)]));
-    }
-
-    #[test]
-    fn natural_join_basic() {
-        // R(a=1,b=2), S(b=2,c=3): join on b.
-        let r = rel(&[1, 2], &[&[1, 10], &[2, 20]]);
-        let s = rel(&[2, 3], &[&[10, 100], &[10, 101], &[30, 300]]);
-        let j = r.join(&s);
-        assert_eq!(j.schema().columns(), &[sym(1), sym(2), sym(3)]);
-        assert_eq!(j.len(), 2);
-        assert!(j.contains(&[Value::Int(1), Value::Int(10), Value::Int(100)]));
-        assert!(j.contains(&[Value::Int(1), Value::Int(10), Value::Int(101)]));
-    }
-
-    #[test]
-    fn join_no_common_is_product() {
-        let r = rel(&[1], &[&[1], &[2]]);
-        let s = rel(&[2], &[&[10], &[20]]);
-        assert_eq!(r.join(&s).len(), 4);
-    }
-
-    #[test]
-    fn join_same_schema_is_intersection() {
-        let r = rel(&[1], &[&[1], &[2]]);
-        let s = rel(&[1], &[&[2], &[3]]);
-        let j = r.join(&s);
-        assert_eq!(j.len(), 1);
-        assert!(j.contains(&[Value::Int(2)]));
-    }
-
-    #[test]
-    fn antijoin_filters_matches() {
-        let r = rel(&[1, 2], &[&[1, 10], &[2, 20]]);
-        let s = rel(&[2], &[&[10]]);
-        let a = r.antijoin(&s);
-        assert_eq!(a.len(), 1);
-        assert!(a.contains(&[Value::Int(2), Value::Int(20)]));
-    }
-
-    #[test]
-    fn antijoin_disjoint_schemas() {
-        let r = rel(&[1], &[&[1]]);
-        let empty = rel(&[9], &[]);
-        let nonempty = rel(&[9], &[&[5]]);
-        assert_eq!(r.antijoin(&empty).len(), 1);
-        assert_eq!(r.antijoin(&nonempty).len(), 0);
-    }
-
-    #[test]
-    fn union_minus() {
-        let r = rel(&[1], &[&[1], &[2]]);
-        let s = rel(&[1], &[&[2], &[3]]);
-        assert_eq!(r.union(&s).len(), 3);
-        let d = r.minus(&s);
-        assert_eq!(d.len(), 1);
-        assert!(d.contains(&[Value::Int(1)]));
-    }
-
-    #[test]
-    fn absorb_new_returns_exactly_the_new_rows() {
-        let mut acc = rel(&[1], &[&[1], &[2]]);
-        let checkpoint = acc.clone();
-        let produced = rel(&[1], &[&[2], &[3], &[4]]);
-        let delta = acc.absorb_new(produced.into_rows());
-        assert_eq!(delta.sorted_rows(), rel(&[1], &[&[3], &[4]]).sorted_rows());
-        assert_eq!(acc.len(), 4);
-        // The clone taken before is a snapshot, not a view of the update.
-        assert_eq!(checkpoint.len(), 2);
-        // Nothing new: empty delta, accumulator untouched.
-        assert!(acc.absorb_new(rel(&[1], &[&[1], &[4]]).into_rows()).is_empty());
-        assert_eq!(acc.len(), 4);
-    }
-
-    #[test]
-    fn from_pairs_respects_column_order() {
-        // (b, a) given in that order: schema sorts to (a, b) but the pair
-        // (x, y) must still mean b=x, a=y.
-        let r = Relation::from_pairs(sym(2), sym(1), [(10, 20)]);
-        assert_eq!(r.schema().columns(), &[sym(1), sym(2)]);
-        assert!(r.contains(&[Value::Int(20), Value::Int(10)]));
-    }
-}
+mod tests;

@@ -261,7 +261,7 @@ pub fn term_key(t: &Term) -> u64 {
             Term::Cst(r) => {
                 1u8.hash(h);
                 r.schema().columns().hash(h);
-                for row in r.sorted_rows() {
+                for row in r.iter_sorted() {
                     row.hash(h);
                 }
             }

@@ -95,10 +95,10 @@ impl Graph {
         let mut rels: Vec<Relation> =
             (0..self.labels.len()).map(|_| Relation::new(schema.clone())).collect();
         for &(s, l, d) in &self.edges {
-            let mut row = vec![Value::node(0); 2];
+            let mut row = [Value::node(0); 2];
             row[ps] = Value::node(s);
             row[1 - ps] = Value::node(d);
-            rels[l as usize].insert(row.into_boxed_slice());
+            rels[l as usize].insert(row);
         }
         for (name, rel) in self.labels.iter().zip(rels) {
             db.insert_relation(name, rel);

@@ -34,20 +34,20 @@ use crate::cluster::{payload_text, Cluster};
 use crate::distrel::DistRel;
 use crate::localfix::{eval_branch, prepare, Budget, Prepared};
 use mura_core::fxhash::FxHasher;
-use mura_core::{MuraError, Relation, Result, Row, Sym, Term};
+use mura_core::{MuraError, Relation, Result, Rows, Sym, Term, Value};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
 
-fn row_hash(row: &Row) -> u64 {
+fn row_hash(row: &[Value]) -> u64 {
     let mut h = FxHasher::default();
     row.hash(&mut h);
     h.finish()
 }
 
-fn row_owner(row: &Row, n: usize) -> usize {
+fn row_owner(row: &[Value], n: usize) -> usize {
     (row_hash(row) as usize) % n
 }
 
@@ -100,9 +100,9 @@ pub fn eval_async_at(
     budget.charge_bytes(prepared.iter().map(|p| p.cached_bytes()).sum())?;
     budget.charge_bytes(mura_core::rel_bytes(seed.len() as u64, schema.arity()))?;
     let prepared = &prepared;
-    // Channels: one inbox per worker.
-    let mut senders: Vec<Sender<Vec<Row>>> = Vec::with_capacity(n);
-    let mut receivers: Vec<Receiver<Vec<Row>>> = Vec::with_capacity(n);
+    // Channels: one inbox per worker; a batch is one flat buffer of rows.
+    let mut senders: Vec<Sender<Rows>> = Vec::with_capacity(n);
+    let mut receivers: Vec<Receiver<Rows>> = Vec::with_capacity(n);
     for _ in 0..n {
         let (s, r) = channel();
         senders.push(s);
@@ -117,26 +117,27 @@ pub fn eval_async_at(
     let abort = std::sync::atomic::AtomicBool::new(false);
 
     // Seed every worker with the rows it owns.
-    let mut initial: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
+    let batches = || -> Vec<Rows> { (0..n).map(|_| Rows::new(schema.arity())).collect() };
+    let mut initial = batches();
     for part in seed.parts() {
         for row in part.iter() {
-            initial[row_owner(row, n)].push(row.clone());
+            initial[row_owner(row, n)].push(row);
         }
     }
     // Resumed state: each owner preloads its slice of `acc \ delta` so
     // nothing is re-derived from known totals, while the maintenance
     // frontier rows travel as ordinary batches — a preloaded frontier row
     // would be deduplicated on receipt and never derived from.
-    let mut preload: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
+    let mut preload = batches();
     if let Some((acc0, delta0)) = resume {
         budget.charge_bytes(mura_core::rel_bytes(acc0.len() as u64, schema.arity()))?;
         for row in acc0.iter() {
             if !delta0.contains(row) {
-                preload[row_owner(row, n)].push(row.clone());
+                preload[row_owner(row, n)].push(row);
             }
         }
         for row in delta0.iter() {
-            initial[row_owner(row, n)].push(row.clone());
+            initial[row_owner(row, n)].push(row);
         }
     }
     for (w, batch) in initial.into_iter().enumerate() {
@@ -180,10 +181,8 @@ pub fn eval_async_at(
                             if let Some(d) = fault.straggler_delay(site, me, 0, attempt) {
                                 std::thread::sleep(d);
                             }
-                            let mut acc = Relation::new(schema.clone());
-                            for row in mine {
-                                acc.insert(row);
-                            }
+                            // A slice of a set: distinct already.
+                            let mut acc = Relation::from_distinct(schema.clone(), mine);
                             let (mut drops, mut dups) = (0u64, 0u64);
                             loop {
                                 let batch = match inbox.recv_timeout(Duration::from_millis(1)) {
@@ -213,7 +212,7 @@ pub fn eval_async_at(
                                 // exactly once per run, so the counts are
                                 // reproducible even though batch boundaries are
                                 // not.
-                                let delta = acc.absorb_new(batch);
+                                let delta = acc.absorb_new(&batch);
                                 if fault.is_active() {
                                     for row in delta.iter() {
                                         let h = row_hash(row);
@@ -232,12 +231,11 @@ pub fn eval_async_at(
                                     // Apply every recursive branch to the delta
                                     // and route the produced rows to their
                                     // owners.
-                                    let mut outgoing: Vec<Vec<Row>> =
-                                        (0..senders.len()).map(|_| Vec::new()).collect();
+                                    let mut outgoing = batches();
                                     for p in prepared {
                                         let produced = eval_branch(p, &delta);
-                                        for row in produced.into_rows() {
-                                            outgoing[row_owner(&row, senders.len())].push(row);
+                                        for row in produced.iter() {
+                                            outgoing[row_owner(row, senders.len())].push(row);
                                         }
                                     }
                                     for (w, out) in outgoing.into_iter().enumerate() {

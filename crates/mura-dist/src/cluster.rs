@@ -3,7 +3,9 @@
 //!
 //! Workers are real OS threads (scoped), so partition-parallel operators
 //! genuinely run in parallel; "communication" is modeled as movement of
-//! rows between partitions and is charged to [`CommStats`].
+//! rows between partitions and is charged to [`CommStats`]. A task that
+//! reads at most [`LIGHT_TASK_ROWS`] rows is not worth a thread and runs on
+//! the calling one (see [`Cluster::par_map_sized`]).
 //!
 //! Every partition task runs under a **task supervisor**: the closure is
 //! executed inside `catch_unwind`, so a panicking worker is captured as
@@ -16,7 +18,7 @@
 use crate::fault::{FaultPlan, RecoveryPolicy};
 use crate::metrics::CommStats;
 use crate::wire::TraceCtx;
-use mura_core::{CancellationToken, MuraError, Relation, Result, Row, Schema};
+use mura_core::{CancellationToken, MuraError, Relation, Result, Rows, Schema};
 use mura_obs::TraceEvent;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -137,15 +139,16 @@ pub trait CommBackend: Send + Sync + std::fmt::Debug {
     }
 
     /// Performs one hash exchange: `buckets[from][to]` holds the rows
-    /// worker `from` routed to worker `to`; the result is the merged
-    /// partition of every destination. At-least-once delivery with set
-    /// semantics: injected drops are retransmitted, injected duplicates
-    /// are absorbed by the set merge.
+    /// worker `from` routed to worker `to` — cut from a set, so distinct
+    /// among themselves, though another source may route the same row; the
+    /// result is the merged partition of every destination. At-least-once
+    /// delivery with set semantics: injected drops are retransmitted,
+    /// injected duplicates are absorbed by the set merge.
     fn exchange(
         &self,
         ctx: &ExchangeCtx<'_>,
         schema: &Schema,
-        buckets: Vec<Vec<Vec<Row>>>,
+        buckets: Vec<Vec<Rows>>,
     ) -> Result<Vec<Relation>>;
 
     /// Replicates `rel` to every worker. Row accounting is already done by
@@ -184,7 +187,7 @@ impl CommBackend for SimBackend {
         &self,
         ctx: &ExchangeCtx<'_>,
         schema: &Schema,
-        buckets: Vec<Vec<Vec<Row>>>,
+        buckets: Vec<Vec<Rows>>,
     ) -> Result<Vec<Relation>> {
         let mut parts: Vec<Relation> =
             (0..ctx.workers).map(|_| Relation::new(schema.clone())).collect();
@@ -199,14 +202,12 @@ impl CommBackend for SimBackend {
                         ));
                     }
                     if ctx.fault.duplicate_exchange(ctx.site, from, t) {
-                        for row in &bucket {
-                            parts[t].insert(row.clone());
-                        }
+                        parts[t].absorb_rows(bucket.clone());
                     }
                 }
-                for row in bucket {
-                    parts[t].insert(row);
-                }
+                // The first bucket to arrive becomes the partition;
+                // later ones are looked up row by row.
+                parts[t].absorb_rows(bucket);
             }
         }
         Ok(parts)
@@ -327,7 +328,7 @@ impl Cluster {
         &self,
         site: u64,
         schema: &Schema,
-        buckets: Vec<Vec<Vec<Row>>>,
+        buckets: Vec<Vec<Rows>>,
     ) -> Result<Vec<Relation>> {
         let ctx = ExchangeCtx {
             fault: &self.fault,
@@ -370,7 +371,26 @@ impl Cluster {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        self.try_par_map(items, |i, item| Ok(f(i, item)))
+        self.par_map_sized(items, |_| usize::MAX, f)
+    }
+
+    /// [`Cluster::par_map`] for tasks whose cost is bounded by the rows
+    /// they read: `rows(&items[i])` is that number for task `i`, and a task
+    /// of at most [`LIGHT_TASK_ROWS`] runs on the calling thread (see
+    /// [`join_tasks`]). Same results, same fault sites, same supervision —
+    /// only where the task body executes differs.
+    pub fn par_map_sized<T, R, F>(
+        &self,
+        items: &[T],
+        rows: impl Fn(&T) -> usize,
+        f: F,
+    ) -> Result<Vec<R>>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        self.try_par_map_sized(items, rows, |i, item| Ok(f(i, item)))
     }
 
     /// Like [`Cluster::par_map`] for fallible tasks: `Err` results
@@ -389,9 +409,25 @@ impl Cluster {
         R: Send,
         F: Fn(usize, &T) -> Result<R> + Sync,
     {
+        self.try_par_map_sized(items, |_| usize::MAX, f)
+    }
+
+    /// [`Cluster::try_par_map`] with the tasks' input sizes, as in
+    /// [`Cluster::par_map_sized`].
+    pub fn try_par_map_sized<T, R, F>(
+        &self,
+        items: &[T],
+        rows: impl Fn(&T) -> usize,
+        f: F,
+    ) -> Result<Vec<R>>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> Result<R> + Sync,
+    {
         let mut reruns = 0u32;
         loop {
-            match self.try_par_map_at(self.fault.next_site(), 0, items, &f) {
+            match self.try_par_map_at(self.fault.next_site(), 0, items, &rows, &f) {
                 Err(e) if e.is_retryable() && reruns < self.recovery.max_restores => {
                     if let Some(c) = &self.cancel {
                         c.check()?;
@@ -408,12 +444,14 @@ impl Cluster {
     /// `site` with attempt numbering starting at `attempt_base`. Superstep
     /// supervisors (the `P_gld` driver) pin the site across replays of the
     /// same superstep so afflicted sites heal deterministically after
-    /// `failures_per_site` attempts.
+    /// `failures_per_site` attempts. `rows` sizes the tasks' inputs, as in
+    /// [`Cluster::par_map_sized`].
     pub fn try_par_map_at<T, R, F>(
         &self,
         site: u64,
         attempt_base: u32,
         items: &[T],
+        rows: impl Fn(&T) -> usize,
         f: F,
     ) -> Result<Vec<R>>
     where
@@ -423,11 +461,10 @@ impl Cluster {
     {
         assert_eq!(items.len(), self.workers, "one item per worker expected");
         let f = &f;
-        join_tasks(
-            items.iter().enumerate().map(|(i, item)| {
-                move || self.run_task(site, attempt_base, i, || f(i, item), || true)
-            }),
-        )
+        join_tasks(items.iter().enumerate().map(|(i, item)| {
+            let task = move || self.run_task(site, attempt_base, i, || f(i, item), || true);
+            (rows(item) <= LIGHT_TASK_ROWS, task)
+        }))
     }
 
     /// [`Cluster::try_par_map_at`] for tasks that own their item — a
@@ -442,6 +479,7 @@ impl Cluster {
         site: u64,
         attempt_base: u32,
         items: Vec<T>,
+        rows: impl Fn(&T) -> usize,
         f: F,
     ) -> Result<Vec<R>>
     where
@@ -452,7 +490,8 @@ impl Cluster {
         assert_eq!(items.len(), self.workers, "one item per worker expected");
         let f = &f;
         join_tasks(items.into_iter().enumerate().map(|(i, item)| {
-            move || {
+            let light = rows(&item) <= LIGHT_TASK_ROWS;
+            let task = move || {
                 let slot = Cell::new(Some(item));
                 let unused = Cell::new(true);
                 self.run_task(
@@ -465,7 +504,8 @@ impl Cluster {
                     },
                     || unused.get(),
                 )
-            }
+            };
+            (light, task)
         }))
     }
 
@@ -520,38 +560,51 @@ impl Cluster {
     }
 }
 
-/// Runs one task per worker and collects the results in worker order: all
-/// but the last on scoped threads of their own, the last on the calling
-/// thread, which would otherwise only wait (a stage costs `n − 1` thread
-/// spawns, and none on a single-worker cluster).
-fn join_tasks<R, Task>(tasks: impl Iterator<Item = Task>) -> Result<Vec<R>>
+/// Input rows at or under which a task is *light*: it runs on the calling
+/// thread instead of one of its own. Starting a thread and waiting for it
+/// costs about as much as a join kernel spends on a thousand rows, and that
+/// cost is the part of a stage that depends on the machine rather than on
+/// the data (another core has to be woken twice); the tail supersteps of a
+/// fixpoint and the operators around a filtered seed are almost all light.
+pub const LIGHT_TASK_ROWS: usize = 1024;
+
+/// Runs one task per worker — `(light, task)` — and collects the results
+/// in worker order. Every heavy task but the last gets a scoped thread of
+/// its own; the calling thread, which would otherwise only wait, runs the
+/// last heavy task and all the light ones. A stage of `h` heavy tasks costs
+/// `h − 1` thread spawns: none when at most one partition has real work.
+fn join_tasks<R, Task>(tasks: impl Iterator<Item = (bool, Task)>) -> Result<Vec<R>>
 where
     R: Send,
     Task: FnOnce() -> Result<R> + Send,
 {
-    let mut tasks: Vec<Task> = tasks.collect();
-    let last = tasks.pop().expect("a cluster has at least one worker");
+    let tasks: Vec<(bool, Task)> = tasks.collect();
+    let last_heavy = tasks.iter().rposition(|(light, _)| !light);
+    let mut results: Vec<Option<Result<R>>> = tasks.iter().map(|_| None).collect();
     std::thread::scope(|s| {
-        let handles: Vec<_> = tasks.into_iter().map(|task| s.spawn(task)).collect();
-        let last = last();
-        let mut results: Vec<Result<R>> = handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| {
-                h.join().unwrap_or_else(|payload| {
-                    // The supervisor catches task panics inside the thread;
-                    // reaching this means the harness itself failed. Still
-                    // report instead of aborting.
-                    Err(MuraError::WorkerFailed {
-                        worker: i,
-                        payload: payload_text(payload.as_ref()),
-                    })
-                })
-            })
-            .collect();
-        results.push(last);
-        results.into_iter().collect()
-    })
+        // Threads first, so that they run while the caller works.
+        let mut threads = Vec::new();
+        let mut mine = Vec::new();
+        for (i, (light, task)) in tasks.into_iter().enumerate() {
+            if light || Some(i) == last_heavy {
+                mine.push((i, task));
+            } else {
+                threads.push((i, s.spawn(task)));
+            }
+        }
+        for (i, task) in mine {
+            results[i] = Some(task());
+        }
+        for (i, handle) in threads {
+            results[i] = Some(handle.join().unwrap_or_else(|payload| {
+                // The supervisor catches task panics inside the thread;
+                // reaching this means the harness itself failed. Still
+                // report instead of aborting.
+                Err(MuraError::WorkerFailed { worker: i, payload: payload_text(payload.as_ref()) })
+            }));
+        }
+    });
+    results.into_iter().map(|r| r.expect("every task ran")).collect()
 }
 
 /// Extracts a human-readable message from a captured panic payload.
@@ -594,6 +647,47 @@ mod tests {
     }
 
     #[test]
+    fn light_tasks_run_on_the_calling_thread() {
+        // Sized by the item itself. The caller takes the last heavy task
+        // and every light one; a stage with one heavy task spawns nothing.
+        let c = Cluster::new(4);
+        let caller = std::thread::current().id();
+        let on_caller = |items: [usize; 4]| {
+            let rows = |n: &usize| *n;
+            c.par_map_sized(&items, rows, |_, _| std::thread::current().id() == caller).unwrap()
+        };
+        let heavy = LIGHT_TASK_ROWS + 1;
+        assert_eq!(on_caller([0, LIGHT_TASK_ROWS, 1, 7]), vec![true; 4]);
+        assert_eq!(on_caller([0, heavy, 1, 7]), vec![true; 4]);
+        assert_eq!(on_caller([heavy, 0, heavy, 3]), vec![false, true, true, true]);
+        assert_eq!(on_caller([heavy; 4]), vec![false, false, false, true]);
+    }
+
+    #[test]
+    fn light_tasks_are_supervised_like_any_other() {
+        // Same sites, same retries, same panic capture, whichever thread
+        // runs the body.
+        let cfg = FaultConfig { transient_prob: 0.9, seed: 5, ..Default::default() };
+        let run = |rows: usize| {
+            let plan = Arc::new(FaultPlan::new(cfg));
+            let c = Cluster::new(4).with_faults(Arc::clone(&plan), RecoveryPolicy::default());
+            let out = c.par_map_sized(&[1u64, 2, 3, 4], |_| rows, |i, x| (i, x * 10));
+            (out, plan.snapshot().task_retries, plan.snapshot().stage_reruns)
+        };
+        let (light, heavy) = (run(0), run(usize::MAX));
+        assert_eq!(light.0.as_ref().unwrap(), &vec![(0, 10), (1, 20), (2, 30), (3, 40)]);
+        assert_eq!((&light.0, light.1, light.2), (&heavy.0, heavy.1, heavy.2));
+        assert!(light.1 > 0);
+        let c = Cluster::new(2);
+        let err = c
+            .par_map_sized(&[1u64, 2], |_| 0, |i, _| assert!(i != 1, "light task boom"))
+            .unwrap_err();
+        assert!(
+            matches!(&err, MuraError::WorkerFailed { worker: 1, payload } if payload.contains("boom"))
+        );
+    }
+
+    #[test]
     fn owned_items_survive_injected_faults_and_are_handed_out_once() {
         // Injected faults fire before the task body: the items are still
         // there when the site heals, and every body runs exactly once.
@@ -602,7 +696,8 @@ mod tests {
         let c = Cluster::new(4).with_faults(Arc::clone(&plan), RecoveryPolicy::default());
         let items: Vec<Vec<u64>> = (0..4).map(|i| vec![i; 3]).collect();
         let site = c.fault().next_site();
-        let out = c.try_par_map_owned_at(site, 0, items, |i, v| Ok((i, v.len()))).unwrap();
+        let out =
+            c.try_par_map_owned_at(site, 0, items, Vec::len, |i, v| Ok((i, v.len()))).unwrap();
         assert_eq!(out, vec![(0, 3), (1, 3), (2, 3), (3, 3)]);
         assert!(plan.snapshot().task_retries > 0);
 
@@ -611,14 +706,20 @@ mod tests {
         let c = Cluster::new(2);
         let calls = std::sync::atomic::AtomicU32::new(0);
         let err = c
-            .try_par_map_owned_at(0, 0, vec![1u64, 2], |i, _| {
-                calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                if i == 0 {
-                    Err(MuraError::TransientFault { worker: 0 })
-                } else {
-                    Ok(())
-                }
-            })
+            .try_par_map_owned_at(
+                0,
+                0,
+                vec![1u64, 2],
+                |_| usize::MAX,
+                |i, _| {
+                    calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    if i == 0 {
+                        Err(MuraError::TransientFault { worker: 0 })
+                    } else {
+                        Ok(())
+                    }
+                },
+            )
             .unwrap_err();
         assert!(err.is_retryable(), "{err:?}");
         assert_eq!(calls.into_inner(), 2, "one call per item, none repeated");

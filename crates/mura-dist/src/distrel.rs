@@ -30,7 +30,8 @@
 use crate::cluster::Cluster;
 use mura_core::eval::apply_filter;
 use mura_core::index::hash_key;
-use mura_core::{Pred, Relation, Result, Row, Schema, Sym};
+use mura_core::relation::check_room;
+use mura_core::{Pred, Relation, Result, Rows, Schema, Sym};
 use std::sync::OnceLock;
 
 /// A relation partitioned across the workers of a [`Cluster`].
@@ -50,6 +51,28 @@ pub struct DistRel {
 /// Positions of the ordered `key` columns in `schema`.
 fn key_positions(schema: &Schema, key: &[Sym]) -> Vec<usize> {
     key.iter().map(|&c| schema.position(c).expect("partitioning key must be in schema")).collect()
+}
+
+/// Cuts `rows` into `n` buffers, row `r` going to `hash(key(r)) mod n`.
+/// Every row is hashed once and copied once, into a buffer allocated at
+/// its final size.
+fn split_by_key(rows: &Rows, key_pos: &[usize], n: usize) -> Vec<Rows> {
+    let targets: Vec<u32> =
+        rows.iter().map(|row| ((hash_key(row, key_pos) as usize) % n) as u32).collect();
+    let mut sizes = vec![0usize; n];
+    targets.iter().for_each(|&t| sizes[t as usize] += 1);
+    let mut out: Vec<Rows> =
+        sizes.iter().map(|&size| Rows::with_capacity(rows.arity(), size)).collect();
+    for (row, &t) in rows.iter().zip(&targets) {
+        out[t as usize].push(row);
+    }
+    out
+}
+
+/// What a task over a pair of partitions reads (see
+/// [`Cluster::par_map_sized`]).
+fn pair_rows((x, y): &(Relation, Relation)) -> usize {
+    x.len() + y.len()
 }
 
 impl DistRel {
@@ -104,13 +127,11 @@ impl DistRel {
         self.parts.get_or_init(|| {
             let rel = self.whole.as_ref().expect("a DistRel is whole or split");
             let key_pos = key_positions(&self.schema, self.whole_key());
-            let n = self.workers;
-            let mut parts: Vec<Relation> =
-                (0..n).map(|_| Relation::new(self.schema.clone())).collect();
-            for row in rel.iter() {
-                parts[(hash_key(row, &key_pos) as usize) % n].insert(row.clone());
-            }
-            parts
+            // Pieces of a set are sets: no row is looked up.
+            split_by_key(rel.rows(), &key_pos, self.workers)
+                .into_iter()
+                .map(|rows| Relation::from_distinct(self.schema.clone(), rows))
+                .collect()
         })
     }
 
@@ -137,9 +158,17 @@ impl DistRel {
         if let Some(rel) = self.whole {
             return rel;
         }
+        let parts = self.parts.into_inner().expect("a DistRel is whole or split");
         let mut out = Relation::new(self.schema);
-        for p in self.parts.into_inner().expect("a DistRel is whole or split") {
-            out.absorb(p);
+        out.reserve(parts.iter().map(Relation::len).sum());
+        for p in parts {
+            if self.partitioned_by.is_some() {
+                // Hash-placed: equal rows share a partition, so the
+                // partitions are disjoint and merge without a lookup.
+                out.extend_distinct(p.rows());
+            } else {
+                out.absorb(p);
+            }
         }
         out
     }
@@ -150,7 +179,8 @@ impl DistRel {
             let kept = apply_filter(rel, preds)?;
             return Ok(DistRel::placed(kept, self.whole_key().to_vec(), self.workers));
         }
-        let parts = cluster.try_par_map(self.parts(), |_, p| apply_filter(p, preds))?;
+        let parts = cluster
+            .try_par_map_sized(self.parts(), Relation::len, |_, p| apply_filter(p, preds))?;
         Ok(DistRel::from_parts(self.schema.clone(), parts, self.partitioned_by.clone()))
     }
 
@@ -165,7 +195,8 @@ impl DistRel {
             return Ok(DistRel::placed(rel.rename(from, to), key, self.workers));
         }
         let partitioned_by = self.partitioned_by.as_deref().map(renamed);
-        let parts = cluster.par_map(self.parts(), |_, p| p.rename(from, to))?;
+        let parts =
+            cluster.par_map_sized(self.parts(), Relation::len, |_, p| p.rename(from, to))?;
         let schema = parts[0].schema().clone();
         Ok(DistRel::from_parts(schema, parts, partitioned_by))
     }
@@ -173,7 +204,8 @@ impl DistRel {
     /// Partition-wise antiprojection. Partitioning survives only if no key
     /// column is dropped.
     pub fn antiproject(&self, cols: &[Sym], cluster: &Cluster) -> Result<DistRel> {
-        let parts = cluster.par_map(self.parts(), |_, p| p.antiproject(cols))?;
+        let parts =
+            cluster.par_map_sized(self.parts(), Relation::len, |_, p| p.antiproject(cols))?;
         let schema = parts[0].schema().clone();
         let partitioned_by = match &self.partitioned_by {
             Some(key) if key.iter().all(|c| !cols.contains(c)) => Some(key.clone()),
@@ -206,13 +238,10 @@ impl DistRel {
         let exchange_site = cluster.fault().next_site();
         // Each worker buckets its partition; the backend moves the buckets
         // (driver-side merge on the simulator, real sockets on ProcCluster).
-        let bucketed: Vec<Vec<Vec<Row>>> = cluster.par_map(self.parts(), |_, p| {
-            let mut buckets: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
-            for row in p.iter() {
-                buckets[(hash_key(row, &key_pos) as usize) % n].push(row.clone());
-            }
-            buckets
-        })?;
+        let bucketed: Vec<Vec<Rows>> =
+            cluster.par_map_sized(self.parts(), Relation::len, |_, p| {
+                split_by_key(p.rows(), &key_pos, n)
+            })?;
         let parts = cluster.exchange_at(exchange_site, &self.schema, bucketed)?;
         Ok(DistRel::from_parts(self.schema.clone(), parts, Some(key.to_vec())))
     }
@@ -234,7 +263,7 @@ impl DistRel {
     pub fn union(&self, other: &DistRel, cluster: &Cluster) -> Result<DistRel> {
         assert_eq!(self.schema, other.schema, "union of incompatible schemas");
         let (a, b) = self.copartition(other, cluster)?;
-        let parts = cluster.par_map(&a.zip_parts(&b), |_, (x, y)| x.union(y))?;
+        let parts = cluster.par_map_sized(&a.zip_parts(&b), pair_rows, |_, (x, y)| x.union(y))?;
         Ok(DistRel::from_parts(a.schema, parts, a.partitioned_by))
     }
 
@@ -271,10 +300,15 @@ impl DistRel {
         let pairs: Vec<(Relation, Relation)> =
             acc_parts.into_iter().zip(new.into_parts()).collect();
         let site = cluster.fault().next_site();
-        let absorbed = cluster.try_par_map_owned_at(site, 0, pairs, |_, (mut acc, new)| {
-            let delta = acc.absorb_new(new.into_rows());
-            Ok((acc, delta))
-        })?;
+        // Sized by what is absorbed: only the first absorb of a fixpoint
+        // also builds the accumulator's table.
+        let new_rows = |(_, new): &(Relation, Relation)| new.len();
+        let absorbed =
+            cluster.try_par_map_owned_at(site, 0, pairs, new_rows, |_, (mut acc, new)| {
+                check_room(acc.len(), new.len())?;
+                let delta = acc.absorb_new(new.rows());
+                Ok((acc, delta))
+            })?;
         let (acc_parts, delta_parts): (Vec<Relation>, Vec<Relation>) = absorbed.into_iter().unzip();
         *self = DistRel::from_parts(schema.clone(), acc_parts, key.clone());
         Ok(DistRel::from_parts(schema, delta_parts, key))
@@ -308,7 +342,8 @@ impl DistRel {
         let a = self.repartition(&common, cluster)?;
         let b = other.repartition(&common, cluster)?;
         let plan = mura_core::relation::join_plan(&a.schema, &b.schema);
-        let parts = cluster.par_map(&a.zip_parts(&b), |_, (x, y)| plan.execute(x, y))?;
+        let parts =
+            cluster.par_map_sized(&a.zip_parts(&b), pair_rows, |_, (x, y)| plan.execute(x, y))?;
         Ok(DistRel::from_parts(plan.out_schema, parts, Some(common)))
     }
 
@@ -323,7 +358,11 @@ impl DistRel {
     /// broadcast variable) — no communication charged.
     pub fn join_local(&self, other: &Relation, cluster: &Cluster) -> Result<DistRel> {
         let plan = mura_core::relation::join_plan(&self.schema, other.schema());
-        let parts = cluster.par_map(self.parts(), |_, p| plan.execute(p, other))?;
+        let parts = cluster.par_map_sized(
+            self.parts(),
+            |p| p.len() + other.len(),
+            |_, p| plan.execute(p, other),
+        )?;
         // Output keeps big-side placement; metadata survives if the key is
         // still part of the output schema (it always is for natural joins).
         Ok(DistRel::from_parts(plan.out_schema, parts, self.partitioned_by.clone()))
@@ -339,7 +378,11 @@ impl DistRel {
     /// Antijoin against a relation every worker already holds — no
     /// communication charged.
     pub fn antijoin_local(&self, other: &Relation, cluster: &Cluster) -> Result<DistRel> {
-        let parts = cluster.par_map(self.parts(), |_, p| p.antijoin(other))?;
+        let parts = cluster.par_map_sized(
+            self.parts(),
+            |p| p.len() + other.len(),
+            |_, p| p.antijoin(other),
+        )?;
         Ok(DistRel::from_parts(self.schema.clone(), parts, self.partitioned_by.clone()))
     }
 
@@ -349,7 +392,8 @@ impl DistRel {
         assert!(!common.is_empty(), "shuffle antijoin requires common columns");
         let a = self.repartition(&common, cluster)?;
         let b = other.repartition(&common, cluster)?;
-        let parts = cluster.par_map(&a.zip_parts(&b), |_, (x, y)| x.antijoin(y))?;
+        let parts =
+            cluster.par_map_sized(&a.zip_parts(&b), pair_rows, |_, (x, y)| x.antijoin(y))?;
         Ok(DistRel::from_parts(a.schema, parts, a.partitioned_by))
     }
 
@@ -504,7 +548,7 @@ mod tests {
         let all: Vec<usize> = (0..r.schema().arity()).collect();
         let mut parts: Vec<Relation> = (0..n).map(|_| Relation::new(r.schema().clone())).collect();
         for row in r.iter() {
-            parts[(hash_key(row, &all) as usize) % n].insert(row.clone());
+            parts[(hash_key(row, &all) as usize) % n].insert(row);
         }
         parts
     }

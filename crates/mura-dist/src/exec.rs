@@ -610,14 +610,14 @@ impl<'db> DistEvaluator<'db> {
                 let mut delta0 = r.delta.clone();
                 for row in seed_rel.iter() {
                     if !r.acc.contains(row) {
-                        delta0.insert(row.clone());
+                        delta0.insert(row);
                     }
                 }
                 let mut acc0 = r.acc;
                 for row in delta0.iter() {
                     // acc ∪ seed ∪ delta = acc ∪ delta₀ (seed rows outside
                     // acc were just folded into delta₀).
-                    acc0.insert(row.clone());
+                    acc0.insert(row);
                 }
                 self.charge(acc0.len() + delta0.len(), acc0.schema().arity())?;
                 Some((acc0, delta0))
@@ -916,9 +916,10 @@ impl<'db> DistEvaluator<'db> {
             // task failure here escalates to the superstep supervisor,
             // which restores from the last checkpoint (or the seed).
             let site = self.cluster.fault().next_site();
-            let parts = self
-                .cluster
-                .try_par_map_at(site, 0, delta.parts(), |_, part| Ok(eval_branch(p, part)))?;
+            let parts =
+                self.cluster.try_par_map_at(site, 0, delta.parts(), Relation::len, |_, part| {
+                    Ok(eval_branch(p, part))
+                })?;
             kernel_stats().record_eval_time(start.elapsed());
             let schema = parts[0].schema().clone();
             let produced = DistRel::from_parts(schema, parts, None);
@@ -1045,7 +1046,11 @@ impl<'db> DistEvaluator<'db> {
         let recovery = *self.cluster.recovery();
         let checkpoint_every = self.config.checkpoint_every;
         let trace = self.sink.as_deref();
-        self.cluster.try_par_map(seed.parts(), |w, part| {
+        // A local fixpoint costs what it derives, which its seed does not
+        // bound — unless there is no seed (and no frontier to resume).
+        let idle = |part: &Relation| resumed.is_none() && part.is_empty();
+        let rows = |part: &Relation| if idle(part) { 0 } else { usize::MAX };
+        self.cluster.try_par_map_sized(seed.parts(), rows, |w, part| {
             let ctx = LoopCtx {
                 budget,
                 fault,

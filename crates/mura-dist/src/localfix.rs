@@ -26,8 +26,9 @@ use crate::sorted::SortedRelation;
 use mura_core::index::hash_values;
 use mura_core::kernel::kernel_stats;
 use mura_core::mem::{mem_gauge, rel_bytes};
+use mura_core::relation::check_room;
 use mura_core::{
-    CancellationToken, JoinIndex, KeyIndex, MuraError, Pred, Relation, Result, Row, Schema, Sym,
+    CancellationToken, JoinIndex, KeyIndex, MuraError, Pred, Relation, Result, Rows, Schema, Sym,
     Term, Value,
 };
 use mura_obs::trace::{EventKind, PlanKind, RecoveryKind, TraceEvent, TraceSink};
@@ -183,12 +184,13 @@ pub trait LocalRel: Sized + Clone + Send + Sync {
     fn union_with(&self, other: &Self) -> Self;
     fn minus_with(&self, other: &Self) -> Self;
     /// Iterates rows in the engine's native storage order.
-    fn iter_rows(&self) -> impl Iterator<Item = &Row>;
-    /// Builds from raw rows, deduplicating as the engine requires.
-    fn from_row_vec(schema: Schema, rows: Vec<Row>) -> Self;
+    fn iter_rows(&self) -> impl Iterator<Item = &[Value]>;
+    /// Builds from a bag of rows, deduplicating as the engine requires;
+    /// the bag's buffer becomes the relation's.
+    fn from_row_vec(schema: Schema, rows: Rows) -> Self;
     /// In-place accumulate: inserts the rows of `produced` that are absent
     /// and returns exactly those — the next semi-naive delta.
-    fn absorb_new(&mut self, produced: Vec<Row>) -> Self;
+    fn absorb_new(&mut self, produced: Rows) -> Self;
 }
 
 /// A predicate over operands of type `P`: row positions for a materialized
@@ -279,14 +281,14 @@ impl LocalRel for Relation {
     fn minus_with(&self, other: &Self) -> Self {
         self.minus(other)
     }
-    fn iter_rows(&self) -> impl Iterator<Item = &Row> {
+    fn iter_rows(&self) -> impl Iterator<Item = &[Value]> {
         self.iter()
     }
-    fn from_row_vec(schema: Schema, rows: Vec<Row>) -> Self {
-        Relation::from_rows(schema, rows)
+    fn from_row_vec(schema: Schema, rows: Rows) -> Self {
+        Relation::from_bag(schema, rows)
     }
-    fn absorb_new(&mut self, produced: Vec<Row>) -> Self {
-        Relation::absorb_new(self, produced)
+    fn absorb_new(&mut self, produced: Rows) -> Self {
+        Relation::absorb_new(self, &produced)
     }
 }
 
@@ -328,13 +330,13 @@ impl LocalRel for SortedRelation {
     fn minus_with(&self, other: &Self) -> Self {
         self.minus(other)
     }
-    fn iter_rows(&self) -> impl Iterator<Item = &Row> {
+    fn iter_rows(&self) -> impl Iterator<Item = &[Value]> {
         self.iter()
     }
-    fn from_row_vec(schema: Schema, rows: Vec<Row>) -> Self {
+    fn from_row_vec(schema: Schema, rows: Rows) -> Self {
         SortedRelation::from_rows(schema, rows)
     }
-    fn absorb_new(&mut self, produced: Vec<Row>) -> Self {
+    fn absorb_new(&mut self, produced: Rows) -> Self {
         SortedRelation::absorb_new(self, produced)
     }
 }
@@ -376,18 +378,23 @@ struct Chain {
     sources: usize,
 }
 
-/// What a superstep's chains produced, plus the probe counts they owe the
+/// What a superstep's chains produced — one flat buffer the rows are
+/// projected straight into — plus the probe counts they owe the
 /// process-wide kernel counters (flushed once, not per row).
-#[derive(Default)]
 struct Sink {
-    rows: Vec<Row>,
+    rows: Rows,
     join_probes: u64,
     antijoin_probes: u64,
 }
 
 impl Sink {
+    /// An empty sink for rows of `schema`.
+    fn new(schema: &Schema) -> Sink {
+        Sink { rows: Rows::new(schema.arity()), join_probes: 0, antijoin_probes: 0 }
+    }
+
     /// Hands the rows over and reports the counts.
-    fn finish(self) -> Vec<Row> {
+    fn finish(self) -> Rows {
         let stats = kernel_stats();
         stats.record_join_probes(self.join_probes);
         stats.record_antijoin_probes(self.antijoin_probes);
@@ -474,7 +481,7 @@ impl Chain {
     }
 
     /// Streams every input row through the stages into `sink`.
-    fn run<'a>(&'a self, input: impl Iterator<Item = &'a Row>, sink: &mut Sink) {
+    fn run<'a>(&'a self, input: impl Iterator<Item = &'a [Value]>, sink: &mut Sink) {
         let mut srcs: Vec<&'a [Value]> = Vec::with_capacity(self.sources);
         for row in input {
             srcs.push(row);
@@ -485,7 +492,7 @@ impl Chain {
 
     fn step<'a>(&'a self, at: usize, srcs: &mut Vec<&'a [Value]>, sink: &mut Sink) {
         let Some(stage) = self.stages.get(at) else {
-            sink.rows.push(self.cols.iter().map(|&(_, s)| srcs[s.row][s.pos]).collect());
+            sink.rows.push_values(self.cols.iter().map(|&(_, s)| srcs[s.row][s.pos]));
             return;
         };
         match stage {
@@ -583,7 +590,7 @@ impl<R: LocalRel> Node<R> {
                 a.rows_into(delta, sink);
                 b.rows_into(delta, sink);
             }
-            breaker => sink.rows.extend(breaker.materialize(delta).iter_rows().cloned()),
+            breaker => breaker.materialize(delta).iter_rows().for_each(|row| sink.rows.push(row)),
         }
     }
 
@@ -600,9 +607,10 @@ impl<R: LocalRel> Node<R> {
                 Cow::Owned(a.materialize(delta).antijoin_with(&b.materialize(delta)))
             }
             Node::Chain(..) | Node::Union(..) => {
-                let mut sink = Sink::default();
+                let schema = self.schema();
+                let mut sink = Sink::new(&schema);
                 self.rows_into(delta, &mut sink);
-                Cow::Owned(R::from_row_vec(self.schema(), sink.finish()))
+                Cow::Owned(R::from_row_vec(schema, sink.finish()))
             }
         }
     }
@@ -741,7 +749,7 @@ fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<
 /// rows as a relation of their own (used by `P_async` workers and the
 /// `P_gld` driver, which exchange them before they are accumulated).
 pub fn eval_branch<R: LocalRel>(p: &Prepared<R>, delta: &R) -> R {
-    let mut sink = Sink::default();
+    let mut sink = Sink::new(&p.schema);
     p.root.rows_into(delta, &mut sink);
     R::from_row_vec(p.schema.clone(), sink.finish())
 }
@@ -788,12 +796,14 @@ fn local_superstep<R: LocalRel>(
     }
     let stats = kernel_stats();
     let start = Instant::now();
-    let mut sink = Sink::default();
+    let mut sink = Sink::new(acc.schema());
     for p in prepared {
         assert_eq!(p.schema(), acc.schema(), "recursive branch and accumulator schemas differ");
         p.root.rows_into(delta, &mut sink);
     }
-    let new = acc.absorb_new(sink.finish());
+    let produced = sink.finish();
+    check_room(acc.len(), produced.len())?;
+    let new = acc.absorb_new(produced);
     stats.record_eval_time(start.elapsed());
     stats.record_iteration();
     budget.charge(new.len() as u64)?;

@@ -11,13 +11,15 @@
 //!   source workers before any acknowledgement is awaited (scatter/gather,
 //!   [`ProcInner::round`]), each worker forwards every bucket to its
 //!   destination peer over a worker↔worker connection, and the coordinator
-//!   then collects every destination's inbox the same way ([`Msg::Take`]),
-//!   decoding each reply straight into the destination partition. A retry
-//!   re-seals the same frames under a fresh exchange id; rows are never
-//!   encoded twice. Every exchanged partition genuinely crosses sockets,
-//!   so the [`crate::metrics::CommStats`] wire counters measure real
-//!   traffic — the basis of the paper's `P_plw` zero-communication claim,
-//!   asserted in measured bytes.
+//!   collects every destination's inbox the same way ([`Msg::Take`]),
+//!   decoding each reply straight into the destination partition. On the
+//!   first attempt the take travels right behind the relay — one round
+//!   trip per exchange ([`ProcInner::pipeline`]). A retry re-seals the
+//!   same frames under a fresh exchange id; rows are never encoded twice.
+//!   Every exchanged partition genuinely crosses sockets, so the
+//!   [`crate::metrics::CommStats`] wire counters measure real traffic —
+//!   the basis of the paper's `P_plw` zero-communication claim, asserted
+//!   in measured bytes.
 //! * `broadcast`: the relation is encoded into one [`Msg::Bcast`] frame and
 //!   the same bytes are shipped to every worker, again scatter/gather.
 //!
@@ -50,7 +52,7 @@ use crate::wire::{
     BucketFrame, Msg, WireError, WireResult, MAX_FRAME, SPAN_BCAST, SPAN_DELIVER, SPAN_RELAY,
     SPAN_TAKE, TAKE_REPLY_HEAD,
 };
-use mura_core::{Relation, Result, Row, Schema};
+use mura_core::{Relation, Result, Rows, Schema};
 use mura_obs::histogram::HistogramSnapshot;
 use mura_obs::{EventKind, Histogram, TraceEvent};
 use std::collections::VecDeque;
@@ -374,29 +376,76 @@ impl ProcInner {
         requests: &[(usize, &[u8])],
         mut on_reply: impl FnMut(usize, Msg<'_>, u64, u64) -> WireResult<()>,
     ) -> Vec<WireResult<()>> {
-        debug_assert!(requests.windows(2).all(|p| p[0].0 < p[1].0), "ascending workers");
-        let mut slots: Vec<_> =
-            requests.iter().map(|&(w, _)| self.slots[w].ctl.lock().unwrap()).collect();
-        let sent: Vec<_> = requests
-            .iter()
-            .zip(slots.iter_mut())
-            .map(|(&(w, frame), slot)| self.send(w, slot, frame))
-            .collect();
-        let gather = requests.iter().zip(slots.iter_mut()).zip(sent);
-        gather
-            .map(|((&(w, _), slot), sent)| {
-                let CtlSlot { conn, read_buf, .. } = &mut **slot;
-                let outcome = sent.and_then(|(tx, handshake_rx)| {
-                    let (reply, rx) = read_frame(conn.as_mut().expect("sent on it"), read_buf)?;
-                    self.count_rx(rx);
-                    on_reply(w, reply, tx, handshake_rx + rx)
-                });
-                if outcome.is_err() {
-                    *conn = None;
-                }
-                outcome
-            })
-            .collect()
+        debug_assert!(requests.windows(2).all(|p| p[0].0 < p[1].0), "one request per worker");
+        self.pipeline(requests, false, |i, reply, tx, rx| on_reply(requests[i].0, reply, tx, rx))
+    }
+
+    /// [`ProcInner::round`] with any number of requests per worker (still
+    /// in ascending worker order): a worker answers its requests in the
+    /// order they were written, so a request that needs no word from the
+    /// coordinator in between — a take behind a relay — goes out with the
+    /// one before it and costs no round trip of its own. The replies are
+    /// read rank by rank — every worker's first, then every worker's
+    /// second — and `on_reply` is given the index of the request answered.
+    ///
+    /// A failed request takes the later requests to the same worker with
+    /// it (their replies are behind a connection that is gone). When
+    /// `abandon` is set it takes the rest of the round too: the replies not
+    /// yet read are left unread and their connections dropped. That is for
+    /// requests that wait on each other's workers — a take waits for what
+    /// the other workers were told to relay — where the answer to a failure
+    /// elsewhere is a timeout; reading by rank finds the failure (a relay's
+    /// acknowledgement) before anything is asked to wait for it.
+    fn pipeline(
+        &self,
+        requests: &[(usize, &[u8])],
+        abandon: bool,
+        mut on_reply: impl FnMut(usize, Msg<'_>, u64, u64) -> WireResult<()>,
+    ) -> Vec<WireResult<()>> {
+        debug_assert!(requests.windows(2).all(|p| p[0].0 <= p[1].0), "ascending workers");
+        // One lock per worker; request `i` is the `rank[i]`-th to its
+        // worker and finds the lock at `slot_of[i]`.
+        let mut slots = Vec::new();
+        let (mut slot_of, mut rank) = (Vec::new(), Vec::new());
+        for (i, &(w, _)) in requests.iter().enumerate() {
+            let again = i > 0 && requests[i - 1].0 == w;
+            if !again {
+                slots.push(self.slots[w].ctl.lock().unwrap());
+            }
+            slot_of.push(slots.len() - 1);
+            rank.push(if again { rank[i - 1] + 1 } else { 0 });
+        }
+        let lost = || WireError::Io(std::io::Error::other("connection lost earlier in the round"));
+        let mut sent: Vec<Option<WireResult<(u64, u64)>>> = Vec::with_capacity(requests.len());
+        for (i, &(w, frame)) in requests.iter().enumerate() {
+            let follows_failure = rank[i] > 0 && !matches!(sent[i - 1], Some(Ok(_)));
+            sent.push(Some(if follows_failure {
+                Err(lost())
+            } else {
+                self.send(w, &mut slots[slot_of[i]], frame)
+            }));
+        }
+        let mut order: Vec<usize> = (0..requests.len()).collect();
+        order.sort_by_key(|&i| rank[i]);
+        let mut outcomes: Vec<WireResult<()>> = requests.iter().map(|_| Ok(())).collect();
+        let mut failed = false;
+        for i in order {
+            let CtlSlot { conn, read_buf, .. } = &mut *slots[slot_of[i]];
+            let sent = sent[i].take().expect("every request is gathered once");
+            outcomes[i] = sent.and_then(|(tx, handshake_rx)| {
+                let Some(conn) = conn.as_mut().filter(|_| !(abandon && failed)) else {
+                    return Err(lost());
+                };
+                let (reply, rx) = read_frame(conn, read_buf)?;
+                self.count_rx(rx);
+                on_reply(i, reply, tx, handshake_rx + rx)
+            });
+            if outcomes[i].is_err() {
+                failed = true;
+                *conn = None;
+            }
+        }
+        outcomes
     }
 
     /// Sends the control message `msg` to every worker in one round;
@@ -761,11 +810,19 @@ impl ProcCluster {
     }
 
     /// One attempt of an exchange: seal every source's relay under a fresh
-    /// exchange id and scatter them, apply the kill injection between the
-    /// phases (buffered data is genuinely lost), then scatter the takes and
-    /// decode every destination's inbox into its partition. It is handed
-    /// frames, not rows: nothing is encoded here, whichever attempt this
-    /// is. Errors name the worker so the caller can repair it.
+    /// exchange id, send the relays and the takes, and decode every
+    /// destination's inbox into its partition. It is handed frames, not
+    /// rows: nothing is encoded here, whichever attempt this is. Errors
+    /// name the worker so the caller can repair it.
+    ///
+    /// The first attempt of an exchange no fault plan is aimed at sends each
+    /// worker its take right behind its relay ([`ProcInner::pipeline`]): the
+    /// worker forwards, acknowledges and goes on to wait for its own inbox
+    /// without hearing from the coordinator in between, which sleeps once
+    /// per exchange instead of twice. Under a fault plan, and on every
+    /// retry, the two phases are two rounds, with the kill injection in
+    /// between (buffered data is genuinely lost) and no take sent to
+    /// workers that wait for a relay that failed.
     fn try_exchange(
         &self,
         ctx: &ExchangeCtx<'_>,
@@ -795,27 +852,8 @@ impl ProcCluster {
         for (from, relay) in relays.iter_mut().enumerate() {
             relay.seal_relay(xid, watermark).map_err(|e| (from, e))?;
         }
-        let sources: Vec<(usize, &[u8])> = relays
-            .iter()
-            .enumerate()
-            .filter(|(_, relay)| relay.count() > 0)
-            .map(|(from, relay)| (from, relay.bytes()))
-            .collect();
-        let acks = inner.round(&sources, |from, reply, tx, rx| {
-            ctx.metrics.record_wire_tx(tx, relays[from].payload_bytes());
-            ctx.metrics.record_wire_rx(rx, 0);
-            expect_ok(reply)
-        });
-        first_failure(&sources, acks)?;
-        // Injection point: between relay and collect, so a killed worker
-        // takes its buffered buckets down with it.
-        for w in 0..inner.n {
-            if ctx.fault.kill_worker(ctx.site, w, attempt) {
-                inner.kill(w);
-            }
-        }
-        let takes: Vec<(usize, Vec<u8>)> = (0..inner.n)
-            .filter(|&to| expect[to] > 0)
+        let relays = &*relays;
+        let takes: Vec<Option<Vec<u8>>> = (0..inner.n)
             .map(|to| {
                 let take = Msg::Take {
                     xid,
@@ -823,14 +861,20 @@ impl ProcCluster {
                     timeout_ms: inner.cfg.take_timeout.as_millis() as u64,
                     ctx: ctx.trace,
                 };
-                (to, framed(&take).expect("a take request is a small frame"))
+                (expect[to] > 0).then(|| framed(&take).expect("a take request is a small frame"))
             })
             .collect();
-        let destinations: Vec<(usize, &[u8])> =
-            takes.iter().map(|(to, frame)| (*to, &frame[..])).collect();
+        let relay_of =
+            |from: usize| (relays[from].count() > 0).then(|| (from, relays[from].bytes()));
+        let take_of = |to: usize| takes[to].as_deref().map(|frame| (to, frame));
         let mut parts: Vec<Relation> =
             (0..inner.n).map(|_| Relation::new(schema.clone())).collect();
-        let collected = inner.round(&destinations, |to, reply, tx, rx| {
+        let acked = |from: usize, reply: Msg<'_>, tx: u64, rx: u64| {
+            ctx.metrics.record_wire_tx(tx, relays[from].payload_bytes());
+            ctx.metrics.record_wire_rx(rx, 0);
+            expect_ok(reply)
+        };
+        let mut taken = |to: usize, reply: Msg<'_>, tx: u64, rx: u64| {
             ctx.metrics.record_wire_tx(tx, 0);
             let Msg::TakeReply(got) = reply else {
                 return Err(WireError::Malformed("unexpected take reply"));
@@ -845,8 +889,42 @@ impl ProcCluster {
                 ))));
             }
             got.iter().try_for_each(|(_, payload)| decode_rows_into(payload, &mut parts[to]))
-        });
-        first_failure(&destinations, collected)?;
+        };
+        if attempt == 0 && !ctx.fault.is_active() {
+            // Per worker its relay, then its take.
+            let (mut requests, mut is_take) = (Vec::new(), Vec::new());
+            for w in 0..inner.n {
+                if let Some(relay) = relay_of(w) {
+                    requests.push(relay);
+                    is_take.push(false);
+                }
+                if let Some(take) = take_of(w) {
+                    requests.push(take);
+                    is_take.push(true);
+                }
+            }
+            let outcomes = inner.pipeline(&requests, true, |i, reply, tx, rx| {
+                let w = requests[i].0;
+                if is_take[i] {
+                    taken(w, reply, tx, rx)
+                } else {
+                    acked(w, reply, tx, rx)
+                }
+            });
+            first_failure(&requests, outcomes)?;
+        } else {
+            let sources: Vec<(usize, &[u8])> = (0..inner.n).filter_map(relay_of).collect();
+            first_failure(&sources, inner.round(&sources, acked))?;
+            // Injection point: between relay and collect, so a killed
+            // worker takes its buffered buckets down with it.
+            for w in 0..inner.n {
+                if ctx.fault.kill_worker(ctx.site, w, attempt) {
+                    inner.kill(w);
+                }
+            }
+            let destinations: Vec<(usize, &[u8])> = (0..inner.n).filter_map(take_of).collect();
+            first_failure(&destinations, inner.round(&destinations, taken))?;
+        }
         Ok(parts)
     }
 }
@@ -897,7 +975,7 @@ impl CommBackend for ProcCluster {
         &self,
         ctx: &ExchangeCtx<'_>,
         schema: &Schema,
-        buckets: Vec<Vec<Vec<Row>>>,
+        buckets: Vec<Vec<Rows>>,
     ) -> Result<Vec<Relation>> {
         let n = self.inner.n;
         assert_eq!(ctx.workers, n, "exchange shape must match the process cluster");

@@ -2,35 +2,81 @@
 //!
 //! Stands in for the per-worker PostgreSQL instances of the paper's
 //! `P_plw^pg` plan (Fig. 7 compares it against the hash-based SetRDD
-//! implementation): relations are kept as sorted, deduplicated row vectors;
-//! joins are sort-merge joins; unions and differences are linear merges.
+//! implementation): a relation is one flat [`Rows`] buffer — the container
+//! the hash engine stores its rows in — kept sorted and duplicate-free
+//! instead of indexed by a table; joins are sort-merge joins; unions and
+//! differences are linear merges. Sorting orders a permutation of row ids
+//! and gathers the rows once; keys are compared where they are, by
+//! position, never copied out.
 
 use mura_core::relation::join_plan;
-use mura_core::{Relation, Row, Schema, Sym, Value};
+use mura_core::{Relation, Rows, Schema, Sym, Value};
+use std::cmp::Ordering;
 
-/// A relation stored as a sorted `Vec<Row>` (no duplicates).
+/// A relation stored as sorted rows (no duplicates) in one buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortedRelation {
     schema: Schema,
-    rows: Vec<Row>,
+    rows: Rows,
+}
+
+/// The rows of `bag` in order, each once.
+fn sort_dedup(bag: &Rows) -> Rows {
+    let ids = bag.sorted_ids();
+    let mut out = Rows::with_capacity(bag.arity(), ids.len());
+    let mut last: Option<&[Value]> = None;
+    for &id in &ids {
+        let row = bag.get(id as usize);
+        if last != Some(row) {
+            out.push(row);
+            last = Some(row);
+        }
+    }
+    out
+}
+
+/// Orders `a`'s values at `a_pos` against `b`'s at `b_pos`, position by
+/// position.
+fn cmp_keys(a: &[Value], a_pos: &[usize], b: &[Value], b_pos: &[usize]) -> Ordering {
+    a_pos.iter().map(|&p| a[p]).cmp(b_pos.iter().map(|&p| b[p]))
+}
+
+/// Walks two sorted, duplicate-free buffers in step: `visit` sees every
+/// row of either once, in order, with `Less` for a row only `a` has,
+/// `Greater` for one only `b` has and `Equal` for one they share.
+fn merge_walk<'a>(a: &'a Rows, b: &'a Rows, mut visit: impl FnMut(Ordering, &'a [Value])) {
+    let (mut left, mut right) = (a.iter().peekable(), b.iter().peekable());
+    loop {
+        let side = match (left.peek(), right.peek()) {
+            (Some(l), Some(r)) => l.cmp(r),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return,
+        };
+        let row = if side == Ordering::Greater { right.next() } else { left.next() };
+        if side == Ordering::Equal {
+            right.next();
+        }
+        visit(side, row.expect("peeked"));
+    }
 }
 
 impl SortedRelation {
     /// Empty relation.
     pub fn new(schema: Schema) -> Self {
-        SortedRelation { schema, rows: Vec::new() }
+        let rows = Rows::new(schema.arity());
+        SortedRelation { schema, rows }
     }
 
     /// Converts from a hash relation (sorts once).
     pub fn from_relation(rel: &Relation) -> Self {
-        let mut rows: Vec<Row> = rel.iter().cloned().collect();
-        rows.sort_unstable();
-        SortedRelation { schema: rel.schema().clone(), rows }
+        SortedRelation { schema: rel.schema().clone(), rows: sort_dedup(rel.rows()) }
     }
 
-    /// Converts back to a hash relation.
+    /// Converts back to a hash relation (one copy of the buffer; the rows
+    /// are distinct already, so none is looked up).
     pub fn to_relation(&self) -> Relation {
-        Relation::from_rows(self.schema.clone(), self.rows.iter().cloned())
+        Relation::from_distinct(self.schema.clone(), self.rows.clone())
     }
 
     /// The schema.
@@ -49,27 +95,19 @@ impl SortedRelation {
     }
 
     /// Iterates rows in sorted order.
-    pub fn iter(&self) -> impl Iterator<Item = &Row> {
+    pub fn iter(&self) -> impl Iterator<Item = &[Value]> {
         self.rows.iter()
     }
 
-    /// Builds from raw rows (sorts and deduplicates once).
-    pub fn from_rows(schema: Schema, rows: Vec<Row>) -> Self {
-        SortedRelation::from_sorted(schema, rows)
-    }
-
-    fn from_sorted(schema: Schema, mut rows: Vec<Row>) -> Self {
-        rows.sort_unstable();
-        rows.dedup();
-        SortedRelation { schema, rows }
+    /// Builds from a bag of rows (sorts and deduplicates once).
+    pub fn from_rows(schema: Schema, rows: Rows) -> Self {
+        assert_eq!(rows.arity(), schema.arity(), "row arity != schema arity");
+        SortedRelation { schema, rows: sort_dedup(&rows) }
     }
 
     /// Rows satisfying `pred`.
     pub fn filter(&self, pred: impl Fn(&[Value]) -> bool) -> SortedRelation {
-        SortedRelation {
-            schema: self.schema.clone(),
-            rows: self.rows.iter().filter(|r| pred(r)).cloned().collect(),
-        }
+        SortedRelation { schema: self.schema.clone(), rows: self.rows.filter(pred) }
     }
 
     /// ρ_from^to.
@@ -83,9 +121,7 @@ impl SortedRelation {
                 self.schema.position(oc).unwrap()
             })
             .collect();
-        let rows: Vec<Row> =
-            self.rows.iter().map(|r| perm.iter().map(|&p| r[p]).collect::<Row>()).collect();
-        SortedRelation::from_sorted(new_schema, rows)
+        SortedRelation::from_rows(new_schema, self.rows.project(&perm))
     }
 
     /// π̃ of the given columns (sort + dedup).
@@ -93,9 +129,7 @@ impl SortedRelation {
         let new_schema = self.schema.antiproject(drop).expect("invalid antiprojection");
         let keep: Vec<usize> =
             new_schema.columns().iter().map(|&c| self.schema.position(c).unwrap()).collect();
-        let rows: Vec<Row> =
-            self.rows.iter().map(|r| keep.iter().map(|&p| r[p]).collect::<Row>()).collect();
-        SortedRelation::from_sorted(new_schema, rows)
+        SortedRelation::from_rows(new_schema, self.rows.project(&keep))
     }
 
     /// Sort-merge natural join on the common columns.
@@ -104,33 +138,27 @@ impl SortedRelation {
         if self.is_empty() || other.is_empty() {
             return SortedRelation::new(plan.out_schema);
         }
-        // Sort both sides by join key.
-        let key_of = |row: &Row, pos: &[usize]| -> Row { pos.iter().map(|&p| row[p]).collect() };
-        let mut left: Vec<(Row, &Row)> =
-            self.rows.iter().map(|r| (key_of(r, &plan.left_key), r)).collect();
-        let mut right: Vec<(Row, &Row)> =
-            other.rows.iter().map(|r| (key_of(r, &plan.right_key), r)).collect();
-        left.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        right.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut out = Vec::new();
+        let (lk, rk) = (&plan.left_key[..], &plan.right_key[..]);
+        // Both sides in join-key order, as permutations of their row ids.
+        let left = self.rows.sorted_ids_by(|a, b| cmp_keys(a, lk, b, lk));
+        let right = other.rows.sorted_ids_by(|a, b| cmp_keys(a, rk, b, rk));
+        let lrow = |i: usize| self.rows.get(left[i] as usize);
+        let rrow = |j: usize| other.rows.get(right[j] as usize);
+        let mut out = Rows::new(plan.out_src.len());
         let (mut i, mut j) = (0usize, 0usize);
         while i < left.len() && j < right.len() {
-            match left[i].0.cmp(&right[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
+            match cmp_keys(lrow(i), lk, rrow(j), rk) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
                     // Emit the cross product of the equal-key groups.
-                    let key = left[i].0.clone();
-                    let i_end = left[i..].iter().take_while(|(k, _)| *k == key).count() + i;
-                    let j_end = right[j..].iter().take_while(|(k, _)| *k == key).count() + j;
-                    for (_, lrow) in &left[i..i_end] {
-                        for (_, rrow) in &right[j..j_end] {
-                            let row: Row = plan
-                                .out_src
-                                .iter()
-                                .map(|&(from_left, p)| if from_left { lrow[p] } else { rrow[p] })
-                                .collect();
-                            out.push(row);
+                    let same_left = |k: &usize| cmp_keys(lrow(*k), lk, lrow(i), lk).is_eq();
+                    let same_right = |k: &usize| cmp_keys(rrow(*k), rk, rrow(j), rk).is_eq();
+                    let i_end = i + (i..left.len()).take_while(same_left).count();
+                    let j_end = j + (j..right.len()).take_while(same_right).count();
+                    for l in (i..i_end).map(lrow) {
+                        for r in (j..j_end).map(rrow) {
+                            plan.push_joined(&mut out, l, r);
                         }
                     }
                     i = i_end;
@@ -138,7 +166,7 @@ impl SortedRelation {
                 }
             }
         }
-        SortedRelation::from_sorted(plan.out_schema, out)
+        SortedRelation::from_rows(plan.out_schema, out)
     }
 
     /// Merge union (schemas must match).
@@ -150,28 +178,9 @@ impl SortedRelation {
         if self.is_empty() {
             return other.clone();
         }
-        let mut out = Vec::with_capacity(self.rows.len() + other.rows.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.rows.len() && j < other.rows.len() {
-            match self.rows[i].cmp(&other.rows[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.rows[i].clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(other.rows[j].clone());
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(self.rows[i].clone());
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&self.rows[i..]);
-        out.extend(other.rows[j..].iter().cloned());
-        SortedRelation { schema: self.schema.clone(), rows: out }
+        let mut rows = Rows::with_capacity(self.rows.arity(), self.len() + other.len());
+        merge_walk(&self.rows, &other.rows, |_, row| rows.push(row));
+        SortedRelation { schema: self.schema.clone(), rows }
     }
 
     /// Merge difference `self \ other`.
@@ -180,50 +189,24 @@ impl SortedRelation {
         if other.is_empty() || self.is_empty() {
             return self.clone();
         }
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.rows.len() {
-            if j >= other.rows.len() {
-                out.extend(self.rows[i..].iter().cloned());
-                break;
+        let mut rows = Rows::new(self.rows.arity());
+        merge_walk(&self.rows, &other.rows, |side, row| {
+            if side == Ordering::Less {
+                rows.push(row);
             }
-            match self.rows[i].cmp(&other.rows[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.rows[i].clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        SortedRelation { schema: self.schema.clone(), rows: out }
+        });
+        SortedRelation { schema: self.schema.clone(), rows }
     }
 
     /// In-place accumulate: merges in the rows of `produced` that are
-    /// absent and returns exactly those — the next semi-naive delta. Rows
-    /// already held are found by binary search and never copied; the merge
-    /// moves rows, it does not clone them.
-    pub fn absorb_new(&mut self, produced: Vec<Row>) -> SortedRelation {
-        let mut new = produced;
-        new.sort_unstable();
-        new.dedup();
-        new.retain(|row| self.rows.binary_search(row).is_err());
+    /// absent and returns exactly those — the next semi-naive delta. One
+    /// sort of `produced`, then two merges of flat buffers.
+    pub fn absorb_new(&mut self, produced: Rows) -> SortedRelation {
+        let new = SortedRelation::from_rows(self.schema.clone(), produced).minus(self);
         if !new.is_empty() {
-            let mut merged = Vec::with_capacity(self.rows.len() + new.len());
-            let mut added = new.iter().cloned().peekable();
-            for row in std::mem::take(&mut self.rows) {
-                while let Some(n) = added.next_if(|n| *n < row) {
-                    merged.push(n);
-                }
-                merged.push(row);
-            }
-            merged.extend(added);
-            self.rows = merged;
+            *self = self.union(&new);
         }
-        SortedRelation { schema: self.schema.clone(), rows: new }
+        new
     }
 
     /// Antijoin on common columns (sorted key lookup).
@@ -239,20 +222,15 @@ impl SortedRelation {
         let my_pos: Vec<usize> = common.iter().map(|&c| self.schema.position(c).unwrap()).collect();
         let their_pos: Vec<usize> =
             common.iter().map(|&c| other.schema.position(c).unwrap()).collect();
-        let mut keys: Vec<Row> =
-            other.rows.iter().map(|r| their_pos.iter().map(|&p| r[p]).collect::<Row>()).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let rows = self
-            .rows
-            .iter()
-            .filter(|r| {
-                let k: Row = my_pos.iter().map(|&p| r[p]).collect();
-                keys.binary_search(&k).is_err()
-            })
-            .cloned()
-            .collect();
-        SortedRelation { schema: self.schema.clone(), rows }
+        // The other side in key order; its keys are searched where they are.
+        let theirs = other.rows.sorted_ids_by(|a, b| cmp_keys(a, &their_pos, b, &their_pos));
+        self.filter(|r| {
+            theirs
+                .binary_search_by(|&id| {
+                    cmp_keys(other.rows.get(id as usize), &their_pos, r, &my_pos)
+                })
+                .is_err()
+        })
     }
 }
 
@@ -291,8 +269,8 @@ mod tests {
         assert_eq!(j_sorted.to_relation().sorted_rows(), j_hash.sorted_rows());
         assert_eq!(s1.antijoin(&s2).to_relation().sorted_rows(), r1.antijoin(&r2).sorted_rows());
         let (mut acc_sorted, mut acc_hash) = (s1.clone(), r1.clone());
-        let delta_sorted = acc_sorted.absorb_new(r2.iter().cloned().collect());
-        let delta_hash = acc_hash.absorb_new(r2.iter().cloned());
+        let delta_sorted = acc_sorted.absorb_new(r2.rows().clone());
+        let delta_hash = acc_hash.absorb_new(r2.rows());
         assert_eq!(delta_sorted.to_relation().sorted_rows(), delta_hash.sorted_rows());
         assert_eq!(acc_sorted, SortedRelation::from_relation(&acc_hash));
     }
@@ -339,10 +317,10 @@ mod tests {
         let empty_other = SortedRelation::new(Schema::new(vec![a]));
         let s = SortedRelation::from_relation(&r);
         assert_eq!(s.antijoin(&empty_other).len(), 1);
-        let nonempty = SortedRelation::from_sorted(
+        let nonempty = SortedRelation::from_relation(&Relation::from_rows(
             Schema::new(vec![a]),
-            vec![vec![Value::node(9)].into_boxed_slice()],
-        );
+            [[Value::node(9)]],
+        ));
         assert_eq!(s.antijoin(&nonempty).len(), 0);
     }
 }

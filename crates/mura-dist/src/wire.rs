@@ -32,7 +32,7 @@
 //! socket bytes.
 
 use mura_core::codec::{self, put_bytes_with, put_u32, put_u64, CodecError, Cur};
-use mura_core::{MuraError, Relation, Row, Schema};
+use mura_core::{MuraError, Relation, Row, Schema, Value};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -644,7 +644,11 @@ impl BucketFrame {
     }
 
     /// Encodes `rows` as the bucket for `peer`, straight into the frame.
-    pub fn push_rows(&mut self, peer: u32, arity: usize, rows: &[Row]) {
+    pub fn push_rows<I>(&mut self, peer: u32, arity: usize, rows: I)
+    where
+        I: IntoIterator + Clone,
+        I::Item: AsRef<[Value]>,
+    {
         self.push_with(peer, |buf| codec::put_rows(buf, arity, rows));
     }
 
@@ -732,7 +736,11 @@ pub fn bcast_frame(ctx: TraceCtx, rel: &Relation) -> WireResult<(Vec<u8>, u64)> 
 // ------------------------------------------------------------- row codec
 
 /// Encodes a bucket of rows as one [`mura_core::codec`] row block.
-pub fn encode_rows(arity: usize, rows: &[Row]) -> Vec<u8> {
+pub fn encode_rows<I>(arity: usize, rows: I) -> Vec<u8>
+where
+    I: IntoIterator + Clone,
+    I::Item: AsRef<[Value]>,
+{
     let mut out = Vec::new();
     codec::put_rows(&mut out, arity, rows);
     out
@@ -745,16 +753,17 @@ fn row_block(buf: &[u8], arity: usize) -> WireResult<codec::RowBlock<'_>> {
     Ok(block)
 }
 
-/// Decodes a bucket encoded by [`encode_rows`], checking the arity against
-/// `expected_arity`.
+/// Decodes a bucket encoded by [`encode_rows`] into owned rows, checking
+/// the arity against `expected_arity`.
 pub fn decode_rows(buf: &[u8], expected_arity: usize) -> WireResult<Vec<Row>> {
-    Ok(row_block(buf, expected_arity)?.collect())
+    Ok(row_block(buf, expected_arity)?.decode().iter().map(Row::from).collect())
 }
 
-/// Decodes a bucket straight into `dest` (reserved once for the bucket's
-/// row count; no intermediate row vector).
+/// Decodes a bucket — a block of distinct rows — into `dest`: one buffer,
+/// reserved for the block's row count, that an empty `dest` takes over as
+/// its own and a non-empty one inserts from.
 pub fn decode_rows_into(buf: &[u8], dest: &mut Relation) -> WireResult<()> {
-    dest.extend(row_block(buf, dest.schema().arity())?);
+    dest.absorb_rows(row_block(buf, dest.schema().arity())?.decode());
     Ok(())
 }
 
@@ -1117,6 +1126,33 @@ mod tests {
         let mut dest = Relation::from_pairs(src, dst, [(1, 2), (7, 8)]);
         decode_rows_into(&buf, &mut dest).unwrap();
         assert_eq!(dest.len(), 4);
+    }
+
+    #[test]
+    fn nullary_relations_cross_the_wire() {
+        // The relation of no columns is `false` (no row) or `true` (the
+        // empty row): its block is a header and a count, no row bytes.
+        let no = Relation::new(Schema::empty());
+        let yes = Relation::from_rows(Schema::empty(), [[]]);
+        for rel in [&no, &yes] {
+            let buf = encode_relation(rel);
+            assert_eq!(buf.len(), 12);
+            assert_eq!(&decode_relation(&buf, rel.schema()).unwrap(), rel);
+            assert_eq!(decode_rows(&buf, 0).unwrap().len(), rel.len());
+            let (frame, payload) = bcast_frame(TraceCtx::default(), rel).unwrap();
+            assert_eq!(payload, 12);
+            let mut read = Vec::new();
+            let (msg, _) = read_frame(&mut frame.as_slice(), &mut read).unwrap();
+            let Msg::Bcast { payload, .. } = msg else { panic!("not a broadcast: {msg:?}") };
+            assert_eq!(&decode_relation(payload, rel.schema()).unwrap(), rel);
+        }
+        // Decoding `true` into `true` leaves one row; two rows are a lie.
+        let mut dest = yes.clone();
+        decode_rows_into(&encode_relation(&yes), &mut dest).unwrap();
+        assert_eq!(dest, yes);
+        let mut lie = encode_relation(&yes);
+        lie[4..12].copy_from_slice(&2u64.to_le_bytes());
+        assert!(decode_relation(&lie, yes.schema()).is_err());
     }
 
     #[test]

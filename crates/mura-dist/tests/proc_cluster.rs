@@ -21,7 +21,7 @@
 //! The chaos CI job sweeps `MURA_CHAOS_SEED` over a seed matrix through
 //! these same tests.
 
-use mura_core::{eval, Relation, Row, Schema, Sym, Value};
+use mura_core::{eval, Relation, Rows, Schema, Sym, Value};
 use mura_datagen::{erdos_renyi, with_random_labels, SplitMix64};
 use mura_dist::{
     Cluster, CommBackend, DistRel, ExecConfig, FaultConfig, FaultPlan, FaultSnapshot, FixpointPlan,
@@ -509,12 +509,13 @@ fn a_retried_exchange_encodes_its_rows_exactly_once() {
         .with_faults(plan.clone(), RecoveryPolicy::default());
     let schema = Schema::new(vec![Sym(0), Sym(1)]);
     let per_bucket = 50;
-    let bucket = |from: usize, to: usize| -> Vec<Row> {
+    let bucket = |from: usize, to: usize| -> Rows {
+        let mut rows = Rows::new(2);
         (0..per_bucket)
-            .map(|i| vec![Value::node((from * 2 + to) as u64), Value::node(i)].into_boxed_slice())
-            .collect()
+            .for_each(|i| rows.push(&[Value::node((from * 2 + to) as u64), Value::node(i)]));
+        rows
     };
-    let buckets: Vec<Vec<Vec<Row>>> =
+    let buckets: Vec<Vec<Rows>> =
         (0..workers).map(|from| (0..workers).map(|to| bucket(from, to)).collect()).collect();
     let rows = (workers * workers) as u64 * per_bucket;
     let block = mura_dist::wire::encode_rows(2, &buckets[0][0]).len() as u64;
@@ -525,9 +526,9 @@ fn a_retried_exchange_encodes_its_rows_exactly_once() {
     for (to, part) in parts.iter().enumerate() {
         let want = Relation::from_rows(
             schema.clone(),
-            (0..workers).flat_map(|from| buckets[from][to].iter().cloned()),
+            (0..workers).flat_map(|from| buckets[from][to].iter()),
         );
-        assert_eq!(part.sorted_rows(), want.sorted_rows(), "partition {to}");
+        assert_eq!(part, &want, "partition {to}");
     }
     let faults = plan.snapshot();
     assert_eq!(faults.dropped_connections, workers as u64, "{faults}");
@@ -564,9 +565,14 @@ fn out_of_band_sigkill_is_detected_respawned_and_queries_stay_exact() {
     };
 
     assert!(cluster.kill_worker_process(1), "worker 1 should be running");
-    // Query issued while the worker is dead: the exchange path repairs it.
+    // Query issued while the worker is dead: the exchange path repairs it,
+    // and learns of the death from a relay that is not acknowledged, not
+    // from workers 0 and 2 waiting out a take for buckets that never come.
+    let asked = Instant::now();
     let (got, _, _) = run_on(&db, TC_QUERY, config());
     assert_eq!(got.sorted_rows(), expected.sorted_rows(), "query during worker death diverged");
+    let take_timeout = ProcClusterConfig::default().take_timeout;
+    assert!(asked.elapsed() < take_timeout, "waited out a take: {:?}", asked.elapsed());
 
     // The supervisor (or the exchange) must have respawned it.
     let deadline = Instant::now() + Duration::from_secs(5);

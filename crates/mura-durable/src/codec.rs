@@ -80,17 +80,20 @@ pub fn get_schema(cur: &mut Cur) -> Result<Schema, CodecError> {
 }
 
 /// Encodes a relation: schema, then one row block of the rows in sorted
-/// order so the encoding is canonical.
+/// order so the encoding is canonical. The order is a permutation of row
+/// ids; the rows are read where they are.
 pub fn put_relation(out: &mut Vec<u8>, r: &Relation) {
     put_schema(out, r.schema());
-    put_rows(out, r.schema().arity(), &r.sorted_rows());
+    let (rows, ids) = (r.rows(), r.sorted_ids());
+    put_rows(out, r.schema().arity(), ids.iter().map(|&id| rows.get(id as usize)));
 }
 
-/// Decodes a relation.
+/// Decodes a relation. The block is deduplicated as it is taken over: the
+/// bytes come from a file, which need not hold what [`put_relation`] wrote.
 pub fn get_relation(cur: &mut Cur) -> Result<Relation, CodecError> {
     let schema = get_schema(cur)?;
-    let rows = get_rows(cur, schema.arity())?;
-    Ok(Relation::from_rows(schema, rows))
+    let rows = get_rows(cur, schema.arity())?.decode();
+    Ok(Relation::from_bag(schema, rows))
 }
 
 /// Encodes a filter predicate.
@@ -385,6 +388,16 @@ pub fn get_feedback(cur: &mut Cur) -> Result<FeedbackState, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const GOLDEN_RELATION_HEX: &str = concat!(
+        "0200000003000000050000000200000005000000000000000303",
+        "00feffffffffffffff000500000000000000",
+        "000c0000000000000000d8ffffffffffffff",
+        "000c0000000000000000fcffffffffffffff",
+        "007011010000000000010900000000000000",
+        "010100000000000000000c00000000000000",
+    );
+    const GOLDEN_TERM_KEY: u64 = 320_078_368_045_480_595;
     use mura_rewrite::FeedbackStore;
 
     fn sample_db() -> Database {
@@ -430,6 +443,31 @@ mod tests {
         let back = get_term(&mut cur).unwrap();
         cur.expect_done().unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn relation_bytes_and_term_keys_are_the_recorded_ones() {
+        // Canonical forms other state depends on: snapshot bytes (format
+        // stays at 2) and the term keys caches and views are filed under.
+        // Rows go in unsorted and mixed; what comes out was recorded when
+        // both were produced from a sorted vector of boxed rows.
+        assert_eq!(crate::snapshot::SNAP_FORMAT, 2);
+        let rel = Relation::from_rows(
+            Schema::new(vec![Sym(3), Sym(5)]),
+            [
+                [Value::Int(70_000), Value::Str(Sym(9))],
+                [Value::Int(-2), Value::Int(5)],
+                [Value::Int(12), Value::Int(-40)],
+                [Value::Str(Sym(1)), Value::Int(12)],
+                [Value::Int(12), Value::Int(-4)],
+            ],
+        );
+        let mut out = Vec::new();
+        put_relation(&mut out, &rel);
+        let hex: String = out.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_RELATION_HEX);
+        let term = Term::cst(rel).rename(Sym(3), Sym(4)).union(Term::var(Sym(8))).fix(Sym(8));
+        assert_eq!(mura_core::term_key(&term), GOLDEN_TERM_KEY);
     }
 
     #[test]

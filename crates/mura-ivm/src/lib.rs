@@ -123,8 +123,8 @@ impl DeltaBatch {
         for (rel, d) in self.rels.iter_mut() {
             let cur = db.relation(*rel).ok_or(MuraError::UnboundVariable(*rel))?;
             // `(R \ delete) ∪ insert`: a row in both sides ends up present.
-            let delete = filter_rows(&d.delete, |row| cur.contains(row) && !d.insert.contains(row));
-            let insert = filter_rows(&d.insert, |row| !cur.contains(row));
+            let delete = d.delete.filter(|row| cur.contains(row) && !d.insert.contains(row));
+            let insert = d.insert.filter(|row| !cur.contains(row));
             d.delete = delete;
             d.insert = insert;
             if d.is_empty() {
@@ -169,7 +169,7 @@ impl DeltaBatch {
                 }
             }
             for row in d.insert.iter() {
-                if next.insert(row.clone()) {
+                if next.insert(row) {
                     ins += 1;
                 }
             }
@@ -177,16 +177,6 @@ impl DeltaBatch {
         }
         Ok((ins, del, old))
     }
-}
-
-fn filter_rows(rel: &Relation, mut keep: impl FnMut(&[mura_core::Value]) -> bool) -> Relation {
-    let mut out = Relation::new(rel.schema().clone());
-    for row in rel.iter() {
-        if keep(row) {
-            out.insert(row.clone());
-        }
-    }
-    out
 }
 
 /// Why maintenance refused a plan and a full recomputation is required.
@@ -481,13 +471,7 @@ fn old_value(rel: Sym, old_rels: &FxHashMap<Sym, Relation>, new_db: &Database) -
 }
 
 fn intersect(a: &Relation, b: &Relation) -> Relation {
-    let mut out = Relation::new(a.schema().clone());
-    for row in a.iter() {
-        if b.contains(row) {
-            out.insert(row.clone());
-        }
-    }
-    out
+    a.filter(|row| b.contains(row))
 }
 
 /// True when a changed relation occurs anywhere under the right-hand side
@@ -599,13 +583,13 @@ mod tests {
         let mut delta = resume.delta.clone();
         for row in seed.iter() {
             if !resume.acc.contains(row) {
-                delta.insert(row.clone());
+                delta.insert(row);
             }
         }
         let mut acc = resume.acc.clone();
         acc.absorb(seed);
         for row in delta.iter() {
-            acc.insert(row.clone());
+            acc.insert(row);
         }
         while !delta.is_empty() {
             let x_d = Term::cst(delta.clone());

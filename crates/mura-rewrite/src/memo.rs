@@ -104,7 +104,7 @@ pub fn canon_key(t: &Term, dict: &Dictionary, pinned: &[Sym]) -> u64 {
                 for c in r.schema().columns() {
                     ctx.sym(*c, h);
                 }
-                for row in r.sorted_rows() {
+                for row in r.iter_sorted() {
                     row.hash(h);
                 }
             }

@@ -40,6 +40,7 @@
 
 use crate::error::ServeResult;
 use crate::server::{Client, Server};
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -299,13 +300,10 @@ fn handle_connection(stream: TcpStream, client: &Client) -> io::Result<()> {
             _ if line.starts_with('.') => {
                 write_block(&mut out, &format!("ERR unknown command '{line}'"), &[])?;
             }
-            query => {
-                let result = run_query(client, query, deadline);
-                match result {
-                    Ok((header, rows)) => write_block(&mut out, &header, &rows)?,
-                    Err(e) => write_block(&mut out, &format!("ERR {e}"), &[])?,
-                }
-            }
+            query => match run_query(client, query, deadline) {
+                Ok(response) => send(&mut out, &response)?,
+                Err(e) => write_block(&mut out, &format!("ERR {e}"), &[])?,
+            },
         }
     }
 }
@@ -417,45 +415,68 @@ fn run_profile(client: &Client, query: &str) -> ServeResult<QueryBlock> {
     Ok((header, body))
 }
 
-fn run_query(client: &Client, query: &str, deadline: Option<Duration>) -> ServeResult<QueryBlock> {
+/// Runs a query and renders the whole response — status line, one body
+/// line per row in sorted order, terminator — into one buffer.
+fn run_query(client: &Client, query: &str, deadline: Option<Duration>) -> ServeResult<String> {
     let out = client.submit(query, deadline)?.wait()?;
+    let rel = &out.relation;
     // A query that hit faults but recovered still answers with `OK` — the
     // result is exact — plus a typed degradation note, instead of dropping
     // the connection or failing the query.
-    let mut header = format!(
+    let mut buf = String::with_capacity(96 + rel.len() * (4 + 8 * rel.schema().arity()));
+    let _ = write!(
+        buf,
         "OK {} rows planning={:.1?} execution={:.1?}",
-        out.relation.len(),
+        rel.len(),
         out.planning,
         out.execution,
     );
     if let Some(note) = out.health_note() {
-        header.push_str(&format!(" [{note}]"));
+        let _ = write!(buf, " [{note}]");
     }
-    let rows = out
-        .relation
-        .sorted_rows()
-        .iter()
-        .map(|row| {
-            let vals: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
-            format!("({})", vals.join(", "))
-        })
-        .collect();
-    Ok((header, rows))
+    buf.push('\n');
+    render_rows(rel, &mut buf);
+    end_block(&mut buf);
+    Ok(buf)
+}
+
+/// Appends `rel` as body lines, `(v, v, …)` per row in sorted order. The
+/// order is a permutation of row ids: the rows are read where they are and
+/// written once, into the response buffer.
+fn render_rows(rel: &mura_core::Relation, buf: &mut String) {
+    for row in rel.iter_sorted() {
+        buf.push('(');
+        for (i, v) in row.iter().enumerate() {
+            if i > 0 {
+                buf.push_str(", ");
+            }
+            let _ = write!(buf, "{v}");
+        }
+        buf.push_str(")\n");
+    }
+}
+
+fn end_block(buf: &mut String) {
+    buf.push_str(TERMINATOR);
+    buf.push('\n');
+}
+
+fn send(out: &mut TcpStream, response: &str) -> io::Result<()> {
+    out.write_all(response.as_bytes())?;
+    out.flush()
 }
 
 fn write_block(out: &mut TcpStream, status: &str, body: &[String]) -> io::Result<()> {
     let mut buf =
-        String::with_capacity(status.len() + 2 + body.iter().map(|l| l.len() + 1).sum::<usize>());
+        String::with_capacity(status.len() + 3 + body.iter().map(|l| l.len() + 1).sum::<usize>());
     buf.push_str(status);
     buf.push('\n');
     for l in body {
         buf.push_str(l);
         buf.push('\n');
     }
-    buf.push_str(TERMINATOR);
-    buf.push('\n');
-    out.write_all(buf.as_bytes())?;
-    out.flush()
+    end_block(&mut buf);
+    send(out, &buf)
 }
 
 /// Client-side helper: reads one protocol response (status line + body up
@@ -519,6 +540,35 @@ mod tests {
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
         let frame = e.get_ref().and_then(|s| s.downcast_ref::<FrameError>());
         assert_eq!(frame, Some(&FrameError::InvalidUtf8));
+    }
+
+    #[test]
+    fn rows_render_to_the_golden_bytes() {
+        use mura_core::{Relation, Schema, Sym, Value};
+        let rel = Relation::from_rows(
+            Schema::new(vec![Sym(0), Sym(1)]),
+            [
+                [Value::Str(Sym(3)), Value::Int(7)],
+                [Value::Int(12), Value::Int(-4)],
+                [Value::Int(2), Value::Str(Sym(0))],
+                [Value::Int(12), Value::Int(-40)],
+            ],
+        );
+        let mut buf = String::from("OK 4 rows\n");
+        render_rows(&rel, &mut buf);
+        end_block(&mut buf);
+        assert_eq!(buf, "OK 4 rows\n(2, s0)\n(12, -40)\n(12, -4)\n(s3, 7)\n.\n");
+        // What the client reads back is what `sorted_rows` would list.
+        let (status, body) = read_response(&mut Cursor::new(buf.into_bytes())).unwrap();
+        let listed: Vec<String> = rel
+            .sorted_rows()
+            .iter()
+            .map(|row| {
+                let vals: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+                format!("({})", vals.join(", "))
+            })
+            .collect();
+        assert_eq!((status.as_str(), body), ("OK 4 rows", listed));
     }
 
     #[test]
