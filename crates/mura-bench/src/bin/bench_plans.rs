@@ -11,24 +11,33 @@
 //!   enumeration (`Rewriter::optimize_report`), and its planning time.
 //!
 //! Both plans execute on the same engine with the same configuration, so
-//! the measured difference is exactly the plan choice. Results are written
-//! to `BENCH_plans.json`.
+//! the measured difference is exactly the plan choice. Per class it also
+//! records what the search itself cost: `stats_us` (gathering the
+//! statistics the catalog keeps), `sweeps` (closure sweeps run by all
+//! roll-outs) and `names_interned` (names the search left in the
+//! dictionary). A `history` section plans the benchmark's 175-text read
+//! pool ten times over through one engine and records the mean planning
+//! time per text of each sweep. Results are written to `BENCH_plans.json`.
 //!
 //! Gates (non-zero exit on failure):
 //! * per class, the enumerated plan's wall time must not exceed the
 //!   pipeline plan's by more than `BENCH_MAX_SLOWDOWN_PCT` (default 5%);
 //! * across the suite, total enumeration planning time must stay under
-//!   `BENCH_MAX_ENUM_OVERHEAD_PCT` (default 5%) of total execution time.
+//!   `BENCH_MAX_ENUM_OVERHEAD_PCT` (default 5%) of total execution time;
+//! * every name a search leaves in the dictionary occurs in its plan;
+//! * planning the pool for the tenth time costs at most 1.25 times the
+//!   first time ([`MAX_HISTORY_RATIO`]).
 //!
 //! Environment knobs: `BENCH_NODES`, `BENCH_EDGE_PROB`, `BENCH_SEED`,
 //! `BENCH_LABELS`, `BENCH_SAMPLES`, `BENCH_OUT`.
 
 use std::time::{Duration, Instant};
 
+use mura_bench::datasets::yago_read_pool;
 use mura_core::Term;
 use mura_datagen::{erdos_renyi, with_random_labels, SplitMix64};
 use mura_dist::{PlannedQuery, QueryEngine};
-use mura_rewrite::Rewriter;
+use mura_rewrite::{Rewriter, Stats};
 use mura_ucrpq::{parse_ucrpq, to_mura};
 
 /// The query classes of the repro suite, exercised against labels a1/a2
@@ -94,6 +103,48 @@ fn run_samples(engine: &QueryEngine, plan: &Term, samples: usize) -> (Vec<Durati
     (walls, rows)
 }
 
+/// True when `name` occurs in `text` as a whole generated name (`m#12` is
+/// not in `m#123`).
+fn mentions(text: &str, name: &str) -> bool {
+    text.match_indices(name)
+        .any(|(at, _)| !text[at + name.len()..].starts_with(|c: char| c.is_ascii_digit()))
+}
+
+/// Sweeps over the pool in the history section, and fresh engines the
+/// per-sweep minimum is taken over.
+const HISTORY_SWEEPS: usize = 10;
+const HISTORY_RUNS: usize = 3;
+
+/// What the last sweep may cost relative to the first. Before scratch
+/// names left the dictionary with their search the ratio was 3.4.
+const MAX_HISTORY_RATIO: f64 = 1.25;
+
+/// Mean planning µs per text of each of [`HISTORY_SWEEPS`] sweeps over the
+/// benchmark's read pool through one engine (minimum over
+/// [`HISTORY_RUNS`] fresh engines), and the names each sweep left in the
+/// dictionary.
+fn history() -> (Vec<f64>, Vec<usize>) {
+    let (db, pool) = yago_read_pool(2_000, 19);
+    // The first ask scans every relation once; that is load, not planning.
+    let _ = Stats::from_db(&db);
+    let mut sweep_us = vec![f64::INFINITY; HISTORY_SWEEPS];
+    let mut names = vec![0; HISTORY_SWEEPS];
+    for _ in 0..HISTORY_RUNS {
+        let mut engine = QueryEngine::new(db.clone());
+        for sweep in 0..HISTORY_SWEEPS {
+            let before = engine.db().dict().len();
+            let t = Instant::now();
+            for text in &pool {
+                engine.plan_ucrpq(text).expect("plan pool text");
+            }
+            let us = t.elapsed().as_secs_f64() * 1e6 / pool.len() as f64;
+            sweep_us[sweep] = sweep_us[sweep].min(us);
+            names[sweep] = engine.db().dict().len() - before;
+        }
+    }
+    (sweep_us, names)
+}
+
 fn main() {
     let n = env_u64("BENCH_NODES", 600);
     let p = env_f64("BENCH_EDGE_PROB", 0.01);
@@ -133,21 +184,36 @@ fn main() {
         let q = parse_ucrpq(query).expect("parse query class");
         let term = to_mura(&q, &mut db).expect("translate query class");
         let rw = Rewriter::new(&mut db);
+        let t = Instant::now();
+        let _ = Stats::from_db(&db);
+        let stats_us = t.elapsed().as_secs_f64() * 1e6;
 
         // Planning times: the greedy pipeline alone vs the full memoized
         // enumeration (which embeds one pipeline run as its cost floor).
         let t = Instant::now();
         let pipeline_plan = rw.optimize_pipeline(&term, &mut db).expect("pipeline optimize");
         let pipeline_plan_ms = t.elapsed().as_secs_f64() * 1e3;
+        let names_before = db.dict().len();
         let t = Instant::now();
         let (enum_plan, report) = rw.optimize_report(&term, &mut db).expect("enumerate optimize");
         let enum_plan_ms = t.elapsed().as_secs_f64() * 1e3;
+        let names_interned = db.dict().len() - names_before;
+        let rendered = enum_plan.display(db.dict()).to_string();
+        if let Some(stray) = db.dict().names().skip(names_before).find(|n| !mentions(&rendered, n))
+        {
+            eprintln!(
+                "FAIL: {name}: the search left `{stray}` behind, which its plan does not use"
+            );
+            failed = true;
+        }
 
         let engine = QueryEngine::new(db.clone());
         let (pipe_walls, pipe_rows) = run_samples(&engine, &pipeline_plan, samples);
-        // When the enumerator's winner IS the pipeline plan, timing it
-        // separately only measures scheduler noise — share the samples.
-        let (enum_walls, enum_rows) = if enum_plan == pipeline_plan {
+        // When the enumerator's winner IS the pipeline plan (its floor: the
+        // same plan under other generated names, so `==` cannot tell),
+        // timing it separately only measures scheduler noise — share the
+        // samples.
+        let (enum_walls, enum_rows) = if !report.enumerated_won {
             (pipe_walls.clone(), pipe_rows)
         } else {
             run_samples(&engine, &enum_plan, samples)
@@ -167,12 +233,14 @@ fn main() {
 
         println!(
             "  {name:<16} {pipe_rows:>7} rows  pipeline {:>8.2} ms  enumerated {:>8.2} ms  \
-             ({:+.1}%)  [{} candidates / {} groups, plan {:.2} ms vs {:.2} ms{}]",
+             ({:+.1}%)  [{} candidates / {} groups / {} sweeps, plan {:.2} ms vs {:.2} ms, \
+             {names_interned} names kept{}]",
             pipe.min_ms,
             enu.min_ms,
             slowdown_pct,
             report.candidates,
             report.groups,
+            report.sweeps,
             enum_plan_ms,
             pipeline_plan_ms,
             if report.enumerated_won { ", enumerated won" } else { "" },
@@ -191,10 +259,12 @@ fn main() {
             "    {{\"class\": \"{name}\", \"query\": \"{query}\", \"rows\": {pipe_rows}, \
              \"pipeline\": {}, \"enumerated\": {}, \
              \"pipeline_plan_ms\": {pipeline_plan_ms:.3}, \"enumerated_plan_ms\": {enum_plan_ms:.3}, \
+             \"stats_us\": {stats_us:.1}, \"sweeps\": {}, \"names_interned\": {names_interned}, \
              \"candidates\": {}, \"groups\": {}, \"enumerated_won\": {}, \
              \"winner_cost\": {:.1}, \"pipeline_cost\": {:.1}, \"slowdown_pct\": {slowdown_pct:.2}}}",
             json_timings(&pipe),
             json_timings(&enu),
+            report.sweeps,
             report.candidates,
             report.groups,
             report.enumerated_won,
@@ -220,9 +290,32 @@ fn main() {
         failed = true;
     }
 
+    let (sweep_us, sweep_names) = history();
+    let (first_us, last_us) = (sweep_us[0], sweep_us[HISTORY_SWEEPS - 1]);
+    let history_ratio = last_us / first_us;
+    println!(
+        "  history: pool sweep 1 {first_us:.0} us/plan, sweep {HISTORY_SWEEPS} {last_us:.0} us/plan \
+         ({history_ratio:.2}x), {} names kept per sweep",
+        sweep_names[HISTORY_SWEEPS - 1]
+    );
+    if history_ratio > MAX_HISTORY_RATIO {
+        eprintln!(
+            "FAIL: planning the pool for the {HISTORY_SWEEPS}th time costs {history_ratio:.2}x \
+             the first time (allowed {MAX_HISTORY_RATIO:.2}x)"
+        );
+        failed = true;
+    }
+    let list = |v: &[String]| v.join(", ");
+    let history_json = format!(
+        "{{\"texts\": 175, \"sweep_us_per_plan\": [{}], \"names_kept_per_sweep\": [{}], \
+         \"last_over_first\": {history_ratio:.3}}}",
+        list(&sweep_us.iter().map(|u| format!("{u:.1}")).collect::<Vec<_>>()),
+        list(&sweep_names.iter().map(|n| n.to_string()).collect::<Vec<_>>()),
+    );
+
     let json = format!(
         "{{\n  \"bench\": \"plan_enumeration\",\n  \"graph\": {{\"nodes\": {n}, \"edge_prob\": {p}, \
-         \"seed\": {seed}, \"labels\": {labels}}},\n  \"samples\": {samples},\n  \"classes\": [\n{}\n  ],\n  \
+         \"seed\": {seed}, \"labels\": {labels}}},\n  \"samples\": {samples},\n  \"classes\": [\n{}\n  ],\n  \"history\": {history_json},\n  \
          \"enum_planning_total_ms\": {total_enum_plan_ms:.3},\n  \"execution_total_ms\": {total_exec_ms:.3},\n  \
          \"enum_overhead_pct\": {overhead_pct:.3}\n}}\n",
         class_jsons.join(",\n")

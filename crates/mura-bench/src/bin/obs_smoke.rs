@@ -52,6 +52,7 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "mura_query_planning_seconds",
     "mura_db_epoch",
     "mura_db_version",
+    "mura_dictionary_symbols",
     "mura_db_delta_rows_total",
     "mura_ivm_applied_total",
     "mura_ivm_fallback_total",

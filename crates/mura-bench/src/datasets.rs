@@ -23,6 +23,34 @@ pub fn yago_db(people: u64) -> Database {
     yago_like(YagoConfig { people, seed: 0xa60 }).to_database()
 }
 
+/// The served dataset and read pool of the repository benchmark
+/// (`perfbench/src/spine/gen.rs`, restated: that package stands alone):
+/// the Yago-like graph with every country — the sources of `dealsWith`
+/// edges — also bound as `Country00..`, and the Yago suite without Q16 and
+/// Q25 followed by Q1–Q8 over each of the first `countries` countries.
+pub fn yago_read_pool(people: u64, countries: usize) -> (Database, Vec<String>) {
+    let mut g = yago_like(YagoConfig { people, seed: 0xa60 });
+    let deals = g.labels.iter().position(|n| n == "dealsWith").expect("label dealsWith") as u32;
+    let sources: std::collections::BTreeSet<u64> =
+        g.edges.iter().filter(|e| e.1 == deals).map(|e| e.0).collect();
+    for (i, node) in sources.into_iter().enumerate() {
+        g.name_node(&format!("Country{i:02}"), node);
+    }
+    let suite = mura_ucrpq::suites::yago_queries();
+    let mut pool: Vec<String> = suite
+        .iter()
+        .filter(|q| q.id != "Q16" && q.id != "Q25")
+        .map(|q| q.text.to_string())
+        .collect();
+    for c in 0..countries {
+        for q in &suite[..8] {
+            let (path, _constant) = q.text.rsplit_once(' ').expect("query ends in a constant");
+            pool.push(format!("{path} Country{c:02}"));
+        }
+    }
+    (g.to_database(), pool)
+}
+
 /// Uniprot-like database with roughly `edges` edges.
 pub fn uniprot_db(edges: u64) -> Database {
     uniprot_like(UniprotConfig { target_edges: edges, seed: 0x09 }).to_database()

@@ -1,15 +1,54 @@
 //! String interning and the database catalog.
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{hash_u64, FxHashMap, FxHasher};
 use crate::relation::Relation;
-use crate::value::Sym;
+use crate::value::{Sym, Value};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
+
+/// Hasher of the dictionary's name map: [`FxHasher`]'s word loop followed
+/// by the [`hash_u64`] finaliser. A bare Fx hash of a short string leaves
+/// its low bits a function of the first word's top five bits only — the
+/// 65,536 names `m#100000..m#165535` share 32 probe starts — and the
+/// table picks its bucket from the low bits. (Not a change to
+/// `FxHasher::finish`: row placement hashes through that.)
+#[derive(Default, Clone)]
+struct NameHasher(FxHasher);
+
+impl Hasher for NameHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        hash_u64(self.0.finish())
+    }
+}
 
 /// Interns strings to [`Sym`]s and resolves them back.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
-    map: FxHashMap<Box<str>, Sym>,
+    map: HashMap<Box<str>, Sym, BuildHasherDefault<NameHasher>>,
     names: Vec<Box<str>>,
     fresh_counter: u32,
+}
+
+/// A point in a dictionary's history ([`Dictionary::mark`]): how many
+/// names it held and where its fresh-name counter stood.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DictMark {
+    len: usize,
+    fresh_counter: u32,
+}
+
+impl DictMark {
+    /// True for a symbol interned after the mark was taken.
+    pub fn is_after(&self, sym: Sym) -> bool {
+        sym.index() >= self.len
+    }
 }
 
 impl Dictionary {
@@ -85,6 +124,66 @@ impl Dictionary {
             }
         }
     }
+
+    /// The dictionary's present state, to come back to with
+    /// [`Dictionary::truncate`].
+    pub fn mark(&self) -> DictMark {
+        DictMark { len: self.names.len(), fresh_counter: self.fresh_counter }
+    }
+
+    /// Forgets every name interned since `mark` was taken and puts the
+    /// fresh-name counter back, so the next fresh names are the ones that
+    /// would have followed the mark. Symbols handed out since then resolve
+    /// no longer (or, later, to other names): the caller must hold none —
+    /// the rewriter re-interns the few that occur in the plan it keeps.
+    ///
+    /// # Panics
+    /// Panics if `mark` was taken from a longer dictionary.
+    pub fn truncate(&mut self, mark: DictMark) {
+        for name in self.names.drain(mark.len..) {
+            self.map.remove(&name);
+        }
+        self.fresh_counter = mark.fresh_counter;
+    }
+}
+
+/// Exact statistics of one stored relation, kept with its catalog entry:
+/// computed by the first [`Database::relation_stats`] that asks, shared by
+/// clones of the database, dropped when the relation is replaced.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RelationStats {
+    /// Number of rows.
+    pub rows: usize,
+    /// Number of distinct values per column, in schema order.
+    pub distinct: Box<[usize]>,
+}
+
+impl RelationStats {
+    fn scan(rel: &Relation) -> RelationStats {
+        #[cfg(test)]
+        tests::STATS_SCANS.with(|n| n.set(n.get() + 1));
+        let mut seen = crate::fxhash::FxHashSet::<Value>::default();
+        let distinct = (0..rel.schema().arity())
+            .map(|i| {
+                seen.clear();
+                seen.extend(rel.iter().map(|row| row[i]));
+                seen.len()
+            })
+            .collect();
+        RelationStats { rows: rel.len(), distinct }
+    }
+}
+
+#[derive(Debug, Clone)]
+struct Entry {
+    rel: Relation,
+    stats: OnceLock<RelationStats>,
+}
+
+impl Entry {
+    fn new(rel: Relation) -> Entry {
+        Entry { rel, stats: OnceLock::new() }
+    }
 }
 
 /// A named-relation catalog plus its dictionary.
@@ -95,7 +194,7 @@ impl Dictionary {
 #[derive(Debug, Default, Clone)]
 pub struct Database {
     dict: Dictionary,
-    rels: FxHashMap<Sym, Relation>,
+    rels: FxHashMap<Sym, Entry>,
     constants: FxHashMap<Sym, crate::value::Value>,
 }
 
@@ -123,28 +222,36 @@ impl Database {
     /// Registers (or replaces) relation `name`.
     pub fn insert_relation(&mut self, name: &str, rel: Relation) -> Sym {
         let sym = self.dict.intern(name);
-        self.rels.insert(sym, rel);
+        self.rels.insert(sym, Entry::new(rel));
         sym
     }
 
     /// Registers a relation under an existing symbol.
     pub fn insert_relation_sym(&mut self, name: Sym, rel: Relation) {
-        self.rels.insert(name, rel);
+        self.rels.insert(name, Entry::new(rel));
     }
 
     /// Resolves a relation by symbol.
     pub fn relation(&self, name: Sym) -> Option<&Relation> {
-        self.rels.get(&name)
+        self.rels.get(&name).map(|e| &e.rel)
     }
 
     /// Resolves a relation by name.
     pub fn relation_by_name(&self, name: &str) -> Option<&Relation> {
-        self.dict.lookup(name).and_then(|s| self.rels.get(&s))
+        self.dict.lookup(name).and_then(|s| self.relation(s))
     }
 
     /// Iterates over (name, relation) pairs.
     pub fn relations(&self) -> impl Iterator<Item = (Sym, &Relation)> {
-        self.rels.iter().map(|(k, v)| (*k, v))
+        self.rels.iter().map(|(k, v)| (*k, &v.rel))
+    }
+
+    /// Row count and per-column distinct counts of relation `name`, exact.
+    /// The first call after the relation was registered scans it; later
+    /// calls, also on clones of the database, read the kept value.
+    pub fn relation_stats(&self, name: Sym) -> Option<&RelationStats> {
+        let entry = self.rels.get(&name)?;
+        Some(entry.stats.get_or_init(|| RelationStats::scan(&entry.rel)))
     }
 
     /// Number of registered relations.
@@ -154,7 +261,7 @@ impl Database {
 
     /// Total number of rows across all relations.
     pub fn total_rows(&self) -> usize {
-        self.rels.values().map(|r| r.len()).sum()
+        self.rels.values().map(|e| e.rel.len()).sum()
     }
 
     /// Registers a named constant (e.g. `Japan` → node id). Query frontends
@@ -180,6 +287,92 @@ impl Database {
 mod tests {
     use super::*;
     use crate::schema::Schema;
+    use std::cell::Cell;
+    use std::hash::BuildHasher;
+
+    thread_local! {
+        /// Relation scans [`RelationStats::scan`] ran on this thread.
+        pub(super) static STATS_SCANS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn scans() -> usize {
+        STATS_SCANS.with(Cell::get)
+    }
+
+    #[test]
+    fn generated_names_spread_over_the_low_hash_bits() {
+        // A random function leaves 0.63 x 65,536 of the low-16-bit values
+        // taken; the unfinalised hash took 32 (1,024 for 9-character names).
+        let hasher = BuildHasherDefault::<NameHasher>::default();
+        for (prefix, first) in
+            [("m", 100_000u32), ("X", 100_000), ("m", 1_000_000), ("X", 1_000_000)]
+        {
+            let mut taken = vec![false; 1 << 16];
+            for n in first..first + (1 << 16) {
+                taken[(hasher.hash_one(format!("{prefix}#{n}").as_str()) & 0xffff) as usize] = true;
+            }
+            let distinct = taken.iter().filter(|t| **t).count();
+            assert!(
+                distinct * 100 >= 55 * (1 << 16),
+                "{prefix}#{first}..: {distinct} distinct low-16-bit values"
+            );
+        }
+    }
+
+    #[test]
+    fn truncate_returns_to_the_mark() {
+        let mut d = Dictionary::new();
+        let a = d.intern("a");
+        let kept = d.fresh("X");
+        let mark = d.mark();
+        let scratch = d.fresh("X");
+        d.intern("b");
+        assert!(mark.is_after(scratch) && !mark.is_after(kept));
+        let scratch_name = d.resolve(scratch).to_string();
+        d.truncate(mark);
+        assert_eq!(d.len(), 2);
+        assert_eq!(d.mark(), mark);
+        assert_eq!(d.lookup("b"), None);
+        assert_eq!(d.lookup(&scratch_name), None);
+        assert_eq!((d.resolve(a), d.resolve(kept)), ("a", "X#1"));
+        // The names that would have followed the mark follow it again.
+        let again = d.fresh("X");
+        assert_eq!((again, d.resolve(again)), (scratch, scratch_name.as_str()));
+    }
+
+    #[test]
+    fn statistics_are_kept_with_the_relation_and_dropped_with_it() {
+        let mut db = Database::new();
+        let src = db.intern("src");
+        let dst = db.intern("dst");
+        let e = db.insert_relation("E", Relation::from_pairs(src, dst, [(1, 2), (1, 3), (2, 3)]));
+        let f = db.insert_relation("F", Relation::from_pairs(src, dst, [(7, 7)]));
+        let before = scans();
+        let expect_e = RelationStats { rows: 3, distinct: [2, 2].into() };
+        assert_eq!(db.relation_stats(e), Some(&expect_e));
+        assert_eq!(db.relation_stats(f), Some(&RelationStats { rows: 1, distinct: [1, 1].into() }));
+        assert_eq!(scans() - before, 2);
+        // Asked again, here or on a clone: read, not scanned.
+        let copy = db.clone();
+        assert_eq!(db.relation_stats(e), Some(&expect_e));
+        assert_eq!(copy.relation_stats(e), Some(&expect_e));
+        assert_eq!(copy.relation_stats(f), db.relation_stats(f));
+        assert_eq!(scans() - before, 2);
+        // Replacing E rescans E and nothing else; the clone keeps its own.
+        db.insert_relation_sym(e, Relation::from_pairs(src, dst, [(1, 2), (4, 5), (6, 5), (8, 9)]));
+        assert_eq!(db.relation_stats(e), Some(&RelationStats { rows: 4, distinct: [4, 3].into() }));
+        assert!(db.relation_stats(f).is_some());
+        assert_eq!(scans() - before, 3);
+        assert_eq!(copy.relation_stats(e), Some(&expect_e));
+        assert_eq!(scans() - before, 3);
+        assert_eq!(db.relation_stats(Sym(999)), None);
+        db.insert_relation("nullary", Relation::new(Schema::empty()));
+        let nullary = db.dict().lookup("nullary").unwrap();
+        assert_eq!(
+            db.relation_stats(nullary),
+            Some(&RelationStats { rows: 0, distinct: [].into() })
+        );
+    }
 
     #[test]
     fn intern_is_stable() {

@@ -54,7 +54,7 @@ pub mod term;
 pub mod value;
 
 pub use cancel::CancellationToken;
-pub use catalog::{Database, Dictionary};
+pub use catalog::{Database, DictMark, Dictionary, RelationStats};
 pub use crc::{crc32, Crc32};
 pub use error::{MuraError, Result};
 pub use eval::{eval, eval_naive_fixpoints, EvalStats, Evaluator};

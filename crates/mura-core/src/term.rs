@@ -161,7 +161,12 @@ impl Term {
             Term::Var(x) => *x == v,
             Term::Cst(_) => false,
             Term::Fix(x, body) => *x != v && body.has_free_var(v),
-            _ => self.children().iter().any(|c| c.has_free_var(v)),
+            Term::Filter(_, t) | Term::Rename(_, _, t) | Term::AntiProject(_, t) => {
+                t.has_free_var(v)
+            }
+            Term::Join(a, b) | Term::Antijoin(a, b) | Term::Union(a, b) => {
+                a.has_free_var(v) || b.has_free_var(v)
+            }
         }
     }
 

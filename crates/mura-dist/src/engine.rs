@@ -7,8 +7,9 @@
 use crate::exec::{DistEvaluator, ExecConfig, ExecStats};
 use crate::metrics::CommSnapshot;
 use mura_core::{Database, Relation, Result, Term};
-use mura_rewrite::Rewriter;
+use mura_rewrite::{bracketed, EnumReport, ObservedCards, Rewriter};
 use mura_ucrpq::{parse_ucrpq, to_mura};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Result of a query execution.
@@ -207,10 +208,7 @@ impl QueryEngine {
     /// returned plan can then be executed any number of times through
     /// [`QueryEngine::execute_plan`], which only needs `&self`.
     pub fn plan_ucrpq(&mut self, query: &str) -> Result<PlannedQuery> {
-        let start = Instant::now();
-        let q = parse_ucrpq(query)?;
-        let term = to_mura(&q, &mut self.db)?;
-        self.plan_term_from(&term, start)
+        Ok(self.plan_ucrpq_report(query, None)?.0)
     }
 
     /// Parses and optimizes a UCRPQ, returning the plan together with the
@@ -221,28 +219,50 @@ impl QueryEngine {
     pub fn plan_ucrpq_report(
         &mut self,
         query: &str,
-        observed: Option<&mura_rewrite::ObservedCards>,
-    ) -> Result<(PlannedQuery, Option<mura_rewrite::EnumReport>)> {
+        observed: Option<Arc<ObservedCards>>,
+    ) -> Result<(PlannedQuery, Option<EnumReport>)> {
+        self.plan_ucrpq_with(query, observed, Rewriter::optimize_report)
+    }
+
+    /// [`QueryEngine::plan_ucrpq_report`] for `.explain`: the report also
+    /// carries the per-group digest.
+    pub fn plan_ucrpq_explained(
+        &mut self,
+        query: &str,
+        observed: Option<Arc<ObservedCards>>,
+    ) -> Result<(PlannedQuery, Option<EnumReport>)> {
+        self.plan_ucrpq_with(query, observed, Rewriter::optimize_explained)
+    }
+
+    /// Translation and search in one bracket: the names the frontend mints
+    /// for the raw term leave with the search's unless the plan keeps them.
+    fn plan_ucrpq_with(
+        &mut self,
+        query: &str,
+        observed: Option<Arc<ObservedCards>>,
+        search: fn(&Rewriter, &Term, &mut Database) -> Result<(Term, EnumReport)>,
+    ) -> Result<(PlannedQuery, Option<EnumReport>)> {
         let start = Instant::now();
         let q = parse_ucrpq(query)?;
-        let term = to_mura(&q, &mut self.db)?;
-        if !self.optimize {
-            return Ok((PlannedQuery { plan: term, planning: start.elapsed() }, None));
-        }
-        let mut rewriter = Rewriter::new(&mut self.db);
-        if let Some(obs) = observed {
-            rewriter = rewriter.with_observations(obs.clone());
-        }
-        let (plan, report) = rewriter.optimize_report(&term, &mut self.db)?;
-        Ok((PlannedQuery { plan, planning: start.elapsed() }, Some(report)))
+        let optimize = self.optimize;
+        let (plan, report) = bracketed(&mut self.db, |db| {
+            let term = to_mura(&q, db)?;
+            if !optimize {
+                return Ok((term, None));
+            }
+            let mut rewriter = Rewriter::new(db);
+            if let Some(observed) = observed {
+                rewriter = rewriter.with_observations(observed);
+            }
+            let (plan, report) = search(&rewriter, &term, db)?;
+            Ok((plan, Some(report)))
+        })?;
+        Ok((PlannedQuery { plan, planning: start.elapsed() }, report))
     }
 
     /// Optimizes a μ-RA term without executing it.
     pub fn plan_term(&mut self, term: &Term) -> Result<PlannedQuery> {
-        self.plan_term_from(term, Instant::now())
-    }
-
-    fn plan_term_from(&mut self, term: &Term, start: Instant) -> Result<PlannedQuery> {
+        let start = Instant::now();
         let plan = if self.optimize {
             let rewriter = Rewriter::new(&mut self.db);
             rewriter.optimize(term, &mut self.db)?

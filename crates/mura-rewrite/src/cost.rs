@@ -10,7 +10,7 @@
 use crate::memo::canon_key;
 use mura_core::analysis::decompose_fixpoint;
 use mura_core::fxhash::FxHashMap;
-use mura_core::{Database, Dictionary, MuraError, Pred, Relation, Result, Sym, Term};
+use mura_core::{Database, Dictionary, MuraError, Pred, Result, Sym, Term};
 use std::cell::Cell;
 
 /// Observed fixpoint totals keyed by [`canon_key`] of the `Fix` subterm
@@ -39,66 +39,24 @@ struct RelStats {
 }
 
 impl Stats {
-    /// Scans every relation of `db`, counting rows and per-column distinct
-    /// values exactly.
+    /// The statistics of every relation of `db`: exact row and per-column
+    /// distinct counts, as the catalog keeps them with each stored relation
+    /// ([`Database::relation_stats`]) — a gather, not a scan, except for a
+    /// relation registered or replaced since it was last asked about.
     pub fn from_db(db: &Database) -> Stats {
         let mut rels = FxHashMap::default();
         for (name, rel) in db.relations() {
-            rels.insert(name, Self::scan_rel(rel));
+            let kept = db.relation_stats(name).expect("`relations` yields registered names");
+            let cols = rel
+                .schema()
+                .columns()
+                .iter()
+                .zip(kept.distinct.iter())
+                .map(|(c, d)| (*c, ColStats { distinct: *d as f64 }))
+                .collect();
+            rels.insert(name, RelStats { rows: kept.rows as f64, cols });
         }
         Stats { rels }
-    }
-
-    fn scan_rel(rel: &Relation) -> RelStats {
-        let mut cols = FxHashMap::default();
-        for (i, &c) in rel.schema().columns().iter().enumerate() {
-            let distinct =
-                rel.iter().map(|row| row[i]).collect::<mura_core::fxhash::FxHashSet<_>>().len()
-                    as f64;
-            cols.insert(c, ColStats { distinct });
-        }
-        RelStats { rows: rel.len() as f64, cols }
-    }
-
-    /// Folds one relation's mutation delta into the statistics without
-    /// rescanning the database. Row counts stay exact (taken from `after`);
-    /// distinct counts are estimated: inserts raise each column's count by
-    /// at most the insert count, deletions scale it down uniformly. A
-    /// relation not seen before is scanned exactly (it is new and small
-    /// relative to a full-db rescan); `after = None` drops the entry.
-    pub fn apply_delta(
-        &mut self,
-        rel: Sym,
-        inserted: usize,
-        deleted: usize,
-        after: Option<&Relation>,
-    ) {
-        let Some(after) = after else {
-            self.rels.remove(&rel);
-            return;
-        };
-        let rows = after.len() as f64;
-        match self.rels.get_mut(&rel) {
-            Some(rs) => {
-                let old_rows = rs.rows.max(1.0);
-                for cs in rs.cols.values_mut() {
-                    let mut d = cs.distinct;
-                    if inserted > 0 {
-                        // Upper bound: every inserted row carries a new value.
-                        d += inserted as f64;
-                    }
-                    if deleted > 0 && rows < old_rows {
-                        // Uniform-deletion assumption.
-                        d *= rows / old_rows;
-                    }
-                    cs.distinct = d.clamp(1.0_f64.min(rows), rows.max(1.0));
-                }
-                rs.rows = rows;
-            }
-            None => {
-                self.rels.insert(rel, Self::scan_rel(after));
-            }
-        }
     }
 
     /// Row estimate currently held for a base relation.
@@ -459,34 +417,24 @@ mod tests {
     }
 
     #[test]
-    fn stats_apply_delta_tracks_rows_and_bounds_distincts() {
+    fn gathered_statistics_equal_a_count_by_hand() {
         let mut db = db_chain(100);
-        let mut stats = Stats::from_db(&db);
-        let e = db.intern("E");
-        let src = db.dict().lookup("src").unwrap();
-        let dst = db.dict().lookup("dst").unwrap();
+        let (e, src, dst) = (db.intern("E"), db.intern("src"), db.intern("dst"));
+        let by_hand = |db: &Database, col: Sym| {
+            let rel = db.relation(e).unwrap();
+            let at = rel.schema().position(col).unwrap();
+            rel.iter().map(|row| row[at]).collect::<std::collections::BTreeSet<_>>().len() as f64
+        };
+        let stats = Stats::from_db(&db);
         assert_eq!(stats.rows(e), Some(99.0));
-        // Grow the relation; rows come exact from the post-state, distincts
-        // stay within [old, rows].
-        let grown = Relation::from_pairs(src, dst, (0..149).map(|i| (i, i + 1)));
-        stats.apply_delta(e, 50, 0, Some(&grown));
-        assert_eq!(stats.rows(e), Some(149.0));
-        let d = stats.distinct(e, src).unwrap();
-        assert!((99.0..=149.0).contains(&d), "distinct bound after insert: {d}");
-        // Shrink: distincts scale down with the uniform-deletion assumption.
-        let shrunk = Relation::from_pairs(src, dst, (0..49).map(|i| (i, i + 1)));
-        stats.apply_delta(e, 0, 100, Some(&shrunk));
-        assert_eq!(stats.rows(e), Some(49.0));
-        assert!(stats.distinct(e, src).unwrap() <= 49.0);
-        // A relation not seen before is scanned exactly.
-        let f = db.intern("F");
-        let fresh = Relation::from_pairs(src, dst, [(1, 2), (3, 4)]);
-        stats.apply_delta(f, 2, 0, Some(&fresh));
-        assert_eq!(stats.rows(f), Some(2.0));
-        assert_eq!(stats.distinct(f, src), Some(2.0));
-        // Dropping the whole relation removes the entry.
-        stats.apply_delta(e, 0, 49, None);
-        assert_eq!(stats.rows(e), None);
+        assert_eq!(stats.distinct(e, src), Some(by_hand(&db, src)));
+        // A clone gathers the same values; a replaced relation gathers its own.
+        let copy = db.clone();
+        db.insert_relation_sym(e, Relation::from_pairs(src, dst, (0..40).map(|i| (i % 4, i))));
+        let stats = Stats::from_db(&db);
+        assert_eq!((stats.rows(e), stats.distinct(e, src)), (Some(40.0), Some(4.0)));
+        assert_eq!(stats.distinct(e, dst), Some(by_hand(&db, dst)));
+        assert_eq!(Stats::from_db(&copy).distinct(e, src), Some(99.0));
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! Budget policy: groups are beam-truncated (`beam`) when sealed, parents
 //! combine at most `pair_limit` members per child, expansion stops after
 //! `max_rounds` sweeps, and a global `max_members` cap bounds the whole
-//! space (reported as `budget_hit`). The defaults keep enumeration in the
-//! tens-of-microseconds on the repro query classes.
+//! space (reported as `budget_hit`).
 //!
 //! [`CostModel`]: crate::cost::CostModel
 
@@ -81,7 +80,13 @@ pub struct EnumReport {
     pub observed_fixpoints: usize,
     /// Observed-cardinality feedback was available to the cost model.
     pub used_observed: bool,
-    /// Digest of every group, cheapest member first.
+    /// Closure-decision sweeps run by the greedy roll-outs (the floor plan
+    /// and one roll-out per expanded member). With `candidates`, the work
+    /// the search did: a function of the term and the statistics, not of
+    /// what was planned before.
+    pub sweeps: usize,
+    /// Digest of every group, cheapest member first. Filled by
+    /// [`Rewriter::optimize_explained`] only — nothing else reads it.
     pub group_summaries: Vec<GroupSummary>,
 }
 
@@ -92,6 +97,7 @@ pub(crate) struct Enumerator<'r> {
     memo: Memo,
     budget_hit: bool,
     candidates: usize,
+    sweeps: usize,
 }
 
 fn closed(t: &Term, bound: &[Sym]) -> bool {
@@ -116,8 +122,9 @@ fn displayable(t: &Term, dict: &mura_core::Dictionary) -> bool {
 }
 
 impl<'r> Enumerator<'r> {
-    pub(crate) fn new(rw: &'r Rewriter, cfg: EnumConfig) -> Self {
-        Enumerator { rw, cfg, memo: Memo::new(), budget_hit: false, candidates: 0 }
+    /// `sweeps`: what the caller's own roll-out already ran.
+    pub(crate) fn new(rw: &'r Rewriter, cfg: EnumConfig, sweeps: usize) -> Self {
+        Enumerator { rw, cfg, memo: Memo::new(), budget_hit: false, candidates: 0, sweeps }
     }
 
     /// Enumerates the plan space of `t` bottom-up. Returns the (sealed)
@@ -347,7 +354,8 @@ impl<'r> Enumerator<'r> {
                     }
                 }
                 if mask & RULE_ROLLOUT == 0 {
-                    if let Ok(rolled) = self.rw.optimize_pipeline(&term, db) {
+                    if let Ok((rolled, sweeps)) = self.rw.pipeline_sweeps(&term, db, env) {
+                        self.sweeps += sweeps;
                         // Rollout output is the greedy pipeline's fixpoint:
                         // fully derived, nothing left to expand from it.
                         added |= self.add(gid, rolled, db, env, bound, RULE_ALL, true);
@@ -420,24 +428,6 @@ impl<'r> Enumerator<'r> {
             _ => (pipeline, pipeline_cost, false),
         };
         let observed_fixpoints = self.rw.cost_with(&winner, db.dict()).map(|(_, h)| h).unwrap_or(0);
-        let mut group_summaries = Vec::with_capacity(self.memo.group_count());
-        for g in 0..self.memo.group_count() {
-            let group = self.memo.group(g);
-            let Some(first) = group.members.first() else { continue };
-            let mut label = if displayable(&first.term, db.dict()) {
-                format!("{}", first.term.display(db.dict()))
-            } else {
-                "(foreign symbols)".to_string()
-            };
-            if label.chars().count() > 72 {
-                label = label.chars().take(69).collect::<String>() + "...";
-            }
-            group_summaries.push(GroupSummary {
-                label,
-                members: group.members.len(),
-                best_cost: first.cost,
-            });
-        }
         let report = EnumReport {
             groups: self.memo.group_count(),
             candidates: self.candidates,
@@ -447,9 +437,30 @@ impl<'r> Enumerator<'r> {
             budget_hit: self.budget_hit,
             observed_fixpoints,
             used_observed: self.rw.has_observations(),
-            group_summaries,
+            sweeps: self.sweeps,
+            group_summaries: Vec::new(),
         };
         (winner, report)
+    }
+
+    /// The per-group digest `.explain` prints: each group's cheapest
+    /// member (rendered, truncated), its size and that member's cost.
+    pub(crate) fn group_summaries(&self, dict: &mura_core::Dictionary) -> Vec<GroupSummary> {
+        let mut out = Vec::with_capacity(self.memo.group_count());
+        for g in 0..self.memo.group_count() {
+            let group = self.memo.group(g);
+            let Some(first) = group.members.first() else { continue };
+            let mut label = if displayable(&first.term, dict) {
+                format!("{}", first.term.display(dict))
+            } else {
+                "(foreign symbols)".to_string()
+            };
+            if label.chars().count() > 72 {
+                label = label.chars().take(69).collect::<String>() + "...";
+            }
+            out.push(GroupSummary { label, members: group.members.len(), best_cost: first.cost });
+        }
+        out
     }
 }
 
@@ -560,7 +571,7 @@ mod tests {
         }
         let fix = first_fix(&winner).expect("winner has a fixpoint");
         cards.insert(canon_key(fix, db.dict(), &[]), 1e9);
-        let rw2 = Rewriter::new(&mut db).with_observations(cards);
+        let rw2 = Rewriter::new(&mut db).with_observations(cards.into());
         let (static_cost, _) = rw.cost_with(&winner, db.dict()).unwrap();
         let (obs_cost, hits) = rw2.cost_with(&winner, db.dict()).unwrap();
         assert!(hits >= 1, "observation must be hit");

@@ -33,6 +33,7 @@ use crate::cost::ObservedCards;
 use crate::memo::canon_key;
 use mura_core::fxhash::FxHashMap;
 use mura_core::{term_key, Dictionary, Sym, Term};
+use std::sync::{Arc, OnceLock};
 
 /// Relative change in an observed total that counts as material (bumps the
 /// generation and forces dependent plans to re-optimize).
@@ -66,6 +67,10 @@ pub struct FeedbackStore {
     /// Last known size per base relation (sets the churn threshold).
     sizes: FxHashMap<Sym, f64>,
     generation: u64,
+    /// `entries` as the map the cost model reads, built by the first
+    /// [`FeedbackStore::observations`] after the observed rows changed and
+    /// shared by every plan miss until they change again.
+    cards: OnceLock<Arc<ObservedCards>>,
 }
 
 impl FeedbackStore {
@@ -90,10 +95,11 @@ impl FeedbackStore {
         self.entries.is_empty()
     }
 
-    /// Snapshot of the observations as a `canon_key → rows` map, the shape
+    /// The observations as a `canon_key → rows` map, the shape
     /// [`crate::cost::CostModel::with_observed`] consumes.
-    pub fn observations(&self) -> ObservedCards {
-        self.entries.iter().map(|(k, o)| (*k, o.rows)).collect()
+    pub fn observations(&self) -> Arc<ObservedCards> {
+        let build = || Arc::new(self.entries.iter().map(|(k, o)| (*k, o.rows)).collect());
+        Arc::clone(self.cards.get_or_init(build))
     }
 
     /// Folds the executor's measured fixpoint totals (keyed by
@@ -112,6 +118,7 @@ impl FeedbackStore {
         self.record_rec(plan, totals, dict, &mut recorded, &mut material);
         if material {
             self.generation += 1;
+            self.cards.take();
         }
         recorded
     }
@@ -180,6 +187,7 @@ impl FeedbackStore {
         let dropped = before - self.entries.len();
         if dropped > 0 {
             self.generation += 1;
+            self.cards.take();
         }
         dropped
     }
@@ -191,6 +199,7 @@ impl FeedbackStore {
         self.entries.clear();
         self.churn.clear();
         self.sizes.clear();
+        self.cards.take();
     }
 }
 
@@ -298,6 +307,28 @@ mod tests {
         let obs = fb.observations();
         // The observation is visible under plan2's canonical key too.
         assert_eq!(obs.get(&canon_key(&plan2, db.dict(), &[])), Some(&123.0));
+    }
+
+    #[test]
+    fn observations_are_one_map_per_change_of_the_observed_rows() {
+        let mut db = Database::new();
+        let plan = tc_fix(&mut db);
+        let key = canon_key(&plan, db.dict(), &[]);
+        let mut fb = FeedbackStore::new();
+        let mut totals = FxHashMap::default();
+        totals.insert(term_key(&plan), 100.0);
+        fb.record_plan(&plan, &totals, db.dict());
+        let first = fb.observations();
+        assert!(Arc::ptr_eq(&first, &fb.observations()), "a second miss borrows the same map");
+        // A confirmation changes no row: same map. A material move: a new one.
+        totals.insert(term_key(&plan), 110.0);
+        fb.record_plan(&plan, &totals, db.dict());
+        assert!(Arc::ptr_eq(&first, &fb.observations()));
+        totals.insert(term_key(&plan), 300.0);
+        fb.record_plan(&plan, &totals, db.dict());
+        assert_eq!((first.get(&key), fb.observations().get(&key)), (Some(&100.0), Some(&300.0)));
+        fb.clear();
+        assert!(fb.observations().is_empty());
     }
 
     #[test]

@@ -42,4 +42,4 @@ pub use cost::{CostModel, ObservedCards, Stats};
 pub use enumerate::{EnumConfig, EnumReport, GroupSummary};
 pub use feedback::{FeedbackState, FeedbackStore};
 pub use memo::canon_key;
-pub use rewriter::{optimize, Rewriter};
+pub use rewriter::{bracketed, optimize, Rewriter};

@@ -46,16 +46,15 @@ pub const RULE_ROLLOUT: RuleMask = 1 << 3;
 /// All families: nothing left to derive from this member.
 pub const RULE_ALL: RuleMask = RULE_COMPOSE | RULE_REVERSE | RULE_JOIN_PUSH | RULE_ROLLOUT;
 
-/// True when `name` looks like a generated symbol (`prefix#N`, the shape
-/// [`Dictionary::fresh`] mints). Only such symbols are renamed by
-/// [`canon_key`]; user-named relations/columns always hash by identity.
-fn is_generated(name: &str) -> bool {
-    match name.split_once('#') {
-        Some((prefix, digits)) => {
-            !prefix.is_empty() && !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit())
-        }
-        None => false,
-    }
+/// The prefix of a generated symbol's name (`prefix#N`, the shape
+/// [`Dictionary::fresh`] mints), `None` for any other name. Only generated
+/// symbols are renamed by [`canon_key`]; user-named relations/columns
+/// always hash by identity.
+pub(crate) fn generated_prefix(name: &str) -> Option<&str> {
+    let (prefix, digits) = name.split_once('#')?;
+    let generated =
+        !prefix.is_empty() && !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit());
+    generated.then_some(prefix)
 }
 
 /// Canonical, generation-insensitive structural hash of a term.
@@ -81,7 +80,8 @@ pub fn canon_key(t: &Term, dict: &Dictionary, pinned: &[Sym]) -> u64 {
             // Symbols from a foreign dictionary (terms are occasionally
             // planned against a database other than the one they were
             // translated with) cannot be resolved: hash them raw.
-            let generated = s.index() < self.dict.len() && is_generated(self.dict.resolve(s));
+            let generated =
+                s.index() < self.dict.len() && generated_prefix(self.dict.resolve(s)).is_some();
             if !self.pinned.contains(&s) && generated {
                 let next = self.ids.len() as u64;
                 let id = *self.ids.entry(s).or_insert(next);
@@ -253,14 +253,17 @@ impl Memo {
         &mut self.groups[gid].members
     }
 
-    /// Cost-sorts a group (stable tie-break on key) and truncates it to
-    /// `beam` members. Truncated keys stay indexed, so the pruned plans are
-    /// not re-derived later.
+    /// Cost-sorts a group and truncates it to `beam` members; members of
+    /// equal cost keep the order they were derived in (a commuted join
+    /// costs what the join costs). Not the key: it hashes the ids of query
+    /// variables and enclosing binders, which depend on what was planned
+    /// before. Truncated keys stay indexed, so the pruned plans are not
+    /// re-derived later.
     pub fn seal(&mut self, gid: GroupId, beam: usize) {
         let group = &mut self.groups[gid];
-        group.members.sort_by(|a, b| {
-            a.cost.partial_cmp(&b.cost).unwrap_or(std::cmp::Ordering::Equal).then(a.key.cmp(&b.key))
-        });
+        group
+            .members
+            .sort_by(|a, b| a.cost.partial_cmp(&b.cost).unwrap_or(std::cmp::Ordering::Equal));
         if group.members.len() > beam {
             self.members_total -= group.members.len() - beam;
             group.members.truncate(beam);
@@ -290,12 +293,13 @@ mod tests {
 
     #[test]
     fn generated_symbol_detection() {
-        assert!(is_generated("X#1"));
-        assert!(is_generated("m#42"));
-        assert!(!is_generated("src"));
-        assert!(!is_generated("#3"));
-        assert!(!is_generated("X#"));
-        assert!(!is_generated("a#b"));
+        assert_eq!(generated_prefix("X#1"), Some("X"));
+        assert_eq!(generated_prefix("m#42"), Some("m"));
+        assert_eq!(generated_prefix("?a#7"), Some("?a"));
+        assert_eq!(generated_prefix("src"), None);
+        assert_eq!(generated_prefix("#3"), None);
+        assert_eq!(generated_prefix("X#"), None);
+        assert_eq!(generated_prefix("a#b"), None);
     }
 
     #[test]

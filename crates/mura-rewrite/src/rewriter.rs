@@ -22,16 +22,25 @@
 //! With [`Rewriter::with_observations`], fixpoints whose sizes were
 //! measured by a previous execution are costed from those observations
 //! instead of static estimates (the server's feedback loop).
+//!
+//! Every derivation mints fresh symbols (`X#…`, `m#…`) and nearly all of
+//! them belong to plans that lose. A search therefore runs inside
+//! [`bracketed`]: when the winner is known the dictionary is cut back to
+//! where the search found it and only the winner's symbols are interned
+//! again, so planning leaves behind the handful of names its plan needs.
 
 use crate::closure::{compose, recognize, reversal_alternatives};
 use crate::cost::{CostModel, ObservedCards, Stats};
 use crate::enumerate::{EnumConfig, EnumReport, Enumerator};
+use crate::memo::{canon_key, generated_prefix};
 use crate::rules;
 use mura_core::analysis::TypeEnv;
-use mura_core::{Database, Dictionary, Result, Sym, Term};
+use mura_core::{Database, DictMark, Dictionary, Pred, Result, Sym, Term, Value};
+use std::sync::Arc;
 
-/// Maximum normalize+closure sweeps. Each sweep only accepts strictly
-/// cheaper plans, so this is a safety bound rather than a tuning knob.
+/// Maximum normalize+closure sweeps. A roll-out stops at the first sweep
+/// that changes nothing (up to generated names), so this is a safety bound
+/// rather than a tuning knob.
 const MAX_PASSES: usize = 5;
 
 /// Required relative improvement to adopt an alternative plan (guards
@@ -43,12 +52,14 @@ pub struct Rewriter {
     stats: Stats,
     src: Sym,
     dst: Sym,
-    observed: Option<ObservedCards>,
+    observed: Option<Arc<ObservedCards>>,
     enum_cfg: EnumConfig,
 }
 
 impl Rewriter {
-    /// Builds a rewriter for a database (collects base statistics).
+    /// Builds a rewriter for a database: gathers the statistics the
+    /// catalog keeps with each stored relation ([`Stats::from_db`]; only a
+    /// relation replaced since it was last asked is scanned).
     pub fn new(db: &mut Database) -> Self {
         let stats = Stats::from_db(db);
         let src = db.intern("src");
@@ -56,17 +67,9 @@ impl Rewriter {
         Rewriter { stats, src, dst, observed: None, enum_cfg: EnumConfig::default() }
     }
 
-    /// Builds a rewriter over precomputed statistics (skips the full-db
-    /// scan; the server maintains its `Stats` incrementally).
-    pub fn with_stats(stats: Stats, db: &mut Database) -> Self {
-        let src = db.intern("src");
-        let dst = db.intern("dst");
-        Rewriter { stats, src, dst, observed: None, enum_cfg: EnumConfig::default() }
-    }
-
     /// Supplies observed fixpoint cardinalities (canonical key → measured
     /// rows); fixpoints found in the map are costed from measurement.
-    pub fn with_observations(mut self, observed: ObservedCards) -> Self {
+    pub fn with_observations(mut self, observed: Arc<ObservedCards>) -> Self {
         self.observed = Some(observed);
         self
     }
@@ -97,47 +100,87 @@ impl Rewriter {
     }
 
     /// Like [`Rewriter::optimize`], also returning the enumeration report
-    /// (`.explain`, benchmarking).
+    /// (benchmarking, the server's counters).
     pub fn optimize_report(&self, term: &Term, db: &mut Database) -> Result<(Term, EnumReport)> {
-        let pipeline = self.optimize_pipeline(term, db)?;
+        bracketed(db, |db| self.search(term, db, false))
+    }
+
+    /// Like [`Rewriter::optimize_report`], with the per-group digest
+    /// `.explain` prints ([`EnumReport::group_summaries`], rendered while
+    /// the groups' symbols still resolve).
+    pub fn optimize_explained(&self, term: &Term, db: &mut Database) -> Result<(Term, EnumReport)> {
+        bracketed(db, |db| self.search(term, db, true))
+    }
+
+    /// The search proper: the greedy plan as a floor, then enumeration.
+    /// One type environment serves every sweep and every group.
+    fn search(&self, term: &Term, db: &mut Database, explain: bool) -> Result<(Term, EnumReport)> {
+        let mut env = TypeEnv::from_db(db);
+        let (pipeline, sweeps) = self.pipeline_sweeps(term, db, &mut env)?;
         let pipeline_cost =
             self.cost_with(&pipeline, db.dict()).map(|(c, _)| c).unwrap_or(f64::INFINITY);
-        let mut en = Enumerator::new(self, self.enum_cfg.clone());
-        let mut env = TypeEnv::from_db(db);
+        let mut en = Enumerator::new(self, self.enum_cfg.clone(), sweeps);
         let gid = en.explore(term, db, &mut env, &mut Vec::new())?;
-        Ok(en.finish(gid, db, pipeline, pipeline_cost, IMPROVEMENT))
+        let group_summaries = if explain { en.group_summaries(db.dict()) } else { Vec::new() };
+        let (winner, mut report) = en.finish(gid, db, pipeline, pipeline_cost, IMPROVEMENT);
+        report.group_summaries = group_summaries;
+        Ok((winner, report))
     }
 
     /// Every plan the enumerator can extract for `term` (the surviving
     /// members of the root group plus the pipeline plan), cheapest first.
     /// All of them are semantically equivalent to `term` — the property
-    /// tests exercise exactly this set.
+    /// tests exercise exactly this set. Not bracketed: every plan returned
+    /// needs its symbols.
     pub fn candidates(&self, term: &Term, db: &mut Database) -> Result<Vec<Term>> {
-        let mut en = Enumerator::new(self, self.enum_cfg.clone());
         let mut env = TypeEnv::from_db(db);
+        let mut en = Enumerator::new(self, self.enum_cfg.clone(), 0);
         let gid = en.explore(term, db, &mut env, &mut Vec::new())?;
         let mut out = en.members(gid);
-        out.push(self.optimize_pipeline(term, db)?);
+        out.push(self.pipeline_sweeps(term, db, &mut env)?.0);
         Ok(out)
     }
 
     /// The original greedy strategy: repeated closure-decision sweeps with
     /// local cost-based picks, then normalization, until a fixpoint.
     pub fn optimize_pipeline(&self, term: &Term, db: &mut Database) -> Result<Term> {
+        bracketed(db, |db| {
+            let mut env = TypeEnv::from_db(db);
+            self.pipeline_sweeps(term, db, &mut env)
+        })
+        .map(|(plan, _sweeps)| plan)
+    }
+
+    /// The greedy roll-out and the number of sweeps it ran. A sweep that
+    /// returns its input up to generated names has converged: `compose`
+    /// mints a new `m#…` for every composition it rebuilds, so plain
+    /// equality would never hold for a term that keeps one.
+    pub(crate) fn pipeline_sweeps(
+        &self,
+        term: &Term,
+        db: &mut Database,
+        env: &mut TypeEnv,
+    ) -> Result<(Term, usize)> {
         // Closure decisions run *before* normalization in each sweep: the
         // frontend emits pristine composition patterns, and normalization
         // (e.g. pushing a rename into a fixpoint's seed) can obscure them.
         let mut t = term.clone();
-        for _ in 0..MAX_PASSES {
-            let mut env = TypeEnv::from_db(db);
-            let t2 = self.closure_pass(&t, db, &mut env, &mut Vec::new())?;
-            let t2 = rules::normalize(&t2, &mut env);
-            if t2 == t {
+        let mut key = canon_key(&t, db.dict(), &[]);
+        let mut sweeps = 0;
+        while sweeps < MAX_PASSES {
+            sweeps += 1;
+            let t2 = self.closure_pass(&t, db, env, &mut Vec::new())?;
+            t = rules::normalize(&t2, env);
+            // The converged sweep's output is what is kept, not its input:
+            // its re-minted names sort after every name the sweep left
+            // alone, as they would after any further sweep.
+            let key2 = canon_key(&t, db.dict(), &[]);
+            if key2 == key {
                 break;
             }
-            t = t2;
+            key = key2;
         }
-        Ok(t)
+        Ok((t, sweeps))
     }
 
     /// Estimated cost of a plan under static statistics (exposed for
@@ -150,7 +193,7 @@ impl Rewriter {
     /// returns the cost and how many fixpoints were costed from an
     /// observation, or `None` when the plan cannot be costed.
     pub(crate) fn cost_with(&self, term: &Term, dict: &Dictionary) -> Option<(f64, usize)> {
-        let cm = match &self.observed {
+        let cm = match self.observed.as_deref() {
             Some(cards) => CostModel::with_observed(&self.stats, cards, dict),
             None => CostModel::new(&self.stats),
         };
@@ -297,6 +340,112 @@ pub fn recognize_compose(t: &Term, src: Sym, dst: Sym) -> Option<(Term, Term, Sy
     None
 }
 
+/// Runs `search`, then cuts `db`'s dictionary back to where `search` found
+/// it and interns again, in the order they were first interned, the
+/// symbols that occur in the plan `search` returned: generated names get
+/// the fresh names that follow the mark, others their own. What a
+/// derivation minted for a plan that lost is gone — the dictionary grows by
+/// what the kept plan needs, and the next search starts from a dictionary
+/// that does not remember this one.
+///
+/// Re-interning in interning order keeps the order of any two symbols of
+/// the plan, hence the column order of every schema the plan computes with
+/// (schemas sort by symbol): the plan executes as it would have with the
+/// names the search gave it.
+///
+/// `search` must let nothing but its result keep a symbol it interned:
+/// memo, type environment and cost model die with it, and the feedback
+/// store's keys are [`canon_key`]s, blind to generated names.
+pub fn bracketed<R>(
+    db: &mut Database,
+    search: impl FnOnce(&mut Database) -> Result<(Term, R)>,
+) -> Result<(Term, R)> {
+    let mark = db.dict().mark();
+    match search(db) {
+        Ok((plan, rest)) => Ok((keep_symbols_of(plan, db.dict_mut(), mark), rest)),
+        Err(e) => {
+            db.dict_mut().truncate(mark);
+            Err(e)
+        }
+    }
+}
+
+fn keep_symbols_of(mut plan: Term, dict: &mut Dictionary, mark: DictMark) -> Term {
+    // A symbol past the end of the dictionary came with a term translated
+    // against another database: it is not this search's, and stays.
+    let len = dict.len();
+    let mut kept: Vec<Sym> = Vec::new();
+    for_each_symbol(&mut plan, mark, &mut |s| {
+        if mark.is_after(*s) && s.index() < len {
+            kept.push(*s);
+        }
+    });
+    kept.sort_unstable();
+    kept.dedup();
+    let names: Vec<Box<str>> = kept.iter().map(|s| dict.resolve(*s).into()).collect();
+    dict.truncate(mark);
+    let renamed: Vec<Sym> = names
+        .iter()
+        .map(|name| match generated_prefix(name) {
+            Some(prefix) => dict.fresh(prefix),
+            None => dict.intern(name),
+        })
+        .collect();
+    for_each_symbol(&mut plan, mark, &mut |s| {
+        if let Ok(i) = kept.binary_search(s) {
+            *s = renamed[i];
+        }
+    });
+    plan
+}
+
+/// Visits every symbol of `t` once: variables, binders, column names and
+/// string values of predicates. Constant relations are not entered — no
+/// rule and no frontend builds one, so theirs were named before `mark`.
+fn for_each_symbol(t: &mut Term, mark: DictMark, f: &mut impl FnMut(&mut Sym)) {
+    match t {
+        Term::Var(v) => f(v),
+        Term::Cst(r) => assert!(
+            !r.schema().columns().iter().any(|c| mark.is_after(*c)),
+            "a constant relation names a column interned during the search"
+        ),
+        Term::Filter(ps, inner) => {
+            for p in ps {
+                match p {
+                    Pred::Eq(c, v) | Pred::Neq(c, v) => {
+                        f(c);
+                        if let Value::Str(s) = v {
+                            f(s);
+                        }
+                    }
+                    Pred::EqCol(a, b) => {
+                        f(a);
+                        f(b);
+                    }
+                }
+            }
+            for_each_symbol(inner, mark, f);
+        }
+        Term::Rename(a, b, inner) => {
+            f(a);
+            f(b);
+            for_each_symbol(inner, mark, f);
+        }
+        Term::AntiProject(cs, inner) => {
+            cs.iter_mut().for_each(&mut *f);
+            for_each_symbol(inner, mark, f);
+        }
+        Term::Join(a, b) | Term::Antijoin(a, b) | Term::Union(a, b) => {
+            for_each_symbol(a, mark, f);
+            for_each_symbol(b, mark, f);
+        }
+        Term::Fix(x, body) => {
+            f(x);
+            for_each_symbol(body, mark, f);
+        }
+    }
+}
+
 /// Optimizes `term` against `db` (convenience wrapper).
 pub fn optimize(term: &Term, db: &mut Database) -> Result<Term> {
     Rewriter::new(db).optimize(term, db)
@@ -431,6 +580,59 @@ mod tests {
             t.children().iter().any(|c| find_compose(c, src, dst))
         }
         assert!(find_compose(&t, src, dst));
+    }
+
+    #[test]
+    fn rollout_that_keeps_a_composition_stops_before_the_bound() {
+        fn has_compose(t: &Term, src: Sym, dst: Sym) -> bool {
+            recognize_compose(t, src, dst).is_some()
+                || t.children().iter().any(|c| has_compose(c, src, dst))
+        }
+        let mut db = test_db();
+        let rw = Rewriter::new(&mut db);
+        let mut env = TypeEnv::from_db(&db);
+        for q in ["?x, ?y <- ?x a1/a2 ?y", "?x, ?y <- ?x a1/a2/a3 ?y", "?x <- ?x a1+/a2 C"] {
+            let term = to_mura(&parse_ucrpq(q).unwrap(), &mut db).unwrap();
+            let (plan, sweeps) = rw.pipeline_sweeps(&term, &mut db, &mut env).unwrap();
+            // Every sweep re-mints the composition's middle column: the
+            // plan never equals the sweep before it, only up to that name.
+            assert!(has_compose(&plan, rw.src(), rw.dst()), "{q}: {}", plan.display(db.dict()));
+            assert!(sweeps < MAX_PASSES, "{q}: ran all {sweeps} sweeps");
+        }
+    }
+
+    #[test]
+    fn a_search_leaves_the_names_of_its_plan_and_no_others() {
+        let mut db = test_db();
+        let rw = Rewriter::new(&mut db);
+        let term = to_mura(&parse_ucrpq("?x <- ?x a1+/a2+ C").unwrap(), &mut db).unwrap();
+        let before: Vec<String> = db.dict().names().map(str::to_string).collect();
+        let (plan, report) = rw.optimize_report(&term, &mut db).unwrap();
+        assert!(report.candidates > 10, "a search with scratch to release");
+        let mut used = Vec::new();
+        for_each_symbol(&mut plan.clone(), db.dict().mark(), &mut |s| used.push(*s));
+        let new: Vec<Sym> = (before.len()..db.dict().len()).map(|i| Sym(i as u32)).collect();
+        assert!(!new.is_empty() && new.iter().all(|s| used.contains(s)), "only the plan's names");
+        assert!(db.dict().names().take(before.len()).eq(before.iter().map(String::as_str)));
+        // The names are the fresh names that follow the mark, in order.
+        let numbers: Vec<u32> = new
+            .iter()
+            .map(|s| db.dict().resolve(*s).split_once('#').unwrap().1.parse().unwrap())
+            .collect();
+        assert!(numbers.windows(2).all(|w| w[0] + 1 == w[1]), "{numbers:?}");
+        assert_eq!(*numbers.last().unwrap(), db.dict().fresh_counter());
+        // A failed search leaves nothing.
+        let len = db.dict().len();
+        let failed = bracketed(&mut db, |db| {
+            db.dict_mut().fresh("X");
+            db.intern("never heard of");
+            Err::<(Term, ()), _>(mura_core::MuraError::Frontend("unknown constant".into()))
+        });
+        assert!(failed.is_err());
+        assert_eq!(db.dict().len(), len);
+        assert_eq!(db.dict().lookup("never heard of"), None);
+        // And the plan still evaluates: its symbols resolve.
+        eval(&plan, &db).unwrap();
     }
 
     #[test]

@@ -208,6 +208,10 @@ pub struct ServeStats {
     pub epoch: u64,
     /// Current database version (bumped by every mutation and load).
     pub version: u64,
+    /// Names the database dictionary holds: the catalog's own plus what the
+    /// plans made so far keep (a few per plan — a search's scratch names
+    /// leave with it).
+    pub dictionary_symbols: u64,
     /// Mutation batches applied through [`Server::apply_delta`] and the
     /// base rows they inserted / deleted (after no-op normalization).
     pub deltas_applied: u64,
@@ -450,6 +454,7 @@ impl std::fmt::Display for ServeStats {
             self.recovery_replayed_batches
         )?;
         writeln!(f, "version    {}", self.version)?;
+        writeln!(f, "dictionary {} symbols", self.dictionary_symbols)?;
         write!(f, "epoch      {}", self.epoch)
     }
 }
@@ -693,10 +698,6 @@ struct ServerInner {
     /// drain can deadline stragglers. Keyed by [`QueryJob::id`].
     inflight: Mutex<FxHashMap<u64, CancellationToken>>,
     next_job: AtomicU64,
-    /// Database statistics for admission cost estimates, built at startup
-    /// and on every [`Server::load`] (`Stats::from_db` scans every
-    /// relation once). The admission gates only read this slot.
-    cost_stats: Mutex<Option<(u64, Arc<Stats>)>>,
     /// Observed fixpoint cardinalities from completed executions, keyed by
     /// the planner's canonical term hash. Read on every plan-cache miss so
     /// repeated queries are re-costed from measured reality; churned or
@@ -834,54 +835,13 @@ impl ServerInner {
         }
     }
 
-    /// Rebuilds the per-epoch database statistics that back admission
-    /// cost estimates. Runs off the hot paths only — at startup and from
-    /// [`Server::load`] while the engine lock is already held — so the
-    /// gates never pay for a relation scan.
-    fn rebuild_cost_stats(&self, epoch: u64, db: &Database) {
-        if self.config.memory_watermark_bytes.is_none() {
-            return;
-        }
-        *lock(&self.cost_stats) = Some((epoch, Arc::new(Stats::from_db(db))));
-    }
-
-    /// Incremental counterpart of [`ServerInner::rebuild_cost_stats`] for
-    /// the delta path: folds a batch's per-relation churn into the existing
-    /// statistics (exact row counts, bounded distinct estimates) so a
-    /// mutation storm never pays a full-database rescan per batch.
-    fn update_cost_stats(&self, batch: &DeltaBatch, epoch: u64, db: &Database) {
-        if self.config.memory_watermark_bytes.is_none() {
-            return;
-        }
-        let mut slot = lock(&self.cost_stats);
-        match &mut *slot {
-            Some((e, stats)) if *e == epoch => {
-                let stats = Arc::make_mut(stats);
-                for (rel, d) in &batch.rels {
-                    stats.apply_delta(*rel, d.insert.len(), d.delete.len(), db.relation(*rel));
-                }
-            }
-            // No current snapshot to patch (the epoch moved without a
-            // rebuild, or startup raced): fall back to one full scan.
-            _ => *slot = Some((epoch, Arc::new(Stats::from_db(db)))),
-        }
-    }
-
     /// Cost-model byte estimate for a plan: output cardinality × arity ×
-    /// value size, from per-epoch database statistics. `None` when the
-    /// model can't price the plan — the gate then falls back to the live
-    /// gauge alone. Read-only and non-blocking: stats are prebuilt by
-    /// [`ServerInner::rebuild_cost_stats`], never scanned here, and a
-    /// contended lock or stale epoch just falls through to the gauge.
-    fn estimated_bytes(&self, plan: &Term, epoch: u64) -> Option<u64> {
-        let stats = {
-            let slot = self.cost_stats.try_lock().ok()?;
-            match &*slot {
-                Some((e, s)) if *e == epoch => Arc::clone(s),
-                _ => return None,
-            }
-        };
-        let card = CostModel::new(&stats).card(plan).ok()?;
+    /// value size, from the statistics the planner reads — the exact
+    /// counts the catalog keeps with each stored relation, so a mutated
+    /// relation is priced as it is now. `None` when the model can't price
+    /// the plan — the gate then falls back to the live gauge alone.
+    fn estimated_bytes(&self, plan: &Term, db: &Database) -> Option<u64> {
+        let card = CostModel::new(&Stats::from_db(db)).card(plan).ok()?;
         // `as` saturates the f64 (NaN → 0), and `rel_bytes` saturates the
         // multiplication, so an astronomical join estimate clamps to
         // u64::MAX and is always shed instead of wrapping past the gate.
@@ -937,7 +897,7 @@ impl ServerInner {
                     let fb = lock(&self.feedback);
                     (fb.observations(), fb.generation())
                 };
-                let obs = (!observations.is_empty()).then_some(&observations);
+                let obs = (!observations.is_empty()).then_some(observations);
                 let superseded =
                     lock(&self.plans).get(&(job.query.clone(), epoch)).map(|c| plan_key(&c.plan));
                 let (planned, _report) = engine.plan_ucrpq_report(&job.query, obs)?;
@@ -988,7 +948,8 @@ impl ServerInner {
         // Open → HalfOpen for a probe, and a probe shed by a later gate
         // would leave HalfOpen with nobody left to settle it.
         if self.config.memory_watermark_bytes.is_some() {
-            let estimate = self.estimated_bytes(&planned.plan, epoch).unwrap_or(0);
+            let estimate =
+                self.estimated_bytes(&planned.plan, self.read_engine().db()).unwrap_or(0);
             self.memory_gate(estimate).map_err(|e| self.shed(e))?;
         }
         self.breaker_check(key, true).map_err(|e| self.shed(e))?;
@@ -1133,10 +1094,6 @@ impl ServerInner {
             summary.version = version;
             summary.inserted = inserted;
             summary.deleted = deleted;
-            // Admission cost estimates must price the mutated data — fold
-            // the batch into the per-epoch statistics in place instead of
-            // rescanning every relation per batch.
-            self.update_cost_stats(&batch, epoch, engine.db());
             // Tell the planner's feedback store how much each relation
             // churned: materially churned observations are dropped and the
             // dependent queries re-plan on their next cache miss.
@@ -1417,7 +1374,6 @@ impl ServerInner {
                         self.epoch.store(epoch, Ordering::Release);
                         lock(&self.breakers).clear();
                     }
-                    self.rebuild_cost_stats(epoch, engine.db());
                     lock(&self.feedback).clear();
                 }
             }
@@ -1536,7 +1492,6 @@ impl Server {
             breakers: Mutex::new(FxHashMap::default()),
             inflight: Mutex::new(FxHashMap::default()),
             next_job: AtomicU64::new(0),
-            cost_stats: Mutex::new(None),
             feedback: Mutex::new(FeedbackStore::new()),
             durable,
             proc,
@@ -1552,9 +1507,6 @@ impl Server {
         }
         {
             let engine = inner.read_engine();
-            // Cost stats are rebuilt, not restored: they are derived state
-            // and the recovered database is the source of truth.
-            inner.rebuild_cost_stats(inner.epoch.load(Ordering::Acquire), engine.db());
             // Bound the next recovery: a fresh directory gets a bootstrap
             // snapshot at version 0, a replayed one folds its WAL tail in.
             if inner.durable.is_some() && (!had_snapshot || had_tail) {
@@ -1671,8 +1623,6 @@ impl Server {
         } else {
             self.inner.epoch.load(Ordering::Acquire)
         };
-        // The admission cost model must price against what was loaded.
-        self.inner.rebuild_cost_stats(epoch, engine.db());
         // Loaded data invalidates everything the planner has measured —
         // drop the observations outright. `clear` keeps the generation, so
         // same-shape refreshes keep their cached plans until fresh
@@ -1797,9 +1747,9 @@ fn explain_of(inner: &ServerInner, query: &str) -> ServeResult<String> {
         let fb = lock(&inner.feedback);
         (fb.observations(), fb.generation())
     };
-    let obs = (!observations.is_empty()).then_some(&observations);
+    let obs = (!observations.is_empty()).then_some(observations);
     let mut engine = inner.write_engine();
-    let (planned, report) = engine.plan_ucrpq_report(query, obs)?;
+    let (planned, report) = engine.plan_ucrpq_explained(query, obs)?;
     let mut out = String::new();
     match report {
         Some(r) => {
@@ -1860,6 +1810,7 @@ fn stats_of(inner: &ServerInner) -> ServeStats {
     };
     // All-zero under the in-process simulator: there is no fleet.
     let health = inner.proc.as_ref().map(|p| p.health_snapshot()).unwrap_or_default();
+    let dictionary_symbols = inner.read_engine().db().dict().len() as u64;
     ServeStats {
         submitted: c.submitted.load(Ordering::Relaxed),
         rejected: c.rejected.load(Ordering::Relaxed),
@@ -1883,6 +1834,7 @@ fn stats_of(inner: &ServerInner) -> ServeStats {
         plan_evictions: lock(&inner.plans).evictions(),
         epoch: inner.epoch.load(Ordering::Acquire),
         version: inner.version.load(Ordering::Acquire),
+        dictionary_symbols,
         deltas_applied: c.deltas_applied.load(Ordering::Relaxed),
         delta_rows_inserted: c.delta_rows_inserted.load(Ordering::Relaxed),
         delta_rows_deleted: c.delta_rows_deleted.load(Ordering::Relaxed),
@@ -2160,6 +2112,11 @@ fn metrics_of(inner: &ServerInner) -> String {
     );
     p.gauge("mura_db_epoch", "Current database epoch.", s.epoch as f64);
     p.gauge("mura_db_version", "Current database version.", s.version as f64);
+    p.gauge(
+        "mura_dictionary_symbols",
+        "Names held by the database dictionary (catalog names plus the binders of kept plans).",
+        s.dictionary_symbols as f64,
+    );
     p.finish()
 }
 
@@ -2231,9 +2188,13 @@ impl Client {
             self.inner.breaker_check(plan_key(&c.plan), false).map_err(|e| self.inner.shed(e))?;
         }
         if self.inner.config.memory_watermark_bytes.is_some() {
+            // A planner or a mutation holding the engine: no estimate.
             let estimate = cached_plan
                 .as_ref()
-                .and_then(|c| self.inner.estimated_bytes(&c.plan, epoch))
+                .and_then(|c| {
+                    let engine = self.inner.engine.try_read().ok()?;
+                    self.inner.estimated_bytes(&c.plan, engine.db())
+                })
                 .unwrap_or(0);
             self.inner.memory_gate(estimate).map_err(|e| self.inner.shed(e))?;
         }

@@ -119,6 +119,47 @@ fn metrics_page_has_required_families() {
     server.shutdown();
 }
 
+/// 500 texts no two alike — every one a plan-cache miss — leave in the
+/// dictionary what their plans need: a few binders each, not the several
+/// hundred names each search mints (before: over 100,000 after this run).
+#[test]
+fn dictionary_stays_small_over_five_hundred_distinct_misses() {
+    let server = Server::start(QueryEngine::new(path_db()), ServeConfig::default());
+    let client = server.client();
+    let before = server.stats().dictionary_symbols;
+    assert_eq!(before, 3, "src, dst, e");
+    let mut texts = Vec::new();
+    for steps in 1..=10 {
+        let chain = "e/".repeat(steps - 1);
+        for path in [format!("{chain}e+"), format!("e+/{chain}e")] {
+            for node in 0..13 {
+                texts.push(format!("?x <- {node} {path} ?x"));
+                texts.push(format!("?x <- ?x {path} {node}"));
+            }
+        }
+    }
+    texts.truncate(500);
+    for text in &texts {
+        client.query(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+    }
+    let stats = server.stats();
+    assert_eq!(stats.plan_misses, 500, "{stats:?}");
+    assert!(
+        stats.dictionary_symbols < 6_000,
+        "{} symbols after 500 plans",
+        stats.dictionary_symbols
+    );
+    assert!(stats
+        .to_string()
+        .contains(&format!("dictionary {} symbols", stats.dictionary_symbols)));
+    let page = server.metrics();
+    assert!(
+        page.contains(&format!("mura_dictionary_symbols {}", stats.dictionary_symbols)),
+        "{page}"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn tcp_metrics_and_profile_commands() {
     let server = Server::start(QueryEngine::new(path_db()), ServeConfig::default());

@@ -479,7 +479,7 @@ impl Shell {
                 if !self.optimize {
                     engine = engine.without_rewrites();
                 }
-                let (planned, report) = engine.plan_ucrpq_report(query, None)?;
+                let (planned, report) = engine.plan_ucrpq_explained(query, None)?;
                 if let Some(r) = report {
                     println!(
                         "{} candidates in {} groups{} — chosen cost {:.0} ({}) vs pipeline {:.0}",
