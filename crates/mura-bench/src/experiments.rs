@@ -13,7 +13,7 @@ use mura_ucrpq::suites::{concat_closure_query, uniprot_queries, yago_queries};
 use mura_ucrpq::{classify, parse_ucrpq};
 use std::time::Duration;
 
-/// Experiment scale knobs. `repro()` is the default for the `repro_*`
+/// Experiment scale knobs. `repro()` is the default for the `repro`
 /// binaries; `quick()` keeps criterion benches and CI fast.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
@@ -28,7 +28,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Default scale of the repro binaries.
+    /// Default scale of the `repro` binary.
     pub fn repro() -> Scale {
         Scale {
             yago_people: 1200,

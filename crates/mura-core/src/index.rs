@@ -130,7 +130,7 @@ impl JoinIndex {
         // refer to the probe side directly.
         let plan = join_plan(probe_schema, build.schema());
         let buckets = Buckets::of_rows(build.rows(), &plan.right_key);
-        kernel_stats().record_index_build();
+        kernel_stats().index_builds.inc();
         JoinIndex {
             out_schema: plan.out_schema,
             out_src: plan.out_src,
@@ -207,7 +207,7 @@ impl KeyIndex {
         let build_key: Vec<usize> =
             common.iter().map(|&c| build.schema().position(c).unwrap()).collect();
         let (buckets, distinct_keys) = Buckets::of_distinct_keys(build.rows(), &build_key);
-        kernel_stats().record_key_index_build();
+        kernel_stats().key_index_builds.inc();
         KeyIndex { probe_key, build_key, build: build.clone(), buckets, distinct_keys }
     }
 

@@ -7,135 +7,50 @@
 //! index is constructed once per fixpoint rather than once per iteration,
 //! and serving layers can surface the numbers alongside cache statistics.
 //!
-//! The counters are global atomics (one evaluation kernel per process, many
-//! clusters), mirroring the snapshot/`since` pattern of the communication
-//! metrics in `mura-dist`.
+//! The set is process-wide (one evaluation kernel per process, many
+//! clusters): a window over it is `snapshot().since(&before)`, which also
+//! sees whatever other threads did in between.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Process-wide counters for the evaluation kernels.
-#[derive(Debug, Default)]
-pub struct KernelStats {
-    /// Build-side join indexes constructed (once per `Join(delta, const)`
-    /// per fixpoint when the kernels are working as intended).
-    pub index_builds: AtomicU64,
-    /// Antijoin key-sets constructed.
-    pub key_index_builds: AtomicU64,
-    /// Rows probed against a cached join index.
-    pub join_probes: AtomicU64,
-    /// Rows probed against a cached antijoin key-set.
-    pub antijoin_probes: AtomicU64,
-    /// Output rows materialized by the indexed kernels.
-    pub rows_allocated: AtomicU64,
-    /// Variable-free subtrees folded into a single pre-materialized constant
-    /// by `prepare` (counted once per fold, before iteration starts).
-    pub const_folds: AtomicU64,
-    /// Semi-naive iterations executed by prepared fixpoint loops.
-    pub iterations: AtomicU64,
-    /// Nanoseconds spent inside prepared kernel evaluation.
-    pub eval_nanos: AtomicU64,
+mura_obs::counter_set! {
+    /// Process-wide counters for the evaluation kernels.
+    pub struct KernelStats => KernelSnapshot {
+        counter "mura_kernel_events_total", "Evaluation-kernel events (process-wide)." {
+            /// Build-side join indexes constructed (once per `Join(delta,
+            /// const)` per fixpoint when the kernels work as intended).
+            index_builds {event = "index_build"},
+            /// Antijoin key-sets constructed.
+            key_index_builds {event = "key_index_build"},
+            /// Rows probed against a cached join index.
+            join_probes {event = "join_probe"},
+            /// Rows probed against a cached antijoin key-set.
+            antijoin_probes {event = "antijoin_probe"},
+            /// Output rows materialized by the indexed kernels.
+            rows_allocated {event = "rows_allocated"},
+            /// Variable-free subtrees folded into a single pre-materialized
+            /// constant by `prepare` (once per fold, before iteration starts).
+            const_folds {event = "const_fold"},
+            /// Semi-naive iterations executed by prepared fixpoint loops.
+            iterations {event = "iteration"},
+        }
+        counter "mura_kernel_eval_nanoseconds_total", "Time inside prepared kernel evaluation." {
+            eval_nanos,
+        }
+    }
 }
 
 impl KernelStats {
-    /// Records one join-index build.
-    pub fn record_index_build(&self) {
-        self.index_builds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one antijoin key-set build.
-    pub fn record_key_index_build(&self) {
-        self.key_index_builds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a batch of `rows` probes against a join index.
-    pub fn record_join_probes(&self, rows: u64) {
-        self.join_probes.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// Records a batch of `rows` probes against an antijoin key-set.
-    pub fn record_antijoin_probes(&self, rows: u64) {
-        self.antijoin_probes.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// Records `rows` output rows materialized.
-    pub fn record_rows_allocated(&self, rows: u64) {
-        self.rows_allocated.fetch_add(rows, Ordering::Relaxed);
-    }
-
-    /// Records one constant subtree folded during `prepare`.
-    pub fn record_const_fold(&self) {
-        self.const_folds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one semi-naive iteration.
-    pub fn record_iteration(&self) {
-        self.iterations.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records time spent in prepared kernel evaluation.
     pub fn record_eval_time(&self, d: Duration) {
-        self.eval_nanos.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Immutable snapshot of the counters.
-    pub fn snapshot(&self) -> KernelSnapshot {
-        KernelSnapshot {
-            index_builds: self.index_builds.load(Ordering::Relaxed),
-            key_index_builds: self.key_index_builds.load(Ordering::Relaxed),
-            join_probes: self.join_probes.load(Ordering::Relaxed),
-            antijoin_probes: self.antijoin_probes.load(Ordering::Relaxed),
-            rows_allocated: self.rows_allocated.load(Ordering::Relaxed),
-            const_folds: self.const_folds.load(Ordering::Relaxed),
-            iterations: self.iterations.load(Ordering::Relaxed),
-            eval_nanos: self.eval_nanos.load(Ordering::Relaxed),
-        }
+        self.eval_nanos.add(d.as_nanos() as u64);
     }
 }
 
 /// The process-wide kernel counters.
 pub fn kernel_stats() -> &'static KernelStats {
-    static STATS: KernelStats = KernelStats {
-        index_builds: AtomicU64::new(0),
-        key_index_builds: AtomicU64::new(0),
-        join_probes: AtomicU64::new(0),
-        antijoin_probes: AtomicU64::new(0),
-        rows_allocated: AtomicU64::new(0),
-        const_folds: AtomicU64::new(0),
-        iterations: AtomicU64::new(0),
-        eval_nanos: AtomicU64::new(0),
-    };
+    static STATS: KernelStats = KernelStats::new();
     &STATS
-}
-
-/// A point-in-time copy of [`KernelStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelSnapshot {
-    pub index_builds: u64,
-    pub key_index_builds: u64,
-    pub join_probes: u64,
-    pub antijoin_probes: u64,
-    pub rows_allocated: u64,
-    pub const_folds: u64,
-    pub iterations: u64,
-    pub eval_nanos: u64,
-}
-
-impl KernelSnapshot {
-    /// Difference against an earlier snapshot (saturating, so interleaved
-    /// resets never underflow).
-    pub fn since(&self, earlier: &KernelSnapshot) -> KernelSnapshot {
-        KernelSnapshot {
-            index_builds: self.index_builds.saturating_sub(earlier.index_builds),
-            key_index_builds: self.key_index_builds.saturating_sub(earlier.key_index_builds),
-            join_probes: self.join_probes.saturating_sub(earlier.join_probes),
-            antijoin_probes: self.antijoin_probes.saturating_sub(earlier.antijoin_probes),
-            rows_allocated: self.rows_allocated.saturating_sub(earlier.rows_allocated),
-            const_folds: self.const_folds.saturating_sub(earlier.const_folds),
-            iterations: self.iterations.saturating_sub(earlier.iterations),
-            eval_nanos: self.eval_nanos.saturating_sub(earlier.eval_nanos),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -146,25 +61,12 @@ mod tests {
     fn since_isolates_a_window() {
         let s = kernel_stats();
         let before = s.snapshot();
-        s.record_index_build();
-        s.record_join_probes(10);
-        s.record_rows_allocated(7);
-        s.record_const_fold();
+        s.index_builds.inc();
+        s.join_probes.add(10);
+        s.record_eval_time(Duration::from_nanos(5));
         let d = s.snapshot().since(&before);
         assert!(d.index_builds >= 1);
         assert!(d.join_probes >= 10);
-        assert!(d.rows_allocated >= 7);
-        assert!(d.const_folds >= 1);
-    }
-
-    #[test]
-    fn snapshot_is_monotone() {
-        let s = kernel_stats();
-        let a = s.snapshot();
-        s.record_iteration();
-        s.record_eval_time(Duration::from_nanos(5));
-        let b = s.snapshot();
-        assert!(b.iterations > a.iterations);
-        assert!(b.eval_nanos >= a.eval_nanos + 5);
+        assert!(d.eval_nanos >= 5);
     }
 }

@@ -289,10 +289,10 @@ pub fn eval_async_at(
     }
     // The attempt succeeded: flush the per-worker injection counts.
     if drops > 0 {
-        fault.record_drops(drops);
+        fault.stats.injected_drops.add(drops);
     }
     if dups > 0 {
-        fault.record_duplicates(dups);
+        fault.stats.injected_duplicates.add(dups);
     }
     // Account the continuous row routing as one logical shuffle.
     let moved = cross_rows.load(Ordering::Relaxed).max(0) as u64;

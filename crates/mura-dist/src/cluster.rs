@@ -48,39 +48,33 @@ pub struct ExchangeCtx<'a> {
     pub trace: TraceCtx,
 }
 
-/// Liveness/repair counters of a communication backend (the process
-/// backend's supervisor view; the in-process simulator reports `None`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClusterHealth {
-    /// Configured worker count.
-    pub workers: u64,
-    /// Workers currently answering heartbeats.
-    pub live: u64,
-    /// Worker processes respawned since startup.
-    pub respawns: u64,
-    /// Control/heartbeat connections re-established since startup.
-    pub reconnects: u64,
-    /// Heartbeat deadlines missed by the supervisor since startup.
-    pub liveness_misses: u64,
-    /// Rows the coordinator encoded into exchange and broadcast frames
-    /// since startup. A row counts once per exchange, however many
-    /// attempts, injected retransmissions or duplicates carried its bytes.
-    pub rows_encoded: u64,
-    /// Total bytes written to worker sockets (heartbeats included).
-    pub wire_tx_bytes: u64,
-    /// Total bytes read from worker sockets (heartbeats included).
-    pub wire_rx_bytes: u64,
-    /// Worker-side spans evicted from bounded rings before they could be
-    /// flushed to the coordinator.
-    pub trace_dropped: u64,
-    /// Relay frames handled by workers (worker-side count).
-    pub worker_relay_frames: u64,
-    /// Deliver frames handled by workers (worker-side count).
-    pub worker_deliver_frames: u64,
-    /// Take frames handled by workers (worker-side count).
-    pub worker_take_frames: u64,
-    /// Broadcast frames handled by workers (worker-side count).
-    pub worker_bcast_frames: u64,
+mura_obs::counter_set! {
+    /// Lifetime supervision counters of the process backend (independent of
+    /// any single query's [`CommStats`]); the in-process simulator has none
+    /// and reports the all-zero [`ClusterHealth`].
+    pub struct ClusterCounters => ClusterHealth {
+        counter "mura_supervisor_events_total",
+            "Supervisor journal events by kind (process cluster only)." {
+            /// Worker processes respawned since startup.
+            respawns {kind = "respawn"},
+            /// Control/heartbeat connections re-established since startup.
+            reconnects {kind = "reconnect"},
+            /// Heartbeat deadlines missed by the supervisor since startup.
+            liveness_misses {kind = "liveness_miss"},
+        }
+        counter "mura_cluster_rows_encoded_total",
+            "Rows the coordinator encoded into exchange and broadcast frames." {
+            /// A row counts once per exchange, however many attempts,
+            /// injected retransmissions or duplicates carried its bytes.
+            rows_encoded,
+        }
+        supplied {
+            gauge "mura_cluster_workers",
+                "Configured process-cluster worker count (0 in in-process mode)." { workers }
+            gauge "mura_cluster_workers_live",
+                "Process-cluster workers currently answering heartbeats." { live }
+        }
+    }
 }
 
 /// What a supervisor journal entry records.
@@ -92,17 +86,6 @@ pub enum SupervisorEventKind {
     Reconnect,
     /// A heartbeat deadline was missed (the worker may be respawned next).
     LivenessMiss,
-}
-
-impl SupervisorEventKind {
-    /// Stable lowercase name (Prometheus label value / journal rendering).
-    pub fn name(self) -> &'static str {
-        match self {
-            SupervisorEventKind::Respawn => "respawn",
-            SupervisorEventKind::Reconnect => "reconnect",
-            SupervisorEventKind::LivenessMiss => "liveness_miss",
-        }
-    }
 }
 
 /// One supervisor journal entry: what happened to which worker, when
@@ -154,11 +137,6 @@ pub trait CommBackend: Send + Sync + std::fmt::Debug {
     /// Replicates `rel` to every worker. Row accounting is already done by
     /// the caller; the process backend additionally moves the bytes.
     fn broadcast(&self, ctx: &ExchangeCtx<'_>, rel: &Relation) -> Result<()>;
-
-    /// Supervisor health, when the backend has one.
-    fn health(&self) -> Option<ClusterHealth> {
-        None
-    }
 
     /// Drains worker-side spans of `trace_id` into coordinator-clock
     /// [`TraceEvent`]s with timestamps relative to `base` (the trace
@@ -304,11 +282,6 @@ impl Cluster {
         &self.backend
     }
 
-    /// Supervisor health of the backend (process mode), if it has one.
-    pub fn health(&self) -> Option<ClusterHealth> {
-        self.backend.health()
-    }
-
     /// Updates the trace context stamped onto subsequent data-plane
     /// frames. The evaluator calls this at fixpoint and superstep
     /// boundaries; with tracing off the context stays all-zero.
@@ -433,7 +406,7 @@ impl Cluster {
                         c.check()?;
                     }
                     reruns += 1;
-                    self.fault.record_stage_rerun();
+                    self.fault.stats.stage_reruns.inc();
                 }
                 other => return other,
             }
@@ -548,7 +521,7 @@ impl Cluster {
                     if retry >= self.recovery.max_retries {
                         return Err(e);
                     }
-                    self.fault.record_retry();
+                    self.fault.stats.task_retries.inc();
                     let backoff = self.recovery.backoff(retry);
                     self.fault.record_time_lost(backoff);
                     std::thread::sleep(backoff);

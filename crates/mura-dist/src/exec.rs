@@ -854,7 +854,7 @@ impl<'db> DistEvaluator<'db> {
                     iter += 1;
                     if checkpoint_every > 0 && iter.is_multiple_of(checkpoint_every) {
                         ckpt = Some((acc.clone(), delta.clone(), iter));
-                        self.cluster.fault().record_checkpoint();
+                        self.cluster.fault().stats.checkpoints.inc();
                     }
                 }
                 Err(e) if e.is_retryable() => {
@@ -908,7 +908,7 @@ impl<'db> DistEvaluator<'db> {
         delta: &DistRel,
     ) -> Result<Option<DistRel>> {
         self.stats.fixpoint_iterations += 1;
-        kernel_stats().record_iteration();
+        kernel_stats().iterations.inc();
         let mut new: Option<DistRel> = None;
         for p in prepared {
             let start = Instant::now();

@@ -200,47 +200,58 @@ impl RecoveryPolicy {
     }
 }
 
-/// Point-in-time copy of [`FaultStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultSnapshot {
-    /// Injected faults, by class.
-    pub injected_panics: u64,
-    pub injected_transients: u64,
-    pub injected_drops: u64,
-    pub injected_duplicates: u64,
-    pub injected_stragglers: u64,
-    pub injected_memory_pressure: u64,
-    /// Task attempts that failed and were retried (with backoff).
-    pub task_retries: u64,
-    /// Whole stages re-executed at a fresh site after a task exhausted its
-    /// retries (lineage recomputation for non-fixpoint stages).
-    pub stage_reruns: u64,
-    /// Superstep checkpoints taken.
-    pub checkpoints: u64,
-    /// Fixpoints rolled back to a checkpoint after retries were exhausted.
-    pub checkpoint_restores: u64,
-    /// Fixpoints restarted from their seed (no checkpoint available).
-    pub full_restarts: u64,
-    /// Rows reloaded from checkpoints / seeds during recovery.
-    pub rows_replayed: u64,
-    /// Fixpoint iterations re-executed after restores.
-    pub iterations_replayed: u64,
-    /// Process-mode injections: worker processes SIGKILLed mid-exchange.
-    pub killed_workers: u64,
-    /// Process-mode injections: live worker connections severed.
-    pub dropped_connections: u64,
-    /// Process-mode injections: socket operations artificially delayed.
-    pub delayed_sockets: u64,
-    /// Process-mode injections: frames corrupted in flight (caught by the
-    /// wire CRC, handled as dropped connections).
-    pub corrupted_frames: u64,
-    /// Worker processes respawned after (injected or genuine) death.
-    pub worker_respawns: u64,
-    /// Worker connections re-established after a drop.
-    pub reconnects: u64,
-    /// Wall-clock spent in failed attempts and backoff sleeps. Excluded
-    /// from [`FaultSnapshot::counts`]: time is not deterministic.
-    pub time_lost_ms: u64,
+mura_obs::counter_set! {
+    /// Thread-safe fault/recovery counters: one set per [`FaultPlan`], and
+    /// one in the serving tier that sums the executions it ran.
+    pub struct FaultStats => FaultSnapshot {
+        counter "mura_faults_injected_total", "Faults injected into executions, by class." {
+            injected_panics {class = "panic"},
+            injected_transients {class = "transient"},
+            injected_drops {class = "drop"},
+            injected_duplicates {class = "duplicate"},
+            injected_stragglers {class = "straggler"},
+            injected_memory_pressure {class = "memory_pressure"},
+            /// Process mode: worker processes SIGKILLed mid-exchange.
+            killed_workers {class = "kill_worker"},
+            /// Process mode: live worker connections severed.
+            dropped_connections {class = "connection_drop"},
+            /// Process mode: socket operations artificially delayed.
+            delayed_sockets {class = "socket_delay"},
+            /// Process mode: frames corrupted in flight (caught by the wire
+            /// CRC, handled as dropped connections).
+            corrupted_frames {class = "corrupt_frame"},
+        }
+        counter "mura_fault_recoveries_total", "Recovery actions by kind." {
+            /// Task attempts that failed and were retried (with backoff).
+            task_retries {action = "retry"},
+            /// Whole stages re-executed at a fresh site after a task
+            /// exhausted its retries (lineage recomputation for
+            /// non-fixpoint stages).
+            stage_reruns {action = "stage_rerun"},
+            /// Fixpoints rolled back to a checkpoint after retries were
+            /// exhausted.
+            checkpoint_restores {action = "restore"},
+            /// Fixpoints restarted from their seed (no checkpoint available).
+            full_restarts {action = "restart"},
+            /// Worker processes respawned after (injected or genuine) death.
+            worker_respawns {action = "respawn"},
+            /// Worker connections re-established after a drop.
+            reconnects {action = "reconnect"},
+        }
+        counter "mura_fault_checkpoints_total", "Superstep checkpoints taken." { checkpoints }
+        counter "mura_fault_replayed_total", "Work redone after restores and restarts." {
+            /// Rows reloaded from checkpoints / seeds during recovery.
+            rows_replayed {unit = "rows"},
+            /// Fixpoint iterations re-executed after restores.
+            iterations_replayed {unit = "iterations"},
+        }
+        counter "mura_fault_time_lost_microseconds_total",
+            "Wall-clock spent in failed attempts and backoff sleeps." {
+            /// Excluded from [`FaultSnapshot::counts`]: time is not
+            /// deterministic.
+            time_lost_us,
+        }
+    }
 }
 
 impl FaultSnapshot {
@@ -276,67 +287,8 @@ impl FaultSnapshot {
     /// deterministic). Two runs of the same query under the same
     /// [`FaultConfig`] seed must compare equal under this projection.
     pub fn counts(&self) -> FaultSnapshot {
-        FaultSnapshot { time_lost_ms: 0, worker_respawns: 0, reconnects: 0, ..*self }
+        FaultSnapshot { time_lost_us: 0, worker_respawns: 0, reconnects: 0, ..*self }
     }
-}
-
-impl std::fmt::Display for FaultSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "injected {} (panic {} / transient {} / drop {} / dup {} / straggler {} / mem {} / \
-             kill {} / conn-drop {} / sock-delay {} / corrupt {}), \
-             retries {}, stage reruns {}, checkpoints {}, restores {}, restarts {}, \
-             respawns {}, reconnects {}, \
-             rows replayed {}, iterations replayed {}, time lost {} ms",
-            self.injected(),
-            self.injected_panics,
-            self.injected_transients,
-            self.injected_drops,
-            self.injected_duplicates,
-            self.injected_stragglers,
-            self.injected_memory_pressure,
-            self.killed_workers,
-            self.dropped_connections,
-            self.delayed_sockets,
-            self.corrupted_frames,
-            self.task_retries,
-            self.stage_reruns,
-            self.checkpoints,
-            self.checkpoint_restores,
-            self.full_restarts,
-            self.worker_respawns,
-            self.reconnects,
-            self.rows_replayed,
-            self.iterations_replayed,
-            self.time_lost_ms
-        )
-    }
-}
-
-/// Thread-safe fault/recovery counters (one set per [`FaultPlan`]).
-#[derive(Debug, Default)]
-pub struct FaultStats {
-    injected_panics: AtomicU64,
-    injected_transients: AtomicU64,
-    injected_drops: AtomicU64,
-    injected_duplicates: AtomicU64,
-    injected_stragglers: AtomicU64,
-    injected_memory_pressure: AtomicU64,
-    task_retries: AtomicU64,
-    stage_reruns: AtomicU64,
-    checkpoints: AtomicU64,
-    checkpoint_restores: AtomicU64,
-    full_restarts: AtomicU64,
-    rows_replayed: AtomicU64,
-    iterations_replayed: AtomicU64,
-    killed_workers: AtomicU64,
-    dropped_connections: AtomicU64,
-    delayed_sockets: AtomicU64,
-    corrupted_frames: AtomicU64,
-    worker_respawns: AtomicU64,
-    reconnects: AtomicU64,
-    time_lost_us: AtomicU64,
 }
 
 /// The deterministic fault-injection layer consulted by the cluster and the
@@ -355,7 +307,8 @@ pub struct FaultStats {
 pub struct FaultPlan {
     cfg: FaultConfig,
     next_site: AtomicU64,
-    stats: FaultStats,
+    /// What this plan injected and what recovering from it cost.
+    pub stats: FaultStats,
 }
 
 impl FaultPlan {
@@ -429,7 +382,7 @@ impl FaultPlan {
     /// the supervisor observes as [`MuraError::WorkerFailed`].
     pub fn maybe_panic(&self, site: u64, worker: usize, step: u64, attempt: u32) {
         if self.fires(FaultClass::Panic, site, worker as u64, step, attempt) {
-            self.stats.injected_panics.fetch_add(1, Ordering::Relaxed);
+            self.stats.injected_panics.inc();
             panic!(
                 "injected worker panic (fault seed {}, site {site}, worker {worker}, step {step})",
                 self.cfg.seed
@@ -441,7 +394,7 @@ impl FaultPlan {
     /// injects a transient task error here.
     pub fn maybe_transient(&self, site: u64, worker: usize, step: u64, attempt: u32) -> Result<()> {
         if self.fires(FaultClass::Transient, site, worker as u64, step, attempt) {
-            self.stats.injected_transients.fetch_add(1, Ordering::Relaxed);
+            self.stats.injected_transients.inc();
             return Err(MuraError::TransientFault { worker });
         }
         Ok(())
@@ -460,7 +413,7 @@ impl FaultPlan {
         attempt: u32,
     ) -> Result<()> {
         if self.fires(FaultClass::MemoryPressure, site, worker as u64, step, attempt) {
-            self.stats.injected_memory_pressure.fetch_add(1, Ordering::Relaxed);
+            self.stats.injected_memory_pressure.inc();
             return Err(MuraError::TransientFault { worker });
         }
         Ok(())
@@ -479,7 +432,7 @@ impl FaultPlan {
             && self.cfg.failures_per_site > 0
             && self.roll(FaultClass::Straggler, site, worker as u64, step, self.cfg.straggler_prob)
         {
-            self.stats.injected_stragglers.fetch_add(1, Ordering::Relaxed);
+            self.stats.injected_stragglers.inc();
             return Some(Duration::from_millis(self.cfg.straggler_delay_ms));
         }
         None
@@ -491,7 +444,7 @@ impl FaultPlan {
     pub fn drop_exchange(&self, site: u64, from: usize, to: usize) -> bool {
         let fired = self.roll(FaultClass::Drop, site, from as u64, to as u64, self.cfg.drop_prob);
         if fired {
-            self.stats.injected_drops.fetch_add(1, Ordering::Relaxed);
+            self.stats.injected_drops.inc();
         }
         fired
     }
@@ -503,7 +456,7 @@ impl FaultPlan {
         let fired =
             self.roll(FaultClass::Duplicate, site, from as u64, to as u64, self.cfg.duplicate_prob);
         if fired {
-            self.stats.injected_duplicates.fetch_add(1, Ordering::Relaxed);
+            self.stats.injected_duplicates.inc();
         }
         fired
     }
@@ -517,7 +470,7 @@ impl FaultPlan {
     pub fn kill_worker(&self, site: u64, worker: usize, attempt: u32) -> bool {
         let fired = self.fires(FaultClass::KillWorker, site, worker as u64, 0, attempt);
         if fired {
-            self.stats.killed_workers.fetch_add(1, Ordering::Relaxed);
+            self.stats.killed_workers.inc();
         }
         fired
     }
@@ -528,7 +481,7 @@ impl FaultPlan {
     pub fn drop_connection(&self, site: u64, worker: usize, attempt: u32) -> bool {
         let fired = self.fires(FaultClass::ConnectionDrop, site, worker as u64, 0, attempt);
         if fired {
-            self.stats.dropped_connections.fetch_add(1, Ordering::Relaxed);
+            self.stats.dropped_connections.inc();
         }
         fired
     }
@@ -541,7 +494,7 @@ impl FaultPlan {
             && self.cfg.failures_per_site > 0
             && self.roll(FaultClass::SocketDelay, site, worker as u64, 0, self.cfg.straggler_prob)
         {
-            self.stats.delayed_sockets.fetch_add(1, Ordering::Relaxed);
+            self.stats.delayed_sockets.inc();
             return Some(Duration::from_millis(self.cfg.straggler_delay_ms));
         }
         None
@@ -557,7 +510,7 @@ impl FaultPlan {
         if !self.fires(FaultClass::CorruptFrame, site, worker as u64, 0, attempt) {
             return None;
         }
-        self.stats.corrupted_frames.fetch_add(1, Ordering::Relaxed);
+        self.stats.corrupted_frames.inc();
         let entropy = self
             .cfg
             .seed
@@ -568,21 +521,11 @@ impl FaultPlan {
         Some(SplitMix64::seed_from_u64(entropy).next_u64())
     }
 
-    /// Records one worker-process respawn (after injected or genuine death).
-    pub fn record_worker_respawn(&self) {
-        self.stats.worker_respawns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one re-established worker connection.
-    pub fn record_reconnect(&self) {
-        self.stats.reconnects.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Row-level drop decision for the asynchronous plan, keyed on the row's
     /// content hash: async batch boundaries are timing-dependent, row
     /// contents are not, so this keeps `P_async` fault injection
     /// deterministic. Pure — records nothing; callers accumulate counts
-    /// locally and flush them with [`FaultPlan::record_drops`] only when the
+    /// locally and add them to [`FaultStats::injected_drops`] only when the
     /// attempt succeeds (counts recorded during an attempt that later aborts
     /// would depend on how far each worker got before noticing the abort).
     pub fn would_drop_row(&self, row_hash: u64) -> bool {
@@ -595,75 +538,28 @@ impl FaultPlan {
         self.roll(FaultClass::Duplicate, row_hash, 0, 0, self.cfg.duplicate_prob)
     }
 
-    /// Records `n` row-level drops from a successful async attempt.
-    pub fn record_drops(&self, n: u64) {
-        self.stats.injected_drops.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` row-level duplications from a successful async attempt.
-    pub fn record_duplicates(&self, n: u64) {
-        self.stats.injected_duplicates.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one task retry.
-    pub fn record_retry(&self) {
-        self.stats.task_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one stage re-execution (lineage recomputation).
-    pub fn record_stage_rerun(&self) {
-        self.stats.stage_reruns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one superstep checkpoint.
-    pub fn record_checkpoint(&self) {
-        self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a rollback to a checkpoint: `rows` reloaded, `iterations`
     /// that must be re-executed.
     pub fn record_restore(&self, rows: u64, iterations: u64) {
-        self.stats.checkpoint_restores.fetch_add(1, Ordering::Relaxed);
-        self.stats.rows_replayed.fetch_add(rows, Ordering::Relaxed);
-        self.stats.iterations_replayed.fetch_add(iterations, Ordering::Relaxed);
+        self.stats.checkpoint_restores.inc();
+        self.stats.rows_replayed.add(rows);
+        self.stats.iterations_replayed.add(iterations);
     }
 
     /// Records a restart from the fixpoint seed (no checkpoint existed).
     pub fn record_full_restart(&self, rows: u64) {
-        self.stats.full_restarts.fetch_add(1, Ordering::Relaxed);
-        self.stats.rows_replayed.fetch_add(rows, Ordering::Relaxed);
+        self.stats.full_restarts.inc();
+        self.stats.rows_replayed.add(rows);
     }
 
     /// Records wall-clock lost to a failed attempt or a backoff sleep.
     pub fn record_time_lost(&self, d: Duration) {
-        self.stats.time_lost_us.fetch_add(d.as_micros() as u64, Ordering::Relaxed);
+        self.stats.time_lost_us.add(d.as_micros() as u64);
     }
 
     /// Point-in-time copy of the counters.
     pub fn snapshot(&self) -> FaultSnapshot {
-        let s = &self.stats;
-        FaultSnapshot {
-            injected_panics: s.injected_panics.load(Ordering::Relaxed),
-            injected_transients: s.injected_transients.load(Ordering::Relaxed),
-            injected_drops: s.injected_drops.load(Ordering::Relaxed),
-            injected_duplicates: s.injected_duplicates.load(Ordering::Relaxed),
-            injected_stragglers: s.injected_stragglers.load(Ordering::Relaxed),
-            injected_memory_pressure: s.injected_memory_pressure.load(Ordering::Relaxed),
-            task_retries: s.task_retries.load(Ordering::Relaxed),
-            stage_reruns: s.stage_reruns.load(Ordering::Relaxed),
-            checkpoints: s.checkpoints.load(Ordering::Relaxed),
-            checkpoint_restores: s.checkpoint_restores.load(Ordering::Relaxed),
-            full_restarts: s.full_restarts.load(Ordering::Relaxed),
-            rows_replayed: s.rows_replayed.load(Ordering::Relaxed),
-            iterations_replayed: s.iterations_replayed.load(Ordering::Relaxed),
-            killed_workers: s.killed_workers.load(Ordering::Relaxed),
-            dropped_connections: s.dropped_connections.load(Ordering::Relaxed),
-            delayed_sockets: s.delayed_sockets.load(Ordering::Relaxed),
-            corrupted_frames: s.corrupted_frames.load(Ordering::Relaxed),
-            worker_respawns: s.worker_respawns.load(Ordering::Relaxed),
-            reconnects: s.reconnects.load(Ordering::Relaxed),
-            time_lost_ms: s.time_lost_us.load(Ordering::Relaxed) / 1_000,
-        }
+        self.stats.snapshot()
     }
 }
 
@@ -738,10 +634,10 @@ mod tests {
     fn snapshot_counts_projection_drops_time() {
         let p = FaultPlan::disabled();
         p.record_time_lost(Duration::from_millis(12));
-        p.record_retry();
+        p.stats.task_retries.inc();
         let s = p.snapshot();
-        assert_eq!(s.time_lost_ms, 12);
-        assert_eq!(s.counts().time_lost_ms, 0);
+        assert_eq!(s.time_lost_us, 12_000);
+        assert_eq!(s.counts().time_lost_us, 0);
         assert_eq!(s.counts().task_retries, 1);
         assert!(s.recovered());
     }
@@ -769,8 +665,8 @@ mod tests {
     #[test]
     fn repair_counters_excluded_from_deterministic_projection() {
         let p = FaultPlan::disabled();
-        p.record_worker_respawn();
-        p.record_reconnect();
+        p.stats.worker_respawns.inc();
+        p.stats.reconnects.inc();
         let s = p.snapshot();
         assert_eq!(s.worker_respawns, 1);
         assert_eq!(s.reconnects, 1);

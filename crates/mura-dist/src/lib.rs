@@ -44,9 +44,9 @@ pub use cluster::{
 pub use distrel::DistRel;
 pub use engine::{explain_plan, PlannedQuery, QueryEngine, QueryOutput};
 pub use exec::{DistEvaluator, ExecConfig, ExecStats, FixResume, FixpointPlan, ResourceLimits};
-pub use fault::{FaultConfig, FaultPlan, FaultSnapshot, RecoveryPolicy};
+pub use fault::{FaultConfig, FaultPlan, FaultSnapshot, FaultStats, RecoveryPolicy};
 pub use localfix::LocalEngine;
 pub use metrics::{CommSnapshot, CommStats};
 pub use mura_obs::{QueryTrace, TraceLevel};
 pub use proc::{ProcCluster, ProcClusterConfig};
-pub use wire::{TraceCtx, WorkerSpan};
+pub use wire::{TraceCtx, WorkerSnapshot, WorkerSpan};

@@ -396,9 +396,9 @@ impl Sink {
     /// Hands the rows over and reports the counts.
     fn finish(self) -> Rows {
         let stats = kernel_stats();
-        stats.record_join_probes(self.join_probes);
-        stats.record_antijoin_probes(self.antijoin_probes);
-        stats.record_rows_allocated(self.rows.len() as u64);
+        stats.join_probes.add(self.join_probes);
+        stats.antijoin_probes.add(self.antijoin_probes);
+        stats.rows_allocated.add(self.rows.len() as u64);
         self.rows
     }
 }
@@ -660,7 +660,7 @@ enum Prep<R> {
 /// Evaluates a constant folding step, counting it so tests can assert the
 /// work happens at prepare time (once per fixpoint), not per iteration.
 fn fold<R>(r: Relation) -> Prep<R> {
-    kernel_stats().record_const_fold();
+    kernel_stats().const_folds.inc();
     Prep::Const(r)
 }
 
@@ -805,7 +805,7 @@ fn local_superstep<R: LocalRel>(
     check_room(acc.len(), produced.len())?;
     let new = acc.absorb_new(produced);
     stats.record_eval_time(start.elapsed());
-    stats.record_iteration();
+    stats.iterations.inc();
     budget.charge(new.len() as u64)?;
     budget.charge_bytes(rel_bytes(new.len() as u64, new.schema().arity()))?;
     Ok(if new.is_empty() { None } else { Some(new) })
@@ -971,7 +971,7 @@ pub fn local_fixpoint_supervised<R: LocalRel>(
                 iter = next;
                 if ctx.checkpoint_every > 0 && iter.is_multiple_of(ctx.checkpoint_every) {
                     ckpt = Some((acc.clone(), delta.clone(), iter));
-                    ctx.fault.record_checkpoint();
+                    ctx.fault.stats.checkpoints.inc();
                 }
             }
             Err(e) if e.is_retryable() => {

@@ -5,100 +5,64 @@
 //! front. These counters make that observable: every shuffle, shuffled row
 //! and broadcast row in the simulated cluster is counted here.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Shared, thread-safe communication counters for one cluster.
-#[derive(Debug, Default)]
-pub struct CommStats {
-    /// Number of shuffle operations (each repartition of a dataset).
-    pub shuffles: AtomicU64,
-    /// Rows written during shuffles (every row of a repartitioned dataset,
-    /// matching Spark's shuffle-write accounting).
-    pub rows_shuffled: AtomicU64,
-    /// Rows replicated by broadcasts (`rows × (workers − 1)`).
-    pub rows_broadcast: AtomicU64,
-    /// Number of broadcast operations.
-    pub broadcasts: AtomicU64,
-    /// Bytes written to worker sockets (frames included). Zero on the
-    /// in-process simulator backend; real traffic on `ProcCluster`.
-    pub wire_tx_bytes: AtomicU64,
-    /// Bytes read back from worker sockets (frames included).
-    pub wire_rx_bytes: AtomicU64,
-    /// Data-plane payload bytes (exchange buckets and broadcast relations)
-    /// that crossed a socket — the counter behind the paper's `P_plw`
-    /// zero-communication claim, measured instead of simulated. Excludes
-    /// framing and control traffic.
-    pub wire_exchange_bytes: AtomicU64,
+mura_obs::counter_set! {
+    /// Shared, thread-safe communication counters: one set per cluster,
+    /// and one in the serving tier that sums fresh executions.
+    pub struct CommStats => CommSnapshot {
+        counter "mura_comm_shuffles_total", "Shuffle operations (each repartition of a dataset)." {
+            shuffles,
+        }
+        counter "mura_comm_rows_shuffled_total", "Rows written during shuffles." {
+            /// Every row of a repartitioned dataset, matching Spark's
+            /// shuffle-write accounting.
+            rows_shuffled,
+        }
+        counter "mura_comm_rows_broadcast_total", "Rows replicated by broadcasts." {
+            /// `rows × (workers − 1)` per broadcast.
+            rows_broadcast,
+        }
+        counter "mura_comm_broadcasts_total", "Broadcast operations." { broadcasts }
+        counter "mura_wire_bytes_total", "Measured bytes on worker sockets, frames included." {
+            /// Zero on the in-process simulator backend; real traffic on
+            /// `ProcCluster`.
+            wire_tx_bytes {dir = "tx"},
+            wire_rx_bytes {dir = "rx"},
+        }
+        counter "mura_wire_exchange_bytes_total",
+            "Data-plane payload bytes that crossed worker sockets (the measured P_plw claim)." {
+            /// Exchange buckets and broadcast relations only — the counter
+            /// behind the paper's `P_plw` zero-communication claim, measured
+            /// instead of simulated. Excludes framing and control traffic.
+            wire_exchange_bytes,
+        }
+    }
 }
 
 impl CommStats {
     /// Records one shuffle of `rows` rows.
     pub fn record_shuffle(&self, rows: u64) {
-        self.shuffles.fetch_add(1, Ordering::Relaxed);
-        self.rows_shuffled.fetch_add(rows, Ordering::Relaxed);
+        self.shuffles.inc();
+        self.rows_shuffled.add(rows);
     }
 
     /// Records one broadcast of `rows` rows to `workers` workers.
     pub fn record_broadcast(&self, rows: u64, workers: usize) {
-        self.broadcasts.fetch_add(1, Ordering::Relaxed);
-        self.rows_broadcast.fetch_add(rows * (workers.saturating_sub(1)) as u64, Ordering::Relaxed);
+        self.broadcasts.inc();
+        self.rows_broadcast.add(rows * workers.saturating_sub(1) as u64);
     }
 
     /// Records `frame` bytes written to a worker socket, `payload` of which
     /// were data-plane payload (zero for control traffic).
     pub fn record_wire_tx(&self, frame: u64, payload: u64) {
-        self.wire_tx_bytes.fetch_add(frame, Ordering::Relaxed);
-        self.wire_exchange_bytes.fetch_add(payload, Ordering::Relaxed);
+        self.wire_tx_bytes.add(frame);
+        self.wire_exchange_bytes.add(payload);
     }
 
     /// Records `frame` bytes read from a worker socket, `payload` of which
     /// were data-plane payload.
     pub fn record_wire_rx(&self, frame: u64, payload: u64) {
-        self.wire_rx_bytes.fetch_add(frame, Ordering::Relaxed);
-        self.wire_exchange_bytes.fetch_add(payload, Ordering::Relaxed);
-    }
-
-    /// Immutable snapshot of the counters.
-    pub fn snapshot(&self) -> CommSnapshot {
-        CommSnapshot {
-            shuffles: self.shuffles.load(Ordering::Relaxed),
-            rows_shuffled: self.rows_shuffled.load(Ordering::Relaxed),
-            rows_broadcast: self.rows_broadcast.load(Ordering::Relaxed),
-            broadcasts: self.broadcasts.load(Ordering::Relaxed),
-            wire_tx_bytes: self.wire_tx_bytes.load(Ordering::Relaxed),
-            wire_rx_bytes: self.wire_rx_bytes.load(Ordering::Relaxed),
-            wire_exchange_bytes: self.wire_exchange_bytes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`CommStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommSnapshot {
-    pub shuffles: u64,
-    pub rows_shuffled: u64,
-    pub rows_broadcast: u64,
-    pub broadcasts: u64,
-    pub wire_tx_bytes: u64,
-    pub wire_rx_bytes: u64,
-    pub wire_exchange_bytes: u64,
-}
-
-impl CommSnapshot {
-    /// Difference against an earlier snapshot. Saturates at zero so a
-    /// stale or reordered earlier snapshot cannot underflow.
-    pub fn since(&self, earlier: &CommSnapshot) -> CommSnapshot {
-        CommSnapshot {
-            shuffles: self.shuffles.saturating_sub(earlier.shuffles),
-            rows_shuffled: self.rows_shuffled.saturating_sub(earlier.rows_shuffled),
-            rows_broadcast: self.rows_broadcast.saturating_sub(earlier.rows_broadcast),
-            broadcasts: self.broadcasts.saturating_sub(earlier.broadcasts),
-            wire_tx_bytes: self.wire_tx_bytes.saturating_sub(earlier.wire_tx_bytes),
-            wire_rx_bytes: self.wire_rx_bytes.saturating_sub(earlier.wire_rx_bytes),
-            wire_exchange_bytes: self
-                .wire_exchange_bytes
-                .saturating_sub(earlier.wire_exchange_bytes),
-        }
+        self.wire_rx_bytes.add(frame);
+        self.wire_exchange_bytes.add(payload);
     }
 }
 
@@ -120,30 +84,6 @@ mod tests {
     }
 
     #[test]
-    fn since_subtracts() {
-        let m = CommStats::default();
-        m.record_shuffle(10);
-        let a = m.snapshot();
-        m.record_shuffle(5);
-        let d = m.snapshot().since(&a);
-        assert_eq!(d.shuffles, 1);
-        assert_eq!(d.rows_shuffled, 5);
-    }
-
-    #[test]
-    fn since_saturates_when_earlier_is_ahead() {
-        // A snapshot diffed against a *later* one must not underflow.
-        let m = CommStats::default();
-        m.record_shuffle(10);
-        let before = m.snapshot();
-        m.record_shuffle(3);
-        let after = m.snapshot();
-        let d = before.since(&after);
-        assert_eq!(d.shuffles, 0);
-        assert_eq!(d.rows_shuffled, 0);
-    }
-
-    #[test]
     fn broadcast_to_single_worker_is_free() {
         let m = CommStats::default();
         m.record_broadcast(100, 1);
@@ -151,7 +91,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_bytes_accumulate_and_diff() {
+    fn wire_bytes_accumulate() {
         let m = CommStats::default();
         m.record_wire_tx(100, 80);
         m.record_wire_rx(50, 40);
@@ -159,9 +99,5 @@ mod tests {
         assert_eq!(a.wire_tx_bytes, 100);
         assert_eq!(a.wire_rx_bytes, 50);
         assert_eq!(a.wire_exchange_bytes, 120);
-        m.record_wire_tx(10, 0);
-        let d = m.snapshot().since(&a);
-        assert_eq!(d.wire_tx_bytes, 10);
-        assert_eq!(d.wire_exchange_bytes, 0);
     }
 }

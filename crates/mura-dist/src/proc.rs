@@ -44,13 +44,13 @@
 //! pipe and exits on EOF, so coordinator death (clean or not) reaps it.
 
 use crate::cluster::{
-    ClusterHealth, CommBackend, ExchangeCtx, SupervisorEvent, SupervisorEventKind,
+    ClusterCounters, ClusterHealth, CommBackend, ExchangeCtx, SupervisorEvent, SupervisorEventKind,
 };
 use crate::fault::FaultPlan;
 use crate::wire::{
     bcast_frame, decode_rows_into, framed, read_frame, write_corrupted_frame, write_frame,
-    BucketFrame, Msg, WireError, WireResult, MAX_FRAME, SPAN_BCAST, SPAN_DELIVER, SPAN_RELAY,
-    SPAN_TAKE, TAKE_REPLY_HEAD,
+    BucketFrame, Msg, WireError, WireResult, WorkerCounters, WorkerSnapshot, MAX_FRAME, SPAN_BCAST,
+    SPAN_DELIVER, SPAN_RELAY, SPAN_TAKE, TAKE_REPLY_HEAD,
 };
 use mura_core::{Relation, Result, Rows, Schema};
 use mura_obs::histogram::HistogramSnapshot;
@@ -164,13 +164,8 @@ struct ProcInner {
     /// relay is the *minimum* in-flight id, so concurrent queries sharing
     /// this backend never evict each other's buffered buckets.
     inflight: Mutex<std::collections::BTreeSet<u64>>,
-    /// Lifetime counters (independent of any single query's [`CommStats`]).
-    wire_tx_bytes: AtomicU64,
-    wire_rx_bytes: AtomicU64,
-    respawns: AtomicU64,
-    reconnects: AtomicU64,
-    liveness_misses: AtomicU64,
-    rows_encoded: AtomicU64,
+    /// Lifetime supervision counters.
+    counters: ClusterCounters,
     /// Zero point of the coordinator's span clock (backend startup).
     epoch: Instant,
     /// Heartbeat round-trip latencies.
@@ -181,13 +176,10 @@ struct ProcInner {
     /// Per-trace journal read cursors (`trace_id → last merged seq`), so
     /// each query's merge sees every supervisor event exactly once.
     journal_cursor: Mutex<Vec<(u64, u64)>>,
-    /// Lifetime worker-side telemetry, accumulated from trace-flush
-    /// deltas: per-opcode frame counts and span-ring evictions.
-    worker_relays: AtomicU64,
-    worker_delivers: AtomicU64,
-    worker_takes: AtomicU64,
-    worker_bcasts: AtomicU64,
-    trace_dropped: AtomicU64,
+    /// Lifetime sum of what the workers counted, from their trace-flush
+    /// batches (a worker takes its counters on every flush, so each batch
+    /// is added exactly once).
+    worker: WorkerCounters,
     /// Startup handshake complete; connection (re)establishments from here
     /// on count as reconnects.
     started: AtomicBool,
@@ -284,14 +276,6 @@ fn connect(
 }
 
 impl ProcInner {
-    fn count_tx(&self, b: u64) {
-        self.wire_tx_bytes.fetch_add(b, Ordering::Relaxed);
-    }
-
-    fn count_rx(&self, b: u64) {
-        self.wire_rx_bytes.fetch_add(b, Ordering::Relaxed);
-    }
-
     /// Appends a supervisor event to the bounded journal.
     fn journal_push(&self, worker: usize, kind: SupervisorEventKind) {
         let seq = self.journal_seq.fetch_add(1, Ordering::Relaxed) + 1;
@@ -303,49 +287,27 @@ impl ProcInner {
         journal.push_back(ev);
     }
 
-    /// Folds one worker's trace-flush counter deltas into the lifetime
-    /// totals (workers swap their counters to zero on every flush, so the
-    /// deltas accumulate exactly once here).
-    fn apply_batch_counters(
-        &self,
-        dropped: u64,
-        relays: u64,
-        delivers: u64,
-        takes: u64,
-        bcasts: u64,
-    ) {
-        self.trace_dropped.fetch_add(dropped, Ordering::Relaxed);
-        self.worker_relays.fetch_add(relays, Ordering::Relaxed);
-        self.worker_delivers.fetch_add(delivers, Ordering::Relaxed);
-        self.worker_takes.fetch_add(takes, Ordering::Relaxed);
-        self.worker_bcasts.fetch_add(bcasts, Ordering::Relaxed);
-    }
-
     /// Writes the request `frame` on worker `w`'s control socket,
     /// (re)connecting — with a fresh [`Msg::Hello`] — as needed. Returns
-    /// the bytes `(written, read)`, handshake traffic included; lifetime
-    /// byte totals are counted here.
+    /// the bytes `(written, read)`, handshake traffic included.
     fn send(&self, w: usize, slot: &mut CtlSlot, frame: &[u8]) -> WireResult<(u64, u64)> {
         let (mut tx, mut rx) = (0u64, 0u64);
         if slot.conn.is_none() {
             let port = self.ports.lock().unwrap()[w];
             let mut conn = connect(port, self.cfg.io_timeout, self.cfg.connect_attempts)?;
             tx = write_frame(&mut conn, &Msg::Hello { id: w as u32, n: self.n as u32 })?;
-            self.count_tx(tx);
             let (reply, k) = read_frame(&mut conn, &mut slot.read_buf)?;
             rx = k;
-            self.count_rx(rx);
             if reply != Msg::Ok {
                 return Err(WireError::Malformed("hello rejected"));
             }
             if self.started.load(Ordering::Relaxed) {
-                self.reconnects.fetch_add(1, Ordering::Relaxed);
+                self.counters.reconnects.inc();
                 self.journal_push(w, SupervisorEventKind::Reconnect);
             }
             slot.conn = Some(conn);
         }
         slot.conn.as_mut().expect("just connected").write_all(frame)?;
-        self.count_tx(frame.len() as u64);
         Ok((tx + frame.len() as u64, rx))
     }
 
@@ -437,7 +399,6 @@ impl ProcInner {
                     return Err(lost());
                 };
                 let (reply, rx) = read_frame(conn, read_buf)?;
-                self.count_rx(rx);
                 on_reply(i, reply, tx, handshake_rx + rx)
             });
             if outcomes[i].is_err() {
@@ -470,9 +431,7 @@ impl ProcInner {
     fn corrupt_control_frame(&self, w: usize, entropy: u64) {
         let mut guard = self.slots[w].ctl.lock().unwrap();
         if let Some(conn) = guard.conn.as_mut() {
-            if let Ok(k) = write_corrupted_frame(conn, &Msg::Ping, entropy) {
-                self.count_tx(k);
-            }
+            let _ = write_corrupted_frame(conn, &Msg::Ping, entropy);
         }
     }
 
@@ -517,14 +476,14 @@ impl ProcInner {
                 guard.child = Some(child);
                 guard.port = port;
                 self.ports.lock().unwrap()[w] = port;
-                self.respawns.fetch_add(1, Ordering::Relaxed);
+                self.counters.respawns.inc();
                 self.journal_push(w, SupervisorEventKind::Respawn);
                 // A fresh process is a fresh monotonic clock: invalidate the
                 // offset estimate until a new heartbeat samples it.
                 self.slots[w].offset_us.store(0, Ordering::Relaxed);
                 self.slots[w].min_rtt_us.store(u64::MAX, Ordering::Relaxed);
                 if let Some(f) = fault {
-                    f.record_worker_respawn();
+                    f.stats.worker_respawns.inc();
                 }
                 true
             } else {
@@ -570,7 +529,7 @@ impl ProcInner {
             match connect(port, self.cfg.liveness_timeout, 1) {
                 Ok(conn) => {
                     if self.started.load(Ordering::Relaxed) {
-                        self.reconnects.fetch_add(1, Ordering::Relaxed);
+                        self.counters.reconnects.inc();
                         self.journal_push(w, SupervisorEventKind::Reconnect);
                     }
                     *hb = Some(conn);
@@ -581,14 +540,9 @@ impl ProcInner {
         let conn = hb.as_mut().expect("just connected");
         let t0 = self.epoch.elapsed().as_micros() as u64;
         let mut reply = Vec::new();
-        let pong = write_frame(conn, &Msg::Ping).map(|k| self.count_tx(k)).ok().and_then(|()| {
-            read_frame(conn, &mut reply)
-                .map(|(m, k)| {
-                    self.count_rx(k);
-                    m
-                })
-                .ok()
-        });
+        let pong = write_frame(conn, &Msg::Ping)
+            .ok()
+            .and_then(|_| read_frame(conn, &mut reply).map(|(m, _)| m).ok());
         let ok = match pong {
             Some(Msg::Pong { t_us }) => {
                 let t1 = self.epoch.elapsed().as_micros() as u64;
@@ -624,7 +578,7 @@ impl ProcInner {
                     self.slots[w].live.store(true, Ordering::Relaxed);
                 } else {
                     self.slots[w].live.store(false, Ordering::Relaxed);
-                    self.liveness_misses.fetch_add(1, Ordering::Relaxed);
+                    self.counters.liveness_misses.inc();
                     self.journal_push(w, SupervisorEventKind::LivenessMiss);
                     let _ = self.repair(w, None, false);
                 }
@@ -635,21 +589,7 @@ impl ProcInner {
 
     fn health(&self) -> ClusterHealth {
         let live = self.slots.iter().filter(|s| s.live.load(Ordering::Relaxed)).count() as u64;
-        ClusterHealth {
-            workers: self.n as u64,
-            live,
-            respawns: self.respawns.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            liveness_misses: self.liveness_misses.load(Ordering::Relaxed),
-            rows_encoded: self.rows_encoded.load(Ordering::Relaxed),
-            wire_tx_bytes: self.wire_tx_bytes.load(Ordering::Relaxed),
-            wire_rx_bytes: self.wire_rx_bytes.load(Ordering::Relaxed),
-            trace_dropped: self.trace_dropped.load(Ordering::Relaxed),
-            worker_relay_frames: self.worker_relays.load(Ordering::Relaxed),
-            worker_deliver_frames: self.worker_delivers.load(Ordering::Relaxed),
-            worker_take_frames: self.worker_takes.load(Ordering::Relaxed),
-            worker_bcast_frames: self.worker_bcasts.load(Ordering::Relaxed),
-        }
+        ClusterHealth { workers: self.n as u64, live, ..self.counters.snapshot() }
     }
 }
 
@@ -679,22 +619,13 @@ impl ProcCluster {
             ports: Mutex::new(vec![0; n]),
             next_xid: AtomicU64::new(1),
             inflight: Mutex::new(std::collections::BTreeSet::new()),
-            wire_tx_bytes: AtomicU64::new(0),
-            wire_rx_bytes: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            liveness_misses: AtomicU64::new(0),
-            rows_encoded: AtomicU64::new(0),
+            counters: ClusterCounters::new(),
             epoch: Instant::now(),
             rtt_hist: Histogram::new(),
             journal: Mutex::new(VecDeque::new()),
             journal_seq: AtomicU64::new(0),
             journal_cursor: Mutex::new(Vec::new()),
-            worker_relays: AtomicU64::new(0),
-            worker_delivers: AtomicU64::new(0),
-            worker_takes: AtomicU64::new(0),
-            worker_bcasts: AtomicU64::new(0),
-            trace_dropped: AtomicU64::new(0),
+            worker: WorkerCounters::new(),
             started: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
         });
@@ -734,10 +665,15 @@ impl ProcCluster {
         Ok(cluster)
     }
 
-    /// Current supervisor view (also available as
-    /// [`CommBackend::health`]).
+    /// Current supervisor view.
     pub fn health_snapshot(&self) -> ClusterHealth {
         self.inner.health()
+    }
+
+    /// What the workers counted themselves, summed over every trace flush
+    /// so far.
+    pub fn worker_snapshot(&self) -> WorkerSnapshot {
+        self.inner.worker.snapshot()
     }
 
     /// Snapshot of the heartbeat round-trip latency histogram.
@@ -785,16 +721,12 @@ impl ProcCluster {
             let mut guard = slot.ctl.lock().unwrap();
             let CtlSlot { conn, read_buf, .. } = &mut *guard;
             if let Some(conn) = conn.as_mut() {
-                // Best-effort residual drain so worker-side frame counters
-                // recorded since the last per-fixpoint flush still land in
-                // the lifetime totals.
+                // Best-effort residual drain so what the workers counted
+                // since the last per-fixpoint flush still lands in the
+                // lifetime totals.
                 if write_frame(conn, &Msg::TraceFlush { trace_id: 0 }).is_ok() {
-                    if let Ok((
-                        Msg::TraceBatch { dropped, relays, delivers, takes, bcasts, .. },
-                        _,
-                    )) = read_frame(conn, read_buf)
-                    {
-                        self.inner.apply_batch_counters(dropped, relays, delivers, takes, bcasts);
+                    if let Ok((Msg::TraceBatch { counters, .. }, _)) = read_frame(conn, read_buf) {
+                        self.inner.worker.add(&counters);
                     }
                 }
                 let _ = write_frame(conn, &Msg::Exit);
@@ -955,7 +887,7 @@ fn inject_socket_faults(inner: &ProcInner, fault: &FaultPlan, site: u64, w: usiz
     }
     if fault.drop_connection(site, w, attempt) {
         inner.sever(w);
-        fault.record_reconnect();
+        fault.stats.reconnects.inc();
     }
     if let Some(entropy) = fault.corrupt_frame(site, w, attempt) {
         inner.corrupt_control_frame(w, entropy);
@@ -997,7 +929,7 @@ impl CommBackend for ProcCluster {
                 }
                 let before = relays[from].wire_len();
                 relays[from].push_rows(to as u32, arity, bucket);
-                self.inner.rows_encoded.fetch_add(bucket.len() as u64, Ordering::Relaxed);
+                self.inner.counters.rows_encoded.add(bucket.len() as u64);
                 expect[to] += 1;
                 if ctx.fault.is_active() {
                     if ctx.fault.drop_exchange(ctx.site, from, to) {
@@ -1055,7 +987,7 @@ impl CommBackend for ProcCluster {
         // One frame, encoded and checksummed once; every worker is sent
         // these same bytes. Too large for a frame is final.
         let (frame, payload) = bcast_frame(ctx.trace, rel).map_err(|e| e.into_mura_error(0))?;
-        self.inner.rows_encoded.fetch_add(rel.len() as u64, Ordering::Relaxed);
+        self.inner.counters.rows_encoded.add(rel.len() as u64);
         // The broadcast allocates its own fault site: the simulator backend
         // never consumes one here, and site streams must stay aligned.
         let site = ctx.fault.next_site();
@@ -1099,10 +1031,6 @@ impl CommBackend for ProcCluster {
         Ok(())
     }
 
-    fn health(&self) -> Option<ClusterHealth> {
-        Some(self.inner.health())
-    }
-
     /// Drains every worker's span ring and converts the spans into
     /// coordinator-clock [`TraceEvent`]s on that worker's lane. Clock
     /// alignment: a span at `t_us` on worker `w`'s clock maps to
@@ -1120,12 +1048,11 @@ impl CommBackend for ProcCluster {
         let everyone: Vec<(usize, &[u8])> = (0..inner.n).map(|w| (w, &flush[..])).collect();
         // Best effort per worker: one that cannot answer keeps its spans.
         inner.round(&everyone, |w, reply, _, _| {
-            let Msg::TraceBatch { spans, dropped: d, relays, delivers, takes, bcasts } = reply
-            else {
+            let Msg::TraceBatch { spans, counters } = reply else {
                 return Err(WireError::Malformed("unexpected trace-flush reply"));
             };
-            inner.apply_batch_counters(d, relays, delivers, takes, bcasts);
-            dropped += d;
+            inner.worker.add(&counters);
+            dropped += counters.trace_dropped;
             let offset = inner.slots[w].offset_us.load(Ordering::Relaxed);
             for s in spans {
                 if s.ctx.trace_id != trace_id {

@@ -212,6 +212,28 @@ pub const SPAN_TAKE: u8 = 3;
 /// A broadcast replica received.
 pub const SPAN_BCAST: u8 = 4;
 
+mura_obs::counter_set! {
+    /// What a worker process counts about itself. The worker `take`s the
+    /// set into every [`Msg::TraceBatch`]; the coordinator adds the batches
+    /// up, so its totals are what the workers themselves saw — a count of
+    /// the data plane that does not pass through the coordinator's own
+    /// accounting.
+    pub struct WorkerCounters => WorkerSnapshot {
+        counter "mura_trace_dropped_spans_total",
+            "Worker-side trace spans dropped to the bounded per-worker sink." {
+            /// Spans evicted from a worker's bounded ring before a flush.
+            trace_dropped,
+        }
+        counter "mura_worker_frames_total",
+            "Data-plane frames handled by workers, counted worker-side." {
+            relays {op = "relay"},
+            delivers {op = "deliver"},
+            takes {op = "take"},
+            bcasts {op = "bcast"},
+        }
+    }
+}
+
 /// One worker-side span, timestamped on the **worker's** monotonic clock
 /// (µs since its process start). The coordinator's merger re-bases these
 /// onto its own clock using the PING/PONG RTT-midpoint offset estimate.
@@ -293,20 +315,11 @@ pub enum Msg<'a> {
     /// carrying the trace context of the originating relay.
     Deliver { xid: u64, from: u32, ctx: TraceCtx, payload: &'a [u8] },
     /// Coordinator → worker: hand over buffered spans of `trace_id`
-    /// (0 = everything), plus the per-opcode frame-counter deltas.
+    /// (0 = everything), plus the worker's counters since the last flush.
     TraceFlush { trace_id: u64 },
-    /// Reply to [`Msg::TraceFlush`]: drained spans, the number of spans
-    /// evicted from the worker's bounded ring since the last flush, and
-    /// per-opcode frame counters (relay/deliver/take/bcast) since the last
-    /// flush.
-    TraceBatch {
-        spans: Vec<WorkerSpan>,
-        dropped: u64,
-        relays: u64,
-        delivers: u64,
-        takes: u64,
-        bcasts: u64,
-    },
+    /// Reply to [`Msg::TraceFlush`]: drained spans and what the worker
+    /// counted since its last flush.
+    TraceBatch { spans: Vec<WorkerSpan>, counters: WorkerSnapshot },
 }
 
 /// One `[u32 peer][u32 len][payload]` entry of a relay or take-reply body,
@@ -397,10 +410,10 @@ impl<'a> Msg<'a> {
                 out.push(OP_TRACE_FLUSH);
                 put_u64(out, *trace_id);
             }
-            Msg::TraceBatch { spans, dropped, relays, delivers, takes, bcasts } => {
+            Msg::TraceBatch { spans, counters } => {
                 out.push(OP_TRACE);
-                for counter in [dropped, relays, delivers, takes, bcasts] {
-                    put_u64(out, *counter);
+                for value in counters.encode() {
+                    put_u64(out, value);
                 }
                 put_u32(out, spans.len() as u32);
                 for s in spans {
@@ -459,17 +472,16 @@ impl<'a> Msg<'a> {
             },
             OP_TRACE_FLUSH => Msg::TraceFlush { trace_id: c.u64()? },
             OP_TRACE => {
-                let dropped = c.u64()?;
-                let relays = c.u64()?;
-                let delivers = c.u64()?;
-                let takes = c.u64()?;
-                let bcasts = c.u64()?;
+                let mut values = [0; WorkerSnapshot::N];
+                for value in &mut values {
+                    *value = c.u64()?;
+                }
                 let n = c.seq_len(SPAN_BYTES)?;
                 let mut spans = Vec::with_capacity(n);
                 for _ in 0..n {
                     spans.push(WorkerSpan::get(&mut c)?);
                 }
-                Msg::TraceBatch { spans, dropped, relays, delivers, takes, bcasts }
+                Msg::TraceBatch { spans, counters: WorkerSnapshot::decode(values) }
             }
             other => return Err(WireError::BadOpcode(other)),
         };
@@ -835,11 +847,7 @@ mod tests {
                 },
                 WorkerSpan::default(),
             ],
-            dropped: 5,
-            relays: 2,
-            delivers: 8,
-            takes: 2,
-            bcasts: 1,
+            counters: WorkerSnapshot::decode([5, 2, 8, 2, 1]),
         });
     }
 

@@ -38,13 +38,13 @@
 //! processes), or when it receives [`Msg::Exit`].
 
 use crate::wire::{
-    frame, read_frame, write_frame, BucketFrame, Msg, TraceCtx, WireError, WorkerSpan, SPAN_BCAST,
-    SPAN_DELIVER, SPAN_RELAY, SPAN_TAKE,
+    frame, read_frame, write_frame, BucketFrame, Msg, TraceCtx, WireError, WorkerCounters,
+    WorkerSpan, SPAN_BCAST, SPAN_DELIVER, SPAN_RELAY, SPAN_TAKE,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -84,13 +84,8 @@ struct WorkerState {
     epoch: Instant,
     /// Bounded drop-oldest ring of recorded spans awaiting a flush.
     spans: Mutex<VecDeque<WorkerSpan>>,
-    /// Spans evicted from the ring since the last flush.
-    span_dropped: AtomicU64,
-    /// Per-opcode data-plane frame counters since the last flush.
-    relays: AtomicU64,
-    delivers: AtomicU64,
-    takes: AtomicU64,
-    bcasts: AtomicU64,
+    /// Ring evictions and per-opcode data-plane frames since the last flush.
+    counters: WorkerCounters,
 }
 
 impl WorkerState {
@@ -103,11 +98,7 @@ impl WorkerState {
             arrived: Condvar::new(),
             epoch: Instant::now(),
             spans: Mutex::new(VecDeque::new()),
-            span_dropped: AtomicU64::new(0),
-            relays: AtomicU64::new(0),
-            delivers: AtomicU64::new(0),
-            takes: AtomicU64::new(0),
-            bcasts: AtomicU64::new(0),
+            counters: WorkerCounters::new(),
         }
     }
 
@@ -128,14 +119,14 @@ impl WorkerState {
         let mut ring = self.spans.lock().unwrap();
         if ring.len() >= WORKER_SPAN_CAPACITY {
             ring.pop_front();
-            self.span_dropped.fetch_add(1, Ordering::Relaxed);
+            self.counters.trace_dropped.inc();
         }
         ring.push_back(span);
     }
 
-    /// Drains spans of `trace_id` (0 = everything) plus the frame-counter
-    /// deltas into a [`Msg::TraceBatch`]. Counters are swap-to-zero so
-    /// repeated per-fixpoint flushes accumulate correctly coordinator-side.
+    /// Drains spans of `trace_id` (0 = everything) plus the counters into
+    /// a [`Msg::TraceBatch`]. The counters are taken, not read, so repeated
+    /// per-fixpoint flushes add up correctly coordinator-side.
     fn flush_trace(&self, trace_id: u64) -> Msg<'static> {
         let drained: Vec<WorkerSpan> = {
             let mut ring = self.spans.lock().unwrap();
@@ -148,14 +139,7 @@ impl WorkerState {
                 matched
             }
         };
-        Msg::TraceBatch {
-            spans: drained,
-            dropped: self.span_dropped.swap(0, Ordering::Relaxed),
-            relays: self.relays.swap(0, Ordering::Relaxed),
-            delivers: self.delivers.swap(0, Ordering::Relaxed),
-            takes: self.takes.swap(0, Ordering::Relaxed),
-            bcasts: self.bcasts.swap(0, Ordering::Relaxed),
-        }
+        Msg::TraceBatch { spans: drained, counters: self.counters.take() }
     }
 
     fn buffer(&self, xid: u64, from: u32, payload: &[u8]) {
@@ -215,7 +199,7 @@ fn handle_conn(state: &Arc<WorkerState>, mut conn: TcpStream) {
             }
             Msg::Ping => Some(Msg::Pong { t_us: state.now_us() }),
             Msg::Relay { xid, watermark, ctx, entries } => {
-                state.relays.fetch_add(1, Ordering::Relaxed);
+                state.counters.relays.inc();
                 let t0 = state.now_us();
                 // Prune abandoned exchange attempts before buffering new ones.
                 state.inbox.lock().unwrap().retain(|&k, _| k >= watermark);
@@ -243,13 +227,13 @@ fn handle_conn(state: &Arc<WorkerState>, mut conn: TcpStream) {
                 })
             }
             Msg::Deliver { xid, from, ctx, payload } => {
-                state.delivers.fetch_add(1, Ordering::Relaxed);
+                state.counters.delivers.inc();
                 state.record_span(SPAN_DELIVER, ctx, xid, payload.len() as u64, state.now_us(), 0);
                 state.buffer(xid, from, payload);
                 None // One-way: peers do not wait for acks.
             }
             Msg::Take { xid, expect, timeout_ms, ctx } => {
-                state.takes.fetch_add(1, Ordering::Relaxed);
+                state.counters.takes.inc();
                 let t0 = state.now_us();
                 let deadline = Instant::now() + Duration::from_millis(timeout_ms);
                 let mut inbox = state.inbox.lock().unwrap();
@@ -285,7 +269,7 @@ fn handle_conn(state: &Arc<WorkerState>, mut conn: TcpStream) {
                 // Broadcast replication traffic: the bytes crossed the wire
                 // (that is what is being measured); the replica itself is
                 // not consulted — computation stays coordinator-side.
-                state.bcasts.fetch_add(1, Ordering::Relaxed);
+                state.counters.bcasts.inc();
                 state.record_span(SPAN_BCAST, ctx, 0, payload.len() as u64, state.now_us(), 0);
                 Some(Msg::Ok)
             }
@@ -340,4 +324,28 @@ pub fn exit_on_stdin_eof() {
             }
         }
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::WorkerSnapshot;
+
+    #[test]
+    fn the_span_ring_is_bounded_and_counts_what_it_evicts() {
+        let state = WorkerState::new();
+        let ctx = TraceCtx { trace_id: 9, level: 2, ..Default::default() };
+        for i in 0..WORKER_SPAN_CAPACITY as u64 + 5 {
+            state.record_span(SPAN_RELAY, ctx, i, 0, i, 1);
+        }
+        let Msg::TraceBatch { spans, counters } = state.flush_trace(9) else {
+            panic!("a flush answers with a batch");
+        };
+        assert_eq!(spans.len(), WORKER_SPAN_CAPACITY);
+        assert_eq!(spans[0].xid, 5, "the oldest five went");
+        assert_eq!(counters.trace_dropped, 5);
+        // Taken, not read: the next batch starts from zero.
+        let Msg::TraceBatch { counters, .. } = state.flush_trace(9) else { unreachable!() };
+        assert_eq!(counters, WorkerSnapshot::default());
+    }
 }

@@ -594,6 +594,24 @@ fn out_of_band_sigkill_is_detected_respawned_and_queries_stay_exact() {
     cluster.shutdown();
 }
 
+/// With no query running, only the heartbeat can meet a dead worker: it
+/// counts the deadline the worker missed, then replaces the process.
+#[test]
+fn the_heartbeat_alone_notices_and_replaces_a_dead_worker() {
+    let cluster = proc_cluster(2);
+    assert!(cluster.kill_worker_process(0), "worker 0 should be running");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let h = cluster.health_snapshot();
+        if h.liveness_misses >= 1 && h.respawns >= 1 && h.live == 2 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the supervisor never recovered the worker: {h:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    cluster.shutdown();
+}
+
 /// Cancellation propagates over the wire: a query cancelled before its
 /// exchanges reach the workers reports `Cancelled` and the cluster stays
 /// healthy for the next query (no orphaned state, no wedged workers).

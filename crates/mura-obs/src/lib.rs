@@ -10,6 +10,9 @@
 //!   the fixpoint drivers with one event per superstep, producing a
 //!   per-query [`QueryTrace`] with Chrome-trace / JSON exporters and an
 //!   aligned-table timeline renderer;
+//! * [`counters`] — the one counter idiom: [`counter_set!`] declares a set
+//!   of counters once and generates its live struct, snapshot, `since`,
+//!   wire form and the rows every renderer works from;
 //! * [`histogram`] — fixed log-spaced latency [`Histogram`]s from which
 //!   p50/p95/p99 are derivable without storing samples;
 //! * [`prometheus`] — Prometheus text-exposition rendering
@@ -25,11 +28,13 @@
 //! and at [`TraceLevel::Superstep`] each superstep appends one `Copy`
 //! struct to a pre-sized ring buffer under a short mutex hold.
 
+pub mod counters;
 pub mod histogram;
 pub mod json;
 pub mod prometheus;
 pub mod trace;
 
+pub use counters::{Counter, Field, Kind, Row};
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
 pub use prometheus::PromText;
 pub use trace::{

@@ -6,6 +6,7 @@
 //! implemented: `counter`, `gauge` and `histogram` families with optional
 //! labels.
 
+use crate::counters::{families, Row};
 use crate::histogram::{bucket_bound_us, HistogramSnapshot, BUCKETS};
 use std::fmt::Write;
 
@@ -41,9 +42,17 @@ impl PromText {
         self
     }
 
-    /// Writes a whole counter family with one unlabeled sample.
-    pub fn counter(&mut self, name: &str, help: &str, value: u64) -> &mut Self {
-        self.family(name, "counter", help).sample(name, &[], value as f64)
+    /// Writes the families of a counter set's [`Row`]s, one sample per
+    /// rendered field.
+    pub fn rows(&mut self, rows: &[Row]) -> &mut Self {
+        for run in families(rows) {
+            let head = run[0].0;
+            self.family(head.family, head.kind.name(), head.help);
+            for (field, value) in run {
+                self.sample(field.family, field.labels, *value as f64);
+            }
+        }
+        self
     }
 
     /// Writes a whole gauge family with one unlabeled sample.
@@ -73,7 +82,7 @@ impl PromText {
     }
 }
 
-fn write_labels(buf: &mut String, labels: &[(&str, &str)]) {
+pub(crate) fn write_labels(buf: &mut String, labels: &[(&str, &str)]) {
     if labels.is_empty() {
         return;
     }
@@ -85,6 +94,12 @@ fn write_labels(buf: &mut String, labels: &[(&str, &str)]) {
         let _ = write!(buf, "{k}=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\""));
     }
     buf.push('}');
+}
+
+/// The value of the sample named `series` (`family` or `family{k="v",…}`,
+/// as rendered) on a text-exposition page.
+pub fn sample(page: &str, series: &str) -> Option<f64> {
+    page.lines().find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
 }
 
 /// A microsecond bound as a seconds string without float noise
@@ -108,12 +123,18 @@ mod tests {
     #[test]
     fn counters_and_gauges_render() {
         let mut p = PromText::new();
-        p.counter("mura_queries_total", "Queries.", 5);
+        p.family("mura_queries_total", "counter", "Queries.").sample(
+            "mura_queries_total",
+            &[],
+            5.0,
+        );
         p.gauge("mura_db_epoch", "Epoch.", 2.0);
         let page = p.finish();
         assert!(page.contains("# TYPE mura_queries_total counter"), "{page}");
         assert!(page.contains("mura_queries_total 5"), "{page}");
         assert!(page.contains("mura_db_epoch 2"), "{page}");
+        assert_eq!(sample(&page, "mura_queries_total"), Some(5.0));
+        assert_eq!(sample(&page, "mura_queries"), None);
     }
 
     #[test]

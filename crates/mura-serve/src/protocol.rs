@@ -224,8 +224,7 @@ fn handle_connection(stream: TcpStream, client: &Client) -> io::Result<()> {
                 return Ok(());
             }
             ".stats" => {
-                let stats = client.stats().to_string();
-                let body: Vec<String> = stats.lines().map(str::to_string).collect();
+                let body: Vec<String> = client.stats_text().lines().map(str::to_string).collect();
                 write_block(&mut out, "OK stats", &body)?;
             }
             ".metrics" => {

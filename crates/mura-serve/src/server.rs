@@ -37,22 +37,25 @@
 use crate::cache::{plan_key, LruCache};
 use crate::error::{OverloadReason, ServeError, ServeResult};
 use mura_core::fxhash::{FxHashMap, FxHasher};
+use mura_core::kernel::kernel_stats;
 use mura_core::{mem_gauge, rel_bytes, CancellationToken, Database, Term};
 use mura_dist::exec::ResourceLimits;
 use mura_dist::explain_plan;
 use mura_dist::{
-    ClusterHealth, CommBackend, CommSnapshot, ExecStats, FixResume, PlannedQuery, ProcCluster,
-    ProcClusterConfig, QueryEngine, QueryOutput, TraceLevel,
+    ClusterHealth, CommBackend, CommSnapshot, CommStats, ExecStats, FaultStats, FixResume,
+    PlannedQuery, ProcCluster, ProcClusterConfig, QueryEngine, QueryOutput, TraceLevel,
 };
 use mura_durable::{
     crash_point, load_newest_snapshot, prune_older_snapshots, write_snapshot, SnapshotState,
     SyncPolicy, ViewSnapshot, Wal, WalRecord,
 };
 use mura_ivm::{plan_maintenance, DeltaBatch, FallbackReason, IvmOutcome};
-use mura_obs::histogram::fmt_us;
-use mura_obs::{Histogram, PromText};
+use mura_obs::counters::{stats_title, write_stats};
+use mura_obs::histogram::{fmt_us, HistogramSnapshot};
+use mura_obs::{Counter, Histogram, PromText, Row};
 use mura_rewrite::cost::{CostModel, Stats};
 use mura_rewrite::FeedbackStore;
+use std::fmt::Write;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -157,150 +160,139 @@ impl Default for ServeConfig {
     }
 }
 
-/// Point-in-time serving counters (see [`Server::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Queries accepted into the queue.
-    pub submitted: u64,
-    /// Queries rejected with [`ServeError::Busy`].
-    pub rejected: u64,
-    /// Queries shed with [`ServeError::Overloaded`] (memory watermark or
-    /// open circuit breaker), whether at submission or after admission.
-    pub shed: u64,
-    /// The subset of [`shed`](Self::shed) that was already admitted when
-    /// the worker-side gates shed it. Admitted queries terminate as
-    /// exactly one of completed / failed / shed_admitted.
-    pub shed_admitted: u64,
-    /// Circuit-breaker open transitions over the server's lifetime.
-    pub breaker_opened: u64,
-    /// Breakers currently open / half-open (instantaneous gauges).
-    pub breaker_open: u64,
-    pub breaker_half_open: u64,
-    /// Live estimated relation bytes (process-wide gauge) and its
-    /// high-water mark.
-    pub mem_current_bytes: u64,
-    pub mem_high_water_bytes: u64,
-    /// Drain progress: 0 serving, 1 draining, 2 drained.
-    pub drain_phase: u64,
-    /// Queries that finished with an answer.
-    pub completed: u64,
-    /// Queries that executed and finished with an error (incl. cancelled
-    /// / deadline). Worker-side sheds count under
-    /// [`shed_admitted`](Self::shed_admitted), not here — matching
-    /// submit-side sheds, which hit neither counter.
-    pub failed: u64,
-    /// Plan-cache hits / misses.
-    pub plan_hits: u64,
-    pub plan_misses: u64,
-    /// Fixpoint cardinalities currently observed by the planner's feedback
-    /// store, and the store's generation (bumped whenever the observation
-    /// set changes materially — cached plans from older generations
-    /// re-plan).
-    pub feedback_fixpoints: u64,
-    pub feedback_generation: u64,
-    /// Result-cache hits / misses.
-    pub result_hits: u64,
-    pub result_misses: u64,
-    /// Evictions from the result / plan caches.
-    pub result_evictions: u64,
-    pub plan_evictions: u64,
-    /// Current database epoch.
-    pub epoch: u64,
-    /// Current database version (bumped by every mutation and load).
-    pub version: u64,
-    /// Names the database dictionary holds: the catalog's own plus what the
-    /// plans made so far keep (a few per plan — a search's scratch names
-    /// leave with it).
-    pub dictionary_symbols: u64,
-    /// Mutation batches applied through [`Server::apply_delta`] and the
-    /// base rows they inserted / deleted (after no-op normalization).
-    pub deltas_applied: u64,
-    pub delta_rows_inserted: u64,
-    pub delta_rows_deleted: u64,
-    /// Cached views brought to the current version: maintained
-    /// incrementally (resumed fixpoint loops) vs revalidated untouched
-    /// (the batch read none of their relations).
-    pub ivm_maintained: u64,
-    pub ivm_unaffected: u64,
-    /// Cached views dropped for recompute-on-next-use (all fallback
-    /// reasons; `.metrics` breaks this down per reason).
-    pub ivm_fallbacks: u64,
-    /// Rows DRed over-deleted and then rederived across maintained views.
-    pub ivm_rederived_rows: u64,
-    /// Per-view maintenance latency quantiles in microseconds.
-    pub maint_p50_us: u64,
-    pub maint_p95_us: u64,
-    pub maint_p99_us: u64,
-    /// Evaluation-kernel counters (process-wide, see
-    /// [`mura_core::kernel`]): build-side join/antijoin indexes built,
-    /// rows probed against them, output rows materialized, and constant
-    /// subtrees folded at prepare time.
-    pub kernel_index_builds: u64,
-    pub kernel_join_probes: u64,
-    pub kernel_antijoin_probes: u64,
-    pub kernel_rows_allocated: u64,
-    pub kernel_const_folds: u64,
-    /// Queries that completed correctly but hit injected or real faults
-    /// along the way (the answer is still exact; see
-    /// `QueryOutput::health_note` (mura_dist::QueryOutput)).
-    pub degraded: u64,
-    /// Fault/recovery totals accumulated across all executed queries:
-    /// injected faults, task retries, checkpoint restores, full restarts.
-    pub faults_injected: u64,
-    pub fault_retries: u64,
-    pub fault_restores: u64,
-    pub fault_restarts: u64,
-    /// Latency quantiles in microseconds, derived from the server's
-    /// log-spaced histograms (0 when no samples yet). `wall` covers
-    /// submission to answer (queue time included), `queue` the wait for a
-    /// worker, `exec` fresh (non-cached) executions only.
-    pub wall_p50_us: u64,
-    pub wall_p95_us: u64,
-    pub wall_p99_us: u64,
-    pub queue_p50_us: u64,
-    pub queue_p95_us: u64,
-    pub queue_p99_us: u64,
-    pub exec_p50_us: u64,
-    pub exec_p95_us: u64,
-    pub exec_p99_us: u64,
-    /// Communication totals accumulated across fresh executions (cache
-    /// hits replay an answer, not its communication). Derived per query
-    /// via `snapshot().since(before)` deltas, never by resetting the
-    /// shared cluster counters.
-    pub comm_shuffles: u64,
-    pub comm_rows_shuffled: u64,
-    pub comm_broadcasts: u64,
-    pub comm_rows_broadcast: u64,
-    /// Process-cluster supervision gauges/counters: configured workers,
-    /// workers currently answering heartbeats, worker processes respawned
-    /// and control connections re-established since startup. All zero
-    /// under [`ClusterMode::InProcess`].
-    pub cluster_workers: u64,
-    pub cluster_workers_live: u64,
-    pub cluster_respawns: u64,
-    pub cluster_reconnects: u64,
-    /// Heartbeat deadlines a worker missed before the supervisor stepped
-    /// in, and worker-side trace spans dropped to the bounded sink.
-    pub cluster_liveness_misses: u64,
-    pub cluster_trace_dropped: u64,
-    /// Worst per-fixpoint `max/median` worker-time ratio of the most
-    /// recent traced execution, in thousandths (0 until one is observed).
-    pub skew_ratio_milli: u64,
-    /// Measured bytes on worker sockets across fresh executions (frames
-    /// included), and the data-plane payload subset (exchange buckets and
-    /// broadcast relations). Zero under [`ClusterMode::InProcess`].
-    pub wire_tx_bytes: u64,
-    pub wire_rx_bytes: u64,
-    pub wire_exchange_bytes: u64,
-    /// Durability counters (all zero when [`ServeConfig::data_dir`] is
-    /// unset): WAL records appended and their on-disk bytes (framing
-    /// included), snapshots written, seconds since the last snapshot, and
-    /// WAL records replayed by this process's startup recovery.
-    pub wal_appends: u64,
-    pub wal_bytes: u64,
-    pub snapshots_written: u64,
-    pub snapshot_age_seconds: u64,
-    pub recovery_replayed_batches: u64,
+mura_obs::counter_set! {
+    /// The serving tier's own counters. [`ServeStats`] is their snapshot
+    /// (see [`Server::stats`]) plus the gauges read at snapshot time.
+    pub struct Counters => ServeStats {
+        counter "mura_queries_submitted_total", "Queries admitted into the queue." { submitted }
+        counter "mura_queries_total", "Queries by final outcome." {
+            /// Queries that finished with an answer.
+            completed {outcome = "completed"},
+            /// Queries that executed and finished with an error (incl.
+            /// cancelled / deadline). Worker-side sheds count under
+            /// [`shed_admitted`](Self::shed_admitted), not here — matching
+            /// submit-side sheds, which hit neither counter.
+            failed {outcome = "failed"},
+            /// Queries rejected with [`ServeError::Busy`].
+            rejected {outcome = "rejected"},
+            /// The subset of [`shed`](Self::shed) that was already admitted
+            /// when the worker-side gates shed it. Admitted queries
+            /// terminate as exactly one of completed / failed /
+            /// shed_admitted.
+            shed_admitted {outcome = "shed"},
+        }
+        counter "mura_shed_total",
+            "Queries shed by overload protection (memory watermark or open breaker)." {
+            /// Queries shed with [`ServeError::Overloaded`], whether at
+            /// submission or after admission.
+            shed,
+        }
+        counter "mura_breaker_opened_total", "Circuit-breaker open transitions." { breaker_opened }
+        counter "mura_cache_events_total", "Plan/result cache hits and misses." {
+            plan_hits {cache = "plan", event = "hit"},
+            plan_misses {cache = "plan", event = "miss"},
+            result_hits {cache = "result", event = "hit"},
+            result_misses {cache = "result", event = "miss"},
+        }
+        counter "mura_degraded_queries_total", "Queries that recovered from faults." {
+            /// Queries that completed correctly but hit injected or real
+            /// faults along the way (the answer is still exact; see
+            /// `QueryOutput::health_note` (mura_dist::QueryOutput)).
+            degraded,
+        }
+        counter "mura_db_deltas_total", "Mutation batches applied." {
+            /// Batches applied through [`Server::apply_delta`].
+            deltas_applied,
+        }
+        counter "mura_db_delta_rows_total", "Base rows mutated through deltas." {
+            /// After no-op normalization.
+            delta_rows_inserted {op = "insert"},
+            delta_rows_deleted {op = "delete"},
+        }
+        counter "mura_ivm_applied_total",
+            "Cached views brought to the current version per mode." {
+            /// Maintained incrementally (resumed fixpoint loops).
+            ivm_maintained {mode = "maintained"},
+            /// Revalidated untouched (the batch read none of their
+            /// relations).
+            ivm_unaffected {mode = "unaffected"},
+        }
+        counter "mura_ivm_fallback_total",
+            "Cached views dropped for recompute-on-next-use, per reason." {
+            ivm_fallback_non_monotone {reason = "non-monotone"},
+            ivm_fallback_nested_fixpoint {reason = "nested-fixpoint"},
+            ivm_fallback_cache_cold {reason = "cache-cold"},
+            ivm_fallback_cost {reason = "cost"},
+            /// Planner/executor errors and stale entries.
+            ivm_fallback_other {reason = "other"},
+        }
+        counter "mura_ivm_rederived_rows",
+            "Rows DRed over-deleted and rederived across maintained views." { ivm_rederived_rows }
+        counter "mura_wal_appends_total",
+            "Write-ahead-log records appended (delta batches and loads)." { wal_appends }
+        counter "mura_wal_bytes_total", "Bytes appended to the write-ahead log." {
+            /// On-disk bytes, framing included.
+            wal_bytes,
+        }
+        counter "mura_snapshots_total",
+            "Durable snapshots written (periodic, bootstrap and post-recovery)." {
+            snapshots_written,
+        }
+        counter "mura_recovery_replayed_batches",
+            "WAL records replayed during the last crash recovery." { recovery_replayed_batches }
+        supplied {
+            counter "mura_cache_evictions_total",
+                "Entries the plan/result caches evicted for capacity." {
+                plan_evictions {cache = "plan"},
+                result_evictions {cache = "result"},
+            }
+            gauge "mura_breaker_state", "Circuit breakers currently in each state." {
+                breaker_open {state = "open"},
+                breaker_half_open {state = "half_open"},
+            }
+            gauge "mura_mem_current_bytes",
+                "Live estimated relation bytes (process-wide)." { mem_current_bytes }
+            gauge "mura_mem_high_water_bytes",
+                "High-water mark of estimated relation bytes." { mem_high_water_bytes }
+            gauge "mura_drain_phase", "0 serving, 1 draining, 2 drained." { drain_phase }
+            gauge "mura_feedback_observations",
+                "Fixpoint cardinalities currently held by the planner's feedback store." {
+                feedback_fixpoints,
+            }
+            gauge "mura_feedback_generation",
+                "Feedback-store generation; cached plans from older generations re-plan." {
+                /// Bumped whenever the observation set changes materially.
+                feedback_generation,
+            }
+            gauge "mura_snapshot_age_seconds",
+                "Seconds since the last durable snapshot (0 when durability is off)." {
+                snapshot_age_seconds,
+            }
+            gauge "mura_db_epoch", "Current database epoch." { epoch }
+            gauge "mura_db_version", "Current database version." {
+                /// Bumped by every mutation and load.
+                version,
+            }
+            gauge "mura_dictionary_symbols",
+                "Names the database dictionary holds (catalog names, binders of kept plans)." {
+                /// A few per plan — a search's scratch names leave with it.
+                dictionary_symbols,
+            }
+        }
+        derived {
+            /// All fallback reasons summed.
+            ivm_fallbacks,
+            /// From the process-wide [`mura_core::kernel`] set.
+            kernel_index_builds,
+            kernel_join_probes,
+            kernel_rows_allocated,
+            /// From the communication of fresh executions (cache hits replay
+            /// an answer, not its communication).
+            comm_shuffles,
+            comm_rows_shuffled,
+            comm_rows_broadcast,
+        }
+    }
 }
 
 impl ServeStats {
@@ -315,191 +307,8 @@ impl ServeStats {
     }
 }
 
-impl std::fmt::Display for ServeStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "submitted  {}", self.submitted)?;
-        writeln!(f, "rejected   {}", self.rejected)?;
-        writeln!(f, "shed       {} ({} after admission)", self.shed, self.shed_admitted)?;
-        writeln!(f, "completed  {}", self.completed)?;
-        writeln!(f, "failed     {}", self.failed)?;
-        writeln!(
-            f,
-            "breakers     {} opens, {} open / {} half-open now",
-            self.breaker_opened, self.breaker_open, self.breaker_half_open
-        )?;
-        writeln!(
-            f,
-            "memory       {} bytes live, {} high water",
-            self.mem_current_bytes, self.mem_high_water_bytes
-        )?;
-        writeln!(
-            f,
-            "drain        {}",
-            match self.drain_phase {
-                0 => "serving",
-                1 => "draining",
-                _ => "drained",
-            }
-        )?;
-        writeln!(
-            f,
-            "plan cache   {} hits / {} misses ({} evictions)",
-            self.plan_hits, self.plan_misses, self.plan_evictions
-        )?;
-        writeln!(
-            f,
-            "feedback     {} observed fixpoints, generation {}",
-            self.feedback_fixpoints, self.feedback_generation
-        )?;
-        writeln!(
-            f,
-            "result cache {} hits / {} misses ({} evictions), hit rate {:.0}%",
-            self.result_hits,
-            self.result_misses,
-            self.result_evictions,
-            self.hit_rate() * 100.0
-        )?;
-        writeln!(
-            f,
-            "kernel       {} index builds, {} join probes / {} antijoin probes, {} rows allocated, {} const folds",
-            self.kernel_index_builds,
-            self.kernel_join_probes,
-            self.kernel_antijoin_probes,
-            self.kernel_rows_allocated,
-            self.kernel_const_folds
-        )?;
-        writeln!(
-            f,
-            "faults       {} degraded queries, {} injected, {} retries / {} restores / {} restarts",
-            self.degraded,
-            self.faults_injected,
-            self.fault_retries,
-            self.fault_restores,
-            self.fault_restarts
-        )?;
-        writeln!(
-            f,
-            "latency      p50 {} / p95 {} / p99 {} (wall, incl. queue)",
-            fmt_us(self.wall_p50_us),
-            fmt_us(self.wall_p95_us),
-            fmt_us(self.wall_p99_us)
-        )?;
-        writeln!(
-            f,
-            "queue wait   p50 {} / p95 {} / p99 {}",
-            fmt_us(self.queue_p50_us),
-            fmt_us(self.queue_p95_us),
-            fmt_us(self.queue_p99_us)
-        )?;
-        writeln!(
-            f,
-            "execution    p50 {} / p95 {} / p99 {} (fresh runs)",
-            fmt_us(self.exec_p50_us),
-            fmt_us(self.exec_p95_us),
-            fmt_us(self.exec_p99_us)
-        )?;
-        writeln!(
-            f,
-            "comm         {} shuffles / {} rows shuffled, {} broadcasts / {} rows broadcast",
-            self.comm_shuffles,
-            self.comm_rows_shuffled,
-            self.comm_broadcasts,
-            self.comm_rows_broadcast
-        )?;
-        writeln!(
-            f,
-            "cluster      {}/{} workers live, {} respawns / {} reconnects / {} liveness misses",
-            self.cluster_workers_live,
-            self.cluster_workers,
-            self.cluster_respawns,
-            self.cluster_reconnects,
-            self.cluster_liveness_misses
-        )?;
-        writeln!(
-            f,
-            "skew         ratio {:.3} (last traced run), {} worker spans dropped",
-            self.skew_ratio_milli as f64 / 1000.0,
-            self.cluster_trace_dropped
-        )?;
-        writeln!(
-            f,
-            "wire         {} bytes tx / {} bytes rx ({} payload)",
-            self.wire_tx_bytes, self.wire_rx_bytes, self.wire_exchange_bytes
-        )?;
-        writeln!(
-            f,
-            "ivm          {} deltas (+{} -{} rows), {} maintained / {} untouched / {} recomputed, {} rows rederived",
-            self.deltas_applied,
-            self.delta_rows_inserted,
-            self.delta_rows_deleted,
-            self.ivm_maintained,
-            self.ivm_unaffected,
-            self.ivm_fallbacks,
-            self.ivm_rederived_rows
-        )?;
-        writeln!(
-            f,
-            "maintenance  p50 {} / p95 {} / p99 {} (per maintained view)",
-            fmt_us(self.maint_p50_us),
-            fmt_us(self.maint_p95_us),
-            fmt_us(self.maint_p99_us)
-        )?;
-        writeln!(
-            f,
-            "durability   {} wal appends ({} bytes), {} snapshots (age {}s), {} replayed at recovery",
-            self.wal_appends,
-            self.wal_bytes,
-            self.snapshots_written,
-            self.snapshot_age_seconds,
-            self.recovery_replayed_batches
-        )?;
-        writeln!(f, "version    {}", self.version)?;
-        writeln!(f, "dictionary {} symbols", self.dictionary_symbols)?;
-        write!(f, "epoch      {}", self.epoch)
-    }
-}
-
-#[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    shed: AtomicU64,
-    shed_admitted: AtomicU64,
-    breaker_opened: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    plan_hits: AtomicU64,
-    plan_misses: AtomicU64,
-    result_hits: AtomicU64,
-    result_misses: AtomicU64,
-    degraded: AtomicU64,
-    faults_injected: AtomicU64,
-    fault_retries: AtomicU64,
-    fault_restores: AtomicU64,
-    fault_restarts: AtomicU64,
-    deltas_applied: AtomicU64,
-    delta_rows_inserted: AtomicU64,
-    delta_rows_deleted: AtomicU64,
-    ivm_maintained: AtomicU64,
-    ivm_unaffected: AtomicU64,
-    ivm_rederived_rows: AtomicU64,
-    /// Fallback-to-recompute decisions, per [`FallbackReason`] plus the
-    /// planner/executor-error and stale-entry buckets.
-    ivm_fallback_non_monotone: AtomicU64,
-    ivm_fallback_nested_fixpoint: AtomicU64,
-    ivm_fallback_cache_cold: AtomicU64,
-    ivm_fallback_cost: AtomicU64,
-    ivm_fallback_other: AtomicU64,
-    /// Durability: WAL records appended / their on-disk bytes, snapshots
-    /// written, and WAL records replayed by startup recovery.
-    wal_appends: AtomicU64,
-    wal_bytes: AtomicU64,
-    snapshots_written: AtomicU64,
-    recovery_replayed: AtomicU64,
-}
-
 impl Counters {
-    fn fallback_counter(&self, reason: Option<FallbackReason>) -> &AtomicU64 {
+    fn fallback_counter(&self, reason: Option<FallbackReason>) -> &Counter {
         match reason {
             Some(FallbackReason::NonMonotone) => &self.ivm_fallback_non_monotone,
             Some(FallbackReason::NestedFixpoint) => &self.ivm_fallback_nested_fixpoint,
@@ -508,20 +317,12 @@ impl Counters {
             None => &self.ivm_fallback_other,
         }
     }
-
-    fn ivm_fallbacks(&self) -> u64 {
-        self.ivm_fallback_non_monotone.load(Ordering::Relaxed)
-            + self.ivm_fallback_nested_fixpoint.load(Ordering::Relaxed)
-            + self.ivm_fallback_cache_cold.load(Ordering::Relaxed)
-            + self.ivm_fallback_cost.load(Ordering::Relaxed)
-            + self.ivm_fallback_other.load(Ordering::Relaxed)
-    }
 }
 
-/// Latency histograms and communication totals accumulated over the
-/// server's lifetime. Histograms are log-spaced (power-of-two microsecond
-/// buckets, see [`mura_obs::histogram`]) so p50/p95/p99 and a Prometheus
-/// exposition both derive from the same counters.
+/// Latency histograms and the telemetry of fresh executions, accumulated
+/// over the server's lifetime. Histograms are log-spaced (power-of-two
+/// microsecond buckets, see [`mura_obs::histogram`]) so p50/p95/p99 and a
+/// Prometheus exposition both derive from the same counters.
 #[derive(Default)]
 struct Telemetry {
     /// Submission → answer, queue time included. Every finished query.
@@ -535,16 +336,13 @@ struct Telemetry {
     /// Per-view incremental maintenance latency (planning the resume
     /// state + the resumed execution), maintained and untouched views.
     maintenance: Histogram,
-    /// Communication of fresh executions (per-query `since()` deltas).
-    shuffles: AtomicU64,
-    rows_shuffled: AtomicU64,
-    broadcasts: AtomicU64,
-    rows_broadcast: AtomicU64,
-    /// Measured socket bytes of fresh executions ([`ClusterMode::Processes`]
-    /// only; the in-process simulator moves no bytes).
-    wire_tx_bytes: AtomicU64,
-    wire_rx_bytes: AtomicU64,
-    wire_exchange_bytes: AtomicU64,
+    /// Communication of fresh executions, summed from their per-query
+    /// `since()` deltas (cache hits replay an answer, not its
+    /// communication; the shared cluster counters are never reset). The
+    /// wire bytes move under [`ClusterMode::Processes`] only.
+    comm: CommStats,
+    /// Faults and recoveries of fresh executions.
+    faults: FaultStats,
     /// Per-worker per-superstep durations of traced executions, across
     /// every worker lane of the merged trace (both cluster modes).
     worker_superstep: Histogram,
@@ -555,16 +353,6 @@ struct Telemetry {
 }
 
 impl Telemetry {
-    fn record_comm(&self, comm: &mura_dist::CommSnapshot) {
-        self.shuffles.fetch_add(comm.shuffles, Ordering::Relaxed);
-        self.rows_shuffled.fetch_add(comm.rows_shuffled, Ordering::Relaxed);
-        self.broadcasts.fetch_add(comm.broadcasts, Ordering::Relaxed);
-        self.rows_broadcast.fetch_add(comm.rows_broadcast, Ordering::Relaxed);
-        self.wire_tx_bytes.fetch_add(comm.wire_tx_bytes, Ordering::Relaxed);
-        self.wire_rx_bytes.fetch_add(comm.wire_rx_bytes, Ordering::Relaxed);
-        self.wire_exchange_bytes.fetch_add(comm.wire_exchange_bytes, Ordering::Relaxed);
-    }
-
     /// Folds a merged per-query trace into the server-wide skew telemetry:
     /// every worker-lane superstep duration feeds the histogram, and the
     /// worst per-fixpoint `max/median` ratio updates the gauge.
@@ -831,7 +619,7 @@ impl ServerInner {
         {
             b.state = BreakerState::Open;
             b.opened_at = Instant::now();
-            self.counters.breaker_opened.fetch_add(1, Ordering::Relaxed);
+            self.counters.breaker_opened.inc();
         }
     }
 
@@ -862,7 +650,7 @@ impl ServerInner {
     }
 
     fn shed(&self, e: ServeError) -> ServeError {
-        self.counters.shed.fetch_add(1, Ordering::Relaxed);
+        self.counters.shed.inc();
         e
     }
 
@@ -882,11 +670,11 @@ impl ServerInner {
             lock(&self.plans).get(&plan_cache_key).filter(|c| c.feedback_gen == feedback_gen);
         let planned = match cached {
             Some(c) => {
-                self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.plan_hits.inc();
                 PlannedQuery { plan: c.plan, planning: Duration::ZERO }
             }
             None => {
-                self.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.plan_misses.inc();
                 let mut engine = self.write_engine();
                 // Re-read under the lock: loads bump the epoch while holding
                 // it, so this pins the epoch the plan was made against. The
@@ -935,10 +723,10 @@ impl ServerInner {
                 .filter(|c| c.version == version)
                 .map(|c| c.output);
             if let Some(out) = hit {
-                self.counters.result_hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.result_hits.inc();
                 return Ok(out);
             }
-            self.counters.result_misses.fetch_add(1, Ordering::Relaxed);
+            self.counters.result_misses.inc();
         }
 
         // Overload gates, now that the canonical plan is known (the
@@ -976,7 +764,7 @@ impl ServerInner {
         self.breaker_record(key, &out);
         let out = out?;
         self.telemetry.execution.record(out.execution);
-        self.telemetry.record_comm(&out.comm);
+        self.telemetry.comm.add(&out.comm);
         if let Some(trace) = &out.stats.trace {
             self.telemetry.record_trace(trace);
         }
@@ -984,11 +772,8 @@ impl ServerInner {
         // cache hits replay an old answer, not its faults.
         let fault = &out.stats.fault;
         if fault.injected() > 0 || fault.recovered() {
-            self.counters.degraded.fetch_add(1, Ordering::Relaxed);
-            self.counters.faults_injected.fetch_add(fault.injected(), Ordering::Relaxed);
-            self.counters.fault_retries.fetch_add(fault.task_retries, Ordering::Relaxed);
-            self.counters.fault_restores.fetch_add(fault.checkpoint_restores, Ordering::Relaxed);
-            self.counters.fault_restarts.fetch_add(fault.full_restarts, Ordering::Relaxed);
+            self.counters.degraded.inc();
+            self.telemetry.faults.add(fault);
         }
         // Fold measured fixpoint cardinalities back into the planner: the
         // next plan-cache miss (for any query sharing a recursive subterm)
@@ -1066,8 +851,8 @@ impl ServerInner {
                         .wal
                         .append_delta(next, &batch)
                         .map_err(|e| ServeError::Durability(format!("wal append: {e}")))?;
-                    self.counters.wal_appends.fetch_add(1, Ordering::Relaxed);
-                    self.counters.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
+                    self.counters.wal_appends.inc();
+                    self.counters.wal_bytes.add(bytes);
                     d.appends_since_snapshot += 1;
                     wal_mark = Some(mark);
                 }
@@ -1088,9 +873,9 @@ impl ServerInner {
             };
             let version = self.version.fetch_add(1, Ordering::AcqRel) + 1;
             let epoch = self.epoch.load(Ordering::Acquire);
-            self.counters.deltas_applied.fetch_add(1, Ordering::Relaxed);
-            self.counters.delta_rows_inserted.fetch_add(inserted, Ordering::Relaxed);
-            self.counters.delta_rows_deleted.fetch_add(deleted, Ordering::Relaxed);
+            self.counters.deltas_applied.inc();
+            self.counters.delta_rows_inserted.add(inserted);
+            self.counters.delta_rows_deleted.add(deleted);
             summary.version = version;
             summary.inserted = inserted;
             summary.deleted = deleted;
@@ -1144,7 +929,7 @@ impl ServerInner {
                 Ok(IvmOutcome::Unaffected) => {
                     lock(&self.results)
                         .insert(key, CachedResult { version, output: cached.output.clone() });
-                    self.counters.ivm_unaffected.fetch_add(1, Ordering::Relaxed);
+                    self.counters.ivm_unaffected.inc();
                     summary.unaffected += 1;
                     self.telemetry.maintenance.record(start.elapsed());
                 }
@@ -1190,10 +975,8 @@ impl ServerInner {
                             }
                             lock(&self.results)
                                 .insert(key, CachedResult { version, output: Arc::new(out) });
-                            self.counters.ivm_maintained.fetch_add(1, Ordering::Relaxed);
-                            self.counters
-                                .ivm_rederived_rows
-                                .fetch_add(m.overdeleted_rows, Ordering::Relaxed);
+                            self.counters.ivm_maintained.inc();
+                            self.counters.ivm_rederived_rows.add(m.overdeleted_rows);
                             summary.maintained += 1;
                             summary.rederived += m.overdeleted_rows;
                             self.telemetry.maintenance.record(start.elapsed());
@@ -1294,7 +1077,7 @@ impl ServerInner {
         d.wal.reset().map_err(|e| ServeError::Durability(format!("wal reset: {e}")))?;
         d.appends_since_snapshot = 0;
         d.last_snapshot_at = Instant::now();
-        self.counters.snapshots_written.fetch_add(1, Ordering::Relaxed);
+        self.counters.snapshots_written.inc();
         Ok(())
     }
 
@@ -1379,12 +1162,12 @@ impl ServerInner {
             }
             replayed += 1;
         }
-        self.counters.recovery_replayed.fetch_add(replayed, Ordering::Relaxed);
+        self.counters.recovery_replayed_batches.add(replayed);
         Ok(replayed)
     }
 
     fn record_fallback(&self, reason: Option<FallbackReason>, summary: &mut DeltaSummary) {
-        self.counters.fallback_counter(reason).fetch_add(1, Ordering::Relaxed);
+        self.counters.fallback_counter(reason).inc();
         summary.recomputed += 1;
     }
 }
@@ -1566,6 +1349,13 @@ impl Server {
         metrics_of(&self.inner)
     }
 
+    /// Every declared counter the server exposes — its own set and those
+    /// of the layers below — with its current value: what `.stats` and
+    /// `.metrics` are rendered from.
+    pub fn counter_rows(&self) -> Vec<Row> {
+        rows_of(&self.inner)
+    }
+
     /// Plans `query` without executing it and renders the planner's
     /// decision procedure (see the `.explain` protocol verb).
     pub fn explain(&self, query: &str) -> ServeResult<String> {
@@ -1639,8 +1429,8 @@ impl Server {
                     .wal
                     .append_load(version, epoch, engine.db())
                     .map_err(|e| ServeError::Durability(format!("wal append (load): {e}")))?;
-                self.inner.counters.wal_appends.fetch_add(1, Ordering::Relaxed);
-                self.inner.counters.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
+                self.inner.counters.wal_appends.inc();
+                self.inner.counters.wal_bytes.add(bytes);
                 d.appends_since_snapshot += 1;
             }
             self.inner.maybe_snapshot(engine.db())?;
@@ -1720,14 +1510,12 @@ fn worker_loop(inner: &ServerInner, rx: &Mutex<Receiver<Job>>) {
         let result = inner.process(&job);
         inner.telemetry.wall.record(job.submitted.elapsed());
         match &result {
-            Ok(_) => inner.counters.completed.fetch_add(1, Ordering::Relaxed),
+            Ok(_) => inner.counters.completed.inc(),
             // A worker-side shed is already in `shed`; `failed` means
             // "executed and errored", so it lands in `shed_admitted`
             // instead — submit-side sheds hit neither.
-            Err(ServeError::Overloaded { .. }) => {
-                inner.counters.shed_admitted.fetch_add(1, Ordering::Relaxed)
-            }
-            Err(_) => inner.counters.failed.fetch_add(1, Ordering::Relaxed),
+            Err(ServeError::Overloaded { .. }) => inner.counters.shed_admitted.inc(),
+            Err(_) => inner.counters.failed.inc(),
         };
         // The submitter may have given up waiting; that's fine.
         let _ = job.reply.send(result);
@@ -1788,14 +1576,7 @@ fn explain_of(inner: &ServerInner, query: &str) -> ServeResult<String> {
 }
 
 fn stats_of(inner: &ServerInner) -> ServeStats {
-    let c = &inner.counters;
-    let t = &inner.telemetry;
-    let k = mura_core::kernel::kernel_stats().snapshot();
-    let wall = t.wall.snapshot();
-    let queue = t.queue.snapshot();
-    let exec = t.execution.snapshot();
-    let maint = t.maintenance.snapshot();
-    let q = |s: &mura_obs::HistogramSnapshot, p: f64| s.quantile_us(p).unwrap_or(0);
+    let c = inner.counters.snapshot();
     let (breaker_open, breaker_half_open) = {
         let breakers = lock(&inner.breakers);
         let count = |s: BreakerState| breakers.values().filter(|b| b.state == s).count() as u64;
@@ -1808,315 +1589,132 @@ fn stats_of(inner: &ServerInner) -> ServeStats {
         let fb = lock(&inner.feedback);
         (fb.len() as u64, fb.generation())
     };
-    // All-zero under the in-process simulator: there is no fleet.
-    let health = inner.proc.as_ref().map(|p| p.health_snapshot()).unwrap_or_default();
     let dictionary_symbols = inner.read_engine().db().dict().len() as u64;
+    let kernel = kernel_stats().snapshot();
+    let comm = inner.telemetry.comm.snapshot();
     ServeStats {
-        submitted: c.submitted.load(Ordering::Relaxed),
-        rejected: c.rejected.load(Ordering::Relaxed),
-        shed: c.shed.load(Ordering::Relaxed),
-        shed_admitted: c.shed_admitted.load(Ordering::Relaxed),
-        breaker_opened: c.breaker_opened.load(Ordering::Relaxed),
+        plan_evictions: lock(&inner.plans).evictions(),
+        result_evictions: lock(&inner.results).evictions(),
         breaker_open,
         breaker_half_open,
         mem_current_bytes: mem_gauge().current_bytes(),
         mem_high_water_bytes: mem_gauge().high_water_bytes(),
         drain_phase: inner.drain_phase.load(Ordering::SeqCst),
-        completed: c.completed.load(Ordering::Relaxed),
-        failed: c.failed.load(Ordering::Relaxed),
-        plan_hits: c.plan_hits.load(Ordering::Relaxed),
-        plan_misses: c.plan_misses.load(Ordering::Relaxed),
         feedback_fixpoints,
         feedback_generation,
-        result_hits: c.result_hits.load(Ordering::Relaxed),
-        result_misses: c.result_misses.load(Ordering::Relaxed),
-        result_evictions: lock(&inner.results).evictions(),
-        plan_evictions: lock(&inner.plans).evictions(),
-        epoch: inner.epoch.load(Ordering::Acquire),
-        version: inner.version.load(Ordering::Acquire),
-        dictionary_symbols,
-        deltas_applied: c.deltas_applied.load(Ordering::Relaxed),
-        delta_rows_inserted: c.delta_rows_inserted.load(Ordering::Relaxed),
-        delta_rows_deleted: c.delta_rows_deleted.load(Ordering::Relaxed),
-        ivm_maintained: c.ivm_maintained.load(Ordering::Relaxed),
-        ivm_unaffected: c.ivm_unaffected.load(Ordering::Relaxed),
-        ivm_fallbacks: c.ivm_fallbacks(),
-        ivm_rederived_rows: c.ivm_rederived_rows.load(Ordering::Relaxed),
-        maint_p50_us: q(&maint, 0.50),
-        maint_p95_us: q(&maint, 0.95),
-        maint_p99_us: q(&maint, 0.99),
-        kernel_index_builds: k.index_builds + k.key_index_builds,
-        kernel_join_probes: k.join_probes,
-        kernel_antijoin_probes: k.antijoin_probes,
-        kernel_rows_allocated: k.rows_allocated,
-        kernel_const_folds: k.const_folds,
-        degraded: c.degraded.load(Ordering::Relaxed),
-        faults_injected: c.faults_injected.load(Ordering::Relaxed),
-        fault_retries: c.fault_retries.load(Ordering::Relaxed),
-        fault_restores: c.fault_restores.load(Ordering::Relaxed),
-        fault_restarts: c.fault_restarts.load(Ordering::Relaxed),
-        wall_p50_us: q(&wall, 0.50),
-        wall_p95_us: q(&wall, 0.95),
-        wall_p99_us: q(&wall, 0.99),
-        queue_p50_us: q(&queue, 0.50),
-        queue_p95_us: q(&queue, 0.95),
-        queue_p99_us: q(&queue, 0.99),
-        exec_p50_us: q(&exec, 0.50),
-        exec_p95_us: q(&exec, 0.95),
-        exec_p99_us: q(&exec, 0.99),
-        comm_shuffles: t.shuffles.load(Ordering::Relaxed),
-        comm_rows_shuffled: t.rows_shuffled.load(Ordering::Relaxed),
-        comm_broadcasts: t.broadcasts.load(Ordering::Relaxed),
-        comm_rows_broadcast: t.rows_broadcast.load(Ordering::Relaxed),
-        cluster_workers: health.workers,
-        cluster_workers_live: health.live,
-        cluster_respawns: health.respawns,
-        cluster_reconnects: health.reconnects,
-        cluster_liveness_misses: health.liveness_misses,
-        cluster_trace_dropped: health.trace_dropped,
-        skew_ratio_milli: t.skew_ratio_milli.load(Ordering::Relaxed),
-        wire_tx_bytes: t.wire_tx_bytes.load(Ordering::Relaxed),
-        wire_rx_bytes: t.wire_rx_bytes.load(Ordering::Relaxed),
-        wire_exchange_bytes: t.wire_exchange_bytes.load(Ordering::Relaxed),
-        wal_appends: c.wal_appends.load(Ordering::Relaxed),
-        wal_bytes: c.wal_bytes.load(Ordering::Relaxed),
-        snapshots_written: c.snapshots_written.load(Ordering::Relaxed),
         snapshot_age_seconds: inner
             .durable
             .as_ref()
             .map(|d| lock(d).last_snapshot_at.elapsed().as_secs())
             .unwrap_or(0),
-        recovery_replayed_batches: c.recovery_replayed.load(Ordering::Relaxed),
+        epoch: inner.epoch.load(Ordering::Acquire),
+        version: inner.version.load(Ordering::Acquire),
+        dictionary_symbols,
+        ivm_fallbacks: c.ivm_fallback_non_monotone
+            + c.ivm_fallback_nested_fixpoint
+            + c.ivm_fallback_cache_cold
+            + c.ivm_fallback_cost
+            + c.ivm_fallback_other,
+        kernel_index_builds: kernel.index_builds,
+        kernel_join_probes: kernel.join_probes,
+        kernel_rows_allocated: kernel.rows_allocated,
+        comm_shuffles: comm.shuffles,
+        comm_rows_shuffled: comm.rows_shuffled,
+        comm_rows_broadcast: comm.rows_broadcast,
+        ..c
     }
 }
 
-/// Renders the full telemetry of a server as a Prometheus text-exposition
-/// page (format 0.0.4): query outcome / cache / kernel / fault counters,
-/// communication totals, the latency histograms and the database epoch.
-fn metrics_of(inner: &ServerInner) -> String {
-    let s = stats_of(inner);
+/// Every counter set the server exposes, as rows: its own, then those of
+/// the layers below it. `.stats`, `.metrics` and the tests that hold the
+/// two to the declarations all read this one list.
+fn rows_of(inner: &ServerInner) -> Vec<Row> {
     let t = &inner.telemetry;
-    let mut p = PromText::new();
-    p.family("mura_queries_total", "counter", "Queries by final outcome.");
-    p.sample("mura_queries_total", &[("outcome", "completed")], s.completed as f64);
-    p.sample("mura_queries_total", &[("outcome", "failed")], s.failed as f64);
-    p.sample("mura_queries_total", &[("outcome", "rejected")], s.rejected as f64);
-    p.sample("mura_queries_total", &[("outcome", "shed")], s.shed_admitted as f64);
-    p.counter("mura_queries_submitted_total", "Queries admitted into the queue.", s.submitted);
-    p.counter(
-        "mura_shed_total",
-        "Queries shed by overload protection (memory watermark or open breaker).",
-        s.shed,
-    );
-    p.family("mura_breaker_state", "gauge", "Circuit breakers currently in each state.");
-    p.sample("mura_breaker_state", &[("state", "open")], s.breaker_open as f64);
-    p.sample("mura_breaker_state", &[("state", "half_open")], s.breaker_half_open as f64);
-    p.counter("mura_breaker_opened_total", "Circuit-breaker open transitions.", s.breaker_opened);
-    p.gauge(
-        "mura_mem_current_bytes",
-        "Live estimated relation bytes (process-wide).",
-        s.mem_current_bytes as f64,
-    );
-    p.gauge(
-        "mura_mem_high_water_bytes",
-        "High-water mark of estimated relation bytes.",
-        s.mem_high_water_bytes as f64,
-    );
-    p.gauge("mura_drain_phase", "0 serving, 1 draining, 2 drained.", s.drain_phase as f64);
-    p.family("mura_cache_events_total", "counter", "Plan/result cache hits, misses, evictions.");
-    for (cache, hits, misses, evictions) in [
-        ("plan", s.plan_hits, s.plan_misses, s.plan_evictions),
-        ("result", s.result_hits, s.result_misses, s.result_evictions),
-    ] {
-        p.sample("mura_cache_events_total", &[("cache", cache), ("event", "hit")], hits as f64);
-        p.sample("mura_cache_events_total", &[("cache", cache), ("event", "miss")], misses as f64);
-        p.sample(
-            "mura_cache_events_total",
-            &[("cache", cache), ("event", "eviction")],
-            evictions as f64,
-        );
-    }
-    p.gauge(
-        "mura_feedback_observations",
-        "Fixpoint cardinalities currently held by the planner's feedback store.",
-        s.feedback_fixpoints as f64,
-    );
-    p.gauge(
-        "mura_feedback_generation",
-        "Feedback-store generation; cached plans from older generations re-plan.",
-        s.feedback_generation as f64,
-    );
-    p.counter("mura_comm_shuffles_total", "Shuffle operations across executions.", s.comm_shuffles);
-    p.counter("mura_comm_rows_shuffled_total", "Rows moved by shuffles.", s.comm_rows_shuffled);
-    p.counter("mura_comm_broadcasts_total", "Broadcast operations.", s.comm_broadcasts);
-    p.counter(
-        "mura_comm_rows_broadcast_total",
-        "Rows replicated by broadcasts.",
-        s.comm_rows_broadcast,
-    );
-    // Process-cluster families are emitted unconditionally (all-zero in
-    // in-process mode) so dashboards and the obs_smoke validator see a
-    // stable exposition regardless of the configured ClusterMode.
-    p.gauge(
-        "mura_cluster_workers",
-        "Configured process-cluster worker count (0 in in-process mode).",
-        s.cluster_workers as f64,
-    );
-    p.gauge(
-        "mura_cluster_workers_live",
-        "Process-cluster workers currently answering heartbeats.",
-        s.cluster_workers_live as f64,
-    );
-    p.counter(
-        "mura_cluster_respawns_total",
-        "Worker processes respawned after death or SIGKILL.",
-        s.cluster_respawns,
-    );
-    p.counter(
-        "mura_cluster_reconnects_total",
-        "Worker control connections re-established after drops.",
-        s.cluster_reconnects,
-    );
-    p.family(
-        "mura_supervisor_events_total",
-        "counter",
-        "Supervisor journal events by kind (process cluster only).",
-    );
-    for (kind, v) in [
-        ("respawn", s.cluster_respawns),
-        ("reconnect", s.cluster_reconnects),
-        ("liveness_miss", s.cluster_liveness_misses),
-    ] {
-        p.sample("mura_supervisor_events_total", &[("kind", kind)], v as f64);
-    }
-    p.gauge(
-        "mura_cluster_skew_ratio",
-        "Worst per-fixpoint max/median worker-time ratio of the last traced run.",
-        s.skew_ratio_milli as f64 / 1000.0,
-    );
-    p.counter(
-        "mura_trace_dropped_spans_total",
-        "Worker-side trace spans dropped to the bounded per-worker sink.",
-        s.cluster_trace_dropped,
-    );
-    p.histogram(
-        "mura_worker_superstep_seconds",
-        "Per-worker superstep durations across traced executions.",
-        &t.worker_superstep.snapshot(),
-    );
+    let proc = inner.proc.as_ref();
+    let mut rows = stats_of(inner).rows();
+    rows.extend(kernel_stats().snapshot().rows());
+    rows.extend(t.comm.snapshot().rows());
+    rows.extend(t.faults.snapshot().rows());
+    // All-zero under the in-process simulator, where there is no fleet:
+    // the exposition is the same whatever the configured `ClusterMode`.
+    rows.extend(proc.map(|p| p.health_snapshot()).unwrap_or_default().rows());
+    rows.extend(proc.map(|p| p.worker_snapshot()).unwrap_or_default().rows());
+    rows
+}
+
+/// The latency histograms, each with the family it is exposed as.
+fn histograms_of(inner: &ServerInner) -> [(&'static str, &'static str, HistogramSnapshot); 7] {
+    let t = &inner.telemetry;
     let rtt = inner.proc.as_ref().map(|p| p.rtt_snapshot()).unwrap_or_default();
-    p.histogram(
-        "mura_heartbeat_rtt_seconds",
-        "Supervisor heartbeat round-trip times (process cluster only).",
-        &rtt,
-    );
-    p.family(
-        "mura_wire_bytes_total",
-        "counter",
-        "Measured bytes on worker sockets across fresh executions, frames included.",
-    );
-    p.sample("mura_wire_bytes_total", &[("dir", "tx")], s.wire_tx_bytes as f64);
-    p.sample("mura_wire_bytes_total", &[("dir", "rx")], s.wire_rx_bytes as f64);
-    p.counter(
-        "mura_wire_exchange_bytes_total",
-        "Data-plane payload bytes that crossed worker sockets (the measured P_plw claim).",
-        s.wire_exchange_bytes,
-    );
-    p.counter("mura_faults_injected_total", "Faults injected into executions.", s.faults_injected);
-    p.family("mura_fault_recoveries_total", "counter", "Recovery actions by kind.");
-    p.sample("mura_fault_recoveries_total", &[("action", "retry")], s.fault_retries as f64);
-    p.sample("mura_fault_recoveries_total", &[("action", "restore")], s.fault_restores as f64);
-    p.sample("mura_fault_recoveries_total", &[("action", "restart")], s.fault_restarts as f64);
-    p.counter("mura_degraded_queries_total", "Queries that recovered from faults.", s.degraded);
-    p.family("mura_kernel_events_total", "counter", "Evaluation-kernel counters (process-wide).");
-    for (event, v) in [
-        ("index_build", s.kernel_index_builds),
-        ("join_probe", s.kernel_join_probes),
-        ("antijoin_probe", s.kernel_antijoin_probes),
-        ("rows_allocated", s.kernel_rows_allocated),
-        ("const_fold", s.kernel_const_folds),
-    ] {
-        p.sample("mura_kernel_events_total", &[("event", event)], v as f64);
+    [
+        (
+            "mura_query_wall_seconds",
+            "Submission-to-answer latency, queue time included.",
+            t.wall.snapshot(),
+        ),
+        ("mura_query_queue_seconds", "Wait for a worker.", t.queue.snapshot()),
+        (
+            "mura_query_execution_seconds",
+            "Evaluator time of fresh executions.",
+            t.execution.snapshot(),
+        ),
+        (
+            "mura_query_planning_seconds",
+            "Planning time of plan-cache misses.",
+            t.planning.snapshot(),
+        ),
+        (
+            "mura_ivm_maintenance_seconds",
+            "Per-view incremental maintenance latency.",
+            t.maintenance.snapshot(),
+        ),
+        (
+            "mura_worker_superstep_seconds",
+            "Per-worker superstep durations across traced executions.",
+            t.worker_superstep.snapshot(),
+        ),
+        (
+            "mura_heartbeat_rtt_seconds",
+            "Supervisor heartbeat round-trip times (process cluster only).",
+            rtt,
+        ),
+    ]
+}
+
+const SKEW_FAMILY: &str = "mura_cluster_skew_ratio";
+
+fn skew_ratio(inner: &ServerInner) -> f64 {
+    inner.telemetry.skew_ratio_milli.load(Ordering::Relaxed) as f64 / 1000.0
+}
+
+/// The `.stats` report: one line per family of [`rows_of`], the skew
+/// gauge, and p50/p95/p99 of every histogram.
+fn stats_text_of(inner: &ServerInner) -> String {
+    let mut out = String::new();
+    let _ = write_stats(&rows_of(inner), &mut out);
+    let _ = writeln!(out, "{:<32} {:.3}", stats_title(SKEW_FAMILY), skew_ratio(inner));
+    for (family, _, h) in histograms_of(inner) {
+        let [p50, p95, p99] = [0.50, 0.95, 0.99].map(|p| fmt_us(h.quantile_us(p).unwrap_or(0)));
+        let (title, n) = (stats_title(family), h.count);
+        let _ = writeln!(out, "{title:<32} p50 {p50} / p95 {p95} / p99 {p99} of {n}");
     }
-    p.histogram(
-        "mura_query_wall_seconds",
-        "Submission-to-answer latency, queue time included.",
-        &t.wall.snapshot(),
+    out
+}
+
+/// Renders the full telemetry of a server as a Prometheus text-exposition
+/// page (format 0.0.4): every family of [`rows_of`], the skew gauge and
+/// the latency histograms.
+fn metrics_of(inner: &ServerInner) -> String {
+    let mut p = PromText::new();
+    p.rows(&rows_of(inner));
+    p.gauge(
+        SKEW_FAMILY,
+        "Worst per-fixpoint max/median worker-time ratio of the last traced run.",
+        skew_ratio(inner),
     );
-    p.histogram("mura_query_queue_seconds", "Wait for a worker.", &t.queue.snapshot());
-    p.histogram(
-        "mura_query_execution_seconds",
-        "Evaluator time of fresh executions.",
-        &t.execution.snapshot(),
-    );
-    p.histogram(
-        "mura_query_planning_seconds",
-        "Planning time of plan-cache misses.",
-        &t.planning.snapshot(),
-    );
-    p.family(
-        "mura_ivm_applied_total",
-        "counter",
-        "Cached views brought to the current version per mode.",
-    );
-    p.sample("mura_ivm_applied_total", &[("mode", "maintained")], s.ivm_maintained as f64);
-    p.sample("mura_ivm_applied_total", &[("mode", "unaffected")], s.ivm_unaffected as f64);
-    p.family(
-        "mura_ivm_fallback_total",
-        "counter",
-        "Cached views dropped for recompute-on-next-use, per reason.",
-    );
-    let c = &inner.counters;
-    for (reason, v) in [
-        ("non-monotone", c.ivm_fallback_non_monotone.load(Ordering::Relaxed)),
-        ("nested-fixpoint", c.ivm_fallback_nested_fixpoint.load(Ordering::Relaxed)),
-        ("cache-cold", c.ivm_fallback_cache_cold.load(Ordering::Relaxed)),
-        ("cost", c.ivm_fallback_cost.load(Ordering::Relaxed)),
-        ("other", c.ivm_fallback_other.load(Ordering::Relaxed)),
-    ] {
-        p.sample("mura_ivm_fallback_total", &[("reason", reason)], v as f64);
+    for (family, help, h) in histograms_of(inner) {
+        p.histogram(family, help, &h);
     }
-    p.counter(
-        "mura_ivm_rederived_rows",
-        "Rows DRed over-deleted and rederived across maintained views.",
-        s.ivm_rederived_rows,
-    );
-    p.family("mura_db_delta_rows_total", "counter", "Base rows mutated through deltas.");
-    p.sample("mura_db_delta_rows_total", &[("op", "insert")], s.delta_rows_inserted as f64);
-    p.sample("mura_db_delta_rows_total", &[("op", "delete")], s.delta_rows_deleted as f64);
-    p.histogram(
-        "mura_ivm_maintenance_seconds",
-        "Per-view incremental maintenance latency.",
-        &t.maintenance.snapshot(),
-    );
-    p.counter(
-        "mura_wal_appends_total",
-        "Write-ahead-log records appended (delta batches and loads).",
-        s.wal_appends,
-    );
-    p.counter("mura_wal_bytes_total", "Bytes appended to the write-ahead log.", s.wal_bytes);
-    p.counter(
-        "mura_snapshots_total",
-        "Durable snapshots written (periodic, bootstrap and post-recovery).",
-        s.snapshots_written,
-    );
-    p.gauge(
-        "mura_snapshot_age_seconds",
-        "Seconds since the last durable snapshot (0 when durability is off).",
-        s.snapshot_age_seconds as f64,
-    );
-    p.counter(
-        "mura_recovery_replayed_batches",
-        "WAL records replayed during the last crash recovery.",
-        s.recovery_replayed_batches,
-    );
-    p.gauge("mura_db_epoch", "Current database epoch.", s.epoch as f64);
-    p.gauge("mura_db_version", "Current database version.", s.version as f64);
-    p.gauge(
-        "mura_dictionary_symbols",
-        "Names held by the database dictionary (catalog names plus the binders of kept plans).",
-        s.dictionary_symbols as f64,
-    );
     p.finish()
 }
 
@@ -2217,14 +1815,14 @@ impl Client {
         lock(&self.inner.inflight).insert(id, token.clone());
         match self.tx.try_send(Job::Query(job)) {
             Ok(()) => {
-                self.inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+                self.inner.counters.submitted.inc();
                 Ok(Pending { rx: reply_rx, token })
             }
             Err(send_err) => {
                 lock(&self.inner.inflight).remove(&id);
                 match send_err {
                     TrySendError::Full(_) => {
-                        self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                        self.inner.counters.rejected.inc();
                         Err(ServeError::Busy {
                             queue_depth: self.inner.config.queue_depth.max(1),
                             retry_after_ms: (self.inner.config.retry_after.as_millis() as u64)
@@ -2289,6 +1887,12 @@ impl Client {
     /// Current serving counters.
     pub fn stats(&self) -> ServeStats {
         stats_of(&self.inner)
+    }
+
+    /// The `.stats` report: every counter set the server exposes, one line
+    /// per family, and the latency quantiles.
+    pub fn stats_text(&self) -> String {
+        stats_text_of(&self.inner)
     }
 
     /// The full telemetry as a Prometheus text-exposition page.

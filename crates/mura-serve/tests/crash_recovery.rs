@@ -9,6 +9,9 @@
 //! its mutation schedule is a pure function of the seed, so a crashed run
 //! and its recovery compose into exactly the reference timeline.
 
+mod common;
+
+use common::ensure_worker_bin;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -43,28 +46,6 @@ fn run_crashd(dir: &Path, plan: &str, cluster: &str, crash: Option<&str>) -> Out
         None => cmd.env_remove("MURA_CRASH_POINT"),
     };
     cmd.output().expect("spawn mura-crashd")
-}
-
-/// Locates the `mura-worker` binary next to the test executable, building
-/// it first when the test runs in isolation.
-fn ensure_worker_bin() -> PathBuf {
-    let mut dir = std::env::current_exe().expect("current_exe");
-    dir.pop();
-    if dir.ends_with("deps") {
-        dir.pop();
-    }
-    let bin = dir.join("mura-worker");
-    if !bin.exists() {
-        let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
-        let mut cmd = Command::new(cargo);
-        cmd.args(["build", "-p", "mura-dist", "--bin", "mura-worker"]);
-        if dir.ends_with("release") {
-            cmd.arg("--release");
-        }
-        let status = cmd.status().expect("run cargo build for mura-worker");
-        assert!(status.success(), "building mura-worker failed");
-    }
-    bin
 }
 
 /// Parsed machine-readable crashd output.

@@ -344,7 +344,8 @@ fn drain_via_protocol_reports_counters_and_closes() {
     write(".drain");
     let (status, body) = mura_serve::read_response(&mut reader).unwrap();
     assert_eq!(status, "OK drained");
-    assert!(body.iter().any(|l| l.starts_with("drain        drained")), "{body:?}");
+    let drain_phase = body.iter().find_map(|l| l.strip_prefix("drain_phase "));
+    assert_eq!(drain_phase.map(str::trim), Some("2"), "drained: {body:?}");
 
     // Post-drain queries are refused, with the reply still delivered.
     write(TC);

@@ -239,7 +239,7 @@ fn tcp_protocol_round_trip() {
     write(".stats");
     let (status, body) = protocol::read_response(&mut reader).unwrap();
     assert_eq!(status, "OK stats");
-    assert!(body.iter().any(|l| l.starts_with("completed")), "{body:?}");
+    assert!(body.iter().any(|l| l.starts_with("queries_total ")), "{body:?}");
 
     write("?x <- ?x nosuchlabel+ C");
     let (status, _) = protocol::read_response(&mut reader).unwrap();

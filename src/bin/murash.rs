@@ -585,7 +585,10 @@ impl Shell {
             out.comm.rows_broadcast,
         );
         if let Some(note) = out.health_note() {
-            println!("  {note}  [{}]", out.stats.fault);
+            println!("  {note}");
+            for line in out.stats.fault.to_string().lines() {
+                println!("    {line}");
+            }
         }
         for row in rel.sorted_rows().iter().take(20) {
             let vals: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
