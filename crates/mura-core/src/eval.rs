@@ -261,32 +261,7 @@ impl Evaluator<'_> {
             let rel = self.eval_term(t)?;
             return Ok(Term::cst(rel));
         }
-        Ok(match t {
-            Term::Var(_) => t.clone(),
-            Term::Cst(_) => t.clone(),
-            Term::Filter(ps, inner) => {
-                Term::Filter(ps.clone(), Box::new(self.hoist_invariants(inner, x)?))
-            }
-            Term::Rename(a, b, inner) => {
-                Term::Rename(*a, *b, Box::new(self.hoist_invariants(inner, x)?))
-            }
-            Term::AntiProject(cs, inner) => {
-                Term::AntiProject(cs.clone(), Box::new(self.hoist_invariants(inner, x)?))
-            }
-            Term::Join(a, b) => Term::Join(
-                Box::new(self.hoist_invariants(a, x)?),
-                Box::new(self.hoist_invariants(b, x)?),
-            ),
-            Term::Antijoin(a, b) => Term::Antijoin(
-                Box::new(self.hoist_invariants(a, x)?),
-                Box::new(self.hoist_invariants(b, x)?),
-            ),
-            Term::Union(a, b) => Term::Union(
-                Box::new(self.hoist_invariants(a, x)?),
-                Box::new(self.hoist_invariants(b, x)?),
-            ),
-            Term::Fix(_, _) => unreachable!("F_cond: x cannot occur under a nested fixpoint"),
-        })
+        t.try_map_children(|c| self.hoist_invariants(c, x))
     }
 }
 

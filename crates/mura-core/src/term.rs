@@ -198,6 +198,32 @@ impl Term {
         out
     }
 
+    /// This node rebuilt over `f` of each child, left to right; a leaf is
+    /// cloned. The one structural rebuild every term-to-term walk shares.
+    pub fn map_children(&self, mut f: impl FnMut(&Term) -> Term) -> Term {
+        let mapped = self.try_map_children(|c| Ok::<_, std::convert::Infallible>(f(c)));
+        mapped.unwrap_or_else(|never| match never {})
+    }
+
+    /// [`Term::map_children`] for a fallible `f`: the first error stops the
+    /// rebuild.
+    pub fn try_map_children<E>(
+        &self,
+        mut f: impl FnMut(&Term) -> Result<Term, E>,
+    ) -> Result<Term, E> {
+        let mut boxed = |t: &Term| f(t).map(Box::new);
+        Ok(match self {
+            Term::Var(_) | Term::Cst(_) => self.clone(),
+            Term::Filter(ps, t) => Term::Filter(ps.clone(), boxed(t)?),
+            Term::Rename(a, b, t) => Term::Rename(*a, *b, boxed(t)?),
+            Term::AntiProject(cs, t) => Term::AntiProject(cs.clone(), boxed(t)?),
+            Term::Join(a, b) => Term::Join(boxed(a)?, boxed(b)?),
+            Term::Antijoin(a, b) => Term::Antijoin(boxed(a)?, boxed(b)?),
+            Term::Union(a, b) => Term::Union(boxed(a)?, boxed(b)?),
+            Term::Fix(x, body) => Term::Fix(*x, boxed(body)?),
+        })
+    }
+
     /// Capture-avoiding substitution of variable `v` by term `by`.
     ///
     /// `by` must not contain free occurrences of any fixpoint variable bound
@@ -205,36 +231,14 @@ impl Term {
     /// frontends generate globally fresh fixpoint variables).
     pub fn substitute(&self, v: Sym, by: &Term) -> Term {
         match self {
-            Term::Var(x) => {
-                if *x == v {
-                    by.clone()
-                } else {
-                    self.clone()
-                }
-            }
-            Term::Cst(_) => self.clone(),
-            Term::Filter(ps, t) => Term::Filter(ps.clone(), Box::new(t.substitute(v, by))),
-            Term::Rename(a, b, t) => Term::Rename(*a, *b, Box::new(t.substitute(v, by))),
-            Term::AntiProject(cs, t) => {
-                Term::AntiProject(cs.clone(), Box::new(t.substitute(v, by)))
-            }
-            Term::Join(a, b) => {
-                Term::Join(Box::new(a.substitute(v, by)), Box::new(b.substitute(v, by)))
-            }
-            Term::Antijoin(a, b) => {
-                Term::Antijoin(Box::new(a.substitute(v, by)), Box::new(b.substitute(v, by)))
-            }
-            Term::Union(a, b) => {
-                Term::Union(Box::new(a.substitute(v, by)), Box::new(b.substitute(v, by)))
-            }
-            Term::Fix(x, body) => {
-                if *x == v {
-                    // v is shadowed: no free occurrences below.
-                    self.clone()
-                } else {
+            Term::Var(x) if *x == v => by.clone(),
+            // v is shadowed: no free occurrences below.
+            Term::Fix(x, _) if *x == v => self.clone(),
+            _ => {
+                if let Term::Fix(x, _) = self {
                     assert!(!by.has_free_var(*x), "substitution would capture fixpoint variable");
-                    Term::Fix(*x, Box::new(body.substitute(v, by)))
                 }
+                self.map_children(|c| c.substitute(v, by))
             }
         }
     }

@@ -19,10 +19,11 @@
 //! monotonically toward the same least fixpoint (Proposition 1), and
 //! per-owner deduplication gives semi-naive behaviour.
 //!
-//! **Fault tolerance.** Worker bodies run under `catch_unwind`: an injected
-//! (or genuine) panic sets the abort flag and surfaces as a retryable
-//! [`MuraError::WorkerFailed`], and the supervisor in
-//! `DistEvaluator::eval_async_plan` restarts the whole fixpoint from its
+//! **Fault tolerance.** A worker body is one
+//! [`FaultPlan::guarded`](crate::fault::FaultPlan::guarded) attempt: an
+//! injected (or genuine) panic surfaces as a retryable
+//! `MuraError::WorkerFailed`, any failing worker raises the abort flag,
+//! and `DistEvaluator::eval_async_plan` reruns the whole fixpoint from its
 //! seed — there is no consistent mid-run snapshot of an asynchronous
 //! computation without a Chandy–Lamport-style protocol, so `P_async` always
 //! takes the "no checkpoint → full recomputation" recovery path. Injection
@@ -30,13 +31,14 @@
 //! worker starts are not) or per accepted row by content hash (the accepted
 //! row *set* is deterministic), keeping fault counts reproducible.
 
-use crate::cluster::{payload_text, Cluster};
+use crate::cluster::Cluster;
 use crate::distrel::DistRel;
-use crate::localfix::{eval_branch, prepare, Budget, Prepared};
+use crate::fault::join_worker;
+use crate::fixloop::Supervision;
+use crate::localfix::{eval_branch, prepare_all};
 use mura_core::fxhash::FxHasher;
-use mura_core::{MuraError, Relation, Result, Rows, Sym, Term, Value};
+use mura_core::{Relation, Result, Rows, Sym, Term, Value};
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Duration;
@@ -51,22 +53,11 @@ fn row_owner(row: &[Value], n: usize) -> usize {
     (row_hash(row) as usize) % n
 }
 
-/// Evaluates `μ(x = seed ∪ recs)` asynchronously. `recs` must be hoisted
-/// (every `x`-free subterm already a constant, as for `P_plw`).
-pub fn eval_async(
-    seed: &DistRel,
-    recs: &[Term],
-    x: Sym,
-    cluster: &Cluster,
-    budget: &Budget,
-) -> Result<DistRel> {
-    let site = cluster.fault().next_site();
-    eval_async_at(seed, recs, x, cluster, budget, site, 0, None)
-}
-
-/// The supervised entry point: runs one attempt of the asynchronous
-/// fixpoint at an explicit fault `site`. The restart supervisor pins the
-/// site across attempts so afflicted workers heal deterministically after
+/// Runs one attempt of the asynchronous fixpoint `μ(x = seed ∪ recs)` at
+/// the fault site of `sup`. `recs` must be hoisted (every `x`-free subterm
+/// already a constant, as for `P_plw`). The restart supervisor passes the
+/// failed attempts so far as `attempt`, the site staying the same, so
+/// afflicted workers heal deterministically after
 /// [`crate::fault::FaultConfig::failures_per_site`] attempts.
 ///
 /// `resume` carries maintained `(acc, delta)` state for incremental view
@@ -75,29 +66,24 @@ pub fn eval_async(
 /// `delta` travels as ordinary batches alongside the seed. A restart of
 /// the whole attempt reuses the same resume state, so recovery never
 /// degrades to a from-scratch recomputation by accident.
-#[allow(clippy::too_many_arguments)]
 pub fn eval_async_at(
     seed: &DistRel,
     recs: &[Term],
     x: Sym,
     cluster: &Cluster,
-    budget: &Budget,
-    site: u64,
+    sup: &Supervision<'_>,
     attempt: u32,
     resume: Option<&(Relation, Relation)>,
 ) -> Result<DistRel> {
+    let (budget, fault, site) = (sup.budget, sup.fault, sup.site);
     let n = cluster.workers();
-    let fault = cluster.fault();
     let schema = seed.schema().clone();
     // Prepare once (constant folding + index builds) and share the branches
     // across all workers — the indexes are built per fixpoint, not per
-    // worker or per batch.
-    let prepared: Vec<Prepared<Relation>> =
-        recs.iter().map(|r| prepare(r, x, &schema)).collect::<Result<_>>()?;
-    // Charge the cached indexes/constants plus the seed against the byte
-    // budget before spawning any worker: an over-budget setup fails typed
+    // worker or per batch. Their bytes and the seed's are charged before
+    // any worker is spawned: an over-budget setup fails typed
     // (MemoryExceeded) instead of mid-recursion.
-    budget.charge_bytes(prepared.iter().map(|p| p.cached_bytes()).sum())?;
+    let prepared = prepare_all::<Relation>(recs, x, &schema, budget)?;
     budget.charge_bytes(mura_core::rel_bytes(seed.len() as u64, schema.arity()))?;
     let prepared = &prepared;
     // Channels: one inbox per worker; a batch is one flat buffer of rows.
@@ -163,121 +149,93 @@ pub fn eval_async_at(
                 let cross_rows = &cross_rows;
                 let abort = &abort;
                 scope.spawn(move || -> Result<(Relation, u64, u64)> {
-                    let body =
-                        catch_unwind(AssertUnwindSafe(|| -> Result<(Relation, u64, u64)> {
-                            // Any failing exit must raise the abort flag, or the
-                            // surviving workers would spin forever on an
-                            // in-flight counter that can no longer reach zero.
-                            let fail = |e: MuraError| {
-                                abort.store(true, Ordering::SeqCst);
-                                e
+                    // Worker start is the injection point: a panicking or
+                    // transiently failing worker models a machine lost
+                    // mid-recursion.
+                    let out = fault.guarded(site, me, 0, attempt, || {
+                        // A slice of a set: distinct already.
+                        let mut acc = Relation::from_distinct(schema.clone(), mine);
+                        let (mut drops, mut dups) = (0u64, 0u64);
+                        loop {
+                            let batch = match inbox.recv_timeout(Duration::from_millis(1)) {
+                                Ok(b) => b,
+                                Err(_) => {
+                                    if abort.load(Ordering::SeqCst)
+                                        || in_flight.load(Ordering::SeqCst) == 0
+                                    {
+                                        return Ok((acc, drops, dups));
+                                    }
+                                    // Keep deadline/cancellation live even
+                                    // while idle-waiting for batches.
+                                    budget.check()?;
+                                    continue;
+                                }
                             };
-                            // Worker-start injection point: a panicking or
-                            // transiently failing worker models a machine lost
-                            // mid-recursion.
-                            fault.maybe_panic(site, me, 0, attempt);
-                            fault.maybe_transient(site, me, 0, attempt).map_err(fail)?;
-                            fault.maybe_memory_pressure(site, me, 0, attempt).map_err(fail)?;
-                            if let Some(d) = fault.straggler_delay(site, me, 0, attempt) {
-                                std::thread::sleep(d);
+                            if abort.load(Ordering::SeqCst) {
+                                return Ok((acc, drops, dups));
                             }
-                            // A slice of a set: distinct already.
-                            let mut acc = Relation::from_distinct(schema.clone(), mine);
-                            let (mut drops, mut dups) = (0u64, 0u64);
-                            loop {
-                                let batch = match inbox.recv_timeout(Duration::from_millis(1)) {
-                                    Ok(b) => b,
-                                    Err(_) => {
-                                        if abort.load(Ordering::SeqCst)
-                                            || in_flight.load(Ordering::SeqCst) == 0
-                                        {
-                                            return Ok((acc, drops, dups));
-                                        }
-                                        // Keep deadline/cancellation live even
-                                        // while idle-waiting for batches.
-                                        budget.check().map_err(fail)?;
+                            budget.check()?;
+                            // Deduplicate against what this owner already
+                            // has. Each genuinely-new row is also the
+                            // deterministic injection point for message
+                            // drops (first copy lost, retransmitted) and
+                            // duplications (second copy absorbed here by set
+                            // semantics) — each owned row is accepted
+                            // exactly once per run, so the counts are
+                            // reproducible even though batch boundaries are
+                            // not.
+                            let delta = acc.absorb_new(&batch);
+                            if fault.is_active() {
+                                for row in delta.iter() {
+                                    let h = row_hash(row);
+                                    drops += u64::from(fault.would_drop_row(h));
+                                    dups += u64::from(fault.would_duplicate_row(h));
+                                }
+                            }
+                            if !delta.is_empty() {
+                                budget.charge(delta.len() as u64)?;
+                                budget.charge_bytes(mura_core::rel_bytes(
+                                    delta.len() as u64,
+                                    schema.arity(),
+                                ))?;
+                                // Apply every recursive branch to the delta
+                                // and route the produced rows to their
+                                // owners.
+                                let mut outgoing = batches();
+                                for p in prepared {
+                                    let produced = eval_branch(p, &delta);
+                                    for row in produced.iter() {
+                                        outgoing[row_owner(row, senders.len())].push(row);
+                                    }
+                                }
+                                for (w, out) in outgoing.into_iter().enumerate() {
+                                    if out.is_empty() {
                                         continue;
                                     }
-                                };
-                                if abort.load(Ordering::SeqCst) {
-                                    return Ok((acc, drops, dups));
-                                }
-                                budget.check().map_err(fail)?;
-                                // Deduplicate against what this owner already
-                                // has. Each genuinely-new row is also the
-                                // deterministic injection point for message
-                                // drops (first copy lost, retransmitted) and
-                                // duplications (second copy absorbed here by
-                                // set semantics) — each owned row is accepted
-                                // exactly once per run, so the counts are
-                                // reproducible even though batch boundaries are
-                                // not.
-                                let delta = acc.absorb_new(&batch);
-                                if fault.is_active() {
-                                    for row in delta.iter() {
-                                        let h = row_hash(row);
-                                        drops += u64::from(fault.would_drop_row(h));
-                                        dups += u64::from(fault.would_duplicate_row(h));
+                                    if w != me {
+                                        cross_rows.fetch_add(out.len() as i64, Ordering::Relaxed);
                                     }
+                                    in_flight.fetch_add(1, Ordering::SeqCst);
+                                    // A receiver is gone only if its worker
+                                    // aborted; the abort flag unblocks
+                                    // everyone.
+                                    let _ = senders[w].send(out);
                                 }
-                                if !delta.is_empty() {
-                                    budget.charge(delta.len() as u64).map_err(fail)?;
-                                    budget
-                                        .charge_bytes(mura_core::rel_bytes(
-                                            delta.len() as u64,
-                                            schema.arity(),
-                                        ))
-                                        .map_err(fail)?;
-                                    // Apply every recursive branch to the delta
-                                    // and route the produced rows to their
-                                    // owners.
-                                    let mut outgoing = batches();
-                                    for p in prepared {
-                                        let produced = eval_branch(p, &delta);
-                                        for row in produced.iter() {
-                                            outgoing[row_owner(row, senders.len())].push(row);
-                                        }
-                                    }
-                                    for (w, out) in outgoing.into_iter().enumerate() {
-                                        if out.is_empty() {
-                                            continue;
-                                        }
-                                        if w != me {
-                                            cross_rows
-                                                .fetch_add(out.len() as i64, Ordering::Relaxed);
-                                        }
-                                        in_flight.fetch_add(1, Ordering::SeqCst);
-                                        // A receiver is gone only if its worker
-                                        // aborted; the abort flag unblocks
-                                        // everyone.
-                                        let _ = senders[w].send(out);
-                                    }
-                                }
-                                in_flight.fetch_sub(1, Ordering::SeqCst);
                             }
-                        }));
-                    body.unwrap_or_else(|payload| {
+                            in_flight.fetch_sub(1, Ordering::SeqCst);
+                        }
+                    });
+                    // Any failing exit must raise the abort flag, or the
+                    // surviving workers would spin forever on an in-flight
+                    // counter that can no longer reach zero.
+                    if out.is_err() {
                         abort.store(true, Ordering::SeqCst);
-                        Err(MuraError::WorkerFailed {
-                            worker: me,
-                            payload: payload_text(payload.as_ref()),
-                        })
-                    })
+                    }
+                    out
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| {
-                h.join().unwrap_or_else(|payload| {
-                    Err(MuraError::WorkerFailed {
-                        worker: i,
-                        payload: payload_text(payload.as_ref()),
-                    })
-                })
-            })
-            .collect()
+        handles.into_iter().enumerate().map(|(i, h)| join_worker(i, h)).collect()
     });
     let mut parts = Vec::with_capacity(n);
     let (mut drops, mut dups) = (0u64, 0u64);
@@ -306,8 +264,25 @@ pub fn eval_async_at(
 mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultPlan, RecoveryPolicy};
+    use crate::localfix::Budget;
     use mura_core::{Database, MuraError};
     use std::sync::Arc;
+
+    /// One attempt at a fresh site of the cluster's plan, under `budget`.
+    fn eval_async(
+        seed: &DistRel,
+        recs: &[Term],
+        x: Sym,
+        cluster: &Cluster,
+        budget: &Budget,
+    ) -> Result<DistRel> {
+        eval_async_at(seed, recs, x, cluster, &supervision(cluster, budget), 0, None)
+    }
+
+    fn supervision<'a>(cluster: &'a Cluster, budget: &'a Budget) -> Supervision<'a> {
+        let fault = cluster.fault();
+        Supervision { site: fault.next_site(), ..Supervision::inert(budget, fault) }
+    }
 
     fn setup() -> (Database, DistRel, Vec<Term>, Sym, Cluster) {
         let mut db = Database::new();
@@ -391,9 +366,9 @@ mod tests {
         let cfg = FaultConfig { panic_prob: 1.0, seed: 11, ..Default::default() };
         let plan = Arc::new(FaultPlan::new(cfg));
         let cluster = Cluster::new(4).with_faults(plan, RecoveryPolicy::default());
-        let site = cluster.fault().next_site();
-        assert!(eval_async_at(&seed, &recs, x, &cluster, &budget, site, 0, None).is_err());
-        let out = eval_async_at(&seed, &recs, x, &cluster, &budget, site, 1, None).unwrap();
+        let sup = supervision(&cluster, &budget);
+        assert!(eval_async_at(&seed, &recs, x, &cluster, &sup, 0, None).is_err());
+        let out = eval_async_at(&seed, &recs, x, &cluster, &sup, 1, None).unwrap();
         assert_eq!(out.collect().sorted_rows(), expected.collect().sorted_rows());
     }
 }

@@ -7,21 +7,20 @@
 //! reads at most [`LIGHT_TASK_ROWS`] rows is not worth a thread and runs on
 //! the calling one (see [`Cluster::par_map_sized`]).
 //!
-//! Every partition task runs under a **task supervisor**: the closure is
-//! executed inside `catch_unwind`, so a panicking worker is captured as
-//! [`MuraError::WorkerFailed`] instead of aborting the process, and
+//! Every partition task runs under a **task supervisor**: each attempt is
+//! a [`FaultPlan::guarded`] one, so a panicking worker is captured as
+//! `MuraError::WorkerFailed` instead of aborting the process, and
 //! retryable failures (captured panics, transient errors — injected by the
 //! [`FaultPlan`] or genuine) are retried with bounded exponential backoff.
 //! Cancellation and deadlines are re-checked before every attempt, so a
 //! cancelled query stops retrying immediately.
 
-use crate::fault::{FaultPlan, RecoveryPolicy};
+use crate::fault::{join_worker, FaultPlan, RecoveryPolicy};
 use crate::metrics::CommStats;
 use crate::wire::TraceCtx;
-use mura_core::{CancellationToken, MuraError, Relation, Result, Rows, Schema};
+use mura_core::{CancellationToken, Relation, Result, Rows, Schema};
 use mura_obs::TraceEvent;
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -303,7 +302,12 @@ impl Cluster {
         schema: &Schema,
         buckets: Vec<Vec<Rows>>,
     ) -> Result<Vec<Relation>> {
-        let ctx = ExchangeCtx {
+        self.backend.exchange(&self.exchange_ctx(site), schema, buckets)
+    }
+
+    /// What the backend runs an exchange or a broadcast at `site` under.
+    fn exchange_ctx(&self, site: u64) -> ExchangeCtx<'_> {
+        ExchangeCtx {
             fault: &self.fault,
             site,
             metrics: &self.metrics,
@@ -311,8 +315,7 @@ impl Cluster {
             cancel: self.cancel.as_ref(),
             workers: self.workers,
             trace: self.trace_ctx(),
-        };
-        self.backend.exchange(&ctx, schema, buckets)
+        }
     }
 
     /// Replicates `rel` to every worker through the backend, recording the
@@ -322,36 +325,18 @@ impl Cluster {
     /// fault streams are unaffected by this call.
     pub fn broadcast_rel(&self, rel: &Relation) -> Result<()> {
         self.metrics.record_broadcast(rel.len() as u64, self.workers);
-        let ctx = ExchangeCtx {
-            fault: &self.fault,
-            site: 0,
-            metrics: &self.metrics,
-            recovery: &self.recovery,
-            cancel: self.cancel.as_ref(),
-            workers: self.workers,
-            trace: self.trace_ctx(),
-        };
-        self.backend.broadcast(&ctx, rel)
+        self.backend.broadcast(&self.exchange_ctx(0), rel)
     }
 
     /// Runs `f(i, &items[i])` on every worker in parallel, collecting the
     /// results in worker order. A worker panic is captured and reported as
-    /// [`MuraError::WorkerFailed`] after the supervisor's retries are
-    /// exhausted — one bad partition no longer aborts the process.
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.par_map_sized(items, |_| usize::MAX, f)
-    }
-
-    /// [`Cluster::par_map`] for tasks whose cost is bounded by the rows
-    /// they read: `rows(&items[i])` is that number for task `i`, and a task
-    /// of at most [`LIGHT_TASK_ROWS`] runs on the calling thread (see
-    /// [`join_tasks`]). Same results, same fault sites, same supervision —
-    /// only where the task body executes differs.
+    /// `MuraError::WorkerFailed` after the supervisor's retries are
+    /// exhausted — one bad partition does not abort the process.
+    ///
+    /// `rows(&items[i])` bounds what task `i` reads, and with it what it
+    /// costs: a task of at most [`LIGHT_TASK_ROWS`] runs on the calling
+    /// thread (see [`join_tasks`]). Same results, same fault sites, same
+    /// supervision — only where the task body executes differs.
     pub fn par_map_sized<T, R, F>(
         &self,
         items: &[T],
@@ -366,16 +351,8 @@ impl Cluster {
         self.try_par_map_sized(items, rows, |i, item| Ok(f(i, item)))
     }
 
-    /// Like [`Cluster::par_map`] for fallible tasks: `Err` results
-    /// short-circuit (retryable ones after supervision).
-    ///
-    /// Adds **stage-level recovery** on top of the in-task retries: the
-    /// tasks of a stage are pure functions of `items`, so when one site
-    /// exhausts its retries the whole stage re-runs at a fresh site
-    /// (Spark's lineage recomputation, bounded by
-    /// [`RecoveryPolicy::max_restores`]). Fixpoint supersteps bypass this
-    /// through [`Cluster::try_par_map_at`] — their failures escalate to the
-    /// superstep supervisor's checkpoint restore / restart instead.
+    /// [`Cluster::try_par_map_sized`] for tasks of unknown cost: each gets
+    /// a thread.
     pub fn try_par_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>>
     where
         T: Sync,
@@ -385,8 +362,16 @@ impl Cluster {
         self.try_par_map_sized(items, |_| usize::MAX, f)
     }
 
-    /// [`Cluster::try_par_map`] with the tasks' input sizes, as in
-    /// [`Cluster::par_map_sized`].
+    /// [`Cluster::par_map_sized`] for fallible tasks: `Err` results
+    /// short-circuit (retryable ones after supervision).
+    ///
+    /// Adds **stage-level recovery** on top of the in-task retries: the
+    /// tasks of a stage are pure functions of `items`, so when one site
+    /// exhausts its retries the whole stage re-runs at a fresh site
+    /// (Spark's lineage recomputation, bounded by
+    /// [`RecoveryPolicy::max_restores`]). Fixpoint supersteps bypass this
+    /// through [`Cluster::try_par_map_at`] — their failures escalate to the
+    /// loop's checkpoint restore / restart instead.
     pub fn try_par_map_sized<T, R, F>(
         &self,
         items: &[T],
@@ -398,27 +383,20 @@ impl Cluster {
         R: Send,
         F: Fn(usize, &T) -> Result<R> + Sync,
     {
-        let mut reruns = 0u32;
-        loop {
-            match self.try_par_map_at(self.fault.next_site(), 0, items, &rows, &f) {
-                Err(e) if e.is_retryable() && reruns < self.recovery.max_restores => {
-                    if let Some(c) = &self.cancel {
-                        c.check()?;
-                    }
-                    reruns += 1;
-                    self.fault.stats.stage_reruns.inc();
-                }
-                other => return other,
-            }
-        }
+        self.recovery.rerun(
+            || self.cancel.as_ref().map_or(Ok(()), CancellationToken::check),
+            || self.fault.stats.stage_reruns.inc(),
+            |_| self.try_par_map_at(self.fault.next_site(), 0, items, &rows, &f),
+        )
     }
 
     /// The full supervisor entry point: runs the tasks at an explicit fault
-    /// `site` with attempt numbering starting at `attempt_base`. Superstep
-    /// supervisors (the `P_gld` driver) pin the site across replays of the
-    /// same superstep so afflicted sites heal deterministically after
-    /// `failures_per_site` attempts. `rows` sizes the tasks' inputs, as in
-    /// [`Cluster::par_map_sized`].
+    /// `site` with attempt numbering starting at `attempt_base`, and no
+    /// stage rerun — a failure that outlasts the task retries goes to the
+    /// caller. The `P_gld` superstep runs its branch stages here, each at a
+    /// fresh [`FaultPlan::next_site`] on every attempt: a replayed superstep
+    /// rolls afresh, it does not revisit the site that failed it. `rows`
+    /// sizes the tasks' inputs, as in [`Cluster::par_map_sized`].
     pub fn try_par_map_at<T, R, F>(
         &self,
         site: u64,
@@ -482,10 +460,10 @@ impl Cluster {
         }))
     }
 
-    /// Runs one partition task under supervision: fault injection, panic
-    /// capture, bounded retries with backoff, cancellation checks. `attempt`
-    /// is the task body; it is re-run after a retryable failure for as long
-    /// as `may_retry` holds.
+    /// Runs one partition task under supervision: every attempt is a
+    /// fault-guarded one at `(site, i, step 0)`, retried with backoff after a
+    /// retryable failure for as long as `may_retry` holds and the retry
+    /// budget lasts, with a cancellation check before each.
     fn run_task<R>(
         &self,
         site: u64,
@@ -496,38 +474,19 @@ impl Cluster {
     ) -> Result<R> {
         let mut retry = 0u32;
         loop {
-            let attempt_no = attempt_base + retry;
             // A cancelled or deadline-expired query must not keep retrying.
             if let Some(c) = &self.cancel {
                 c.check()?;
             }
-            if let Some(delay) = self.fault.straggler_delay(site, i, 0, attempt_no) {
-                std::thread::sleep(delay);
-            }
-            let started = std::time::Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<R> {
-                self.fault.maybe_panic(site, i, 0, attempt_no);
-                self.fault.maybe_transient(site, i, 0, attempt_no)?;
-                self.fault.maybe_memory_pressure(site, i, 0, attempt_no)?;
-                attempt()
-            }))
-            .unwrap_or_else(|payload| {
-                Err(MuraError::WorkerFailed { worker: i, payload: payload_text(payload.as_ref()) })
-            });
-            match outcome {
-                Ok(r) => return Ok(r),
-                Err(e) if e.is_retryable() && may_retry() => {
-                    self.fault.record_time_lost(started.elapsed());
-                    if retry >= self.recovery.max_retries {
-                        return Err(e);
-                    }
+            match self.fault.guarded(site, i, 0, attempt_base + retry, &mut attempt) {
+                Err(e) if e.is_retryable() && may_retry() && retry < self.recovery.max_retries => {
                     self.fault.stats.task_retries.inc();
                     let backoff = self.recovery.backoff(retry);
                     self.fault.record_time_lost(backoff);
                     std::thread::sleep(backoff);
                     retry += 1;
                 }
-                Err(e) => return Err(e),
+                other => return other,
             }
         }
     }
@@ -569,26 +528,10 @@ where
             results[i] = Some(task());
         }
         for (i, handle) in threads {
-            results[i] = Some(handle.join().unwrap_or_else(|payload| {
-                // The supervisor catches task panics inside the thread;
-                // reaching this means the harness itself failed. Still
-                // report instead of aborting.
-                Err(MuraError::WorkerFailed { worker: i, payload: payload_text(payload.as_ref()) })
-            }));
+            results[i] = Some(join_worker(i, handle));
         }
     });
     results.into_iter().map(|r| r.expect("every task ran")).collect()
-}
-
-/// Extracts a human-readable message from a captured panic payload.
-pub(crate) fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked (non-string payload)".to_string()
-    }
 }
 
 impl Default for Cluster {
@@ -602,12 +545,13 @@ impl Default for Cluster {
 mod tests {
     use super::*;
     use crate::fault::FaultConfig;
+    use mura_core::MuraError;
 
     #[test]
     fn par_map_preserves_order() {
         let c = Cluster::new(4);
         let data = vec![1u64, 2, 3, 4];
-        let out = c.par_map(&data, |i, x| (i, x * 10)).unwrap();
+        let out = c.par_map_sized(&data, |_| usize::MAX, |i, x| (i, x * 10)).unwrap();
         assert_eq!(out, vec![(0, 10), (1, 20), (2, 30), (3, 40)]);
     }
 
@@ -615,7 +559,8 @@ mod tests {
     fn last_task_runs_on_the_calling_thread() {
         let c = Cluster::new(3);
         let caller = std::thread::current().id();
-        let on_caller = c.par_map(&[(); 3], |_, _| std::thread::current().id() == caller).unwrap();
+        let on_caller =
+            c.try_par_map(&[(); 3], |_, _| Ok(std::thread::current().id() == caller)).unwrap();
         assert_eq!(on_caller, vec![false, false, true]);
     }
 
@@ -701,7 +646,7 @@ mod tests {
     #[test]
     fn single_worker_runs_inline() {
         let c = Cluster::new(1);
-        let out = c.par_map(&[7u64], |_, x| x + 1).unwrap();
+        let out = c.try_par_map(&[7u64], |_, x| Ok(x + 1)).unwrap();
         assert_eq!(out, vec![8]);
     }
 
@@ -709,7 +654,7 @@ mod tests {
     #[should_panic(expected = "one item per worker")]
     fn wrong_partition_count_panics() {
         let c = Cluster::new(2);
-        let _ = c.par_map(&[1], |_, x| *x);
+        let _ = c.try_par_map(&[1], |_, x| Ok(*x));
     }
 
     #[test]
@@ -725,11 +670,11 @@ mod tests {
         let c = Cluster::new(4);
         let data = vec![0u64, 1, 2, 3];
         let err = c
-            .par_map(&data, |_, x| {
+            .try_par_map(&data, |_, x| {
                 if *x == 2 {
                     panic!("boom on partition 2");
                 }
-                *x
+                Ok(*x)
             })
             .unwrap_err();
         match err {
@@ -749,7 +694,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new(cfg));
         let c = Cluster::new(4).with_faults(Arc::clone(&plan), RecoveryPolicy::default());
         let data = vec![1u64, 2, 3, 4];
-        let out = c.par_map(&data, |_, x| x * 2).unwrap();
+        let out = c.try_par_map(&data, |_, x| Ok(x * 2)).unwrap();
         assert_eq!(out, vec![2, 4, 6, 8]);
         let s = plan.snapshot();
         assert!(s.injected_transients > 0, "{s}");
@@ -762,7 +707,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new(cfg));
         let c = Cluster::new(4).with_faults(Arc::clone(&plan), RecoveryPolicy::default());
         let data = vec![1u64, 2, 3, 4];
-        let out = c.par_map(&data, |_, x| *x).unwrap();
+        let out = c.try_par_map(&data, |_, x| Ok(*x)).unwrap();
         assert_eq!(out, vec![1, 2, 3, 4]);
         assert!(plan.snapshot().injected_panics > 0);
     }
@@ -780,7 +725,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new(cfg));
         let policy = RecoveryPolicy { max_retries: 2, backoff_base_ms: 0, ..Default::default() };
         let c = Cluster::new(2).with_faults(plan, policy);
-        let err = c.par_map(&[1u64, 2], |_, x| *x).unwrap_err();
+        let err = c.try_par_map(&[1u64, 2], |_, x| Ok(*x)).unwrap_err();
         assert!(matches!(err, MuraError::TransientFault { .. }), "{err:?}");
     }
 
@@ -799,7 +744,7 @@ mod tests {
         let token = CancellationToken::new();
         token.cancel();
         let c = Cluster::new(2).with_faults(plan, policy).with_cancel(Some(token));
-        let err = c.par_map(&[1u64, 2], |_, x| *x).unwrap_err();
+        let err = c.try_par_map(&[1u64, 2], |_, x| Ok(*x)).unwrap_err();
         assert!(matches!(err, MuraError::Cancelled), "{err:?}");
     }
 
@@ -813,7 +758,7 @@ mod tests {
         };
         let plan = Arc::new(FaultPlan::new(cfg));
         let c = Cluster::new(2).with_faults(Arc::clone(&plan), RecoveryPolicy::default());
-        let out = c.par_map(&[1u64, 2], |_, x| *x).unwrap();
+        let out = c.try_par_map(&[1u64, 2], |_, x| Ok(*x)).unwrap();
         assert_eq!(out, vec![1, 2]);
         assert_eq!(plan.snapshot().injected_stragglers, 2);
     }

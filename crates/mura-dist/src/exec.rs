@@ -9,12 +9,13 @@
 //! distinct); otherwise run `P_gld` (global driver loop, one shuffle per
 //! iteration).*
 
+use crate::asyncfix::eval_async_at;
 use crate::cluster::{Cluster, CommBackend};
 use crate::distrel::DistRel;
 use crate::fault::{FaultConfig, FaultPlan, FaultSnapshot, RecoveryPolicy};
+use crate::fixloop::{self, Superstep, Supervision};
 use crate::localfix::{
-    eval_branch, local_fixpoint_supervised, prepare, Budget, LocalEngine, LocalRel, LoopCtx,
-    Prepared,
+    eval_branch, local_fixpoint_supervised, prepare_all, Budget, LocalEngine, LocalRel, Prepared,
 };
 use crate::metrics::CommSnapshot;
 use crate::sorted::SortedRelation;
@@ -26,7 +27,7 @@ use mura_core::{
     CancellationToken, Database, KernelSnapshot, MuraError, Relation, Result, Schema, Sym, Term,
 };
 use mura_obs::trace::{
-    EventKind, PlanKind, QueryTrace, RecoveryKind, TraceEvent, TraceLevel, TraceSink,
+    EventKind, PlanKind, QueryTrace, RecoveryKind, TraceEvent, TraceLevel, TraceSink, DRIVER,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -82,7 +83,7 @@ pub struct ExecConfig {
     /// fixpoint superstep and inside every recovery/retry loop.
     pub cancel: Option<CancellationToken>,
     /// Deterministic fault injection (all probabilities zero by default:
-    /// nothing is injected and the fast path is taken everywhere).
+    /// nothing is injected).
     pub fault: FaultConfig,
     /// Task retry / checkpoint restore policy.
     pub recovery: RecoveryPolicy,
@@ -223,10 +224,6 @@ pub struct DistEvaluator<'db> {
     config: ExecConfig,
     stats: ExecStats,
     budget: Budget,
-    bound: FxHashMap<Sym, DVal>,
-    /// Fresh symbols for hoisted loop invariants (must not collide with
-    /// dictionary symbols; the dictionary cannot grow during evaluation).
-    next_fresh: u32,
     /// Kernel counters at construction time; `stats.kernel` reports the
     /// delta accumulated by this evaluator.
     kernel_base: KernelSnapshot,
@@ -256,7 +253,6 @@ impl<'db> DistEvaluator<'db> {
         let budget = Budget::new(config.limits.max_rows, deadline)
             .with_max_bytes(config.limits.max_bytes)
             .with_cancel(config.cancel.clone());
-        let next_fresh = db.dict().len() as u32 + 1_000_000;
         let sink = (config.trace > TraceLevel::Off).then(|| Arc::new(TraceSink::new(config.trace)));
         if let Some(s) = &sink {
             // Publish the query's wire trace context up front so even
@@ -275,8 +271,6 @@ impl<'db> DistEvaluator<'db> {
             config,
             stats: ExecStats::default(),
             budget,
-            bound: FxHashMap::default(),
-            next_fresh,
             kernel_base: kernel_stats().snapshot(),
             sink,
         }
@@ -312,36 +306,16 @@ impl<'db> DistEvaluator<'db> {
         Ok(out)
     }
 
-    fn fresh(&mut self, _hint: &str) -> Sym {
-        self.next_fresh += 1;
-        Sym(self.next_fresh)
-    }
-
-    fn type_env(&self) -> TypeEnv {
-        let mut env = TypeEnv::from_db(self.db);
-        for (v, val) in &self.bound {
-            env.bind(*v, val.schema().clone());
-        }
-        env
-    }
-
     fn charge(&mut self, rows: usize, arity: usize) -> Result<()> {
-        self.stats.produced_rows += rows as u64;
-        self.budget.charge(rows as u64)?;
-        self.budget.charge_bytes(mura_core::rel_bytes(rows as u64, arity))
+        charge(&self.budget, &mut self.stats.produced_rows, rows, arity)
     }
 
     fn eval(&mut self, term: &Term) -> Result<DVal> {
         let out = match term {
-            Term::Var(v) => {
-                if let Some(val) = self.bound.get(v) {
-                    val.clone()
-                } else if let Some(rel) = self.db.relation(*v) {
-                    DVal::Dist(DistRel::from_relation(rel, &self.cluster))
-                } else {
-                    return Err(MuraError::UnboundVariable(*v));
-                }
-            }
+            Term::Var(v) => match self.db.relation(*v) {
+                Some(rel) => DVal::Dist(DistRel::from_relation(rel, &self.cluster)),
+                None => return Err(MuraError::UnboundVariable(*v)),
+            },
             Term::Cst(r) => {
                 if r.len() <= self.config.broadcast_threshold {
                     // Driver-side constant shipped to every worker.
@@ -476,11 +450,6 @@ impl<'db> DistEvaluator<'db> {
     }
 
     // ------------------------------------------------------------- tracing
-
-    /// Allocates the id of the next fixpoint for trace events.
-    fn trace_fixpoint(&self) -> u32 {
-        self.sink.as_ref().map_or(0, |s| s.next_fixpoint())
-    }
 
     /// Baseline for a traced window; `None` when tracing is off, so the
     /// untraced cost is a single `Option` check.
@@ -625,31 +594,24 @@ impl<'db> DistEvaluator<'db> {
             None => None,
         };
         // Hoist loop invariants: x-free subterms of the recursive branches
-        // are evaluated once and bound to fresh variables.
-        let recs: Vec<Term> = {
-            let mut hoisted = Vec::with_capacity(recs.len());
-            for r in &recs {
-                hoisted.push(self.hoist(r, x)?);
-            }
-            hoisted
-        };
+        // are evaluated once, here, and become constants.
+        let mut owed = Vec::new();
+        let recs: Vec<Term> =
+            recs.iter().map(|r| self.hoist(r, x, &mut owed)).collect::<Result<_>>()?;
         // Plan selection (§IV-B c): stable column → P_plw, else P_gld.
-        let mut env = self.type_env();
-        let stable = stable_columns(x, body, &mut env)?;
-        let out = match self.config.plan {
-            FixpointPlan::Auto if !stable.is_empty() => {
-                self.stats.plw_fixpoints += 1;
-                self.eval_plw(x, seed, &recs, &stable, initial)?
-            }
-            FixpointPlan::ForcePlw => {
-                self.stats.plw_fixpoints += 1;
-                self.eval_plw(x, seed, &recs, &stable, initial)?
-            }
-            FixpointPlan::ForceAsync => self.eval_async_plan(x, seed, &recs, initial)?,
-            _ => {
-                self.stats.gld_fixpoints += 1;
-                self.eval_gld(x, seed, &recs, initial)?
-            }
+        let stable = stable_columns(x, body, &mut TypeEnv::from_db(self.db))?;
+        let plw = match self.config.plan {
+            FixpointPlan::Auto => !stable.is_empty(),
+            plan => plan == FixpointPlan::ForcePlw,
+        };
+        let out = if plw {
+            self.stats.plw_fixpoints += 1;
+            self.eval_plw(x, seed, (&recs, &owed), &stable, initial)?
+        } else if self.config.plan == FixpointPlan::ForceAsync {
+            self.eval_async_plan(x, seed, (&recs, &owed), initial)?
+        } else {
+            self.stats.gld_fixpoints += 1;
+            self.eval_gld(x, seed, (&recs, &owed), initial)?
         };
         self.capture_total(key, out)
     }
@@ -676,270 +638,145 @@ impl<'db> DistEvaluator<'db> {
         Ok(rel)
     }
 
+    /// Replaces the maximal `x`-free subterms of a recursive branch by the
+    /// constants they evaluate to, once per fixpoint. Workers need a loop
+    /// invariant whole: a partitioned value is gathered here and added to
+    /// `owed`, the relations [`Self::in_bracket`] broadcasts inside the
+    /// fixpoint's `Setup` window.
+    fn hoist(&mut self, t: &Term, x: Sym, owed: &mut Vec<Arc<Relation>>) -> Result<Term> {
+        if t.has_free_var(x) {
+            return t.try_map_children(|c| self.hoist(c, x, owed));
+        }
+        Ok(Term::Cst(match self.eval(t)? {
+            DVal::Repl(r) => r,
+            DVal::Dist(d) => {
+                let rel = Arc::new(d.into_relation());
+                owed.push(Arc::clone(&rel));
+                rel
+            }
+        }))
+    }
+
+    /// What the loops of fixpoint `fx` run under; `site` is the fault site
+    /// of its worker loops.
+    fn supervision(&self, fx: u32, plan: PlanKind, site: u64) -> Supervision<'_> {
+        Supervision {
+            budget: &self.budget,
+            fault: self.cluster.fault(),
+            site,
+            recovery: self.config.recovery,
+            checkpoint_every: self.config.checkpoint_every,
+            trace: self.sink.as_deref(),
+            fixpoint: fx,
+            plan,
+        }
+    }
+
+    /// Runs one fixpoint inside its trace bracket: `FixpointStart`, then
+    /// the `Setup` window — the plan's own `setup` and the broadcast of the
+    /// gathered invariants `owed`, all the communication a `P_plw` fixpoint
+    /// ever does — then `run`, which returns the fixpoint and the iteration
+    /// it was reached in, and `FixpointEnd`.
+    fn in_bracket<S>(
+        &mut self,
+        plan: PlanKind,
+        seed_rows: usize,
+        owed: &[Arc<Relation>],
+        setup: impl FnOnce(&mut Self) -> Result<S>,
+        run: impl FnOnce(&mut Self, u32, S) -> Result<(DistRel, u64)>,
+    ) -> Result<DistRel> {
+        let fx = self.sink.as_ref().map_or(0, |s| s.next_fixpoint());
+        self.set_trace_step(fx, 0);
+        let mut start_ev = TraceEvent::new(EventKind::FixpointStart, fx, plan);
+        start_ev.delta_rows = seed_rows as u64;
+        self.record_point(start_ev);
+        let window = self.probe();
+        let ready = setup(self)?;
+        for rel in owed {
+            self.cluster.broadcast_rel(rel)?;
+        }
+        self.record_window(&window, TraceEvent::new(EventKind::Setup, fx, plan));
+        let (out, iterations) = run(self, fx, ready)?;
+        self.set_trace_step(fx, 0);
+        self.flush_worker_trace();
+        let mut end_ev = TraceEvent::new(EventKind::FixpointEnd, fx, plan);
+        end_ev.iteration = iterations;
+        end_ev.delta_rows = out.len() as u64;
+        self.record_point(end_ev);
+        Ok(out)
+    }
+
     /// `P_async`: barrier-free delta exchange (see [`crate::asyncfix`]).
     /// Like `P_plw`, workers need local copies of the loop invariants.
     ///
     /// Recovery: an asynchronous computation has no consistent mid-run
-    /// snapshot to checkpoint, so a retryable failure restarts the whole
-    /// fixpoint from its seed (bounded by
-    /// [`RecoveryPolicy::max_restores`]). The fault site is pinned across
-    /// attempts, so afflicted workers heal after
-    /// [`FaultConfig::failures_per_site`] attempts and the restart loop
-    /// terminates deterministically.
+    /// snapshot to checkpoint, so a retryable failure reruns the whole
+    /// fixpoint from its seed ([`RecoveryPolicy::rerun`]). The fault site
+    /// is pinned across attempts, so afflicted workers heal after
+    /// [`FaultConfig::failures_per_site`] attempts and the reruns end
+    /// deterministically.
     fn eval_async_plan(
         &mut self,
         x: Sym,
         seed: DistRel,
-        recs: &[Term],
+        (recs, owed): (&[Term], &[Arc<Relation>]),
         initial: Option<(Relation, Relation)>,
     ) -> Result<DistRel> {
-        let fx = self.trace_fixpoint();
-        self.set_trace_step(fx, 0);
-        let mut start_ev = TraceEvent::new(EventKind::FixpointStart, fx, PlanKind::Async);
-        start_ev.delta_rows = seed.len() as u64;
-        self.record_point(start_ev);
-        let window = self.probe();
-        let mut recs_local = Vec::with_capacity(recs.len());
-        for r in recs {
-            recs_local.push(self.resolve_to_constants(r, x)?);
-        }
-        self.record_window(&window, TraceEvent::new(EventKind::Setup, fx, PlanKind::Async));
-        self.stats.fixpoint_iterations += 1;
-        let site = self.cluster.fault().next_site();
-        let mut attempt: u32 = 0;
-        loop {
-            match crate::asyncfix::eval_async_at(
-                &seed,
-                &recs_local,
-                x,
-                &self.cluster,
-                &self.budget,
-                site,
-                attempt,
-                initial.as_ref(),
-            ) {
-                Ok(out) => {
-                    self.flush_worker_trace();
-                    let mut end_ev = TraceEvent::new(EventKind::FixpointEnd, fx, PlanKind::Async);
-                    end_ev.delta_rows = out.len() as u64;
-                    self.record_point(end_ev);
-                    return Ok(out);
-                }
-                Err(e) if e.is_retryable() => {
-                    if attempt >= self.config.recovery.max_restores {
-                        return Err(e);
-                    }
-                    // A cancelled or out-of-budget query must not restart.
-                    self.budget.check()?;
-                    attempt += 1;
-                    self.cluster.fault().record_full_restart(seed.len() as u64);
-                    let mut ev = TraceEvent::new(EventKind::Recovery, fx, PlanKind::Async);
-                    ev.recovery = RecoveryKind::Restart;
-                    self.record_point(ev);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Replaces maximal `x`-free subterms by fresh bound variables holding
-    /// their (once-)evaluated value.
-    fn hoist(&mut self, t: &Term, x: Sym) -> Result<Term> {
-        if !t.has_free_var(x) {
-            let v = self.eval(t)?;
-            let name = self.fresh("inv");
-            self.bound.insert(name, v);
-            return Ok(Term::Var(name));
-        }
-        Ok(match t {
-            Term::Var(_) | Term::Cst(_) => t.clone(),
-            Term::Filter(ps, inner) => Term::Filter(ps.clone(), Box::new(self.hoist(inner, x)?)),
-            Term::Rename(a, b, inner) => Term::Rename(*a, *b, Box::new(self.hoist(inner, x)?)),
-            Term::AntiProject(cs, inner) => {
-                Term::AntiProject(cs.clone(), Box::new(self.hoist(inner, x)?))
-            }
-            Term::Join(a, b) => {
-                Term::Join(Box::new(self.hoist(a, x)?), Box::new(self.hoist(b, x)?))
-            }
-            Term::Antijoin(a, b) => {
-                Term::Antijoin(Box::new(self.hoist(a, x)?), Box::new(self.hoist(b, x)?))
-            }
-            Term::Union(a, b) => {
-                Term::Union(Box::new(self.hoist(a, x)?), Box::new(self.hoist(b, x)?))
-            }
-            Term::Fix(_, _) => unreachable!("F_cond: x cannot occur under a nested fixpoint"),
-        })
+        self.in_bracket(
+            PlanKind::Async,
+            seed.len(),
+            owed,
+            |_| Ok(()),
+            |ev, fx, ()| {
+                ev.stats.fixpoint_iterations += 1;
+                let (cluster, resume) = (&ev.cluster, initial.as_ref());
+                let sup = ev.supervision(fx, PlanKind::Async, cluster.fault().next_site());
+                let out = sup.recovery.rerun(
+                    || sup.budget.check(),
+                    || {
+                        sup.fault.record_full_restart(seed.len() as u64);
+                        sup.record_recovery(DRIVER, 0, RecoveryKind::Restart);
+                    },
+                    |attempt| eval_async_at(&seed, recs, x, cluster, &sup, attempt, resume),
+                )?;
+                Ok((out, 0))
+            },
+        )
     }
 
     /// `P_gld`: the driver iterates; every step applies the prepared
     /// branch kernels partition-wise to the delta (loop invariants folded
     /// and indexed once, before the loop starts), and accumulating what
     /// they produced forces a shuffle of the new tuples each iteration
-    /// (paper §IV-A1). The accumulator is updated in place, partition by
-    /// partition, after that shuffle.
-    ///
-    /// The driver is also the recovery supervisor for this plan: every
-    /// [`ExecConfig::checkpoint_every`] supersteps it snapshots
-    /// `(acc, delta, iteration)` (cheap: `Relation` is copy-on-write), and
-    /// when a superstep fails with a retryable error after the cluster's
-    /// task retries are exhausted, it rolls back to the last checkpoint —
-    /// or restarts from the seed when none exists — up to
-    /// [`RecoveryPolicy::max_restores`] times. The rollback is also what
-    /// discards whatever the failed superstep had already accumulated.
+    /// (paper §IV-A1). The loop is [`fixloop::run`] over [`DriverStep`].
     fn eval_gld(
         &mut self,
         x: Sym,
         seed: DistRel,
-        recs: &[Term],
+        (recs, owed): (&[Term], &[Arc<Relation>]),
         initial: Option<(Relation, Relation)>,
     ) -> Result<DistRel> {
-        let fx = self.trace_fixpoint();
-        self.set_trace_step(fx, 0);
-        let mut start_ev = TraceEvent::new(EventKind::FixpointStart, fx, PlanKind::Gld);
-        start_ev.delta_rows = seed.len() as u64;
-        self.record_point(start_ev);
-        // Resolve hoisted invariants to broadcast constants and compile the
-        // branches once per fixpoint: constant folding and join-index
-        // builds happen here, not inside the driver loop. Branch-wise
-        // evaluation distributes over delta partitions because F_cond
-        // guarantees linear recursion with `x` in monotone positions.
-        let setup = self.probe();
-        let mut recs_local = Vec::with_capacity(recs.len());
-        for r in recs {
-            recs_local.push(self.resolve_to_constants(r, x)?);
-        }
-        let prepared: Vec<Prepared<Relation>> =
-            recs_local.iter().map(|r| prepare(r, x, seed.schema())).collect::<Result<_>>()?;
-        // The cached build-side indexes and folded constants live for the
-        // whole fixpoint: charge them against the byte budget up front.
-        self.budget.charge_bytes(prepared.iter().map(|p| p.cached_bytes()).sum())?;
-        self.record_window(&setup, TraceEvent::new(EventKind::Setup, fx, PlanKind::Gld));
-        let checkpoint_every = self.config.checkpoint_every;
-        // A resumed fixpoint starts from the maintained accumulator and
-        // frontier instead of the seed; restarts must reset to the same
-        // pair, or recovery would silently discard the maintained state.
-        let (init_acc, init_delta) = match &initial {
-            Some((a, d)) => {
-                (DistRel::from_relation(a, &self.cluster), DistRel::from_relation(d, &self.cluster))
-            }
-            None => (seed.clone(), seed.clone()),
-        };
-        let mut acc = init_acc.clone();
-        let mut delta = init_delta.clone();
-        let mut iter: u64 = 0;
-        let mut ckpt: Option<(DistRel, DistRel, u64)> = None;
-        let mut restores: u32 = 0;
-        while !delta.is_empty() {
-            // Fires between supersteps and after every restore, so a
-            // cancelled or out-of-budget query stops recovering immediately.
-            self.budget.check()?;
-            let window = self.probe_superstep();
-            // Frames shuffled by this superstep carry its 1-based number.
-            self.set_trace_step(fx, iter as u32 + 1);
-            // A failed superstep may leave `acc` emptied or half-absorbed;
-            // every failure path below resets `(acc, delta)` or returns.
-            match self.gld_superstep(&prepared, &mut acc, &delta) {
-                Ok(None) => {
-                    let mut ev = TraceEvent::new(EventKind::Superstep, fx, PlanKind::Gld);
-                    ev.iteration = iter + 1;
-                    self.record_window(&window, ev);
-                    break;
+        // Compile the branches once per fixpoint: constant folding and
+        // join-index builds happen here, not inside the driver loop.
+        // Branch-wise evaluation distributes over delta partitions because
+        // F_cond guarantees linear recursion with `x` in monotone positions.
+        let setup = |ev: &mut Self| prepare_all::<Relation>(recs, x, seed.schema(), &ev.budget);
+        self.in_bracket(PlanKind::Gld, seed.len(), owed, setup, |ev, fx, prepared| {
+            let sup = ev.supervision(fx, PlanKind::Gld, 0);
+            let mut step = DriverStep { ev, prepared: &prepared, produced_rows: 0 };
+            // A resumed fixpoint starts from the maintained accumulator and
+            // frontier instead of the seed.
+            let fixed = fixloop::run(&sup, &mut step, || match &initial {
+                Some((a, d)) => {
+                    (DistRel::from_relation(a, &ev.cluster), DistRel::from_relation(d, &ev.cluster))
                 }
-                Ok(Some(d)) => {
-                    let mut ev = TraceEvent::new(EventKind::Superstep, fx, PlanKind::Gld);
-                    ev.iteration = iter + 1;
-                    ev.delta_rows = d.len() as u64;
-                    self.record_window(&window, ev);
-                    delta = d;
-                    iter += 1;
-                    if checkpoint_every > 0 && iter.is_multiple_of(checkpoint_every) {
-                        ckpt = Some((acc.clone(), delta.clone(), iter));
-                        self.cluster.fault().stats.checkpoints.inc();
-                    }
-                }
-                Err(e) if e.is_retryable() => {
-                    if restores >= self.config.recovery.max_restores {
-                        return Err(e);
-                    }
-                    restores += 1;
-                    let recovery = match &ckpt {
-                        Some((a, d, i)) => {
-                            self.cluster
-                                .fault()
-                                .record_restore((a.len() + d.len()) as u64, iter - *i);
-                            acc = a.clone();
-                            delta = d.clone();
-                            iter = *i;
-                            RecoveryKind::Restore
-                        }
-                        None => {
-                            self.cluster.fault().record_full_restart(seed.len() as u64);
-                            acc = init_acc.clone();
-                            delta = init_delta.clone();
-                            iter = 0;
-                            RecoveryKind::Restart
-                        }
-                    };
-                    let mut ev = TraceEvent::new(EventKind::Recovery, fx, PlanKind::Gld);
-                    ev.recovery = recovery;
-                    ev.iteration = iter;
-                    self.record_point(ev);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        self.set_trace_step(fx, 0);
-        self.flush_worker_trace();
-        let mut end_ev = TraceEvent::new(EventKind::FixpointEnd, fx, PlanKind::Gld);
-        end_ev.iteration = iter;
-        end_ev.delta_rows = acc.len() as u64;
-        self.record_point(end_ev);
-        Ok(acc)
-    }
-
-    /// One `P_gld` superstep: applies the branches to `delta`
-    /// partition-wise, shuffles what they produced to the accumulator's
-    /// partitioning and accumulates it into `acc` in place. Returns the
-    /// next delta, or `None` when the fixpoint is reached.
-    fn gld_superstep(
-        &mut self,
-        prepared: &[Prepared<Relation>],
-        acc: &mut DistRel,
-        delta: &DistRel,
-    ) -> Result<Option<DistRel>> {
-        self.stats.fixpoint_iterations += 1;
-        kernel_stats().iterations.inc();
-        let mut new: Option<DistRel> = None;
-        for p in prepared {
-            let start = Instant::now();
-            // Bypass stage-level reruns for the branch evaluation: a hard
-            // task failure here escalates to the superstep supervisor,
-            // which restores from the last checkpoint (or the seed).
-            let site = self.cluster.fault().next_site();
-            let parts =
-                self.cluster.try_par_map_at(site, 0, delta.parts(), Relation::len, |_, part| {
-                    Ok(eval_branch(p, part))
-                })?;
-            kernel_stats().record_eval_time(start.elapsed());
-            let schema = parts[0].schema().clone();
-            let produced = DistRel::from_parts(schema, parts, None);
-            self.charge(produced.len(), produced.schema().arity())?;
-            new = Some(match new {
-                None => produced,
-                Some(n) => n.union(&produced, &self.cluster)?,
+                None => (seed.clone(), seed.clone()),
             });
-        }
-        let new = new.expect("at least one recursive branch");
-        if new.schema() != acc.schema() {
-            return Err(MuraError::SchemaMismatch {
-                left: acc.schema().clone(),
-                right: new.schema().clone(),
-                context: "fixpoint recursive part",
-            });
-        }
-        let new = acc.absorb_new(new, &self.cluster)?;
-        self.charge(new.len(), new.schema().arity())?;
-        Ok(if new.is_empty() { None } else { Some(new) })
+            ev.stats.produced_rows += step.produced_rows;
+            let fixed = fixed?;
+            ev.stats.fixpoint_iterations += fixed.supersteps;
+            Ok((fixed.total, fixed.iterations))
+        })
     }
 
     /// `P_plw`: repartition the constant part (by the stable columns when
@@ -950,73 +787,44 @@ impl<'db> DistEvaluator<'db> {
         &mut self,
         x: Sym,
         seed: DistRel,
-        recs: &[Term],
+        (recs, owed): (&[Term], &[Arc<Relation>]),
         stable: &[Sym],
         initial: Option<(Relation, Relation)>,
     ) -> Result<DistRel> {
-        let fx = self.trace_fixpoint();
-        self.set_trace_step(fx, 0);
-        let mut start_ev = TraceEvent::new(EventKind::FixpointStart, fx, PlanKind::Plw);
-        start_ev.delta_rows = seed.len() as u64;
-        self.record_point(start_ev);
-        // The one-time repartition and the invariant broadcasts are the
-        // *only* communication of `P_plw`; the setup window captures both,
-        // so every later superstep event shows zero shuffled rows.
-        let window = self.probe();
-        let seed = if stable.is_empty() { seed } else { seed.repartition(stable, &self.cluster)? };
+        let seed_rows = seed.len();
         // Resumed state is partitioned exactly like the seed (by the stable
         // columns when they exist), so every worker's local loop sees the
         // accumulator and frontier rows of its own key range. Without a
         // stable column the partitioning is arbitrary: local loops may
         // re-derive rows another partition already holds, which the final
         // distinct removes (the Prop. 3 general case).
-        let resumed: Option<(DistRel, DistRel)> = match &initial {
-            Some((a, d)) => {
-                let part = |r: &Relation| -> Result<DistRel> {
-                    let dr = DistRel::from_relation(r, &self.cluster);
-                    if stable.is_empty() {
-                        Ok(dr)
-                    } else {
-                        dr.repartition(stable, &self.cluster)
-                    }
-                };
-                Some((part(a)?, part(d)?))
-            }
-            None => None,
+        let setup = |ev: &mut Self| -> Result<(DistRel, Option<(DistRel, DistRel)>)> {
+            let cluster = &ev.cluster;
+            let place = |rel: DistRel| match stable {
+                [] => Ok(rel),
+                _ => rel.repartition(stable, cluster),
+            };
+            let seed = place(seed)?;
+            let placed = |rel: &Relation| place(DistRel::from_relation(rel, cluster));
+            let resumed =
+                initial.as_ref().map(|(a, d)| Ok((placed(a)?, placed(d)?))).transpose()?;
+            Ok((seed, resumed))
         };
-        // Resolve hoisted invariants to full local copies (broadcast).
-        let mut recs_local = Vec::with_capacity(recs.len());
-        for r in recs {
-            recs_local.push(self.resolve_to_constants(r, x)?);
-        }
-        self.record_window(&window, TraceEvent::new(EventKind::Setup, fx, PlanKind::Plw));
-        let resumed = resumed.as_ref().map(|(a, d)| (a, d));
-        let parts = match self.config.local_engine {
-            LocalEngine::SetRdd => {
-                self.run_plw_typed::<Relation>(&seed, &recs_local, x, fx, resumed)?
-            }
-            LocalEngine::Sorted => {
-                self.run_plw_typed::<SortedRelation>(&seed, &recs_local, x, fx, resumed)?
-            }
-        };
-        self.stats.fixpoint_iterations += 1; // the parallel local loops count once globally
-        let schema = seed.schema().clone();
-        let out = DistRel::from_parts(
-            schema,
-            parts,
-            if stable.is_empty() { None } else { Some(stable.to_vec()) },
-        );
-        let out = if stable.is_empty() {
+        self.in_bracket(PlanKind::Plw, seed_rows, owed, setup, |ev, fx, (seed, resumed)| {
+            let resumed = resumed.as_ref().map(|(a, d)| (a, d));
+            let parts = match ev.config.local_engine {
+                LocalEngine::SetRdd => ev.run_plw_typed::<Relation>(&seed, recs, x, fx, resumed)?,
+                LocalEngine::Sorted => {
+                    ev.run_plw_typed::<SortedRelation>(&seed, recs, x, fx, resumed)?
+                }
+            };
+            ev.stats.fixpoint_iterations += 1; // the parallel local loops count once globally
+            let by = (!stable.is_empty()).then(|| stable.to_vec());
+            let out = DistRel::from_parts(seed.schema().clone(), parts, by);
             // Prop. 3 general case: local fixpoints may overlap.
-            out.distinct(&self.cluster)?
-        } else {
-            out
-        };
-        self.flush_worker_trace();
-        let mut end_ev = TraceEvent::new(EventKind::FixpointEnd, fx, PlanKind::Plw);
-        end_ev.delta_rows = out.len() as u64;
-        self.record_point(end_ev);
-        Ok(out)
+            let out = if stable.is_empty() { out.distinct(&ev.cluster)? } else { out };
+            Ok((out, 0))
+        })
     }
 
     /// Runs the per-worker local loops of `P_plw` with one engine type.
@@ -1024,10 +832,8 @@ impl<'db> DistEvaluator<'db> {
     /// and join-index builds are shared by every worker, so `index_builds`
     /// counts fixpoints, not workers or iterations.
     ///
-    /// Every worker loop runs supervised (see
-    /// [`local_fixpoint_supervised`]): per-iteration fault injection, local
-    /// checkpoints, and in-loop restore/restart recovery. All workers of
-    /// one fixpoint share one fault site, allocated driver-side.
+    /// Every worker runs [`local_fixpoint_supervised`]; all workers of one
+    /// fixpoint share one fault site, allocated driver-side.
     fn run_plw_typed<R: LocalRel>(
         &self,
         seed: &DistRel,
@@ -1036,84 +842,93 @@ impl<'db> DistEvaluator<'db> {
         fx: u32,
         resumed: Option<(&DistRel, &DistRel)>,
     ) -> Result<Vec<Relation>> {
-        let prepared: Vec<Prepared<R>> =
-            recs.iter().map(|r| prepare(r, x, seed.schema())).collect::<Result<_>>()?;
-        // Shared by every worker, charged once per fixpoint.
-        self.budget.charge_bytes(prepared.iter().map(|p| p.cached_bytes()).sum())?;
-        let budget = &self.budget;
-        let fault = self.cluster.fault();
-        let loop_site = fault.next_site();
-        let recovery = *self.cluster.recovery();
-        let checkpoint_every = self.config.checkpoint_every;
-        let trace = self.sink.as_deref();
+        let prepared = prepare_all::<R>(recs, x, seed.schema(), &self.budget)?;
+        let sup = self.supervision(fx, PlanKind::Plw, self.cluster.fault().next_site());
         // A local fixpoint costs what it derives, which its seed does not
         // bound — unless there is no seed (and no frontier to resume).
         let idle = |part: &Relation| resumed.is_none() && part.is_empty();
         let rows = |part: &Relation| if idle(part) { 0 } else { usize::MAX };
         self.cluster.try_par_map_sized(seed.parts(), rows, |w, part| {
-            let ctx = LoopCtx {
-                budget,
-                fault,
-                site: loop_site,
-                worker: w,
-                recovery,
-                checkpoint_every,
-                trace,
-                fixpoint: fx,
-            };
             // This worker's slice of the maintained accumulator/frontier,
             // co-partitioned with the seed above.
             let initial = resumed.map(|(a, d)| (&a.parts()[w], &d.parts()[w]));
-            local_fixpoint_supervised(part, &prepared, &ctx, initial)
+            local_fixpoint_supervised(part, &prepared, &sup, w, initial)
         })
     }
+}
 
-    /// Replaces hoisted variables by broadcast constant relations inside a
-    /// recursive branch (for worker-local execution).
-    fn resolve_to_constants(&mut self, t: &Term, x: Sym) -> Result<Term> {
-        Ok(match t {
-            Term::Var(v) if *v == x => t.clone(),
-            Term::Var(v) => {
-                let val = self.bound.get(v).cloned().ok_or(MuraError::UnboundVariable(*v))?;
-                let rel = match val {
-                    DVal::Repl(r) => r,
-                    DVal::Dist(d) => {
-                        // Workers need the full relation locally: broadcast.
-                        let rel = Arc::new(d.into_relation());
-                        self.cluster.broadcast_rel(&rel)?;
-                        let repl = DVal::Repl(rel.clone());
-                        self.bound.insert(*v, repl);
-                        rel
-                    }
-                };
-                Term::Cst(rel)
-            }
-            Term::Cst(_) => t.clone(),
-            Term::Filter(ps, inner) => {
-                Term::Filter(ps.clone(), Box::new(self.resolve_to_constants(inner, x)?))
-            }
-            Term::Rename(a, b, inner) => {
-                Term::Rename(*a, *b, Box::new(self.resolve_to_constants(inner, x)?))
-            }
-            Term::AntiProject(cs, inner) => {
-                Term::AntiProject(cs.clone(), Box::new(self.resolve_to_constants(inner, x)?))
-            }
-            Term::Join(a, b) => Term::Join(
-                Box::new(self.resolve_to_constants(a, x)?),
-                Box::new(self.resolve_to_constants(b, x)?),
-            ),
-            Term::Antijoin(a, b) => Term::Antijoin(
-                Box::new(self.resolve_to_constants(a, x)?),
-                Box::new(self.resolve_to_constants(b, x)?),
-            ),
-            Term::Union(a, b) => Term::Union(
-                Box::new(self.resolve_to_constants(a, x)?),
-                Box::new(self.resolve_to_constants(b, x)?),
-            ),
-            Term::Fix(_, _) => {
-                return Err(MuraError::Other("nested fixpoint must be hoisted before P_plw".into()))
-            }
-        })
+/// Charges a materialized value of `rows` rows against `budget`, tallying
+/// it in `produced`.
+fn charge(budget: &Budget, produced: &mut u64, rows: usize, arity: usize) -> Result<()> {
+    *produced += rows as u64;
+    budget.charge(rows as u64)?;
+    budget.charge_bytes(mura_core::rel_bytes(rows as u64, arity))
+}
+
+/// The `P_gld` superstep: applies the branches to the delta partition-wise,
+/// shuffles what they produced to the accumulator's partitioning and
+/// accumulates it into the accumulator in place.
+struct DriverStep<'a, 'db> {
+    ev: &'a DistEvaluator<'db>,
+    prepared: &'a [Prepared<Relation>],
+    /// Rows charged by the supersteps so far, owed to
+    /// [`ExecStats::produced_rows`].
+    produced_rows: u64,
+}
+
+impl Superstep for DriverStep<'_, '_> {
+    type State = DistRel;
+
+    fn rows(state: &DistRel) -> u64 {
+        state.len() as u64
+    }
+
+    fn step(
+        &mut self,
+        sup: &Supervision<'_>,
+        acc: &mut DistRel,
+        delta: &DistRel,
+        iteration: u64,
+        _attempt: u32,
+    ) -> Result<DistRel> {
+        let (ev, cluster) = (self.ev, &self.ev.cluster);
+        let window = ev.probe_superstep();
+        // Frames shuffled by this superstep carry its 1-based number.
+        ev.set_trace_step(sup.fixpoint, iteration as u32);
+        let mut new: Option<DistRel> = None;
+        for p in self.prepared {
+            let start = Instant::now();
+            // No stage-level rerun for the branch evaluation: a hard task
+            // failure here goes to the loop, which restores the last
+            // checkpoint (or restarts). Every attempt draws a fresh site.
+            let site = sup.fault.next_site();
+            let parts =
+                cluster.try_par_map_at(site, 0, delta.parts(), Relation::len, |_, part| {
+                    Ok(eval_branch(p, part))
+                })?;
+            kernel_stats().record_eval_time(start.elapsed());
+            let produced = DistRel::from_parts(p.schema().clone(), parts, None);
+            charge(sup.budget, &mut self.produced_rows, produced.len(), p.schema().arity())?;
+            new = Some(match new {
+                None => produced,
+                Some(n) => n.union(&produced, cluster)?,
+            });
+        }
+        let new = new.expect("at least one recursive branch");
+        if new.schema() != acc.schema() {
+            return Err(MuraError::SchemaMismatch {
+                left: acc.schema().clone(),
+                right: new.schema().clone(),
+                context: "fixpoint recursive part",
+            });
+        }
+        let new = acc.absorb_new(new, cluster)?;
+        charge(sup.budget, &mut self.produced_rows, new.len(), new.schema().arity())?;
+        let mut step_ev = TraceEvent::new(EventKind::Superstep, sup.fixpoint, sup.plan);
+        step_ev.iteration = iteration;
+        step_ev.delta_rows = new.len() as u64;
+        ev.record_window(&window, step_ev);
+        Ok(new)
     }
 }
 

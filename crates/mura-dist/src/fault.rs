@@ -17,16 +17,19 @@
 //!   `ExecStats.fault` and the `mura-serve` `.stats` report, so degradation
 //!   is observable instead of silent.
 //!
-//! The recovery machinery itself lives next to the loops it protects:
-//! task-level retry with bounded exponential backoff in
-//! [`Cluster::par_map`](crate::cluster::Cluster), superstep checkpoint /
-//! restore in the `P_gld` driver and `P_plw` worker loops, and whole-fixpoint
-//! restart for `P_async` (see `DESIGN.md` §10).
+//! Every supervised attempt in the crate is one [`FaultPlan::guarded`] call.
+//! What happens after a failed one lives with its caller: task-level retry
+//! with bounded exponential backoff in the cluster's task supervisor,
+//! checkpoint restore / restart in the one semi-naive loop
+//! ([`crate::fixloop`]) that `P_gld` and `P_plw` share, and
+//! [`RecoveryPolicy::rerun`] for what can only be run again — a stage, or a
+//! whole `P_async` fixpoint (see `DESIGN.md` §10).
 
 use mura_core::{MuraError, Result};
 use mura_datagen::SplitMix64;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Fault classes the plan can inject. The discriminant salts the RNG so the
 /// classes draw independent decisions at the same site.
@@ -198,6 +201,32 @@ impl RecoveryPolicy {
             .min(self.backoff_cap_ms.max(self.backoff_base_ms));
         Duration::from_millis(ms)
     }
+
+    /// Restart-only supervision, for work with no state to roll back to (a
+    /// stage of pure tasks, a whole `P_async` fixpoint): runs `attempt(n)`,
+    /// `n` being the failed attempts so far, until it succeeds, fails with
+    /// an error that is not retryable, or has been rerun
+    /// [`RecoveryPolicy::max_restores`] times. `check` runs before every
+    /// rerun, so a cancelled or out-of-budget query stops there; `count`
+    /// records the rerun that follows.
+    pub fn rerun<T>(
+        &self,
+        check: impl Fn() -> Result<()>,
+        mut count: impl FnMut(),
+        mut attempt: impl FnMut(u32) -> Result<T>,
+    ) -> Result<T> {
+        let mut failed = 0u32;
+        loop {
+            match attempt(failed) {
+                Err(e) if e.is_retryable() && failed < self.max_restores => {
+                    check()?;
+                    failed += 1;
+                    count();
+                }
+                other => return other,
+            }
+        }
+    }
 }
 
 mura_obs::counter_set! {
@@ -333,7 +362,7 @@ impl FaultPlan {
     }
 
     /// Allocates the next site id. Called from driver-sequential code only
-    /// (the cluster's `par_map` entry, exchange setup, fixpoint setup), so
+    /// (the cluster's `par_map_sized` entry, exchange setup, fixpoint setup), so
     /// the id sequence is identical across runs.
     pub fn next_site(&self) -> u64 {
         self.next_site.fetch_add(1, Ordering::Relaxed)
@@ -377,10 +406,42 @@ impl FaultPlan {
         self.roll(class, site, worker, step, prob)
     }
 
+    /// The one fault-guarded attempt: sleeps the straggler delay if this
+    /// coordinate has one, then runs the injected faults of `(site, worker,
+    /// step)` on this `attempt` and `body` under `catch_unwind`, so that a
+    /// panic — injected or genuine — comes back as the retryable
+    /// [`MuraError::WorkerFailed`] of `worker`. The time a retryable failure
+    /// took is counted as lost. `body` may leave what it borrowed half
+    /// updated when it fails: the caller resets that state or gives up.
+    pub fn guarded<T>(
+        &self,
+        site: u64,
+        worker: usize,
+        step: u64,
+        attempt: u32,
+        body: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        if let Some(delay) = self.straggler_delay(site, worker, step, attempt) {
+            std::thread::sleep(delay);
+        }
+        let started = Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            self.maybe_panic(site, worker, step, attempt);
+            self.maybe_transient(site, worker, step, attempt)?;
+            self.maybe_memory_pressure(site, worker, step, attempt)?;
+            body()
+        }))
+        .unwrap_or_else(|payload| Err(worker_failed(worker, payload)));
+        if outcome.as_ref().is_err_and(MuraError::is_retryable) {
+            self.record_time_lost(started.elapsed());
+        }
+        outcome
+    }
+
     /// Panics (really) if the plan injects a worker panic here. The caller
     /// runs inside `catch_unwind`, so the panic models a dying worker that
     /// the supervisor observes as [`MuraError::WorkerFailed`].
-    pub fn maybe_panic(&self, site: u64, worker: usize, step: u64, attempt: u32) {
+    fn maybe_panic(&self, site: u64, worker: usize, step: u64, attempt: u32) {
         if self.fires(FaultClass::Panic, site, worker as u64, step, attempt) {
             self.stats.injected_panics.inc();
             panic!(
@@ -392,7 +453,7 @@ impl FaultPlan {
 
     /// Fails with a retryable [`MuraError::TransientFault`] if the plan
     /// injects a transient task error here.
-    pub fn maybe_transient(&self, site: u64, worker: usize, step: u64, attempt: u32) -> Result<()> {
+    fn maybe_transient(&self, site: u64, worker: usize, step: u64, attempt: u32) -> Result<()> {
         if self.fires(FaultClass::Transient, site, worker as u64, step, attempt) {
             self.stats.injected_transients.inc();
             return Err(MuraError::TransientFault { worker });
@@ -405,7 +466,7 @@ impl FaultPlan {
     /// [`FaultConfig::failures_per_site`] attempts, so recovery (retry,
     /// checkpoint restore or restart) always makes progress and same-seed
     /// runs produce identical answers and counts.
-    pub fn maybe_memory_pressure(
+    fn maybe_memory_pressure(
         &self,
         site: u64,
         worker: usize,
@@ -421,7 +482,7 @@ impl FaultPlan {
 
     /// The straggler delay to impose here, if any. Only the first attempt
     /// of a site straggles — retries of a slow task are not slowed again.
-    pub fn straggler_delay(
+    fn straggler_delay(
         &self,
         site: u64,
         worker: usize,
@@ -488,7 +549,7 @@ impl FaultPlan {
 
     /// Process-mode: the artificial socket delay to impose before talking
     /// to `worker` at `site`, if any (drawn from `straggler_prob`). Only
-    /// the first attempt is delayed, mirroring [`FaultPlan::straggler_delay`].
+    /// the first attempt is delayed, as for a straggling task.
     pub fn delay_socket(&self, site: u64, worker: usize, attempt: u32) -> Option<Duration> {
         if attempt == 0
             && self.cfg.failures_per_site > 0
@@ -561,6 +622,28 @@ impl FaultPlan {
     pub fn snapshot(&self) -> FaultSnapshot {
         self.stats.snapshot()
     }
+}
+
+/// The error a captured panic of `worker` comes back as.
+fn worker_failed(worker: usize, payload: Box<dyn std::any::Any + Send>) -> MuraError {
+    let payload = if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "worker panicked (non-string payload)".to_string()
+    };
+    MuraError::WorkerFailed { worker, payload }
+}
+
+/// Joins the thread of `worker`, whose body catches its own panics
+/// ([`FaultPlan::guarded`]): one that still escaped is the harness's, and is
+/// reported instead of aborting.
+pub(crate) fn join_worker<T>(
+    worker: usize,
+    handle: std::thread::ScopedJoinHandle<'_, Result<T>>,
+) -> Result<T> {
+    handle.join().unwrap_or_else(|payload| Err(worker_failed(worker, payload)))
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@ pub mod distrel;
 pub mod engine;
 pub mod exec;
 pub mod fault;
+pub mod fixloop;
 pub mod localfix;
 pub mod metrics;
 pub mod proc;

@@ -21,7 +21,8 @@
 //! The `P_gld` driver and the `P_async` workers apply the same branches
 //! through [`eval_branch`].
 
-use crate::fault::{FaultPlan, RecoveryPolicy};
+use crate::fault::FaultPlan;
+use crate::fixloop::{self, Superstep, Supervision};
 use crate::sorted::SortedRelation;
 use mura_core::index::hash_values;
 use mura_core::kernel::kernel_stats;
@@ -31,10 +32,8 @@ use mura_core::{
     CancellationToken, JoinIndex, KeyIndex, MuraError, Pred, Relation, Result, Rows, Schema, Sym,
     Term, Value,
 };
-use mura_obs::trace::{EventKind, PlanKind, RecoveryKind, TraceEvent, TraceSink};
+use mura_obs::trace::{EventKind, TraceEvent};
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -754,6 +753,22 @@ pub fn eval_branch<R: LocalRel>(p: &Prepared<R>, delta: &R) -> R {
     R::from_row_vec(p.schema.clone(), sink.finish())
 }
 
+/// Compiles every recursive branch of a fixpoint ([`prepare`]) and charges
+/// what they cache for its whole run — build-side indexes and folded
+/// constants, shared by all its workers — against the byte budget, so an
+/// over-budget setup fails typed before iteration starts.
+pub fn prepare_all<R: LocalRel>(
+    recs: &[Term],
+    x: Sym,
+    delta_schema: &Schema,
+    budget: &Budget,
+) -> Result<Vec<Prepared<R>>> {
+    let prepared: Vec<Prepared<R>> =
+        recs.iter().map(|r| prepare(r, x, delta_schema)).collect::<Result<_>>()?;
+    budget.charge_bytes(prepared.iter().map(Prepared::cached_bytes).sum())?;
+    Ok(prepared)
+}
+
 /// Runs a worker-local semi-naive fixpoint (Algorithm 1) over this
 /// worker's `seed` with the given engine. Prepares the branches (constant
 /// folding + index builds) once, then iterates.
@@ -764,17 +779,14 @@ pub fn local_fixpoint(
     engine: LocalEngine,
     budget: &Budget,
 ) -> Result<Relation> {
+    let schema = seed.schema();
     match engine {
         LocalEngine::SetRdd => {
-            let prepared: Vec<Prepared<Relation>> =
-                recs.iter().map(|r| prepare(r, x, seed.schema())).collect::<Result<_>>()?;
-            budget.charge_bytes(prepared.iter().map(|p| p.cached_bytes()).sum())?;
+            let prepared = prepare_all::<Relation>(recs, x, schema, budget)?;
             local_fixpoint_prepared(seed, &prepared, budget)
         }
         LocalEngine::Sorted => {
-            let prepared: Vec<Prepared<SortedRelation>> =
-                recs.iter().map(|r| prepare(r, x, seed.schema())).collect::<Result<_>>()?;
-            budget.charge_bytes(prepared.iter().map(|p| p.cached_bytes()).sum())?;
+            let prepared = prepare_all::<SortedRelation>(recs, x, schema, budget)?;
             local_fixpoint_prepared(seed, &prepared, budget)
         }
     }
@@ -782,19 +794,15 @@ pub fn local_fixpoint(
 
 /// One semi-naive superstep: streams `delta` through every prepared branch
 /// and accumulates what comes out into `acc`, in place. Returns the next
-/// delta — the rows that were new to `acc` — or `None` when the fixpoint is
-/// reached. On an error `acc` may hold part of the superstep's rows: the
-/// caller must not iterate on it again without resetting it.
+/// delta — the rows that were new to `acc`, none at the fixpoint. On an
+/// error `acc` may hold part of the superstep's rows: the caller must not
+/// iterate on it again without resetting it.
 fn local_superstep<R: LocalRel>(
     prepared: &[Prepared<R>],
     acc: &mut R,
     delta: &R,
     budget: &Budget,
-) -> Result<Option<R>> {
-    if prepared.is_empty() {
-        return Ok(None); // no recursive branch
-    }
-    let stats = kernel_stats();
+) -> Result<R> {
     let start = Instant::now();
     let mut sink = Sink::new(acc.schema());
     for p in prepared {
@@ -804,213 +812,99 @@ fn local_superstep<R: LocalRel>(
     let produced = sink.finish();
     check_room(acc.len(), produced.len())?;
     let new = acc.absorb_new(produced);
-    stats.record_eval_time(start.elapsed());
-    stats.iterations.inc();
+    kernel_stats().record_eval_time(start.elapsed());
     budget.charge(new.len() as u64)?;
     budget.charge_bytes(rel_bytes(new.len() as u64, new.schema().arity()))?;
-    Ok(if new.is_empty() { None } else { Some(new) })
+    Ok(new)
 }
 
-/// Runs the semi-naive loop over already-prepared branches. Distributed
-/// callers prepare once and share the branches (and their cached indexes)
-/// across all workers of the fixpoint.
+/// Runs the semi-naive loop over already-prepared branches, outside any
+/// query: nothing injected, checkpointed or traced. Distributed callers
+/// prepare once and share the branches (and their cached indexes) across
+/// all workers of the fixpoint.
 pub fn local_fixpoint_prepared<R: LocalRel>(
     seed: &Relation,
     prepared: &[Prepared<R>],
     budget: &Budget,
 ) -> Result<Relation> {
-    local_fixpoint_prepared_from(seed, prepared, budget, None)
+    let fault = FaultPlan::disabled();
+    local_fixpoint_supervised(seed, prepared, &Supervision::inert(budget, &fault), 0, None)
 }
 
-/// Like [`local_fixpoint_prepared`], but optionally starting from resumed
-/// `(acc, delta)` state instead of the seed — the incremental view
-/// maintenance path. The resumed accumulator already contains this
-/// worker's seed share, so the seed is only used when no resume state is
-/// given.
-fn local_fixpoint_prepared_from<R: LocalRel>(
+/// The `P_plw` superstep: one worker's [`local_superstep`] as a
+/// fault-guarded attempt at the coordinate `(site, worker, iteration)`.
+struct WorkerStep<'a, R> {
+    prepared: &'a [Prepared<R>],
+    worker: usize,
+}
+
+impl<R: LocalRel> Superstep for WorkerStep<'_, R> {
+    type State = R;
+
+    fn rows(state: &R) -> u64 {
+        state.len() as u64
+    }
+
+    fn lane(&self) -> i32 {
+        self.worker as i32
+    }
+
+    fn step(
+        &mut self,
+        sup: &Supervision<'_>,
+        acc: &mut R,
+        delta: &R,
+        iteration: u64,
+        attempt: u32,
+    ) -> Result<R> {
+        let traced = sup.trace.filter(|t| t.superstep_enabled());
+        let traced = traced.map(|sink| (sink, sink.now_us(), Instant::now()));
+        let new = sup.fault.guarded(sup.site, self.worker, iteration, attempt, || {
+            local_superstep(self.prepared, acc, delta, sup.budget)
+        })?;
+        // One superstep event per iteration per worker. `P_plw` loops never
+        // communicate, so the comm fields stay zero by construction — the
+        // trace-level counterpart of the paper's claim. Kernel counters are
+        // process-wide and racy across workers, so they are left zero here.
+        if let Some((sink, t_us, started)) = traced {
+            let mut ev = TraceEvent::new(EventKind::Superstep, sup.fixpoint, sup.plan);
+            ev.worker = self.lane();
+            ev.iteration = iteration;
+            ev.delta_rows = new.len() as u64;
+            ev.t_us = t_us;
+            ev.dur_us = started.elapsed().as_micros() as u64;
+            sink.record(ev);
+        }
+        Ok(new)
+    }
+}
+
+/// Worker `worker`'s loop of a `P_plw` fixpoint: [`fixloop::run`] over
+/// [`WorkerStep`], from this worker's `seed` share — or from its share of
+/// resumed `(acc, delta)` state, the incremental view maintenance path; the
+/// resumed accumulator already contains the seed share.
+pub fn local_fixpoint_supervised<R: LocalRel>(
     seed: &Relation,
     prepared: &[Prepared<R>],
-    budget: &Budget,
+    sup: &Supervision<'_>,
+    worker: usize,
     initial: Option<(&Relation, &Relation)>,
 ) -> Result<Relation> {
     // Iteration-0 state is this worker's share of the accumulator: charge
-    // it so a byte budget sees it, not just produced deltas.
-    let (mut acc, mut delta) = match initial {
-        Some((a, d)) => {
-            budget.charge_bytes(rel_bytes((a.len() + d.len()) as u64, a.schema().arity()))?;
-            (R::from_relation(a), R::from_relation(d))
-        }
+    // what the loop starts out holding, so a byte budget sees it and not
+    // just the deltas produced later.
+    let held = initial.map_or(seed.len(), |(a, d)| a.len() + d.len());
+    sup.budget.charge_bytes(rel_bytes(held as u64, seed.schema().arity()))?;
+    let init = || match initial {
+        Some((a, d)) => (R::from_relation(a), R::from_relation(d)),
         None => {
-            budget.charge_bytes(rel_bytes(seed.len() as u64, seed.schema().arity()))?;
             let acc = R::from_relation(seed);
             let delta = acc.clone();
             (acc, delta)
         }
     };
-    while !delta.is_empty() {
-        budget.check()?;
-        match local_superstep(prepared, &mut acc, &delta, budget)? {
-            None => break,
-            Some(d) => delta = d,
-        }
-    }
-    Ok(acc.into_relation())
-}
-
-/// Per-worker supervision context for the `P_plw` loops: budget, fault
-/// plan, fault-site coordinates and the recovery/checkpoint policy.
-pub struct LoopCtx<'a> {
-    /// Shared row/deadline/cancellation budget.
-    pub budget: &'a Budget,
-    /// The fault plan injections are drawn from.
-    pub fault: &'a FaultPlan,
-    /// Fault site of this fixpoint (one per fixpoint, shared by all its
-    /// workers; allocated driver-side so it is deterministic).
-    pub site: u64,
-    /// This worker's index.
-    pub worker: usize,
-    /// Retry/restore policy.
-    pub recovery: RecoveryPolicy,
-    /// Checkpoint the local `(acc, delta, iteration)` state every this many
-    /// supersteps; `0` disables checkpointing.
-    pub checkpoint_every: u64,
-    /// Trace sink of the query, when it records events (`None` = off).
-    /// Superstep events are only recorded at
-    /// [`mura_obs::TraceLevel::Superstep`]; recovery events at any level.
-    pub trace: Option<&'a TraceSink>,
-    /// Fixpoint id carried by this loop's trace events.
-    pub fixpoint: u32,
-}
-
-/// The supervised worker-local semi-naive loop: like
-/// [`local_fixpoint_prepared`], plus per-iteration fault injection, panic
-/// capture, local checkpoints every [`LoopCtx::checkpoint_every`]
-/// supersteps, and restore/restart recovery when an iteration fails.
-///
-/// Iteration numbers start at 1, so in-loop injection rolls never collide
-/// with the task-level roll (step 0) of the cluster supervisor. Failure
-/// counts per iteration persist across restores, so an afflicted iteration
-/// heals after [`crate::fault::FaultConfig::failures_per_site`] failures
-/// and replays always make progress.
-pub fn local_fixpoint_supervised<R: LocalRel>(
-    seed: &Relation,
-    prepared: &[Prepared<R>],
-    ctx: &LoopCtx<'_>,
-    initial: Option<(&Relation, &Relation)>,
-) -> Result<Relation> {
-    let steps = ctx.trace.filter(|t| t.superstep_enabled());
-    if !ctx.fault.is_active() && ctx.checkpoint_every == 0 && steps.is_none() {
-        return local_fixpoint_prepared_from(seed, prepared, ctx.budget, initial);
-    }
-    ctx.budget.charge_bytes(rel_bytes(seed.len() as u64, seed.schema().arity()))?;
-    // Resumed loops start from maintained `(acc, delta)` state; a full
-    // restart during recovery must reset to the same pair, not the seed.
-    let init_state = || -> (R, R) {
-        match initial {
-            Some((a, d)) => (R::from_relation(a), R::from_relation(d)),
-            None => {
-                let acc = R::from_relation(seed);
-                let delta = acc.clone();
-                (acc, delta)
-            }
-        }
-    };
-    // One superstep event per iteration per worker. `P_plw` loops never
-    // communicate, so the comm fields stay zero by construction — the
-    // trace-level counterpart of the paper's claim. Kernel counters are
-    // process-wide and racy across workers, so they are left zero here.
-    let record_step = |iteration: u64, delta_rows: u64, t_us: u64, started: &Instant| {
-        if let Some(sink) = steps {
-            let mut ev = TraceEvent::new(EventKind::Superstep, ctx.fixpoint, PlanKind::Plw);
-            ev.worker = ctx.worker as i32;
-            ev.iteration = iteration;
-            ev.delta_rows = delta_rows;
-            ev.t_us = t_us;
-            ev.dur_us = started.elapsed().as_micros() as u64;
-            sink.record(ev);
-        }
-    };
-    let (mut acc, mut delta) = init_state();
-    let mut iter: u64 = 0;
-    let mut ckpt: Option<(R, R, u64)> = None;
-    let mut restores: u32 = 0;
-    let mut fail_counts: HashMap<u64, u32> = HashMap::new();
-    while !delta.is_empty() {
-        // Fires between supersteps and after every restore, so a cancelled
-        // or out-of-budget query stops recovering immediately.
-        ctx.budget.check()?;
-        let next = iter + 1;
-        let attempt = *fail_counts.get(&next).unwrap_or(&0);
-        if let Some(d) = ctx.fault.straggler_delay(ctx.site, ctx.worker, next, attempt) {
-            std::thread::sleep(d);
-        }
-        let t_us = steps.map_or(0, |s| s.now_us());
-        let started = Instant::now();
-        // A superstep that fails below may leave `acc` half-absorbed; every
-        // failure path either resets `(acc, delta)` or returns.
-        let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<Option<R>> {
-            ctx.fault.maybe_panic(ctx.site, ctx.worker, next, attempt);
-            ctx.fault.maybe_transient(ctx.site, ctx.worker, next, attempt)?;
-            ctx.fault.maybe_memory_pressure(ctx.site, ctx.worker, next, attempt)?;
-            local_superstep(prepared, &mut acc, &delta, ctx.budget)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(MuraError::WorkerFailed {
-                worker: ctx.worker,
-                payload: crate::cluster::payload_text(payload.as_ref()),
-            })
-        });
-        match outcome {
-            Ok(None) => {
-                record_step(next, 0, t_us, &started);
-                break;
-            }
-            Ok(Some(d)) => {
-                record_step(next, d.len() as u64, t_us, &started);
-                delta = d;
-                iter = next;
-                if ctx.checkpoint_every > 0 && iter.is_multiple_of(ctx.checkpoint_every) {
-                    ckpt = Some((acc.clone(), delta.clone(), iter));
-                    ctx.fault.stats.checkpoints.inc();
-                }
-            }
-            Err(e) if e.is_retryable() => {
-                ctx.fault.record_time_lost(started.elapsed());
-                *fail_counts.entry(next).or_insert(0) += 1;
-                if restores >= ctx.recovery.max_restores {
-                    return Err(e);
-                }
-                restores += 1;
-                let recovery = match &ckpt {
-                    Some((a, d, i)) => {
-                        ctx.fault.record_restore((a.len() + d.len()) as u64, iter - *i);
-                        acc = a.clone();
-                        delta = d.clone();
-                        iter = *i;
-                        RecoveryKind::Restore
-                    }
-                    None => {
-                        ctx.fault.record_full_restart(seed.len() as u64);
-                        let (a, d) = init_state();
-                        acc = a;
-                        delta = d;
-                        iter = 0;
-                        RecoveryKind::Restart
-                    }
-                };
-                if let Some(sink) = ctx.trace {
-                    let mut ev = TraceEvent::new(EventKind::Recovery, ctx.fixpoint, PlanKind::Plw);
-                    ev.worker = ctx.worker as i32;
-                    ev.iteration = iter;
-                    ev.recovery = recovery;
-                    ev.t_us = sink.now_us();
-                    sink.record(ev);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(acc.into_relation())
+    let mut step = WorkerStep { prepared, worker };
+    Ok(fixloop::run(sup, &mut step, init)?.total.into_relation())
 }
 
 /// The operator tree the reference kernel interprets, one relation per

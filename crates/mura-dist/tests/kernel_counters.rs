@@ -111,6 +111,48 @@ fn const_folds_and_index_builds_happen_once_per_fixpoint() {
     assert_eq!(k.const_folds, 0, "hoisting already folded the invariant subtree: {k:?}");
 
     pinned_counts_on_a_random_graph();
+    a_failed_superstep_is_not_counted();
+}
+
+/// An iteration is counted when its superstep completes — by the loop, the
+/// same way under `P_gld` and `P_plw`; the attempt that failed is not. With
+/// a checkpoint after every superstep no completed one is ever replayed, so
+/// a run that recovered from hard faults counts exactly what the fault-free
+/// run counts, and one superstep event per counted iteration.
+fn a_failed_superstep_is_not_counted() {
+    use mura_dist::{FaultConfig, RecoveryPolicy, TraceLevel};
+    let (db, e, step, x) = tc_setup();
+    let term = Term::cst(e).union(step).fix(x);
+    // Four failures per afflicted coordinate. Under `P_gld` they outlast the
+    // task retries, so the superstep fails; a `P_plw` worker loop fails at
+    // its own coordinates whatever the task retries are, and enough of them
+    // keep its stage from being run (and counted) a second time.
+    for (plan, max_retries) in [(FixpointPlan::ForceGld, 2), (FixpointPlan::ForcePlw, 4)] {
+        let run = |fault: FaultConfig| {
+            let config = ExecConfig {
+                plan,
+                fault,
+                recovery: RecoveryPolicy { max_retries, max_restores: 64, ..Default::default() },
+                checkpoint_every: 1,
+                trace: TraceLevel::Superstep,
+                ..Default::default()
+            };
+            let mut ev = DistEvaluator::new(&db, config);
+            assert_eq!(ev.eval_collect(&term).unwrap().len(), 12 * 13 / 2);
+            let stats = ev.stats().clone();
+            let events = stats.trace.as_ref().unwrap().supersteps().count() as u64;
+            (stats.kernel.iterations, stats.fixpoint_iterations, events, stats.fault)
+        };
+        let (clean_kernel, clean_stats, clean_events, _) = run(FaultConfig::default());
+        let hard =
+            FaultConfig { seed: 3, panic_prob: 0.15, failures_per_site: 4, ..Default::default() };
+        let (kernel, stats, events, faults) = run(hard);
+        assert!(faults.checkpoint_restores + faults.full_restarts > 0, "{plan:?}: {faults}");
+        assert!(plan == FixpointPlan::ForceGld || faults.stage_reruns == 0, "{plan:?}: {faults}");
+        assert_eq!(faults.iterations_replayed, 0, "{plan:?}: {faults}");
+        assert_eq!((kernel, stats), (clean_kernel, clean_stats), "{plan:?}: {faults}");
+        assert_eq!((events, clean_events), (kernel, clean_kernel), "{plan:?}");
+    }
 }
 
 /// The counters are defined over sets of rows, not over how rows are

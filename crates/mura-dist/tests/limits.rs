@@ -124,3 +124,56 @@ fn generous_limits_do_not_interfere() {
         assert_eq!(n, 80 * 80, "{plan:?}: full closure expected");
     }
 }
+
+/// What a resumed `P_plw` loop charges for the state it starts from does
+/// not depend on whether the query is traced: one `max_bytes`, one verdict.
+#[test]
+fn resumed_plw_fixpoint_breaches_max_bytes_traced_or_not() {
+    use mura_core::{term_key, Term};
+    use mura_dist::{DistEvaluator, FixResume, TraceLevel};
+    use std::sync::Arc;
+
+    // Closure of a 60-edge chain: the maintained total (1830 rows) dwarfs
+    // the seed (60 rows), so charging one for the other shows.
+    let mut db = Database::new();
+    let (src, dst) = (db.intern("src"), db.intern("dst"));
+    let (m, x) = (db.intern("m"), db.intern("X"));
+    let e = db.insert_relation("e", Relation::from_pairs(src, dst, (0..60).map(|i| (i, i + 1))));
+    let step = Term::var(x).rename(dst, m).join(Term::var(e).rename(src, m)).antiproject(m);
+    let term = Term::var(e).union(step).fix(x);
+    let total = mura_core::eval(&term, &db).unwrap();
+    let frontier = Relation::from_pairs(src, dst, [(0, 1)]);
+    let resume = FixResume { acc: total.clone(), delta: frontier };
+    let resume = Arc::new([(term_key(&term), resume)].into_iter().collect());
+
+    let breached = |trace: TraceLevel, max_bytes: u64| {
+        let config = ExecConfig {
+            plan: FixpointPlan::ForcePlw,
+            limits: ResourceLimits { max_rows: None, max_bytes: Some(max_bytes), timeout: None },
+            trace,
+            resume: Some(Arc::clone(&resume)),
+            ..Default::default()
+        };
+        match DistEvaluator::new(&db, config).eval_collect(&term) {
+            Ok(out) => {
+                assert_eq!(out.len(), total.len());
+                false
+            }
+            Err(MuraError::MemoryExceeded { .. }) => true,
+            Err(other) => panic!("{trace:?} under {max_bytes} bytes: {other}"),
+        }
+    };
+    let mut verdicts = Vec::new();
+    let mut max_bytes = 4u64 << 10;
+    while max_bytes < 4 << 20 {
+        let untraced = breached(TraceLevel::Off, max_bytes);
+        assert_eq!(
+            untraced,
+            breached(TraceLevel::Superstep, max_bytes),
+            "tracing changed the verdict under max_bytes = {max_bytes}"
+        );
+        verdicts.push(untraced);
+        max_bytes += max_bytes / 8;
+    }
+    assert!(verdicts.contains(&true) && verdicts.contains(&false), "{verdicts:?}");
+}

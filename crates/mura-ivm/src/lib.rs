@@ -522,29 +522,7 @@ fn subst_occs(
             *next += 1;
             f(*v, i).unwrap_or_else(|| t.clone())
         }
-        Term::Var(_) | Term::Cst(_) => t.clone(),
-        Term::Filter(ps, inner) => {
-            Term::Filter(ps.clone(), Box::new(subst_occs(inner, changed, next, f)))
-        }
-        Term::Rename(a, b, inner) => {
-            Term::Rename(*a, *b, Box::new(subst_occs(inner, changed, next, f)))
-        }
-        Term::AntiProject(cs, inner) => {
-            Term::AntiProject(cs.clone(), Box::new(subst_occs(inner, changed, next, f)))
-        }
-        Term::Join(a, b) => Term::Join(
-            Box::new(subst_occs(a, changed, next, f)),
-            Box::new(subst_occs(b, changed, next, f)),
-        ),
-        Term::Antijoin(a, b) => Term::Antijoin(
-            Box::new(subst_occs(a, changed, next, f)),
-            Box::new(subst_occs(b, changed, next, f)),
-        ),
-        Term::Union(a, b) => Term::Union(
-            Box::new(subst_occs(a, changed, next, f)),
-            Box::new(subst_occs(b, changed, next, f)),
-        ),
-        Term::Fix(v, body) => Term::Fix(*v, Box::new(subst_occs(body, changed, next, f))),
+        _ => t.map_children(|c| subst_occs(c, changed, next, f)),
     }
 }
 

@@ -269,36 +269,13 @@ impl Rewriter {
             }
         }
         // Otherwise: rebuild with optimized children.
-        Ok(match t {
-            Term::Var(_) | Term::Cst(_) => t.clone(),
-            Term::Filter(ps, inner) => {
-                Term::Filter(ps.clone(), Box::new(self.closure_pass(inner, db, env, bound)?))
-            }
-            Term::Rename(a, b, inner) => {
-                Term::Rename(*a, *b, Box::new(self.closure_pass(inner, db, env, bound)?))
-            }
-            Term::AntiProject(cs, inner) => {
-                Term::AntiProject(cs.clone(), Box::new(self.closure_pass(inner, db, env, bound)?))
-            }
-            Term::Join(a, b) => Term::Join(
-                Box::new(self.closure_pass(a, db, env, bound)?),
-                Box::new(self.closure_pass(b, db, env, bound)?),
-            ),
-            Term::Antijoin(a, b) => Term::Antijoin(
-                Box::new(self.closure_pass(a, db, env, bound)?),
-                Box::new(self.closure_pass(b, db, env, bound)?),
-            ),
-            Term::Union(a, b) => Term::Union(
-                Box::new(self.closure_pass(a, db, env, bound)?),
-                Box::new(self.closure_pass(b, db, env, bound)?),
-            ),
-            Term::Fix(x, body) => {
-                bound.push(*x);
-                let body2 = self.closure_pass(body, db, env, bound);
-                bound.pop();
-                Term::Fix(*x, Box::new(body2?))
-            }
-        })
+        if let Term::Fix(x, body) = t {
+            bound.push(*x);
+            let body = self.closure_pass(body, db, env, bound);
+            bound.pop();
+            return Ok(Term::Fix(*x, Box::new(body?)));
+        }
+        t.try_map_children(|c| self.closure_pass(c, db, env, bound))
     }
 
     /// Picks the cheapest among the original and the alternatives (with a
