@@ -80,6 +80,12 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         self.map.remove(key).map(|(v, _)| v)
     }
 
+    /// Drops every entry. Like [`LruCache::remove`], not counted as
+    /// evictions.
+    pub fn clear(&mut self) {
+        self.map.clear();
+    }
+
     /// A point-in-time snapshot of every entry (arbitrary order, recency
     /// untouched). The maintenance path iterates this outside the cache
     /// lock so queries keep hitting while views are brought up to date.

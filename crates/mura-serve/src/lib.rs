@@ -3,10 +3,14 @@
 //! The engine crates answer *one query at a time for one caller*. This
 //! crate turns an engine into a long-lived, shared **query service**:
 //!
-//! * [`Server`] owns a [`QueryEngine`](mura_dist::QueryEngine) behind a
-//!   read/write lock and a pool of executor threads. Planning (which
-//!   interns symbols) takes the write lock; executions share read locks
-//!   and run concurrently.
+//! * [`Server`] owns a pool of executor threads over one
+//!   [`QueryEngine`](mura_dist::QueryEngine) behind a read/write lock:
+//!   planning (which interns symbols) takes the write lock, executions
+//!   share read locks and run concurrently. It derefs to [`Client`], the
+//!   one handle for queries, mutations, loads and telemetry.
+//! * Five modules each own one part of the shared state, its locks and
+//!   the policy that goes with it — admission, planning, views,
+//!   durability, telemetry; [`server`] has the map and the lock order.
 //! * **Admission control** — a bounded queue in front of the pool. When
 //!   full, [`Client::submit`] fails *immediately* with
 //!   [`ServeError::Busy`] instead of queueing without bound.
@@ -21,11 +25,11 @@
 //!   one of answer or typed error.
 //! * **Caching** — an LRU result cache keyed by the canonical key of the
 //!   *optimized plan* plus the database *epoch* (bumped by
-//!   [`Server::load`] calls that change the catalog's shape), and an LRU
+//!   [`Client::load`] calls that change the catalog's shape), and an LRU
 //!   plan cache keyed by query text plus epoch. Cached answers also carry
 //!   the database *version* — bumped by every mutation — and only hit
 //!   while current.
-//! * **Incremental view maintenance** — [`Server::apply_delta`] (the
+//! * **Incremental view maintenance** — [`Client::apply_delta`] (the
 //!   `.insert`/`.delete` verbs) applies an edge-level [`DeltaBatch`]
 //!   without a reload and brings cached fixpoint answers forward in
 //!   place: insertions resume the drivers' semi-naive delta loop from the
@@ -40,8 +44,8 @@
 //!   quantile lines and a `.metrics` Prometheus text-exposition page;
 //!   [`Client::profile`] (the `.profile` verb) runs a query with
 //!   per-superstep tracing and returns its timeline.
-//! * A line-oriented **TCP protocol** ([`protocol`]) compatible with the
-//!   `murash` shell's verbs, for out-of-process clients.
+//! * A **line protocol** ([`protocol`]) with one interpreter, which TCP
+//!   connections and the `murash` shell both go through.
 //!
 //! ```
 //! use mura_core::{Database, Relation};
@@ -65,14 +69,30 @@
 //! server.shutdown();
 //! ```
 
+mod admission;
 pub mod cache;
+mod client;
+mod durability;
 pub mod error;
+mod planning;
 pub mod protocol;
 pub mod server;
+mod telemetry;
+mod views;
 
+pub use admission::Pending;
 pub use cache::{plan_key, LruCache};
+pub use client::{Client, Server};
 pub use error::{OverloadReason, ServeError, ServeResult};
 pub use mura_durable::SyncPolicy;
 pub use mura_ivm::{DeltaBatch, RelDelta};
 pub use protocol::{read_response, serve_tcp, FrameError, TcpServeHandle, MAX_LINE};
-pub use server::{Client, ClusterMode, DeltaSummary, Pending, ServeConfig, ServeStats, Server};
+pub use server::{ClusterMode, DeltaSummary, ServeConfig};
+pub use telemetry::ServeStats;
+
+/// Poison-tolerant locking, for every mutex of the tier: a worker that
+/// panicked mid-query must not take the whole server down with
+/// `PoisonError`s.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

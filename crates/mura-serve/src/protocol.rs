@@ -1,9 +1,13 @@
-//! A line-oriented TCP front end over [`Server`].
+//! The line protocol: one interpreter, whoever is typing.
 //!
-//! The protocol mirrors the `murash` shell: any plain line is parsed as a
-//! UCRPQ query; dot-commands cover introspection. Every response is one
-//! status line (`OK …` or `ERR …`), zero or more body lines, and a final
-//! line containing a single `.` — so clients read until the terminator.
+//! Any plain line is parsed as a UCRPQ query; a line starting with `.` is
+//! looked up in the verb table [`VERBS`] by the text before its first
+//! whitespace. [`respond`] is the only interpreter: the TCP front end
+//! ([`serve_tcp`]) loops over it per connection, and the `murash` shell
+//! calls it for every verb it shares with a remote session. Every
+//! [`Response`] is one status line (`OK …` or `ERR …`), zero or more body
+//! lines, and a final line containing a single `.` — so clients read until
+//! the terminator.
 //!
 //! ```text
 //! → ?x, ?y <- ?x a1+ ?y
@@ -11,16 +15,6 @@
 //! ← (0, 3)
 //! ← …
 //! ← .
-//! → .deadline 500        set a per-connection deadline (0 clears)
-//! → .stats               serving counters incl. latency quantiles
-//! → .metrics             Prometheus text-exposition page
-//! → .profile <query>     run traced, print the superstep timeline
-//! → .explain <query>     plan only: enumeration digest + chosen plan
-//! → .rels                relations and row counts
-//! → .insert [rel] v …    add a base row; cached views are maintained
-//! → .delete [rel] v …    remove a base row (DRed maintenance)
-//! → .drain               graceful shutdown: finish in-flight, stop workers
-//! → .quit
 //! ```
 //!
 //! Mutations reply with one status line carrying the new database version
@@ -38,8 +32,8 @@
 //! Overloaded and busy rejections reply `ERR … retry-after-ms=<n>`; the
 //! token is machine-parseable so clients can schedule a retry.
 
+use crate::client::{Client, Server};
 use crate::error::ServeResult;
-use crate::server::{Client, Server};
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -145,13 +139,11 @@ impl TcpServeHandle {
         self.addr
     }
 
-    /// Stops accepting connections and joins the acceptor thread.
-    /// Already-open connections finish on their own threads.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.thread.take() {
-            let _ = h.join();
-        }
+    /// Stops accepting connections and joins the acceptor thread — what
+    /// dropping the handle does. Already-open connections finish on their
+    /// own threads.
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
@@ -199,136 +191,195 @@ fn handle_connection(stream: TcpStream, client: &Client) -> io::Result<()> {
     stream.set_nonblocking(false)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
-    let mut deadline: Option<Duration> = None;
+    let mut session = Session::default();
     let mut line = String::new();
     loop {
-        match read_line_capped(&mut reader, &mut line) {
+        let response = match read_line_capped(&mut reader, &mut line) {
             Ok(0) => return Ok(()), // EOF
-            Ok(_) => {}
+            Ok(_) if line.trim().is_empty() => continue,
+            Ok(_) => respond(client, &mut session, &line),
+            // Framing violation (oversized or binary line): answer once
+            // with a typed error, then drop the connection — the rest of
+            // the bad line cannot be told apart from frames.
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Framing violation (oversized or binary line): answer
-                // once with a typed error, then drop the connection — the
-                // rest of the bad line cannot be told apart from frames.
-                let _ = write_block(&mut out, &format!("ERR {e}"), &[]);
-                return Ok(());
+                Response { closes: true, ..Response::status(format!("ERR {e}")) }
             }
             Err(e) => return Err(e),
-        }
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match line {
-            ".quit" | ".exit" => {
-                write_block(&mut out, "OK bye", &[])?;
-                return Ok(());
-            }
-            ".stats" => {
-                let body: Vec<String> = client.stats_text().lines().map(str::to_string).collect();
-                write_block(&mut out, "OK stats", &body)?;
-            }
-            ".metrics" => {
-                let page = client.metrics();
-                let body: Vec<String> = page.lines().map(str::to_string).collect();
-                write_block(&mut out, "OK metrics", &body)?;
-            }
-            ".drain" => {
-                // Blocks until queued/in-flight queries resolve (bounded
-                // by the server's drain grace), then reports the final
-                // counters. Subsequent queries get "server closed".
-                let stats = client.request_drain();
-                let body: Vec<String> = stats.to_string().lines().map(str::to_string).collect();
-                write_block(&mut out, "OK drained", &body)?;
-            }
-            _ if line.starts_with(".explain") => {
-                let query = line[".explain".len()..].trim();
-                if query.is_empty() {
-                    write_block(&mut out, "ERR usage: .explain <query>", &[])?;
-                } else {
-                    match client.explain(query) {
-                        Ok(text) => {
-                            let body: Vec<String> = text.lines().map(str::to_string).collect();
-                            write_block(&mut out, "OK explain", &body)?;
-                        }
-                        Err(e) => write_block(&mut out, &format!("ERR {e}"), &[])?,
-                    }
-                }
-            }
-            _ if line.starts_with(".profile") => {
-                let query = line[".profile".len()..].trim();
-                if query.is_empty() {
-                    write_block(&mut out, "ERR usage: .profile <query>", &[])?;
-                } else {
-                    match run_profile(client, query) {
-                        Ok((header, body)) => write_block(&mut out, &header, &body)?,
-                        Err(e) => write_block(&mut out, &format!("ERR {e}"), &[])?,
-                    }
-                }
-            }
-            ".rels" => {
-                let mut body = client.with_db(|db| {
-                    db.relations()
-                        .map(|(s, r)| format!("{} {} rows", db.dict().resolve(s), r.len()))
-                        .collect::<Vec<_>>()
-                });
-                body.sort();
-                write_block(&mut out, "OK rels", &body)?;
-            }
-            _ if line.starts_with(".deadline") => {
-                let arg = line[".deadline".len()..].trim();
-                match arg.parse::<u64>() {
-                    Ok(0) => {
-                        deadline = None;
-                        write_block(&mut out, "OK deadline off", &[])?;
-                    }
-                    Ok(ms) => {
-                        deadline = Some(Duration::from_millis(ms));
-                        write_block(&mut out, &format!("OK deadline {ms} ms"), &[])?;
-                    }
-                    Err(_) => write_block(&mut out, "ERR usage: .deadline <millis>", &[])?,
-                }
-            }
-            _ if line == ".insert" || line.starts_with(".insert ") => {
-                let (status, body) = run_mutation(client, line[".insert".len()..].trim(), true);
-                write_block(&mut out, &status, &body)?;
-            }
-            _ if line == ".delete" || line.starts_with(".delete ") => {
-                let (status, body) = run_mutation(client, line[".delete".len()..].trim(), false);
-                write_block(&mut out, &status, &body)?;
-            }
-            _ if line.starts_with('.') => {
-                write_block(&mut out, &format!("ERR unknown command '{line}'"), &[])?;
-            }
-            query => match run_query(client, query, deadline) {
-                Ok(response) => send(&mut out, &response)?,
-                Err(e) => write_block(&mut out, &format!("ERR {e}"), &[])?,
-            },
+        };
+        out.write_all(response.text.as_bytes())?;
+        out.flush()?;
+        if response.closes {
+            return Ok(());
         }
     }
 }
 
-type QueryBlock = (String, Vec<String>);
+/// What a connection (or a shell) carries from one line to the next.
+#[derive(Debug, Default)]
+pub struct Session {
+    /// Deadline of this session's queries, set by `.deadline`.
+    pub deadline: Option<Duration>,
+}
 
-/// Parses a mutation line (`[rel] value value …`) into a one-row
-/// [`DeltaBatch`] and applies it. Replies with a single status line so
-/// batch drivers (`murash --mutate`) get one line per mutation.
-fn run_mutation(client: &Client, args: &str, insert: bool) -> QueryBlock {
-    let verb = if insert { ".insert" } else { ".delete" };
-    let batch = client.with_db(|db| parse_mutation(db, args, insert));
-    let batch = match batch {
-        Ok(b) => b,
-        Err(e) => return (format!("ERR {verb}: {e}"), Vec::new()),
-    };
-    match client.apply_delta(batch) {
-        Ok(s) => (
-            format!(
-                "OK v={} +{} -{} maintained={} unaffected={} recomputed={}",
-                s.version, s.inserted, s.deleted, s.maintained, s.unaffected, s.recomputed
-            ),
-            Vec::new(),
-        ),
-        Err(e) => (format!("ERR {e}"), Vec::new()),
+/// One reply, rendered: status line, body lines, terminator, in one
+/// buffer that goes to the socket in one write.
+#[derive(Debug)]
+pub struct Response {
+    text: String,
+    /// The session ends with this reply (`.quit`).
+    pub closes: bool,
+}
+
+impl Response {
+    /// A reply without a body.
+    fn status(status: impl std::fmt::Display) -> Response {
+        Response::block(status, "")
     }
+
+    /// `status`, then `body` line by line.
+    fn block(status: impl std::fmt::Display, body: &str) -> Response {
+        let mut text = String::with_capacity(body.len() + 64);
+        let _ = writeln!(text, "{status}");
+        for line in body.lines() {
+            text.push_str(line);
+            text.push('\n');
+        }
+        Response::end(text)
+    }
+
+    /// Terminates a block rendered by the caller.
+    fn end(mut text: String) -> Response {
+        end_block(&mut text);
+        Response { text, closes: false }
+    }
+
+    /// The lines of the reply, status first, terminator left out.
+    pub fn lines(&self) -> impl Iterator<Item = &str> {
+        self.text.lines().take_while(|l| *l != TERMINATOR)
+    }
+}
+
+fn end_block(buf: &mut String) {
+    buf.push_str(TERMINATOR);
+    buf.push('\n');
+}
+
+/// One dot-command of the protocol.
+pub struct Verb {
+    /// What the line starts with, up to its first whitespace.
+    pub name: &'static str,
+    /// Synopsis of the argument; empty when the verb takes none.
+    pub arg: &'static str,
+    pub help: &'static str,
+    run: fn(&Client, &mut Session, &str) -> ServeResult<Response>,
+}
+
+macro_rules! verbs {
+    ($($name:literal $arg:literal $help:literal => $run:expr;)*) => {
+        /// The verb table: every dot-command, the argument it takes and
+        /// what it does. A line is matched against the names exactly, so
+        /// `.explainx` is unknown rather than an `.explain`; a verb given
+        /// an argument it does not take, or missing the one it needs,
+        /// replies `ERR usage: …`.
+        ///
+        /// ```text
+        #[doc = concat!($("→ ", $name, " ", $arg, "\n      ", $help, "\n"),*)]
+        /// ```
+        pub const VERBS: &[Verb] =
+            &[$(Verb { name: $name, arg: $arg, help: $help, run: $run }),*];
+    };
+}
+
+verbs! {
+    ".stats" "" "serving counters incl. latency quantiles" =>
+        |client, _, _| Ok(Response::block("OK stats", &client.stats_text()));
+    ".metrics" "" "Prometheus text-exposition page" =>
+        |client, _, _| Ok(Response::block("OK metrics", &client.metrics()));
+    ".rels" "" "relations and row counts" => rels;
+    ".explain" "<query>" "plan only: enumeration digest + chosen plan" =>
+        |client, _, query| Ok(Response::block("OK explain", &client.explain(query)?));
+    ".profile" "<query>" "run traced, print the superstep timeline" => profile;
+    ".insert" "[rel] <v> …" "add a base row; cached views are maintained" =>
+        |client, _, row| mutate(client, ".insert", row);
+    ".delete" "[rel] <v> …" "remove a base row (DRed maintenance)" =>
+        |client, _, row| mutate(client, ".delete", row);
+    ".deadline" "<millis>" "deadline of this session's queries (0 clears)" => deadline;
+    // Blocks until queued/in-flight queries resolve (bounded by the
+    // server's drain grace). Subsequent queries get "server closed".
+    ".drain" "" "graceful shutdown: finish in-flight, stop workers, final counters" =>
+        |client, _, _| Ok(Response::block("OK drained", &client.request_drain().to_string()));
+    ".quit" "" "end the session" => quit;
+    ".exit" "" "end the session" => quit;
+}
+
+impl Verb {
+    /// `name <arg>`, as `.help` and usage errors show it.
+    pub fn usage(&self) -> String {
+        format!("{} {}", self.name, self.arg).trim_end().to_string()
+    }
+}
+
+/// Interprets one protocol line — a query or a verb — against `client`.
+pub fn respond(client: &Client, session: &mut Session, line: &str) -> Response {
+    let line = line.trim();
+    let reply = if line.starts_with('.') {
+        let (name, arg) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+        let Some(verb) = VERBS.iter().find(|v| v.name == name) else {
+            return Response::status(format!("ERR unknown command '{line}'"));
+        };
+        let arg = arg.trim();
+        if arg.is_empty() != verb.arg.is_empty() {
+            return Response::status(format!("ERR usage: {}", verb.usage()));
+        }
+        (verb.run)(client, session, arg)
+    } else {
+        query(client, line, session.deadline)
+    };
+    reply.unwrap_or_else(|e| Response::status(format!("ERR {e}")))
+}
+
+fn quit(_: &Client, _: &mut Session, _: &str) -> ServeResult<Response> {
+    Ok(Response { closes: true, ..Response::status("OK bye") })
+}
+
+fn deadline(_: &Client, session: &mut Session, millis: &str) -> ServeResult<Response> {
+    Ok(match millis.parse::<u64>() {
+        Ok(0) => {
+            session.deadline = None;
+            Response::status("OK deadline off")
+        }
+        Ok(ms) => {
+            session.deadline = Some(Duration::from_millis(ms));
+            Response::status(format!("OK deadline {ms} ms"))
+        }
+        Err(_) => Response::status("ERR usage: .deadline <millis>"),
+    })
+}
+
+fn rels(client: &Client, _: &mut Session, _: &str) -> ServeResult<Response> {
+    let mut rels = client.with_db(|db| {
+        db.relations()
+            .map(|(s, r)| format!("{} {} rows", db.dict().resolve(s), r.len()))
+            .collect::<Vec<_>>()
+    });
+    rels.sort();
+    Ok(Response::block("OK rels", &rels.join("\n")))
+}
+
+/// Parses a mutation (`[rel] value value …`) into a one-row
+/// [`DeltaBatch`](mura_ivm::DeltaBatch) and applies it. Replies with a
+/// single status line so batch drivers (`murash --mutate`) get one line
+/// per mutation.
+fn mutate(client: &Client, verb: &str, row: &str) -> ServeResult<Response> {
+    let batch = match client.with_db(|db| parse_mutation(db, row, verb == ".insert")) {
+        Ok(batch) => batch,
+        Err(e) => return Ok(Response::status(format!("ERR {verb}: {e}"))),
+    };
+    let s = client.apply_delta(batch)?;
+    Ok(Response::status(format!(
+        "OK v={} +{} -{} maintained={} unaffected={} recomputed={}",
+        s.version, s.inserted, s.deleted, s.maintained, s.unaffected, s.recomputed
+    )))
 }
 
 fn parse_mutation(
@@ -338,9 +389,6 @@ fn parse_mutation(
 ) -> Result<mura_ivm::DeltaBatch, String> {
     use mura_core::Value;
     let mut tokens: Vec<&str> = args.split_whitespace().collect();
-    if tokens.is_empty() {
-        return Err("usage: [relation] <value> <value> …".into());
-    }
     // An explicit leading relation name wins; otherwise the database must
     // hold exactly one relation (the common single-graph case).
     let rel = match db.dict().lookup(tokens[0]).filter(|s| db.relation(*s).is_some()) {
@@ -388,7 +436,7 @@ fn parse_mutation(
 /// Runs a query with per-superstep tracing and renders its timeline:
 /// one aligned row per trace event (fixpoint, plan, worker, iteration,
 /// delta size, rows shuffled/broadcast, probes, wall time).
-fn run_profile(client: &Client, query: &str) -> ServeResult<QueryBlock> {
+fn profile(client: &Client, _: &mut Session, query: &str) -> ServeResult<Response> {
     let out = client.profile(query)?;
     let header = format!(
         "OK profile {} rows planning={:.1?} execution={:.1?}",
@@ -396,27 +444,23 @@ fn run_profile(client: &Client, query: &str) -> ServeResult<QueryBlock> {
         out.planning,
         out.execution,
     );
-    let body = match out.trace() {
-        Some(trace) => {
-            let mut lines: Vec<String> =
-                trace.render_timeline().lines().map(str::to_string).collect();
-            // Cluster-aware addendum: per-fixpoint worker skew, derived
-            // from the merged worker lanes (empty for single-lane traces).
-            let skew = trace.render_skew();
-            if !skew.is_empty() {
-                lines.push(String::new());
-                lines.extend(skew.lines().map(str::to_string));
-            }
-            lines
-        }
-        None => vec!["(no trace recorded)".to_string()],
+    let Some(trace) = out.trace() else {
+        return Ok(Response::block(header, "(no trace recorded)"));
     };
-    Ok((header, body))
+    let mut body = trace.render_timeline();
+    // Cluster-aware addendum: per-fixpoint worker skew, derived from the
+    // merged worker lanes (empty for single-lane traces).
+    let skew = trace.render_skew();
+    if !skew.is_empty() {
+        body.push('\n');
+        body.push_str(&skew);
+    }
+    Ok(Response::block(header, &body))
 }
 
 /// Runs a query and renders the whole response — status line, one body
 /// line per row in sorted order, terminator — into one buffer.
-fn run_query(client: &Client, query: &str, deadline: Option<Duration>) -> ServeResult<String> {
+fn query(client: &Client, query: &str, deadline: Option<Duration>) -> ServeResult<Response> {
     let out = client.submit(query, deadline)?.wait()?;
     let rel = &out.relation;
     // A query that hit faults but recovered still answers with `OK` — the
@@ -435,8 +479,7 @@ fn run_query(client: &Client, query: &str, deadline: Option<Duration>) -> ServeR
     }
     buf.push('\n');
     render_rows(rel, &mut buf);
-    end_block(&mut buf);
-    Ok(buf)
+    Ok(Response::end(buf))
 }
 
 /// Appends `rel` as body lines, `(v, v, …)` per row in sorted order. The
@@ -453,29 +496,6 @@ fn render_rows(rel: &mura_core::Relation, buf: &mut String) {
         }
         buf.push_str(")\n");
     }
-}
-
-fn end_block(buf: &mut String) {
-    buf.push_str(TERMINATOR);
-    buf.push('\n');
-}
-
-fn send(out: &mut TcpStream, response: &str) -> io::Result<()> {
-    out.write_all(response.as_bytes())?;
-    out.flush()
-}
-
-fn write_block(out: &mut TcpStream, status: &str, body: &[String]) -> io::Result<()> {
-    let mut buf =
-        String::with_capacity(status.len() + 3 + body.iter().map(|l| l.len() + 1).sum::<usize>());
-    buf.push_str(status);
-    buf.push('\n');
-    for l in body {
-        buf.push_str(l);
-        buf.push('\n');
-    }
-    end_block(&mut buf);
-    send(out, &buf)
 }
 
 /// Client-side helper: reads one protocol response (status line + body up

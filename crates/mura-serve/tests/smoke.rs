@@ -256,3 +256,49 @@ fn tcp_protocol_round_trip() {
     handle.stop();
     server.shutdown();
 }
+
+/// Every verb of the table answers under its own name and under no other:
+/// the line is split at its first whitespace and matched exactly, so
+/// `.explainx q` is unknown rather than an `.explain` of `x q`.
+#[test]
+fn verbs_match_by_name_not_by_prefix() {
+    let server = Server::start(QueryEngine::new(cycle_db(4)), ServeConfig::default());
+    let handle = serve_tcp(&server, "127.0.0.1:0").unwrap();
+    let connect = || {
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        (BufReader::new(stream.try_clone().unwrap()), stream)
+    };
+    let (mut reader, mut stream) = connect();
+    let mut send = |line: String| {
+        stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+        protocol::read_response(&mut reader).unwrap().0
+    };
+    for verb in protocol::VERBS {
+        let (name, arg) = (
+            verb.name,
+            match verb.arg {
+                "" => "",
+                "<query>" => SLOW_TC,
+                "<millis>" => "250",
+                _ => "e 7 8", // a row; deleting what is not there is a no-op
+            },
+        );
+        let status = send(format!("{name}x {arg}"));
+        assert!(status.starts_with("ERR unknown command"), "{name}x: {status}");
+        // An argument too many or too few is a usage error, not a guess.
+        let status = send(if arg.is_empty() { format!("{name} x") } else { name.into() });
+        assert!(status.starts_with(&format!("ERR usage: {name}")), "{status}");
+        // The verbs that end the server or the session are tried last.
+        if ![".drain", ".quit", ".exit"].contains(&name) {
+            let status = send(format!("{name} {arg}"));
+            assert!(status.starts_with("OK "), "{name}: {status}");
+        }
+    }
+    assert!(send(".drain".into()).starts_with("OK drained"));
+    assert_eq!(send(".quit".into()), "OK bye");
+    let (mut reader, mut stream) = connect();
+    stream.write_all(b".exit\n").unwrap();
+    assert_eq!(protocol::read_response(&mut reader).unwrap().0, "OK bye");
+    handle.stop();
+    server.shutdown();
+}
