@@ -3,6 +3,7 @@
 use crate::fxhash::{hash_u64, FxHashMap, FxHasher};
 use crate::relation::Relation;
 use crate::value::{Sym, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
@@ -28,28 +29,20 @@ impl Hasher for NameHasher {
     }
 }
 
-/// Interns strings to [`Sym`]s and resolves them back.
+/// Interns strings to [`Sym`]s and resolves them back; numbers the
+/// generated symbols, which it does not store.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
     map: HashMap<Box<str>, Sym, BuildHasherDefault<NameHasher>>,
     names: Vec<Box<str>>,
-    fresh_counter: u32,
+    /// Number of the last generated symbol handed out.
+    generated: u32,
 }
 
-/// A point in a dictionary's history ([`Dictionary::mark`]): how many
-/// names it held and where its fresh-name counter stood.
+/// Where a dictionary's numbering of generated symbols stood
+/// ([`Dictionary::mark`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DictMark {
-    len: usize,
-    fresh_counter: u32,
-}
-
-impl DictMark {
-    /// True for a symbol interned after the mark was taken.
-    pub fn is_after(&self, sym: Sym) -> bool {
-        sym.index() >= self.len
-    }
-}
+pub struct DictMark(u32);
 
 impl Dictionary {
     /// Empty dictionary.
@@ -63,6 +56,7 @@ impl Dictionary {
             return sym;
         }
         let sym = Sym(self.names.len() as u32);
+        assert!(!sym.is_generated(), "the name table is full");
         self.names.push(s.into());
         self.map.insert(s.into(), sym);
         sym
@@ -73,12 +67,17 @@ impl Dictionary {
         self.map.get(s).copied()
     }
 
-    /// Resolves a symbol to its string.
+    /// The name of a symbol: the interned string, or `prefix#number` for a
+    /// generated one.
     ///
     /// # Panics
-    /// Panics if the symbol comes from another dictionary.
-    pub fn resolve(&self, sym: Sym) -> &str {
-        &self.names[sym.index()]
+    /// Panics if an interned symbol comes from another dictionary.
+    pub fn resolve(&self, sym: Sym) -> Cow<'_, str> {
+        if sym.is_generated() {
+            Cow::Owned(sym.to_string())
+        } else {
+            Cow::Borrowed(&self.names[sym.index()])
+        }
     }
 
     /// Number of interned strings.
@@ -98,52 +97,35 @@ impl Dictionary {
         self.names.iter().map(|n| n.as_ref())
     }
 
-    /// Current fresh-name counter. Durability snapshots persist it so a
-    /// restored dictionary generates the same fresh names the original
-    /// would have.
-    pub fn fresh_counter(&self) -> u32 {
-        self.fresh_counter
-    }
-
-    /// Restores the fresh-name counter (see [`Dictionary::fresh_counter`]).
-    /// Safe at any value: [`Dictionary::fresh`] skips names that are
-    /// already interned.
-    pub fn set_fresh_counter(&mut self, c: u32) {
-        self.fresh_counter = c;
-    }
-
-    /// Interns a globally fresh symbol with the given prefix — used for
-    /// fixpoint variables and intermediate column names that must not
-    /// collide with anything user-visible.
+    /// The next generated symbol, numbered one above the last — for
+    /// fixpoint variables and intermediate columns, which must collide
+    /// neither with anything user-visible nor with each other inside one
+    /// term. Nothing is stored: the symbol is its number, `prefix` what it
+    /// prints with.
     pub fn fresh(&mut self, prefix: &str) -> Sym {
-        loop {
-            self.fresh_counter += 1;
-            let name = format!("{prefix}#{}", self.fresh_counter);
-            if self.lookup(&name).is_none() {
-                return self.intern(&name);
-            }
-        }
+        self.generated += 1;
+        Sym::generated(prefix, self.generated)
     }
 
-    /// The dictionary's present state, to come back to with
+    /// Where the numbering stands, to come back to with
     /// [`Dictionary::truncate`].
     pub fn mark(&self) -> DictMark {
-        DictMark { len: self.names.len(), fresh_counter: self.fresh_counter }
+        DictMark(self.generated)
     }
 
-    /// Forgets every name interned since `mark` was taken and puts the
-    /// fresh-name counter back, so the next fresh names are the ones that
-    /// would have followed the mark. Symbols handed out since then resolve
-    /// no longer (or, later, to other names): the caller must hold none —
-    /// the rewriter re-interns the few that occur in the plan it keeps.
-    ///
-    /// # Panics
-    /// Panics if `mark` was taken from a longer dictionary.
+    /// Puts the numbering back to `mark`: the next fresh symbols are the
+    /// ones that followed it before. The caller must hold no symbol handed
+    /// out since, or have moved its numbers out of the way — the rewriter
+    /// renumbers the plan it keeps.
     pub fn truncate(&mut self, mark: DictMark) {
-        for name in self.names.drain(mark.len..) {
-            self.map.remove(&name);
-        }
-        self.fresh_counter = mark.fresh_counter;
+        self.generated = mark.0;
+    }
+
+    /// Makes the next fresh symbols number above `number`: what a caller
+    /// does before it mints symbols into a term that already holds
+    /// generated ones.
+    pub fn number_above(&mut self, number: u32) {
+        self.generated = self.generated.max(number);
     }
 }
 
@@ -327,17 +309,19 @@ mod tests {
         let mark = d.mark();
         let scratch = d.fresh("X");
         d.intern("b");
-        assert!(mark.is_after(scratch) && !mark.is_after(kept));
-        let scratch_name = d.resolve(scratch).to_string();
+        assert!(kept < scratch && a < kept, "by number, after every name");
         d.truncate(mark);
-        assert_eq!(d.len(), 2);
         assert_eq!(d.mark(), mark);
-        assert_eq!(d.lookup("b"), None);
-        assert_eq!(d.lookup(&scratch_name), None);
-        assert_eq!((d.resolve(a), d.resolve(kept)), ("a", "X#1"));
-        // The names that would have followed the mark follow it again.
-        let again = d.fresh("X");
-        assert_eq!((again, d.resolve(again)), (scratch, scratch_name.as_str()));
+        // Names stay; generated symbols were never stored.
+        assert_eq!((d.len(), d.lookup("b")), (2, Some(Sym(1))));
+        assert_eq!((d.resolve(a), d.resolve(kept)), ("a".into(), "X#1".into()));
+        // The symbols that followed the mark follow it again.
+        assert_eq!(d.fresh("X"), scratch);
+        // Numbering above a term's symbols only ever moves forward.
+        d.number_above(1);
+        assert_eq!(d.fresh("m").number(), Some(3));
+        d.number_above(40);
+        assert_eq!(d.fresh("m").number(), Some(41));
     }
 
     #[test]
@@ -390,11 +374,14 @@ mod tests {
     #[test]
     fn fresh_never_collides() {
         let mut d = Dictionary::new();
-        d.intern("X#1");
+        // A name that looks generated is a name.
+        let named = d.intern("X#1");
         let f1 = d.fresh("X");
         let f2 = d.fresh("X");
         assert_ne!(f1, f2);
-        assert_ne!(d.resolve(f1), "X#1");
+        assert_eq!((d.resolve(f1), d.resolve(named)), ("X#1".into(), "X#1".into()));
+        assert!(f1 != named && f1.is_generated() && !named.is_generated());
+        assert_eq!(d.len(), 1, "generated symbols enter no table");
     }
 
     #[test]

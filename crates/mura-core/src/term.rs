@@ -6,8 +6,10 @@
 //! relations embed a materialized [`Relation`] behind an `Arc` so that plan
 //! rewriting can clone terms cheaply.
 
+use crate::fxhash::{FxHashMap, FxHasher};
 use crate::relation::Relation;
 use crate::value::{Sym, Value};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A filter predicate (conjunctions are a `Vec<Pred>` on [`Term::Filter`]).
@@ -224,6 +226,63 @@ impl Term {
         })
     }
 
+    /// Calls `f` on every name of the term, in the order the term renders:
+    /// variables, binders, the columns operators and constant relations
+    /// name. String *values* in predicates are data and are not visited.
+    pub fn for_each_symbol(&self, f: &mut impl FnMut(Sym)) {
+        match self {
+            Term::Var(v) | Term::Fix(v, _) => f(*v),
+            Term::Cst(r) => r.schema().columns().iter().for_each(|c| f(*c)),
+            Term::Filter(ps, _) => ps.iter().flat_map(Pred::columns).for_each(&mut *f),
+            Term::Rename(a, b, _) => [*a, *b].into_iter().for_each(&mut *f),
+            Term::AntiProject(cs, _) => cs.iter().for_each(|c| f(*c)),
+            Term::Join(..) | Term::Antijoin(..) | Term::Union(..) => {}
+        }
+        for child in self.children() {
+            child.for_each_symbol(f);
+        }
+    }
+
+    /// Replaces every name [`Term::for_each_symbol`] visits by `f` of it.
+    ///
+    /// # Panics
+    /// Panics if `f` renames a column of a constant relation: no rule and
+    /// no frontend builds one over names that are not the user's.
+    pub fn rename_symbols(&mut self, f: &mut impl FnMut(Sym) -> Sym) {
+        match self {
+            Term::Var(v) => *v = f(*v),
+            Term::Cst(r) => assert!(
+                r.schema().columns().iter().all(|c| f(*c) == *c),
+                "renaming a column of a constant relation"
+            ),
+            Term::Filter(ps, inner) => {
+                for p in ps {
+                    match p {
+                        Pred::Eq(c, _) | Pred::Neq(c, _) => *c = f(*c),
+                        Pred::EqCol(a, b) => (*a, *b) = (f(*a), f(*b)),
+                    }
+                }
+                inner.rename_symbols(f);
+            }
+            Term::Rename(a, b, inner) => {
+                (*a, *b) = (f(*a), f(*b));
+                inner.rename_symbols(f);
+            }
+            Term::AntiProject(cs, inner) => {
+                cs.iter_mut().for_each(|c| *c = f(*c));
+                inner.rename_symbols(f);
+            }
+            Term::Fix(x, body) => {
+                *x = f(*x);
+                body.rename_symbols(f);
+            }
+            Term::Join(a, b) | Term::Antijoin(a, b) | Term::Union(a, b) => {
+                a.rename_symbols(f);
+                b.rename_symbols(f);
+            }
+        }
+    }
+
     /// Capture-avoiding substitution of variable `v` by term `by`.
     ///
     /// `by` must not contain free occurrences of any fixpoint variable bound
@@ -255,66 +314,118 @@ impl Term {
 /// `Arc<Relation>`), so the key is computed by a structural walk that hashes
 /// constant relations through their schema and sorted rows —
 /// order-insensitive, like relation equality. Two structurally equal terms
-/// (including equal constant contents) get the same key. The serving layer
-/// keys its result cache and circuit breakers on this, and the incremental
-/// view maintenance layer uses it to match captured fixpoint totals to the
-/// `Fix` subterms of a cached plan.
+/// (including equal constant contents) get the same key. This is *the* key
+/// of a plan: the serving layer files results and circuit breakers under
+/// it, and the incremental view maintenance layer matches captured fixpoint
+/// totals to the `Fix` subterms of a cached plan with it — which is why it
+/// tells apart two sibling fixpoints that differ in their binders only.
 pub fn term_key(t: &Term) -> u64 {
-    use std::hash::{Hash, Hasher};
-    fn go(t: &Term, h: &mut crate::fxhash::FxHasher) {
-        match t {
-            Term::Var(v) => {
-                0u8.hash(h);
-                v.hash(h);
+    let mut h = FxHasher::default();
+    hash_term(t, &mut h, &mut |s, h| s.hash(h));
+    h.finish()
+}
+
+/// [`term_key`] modulo generated symbols: each generated symbol hashes as
+/// the index of its first occurrence in the walk, so terms that differ only
+/// in which fresh symbols a derivation minted get the same key, while
+/// interned names keep their identity. Distinct symbols stay distinct (the
+/// numbering is injective). The planner's memo and its observed
+/// cardinalities are keyed by this; nothing that outlives a search is.
+///
+/// `pinned` symbols — recursion variables bound by an *enclosing* fixpoint
+/// — hash by identity even when generated: a subterm mentioning an outer
+/// `X` must not be conflated with an equal-shaped subterm mentioning a
+/// different outer variable.
+pub fn canon_key(t: &Term, pinned: &[Sym]) -> u64 {
+    let mut ids: FxHashMap<Sym, u64> = FxHashMap::default();
+    let mut h = FxHasher::default();
+    hash_term(t, &mut h, &mut |s, h| {
+        if s.is_generated() && !pinned.contains(&s) {
+            let next = ids.len() as u64;
+            0xF5u8.hash(h);
+            ids.entry(s).or_insert(next).hash(h);
+        } else {
+            0x5Fu8.hash(h);
+            s.hash(h);
+        }
+    });
+    h.finish()
+}
+
+/// The walk both keys share; `sym` hashes one symbol.
+fn hash_term(t: &Term, h: &mut FxHasher, sym: &mut impl FnMut(Sym, &mut FxHasher)) {
+    match t {
+        Term::Var(v) => {
+            0u8.hash(h);
+            sym(*v, h);
+        }
+        Term::Cst(r) => {
+            1u8.hash(h);
+            r.schema().arity().hash(h);
+            for c in r.schema().columns() {
+                sym(*c, h);
             }
-            Term::Cst(r) => {
-                1u8.hash(h);
-                r.schema().columns().hash(h);
-                for row in r.iter_sorted() {
-                    row.hash(h);
-                }
-            }
-            Term::Filter(ps, inner) => {
-                2u8.hash(h);
-                ps.hash(h);
-                go(inner, h);
-            }
-            Term::Rename(a, b, inner) => {
-                3u8.hash(h);
-                a.hash(h);
-                b.hash(h);
-                go(inner, h);
-            }
-            Term::AntiProject(cs, inner) => {
-                4u8.hash(h);
-                cs.hash(h);
-                go(inner, h);
-            }
-            Term::Join(a, b) => {
-                5u8.hash(h);
-                go(a, h);
-                go(b, h);
-            }
-            Term::Antijoin(a, b) => {
-                6u8.hash(h);
-                go(a, h);
-                go(b, h);
-            }
-            Term::Union(a, b) => {
-                7u8.hash(h);
-                go(a, h);
-                go(b, h);
-            }
-            Term::Fix(x, body) => {
-                8u8.hash(h);
-                x.hash(h);
-                go(body, h);
+            for row in r.iter_sorted() {
+                row.hash(h);
             }
         }
+        Term::Filter(ps, inner) => {
+            2u8.hash(h);
+            // Length, then per predicate its discriminant as `isize`: what
+            // the derived `Hash` of `Vec<Pred>` feeds the hasher, so
+            // `term_key` is the value it was when it hashed `ps` whole.
+            ps.len().hash(h);
+            for p in ps {
+                match p {
+                    Pred::Eq(c, v) => {
+                        0isize.hash(h);
+                        sym(*c, h);
+                        v.hash(h);
+                    }
+                    Pred::Neq(c, v) => {
+                        1isize.hash(h);
+                        sym(*c, h);
+                        v.hash(h);
+                    }
+                    Pred::EqCol(a, b) => {
+                        2isize.hash(h);
+                        sym(*a, h);
+                        sym(*b, h);
+                    }
+                }
+            }
+            hash_term(inner, h, sym);
+        }
+        Term::Rename(a, b, inner) => {
+            3u8.hash(h);
+            sym(*a, h);
+            sym(*b, h);
+            hash_term(inner, h, sym);
+        }
+        Term::AntiProject(cs, inner) => {
+            4u8.hash(h);
+            cs.len().hash(h);
+            for c in cs {
+                sym(*c, h);
+            }
+            hash_term(inner, h, sym);
+        }
+        Term::Join(a, b) | Term::Antijoin(a, b) | Term::Union(a, b) => {
+            let tag: u8 = match t {
+                Term::Join(..) => 5,
+                Term::Antijoin(..) => 6,
+                _ => 7,
+            };
+            tag.hash(h);
+            hash_term(a, h, sym);
+            hash_term(b, h, sym);
+        }
+        Term::Fix(x, body) => {
+            8u8.hash(h);
+            sym(*x, h);
+            hash_term(body, h, sym);
+        }
     }
-    let mut h = crate::fxhash::FxHasher::default();
-    go(t, &mut h);
-    h.finish()
 }
 
 /// Pretty printer for terms (see [`Term::display`]).
@@ -457,6 +568,48 @@ mod tests {
             Term::Filter(ps, _) => assert_eq!(ps.len(), 2),
             _ => panic!("expected merged filter"),
         }
+    }
+
+    #[test]
+    fn term_key_is_structural() {
+        let e = Sym(1);
+        let x = Sym(2);
+        let t1 = Term::var(e).union(Term::var(x).join(Term::var(e))).fix(x);
+        let t2 = Term::var(e).union(Term::var(x).join(Term::var(e))).fix(x);
+        assert_eq!(term_key(&t1), term_key(&t2));
+        let t3 = Term::var(e).union(Term::var(e).join(Term::var(x))).fix(x);
+        assert_ne!(term_key(&t1), term_key(&t3), "join order must matter");
+    }
+
+    #[test]
+    fn term_key_sees_constant_rows_order_insensitively() {
+        let (a, b) = (Sym(3), Sym(4));
+        let r1 = Relation::from_pairs(a, b, [(1, 2), (3, 4)]);
+        let r2 = Relation::from_pairs(a, b, [(3, 4), (1, 2)]);
+        let r3 = Relation::from_pairs(a, b, [(1, 2), (3, 5)]);
+        assert_eq!(term_key(&Term::cst(r1)), term_key(&Term::cst(r2)));
+        assert_ne!(
+            term_key(&Term::cst(Relation::from_pairs(a, b, [(1, 2)]))),
+            term_key(&Term::cst(r3))
+        );
+    }
+
+    #[test]
+    fn symbols_are_visited_in_rendering_order_and_renamed_in_place() {
+        let mut d = Dictionary::new();
+        let (e, src, dst) = (d.intern("E"), d.intern("src"), d.intern("dst"));
+        let (x, m) = (d.fresh("X"), d.fresh("m"));
+        let step = Term::var(x).rename(dst, m).join(Term::var(e).rename(src, m)).antiproject(m);
+        let mut t = Term::var(e).filter(Pred::EqCol(src, dst)).union(step).fix(x);
+        let mut seen = Vec::new();
+        t.for_each_symbol(&mut |s| seen.push(s));
+        assert_eq!(seen, [x, src, dst, e, m, dst, m, x, src, m, e]);
+        let before = t.display(&d).to_string();
+        t.rename_symbols(&mut |s| match s.number() {
+            Some(n) => s.with_number(n + 10),
+            None => s,
+        });
+        assert_eq!(t.display(&d).to_string(), before.replace("X#1", "X#11").replace("m#2", "m#12"));
     }
 
     #[test]

@@ -157,7 +157,7 @@ mod tests {
         assert_eq!(db1.total_rows(), db2.total_rows());
         for (name, rel) in db1.relations() {
             let n = db1.dict().resolve(name);
-            assert_eq!(db2.relation_by_name(n).map(|r| r.len()), Some(rel.len()), "{n} differs");
+            assert_eq!(db2.relation_by_name(&n).map(|r| r.len()), Some(rel.len()), "{n} differs");
         }
     }
 

@@ -147,7 +147,7 @@ impl Compiler<'_> {
                 rules.iter().map(|r| self.compile_rule(r, None)).collect::<Result<Vec<_>>>()?;
             return Ok(Term::union_all(terms));
         }
-        let x = self.db.dict_mut().fresh(&format!("DL_{pred}"));
+        let x = self.db.dict_mut().fresh("DL");
         let mut branches = Vec::new();
         // Constant part first (decomposition-friendly ordering).
         for r in rules.iter().filter(|r| !r.body.iter().any(|a| a.pred == pred)) {

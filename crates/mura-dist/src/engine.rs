@@ -111,7 +111,7 @@ fn explain_rec(
             explain_rec(inner, db, env, depth + 1, out);
         }
         Term::AntiProject(cs, inner) => {
-            let cols: Vec<&str> = cs.iter().map(|c| db.dict().resolve(*c)).collect();
+            let cols: Vec<_> = cs.iter().map(|c| db.dict().resolve(*c)).collect();
             let _ = writeln!(out, "{pad}drop {}", cols.join(","));
             explain_rec(inner, db, env, depth + 1, out);
         }
@@ -133,7 +133,7 @@ fn explain_rec(
         Term::Fix(x, body) => {
             let note = match mura_core::analysis::stable_columns(*x, body, env) {
                 Ok(stable) if !stable.is_empty() => {
-                    let cols: Vec<&str> = stable.iter().map(|c| db.dict().resolve(*c)).collect();
+                    let cols: Vec<_> = stable.iter().map(|c| db.dict().resolve(*c)).collect();
                     format!("stable: {} -> P_plw", cols.join(","))
                 }
                 Ok(_) => "no stable column -> P_gld".to_string(),
@@ -234,8 +234,9 @@ impl QueryEngine {
         self.plan_ucrpq_with(query, observed, Rewriter::optimize_explained)
     }
 
-    /// Translation and search in one bracket: the names the frontend mints
-    /// for the raw term leave with the search's unless the plan keeps them.
+    /// Translation and search in one bracket: the numbers the frontend
+    /// mints for the raw term are given back with the search's, and the
+    /// plan numbers what it keeps of either.
     fn plan_ucrpq_with(
         &mut self,
         query: &str,

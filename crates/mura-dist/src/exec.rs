@@ -249,8 +249,8 @@ impl<'db> DistEvaluator<'db> {
         if let Some(backend) = &config.backend {
             cluster = cluster.with_backend(Arc::clone(backend));
         }
-        let deadline = config.limits.timeout.map(|t| Instant::now() + t);
-        let budget = Budget::new(config.limits.max_rows, deadline)
+        let budget = Budget::new(config.limits.max_rows, None)
+            .with_timeout(config.limits.timeout)
             .with_max_bytes(config.limits.max_bytes)
             .with_cancel(config.cancel.clone());
         let sink = (config.trace > TraceLevel::Off).then(|| Arc::new(TraceSink::new(config.trace)));

@@ -35,7 +35,7 @@ use mura_core::{
 use mura_obs::trace::{EventKind, TraceEvent};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Which local engine runs the per-worker loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,21 +62,32 @@ pub struct Budget {
     used_bytes: AtomicU64,
     max_rows: Option<u64>,
     max_bytes: Option<u64>,
-    deadline: Option<Instant>,
+    /// The deadline, and the timeout it was set from (for the error).
+    timeout: Option<(Instant, Duration)>,
     cancel: Option<CancellationToken>,
 }
 
 impl Budget {
-    /// A budget with optional row cap and deadline.
+    /// A budget with optional row cap and deadline. A deadline given here
+    /// is reported as the time that was left to it; an engine that has the
+    /// configured timeout attaches it with [`Budget::with_timeout`].
     pub fn new(max_rows: Option<u64>, deadline: Option<Instant>) -> Self {
+        let timeout = deadline.map(|d| (d, d.saturating_duration_since(Instant::now())));
         Budget {
             produced: AtomicU64::new(0),
             used_bytes: AtomicU64::new(0),
             max_rows,
             max_bytes: None,
-            deadline,
+            timeout,
             cancel: None,
         }
+    }
+
+    /// Attaches the engine-level timeout, running from now; expiry reports
+    /// it ([`MuraError::Timeout`]) as centralized evaluation does.
+    pub fn with_timeout(mut self, timeout: Option<Duration>) -> Self {
+        self.timeout = timeout.map(|t| (Instant::now() + t, t));
+        self
     }
 
     /// Attaches a cancellation token, consulted by [`Budget::check`].
@@ -129,9 +140,9 @@ impl Budget {
     /// its per-request deadline passed (`Cancelled` / `DeadlineExceeded`).
     /// Charges nothing, so loops can call it before producing any rows.
     pub fn check(&self) -> Result<()> {
-        if let Some(d) = self.deadline {
-            if Instant::now() > d {
-                return Err(MuraError::Timeout { millis: 0 });
+        if let Some((deadline, timeout)) = self.timeout {
+            if Instant::now() > deadline {
+                return Err(MuraError::Timeout { millis: timeout.as_millis() as u64 });
             }
         }
         if let Some(c) = &self.cancel {

@@ -82,7 +82,8 @@ fn timeout_expiry_aborts_every_plan() {
             timeout: Some(Duration::from_millis(1)),
         };
         let err = run(plan, limits, None).expect_err("1 ms budget must expire");
-        assert!(matches!(err, MuraError::Timeout { .. }), "{plan:?}: expected Timeout, got {err}");
+        assert!(matches!(err, MuraError::Timeout { millis: 1 }), "{plan:?}: got {err}");
+        assert_eq!(err.to_string(), "evaluation timed out after 1 ms", "{plan:?}");
     }
 }
 

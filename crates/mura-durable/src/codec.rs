@@ -264,16 +264,15 @@ pub fn get_delta_batch(cur: &mut Cur) -> Result<DeltaBatch, CodecError> {
     Ok(batch)
 }
 
-/// Encodes a full database: dictionary (names in symbol order plus the
-/// fresh-name counter), constants, and relations, both in sorted symbol
-/// order.
+/// Encodes a full database: dictionary (names in symbol order — generated
+/// symbols are numbers and have no entry), constants, and relations, both
+/// in sorted symbol order.
 pub fn put_database(out: &mut Vec<u8>, db: &Database) {
     let dict = db.dict();
     put_u32(out, dict.len() as u32);
     for name in dict.names() {
         put_string(out, name);
     }
-    put_u32(out, dict.fresh_counter());
 
     let mut consts: Vec<(Sym, Value)> = db.constants().collect();
     consts.sort_unstable_by_key(|(s, _)| *s);
@@ -301,8 +300,6 @@ pub fn get_database(cur: &mut Cur) -> Result<Database, CodecError> {
         let name = cur.string()?;
         db.intern(&name);
     }
-    let fresh = cur.u32()?;
-    db.dict_mut().set_fresh_counter(fresh);
 
     let n_consts = cur.seq_len(5)?;
     for _ in 0..n_consts {
@@ -447,11 +444,12 @@ mod tests {
 
     #[test]
     fn relation_bytes_and_term_keys_are_the_recorded_ones() {
-        // Canonical forms other state depends on: snapshot bytes (format
-        // stays at 2) and the term keys caches and views are filed under.
+        // Canonical forms other state depends on: snapshot bytes and the
+        // term keys caches and views are filed under (format 3 changed
+        // neither: it dropped the dictionary's counter).
         // Rows go in unsorted and mixed; what comes out was recorded when
         // both were produced from a sorted vector of boxed rows.
-        assert_eq!(crate::snapshot::SNAP_FORMAT, 2);
+        assert_eq!(crate::snapshot::SNAP_FORMAT, 3);
         let rel = Relation::from_rows(
             Schema::new(vec![Sym(3), Sym(5)]),
             [
@@ -471,7 +469,7 @@ mod tests {
     }
 
     #[test]
-    fn database_round_trip_preserves_symbols_and_fresh_counter() {
+    fn database_round_trip_preserves_symbols() {
         let db = sample_db();
         let mut out = Vec::new();
         put_database(&mut out, &db);
@@ -479,7 +477,6 @@ mod tests {
         let back = get_database(&mut cur).unwrap();
         cur.expect_done().unwrap();
         assert_eq!(back.dict().len(), db.dict().len());
-        assert_eq!(back.dict().fresh_counter(), db.dict().fresh_counter());
         for (i, name) in db.dict().names().enumerate() {
             assert_eq!(back.dict().resolve(Sym(i as u32)), name);
         }

@@ -19,8 +19,9 @@ use std::path::{Path, PathBuf};
 
 /// Snapshot file magic.
 pub const SNAP_MAGIC: &[u8; 8] = b"MURASNP1";
-/// On-disk format version (2: relations are `mura_core::codec` row blocks).
-pub const SNAP_FORMAT: u32 = 2;
+/// On-disk format version (2: relations are `mura_core::codec` row blocks;
+/// 3: generated symbols are numbers, the dictionary stores no counter).
+pub const SNAP_FORMAT: u32 = 3;
 
 /// Snapshot failure. Unlike WAL torn tails, there is no partial-snapshot
 /// recovery: a file either validates end-to-end or is skipped.
@@ -308,7 +309,6 @@ mod tests {
         assert_eq!(loaded.version, 17);
         assert_eq!(loaded.epoch, 1);
         assert_eq!(loaded.db.total_rows(), state.db.total_rows());
-        assert_eq!(loaded.db.dict().fresh_counter(), state.db.dict().fresh_counter());
         assert_eq!(loaded.views.len(), 1);
         assert_eq!(loaded.views[0].plan, state.views[0].plan);
         assert_eq!(loaded.views[0].relation.sorted_rows(), state.views[0].relation.sorted_rows());
@@ -340,6 +340,24 @@ mod tests {
         std::fs::write(&newest, &bytes[..7]).unwrap();
         let (loaded, _) = load_newest_snapshot(&dir).unwrap();
         assert_eq!(loaded.unwrap().version, 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_of_the_format_before_is_refused() {
+        let dir = tmpdir("format2");
+        let path = write_snapshot(&dir, &sample_state(4)).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let refused = read_snapshot(&path).unwrap_err();
+        assert!(
+            matches!(&refused, SnapshotError::Corrupt { what, .. } if what.contains("format version")),
+            "{refused}"
+        );
+        let (loaded, skipped) = load_newest_snapshot(&dir).unwrap();
+        assert!(loaded.is_none());
+        assert_eq!(skipped, vec![path]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -29,8 +29,9 @@ use std::path::{Path, PathBuf};
 
 /// WAL file magic.
 pub const WAL_MAGIC: &[u8; 8] = b"MURAWAL1";
-/// On-disk format version (2: relations are `mura_core::codec` row blocks).
-pub const WAL_FORMAT: u32 = 2;
+/// On-disk format version (2: relations are `mura_core::codec` row blocks;
+/// 3: a logged database stores no fresh-symbol counter).
+pub const WAL_FORMAT: u32 = 3;
 /// WAL file name inside the data directory.
 pub const WAL_FILE: &str = "wal.log";
 /// Header size: magic + format version.
@@ -444,8 +445,11 @@ mod tests {
     #[test]
     fn bad_header_is_a_typed_error() {
         assert!(matches!(replay_bytes(b"NOTAWAL!\x01\x00\x00\x00"), Err(WalError::BadHeader)));
-        let wrong_ver = [&WAL_MAGIC[..], &99u32.to_le_bytes()[..]].concat();
-        assert!(matches!(replay_bytes(&wrong_ver), Err(WalError::BadHeader)));
+        // A version from the future, and the one before this one.
+        for version in [99u32, WAL_FORMAT - 1] {
+            let wrong_ver = [&WAL_MAGIC[..], &version.to_le_bytes()[..]].concat();
+            assert!(matches!(replay_bytes(&wrong_ver), Err(WalError::BadHeader)));
+        }
     }
 
     /// Satellite: truncating a valid WAL at EVERY byte offset either

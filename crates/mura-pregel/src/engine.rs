@@ -196,7 +196,8 @@ impl PregelEngine {
             }
             if let Some(d) = deadline {
                 if Instant::now() > d {
-                    return Err(MuraError::Timeout { millis: 0 });
+                    let millis = self.config.timeout.unwrap_or_default().as_millis() as u64;
+                    return Err(MuraError::Timeout { millis });
                 }
             }
             // Each partition processes its inbox in parallel.
@@ -452,6 +453,18 @@ mod tests {
             PregelEngine::new(d, PregelConfig { max_messages: Some(10), ..Default::default() });
         let err = engine.run_ucrpq("?x, ?y <- ?x a1+ ?y").unwrap_err();
         assert!(matches!(err, MuraError::ResourceExhausted { .. }));
+    }
+
+    #[test]
+    fn timeout_reports_the_configured_time() {
+        // A closure of several hundred thousand pairs: far more than 1 ms.
+        let mut rng = SplitMix64::seed_from_u64(33);
+        let mut d = with_random_labels(&erdos_renyi(600, 0.01, 17), 2, &mut rng).to_database();
+        let _ = mura_ucrpq::to_mura(&parse_ucrpq("?x, ?y <- ?x (a1|a2)+ ?y").unwrap(), &mut d);
+        let timeout = Some(std::time::Duration::from_millis(1));
+        let engine = PregelEngine::new(d, PregelConfig { timeout, ..Default::default() });
+        let err = engine.run_ucrpq("?x, ?y <- ?x (a1|a2)+ ?y").unwrap_err();
+        assert_eq!(err.to_string(), "evaluation timed out after 1 ms");
     }
 
     #[test]

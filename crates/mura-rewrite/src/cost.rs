@@ -7,10 +7,9 @@
 //! the cross product of column domains. The absolute numbers are rough —
 //! what matters is the *ordering* of alternative plans.
 
-use crate::memo::canon_key;
 use mura_core::analysis::decompose_fixpoint;
 use mura_core::fxhash::FxHashMap;
-use mura_core::{Database, Dictionary, MuraError, Pred, Result, Sym, Term};
+use mura_core::{canon_key, Database, MuraError, Pred, Result, Sym, Term};
 use std::cell::Cell;
 
 /// Observed fixpoint totals keyed by [`canon_key`] of the `Fix` subterm
@@ -94,9 +93,8 @@ impl Card {
 /// Cost model: estimates cardinalities and sums intermediate result sizes.
 pub struct CostModel<'s> {
     stats: &'s Stats,
-    /// Observed fixpoint totals (canonical key → measured rows) plus the
-    /// dictionary needed to canonicalize `Fix` subterms during costing.
-    observed: Option<(&'s ObservedCards, &'s Dictionary)>,
+    /// Observed fixpoint totals (canonical key → measured rows).
+    observed: Option<&'s ObservedCards>,
     /// How many fixpoints were costed from an observation during the last
     /// `cost`/`card` call(s).
     observed_hits: Cell<usize>,
@@ -120,8 +118,8 @@ impl<'s> CostModel<'s> {
     /// from previous executions: a `Fix` subterm whose [`canon_key`] is in
     /// `cards` is costed at its measured size instead of the static
     /// expansion estimate.
-    pub fn with_observed(stats: &'s Stats, cards: &'s ObservedCards, dict: &'s Dictionary) -> Self {
-        CostModel { stats, observed: Some((cards, dict)), observed_hits: Cell::new(0) }
+    pub fn with_observed(stats: &'s Stats, cards: &'s ObservedCards) -> Self {
+        CostModel { stats, observed: Some(cards), observed_hits: Cell::new(0) }
     }
 
     /// Number of fixpoints costed from an observation since construction.
@@ -320,11 +318,9 @@ impl<'s> CostModel<'s> {
                     };
                     // Observed totals beat any static estimate: a previous
                     // execution measured this exact (canonicalized) fixpoint.
-                    if let Some((cards, dict)) = self.observed {
-                        if let Some(&obs) = cards.get(&canon_key(term, dict, &[])) {
-                            rows = obs.max(1.0);
-                            self.observed_hits.set(self.observed_hits.get() + 1);
-                        }
+                    if let Some(&obs) = self.observed.and_then(|c| c.get(&canon_key(term, &[]))) {
+                        rows = obs.max(1.0);
+                        self.observed_hits.set(self.observed_hits.get() + 1);
                     }
                     let distinct =
                         step_distinct.into_iter().map(|(c, d)| (c, d.min(rows))).collect();

@@ -21,13 +21,12 @@
 
 use crate::closure::{compose, compose_alternatives, recognize, reversal_alternatives};
 use crate::memo::{
-    canon_key, GroupId, Memo, RuleMask, RULE_ALL, RULE_COMPOSE, RULE_JOIN_PUSH, RULE_REVERSE,
-    RULE_ROLLOUT,
+    GroupId, Memo, RuleMask, RULE_ALL, RULE_COMPOSE, RULE_JOIN_PUSH, RULE_REVERSE, RULE_ROLLOUT,
 };
 use crate::rewriter::{recognize_compose, Rewriter};
 use crate::rules;
 use mura_core::analysis::TypeEnv;
-use mura_core::{Database, Result, Sym, Term};
+use mura_core::{canon_key, Database, Result, Sym, Term};
 
 /// Enumeration budget knobs.
 #[derive(Debug, Clone)]
@@ -108,7 +107,7 @@ fn closed(t: &Term, bound: &[Sym]) -> bool {
 /// a database other than the one they were translated with may carry
 /// foreign symbols, which `Term::display` cannot render).
 fn displayable(t: &Term, dict: &mura_core::Dictionary) -> bool {
-    let ok = |s: Sym| s.index() < dict.len();
+    let ok = |s: Sym| s.is_generated() || s.index() < dict.len();
     let syms_ok = match t {
         Term::Var(v) => ok(*v),
         Term::Cst(r) => r.schema().columns().iter().all(|c| ok(*c)),
@@ -136,14 +135,14 @@ impl<'r> Enumerator<'r> {
         env: &mut TypeEnv,
         bound: &mut Vec<Sym>,
     ) -> Result<GroupId> {
-        let key0 = canon_key(t, db.dict(), bound);
+        let key0 = canon_key(t, bound);
         if let Some(gid) = self.memo.lookup(key0) {
             return Ok(gid);
         }
         let gid = self.memo.create(key0);
         let (src, dst) = (self.rw.src(), self.rw.dst());
         // The term itself is always a member.
-        self.add(gid, t.clone(), db, env, bound, 0, false);
+        self.add(gid, t.clone(), env, bound, 0, false);
 
         // Decision points mirror the greedy pass, but instead of picking one
         // alternative we combine the children's surviving members and keep
@@ -160,9 +159,9 @@ impl<'r> Enumerator<'r> {
                             continue; // vary one operand at a time
                         }
                         let original = compose(ta.clone(), tb.clone(), src, dst, db.dict_mut());
-                        self.add(gid, original, db, env, bound, 0, false);
+                        self.add(gid, original, env, bound, 0, false);
                         for alt in compose_alternatives(ta, tb, src, dst, env, db.dict_mut()) {
-                            self.add(gid, alt, db, env, bound, RULE_COMPOSE, true);
+                            self.add(gid, alt, env, bound, RULE_COMPOSE, true);
                         }
                     }
                 }
@@ -172,10 +171,10 @@ impl<'r> Enumerator<'r> {
                 let gi = self.explore(inner, db, env, bound)?;
                 for it in self.memo.top_terms(gi, self.cfg.pair_limit) {
                     let original = Term::Filter(preds.clone(), Box::new(it.clone()));
-                    self.add(gid, original, db, env, bound, 0, false);
+                    self.add(gid, original, env, bound, 0, false);
                     if let Some(form) = recognize(&it, src, dst, env) {
                         for alt in reversal_alternatives(preds, &form, db.dict_mut()) {
-                            self.add(gid, alt, db, env, bound, RULE_REVERSE, true);
+                            self.add(gid, alt, env, bound, RULE_REVERSE, true);
                         }
                     }
                 }
@@ -193,13 +192,13 @@ impl<'r> Enumerator<'r> {
                     if i > 0 && j > 0 {
                         continue;
                     }
-                    self.add(gid, ta.clone().join(tb.clone()), db, env, bound, 0, false);
+                    self.add(gid, ta.clone().join(tb.clone()), env, bound, 0, false);
                     if both_closed {
                         if let Some(alt) = rules::join_into_fix_through_renames(ta, tb, env) {
-                            self.add(gid, alt, db, env, bound, RULE_JOIN_PUSH, true);
+                            self.add(gid, alt, env, bound, RULE_JOIN_PUSH, true);
                         }
                         if let Some(alt) = rules::join_into_fix_through_renames(tb, ta, env) {
-                            self.add(gid, alt, db, env, bound, RULE_JOIN_PUSH, true);
+                            self.add(gid, alt, env, bound, RULE_JOIN_PUSH, true);
                         }
                     }
                 }
@@ -239,7 +238,7 @@ impl<'r> Enumerator<'r> {
         };
         let gi = self.explore(inner, db, env, bound)?;
         for it in self.memo.top_terms(gi, self.cfg.pair_limit) {
-            self.add(gid, wrap(it), db, env, bound, 0, false);
+            self.add(gid, wrap(it), env, bound, 0, false);
         }
         Ok(())
     }
@@ -275,7 +274,7 @@ impl<'r> Enumerator<'r> {
                             }
                             _ => Term::Union(Box::new(ta.clone()), Box::new(tb.clone())),
                         };
-                        self.add(gid, rebuilt, db, env, bound, 0, false);
+                        self.add(gid, rebuilt, env, bound, 0, false);
                     }
                 }
             }
@@ -285,7 +284,7 @@ impl<'r> Enumerator<'r> {
                 bound.pop();
                 let gb = gb?;
                 for bt in self.memo.top_terms(gb, self.cfg.pair_limit) {
-                    self.add(gid, Term::Fix(*x, Box::new(bt)), db, env, bound, 0, false);
+                    self.add(gid, Term::Fix(*x, Box::new(bt)), env, bound, 0, false);
                 }
             }
         }
@@ -330,7 +329,7 @@ impl<'r> Enumerator<'r> {
                 if mask & RULE_COMPOSE == 0 {
                     if let Some((a, b, _m)) = recognize_compose(&term, src, dst) {
                         for alt in compose_alternatives(&a, &b, src, dst, env, db.dict_mut()) {
-                            added |= self.add(gid, alt, db, env, bound, RULE_COMPOSE, true);
+                            added |= self.add(gid, alt, env, bound, RULE_COMPOSE, true);
                         }
                     }
                 }
@@ -338,7 +337,7 @@ impl<'r> Enumerator<'r> {
                     if let Term::Filter(preds, inner) = &term {
                         if let Some(form) = recognize(inner, src, dst, env) {
                             for alt in reversal_alternatives(preds, &form, db.dict_mut()) {
-                                added |= self.add(gid, alt, db, env, bound, RULE_REVERSE, true);
+                                added |= self.add(gid, alt, env, bound, RULE_REVERSE, true);
                             }
                         }
                     }
@@ -346,10 +345,10 @@ impl<'r> Enumerator<'r> {
                 if mask & RULE_JOIN_PUSH == 0 {
                     if let Term::Join(a, b) = &term {
                         if let Some(alt) = rules::join_into_fix_through_renames(a, b, env) {
-                            added |= self.add(gid, alt, db, env, bound, RULE_JOIN_PUSH, true);
+                            added |= self.add(gid, alt, env, bound, RULE_JOIN_PUSH, true);
                         }
                         if let Some(alt) = rules::join_into_fix_through_renames(b, a, env) {
-                            added |= self.add(gid, alt, db, env, bound, RULE_JOIN_PUSH, true);
+                            added |= self.add(gid, alt, env, bound, RULE_JOIN_PUSH, true);
                         }
                     }
                 }
@@ -358,7 +357,7 @@ impl<'r> Enumerator<'r> {
                         self.sweeps += sweeps;
                         // Rollout output is the greedy pipeline's fixpoint:
                         // fully derived, nothing left to expand from it.
-                        added |= self.add(gid, rolled, db, env, bound, RULE_ALL, true);
+                        added |= self.add(gid, rolled, env, bound, RULE_ALL, true);
                     }
                 }
             }
@@ -374,12 +373,10 @@ impl<'r> Enumerator<'r> {
     /// Admits a candidate into a group: normalize (closed terms only),
     /// canonicalize, cost, dedup, respect the global budget. Returns
     /// whether the member was new.
-    #[allow(clippy::too_many_arguments)]
     fn add(
         &mut self,
         gid: GroupId,
         t: Term,
-        db: &mut Database,
         env: &mut TypeEnv,
         bound: &[Sym],
         mask: RuleMask,
@@ -390,8 +387,8 @@ impl<'r> Enumerator<'r> {
             return false;
         }
         let t = if bound.is_empty() { rules::normalize(&t, env) } else { t };
-        let key = canon_key(&t, db.dict(), bound);
-        let cost = match self.rw.cost_with(&t, db.dict()) {
+        let key = canon_key(&t, bound);
+        let cost = match self.rw.cost_with(&t) {
             Some((c, _)) => c,
             None if require_cost => return false,
             None => f64::INFINITY,
@@ -415,7 +412,6 @@ impl<'r> Enumerator<'r> {
     pub(crate) fn finish(
         self,
         gid: GroupId,
-        db: &Database,
         pipeline: Term,
         pipeline_cost: f64,
         improvement: f64,
@@ -427,7 +423,7 @@ impl<'r> Enumerator<'r> {
             }
             _ => (pipeline, pipeline_cost, false),
         };
-        let observed_fixpoints = self.rw.cost_with(&winner, db.dict()).map(|(_, h)| h).unwrap_or(0);
+        let observed_fixpoints = self.rw.cost_with(&winner).map(|(_, h)| h).unwrap_or(0);
         let report = EnumReport {
             groups: self.memo.group_count(),
             candidates: self.candidates,
@@ -570,10 +566,10 @@ mod tests {
             t.children().iter().find_map(|c| first_fix(c))
         }
         let fix = first_fix(&winner).expect("winner has a fixpoint");
-        cards.insert(canon_key(fix, db.dict(), &[]), 1e9);
+        cards.insert(canon_key(fix, &[]), 1e9);
         let rw2 = Rewriter::new(&mut db).with_observations(cards.into());
-        let (static_cost, _) = rw.cost_with(&winner, db.dict()).unwrap();
-        let (obs_cost, hits) = rw2.cost_with(&winner, db.dict()).unwrap();
+        let (static_cost, _) = rw.cost_with(&winner).unwrap();
+        let (obs_cost, hits) = rw2.cost_with(&winner).unwrap();
         assert!(hits >= 1, "observation must be hit");
         assert!(obs_cost > static_cost * 100.0, "observed {obs_cost} vs static {static_cost}");
     }

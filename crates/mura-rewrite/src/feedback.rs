@@ -30,9 +30,8 @@
 //! [`CostModel::with_observed`]: crate::cost::CostModel::with_observed
 
 use crate::cost::ObservedCards;
-use crate::memo::canon_key;
 use mura_core::fxhash::FxHashMap;
-use mura_core::{term_key, Dictionary, Sym, Term};
+use mura_core::{canon_key, Sym, Term};
 use std::sync::{Arc, OnceLock};
 
 /// Relative change in an observed total that counts as material (bumps the
@@ -102,20 +101,16 @@ impl FeedbackStore {
         Arc::clone(self.cards.get_or_init(build))
     }
 
-    /// Folds the executor's measured fixpoint totals (keyed by
-    /// [`term_key`] of each executed `Fix` subterm) into the store by
-    /// walking `plan` and translating to canonical keys. Returns the number
-    /// of fixpoints recorded. Bumps the generation when the observation set
-    /// changed materially.
-    pub fn record_plan(
-        &mut self,
-        plan: &Term,
-        totals: &FxHashMap<u64, f64>,
-        dict: &Dictionary,
-    ) -> usize {
+    /// Folds the fixpoint totals an execution of `plan` measured into the
+    /// store: `measured` gives the rows of a `Fix` subterm the executor
+    /// captured (`None` for one it did not), and the store files them under
+    /// the subterm's [`canon_key`], the key the cost model asks by. Returns
+    /// the number of fixpoints recorded. Bumps the generation when the
+    /// observation set changed materially.
+    pub fn record_plan(&mut self, plan: &Term, measured: &impl Fn(&Term) -> Option<f64>) -> usize {
         let mut recorded = 0;
         let mut material = false;
-        self.record_rec(plan, totals, dict, &mut recorded, &mut material);
+        self.record_rec(plan, measured, &mut recorded, &mut material);
         if material {
             self.generation += 1;
             self.cards.take();
@@ -126,48 +121,43 @@ impl FeedbackStore {
     fn record_rec(
         &mut self,
         t: &Term,
-        totals: &FxHashMap<u64, f64>,
-        dict: &Dictionary,
+        measured: &impl Fn(&Term) -> Option<f64>,
         recorded: &mut usize,
         material: &mut bool,
     ) {
-        if let Term::Fix(_, _) = t {
-            if let Some(&rows) = totals.get(&term_key(t)) {
-                let key = canon_key(t, dict, &[]);
-                let deps: Vec<(Sym, u64)> = {
-                    let mut rels = Vec::new();
-                    free_rels(t, &mut Vec::new(), &mut rels);
-                    rels.into_iter()
-                        .map(|r| (r, self.churn.get(&r).copied().unwrap_or(0)))
-                        .collect()
-                };
-                *recorded += 1;
-                match self.entries.get_mut(&key) {
-                    Some(obs) => {
-                        // Invariant: observations only change when the
-                        // generation bumps. A re-observation within
-                        // tolerance *confirms* the stored value instead of
-                        // drifting it — the plan cache treats "generation
-                        // unchanged" as "costing inputs unchanged", and
-                        // crash recovery (which rebuilds plans by
-                        // re-planning against the restored store) relies on
-                        // the same property to reproduce cached plans.
-                        if (rows - obs.rows).abs() > MATERIAL_ROWS_CHANGE * obs.rows.max(1.0) {
-                            *material = true;
-                            obs.rows = rows;
-                            obs.deps = deps;
-                        }
-                        obs.runs += 1;
-                    }
-                    None => {
+        if let Some(rows) = matches!(t, Term::Fix(..)).then(|| measured(t)).flatten() {
+            let deps: Vec<(Sym, u64)> = t
+                .free_vars()
+                .into_iter()
+                .map(|r| (r, self.churn.get(&r).copied().unwrap_or(0)))
+                .collect();
+            *recorded += 1;
+            let key = canon_key(t, &[]);
+            match self.entries.get_mut(&key) {
+                Some(obs) => {
+                    // Invariant: observations only change when the
+                    // generation bumps. A re-observation within
+                    // tolerance *confirms* the stored value instead of
+                    // drifting it — the plan cache treats "generation
+                    // unchanged" as "costing inputs unchanged", and
+                    // crash recovery (which rebuilds plans by
+                    // re-planning against the restored store) relies on
+                    // the same property to reproduce cached plans.
+                    if (rows - obs.rows).abs() > MATERIAL_ROWS_CHANGE * obs.rows.max(1.0) {
                         *material = true;
-                        self.entries.insert(key, Observation { rows, runs: 1, deps });
+                        obs.rows = rows;
+                        obs.deps = deps;
                     }
+                    obs.runs += 1;
+                }
+                None => {
+                    *material = true;
+                    self.entries.insert(key, Observation { rows, runs: 1, deps });
                 }
             }
         }
         for c in t.children() {
-            self.record_rec(c, totals, dict, recorded, material);
+            self.record_rec(c, measured, recorded, material);
         }
     }
 
@@ -256,28 +246,6 @@ impl FeedbackStore {
     }
 }
 
-/// Collects the base-relation variables read by `t` (free `Var`s — symbols
-/// not bound by an enclosing `Fix` within `t`).
-fn free_rels(t: &Term, bound: &mut Vec<Sym>, out: &mut Vec<Sym>) {
-    match t {
-        Term::Var(v) => {
-            if !bound.contains(v) && !out.contains(v) {
-                out.push(*v);
-            }
-        }
-        Term::Fix(x, body) => {
-            bound.push(*x);
-            free_rels(body, bound, out);
-            bound.pop();
-        }
-        _ => {
-            for c in t.children() {
-                free_rels(c, bound, out);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,31 +269,27 @@ mod tests {
         let plan1 = tc_fix(&mut db);
         let plan2 = tc_fix(&mut db); // same plan, different fresh symbols
         let mut fb = FeedbackStore::new();
-        let mut totals = FxHashMap::default();
-        totals.insert(term_key(&plan1), 123.0);
-        assert_eq!(fb.record_plan(&plan1, &totals, db.dict()), 1);
+        assert_eq!(fb.record_plan(&plan1, &|_| Some(123.0)), 1);
         let obs = fb.observations();
         // The observation is visible under plan2's canonical key too.
-        assert_eq!(obs.get(&canon_key(&plan2, db.dict(), &[])), Some(&123.0));
+        assert_eq!(obs.get(&canon_key(&plan2, &[])), Some(&123.0));
+        // A fixpoint the executor did not capture records nothing.
+        assert_eq!(fb.record_plan(&plan2, &|_| None), 0);
     }
 
     #[test]
     fn observations_are_one_map_per_change_of_the_observed_rows() {
         let mut db = Database::new();
         let plan = tc_fix(&mut db);
-        let key = canon_key(&plan, db.dict(), &[]);
+        let key = canon_key(&plan, &[]);
         let mut fb = FeedbackStore::new();
-        let mut totals = FxHashMap::default();
-        totals.insert(term_key(&plan), 100.0);
-        fb.record_plan(&plan, &totals, db.dict());
+        fb.record_plan(&plan, &|_| Some(100.0));
         let first = fb.observations();
         assert!(Arc::ptr_eq(&first, &fb.observations()), "a second miss borrows the same map");
         // A confirmation changes no row: same map. A material move: a new one.
-        totals.insert(term_key(&plan), 110.0);
-        fb.record_plan(&plan, &totals, db.dict());
+        fb.record_plan(&plan, &|_| Some(110.0));
         assert!(Arc::ptr_eq(&first, &fb.observations()));
-        totals.insert(term_key(&plan), 300.0);
-        fb.record_plan(&plan, &totals, db.dict());
+        fb.record_plan(&plan, &|_| Some(300.0));
         assert_eq!((first.get(&key), fb.observations().get(&key)), (Some(&100.0), Some(&300.0)));
         fb.clear();
         assert!(fb.observations().is_empty());
@@ -337,18 +301,14 @@ mod tests {
         let plan = tc_fix(&mut db);
         let mut fb = FeedbackStore::new();
         let g0 = fb.generation();
-        let mut totals = FxHashMap::default();
-        totals.insert(term_key(&plan), 100.0);
-        fb.record_plan(&plan, &totals, db.dict());
+        fb.record_plan(&plan, &|_| Some(100.0));
         assert!(fb.generation() > g0, "new observation must bump");
         let g1 = fb.generation();
         // Re-observing within tolerance: stable, no bump.
-        totals.insert(term_key(&plan), 110.0);
-        fb.record_plan(&plan, &totals, db.dict());
+        fb.record_plan(&plan, &|_| Some(110.0));
         assert_eq!(fb.generation(), g1);
         // Material move: bump.
-        totals.insert(term_key(&plan), 300.0);
-        fb.record_plan(&plan, &totals, db.dict());
+        fb.record_plan(&plan, &|_| Some(300.0));
         assert!(fb.generation() > g1);
     }
 
@@ -359,9 +319,7 @@ mod tests {
         let e = db.intern("E");
         let other = db.intern("F");
         let mut fb = FeedbackStore::new();
-        let mut totals = FxHashMap::default();
-        totals.insert(term_key(&plan), 100.0);
-        fb.record_plan(&plan, &totals, db.dict());
+        fb.record_plan(&plan, &|_| Some(100.0));
         // Churn on an unrelated relation: observation survives.
         assert_eq!(fb.note_churn(other, 1000, 1000), 0);
         assert_eq!(fb.len(), 1);
@@ -380,9 +338,7 @@ mod tests {
         let plan = tc_fix(&mut db);
         let e = db.intern("E");
         let mut fb = FeedbackStore::new();
-        let mut totals = FxHashMap::default();
-        totals.insert(term_key(&plan), 100.0);
-        fb.record_plan(&plan, &totals, db.dict());
+        fb.record_plan(&plan, &|_| Some(100.0));
         fb.note_churn(e, 2, 1000);
         let state = fb.export_state();
         assert_eq!(state, fb.export_state(), "export must be byte-stable");
@@ -402,9 +358,7 @@ mod tests {
         let mut db = Database::new();
         let plan = tc_fix(&mut db);
         let mut fb = FeedbackStore::new();
-        let mut totals = FxHashMap::default();
-        totals.insert(term_key(&plan), 100.0);
-        fb.record_plan(&plan, &totals, db.dict());
+        fb.record_plan(&plan, &|_| Some(100.0));
         let g = fb.generation();
         fb.clear();
         assert!(fb.is_empty());

@@ -41,5 +41,4 @@ pub use closure::ClosureForm;
 pub use cost::{CostModel, ObservedCards, Stats};
 pub use enumerate::{EnumConfig, EnumReport, GroupSummary};
 pub use feedback::{FeedbackState, FeedbackStore};
-pub use memo::canon_key;
 pub use rewriter::{bracketed, optimize, Rewriter};

@@ -10,12 +10,12 @@
 //! * **Alpha-equivalence.** `ClosureForm::emit` and `compose` mint fresh
 //!   symbols (`X#7`, `m#12`) on every call, so two derivations of the same
 //!   plan never collide under [`mura_core::term_key`]. The memo therefore
-//!   keys groups by [`canon_key`], which numbers *generated* symbols by
-//!   first occurrence — structurally equal plans that differ only in fresh
-//!   symbol identity hash alike, while user-named relations and columns
-//!   keep their identity. Symbols bound by an *enclosing* fixpoint are
-//!   pinned (hashed raw): a member mentioning an outer recursion variable
-//!   is only interchangeable within that exact scope.
+//!   keys groups by [`mura_core::canon_key`], which numbers *generated*
+//!   symbols by first occurrence — structurally equal plans that differ
+//!   only in fresh symbol identity hash alike, while user-named relations
+//!   and columns keep their identity. Symbols bound by an *enclosing*
+//!   fixpoint are pinned (hashed raw): a member mentioning an outer
+//!   recursion variable is only interchangeable within that exact scope.
 //! * **Re-derivation.** Transformation rules invert each other (reversing a
 //!   closure twice is the identity), so naive expansion loops. Every member
 //!   carries a [`RuleMask`] of the rule families already applied to it; the
@@ -27,9 +27,8 @@
 //! global member budget bounds the whole enumeration (see
 //! [`crate::enumerate::EnumConfig`]).
 
-use mura_core::fxhash::{FxHashMap, FxHashSet, FxHasher};
-use mura_core::{Dictionary, Sym, Term};
-use std::hash::{Hash, Hasher};
+use mura_core::fxhash::{FxHashMap, FxHashSet};
+use mura_core::Term;
 
 /// Bitmask of transformation rule families already applied to a member.
 pub type RuleMask = u8;
@@ -45,133 +44,6 @@ pub const RULE_JOIN_PUSH: RuleMask = 1 << 2;
 pub const RULE_ROLLOUT: RuleMask = 1 << 3;
 /// All families: nothing left to derive from this member.
 pub const RULE_ALL: RuleMask = RULE_COMPOSE | RULE_REVERSE | RULE_JOIN_PUSH | RULE_ROLLOUT;
-
-/// The prefix of a generated symbol's name (`prefix#N`, the shape
-/// [`Dictionary::fresh`] mints), `None` for any other name. Only generated
-/// symbols are renamed by [`canon_key`]; user-named relations/columns
-/// always hash by identity.
-pub(crate) fn generated_prefix(name: &str) -> Option<&str> {
-    let (prefix, digits) = name.split_once('#')?;
-    let generated =
-        !prefix.is_empty() && !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit());
-    generated.then_some(prefix)
-}
-
-/// Canonical, generation-insensitive structural hash of a term.
-///
-/// Identical to [`mura_core::term_key`] except that generated symbols
-/// (`X#3`, `m#9`, …) are replaced by their first-occurrence index in the
-/// walk, so plans that differ only in which fresh symbols a derivation
-/// minted get the same key. Distinct symbols within one term stay distinct
-/// (the numbering is injective), so no semantic information is lost.
-///
-/// `pinned` symbols — recursion variables bound by an *enclosing* fixpoint
-/// — hash by raw identity even when generated: a subterm mentioning an
-/// outer `X` must not be conflated with an equal-shaped subterm mentioning
-/// a different outer variable.
-pub fn canon_key(t: &Term, dict: &Dictionary, pinned: &[Sym]) -> u64 {
-    struct Ctx<'a> {
-        dict: &'a Dictionary,
-        pinned: &'a [Sym],
-        ids: FxHashMap<Sym, u64>,
-    }
-    impl Ctx<'_> {
-        fn sym(&mut self, s: Sym, h: &mut FxHasher) {
-            // Symbols from a foreign dictionary (terms are occasionally
-            // planned against a database other than the one they were
-            // translated with) cannot be resolved: hash them raw.
-            let generated =
-                s.index() < self.dict.len() && generated_prefix(self.dict.resolve(s)).is_some();
-            if !self.pinned.contains(&s) && generated {
-                let next = self.ids.len() as u64;
-                let id = *self.ids.entry(s).or_insert(next);
-                0xF5u8.hash(h);
-                id.hash(h);
-            } else {
-                0x5Fu8.hash(h);
-                s.hash(h);
-            }
-        }
-    }
-    fn go(t: &Term, ctx: &mut Ctx<'_>, h: &mut FxHasher) {
-        match t {
-            Term::Var(v) => {
-                0u8.hash(h);
-                ctx.sym(*v, h);
-            }
-            Term::Cst(r) => {
-                1u8.hash(h);
-                for c in r.schema().columns() {
-                    ctx.sym(*c, h);
-                }
-                for row in r.iter_sorted() {
-                    row.hash(h);
-                }
-            }
-            Term::Filter(ps, inner) => {
-                2u8.hash(h);
-                for p in ps {
-                    // Predicates embed column symbols; canonicalize them too.
-                    match p {
-                        mura_core::Pred::Eq(c, v) => {
-                            0u8.hash(h);
-                            ctx.sym(*c, h);
-                            v.hash(h);
-                        }
-                        mura_core::Pred::Neq(c, v) => {
-                            1u8.hash(h);
-                            ctx.sym(*c, h);
-                            v.hash(h);
-                        }
-                        mura_core::Pred::EqCol(a, b) => {
-                            2u8.hash(h);
-                            ctx.sym(*a, h);
-                            ctx.sym(*b, h);
-                        }
-                    }
-                }
-                go(inner, ctx, h);
-            }
-            Term::Rename(a, b, inner) => {
-                3u8.hash(h);
-                ctx.sym(*a, h);
-                ctx.sym(*b, h);
-                go(inner, ctx, h);
-            }
-            Term::AntiProject(cs, inner) => {
-                4u8.hash(h);
-                for c in cs {
-                    ctx.sym(*c, h);
-                }
-                go(inner, ctx, h);
-            }
-            Term::Join(a, b) => {
-                5u8.hash(h);
-                go(a, ctx, h);
-                go(b, ctx, h);
-            }
-            Term::Antijoin(a, b) => {
-                6u8.hash(h);
-                go(a, ctx, h);
-                go(b, ctx, h);
-            }
-            Term::Union(a, b) => {
-                7u8.hash(h);
-                go(a, ctx, h);
-                go(b, ctx, h);
-            }
-            Term::Fix(x, body) => {
-                8u8.hash(h);
-                ctx.sym(*x, h);
-                go(body, ctx, h);
-            }
-        }
-    }
-    let mut ctx = Ctx { dict, pinned, ids: FxHashMap::default() };
-    let mut h = FxHasher::default();
-    go(t, &mut ctx, &mut h);
-    h.finish()
-}
 
 /// Index of a group in the memo.
 pub type GroupId = usize;
@@ -289,17 +161,17 @@ impl Memo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mura_core::Database;
+    use mura_core::{canon_key, Database};
 
     #[test]
     fn generated_symbol_detection() {
-        assert_eq!(generated_prefix("X#1"), Some("X"));
-        assert_eq!(generated_prefix("m#42"), Some("m"));
-        assert_eq!(generated_prefix("?a#7"), Some("?a"));
-        assert_eq!(generated_prefix("src"), None);
-        assert_eq!(generated_prefix("#3"), None);
-        assert_eq!(generated_prefix("X#"), None);
-        assert_eq!(generated_prefix("a#b"), None);
+        // Generated is what `fresh` handed out, not what a name looks like.
+        let mut db = Database::new();
+        let (named, other) = (db.intern("X#1"), db.intern("X#2"));
+        let (x1, x2) = (db.dict_mut().fresh("X"), db.dict_mut().fresh("X"));
+        assert_eq!(db.dict().resolve(named), db.dict().resolve(x1));
+        assert_ne!(canon_key(&Term::var(named), &[]), canon_key(&Term::var(other), &[]));
+        assert_eq!(canon_key(&Term::var(x1), &[]), canon_key(&Term::var(x2), &[]));
     }
 
     #[test]
@@ -318,7 +190,7 @@ mod tests {
         let t1 = mk(&mut db);
         let t2 = mk(&mut db);
         assert_ne!(mura_core::term_key(&t1), mura_core::term_key(&t2));
-        assert_eq!(canon_key(&t1, db.dict(), &[]), canon_key(&t2, db.dict(), &[]));
+        assert_eq!(canon_key(&t1, &[]), canon_key(&t2, &[]));
     }
 
     #[test]
@@ -326,10 +198,7 @@ mod tests {
         let mut db = Database::new();
         let a = db.intern("a");
         let b = db.intern("b");
-        assert_ne!(
-            canon_key(&Term::var(a), db.dict(), &[]),
-            canon_key(&Term::var(b), db.dict(), &[])
-        );
+        assert_ne!(canon_key(&Term::var(a), &[]), canon_key(&Term::var(b), &[]));
     }
 
     #[test]
@@ -338,15 +207,9 @@ mod tests {
         let x1 = db.dict_mut().fresh("X");
         let x2 = db.dict_mut().fresh("X");
         // Unpinned: alpha-equivalent.
-        assert_eq!(
-            canon_key(&Term::var(x1), db.dict(), &[]),
-            canon_key(&Term::var(x2), db.dict(), &[])
-        );
+        assert_eq!(canon_key(&Term::var(x1), &[]), canon_key(&Term::var(x2), &[]));
         // Pinned (bound by an enclosing fixpoint): distinct.
-        assert_ne!(
-            canon_key(&Term::var(x1), db.dict(), &[x1, x2]),
-            canon_key(&Term::var(x2), db.dict(), &[x1, x2])
-        );
+        assert_ne!(canon_key(&Term::var(x1), &[x1, x2]), canon_key(&Term::var(x2), &[x1, x2]));
     }
 
     #[test]
@@ -354,12 +217,12 @@ mod tests {
         let mut db = Database::new();
         let a = db.intern("a");
         let mut memo = Memo::new();
-        let key = canon_key(&Term::var(a), db.dict(), &[]);
+        let key = canon_key(&Term::var(a), &[]);
         let gid = memo.create(key);
         assert!(memo.add(gid, Term::var(a), 1.0, key, 0));
         assert!(!memo.add(gid, Term::var(a), 1.0, key, 0), "duplicate key must be dropped");
         let b = db.intern("b");
-        let kb = canon_key(&Term::var(b), db.dict(), &[]);
+        let kb = canon_key(&Term::var(b), &[]);
         assert!(memo.add(gid, Term::var(b), 0.5, kb, 0));
         memo.seal(gid, 1);
         assert_eq!(memo.group(gid).members.len(), 1);

@@ -23,23 +23,24 @@
 //! measured by a previous execution are costed from those observations
 //! instead of static estimates (the server's feedback loop).
 //!
-//! Every derivation mints fresh symbols (`X#…`, `m#…`) and nearly all of
-//! them belong to plans that lose. A search therefore runs inside
-//! [`bracketed`]: when the winner is known the dictionary is cut back to
-//! where the search found it and only the winner's symbols are interned
-//! again, so planning leaves behind the handful of names its plan needs.
+//! Every derivation mints fresh symbols (`X#…`, `m#…`), numbers the
+//! dictionary hands out and does not store. A search runs inside
+//! [`bracketed`]: when the winner is known the numbering goes back to where
+//! the search found it and the winner's own generated symbols are numbered
+//! from 0 in order of first occurrence, so the plan a search returns is a
+//! function of the term, the catalog and the statistics, and of nothing
+//! that was planned before.
 
 use crate::closure::{compose, recognize, reversal_alternatives};
 use crate::cost::{CostModel, ObservedCards, Stats};
 use crate::enumerate::{EnumConfig, EnumReport, Enumerator};
-use crate::memo::{canon_key, generated_prefix};
 use crate::rules;
-use mura_core::analysis::TypeEnv;
-use mura_core::{Database, DictMark, Dictionary, Pred, Result, Sym, Term, Value};
+use mura_core::analysis::{infer_schema, TypeEnv};
+use mura_core::{canon_key, Database, Result, Sym, Term};
 use std::sync::Arc;
 
 /// Maximum normalize+closure sweeps. A roll-out stops at the first sweep
-/// that changes nothing (up to generated names), so this is a safety bound
+/// that changes nothing (up to generated symbols), so this is a safety bound
 /// rather than a tuning knob.
 const MAX_PASSES: usize = 5;
 
@@ -115,14 +116,13 @@ impl Rewriter {
     /// The search proper: the greedy plan as a floor, then enumeration.
     /// One type environment serves every sweep and every group.
     fn search(&self, term: &Term, db: &mut Database, explain: bool) -> Result<(Term, EnumReport)> {
-        let mut env = TypeEnv::from_db(db);
+        let mut env = start(term, db);
         let (pipeline, sweeps) = self.pipeline_sweeps(term, db, &mut env)?;
-        let pipeline_cost =
-            self.cost_with(&pipeline, db.dict()).map(|(c, _)| c).unwrap_or(f64::INFINITY);
+        let pipeline_cost = self.cost_with(&pipeline).map(|(c, _)| c).unwrap_or(f64::INFINITY);
         let mut en = Enumerator::new(self, self.enum_cfg.clone(), sweeps);
         let gid = en.explore(term, db, &mut env, &mut Vec::new())?;
         let group_summaries = if explain { en.group_summaries(db.dict()) } else { Vec::new() };
-        let (winner, mut report) = en.finish(gid, db, pipeline, pipeline_cost, IMPROVEMENT);
+        let (winner, mut report) = en.finish(gid, pipeline, pipeline_cost, IMPROVEMENT);
         report.group_summaries = group_summaries;
         Ok((winner, report))
     }
@@ -130,10 +130,10 @@ impl Rewriter {
     /// Every plan the enumerator can extract for `term` (the surviving
     /// members of the root group plus the pipeline plan), cheapest first.
     /// All of them are semantically equivalent to `term` — the property
-    /// tests exercise exactly this set. Not bracketed: every plan returned
-    /// needs its symbols.
+    /// tests exercise exactly this set. Not bracketed: the plans keep the
+    /// symbols the search gave them.
     pub fn candidates(&self, term: &Term, db: &mut Database) -> Result<Vec<Term>> {
-        let mut env = TypeEnv::from_db(db);
+        let mut env = start(term, db);
         let mut en = Enumerator::new(self, self.enum_cfg.clone(), 0);
         let gid = en.explore(term, db, &mut env, &mut Vec::new())?;
         let mut out = en.members(gid);
@@ -145,14 +145,14 @@ impl Rewriter {
     /// local cost-based picks, then normalization, until a fixpoint.
     pub fn optimize_pipeline(&self, term: &Term, db: &mut Database) -> Result<Term> {
         bracketed(db, |db| {
-            let mut env = TypeEnv::from_db(db);
+            let mut env = start(term, db);
             self.pipeline_sweeps(term, db, &mut env)
         })
         .map(|(plan, _sweeps)| plan)
     }
 
     /// The greedy roll-out and the number of sweeps it ran. A sweep that
-    /// returns its input up to generated names has converged: `compose`
+    /// returns its input up to generated symbols has converged: `compose`
     /// mints a new `m#…` for every composition it rebuilds, so plain
     /// equality would never hold for a term that keeps one.
     pub(crate) fn pipeline_sweeps(
@@ -165,16 +165,13 @@ impl Rewriter {
         // frontend emits pristine composition patterns, and normalization
         // (e.g. pushing a rename into a fixpoint's seed) can obscure them.
         let mut t = term.clone();
-        let mut key = canon_key(&t, db.dict(), &[]);
+        let mut key = canon_key(&t, &[]);
         let mut sweeps = 0;
         while sweeps < MAX_PASSES {
             sweeps += 1;
             let t2 = self.closure_pass(&t, db, env, &mut Vec::new())?;
             t = rules::normalize(&t2, env);
-            // The converged sweep's output is what is kept, not its input:
-            // its re-minted names sort after every name the sweep left
-            // alone, as they would after any further sweep.
-            let key2 = canon_key(&t, db.dict(), &[]);
+            let key2 = canon_key(&t, &[]);
             if key2 == key {
                 break;
             }
@@ -192,9 +189,9 @@ impl Rewriter {
     /// Cost under the active model (observed cardinalities when supplied);
     /// returns the cost and how many fixpoints were costed from an
     /// observation, or `None` when the plan cannot be costed.
-    pub(crate) fn cost_with(&self, term: &Term, dict: &Dictionary) -> Option<(f64, usize)> {
+    pub(crate) fn cost_with(&self, term: &Term) -> Option<(f64, usize)> {
         let cm = match self.observed.as_deref() {
-            Some(cards) => CostModel::with_observed(&self.stats, cards, dict),
+            Some(cards) => CostModel::with_observed(&self.stats, cards),
             None => CostModel::new(&self.stats),
         };
         cm.cost(term).ok().map(|c| (c, cm.observed_hits()))
@@ -317,110 +314,70 @@ pub fn recognize_compose(t: &Term, src: Sym, dst: Sym) -> Option<(Term, Term, Sy
     None
 }
 
-/// Runs `search`, then cuts `db`'s dictionary back to where `search` found
-/// it and interns again, in the order they were first interned, the
-/// symbols that occur in the plan `search` returned: generated names get
-/// the fresh names that follow the mark, others their own. What a
-/// derivation minted for a plan that lost is gone — the dictionary grows by
-/// what the kept plan needs, and the next search starts from a dictionary
-/// that does not remember this one.
+/// The type environment of a search over `term`, whose fresh symbols will
+/// number above every generated symbol `term` already holds.
+fn start(term: &Term, db: &mut Database) -> TypeEnv {
+    db.dict_mut().number_above(highest_generated(term));
+    TypeEnv::from_db(db)
+}
+
+fn highest_generated(t: &Term) -> u32 {
+    let mut highest = 0;
+    t.for_each_symbol(&mut |s| highest = highest.max(s.number().unwrap_or(0)));
+    highest
+}
+
+/// Runs `search`, puts `db`'s numbering of generated symbols back to where
+/// `search` found it and returns the plan in [`canonical`] form. What a
+/// derivation minted for a plan that lost was never stored, and the next
+/// search mints the same numbers again: planning leaves in the dictionary
+/// the user's names the query brought (`?x`, …) and nothing else.
 ///
-/// Re-interning in interning order keeps the order of any two symbols of
-/// the plan, hence the column order of every schema the plan computes with
-/// (schemas sort by symbol): the plan executes as it would have with the
-/// names the search gave it.
-///
-/// `search` must let nothing but its result keep a symbol it interned:
-/// memo, type environment and cost model die with it, and the feedback
-/// store's keys are [`canon_key`]s, blind to generated names.
+/// The numbering is left above the plan's own symbols, so a caller that
+/// goes on to build a term around the plan with fresh symbols gets none
+/// the plan already uses.
 pub fn bracketed<R>(
     db: &mut Database,
     search: impl FnOnce(&mut Database) -> Result<(Term, R)>,
 ) -> Result<(Term, R)> {
     let mark = db.dict().mark();
-    match search(db) {
-        Ok((plan, rest)) => Ok((keep_symbols_of(plan, db.dict_mut(), mark), rest)),
-        Err(e) => {
-            db.dict_mut().truncate(mark);
-            Err(e)
-        }
-    }
+    let found = search(db);
+    db.dict_mut().truncate(mark);
+    let (plan, rest) = found?;
+    let plan = canonical(plan, db)?;
+    db.dict_mut().number_above(highest_generated(&plan));
+    Ok((plan, rest))
 }
 
-fn keep_symbols_of(mut plan: Term, dict: &mut Dictionary, mark: DictMark) -> Term {
-    // A symbol past the end of the dictionary came with a term translated
-    // against another database: it is not this search's, and stays.
-    let len = dict.len();
-    let mut kept: Vec<Sym> = Vec::new();
-    for_each_symbol(&mut plan, mark, &mut |s| {
-        if mark.is_after(*s) && s.index() < len {
-            kept.push(*s);
+/// `plan` with its *bound* generated symbols — fixpoint binders, and
+/// columns that do not reach the plan's output schema — numbered from 0 in
+/// order of first occurrence. Free variables and output columns keep their
+/// symbols (and their numbers are skipped). The renumbering is a bijection,
+/// so the plan computes what it computed; and since the numbers no longer
+/// record which search minted them, two plans equal up to generated symbols
+/// ([`canon_key`]) become one plan, with one [`mura_core::term_key`].
+fn canonical(mut plan: Term, db: &Database) -> Result<Term> {
+    let mut kept = plan.free_vars();
+    kept.extend_from_slice(infer_schema(&plan, &mut TypeEnv::from_db(db))?.columns());
+    let taken: Vec<u32> = kept.iter().filter_map(|s| s.number()).collect();
+    let mut renumbered: Vec<(Sym, Sym)> = Vec::new();
+    let mut next = 0;
+    plan.rename_symbols(&mut |s| {
+        if !s.is_generated() || kept.contains(&s) {
+            return s;
         }
+        if let Some((_, to)) = renumbered.iter().find(|(from, _)| *from == s) {
+            return *to;
+        }
+        while taken.contains(&next) {
+            next += 1;
+        }
+        let to = s.with_number(next);
+        next += 1;
+        renumbered.push((s, to));
+        to
     });
-    kept.sort_unstable();
-    kept.dedup();
-    let names: Vec<Box<str>> = kept.iter().map(|s| dict.resolve(*s).into()).collect();
-    dict.truncate(mark);
-    let renamed: Vec<Sym> = names
-        .iter()
-        .map(|name| match generated_prefix(name) {
-            Some(prefix) => dict.fresh(prefix),
-            None => dict.intern(name),
-        })
-        .collect();
-    for_each_symbol(&mut plan, mark, &mut |s| {
-        if let Ok(i) = kept.binary_search(s) {
-            *s = renamed[i];
-        }
-    });
-    plan
-}
-
-/// Visits every symbol of `t` once: variables, binders, column names and
-/// string values of predicates. Constant relations are not entered — no
-/// rule and no frontend builds one, so theirs were named before `mark`.
-fn for_each_symbol(t: &mut Term, mark: DictMark, f: &mut impl FnMut(&mut Sym)) {
-    match t {
-        Term::Var(v) => f(v),
-        Term::Cst(r) => assert!(
-            !r.schema().columns().iter().any(|c| mark.is_after(*c)),
-            "a constant relation names a column interned during the search"
-        ),
-        Term::Filter(ps, inner) => {
-            for p in ps {
-                match p {
-                    Pred::Eq(c, v) | Pred::Neq(c, v) => {
-                        f(c);
-                        if let Value::Str(s) = v {
-                            f(s);
-                        }
-                    }
-                    Pred::EqCol(a, b) => {
-                        f(a);
-                        f(b);
-                    }
-                }
-            }
-            for_each_symbol(inner, mark, f);
-        }
-        Term::Rename(a, b, inner) => {
-            f(a);
-            f(b);
-            for_each_symbol(inner, mark, f);
-        }
-        Term::AntiProject(cs, inner) => {
-            cs.iter_mut().for_each(&mut *f);
-            for_each_symbol(inner, mark, f);
-        }
-        Term::Join(a, b) | Term::Antijoin(a, b) | Term::Union(a, b) => {
-            for_each_symbol(a, mark, f);
-            for_each_symbol(b, mark, f);
-        }
-        Term::Fix(x, body) => {
-            f(x);
-            for_each_symbol(body, mark, f);
-        }
-    }
+    Ok(plan)
 }
 
 /// Optimizes `term` against `db` (convenience wrapper).
@@ -572,44 +529,116 @@ mod tests {
             let term = to_mura(&parse_ucrpq(q).unwrap(), &mut db).unwrap();
             let (plan, sweeps) = rw.pipeline_sweeps(&term, &mut db, &mut env).unwrap();
             // Every sweep re-mints the composition's middle column: the
-            // plan never equals the sweep before it, only up to that name.
+            // plan never equals the sweep before it, only up to that symbol.
             assert!(has_compose(&plan, rw.src(), rw.dst()), "{q}: {}", plan.display(db.dict()));
             assert!(sweeps < MAX_PASSES, "{q}: ran all {sweeps} sweeps");
         }
+    }
+
+    /// The numbers of `t`'s generated symbols, in order of first occurrence.
+    fn generated_numbers(t: &Term) -> Vec<u32> {
+        let mut numbers = Vec::new();
+        t.for_each_symbol(&mut |s| numbers.extend(s.number().filter(|n| !numbers.contains(n))));
+        numbers
     }
 
     #[test]
     fn a_search_leaves_the_names_of_its_plan_and_no_others() {
         let mut db = test_db();
         let rw = Rewriter::new(&mut db);
-        let term = to_mura(&parse_ucrpq("?x <- ?x a1+/a2+ C").unwrap(), &mut db).unwrap();
+        let plan_text = |text: &str, db: &mut Database| {
+            let query = parse_ucrpq(text).unwrap();
+            bracketed(db, |db| rw.optimize_report(&to_mura(&query, db)?, db)).unwrap()
+        };
         let before: Vec<String> = db.dict().names().map(str::to_string).collect();
-        let (plan, report) = rw.optimize_report(&term, &mut db).unwrap();
-        assert!(report.candidates > 10, "a search with scratch to release");
-        let mut used = Vec::new();
-        for_each_symbol(&mut plan.clone(), db.dict().mark(), &mut |s| used.push(*s));
-        let new: Vec<Sym> = (before.len()..db.dict().len()).map(|i| Sym(i as u32)).collect();
-        assert!(!new.is_empty() && new.iter().all(|s| used.contains(s)), "only the plan's names");
-        assert!(db.dict().names().take(before.len()).eq(before.iter().map(String::as_str)));
-        // The names are the fresh names that follow the mark, in order.
-        let numbers: Vec<u32> = new
-            .iter()
-            .map(|s| db.dict().resolve(*s).split_once('#').unwrap().1.parse().unwrap())
-            .collect();
-        assert!(numbers.windows(2).all(|w| w[0] + 1 == w[1]), "{numbers:?}");
-        assert_eq!(*numbers.last().unwrap(), db.dict().fresh_counter());
-        // A failed search leaves nothing.
-        let len = db.dict().len();
+        let (plan, report) = plan_text("?x <- ?x a1+/a2+ C", &mut db);
+        assert!(report.candidates > 10, "a search with scratch to forget");
+        // One name came with the query; no generated symbol was stored.
+        let names: Vec<&str> = db.dict().names().collect();
+        assert_eq!(names[..before.len()], before[..]);
+        assert_eq!(names[before.len()..], ["?x"]);
+        // The plan's symbols are 0..k in order of first occurrence, and
+        // the numbering stands just above them.
+        let numbers = generated_numbers(&plan);
+        assert!(numbers.len() >= 2 && numbers.iter().copied().eq(0..numbers.len() as u32));
+        assert_eq!(db.dict().clone().fresh("X").number(), Some(numbers.len() as u32));
+        // Planned again after something larger: the same plan, term for
+        // term, and a dictionary that remembers neither search.
+        let (other, _) = plan_text("?x, ?y <- ?x a1+/a2+/a3+ ?y", &mut db);
+        assert!(generated_numbers(&other).len() > numbers.len());
+        let (names_then, mark_then) = (db.dict().len(), db.dict().mark());
+        let (again, report_again) = plan_text("?x <- ?x a1+/a2+ C", &mut db);
+        assert_eq!(again, plan);
+        assert_eq!(mura_core::term_key(&again), mura_core::term_key(&plan));
+        assert_eq!(
+            (report_again.candidates, report_again.sweeps),
+            (report.candidates, report.sweeps)
+        );
+        assert_eq!((db.dict().len(), db.dict().mark()), (names_then, mark_then));
+        // A failed search leaves the numbering where it found it.
         let failed = bracketed(&mut db, |db| {
             db.dict_mut().fresh("X");
-            db.intern("never heard of");
             Err::<(Term, ()), _>(mura_core::MuraError::Frontend("unknown constant".into()))
         });
         assert!(failed.is_err());
-        assert_eq!(db.dict().len(), len);
-        assert_eq!(db.dict().lookup("never heard of"), None);
-        // And the plan still evaluates: its symbols resolve.
+        assert_eq!(db.dict().mark(), mark_then);
         eval(&plan, &db).unwrap();
+    }
+
+    #[test]
+    fn renumbering_keeps_outputs_and_free_variables_and_captures_nothing() {
+        let mut db = test_db();
+        let (src, dst) = (db.intern("src"), db.intern("dst"));
+        let a1 = db.relation_by_name("a1").unwrap().clone();
+        // A generated output column and a generated relation name survive
+        // the search; the binder and the middle column between them in the
+        // numbering move out of their way.
+        let out = db.dict_mut().fresh("t");
+        let (x, m) = (db.dict_mut().fresh("X"), db.dict_mut().fresh("m"));
+        let rel = db.dict_mut().fresh("n");
+        db.insert_relation_sym(rel, a1);
+        let step = Term::var(x).rename(dst, m).join(Term::var(rel).rename(src, m)).antiproject(m);
+        let raw = Term::var(rel).union(step).fix(x).rename(dst, out);
+        let plan = optimize(&raw, &mut db).unwrap();
+        assert_eq!(plan.free_vars(), [rel]);
+        assert_eq!(infer_schema(&plan, &mut TypeEnv::from_db(&db)).unwrap().columns(), [src, out]);
+        let mut numbers = generated_numbers(&plan);
+        numbers.sort_unstable();
+        assert_eq!(numbers, [0, 1, 2, 4], "t#1 and n#4 kept, X and m renumbered around them");
+        assert_eq!(eval(&raw, &db).unwrap().sorted_rows(), eval(&plan, &db).unwrap().sorted_rows());
+
+        // A finished plan inside a new term, with fresh frontend symbols
+        // around it: the symbols are none of the plan's, and the search
+        // mints none of either.
+        let query = parse_ucrpq("?x, ?y <- ?x a1+/a2 ?y").unwrap();
+        let finished = optimize(&to_mura(&query, &mut db).unwrap(), &mut db).unwrap();
+        let (qx, qy) = (db.intern("?x"), db.intern("?y"));
+        let path = finished.rename(qx, src).rename(qy, dst);
+        let (x, m) = (db.dict_mut().fresh("X"), db.dict_mut().fresh("m"));
+        path.for_each_symbol(&mut |s| assert!(s != x && s != m, "{s} aliases the plan's"));
+        let closure = |x: Sym, m: Sym| {
+            let step = Term::var(x).rename(dst, m).join(path.clone().rename(src, m)).antiproject(m);
+            path.clone().union(step).fix(x)
+        };
+        let expected = eval(&closure(x, m), &db).unwrap().sorted_rows();
+        assert_eq!(
+            eval(&optimize(&closure(x, m), &mut db).unwrap(), &db).unwrap().sorted_rows(),
+            expected
+        );
+        // Also from a dictionary that numbers from 0 again (a restored
+        // one): the search starts above what the term holds, the frontend
+        // has to ask for the same.
+        let mut restored = db.clone();
+        restored.dict_mut().truncate(Database::new().dict().mark());
+        restored.dict_mut().number_above(highest_generated(&path));
+        let (x, m) = (restored.dict_mut().fresh("X"), restored.dict_mut().fresh("m"));
+        restored.dict_mut().truncate(Database::new().dict().mark());
+        let replanned = optimize(&closure(x, m), &mut restored).unwrap();
+        assert_eq!(eval(&replanned, &restored).unwrap().sorted_rows(), expected);
+        assert!(generated_numbers(&replanned)
+            .iter()
+            .copied()
+            .eq(0..generated_numbers(&replanned).len() as u32));
     }
 
     #[test]

@@ -623,7 +623,7 @@ mod tests {
     #[test]
     fn rename_pushes_into_fixpoint_on_stable_column() {
         let mut f = fixture();
-        let a = f.db.dict_mut().fresh("?a");
+        let a = f.db.dict_mut().fresh("t");
         let t = e_plus(&f).rename(f.src, a);
         let mut env = TypeEnv::from_db(&f.db);
         let n = normalize(&t, &mut env);
@@ -661,7 +661,7 @@ mod tests {
     #[test]
     fn filter_splits_across_join() {
         let mut f = fixture();
-        let other = f.db.dict_mut().fresh("o");
+        let other = f.db.dict_mut().fresh("t");
         let right = Term::var(f.e).rename(f.src, other);
         let t = Term::var(f.e).join(right).filter_eq(f.src, 0i64).filter_eq(other, 1i64);
         let mut env = TypeEnv::from_db(&f.db);

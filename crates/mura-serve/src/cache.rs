@@ -1,30 +1,11 @@
-//! Result and plan caching.
-//!
-//! The result cache is keyed by the **canonical key of the optimized
-//! logical plan** plus the **database epoch** (see [`crate::Server`]): two
-//! textually different queries that rewrite to the same plan share one
-//! cache entry, and every database mutation bumps the epoch so stale
-//! results are never served. `Term` deliberately does not implement `Hash`
-//! (constant relations embed `Arc<Relation>`), so the key is computed by a
-//! structural walk that hashes constant relations through their sorted
-//! rows — order-insensitive, like relation equality.
+//! The LRU both caches are: the plan cache (query text → plan) and the
+//! result cache, which files an answer under
+//! `(`[`mura_core::term_key`]` of the optimized plan, epoch)` — two texts
+//! that rewrite to the same plan share one entry, and because a finished
+//! plan is numbered canonically, so do two plannings of one text.
 
 use mura_core::fxhash::FxHashMap;
-use mura_core::Term;
 use std::hash::Hash;
-
-/// Canonical 64-bit key of an optimized plan.
-///
-/// Structural over the whole term; constant relations contribute their
-/// schema and sorted rows, so plans differing only in constant contents get
-/// different keys while row insertion order is irrelevant. This is
-/// [`mura_core::term_key`]: the incremental view maintenance layer uses the
-/// same key to match captured fixpoint totals to `Fix` subterms, so the
-/// serving cache and the maintenance machinery can never disagree about
-/// plan identity.
-pub fn plan_key(plan: &Term) -> u64 {
-    mura_core::term_key(plan)
-}
 
 /// A small LRU cache.
 ///
@@ -112,7 +93,6 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mura_core::{Relation, Sym, Term};
 
     #[test]
     fn lru_evicts_least_recently_used() {
@@ -144,29 +124,5 @@ mod tests {
         c.insert("a", 1);
         assert_eq!(c.get(&"a"), None);
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn plan_key_is_structural() {
-        let e = Sym(1);
-        let x = Sym(2);
-        let t1 = Term::var(e).union(Term::var(x).join(Term::var(e))).fix(x);
-        let t2 = Term::var(e).union(Term::var(x).join(Term::var(e))).fix(x);
-        assert_eq!(plan_key(&t1), plan_key(&t2));
-        let t3 = Term::var(e).union(Term::var(e).join(Term::var(x))).fix(x);
-        assert_ne!(plan_key(&t1), plan_key(&t3), "join order must matter");
-    }
-
-    #[test]
-    fn plan_key_sees_constant_rows_order_insensitively() {
-        let (a, b) = (Sym(3), Sym(4));
-        let r1 = Relation::from_pairs(a, b, [(1, 2), (3, 4)]);
-        let r2 = Relation::from_pairs(a, b, [(3, 4), (1, 2)]);
-        let r3 = Relation::from_pairs(a, b, [(1, 2), (3, 5)]);
-        assert_eq!(plan_key(&Term::cst(r1)), plan_key(&Term::cst(r2)));
-        assert_ne!(
-            plan_key(&Term::cst(Relation::from_pairs(a, b, [(1, 2)]))),
-            plan_key(&Term::cst(r3))
-        );
     }
 }

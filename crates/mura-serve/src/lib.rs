@@ -81,7 +81,7 @@ mod telemetry;
 mod views;
 
 pub use admission::Pending;
-pub use cache::{plan_key, LruCache};
+pub use cache::LruCache;
 pub use client::{Client, Server};
 pub use error::{OverloadReason, ServeError, ServeResult};
 pub use mura_durable::SyncPolicy;

@@ -8,14 +8,13 @@
 //! generation it was costed under.* Callers get a [`Planned`] and never
 //! see an epoch or a generation.
 
-use crate::cache::{plan_key, LruCache};
+use crate::cache::LruCache;
 use crate::error::ServeResult;
 use crate::lock;
 use crate::server::Clocks;
 use crate::telemetry::{ServeStats, Telemetry};
 use crate::views::Views;
-use mura_core::fxhash::FxHashMap;
-use mura_core::{rel_bytes, Database, Term};
+use mura_core::{rel_bytes, term_key, Database, Term};
 use mura_dist::{explain_plan, PlannedQuery, QueryEngine, QueryOutput};
 use mura_ivm::DeltaBatch;
 use mura_obs::histogram::fmt_us;
@@ -25,7 +24,7 @@ use std::fmt::Write;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
-/// A plan together with what files it: its canonical key and the epoch it
+/// A plan together with what files it: its [`term_key`] and the epoch it
 /// was interned at. [`Views`] and [`Admission`](crate::admission::Admission)
 /// take this instead of loose `(key, epoch)` pairs.
 pub(crate) struct Planned {
@@ -36,7 +35,7 @@ pub(crate) struct Planned {
 
 impl Planned {
     pub(crate) fn new(plan: Term, planning: Duration, epoch: u64) -> Planned {
-        Planned { key: plan_key(&plan), query: PlannedQuery { plan, planning }, epoch }
+        Planned { key: term_key(&plan), query: PlannedQuery { plan, planning }, epoch }
     }
 }
 
@@ -103,8 +102,9 @@ impl Planning {
 
     /// The plan for `query`: the cached one while it is reusable, a fresh
     /// one otherwise (interning under the write lock). A replan that lands
-    /// on a different plan tells `views`, whose entry under the old plan's
-    /// key no lookup reaches anymore.
+    /// on the plan it had is that plan, key and all, and finds its view; one
+    /// that feedback steered onto a different plan tells `views`, whose
+    /// entry under the old plan's key no lookup reaches anymore.
     pub(crate) fn plan(&self, query: &str, views: &Views) -> ServeResult<Planned> {
         let counters = &self.telemetry.counters;
         let epoch = self.clocks.epoch();
@@ -123,7 +123,7 @@ impl Planning {
         // exactly the observations it was costed under.
         let key = (key.0, self.clocks.epoch());
         let (obs, feedback_gen) = self.observations();
-        let superseded = lock(&self.plans).get(&key).map(|c| plan_key(&c.plan));
+        let superseded = lock(&self.plans).get(&key).map(|c| term_key(&c.plan));
         let (fresh, _report) = engine.plan_ucrpq_report(query, obs)?;
         let planned = Planned::new(fresh.plan, fresh.planning, key.1);
         if let Some(old) = superseded.filter(|old| *old != planned.key) {
@@ -170,12 +170,11 @@ impl Planning {
     /// subterm) re-costs from observed reality instead of static estimates.
     /// Skipped when a load moved the epoch between planning and the run —
     /// the totals were then measured against another catalog.
-    pub(crate) fn observe(&self, planned: &Planned, out: &QueryOutput, db: &Database) {
+    pub(crate) fn observe(&self, planned: &Planned, out: &QueryOutput) {
         let Some(totals) = out.stats.fix_totals.as_ref().filter(|t| !t.is_empty()) else { return };
         if planned.epoch == self.clocks.epoch() {
-            let observed: FxHashMap<u64, f64> =
-                totals.iter().map(|(k, r)| (*k, r.len() as f64)).collect();
-            lock(&self.feedback).record_plan(&planned.query.plan, &observed, db.dict());
+            let measured = |fix: &Term| totals.get(&term_key(fix)).map(|r| r.len() as f64);
+            lock(&self.feedback).record_plan(&planned.query.plan, &measured);
         }
     }
 

@@ -326,7 +326,7 @@ impl ServerInner {
             config.backend = Some(Arc::clone(proc) as Arc<dyn CommBackend>);
         }
         let out = engine.execute_plan_with(&planned.query, config)?;
-        self.planning.observe(planned, &out, engine.db());
+        self.planning.observe(planned, &out);
         Ok(out)
     }
 

@@ -134,8 +134,9 @@ mura_obs::counter_set! {
                 version,
             }
             gauge "mura_dictionary_symbols",
-                "Names the database dictionary holds (catalog names, binders of kept plans)." {
-                /// A few per plan — a search's scratch names leave with it.
+                "Names the database dictionary holds (catalog names, query variables)." {
+                /// Planning adds the query's variables and nothing else:
+                /// what a search mints, and what its plan keeps, are numbers.
                 dictionary_symbols,
             }
         }

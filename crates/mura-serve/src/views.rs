@@ -8,14 +8,14 @@
 //! and counted as a fallback; snapshots export and import the current
 //! entries; a reshaped catalog releases them all.
 
-use crate::cache::{plan_key, LruCache};
+use crate::cache::LruCache;
 use crate::error::ServeResult;
 use crate::lock;
 use crate::planning::Planned;
 use crate::server::{Clocks, DeltaSummary};
 use crate::telemetry::Telemetry;
 use mura_core::fxhash::FxHashMap;
-use mura_core::{rel_bytes, Database, Relation, Sym};
+use mura_core::{rel_bytes, term_key, Database, Relation, Sym};
 use mura_dist::{CommSnapshot, ExecStats, FixResume, PlannedQuery, QueryOutput};
 use mura_durable::{crash_point, ViewSnapshot};
 use mura_ivm::{plan_maintenance, DeltaBatch, FallbackReason, IvmOutcome};
@@ -254,7 +254,7 @@ impl Views {
                 comm: CommSnapshot::default(),
                 plan: view.plan,
             };
-            let key = (plan_key(&output.plan), epoch);
+            let key = (term_key(&output.plan), epoch);
             results.insert(key, CachedResult { version, output: Arc::new(output) });
         }
     }

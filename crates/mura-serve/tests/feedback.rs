@@ -4,6 +4,7 @@
 //! surfaces the planner's decision procedure.
 
 use mura_core::{Database, Relation};
+use mura_datagen::{yago_like, YagoConfig};
 use mura_dist::QueryEngine;
 use mura_serve::{DeltaBatch, ServeConfig, Server};
 
@@ -22,8 +23,12 @@ fn chain(n: u64) -> Vec<(u64, u64)> {
 }
 
 fn insert_batch(server: &Server, edges: &[(u64, u64)]) -> DeltaBatch {
+    insert_into(server, "edge", edges)
+}
+
+fn insert_into(server: &Server, relation: &str, edges: &[(u64, u64)]) -> DeltaBatch {
     server.with_db(|db| {
-        let rel = db.dict().lookup("edge").expect("edge relation");
+        let rel = db.dict().lookup(relation).expect("a relation of the database");
         let mut b = DeltaBatch::new();
         for &(x, y) in edges {
             let row = vec![mura_core::Value::node(x), mura_core::Value::node(y)];
@@ -63,6 +68,92 @@ fn first_observation_forces_one_replan_then_stabilizes() {
     // …and the loop has converged.
     client.query(TC).unwrap();
     assert_eq!(server.stats().plan_hits, 1, "third run hits the generation-current plan");
+    server.shutdown();
+}
+
+/// A re-plan that lands on the plan it had is that plan: the run after the
+/// first observation plans again and is answered from the first run's view,
+/// and so is the run after a mutation that voided the observation — from
+/// the view maintenance brought forward.
+#[test]
+fn replan_onto_the_same_plan_is_answered_from_its_view() {
+    let server = Server::start(QueryEngine::new(db_from_edges(&chain(20))), ServeConfig::default());
+    let client = server.client();
+    let first = client.query(TC).unwrap();
+    let s1 = server.stats();
+    assert_eq!((s1.plan_misses, s1.result_misses, s1.result_hits), (1, 1, 0));
+    assert!(s1.feedback_generation > 0, "the run's observations bump the generation");
+
+    let second = client.query(TC).unwrap();
+    let s2 = server.stats();
+    assert_eq!(s2.plan_misses, 2, "planned again under the observation");
+    assert_eq!((s2.result_hits, s2.result_misses), (1, 1), "and not executed again: {s2:?}");
+    assert_eq!(mura_core::term_key(&second.plan), mura_core::term_key(&first.plan));
+
+    // Ten rows on a 20-row relation void the observation (generation
+    // bump); the view is maintained, not dropped.
+    let fresh: Vec<(u64, u64)> = (20..30).map(|i| (i, i + 1)).collect();
+    let summary = server.apply_delta(insert_batch(&server, &fresh)).expect("apply_delta");
+    assert_eq!((summary.maintained, summary.recomputed), (1, 0), "{summary:?}");
+    assert!(server.stats().feedback_generation > s2.feedback_generation);
+    let third = client.query(TC).unwrap();
+    let s3 = server.stats();
+    assert_eq!(s3.plan_misses, s2.plan_misses + 1, "the mutation forces a re-plan");
+    assert_eq!((s3.result_hits, s3.result_misses), (2, 1), "served by the maintained view: {s3:?}");
+    assert_eq!(third.relation.len(), 30 * 31 / 2, "the closure of a 30-edge chain");
+    server.shutdown();
+}
+
+/// `supersede` is for the re-plan that feedback steered onto a *different*
+/// plan, and fires for no other: along each text's way to a stable plan, a
+/// re-plan whose rendering equals the one before it is a result hit, one
+/// whose rendering differs executes and leaves the old plan's view dropped —
+/// one view per text, counted by what a mutation elsewhere revalidates.
+#[test]
+fn supersede_drops_a_view_only_when_the_plan_changed() {
+    let db = yago_like(YagoConfig { people: 2_000, seed: 0xa60 }).to_database();
+    let server = Server::start(QueryEngine::new(db), ServeConfig::default());
+    let client = server.client();
+    let mut unrelated_row = 1_000_000;
+    let mut views = || {
+        // No view below reads `hasChild`: every cached view is revalidated.
+        unrelated_row += 1;
+        let batch = insert_into(&server, "hasChild", &[(unrelated_row, unrelated_row)]);
+        let summary = server.apply_delta(batch).expect("apply_delta");
+        assert_eq!((summary.maintained, summary.recomputed), (0, 0), "{summary:?}");
+        summary.unaffected
+    };
+    let (mut same, mut changed) = (0, 0);
+    let texts = [
+        "?x <- ?x livesIn/isLocatedIn+/dealsWith+ United_States",
+        "?a, ?b, ?c <- ?a (isLocatedIn|isConnectedTo)+ ?b, ?a wasBornIn ?c",
+    ];
+    for (cached, text) in texts.iter().enumerate() {
+        let mut rendering = String::new();
+        loop {
+            let before = server.stats();
+            let out = client.query(text).unwrap();
+            let after = server.stats();
+            if after.plan_misses == before.plan_misses {
+                break;
+            }
+            let planned = server.with_db(|db| out.plan.display(db.dict()).to_string());
+            if planned == rendering {
+                same += 1;
+                assert_eq!(
+                    after.result_hits,
+                    before.result_hits + 1,
+                    "{text}: same plan, its view"
+                );
+            } else {
+                changed += !rendering.is_empty() as u64;
+                assert_eq!(after.result_misses, before.result_misses + 1, "{text}: another plan");
+            }
+            assert_eq!(views(), cached as u64 + 1, "{text}: one view per text");
+            rendering = planned;
+        }
+    }
+    assert!(same >= 1 && changed >= 2, "both kinds of re-plan: {same} same, {changed} changed");
     server.shutdown();
 }
 

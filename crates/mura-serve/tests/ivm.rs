@@ -5,11 +5,12 @@
 //! respect the serving resource ladder (memory gate, typed errors, zero
 //! lost responses across a drain).
 
-use mura_core::{Database, Relation, Value};
+use mura_core::{canon_key, term_key, Database, Relation, Term, Value};
 use mura_datagen::{erdos_renyi, SplitMix64};
 use mura_dist::exec::{ExecConfig, FixpointPlan};
 use mura_dist::{FaultConfig, LocalEngine, QueryEngine};
 use mura_serve::{DeltaBatch, DeltaSummary, OverloadReason, ServeConfig, ServeError, Server};
+use mura_ucrpq::{parse_ucrpq, to_mura};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -40,12 +41,24 @@ fn batch_of(db: &Database, ins: &[(u64, u64)], del: &[(u64, u64)]) -> DeltaBatch
     b
 }
 
-/// Drives five rounds of random interleaved insert/delete batches (round 3
-/// delete-heavy, forcing DRed) against a server with a warmed TC view,
-/// checking after every round that the served answer is bit-identical to a
-/// fresh engine over the mirrored edge set. Returns the per-round
-/// summaries so callers can assert determinism.
+/// [`check_text`] for the transitive closure.
 fn check_plan(plan: FixpointPlan, local: LocalEngine, seed: u64, chaos: bool) -> Vec<DeltaSummary> {
+    check_text(TC, plan, local, seed, chaos)
+}
+
+/// Drives five rounds of random interleaved insert/delete batches (round 3
+/// delete-heavy, forcing DRed) against a server with a warmed view of
+/// `text`, checking after every round that the served answer is
+/// bit-identical to a fresh engine over the mirrored edge set and to
+/// centralized evaluation of the unoptimized term. Returns the per-round
+/// summaries so callers can assert determinism.
+fn check_text(
+    text: &str,
+    plan: FixpointPlan,
+    local: LocalEngine,
+    seed: u64,
+    chaos: bool,
+) -> Vec<DeltaSummary> {
     let g = erdos_renyi(NODES, 0.05, seed);
     let mut edges: Vec<(u64, u64)> = g.edges.iter().map(|&(s, _, d)| (s, d)).collect();
     edges.sort_unstable();
@@ -66,7 +79,7 @@ fn check_plan(plan: FixpointPlan, local: LocalEngine, seed: u64, chaos: bool) ->
     let mut summaries = Vec::new();
     for round in 0..5u64 {
         // (Re-)warm the cached view; after a maintained round this hits.
-        client.query(TC).expect("warm query");
+        client.query(text).expect("warm query");
 
         let (n_ins, n_del) = if round == 3 { (1, 6) } else { (4, 2) };
         let ins: Vec<(u64, u64)> =
@@ -83,9 +96,9 @@ fn check_plan(plan: FixpointPlan, local: LocalEngine, seed: u64, chaos: bool) ->
         edges.sort_unstable();
         edges.dedup();
 
-        let got = client.query(TC).expect("query after delta");
+        let got = client.query(text).expect("query after delta");
         let want = QueryEngine::with_config(db_from_edges(&edges), config.clone())
-            .run_ucrpq(TC)
+            .run_ucrpq(text)
             .expect("recompute");
         assert_eq!(
             got.relation.sorted_rows(),
@@ -93,6 +106,10 @@ fn check_plan(plan: FixpointPlan, local: LocalEngine, seed: u64, chaos: bool) ->
             "round {round}: maintained view diverged from recompute \
              (plan {plan:?}, engine {local:?}, seed {seed}, chaos {chaos})"
         );
+        let mut mirror = db_from_edges(&edges);
+        let raw = to_mura(&parse_ucrpq(text).expect("parse"), &mut mirror).expect("translate");
+        let centralized = mura_core::eval(&raw, &mirror).expect("centralized evaluation");
+        assert_eq!(got.relation.sorted_rows(), centralized.sorted_rows(), "round {round}");
     }
     let stats = server.stats();
     assert_eq!(stats.deltas_applied, 5, "every batch must be applied");
@@ -132,6 +149,33 @@ fn maintained_views_match_recompute_auto_sorted() {
     check_plan(FixpointPlan::Auto, LocalEngine::Sorted, matrix_seed().wrapping_add(1), false);
 }
 
+/// Two sibling fixpoints equal up to their binders — one modulo-generated
+/// key, two plan keys — keep a total each: after every round of inserts and
+/// deletes the maintained view equals the recomputed one and centralized
+/// evaluation, on every fixpoint plan.
+#[test]
+fn sibling_fixpoints_equal_up_to_binders_keep_their_own_totals() {
+    const FORK: &str = "?x, ?y, ?z <- ?x edge+ ?y, ?x edge+ ?z";
+    fn fixpoints<'t>(t: &'t Term, out: &mut Vec<&'t Term>) {
+        if matches!(t, Term::Fix(..)) {
+            out.push(t);
+        }
+        t.children().into_iter().for_each(|c| fixpoints(c, out));
+    }
+    let edges: Vec<(u64, u64)> = (0..6).map(|i| (i, i + 1)).collect();
+    let planned = QueryEngine::new(db_from_edges(&edges)).plan_ucrpq(FORK).expect("plan");
+    let mut fixes = Vec::new();
+    fixpoints(&planned.plan, &mut fixes);
+    assert_eq!(fixes.len(), 2, "the plan forks into two closures");
+    assert_eq!(canon_key(fixes[0], &[]), canon_key(fixes[1], &[]), "equal up to binders");
+    assert_ne!(term_key(fixes[0]), term_key(fixes[1]), "and two fixpoints to the executor");
+
+    for plan in [FixpointPlan::ForceGld, FixpointPlan::ForcePlw, FixpointPlan::Auto] {
+        let s = check_text(FORK, plan, LocalEngine::SetRdd, matrix_seed(), false);
+        assert!(s.iter().any(|d| d.maintained >= 1), "{plan:?}: never maintained: {s:?}");
+    }
+}
+
 /// Under injected faults (panics, transient errors, drops, stragglers)
 /// maintenance must still produce exact answers, and the whole summary
 /// sequence must be deterministic for a fixed seed.
@@ -154,11 +198,7 @@ fn unrelated_mutation_revalidates_cached_views() {
     let server = Server::start(QueryEngine::new(db), ServeConfig::default());
     let client = server.client();
 
-    // Two warms: the first execution's observed cardinalities can steer
-    // the replan to a differently-keyed (equivalent) plan, so converge on
-    // the observed-cost plan before caching the view we expect to hit.
-    client.query(TC).expect("warm");
-    let before = client.query(TC).expect("rewarm under observed costs");
+    let before = client.query(TC).expect("warm");
     let batch = server.with_db(|db| {
         let rel = db.dict().lookup("other").unwrap();
         let mut b = DeltaBatch::new();

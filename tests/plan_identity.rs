@@ -4,9 +4,11 @@
 //! cardinalities, the winner and the number of candidates costed equal
 //! what the commit before the change recorded (`tests/golden/plans.tsv`).
 //!
-//! Plans are compared by a rendering that numbers generated names
-//! (`X#17`, `m#4`) by first occurrence: which numbers a derivation minted
-//! depends on everything planned before it, the plan does not.
+//! Plans are compared by their rendering: a finished plan numbers its
+//! generated symbols (`X#0`, `m#1`) by first occurrence, so which numbers a
+//! derivation minted — which depends on everything planned before it — is
+//! not in it. (The file was recorded from a test-side renumbering of the
+//! rendered text, when plans still carried the minted numbers.)
 //!
 //! One count in the file is not what that commit gave: it costed 18
 //! candidates for `?x <- ?x (actedIn/-actedIn)+ Kevin_Bacon`, the file says
@@ -21,8 +23,9 @@
 //! (copied: the benchmark package is not a dependency of the workspace).
 
 use dist_mu_ra::prelude::*;
+use mura_core::{canon_key, term_key};
 use mura_datagen::{erdos_renyi, with_random_labels, yago_like, Graph, SplitMix64, YagoConfig};
-use mura_rewrite::{canon_key, ObservedCards, Rewriter};
+use mura_rewrite::{bracketed, ObservedCards, Rewriter};
 use mura_ucrpq::suites::yago_queries;
 use mura_ucrpq::{parse_ucrpq, to_mura};
 use std::collections::BTreeSet;
@@ -91,41 +94,8 @@ fn read_pool() -> Vec<String> {
     pool
 }
 
-/// `term` rendered with every generated name `prefix#N` renumbered to
-/// `prefix#k`, `k` counting distinct generated names in order of first
-/// occurrence.
 fn render(term: &Term, dict: &Dictionary) -> String {
-    render_counting(term, dict).0
-}
-
-/// [`render`], and how many distinct generated names the term holds.
-fn render_counting(term: &Term, dict: &Dictionary) -> (String, usize) {
-    let text = term.display(dict).to_string();
-    let is_name = |c: char| c.is_alphanumeric() || c == '_' || c == '?';
-    let mut seen: Vec<String> = Vec::new();
-    let mut out = String::with_capacity(text.len());
-    let mut rest = text.as_str();
-    while let Some(hash) = rest.find('#') {
-        let digits = rest[hash + 1..].chars().take_while(char::is_ascii_digit).count();
-        let start = rest[..hash].rfind(|c| !is_name(c)).map_or(0, |i| {
-            i + rest[i..].chars().next().expect("rfind returned a char boundary").len_utf8()
-        });
-        let end = hash + 1 + digits;
-        if digits == 0 || start == hash {
-            out.push_str(&rest[..end]);
-        } else {
-            let name = &rest[start..end];
-            let k = seen.iter().position(|n| n == name).unwrap_or_else(|| {
-                seen.push(name.to_string());
-                seen.len() - 1
-            });
-            out.push_str(&rest[..hash + 1]);
-            out.push_str(&k.to_string());
-        }
-        rest = &rest[end..];
-    }
-    out.push_str(rest);
-    (out, seen.len())
+    term.display(dict).to_string()
 }
 
 fn fnv64(s: &str) -> u64 {
@@ -137,7 +107,7 @@ fn fnv64(s: &str) -> u64 {
 fn observe(plan: &Term, db: &Database, cards: &mut ObservedCards) {
     if matches!(plan, Term::Fix(..)) && plan.free_vars().iter().all(|v| db.relation(*v).is_some()) {
         let rows = || mura_core::eval(plan, db).expect("fixpoint evaluates").len() as f64;
-        cards.entry(canon_key(plan, db.dict(), &[])).or_insert_with(rows);
+        cards.entry(canon_key(plan, &[])).or_insert_with(rows);
     }
     for child in plan.children() {
         observe(child, db, cards);
@@ -193,15 +163,20 @@ fn all_lines(full: bool) -> Vec<String> {
 #[test]
 fn renderings_number_generated_names_by_first_occurrence() {
     let mut db = Database::new();
-    let (e, src) = (db.intern("E"), db.intern("src"));
+    let (src, dst) = (db.intern("src"), db.intern("dst"));
+    let e = db.insert_relation("E", Relation::from_pairs(src, dst, [(1, 2)]));
     let plan = |db: &mut Database| {
         let (x, m) = (db.dict_mut().fresh("X"), db.dict_mut().fresh("m"));
-        Term::var(e).union(Term::var(x).rename(src, m).antiproject(m)).fix(x)
+        let step = Term::var(x).rename(dst, m).join(Term::var(e).rename(src, m)).antiproject(m);
+        Term::var(e).union(step).fix(x)
     };
     let (a, b) = (plan(&mut db), plan(&mut db));
     assert_ne!(a, b);
-    assert_eq!(render(&a, db.dict()), render(&b, db.dict()));
-    assert_eq!(render(&a, db.dict()), "μ(X#0 = (E ∪ π̃[m#1](ρ[src→m#1](X#0))))");
+    // What a search does to the plan it returns.
+    let finish = |t: Term, db: &mut Database| bracketed(db, |_| Ok((t, ()))).expect("types").0;
+    let (a, b) = (finish(a, &mut db), finish(b, &mut db));
+    assert_eq!(a, b);
+    assert_eq!(render(&a, db.dict()), "μ(X#0 = (E ∪ π̃[m#1]((ρ[dst→m#1](X#0) ⋈ ρ[src→m#1](E)))))");
 }
 
 #[test]
@@ -228,39 +203,43 @@ fn plans_and_candidate_counts_equal_the_recorded_ones() {
 }
 
 /// Planning costs what the query and the database make it cost, whatever
-/// was planned before: five sweeps over the pool through the engine do the
-/// same work each, choose the same plans, and leave in the dictionary the
-/// generated names of their 175 plans and nothing else. (Before: 63,299
-/// names per sweep, and every sweep slower than the one before.)
+/// was planned before: five sweeps over the pool through the engine, then
+/// one in reverse order, do the same work for each text and return the
+/// same plan — same key, same rendering — and after the first sweep (which
+/// interns the pool's query variables) the dictionary is left exactly as it
+/// was found. (Before PR 15: 63,299 names per sweep, and every sweep slower
+/// than the one before; before PR 19: the names of 175 plans per sweep.)
 #[test]
 fn planning_the_pool_again_costs_and_leaves_what_the_first_time_did() {
     let mut engine = QueryEngine::new(yago_graph().to_database());
     let pool = read_pool();
-    // Per text: the plan's rendering, sweeps run, candidates costed.
-    let mut first: Vec<(String, usize, usize)> = Vec::new();
-    for sweep in 0..5 {
-        let before = engine.db().dict().len();
-        let (mut plans, mut generated) = (Vec::new(), 0);
-        for text in &pool {
+    // Per text: the plan's key and rendering, sweeps run, candidates costed.
+    let sweep = |engine: &mut QueryEngine, texts: &mut dyn Iterator<Item = &String>| {
+        let mut plans: Vec<(u64, String, usize, usize)> = Vec::new();
+        for text in texts {
             let (planned, report) = engine.plan_ucrpq_report(text, None).expect("plan");
             let report = report.expect("the rewriter is on");
-            let (rendering, names) = render_counting(&planned.plan, engine.db().dict());
-            plans.push((rendering, report.sweeps, report.candidates));
-            generated += names;
+            let rendering = render(&planned.plan, engine.db().dict());
+            plans.push((term_key(&planned.plan), rendering, report.sweeps, report.candidates));
         }
-        assert!(generated < 175 * 40, "{generated} generated names in 175 plans");
-        let grown = engine.db().dict().len() - before;
-        if sweep == 0 {
-            // The first sweep also interns the pool's query variables.
-            assert!((generated..generated + 16).contains(&grown), "{grown} vs {generated}");
-            first = plans;
-        } else {
-            assert_eq!(grown, generated, "sweep {sweep}: names left behind");
-            assert!(first == plans, "sweep {sweep}: other plans, sweeps or candidates");
-        }
+        plans
+    };
+    let names = engine.db().dict().len();
+    let first = sweep(&mut engine, &mut pool.iter());
+    let grown = engine.db().dict().len() - names;
+    assert!(grown < 16, "{grown} names beyond the pool's query variables");
+    let left = (engine.db().dict().len(), engine.db().dict().mark());
+    for again in 1..5 {
+        assert!(
+            first == sweep(&mut engine, &mut pool.iter()),
+            "sweep {again}: other plans or work"
+        );
+        assert_eq!((engine.db().dict().len(), engine.db().dict().mark()), left, "sweep {again}");
     }
-    let fresh_counter = engine.db().dict().fresh_counter() as usize;
-    assert!(fresh_counter <= engine.db().dict().len(), "the counter ran ahead of the names kept");
+    let mut reversed = sweep(&mut engine, &mut pool.iter().rev());
+    reversed.reverse();
+    assert!(first == reversed, "planned in reverse order: other plans or work");
+    assert_eq!((engine.db().dict().len(), engine.db().dict().mark()), left);
 }
 
 /// Prints what the golden file is made of, with the renderings. To record
