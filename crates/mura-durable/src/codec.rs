@@ -331,55 +331,21 @@ pub fn get_database(cur: &mut Cur) -> Result<Database, CodecError> {
 pub fn put_feedback(out: &mut Vec<u8>, fb: &FeedbackState) {
     put_u64(out, fb.generation);
     put_u32(out, fb.entries.len() as u32);
-    for (key, rows, runs, deps) in &fb.entries {
+    for (key, rows) in &fb.entries {
         put_u64(out, *key);
         put_f64(out, *rows);
-        put_u64(out, *runs);
-        put_u32(out, deps.len() as u32);
-        for (s, v) in deps {
-            put_sym(out, *s);
-            put_u64(out, *v);
-        }
-    }
-    put_u32(out, fb.churn.len() as u32);
-    for (s, v) in &fb.churn {
-        put_sym(out, *s);
-        put_u64(out, *v);
-    }
-    put_u32(out, fb.sizes.len() as u32);
-    for (s, v) in &fb.sizes {
-        put_sym(out, *s);
-        put_f64(out, *v);
     }
 }
 
 /// Decodes feedback-store state.
 pub fn get_feedback(cur: &mut Cur) -> Result<FeedbackState, CodecError> {
     let generation = cur.u64()?;
-    let n = cur.seq_len(28)?;
+    let n = cur.seq_len(16)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let key = cur.u64()?;
-        let rows = cur.f64()?;
-        let runs = cur.u64()?;
-        let nd = cur.seq_len(12)?;
-        let mut deps = Vec::with_capacity(nd);
-        for _ in 0..nd {
-            deps.push((get_sym(cur)?, cur.u64()?));
-        }
-        entries.push((key, rows, runs, deps));
+        entries.push((cur.u64()?, cur.f64()?));
     }
-    let nc = cur.seq_len(12)?;
-    let mut churn = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        churn.push((get_sym(cur)?, cur.u64()?));
-    }
-    let ns = cur.seq_len(12)?;
-    let mut sizes = Vec::with_capacity(ns);
-    for _ in 0..ns {
-        sizes.push((get_sym(cur)?, cur.f64()?));
-    }
-    Ok(FeedbackState { generation, entries, churn, sizes })
+    Ok(FeedbackState { generation, entries })
 }
 
 #[cfg(test)]
@@ -445,11 +411,12 @@ mod tests {
     #[test]
     fn relation_bytes_and_term_keys_are_the_recorded_ones() {
         // Canonical forms other state depends on: snapshot bytes and the
-        // term keys caches and views are filed under (format 3 changed
-        // neither: it dropped the dictionary's counter).
+        // term keys caches and views are filed under (formats 3 and 4
+        // changed neither: they dropped the dictionary's counter and the
+        // feedback store's churn bookkeeping).
         // Rows go in unsorted and mixed; what comes out was recorded when
         // both were produced from a sorted vector of boxed rows.
-        assert_eq!(crate::snapshot::SNAP_FORMAT, 3);
+        assert_eq!(crate::snapshot::SNAP_FORMAT, 4);
         let rel = Relation::from_rows(
             Schema::new(vec![Sym(3), Sym(5)]),
             [
@@ -522,8 +489,10 @@ mod tests {
         let mut fb = FeedbackStore::new();
         let db = sample_db();
         let edge = db.dict().lookup("edge").unwrap();
-        fb.note_churn(edge, 5, 40);
+        let fix = Term::var(edge).union(Term::var(Sym(90))).fix(Sym(90));
+        fb.record_plan(&fix, &|_| Some(40.0));
         let state = fb.export_state();
+        assert_eq!(state.entries.len(), 1);
         let mut out = Vec::new();
         put_feedback(&mut out, &state);
         let mut cur = Cur::new(&out);

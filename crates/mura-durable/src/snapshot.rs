@@ -20,8 +20,9 @@ use std::path::{Path, PathBuf};
 /// Snapshot file magic.
 pub const SNAP_MAGIC: &[u8; 8] = b"MURASNP1";
 /// On-disk format version (2: relations are `mura_core::codec` row blocks;
-/// 3: generated symbols are numbers, the dictionary stores no counter).
-pub const SNAP_FORMAT: u32 = 3;
+/// 3: generated symbols are numbers, the dictionary stores no counter;
+/// 4: a feedback observation is `(canon_key, rows)` and nothing else).
+pub const SNAP_FORMAT: u32 = 4;
 
 /// Snapshot failure. Unlike WAL torn tails, there is no partial-snapshot
 /// recovery: a file either validates end-to-end or is skipped.
@@ -92,7 +93,8 @@ pub struct SnapshotState {
     pub plans: Vec<(String, Term, u64)>,
 }
 
-fn encode_state(state: &SnapshotState) -> Vec<u8> {
+/// The payload of a snapshot file (between the header and the checksum).
+pub fn encode_state(state: &SnapshotState) -> Vec<u8> {
     let mut out = Vec::new();
     codec::put_u64(&mut out, state.version);
     codec::put_u64(&mut out, state.epoch);
@@ -117,12 +119,17 @@ fn encode_state(state: &SnapshotState) -> Vec<u8> {
     out
 }
 
-fn decode_state(payload: &[u8]) -> Result<SnapshotState, codec::CodecError> {
+/// Decodes a snapshot payload. Total over arbitrary bytes: a typed error or
+/// a state, no panic, and no allocation beyond a multiple of the input's
+/// length (`tests/decode_fuzz.rs`).
+pub fn decode_state(payload: &[u8]) -> Result<SnapshotState, codec::CodecError> {
     let mut cur = Cur::new(payload);
     let version = cur.u64()?;
     let epoch = cur.u64()?;
     let db = codec::get_database(&mut cur)?;
-    let n_views = cur.seq_len(1)?;
+    // Smallest view: a variable (5 bytes), an empty relation (16) and no
+    // totals (4).
+    let n_views = cur.seq_len(25)?;
     let mut views = Vec::with_capacity(n_views);
     for _ in 0..n_views {
         let plan = codec::get_term(&mut cur)?;
@@ -286,7 +293,7 @@ mod tests {
         let rel = Relation::from_pairs(src, dst, [(1, 2), (1, 3), (2, 3)]);
         let totals = vec![(42u64, rel.clone())];
         let mut fb = FeedbackStore::new();
-        fb.note_churn(edge, 4, 20);
+        fb.record_plan(&plan, &|_| Some(3.0));
         SnapshotState {
             version,
             epoch: 1,
@@ -345,10 +352,10 @@ mod tests {
 
     #[test]
     fn snapshot_of_the_format_before_is_refused() {
-        let dir = tmpdir("format2");
+        let dir = tmpdir("format3");
         let path = write_snapshot(&dir, &sample_state(4)).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&(SNAP_FORMAT - 1).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let refused = read_snapshot(&path).unwrap_err();
         assert!(

@@ -20,9 +20,16 @@
 //! records: *reversing* `a+` converts `RL(a,a) ↔ LL(a,a)`; *pushing a join*
 //! composes into the seed; *merging* combines an `LL`-able left operand with
 //! an `RL`-able right operand.
+//!
+//! Where those rules apply is a [`Decision`]: the one definition of each
+//! point at which plans diverge, walked by the greedy pass and by the
+//! enumerator alike.
 
+use crate::memo::{RuleMask, RULE_COMPOSE, RULE_JOIN_PUSH, RULE_REVERSE};
+use crate::rules::join_into_fix_through_renames;
 use mura_core::analysis::{decompose_fixpoint, infer_schema, TypeEnv};
 use mura_core::{Dictionary, Pred, Sym, Term};
+use std::borrow::Borrow;
 
 /// A recognized (or synthesized) closure fixpoint `L* ∘ seed ∘ R*` over the
 /// binary path schema.
@@ -113,6 +120,22 @@ impl ClosureForm {
 pub fn compose(a: Term, b: Term, src: Sym, dst: Sym, dict: &mut Dictionary) -> Term {
     let m = dict.fresh("m");
     a.rename(dst, m).join(b.rename(src, m)).antiproject(m)
+}
+
+/// Matches the composition pattern `π̃_m(ρ_dst→m(A) ⋈ ρ_src→m(B))` that
+/// [`compose`] builds, returning `(A, B)`.
+pub fn recognize_compose(t: &Term, src: Sym, dst: Sym) -> Option<(&Term, &Term)> {
+    let Term::AntiProject(cols, inner) = t else { return None };
+    let [m] = cols.as_slice() else { return None };
+    let Term::Join(l, r) = &**inner else { return None };
+    for (x, y) in [(l, r), (r, l)] {
+        let Term::Rename(fa, ma, a) = &**x else { continue };
+        let Term::Rename(fb, mb, b) = &**y else { continue };
+        if *fa == dst && *ma == *m && *fb == src && *mb == *m {
+            return Some((a, b));
+        }
+    }
+    None
 }
 
 /// Tries to recognize `term` as a closure fixpoint over columns
@@ -326,6 +349,129 @@ pub fn reversal_alternatives(
         _ => {}
     }
     out
+}
+
+/// True when `t` mentions no variable of `bound`.
+pub(crate) fn closed(t: &Term, bound: &[Sym]) -> bool {
+    !bound.iter().any(|v| t.has_free_var(*v))
+}
+
+/// Where a closure decision is taken, with its operands.
+#[derive(Debug, Clone, Copy)]
+enum Point<'t> {
+    /// A composition `a ∘ b`: merge the operands' fixpoints, push one
+    /// into the other's seed, or reverse one and push
+    /// ([`compose_alternatives`]).
+    Compose(&'t Term, &'t Term),
+    /// A filter over a fixpoint, `σ_preds(μ…)`: reverse the closure so the
+    /// filter reaches a seed ([`reversal_alternatives`]).
+    Reverse(&'t [Pred], &'t Term),
+    /// A join `a ⋈ b`: push one operand into the other's fixpoint through
+    /// its rename chain ([`join_into_fix_through_renames`], both ways).
+    /// Cost decides — carrying extra columns through the iteration is not
+    /// always a win.
+    Join(&'t Term, &'t Term),
+}
+
+/// A closure decision: a point of a term at which equivalent plans
+/// genuinely diverge, said once. The greedy pass optimizes the operands and
+/// picks the cheapest of the rebuilt original and the alternatives; the
+/// enumerator rebuilds over the operands' surviving members and admits
+/// everything, and later expands members by the families their
+/// [`RuleMask`] lacks. All three walk this definition.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Decision<'t> {
+    point: Point<'t>,
+    src: Sym,
+    dst: Sym,
+}
+
+impl<'t> Decision<'t> {
+    /// The decision taken at the root of `t`, if its shape is one of the
+    /// three. Shape only: whether the operands are closed, and what to do
+    /// when they are not, is the walker's business.
+    pub(crate) fn at(t: &'t Term, src: Sym, dst: Sym) -> Option<Decision<'t>> {
+        let point = match t {
+            Term::AntiProject(..) => {
+                recognize_compose(t, src, dst).map(|(a, b)| Point::Compose(a, b))
+            }
+            Term::Filter(preds, inner) if matches!(**inner, Term::Fix(..)) => {
+                Some(Point::Reverse(preds, inner))
+            }
+            Term::Join(a, b) => Some(Point::Join(a, b)),
+            _ => None,
+        };
+        point.map(|point| Decision { point, src, dst })
+    }
+
+    /// The subterms planned on their own before the decision is taken.
+    pub(crate) fn operands(&self) -> impl Iterator<Item = &'t Term> {
+        let (first, second) = match self.point {
+            Point::Compose(a, b) | Point::Join(a, b) => (a, Some(b)),
+            Point::Reverse(_, inner) => (inner, None),
+        };
+        std::iter::once(first).chain(second)
+    }
+
+    /// True for a composition, the one point whose operands are not the
+    /// term's children (they sit under renames to a minted column).
+    pub(crate) fn is_composition(&self) -> bool {
+        matches!(self.point, Point::Compose(..))
+    }
+
+    /// The rule family [`Decision::alternatives`] applies.
+    pub(crate) fn rule(&self) -> RuleMask {
+        match self.point {
+            Point::Compose(..) => RULE_COMPOSE,
+            Point::Reverse(..) => RULE_REVERSE,
+            Point::Join(..) => RULE_JOIN_PUSH,
+        }
+    }
+
+    /// True when no operand mentions a variable of `bound` (the enclosing
+    /// fixpoints' binders): only then can alternatives be costed on their
+    /// own.
+    pub(crate) fn closed(&self, bound: &[Sym]) -> bool {
+        self.operands().all(|o| closed(o, bound))
+    }
+
+    /// The term at the point, rebuilt over one plan per operand.
+    pub(crate) fn rebuild<P: Borrow<Term>>(&self, plans: &[P], dict: &mut Dictionary) -> Term {
+        let plan = |i: usize| plans[i].borrow().clone();
+        match (self.point, plans.len()) {
+            (Point::Compose(..), 2) => compose(plan(0), plan(1), self.src, self.dst, dict),
+            (Point::Reverse(preds, _), 1) => Term::Filter(preds.to_vec(), Box::new(plan(0))),
+            (Point::Join(..), 2) => plan(0).join(plan(1)),
+            _ => unreachable!("one plan per operand"),
+        }
+    }
+
+    /// Every replacement for [`Decision::rebuild`] over the same plans, in
+    /// the order the rules produce them.
+    pub(crate) fn alternatives<P: Borrow<Term>>(
+        &self,
+        plans: &[P],
+        env: &mut TypeEnv,
+        dict: &mut Dictionary,
+    ) -> Vec<Term> {
+        let plan = |i: usize| plans[i].borrow();
+        match (self.point, plans.len()) {
+            (Point::Compose(..), 2) => {
+                compose_alternatives(plan(0), plan(1), self.src, self.dst, env, dict)
+            }
+            (Point::Reverse(preds, _), 1) => recognize(plan(0), self.src, self.dst, env)
+                .map_or_else(Vec::new, |form| reversal_alternatives(preds, &form, dict)),
+            (Point::Join(..), 2) => {
+                let (a, b) = (plan(0), plan(1));
+                let pushes = [
+                    join_into_fix_through_renames(a, b, env),
+                    join_into_fix_through_renames(b, a, env),
+                ];
+                pushes.into_iter().flatten().collect()
+            }
+            _ => unreachable!("one plan per operand"),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -12,40 +12,20 @@
 //! part of the space (via the rollout family) and is used as a floor, so
 //! the enumerated plan is never costed worse than the pipeline's.
 //!
-//! Budget policy: groups are beam-truncated (`beam`) when sealed, parents
-//! combine at most `pair_limit` members per child, expansion stops after
-//! `max_rounds` sweeps, and a global `max_members` cap bounds the whole
-//! space (reported as `budget_hit`).
+//! Budget policy (four constants in [`crate::rewriter`]): groups are
+//! beam-truncated (`BEAM`) when sealed, parents combine at most
+//! `PAIR_LIMIT` members per operand, expansion stops after `MAX_ROUNDS`
+//! sweeps, and a global `MAX_MEMBERS` cap bounds the whole space (reported
+//! as `budget_hit`).
 //!
 //! [`CostModel`]: crate::cost::CostModel
 
-use crate::closure::{compose, compose_alternatives, recognize, reversal_alternatives};
-use crate::memo::{
-    GroupId, Memo, RuleMask, RULE_ALL, RULE_COMPOSE, RULE_JOIN_PUSH, RULE_REVERSE, RULE_ROLLOUT,
-};
-use crate::rewriter::{recognize_compose, Rewriter};
+use crate::closure::{closed, Decision};
+use crate::memo::{GroupId, Memo, RuleMask, RULE_ALL, RULE_ROLLOUT};
+use crate::rewriter::{Rewriter, BEAM, MAX_MEMBERS, MAX_ROUNDS, PAIR_LIMIT};
 use crate::rules;
 use mura_core::analysis::TypeEnv;
 use mura_core::{canon_key, Database, Result, Sym, Term};
-
-/// Enumeration budget knobs.
-#[derive(Debug, Clone)]
-pub struct EnumConfig {
-    /// Members kept per group when it is sealed.
-    pub beam: usize,
-    /// Child members considered per operand when building parent plans.
-    pub pair_limit: usize,
-    /// Global cap on live members across all groups.
-    pub max_members: usize,
-    /// Expansion sweeps per group.
-    pub max_rounds: usize,
-}
-
-impl Default for EnumConfig {
-    fn default() -> Self {
-        EnumConfig { beam: 6, pair_limit: 3, max_members: 320, max_rounds: 3 }
-    }
-}
 
 /// Per-group digest for `.explain`.
 #[derive(Debug, Clone)]
@@ -92,15 +72,30 @@ pub struct EnumReport {
 /// One enumeration run over a term.
 pub(crate) struct Enumerator<'r> {
     rw: &'r Rewriter,
-    cfg: EnumConfig,
     memo: Memo,
     budget_hit: bool,
     candidates: usize,
     sweeps: usize,
 }
 
-fn closed(t: &Term, bound: &[Sym]) -> bool {
-    !bound.iter().any(|v| t.has_free_var(*v))
+/// One plan per operand out of each operand's cheapest-first `tops`: the
+/// cheapest of every operand first, then one operand at a time taken
+/// through its other members, the last operand first. Nothing when there
+/// are no operands or one has no member.
+fn one_varied(tops: &[Vec<Term>]) -> Vec<Vec<&Term>> {
+    if tops.is_empty() || tops.iter().any(Vec::is_empty) {
+        return Vec::new();
+    }
+    let cheapest: Vec<&Term> = tops.iter().map(|members| &members[0]).collect();
+    let mut out = vec![cheapest.clone()];
+    for (k, members) in tops.iter().enumerate().rev() {
+        for member in &members[1..] {
+            let mut plans = cheapest.clone();
+            plans[k] = member;
+            out.push(plans);
+        }
+    }
+    out
 }
 
 /// True when every symbol of `t` resolves in `dict` (terms planned against
@@ -122,8 +117,8 @@ fn displayable(t: &Term, dict: &mura_core::Dictionary) -> bool {
 
 impl<'r> Enumerator<'r> {
     /// `sweeps`: what the caller's own roll-out already ran.
-    pub(crate) fn new(rw: &'r Rewriter, cfg: EnumConfig, sweeps: usize) -> Self {
-        Enumerator { rw, cfg, memo: Memo::new(), budget_hit: false, candidates: 0, sweeps }
+    pub(crate) fn new(rw: &'r Rewriter, sweeps: usize) -> Self {
+        Enumerator { rw, memo: Memo::new(), budget_hit: false, candidates: 0, sweeps }
     }
 
     /// Enumerates the plan space of `t` bottom-up. Returns the (sealed)
@@ -140,80 +135,22 @@ impl<'r> Enumerator<'r> {
             return Ok(gid);
         }
         let gid = self.memo.create(key0);
-        let (src, dst) = (self.rw.src(), self.rw.dst());
         // The term itself is always a member.
         self.add(gid, t.clone(), env, bound, 0, false);
-
-        // Decision points mirror the greedy pass, but instead of picking one
-        // alternative we combine the children's surviving members and keep
-        // every derived plan.
-        if let Some((a, b, _m)) = recognize_compose(t, src, dst) {
-            if closed(&a, bound) && closed(&b, bound) {
-                let ga = self.explore(&a, db, env, bound)?;
-                let gb = self.explore(&b, db, env, bound)?;
-                let tops_a = self.memo.top_terms(ga, self.cfg.pair_limit);
-                let tops_b = self.memo.top_terms(gb, self.cfg.pair_limit);
-                for (i, ta) in tops_a.iter().enumerate() {
-                    for (j, tb) in tops_b.iter().enumerate() {
-                        if i > 0 && j > 0 {
-                            continue; // vary one operand at a time
-                        }
-                        let original = compose(ta.clone(), tb.clone(), src, dst, db.dict_mut());
-                        self.add(gid, original, env, bound, 0, false);
-                        for alt in compose_alternatives(ta, tb, src, dst, env, db.dict_mut()) {
-                            self.add(gid, alt, env, bound, RULE_COMPOSE, true);
-                        }
-                    }
-                }
-            }
-        } else if let Term::Filter(preds, inner) = t {
-            if matches!(&**inner, Term::Fix(_, _)) && closed(inner, bound) {
-                let gi = self.explore(inner, db, env, bound)?;
-                for it in self.memo.top_terms(gi, self.cfg.pair_limit) {
-                    let original = Term::Filter(preds.clone(), Box::new(it.clone()));
-                    self.add(gid, original, env, bound, 0, false);
-                    if let Some(form) = recognize(&it, src, dst, env) {
-                        for alt in reversal_alternatives(preds, &form, db.dict_mut()) {
-                            self.add(gid, alt, env, bound, RULE_REVERSE, true);
-                        }
-                    }
-                }
-            } else {
-                self.rebuild_unary(gid, t, db, env, bound)?;
-            }
-        } else if let Term::Join(a, b) = t {
-            let ga = self.explore(a, db, env, bound)?;
-            let gb = self.explore(b, db, env, bound)?;
-            let both_closed = closed(a, bound) && closed(b, bound);
-            let tops_a = self.memo.top_terms(ga, self.cfg.pair_limit);
-            let tops_b = self.memo.top_terms(gb, self.cfg.pair_limit);
-            for (i, ta) in tops_a.iter().enumerate() {
-                for (j, tb) in tops_b.iter().enumerate() {
-                    if i > 0 && j > 0 {
-                        continue;
-                    }
-                    self.add(gid, ta.clone().join(tb.clone()), env, bound, 0, false);
-                    if both_closed {
-                        if let Some(alt) = rules::join_into_fix_through_renames(ta, tb, env) {
-                            self.add(gid, alt, env, bound, RULE_JOIN_PUSH, true);
-                        }
-                        if let Some(alt) = rules::join_into_fix_through_renames(tb, ta, env) {
-                            self.add(gid, alt, env, bound, RULE_JOIN_PUSH, true);
-                        }
-                    }
-                }
-            }
-        } else {
-            self.rebuild_generic(gid, t, db, env, bound)?;
-        }
-
+        self.combine(gid, t, db, env, bound)?;
         self.expand(gid, db, env, bound)?;
-        self.memo.seal(gid, self.cfg.beam);
+        self.memo.seal(gid, BEAM);
         Ok(gid)
     }
 
-    /// Rebuild for unary operators: wrap each surviving child member.
-    fn rebuild_unary(
+    /// Rebuilds `t` over the surviving members of its operands' groups —
+    /// the operands of the [`Decision`] at `t`, or else `t`'s children —
+    /// varying one operand at a time, and where a decision is taken admits
+    /// every alternative over the same members instead of picking one. A
+    /// decision is taken when its operands are closed. When they are not,
+    /// the filter and the join are still rebuilt over their operands'
+    /// members, and the composition stays as it is.
+    fn combine(
         &mut self,
         gid: GroupId,
         t: &Term,
@@ -221,70 +158,33 @@ impl<'r> Enumerator<'r> {
         env: &mut TypeEnv,
         bound: &mut Vec<Sym>,
     ) -> Result<()> {
-        let (inner, wrap): (&Term, Box<dyn Fn(Term) -> Term>) = match t {
-            Term::Filter(ps, inner) => {
-                let ps = ps.clone();
-                (inner, Box::new(move |c| Term::Filter(ps.clone(), Box::new(c))))
-            }
-            Term::Rename(a, b, inner) => {
-                let (a, b) = (*a, *b);
-                (inner, Box::new(move |c| Term::Rename(a, b, Box::new(c))))
-            }
-            Term::AntiProject(cs, inner) => {
-                let cs = cs.clone();
-                (inner, Box::new(move |c| Term::AntiProject(cs.clone(), Box::new(c))))
-            }
-            _ => return Ok(()),
-        };
-        let gi = self.explore(inner, db, env, bound)?;
-        for it in self.memo.top_terms(gi, self.cfg.pair_limit) {
-            self.add(gid, wrap(it), env, bound, 0, false);
+        let point = Decision::at(t, self.rw.src(), self.rw.dst());
+        let taken = point.filter(|d| d.closed(bound));
+        if taken.is_none() && point.is_some_and(|d| d.is_composition()) {
+            return Ok(());
         }
-        Ok(())
-    }
-
-    /// Rebuild for the remaining shapes (binary set operators, fixpoints).
-    fn rebuild_generic(
-        &mut self,
-        gid: GroupId,
-        t: &Term,
-        db: &mut Database,
-        env: &mut TypeEnv,
-        bound: &mut Vec<Sym>,
-    ) -> Result<()> {
-        match t {
-            Term::Var(_) | Term::Cst(_) => {}
-            Term::Filter(..) | Term::Rename(..) | Term::AntiProject(..) => {
-                self.rebuild_unary(gid, t, db, env, bound)?;
-            }
-            Term::Join(..) => {} // handled at the decision point
-            Term::Antijoin(a, b) | Term::Union(a, b) => {
-                let ga = self.explore(a, db, env, bound)?;
-                let gb = self.explore(b, db, env, bound)?;
-                let tops_a = self.memo.top_terms(ga, self.cfg.pair_limit);
-                let tops_b = self.memo.top_terms(gb, self.cfg.pair_limit);
-                for (i, ta) in tops_a.iter().enumerate() {
-                    for (j, tb) in tops_b.iter().enumerate() {
-                        if i > 0 && j > 0 {
-                            continue;
-                        }
-                        let rebuilt = match t {
-                            Term::Antijoin(..) => {
-                                Term::Antijoin(Box::new(ta.clone()), Box::new(tb.clone()))
-                            }
-                            _ => Term::Union(Box::new(ta.clone()), Box::new(tb.clone())),
-                        };
-                        self.add(gid, rebuilt, env, bound, 0, false);
-                    }
+        let operands = point.map_or_else(|| t.children(), |d| d.operands().collect());
+        let binder = if let Term::Fix(x, _) = t { Some(*x) } else { None };
+        bound.extend(binder);
+        let groups: Result<Vec<GroupId>> =
+            operands.iter().map(|o| self.explore(o, db, env, bound)).collect();
+        if binder.is_some() {
+            bound.pop();
+        }
+        let tops: Vec<Vec<Term>> =
+            groups?.iter().map(|g| self.memo.top_terms(*g, PAIR_LIMIT)).collect();
+        for plans in one_varied(&tops) {
+            let rebuilt = match &point {
+                Some(d) => d.rebuild(&plans, db.dict_mut()),
+                None => {
+                    let mut plans = plans.iter();
+                    t.map_children(|_| (*plans.next().expect("one plan per child")).clone())
                 }
-            }
-            Term::Fix(x, body) => {
-                bound.push(*x);
-                let gb = self.explore(body, db, env, bound);
-                bound.pop();
-                let gb = gb?;
-                for bt in self.memo.top_terms(gb, self.cfg.pair_limit) {
-                    self.add(gid, Term::Fix(*x, Box::new(bt)), env, bound, 0, false);
+            };
+            self.add(gid, rebuilt, env, bound, 0, false);
+            if let Some(d) = &taken {
+                for alt in d.alternatives(&plans, env, db.dict_mut()) {
+                    self.add(gid, alt, env, bound, d.rule(), true);
                 }
             }
         }
@@ -292,9 +192,10 @@ impl<'r> Enumerator<'r> {
     }
 
     /// Expansion sweeps: apply the rule families still unset in each
-    /// member's mask, including the greedy-pipeline rollout (which both
-    /// guarantees the pipeline's plan is in the space and resolves nested
-    /// decision points that normalization exposed).
+    /// member's mask — the alternatives of the [`Decision`] at the member,
+    /// and the greedy-pipeline rollout (which both guarantees the
+    /// pipeline's plan is in the space and resolves nested decision points
+    /// that normalization exposed).
     fn expand(
         &mut self,
         gid: GroupId,
@@ -302,8 +203,7 @@ impl<'r> Enumerator<'r> {
         env: &mut TypeEnv,
         bound: &[Sym],
     ) -> Result<()> {
-        let (src, dst) = (self.rw.src(), self.rw.dst());
-        for _ in 0..self.cfg.max_rounds {
+        for _ in 0..MAX_ROUNDS {
             if self.budget_hit {
                 break;
             }
@@ -326,30 +226,11 @@ impl<'r> Enumerator<'r> {
                 if !closed(&term, bound) {
                     continue;
                 }
-                if mask & RULE_COMPOSE == 0 {
-                    if let Some((a, b, _m)) = recognize_compose(&term, src, dst) {
-                        for alt in compose_alternatives(&a, &b, src, dst, env, db.dict_mut()) {
-                            added |= self.add(gid, alt, env, bound, RULE_COMPOSE, true);
-                        }
-                    }
-                }
-                if mask & RULE_REVERSE == 0 {
-                    if let Term::Filter(preds, inner) = &term {
-                        if let Some(form) = recognize(inner, src, dst, env) {
-                            for alt in reversal_alternatives(preds, &form, db.dict_mut()) {
-                                added |= self.add(gid, alt, env, bound, RULE_REVERSE, true);
-                            }
-                        }
-                    }
-                }
-                if mask & RULE_JOIN_PUSH == 0 {
-                    if let Term::Join(a, b) = &term {
-                        if let Some(alt) = rules::join_into_fix_through_renames(a, b, env) {
-                            added |= self.add(gid, alt, env, bound, RULE_JOIN_PUSH, true);
-                        }
-                        if let Some(alt) = rules::join_into_fix_through_renames(b, a, env) {
-                            added |= self.add(gid, alt, env, bound, RULE_JOIN_PUSH, true);
-                        }
+                let decision = Decision::at(&term, self.rw.src(), self.rw.dst());
+                if let Some(d) = decision.filter(|d| mask & d.rule() == 0) {
+                    let plans: Vec<&Term> = d.operands().collect();
+                    for alt in d.alternatives(&plans, env, db.dict_mut()) {
+                        added |= self.add(gid, alt, env, bound, d.rule(), true);
                     }
                 }
                 if mask & RULE_ROLLOUT == 0 {
@@ -365,7 +246,7 @@ impl<'r> Enumerator<'r> {
                 break;
             }
             // Re-focus the next sweep on the cheapest members.
-            self.memo.seal(gid, self.cfg.beam);
+            self.memo.seal(gid, BEAM);
         }
         Ok(())
     }
@@ -382,7 +263,7 @@ impl<'r> Enumerator<'r> {
         mask: RuleMask,
         require_cost: bool,
     ) -> bool {
-        if self.memo.member_count() >= self.cfg.max_members {
+        if self.memo.member_count() >= MAX_MEMBERS {
             self.budget_hit = true;
             return false;
         }
@@ -546,6 +427,67 @@ mod tests {
             for (i, c) in cands.iter().enumerate() {
                 let got = eval(c, &db).unwrap().sorted_rows();
                 assert_eq!(got, expected, "{q}: candidate {i} diverges");
+            }
+        }
+    }
+
+    /// One term per decision kind over the two chains of `closure.rs`'s
+    /// tests (`a`: 0→1→2, `b`: 2→3→4): `a+ ∘ b+`, `σ_dst=2(a+)` and
+    /// `ρ(a+) ⋈ π̃(ρ(b))` sharing the closure's stable column. Operands are
+    /// in normal form, as the members the enumerator combines are: the
+    /// greedy pass builds its alternatives over operands as it finds them.
+    fn decision_fixtures() -> (Database, Vec<(&'static str, Term)>) {
+        use crate::closure::{compose, ClosureForm};
+        use mura_core::{Pred, Relation, Value};
+        let mut db = Database::new();
+        let (src, dst) = (db.intern("src"), db.intern("dst"));
+        let a = db.insert_relation("a", Relation::from_pairs(src, dst, [(0, 1), (1, 2)]));
+        let b = db.insert_relation("b", Relation::from_pairs(src, dst, [(2, 3), (3, 4)]));
+        let (qx, qy) = (db.intern("?x"), db.intern("?y"));
+        let mut plus = |r: Sym| {
+            ClosureForm::right_linear(Term::var(r), Term::var(r), src, dst).emit(db.dict_mut())
+        };
+        let (a_plus, b_plus) = (plus(a), plus(b));
+        let composed = compose(a_plus.clone(), b_plus, src, dst, db.dict_mut());
+        let filtered = a_plus.clone().filter(Pred::Eq(dst, Value::node(2)));
+        let mut env = TypeEnv::from_db(&db);
+        let joined = rules::normalize(&a_plus.rename(src, qx).rename(dst, qy), &mut env)
+            .join(Term::var(b).rename(src, qx).antiproject(dst));
+        (db, vec![("compose", composed), ("reverse", filtered), ("join", joined)])
+    }
+
+    #[test]
+    fn the_greedy_pass_and_the_enumerator_see_the_same_alternatives() {
+        use std::collections::BTreeSet;
+        let (mut db, fixtures) = decision_fixtures();
+        let rw = Rewriter::new(&mut db);
+        let mut env = TypeEnv::from_db(&db);
+        for (kind, t) in fixtures {
+            let rule = Decision::at(&t, rw.src(), rw.dst()).expect(kind).rule();
+            // What `closure_pass` picks from…
+            let (original, alts) =
+                rw.choices(&t, &mut db, &mut env, &mut Vec::new()).unwrap().expect(kind);
+            assert!(!alts.is_empty(), "{kind}: a decision with nothing to decide");
+            let greedy: BTreeSet<u64> = alts.iter().map(|alt| canon_key(alt, &[])).collect();
+            // …is what `explore` admits under the decision's family…
+            let mut en = Enumerator::new(&rw, 0);
+            let gid = en.memo.create(canon_key(&t, &[]));
+            en.combine(gid, &t, &mut db, &mut env, &mut Vec::new()).unwrap();
+            let members = &en.memo.group(gid).members;
+            let explored: BTreeSet<u64> =
+                members.iter().filter(|m| m.mask == rule).map(|m| m.key).collect();
+            assert_eq!(explored, greedy, "{kind}: explore");
+            // …and what `expand` derives from the rebuilt original alone
+            // (filed as it is: normalized, a composition of closures is
+            // no composition any more).
+            let mut en = Enumerator::new(&rw, 0);
+            let key = canon_key(&original, &[]);
+            let gid = en.memo.create(key);
+            assert!(en.memo.add(gid, original, 0.0, key, 0));
+            en.expand(gid, &mut db, &mut env, &[]).unwrap();
+            for alt in alts {
+                let (key, shown) = (canon_key(&alt, &[]), alt.display(db.dict()).to_string());
+                assert!(!en.memo.add(gid, alt, 0.0, key, RULE_ALL), "{kind}: expand, {shown}");
             }
         }
     }

@@ -39,6 +39,6 @@ pub mod rules;
 
 pub use closure::ClosureForm;
 pub use cost::{CostModel, ObservedCards, Stats};
-pub use enumerate::{EnumConfig, EnumReport, GroupSummary};
+pub use enumerate::{EnumReport, GroupSummary};
 pub use feedback::{FeedbackState, FeedbackStore};
 pub use rewriter::{bracketed, optimize, Rewriter};

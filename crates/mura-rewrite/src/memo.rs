@@ -24,8 +24,8 @@
 //!   derivation paths.
 //!
 //! Groups are cost-ordered and truncated to a beam width when sealed; the
-//! global member budget bounds the whole enumeration (see
-//! [`crate::enumerate::EnumConfig`]).
+//! global member budget bounds the whole enumeration (the four budget
+//! constants in [`crate::rewriter`]).
 
 use mura_core::fxhash::{FxHashMap, FxHashSet};
 use mura_core::Term;

@@ -31,9 +31,9 @@
 //! function of the term, the catalog and the statistics, and of nothing
 //! that was planned before.
 
-use crate::closure::{compose, recognize, reversal_alternatives};
+use crate::closure::Decision;
 use crate::cost::{CostModel, ObservedCards, Stats};
-use crate::enumerate::{EnumConfig, EnumReport, Enumerator};
+use crate::enumerate::{EnumReport, Enumerator};
 use crate::rules;
 use mura_core::analysis::{infer_schema, TypeEnv};
 use mura_core::{canon_key, Database, Result, Sym, Term};
@@ -43,6 +43,16 @@ use std::sync::Arc;
 /// that changes nothing (up to generated symbols), so this is a safety bound
 /// rather than a tuning knob.
 const MAX_PASSES: usize = 5;
+
+/// The enumeration budget. Members kept per group when it is sealed.
+pub(crate) const BEAM: usize = 6;
+/// Members of an operand's group considered when building parent plans.
+pub(crate) const PAIR_LIMIT: usize = 3;
+/// Cap on live members across all groups (tripping it is reported as
+/// `budget_hit`).
+pub(crate) const MAX_MEMBERS: usize = 320;
+/// Expansion sweeps per group.
+pub(crate) const MAX_ROUNDS: usize = 3;
 
 /// Required relative improvement to adopt an alternative plan (guards
 /// against oscillation between reversible forms of equal cost).
@@ -54,7 +64,6 @@ pub struct Rewriter {
     src: Sym,
     dst: Sym,
     observed: Option<Arc<ObservedCards>>,
-    enum_cfg: EnumConfig,
 }
 
 impl Rewriter {
@@ -65,19 +74,13 @@ impl Rewriter {
         let stats = Stats::from_db(db);
         let src = db.intern("src");
         let dst = db.intern("dst");
-        Rewriter { stats, src, dst, observed: None, enum_cfg: EnumConfig::default() }
+        Rewriter { stats, src, dst, observed: None }
     }
 
     /// Supplies observed fixpoint cardinalities (canonical key → measured
     /// rows); fixpoints found in the map are costed from measurement.
     pub fn with_observations(mut self, observed: Arc<ObservedCards>) -> Self {
         self.observed = Some(observed);
-        self
-    }
-
-    /// Overrides the enumeration budget.
-    pub fn with_enum_config(mut self, cfg: EnumConfig) -> Self {
-        self.enum_cfg = cfg;
         self
     }
 
@@ -119,7 +122,7 @@ impl Rewriter {
         let mut env = start(term, db);
         let (pipeline, sweeps) = self.pipeline_sweeps(term, db, &mut env)?;
         let pipeline_cost = self.cost_with(&pipeline).map(|(c, _)| c).unwrap_or(f64::INFINITY);
-        let mut en = Enumerator::new(self, self.enum_cfg.clone(), sweeps);
+        let mut en = Enumerator::new(self, sweeps);
         let gid = en.explore(term, db, &mut env, &mut Vec::new())?;
         let group_summaries = if explain { en.group_summaries(db.dict()) } else { Vec::new() };
         let (winner, mut report) = en.finish(gid, pipeline, pipeline_cost, IMPROVEMENT);
@@ -134,7 +137,7 @@ impl Rewriter {
     /// symbols the search gave them.
     pub fn candidates(&self, term: &Term, db: &mut Database) -> Result<Vec<Term>> {
         let mut env = start(term, db);
-        let mut en = Enumerator::new(self, self.enum_cfg.clone(), 0);
+        let mut en = Enumerator::new(self, 0);
         let gid = en.explore(term, db, &mut env, &mut Vec::new())?;
         let mut out = en.members(gid);
         out.push(self.pipeline_sweeps(term, db, &mut env)?.0);
@@ -197,10 +200,10 @@ impl Rewriter {
         cm.cost(term).ok().map(|c| (c, cm.observed_hits()))
     }
 
-    /// One bottom-up sweep taking cost-based decisions at composition
-    /// patterns and filtered closures. `bound` tracks enclosing fixpoint
-    /// variables: subterms mentioning them are not closed, so no
-    /// alternatives are generated (they cannot be costed independently).
+    /// One bottom-up sweep taking a cost-based pick at every closure
+    /// [`Decision`]. `bound` tracks enclosing fixpoint variables: a decision
+    /// with an operand mentioning one is not taken (its alternatives cannot
+    /// be costed independently) and the walk goes on into the children.
     fn closure_pass(
         &self,
         t: &Term,
@@ -208,64 +211,9 @@ impl Rewriter {
         env: &mut TypeEnv,
         bound: &mut Vec<Sym>,
     ) -> Result<Term> {
-        let closed = |t: &Term, bound: &[Sym]| !bound.iter().any(|v| t.has_free_var(*v));
-        // Composition pattern? Optimize operands first, then compare
-        // alternatives.
-        if let Some((a, b, _m)) = recognize_compose(t, self.src, self.dst) {
-            if closed(&a, bound) && closed(&b, bound) {
-                let a = self.closure_pass(&a, db, env, bound)?;
-                let b = self.closure_pass(&b, db, env, bound)?;
-                let original = compose(a.clone(), b.clone(), self.src, self.dst, db.dict_mut());
-                let mut alts = crate::closure::compose_alternatives(
-                    &a,
-                    &b,
-                    self.src,
-                    self.dst,
-                    env,
-                    db.dict_mut(),
-                );
-                // Normalize alternatives so their costs reflect final shape.
-                for alt in &mut alts {
-                    *alt = rules::normalize(alt, env);
-                }
-                return self.pick(original, alts);
-            }
+        if let Some((original, alts)) = self.choices(t, db, env, bound)? {
+            return self.pick(original, alts);
         }
-        // Filter over a closure: consider reversing it so the filter can be
-        // pushed into the seed of the reoriented fixpoint.
-        if let Term::Filter(preds, inner) = t {
-            if matches!(&**inner, Term::Fix(_, _)) && closed(inner, bound) {
-                let inner_opt = self.closure_pass(inner, db, env, bound)?;
-                let original = Term::Filter(preds.clone(), Box::new(inner_opt.clone()));
-                let mut alts = Vec::new();
-                if let Some(form) = recognize(&inner_opt, self.src, self.dst, env) {
-                    alts.extend(reversal_alternatives(preds, &form, db.dict_mut()));
-                }
-                for alt in &mut alts {
-                    *alt = rules::normalize(alt, env);
-                }
-                return self.pick(original, alts);
-            }
-        }
-        // Cross-atom joins: consider pushing one operand into the other's
-        // fixpoint through its rename chain (e.g. Q18-style conjunctions,
-        // `?a isL+ Japan, ?a isConnectedTo+ ?c`). Cost decides — carrying
-        // extra columns through the iteration is not always a win.
-        if let Term::Join(a, b) = t {
-            if closed(a, bound) && closed(b, bound) {
-                let a = self.closure_pass(a, db, env, bound)?;
-                let b = self.closure_pass(b, db, env, bound)?;
-                let mut alts = Vec::new();
-                if let Some(alt) = rules::join_into_fix_through_renames(&a, &b, env) {
-                    alts.push(rules::normalize(&alt, env));
-                }
-                if let Some(alt) = rules::join_into_fix_through_renames(&b, &a, env) {
-                    alts.push(rules::normalize(&alt, env));
-                }
-                return self.pick(a.join(b), alts);
-            }
-        }
-        // Otherwise: rebuild with optimized children.
         if let Term::Fix(x, body) = t {
             bound.push(*x);
             let body = self.closure_pass(body, db, env, bound);
@@ -275,8 +223,34 @@ impl Rewriter {
         t.try_map_children(|c| self.closure_pass(c, db, env, bound))
     }
 
+    /// What the greedy pass picks from at the root of `t`, if a decision
+    /// is taken there: the term rebuilt over its optimized operands, and
+    /// the alternatives, normalized so their costs reflect final shape.
+    pub(crate) fn choices(
+        &self,
+        t: &Term,
+        db: &mut Database,
+        env: &mut TypeEnv,
+        bound: &mut Vec<Sym>,
+    ) -> Result<Option<(Term, Vec<Term>)>> {
+        let Some(d) = Decision::at(t, self.src, self.dst).filter(|d| d.closed(bound)) else {
+            return Ok(None);
+        };
+        let plans: Vec<Term> =
+            d.operands().map(|o| self.closure_pass(o, db, env, bound)).collect::<Result<_>>()?;
+        let original = d.rebuild(&plans, db.dict_mut());
+        let mut alts = d.alternatives(&plans, env, db.dict_mut());
+        for alt in &mut alts {
+            *alt = rules::normalize(alt, env);
+        }
+        Ok(Some((original, alts)))
+    }
+
     /// Picks the cheapest among the original and the alternatives (with a
-    /// strict-improvement margin).
+    /// strict-improvement margin). Costed from static statistics, whatever
+    /// was observed: the greedy plan is the floor of every search and the
+    /// roll-out of every expanded member, and stays the same plan while the
+    /// memo around it is re-costed from measurements.
     fn pick(&self, original: Term, alts: Vec<Term>) -> Result<Term> {
         let cm = CostModel::new(&self.stats);
         let mut best = original;
@@ -296,22 +270,6 @@ impl Rewriter {
         }
         Ok(best)
     }
-}
-
-/// Matches the composition pattern `π̃_m(ρ_dst→m(A) ⋈ ρ_src→m(B))`,
-/// returning `(A, B, m)`.
-pub fn recognize_compose(t: &Term, src: Sym, dst: Sym) -> Option<(Term, Term, Sym)> {
-    let Term::AntiProject(cols, inner) = t else { return None };
-    let [m] = cols.as_slice() else { return None };
-    let Term::Join(l, r) = &**inner else { return None };
-    for (x, y) in [(l, r), (r, l)] {
-        let Term::Rename(fa, ma, a) = &**x else { continue };
-        let Term::Rename(fb, mb, b) = &**y else { continue };
-        if *fa == dst && *ma == *m && *fb == src && *mb == *m {
-            return Some(((**a).clone(), (**b).clone(), *m));
-        }
-    }
-    None
 }
 
 /// The type environment of a search over `term`, whose fresh symbols will
@@ -388,6 +346,7 @@ pub fn optimize(term: &Term, db: &mut Database) -> Result<Term> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::closure::recognize_compose;
     use mura_core::{eval, Database, Relation};
     use mura_datagen::SplitMix64;
     use mura_datagen::{erdos_renyi, with_random_labels};

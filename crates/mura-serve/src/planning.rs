@@ -16,7 +16,6 @@ use crate::telemetry::{ServeStats, Telemetry};
 use crate::views::Views;
 use mura_core::{rel_bytes, term_key, Database, Term};
 use mura_dist::{explain_plan, PlannedQuery, QueryEngine, QueryOutput};
-use mura_ivm::DeltaBatch;
 use mura_obs::histogram::fmt_us;
 use mura_rewrite::cost::{CostModel, ObservedCards, Stats};
 use mura_rewrite::{FeedbackState, FeedbackStore};
@@ -33,20 +32,28 @@ pub(crate) struct Planned {
     pub(crate) epoch: u64,
 }
 
-impl Planned {
-    pub(crate) fn new(plan: Term, planning: Duration, epoch: u64) -> Planned {
-        Planned { key: term_key(&plan), query: PlannedQuery { plan, planning }, epoch }
-    }
-}
-
-/// One plan-cache entry: the optimized plan plus the feedback-store
-/// generation it was costed under. A hit requires the generation to still
-/// be current — new observations (or material churn) bump the generation,
-/// forcing the next run to re-plan from measured cardinalities.
+/// One plan-cache entry: the optimized plan, its [`term_key`] (hashed once,
+/// when the entry is filed) and the feedback-store generation it was costed
+/// under. A hit requires the generation to still be current — a new or
+/// materially moved observation bumps it, forcing the next run to re-plan
+/// from measured cardinalities.
 #[derive(Clone)]
 struct CachedPlan {
     plan: Term,
+    key: u64,
     feedback_gen: u64,
+}
+
+impl CachedPlan {
+    fn new(plan: Term, feedback_gen: u64) -> CachedPlan {
+        CachedPlan { key: term_key(&plan), plan, feedback_gen }
+    }
+
+    /// The cached plan as a request carries it: nothing was planned.
+    fn planned(self, epoch: u64) -> Planned {
+        let query = PlannedQuery { plan: self.plan, planning: Duration::ZERO };
+        Planned { query, key: self.key, epoch }
+    }
 }
 
 pub(crate) struct Planning {
@@ -54,8 +61,8 @@ pub(crate) struct Planning {
     plans: Mutex<LruCache<(String, u64), CachedPlan>>,
     /// Observed fixpoint cardinalities from completed executions, keyed by
     /// the planner's canonical term hash. Read on every plan-cache miss so
-    /// repeated queries are re-costed from measured reality; churned or
-    /// reloaded data drops the affected observations.
+    /// repeated queries are re-costed from measured reality; a load drops
+    /// them.
     feedback: Mutex<FeedbackStore>,
     clocks: Arc<Clocks>,
     telemetry: Arc<Telemetry>,
@@ -97,7 +104,7 @@ impl Planning {
     pub(crate) fn peek(&self, query: &str) -> Option<Planned> {
         let epoch = self.clocks.epoch();
         let cached = lock(&self.plans).get(&(query.to_string(), epoch))?;
-        Some(Planned::new(cached.plan, Duration::ZERO, epoch))
+        Some(cached.planned(epoch))
     }
 
     /// The plan for `query`: the cached one while it is reusable, a fresh
@@ -113,7 +120,7 @@ impl Planning {
         let cached = lock(&self.plans).get(&key).filter(|c| c.feedback_gen == feedback_gen);
         if let Some(c) = cached {
             counters.plan_hits.inc();
-            return Ok(Planned::new(c.plan, Duration::ZERO, epoch));
+            return Ok(c.planned(epoch));
         }
         counters.plan_misses.inc();
         let mut engine = self.write_engine();
@@ -123,14 +130,14 @@ impl Planning {
         // exactly the observations it was costed under.
         let key = (key.0, self.clocks.epoch());
         let (obs, feedback_gen) = self.observations();
-        let superseded = lock(&self.plans).get(&key).map(|c| term_key(&c.plan));
+        let superseded = lock(&self.plans).get(&key).map(|c| c.key);
         let (fresh, _report) = engine.plan_ucrpq_report(query, obs)?;
-        let planned = Planned::new(fresh.plan, fresh.planning, key.1);
+        let entry = CachedPlan::new(fresh.plan.clone(), feedback_gen);
+        let planned = Planned { query: fresh, key: entry.key, epoch: key.1 };
         if let Some(old) = superseded.filter(|old| *old != planned.key) {
             views.supersede(old, planned.epoch);
         }
-        lock(&self.plans)
-            .insert(key, CachedPlan { plan: planned.query.plan.clone(), feedback_gen });
+        lock(&self.plans).insert(key, entry);
         self.telemetry.planning.record(planned.query.planning);
         Ok(planned)
     }
@@ -178,17 +185,6 @@ impl Planning {
         }
     }
 
-    /// Tells the feedback store how much each relation of an applied batch
-    /// churned: materially churned observations are dropped and the
-    /// dependent queries re-plan on their next cache miss.
-    pub(crate) fn note_churn(&self, batch: &DeltaBatch, db: &Database) {
-        let mut fb = lock(&self.feedback);
-        for (rel, d) in &batch.rels {
-            let size_now = db.relation(*rel).map_or(0, |r| r.len());
-            fb.note_churn(*rel, d.insert.len() + d.delete.len(), size_now);
-        }
-    }
-
     /// A load replaced the data: everything the planner has measured is
     /// void. The generation stays, so a same-shape refresh keeps its cached
     /// plans until fresh observations arrive and bump it. `reshaped` also
@@ -225,7 +221,7 @@ impl Planning {
         let epoch = self.clocks.epoch();
         let mut cache = lock(&self.plans);
         for (query, plan, feedback_gen) in plans {
-            cache.insert((query, epoch), CachedPlan { plan, feedback_gen });
+            cache.insert((query, epoch), CachedPlan::new(plan, feedback_gen));
         }
     }
 

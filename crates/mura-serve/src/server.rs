@@ -372,7 +372,6 @@ impl ServerInner {
             counters.deltas_applied.inc();
             counters.delta_rows_inserted.add(summary.inserted);
             counters.delta_rows_deleted.add(summary.deleted);
-            self.planning.note_churn(&batch, engine.db());
             (applied.2, self.views.stale())
         };
         let engine = self.planning.read_engine();

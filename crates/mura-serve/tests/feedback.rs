@@ -1,7 +1,8 @@
 //! Adaptive-replanning acceptance: observed fixpoint cardinalities feed
 //! back into the planner, cached plans are invalidated exactly when the
-//! measured world changes (material churn, reloads), and `.explain`
-//! surfaces the planner's decision procedure.
+//! measured world changes (a fixpoint measured for the first time or
+//! materially away from what was filed; a reload), and `.explain` surfaces
+//! the planner's decision procedure.
 
 use mura_core::{Database, Relation};
 use mura_datagen::{yago_like, YagoConfig};
@@ -27,12 +28,16 @@ fn insert_batch(server: &Server, edges: &[(u64, u64)]) -> DeltaBatch {
 }
 
 fn insert_into(server: &Server, relation: &str, edges: &[(u64, u64)]) -> DeltaBatch {
+    batch(server, relation, edges, true)
+}
+
+fn batch(server: &Server, relation: &str, edges: &[(u64, u64)], insert: bool) -> DeltaBatch {
     server.with_db(|db| {
         let rel = db.dict().lookup(relation).expect("a relation of the database");
         let mut b = DeltaBatch::new();
         for &(x, y) in edges {
-            let row = vec![mura_core::Value::node(x), mura_core::Value::node(y)];
-            b.push_insert(db, rel, row.into_boxed_slice()).unwrap();
+            let row = vec![mura_core::Value::node(x), mura_core::Value::node(y)].into_boxed_slice();
+            if insert { b.push_insert(db, rel, row) } else { b.push_delete(db, rel, row) }.unwrap();
         }
         b
     })
@@ -73,7 +78,7 @@ fn first_observation_forces_one_replan_then_stabilizes() {
 
 /// A re-plan that lands on the plan it had is that plan: the run after the
 /// first observation plans again and is answered from the first run's view,
-/// and so is the run after a mutation that voided the observation — from
+/// and so is the run after a mutation that moved the observation — from
 /// the view maintenance brought forward.
 #[test]
 fn replan_onto_the_same_plan_is_answered_from_its_view() {
@@ -90,8 +95,9 @@ fn replan_onto_the_same_plan_is_answered_from_its_view() {
     assert_eq!((s2.result_hits, s2.result_misses), (1, 1), "and not executed again: {s2:?}");
     assert_eq!(mura_core::term_key(&second.plan), mura_core::term_key(&first.plan));
 
-    // Ten rows on a 20-row relation void the observation (generation
-    // bump); the view is maintained, not dropped.
+    // Ten more links take the closure from 210 rows to 465: the view is
+    // maintained, not dropped, and the maintenance run's totals move the
+    // observation (generation bump).
     let fresh: Vec<(u64, u64)> = (20..30).map(|i| (i, i + 1)).collect();
     let summary = server.apply_delta(insert_batch(&server, &fresh)).expect("apply_delta");
     assert_eq!((summary.maintained, summary.recomputed), (1, 0), "{summary:?}");
@@ -157,33 +163,39 @@ fn supersede_drops_a_view_only_when_the_plan_changed() {
     server.shutdown();
 }
 
+/// A material delta on a maintained view is re-measured by its maintenance
+/// run, which moves the generation; the next read re-plans and is answered
+/// from the maintained view.
 #[test]
-fn material_delta_drops_observations_and_replans() {
+fn material_delta_is_remeasured_and_replans_onto_the_maintained_view() {
     let server = Server::start(QueryEngine::new(db_from_edges(&chain(20))), ServeConfig::default());
     let client = server.client();
     warm(&server, TC);
     let before = server.stats();
     assert!(before.feedback_fixpoints >= 1);
 
-    // 10 new rows on a ~21-row relation: far past the ~10% churn threshold
-    // (and the absolute floor), so the observation is dropped — and, when
-    // the view is maintained rather than recomputed, immediately replaced
-    // by the maintenance run's fresh totals. Either way the generation
-    // moves, which is what invalidates the cached plan.
-    let fresh: Vec<(u64, u64)> = (100..110).map(|i| (i, i + 1)).collect();
-    server.apply_delta(insert_batch(&server, &fresh)).expect("apply_delta");
+    // Twenty more links: the closure goes from 210 rows to 820, nowhere
+    // near the 25% a confirmation tolerates.
+    let fresh: Vec<(u64, u64)> = (20..40).map(|i| (i, i + 1)).collect();
+    let summary = server.apply_delta(insert_batch(&server, &fresh)).expect("apply_delta");
+    assert_eq!((summary.maintained, summary.recomputed), (1, 0), "{summary:?}");
     let after = server.stats();
+    assert_eq!(after.feedback_fixpoints, before.feedback_fixpoints, "moved, not dropped");
     assert!(
         after.feedback_generation > before.feedback_generation,
-        "invalidation must bump the generation"
+        "the maintenance run's totals must bump the generation"
     );
 
-    // The repeated query re-optimizes (stale generation) and re-observes
-    // the post-delta reality.
-    client.query(TC).unwrap();
+    let out = client.query(TC).unwrap();
     let s = server.stats();
-    assert_eq!(s.plan_misses, before.plan_misses + 1, "post-churn query must replan");
-    assert!(s.feedback_fixpoints >= 1, "fresh observation recorded");
+    assert_eq!(s.plan_misses, before.plan_misses + 1, "stale generation: re-planned");
+    assert_eq!(
+        (s.result_hits, s.result_misses),
+        (before.result_hits + 1, before.result_misses),
+        "answered from the maintained view: {s:?}"
+    );
+    assert_eq!(out.relation.len(), 40 * 41 / 2, "the closure of a 40-edge chain");
+    assert_eq!(s.feedback_generation, after.feedback_generation, "nothing new was measured");
     server.shutdown();
 }
 
@@ -195,7 +207,7 @@ fn small_delta_keeps_observations_and_cached_plan() {
     warm(&server, TC);
     let before = server.stats();
 
-    // One row on a ~201-row relation: below both churn thresholds.
+    // One row on a ~201-row relation moves the closure by one row in 20,100.
     server.apply_delta(insert_batch(&server, &[(900, 901)])).expect("apply_delta");
     let after = server.stats();
     assert_eq!(after.feedback_fixpoints, before.feedback_fixpoints, "observation survives");
@@ -207,6 +219,37 @@ fn small_delta_keeps_observations_and_cached_plan() {
         before.plan_misses,
         "plan cache must survive an immaterial delta"
     );
+    server.shutdown();
+}
+
+/// Rows that come and go do not add up to staleness: an observation is as
+/// fresh as the maintenance run that last confirmed it, however many rows
+/// have changed since it was first filed.
+#[test]
+fn churn_that_moves_nothing_keeps_the_plan_and_the_view() {
+    let server =
+        Server::start(QueryEngine::new(db_from_edges(&chain(200))), ServeConfig::default());
+    let client = server.client();
+    warm(&server, TC);
+    let before = server.stats();
+    for round in 0..40u64 {
+        let delta = batch(&server, "edge", &[(900, 901)], round % 2 == 0);
+        let summary = server.apply_delta(delta).expect("apply_delta");
+        assert_eq!((summary.maintained, summary.recomputed), (1, 0), "round {round}: {summary:?}");
+        let out = client.query(TC).unwrap();
+        assert_eq!(out.relation.len() as u64, 200 * 201 / 2 + (round + 1) % 2, "round {round}");
+        let s = server.stats();
+        assert_eq!(
+            (s.feedback_generation, s.plan_misses, s.result_misses),
+            (before.feedback_generation, before.plan_misses, before.result_misses),
+            "round {round}: {s:?}"
+        );
+        assert_eq!(
+            (s.plan_hits, s.result_hits),
+            (before.plan_hits + round + 1, before.result_hits + round + 1),
+            "round {round}: a plan hit and a result hit"
+        );
+    }
     server.shutdown();
 }
 

@@ -55,7 +55,11 @@ const MIXED_QUERIES: [&str; 10] = [
 
 #[test]
 fn concurrent_clients_match_direct_runs() {
-    let db = test_db();
+    let mut db = test_db();
+    // A row's columns are in symbol order: whichever client plans first
+    // must not decide whether `?x` comes before `?y`.
+    db.intern("?x");
+    db.intern("?y");
 
     // Reference answers straight from a private engine.
     let mut reference = QueryEngine::new(db.clone());
