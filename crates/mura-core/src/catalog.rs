@@ -218,6 +218,14 @@ impl Database {
         self.rels.get(&name).map(|e| &e.rel)
     }
 
+    /// The stored relation, to be changed in place. Its statistics go with
+    /// the old contents: the next [`Database::relation_stats`] rescans it.
+    pub fn relation_mut(&mut self, name: Sym) -> Option<&mut Relation> {
+        let entry = self.rels.get_mut(&name)?;
+        entry.stats = OnceLock::new();
+        Some(&mut entry.rel)
+    }
+
     /// Resolves a relation by name.
     pub fn relation_by_name(&self, name: &str) -> Option<&Relation> {
         self.dict.lookup(name).and_then(|s| self.relation(s))
@@ -349,6 +357,15 @@ mod tests {
         assert_eq!(scans() - before, 3);
         assert_eq!(copy.relation_stats(e), Some(&expect_e));
         assert_eq!(scans() - before, 3);
+        // Changing F in place rescans F; the clone keeps rows and statistics.
+        let row = [Value::node(7), Value::node(8)];
+        assert!(db.relation_mut(f).unwrap().insert(row));
+        assert_eq!(db.relation_stats(f), Some(&RelationStats { rows: 2, distinct: [1, 2].into() }));
+        assert_eq!(
+            copy.relation_stats(f),
+            Some(&RelationStats { rows: 1, distinct: [1, 1].into() })
+        );
+        assert_eq!(scans() - before, 4);
         assert_eq!(db.relation_stats(Sym(999)), None);
         db.insert_relation("nullary", Relation::new(Schema::empty()));
         let nullary = db.dict().lookup("nullary").unwrap();

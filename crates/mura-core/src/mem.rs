@@ -117,6 +117,16 @@ impl MemCharge {
         }
     }
 
+    /// Sets the held charge to `bytes`, for a working set that also
+    /// shrinks: the difference is charged or released.
+    pub fn set(&mut self, bytes: u64) {
+        self.grow_to(bytes);
+        if bytes < self.bytes {
+            mem_gauge().sub(self.bytes - bytes);
+            self.bytes = bytes;
+        }
+    }
+
     /// Bytes currently held by this guard.
     pub fn held(&self) -> u64 {
         self.bytes

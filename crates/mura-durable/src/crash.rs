@@ -11,8 +11,6 @@
 //!   applied: recovery must replay it.
 //! * `snapshot_mid` — half the snapshot temp file written: the previous
 //!   snapshot must stay authoritative.
-//! * `maintain_mid` — delta applied and logged, view maintenance half
-//!   done: recovery must converge views to the same state anyway.
 //!
 //! Unset (the normal case) the counter costs one relaxed atomic load.
 

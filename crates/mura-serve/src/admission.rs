@@ -100,8 +100,7 @@ impl Admission {
     }
 
     /// `Err(Closed)` once a shutdown or a drain has begun. Queries are not
-    /// admitted, mutations not started, and a maintenance loop stops doing
-    /// optional work.
+    /// admitted, mutations not started.
     pub(crate) fn open(&self) -> ServeResult<()> {
         if self.closing.load(Ordering::SeqCst) || self.drain_phase.load(Ordering::SeqCst) > 0 {
             return Err(ServeError::Closed);

@@ -16,8 +16,7 @@
 //!
 //! ```text
 //! RECOVERED v=<version> replayed=<wal records> snapshots=<written>
-//! DELTA v=<version> ins=<n> del=<n> maintained=<n> unaffected=<n> \
-//!       recomputed=<n> rederived=<n>
+//! DELTA v=<version> ins=<n> del=<n>
 //! LOAD v=<version>
 //! FINAL v=<version> epoch=<epoch> rows=<count> hash=<fxhash>
 //! ```
@@ -198,8 +197,8 @@ fn main() {
     }
 
     for (i, step) in steps.iter().enumerate().skip(recovered as usize) {
-        // Warm the cached view at the current version: maintenance (and
-        // its summary) is only interesting when there is a view to keep.
+        // Read the view at the current version: this is what brings it
+        // forward over the step before, or recomputes it after a restart.
         client.query(TC).unwrap_or_else(|e| die(&format!("warm query: {e}")));
         if std::env::var_os("MURA_CRASHD_DEBUG").is_some() {
             let st = server.stats();
@@ -232,17 +231,7 @@ fn main() {
                 let s = server
                     .apply_delta(batch)
                     .unwrap_or_else(|e| die(&format!("apply_delta step {i}: {e}")));
-                println!(
-                    "DELTA v={} ins={} del={} maintained={} unaffected={} \
-                     recomputed={} rederived={}",
-                    s.version,
-                    s.inserted,
-                    s.deleted,
-                    s.maintained,
-                    s.unaffected,
-                    s.recomputed,
-                    s.rederived
-                );
+                println!("DELTA v={} ins={} del={}", s.version, s.inserted, s.deleted);
             }
             Step::Load => {
                 apply_to_mirror(&mut mirror, step);

@@ -67,9 +67,13 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         self.map.clear();
     }
 
+    /// Every value, in arbitrary order, recency untouched.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.map.values().map(|(v, _)| v)
+    }
+
     /// A point-in-time snapshot of every entry (arbitrary order, recency
-    /// untouched). The maintenance path iterates this outside the cache
-    /// lock so queries keep hitting while views are brought up to date.
+    /// untouched), for exports that sort and encode outside the cache lock.
     pub fn entries(&self) -> Vec<(K, V)> {
         self.map.iter().map(|(k, (v, _))| (k.clone(), v.clone())).collect()
     }

@@ -245,12 +245,13 @@ impl Client {
         self.inner.clocks.version()
     }
 
-    /// Applies an edge-level [`DeltaBatch`] without a reload, maintaining
-    /// cached fixpoint views incrementally: insertions seed the drivers'
-    /// semi-naive delta loop from the old total, deletions run DRed
-    /// (over-delete, rederive) — see `mura_ivm`. Views the maintenance
-    /// planner cannot or should not maintain are dropped and recomputed on
-    /// next use. The `.insert` and `.delete` protocol verbs land here.
+    /// Applies an edge-level [`DeltaBatch`] without a reload: logged,
+    /// applied, acknowledged. No cached view is touched — the next read of
+    /// one brings it forward over the batches it missed (insertions seed
+    /// the drivers' semi-naive delta loop from the old total, deletions run
+    /// DRed — see `mura_ivm`) or, where the maintenance planner cannot or
+    /// should not, executes it fresh. The `.insert` and `.delete` protocol
+    /// verbs land here.
     pub fn apply_delta(&self, batch: DeltaBatch) -> ServeResult<DeltaSummary> {
         self.inner.apply_delta(batch)
     }

@@ -31,11 +31,12 @@
 //!   while current.
 //! * **Incremental view maintenance** — [`Client::apply_delta`] (the
 //!   `.insert`/`.delete` verbs) applies an edge-level [`DeltaBatch`]
-//!   without a reload and brings cached fixpoint answers forward in
-//!   place: insertions resume the drivers' semi-naive delta loop from the
-//!   captured totals, deletions run DRed (over-delete, rederive). Views
-//!   the maintenance planner cannot or should not maintain fall back to
-//!   recompute-on-next-use — see [`mura_ivm`] and [`DeltaSummary`].
+//!   without a reload and logs it; the next read of a cached fixpoint
+//!   answer brings it forward over the batches it missed: insertions
+//!   resume the drivers' semi-naive delta loop from the captured totals,
+//!   deletions run DRed (over-delete, rederive). Views the maintenance
+//!   planner cannot or should not maintain are executed fresh — see
+//!   [`mura_ivm`] and the `ivm_*` fields of [`ServeStats`].
 //! * **Cancellation & deadlines** — every query carries a
 //!   [`CancellationToken`](mura_core::CancellationToken) checked at each
 //!   fixpoint superstep; deadlines start at submission.

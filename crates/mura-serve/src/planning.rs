@@ -84,7 +84,8 @@ impl Planning {
         }
     }
 
-    /// Shared access: executions, estimates, maintenance, symbol lookups.
+    /// Shared access: executions (fresh or catching up), estimates, symbol
+    /// lookups.
     /// Both clocks are frozen for as long as the guard lives. Poison is
     /// recovered: a worker that panicked mid-query must not take the
     /// server down.
@@ -92,8 +93,8 @@ impl Planning {
         self.engine.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Exclusive access, for the mutation path only; planning takes it
-    /// inside this module.
+    /// Exclusive access, for the mutation path only (a delta downgrades it
+    /// to shared for its snapshot); planning takes it inside this module.
     pub(crate) fn write_engine(&self) -> RwLockWriteGuard<'_, QueryEngine> {
         self.engine.write().unwrap_or_else(|e| e.into_inner())
     }

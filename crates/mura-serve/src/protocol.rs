@@ -18,11 +18,12 @@
 //! ```
 //!
 //! Mutations reply with one status line carrying the new database version
-//! and the fate of every cached view:
+//! and the rows that changed (a cached view is brought forward by the next
+//! read of it, and counted there):
 //!
 //! ```text
 //! → .insert e 7 8
-//! ← OK v=3 +1 -0 maintained=1 unaffected=0 recomputed=0
+//! ← OK v=3 +1 -0
 //! ← .
 //! ```
 //!
@@ -299,9 +300,9 @@ verbs! {
     ".explain" "<query>" "plan only: enumeration digest + chosen plan" =>
         |client, _, query| Ok(Response::block("OK explain", &client.explain(query)?));
     ".profile" "<query>" "run traced, print the superstep timeline" => profile;
-    ".insert" "[rel] <v> …" "add a base row; cached views are maintained" =>
+    ".insert" "[rel] <v> …" "add a base row; cached views catch up when read" =>
         |client, _, row| mutate(client, ".insert", row);
-    ".delete" "[rel] <v> …" "remove a base row (DRed maintenance)" =>
+    ".delete" "[rel] <v> …" "remove a base row (DRed when a view is read)" =>
         |client, _, row| mutate(client, ".delete", row);
     ".deadline" "<millis>" "deadline of this session's queries (0 clears)" => deadline;
     // Blocks until queued/in-flight queries resolve (bounded by the
@@ -376,10 +377,7 @@ fn mutate(client: &Client, verb: &str, row: &str) -> ServeResult<Response> {
         Err(e) => return Ok(Response::status(format!("ERR {verb}: {e}"))),
     };
     let s = client.apply_delta(batch)?;
-    Ok(Response::status(format!(
-        "OK v={} +{} -{} maintained={} unaffected={} recomputed={}",
-        s.version, s.inserted, s.deleted, s.maintained, s.unaffected, s.recomputed
-    )))
+    Ok(Response::status(format!("OK v={} +{} -{}", s.version, s.inserted, s.deleted)))
 }
 
 fn parse_mutation(

@@ -1,20 +1,21 @@
 //! The server: five owners of state, and the two paths that cross them.
 //!
 //! ```text
-//!  Client ─gate─▶ bounded queue ─▶ worker ─▶ plan ─▶ lookup ─▶ gate ─▶ execute ─▶ store
+//!  Client ─gate─▶ bounded queue ─▶ worker ─▶ plan ─▶ lookup ─▶ gate ─▶ catch up | execute ─▶ file
 //!     │     └─ full → ServeError::Busy       (CancellationToken checked every superstep)
-//!     └─ apply_delta / load ─▶ log ─▶ apply ─▶ maintain views ─▶ snapshot when due
+//!     └─ apply_delta / load ─▶ log ─▶ apply ─▶ version + 1 ─▶ delta log ─▶ snapshot when due
 //! ```
 //!
 //! Each piece of shared state has one owner, which keeps its locks private
 //! and hides one policy (see each module's header): `admission` — who gets
 //! in; `planning` — the engine and when a plan is reusable; `views` — when
-//! a cached answer is served, and how it is brought forward; `durability`
-//! — log before memory, snapshot when due; `telemetry` — counters,
-//! histograms and their renderings. What is left here is the
-//! configuration, the read path (`ServerInner::process`) and the mutation
-//! path (`ServerInner::apply_batch`, `ServerInner::load_with`, recovery);
-//! the public handles are in `client`.
+//! a cached answer is served, and how the read that wants it brings it
+//! forward over the deltas it missed; `durability` — log before memory,
+//! snapshot when due; `telemetry` — counters, histograms and their
+//! renderings. What is left here is the configuration, the read path
+//! (`ServerInner::process`) and the mutation path
+//! (`ServerInner::apply_batch`, `ServerInner::load_with`, recovery); the
+//! public handles are in `client`.
 //!
 //! **Lock order.** The mutation lock, then the engine lock (read or
 //! write), then at most one of the owners' locks at a time — plan cache,
@@ -25,11 +26,11 @@ use crate::admission::{Admission, QueryJob, Queue};
 use crate::durability::{self, Durability};
 use crate::error::{ServeError, ServeResult};
 use crate::lock;
-use crate::planning::{Planned, Planning};
+use crate::planning::Planning;
 use crate::telemetry::Telemetry;
-use crate::views::{Applied, Views};
-use mura_core::{rel_bytes, Database};
-use mura_dist::exec::{ExecConfig, ResourceLimits};
+use crate::views::{Resume, Views};
+use mura_core::Database;
+use mura_dist::exec::ResourceLimits;
 use mura_dist::{
     CommBackend, ProcCluster, ProcClusterConfig, QueryEngine, QueryOutput, TraceLevel,
 };
@@ -37,7 +38,7 @@ use mura_durable::{SnapshotState, SyncPolicy, Wal, WalError, WalRecord};
 use mura_ivm::DeltaBatch;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLockWriteGuard};
 use std::time::Duration;
 
 /// Where query executions exchange partitions.
@@ -138,8 +139,9 @@ impl Default for ServeConfig {
 }
 
 /// What one [`Client::apply_delta`](crate::Client::apply_delta) call did:
-/// the new database version, the base-row churn, and the fate of every
-/// cached view.
+/// the new database version and the base-row churn. No view was touched —
+/// what becomes of each is counted by the read that next wants it
+/// ([`ServeStats`](crate::ServeStats)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaSummary {
     /// Database version after the batch (unchanged for a no-op batch).
@@ -147,14 +149,6 @@ pub struct DeltaSummary {
     /// Base rows actually inserted / deleted (no-op rows normalized away).
     pub inserted: u64,
     pub deleted: u64,
-    /// Cached views maintained incrementally (resumed fixpoint loops).
-    pub maintained: u64,
-    /// Cached views untouched by the batch, revalidated as-is.
-    pub unaffected: u64,
-    /// Cached views dropped; the next query recomputes them.
-    pub recomputed: u64,
-    /// Rows DRed over-deleted and rederived across maintained views.
-    pub rederived: u64,
 }
 
 /// The two clocks the cache rules read. The **epoch** moves when a load
@@ -192,9 +186,9 @@ pub(crate) struct ServerInner {
     pub(crate) durability: Durability,
     pub(crate) telemetry: Arc<Telemetry>,
     pub(crate) clocks: Arc<Clocks>,
-    /// Serializes mutations: a delta's normalize → apply → maintain
-    /// sequence is one version transition, and maintenance needs the
-    /// pre-batch relation values of exactly that one step.
+    /// Serializes mutations: a delta's normalize → log → apply sequence
+    /// is one version transition, and a snapshot describes the state
+    /// between two of them.
     mutation: Mutex<()>,
     /// The process cluster backing every execution under
     /// [`ClusterMode::Processes`]: one supervised worker fleet shared by
@@ -264,8 +258,9 @@ impl ServerInner {
         Ok((inner, queue))
     }
 
-    /// The read path: plan, serve the cached answer if there is one, else
-    /// pass the gates, execute and file the answer.
+    /// The read path: plan, serve the cached answer if it is current, else
+    /// pass the gates and let `views` bring the answer forward or execute
+    /// it fresh — either way under this job's token, deadline and limits.
     pub(crate) fn process(&self, job: &QueryJob) -> ServeResult<Arc<QueryOutput>> {
         // A query may have spent its whole deadline waiting in the queue.
         job.token.check()?;
@@ -283,108 +278,81 @@ impl ServerInner {
         let estimate = || Planning::estimated_bytes(&planned, self.planning.read_engine().db());
         self.admission.gate(Some(planned.key), estimate, true)?;
         // Execute under the read lock: many executions run concurrently;
-        // only planning and mutations serialize.
+        // only planning and mutations serialize. The engine's `ExecConfig`
+        // with the server's limits, this job's token, and the process
+        // cluster if one is configured (the backend carries its own worker
+        // count, which must override the engine's so partitioning matches
+        // the fleet). Fixpoint totals are captured alongside the answer —
+        // they are what lets a later read bring the cached entry forward
+        // instead of discarding it — and folded into the planner's feedback.
         let engine = self.planning.read_engine();
-        let out = self.execute(&engine, &planned, |config| {
+        let run = |resume: Option<Resume>| {
+            let mut config = engine.config().clone();
+            config.limits = self.config.limits;
             config.cancel = Some(job.token.clone());
             config.trace = job.trace;
             config.query_id = job.id;
             config.capture_fixpoints = !traced;
-        });
-        let out = out.map(Arc::new);
-        self.admission.settle(planned.key, &out);
-        let out = out?;
-        self.telemetry.record_run(&out);
-        if !traced {
-            self.views.store(&planned, &out);
-        }
-        Ok(out)
-    }
-
-    /// Runs a plan — a fresh one or a cached view resuming from its
-    /// maintenance state: the engine's `ExecConfig` with the server's
-    /// limits, `overrides`, and the process cluster if one is configured
-    /// (the backend carries its own worker count, which must override the
-    /// engine's so partitioning matches the fleet). Fixpoint totals are
-    /// captured alongside the answer — they are what lets a later delta
-    /// maintain the cached entry instead of discarding it — and folded
-    /// into the planner's feedback.
-    fn execute(
-        &self,
-        engine: &QueryEngine,
-        planned: &Planned,
-        overrides: impl FnOnce(&mut ExecConfig),
-    ) -> ServeResult<QueryOutput> {
-        let mut config = engine.config().clone();
-        config.limits = self.config.limits;
-        config.capture_fixpoints = true;
-        overrides(&mut config);
-        if let Some(proc) = &self.proc {
-            if let Some(n) = proc.worker_count() {
-                config.workers = n;
+            config.resume = resume;
+            if let Some(proc) = &self.proc {
+                if let Some(n) = proc.worker_count() {
+                    config.workers = n;
+                }
+                config.backend = Some(Arc::clone(proc) as Arc<dyn CommBackend>);
             }
-            config.backend = Some(Arc::clone(proc) as Arc<dyn CommBackend>);
-        }
-        let out = engine.execute_plan_with(&planned.query, config)?;
-        self.planning.observe(planned, &out);
-        Ok(out)
+            let out = engine.execute_plan_with(&planned.query, config)?;
+            self.planning.observe(&planned, &out);
+            self.telemetry.record_run(&out);
+            Ok(out)
+        };
+        let out = match traced {
+            true => run(None).map(Arc::new),
+            false => self.views.answer(&planned, engine.db(), run),
+        };
+        self.admission.settle(planned.key, &out);
+        out
     }
 
     /// A client's delta: refused once the doors are closing, and priced
     /// through the memory gate — a mutation storm obeys the same resource
-    /// ladder as queries (the batch's own rows here, each view's
-    /// maintenance by its cost gate). Replay does not come through here:
-    /// recovery must converge to the pre-crash state whatever the memory
-    /// gauge's warm-up transient reads.
+    /// ladder as queries (the batch's own rows here; the maintenance it
+    /// causes is priced by the reads that run it). Replay does not come
+    /// through here: recovery must converge to the pre-crash state whatever
+    /// the memory gauge's warm-up transient reads.
     pub(crate) fn apply_delta(&self, batch: DeltaBatch) -> ServeResult<DeltaSummary> {
         self.admission.open()?;
-        let churn = || {
-            let rows: usize = batch.rels.values().map(|d| d.insert.len() + d.delete.len()).sum();
-            let arity = batch.rels.values().map(|d| d.insert.schema().arity()).max().unwrap_or(2);
-            rel_bytes(rows as u64, arity)
-        };
-        self.admission.gate(None, churn, false)?;
+        self.admission.gate(None, || batch.bytes(), false)?;
         self.apply_batch(batch)
     }
 
-    /// Applies an edge-level delta batch as one atomic version transition:
-    /// normalize → log → apply to base relations → bump the version →
-    /// maintain every cached view → snapshot if due. The batch itself is
-    /// all-or-nothing; the summary says what happened to each view.
+    /// Applies an edge-level delta batch as one atomic version transition,
+    /// in one hold of the engine lock: normalize → log → apply to base
+    /// relations → bump the version → hand the batch to the views' delta
+    /// log → snapshot if due. No view is touched: a read that finds its
+    /// view behind brings it forward over the logged batches.
     fn apply_batch(&self, mut batch: DeltaBatch) -> ServeResult<DeltaSummary> {
         let _mutation = lock(&self.mutation);
-        let mut summary = DeltaSummary::default();
-        let (old_rels, stale) = {
-            let mut engine = self.planning.write_engine();
-            batch.normalize(engine.db())?;
-            summary.version = self.clocks.version();
-            if batch.is_empty() {
-                return Ok(summary);
-            }
-            summary.version += 1;
-            let applied = self.durability.logged(
-                |wal| wal.append_delta(summary.version, &batch),
-                || Ok(batch.apply(engine.db_mut())?),
-            )?;
-            (summary.inserted, summary.deleted) = (applied.0, applied.1);
-            self.clocks.set(summary.version, self.clocks.epoch());
-            let counters = &self.telemetry.counters;
-            counters.deltas_applied.inc();
-            counters.delta_rows_inserted.add(summary.inserted);
-            counters.delta_rows_deleted.add(summary.deleted);
-            (applied.2, self.views.stale())
-        };
-        let engine = self.planning.read_engine();
-        let applied = Applied { db: engine.db(), old_rels: &old_rels, batch: &batch };
-        self.views.maintain(
-            stale,
-            applied,
-            || self.admission.open().is_ok(),
-            |view, resume| self.execute(&engine, view, |config| config.resume = Some(resume)),
-            &mut summary,
-        );
+        let mut engine = self.planning.write_engine();
+        batch.normalize(engine.db())?;
+        let version = self.clocks.version();
+        if batch.is_empty() {
+            return Ok(DeltaSummary { version, ..Default::default() });
+        }
+        let version = version + 1;
+        let (inserted, deleted) = self.durability.logged(
+            |wal| wal.append_delta(version, &batch),
+            || Ok(batch.apply(engine.db_mut())?),
+        )?;
+        self.clocks.set(version, self.clocks.epoch());
+        let counters = &self.telemetry.counters;
+        counters.deltas_applied.inc();
+        counters.delta_rows_inserted.add(inserted);
+        counters.delta_rows_deleted.add(deleted);
+        self.views.append(version, batch);
+        // Readers flow again while a snapshot is written.
+        let engine = RwLockWriteGuard::downgrade(engine);
         self.checkpoint(false, engine.db())?;
-        Ok(summary)
+        Ok(DeltaSummary { version, inserted, deleted })
     }
 
     /// A load: `f` replaces relations or binds constants. The mutator is an
@@ -415,19 +383,20 @@ impl ServerInner {
     /// Makes `db` the served database at `version` / `epoch` — the one way
     /// a whole database arrives, from a load, a replayed load record or a
     /// snapshot. Invalidation is scoped to what the new contents can have
-    /// broken. The version alone stales every cached answer. A changed
-    /// shape (a moved epoch) also releases the cached plans and views,
-    /// unreachable now, and resets breaker verdicts: a breaker opened
-    /// against the previous schema must not keep shedding a plan that may
-    /// now succeed. A same-shape refresh keeps all three.
+    /// broken. The version alone puts every cached answer behind for good
+    /// — no delta leads to the new contents, so the views' log starts over.
+    /// A changed shape (a moved epoch) also releases the cached plans and
+    /// views, unreachable now, and resets breaker verdicts: a breaker
+    /// opened against the previous schema must not keep shedding a plan
+    /// that may now succeed. A same-shape refresh keeps all three.
     fn install(&self, engine: &mut QueryEngine, db: Database, version: u64, epoch: u64) {
         *engine.db_mut() = db;
         let reshaped = epoch != self.clocks.epoch();
         self.clocks.set(version, epoch);
         if reshaped {
             self.admission.forget_verdicts();
-            self.views.retire();
         }
+        self.views.reloaded(reshaped);
         self.planning.reloaded(reshaped);
     }
 

@@ -70,20 +70,21 @@ mura_obs::counter_set! {
             delta_rows_deleted {op = "delete"},
         }
         counter "mura_ivm_applied_total",
-            "Cached views brought to the current version per mode." {
+            "Cached views brought to the current version by a read of them, per mode." {
             /// Maintained incrementally (resumed fixpoint loops).
             ivm_maintained {mode = "maintained"},
-            /// Revalidated untouched (the batch read none of their
-            /// relations).
+            /// Revalidated untouched (nothing they compute from moved in
+            /// the batches they missed).
             ivm_unaffected {mode = "unaffected"},
         }
         counter "mura_ivm_fallback_total",
-            "Cached views dropped for recompute-on-next-use, per reason." {
+            "Cached views dropped by a read that then executed fresh, per reason." {
             ivm_fallback_non_monotone {reason = "non-monotone"},
             ivm_fallback_nested_fixpoint {reason = "nested-fixpoint"},
             ivm_fallback_cache_cold {reason = "cache-cold"},
             ivm_fallback_cost {reason = "cost"},
-            /// Planner/executor errors and stale entries.
+            /// Planner/executor errors, and entries the delta log no
+            /// longer bridges (a load in between, a trimmed log).
             ivm_fallback_other {reason = "other"},
         }
         counter "mura_ivm_rederived_rows",
@@ -170,7 +171,7 @@ impl ServeStats {
 
 impl Counters {
     /// The counter of one way a view leaves the cache unmaintained; `None`
-    /// is planner/executor errors and stale entries.
+    /// is planner/executor errors and entries the log no longer bridges.
     pub(crate) fn fallback(&self, reason: Option<FallbackReason>) -> &Counter {
         match reason {
             Some(FallbackReason::NonMonotone) => &self.ivm_fallback_non_monotone,
@@ -193,12 +194,13 @@ pub(crate) struct Telemetry {
     pub(crate) wall: Histogram,
     /// Submission → a worker picking the job up.
     pub(crate) queue: Histogram,
-    /// Evaluator time of fresh (non-cached) executions.
+    /// Evaluator time of executions: fresh ones and resumed catch-ups.
     execution: Histogram,
     /// Planning time of plan-cache misses.
     pub(crate) planning: Histogram,
-    /// Per-view incremental maintenance latency (planning the resume
-    /// state + the resumed execution), maintained and untouched views.
+    /// What bringing one view forward added to the read that did it
+    /// (coalescing, planning the resume state, the resumed execution),
+    /// maintained and untouched views.
     pub(crate) maintenance: Histogram,
     /// Communication of fresh executions, summed from their per-query
     /// `since()` deltas (cache hits replay an answer, not its
@@ -218,8 +220,8 @@ pub(crate) struct Telemetry {
 }
 
 impl Telemetry {
-    /// Accounts one fresh execution — never a cache hit, which replays an
-    /// old answer, not its communication or its faults. A merged trace
+    /// Accounts one execution, fresh or resumed — never a cache hit, which
+    /// replays an old answer, not its communication or its faults. A merged trace
     /// feeds the skew telemetry: every worker-lane superstep duration goes
     /// into the histogram, and the worst per-fixpoint `max/median` ratio
     /// updates the gauge.
@@ -312,7 +314,7 @@ fn histograms_of(inner: &ServerInner) -> [(&'static str, &'static str, Histogram
         ("mura_query_queue_seconds", "Wait for a worker.", t.queue.snapshot()),
         (
             "mura_query_execution_seconds",
-            "Evaluator time of fresh executions.",
+            "Evaluator time of executions (fresh or resumed).",
             t.execution.snapshot(),
         ),
         (

@@ -2,8 +2,9 @@
 //!
 //! One test, its own binary (the kernel set is process-wide: a neighbour
 //! test would move it). It drives servers through a script — queries, cache
-//! hits, mutations with maintenance, a restart, overload, injected faults,
-//! a two-worker process cluster — and holds three things to the rows
+//! hits, mutations and the reads that catch up, a restart, overload,
+//! injected faults, a two-worker process cluster — and holds three things
+//! to the rows
 //! [`Server::counter_rows`] gives, which is the declarations themselves:
 //!
 //! * `.stats` and `.metrics` show every declared field: a line per family,
@@ -16,7 +17,7 @@
 mod common;
 
 use common::ensure_worker_bin;
-use mura_core::{Database, Relation, Term, Value};
+use mura_core::{kernel_stats, Database, Relation, Term, Value};
 use mura_dist::exec::{ExecConfig, FixpointPlan, ResourceLimits};
 use mura_dist::localfix::{local_fixpoint_prepared, prepare, Budget, Prepared};
 use mura_dist::{FaultConfig, QueryEngine, RecoveryPolicy};
@@ -130,33 +131,86 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Queries, cache hits and evictions, a failed query, mutations that
-/// maintain one view and leave another alone, then a restart that replays
-/// the log.
+/// What node 0 reaches: the planner pushes the constant into the fixpoint,
+/// whose seed is then the edges out of node 0.
+const FROM_0: &str = "?x <- 0 e+ ?x";
+
+/// Queries, cache hits and evictions, a failed query, mutations and the
+/// reads that bring one view forward, find another untouched and a third
+/// out of the batch's reach, then a restart that replays the log.
 fn serve_mutate_restart(moved: &mut Moved) {
     let dir = scratch_dir("durable");
     let config = ServeConfig {
         data_dir: Some(dir.clone()),
-        result_cache: 2,
-        plan_cache: 2,
+        result_cache: 3,
+        plan_cache: 3,
         ..Default::default()
     };
     let server = Server::try_start(QueryEngine::new(db()), config.clone()).unwrap();
     let client = server.client();
+    let reads = std::cell::Cell::new(0);
+    let read = |text: &str| {
+        reads.set(reads.get() + 1);
+        client.query(text).unwrap()
+    };
+    // How one read moved (maintained, unaffected, fallbacks, hits, misses).
+    let fate_of = |text: &str| {
+        let b = server.stats();
+        read(text);
+        let a = server.stats();
+        (
+            a.ivm_maintained - b.ivm_maintained,
+            a.ivm_unaffected - b.ivm_unaffected,
+            a.ivm_fallbacks - b.ivm_fallbacks,
+            a.result_hits - b.result_hits,
+            a.result_misses - b.result_misses,
+        )
+    };
     for _ in 0..3 {
-        client.query(TC_E).unwrap();
-        client.query(TC_F).unwrap();
+        for text in [TC_E, TC_F, FROM_0] {
+            read(text);
+        }
     }
-    let insert = server.with_db(|db| edges(db, "e", &[(100, 101)], &[]));
-    let delete = server.with_db(|db| edges(db, "e", &[], &[(3, 4)]));
-    let summary = server.apply_delta(insert).unwrap();
-    assert_eq!((summary.maintained, summary.unaffected), (1, 1), "{summary:?}");
-    let summary = server.apply_delta(delete).unwrap();
-    assert!(summary.rederived > 0, "{summary:?}");
+    let mutate = |insert: &[(u64, u64)], delete: &[(u64, u64)]| {
+        let batch = server.with_db(|db| edges(db, "e", insert, delete));
+        let before = server.stats();
+        let summary = server.apply_delta(batch).unwrap();
+        assert_eq!((summary.inserted, summary.deleted), (insert.len() as u64, delete.len() as u64));
+        let after = server.stats();
+        assert_eq!(after.version, before.version + 1);
+        // A mutation touches no view.
+        assert_eq!(
+            after.ivm_maintained + after.ivm_unaffected + after.ivm_fallbacks,
+            before.ivm_maintained + before.ivm_unaffected + before.ivm_fallbacks
+        );
+    };
+    mutate(&[(100, 101)], &[]);
+    assert_eq!(fate_of(TC_E), (1, 0, 0, 1, 0), "maintained by the read, which is a hit");
+    assert_eq!(fate_of(TC_E), (0, 0, 0, 1, 0), "current now");
+    assert_eq!(fate_of(TC_F), (0, 1, 0, 1, 0), "f+ does not read e");
+    // (100, 101) is out of node 0's reach: every branch of the fixpoint has
+    // an empty delta, and the view is revalidated without an execution.
+    let kernel = kernel_stats().snapshot();
+    assert_eq!(fate_of(FROM_0), (0, 1, 0, 1, 0));
+    let ran = kernel_stats().snapshot().since(&kernel);
+    assert_eq!((ran.index_builds, ran.join_probes), (0, 0), "nothing executed");
+    // An edge out of node 0 to a node with no way on grows the seed and
+    // leaves the recursive frontier empty: not unaffected.
+    mutate(&[(0, 200)], &[]);
+    assert_eq!(fate_of(FROM_0), (1, 0, 0, 1, 0));
+    mutate(&[], &[(3, 4)]);
+    let before = server.stats().ivm_rederived_rows;
+    assert_eq!(fate_of(TC_E), (1, 0, 0, 1, 0), "over two batches at once");
+    assert!(server.stats().ivm_rederived_rows > before);
     assert!(client.query_with_deadline(TC_E, Duration::ZERO).unwrap_err().is_deadline());
-    for evicting in ["?x <- 0 e+ ?x", "?x <- 1 e+ ?x", "?x <- 2 e+ ?x"] {
-        client.query(evicting).unwrap();
+    for evicting in ["?x <- 1 e+ ?x", "?x <- 2 e+ ?x", "?x <- 3 e+ ?x"] {
+        read(evicting);
     }
+    // Every read is a hit (the entry was current, or was caught up) or a
+    // miss; the one that had no time left never got as far as asking.
+    let stats = server.stats();
+    assert_eq!(stats.result_hits + stats.result_misses, reads.get(), "{stats:?}");
+    assert!(stats.ivm_maintained + stats.ivm_unaffected <= stats.result_hits);
     moved.note(&server);
     renderings_match_the_declaration(&server);
     let text = client.stats_text();
@@ -171,7 +225,8 @@ fn serve_mutate_restart(moved: &mut Moved) {
 
 /// Views the maintenance planner gives up on, one per reason a served
 /// UCRPQ query can meet: a fixpoint under a fixpoint, a frontier dearer
-/// than recomputing, a maintenance run that blows the row budget.
+/// than recomputing, a catch-up run that blows the row budget (whose error
+/// is that read's answer).
 fn maintenance_fallbacks(moved: &mut Moved) {
     let limits = ResourceLimits { max_rows: Some(2000), max_bytes: None, timeout: None };
     let star: Vec<(u64, u64)> = (100..160).map(|k| (26, k)).collect();
@@ -187,8 +242,11 @@ fn maintenance_fallbacks(moved: &mut Moved) {
             server.client().query(query).unwrap();
         }
         let batch = server.with_db(|db| edges(db, rel, &inserted, &[]));
-        let summary = server.apply_delta(batch).unwrap();
-        assert_eq!(summary.recomputed, 1, "{query}: {summary:?}");
+        server.apply_delta(batch).unwrap();
+        let read = server.client().query(query);
+        let stats = server.stats();
+        assert_eq!((stats.ivm_fallbacks, stats.result_misses), (1, 2), "{query}: {stats:?}");
+        assert_eq!(read.is_err(), limits.max_rows.is_some(), "{query}");
         moved.note(&server);
         server.shutdown();
     }

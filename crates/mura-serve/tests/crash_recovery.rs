@@ -1,9 +1,9 @@
 //! Coordinator-crash chaos: kill the serving process at seeded points in
 //! the durability pipeline (mid-WAL-append, post-append/pre-apply,
-//! mid-snapshot, mid-maintenance), restart against the same data
-//! directory, and require the recovered session to be indistinguishable
-//! from an uninterrupted same-seed run — same per-version `DeltaSummary`
-//! lines, same final version and answer.
+//! mid-snapshot), restart against the same data directory, and require the
+//! recovered session to be indistinguishable from an uninterrupted
+//! same-seed run — same per-version `DeltaSummary` lines, same final
+//! version and answer.
 //!
 //! The driver is the `mura-crashd` binary (see `src/bin/mura-crashd.rs`):
 //! its mutation schedule is a pure function of the seed, so a crashed run
@@ -20,8 +20,7 @@ use std::process::{Command, Output};
 /// 6-round schedule (hit 1 of `snapshot_mid` would be the bootstrap
 /// snapshot at version 0 — also legal, but hit 2 exercises the more
 /// interesting periodic snapshot mid-stream).
-const CRASH_POINTS: [&str; 4] =
-    ["wal_append_mid:4", "wal_append_done:2", "snapshot_mid:2", "maintain_mid:5"];
+const CRASH_POINTS: [&str; 3] = ["wal_append_mid:4", "wal_append_done:2", "snapshot_mid:2"];
 
 fn seed() -> u64 {
     std::env::var("MURA_CRASH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(5)

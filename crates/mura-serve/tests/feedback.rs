@@ -6,8 +6,9 @@
 
 use mura_core::{Database, Relation};
 use mura_datagen::{yago_like, YagoConfig};
-use mura_dist::QueryEngine;
+use mura_dist::{QueryEngine, QueryOutput};
 use mura_serve::{DeltaBatch, ServeConfig, Server};
+use std::sync::Arc;
 
 const TC: &str = "?x, ?y <- ?x edge+ ?y";
 
@@ -24,16 +25,12 @@ fn chain(n: u64) -> Vec<(u64, u64)> {
 }
 
 fn insert_batch(server: &Server, edges: &[(u64, u64)]) -> DeltaBatch {
-    insert_into(server, "edge", edges)
+    batch(server, edges, true)
 }
 
-fn insert_into(server: &Server, relation: &str, edges: &[(u64, u64)]) -> DeltaBatch {
-    batch(server, relation, edges, true)
-}
-
-fn batch(server: &Server, relation: &str, edges: &[(u64, u64)], insert: bool) -> DeltaBatch {
+fn batch(server: &Server, edges: &[(u64, u64)], insert: bool) -> DeltaBatch {
     server.with_db(|db| {
-        let rel = db.dict().lookup(relation).expect("a relation of the database");
+        let rel = db.dict().lookup("edge").expect("a relation of the database");
         let mut b = DeltaBatch::new();
         for &(x, y) in edges {
             let row = vec![mura_core::Value::node(x), mura_core::Value::node(y)].into_boxed_slice();
@@ -78,8 +75,8 @@ fn first_observation_forces_one_replan_then_stabilizes() {
 
 /// A re-plan that lands on the plan it had is that plan: the run after the
 /// first observation plans again and is answered from the first run's view,
-/// and so is the run after a mutation that moved the observation — from
-/// the view maintenance brought forward.
+/// and so is the run after a read whose catch-up moved the observation —
+/// from the view that read brought forward.
 #[test]
 fn replan_onto_the_same_plan_is_answered_from_its_view() {
     let server = Server::start(QueryEngine::new(db_from_edges(&chain(20))), ServeConfig::default());
@@ -95,47 +92,44 @@ fn replan_onto_the_same_plan_is_answered_from_its_view() {
     assert_eq!((s2.result_hits, s2.result_misses), (1, 1), "and not executed again: {s2:?}");
     assert_eq!(mura_core::term_key(&second.plan), mura_core::term_key(&first.plan));
 
-    // Ten more links take the closure from 210 rows to 465: the view is
-    // maintained, not dropped, and the maintenance run's totals move the
-    // observation (generation bump).
+    // Ten more links take the closure from 210 rows to 465. The mutation
+    // measures nothing; the next read brings the view forward — maintained,
+    // not dropped — and that run's totals move the observation.
     let fresh: Vec<(u64, u64)> = (20..30).map(|i| (i, i + 1)).collect();
-    let summary = server.apply_delta(insert_batch(&server, &fresh)).expect("apply_delta");
-    assert_eq!((summary.maintained, summary.recomputed), (1, 0), "{summary:?}");
-    assert!(server.stats().feedback_generation > s2.feedback_generation);
+    server.apply_delta(insert_batch(&server, &fresh)).expect("apply_delta");
+    assert_eq!(server.stats().feedback_generation, s2.feedback_generation);
     let third = client.query(TC).unwrap();
     let s3 = server.stats();
-    assert_eq!(s3.plan_misses, s2.plan_misses + 1, "the mutation forces a re-plan");
-    assert_eq!((s3.result_hits, s3.result_misses), (2, 1), "served by the maintained view: {s3:?}");
+    assert_eq!((s3.ivm_maintained, s3.ivm_fallbacks), (1, 0), "{s3:?}");
+    assert_eq!(s3.plan_misses, s2.plan_misses, "nothing had moved when it was planned");
+    assert_eq!((s3.result_hits, s3.result_misses), (2, 1), "the view answered: {s3:?}");
     assert_eq!(third.relation.len(), 30 * 31 / 2, "the closure of a 30-edge chain");
+    assert!(s3.feedback_generation > s2.feedback_generation);
+    let fourth = client.query(TC).unwrap();
+    let s4 = server.stats();
+    assert_eq!(s4.plan_misses, s3.plan_misses + 1, "the moved observation forces a re-plan");
+    assert_eq!((s4.result_hits, s4.result_misses), (3, 1), "onto the same plan, its view: {s4:?}");
+    assert!(Arc::ptr_eq(&third, &fourth));
     server.shutdown();
 }
 
 /// `supersede` is for the re-plan that feedback steered onto a *different*
 /// plan, and fires for no other: along each text's way to a stable plan, a
-/// re-plan whose rendering equals the one before it is a result hit, one
-/// whose rendering differs executes and leaves the old plan's view dropped —
-/// one view per text, counted by what a mutation elsewhere revalidates.
+/// re-plan whose rendering equals the one before it is a result hit — the
+/// very answer — and one whose rendering differs executes and leaves the
+/// old plan's view dropped: nothing but this test still holds its answer.
 #[test]
 fn supersede_drops_a_view_only_when_the_plan_changed() {
     let db = yago_like(YagoConfig { people: 2_000, seed: 0xa60 }).to_database();
     let server = Server::start(QueryEngine::new(db), ServeConfig::default());
     let client = server.client();
-    let mut unrelated_row = 1_000_000;
-    let mut views = || {
-        // No view below reads `hasChild`: every cached view is revalidated.
-        unrelated_row += 1;
-        let batch = insert_into(&server, "hasChild", &[(unrelated_row, unrelated_row)]);
-        let summary = server.apply_delta(batch).expect("apply_delta");
-        assert_eq!((summary.maintained, summary.recomputed), (0, 0), "{summary:?}");
-        summary.unaffected
-    };
     let (mut same, mut changed) = (0, 0);
     let texts = [
         "?x <- ?x livesIn/isLocatedIn+/dealsWith+ United_States",
         "?a, ?b, ?c <- ?a (isLocatedIn|isConnectedTo)+ ?b, ?a wasBornIn ?c",
     ];
-    for (cached, text) in texts.iter().enumerate() {
-        let mut rendering = String::new();
+    for text in texts {
+        let mut previous: Option<(String, Arc<QueryOutput>)> = None;
         loop {
             let before = server.stats();
             let out = client.query(text).unwrap();
@@ -144,28 +138,30 @@ fn supersede_drops_a_view_only_when_the_plan_changed() {
                 break;
             }
             let planned = server.with_db(|db| out.plan.display(db.dict()).to_string());
-            if planned == rendering {
-                same += 1;
-                assert_eq!(
-                    after.result_hits,
-                    before.result_hits + 1,
-                    "{text}: same plan, its view"
-                );
-            } else {
-                changed += !rendering.is_empty() as u64;
-                assert_eq!(after.result_misses, before.result_misses + 1, "{text}: another plan");
+            match &previous {
+                Some((rendering, answer)) if *rendering == planned => {
+                    same += 1;
+                    assert_eq!(after.result_hits, before.result_hits + 1, "{text}: same plan");
+                    assert!(Arc::ptr_eq(answer, &out), "{text}: its view");
+                }
+                other => {
+                    assert_eq!(after.result_misses, before.result_misses + 1, "{text}: new plan");
+                    if let Some((_, answer)) = other {
+                        changed += 1;
+                        assert_eq!(Arc::strong_count(answer), 1, "{text}: one view per text");
+                    }
+                }
             }
-            assert_eq!(views(), cached as u64 + 1, "{text}: one view per text");
-            rendering = planned;
+            previous = Some((planned, out));
         }
     }
     assert!(same >= 1 && changed >= 2, "both kinds of re-plan: {same} same, {changed} changed");
     server.shutdown();
 }
 
-/// A material delta on a maintained view is re-measured by its maintenance
-/// run, which moves the generation; the next read re-plans and is answered
-/// from the maintained view.
+/// A material delta on a cached view is re-measured by the run that brings
+/// the view forward, which moves the generation; the read after that
+/// re-plans and is answered from the maintained view.
 #[test]
 fn material_delta_is_remeasured_and_replans_onto_the_maintained_view() {
     let server = Server::start(QueryEngine::new(db_from_edges(&chain(20))), ServeConfig::default());
@@ -177,24 +173,30 @@ fn material_delta_is_remeasured_and_replans_onto_the_maintained_view() {
     // Twenty more links: the closure goes from 210 rows to 820, nowhere
     // near the 25% a confirmation tolerates.
     let fresh: Vec<(u64, u64)> = (20..40).map(|i| (i, i + 1)).collect();
-    let summary = server.apply_delta(insert_batch(&server, &fresh)).expect("apply_delta");
-    assert_eq!((summary.maintained, summary.recomputed), (1, 0), "{summary:?}");
+    server.apply_delta(insert_batch(&server, &fresh)).expect("apply_delta");
+    let written = server.stats();
+    assert_eq!(written.feedback_generation, before.feedback_generation, "nothing ran yet");
+    assert_eq!(written.ivm_maintained + written.ivm_unaffected + written.ivm_fallbacks, 0);
+
+    let out = client.query(TC).unwrap();
     let after = server.stats();
+    assert_eq!((after.ivm_maintained, after.ivm_fallbacks), (1, 0), "{after:?}");
+    assert_eq!(out.relation.len(), 40 * 41 / 2, "the closure of a 40-edge chain");
     assert_eq!(after.feedback_fixpoints, before.feedback_fixpoints, "moved, not dropped");
     assert!(
         after.feedback_generation > before.feedback_generation,
         "the maintenance run's totals must bump the generation"
     );
 
-    let out = client.query(TC).unwrap();
+    let again = client.query(TC).unwrap();
     let s = server.stats();
     assert_eq!(s.plan_misses, before.plan_misses + 1, "stale generation: re-planned");
     assert_eq!(
         (s.result_hits, s.result_misses),
-        (before.result_hits + 1, before.result_misses),
-        "answered from the maintained view: {s:?}"
+        (before.result_hits + 2, before.result_misses),
+        "both reads answered from the maintained view: {s:?}"
     );
-    assert_eq!(out.relation.len(), 40 * 41 / 2, "the closure of a 40-edge chain");
+    assert!(Arc::ptr_eq(&out, &again));
     assert_eq!(s.feedback_generation, after.feedback_generation, "nothing new was measured");
     server.shutdown();
 }
@@ -214,16 +216,15 @@ fn small_delta_keeps_observations_and_cached_plan() {
     assert_eq!(after.feedback_generation, before.feedback_generation, "no invalidation");
 
     client.query(TC).unwrap();
-    assert_eq!(
-        server.stats().plan_misses,
-        before.plan_misses,
-        "plan cache must survive an immaterial delta"
-    );
+    let read = server.stats();
+    assert_eq!(read.ivm_maintained, before.ivm_maintained + 1, "brought forward by the read");
+    assert_eq!(read.feedback_generation, before.feedback_generation, "confirmed, not moved");
+    assert_eq!(read.plan_misses, before.plan_misses, "plan cache must survive an immaterial delta");
     server.shutdown();
 }
 
 /// Rows that come and go do not add up to staleness: an observation is as
-/// fresh as the maintenance run that last confirmed it, however many rows
+/// fresh as the catch-up run that last confirmed it, however many rows
 /// have changed since it was first filed.
 #[test]
 fn churn_that_moves_nothing_keeps_the_plan_and_the_view() {
@@ -233,12 +234,12 @@ fn churn_that_moves_nothing_keeps_the_plan_and_the_view() {
     warm(&server, TC);
     let before = server.stats();
     for round in 0..40u64 {
-        let delta = batch(&server, "edge", &[(900, 901)], round % 2 == 0);
-        let summary = server.apply_delta(delta).expect("apply_delta");
-        assert_eq!((summary.maintained, summary.recomputed), (1, 0), "round {round}: {summary:?}");
+        let delta = batch(&server, &[(900, 901)], round % 2 == 0);
+        server.apply_delta(delta).expect("apply_delta");
         let out = client.query(TC).unwrap();
         assert_eq!(out.relation.len() as u64, 200 * 201 / 2 + (round + 1) % 2, "round {round}");
         let s = server.stats();
+        assert_eq!((s.ivm_maintained, s.ivm_fallbacks), (round + 1, 0), "round {round}: {s:?}");
         assert_eq!(
             (s.feedback_generation, s.plan_misses, s.result_misses),
             (before.feedback_generation, before.plan_misses, before.result_misses),

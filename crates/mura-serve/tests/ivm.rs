@@ -1,18 +1,20 @@
 //! Acceptance tests for incremental view maintenance: random mutation
-//! sequences over random graphs must keep maintained views bit-identical
-//! to a from-scratch recompute, on all three fixpoint plans × both local
-//! engines, with and without injected faults — and the mutation path must
-//! respect the serving resource ladder (memory gate, typed errors, zero
-//! lost responses across a drain).
+//! sequences over random graphs must keep views — brought forward by the
+//! read that wants them, over however many batches they missed —
+//! bit-identical to a from-scratch recompute, on all three fixpoint plans ×
+//! both local engines, with and without injected faults — and the mutation
+//! path must respect the serving resource ladder (memory gate, typed
+//! errors, zero lost responses across a drain).
 
 use mura_core::{canon_key, term_key, Database, Relation, Term, Value};
 use mura_datagen::{erdos_renyi, SplitMix64};
 use mura_dist::exec::{ExecConfig, FixpointPlan};
 use mura_dist::{FaultConfig, LocalEngine, QueryEngine};
-use mura_serve::{DeltaBatch, DeltaSummary, OverloadReason, ServeConfig, ServeError, Server};
+use mura_serve::{DeltaBatch, OverloadReason, ServeConfig, ServeError, ServeStats, Server};
 use mura_ucrpq::{parse_ucrpq, to_mura};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 const TC: &str = "?x, ?y <- ?x edge+ ?y";
 const NODES: u64 = 48;
@@ -41,24 +43,64 @@ fn batch_of(db: &Database, ins: &[(u64, u64)], del: &[(u64, u64)]) -> DeltaBatch
     b
 }
 
+/// `R ← (R \ delete) ∪ insert` on the server and on the mirrored edge list.
+fn mutate(server: &Server, edges: &mut Vec<(u64, u64)>, ins: &[(u64, u64)], del: &[(u64, u64)]) {
+    let batch = server.with_db(|db| batch_of(db, ins, del));
+    server.apply_delta(batch).expect("apply_delta");
+    edges.retain(|e| !del.contains(e));
+    edges.extend(ins.iter().copied());
+    edges.sort_unstable();
+    edges.dedup();
+}
+
+/// What became of the view at one read, as the counters moved: brought
+/// forward by a resumed run, revalidated untouched, or dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fate {
+    maintained: u64,
+    unaffected: u64,
+    fallbacks: u64,
+}
+
+impl Fate {
+    fn between(before: &ServeStats, after: &ServeStats) -> Fate {
+        Fate {
+            maintained: after.ivm_maintained - before.ivm_maintained,
+            unaffected: after.ivm_unaffected - before.ivm_unaffected,
+            fallbacks: after.ivm_fallbacks - before.ivm_fallbacks,
+        }
+    }
+}
+
+/// What happens between two reads of the view.
+enum Lag {
+    /// That many random insert/delete batches.
+    Batches(u64),
+    /// A batch and the batch that takes it back.
+    Cancel,
+    /// A batch, then a same-shape load of the relation as it stands.
+    Load,
+}
+
 /// [`check_text`] for the transitive closure.
-fn check_plan(plan: FixpointPlan, local: LocalEngine, seed: u64, chaos: bool) -> Vec<DeltaSummary> {
+fn check_plan(plan: FixpointPlan, local: LocalEngine, seed: u64, chaos: bool) -> Vec<Fate> {
     check_text(TC, plan, local, seed, chaos)
 }
 
-/// Drives five rounds of random interleaved insert/delete batches (round 3
-/// delete-heavy, forcing DRed) against a server with a warmed view of
-/// `text`, checking after every round that the served answer is
+/// Warms a view of `text`, then lets it fall behind by one, two and seven
+/// random insert/delete batches (one of the seven delete-heavy, forcing
+/// DRed), by a pair of batches that cancel, by a load, and by one more
+/// batch — reading it after each and checking that the served answer is
 /// bit-identical to a fresh engine over the mirrored edge set and to
-/// centralized evaluation of the unoptimized term. Returns the per-round
-/// summaries so callers can assert determinism.
+/// centralized evaluation of the unoptimized term. Returns the fate of the
+/// view at each read so callers can assert determinism.
 fn check_text(
     text: &str,
     plan: FixpointPlan,
     local: LocalEngine,
     seed: u64,
     chaos: bool,
-) -> Vec<DeltaSummary> {
+) -> Vec<Fate> {
     let g = erdos_renyi(NODES, 0.05, seed);
     let mut edges: Vec<(u64, u64)> = g.edges.iter().map(|&(s, _, d)| (s, d)).collect();
     edges.sort_unstable();
@@ -74,47 +116,84 @@ fn check_text(
         ServeConfig::default(),
     );
     let client = server.client();
+    client.query(text).expect("warm query");
 
     let mut rng = SplitMix64::seed_from_u64(seed.wrapping_mul(0x9e37_79b9) | 1);
-    let mut summaries = Vec::new();
-    for round in 0..5u64 {
-        // (Re-)warm the cached view; after a maintained round this hits.
-        client.query(text).expect("warm query");
+    let mut fates = Vec::new();
+    let mut batches = 0;
+    let lags = [Lag::Batches(1), Lag::Batches(2), Lag::Batches(7), Lag::Cancel, Lag::Load];
+    for (round, lag) in lags.iter().chain([&Lag::Batches(1)]).enumerate() {
+        let random_batch = |rng: &mut SplitMix64, edges: &[(u64, u64)], (n_ins, n_del)| {
+            let ins: Vec<(u64, u64)> =
+                (0..n_ins).map(|_| (rng.gen_range(0..NODES), rng.gen_range(0..NODES))).collect();
+            let del: Vec<(u64, u64)> =
+                (0..n_del).filter_map(|_| rng.choose(edges).copied()).collect();
+            (ins, del)
+        };
+        match lag {
+            Lag::Batches(n) => {
+                for i in 0..*n {
+                    let mix = if i == 3 { (1, 6) } else { (4, 2) };
+                    let (ins, del) = random_batch(&mut rng, &edges, mix);
+                    mutate(&server, &mut edges, &ins, &del);
+                }
+                batches += n;
+            }
+            Lag::Cancel => {
+                let absent = (0..NODES).map(|n| (n, NODES + 1)).find(|e| !edges.contains(e));
+                let (ins, del) = (vec![absent.unwrap()], vec![edges[0]]);
+                mutate(&server, &mut edges, &ins, &del);
+                mutate(&server, &mut edges, &del, &ins);
+                batches += 2;
+            }
+            Lag::Load => {
+                let (ins, del) = random_batch(&mut rng, &edges, (4, 2));
+                mutate(&server, &mut edges, &ins, &del);
+                batches += 1;
+                let reloaded = edges.clone();
+                server.load(move |db| {
+                    let (src, dst) = (db.intern("src"), db.intern("dst"));
+                    db.insert_relation("edge", Relation::from_pairs(src, dst, reloaded));
+                });
+            }
+        }
 
-        let (n_ins, n_del) = if round == 3 { (1, 6) } else { (4, 2) };
-        let ins: Vec<(u64, u64)> =
-            (0..n_ins).map(|_| (rng.gen_range(0..NODES), rng.gen_range(0..NODES))).collect();
-        let del: Vec<(u64, u64)> =
-            (0..n_del.min(edges.len())).filter_map(|_| rng.choose(&edges).copied()).collect();
-
-        let batch = server.with_db(|db| batch_of(db, &ins, &del));
-        summaries.push(server.apply_delta(batch).expect("apply_delta"));
-
-        // Mirror `R ← (R \ delete) ∪ insert` on the edge list.
-        edges.retain(|e| !del.contains(e));
-        edges.extend(ins.iter().copied());
-        edges.sort_unstable();
-        edges.dedup();
-
+        let before = server.stats();
         let got = client.query(text).expect("query after delta");
+        let after = server.stats();
+        let fate = Fate::between(&before, &after);
+        let context = format!(
+            "round {round} (plan {plan:?}, engine {local:?}, seed {seed}, chaos {chaos}): {fate:?}"
+        );
+        let caught_up = fate.maintained + fate.unaffected;
+        assert_eq!(caught_up + fate.fallbacks, 1, "the view was behind: {context}");
+        assert_eq!(after.result_hits - before.result_hits, caught_up, "{context}");
+        assert_eq!(after.result_misses - before.result_misses, fate.fallbacks, "{context}");
+        match lag {
+            // Served as it stands, nothing executed.
+            Lag::Cancel => assert_eq!(fate.unaffected, 1, "{context}"),
+            // No delta leads across a load.
+            Lag::Load => assert_eq!(after.ivm_fallback_other - before.ivm_fallback_other, 1),
+            Lag::Batches(_) => {}
+        }
         let want = QueryEngine::with_config(db_from_edges(&edges), config.clone())
             .run_ucrpq(text)
             .expect("recompute");
         assert_eq!(
             got.relation.sorted_rows(),
             want.relation.sorted_rows(),
-            "round {round}: maintained view diverged from recompute \
-             (plan {plan:?}, engine {local:?}, seed {seed}, chaos {chaos})"
+            "view diverged from recompute: {context}"
         );
         let mut mirror = db_from_edges(&edges);
         let raw = to_mura(&parse_ucrpq(text).expect("parse"), &mut mirror).expect("translate");
         let centralized = mura_core::eval(&raw, &mirror).expect("centralized evaluation");
-        assert_eq!(got.relation.sorted_rows(), centralized.sorted_rows(), "round {round}");
+        assert_eq!(got.relation.sorted_rows(), centralized.sorted_rows(), "{context}");
+        fates.push(fate);
     }
     let stats = server.stats();
-    assert_eq!(stats.deltas_applied, 5, "every batch must be applied");
+    assert_eq!(stats.deltas_applied, batches, "every batch must be applied");
     server.shutdown();
-    summaries
+    fates
 }
 
 fn matrix_seed() -> u64 {
@@ -124,19 +203,19 @@ fn matrix_seed() -> u64 {
 #[test]
 fn maintained_views_match_recompute_gld() {
     let s = check_plan(FixpointPlan::ForceGld, LocalEngine::SetRdd, matrix_seed(), false);
-    assert!(s.iter().any(|d| d.maintained >= 1), "no view was ever maintained: {s:?}");
+    assert!(s.iter().any(|f| f.maintained >= 1), "no view was ever maintained: {s:?}");
 }
 
 #[test]
 fn maintained_views_match_recompute_plw_setrdd() {
     let s = check_plan(FixpointPlan::ForcePlw, LocalEngine::SetRdd, matrix_seed(), false);
-    assert!(s.iter().any(|d| d.maintained >= 1), "no view was ever maintained: {s:?}");
+    assert!(s.iter().any(|f| f.maintained >= 1), "no view was ever maintained: {s:?}");
 }
 
 #[test]
 fn maintained_views_match_recompute_plw_sorted() {
     let s = check_plan(FixpointPlan::ForcePlw, LocalEngine::Sorted, matrix_seed(), false);
-    assert!(s.iter().any(|d| d.maintained >= 1), "no view was ever maintained: {s:?}");
+    assert!(s.iter().any(|f| f.maintained >= 1), "no view was ever maintained: {s:?}");
 }
 
 #[test]
@@ -172,13 +251,13 @@ fn sibling_fixpoints_equal_up_to_binders_keep_their_own_totals() {
 
     for plan in [FixpointPlan::ForceGld, FixpointPlan::ForcePlw, FixpointPlan::Auto] {
         let s = check_text(FORK, plan, LocalEngine::SetRdd, matrix_seed(), false);
-        assert!(s.iter().any(|d| d.maintained >= 1), "{plan:?}: never maintained: {s:?}");
+        assert!(s.iter().any(|f| f.maintained >= 1), "{plan:?}: never maintained: {s:?}");
     }
 }
 
 /// Under injected faults (panics, transient errors, drops, stragglers)
-/// maintenance must still produce exact answers, and the whole summary
-/// sequence must be deterministic for a fixed seed.
+/// maintenance must still produce exact answers, and what becomes of the
+/// view at each read must be deterministic for a fixed seed.
 #[test]
 fn chaos_maintenance_is_exact_and_deterministic() {
     let seed = matrix_seed();
@@ -187,8 +266,8 @@ fn chaos_maintenance_is_exact_and_deterministic() {
     assert_eq!(a, b, "same seed must replay the same maintenance decisions");
 }
 
-/// A mutation that touches none of a view's relations revalidates the
-/// cached entry in place: the next lookup is a hit, not a recompute.
+/// A mutation that touches none of a view's relations leaves the entry
+/// alone; the next read revalidates it as it stands: a hit, not a recompute.
 #[test]
 fn unrelated_mutation_revalidates_cached_views() {
     let mut db = db_from_edges(&[(0, 1), (1, 2), (2, 3)]);
@@ -205,15 +284,163 @@ fn unrelated_mutation_revalidates_cached_views() {
         b.push_insert(db, rel, row(8, 9)).unwrap();
         b
     });
+    let at_write = server.stats();
     let summary = server.apply_delta(batch).expect("apply");
-    assert_eq!(summary.inserted, 1);
-    assert!(summary.unaffected >= 1, "the TC view reads only 'edge': {summary:?}");
-    assert_eq!(summary.maintained, 0);
+    assert_eq!((summary.version, summary.inserted, summary.deleted), (1, 1, 0));
+    let at_read = server.stats();
+    assert_eq!(
+        Fate::between(&at_write, &at_read),
+        Fate { maintained: 0, unaffected: 0, fallbacks: 0 }
+    );
 
-    let hits_before = server.stats().result_hits;
     let after = client.query(TC).expect("post-delta query");
-    assert_eq!(server.stats().result_hits, hits_before + 1, "revalidated entry must hit");
-    assert_eq!(before.relation.sorted_rows(), after.relation.sorted_rows());
+    let stats = server.stats();
+    let fate = Fate::between(&at_read, &stats);
+    assert_eq!(fate, Fate { maintained: 0, unaffected: 1, fallbacks: 0 }, "TC reads only 'edge'");
+    assert_eq!(stats.result_hits, at_read.result_hits + 1, "revalidated entry must hit");
+    assert!(Arc::ptr_eq(&before, &after), "the answer it had");
+    server.shutdown();
+}
+
+fn chain(n: u64) -> Vec<(u64, u64)> {
+    (0..n).map(|i| (i, i + 1)).collect()
+}
+
+/// A view brought forward over `k` coalesced batches equals the one
+/// brought forward batch by batch, on batches that insert, delete, and take
+/// back what an earlier one did.
+#[test]
+fn catching_up_over_many_batches_equals_batch_by_batch() {
+    let servers: Vec<Server> = (0..2)
+        .map(|_| Server::start(QueryEngine::new(db_from_edges(&chain(12))), ServeConfig::default()))
+        .collect();
+    let [eager, lazy] = &servers[..] else { unreachable!() };
+    for server in &servers {
+        server.client().query(TC).expect("warm");
+    }
+    type Edges = &'static [(u64, u64)];
+    let steps: [(Edges, Edges); 7] = [
+        (&[(12, 13)], &[]),
+        (&[], &[(5, 6)]),
+        (&[(5, 6), (20, 0)], &[(12, 13)]),
+        (&[(3, 9)], &[(0, 1)]),
+        (&[(0, 1)], &[]),
+        (&[], &[(20, 0), (3, 9)]),
+        (&[(12, 14)], &[(7, 8)]),
+    ];
+    for (ins, del) in steps {
+        for server in &servers {
+            server.apply_delta(server.with_db(|db| batch_of(db, ins, del))).expect("apply_delta");
+        }
+        eager.client().query(TC).expect("read after every batch");
+    }
+    let (before, want) = (lazy.stats(), eager.client().query(TC).expect("current"));
+    let got = lazy.client().query(TC).expect("read after seven batches");
+    assert_eq!(got.relation.sorted_rows(), want.relation.sorted_rows());
+    let fate = Fate::between(&before, &lazy.stats());
+    assert_eq!(fate, Fate { maintained: 1, unaffected: 0, fallbacks: 0 }, "one catch-up");
+    assert_eq!(eager.stats().ivm_maintained, 7, "seven on the server read every time");
+    servers.into_iter().for_each(Server::shutdown);
+}
+
+/// Two clients read one view that keeps falling behind while a third
+/// mutates: every reply is the answer at *a* version (here: the closure of
+/// a chain of some length the mutator has reached), nobody deadlocks, and
+/// the view ends current.
+#[test]
+fn two_readers_bring_one_view_forward_while_a_third_client_mutates() {
+    const START: u64 = 20;
+    const STEPS: u64 = 60;
+    let config = ServeConfig { workers: 3, ..Default::default() };
+    let server = Server::start(QueryEngine::new(db_from_edges(&chain(START))), config);
+    server.client().query(TC).expect("warm");
+
+    let go = Arc::new(Barrier::new(3));
+    let done = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let (client, go, done) = (server.client(), Arc::clone(&go), Arc::clone(&done));
+            std::thread::spawn(move || {
+                go.wait();
+                let mut lengths = Vec::new();
+                while !done.load(Ordering::SeqCst) {
+                    let out = client.query(TC).expect("read");
+                    // The closure of the chain 0 → … → n is every (a, b)
+                    // with a < b ≤ n.
+                    let n = out.relation.iter().filter_map(|r| r[1].as_int()).max().expect("rows");
+                    let n = n as u64;
+                    let mut closure: Vec<_> =
+                        (0..n).flat_map(|a| (a + 1..=n).map(move |b| row(a, b))).collect();
+                    closure.sort_unstable();
+                    assert_eq!(out.relation.sorted_rows(), closure, "the answer at length {n}");
+                    lengths.push(n);
+                }
+                lengths
+            })
+        })
+        .collect();
+    go.wait();
+    for n in START..START + STEPS {
+        let batch = server.with_db(|db| batch_of(db, &[(n, n + 1)], &[]));
+        assert_eq!(server.apply_delta(batch).expect("apply_delta").version, n - START + 1);
+    }
+    done.store(true, Ordering::SeqCst);
+    for reader in readers {
+        let lengths = reader.join().expect("reader");
+        assert!(lengths.iter().all(|n| (START..=START + STEPS).contains(n)), "{lengths:?}");
+        assert!(lengths.windows(2).all(|w| w[0] <= w[1]), "one client never reads backwards");
+    }
+
+    let out = server.client().query(TC).expect("read after the last mutation");
+    assert_eq!(out.relation.len() as u64, (START + STEPS) * (START + STEPS + 1) / 2);
+    let before = server.stats();
+    server.client().query(TC).expect("read again");
+    let after = server.stats();
+    assert_eq!(after.result_hits, before.result_hits + 1, "the view ended current");
+    assert_eq!(Fate::between(&before, &after), Fate { maintained: 0, unaffected: 0, fallbacks: 0 });
+    assert_eq!(after.ivm_fallbacks, 0, "every catch-up found its bridge: {after:?}");
+    server.shutdown();
+}
+
+/// A catch-up runs under the deadline of the read that asked for it: past
+/// it the read fails typed, the half-forwarded view is gone, and the next
+/// read of the same text is correct.
+#[test]
+fn a_catch_up_past_its_deadline_fails_typed_and_the_next_read_is_correct() {
+    // `P_gld` shuffles at every superstep, and each batch below hangs a
+    // fresh 150-edge chain off the old one: 150 more supersteps to resume.
+    let config = ExecConfig { plan: FixpointPlan::ForceGld, ..Default::default() };
+    let server = Server::start(
+        QueryEngine::with_config(db_from_edges(&chain(150)), config),
+        ServeConfig::default(),
+    );
+    let client = server.client();
+    client.query(TC).expect("warm");
+    let mut length = 150;
+    let mut timed_out_catching_up = false;
+    for _attempt in 0..5 {
+        let longer: Vec<(u64, u64)> = (length..length + 150).map(|i| (i, i + 1)).collect();
+        length += 150;
+        server.apply_delta(server.with_db(|db| batch_of(db, &longer, &[]))).expect("apply_delta");
+        let before = server.stats();
+        let result = client.query_with_deadline(TC, Duration::from_millis(2));
+        let after = server.stats();
+        if let Err(e) = &result {
+            assert!(e.is_deadline(), "typed: {e}");
+        }
+        // The deadline can also pass in the queue, before anything ran, or
+        // (on a very fast machine) not at all; only a catch-up that was cut
+        // short drops the view.
+        timed_out_catching_up = after.ivm_fallback_other == before.ivm_fallback_other + 1;
+        let out = client.query(TC).expect("next read");
+        assert_eq!(out.relation.len() as u64, length * (length + 1) / 2, "closure of the chain");
+        if timed_out_catching_up {
+            assert!(result.is_err());
+            assert_eq!(server.stats().result_misses, after.result_misses + 1, "recomputed");
+            break;
+        }
+    }
+    assert!(timed_out_catching_up, "no catch-up met its 2 ms deadline in five attempts");
     server.shutdown();
 }
 
@@ -268,7 +495,7 @@ fn drain_mid_mutation_loses_no_responses() {
     let mut refused = 0u64;
     // Mutate until the drain — requested concurrently from mutation 60 on —
     // has been seen to refuse one: how many mutations fit before the
-    // drainer thread is scheduled depends on how fast maintenance is.
+    // drainer thread is scheduled depends on the machine.
     let mut i = 0u64;
     while i < 200 || refused == 0 {
         if i == 60 {
