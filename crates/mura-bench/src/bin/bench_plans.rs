@@ -15,7 +15,11 @@
 //! records what the search itself cost: `stats_us` (gathering the
 //! statistics the catalog keeps), `sweeps` (closure sweeps run by all
 //! roll-outs) and `names_interned` (names the search left in the
-//! dictionary: none, its symbols are numbers). A `history` section plans
+//! dictionary: none, its symbols are numbers), and for a class that names
+//! a constant `template_hit_us`: what the text with another constant pays
+//! when the serving tier binds the enumerated plan as its shape's template
+//! (parse, translate, shape key, rebind, one bracket) where
+//! `enumerated_plan_ms` is what a search costs. A `history` section plans
 //! the benchmark's 175-text read pool ten times over through one engine and
 //! records the mean planning time per text of each sweep. Results are
 //! written to `BENCH_plans.json`.
@@ -37,7 +41,7 @@
 use std::time::{Duration, Instant};
 
 use mura_bench::datasets::yago_read_pool;
-use mura_core::Term;
+use mura_core::{shape_key, Database, Term, Value};
 use mura_datagen::{erdos_renyi, with_random_labels, SplitMix64};
 use mura_dist::{PlannedQuery, QueryEngine};
 use mura_rewrite::{Rewriter, Stats};
@@ -104,6 +108,25 @@ fn run_samples(engine: &QueryEngine, plan: &Term, samples: usize) -> (Vec<Durati
         rows = out.relation.len();
     }
     (walls, rows)
+}
+
+/// Texts bound per class for `template_hit_us`.
+const TEMPLATE_HITS: u64 = 200;
+
+/// Mean µs the engine spends on a text of `template`'s shape that names
+/// another node where `query` names `C`, when `choose` answers by binding
+/// the template — the serving tier's template hit, without its two locks.
+fn time_template_hits(db: &Database, query: &str, template: &Term, binding: &[Value]) -> f64 {
+    let mut engine = QueryEngine::new(db.clone());
+    let t = Instant::now();
+    for node in 0..TEMPLATE_HITS {
+        let text = query.replace('C', &node.to_string());
+        let bound = engine.plan_ucrpq_with(&text, None, Rewriter::optimize_report, |raw, _| {
+            Ok((template.clone().rebind(binding, &shape_key(&raw).1), ()))
+        });
+        std::hint::black_box(bound.expect("bind the template"));
+    }
+    t.elapsed().as_secs_f64() * 1e6 / TEMPLATE_HITS as f64
 }
 
 /// Sweeps over the pool in the history section, and fresh engines the
@@ -197,6 +220,9 @@ fn main() {
         let (enum_plan, report) = rw.optimize_report(&term, &mut db).expect("enumerate optimize");
         let enum_plan_ms = t.elapsed().as_secs_f64() * 1e3;
         let names_interned = db.dict().len() - names_before;
+        let (_, binding) = shape_key(&term);
+        let template_hit_us =
+            (!binding.is_empty()).then(|| time_template_hits(&db, query, &enum_plan, &binding));
 
         let engine = QueryEngine::new(db.clone());
         let (pipe_walls, pipe_rows) = run_samples(&engine, &pipeline_plan, samples);
@@ -224,7 +250,7 @@ fn main() {
         println!(
             "  {name:<16} {pipe_rows:>7} rows  pipeline {:>8.2} ms  enumerated {:>8.2} ms  \
              ({:+.1}%)  [{} candidates / {} groups / {} sweeps, plan {:.2} ms vs {:.2} ms, \
-             {names_interned} names kept{}]",
+             {names_interned} names kept{}{}]",
             pipe.min_ms,
             enu.min_ms,
             slowdown_pct,
@@ -234,6 +260,7 @@ fn main() {
             enum_plan_ms,
             pipeline_plan_ms,
             if report.enumerated_won { ", enumerated won" } else { "" },
+            template_hit_us.map_or(String::new(), |us| format!(", template hit {us:.1} us")),
         );
 
         if slowdown_pct > max_slowdown_pct {
@@ -249,11 +276,13 @@ fn main() {
             "    {{\"class\": \"{name}\", \"query\": \"{query}\", \"rows\": {pipe_rows}, \
              \"pipeline\": {}, \"enumerated\": {}, \
              \"pipeline_plan_ms\": {pipeline_plan_ms:.3}, \"enumerated_plan_ms\": {enum_plan_ms:.3}, \
+             \"template_hit_us\": {}, \
              \"stats_us\": {stats_us:.1}, \"sweeps\": {}, \"names_interned\": {names_interned}, \
              \"candidates\": {}, \"groups\": {}, \"enumerated_won\": {}, \
              \"winner_cost\": {:.1}, \"pipeline_cost\": {:.1}, \"slowdown_pct\": {slowdown_pct:.2}}}",
             json_timings(&pipe),
             json_timings(&enu),
+            template_hit_us.map_or("null".to_string(), |us| format!("{us:.1}")),
             report.sweeps,
             report.candidates,
             report.groups,

@@ -302,6 +302,42 @@ impl Term {
         }
     }
 
+    /// The term with every predicate constant `from[i]` replaced by `to[i]`,
+    /// all at once (`[a, b] → [b, a]` swaps). `from` and `to` are two
+    /// bindings of one [`shape_key`]; a constant outside `from` stays.
+    ///
+    /// # Panics
+    /// Panics if the bindings differ in length.
+    pub fn rebind(mut self, from: &[Value], to: &[Value]) -> Term {
+        fn go(t: &mut Term, from: &[Value], to: &[Value]) {
+            match t {
+                Term::Var(_) | Term::Cst(_) => {}
+                Term::Filter(ps, inner) => {
+                    for p in ps {
+                        if let Pred::Eq(_, v) | Pred::Neq(_, v) = p {
+                            if let Some(i) = from.iter().position(|f| f == v) {
+                                *v = to[i];
+                            }
+                        }
+                    }
+                    go(inner, from, to);
+                }
+                Term::Rename(_, _, inner) | Term::AntiProject(_, inner) | Term::Fix(_, inner) => {
+                    go(inner, from, to)
+                }
+                Term::Join(a, b) | Term::Antijoin(a, b) | Term::Union(a, b) => {
+                    go(a, from, to);
+                    go(b, from, to);
+                }
+            }
+        }
+        assert_eq!(from.len(), to.len(), "two bindings of one shape");
+        if from != to {
+            go(&mut self, from, to);
+        }
+        self
+    }
+
     /// Renders the term with resolved names via the dictionary.
     pub fn display<'a>(&'a self, dict: &'a crate::catalog::Dictionary) -> TermDisplay<'a> {
         TermDisplay { term: self, dict }
@@ -321,7 +357,7 @@ impl Term {
 /// tells apart two sibling fixpoints that differ in their binders only.
 pub fn term_key(t: &Term) -> u64 {
     let mut h = FxHasher::default();
-    hash_term(t, &mut h, &mut |s, h| s.hash(h));
+    hash_term(t, &mut h, &mut |s, h| s.hash(h), &mut |v, h| v.hash(h));
     h.finish()
 }
 
@@ -337,9 +373,15 @@ pub fn term_key(t: &Term) -> u64 {
 /// `X` must not be conflated with an equal-shaped subterm mentioning a
 /// different outer variable.
 pub fn canon_key(t: &Term, pinned: &[Sym]) -> u64 {
-    let mut ids: FxHashMap<Sym, u64> = FxHashMap::default();
     let mut h = FxHasher::default();
-    hash_term(t, &mut h, &mut |s, h| {
+    hash_term(t, &mut h, &mut canon_symbols(pinned), &mut |v, h| v.hash(h));
+    h.finish()
+}
+
+/// How [`canon_key`] hashes one symbol.
+fn canon_symbols(pinned: &[Sym]) -> impl FnMut(Sym, &mut FxHasher) + '_ {
+    let mut ids: FxHashMap<Sym, u64> = FxHashMap::default();
+    move |s, h| {
         if s.is_generated() && !pinned.contains(&s) {
             let next = ids.len() as u64;
             0xF5u8.hash(h);
@@ -348,12 +390,42 @@ pub fn canon_key(t: &Term, pinned: &[Sym]) -> u64 {
             0x5Fu8.hash(h);
             s.hash(h);
         }
-    });
-    h.finish()
+    }
 }
 
-/// The walk both keys share; `sym` hashes one symbol.
-fn hash_term(t: &Term, h: &mut FxHasher, sym: &mut impl FnMut(Sym, &mut FxHasher)) {
+/// The *shape* of a term and its *binding*: [`canon_key`] with every
+/// constant a predicate compares a column with (`Pred::Eq` / `Pred::Neq`)
+/// hashed as the ordinal of its first occurrence in the walk plus its kind
+/// (integer or interned string), and those constants, distinct, in that
+/// order. Two terms have one shape iff they differ in nothing but which
+/// constants they name — `A p+ A` and `A p+ B` are two shapes, an integer
+/// and a string in one position are two shapes — and then
+/// [`Term::rebind`] over their bindings turns one into the other. The
+/// serving tier searches a plan once per shape: the planner prices and
+/// moves a constant filter without reading its value. Should a rewrite
+/// rule ever read one, the property it reads belongs in this key.
+pub fn shape_key(t: &Term) -> (u64, Vec<Value>) {
+    let mut binding: Vec<Value> = Vec::new();
+    let mut h = FxHasher::default();
+    hash_term(t, &mut h, &mut canon_symbols(&[]), &mut |v, h| {
+        let ordinal = binding.iter().position(|b| *b == v).unwrap_or_else(|| {
+            binding.push(v);
+            binding.len() - 1
+        });
+        ordinal.hash(h);
+        std::mem::discriminant(&v).hash(h);
+    });
+    (h.finish(), binding)
+}
+
+/// The walk the keys share; `sym` hashes one symbol, `val` one predicate
+/// constant.
+fn hash_term(
+    t: &Term,
+    h: &mut FxHasher,
+    sym: &mut impl FnMut(Sym, &mut FxHasher),
+    val: &mut impl FnMut(Value, &mut FxHasher),
+) {
     match t {
         Term::Var(v) => {
             0u8.hash(h);
@@ -380,12 +452,12 @@ fn hash_term(t: &Term, h: &mut FxHasher, sym: &mut impl FnMut(Sym, &mut FxHasher
                     Pred::Eq(c, v) => {
                         0isize.hash(h);
                         sym(*c, h);
-                        v.hash(h);
+                        val(*v, h);
                     }
                     Pred::Neq(c, v) => {
                         1isize.hash(h);
                         sym(*c, h);
-                        v.hash(h);
+                        val(*v, h);
                     }
                     Pred::EqCol(a, b) => {
                         2isize.hash(h);
@@ -394,13 +466,13 @@ fn hash_term(t: &Term, h: &mut FxHasher, sym: &mut impl FnMut(Sym, &mut FxHasher
                     }
                 }
             }
-            hash_term(inner, h, sym);
+            hash_term(inner, h, sym, val);
         }
         Term::Rename(a, b, inner) => {
             3u8.hash(h);
             sym(*a, h);
             sym(*b, h);
-            hash_term(inner, h, sym);
+            hash_term(inner, h, sym, val);
         }
         Term::AntiProject(cs, inner) => {
             4u8.hash(h);
@@ -408,7 +480,7 @@ fn hash_term(t: &Term, h: &mut FxHasher, sym: &mut impl FnMut(Sym, &mut FxHasher
             for c in cs {
                 sym(*c, h);
             }
-            hash_term(inner, h, sym);
+            hash_term(inner, h, sym, val);
         }
         Term::Join(a, b) | Term::Antijoin(a, b) | Term::Union(a, b) => {
             let tag: u8 = match t {
@@ -417,13 +489,13 @@ fn hash_term(t: &Term, h: &mut FxHasher, sym: &mut impl FnMut(Sym, &mut FxHasher
                 _ => 7,
             };
             tag.hash(h);
-            hash_term(a, h, sym);
-            hash_term(b, h, sym);
+            hash_term(a, h, sym, val);
+            hash_term(b, h, sym, val);
         }
         Term::Fix(x, body) => {
             8u8.hash(h);
             sym(*x, h);
-            hash_term(body, h, sym);
+            hash_term(body, h, sym, val);
         }
     }
 }
@@ -592,6 +664,33 @@ mod tests {
             term_key(&Term::cst(Relation::from_pairs(a, b, [(1, 2)]))),
             term_key(&Term::cst(r3))
         );
+    }
+
+    /// `σ[src=a ∧ dst≠b](E)`.
+    fn filtered(a: Value, b: Value) -> Term {
+        Term::var(Sym(1)).filter(Pred::Eq(Sym(2), a)).filter(Pred::Neq(Sym(3), b))
+    }
+
+    #[test]
+    fn shape_keys_the_constants_out_and_rebind_puts_others_in() {
+        let [a, b, c] = [7, 8, 9].map(Value::Int);
+        let (shape, binding) = shape_key(&filtered(a, b));
+        assert_eq!(binding, [a, b], "distinct constants in walk order");
+        assert_eq!(shape_key(&filtered(c, a)), (shape, vec![c, a]), "which constants: not shape");
+        assert_eq!(shape_key(&filtered(a, a)).1, [a]);
+        assert_ne!(shape_key(&filtered(a, a)).0, shape, "the equality pattern is shape");
+        assert_ne!(shape_key(&filtered(a, Value::Str(Sym(8)))).0, shape, "the kind is shape");
+        let swapped = Term::var(Sym(1)).filter(Pred::Neq(Sym(2), a)).filter(Pred::Eq(Sym(3), b));
+        assert_ne!(shape_key(&swapped).0, shape, "the rest of the term is shape");
+        // Generated symbols hash as in `canon_key`.
+        let closure = |x: Sym| Term::var(Sym(1)).union(Term::var(x)).fix(x).filter(Pred::Eq(x, a));
+        let (x, y) = (Sym::generated("X", 1), Sym::generated("X", 5));
+        assert_eq!(shape_key(&closure(x)), shape_key(&closure(y)));
+
+        assert_eq!(filtered(a, b).rebind(&[a, b], &[c, a]), filtered(c, a));
+        assert_eq!(filtered(a, b).rebind(&[a, b], &[b, a]), filtered(b, a), "all at once");
+        assert_eq!(filtered(a, b).rebind(&[a], &[c]), filtered(c, b), "others stay");
+        assert_eq!(term_key(&filtered(a, b).rebind(&[a, b], &[a, b])), term_key(&filtered(a, b)));
     }
 
     #[test]

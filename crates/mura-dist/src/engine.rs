@@ -151,6 +151,14 @@ fn explain_rec(
     }
 }
 
+/// How [`QueryEngine::plan_ucrpq_with`] searches:
+/// [`Rewriter::optimize_report`], or [`Rewriter::optimize_explained`] for
+/// the per-group digest.
+pub type SearchFn = fn(&Rewriter, &Term, &mut Database) -> Result<(Term, EnumReport)>;
+
+/// The search as [`QueryEngine::plan_ucrpq_with`] hands it to its caller.
+pub type Search<'a> = dyn FnMut(&Term) -> Result<(Term, Option<EnumReport>)> + 'a;
+
 /// The end-to-end Dist-μ-RA engine over one database.
 pub struct QueryEngine {
     db: Database,
@@ -221,44 +229,42 @@ impl QueryEngine {
         query: &str,
         observed: Option<Arc<ObservedCards>>,
     ) -> Result<(PlannedQuery, Option<EnumReport>)> {
-        self.plan_ucrpq_with(query, observed, Rewriter::optimize_report)
+        self.plan_ucrpq_with(query, observed, Rewriter::optimize_report, |raw, search| search(&raw))
     }
 
-    /// [`QueryEngine::plan_ucrpq_report`] for `.explain`: the report also
-    /// carries the per-group digest.
-    pub fn plan_ucrpq_explained(
+    /// Translation and — if `choose` asks for it — search in one bracket:
+    /// the numbers the frontend mints for the raw term are given back with
+    /// the search's, and the plan numbers what it keeps of either. `choose`
+    /// gets the raw term and `search` (`how` under `observed`; the identity
+    /// with the rewriter disabled) and answers with the plan: what `search`
+    /// finds for the raw term, for a re-instantiation of it, or a plan it
+    /// kept from an earlier call, in which case nothing is searched and
+    /// the dictionary is left as it was.
+    pub fn plan_ucrpq_with<R>(
         &mut self,
         query: &str,
         observed: Option<Arc<ObservedCards>>,
-    ) -> Result<(PlannedQuery, Option<EnumReport>)> {
-        self.plan_ucrpq_with(query, observed, Rewriter::optimize_explained)
-    }
-
-    /// Translation and search in one bracket: the numbers the frontend
-    /// mints for the raw term are given back with the search's, and the
-    /// plan numbers what it keeps of either.
-    fn plan_ucrpq_with(
-        &mut self,
-        query: &str,
-        observed: Option<Arc<ObservedCards>>,
-        search: fn(&Rewriter, &Term, &mut Database) -> Result<(Term, EnumReport)>,
-    ) -> Result<(PlannedQuery, Option<EnumReport>)> {
+        how: SearchFn,
+        choose: impl FnOnce(Term, &mut Search<'_>) -> Result<(Term, R)>,
+    ) -> Result<(PlannedQuery, R)> {
         let start = Instant::now();
         let q = parse_ucrpq(query)?;
         let optimize = self.optimize;
-        let (plan, report) = bracketed(&mut self.db, |db| {
-            let term = to_mura(&q, db)?;
-            if !optimize {
-                return Ok((term, None));
-            }
-            let mut rewriter = Rewriter::new(db);
-            if let Some(observed) = observed {
-                rewriter = rewriter.with_observations(observed);
-            }
-            let (plan, report) = search(&rewriter, &term, db)?;
-            Ok((plan, Some(report)))
+        let (plan, rest) = bracketed(&mut self.db, |db| {
+            let raw = to_mura(&q, db)?;
+            choose(raw, &mut |term| {
+                if !optimize {
+                    return Ok((term.clone(), None));
+                }
+                let mut rewriter = Rewriter::new(db);
+                if let Some(observed) = &observed {
+                    rewriter = rewriter.with_observations(Arc::clone(observed));
+                }
+                let (plan, report) = how(&rewriter, term, db)?;
+                Ok((plan, Some(report)))
+            })
         })?;
-        Ok((PlannedQuery { plan, planning: start.elapsed() }, report))
+        Ok((PlannedQuery { plan, planning: start.elapsed() }, rest))
     }
 
     /// Optimizes a μ-RA term without executing it.

@@ -43,7 +43,7 @@ pub use cluster::{
     SupervisorEventKind,
 };
 pub use distrel::DistRel;
-pub use engine::{explain_plan, PlannedQuery, QueryEngine, QueryOutput};
+pub use engine::{explain_plan, PlannedQuery, QueryEngine, QueryOutput, Search, SearchFn};
 pub use exec::{DistEvaluator, ExecConfig, ExecStats, FixResume, FixpointPlan, ResourceLimits};
 pub use fault::{FaultConfig, FaultPlan, FaultSnapshot, FaultStats, RecoveryPolicy};
 pub use localfix::LocalEngine;

@@ -3,7 +3,8 @@
 //! `mura-crashd` runs a *deterministic* serving session against a durable
 //! data directory: a seeded random graph, a fixed schedule of delta
 //! batches (plus one mid-stream reload), a warm query before every
-//! mutation. The whole schedule is a pure function of the seed — never of
+//! mutation — the closure, and what one node reaches, a different node at
+//! every step. The whole schedule is a pure function of the seed — never of
 //! server state — so two invocations over the same directory compose: a
 //! run that crashes partway (via `MURA_CRASH_POINT`, see
 //! `mura_durable::crash`) is continued by the next invocation, which
@@ -16,10 +17,17 @@
 //!
 //! ```text
 //! RECOVERED v=<version> replayed=<wal records> snapshots=<written>
+//! PROBE persisted=<bool> template_hits=<n> searches=<n>
 //! DELTA v=<version> ins=<n> del=<n>
 //! LOAD v=<version>
 //! FINAL v=<version> epoch=<epoch> rows=<count> hash=<fxhash>
 //! ```
+//!
+//! `PROBE` follows a recovery: what a node no step asks about reaches — a
+//! constant nobody has seen, of a shape the steps before the crash did
+//! ask. `persisted` is what `.explain` says of it (a restored snapshot held
+//! a text of the shape, costed under the restored generation); the two
+//! counts are how the request itself was planned.
 //!
 //! A `DELTA` line is printed only after `apply_delta` returned — i.e.
 //! after the batch was durably logged — so every printed version is a
@@ -37,6 +45,11 @@ use std::hash::{Hash, Hasher};
 
 const TC: &str = "?x, ?y <- ?x edge+ ?y";
 const NODES: u64 = 40;
+
+/// What `node` reaches: one shape, a text per node.
+fn reached_from(node: u64) -> String {
+    format!("?x <- {node} edge+ ?x")
+}
 
 /// One version-consuming step of the deterministic schedule.
 enum Step {
@@ -190,6 +203,19 @@ fn main() {
         stats.recovery_replayed_batches, stats.snapshots_written
     );
 
+    if recovered > 0 {
+        let probe = reached_from(NODES - 1);
+        let explained = server.explain(&probe).unwrap_or_else(|e| die(&format!("explain: {e}")));
+        client.query(&probe).unwrap_or_else(|e| die(&format!("probe query: {e}")));
+        let st = server.stats();
+        println!(
+            "PROBE persisted={} template_hits={} searches={}",
+            explained.contains("template     hit"),
+            st.plan_template_hits,
+            st.plan_misses
+        );
+    }
+
     // Fast-forward the mirror over steps a previous process made durable.
     let mut mirror = initial;
     for step in steps.iter().take(recovered as usize) {
@@ -199,16 +225,19 @@ fn main() {
     for (i, step) in steps.iter().enumerate().skip(recovered as usize) {
         // Read the view at the current version: this is what brings it
         // forward over the step before, or recomputes it after a restart.
-        client.query(TC).unwrap_or_else(|e| die(&format!("warm query: {e}")));
+        for text in [TC.to_string(), reached_from(i as u64)] {
+            client.query(&text).unwrap_or_else(|e| die(&format!("warm query: {e}")));
+        }
         if std::env::var_os("MURA_CRASHD_DEBUG").is_some() {
             let st = server.stats();
             eprintln!(
-                "DBG step={i} v={} gen={} fixpoints={} plan_miss={} plan_hit={} res_hit={} res_miss={}",
+                "DBG step={i} v={} gen={} fixpoints={} plan_miss={} plan_hit={} template_hit={} res_hit={} res_miss={}",
                 server.version(),
                 st.feedback_generation,
                 st.feedback_fixpoints,
                 st.plan_misses,
                 st.plan_hits,
+                st.plan_template_hits,
                 st.result_hits,
                 st.result_misses,
             );

@@ -5,6 +5,7 @@
 //! plan is numbered canonically, so do two plannings of one text.
 
 use mura_core::fxhash::FxHashMap;
+use std::borrow::Borrow;
 use std::hash::Hash;
 
 /// A small LRU cache.
@@ -27,8 +28,13 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         LruCache { capacity, tick: 0, map: FxHashMap::default(), evictions: 0 }
     }
 
-    /// Looks up `key`, marking it most-recently used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<V> {
+    /// Looks up `key` — in any borrowed form of `K`, so a `String`-keyed
+    /// cache is asked with the `&str` the caller has — marking it
+    /// most-recently used on a hit.
+    pub fn get<Q: Hash + Eq + ?Sized>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(key).map(|(v, last)| {
@@ -120,6 +126,16 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.evictions(), 0);
         assert_eq!(c.get(&"a"), Some(10));
+    }
+
+    #[test]
+    fn a_string_key_is_looked_up_by_str() {
+        let mut c: LruCache<String, u32> = LruCache::new(2);
+        c.insert("a".to_string(), 1);
+        c.insert("b".to_string(), 2);
+        assert_eq!(c.get("a"), Some(1), "no String is built to ask");
+        c.insert("c".to_string(), 3);
+        assert_eq!((c.get("b"), c.get("a")), (None, Some(1)), "and the lookup counts as a use");
     }
 
     #[test]

@@ -187,8 +187,8 @@ impl Client {
         // query is gated on the live gauge alone and re-checked
         // authoritatively in `process` once planned.
         let cached = inner.planning.peek(query);
-        let estimate = || cached.as_ref().map_or(0, |p| inner.planning.try_estimate(p));
-        inner.admission.gate(cached.as_ref().map(|p| p.key), estimate, false)?;
+        let estimate = || cached.as_ref().map_or(0, |(_, plan)| inner.planning.try_estimate(plan));
+        inner.admission.gate(cached.as_ref().map(|(key, _)| *key), estimate, false)?;
         inner.admission.enqueue(query, deadline, trace)
     }
 

@@ -275,7 +275,8 @@ impl ServerInner {
         // The authoritative gates, now that the canonical plan is known
         // (the submit-side peek only sees plan-cache hits). Cache hits
         // above skip them: replaying an answer costs nothing.
-        let estimate = || Planning::estimated_bytes(&planned, self.planning.read_engine().db());
+        let estimate =
+            || Planning::estimated_bytes(&planned.query.plan, self.planning.read_engine().db());
         self.admission.gate(Some(planned.key), estimate, true)?;
         // Execute under the read lock: many executions run concurrently;
         // only planning and mutations serialize. The engine's `ExecConfig`

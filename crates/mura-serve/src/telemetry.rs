@@ -49,7 +49,14 @@ mura_obs::counter_set! {
         }
         counter "mura_breaker_opened_total", "Circuit-breaker open transitions." { breaker_opened }
         counter "mura_cache_events_total", "Plan/result cache hits and misses." {
+            /// Requests that got their plan without a search: from the text
+            /// memo, or by binding their shape's template.
             plan_hits {cache = "plan", event = "hit"},
+            /// The subset of [`plan_hits`](Self::plan_hits) that bound a
+            /// template: the text was new, its shape was not.
+            plan_template_hits {cache = "plan", event = "template_hit"},
+            /// Searches: the shape was new, or costed under observations
+            /// that have moved since.
             plan_misses {cache = "plan", event = "miss"},
             result_hits {cache = "result", event = "hit"},
             result_misses {cache = "result", event = "miss"},
@@ -196,7 +203,8 @@ pub(crate) struct Telemetry {
     pub(crate) queue: Histogram,
     /// Evaluator time of executions: fresh ones and resumed catch-ups.
     execution: Histogram,
-    /// Planning time of plan-cache misses.
+    /// What a text the memo did not hold paid under the engine write lock:
+    /// translation, then a template binding or a search.
     pub(crate) planning: Histogram,
     /// What bringing one view forward added to the read that did it
     /// (coalescing, planning the resume state, the resumed execution),
@@ -319,7 +327,7 @@ fn histograms_of(inner: &ServerInner) -> [(&'static str, &'static str, Histogram
         ),
         (
             "mura_query_planning_seconds",
-            "Planning time of plan-cache misses.",
+            "Planning time of texts the plan memo missed (bound or searched).",
             t.planning.snapshot(),
         ),
         (

@@ -203,13 +203,27 @@ fn serve_mutate_restart(moved: &mut Moved) {
     assert_eq!(fate_of(TC_E), (1, 0, 0, 1, 0), "over two batches at once");
     assert!(server.stats().ivm_rederived_rows > before);
     assert!(client.query_with_deadline(TC_E, Duration::ZERO).unwrap_err().is_deadline());
+    // Three more nodes of `FROM_0`'s shape. The catch-ups above moved the
+    // observations, so the first searches the shape again — for node 0 —
+    // and the other two bind what it found; what the three runs measure is
+    // not the planner's to read.
+    let before = server.stats();
     for evicting in ["?x <- 1 e+ ?x", "?x <- 2 e+ ?x", "?x <- 3 e+ ?x"] {
         read(evicting);
     }
     // Every read is a hit (the entry was current, or was caught up) or a
-    // miss; the one that had no time left never got as far as asking.
+    // miss; the one that had no time left never got as far as asking. And
+    // every read was planned exactly one way: from the text memo or through
+    // a template (both hits), or by a search.
     let stats = server.stats();
     assert_eq!(stats.result_hits + stats.result_misses, reads.get(), "{stats:?}");
+    assert_eq!(stats.plan_hits + stats.plan_misses, reads.get(), "{stats:?}");
+    assert_eq!(
+        (stats.plan_template_hits, stats.plan_misses, stats.feedback_generation),
+        (before.plan_template_hits + 2, before.plan_misses + 1, before.feedback_generation),
+        "{stats:?}"
+    );
+    assert!(stats.plan_template_hits <= stats.plan_hits);
     assert!(stats.ivm_maintained + stats.ivm_unaffected <= stats.result_hits);
     moved.note(&server);
     renderings_match_the_declaration(&server);

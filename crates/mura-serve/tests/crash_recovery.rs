@@ -58,6 +58,8 @@ struct Transcript {
     steps: BTreeMap<u64, String>,
     /// The `FINAL …` line, if the run got that far.
     final_line: Option<String>,
+    /// The `PROBE …` line of a run that recovered something.
+    probe: Option<String>,
 }
 
 fn parse(stdout: &[u8]) -> Transcript {
@@ -78,6 +80,8 @@ fn parse(stdout: &[u8]) -> Transcript {
             t.steps.insert(field(line, "v="), line.to_string());
         } else if line.starts_with("FINAL ") {
             t.final_line = Some(line.to_string());
+        } else if line.starts_with("PROBE ") {
+            t.probe = Some(line.to_string());
         }
     }
     t
@@ -85,8 +89,10 @@ fn parse(stdout: &[u8]) -> Transcript {
 
 /// Runs the reference (uninterrupted), the crashed run, and the recovery,
 /// then checks the recovery composes with the crash into exactly the
-/// reference timeline.
-fn check_crash_point(plan: &str, cluster: &str, point: &str) {
+/// reference timeline. Returns whether the recovery restored a template:
+/// its first request names a constant no run has seen, of a shape every
+/// step asks about, and must then be planned by binding, not by a search.
+fn check_crash_point(plan: &str, cluster: &str, point: &str) -> bool {
     let ref_dir = scratch_dir(&format!("ref-{plan}-{cluster}"));
     let reference = parse(&{
         let out = run_crashd(&ref_dir, plan, cluster, None);
@@ -102,7 +108,7 @@ fn check_crash_point(plan: &str, cluster: &str, point: &str) {
         // The crash point never fired (site not reached for this plan):
         // the run must then simply equal the reference.
         assert_eq!(crashed_t.final_line.as_deref(), Some(ref_final.as_str()), "{plan} {point}");
-        return;
+        return false;
     }
 
     // Every acked mutation in the crashed run matches the reference.
@@ -150,29 +156,38 @@ fn check_crash_point(plan: &str, cluster: &str, point: &str) {
         "final answer after recovery (plan {plan}, {point})"
     );
 
+    let probe = rec.probe.expect("a recovery probes its templates");
+    let persisted = probe.contains("persisted=true");
+    let planned =
+        if persisted { "template_hits=1 searches=0" } else { "template_hits=0 searches=1" };
+    assert!(probe.ends_with(planned), "{probe} (plan {plan}, {point})");
+
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&dir);
+    persisted
+}
+
+/// Every crash site of the matrix; at least one of them comes back from a
+/// periodic snapshot, which holds the plans of the steps before it.
+fn check_matrix(plan: &str) {
+    let restored: Vec<bool> =
+        CRASH_POINTS.iter().map(|point| check_crash_point(plan, "sim", point)).collect();
+    assert!(restored.contains(&true), "{plan}: no crash site restored a template: {restored:?}");
 }
 
 #[test]
 fn crash_recovery_matrix_gld() {
-    for point in CRASH_POINTS {
-        check_crash_point("gld", "sim", point);
-    }
+    check_matrix("gld");
 }
 
 #[test]
 fn crash_recovery_matrix_plw() {
-    for point in CRASH_POINTS {
-        check_crash_point("plw", "sim", point);
-    }
+    check_matrix("plw");
 }
 
 #[test]
 fn crash_recovery_matrix_async() {
-    for point in CRASH_POINTS {
-        check_crash_point("async", "sim", point);
-    }
+    check_matrix("async");
 }
 
 /// The durable tier composes with the real multi-process cluster backend:

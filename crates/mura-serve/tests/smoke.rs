@@ -61,13 +61,18 @@ fn concurrent_clients_match_direct_runs() {
     db.intern("?x");
     db.intern("?y");
 
+    // Each client also asks what reaches, and what is reached from, a node
+    // of its own: texts that differ in the constant only, one plan template
+    // bound eight ways while the clients race to file it.
+    let own = |t: usize| [format!("?x <- ?x a1+ {}", 20 + t), format!("?y <- {} a2+ ?y", 20 + t)];
+    let texts: Vec<String> =
+        MIXED_QUERIES.iter().map(|q| q.to_string()).chain((0..8).flat_map(own)).collect();
+
     // Reference answers straight from a private engine.
     let mut reference = QueryEngine::new(db.clone());
-    let expected: Vec<_> = MIXED_QUERIES
-        .iter()
-        .map(|q| reference.run_ucrpq(q).unwrap().relation.sorted_rows())
-        .collect();
-    let expected = Arc::new(expected);
+    let expected: Vec<_> =
+        texts.iter().map(|q| reference.run_ucrpq(q).unwrap().relation.sorted_rows()).collect();
+    let (texts, expected) = (Arc::new(texts), Arc::new(expected));
 
     let server = Server::start(
         QueryEngine::new(db),
@@ -77,17 +82,18 @@ fn concurrent_clients_match_direct_runs() {
     let handles: Vec<_> = (0..8)
         .map(|t| {
             let client = server.client();
-            let expected = Arc::clone(&expected);
+            let (texts, expected) = (Arc::clone(&texts), Arc::clone(&expected));
             std::thread::spawn(move || {
-                for i in 0..MIXED_QUERIES.len() {
-                    // Rotate per thread so planning collisions interleave.
-                    let q = (t + i) % MIXED_QUERIES.len();
-                    let out = client.query(MIXED_QUERIES[q]).unwrap();
+                // Rotate per thread so planning collisions interleave.
+                let mixed = (0..MIXED_QUERIES.len()).map(|i| (t + i) % MIXED_QUERIES.len());
+                let own = MIXED_QUERIES.len() + 2 * t;
+                for q in mixed.chain([own, own + 1]) {
+                    let out = client.query(&texts[q]).unwrap();
                     assert_eq!(
                         out.relation.sorted_rows(),
                         expected[q],
                         "thread {t} query {:?} diverged",
-                        MIXED_QUERIES[q]
+                        texts[q]
                     );
                 }
             })
@@ -98,8 +104,24 @@ fn concurrent_clients_match_direct_runs() {
     }
 
     let stats = server.stats();
-    assert_eq!(stats.completed, 80);
+    assert_eq!(stats.completed, 96);
     assert_eq!(stats.failed, 0);
+    assert_eq!(stats.plan_hits + stats.plan_misses, 96, "{stats:?}");
+    // Whatever the race left behind, the shape has its template: a new node
+    // may find it costed under observations that have since moved and
+    // search once more — for `C`, whose binding it keeps — and the node
+    // after that binds.
+    let client = server.client();
+    client.query("?x <- ?x a1+ 40").unwrap();
+    let before = server.stats();
+    let out = client.query("?x <- ?x a1+ 41").unwrap();
+    let after = server.stats();
+    let expected = reference.run_ucrpq("?x <- ?x a1+ 41").unwrap().relation.sorted_rows();
+    assert_eq!(out.relation.sorted_rows(), expected);
+    assert_eq!(
+        (after.plan_template_hits, after.plan_misses),
+        (before.plan_template_hits + 1, before.plan_misses)
+    );
     // 8 threads × 10 queries over 10 distinct plans: repeats must hit.
     assert!(stats.result_hits > 0, "no cache hits across repeats: {stats:?}");
     assert!(stats.hit_rate() > 0.0);
