@@ -426,7 +426,7 @@ fn main() {
         assert_eq!(rows.len(), WIRE_ROWS, "the closure has fewer rows than the wire section moves");
         let rel = Relation::from_rows(full.schema().clone(), &rows);
         let broadcast =
-            min_time(samples.max(5), || wire_cluster.broadcast_rel(&rel).expect("broadcast"));
+            min_time(samples.max(5), || wire_cluster.broadcast_rel(&rel, None).expect("broadcast"));
         let exchange = min_time(samples.max(5), || {
             // Every worker sends an equal share to every worker.
             let empty = mura_core::Rows::new(rel.schema().arity());

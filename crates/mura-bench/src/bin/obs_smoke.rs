@@ -161,7 +161,8 @@ fn check_metrics_page(errors: &mut Vec<String>) {
         send("?x, ?y <- ?x e+ ?y");
     }
     // Exercise the mutation verbs so the IVM families carry real samples:
-    // an insert extends the cached closure, a delete DRed-maintains it.
+    // an insert extends the cached closure, a delete DRed-maintains it —
+    // when the next read brings the view forward.
     let (status, _) = send(".insert e 100 101");
     if !status.starts_with("OK v=1 ") {
         errors.push(format!(".insert failed: {status}"));
@@ -170,6 +171,7 @@ fn check_metrics_page(errors: &mut Vec<String>) {
     if !status.starts_with("OK v=2 ") {
         errors.push(format!(".delete failed: {status}"));
     }
+    send("?x, ?y <- ?x e+ ?y");
     let (status, _) = send(".insert e nonsense");
     if !status.starts_with("ERR ") {
         errors.push(format!(".insert with a bad value must ERR, got: {status}"));
@@ -220,6 +222,11 @@ fn check_metrics_page(errors: &mut Vec<String>) {
         // them — has samples.
         if shown("workers") != cluster_workers as f64 {
             errors.push(format!("the worker gauge must read {cluster_workers}"));
+        }
+        // The closure ran more than once: the second run found its
+        // broadcast replicas on the workers already.
+        if shown("rows_resident") <= 0.0 {
+            errors.push("no broadcast row was spared by a replica a worker held".into());
         }
         for line in page.lines() {
             let Some(family) =

@@ -6,6 +6,7 @@ use crate::value::{Sym, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Hasher of the dictionary's name map: [`FxHasher`]'s word loop followed
@@ -156,15 +157,26 @@ impl RelationStats {
     }
 }
 
+/// Where catalog entry versions are drawn from: one counter for the whole
+/// process, so a version names one relation value in every database here.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
+
+fn next_version() -> u64 {
+    NEXT_VERSION.fetch_add(1, Ordering::Relaxed)
+}
+
 #[derive(Debug, Clone)]
 struct Entry {
     rel: Relation,
     stats: OnceLock<RelationStats>,
+    /// Drawn whenever the contents may change, kept by clones: see
+    /// [`Database::relation_version`].
+    version: u64,
 }
 
 impl Entry {
     fn new(rel: Relation) -> Entry {
-        Entry { rel, stats: OnceLock::new() }
+        Entry { rel, stats: OnceLock::new(), version: next_version() }
     }
 }
 
@@ -218,12 +230,24 @@ impl Database {
         self.rels.get(&name).map(|e| &e.rel)
     }
 
-    /// The stored relation, to be changed in place. Its statistics go with
-    /// the old contents: the next [`Database::relation_stats`] rescans it.
+    /// The stored relation, to be changed in place. Its statistics and its
+    /// version go with the old contents: the next
+    /// [`Database::relation_stats`] rescans it, and it has a new
+    /// [`Database::relation_version`].
     pub fn relation_mut(&mut self, name: Sym) -> Option<&mut Relation> {
         let entry = self.rels.get_mut(&name)?;
         entry.stats = OnceLock::new();
+        entry.version = next_version();
         Some(&mut entry.rel)
+    }
+
+    /// The version of relation `name`, drawn from one process-wide counter
+    /// when it was registered and whenever [`Database::relation_mut`] hands
+    /// it out, and kept by clones of the database: equal versions mean
+    /// equal contents, in any database of this process. A version drawn
+    /// later is larger than every version drawn before it.
+    pub fn relation_version(&self, name: Sym) -> Option<u64> {
+        self.rels.get(&name).map(|e| e.version)
     }
 
     /// Resolves a relation by name.
@@ -373,6 +397,27 @@ mod tests {
             db.relation_stats(nullary),
             Some(&RelationStats { rows: 0, distinct: [].into() })
         );
+    }
+
+    #[test]
+    fn versions_are_drawn_on_every_change_and_kept_by_clones() {
+        let mut db = Database::new();
+        let (src, dst) = (db.intern("src"), db.intern("dst"));
+        let e = db.insert_relation("E", Relation::from_pairs(src, dst, [(1, 2)]));
+        let f = db.insert_relation("F", Relation::from_pairs(src, dst, [(3, 4)]));
+        let (ve, vf) = (db.relation_version(e).unwrap(), db.relation_version(f).unwrap());
+        assert!(ve < vf, "later draws are larger");
+        let copy = db.clone();
+        assert_eq!(copy.relation_version(e), Some(ve));
+        // Handed out to change: a new version, above every earlier one, on
+        // this database only.
+        db.relation_mut(e).unwrap();
+        let ve2 = db.relation_version(e).unwrap();
+        assert!(ve2 > vf);
+        assert_eq!((copy.relation_version(e), db.relation_version(f)), (Some(ve), Some(vf)));
+        db.insert_relation_sym(f, Relation::from_pairs(src, dst, [(3, 4)]));
+        assert!(db.relation_version(f).unwrap() > ve2, "replaced, even by equal rows");
+        assert_eq!(db.relation_version(Sym(999)), None);
     }
 
     #[test]

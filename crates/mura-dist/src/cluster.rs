@@ -64,8 +64,13 @@ mura_obs::counter_set! {
         counter "mura_cluster_rows_encoded_total",
             "Rows the coordinator encoded into exchange and broadcast frames." {
             /// A row counts once per exchange, however many attempts,
-            /// injected retransmissions or duplicates carried its bytes.
+            /// injected retransmissions or duplicates carried its bytes;
+            /// rows that stay on their worker are not encoded.
             rows_encoded,
+        }
+        counter "mura_cluster_rows_resident_total",
+            "Broadcast rows not shipped because the worker already held the replica, per worker spared." {
+            rows_resident,
         }
         supplied {
             gauge "mura_cluster_workers",
@@ -101,6 +106,19 @@ pub struct SupervisorEvent {
     pub kind: SupervisorEventKind,
 }
 
+/// Names the value of a broadcast across queries: the
+/// [`mura_core::term_key`] of the closed subterm it is the value of, and
+/// the newest [`mura_core::Database::relation_version`] among the stored
+/// relations that subterm reads. Versions come from one process-wide
+/// counter and every change to a relation draws one above all before it,
+/// so the newest version alone tells apart every state of the relations the
+/// subterm reads: two broadcasts with one identity carry the same rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ReplicaId {
+    pub term: u64,
+    pub version: u64,
+}
+
 /// The communication fabric behind a [`Cluster`]: how bucketed exchange
 /// data and broadcast relations move between partitions. The fixpoint
 /// drivers never see this seam — they call [`Cluster::exchange_at`] /
@@ -133,9 +151,13 @@ pub trait CommBackend: Send + Sync + std::fmt::Debug {
         buckets: Vec<Vec<Rows>>,
     ) -> Result<Vec<Relation>>;
 
-    /// Replicates `rel` to every worker. Row accounting is already done by
-    /// the caller; the process backend additionally moves the bytes.
-    fn broadcast(&self, ctx: &ExchangeCtx<'_>, rel: &Relation) -> Result<()>;
+    /// Replicates `rel` to every worker. `id` names the value across
+    /// queries (`None`: it has no name and always ships); the process
+    /// backend ships it only to workers that do not hold it yet. Row
+    /// accounting is the caller's and counts every broadcast, shipped or
+    /// not.
+    fn broadcast(&self, ctx: &ExchangeCtx<'_>, rel: &Relation, id: Option<ReplicaId>)
+        -> Result<()>;
 
     /// Drains worker-side spans of `trace_id` into coordinator-clock
     /// [`TraceEvent`]s with timestamps relative to `base` (the trace
@@ -190,7 +212,7 @@ impl CommBackend for SimBackend {
         Ok(parts)
     }
 
-    fn broadcast(&self, _ctx: &ExchangeCtx<'_>, _rel: &Relation) -> Result<()> {
+    fn broadcast(&self, _: &ExchangeCtx<'_>, _: &Relation, _: Option<ReplicaId>) -> Result<()> {
         // Replication is free in the simulator: workers share the driver's
         // address space, so the broadcast variable is the `Arc` itself.
         Ok(())
@@ -318,14 +340,16 @@ impl Cluster {
         }
     }
 
-    /// Replicates `rel` to every worker through the backend, recording the
-    /// row accounting. The simulator's broadcast is free (shared address
-    /// space); the process backend ships the encoded relation to each
-    /// worker and allocates its own fault site internally, so simulator
-    /// fault streams are unaffected by this call.
-    pub fn broadcast_rel(&self, rel: &Relation) -> Result<()> {
+    /// Replicates `rel`, the value named `id` ([`ReplicaId`]), to every
+    /// worker through the backend, recording the row accounting: the
+    /// paper's broadcast, counted per query whatever crossed a socket. The
+    /// simulator's broadcast is free (shared address space); the process
+    /// backend ships the encoded relation to each worker that lacks it and
+    /// allocates its own fault site internally, so simulator fault streams
+    /// are unaffected by this call.
+    pub fn broadcast_rel(&self, rel: &Relation, id: Option<ReplicaId>) -> Result<()> {
         self.metrics.record_broadcast(rel.len() as u64, self.workers);
-        self.backend.broadcast(&self.exchange_ctx(0), rel)
+        self.backend.broadcast(&self.exchange_ctx(0), rel, id)
     }
 
     /// Runs `f(i, &items[i])` on every worker in parallel, collecting the

@@ -350,7 +350,7 @@ impl DistRel {
     /// Broadcast join: `other` is collected and replicated to every worker
     /// (the replication is charged to the metrics).
     pub fn join_broadcast(&self, other: &Relation, cluster: &Cluster) -> Result<DistRel> {
-        cluster.broadcast_rel(other)?;
+        cluster.broadcast_rel(other, None)?;
         self.join_local(other, cluster)
     }
 
@@ -371,7 +371,7 @@ impl DistRel {
     /// Antijoin retaining rows of `self` without a match in `other`
     /// (broadcast of `other`, charged).
     pub fn antijoin_broadcast(&self, other: &Relation, cluster: &Cluster) -> Result<DistRel> {
-        cluster.broadcast_rel(other)?;
+        cluster.broadcast_rel(other, None)?;
         self.antijoin_local(other, cluster)
     }
 

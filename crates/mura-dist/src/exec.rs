@@ -10,7 +10,7 @@
 //! iteration).*
 
 use crate::asyncfix::eval_async_at;
-use crate::cluster::{Cluster, CommBackend};
+use crate::cluster::{Cluster, CommBackend, ReplicaId};
 use crate::distrel::DistRel;
 use crate::fault::{FaultConfig, FaultPlan, FaultSnapshot, RecoveryPolicy};
 use crate::fixloop::{self, Superstep, Supervision};
@@ -217,6 +217,10 @@ impl DVal {
     }
 }
 
+/// A gathered loop invariant a fixpoint broadcasts in its `Setup` window,
+/// with its identity across queries.
+type Owed = (Arc<Relation>, Option<ReplicaId>);
+
 /// Distributed evaluator for μ-RA terms.
 pub struct DistEvaluator<'db> {
     db: &'db Database,
@@ -318,8 +322,9 @@ impl<'db> DistEvaluator<'db> {
             },
             Term::Cst(r) => {
                 if r.len() <= self.config.broadcast_threshold {
-                    // Driver-side constant shipped to every worker.
-                    self.cluster.broadcast_rel(r)?;
+                    // Driver-side constant shipped to every worker; no
+                    // catalog version names its rows.
+                    self.cluster.broadcast_rel(r, None)?;
                     DVal::Repl(r.clone())
                 } else {
                     DVal::Dist(DistRel::from_relation(r, &self.cluster))
@@ -360,12 +365,12 @@ impl<'db> DistEvaluator<'db> {
             Term::Join(a, b) => {
                 let va = self.eval(a)?;
                 let vb = self.eval(b)?;
-                self.join(va, vb)?
+                self.join((a, va), (b, vb))?
             }
             Term::Antijoin(a, b) => {
                 let va = self.eval(a)?;
                 let vb = self.eval(b)?;
-                self.antijoin(va, vb)?
+                self.antijoin(va, (b, vb))?
             }
             Term::Union(a, b) => {
                 let va = self.eval(a)?;
@@ -406,8 +411,26 @@ impl<'db> DistEvaluator<'db> {
         Ok(())
     }
 
-    fn join(&mut self, a: DVal, b: DVal) -> Result<DVal> {
-        Ok(match (a, b) {
+    /// The identity across queries of the value of closed subterm `t`
+    /// ([`ReplicaId`]); `None` when `t` holds a constant relation, whose
+    /// rows no catalog version names.
+    fn replica_id(&self, t: &Term) -> Option<ReplicaId> {
+        fn holds_cst(t: &Term) -> bool {
+            matches!(t, Term::Cst(_)) || t.children().into_iter().any(holds_cst)
+        }
+        if holds_cst(t) {
+            return None;
+        }
+        let mut version = 0;
+        for v in t.free_vars() {
+            version = version.max(self.db.relation_version(v)?);
+        }
+        Some(ReplicaId { term: mura_core::term_key(t), version })
+    }
+
+    /// The join of the values `va` and `vb` of subterms `a` and `b`.
+    fn join(&mut self, (a, va): (&Term, DVal), (b, vb): (&Term, DVal)) -> Result<DVal> {
+        Ok(match (va, vb) {
             (DVal::Repl(x), DVal::Repl(y)) => DVal::Repl(Arc::new(x.join(&y))),
             // A replicated side joins locally on every worker (the
             // broadcast was already charged when the value was created).
@@ -417,9 +440,9 @@ impl<'db> DistEvaluator<'db> {
             (DVal::Dist(x), DVal::Dist(y)) => {
                 let common = x.schema().intersection(y.schema());
                 if x.len().min(y.len()) <= self.config.broadcast_threshold || common.is_empty() {
-                    let (small, big) = if x.len() <= y.len() { (x, y) } else { (y, x) };
+                    let (small, big, t) = if x.len() <= y.len() { (x, y, a) } else { (y, x, b) };
                     let rel = small.into_relation();
-                    self.cluster.broadcast_rel(&rel)?;
+                    self.cluster.broadcast_rel(&rel, self.replica_id(t))?;
                     DVal::Dist(big.join_local(&rel, &self.cluster)?)
                 } else {
                     DVal::Dist(x.join_shuffle(&y, &self.cluster)?)
@@ -428,19 +451,20 @@ impl<'db> DistEvaluator<'db> {
         })
     }
 
-    fn antijoin(&mut self, a: DVal, b: DVal) -> Result<DVal> {
-        Ok(match (a, b) {
+    /// The antijoin of `va` by the value `vb` of subterm `b`.
+    fn antijoin(&mut self, va: DVal, (b, vb): (&Term, DVal)) -> Result<DVal> {
+        Ok(match (va, vb) {
             (DVal::Repl(x), DVal::Repl(y)) => DVal::Repl(Arc::new(x.antijoin(&y))),
             (DVal::Dist(d), DVal::Repl(r)) => DVal::Dist(d.antijoin_local(&r, &self.cluster)?),
             (DVal::Repl(x), DVal::Dist(y)) => {
                 let dx = DistRel::from_relation(&x, &self.cluster);
-                self.antijoin(DVal::Dist(dx), DVal::Dist(y))?
+                self.antijoin(DVal::Dist(dx), (b, DVal::Dist(y)))?
             }
             (DVal::Dist(x), DVal::Dist(y)) => {
                 let common = x.schema().intersection(y.schema());
                 if y.len() <= self.config.broadcast_threshold || common.is_empty() {
                     let rel = y.into_relation();
-                    self.cluster.broadcast_rel(&rel)?;
+                    self.cluster.broadcast_rel(&rel, self.replica_id(b))?;
                     DVal::Dist(x.antijoin_local(&rel, &self.cluster)?)
                 } else {
                     DVal::Dist(x.antijoin_shuffle(&y, &self.cluster)?)
@@ -641,9 +665,9 @@ impl<'db> DistEvaluator<'db> {
     /// Replaces the maximal `x`-free subterms of a recursive branch by the
     /// constants they evaluate to, once per fixpoint. Workers need a loop
     /// invariant whole: a partitioned value is gathered here and added to
-    /// `owed`, the relations [`Self::in_bracket`] broadcasts inside the
-    /// fixpoint's `Setup` window.
-    fn hoist(&mut self, t: &Term, x: Sym, owed: &mut Vec<Arc<Relation>>) -> Result<Term> {
+    /// `owed` with its identity, the relations [`Self::in_bracket`]
+    /// broadcasts inside the fixpoint's `Setup` window.
+    fn hoist(&mut self, t: &Term, x: Sym, owed: &mut Vec<Owed>) -> Result<Term> {
         if t.has_free_var(x) {
             return t.try_map_children(|c| self.hoist(c, x, owed));
         }
@@ -651,7 +675,7 @@ impl<'db> DistEvaluator<'db> {
             DVal::Repl(r) => r,
             DVal::Dist(d) => {
                 let rel = Arc::new(d.into_relation());
-                owed.push(Arc::clone(&rel));
+                owed.push((Arc::clone(&rel), self.replica_id(t)));
                 rel
             }
         }))
@@ -681,7 +705,7 @@ impl<'db> DistEvaluator<'db> {
         &mut self,
         plan: PlanKind,
         seed_rows: usize,
-        owed: &[Arc<Relation>],
+        owed: &[Owed],
         setup: impl FnOnce(&mut Self) -> Result<S>,
         run: impl FnOnce(&mut Self, u32, S) -> Result<(DistRel, u64)>,
     ) -> Result<DistRel> {
@@ -692,8 +716,8 @@ impl<'db> DistEvaluator<'db> {
         self.record_point(start_ev);
         let window = self.probe();
         let ready = setup(self)?;
-        for rel in owed {
-            self.cluster.broadcast_rel(rel)?;
+        for (rel, id) in owed {
+            self.cluster.broadcast_rel(rel, *id)?;
         }
         self.record_window(&window, TraceEvent::new(EventKind::Setup, fx, plan));
         let (out, iterations) = run(self, fx, ready)?;
@@ -719,7 +743,7 @@ impl<'db> DistEvaluator<'db> {
         &mut self,
         x: Sym,
         seed: DistRel,
-        (recs, owed): (&[Term], &[Arc<Relation>]),
+        (recs, owed): (&[Term], &[Owed]),
         initial: Option<(Relation, Relation)>,
     ) -> Result<DistRel> {
         self.in_bracket(
@@ -753,7 +777,7 @@ impl<'db> DistEvaluator<'db> {
         &mut self,
         x: Sym,
         seed: DistRel,
-        (recs, owed): (&[Term], &[Arc<Relation>]),
+        (recs, owed): (&[Term], &[Owed]),
         initial: Option<(Relation, Relation)>,
     ) -> Result<DistRel> {
         // Compile the branches once per fixpoint: constant folding and
@@ -787,7 +811,7 @@ impl<'db> DistEvaluator<'db> {
         &mut self,
         x: Sym,
         seed: DistRel,
-        (recs, owed): (&[Term], &[Arc<Relation>]),
+        (recs, owed): (&[Term], &[Owed]),
         stable: &[Sym],
         initial: Option<(Relation, Relation)>,
     ) -> Result<DistRel> {

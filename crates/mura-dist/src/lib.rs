@@ -39,7 +39,7 @@ pub mod wire;
 pub mod worker;
 
 pub use cluster::{
-    Cluster, ClusterHealth, CommBackend, ExchangeCtx, SimBackend, SupervisorEvent,
+    Cluster, ClusterHealth, CommBackend, ExchangeCtx, ReplicaId, SimBackend, SupervisorEvent,
     SupervisorEventKind,
 };
 pub use distrel::DistRel;

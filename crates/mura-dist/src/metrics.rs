@@ -3,7 +3,9 @@
 //! The paper's central claim is about *communication during recursion*:
 //! `P_gld` shuffles every iteration, `P_plw` only repartitions once up
 //! front. These counters make that observable: every shuffle, shuffled row
-//! and broadcast row in the simulated cluster is counted here.
+//! and broadcast row of the paper's model is counted here, per query and
+//! the same on either backend; the `wire` counters are what actually
+//! crossed a socket, which on a process fleet is less (DESIGN.md §15).
 
 mura_obs::counter_set! {
     /// Shared, thread-safe communication counters: one set per cluster,
@@ -18,7 +20,8 @@ mura_obs::counter_set! {
             rows_shuffled,
         }
         counter "mura_comm_rows_broadcast_total", "Rows replicated by broadcasts." {
-            /// `rows × (workers − 1)` per broadcast.
+            /// `rows × (workers − 1)` per broadcast, whether or not the
+            /// workers already held the replica.
             rows_broadcast,
         }
         counter "mura_comm_broadcasts_total", "Broadcast operations." { broadcasts }
@@ -29,10 +32,12 @@ mura_obs::counter_set! {
             wire_rx_bytes {dir = "rx"},
         }
         counter "mura_wire_exchange_bytes_total",
-            "Data-plane payload bytes that crossed worker sockets (the measured P_plw claim)." {
-            /// Exchange buckets and broadcast relations only — the counter
-            /// behind the paper's `P_plw` zero-communication claim, measured
-            /// instead of simulated. Excludes framing and control traffic.
+            "Payload bytes that crossed worker sockets: buckets that changed worker, twice, and replicas a worker lacked." {
+            /// Exchange buckets that change worker (relayed out, taken
+            /// back) and broadcast replicas shipped to a worker that did
+            /// not hold them — the counter behind the paper's `P_plw`
+            /// zero-communication claim, measured instead of simulated.
+            /// Excludes framing and control traffic.
             wire_exchange_bytes,
         }
     }

@@ -6,22 +6,28 @@
 //! [`CommBackend`], so the three fixpoint drivers run **unchanged** — only
 //! the exchange/broadcast data plane moves:
 //!
-//! * `exchange`: each source partition's buckets are encoded once, straight
-//!   into that source's [`Msg::Relay`] frame; the relays go out to all
-//!   source workers before any acknowledgement is awaited (scatter/gather,
-//!   [`ProcInner::round`]), each worker forwards every bucket to its
-//!   destination peer over a worker↔worker connection, and the coordinator
-//!   collects every destination's inbox the same way ([`Msg::Take`]),
-//!   decoding each reply straight into the destination partition. On the
-//!   first attempt the take travels right behind the relay — one round
-//!   trip per exchange ([`ProcInner::pipeline`]). A retry re-seals the
-//!   same frames under a fresh exchange id; rows are never encoded twice.
-//!   Every exchanged partition genuinely crosses sockets, so the
+//! * `exchange`: a bucket that stays on its worker (`buckets[w][w]`) is
+//!   merged into partition `w` on the coordinator and never encoded. Every
+//!   other bucket is encoded once, straight into its source's [`Msg::Relay`]
+//!   frame; the relays go out to all source workers before any
+//!   acknowledgement is awaited (scatter/gather, [`ProcInner::round`]),
+//!   each worker forwards every bucket to its destination peer over a
+//!   worker↔worker connection, and the coordinator collects every
+//!   destination's inbox the same way ([`Msg::Take`]), decoding each reply
+//!   straight into the destination partition. On the first attempt the
+//!   take travels right behind the relay — one round trip per exchange
+//!   ([`ProcInner::pipeline`]). A retry re-seals the same frames under a
+//!   fresh exchange id; rows are never encoded twice. Every bucket that
+//!   changes worker genuinely crosses sockets, so the
 //!   [`crate::metrics::CommStats`] wire counters measure real traffic —
 //!   the basis of the paper's `P_plw` zero-communication claim, asserted
 //!   in measured bytes.
-//! * `broadcast`: the relation is encoded into one [`Msg::Bcast`] frame and
-//!   the same bytes are shipped to every worker, again scatter/gather.
+//! * `broadcast`: a worker keeps every replica it is sent under the value's
+//!   [`ReplicaId`], and the coordinator records in each worker's control
+//!   slot what that process holds. The relation is encoded into one
+//!   [`Msg::Bcast`] frame only if some worker lacks it, and shipped to
+//!   those workers alone, again scatter/gather: the paper's broadcast per
+//!   query is paid once per data version.
 //!
 //! Computation stays on the coordinator's task threads (partition tasks
 //! are Rust closures and cannot cross a process boundary); the workers are
@@ -44,20 +50,23 @@
 //! pipe and exits on EOF, so coordinator death (clean or not) reaps it.
 
 use crate::cluster::{
-    ClusterCounters, ClusterHealth, CommBackend, ExchangeCtx, SupervisorEvent, SupervisorEventKind,
+    ClusterCounters, ClusterHealth, CommBackend, ExchangeCtx, ReplicaId, SupervisorEvent,
+    SupervisorEventKind,
 };
 use crate::fault::FaultPlan;
 use crate::wire::{
     bcast_frame, decode_rows_into, framed, read_frame, write_corrupted_frame, write_frame,
-    BucketFrame, Msg, WireError, WireResult, WorkerCounters, WorkerSnapshot, MAX_FRAME, SPAN_BCAST,
-    SPAN_DELIVER, SPAN_RELAY, SPAN_TAKE, TAKE_REPLY_HEAD,
+    BucketFrame, Msg, WireError, WireResult, WorkerCounters, WorkerSnapshot, WorkerSpan, MAX_FRAME,
+    REPLICA_CAP, SPAN_BCAST, SPAN_DELIVER, SPAN_RELAY, SPAN_TAKE, TAKE_REPLY_HEAD,
 };
 use mura_core::{Relation, Result, Rows, Schema};
 use mura_obs::histogram::HistogramSnapshot;
 use mura_obs::{EventKind, Histogram, TraceEvent};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -113,6 +122,64 @@ struct CtlSlot {
     port: u16,
     /// Every reply on `conn` is read into this one buffer.
     read_buf: Vec<u8>,
+    /// What `child` holds of broadcast replicas; cleared wherever `child`
+    /// is killed or replaced.
+    replicas: Replicas,
+}
+
+/// Replicas a worker holds at most, however small: a serving fleet that
+/// sees new data versions for days would otherwise fill 64 MiB with
+/// near-empty replicas, and every broadcast scans the record.
+const HELD_REPLICAS: usize = 4096;
+
+/// What one worker process holds of broadcast replicas, as the coordinator
+/// recorded it: what the worker acknowledged keeping, and what it is still
+/// to drop.
+#[derive(Debug, Default)]
+struct Replicas {
+    /// Held replicas with their payload bytes, least recently used first.
+    held: Vec<(ReplicaId, u64)>,
+    bytes: u64,
+    /// To name in the next broadcast this worker is sent: replicas evicted
+    /// to make room, and any whose broadcast went unacknowledged (the
+    /// worker may or may not have kept it).
+    evict: Vec<ReplicaId>,
+}
+
+impl Replicas {
+    /// Whether the worker holds `id`; if so, it is now the most recently
+    /// used.
+    fn touch(&mut self, id: ReplicaId) -> bool {
+        let Some(i) = self.held.iter().position(|&(h, _)| h == id) else { return false };
+        let entry = self.held.remove(i);
+        self.held.push(entry);
+        true
+    }
+
+    /// Evicts the least recently used replicas until one more of `bytes`
+    /// fits — under [`REPLICA_CAP`] (one payload always fits an empty
+    /// store) and within [`HELD_REPLICAS`] — and returns everything the
+    /// worker is to drop; `None` adds nothing.
+    fn make_room(&mut self, bytes: Option<u64>) -> &[ReplicaId] {
+        if let Some(bytes) = bytes {
+            while self.bytes + bytes > REPLICA_CAP || self.held.len() >= HELD_REPLICAS {
+                let (id, size) = self.held.remove(0);
+                self.bytes -= size;
+                self.evict.push(id);
+            }
+        }
+        &self.evict
+    }
+
+    /// The worker answered a broadcast of `id` that named every eviction
+    /// owed: it dropped them and keeps `bytes` of payload under `id`.
+    fn acknowledged(&mut self, id: Option<ReplicaId>, bytes: u64) {
+        self.evict.clear();
+        if let Some(id) = id {
+            self.held.push((id, bytes));
+            self.bytes += bytes;
+        }
+    }
 }
 
 /// One worker as seen by the coordinator.
@@ -133,7 +200,13 @@ struct Slot {
     /// Lowest heartbeat RTT observed so far (µs); its midpoint sample is
     /// the tightest clock-offset bound. `u64::MAX` = no sample yet.
     min_rtt_us: AtomicU64,
+    /// The replica gauges of the worker's last trace batch; zeroed with its
+    /// process.
+    reported: Mutex<Held>,
 }
+
+/// Broadcast replicas a worker holds, and their payload bytes.
+pub type Held = (u64, u64);
 
 impl Default for Slot {
     fn default() -> Self {
@@ -143,6 +216,7 @@ impl Default for Slot {
             live: AtomicBool::new(false),
             offset_us: AtomicI64::new(0),
             min_rtt_us: AtomicU64::new(u64::MAX),
+            reported: Mutex::new((0, 0)),
         }
     }
 }
@@ -150,6 +224,10 @@ impl Default for Slot {
 /// Cap on the supervisor event journal (drop-oldest; sequence numbers keep
 /// ordering observable across eviction).
 const JOURNAL_CAPACITY: usize = 1024;
+
+/// A trace id no sink has (they count up from 1): a flush under it takes
+/// the workers' counters and drains no span.
+const NO_TRACE: u64 = u64::MAX;
 
 #[derive(Debug)]
 struct ProcInner {
@@ -164,6 +242,10 @@ struct ProcInner {
     /// relay is the *minimum* in-flight id, so concurrent queries sharing
     /// this backend never evict each other's buffered buckets.
     inflight: Mutex<std::collections::BTreeSet<u64>>,
+    /// Held by a broadcast from deciding who lacks the replica to recording
+    /// what was acknowledged, so two queries' broadcasts never interleave
+    /// their updates of a worker's [`Replicas`].
+    broadcasting: Mutex<()>,
     /// Lifetime supervision counters.
     counters: ClusterCounters,
     /// Zero point of the coordinator's span clock (backend startup).
@@ -409,6 +491,31 @@ impl ProcInner {
         outcomes
     }
 
+    /// Asks every worker for its spans of `trace_id` and the counters it
+    /// took since its last flush, adds the counters to the lifetime totals,
+    /// keeps the replica gauges, and hands each batch to `on_batch(worker,
+    /// spans, counters)`. Best effort per worker: one that cannot answer
+    /// keeps its spans.
+    fn flush_workers(
+        &self,
+        trace_id: u64,
+        mut on_batch: impl FnMut(usize, Vec<WorkerSpan>, &WorkerSnapshot),
+    ) {
+        let flush =
+            framed(&Msg::TraceFlush { trace_id }).expect("a flush request is a small frame");
+        let everyone: Vec<(usize, &[u8])> = (0..self.n).map(|w| (w, &flush[..])).collect();
+        self.round(&everyone, |w, reply, _, _| {
+            let Msg::TraceBatch { spans, counters } = reply else {
+                return Err(WireError::Malformed("unexpected trace-flush reply"));
+            };
+            self.worker.add(&counters);
+            *self.slots[w].reported.lock().unwrap() =
+                (counters.replicas_held, counters.replica_bytes_held);
+            on_batch(w, spans, &counters);
+            Ok(())
+        });
+    }
+
     /// Sends the control message `msg` to every worker in one round;
     /// returns, per worker, whether it answered [`Msg::Ok`].
     fn tell_all(&self, msg: &Msg<'_>) -> Vec<WireResult<()>> {
@@ -442,7 +549,15 @@ impl ProcInner {
             child.kill().ok();
             child.wait().ok();
         }
-        guard.conn = None;
+        self.forget_process(w, &mut guard);
+    }
+
+    /// What the coordinator knew of worker `w`'s process goes with it: the
+    /// connection, the replicas it held, its last report, its liveness.
+    fn forget_process(&self, w: usize, slot: &mut CtlSlot) {
+        slot.conn = None;
+        slot.replicas = Replicas::default();
+        *self.slots[w].reported.lock().unwrap() = (0, 0);
         self.slots[w].live.store(false, Ordering::Relaxed);
     }
 
@@ -469,9 +584,8 @@ impl ProcInner {
                 if self.shutdown.load(Ordering::Relaxed) {
                     return Ok(());
                 }
-                self.slots[w].live.store(false, Ordering::Relaxed);
+                self.forget_process(w, &mut guard);
                 guard.child = None;
-                guard.conn = None;
                 let (child, port) = spawn_worker(&self.cfg)?;
                 guard.child = Some(child);
                 guard.port = port;
@@ -619,6 +733,7 @@ impl ProcCluster {
             ports: Mutex::new(vec![0; n]),
             next_xid: AtomicU64::new(1),
             inflight: Mutex::new(std::collections::BTreeSet::new()),
+            broadcasting: Mutex::new(()),
             counters: ClusterCounters::new(),
             epoch: Instant::now(),
             rtt_hist: Histogram::new(),
@@ -671,9 +786,32 @@ impl ProcCluster {
     }
 
     /// What the workers counted themselves, summed over every trace flush
-    /// so far.
+    /// so far, with the replicas they held at their last one.
     pub fn worker_snapshot(&self) -> WorkerSnapshot {
-        self.inner.worker.snapshot()
+        let (mut replicas_held, mut replica_bytes_held) = (0, 0);
+        for slot in &self.inner.slots {
+            let (n, bytes) = *slot.reported.lock().unwrap();
+            replicas_held += n;
+            replica_bytes_held += bytes;
+        }
+        WorkerSnapshot { replicas_held, replica_bytes_held, ..self.inner.worker.snapshot() }
+    }
+
+    /// Per worker, what it holds of broadcast replicas, twice: as this
+    /// coordinator recorded it, and as the worker reports it when asked now
+    /// (`None` if it did not answer). The ask is a trace flush that drains
+    /// no spans, so the counters it takes land in
+    /// [`ProcCluster::worker_snapshot`] as usual.
+    pub fn replica_audit(&self) -> Vec<(Held, Option<Held>)> {
+        let mut reported = vec![None; self.inner.n];
+        self.inner.flush_workers(NO_TRACE, |w, _, counters| {
+            reported[w] = Some((counters.replicas_held, counters.replica_bytes_held));
+        });
+        let recorded = self.inner.slots.iter().map(|slot| {
+            let ctl = slot.ctl.lock().unwrap();
+            (ctl.replicas.held.len() as u64, ctl.replicas.bytes)
+        });
+        recorded.zip(reported).collect()
     }
 
     /// Snapshot of the heartbeat round-trip latency histogram.
@@ -704,10 +842,16 @@ impl ProcCluster {
         *self.inner.slots[w].hb.lock().unwrap() = None;
     }
 
-    /// Best-effort CANCEL to every worker: clears their exchange inboxes
-    /// so cancelled/drained queries do not leak buffered buckets.
-    fn cancel_all(&self) {
-        self.inner.tell_all(&Msg::Cancel);
+    /// Best-effort CANCEL to every worker of the exchange attempts `xids`:
+    /// what their relays left buffered goes now, not when the prune
+    /// watermark passes them — which waits for every older exchange in
+    /// flight, and on an idle fleet for the next query. Other exchanges'
+    /// buckets stay; an exchange cancelled before its first attempt has
+    /// nothing to say.
+    fn cancel(&self, xids: Vec<u64>) {
+        if !xids.is_empty() {
+            self.inner.tell_all(&Msg::Cancel { xids });
+        }
     }
 
     /// Stops the supervisor, asks workers to exit, and reaps them. Called
@@ -717,7 +861,7 @@ impl ProcCluster {
         if let Some(h) = self.supervisor.lock().unwrap().take() {
             h.join().ok();
         }
-        for slot in &self.inner.slots {
+        for (w, slot) in self.inner.slots.iter().enumerate() {
             let mut guard = slot.ctl.lock().unwrap();
             let CtlSlot { conn, read_buf, .. } = &mut *guard;
             if let Some(conn) = conn.as_mut() {
@@ -731,19 +875,20 @@ impl ProcCluster {
                 }
                 let _ = write_frame(conn, &Msg::Exit);
             }
-            guard.conn = None;
             if let Some(mut child) = guard.child.take() {
                 child.kill().ok();
                 child.wait().ok();
             }
-            slot.live.store(false, Ordering::Relaxed);
+            self.inner.forget_process(w, &mut guard);
             *slot.hb.lock().unwrap() = None;
         }
     }
 
-    /// One attempt of an exchange: seal every source's relay under a fresh
-    /// exchange id, send the relays and the takes, and decode every
-    /// destination's inbox into its partition. It is handed frames, not
+    /// One attempt of an exchange: seal every source's relay under the
+    /// fresh exchange id `xid`, send the relays and the takes, and decode
+    /// every destination's inbox into its partition in `parts` (which holds
+    /// the buckets that stayed on their worker; rows a failed attempt
+    /// decoded are absorbed again by the next). It is handed frames, not
     /// rows: nothing is encoded here, whichever attempt this is. Errors
     /// name the worker so the caller can repair it.
     ///
@@ -758,13 +903,12 @@ impl ProcCluster {
     fn try_exchange(
         &self,
         ctx: &ExchangeCtx<'_>,
-        schema: &Schema,
+        (xid, attempt): (u64, u32),
+        parts: &mut [Relation],
         relays: &mut [BucketFrame],
         expect: &[u32],
-        attempt: u32,
-    ) -> std::result::Result<Vec<Relation>, (usize, WireError)> {
+    ) -> std::result::Result<(), (usize, WireError)> {
         let inner = &self.inner;
-        let xid = inner.next_xid.fetch_add(1, Ordering::Relaxed);
         let watermark = {
             let mut inflight = inner.inflight.lock().unwrap();
             inflight.insert(xid);
@@ -799,8 +943,6 @@ impl ProcCluster {
         let relay_of =
             |from: usize| (relays[from].count() > 0).then(|| (from, relays[from].bytes()));
         let take_of = |to: usize| takes[to].as_deref().map(|frame| (to, frame));
-        let mut parts: Vec<Relation> =
-            (0..inner.n).map(|_| Relation::new(schema.clone())).collect();
         let acked = |from: usize, reply: Msg<'_>, tx: u64, rx: u64| {
             ctx.metrics.record_wire_tx(tx, relays[from].payload_bytes());
             ctx.metrics.record_wire_rx(rx, 0);
@@ -857,7 +999,7 @@ impl ProcCluster {
             let destinations: Vec<(usize, &[u8])> = (0..inner.n).filter_map(take_of).collect();
             first_failure(&destinations, inner.round(&destinations, taken))?;
         }
-        Ok(parts)
+        Ok(())
     }
 }
 
@@ -912,40 +1054,49 @@ impl CommBackend for ProcCluster {
         let n = self.inner.n;
         assert_eq!(ctx.workers, n, "exchange shape must match the process cluster");
         let arity = schema.arity();
-        // Encode every bucket once, straight into its source's relay
-        // frame, and take the injection decisions once, up front: retries
-        // of the same exchange must not re-roll (or re-count) the same
-        // fault coordinates. An injected drop is a first copy lost in
+        // Take the injection decisions once, up front, for every bucket as
+        // the simulator does: retries of the same exchange must not re-roll
+        // (or re-count) the same fault coordinates. A bucket that stays on
+        // its worker never leaves the coordinator: it is merged into its
+        // partition here, an injected duplicate absorbed like the
+        // simulator's. Every other bucket is encoded once, straight into
+        // its source's relay frame; an injected drop is a first copy lost in
         // transit — we ship the retransmission too, so it costs real extra
         // bytes; an injected duplicate ships twice. Both extra copies are
         // the encoded bytes again, and both are absorbed by the set merge.
+        let mut parts: Vec<Relation> = (0..n).map(|_| Relation::new(schema.clone())).collect();
         let mut relays: Vec<BucketFrame> = (0..n).map(|_| BucketFrame::relay(ctx.trace)).collect();
         let mut expect = vec![0u32; n];
         let mut inbound = vec![TAKE_REPLY_HEAD; n];
-        for (from, worker_buckets) in buckets.iter().enumerate() {
-            for (to, bucket) in worker_buckets.iter().enumerate() {
+        for (from, worker_buckets) in buckets.into_iter().enumerate() {
+            for (to, bucket) in worker_buckets.into_iter().enumerate() {
                 if bucket.is_empty() {
                     continue;
                 }
-                let before = relays[from].wire_len();
-                relays[from].push_rows(to as u32, arity, bucket);
-                self.inner.counters.rows_encoded.add(bucket.len() as u64);
-                expect[to] += 1;
-                if ctx.fault.is_active() {
-                    if ctx.fault.drop_exchange(ctx.site, from, to) {
-                        ctx.fault.record_time_lost(Duration::from_micros(bucket.len() as u64));
-                        relays[from].repeat_last();
-                        expect[to] += 1;
-                    }
-                    if ctx.fault.duplicate_exchange(ctx.site, from, to) {
-                        relays[from].repeat_last();
-                        expect[to] += 1;
-                    }
+                let active = ctx.fault.is_active();
+                let dropped = active && ctx.fault.drop_exchange(ctx.site, from, to);
+                let duplicated = active && ctx.fault.duplicate_exchange(ctx.site, from, to);
+                if dropped {
+                    ctx.fault.record_time_lost(Duration::from_micros(bucket.len() as u64));
                 }
+                if from == to {
+                    if duplicated {
+                        parts[to].absorb_rows(bucket.clone());
+                    }
+                    parts[to].absorb_rows(bucket);
+                    continue;
+                }
+                let before = relays[from].wire_len();
+                relays[from].push_rows(to as u32, arity, &bucket);
+                self.inner.counters.rows_encoded.add(bucket.len() as u64);
+                let copies = 1 + u32::from(dropped) + u32::from(duplicated);
+                for _ in 1..copies {
+                    relays[from].repeat_last();
+                }
+                expect[to] += copies;
                 inbound[to] += relays[from].wire_len() - before;
             }
         }
-        drop(buckets);
         // A destination whose inbox cannot come back in one frame: final,
         // like a relay that cannot go out in one (see `try_exchange`).
         if let Some((to, &len)) = inbound.iter().enumerate().find(|(_, &len)| len > MAX_FRAME) {
@@ -953,15 +1104,18 @@ impl CommBackend for ProcCluster {
         }
         let max_attempts = ctx.recovery.max_retries + ctx.fault.config().failures_per_site + 2;
         let mut last: (usize, WireError) = (0, WireError::Malformed("exchange never attempted"));
+        let mut xids = Vec::new();
         for attempt in 0..max_attempts {
             if let Some(c) = ctx.cancel {
                 if let Err(e) = c.check() {
-                    self.cancel_all();
+                    self.cancel(xids);
                     return Err(e);
                 }
             }
-            match self.try_exchange(ctx, schema, &mut relays, &expect, attempt) {
-                Ok(parts) => return Ok(parts),
+            let xid = self.inner.next_xid.fetch_add(1, Ordering::Relaxed);
+            xids.push(xid);
+            match self.try_exchange(ctx, (xid, attempt), &mut parts, &mut relays, &expect) {
+                Ok(()) => return Ok(parts),
                 Err((w, e @ WireError::FrameTooLarge { .. })) => return Err(e.into_mura_error(w)),
                 Err((w, e)) => {
                     last = (w, e);
@@ -983,48 +1137,95 @@ impl CommBackend for ProcCluster {
         Err(last.1.into_mura_error(last.0))
     }
 
-    fn broadcast(&self, ctx: &ExchangeCtx<'_>, rel: &Relation) -> Result<()> {
-        // One frame, encoded and checksummed once; every worker is sent
-        // these same bytes. Too large for a frame is final.
-        let (frame, payload) = bcast_frame(ctx.trace, rel).map_err(|e| e.into_mura_error(0))?;
-        self.inner.counters.rows_encoded.add(rel.len() as u64);
-        // The broadcast allocates its own fault site: the simulator backend
-        // never consumes one here, and site streams must stay aligned.
+    fn broadcast(
+        &self,
+        ctx: &ExchangeCtx<'_>,
+        rel: &Relation,
+        id: Option<ReplicaId>,
+    ) -> Result<()> {
+        let inner = &self.inner;
+        // The broadcast allocates its own fault site whether or not anything
+        // ships: the simulator backend never consumes one here, and site
+        // streams must stay aligned.
         let site = ctx.fault.next_site();
         let max_attempts = ctx.recovery.max_retries + ctx.fault.config().failures_per_site + 2;
+        let _one_at_a_time = inner.broadcasting.lock().unwrap();
+        // Encoded and checksummed once, when a worker first lacks the
+        // replica. Too large for a frame is final.
+        let mut shared: Option<(Vec<u8>, Range<usize>)> = None;
         // Scatter to every worker still owed the replica, gather the
         // acknowledgements, repair and retry the ones that failed — each
         // with its own attempt count, so a fault coordinate is rolled once.
-        let mut pending: Vec<(usize, u32)> = (0..self.inner.n).map(|w| (w, 0)).collect();
+        // A worker's faults are rolled whether or not it lacks the replica:
+        // what is injected does not depend on what the fleet holds.
+        let mut pending: Vec<(usize, u32)> = (0..inner.n).map(|w| (w, 0)).collect();
         while !pending.is_empty() {
             if let Some(c) = ctx.cancel {
                 c.check()?;
             }
             for &(w, attempt) in &pending {
-                inject_socket_faults(&self.inner, ctx.fault, site, w, attempt);
+                inject_socket_faults(inner, ctx.fault, site, w, attempt);
                 if ctx.fault.kill_worker(site, w, attempt) {
-                    self.inner.kill(w);
+                    inner.kill(w);
                 }
             }
+            pending.retain(|&(w, _)| {
+                let held =
+                    id.is_some_and(|id| inner.slots[w].ctl.lock().unwrap().replicas.touch(id));
+                if held {
+                    inner.counters.rows_resident.add(rel.len() as u64);
+                }
+                !held
+            });
+            if pending.is_empty() {
+                break;
+            }
+            if shared.is_none() {
+                shared = Some(bcast_frame(ctx.trace, id, rel).map_err(|e| e.into_mura_error(0))?);
+                inner.counters.rows_encoded.add(rel.len() as u64);
+            }
+            let (frame, payload) = shared.as_ref().expect("encoded above");
+            let size = payload.len() as u64;
+            // A worker with replicas to drop gets the payload in a frame of
+            // its own that names them.
+            let frames = pending.iter().map(|&(w, _)| {
+                let mut slot = inner.slots[w].ctl.lock().unwrap();
+                let evict = slot.replicas.make_room(id.map(|_| size));
+                if evict.is_empty() {
+                    return Ok(Cow::Borrowed(&frame[..]));
+                }
+                let payload = &frame[payload.clone()];
+                let msg = Msg::Bcast { ctx: ctx.trace, id, evict: evict.to_vec(), payload };
+                framed(&msg).map(Cow::Owned)
+            });
+            let frames: Vec<Cow<[u8]>> =
+                frames.collect::<WireResult<_>>().map_err(|e| e.into_mura_error(0))?;
             let requests: Vec<(usize, &[u8])> =
-                pending.iter().map(|&(w, _)| (w, &frame[..])).collect();
-            let acks = self.inner.round(&requests, |_, reply, tx, rx| {
-                ctx.metrics.record_wire_tx(tx, payload);
+                pending.iter().zip(&frames).map(|(&(w, _), f)| (w, &f[..])).collect();
+            let acks = inner.round(&requests, |_, reply, tx, rx| {
+                ctx.metrics.record_wire_tx(tx, size);
                 ctx.metrics.record_wire_rx(rx, 0);
                 expect_ok(reply)
             });
             let mut failed = Vec::new();
             for ((w, attempt), ack) in pending.into_iter().zip(acks) {
-                if let Err(e) = ack {
-                    if attempt + 1 >= max_attempts {
-                        return Err(e.into_mura_error(w));
-                    }
-                    let _ = self.inner.repair(w, Some(ctx.fault), true);
-                    failed.push((w, attempt + 1));
+                let mut slot = inner.slots[w].ctl.lock().unwrap();
+                let Err(e) = ack else {
+                    slot.replicas.acknowledged(id, size);
+                    continue;
+                };
+                // The worker may or may not have kept it: it is told to
+                // drop it with the next broadcast it is sent.
+                slot.replicas.evict.extend(id);
+                drop(slot);
+                if attempt + 1 >= max_attempts {
+                    return Err(e.into_mura_error(w));
                 }
+                let _ = inner.repair(w, Some(ctx.fault), true);
+                failed.push((w, attempt + 1));
             }
             if !failed.is_empty() {
-                self.inner.sync_peers();
+                inner.sync_peers();
             }
             pending = failed;
         }
@@ -1043,15 +1244,7 @@ impl CommBackend for ProcCluster {
         let inner = &self.inner;
         let mut events = Vec::new();
         let mut dropped = 0u64;
-        let flush =
-            framed(&Msg::TraceFlush { trace_id }).expect("a flush request is a small frame");
-        let everyone: Vec<(usize, &[u8])> = (0..inner.n).map(|w| (w, &flush[..])).collect();
-        // Best effort per worker: one that cannot answer keeps its spans.
-        inner.round(&everyone, |w, reply, _, _| {
-            let Msg::TraceBatch { spans, counters } = reply else {
-                return Err(WireError::Malformed("unexpected trace-flush reply"));
-            };
-            inner.worker.add(&counters);
+        inner.flush_workers(trace_id, |w, spans, counters| {
             dropped += counters.trace_dropped;
             let offset = inner.slots[w].offset_us.load(Ordering::Relaxed);
             for s in spans {
@@ -1081,7 +1274,6 @@ impl CommBackend for ProcCluster {
                     ..TraceEvent::new(kind, s.ctx.fixpoint, mura_obs::PlanKind::None)
                 });
             }
-            Ok(())
         });
         // Merge supervisor events this trace has not seen yet.
         let mut cursors = inner.journal_cursor.lock().unwrap_or_else(|e| e.into_inner());
@@ -1145,6 +1337,26 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(worker_bin(&cfg), PathBuf::from("/x/y/mura-worker"));
+    }
+
+    #[test]
+    fn the_record_evicts_the_least_recently_used_within_both_bounds() {
+        let id = |term| ReplicaId { term, version: 1 };
+        let mut record = Replicas::default();
+        for term in 0..HELD_REPLICAS as u64 {
+            assert!(record.make_room(Some(10)).is_empty());
+            record.acknowledged(Some(id(term)), 10);
+        }
+        assert!(record.touch(id(0)), "held, and now the most recently used");
+        assert_eq!(record.make_room(None), [], "an unnamed broadcast adds nothing");
+        assert_eq!(record.make_room(Some(10)), [id(1)], "one past the count");
+        record.acknowledged(Some(id(u64::MAX)), 10);
+        assert!(record.evict.is_empty() && !record.touch(id(1)));
+        let held = record.held.len();
+        assert_eq!((held, record.bytes), (HELD_REPLICAS, 10 * HELD_REPLICAS as u64));
+        // A payload as large as the cap leaves room for nothing else.
+        assert_eq!(record.make_room(Some(REPLICA_CAP)).len(), held);
+        assert_eq!(record.bytes, 0);
     }
 
     #[test]

@@ -24,22 +24,32 @@
 //!
 //! Exchange payloads (partition buckets, broadcast relations) are opaque
 //! byte blobs to the workers — only the coordinator encodes and decodes
-//! rows. A worker's job is purely to move the bytes: receive `Relay`,
-//! forward each bucket to its destination peer as `Deliver`, and hand
-//! buffered buckets back to the coordinator on `Take`. This keeps the three
-//! fixpoint drivers unchanged (computation stays with the coordinator's
-//! task threads) while making hash-exchange and broadcast traffic *real*
-//! socket bytes.
+//! rows. A worker moves the bytes: receive `Relay`, forward each bucket to
+//! its destination peer as `Deliver`, and hand buffered buckets back to the
+//! coordinator on `Take`; and it keeps each named broadcast (`Bcast` with a
+//! [`ReplicaId`]) until the coordinator names it for eviction. This keeps
+//! the three fixpoint drivers unchanged (computation stays with the
+//! coordinator's task threads) while making hash-exchange and broadcast
+//! traffic *real* socket bytes.
 
+use crate::cluster::ReplicaId;
 use mura_core::codec::{self, put_bytes_with, put_u32, put_u64, CodecError, Cur};
 use mura_core::{MuraError, Relation, Row, Schema, Value};
 use std::fmt;
 use std::io::{Read, Write};
+use std::ops::Range;
 
 /// Hard cap on a single frame (64 MiB). Large relations are split across
 /// per-destination buckets long before this; a frame claiming more is
 /// corrupt or hostile.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// What a worker holds of broadcast replicas, in payload bytes, at most:
+/// over 100 times the largest broadcast of any committed workload. The
+/// coordinator picks what to evict to stay under it; any one broadcast
+/// fits, since a frame cannot carry more.
+pub const REPLICA_CAP: u64 = 64 << 20;
+const _: () = assert!(REPLICA_CAP >= MAX_FRAME as u64);
 
 /// A connection's frame buffers keep their allocation from frame to frame
 /// up to this size; one large frame does not pin its megabytes for the
@@ -231,6 +241,17 @@ mura_obs::counter_set! {
             takes {op = "take"},
             bcasts {op = "bcast"},
         }
+        counter "mura_worker_replica_evictions_total",
+            "Broadcast replicas workers dropped because the coordinator named them." {
+            replica_evictions,
+        }
+        supplied {
+            gauge "mura_worker_replicas_held",
+                "Broadcast replicas the workers hold, as each last reported." {
+                replicas_held {unit = "replicas"},
+                replica_bytes_held {unit = "bytes"},
+            }
+        }
     }
 }
 
@@ -301,10 +322,12 @@ pub enum Msg<'a> {
     Take { xid: u64, expect: u32, timeout_ms: u64, ctx: TraceCtx },
     /// Reply to [`Msg::Take`]: the `(from, payload)` buckets received.
     TakeReply(Vec<(u32, &'a [u8])>),
-    /// A broadcast relation payload replicated to this worker.
-    Bcast { ctx: TraceCtx, payload: &'a [u8] },
-    /// Coordinator-side cancel/drain: discard all buffered exchange state.
-    Cancel,
+    /// A broadcast relation payload replicated to this worker, kept under
+    /// `id` when it has one, after dropping the replicas `evict` names.
+    Bcast { ctx: TraceCtx, id: Option<ReplicaId>, evict: Vec<ReplicaId>, payload: &'a [u8] },
+    /// A cancelled exchange: discard what is buffered under its attempts'
+    /// exchange ids, and nothing else.
+    Cancel { xids: Vec<u64> },
     /// Orderly shutdown request; the worker process exits.
     Exit,
     /// Generic success reply.
@@ -347,6 +370,25 @@ fn get_entries<'a>(c: &mut Cur<'a>) -> WireResult<Vec<(u32, &'a [u8])>> {
     Ok(entries)
 }
 
+fn put_replica(out: &mut Vec<u8>, id: ReplicaId) {
+    put_u64(out, id.term);
+    put_u64(out, id.version);
+}
+
+fn get_replica(c: &mut Cur<'_>) -> WireResult<ReplicaId> {
+    Ok(ReplicaId { term: c.u64()?, version: c.u64()? })
+}
+
+/// The head of a broadcast body, behind its opcode: trace context, the
+/// identity (a flag byte, then the id if the flag is 1), the evictions.
+fn put_bcast_head(out: &mut Vec<u8>, ctx: TraceCtx, id: Option<ReplicaId>, evict: &[ReplicaId]) {
+    ctx.put(out);
+    out.push(u8::from(id.is_some()));
+    id.into_iter().for_each(|id| put_replica(out, id));
+    put_u32(out, evict.len() as u32);
+    evict.iter().for_each(|&id| put_replica(out, id));
+}
+
 impl<'a> Msg<'a> {
     /// Appends the frame body (opcode byte included, length prefix and
     /// trailer not) to `out`.
@@ -387,12 +429,16 @@ impl<'a> Msg<'a> {
                 out.push(OP_TAKE_REPLY);
                 put_entries(out, entries);
             }
-            Msg::Bcast { ctx, payload } => {
+            Msg::Bcast { ctx, id, evict, payload } => {
                 out.push(OP_BCAST);
-                ctx.put(out);
+                put_bcast_head(out, *ctx, *id, evict);
                 put_bytes_with(out, |out| out.extend_from_slice(payload));
             }
-            Msg::Cancel => out.push(OP_CANCEL),
+            Msg::Cancel { xids } => {
+                out.push(OP_CANCEL);
+                put_u32(out, xids.len() as u32);
+                xids.iter().for_each(|&xid| put_u64(out, xid));
+            }
             Msg::Exit => out.push(OP_EXIT),
             Msg::Ok => out.push(OP_OK),
             Msg::Err(msg) => {
@@ -459,8 +505,21 @@ impl<'a> Msg<'a> {
                 ctx: TraceCtx::get(&mut c)?,
             },
             OP_TAKE_REPLY => Msg::TakeReply(get_entries(&mut c)?),
-            OP_BCAST => Msg::Bcast { ctx: TraceCtx::get(&mut c)?, payload: c.bytes()? },
-            OP_CANCEL => Msg::Cancel,
+            OP_BCAST => Msg::Bcast {
+                ctx: TraceCtx::get(&mut c)?,
+                id: match c.u8()? {
+                    0 => None,
+                    1 => Some(get_replica(&mut c)?),
+                    _ => return Err(WireError::Malformed("replica flag")),
+                },
+                evict: (0..c.seq_len(16)?)
+                    .map(|_| get_replica(&mut c))
+                    .collect::<WireResult<_>>()?,
+                payload: c.bytes()?,
+            },
+            OP_CANCEL => {
+                Msg::Cancel { xids: (0..c.seq_len(8)?).map(|_| c.u64()).collect::<Result<_, _>>()? }
+            }
             OP_EXIT => Msg::Exit,
             OP_OK => Msg::Ok,
             OP_ERR => Msg::Err(c.string()?),
@@ -573,9 +632,10 @@ pub fn read_frame<'b>(r: &mut impl Read, buf: &'b mut Vec<u8>) -> WireResult<(Ms
     }
     let rest = len + 4;
     recycle(buf);
-    buf.reserve(rest);
-    // Straight into the spare capacity: no zero-fill of bytes about to be
-    // overwritten.
+    // Straight into the spare capacity, grown as the bytes arrive rather
+    // than reserved for what the prefix claims: a lying prefix costs what
+    // was sent, not up to `MAX_FRAME`. A connection's buffer keeps its
+    // capacity from frame to frame, so in steady state nothing grows.
     if r.by_ref().take(rest as u64).read_to_end(buf)? < rest {
         return Err(WireError::Truncated);
     }
@@ -730,17 +790,22 @@ impl BucketFrame {
     }
 }
 
-/// Builds the complete [`Msg::Bcast`] frame of `rel`, its rows encoded
-/// straight into the frame. Every worker is sent these same bytes. Returns
-/// the frame and the size of the row-block payload inside it.
-pub fn bcast_frame(ctx: TraceCtx, rel: &Relation) -> WireResult<(Vec<u8>, u64)> {
+/// Builds the complete [`Msg::Bcast`] frame of `rel` under `id`, with no
+/// evictions, its rows encoded straight into the frame. Returns the frame
+/// and where the row-block payload sits in it: a worker that has replicas
+/// to drop is sent the same payload in a frame of its own.
+pub fn bcast_frame(
+    ctx: TraceCtx,
+    id: Option<ReplicaId>,
+    rel: &Relation,
+) -> WireResult<(Vec<u8>, Range<usize>)> {
     let mut buf = Vec::new();
     put_u32(&mut buf, 0);
     buf.push(OP_BCAST);
-    ctx.put(&mut buf);
+    put_bcast_head(&mut buf, ctx, id, &[]);
     let payload_at = buf.len() + 4;
     put_bytes_with(&mut buf, |buf| codec::put_rows(buf, rel.schema().arity(), rel));
-    let payload = (buf.len() - payload_at) as u64;
+    let payload = payload_at..buf.len();
     end_frame(&mut buf, MAX_FRAME)?;
     Ok((buf, payload))
 }
@@ -810,6 +875,11 @@ mod tests {
         assert_eq!(n as usize, wire.len());
     }
 
+    /// A broadcast frame standing for any payload-carrying message.
+    fn bcast(ctx: TraceCtx, payload: &[u8]) -> Msg<'_> {
+        Msg::Bcast { ctx, id: None, evict: vec![], payload }
+    }
+
     fn test_ctx() -> TraceCtx {
         TraceCtx { trace_id: 0xDEAD_BEEF, query_id: 42, fixpoint: 3, superstep: 7, level: 2 }
     }
@@ -828,8 +898,15 @@ mod tests {
         });
         round_trip(Msg::Take { xid: 9, expect: 3, timeout_ms: 2000, ctx: test_ctx() });
         round_trip(Msg::TakeReply(vec![(1, &[0xFF; 32][..])]));
-        round_trip(Msg::Bcast { ctx: TraceCtx::default(), payload: &[5; 100] });
-        round_trip(Msg::Cancel);
+        round_trip(bcast(TraceCtx::default(), &[5; 100]));
+        round_trip(Msg::Cancel { xids: vec![] });
+        round_trip(Msg::Cancel { xids: vec![3, u64::MAX] });
+        round_trip(Msg::Bcast {
+            ctx: test_ctx(),
+            id: Some(ReplicaId { term: 0xFEED, version: 12 }),
+            evict: vec![ReplicaId { term: 1, version: 2 }, ReplicaId { term: 3, version: 4 }],
+            payload: &[6; 10],
+        });
         round_trip(Msg::Exit);
         round_trip(Msg::Ok);
         round_trip(Msg::Err("no route to peer".into()));
@@ -847,20 +924,20 @@ mod tests {
                 },
                 WorkerSpan::default(),
             ],
-            counters: WorkerSnapshot::decode([5, 2, 8, 2, 1]),
+            counters: WorkerSnapshot::decode([5, 2, 8, 2, 1, 3, 4, 4096]),
         });
     }
 
     #[test]
     fn one_read_buffer_serves_frame_after_frame() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &Msg::Bcast { ctx: test_ctx(), payload: &[7; 300] }).unwrap();
+        write_frame(&mut wire, &bcast(test_ctx(), &[7; 300])).unwrap();
         write_frame(&mut wire, &Msg::Ok).unwrap();
         write_frame(&mut wire, &Msg::TakeReply(vec![(2, &[1; 40][..])])).unwrap();
         let mut stream = wire.as_slice();
         let mut buf = Vec::new();
         let (first, _) = read_frame(&mut stream, &mut buf).unwrap();
-        assert_eq!(first, Msg::Bcast { ctx: test_ctx(), payload: &[7; 300] });
+        assert_eq!(first, bcast(test_ctx(), &[7; 300]));
         let cap = buf.capacity();
         assert_eq!(read_frame(&mut stream, &mut buf).unwrap().0, Msg::Ok);
         let (third, _) = read_frame(&mut stream, &mut buf).unwrap();
@@ -870,7 +947,7 @@ mod tests {
         // A frame past the retention limit does not stay allocated.
         let big = vec![3u8; RETAINED_FRAME_BUFFER + 1];
         let mut wire = Vec::new();
-        write_frame(&mut wire, &Msg::Bcast { ctx: test_ctx(), payload: &big }).unwrap();
+        write_frame(&mut wire, &bcast(test_ctx(), &big)).unwrap();
         write_frame(&mut wire, &Msg::Ok).unwrap();
         let mut stream = wire.as_slice();
         read_frame(&mut stream, &mut buf).unwrap();
@@ -923,12 +1000,19 @@ mod tests {
         assert_eq!(msg, Msg::TakeReply(vec![(3, &block[..])]));
 
         let rel = Relation::from_rows(Schema::new(vec![Sym(0), Sym(1)]), rows.iter().cloned());
-        let (wire, payload) = bcast_frame(test_ctx(), &rel).unwrap();
+        let id = Some(ReplicaId { term: 5, version: 6 });
+        let (wire, payload) = bcast_frame(test_ctx(), id, &rel).unwrap();
         let (msg, _) = read_frame(&mut wire.as_slice(), &mut buf).unwrap();
-        let Msg::Bcast { ctx, payload: bytes } = msg else { panic!("not a broadcast: {msg:?}") };
-        assert_eq!(ctx, test_ctx());
-        assert_eq!(bytes.len() as u64, payload);
+        let bytes = &wire[payload];
+        let generic = Msg::Bcast { ctx: test_ctx(), id, evict: vec![], payload: bytes };
+        assert_eq!(msg, generic);
+        assert_eq!(wire, framed(&generic).unwrap(), "byte for byte the generic encoding");
         assert_eq!(decode_relation(bytes, rel.schema()).unwrap(), rel);
+        // The frame a worker with a replica to drop is sent instead.
+        let evict = vec![ReplicaId { term: 7, version: 8 }];
+        let evicting = Msg::Bcast { ctx: test_ctx(), id, evict, payload: bytes };
+        let wire = framed(&evicting).unwrap();
+        assert_eq!(read_frame(&mut wire.as_slice(), &mut buf).unwrap().0, evicting);
     }
 
     #[test]
@@ -955,7 +1039,7 @@ mod tests {
     #[test]
     fn an_oversized_frame_is_refused_before_the_socket_is_touched() {
         // Lowered cap: the production path differs only in the constant.
-        let msg = Msg::Bcast { ctx: test_ctx(), payload: &[1; 64] };
+        let msg = bcast(test_ctx(), &[1; 64]);
         let mut buf = Vec::new();
         match frame_within(&mut buf, &msg, 32) {
             Err(WireError::FrameTooLarge { len }) => assert_eq!(len as usize, msg.encode().len()),
@@ -978,7 +1062,7 @@ mod tests {
     fn span_count_lie_is_rejected() {
         // A TRACE body claiming 2^30 spans in a tiny frame must not allocate.
         let mut buf = vec![OP_TRACE];
-        for _ in 0..5 {
+        for _ in 0..WorkerSnapshot::N {
             buf.extend_from_slice(&0u64.to_le_bytes());
         }
         buf.extend_from_slice(&(1u32 << 30).to_le_bytes());
@@ -1043,7 +1127,7 @@ mod tests {
 
     #[test]
     fn corrupted_frame_helper_is_detected() {
-        let msg = Msg::Bcast { ctx: test_ctx(), payload: &[7; 128] };
+        let msg = bcast(test_ctx(), &[7; 128]);
         let mut buf = Vec::new();
         for entropy in [0u64, 1, 0xDEAD_BEEF_0000_0005, u64::MAX] {
             let mut wire = Vec::new();
@@ -1147,8 +1231,8 @@ mod tests {
             assert_eq!(buf.len(), 12);
             assert_eq!(&decode_relation(&buf, rel.schema()).unwrap(), rel);
             assert_eq!(decode_rows(&buf, 0).unwrap().len(), rel.len());
-            let (frame, payload) = bcast_frame(TraceCtx::default(), rel).unwrap();
-            assert_eq!(payload, 12);
+            let (frame, payload) = bcast_frame(TraceCtx::default(), None, rel).unwrap();
+            assert_eq!(payload.len(), 12);
             let mut read = Vec::new();
             let (msg, _) = read_frame(&mut frame.as_slice(), &mut read).unwrap();
             let Msg::Bcast { payload, .. } = msg else { panic!("not a broadcast: {msg:?}") };

@@ -6,11 +6,15 @@
 //!
 //! * on [`Msg::Relay`], forward each `(to, payload)` bucket to the
 //!   destination peer over a direct worker↔worker TCP connection
-//!   ([`Msg::Deliver`]), buffering self-addressed buckets locally;
+//!   ([`Msg::Deliver`]) — the coordinator keeps the buckets that stay on
+//!   their worker, so every bucket relayed changes worker;
 //! * on [`Msg::Deliver`] from a peer, buffer the bucket under its
 //!   exchange id and wake any pending [`Msg::Take`];
 //! * on [`Msg::Take`], block (bounded) until the expected number of
-//!   buckets arrived, then hand them to the coordinator.
+//!   buckets arrived, then hand them to the coordinator;
+//! * on [`Msg::Bcast`], drop the replicas it names for eviction and keep
+//!   the payload under its [`ReplicaId`] (within [`REPLICA_CAP`]), so the
+//!   coordinator does not ship that value to this process again.
 //!
 //! A payload is copied once per hop and no more: a frame is read into the
 //! connection's reusable buffer and checksummed there; a forwarded bucket
@@ -21,8 +25,9 @@
 //!
 //! The coordinator keeps computation (the fixpoint drivers run its task
 //! threads unchanged); the workers make the *communication* real: every
-//! exchanged partition genuinely crosses two sockets, so bytes-on-the-wire
-//! accounting measures actual traffic.
+//! bucket that changes worker genuinely crosses two sockets, and every
+//! broadcast replica one, so bytes-on-the-wire accounting measures actual
+//! traffic.
 //!
 //! Telemetry: each worker is a first-class trace source. Data-plane frames
 //! carry a [`TraceCtx`]; at `TraceCtx::level >= 2` the worker records a
@@ -37,9 +42,10 @@
 //! holds the write end, so coordinator death reaps the worker — no orphan
 //! processes), or when it receives [`Msg::Exit`].
 
+use crate::cluster::ReplicaId;
 use crate::wire::{
     frame, read_frame, write_frame, BucketFrame, Msg, TraceCtx, WireError, WorkerCounters,
-    WorkerSpan, SPAN_BCAST, SPAN_DELIVER, SPAN_RELAY, SPAN_TAKE,
+    WorkerSnapshot, WorkerSpan, REPLICA_CAP, SPAN_BCAST, SPAN_DELIVER, SPAN_RELAY, SPAN_TAKE,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -51,6 +57,19 @@ use std::time::{Duration, Instant};
 /// Buffered exchange buckets awaiting a [`Msg::Take`]: `xid →` the reply
 /// frame they are appended to as they arrive.
 type Inbox = HashMap<u64, BucketFrame>;
+
+/// The longest a [`Msg::Take`] waits, whatever its `timeout_ms` says: the
+/// coordinator asks for seconds, and a wait off the wire is capped before
+/// it is added to the clock, so no value can overflow the deadline.
+const MAX_TAKE_WAIT: Duration = Duration::from_secs(60);
+
+/// The broadcast replicas this worker holds, by identity: never more than
+/// [`REPLICA_CAP`] payload bytes.
+#[derive(Debug, Default)]
+struct ReplicaStore {
+    held: HashMap<ReplicaId, Box<[u8]>>,
+    bytes: u64,
+}
 
 /// Outgoing peer connections and the frame buffer every forwarded bucket
 /// is built in (one lock covers both: a forward holds it for the write).
@@ -80,6 +99,8 @@ struct WorkerState {
     inbox: Mutex<Inbox>,
     /// Wakes [`Msg::Take`] waiters when a bucket arrives.
     arrived: Condvar,
+    /// Broadcast replicas kept across queries.
+    replicas: Mutex<ReplicaStore>,
     /// Zero point of this worker's monotonic clock (process start).
     epoch: Instant,
     /// Bounded drop-oldest ring of recorded spans awaiting a flush.
@@ -96,6 +117,7 @@ impl WorkerState {
             peer_links: Mutex::new(PeerLinks::default()),
             inbox: Mutex::new(Inbox::new()),
             arrived: Condvar::new(),
+            replicas: Mutex::new(ReplicaStore::default()),
             epoch: Instant::now(),
             spans: Mutex::new(VecDeque::new()),
             counters: WorkerCounters::new(),
@@ -126,8 +148,13 @@ impl WorkerState {
 
     /// Drains spans of `trace_id` (0 = everything) plus the counters into
     /// a [`Msg::TraceBatch`]. The counters are taken, not read, so repeated
-    /// per-fixpoint flushes add up correctly coordinator-side.
+    /// per-fixpoint flushes add up correctly coordinator-side; the replica
+    /// gauges are what the store holds now.
     fn flush_trace(&self, trace_id: u64) -> Msg<'static> {
+        let (replicas_held, replica_bytes_held) = {
+            let store = self.replicas.lock().unwrap();
+            (store.held.len() as u64, store.bytes)
+        };
         let drained: Vec<WorkerSpan> = {
             let mut ring = self.spans.lock().unwrap();
             if trace_id == 0 {
@@ -139,13 +166,66 @@ impl WorkerState {
                 matched
             }
         };
-        Msg::TraceBatch { spans: drained, counters: self.counters.take() }
+        let counters = WorkerSnapshot { replicas_held, replica_bytes_held, ..self.counters.take() };
+        Msg::TraceBatch { spans: drained, counters }
     }
 
     fn buffer(&self, xid: u64, from: u32, payload: &[u8]) {
         let mut inbox = self.inbox.lock().unwrap();
         inbox.entry(xid).or_insert_with(BucketFrame::take_reply).push(from, payload);
         self.arrived.notify_all();
+    }
+
+    /// Waits (at most `timeout_ms`, at most [`MAX_TAKE_WAIT`]) until
+    /// `expect` buckets of exchange `xid` arrived, then hands over the
+    /// inbox as it stands; the coordinator checks the count and retries the
+    /// whole exchange (fresh xid) if short.
+    fn take(&self, xid: u64, expect: u32, timeout_ms: u64) -> BucketFrame {
+        let deadline = Instant::now() + Duration::from_millis(timeout_ms).min(MAX_TAKE_WAIT);
+        let mut inbox = self.inbox.lock().unwrap();
+        loop {
+            let have = inbox.get(&xid).map_or(0, BucketFrame::count);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if have >= expect || left.is_zero() {
+                break;
+            }
+            inbox = self.arrived.wait_timeout(inbox, left).unwrap().0;
+        }
+        inbox.remove(&xid).unwrap_or_else(BucketFrame::take_reply)
+    }
+
+    /// Discards what is buffered under the exchange ids `xids`, and nothing
+    /// else: other queries' exchanges keep their buckets.
+    fn cancel(&self, xids: &[u64]) {
+        self.inbox.lock().unwrap().retain(|xid, _| !xids.contains(xid));
+        self.arrived.notify_all();
+    }
+
+    /// Drops the replicas `evict` names, then keeps `payload` under `id` if
+    /// it has one. Refuses, keeping nothing new, what would take the store
+    /// past [`REPLICA_CAP`] — the coordinator evicts before that happens.
+    fn keep_replica(
+        &self,
+        id: Option<ReplicaId>,
+        evict: &[ReplicaId],
+        payload: &[u8],
+    ) -> Result<(), String> {
+        let mut store = self.replicas.lock().unwrap();
+        for gone in evict {
+            if let Some(old) = store.held.remove(gone) {
+                store.bytes -= old.len() as u64;
+                self.counters.replica_evictions.inc();
+            }
+        }
+        let Some(id) = id else { return Ok(()) };
+        let replaced = store.held.get(&id).map_or(0, |p| p.len() as u64);
+        let bytes = store.bytes - replaced + payload.len() as u64;
+        if bytes > REPLICA_CAP {
+            return Err(format!("replica store full: {bytes} bytes past a cap of {REPLICA_CAP}"));
+        }
+        store.held.insert(id, payload.into());
+        store.bytes = bytes;
+        Ok(())
     }
 
     /// Sends `msg` to peer `to` as one frame in one write, reconnecting
@@ -208,10 +288,6 @@ fn handle_conn(state: &Arc<WorkerState>, mut conn: TcpStream) {
                 let mut bytes = 0u64;
                 for (to, payload) in entries {
                     bytes += payload.len() as u64;
-                    if to == me {
-                        state.buffer(xid, me, payload);
-                        continue;
-                    }
                     // Propagate the trace context onto the forwarded frame:
                     // the receiving peer's span stays query-attributed.
                     let deliver = Msg::Deliver { xid, from: me, ctx, payload };
@@ -235,24 +311,7 @@ fn handle_conn(state: &Arc<WorkerState>, mut conn: TcpStream) {
             Msg::Take { xid, expect, timeout_ms, ctx } => {
                 state.counters.takes.inc();
                 let t0 = state.now_us();
-                let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-                let mut inbox = state.inbox.lock().unwrap();
-                loop {
-                    let have = inbox.get(&xid).map_or(0, BucketFrame::count);
-                    if have >= expect {
-                        break;
-                    }
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        break;
-                    }
-                    let (guard, _) = state.arrived.wait_timeout(inbox, left).unwrap();
-                    inbox = guard;
-                }
-                // Hand over whatever arrived; the coordinator checks the
-                // count and retries the whole exchange (fresh xid) if short.
-                let mut buckets = inbox.remove(&xid).unwrap_or_else(BucketFrame::take_reply);
-                drop(inbox);
+                let mut buckets = state.take(xid, expect, timeout_ms);
                 let bytes = buckets.payload_bytes();
                 state.record_span(SPAN_TAKE, ctx, xid, bytes, t0, state.now_us() - t0);
                 // The inbox is the reply frame: seal it and send it as it is.
@@ -265,18 +324,14 @@ fn handle_conn(state: &Arc<WorkerState>, mut conn: TcpStream) {
                 }
                 None
             }
-            Msg::Bcast { ctx, payload } => {
-                // Broadcast replication traffic: the bytes crossed the wire
-                // (that is what is being measured); the replica itself is
-                // not consulted — computation stays coordinator-side.
+            Msg::Bcast { ctx, id, evict, payload } => {
                 state.counters.bcasts.inc();
                 state.record_span(SPAN_BCAST, ctx, 0, payload.len() as u64, state.now_us(), 0);
-                Some(Msg::Ok)
+                Some(state.keep_replica(id, &evict, payload).map_or_else(Msg::Err, |()| Msg::Ok))
             }
             Msg::TraceFlush { trace_id } => Some(state.flush_trace(trace_id)),
-            Msg::Cancel => {
-                state.inbox.lock().unwrap().clear();
-                state.arrived.notify_all();
+            Msg::Cancel { xids } => {
+                state.cancel(&xids);
                 Some(Msg::Ok)
             }
             Msg::Exit => std::process::exit(0),
@@ -347,5 +402,56 @@ mod tests {
         // Taken, not read: the next batch starts from zero.
         let Msg::TraceBatch { counters, .. } = state.flush_trace(9) else { unreachable!() };
         assert_eq!(counters, WorkerSnapshot::default());
+    }
+
+    #[test]
+    fn a_take_asking_to_wait_forever_is_answered() {
+        // Over a real connection: the old deadline arithmetic panicked the
+        // connection's thread, and the coordinator read an EOF.
+        let state = Arc::new(WorkerState::new());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut conn = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        let server = std::thread::spawn(move || handle_conn(&state, served));
+        let take = Msg::Take { xid: 1, expect: 0, timeout_ms: u64::MAX, ctx: TraceCtx::default() };
+        write_frame(&mut conn, &take).unwrap();
+        let mut buf = Vec::new();
+        assert_eq!(read_frame(&mut conn, &mut buf).unwrap().0, Msg::TakeReply(vec![]));
+        drop(conn);
+        server.join().expect("the connection's thread ends at EOF, not in a panic");
+    }
+
+    #[test]
+    fn a_cancel_discards_its_own_exchanges_only() {
+        let state = WorkerState::new();
+        state.buffer(7, 0, b"cancelled");
+        state.buffer(8, 1, b"another query's");
+        state.buffer(9, 1, b"cancelled too");
+        state.cancel(&[7, 9]);
+        let inbox = state.inbox.lock().unwrap();
+        assert_eq!(inbox.keys().copied().collect::<Vec<_>>(), vec![8]);
+        assert_eq!(inbox[&8].count(), 1);
+    }
+
+    #[test]
+    fn replicas_are_kept_by_identity_and_dropped_when_named() {
+        let state = WorkerState::new();
+        let id = |term| ReplicaId { term, version: 1 };
+        let held = |state: &WorkerState| {
+            let Msg::TraceBatch { counters, .. } = state.flush_trace(0) else { unreachable!() };
+            (counters.replicas_held, counters.replica_bytes_held, counters.replica_evictions)
+        };
+        state.keep_replica(Some(id(1)), &[], &[1; 10]).unwrap();
+        state.keep_replica(Some(id(2)), &[], &[2; 20]).unwrap();
+        state.keep_replica(None, &[], &[3; 30]).unwrap();
+        assert_eq!(held(&state), (2, 30, 0), "an unnamed broadcast is not kept");
+        // Shipped again (its acknowledgement was lost): replaced, not added.
+        state.keep_replica(Some(id(2)), &[id(1), id(5)], &[2; 20]).unwrap();
+        assert_eq!(held(&state), (1, 20, 1), "one named replica was there to drop");
+        // Past the cap: refused whole, the store as it was. (A zeroed
+        // buffer the refusal never reads costs no memory.)
+        let huge = vec![0; REPLICA_CAP as usize - 19];
+        assert!(state.keep_replica(Some(id(3)), &[], &huge).is_err());
+        assert_eq!(held(&state), (1, 20, 0));
     }
 }

@@ -342,6 +342,8 @@ fn injected_faults(moved: &mut Moved) {
     }
 }
 
+const ROWS_BCAST: &str = "mura_comm_rows_broadcast_total";
+
 /// A profiled `P_gld` closure over two worker processes: bytes on sockets,
 /// and the workers' own frame counts next to the coordinator's.
 fn two_worker_processes(moved: &mut Moved) {
@@ -369,6 +371,16 @@ fn two_worker_processes(moved: &mut Moved) {
         let frames = read(&format!("mura_worker_frames_total{{op=\"{op}\"}}"));
         assert!(0.0 < frames && frames <= 2.0 * exchanges, "{op}: {frames} of {exchanges}");
     }
+    // The workers keep the replicas they were sent: profiled again, the
+    // query is sent none, and every row it broadcasts is spared on both.
+    let (bcasts, broadcast) = (read("mura_worker_frames_total{op=\"bcast\"}"), read(ROWS_BCAST));
+    assert!(read("mura_worker_replicas_held{unit=\"bytes\"}") > 0.0);
+    server.client().profile(TC_E).unwrap();
+    let page = server.metrics();
+    let read = |series: &str| sample(&page, series).unwrap_or_else(|| panic!("{series}:\n{page}"));
+    assert_eq!(read("mura_worker_frames_total{op=\"bcast\"}"), bcasts);
+    let spared = read("mura_cluster_rows_resident_total");
+    assert!(spared > 0.0 && spared == 2.0 * (read(ROWS_BCAST) - broadcast), "{spared}");
     moved.note(&server);
     renderings_match_the_declaration(&server);
     server.shutdown();
@@ -434,6 +446,11 @@ const ASSERTED_ELSEWHERE: &[(&str, &str)] = &[
     (
         "mura_trace_dropped_spans_total",
         "mura-dist worker::tests::the_span_ring_is_bounded_and_counts_what_it_evicts",
+    ),
+    // 64 MiB of replicas on one worker.
+    (
+        "mura_worker_replica_evictions_total",
+        "mura-dist proc_cluster::replicas_past_the_cap_are_evicted_and_the_record_matches_the_worker",
     ),
 ];
 

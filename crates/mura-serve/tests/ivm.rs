@@ -476,17 +476,16 @@ fn drain_mid_mutation_loses_no_responses() {
     client.query(TC).expect("warm");
 
     let stop = Arc::new(AtomicBool::new(false));
+    let answered = Arc::new(std::sync::atomic::AtomicU64::new(0));
     let querier = {
         let client = client.clone();
-        let stop = Arc::clone(&stop);
+        let (stop, answered) = (Arc::clone(&stop), Arc::clone(&answered));
         std::thread::spawn(move || {
-            let mut answered = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 match client.query(TC) {
-                    Ok(_) | Err(_) => answered += 1, // typed either way
-                }
+                    Ok(_) | Err(_) => answered.fetch_add(1, Ordering::Relaxed), // typed either way
+                };
             }
-            answered
         })
     };
 
@@ -499,6 +498,12 @@ fn drain_mid_mutation_loses_no_responses() {
     let mut i = 0u64;
     while i < 200 || refused == 0 {
         if i == 60 {
+            // The querier races the mutations, not the drain: on a busy
+            // machine it may not have been scheduled yet.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while answered.load(Ordering::Relaxed) == 0 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
             let drainer = client.clone();
             std::thread::spawn(move || drainer.request_drain());
         }
@@ -516,8 +521,8 @@ fn drain_mid_mutation_loses_no_responses() {
         i += 1;
     }
     stop.store(true, Ordering::Relaxed);
-    let answered = querier.join().expect("querier thread");
-    assert!(answered >= 1, "querier must have made progress");
+    querier.join().expect("querier thread");
+    assert!(answered.load(Ordering::Relaxed) >= 1, "querier must have made progress");
     assert!(applied >= 1, "mutations before the drain must land");
     assert!(refused >= 1, "mutations after the drain must be refused, typed");
 
