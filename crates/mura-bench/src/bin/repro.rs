@@ -6,7 +6,7 @@ use mura_bench::*;
 /// Name on the command line, banner, and the experiment behind it.
 type Artifact = (&'static str, &'static str, fn(Scale) -> Table);
 
-const ARTIFACTS: [Artifact; 11] = [
+const ARTIFACTS: [Artifact; 12] = [
     ("table1", "Table I — real and synthetic graphs (scaled)", table1),
     ("classes", "Figs. 5/6 — query classification C1..C6", |_| class_matrix()),
     ("fig7", "Fig. 7 — P_plw implementations on Yago (scaled)", fig7),
@@ -18,6 +18,7 @@ const ARTIFACTS: [Artifact; 11] = [
     ("fig14", "Fig. 14 — Myria comparison (scaled uniprot_100k)", fig14),
     ("fig8", "Fig. 8 — Uniprot scalability sweep (scaled 1M/5M/10M)", fig8),
     ("comm", "Communication ablation — P_plw vs P_gld per class", comm_ablation),
+    ("rewrites", "Rewrite ablation — the rewriter on vs off (C2, Yago 400)", |_| rewrites()),
 ];
 
 fn main() {

@@ -4,7 +4,7 @@
 //! structural features the experiments depend on. The scale factor per
 //! dataset:
 //!
-//! | paper             | here (repro)              | here (criterion)  |
+//! | paper             | here (repro)              | here (REPRO_QUICK) |
 //! |-------------------|---------------------------|-------------------|
 //! | Yago (62M edges)  | yago-like, ~20k edges     | ~6k edges         |
 //! | uniprot_{1,5,10}M | 20k / 60k / 120k edges    | 8k / 16k / 32k    |

@@ -1,20 +1,21 @@
 //! The paper's experiments (§V), one function per table/figure.
 //!
 //! Every function returns a rendered [`Table`] whose rows mirror the
-//! corresponding figure's series. Binaries under `src/bin/` are thin
-//! wrappers; criterion benches reuse the same workloads at smaller scale.
+//! corresponding figure's series. The `repro` binary prints them;
+//! `REPRO_QUICK=1` runs the same workloads at smaller scale.
 
 use crate::datasets::*;
 use crate::report::{fmt_outcome, Table};
 use crate::systems::{run_system, Limits, Outcome, SystemId, Workload};
 use mura_core::Database;
 use mura_datagen::{random_tree, tc_size, uniprot_like, UniprotConfig};
+use mura_dist::{QueryEngine, QueryOutput};
 use mura_ucrpq::suites::{concat_closure_query, uniprot_queries, yago_queries};
 use mura_ucrpq::{classify, parse_ucrpq};
 use std::time::Duration;
 
 /// Experiment scale knobs. `repro()` is the default for the `repro`
-/// binaries; `quick()` keeps criterion benches and CI fast.
+/// binary; `quick()` keeps CI fast.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
     pub yago_people: u64,
@@ -43,7 +44,7 @@ impl Scale {
         }
     }
 
-    /// Reduced scale for criterion benches / CI.
+    /// Reduced scale for CI (`REPRO_QUICK=1`).
     pub fn quick() -> Scale {
         Scale {
             yago_people: 400,
@@ -376,6 +377,34 @@ pub fn comm_ablation(scale: Scale) -> Table {
     t
 }
 
+// ---------------------------------------------------- rewrite ablation
+
+/// `query` answered over `db` with the logical rewriter on and off.
+fn rewrite_runs(db: &Database, query: &str) -> [(&'static str, mura_core::Result<QueryOutput>); 2] {
+    [
+        ("on", QueryEngine::new(db.clone()).run_ucrpq(query)),
+        ("off", QueryEngine::new(db.clone()).without_rewrites().run_ucrpq(query)),
+    ]
+}
+
+/// §III rewrite rules: the rewriter on vs off, one row each, on a C2
+/// query, where reversal and filter pushing matter most. (Nothing in
+/// `yago_db(400)` is located in Japan: both rows answer 0 rows, and the
+/// rewriter's part is not computing the closure it would filter.)
+pub fn rewrites() -> Table {
+    let mut t = Table::new(&["rewriter", "time", "rows"]);
+    for (name, out) in rewrite_runs(&yago_db(400), "?x <- ?x isLocatedIn+ Japan") {
+        let (time, rows) = match out {
+            Ok(o) => {
+                (format!("{:.1}ms", o.wall().as_secs_f64() * 1e3), o.relation.len().to_string())
+            }
+            Err(e) => (format!("fail({e})"), "-".into()),
+        };
+        t.row(vec![name.to_string(), time, rows]);
+    }
+    t
+}
+
 fn detailed_comm(
     db: &Database,
     query: &str,
@@ -399,7 +428,7 @@ fn detailed_comm(
         },
         ..Default::default()
     };
-    let mut qe = mura_dist::QueryEngine::with_config(db.clone(), config);
+    let mut qe = QueryEngine::with_config(db.clone(), config);
     let out = qe.run_ucrpq(query).ok()?;
     Some((
         out.wall().as_secs_f64() * 1e3,
@@ -439,5 +468,17 @@ mod tests {
         let gld = detailed_comm(&db, "?a, ?b <- ?a isLocatedIn+ ?b", SystemId::DistMuRAGld, limits)
             .expect("gld run succeeds");
         assert!(auto.1 < gld.1, "P_plw must shuffle fewer times ({} vs {})", auto.1, gld.1);
+    }
+
+    #[test]
+    fn rewriter_on_and_off_answer_alike() {
+        let db = yago_db(400);
+        for (country, answers) in [("Japan", 0), ("United_States", 23)] {
+            let [(_, on), (_, off)] =
+                rewrite_runs(&db, &format!("?x <- ?x isLocatedIn+ {country}"));
+            let (on, off) = (on.expect("rewriter on"), off.expect("rewriter off"));
+            assert_eq!(on.relation.len(), answers, "{country}");
+            assert_eq!(on.relation.sorted_rows(), off.relation.sorted_rows(), "{country}");
+        }
     }
 }

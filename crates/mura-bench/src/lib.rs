@@ -5,18 +5,18 @@
 //!
 //! | paper artifact | harness entry |
 //! |----------------|---------------|
-//! | Table I (datasets + TC sizes)        | `repro table1`, bench `table1_tc` |
+//! | Table I (datasets + TC sizes)        | `repro table1` |
 //! | Fig. 5/6 (query classes)             | `repro classes` |
-//! | Fig. 7 (P_plw implementations)       | `repro fig7`, bench `fig7_plw_impls` |
-//! | Fig. 8 (Uniprot scalability)         | `repro fig8`, bench `fig8_scalability` |
-//! | Fig. 9 (Yago, all systems)           | `repro fig9`, bench `fig9_yago` |
-//! | Fig. 10 (concatenated closures)      | `repro fig10`, bench `fig10_concat` |
-//! | Fig. 11 (μ-RA queries)               | `repro fig11`, bench `fig11_mura_queries` |
-//! | Fig. 12 (Myria, same generation)     | `repro fig12`, bench `fig12_myria_sg` |
-//! | Fig. 13 (Uniprot, all systems)       | `repro fig13`, bench `fig13_uniprot` |
-//! | Fig. 14 (Myria, Uniprot)             | `repro fig14`, bench `fig14_myria_uniprot` |
-//! | §V-E communication claims            | `repro comm`, bench `ablation_comm` |
-//! | §III rewrite rules                   | bench `ablation_rewrites` |
+//! | Fig. 7 (P_plw implementations)       | `repro fig7` |
+//! | Fig. 8 (Uniprot scalability)         | `repro fig8` |
+//! | Fig. 9 (Yago, all systems)           | `repro fig9` |
+//! | Fig. 10 (concatenated closures)      | `repro fig10` |
+//! | Fig. 11 (μ-RA queries)               | `repro fig11` |
+//! | Fig. 12 (Myria, same generation)     | `repro fig12` |
+//! | Fig. 13 (Uniprot, all systems)       | `repro fig13` |
+//! | Fig. 14 (Myria, Uniprot)             | `repro fig14` |
+//! | §V-E communication claims            | `repro comm` |
+//! | §III rewrite rules                   | `repro rewrites` |
 //!
 //! Run everything: `cargo run --release -p mura-bench --bin repro`.
 //!
@@ -27,7 +27,6 @@
 
 pub mod datasets;
 pub mod experiments;
-pub mod harness;
 pub mod report;
 pub mod systems;
 

@@ -4,7 +4,7 @@
 //! party that starts an evaluation and the evaluation itself. The evaluator
 //! calls [`CancellationToken::check`] at every fixpoint superstep (the
 //! natural preemption points of recursive query evaluation — see
-//! `mura-dist`'s `P_gld`, `P_plw` and `P_async` loops); the owner flips the
+//! `mura-dist`'s `P_gld` and `P_plw` loops); the owner flips the
 //! flag from another thread to stop the work promptly.
 //!
 //! A token can also carry a **deadline**. Deadlines are distinct from the

@@ -9,7 +9,6 @@
 //! distinct); otherwise run `P_gld` (global driver loop, one shuffle per
 //! iteration).*
 
-use crate::asyncfix::eval_async_at;
 use crate::cluster::{Cluster, CommBackend, ReplicaId};
 use crate::distrel::DistRel;
 use crate::fault::{FaultConfig, FaultPlan, FaultSnapshot, RecoveryPolicy};
@@ -26,9 +25,7 @@ use mura_core::kernel::kernel_stats;
 use mura_core::{
     CancellationToken, Database, KernelSnapshot, MuraError, Relation, Result, Schema, Sym, Term,
 };
-use mura_obs::trace::{
-    EventKind, PlanKind, QueryTrace, RecoveryKind, TraceEvent, TraceLevel, TraceSink, DRIVER,
-};
+use mura_obs::trace::{EventKind, PlanKind, QueryTrace, TraceEvent, TraceLevel, TraceSink};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,10 +42,6 @@ pub enum FixpointPlan {
     /// Always use parallel local loops (without a stable column this adds
     /// a final global distinct, per Proposition 3).
     ForcePlw,
-    /// Asynchronous evaluation (Myria's async mode, §VI): workers exchange
-    /// deltas through channels with no global barriers. See
-    /// [`crate::asyncfix`].
-    ForceAsync,
 }
 
 /// Row/byte/time budgets; exceeding them aborts with
@@ -59,8 +52,8 @@ pub enum FixpointPlan {
 pub struct ResourceLimits {
     pub max_rows: Option<u64>,
     /// Estimated-byte budget for materialized state (deltas, accumulators,
-    /// cached join indexes and folded constants). Enforced in all three
-    /// fixpoint drivers; a breach yields [`MuraError::MemoryExceeded`]
+    /// cached join indexes and folded constants). Enforced in both
+    /// fixpoint plans; a breach yields [`MuraError::MemoryExceeded`]
     /// instead of letting the query run the process out of memory.
     pub max_bytes: Option<u64>,
     pub timeout: Option<Duration>,
@@ -631,8 +624,6 @@ impl<'db> DistEvaluator<'db> {
         let out = if plw {
             self.stats.plw_fixpoints += 1;
             self.eval_plw(x, seed, (&recs, &owed), &stable, initial)?
-        } else if self.config.plan == FixpointPlan::ForceAsync {
-            self.eval_async_plan(x, seed, (&recs, &owed), initial)?
         } else {
             self.stats.gld_fixpoints += 1;
             self.eval_gld(x, seed, (&recs, &owed), initial)?
@@ -728,44 +719,6 @@ impl<'db> DistEvaluator<'db> {
         end_ev.delta_rows = out.len() as u64;
         self.record_point(end_ev);
         Ok(out)
-    }
-
-    /// `P_async`: barrier-free delta exchange (see [`crate::asyncfix`]).
-    /// Like `P_plw`, workers need local copies of the loop invariants.
-    ///
-    /// Recovery: an asynchronous computation has no consistent mid-run
-    /// snapshot to checkpoint, so a retryable failure reruns the whole
-    /// fixpoint from its seed ([`RecoveryPolicy::rerun`]). The fault site
-    /// is pinned across attempts, so afflicted workers heal after
-    /// [`FaultConfig::failures_per_site`] attempts and the reruns end
-    /// deterministically.
-    fn eval_async_plan(
-        &mut self,
-        x: Sym,
-        seed: DistRel,
-        (recs, owed): (&[Term], &[Owed]),
-        initial: Option<(Relation, Relation)>,
-    ) -> Result<DistRel> {
-        self.in_bracket(
-            PlanKind::Async,
-            seed.len(),
-            owed,
-            |_| Ok(()),
-            |ev, fx, ()| {
-                ev.stats.fixpoint_iterations += 1;
-                let (cluster, resume) = (&ev.cluster, initial.as_ref());
-                let sup = ev.supervision(fx, PlanKind::Async, cluster.fault().next_site());
-                let out = sup.recovery.rerun(
-                    || sup.budget.check(),
-                    || {
-                        sup.fault.record_full_restart(seed.len() as u64);
-                        sup.record_recovery(DRIVER, 0, RecoveryKind::Restart);
-                    },
-                    |attempt| eval_async_at(&seed, recs, x, cluster, &sup, attempt, resume),
-                )?;
-                Ok((out, 0))
-            },
-        )
     }
 
     /// `P_gld`: the driver iterates; every step applies the prepared
@@ -1010,12 +963,7 @@ mod tests {
     fn all_plans_match_centralized() {
         let (db, term) = paper_db();
         let expected = eval_central(&term, &db).unwrap();
-        for plan in [
-            FixpointPlan::Auto,
-            FixpointPlan::ForceGld,
-            FixpointPlan::ForcePlw,
-            FixpointPlan::ForceAsync,
-        ] {
+        for plan in [FixpointPlan::Auto, FixpointPlan::ForceGld, FixpointPlan::ForcePlw] {
             for engine in [LocalEngine::SetRdd, LocalEngine::Sorted] {
                 let (got, _, _) = run(plan, engine);
                 assert_eq!(

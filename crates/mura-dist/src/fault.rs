@@ -22,8 +22,8 @@
 //! with bounded exponential backoff in the cluster's task supervisor,
 //! checkpoint restore / restart in the one semi-naive loop
 //! ([`crate::fixloop`]) that `P_gld` and `P_plw` share, and
-//! [`RecoveryPolicy::rerun`] for what can only be run again — a stage, or a
-//! whole `P_async` fixpoint (see `DESIGN.md` §10).
+//! [`RecoveryPolicy::rerun`] for what can only be run again, a stage (see
+//! `DESIGN.md` §10).
 
 use mura_core::{MuraError, Result};
 use mura_datagen::SplitMix64;
@@ -203,7 +203,7 @@ impl RecoveryPolicy {
     }
 
     /// Restart-only supervision, for work with no state to roll back to (a
-    /// stage of pure tasks, a whole `P_async` fixpoint): runs `attempt(n)`,
+    /// stage of pure tasks): runs `attempt(n)`,
     /// `n` being the failed attempts so far, until it succeeds, fails with
     /// an error that is not retryable, or has been rerun
     /// [`RecoveryPolicy::max_restores`] times. `check` runs before every
@@ -580,23 +580,6 @@ impl FaultPlan {
             .wrapping_add(site.wrapping_mul(0xE703_7ED1_A0B4_28DB))
             .wrapping_add((worker as u64).wrapping_mul(0x8EBC_6AF0_9C88_C6E3));
         Some(SplitMix64::seed_from_u64(entropy).next_u64())
-    }
-
-    /// Row-level drop decision for the asynchronous plan, keyed on the row's
-    /// content hash: async batch boundaries are timing-dependent, row
-    /// contents are not, so this keeps `P_async` fault injection
-    /// deterministic. Pure — records nothing; callers accumulate counts
-    /// locally and add them to [`FaultStats::injected_drops`] only when the
-    /// attempt succeeds (counts recorded during an attempt that later aborts
-    /// would depend on how far each worker got before noticing the abort).
-    pub fn would_drop_row(&self, row_hash: u64) -> bool {
-        self.roll(FaultClass::Drop, row_hash, 0, 0, self.cfg.drop_prob)
-    }
-
-    /// Row-level duplication decision for the asynchronous plan (pure, see
-    /// [`FaultPlan::would_drop_row`]).
-    pub fn would_duplicate_row(&self, row_hash: u64) -> bool {
-        self.roll(FaultClass::Duplicate, row_hash, 0, 0, self.cfg.duplicate_prob)
     }
 
     /// Records a rollback to a checkpoint: `rows` reloaded, `iterations`

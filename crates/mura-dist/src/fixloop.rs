@@ -22,7 +22,7 @@ pub struct Supervision<'a> {
     pub budget: &'a Budget,
     /// The plan injected faults are drawn from and recoveries counted in.
     pub fault: &'a FaultPlan,
-    /// Fault site of the fixpoint's worker loops (`P_plw`, `P_async`):
+    /// Fault site of the fixpoint's worker loops (`P_plw`):
     /// allocated on the driver, so deterministic, and shared by all its
     /// workers. The `P_gld` driver draws one per stage and leaves this unused.
     pub site: u64,
@@ -58,7 +58,7 @@ impl<'a> Supervision<'a> {
     }
 
     /// Records the recovery the loop on trace `lane` took back to `iteration`.
-    pub fn record_recovery(&self, lane: i32, iteration: u64, kind: RecoveryKind) {
+    fn record_recovery(&self, lane: i32, iteration: u64, kind: RecoveryKind) {
         if let Some(sink) = self.trace {
             let mut ev = TraceEvent::new(EventKind::Recovery, self.fixpoint, self.plan);
             ev.worker = lane;

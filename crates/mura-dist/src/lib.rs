@@ -24,7 +24,6 @@
 //! The top-level entry point is [`QueryEngine`]: UCRPQ → μ-RA → rewrite →
 //! physical plan → distributed execution with [`CommStats`].
 
-pub mod asyncfix;
 pub mod cluster;
 pub mod distrel;
 pub mod engine;

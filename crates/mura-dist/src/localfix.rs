@@ -18,8 +18,7 @@
 //! fused into chains that build no intermediate row, and a superstep
 //! accumulates what the chains put out into the accumulator **in place**
 //! ([`LocalRel::absorb_new`]) — the rows that were new are the next delta.
-//! The `P_gld` driver and the `P_async` workers apply the same branches
-//! through [`eval_branch`].
+//! The `P_gld` driver applies the same branches through [`eval_branch`].
 
 use crate::fault::FaultPlan;
 use crate::fixloop::{self, Superstep, Supervision};
@@ -756,8 +755,8 @@ fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<
 }
 
 /// Applies one prepared recursive branch to a delta, yielding the produced
-/// rows as a relation of their own (used by `P_async` workers and the
-/// `P_gld` driver, which exchange them before they are accumulated).
+/// rows as a relation of their own (used by the `P_gld` driver, which
+/// exchanges them before they are accumulated).
 pub fn eval_branch<R: LocalRel>(p: &Prepared<R>, delta: &R) -> R {
     let mut sink = Sink::new(&p.schema);
     p.root.rows_into(delta, &mut sink);

@@ -3,7 +3,7 @@
 //! [`ProcCluster`] spawns `n` copies of the `mura-worker` binary, learns
 //! their ephemeral loopback ports from stdout, and connects a control
 //! socket plus a dedicated heartbeat socket to each. It implements
-//! [`CommBackend`], so the three fixpoint drivers run **unchanged** — only
+//! [`CommBackend`], so both fixpoint plans run **unchanged** — only
 //! the exchange/broadcast data plane moves:
 //!
 //! * `exchange`: a bucket that stays on its worker (`buckets[w][w]`) is

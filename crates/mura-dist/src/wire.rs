@@ -28,7 +28,7 @@
 //! its destination peer as `Deliver`, and hand buffered buckets back to the
 //! coordinator on `Take`; and it keeps each named broadcast (`Bcast` with a
 //! [`ReplicaId`]) until the coordinator names it for eviction. This keeps
-//! the three fixpoint drivers unchanged (computation stays with the
+//! both fixpoint plans unchanged (computation stays with the
 //! coordinator's task threads) while making hash-exchange and broadcast
 //! traffic *real* socket bytes.
 

@@ -1,7 +1,7 @@
 //! Chaos tests for the fault-injection / recovery subsystem.
 //!
-//! Three properties, over all three fixpoint plans (`P_gld`, `P_plw`,
-//! `P_async`) on random Erdős–Rényi graphs:
+//! Three properties, over both fixpoint plans (`P_gld`, `P_plw`) on random
+//! Erdős–Rényi graphs:
 //!
 //! 1. **Determinism** — the same `FaultConfig` seed over the same query
 //!    produces the same answer *and* the same [`FaultSnapshot`] counts
@@ -26,8 +26,7 @@ use mura_ucrpq::{parse_ucrpq, to_mura};
 use std::time::Duration;
 
 const TC_QUERY: &str = "?x, ?y <- ?x a1+ ?y";
-const PLANS: [FixpointPlan; 3] =
-    [FixpointPlan::ForceGld, FixpointPlan::ForcePlw, FixpointPlan::ForceAsync];
+const PLANS: [FixpointPlan; 2] = [FixpointPlan::ForceGld, FixpointPlan::ForcePlw];
 
 /// Base seed for the run; the chaos CI job sweeps it via `MURA_CHAOS_SEED`.
 /// The default is a seed verified to drive every recovery path (task
@@ -277,8 +276,8 @@ fn memory_exceeded_is_not_retried() {
 }
 
 /// Hard faults (failing longer than the task retry budget) must fall back
-/// to superstep checkpoints (`P_gld`, `P_plw`) or a fixpoint restart
-/// (`P_async`) and still produce the exact answer.
+/// to superstep checkpoints, or restart the loop when none exists yet, and
+/// still produce the exact answer.
 #[test]
 fn hard_faults_restore_from_checkpoints() {
     let mut total = FaultSnapshot::default();
@@ -303,8 +302,8 @@ fn hard_faults_restore_from_checkpoints() {
         eprintln!("hard faults {plan:?}: {f}");
         if f.injected_panics > 0 {
             // Escalation beyond in-task retries: a stage rerun (stateless
-            // stage), a checkpoint restore (superstep loops) or a full
-            // restart (`P_async`), depending on where the panics landed.
+            // stage), a checkpoint restore or a restart of the superstep
+            // loop, depending on where the panics landed.
             assert!(
                 f.stage_reruns + f.checkpoint_restores + f.full_restarts > 0,
                 "{plan:?}: hard faults must escalate past task retries: {f}"

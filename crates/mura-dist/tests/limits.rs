@@ -1,7 +1,6 @@
-//! Resource-limit coverage across all fixpoint plans: row-cap exhaustion,
+//! Resource-limit coverage across both fixpoint plans: row-cap exhaustion,
 //! byte-budget breach, timeout expiry and token cancellation must abort
-//! cleanly (no hang, no panic) under `P_gld`, `P_plw` and the asynchronous
-//! evaluator.
+//! cleanly (no hang, no panic) under `P_gld` and `P_plw`.
 
 use mura_core::{CancellationToken, Database, MuraError, Relation};
 use mura_dist::exec::{ExecConfig, FixpointPlan, ResourceLimits};
@@ -20,8 +19,7 @@ fn cycle_db(n: u64) -> Database {
 
 const TC: &str = "?x, ?y <- ?x e+ ?y";
 
-const PLANS: [FixpointPlan; 3] =
-    [FixpointPlan::ForceGld, FixpointPlan::ForcePlw, FixpointPlan::ForceAsync];
+const PLANS: [FixpointPlan; 2] = [FixpointPlan::ForceGld, FixpointPlan::ForcePlw];
 
 fn run_on(
     n: u64,

@@ -10,8 +10,8 @@ use mura_datagen::er::erdos_renyi;
 use mura_dist::localfix::{local_fixpoint, local_fixpoint_reference, Budget, LocalEngine};
 use mura_dist::{DistEvaluator, ExecConfig, FaultConfig, FixpointPlan, RecoveryPolicy};
 
-const PLANS: [FixpointPlan; 4] =
-    [FixpointPlan::Auto, FixpointPlan::ForceGld, FixpointPlan::ForcePlw, FixpointPlan::ForceAsync];
+const PLANS: [FixpointPlan; 3] =
+    [FixpointPlan::Auto, FixpointPlan::ForceGld, FixpointPlan::ForcePlw];
 const ENGINES: [LocalEngine; 2] = [LocalEngine::SetRdd, LocalEngine::Sorted];
 
 /// Transitive-closure fixpoint term over the edge relation `e`.

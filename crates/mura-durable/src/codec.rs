@@ -251,12 +251,22 @@ pub fn put_delta_batch(out: &mut Vec<u8>, batch: &DeltaBatch) {
     }
 }
 
-/// Decodes a delta batch.
+/// Decodes a delta batch. Relations must come as [`put_delta_batch`]
+/// writes them, sorted and unique: one named twice is not two deltas.
 pub fn get_delta_batch(cur: &mut Cur) -> Result<DeltaBatch, CodecError> {
     let n = cur.seq_len(4)?;
     let mut batch = DeltaBatch::new();
+    let mut last = None;
     for _ in 0..n {
+        let at = cur.pos();
         let k = get_sym(cur)?;
+        if last.is_some_and(|l| l >= k) {
+            return Err(CodecError::Invalid {
+                at,
+                what: "delta batch relations (unsorted or duplicated)",
+            });
+        }
+        last = Some(k);
         let insert = get_relation(cur)?;
         let delete = get_relation(cur)?;
         batch.rels.insert(k, RelDelta { insert, delete });
@@ -482,6 +492,29 @@ mod tests {
         let d = &back.rels[&edge];
         assert_eq!(d.insert.sorted_rows(), batch.rels[&edge].insert.sorted_rows());
         assert_eq!(d.delete.sorted_rows(), batch.rels[&edge].delete.sorted_rows());
+    }
+
+    #[test]
+    fn delta_batch_naming_a_relation_twice_is_invalid() {
+        let db = sample_db();
+        let mut keys = [db.dict().lookup("edge").unwrap(), db.dict().lookup("empty").unwrap()];
+        keys.sort_unstable();
+        let [lo, hi] = keys;
+        let encoded = |keys: [Sym; 2]| {
+            let mut out = Vec::new();
+            put_u32(&mut out, 2);
+            for k in keys {
+                put_sym(&mut out, k);
+                put_relation(&mut out, db.relation(k).unwrap());
+                put_relation(&mut out, db.relation(k).unwrap());
+            }
+            out
+        };
+        assert_eq!(get_delta_batch(&mut Cur::new(&encoded([lo, hi]))).unwrap().rels.len(), 2);
+        for keys in [[lo, lo], [hi, lo]] {
+            let got = get_delta_batch(&mut Cur::new(&encoded(keys)));
+            assert!(matches!(got, Err(CodecError::Invalid { .. })), "{keys:?}: {got:?}");
+        }
     }
 
     #[test]

@@ -146,11 +146,23 @@ impl DeltaBatch {
     /// the same row. After normalization `insert` holds exactly the rows
     /// that will appear and `delete` exactly the rows that will vanish —
     /// the precondition of [`plan_maintenance`]. Relations the batch does
-    /// not actually change are removed entirely.
+    /// not actually change are removed entirely. A side whose schema is not
+    /// the stored relation's (arity or columns) is a
+    /// [`MuraError::SchemaMismatch`], so such a batch is refused before it
+    /// is logged or applied.
     pub fn normalize(&mut self, db: &Database) -> Result<()> {
         let mut dead = Vec::new();
         for (rel, d) in self.rels.iter_mut() {
             let cur = db.relation(*rel).ok_or(MuraError::UnboundVariable(*rel))?;
+            for side in [&d.insert, &d.delete] {
+                if side.schema() != cur.schema() {
+                    return Err(MuraError::SchemaMismatch {
+                        left: cur.schema().clone(),
+                        right: side.schema().clone(),
+                        context: "delta batch",
+                    });
+                }
+            }
             // `(R \ delete) ∪ insert`: a row in both sides ends up present.
             let delete = d.delete.filter(|row| cur.contains(row) && !d.insert.contains(row));
             let insert = d.insert.filter(|row| !cur.contains(row));

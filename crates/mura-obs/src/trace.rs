@@ -130,7 +130,6 @@ pub enum PlanKind {
     None,
     Gld,
     Plw,
-    Async,
 }
 
 impl PlanKind {
@@ -140,7 +139,6 @@ impl PlanKind {
             PlanKind::None => "none",
             PlanKind::Gld => "gld",
             PlanKind::Plw => "plw",
-            PlanKind::Async => "async",
         }
     }
 }

@@ -94,7 +94,6 @@ fn parse_args() -> Args {
                 args.plan = match val().as_str() {
                     "gld" => FixpointPlan::ForceGld,
                     "plw" => FixpointPlan::ForcePlw,
-                    "async" => FixpointPlan::ForceAsync,
                     "auto" => FixpointPlan::Auto,
                     other => die(&format!("unknown --plan {other}")),
                 }

@@ -640,6 +640,21 @@ mod tests {
         server.shutdown();
     }
 
+    /// A fresh durable configuration in a scratch directory named by `tag`.
+    fn durable(tag: &str) -> (PathBuf, ServeConfig) {
+        let dir = std::env::temp_dir().join(format!("mura-serve-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        (dir.clone(), ServeConfig { data_dir: Some(dir), ..Default::default() })
+    }
+
+    /// A batch inserting the edge `3 → 4`.
+    fn edge_3_4(db: &Database) -> DeltaBatch {
+        let mut batch = DeltaBatch::new();
+        let row = vec![mura_core::Value::node(3), mura_core::Value::node(4)];
+        batch.push_insert(db, db.dict().lookup("edge").unwrap(), row.into()).unwrap();
+        batch
+    }
+
     /// A load whose WAL record cannot be written — here the record is
     /// written in full and the write then reports an error — must leave
     /// version, epoch, database, caches and log exactly as they were, and
@@ -648,9 +663,7 @@ mod tests {
     /// of the log and the next restart failed with "replay version drift".)
     #[test]
     fn load_that_fails_to_log_changes_nothing() {
-        let dir = std::env::temp_dir().join(format!("mura-serve-logged-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = ServeConfig { data_dir: Some(dir.clone()), ..Default::default() };
+        let (dir, config) = durable("logged");
         let server = Server::recover(QueryEngine::new(path_db()), config.clone()).unwrap();
         let wal = dir.join("wal.log");
         // Early runs feed observed cardinalities back and may replan; by
@@ -678,13 +691,7 @@ mod tests {
         // The next mutations log at the versions memory is at, and a
         // restart replays them.
         server.load(|db| extra_relation(db, "extra"));
-        let batch = server.with_db(|db| {
-            let mut batch = DeltaBatch::new();
-            let row = vec![mura_core::Value::node(3), mura_core::Value::node(4)];
-            batch.push_insert(db, db.dict().lookup("edge").unwrap(), row.into()).unwrap();
-            batch
-        });
-        assert_eq!(server.apply_delta(batch).unwrap().version, 2);
+        assert_eq!(server.apply_delta(server.with_db(edge_3_4)).unwrap().version, 2);
         let logged = mura_durable::wal::replay_file(&wal).unwrap();
         let versions: Vec<u64> = logged.records.iter().map(WalRecord::version).collect();
         assert_eq!((versions, logged.torn), (vec![1, 2], None));
@@ -694,6 +701,78 @@ mod tests {
         let recovered = Server::recover(QueryEngine::new(path_db()), config).unwrap();
         assert_eq!((recovered.version(), recovered.epoch()), (2, 1));
         assert_eq!(recovered.query(TC).unwrap().relation.len(), rows);
+        recovered.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `path_db` with a name no stored relation has as a column.
+    fn mutation_db() -> Database {
+        let mut db = path_db();
+        db.intern("w");
+        db
+    }
+
+    /// A one-row insert into `edge` (stored as `src`, `dst`) whose sides
+    /// carry the columns `cols`.
+    fn misshapen_batch(db: &Database, cols: &[&str]) -> DeltaBatch {
+        let sym = |c: &&str| db.dict().lookup(c).unwrap();
+        let mut delta =
+            crate::RelDelta::new(mura_core::Schema::new(cols.iter().map(sym).collect()));
+        delta.insert.insert(vec![mura_core::Value::node(7); cols.len()]);
+        let mut batch = DeltaBatch::new();
+        batch.rels.insert(db.dict().lookup("edge").unwrap(), delta);
+        batch
+    }
+
+    /// A batch whose schema is not the stored relation's is refused typed
+    /// before anything is logged or applied.
+    fn refuses_misshapen(tag: &str, cols: &[&str]) {
+        let (dir, config) = durable(tag);
+        let server = Server::recover(QueryEngine::new(mutation_db()), config).unwrap();
+        let wal = dir.join("wal.log");
+        let before = (server.version(), std::fs::metadata(&wal).unwrap().len());
+        let refused = server.apply_delta(server.with_db(|db| misshapen_batch(db, cols)));
+        assert!(
+            matches!(refused, Err(ServeError::Engine(MuraError::SchemaMismatch { .. }))),
+            "{refused:?}"
+        );
+        let after = (server.version(), std::fs::metadata(&wal).unwrap().len());
+        assert_eq!(after, before, "version and log length");
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn delta_of_another_arity_is_refused_before_it_is_logged() {
+        refuses_misshapen("arity", &["src", "dst", "w"]);
+    }
+
+    #[test]
+    fn delta_with_other_columns_is_refused_before_it_is_logged() {
+        refuses_misshapen("columns", &["src", "w"]);
+    }
+
+    /// A log holding a misshapen batch at v1 — left by a build that logged
+    /// it before failing to apply it — recovers at v0, takes the next
+    /// mutation at v1 and recovers again to the same answer.
+    #[test]
+    fn logged_misshapen_delta_is_skipped_by_recovery() {
+        let (dir, config) = durable("leftover");
+        Server::recover(QueryEngine::new(mutation_db()), config.clone()).unwrap().shutdown();
+        let (mut wal, _) = Wal::open(&dir, SyncPolicy::Never).unwrap();
+        wal.append_delta(1, &misshapen_batch(&mutation_db(), &["src", "dst", "w"])).unwrap();
+        drop(wal);
+
+        let server = Server::recover(QueryEngine::new(mutation_db()), config.clone()).unwrap();
+        assert_eq!(server.version(), 0);
+        assert_eq!(server.apply_delta(server.with_db(edge_3_4)).unwrap().version, 1);
+        let rows = server.query(TC).unwrap().relation.sorted_rows();
+        assert_eq!(rows.len(), 10);
+        server.shutdown();
+
+        let recovered = Server::recover(QueryEngine::new(mutation_db()), config).unwrap();
+        assert_eq!(recovered.version(), 1);
+        assert_eq!(recovered.query(TC).unwrap().relation.sorted_rows(), rows);
         recovered.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -325,7 +325,7 @@ fn injected_faults(moved: &mut Moved) {
     // A restore replays iterations when checkpoints are a step apart; the
     // faults that outlast the retries need one at every step to get through.
     for (fault, checkpoint_every) in [(FaultConfig::chaos(7), 2), (pressure, 2), (hard, 1)] {
-        for plan in [FixpointPlan::ForceGld, FixpointPlan::ForcePlw, FixpointPlan::ForceAsync] {
+        for plan in [FixpointPlan::ForceGld, FixpointPlan::ForcePlw] {
             let config = ExecConfig {
                 plan,
                 fault,

@@ -185,11 +185,6 @@ fn crash_recovery_matrix_plw() {
     check_matrix("plw");
 }
 
-#[test]
-fn crash_recovery_matrix_async() {
-    check_matrix("async");
-}
-
 /// The durable tier composes with the real multi-process cluster backend:
 /// crash the *coordinator* mid-append while workers are live subprocesses,
 /// then recover against the same directory.

@@ -67,12 +67,7 @@ fn example2_fixpoint_all_routes() {
     // Distributed (all plans and both local engines).
     use mura_dist::exec::FixpointPlan;
     use mura_dist::LocalEngine;
-    for plan in [
-        FixpointPlan::Auto,
-        FixpointPlan::ForceGld,
-        FixpointPlan::ForcePlw,
-        FixpointPlan::ForceAsync,
-    ] {
+    for plan in [FixpointPlan::Auto, FixpointPlan::ForceGld, FixpointPlan::ForcePlw] {
         for engine in [LocalEngine::SetRdd, LocalEngine::Sorted] {
             let config = ExecConfig { plan, local_engine: engine, ..Default::default() };
             let mut qe = QueryEngine::with_config(db2.clone(), config);

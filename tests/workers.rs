@@ -26,12 +26,7 @@ fn answers_invariant_under_worker_count() {
     for q in queries {
         let mut reference: Option<Vec<_>> = None;
         for workers in [1usize, 2, 3, 5, 8] {
-            for plan in [
-                FixpointPlan::Auto,
-                FixpointPlan::ForceGld,
-                FixpointPlan::ForcePlw,
-                FixpointPlan::ForceAsync,
-            ] {
+            for plan in [FixpointPlan::Auto, FixpointPlan::ForceGld, FixpointPlan::ForcePlw] {
                 let config = ExecConfig { workers, plan, ..Default::default() };
                 let mut qe = QueryEngine::with_config(base.clone(), config);
                 let rows = qe
