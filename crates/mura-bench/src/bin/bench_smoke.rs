@@ -54,6 +54,11 @@
 //! split over four workers — and counts the allocations of building a
 //! 100,000-row relation row by row, gated at 64: the buffers double their
 //! way up, no row is an allocation.
+//!
+//! A `reply` section times the line protocol's response encoder on the
+//! serving tier's commonest read, a result-cache hit: microseconds per
+//! `protocol::respond` of a cached 10,000-row two-column answer (median of
+//! [`REPLY_SAMPLES`]), and the bytes of that reply. Reported, not gated.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,6 +74,7 @@ use mura_dist::{
     Cluster, DistEvaluator, DistRel, ExecConfig, FixpointPlan, QueryEngine, TraceLevel,
 };
 use mura_obs::counters::json_object;
+use mura_serve::protocol::{respond, Session};
 
 const WORKERS: usize = 4;
 
@@ -108,6 +114,44 @@ static GLOBAL: Counting = Counting;
 
 /// Rows of the allocation-gated build of the `relation` section.
 const BUILD_ROWS: usize = 100_000;
+
+/// Rows of the cached answer the `reply` section serves.
+const REPLY_ROWS: u64 = 10_000;
+
+/// Protocol reads the `reply` section times.
+const REPLY_SAMPLES: usize = 200;
+
+/// The `reply` section: median µs per [`respond`] of a cached
+/// [`REPLY_ROWS`]-row answer, and the bytes of its reply.
+fn reply_section() -> (f64, usize) {
+    let mut db = Database::new();
+    let (src, dst) = (db.intern("src"), db.intern("dst"));
+    let pairs = (0..REPLY_ROWS).map(|i| (i, i * 7_919 % REPLY_ROWS));
+    db.insert_relation("edge", Relation::from_pairs(src, dst, pairs));
+    let server = mura_serve::Server::start(QueryEngine::new(db), Default::default());
+    let (text, session) = ("?x, ?y <- ?x edge ?y", &mut Session::default());
+    // Planned, executed and filed; the planner's feedback settles.
+    for _ in 0..3 {
+        respond(&server, session, text);
+    }
+    let hits = server.stats().result_hits;
+    let mut bytes = 0;
+    let mut walls: Vec<Duration> = (0..REPLY_SAMPLES)
+        .map(|_| {
+            let t = Instant::now();
+            let reply = respond(&server, session, text);
+            let wall = t.elapsed();
+            // Every line and its newline, then the terminator's `.\n`.
+            bytes = reply.lines().map(|line| line.len() + 1).sum::<usize>() + 2;
+            wall
+        })
+        .collect();
+    let sampled = server.stats().result_hits - hits;
+    assert_eq!(sampled, REPLY_SAMPLES as u64, "every timed read is a result-cache hit");
+    server.shutdown();
+    walls.sort_unstable();
+    (walls[REPLY_SAMPLES / 2].as_secs_f64() * 1e6, bytes)
+}
 
 /// `rows` distinct binary rows (and, from `rows` on, as many that are not
 /// among them).
@@ -524,6 +568,8 @@ fn main() {
     let _ = std::fs::remove_dir_all(&wal_dir);
     let wal_overhead_pct = (wal_on.as_secs_f64() / wal_off.as_secs_f64() - 1.0) * 100.0;
 
+    let (reply_us, reply_bytes) = reply_section();
+
     let reference = summarize(&ref_samples);
     let optimized = summarize(&opt_samples);
     let speedup = reference.mean_ms / optimized.mean_ms;
@@ -578,6 +624,10 @@ fn main() {
         wal_on.as_secs_f64() * 1e3,
     );
 
+    println!(
+        "  reply:     {REPLY_ROWS}-row cached answer: {reply_us:.1} µs per respond (median of {REPLY_SAMPLES}), {reply_bytes} bytes"
+    );
+
     let proc_json = proc_tracing
         .as_ref()
         .map(|(off, traced, pct, events)| {
@@ -607,7 +657,7 @@ fn main() {
         relation_sizes.join(", "),
     );
     let json = format!(
-        "{{\n  \"bench\": \"fixpoint_tc_er\",\n  \"plan\": \"p_plw\",\n  \"engine\": \"set_rdd\",\n  \"workers\": {WORKERS},\n  \"graph\": {{\"nodes\": {n}, \"edge_prob\": {p}, \"seed\": {seed}, \"edges\": {}, \"tc_rows\": {opt_rows}}},\n  \"samples\": {samples},\n  \"iterations\": {loop_iterations},\n  \"reference\": {},\n  \"optimized\": {},\n  \"speedup\": {speedup:.3},\n  \"tracing\": {{\"off_min_ms\": {:.3}, \"superstep_min_ms\": {:.3}, \"overhead_pct\": {overhead_pct:.2}, \"events\": {}, \"superstep_events\": {traced_supersteps}, \"kernel_iterations\": {traced_iterations}, \"allocations_beyond_off\": {trace_allocations}}},\n{proc_json}{wire_json}{relation_json}  \"wal\": {{\"off_min_ms\": {:.3}, \"on_min_ms\": {:.3}, \"overhead_pct\": {wal_overhead_pct:.2}, \"batches\": {wal_batches}}},\n  \"comm\": {},\n  \"kernel\": {}\n}}\n",
+        "{{\n  \"bench\": \"fixpoint_tc_er\",\n  \"plan\": \"p_plw\",\n  \"engine\": \"set_rdd\",\n  \"workers\": {WORKERS},\n  \"graph\": {{\"nodes\": {n}, \"edge_prob\": {p}, \"seed\": {seed}, \"edges\": {}, \"tc_rows\": {opt_rows}}},\n  \"samples\": {samples},\n  \"iterations\": {loop_iterations},\n  \"reference\": {},\n  \"optimized\": {},\n  \"speedup\": {speedup:.3},\n  \"tracing\": {{\"off_min_ms\": {:.3}, \"superstep_min_ms\": {:.3}, \"overhead_pct\": {overhead_pct:.2}, \"events\": {}, \"superstep_events\": {traced_supersteps}, \"kernel_iterations\": {traced_iterations}, \"allocations_beyond_off\": {trace_allocations}}},\n{proc_json}{wire_json}{relation_json}  \"wal\": {{\"off_min_ms\": {:.3}, \"on_min_ms\": {:.3}, \"overhead_pct\": {wal_overhead_pct:.2}, \"batches\": {wal_batches}}},\n  \"reply\": {{\"rows\": {REPLY_ROWS}, \"samples\": {REPLY_SAMPLES}, \"median_us\": {reply_us:.1}, \"bytes\": {reply_bytes}}},\n  \"comm\": {},\n  \"kernel\": {}\n}}\n",
         e.len(),
         json_timings(&reference),
         json_timings(&optimized),

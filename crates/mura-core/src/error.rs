@@ -36,8 +36,8 @@ pub enum MuraError {
     MemoryExceeded { used: u64, limit: u64 },
     /// Evaluation exceeded the configured timeout.
     Timeout { millis: u64 },
-    /// The query was cancelled through its [`CancellationToken`]
-    /// (crate::cancel::CancellationToken).
+    /// The query was cancelled through its
+    /// [`CancellationToken`](crate::cancel::CancellationToken).
     Cancelled,
     /// A per-request deadline passed; `millis` is the granted budget.
     /// Distinct from [`MuraError::Timeout`], which reports the engine-level

@@ -10,7 +10,7 @@
 //!
 //! An index is a second view of storage that already exists: it keeps the
 //! build relation by `Arc` (no row is copied into it) and chains its rows by
-//! key hash through two `u32` arrays ([`Buckets`]) — no allocation per key.
+//! key hash through two `u32` arrays (`Buckets`) — no allocation per key.
 //! Probing is allocation-free too: the chains are entered by a 64-bit hash
 //! computed directly over the join-key values (no boxed key tuples), with
 //! entries verified by positional equality. Neither index builds output

@@ -29,7 +29,7 @@
 //!   body into constant part `R` and variable part `φ`, and the *stabilizer*
 //!   (the set of columns left unchanged by the recursive step — the key to
 //!   both filter pushing and the `P_plw` distributed plan);
-//! * centralized evaluation ([`eval`]): naive and semi-naive (Algorithm 1)
+//! * centralized evaluation ([`eval`](mod@eval)): naive and semi-naive (Algorithm 1)
 //!   fixpoint computation;
 //! * a named-relation [`catalog`] with string interning.
 //!

@@ -7,8 +7,8 @@
 //! accounts:
 //!
 //! * a per-query byte budget (`Budget.max_bytes` in `mura-dist`), which
-//!   turns a breach into [`MuraError::MemoryExceeded`]
-//!   (crate::error::MuraError::MemoryExceeded), and
+//!   turns a breach into [`MuraError::MemoryExceeded`](crate::error::MuraError::MemoryExceeded),
+//!   and
 //! * the process-wide [`MemGauge`] singleton here, which tracks the live
 //!   working-set across *all* in-flight queries so a serving layer can make
 //!   admission decisions against the real watermark.

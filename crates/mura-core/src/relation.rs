@@ -20,7 +20,7 @@
 //! are resolved by linear probing at a load of at most one half (at 7/8 a
 //! miss walks three times as far). The table's hash is its own function of
 //! the row, finalised so that it shares no bits with
-//! [`hash_key`](crate::index::hash_key): that hash *placed* the rows of a
+//! [`hash_key`]: that hash *placed* the rows of a
 //! partition, so all of them agree on it modulo the worker count, and a table
 //! indexed by it would leave the other slots empty.
 //!

@@ -359,7 +359,7 @@ impl Cluster {
     ///
     /// `rows(&items[i])` bounds what task `i` reads, and with it what it
     /// costs: a task of at most [`LIGHT_TASK_ROWS`] runs on the calling
-    /// thread (see [`join_tasks`]). Same results, same fault sites, same
+    /// thread (see `join_tasks`). Same results, same fault sites, same
     /// supervision — only where the task body executes differs.
     pub fn par_map_sized<T, R, F>(
         &self,

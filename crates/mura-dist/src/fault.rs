@@ -321,9 +321,9 @@ impl FaultSnapshot {
 }
 
 /// The deterministic fault-injection layer consulted by the cluster and the
-/// fixpoint loops. One plan is created per [`DistEvaluator`]
-/// (crate::exec::DistEvaluator) from `ExecConfig.fault` and shared (via
-/// `Arc`) with the cluster it drives.
+/// fixpoint loops. One plan is created per
+/// [`DistEvaluator`](crate::exec::DistEvaluator) from `ExecConfig.fault` and
+/// shared (via `Arc`) with the cluster it drives.
 ///
 /// **Determinism.** Site ids come from a driver-sequential counter
 /// ([`FaultPlan::next_site`]); every injection decision seeds a fresh

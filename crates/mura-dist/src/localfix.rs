@@ -52,7 +52,7 @@ pub enum LocalEngine {
 /// supersteps.
 ///
 /// Byte charges are mirrored into the process-wide
-/// [`mem_gauge`](mura_core::mem::mem_gauge) and released when the budget
+/// [`mem_gauge`] and released when the budget
 /// drops (i.e. when the query's evaluation ends), so the serving layer can
 /// observe the live cross-query working set.
 #[derive(Debug, Default)]
@@ -544,7 +544,7 @@ impl Chain {
 ///   loop-invariant expressions);
 /// * every run of row-local operators over the delta — renames, filters,
 ///   antiprojections, joins and antijoins against a folded constant — is
-///   **fused** into one [`Chain`]: the build-side [`JoinIndex`] / [`KeyIndex`]
+///   **fused** into one `Chain`: the build-side [`JoinIndex`] / [`KeyIndex`]
 ///   is built once, and each iteration streams the delta's rows through the
 ///   chain, materialising only the rows that come out of it;
 /// * a union, or a join/antijoin whose two sides both depend on the delta,
@@ -890,7 +890,7 @@ impl<R: LocalRel> Superstep for WorkerStep<'_, R> {
 }
 
 /// Worker `worker`'s loop of a `P_plw` fixpoint: [`fixloop::run`] over
-/// [`WorkerStep`], from this worker's `seed` share — or from its share of
+/// `WorkerStep`, from this worker's `seed` share — or from its share of
 /// resumed `(acc, delta)` state, the incremental view maintenance path; the
 /// resumed accumulator already contains the seed share.
 pub fn local_fixpoint_supervised<R: LocalRel>(

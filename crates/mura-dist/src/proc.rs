@@ -10,13 +10,13 @@
 //!   merged into partition `w` on the coordinator and never encoded. Every
 //!   other bucket is encoded once, straight into its source's [`Msg::Relay`]
 //!   frame; the relays go out to all source workers before any
-//!   acknowledgement is awaited (scatter/gather, [`ProcInner::round`]),
+//!   acknowledgement is awaited (scatter/gather, `ProcInner::round`),
 //!   each worker forwards every bucket to its destination peer over a
 //!   worker↔worker connection, and the coordinator collects every
 //!   destination's inbox the same way ([`Msg::Take`]), decoding each reply
 //!   straight into the destination partition. On the first attempt the
 //!   take travels right behind the relay — one round trip per exchange
-//!   ([`ProcInner::pipeline`]). A retry re-seals the same frames under a
+//!   (`ProcInner::pipeline`). A retry re-seals the same frames under a
 //!   fresh exchange id; rows are never encoded twice. Every bucket that
 //!   changes worker genuinely crosses sockets, so the
 //!   [`crate::metrics::CommStats`] wire counters measure real traffic —

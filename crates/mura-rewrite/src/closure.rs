@@ -21,7 +21,7 @@
 //! composes into the seed; *merging* combines an `LL`-able left operand with
 //! an `RL`-able right operand.
 //!
-//! Where those rules apply is a [`Decision`]: the one definition of each
+//! Where those rules apply is a `Decision`: the one definition of each
 //! point at which plans diverge, walked by the greedy pass and by the
 //! enumerator alike.
 

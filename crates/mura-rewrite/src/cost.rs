@@ -1,7 +1,7 @@
 //! Cardinality estimation and plan costing.
 //!
 //! A light-weight reimplementation of the estimator the paper relies on
-//! ([20], CIKM'20): per-relation row counts and per-column distinct counts
+//! (\[20\], CIKM'20): per-relation row counts and per-column distinct counts
 //! are propagated through the operators; fixpoints are estimated from their
 //! constant part and the expansion factor of one recursive step, capped by
 //! the cross product of column domains. The absolute numbers are rough —

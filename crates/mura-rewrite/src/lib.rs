@@ -3,7 +3,7 @@
 //! Implements the rewrite rules the paper leverages from the μ-RA work
 //! (§III) together with classical relational-algebra rules, and a
 //! cardinality-based cost model in the spirit of the CIKM'20 estimator
-//! ([20]) used by the paper's `CostEstimator`:
+//! (\[20\]) used by the paper's `CostEstimator`:
 //!
 //! * **Pushing filters into fixpoints** — a filter on a *stable* column
 //!   commutes with the fixpoint and is applied to the constant part.

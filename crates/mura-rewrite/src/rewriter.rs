@@ -286,7 +286,7 @@ fn highest_generated(t: &Term) -> u32 {
 }
 
 /// Runs `search`, puts `db`'s numbering of generated symbols back to where
-/// `search` found it and returns the plan in [`canonical`] form. What a
+/// `search` found it and returns the plan in `canonical` form. What a
 /// derivation minted for a plan that lost was never stored, and the next
 /// search mints the same numbers again: planning leaves in the dictionary
 /// the user's names the query brought (`?x`, …) and nothing else.

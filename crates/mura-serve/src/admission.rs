@@ -13,9 +13,10 @@ use crate::error::{OverloadReason, ServeError, ServeResult};
 use crate::lock;
 use crate::server::ServeConfig;
 use crate::telemetry::Telemetry;
+use crate::views::Answer;
 use mura_core::fxhash::FxHashMap;
 use mura_core::{mem_gauge, CancellationToken, MuraError};
-use mura_dist::{QueryOutput, TraceLevel};
+use mura_dist::TraceLevel;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -53,7 +54,7 @@ pub(crate) struct QueryJob {
     pub(crate) trace: TraceLevel,
     /// When the job was admitted; queue wait and wall latency both start here.
     submitted: Instant,
-    reply: Sender<ServeResult<Arc<QueryOutput>>>,
+    reply: Sender<ServeResult<Arc<Answer>>>,
 }
 
 enum Job {
@@ -291,7 +292,7 @@ impl Admission {
     pub(crate) fn work(
         &self,
         queue: &Queue,
-        process: impl Fn(&QueryJob) -> ServeResult<Arc<QueryOutput>>,
+        process: impl Fn(&QueryJob) -> ServeResult<Arc<Answer>>,
     ) {
         let t = &*self.telemetry;
         loop {
@@ -365,7 +366,7 @@ impl Admission {
 /// An admitted, in-flight query.
 #[derive(Debug)]
 pub struct Pending {
-    rx: Receiver<ServeResult<Arc<QueryOutput>>>,
+    rx: Receiver<ServeResult<Arc<Answer>>>,
     token: CancellationToken,
 }
 
@@ -383,12 +384,12 @@ impl Pending {
     }
 
     /// Blocks until the query resolves.
-    pub fn wait(self) -> ServeResult<Arc<QueryOutput>> {
+    pub fn wait(self) -> ServeResult<Arc<Answer>> {
         self.rx.recv().unwrap_or(Err(ServeError::Closed))
     }
 
     /// Non-blocking poll; `None` while still running.
-    pub fn try_wait(&self) -> Option<ServeResult<Arc<QueryOutput>>> {
+    pub fn try_wait(&self) -> Option<ServeResult<Arc<Answer>>> {
         self.rx.try_recv().ok()
     }
 }

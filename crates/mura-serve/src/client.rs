@@ -5,8 +5,9 @@ use crate::admission::Pending;
 use crate::error::{ServeError, ServeResult};
 use crate::server::{DeltaSummary, ServeConfig, ServerInner};
 use crate::telemetry::{self, ServeStats};
+use crate::views::Answer;
 use mura_core::Database;
-use mura_dist::{ClusterHealth, QueryEngine, QueryOutput, TraceLevel};
+use mura_dist::{ClusterHealth, QueryEngine, TraceLevel};
 use mura_durable::Wal;
 use mura_ivm::DeltaBatch;
 use mura_obs::Row;
@@ -137,17 +138,13 @@ pub struct Client {
 impl Client {
     /// Submits a query and blocks for the answer, under the server's
     /// default deadline (if any).
-    pub fn query(&self, query: &str) -> ServeResult<Arc<QueryOutput>> {
+    pub fn query(&self, query: &str) -> ServeResult<Arc<Answer>> {
         self.submit(query, self.inner.config.default_deadline)?.wait()
     }
 
     /// Submits a query and blocks for the answer under an explicit
     /// deadline. The deadline clock starts now — queue time counts.
-    pub fn query_with_deadline(
-        &self,
-        query: &str,
-        deadline: Duration,
-    ) -> ServeResult<Arc<QueryOutput>> {
+    pub fn query_with_deadline(&self, query: &str, deadline: Duration) -> ServeResult<Arc<Answer>> {
         self.submit(query, Some(deadline))?.wait()
     }
 
@@ -156,7 +153,7 @@ impl Client {
     /// `stats.trace` then carries the full [`mura_dist::QueryTrace`]
     /// (superstep timeline, communication per iteration) — see the
     /// `.profile` protocol command.
-    pub fn profile(&self, query: &str) -> ServeResult<Arc<QueryOutput>> {
+    pub fn profile(&self, query: &str) -> ServeResult<Arc<Answer>> {
         self.submit_traced(query, self.inner.config.default_deadline, TraceLevel::Superstep)?.wait()
     }
 

@@ -90,6 +90,7 @@ pub use mura_ivm::{DeltaBatch, RelDelta};
 pub use protocol::{read_response, serve_tcp, FrameError, TcpServeHandle, MAX_LINE};
 pub use server::{ClusterMode, DeltaSummary, ServeConfig};
 pub use telemetry::ServeStats;
+pub use views::Answer;
 
 /// Poison-tolerant locking, for every mutex of the tier: a worker that
 /// panicked mid-query must not take the whole server down with

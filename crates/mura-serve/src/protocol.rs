@@ -35,6 +35,7 @@
 
 use crate::client::{Client, Server};
 use crate::error::ServeResult;
+use mura_dist::QueryOutput;
 use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -207,7 +208,7 @@ fn handle_connection(stream: TcpStream, client: &Client) -> io::Result<()> {
             }
             Err(e) => return Err(e),
         };
-        out.write_all(response.text.as_bytes())?;
+        out.write_all(response.as_str().as_bytes())?;
         out.flush()?;
         if response.closes {
             return Ok(());
@@ -223,10 +224,11 @@ pub struct Session {
 }
 
 /// One reply, rendered: status line, body lines, terminator, in one
-/// buffer that goes to the socket in one write.
+/// buffer that goes to the socket in one write. A query's is its answer's
+/// filed reply, shared rather than copied.
 #[derive(Debug)]
 pub struct Response {
-    text: String,
+    text: Arc<str>,
     /// The session ends with this reply (`.quit`).
     pub closes: bool,
 }
@@ -245,13 +247,13 @@ impl Response {
             text.push_str(line);
             text.push('\n');
         }
-        Response::end(text)
+        end_block(&mut text);
+        Response { text: text.into(), closes: false }
     }
 
-    /// Terminates a block rendered by the caller.
-    fn end(mut text: String) -> Response {
-        end_block(&mut text);
-        Response { text, closes: false }
+    /// The reply as it goes to the socket, terminator included.
+    pub fn as_str(&self) -> &str {
+        &self.text
     }
 
     /// The lines of the reply, status first, terminator left out.
@@ -451,10 +453,17 @@ fn profile(client: &Client, _: &mut Session, query: &str) -> ServeResult<Respons
     Ok(Response::block(header, &body))
 }
 
-/// Runs a query and renders the whole response — status line, one body
-/// line per row in sorted order, terminator — into one buffer.
+/// Runs a query and replies with its answer's reply: rendered by
+/// [`render`] on the answer's first protocol read, written as it stands by
+/// every later one — a cache hit sorts and formats nothing.
 fn query(client: &Client, query: &str, deadline: Option<Duration>) -> ServeResult<Response> {
-    let out = client.submit(query, deadline)?.wait()?;
+    let answer = client.submit(query, deadline)?.wait()?;
+    Ok(Response { text: answer.reply(render), closes: false })
+}
+
+/// Renders the whole reply to a query — status line, one body line per row
+/// in sorted order, terminator — into one buffer.
+fn render(out: &QueryOutput) -> String {
     let rel = &out.relation;
     // A query that hit faults but recovered still answers with `OK` — the
     // result is exact — plus a typed degradation note, instead of dropping
@@ -472,7 +481,8 @@ fn query(client: &Client, query: &str, deadline: Option<Duration>) -> ServeResul
     }
     buf.push('\n');
     render_rows(rel, &mut buf);
-    Ok(Response::end(buf))
+    end_block(&mut buf);
+    buf
 }
 
 /// Appends `rel` as body lines, `(v, v, …)` per row in sorted order. The
@@ -581,6 +591,47 @@ mod tests {
             })
             .collect();
         assert_eq!((status.as_str(), body), ("OK 4 rows", listed));
+    }
+
+    /// A filed answer is rendered once: a read that finds it current, or
+    /// brings it forward untouched, writes the stored reply itself. A
+    /// mutation the view reads makes a new answer with a reply of its own,
+    /// and a traced run replies in its own format and files nothing.
+    #[test]
+    fn a_filed_answer_is_rendered_once() {
+        use crate::{ServeConfig, Server};
+        use mura_core::{Database, Relation};
+        use mura_dist::QueryEngine;
+        let mut db = Database::new();
+        let (src, dst) = (db.intern("src"), db.intern("dst"));
+        db.insert_relation("edge", Relation::from_pairs(src, dst, [(0, 1), (1, 2)]));
+        db.insert_relation("other", Relation::from_pairs(src, dst, [(5, 6)]));
+        let server = Server::start(QueryEngine::new(db), ServeConfig::default());
+        let session = &mut Session::default();
+        let text = "?x, ?y <- ?x edge+ ?y";
+        let read = |session: &mut Session| respond(&server, session, text).text;
+
+        let first = read(session);
+        assert!(first.starts_with("OK 3 rows") && first.ends_with("(1, 2)\n.\n"), "{first}");
+        assert!(Arc::ptr_eq(&first, &read(session)), "a hit writes the filed reply");
+        assert_eq!((server.stats().result_hits, server.stats().result_misses), (1, 1));
+
+        respond(&server, session, ".insert other 7 8");
+        assert!(Arc::ptr_eq(&first, &read(session)), "an unaffected view keeps its reply");
+        assert_eq!(server.stats().ivm_unaffected, 1);
+
+        respond(&server, session, ".insert edge 2 3");
+        let maintained = read(session);
+        assert!(!Arc::ptr_eq(&first, &maintained));
+        assert!(maintained.starts_with("OK 6 rows") && maintained.contains("\n(0, 3)\n"));
+        assert_eq!(server.stats().ivm_maintained, 1);
+
+        let profiled = respond(&server, session, &format!(".profile {text}")).text;
+        assert!(profiled.starts_with("OK profile 6 rows"), "{profiled}");
+        let misses = server.stats().result_misses;
+        assert!(Arc::ptr_eq(&maintained, &read(session)), "the traced run filed nothing");
+        assert_eq!(server.stats().result_misses, misses);
+        server.shutdown();
     }
 
     #[test]

@@ -28,12 +28,10 @@ use crate::error::{ServeError, ServeResult};
 use crate::lock;
 use crate::planning::Planning;
 use crate::telemetry::Telemetry;
-use crate::views::{Resume, Views};
+use crate::views::{Answer, Resume, Views};
 use mura_core::Database;
 use mura_dist::exec::ResourceLimits;
-use mura_dist::{
-    CommBackend, ProcCluster, ProcClusterConfig, QueryEngine, QueryOutput, TraceLevel,
-};
+use mura_dist::{CommBackend, ProcCluster, ProcClusterConfig, QueryEngine, TraceLevel};
 use mura_durable::{SnapshotState, SyncPolicy, Wal, WalError, WalRecord};
 use mura_ivm::DeltaBatch;
 use std::path::PathBuf;
@@ -261,7 +259,7 @@ impl ServerInner {
     /// The read path: plan, serve the cached answer if it is current, else
     /// pass the gates and let `views` bring the answer forward or execute
     /// it fresh — either way under this job's token, deadline and limits.
-    pub(crate) fn process(&self, job: &QueryJob) -> ServeResult<Arc<QueryOutput>> {
+    pub(crate) fn process(&self, job: &QueryJob) -> ServeResult<Arc<Answer>> {
         // A query may have spent its whole deadline waiting in the queue.
         job.token.check()?;
         let planned = self.planning.plan(&job.query, &self.views)?;
@@ -307,7 +305,7 @@ impl ServerInner {
             Ok(out)
         };
         let out = match traced {
-            true => run(None).map(Arc::new),
+            true => run(None).map(|out| Arc::new(Answer::new(out))),
             false => self.views.answer(&planned, engine.db(), run),
         };
         self.admission.settle(planned.key, &out);

@@ -24,17 +24,50 @@ use mura_dist::{CommSnapshot, ExecStats, FixResume, QueryOutput};
 use mura_durable::ViewSnapshot;
 use mura_ivm::{plan_maintenance, DeltaBatch, FallbackReason, IvmOutcome};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+/// A query's answer as a read hands it back and the result cache files it:
+/// the output of the run that produced it and, once a protocol read asked
+/// for it, that read's rendered reply. The reply is exact for as long as
+/// the output is — a maintained or fresh run is a new `Answer` — so every
+/// later read writes it as it stands. Derefs to the [`QueryOutput`];
+/// in-process callers never render.
+#[derive(Debug)]
+pub struct Answer {
+    output: QueryOutput,
+    reply: OnceLock<Arc<str>>,
+}
+
+impl Answer {
+    pub(crate) fn new(output: QueryOutput) -> Answer {
+        Answer { output, reply: OnceLock::new() }
+    }
+
+    /// The protocol reply: `render`ed by the first call, shared by every
+    /// later one.
+    pub(crate) fn reply(&self, render: impl FnOnce(&QueryOutput) -> String) -> Arc<str> {
+        Arc::clone(self.reply.get_or_init(|| render(&self.output).into()))
+    }
+}
+
+impl Deref for Answer {
+    type Target = QueryOutput;
+
+    fn deref(&self) -> &QueryOutput {
+        &self.output
+    }
+}
+
 /// One result-cache slot: the answer (with its captured fixpoint totals
-/// inside `output.stats.fix_totals`) and the database version it is exact
-/// at. Entries that are behind stay in place — the next read of the plan
-/// brings them forward or overwrites them.
+/// inside `stats.fix_totals`, and its reply once rendered) and the
+/// database version it is exact at. Entries that are behind stay in place
+/// — the next read of the plan brings them forward or overwrites them.
 #[derive(Clone)]
 struct CachedResult {
     version: u64,
-    output: Arc<QueryOutput>,
+    answer: Arc<Answer>,
 }
 
 /// Rows the log holds at most. Past it the oldest batches go, and the
@@ -109,12 +142,12 @@ impl Views {
     /// once the caller holds the engine lock.
     ///
     /// [`answer`]: Views::answer
-    pub(crate) fn lookup(&self, planned: &Planned) -> Option<Arc<QueryOutput>> {
+    pub(crate) fn lookup(&self, planned: &Planned) -> Option<Arc<Answer>> {
         let version = self.clocks.version();
         let cached = lock(&self.state).results.get(&(planned.key, planned.epoch));
         let hit = cached.filter(|c| c.version == version)?;
         self.telemetry.counters.result_hits.inc();
-        Some(hit.output)
+        Some(hit.answer)
     }
 
     /// The answer for a plan [`lookup`] had no current entry for. The
@@ -123,13 +156,13 @@ impl Views {
     /// the caller's token, deadline and limits, fresh or from resume state.
     /// Every call is exactly one of: a *hit* (another read brought the
     /// entry forward in between); *caught up* — the entry was behind and
-    /// the log bridges it: unaffected and refiled as it stands, or
-    /// maintained by a resumed run — which is also a result hit, the view
-    /// answered; or a *miss*, executed fresh — with a fallback counted if
-    /// an entry had to be dropped for it: no bridge (a load in between, a
-    /// trimmed log), a reason of the maintenance planner, a frontier
-    /// costlier than a recompute, or a resumed run that failed, whose error
-    /// is the answer.
+    /// the log bridges it: unaffected and refiled as it stands, reply and
+    /// all, or maintained by a resumed run into a new answer — which is
+    /// also a result hit, the view answered; or a *miss*, executed fresh —
+    /// with a fallback counted if an entry had to be dropped for it: no
+    /// bridge (a load in between, a trimmed log), a reason of the
+    /// maintenance planner, a frontier costlier than a recompute, or a
+    /// resumed run that failed, whose error is the answer.
     ///
     /// [`lookup`]: Views::lookup
     pub(crate) fn answer(
@@ -137,7 +170,7 @@ impl Views {
         planned: &Planned,
         db: &Database,
         run: impl FnOnce(Option<Resume>) -> ServeResult<QueryOutput>,
-    ) -> ServeResult<Arc<QueryOutput>> {
+    ) -> ServeResult<Arc<Answer>> {
         let counters = &self.telemetry.counters;
         let (key, version) = ((planned.key, planned.epoch), self.clocks.version());
         let start = Instant::now();
@@ -147,18 +180,18 @@ impl Views {
         };
         // `overdeleted` is set while a catch-up is under way.
         let (mut resume, mut overdeleted) = (None, None);
-        if let Some((missed, CachedResult { version: exact_at, output })) = behind {
+        if let Some((missed, CachedResult { version: exact_at, answer })) = behind {
             if exact_at == version {
                 counters.result_hits.inc();
-                return Ok(output);
+                return Ok(answer);
             }
-            match missed.ok_or(None).and_then(|missed| bring_forward(&output, db, &missed)) {
+            match missed.ok_or(None).and_then(|missed| bring_forward(&answer, db, &missed)) {
                 Ok(Forward::Unaffected) => {
-                    self.file(key, version, &output);
+                    self.file(key, version, &answer);
                     counters.ivm_unaffected.inc();
                     counters.result_hits.inc();
                     self.telemetry.maintenance.record(start.elapsed());
-                    return Ok(output);
+                    return Ok(answer);
                 }
                 Ok(Forward::Resume(state, rows)) => {
                     (resume, overdeleted) = (Some(state), Some(rows))
@@ -180,7 +213,7 @@ impl Views {
             }
             (_, None) => counters.result_misses.inc(),
         }
-        let out = Arc::new(out?);
+        let out = Arc::new(Answer::new(out?));
         // A load may have slipped in between planning and the engine lock:
         // the answer is then correct to return but not safe to file under
         // the plan's old epoch.
@@ -190,8 +223,8 @@ impl Views {
         Ok(out)
     }
 
-    fn file(&self, key: (u64, u64), version: u64, output: &Arc<QueryOutput>) {
-        let entry = CachedResult { version, output: Arc::clone(output) };
+    fn file(&self, key: (u64, u64), version: u64, answer: &Arc<Answer>) {
+        let entry = CachedResult { version, answer: Arc::clone(answer) };
         lock(&self.state).results.insert(key, entry);
     }
 
@@ -259,9 +292,9 @@ impl Views {
         current
             .into_iter()
             .map(|(_, cached)| ViewSnapshot {
-                plan: cached.output.plan.clone(),
-                relation: cached.output.relation.clone(),
-                fix_totals: totals(&cached.output),
+                plan: cached.answer.plan.clone(),
+                relation: cached.answer.relation.clone(),
+                fix_totals: totals(&cached.answer),
             })
             .collect()
     }
@@ -286,7 +319,8 @@ impl Views {
                 plan: view.plan,
             };
             let key = (term_key(&output.plan), epoch);
-            state.results.insert(key, CachedResult { version, output: Arc::new(output) });
+            let answer = Arc::new(Answer::new(output));
+            state.results.insert(key, CachedResult { version, answer });
         }
     }
 }

@@ -6,8 +6,8 @@
 
 use mura_core::{Database, Relation};
 use mura_datagen::{yago_like, YagoConfig};
-use mura_dist::{QueryEngine, QueryOutput};
-use mura_serve::{DeltaBatch, ServeConfig, Server};
+use mura_dist::QueryEngine;
+use mura_serve::{Answer, DeltaBatch, ServeConfig, Server};
 use std::sync::Arc;
 
 const TC: &str = "?x, ?y <- ?x edge+ ?y";
@@ -135,7 +135,7 @@ fn supersede_drops_a_view_only_when_the_plan_changed() {
         &["?a, ?b, ?c <- ?a (isLocatedIn|isConnectedTo)+ ?b, ?a wasBornIn ?c"],
     ];
     for texts in shapes {
-        let mut previous: Vec<Option<(String, Arc<QueryOutput>)>> = vec![None; texts.len()];
+        let mut previous: Vec<Option<(String, Arc<Answer>)>> = vec![None; texts.len()];
         let mut settled = false;
         while !settled {
             settled = true;

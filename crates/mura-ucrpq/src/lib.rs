@@ -10,7 +10,7 @@
 //!   scheme of the μ-RA paper: each regular path maps to a binary term over
 //!   columns `src`/`dst`, Kleene-plus maps to a (right-linear) fixpoint,
 //!   conjunctions map to natural joins on shared variables;
-//! * the paper's query classification `C1..C6` ([`classify`], §V-D);
+//! * the paper's query classification `C1..C6` ([`classify`](mod@classify), §V-D);
 //! * the full experimental query suites of the paper ([`suites`]):
 //!   Q1–Q25 (Yago), Q26–Q50 (Uniprot), concatenated closures, and the
 //!   non-regular μ-RA specials (aⁿbⁿ, same generation, reach).

@@ -17,7 +17,7 @@
 //! The shell is the first client of its own server: it starts one
 //! [`Server`] over an empty database, loads graphs into it, and sends every
 //! query and every verb the line protocol knows through the same
-//! [`Client`](mura_serve::Client) and the same interpreter
+//! [`Client`] and the same interpreter
 //! ([`protocol::respond`]) a TCP session gets. `.serve <addr>` only opens a
 //! port on that server, so the shell and its remote sessions always see the
 //! same database.

@@ -17,6 +17,7 @@ use mura_core::{eval, eval_naive_fixpoints, shape_key, term_key};
 use mura_datalog::{DatalogEngine, DatalogStyle};
 use mura_dist::{FaultConfig, RecoveryPolicy};
 use mura_pregel::{engine::intern_query_vars, PregelConfig, PregelEngine};
+use mura_serve::protocol::{read_response, respond, Session};
 use mura_serve::{DeltaBatch, SyncPolicy};
 
 /// Semi-naive evaluation equals naive re-evaluation (Prop. 1).
@@ -170,11 +171,14 @@ fn baselines() {
     assert!(compared >= 48, "{compared} cases compared");
 }
 
-/// A server over the case: after each batch of the stream the read — its
-/// view brought forward — equals a fresh engine over the mutated graph and
-/// centralized evaluation, and a server recovered from the data directory
-/// answers the same. Every plan × engine maintains at least one read
-/// rather than recomputing it.
+/// A server over the case, read through the interpreter a connection runs:
+/// after each batch of the stream the reply — its view brought forward —
+/// lists the rows of centralized evaluation and of a fresh engine over the
+/// mutated graph, and a server recovered from the data directory replies
+/// the same. Every read is made twice and replied to byte for byte alike,
+/// so a reply filed with its answer is never one a mutation made stale.
+/// Every plan × engine maintains at least one read rather than recomputing
+/// it.
 #[test]
 fn served() {
     let mut maintained = [0; PLANS.len() * ENGINES.len()];
@@ -192,27 +196,23 @@ fn served() {
                 ..Default::default()
             };
             let server = Server::start(engine(), config.clone());
-            let mut last = server.query(&text).expect("warm read").relation.sorted_rows();
+            let on = format!("{plan:?}/{local_engine:?}");
+            let mut want = listed(&reference(&case.query, &mut build_db(&case.edges)).1);
+            assert_eq!(read(&server, &text, &on), want, "{on}: warm read");
             for (k, batch) in case.stream.iter().enumerate() {
                 server.apply_delta(server.with_db(|db| delta(db, batch))).expect("mutation");
-                let before = server.stats().ivm_maintained;
-                last = server.query(&text).expect("read").relation.sorted_rows();
-                maintained[i] += server.stats().ivm_maintained - before;
-                let on = format!("{plan:?}/{local_engine:?} after batch {k}");
+                let on = format!("{on} after batch {k}");
                 let mut db = build_db(&case.edges_after(k + 1));
-                let want = reference(&case.query, &mut db).1.sorted_rows();
+                want = listed(&reference(&case.query, &mut db).1);
+                let before = server.stats().ivm_maintained;
+                assert_eq!(read(&server, &text, &on), want, "{on}: centralized");
+                maintained[i] += server.stats().ivm_maintained - before;
                 let fresh = QueryEngine::with_config(db, exec.clone()).run_ucrpq(&text);
-                assert_eq!(
-                    last,
-                    fresh.expect("recompute").relation.sorted_rows(),
-                    "{on}: recompute"
-                );
-                assert_eq!(last, want, "{on}: centralized");
+                assert_eq!(listed(&fresh.expect("recompute").relation), want, "{on}: recompute");
             }
             server.shutdown();
             let recovered = Server::recover(engine(), config).expect("recovery");
-            let got = recovered.query(&text).expect("read after recovery");
-            assert_eq!(got.relation.sorted_rows(), last, "{plan:?}/{local_engine:?} recovered");
+            assert_eq!(read(&recovered, &text, &on), want, "{on}: recovered");
             recovered.shutdown();
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -220,6 +220,24 @@ fn served() {
     for ((plan, engine), n) in configs().zip(maintained) {
         assert!(n > 0, "{plan:?}/{engine:?}: no read was maintained rather than recomputed");
     }
+}
+
+/// The body of the reply to `text`, read twice through
+/// [`respond`]: the second reply must be byte for byte the first.
+fn read(server: &Server, text: &str, on: &str) -> Vec<String> {
+    let session = &mut Session::default();
+    let reply = respond(server, session, text);
+    let again = respond(server, session, text);
+    assert_eq!(reply.as_str(), again.as_str(), "{on}: a second read replied differently");
+    let (status, body) = read_response(&mut reply.as_str().as_bytes()).expect("one whole reply");
+    assert!(status.starts_with(&format!("OK {} rows", body.len())), "{on}: {status}");
+    body
+}
+
+/// `rel`'s rows as a reply lists them: `(v, v, …)` each, in sorted order.
+fn listed(rel: &Relation) -> Vec<String> {
+    let row = |row: &[Value]| row.iter().map(Value::to_string).collect::<Vec<_>>().join(", ");
+    rel.sorted_rows().iter().map(|r| format!("({})", row(r))).collect()
 }
 
 /// `batch` against the stored relations `a` and `b`.
