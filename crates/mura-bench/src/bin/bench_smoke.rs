@@ -2,21 +2,18 @@
 //! fixpoint kernels, suitable for CI.
 //!
 //! Computes the transitive closure of an Erdős–Rényi graph on a 4-worker
-//! cluster along the `P_plw` SetRdd path twice:
+//! cluster along the `P_plw` SetRdd path: the branch is compiled once per
+//! fixpoint (`prepare`: constants folded, the join index built) and shared
+//! by every worker's `local_fixpoint_prepared` loop. Results (wall times,
+//! nanoseconds per closure row, iteration counts, communication and kernel
+//! counters) are written to `BENCH_fixpoint.json`; the ns per row across
+//! commits is the kernel's trajectory. What the compilation buys is gated
+//! by counts, which repeat: every round must build exactly one index and
+//! fold exactly one constant per prepared branch, whatever the number of
+//! iterations. (Correctness is the test suites' job: the kernel is held to
+//! centralized evaluation there.)
 //!
-//! * **reference** — the pre-optimization kernel (`local_fixpoint_reference`):
-//!   every worker re-evaluates constant subtrees and rebuilds its join hash
-//!   table on every iteration;
-//! * **optimized** — the current kernel: constants folded and the join index
-//!   built **once per fixpoint** (`prepare` + `local_fixpoint_prepared`),
-//!   shared by all workers.
-//!
-//! Both variants run over the *same* partitions with the same 4-way
-//! parallelism, so the measured difference is exactly the kernel work the
-//! optimization removes. Results (wall times, speedup, iteration counts,
-//! communication and kernel counters) are written to `BENCH_fixpoint.json`.
-//!
-//! A third section runs the full `P_plw` plan through the evaluator with
+//! A second section runs the full `P_plw` plan through the evaluator with
 //! tracing off and at `TraceLevel::Superstep`. What tracing costs is gated
 //! by counts, which repeat: one superstep event per kernel iteration, no
 //! trace at all when off, and a traced run allocating at most
@@ -25,15 +22,13 @@
 //! samples each) are reported, not gated: the difference of two 6 ms
 //! measurements is host noise.
 //!
-//! Environment knobs: `BENCH_NODES`, `BENCH_EDGE_PROB`, `BENCH_SEED`,
-//! `BENCH_SAMPLES`, `BENCH_OUT` (output path), `BENCH_MIN_SPEEDUP`
-//! (exit non-zero if the measured speedup falls below it; CI sets `2.0`),
-//! and `BENCH_TRACE_OUT` (dump one superstep trace as JSON).
+//! Output paths: `BENCH_OUT` (the JSON file) and `BENCH_TRACE_OUT` (dump
+//! one superstep trace as JSON).
 //!
-//! A fourth section replays the same IVM mutation stream against a durable
-//! serving tier (WAL on, fsync off) and a memory-only one, gating the WAL's
-//! mutation-path overhead with `BENCH_MAX_WAL_OVERHEAD` (percent, default
-//! 10.0; `BENCH_WAL_BATCHES` sets the stream length).
+//! A third section replays the same IVM mutation stream of
+//! [`WAL_BATCHES`] batches against a durable serving tier (WAL on, fsync
+//! off) and a memory-only one, gating the WAL's mutation-path overhead with
+//! `BENCH_MAX_WAL_OVERHEAD` (percent, default 10.0).
 //!
 //! `BENCH_PROC_WORKERS=<n>` (default 0 = skip) repeats the tracing
 //! measurement over `n` real worker processes, where a trace must carry
@@ -67,9 +62,7 @@ use std::time::{Duration, Instant};
 use mura_core::kernel::kernel_stats;
 use mura_core::{Database, Relation, Term};
 use mura_datagen::er::erdos_renyi;
-use mura_dist::localfix::{
-    local_fixpoint_prepared, local_fixpoint_reference, prepare, Budget, LocalEngine, Prepared,
-};
+use mura_dist::localfix::{local_fixpoint_prepared, prepare, Budget, LocalEngine, Prepared};
 use mura_dist::{
     Cluster, DistEvaluator, DistRel, ExecConfig, FixpointPlan, QueryEngine, TraceLevel,
 };
@@ -77,6 +70,19 @@ use mura_obs::counters::json_object;
 use mura_serve::protocol::{respond, Session};
 
 const WORKERS: usize = 4;
+
+// The graph: a sparse supercritical ER graph (mean degree ~1.6) whose giant
+// component has a long diameter — many semi-naive iterations, each of them
+// cheap, so an index rebuilt per iteration would dominate the wall.
+const NODES: u64 = 20_000;
+const EDGE_PROB: f64 = 0.000_08;
+const SEED: u64 = 42;
+
+/// Timed rounds of each measurement (the kernel runs one more, untimed).
+const SAMPLES: usize = 3;
+
+/// Mutation batches the WAL section replays.
+const WAL_BATCHES: u64 = 64;
 
 /// Allocations a superstep-traced run may make beyond an untraced one: the
 /// sink, its pre-sized event buffer and the finished trace (5 where
@@ -284,14 +290,6 @@ fn json_timings(t: &Timings) -> String {
 }
 
 fn main() {
-    // Defaults: a sparse supercritical ER graph (mean degree ~1.6) whose
-    // giant component has a long diameter — many semi-naive iterations, so
-    // the reference kernel's per-iteration constant re-evaluation and join
-    // table rebuilds dominate. Runs in well under a second per variant.
-    let n = env_u64("BENCH_NODES", 20_000);
-    let p = env_f64("BENCH_EDGE_PROB", 0.000_08);
-    let seed = env_u64("BENCH_SEED", 42);
-    let samples = env_u64("BENCH_SAMPLES", 3).max(1) as usize;
     let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_fixpoint.json".into());
 
     let mut db = Database::new();
@@ -299,48 +297,25 @@ fn main() {
     let dst = db.intern("dst");
     let m = db.intern("m");
     let x = db.intern("X");
-    let g = erdos_renyi(n, p, seed);
+    let g = erdos_renyi(NODES, EDGE_PROB, SEED);
     let e = Relation::from_pairs(src, dst, g.plain_edges());
     let step = Term::var(x).rename(dst, m).join(Term::cst(e.clone()).rename(src, m)).antiproject(m);
-    let recs = vec![step.clone()];
+    let recs = [step.clone()];
     let term = Term::cst(e.clone()).union(step).fix(x);
 
-    println!("bench-smoke: TC of ER(n={n}, p={p}, seed={seed}), {WORKERS} workers, P_plw/SetRdd");
+    println!("bench-smoke: TC of ER(n={NODES}, p={EDGE_PROB}, seed={SEED}), {WORKERS} workers, P_plw/SetRdd");
     println!("  edges: {}", e.len());
 
-    // Shared 4-way partitioning: both kernels see identical per-worker seeds.
     let cluster = Cluster::new(WORKERS);
     let seed_rel = DistRel::from_relation(&e, &cluster);
     let budget = Budget::new(None, None);
 
-    // --- reference kernel: re-evaluates constants, rebuilds join tables ---
-    let mut ref_samples = Vec::with_capacity(samples);
-    let mut ref_rows = 0usize;
-    for round in 0..=samples {
-        let t = Instant::now();
-        let parts = cluster
-            .try_par_map(seed_rel.parts(), |_, part| {
-                local_fixpoint_reference(part, &recs, x, LocalEngine::SetRdd, &budget)
-            })
-            .expect("reference fixpoint");
-        let wall = t.elapsed();
-        let mut acc = Relation::new(e.schema().clone());
-        for part in parts {
-            acc.absorb(part);
-        }
-        if round > 0 {
-            // Round 0 is the untimed warmup.
-            ref_samples.push(wall);
-        }
-        ref_rows = acc.len();
-    }
-
-    // --- optimized kernel: prepare once per fixpoint, probe cached index ---
+    // --- the kernel: prepare once per fixpoint, probe the cached index ---
     let kernel_before = kernel_stats().snapshot();
-    let mut opt_samples = Vec::with_capacity(samples);
+    let mut opt_samples = Vec::with_capacity(SAMPLES);
     let mut opt_rows = 0usize;
     let mut loop_iterations = 0u64;
-    for round in 0..=samples {
+    for round in 0..=SAMPLES {
         let iters_before = kernel_stats().snapshot();
         let t = Instant::now();
         let prepared: Vec<Prepared<Relation>> =
@@ -356,14 +331,14 @@ fn main() {
             acc.absorb(part);
         }
         if round > 0 {
+            // Round 0 is the untimed warmup.
             opt_samples.push(wall);
         }
         opt_rows = acc.len();
         loop_iterations = kernel_stats().snapshot().since(&iters_before).iterations;
     }
     let kernel = kernel_stats().snapshot().since(&kernel_before);
-
-    assert_eq!(ref_rows, opt_rows, "kernels disagree on the fixpoint");
+    let prepares = ((SAMPLES + 1) * recs.len()) as u64;
 
     // --- full P_plw plan through the evaluator, for comm + kernel stats
     // and for the cost of superstep tracing (traced vs untraced walls) ---
@@ -406,7 +381,7 @@ fn main() {
     let mut off_min = Duration::MAX;
     let mut traced_min = Duration::MAX;
     let mut trace = None;
-    for _ in 0..samples {
+    for _ in 0..SAMPLES {
         off_min = off_min.min(run_plan(TraceLevel::Off).0);
         let (wall, _, _, stats) = run_plan(TraceLevel::Superstep);
         traced_min = traced_min.min(wall);
@@ -448,7 +423,7 @@ fn main() {
         let mut p_off = Duration::MAX;
         let mut p_traced = Duration::MAX;
         let mut p_trace = None;
-        for _ in 0..samples {
+        for _ in 0..SAMPLES {
             p_off = p_off.min(run_proc(TraceLevel::Off).0);
             let (wall, _, stats_trace) = run_proc(TraceLevel::Superstep);
             p_traced = p_traced.min(wall);
@@ -470,8 +445,8 @@ fn main() {
         assert_eq!(rows.len(), WIRE_ROWS, "the closure has fewer rows than the wire section moves");
         let rel = Relation::from_rows(full.schema().clone(), &rows);
         let broadcast =
-            min_time(samples.max(5), || wire_cluster.broadcast_rel(&rel, None).expect("broadcast"));
-        let exchange = min_time(samples.max(5), || {
+            min_time(SAMPLES.max(5), || wire_cluster.broadcast_rel(&rel, None).expect("broadcast"));
+        let exchange = min_time(SAMPLES.max(5), || {
             // Every worker sends an equal share to every worker.
             let empty = mura_core::Rows::new(rel.schema().arity());
             let mut buckets = vec![vec![empty; proc_workers]; proc_workers];
@@ -490,21 +465,21 @@ fn main() {
         (0..(4usize << 20)).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
     assert_eq!(mura_core::crc32(&crc_input), crc32_bytewise(&crc_input), "CRC kernels disagree");
     let mb_s = |d: Duration| crc_input.len() as f64 / 1e6 / d.as_secs_f64();
-    let crc_sliced = mb_s(min_time(samples.max(5), || mura_core::crc32(&crc_input)));
-    let crc_bytewise = mb_s(min_time(samples.max(5), || crc32_bytewise(&crc_input)));
+    let crc_sliced = mb_s(min_time(SAMPLES.max(5), || mura_core::crc32(&crc_input)));
+    let crc_bytewise = mb_s(min_time(SAMPLES.max(5), || crc32_bytewise(&crc_input)));
     let crc_speedup = crc_sliced / crc_bytewise;
     let encoded = mura_dist::wire::encode_relation(&full);
     let rows_s = |d: Duration| full.len() as f64 / d.as_secs_f64();
     let encode_rows_s =
-        rows_s(min_time(samples.max(5), || mura_dist::wire::encode_relation(&full)));
-    let decode_rows_s = rows_s(min_time(samples.max(5), || {
+        rows_s(min_time(SAMPLES.max(5), || mura_dist::wire::encode_relation(&full)));
+    let decode_rows_s = rows_s(min_time(SAMPLES.max(5), || {
         mura_dist::wire::decode_relation(&encoded, full.schema()).expect("decode")
     }));
 
     // --- relation: the flat store, operation by operation. ---
     let relation_sizes: Vec<String> = [20_000, 200_000]
         .iter()
-        .map(|&rows| relation_section(&mut db, rows, samples.max(5)))
+        .map(|&rows| relation_section(&mut db, rows, SAMPLES.max(5)))
         .collect();
     let build_allocations = {
         let schema = e.schema().clone();
@@ -525,7 +500,6 @@ fn main() {
     // read that brings the view forward. Incremental maintenance work is
     // the same on both sides, so the measured delta is exactly the cost of
     // record encode + checksum + buffered write on the mutation path. ---
-    let wal_batches = env_u64("BENCH_WAL_BATCHES", 64);
     let wal_dir = std::env::temp_dir().join(format!("mura-bench-wal-{}", std::process::id()));
     let run_mutation_stream = |data_dir: Option<std::path::PathBuf>| -> Duration {
         let mut sdb = Database::new();
@@ -544,12 +518,13 @@ fn main() {
         client.query("?x, ?y <- ?x edge+ ?y").expect("warm TC view");
         let rel = server.with_db(|db| db.dict().lookup("edge").expect("edge relation"));
         let t = Instant::now();
-        for i in 0..wal_batches {
+        for i in 0..WAL_BATCHES {
             // Fresh chain edges: never duplicates, so every batch survives
             // normalization and its read runs one real maintenance round.
             let mut batch = mura_serve::DeltaBatch::new();
-            let row = vec![mura_core::Value::node(n + i), mura_core::Value::node(n + i + 1)]
-                .into_boxed_slice();
+            let row =
+                vec![mura_core::Value::node(NODES + i), mura_core::Value::node(NODES + i + 1)]
+                    .into_boxed_slice();
             server.with_db(|db| batch.push_insert(db, rel, row)).expect("push insert");
             server.apply_delta(batch).expect("apply delta");
             client.query("?x, ?y <- ?x edge+ ?y").expect("read the TC view");
@@ -560,7 +535,7 @@ fn main() {
     };
     let mut wal_off = Duration::MAX;
     let mut wal_on = Duration::MAX;
-    for _ in 0..samples {
+    for _ in 0..SAMPLES {
         wal_off = wal_off.min(run_mutation_stream(None));
         let _ = std::fs::remove_dir_all(&wal_dir);
         wal_on = wal_on.min(run_mutation_stream(Some(wal_dir.clone())));
@@ -570,21 +545,15 @@ fn main() {
 
     let (reply_us, reply_bytes) = reply_section();
 
-    let reference = summarize(&ref_samples);
     let optimized = summarize(&opt_samples);
-    let speedup = reference.mean_ms / optimized.mean_ms;
+    let ns_per_row = optimized.mean_ms * 1e6 / opt_rows as f64;
 
     println!("  tc rows: {opt_rows}");
     println!("  per-worker loop iterations (sum): {loop_iterations}");
     println!(
-        "  reference: {:.1} ms  [{:.1} .. {:.1}]",
-        reference.mean_ms, reference.min_ms, reference.max_ms
+        "  optimized: {:.1} ms  [{:.1} .. {:.1}], {ns_per_row:.1} ns per row; {} index builds and {} constant folds over {prepares} prepares",
+        optimized.mean_ms, optimized.min_ms, optimized.max_ms, kernel.index_builds, kernel.const_folds
     );
-    println!(
-        "  optimized: {:.1} ms  [{:.1} .. {:.1}]",
-        optimized.mean_ms, optimized.min_ms, optimized.max_ms
-    );
-    println!("  speedup:   {speedup:.2}x");
     println!(
         "  plan comm: {} shuffles, {} rows shuffled; plan kernel: {} index builds, {} probes",
         comm.shuffles, comm.rows_shuffled, plan_kernel.index_builds, plan_kernel.join_probes
@@ -619,7 +588,7 @@ fn main() {
         );
     }
     println!(
-        "  wal:       off {:.1} ms, on {:.1} ms ({wal_batches} batches, no fsync) → overhead {wal_overhead_pct:+.1}%",
+        "  wal:       off {:.1} ms, on {:.1} ms ({WAL_BATCHES} batches, no fsync) → overhead {wal_overhead_pct:+.1}%",
         wal_off.as_secs_f64() * 1e3,
         wal_on.as_secs_f64() * 1e3,
     );
@@ -657,9 +626,8 @@ fn main() {
         relation_sizes.join(", "),
     );
     let json = format!(
-        "{{\n  \"bench\": \"fixpoint_tc_er\",\n  \"plan\": \"p_plw\",\n  \"engine\": \"set_rdd\",\n  \"workers\": {WORKERS},\n  \"graph\": {{\"nodes\": {n}, \"edge_prob\": {p}, \"seed\": {seed}, \"edges\": {}, \"tc_rows\": {opt_rows}}},\n  \"samples\": {samples},\n  \"iterations\": {loop_iterations},\n  \"reference\": {},\n  \"optimized\": {},\n  \"speedup\": {speedup:.3},\n  \"tracing\": {{\"off_min_ms\": {:.3}, \"superstep_min_ms\": {:.3}, \"overhead_pct\": {overhead_pct:.2}, \"events\": {}, \"superstep_events\": {traced_supersteps}, \"kernel_iterations\": {traced_iterations}, \"allocations_beyond_off\": {trace_allocations}}},\n{proc_json}{wire_json}{relation_json}  \"wal\": {{\"off_min_ms\": {:.3}, \"on_min_ms\": {:.3}, \"overhead_pct\": {wal_overhead_pct:.2}, \"batches\": {wal_batches}}},\n  \"reply\": {{\"rows\": {REPLY_ROWS}, \"samples\": {REPLY_SAMPLES}, \"median_us\": {reply_us:.1}, \"bytes\": {reply_bytes}}},\n  \"comm\": {},\n  \"kernel\": {}\n}}\n",
+        "{{\n  \"bench\": \"fixpoint_tc_er\",\n  \"plan\": \"p_plw\",\n  \"engine\": \"set_rdd\",\n  \"workers\": {WORKERS},\n  \"graph\": {{\"nodes\": {NODES}, \"edge_prob\": {EDGE_PROB}, \"seed\": {SEED}, \"edges\": {}, \"tc_rows\": {opt_rows}}},\n  \"samples\": {SAMPLES},\n  \"iterations\": {loop_iterations},\n  \"optimized\": {},\n  \"ns_per_row\": {ns_per_row:.1},\n  \"tracing\": {{\"off_min_ms\": {:.3}, \"superstep_min_ms\": {:.3}, \"overhead_pct\": {overhead_pct:.2}, \"events\": {}, \"superstep_events\": {traced_supersteps}, \"kernel_iterations\": {traced_iterations}, \"allocations_beyond_off\": {trace_allocations}}},\n{proc_json}{wire_json}{relation_json}  \"wal\": {{\"off_min_ms\": {:.3}, \"on_min_ms\": {:.3}, \"overhead_pct\": {wal_overhead_pct:.2}, \"batches\": {WAL_BATCHES}}},\n  \"reply\": {{\"rows\": {REPLY_ROWS}, \"samples\": {REPLY_SAMPLES}, \"median_us\": {reply_us:.1}, \"bytes\": {reply_bytes}}},\n  \"comm\": {},\n  \"kernel\": {}\n}}\n",
         e.len(),
-        json_timings(&reference),
         json_timings(&optimized),
         off_min.as_secs_f64() * 1e3,
         traced_min.as_secs_f64() * 1e3,
@@ -673,9 +641,12 @@ fn main() {
     println!("  wrote {out_path}");
 
     let mut failed = false;
-    let min_speedup = env_f64("BENCH_MIN_SPEEDUP", 0.0);
-    if speedup < min_speedup {
-        eprintln!("FAIL: speedup {speedup:.2}x below required {min_speedup:.2}x");
+    if (kernel.index_builds, kernel.const_folds) != (prepares, prepares) {
+        eprintln!(
+            "FAIL: {} index builds and {} constant folds over {prepares} prepares and \
+             {loop_iterations} iterations a round; each prepare must do each once",
+            kernel.index_builds, kernel.const_folds
+        );
         failed = true;
     }
     if traced_supersteps != traced_iterations {

@@ -20,14 +20,6 @@ pub fn fmt_outcome(o: &Outcome) -> String {
     }
 }
 
-/// Formats an outcome's result cardinality.
-pub fn fmt_rows(o: &Outcome) -> String {
-    match o.rows() {
-        Some(r) => r.to_string(),
-        None => "-".to_string(),
-    }
-}
-
 /// A simple fixed-width table writer.
 pub struct Table {
     widths: Vec<usize>,

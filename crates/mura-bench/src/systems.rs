@@ -378,11 +378,6 @@ pub fn reach_program(rel: &str, source: u64) -> Program {
     }
 }
 
-/// Resolves a named constant's node id (for Pregel-style anchored runs).
-pub fn constant_node(db: &Database, name: &str) -> Option<u64> {
-    db.constant(name).and_then(|v| v.as_int()).map(|i| i as u64)
-}
-
 /// Interns a symbol by name (test/bench convenience).
 pub fn sym(db: &mut Database, name: &str) -> Sym {
     db.intern(name)

@@ -11,6 +11,7 @@ use crate::catalog::Database;
 use crate::error::{MuraError, Result};
 use crate::fxhash::FxHashMap;
 use crate::relation::Relation;
+use crate::schema::Schema;
 use crate::term::{Pred, Term};
 use crate::value::{Sym, Value};
 use std::time::{Duration, Instant};
@@ -265,40 +266,63 @@ impl Evaluator<'_> {
     }
 }
 
-/// Applies a conjunction of predicates to a relation.
-pub fn apply_filter(rel: &Relation, preds: &[Pred]) -> Result<Relation> {
-    // Compile to positional checks once.
-    enum C {
-        Eq(usize, Value),
-        Neq(usize, Value),
-        EqCol(usize, usize),
+/// A predicate over operands of type `P`: row positions for a materialized
+/// relation, or wherever a caller keeps the values of the row it tests.
+pub enum CompiledPred<P> {
+    /// The operand equals the constant.
+    Eq(P, Value),
+    /// The operand differs from the constant.
+    Neq(P, Value),
+    /// The two operands are equal.
+    EqCol(P, P),
+}
+
+impl<P: Copy> CompiledPred<P> {
+    /// Whether the predicate holds, reading each operand through `value`.
+    pub fn matches(&self, value: impl Fn(P) -> Value) -> bool {
+        match self {
+            CompiledPred::Eq(p, v) => value(*p) == *v,
+            CompiledPred::Neq(p, v) => value(*p) != *v,
+            CompiledPred::EqCol(a, b) => value(*a) == value(*b),
+        }
     }
-    let mut compiled = Vec::with_capacity(preds.len());
+}
+
+/// Compiles a conjunction of predicates over `schema`, resolving every
+/// column to its operand through `locate`. A column outside `schema` is an
+/// [`MuraError::UnknownColumn`] reported in `context`.
+pub fn compile_preds<P>(
+    schema: &Schema,
+    preds: &[Pred],
+    context: &'static str,
+    locate: impl Fn(Sym) -> P,
+) -> Result<Vec<CompiledPred<P>>> {
+    let mut out = Vec::with_capacity(preds.len());
     for p in preds {
         for c in p.columns() {
-            if !rel.schema().contains(c) {
+            if !schema.contains(c) {
                 return Err(MuraError::UnknownColumn {
                     column: c,
-                    schema: rel.schema().clone(),
-                    context: "filter",
+                    schema: schema.clone(),
+                    context,
                 });
             }
         }
-        compiled.push(match p {
-            Pred::Eq(c, v) => C::Eq(rel.schema().position(*c).unwrap(), *v),
-            Pred::Neq(c, v) => C::Neq(rel.schema().position(*c).unwrap(), *v),
-            Pred::EqCol(a, b) => {
-                C::EqCol(rel.schema().position(*a).unwrap(), rel.schema().position(*b).unwrap())
-            }
+        out.push(match p {
+            Pred::Eq(c, v) => CompiledPred::Eq(locate(*c), *v),
+            Pred::Neq(c, v) => CompiledPred::Neq(locate(*c), *v),
+            Pred::EqCol(a, b) => CompiledPred::EqCol(locate(*a), locate(*b)),
         });
     }
-    Ok(rel.filter(|row| {
-        compiled.iter().all(|c| match c {
-            C::Eq(p, v) => row[*p] == *v,
-            C::Neq(p, v) => row[*p] != *v,
-            C::EqCol(a, b) => row[*a] == row[*b],
-        })
-    }))
+    Ok(out)
+}
+
+/// Applies a conjunction of predicates to a relation.
+pub fn apply_filter(rel: &Relation, preds: &[Pred]) -> Result<Relation> {
+    let schema = rel.schema();
+    let compiled =
+        compile_preds(schema, preds, "filter", |c| schema.position(c).expect("column checked"))?;
+    Ok(rel.filter(|row| compiled.iter().all(|p| p.matches(|pos| row[pos]))))
 }
 
 /// Evaluates `term` against `db` with default options (semi-naive).
@@ -315,7 +339,6 @@ pub fn eval_naive_fixpoints(term: &Term, db: &Database) -> Result<Relation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Schema;
 
     /// Builds the paper's Fig. 2 graph: root edges S = {(1,2),(1,4),(10,11),
     /// (10,13)} and edges E adding (2,3),(4,5),(11,5),(13,12),(5,6),(12,6)…

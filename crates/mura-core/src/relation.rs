@@ -745,14 +745,6 @@ impl Relation {
         Relation::from_distinct(self.schema.clone(), delta)
     }
 
-    /// Consumes the relation, yielding its rows (copied only if shared).
-    pub fn into_rows(self) -> Rows {
-        match Arc::try_unwrap(self.store) {
-            Ok(store) => store.rows,
-            Err(shared) => shared.rows.clone(),
-        }
-    }
-
     /// The same rows under another schema of the same arity.
     fn with_schema(&self, schema: Schema) -> Relation {
         Relation { schema, store: Arc::clone(&self.store) }

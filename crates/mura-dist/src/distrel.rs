@@ -347,13 +347,6 @@ impl DistRel {
         Ok(DistRel::from_parts(plan.out_schema, parts, Some(common)))
     }
 
-    /// Broadcast join: `other` is collected and replicated to every worker
-    /// (the replication is charged to the metrics).
-    pub fn join_broadcast(&self, other: &Relation, cluster: &Cluster) -> Result<DistRel> {
-        cluster.broadcast_rel(other, None)?;
-        self.join_local(other, cluster)
-    }
-
     /// Joins against a relation every worker already holds (an existing
     /// broadcast variable) — no communication charged.
     pub fn join_local(&self, other: &Relation, cluster: &Cluster) -> Result<DistRel> {
@@ -366,13 +359,6 @@ impl DistRel {
         // Output keeps big-side placement; metadata survives if the key is
         // still part of the output schema (it always is for natural joins).
         Ok(DistRel::from_parts(plan.out_schema, parts, self.partitioned_by.clone()))
-    }
-
-    /// Antijoin retaining rows of `self` without a match in `other`
-    /// (broadcast of `other`, charged).
-    pub fn antijoin_broadcast(&self, other: &Relation, cluster: &Cluster) -> Result<DistRel> {
-        cluster.broadcast_rel(other, None)?;
-        self.antijoin_local(other, cluster)
     }
 
     /// Antijoin against a relation every worker already holds — no
@@ -654,7 +640,8 @@ mod tests {
         let left = DistRel::from_relation(&r, &c).rename(dst, m, &c).unwrap();
         let small = r.rename(src, m);
         let before = c.metrics().snapshot();
-        let j = left.join_broadcast(&small, &c).unwrap();
+        c.broadcast_rel(&small, None).unwrap();
+        let j = left.join_local(&small, &c).unwrap();
         let d = c.metrics().snapshot().since(&before);
         assert_eq!(d.broadcasts, 1);
         assert_eq!(d.rows_broadcast, 3 * 3);
@@ -672,7 +659,11 @@ mod tests {
         let c = cluster();
         let a = DistRel::from_relation(&r1, &c);
         let expected = r1.antijoin(&filt);
-        let via_broadcast = a.antijoin_broadcast(&filt, &c).unwrap();
+        let before = c.metrics().snapshot();
+        c.broadcast_rel(&filt, None).unwrap();
+        let via_broadcast = a.antijoin_local(&filt, &c).unwrap();
+        let d = c.metrics().snapshot().since(&before);
+        assert_eq!((d.broadcasts, d.rows_broadcast), (1, 3));
         assert_eq!(via_broadcast.collect().sorted_rows(), expected.sorted_rows());
         let b = DistRel::from_relation(&filt, &c);
         let via_shuffle = a.antijoin_shuffle(&b, &c).unwrap();

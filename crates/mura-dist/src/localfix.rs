@@ -23,6 +23,7 @@
 use crate::fault::FaultPlan;
 use crate::fixloop::{self, Superstep, Supervision};
 use crate::sorted::SortedRelation;
+use mura_core::eval::{apply_filter, compile_preds, CompiledPred};
 use mura_core::index::hash_values;
 use mura_core::kernel::kernel_stats;
 use mura_core::mem::{mem_gauge, rel_bytes};
@@ -176,22 +177,17 @@ impl Drop for Budget {
 /// branch prepared once can be shared by every worker of a fixpoint.
 ///
 /// The semi-naive loops need only [`LocalRel::iter_rows`],
-/// [`LocalRel::from_row_vec`] and [`LocalRel::absorb_new`]; the relational
-/// operators serve constant folding, the rare pipeline breakers of a
-/// prepared branch, and the reference kernel.
+/// [`LocalRel::from_row_vec`] and [`LocalRel::absorb_new`]; the two
+/// relational operators serve the rare pipeline breakers of a prepared
+/// branch.
 pub trait LocalRel: Sized + Clone + Send + Sync {
     fn from_relation(r: &Relation) -> Self;
     fn into_relation(self) -> Relation;
     fn schema(&self) -> &Schema;
     fn len(&self) -> usize;
     fn is_empty(&self) -> bool;
-    fn filter_preds(&self, preds: &[Pred]) -> Result<Self>;
-    fn rename_col(&self, from: Sym, to: Sym) -> Self;
-    fn antiproject_cols(&self, cols: &[Sym]) -> Self;
     fn join_with(&self, other: &Self) -> Self;
     fn antijoin_with(&self, other: &Self) -> Self;
-    fn union_with(&self, other: &Self) -> Self;
-    fn minus_with(&self, other: &Self) -> Self;
     /// Iterates rows in the engine's native storage order.
     fn iter_rows(&self) -> impl Iterator<Item = &[Value]>;
     /// Builds from a bag of rows, deduplicating as the engine requires;
@@ -200,56 +196,6 @@ pub trait LocalRel: Sized + Clone + Send + Sync {
     /// In-place accumulate: inserts the rows of `produced` that are absent
     /// and returns exactly those — the next semi-naive delta.
     fn absorb_new(&mut self, produced: Rows) -> Self;
-}
-
-/// A predicate over operands of type `P`: row positions for a materialized
-/// relation, [`Src`]s inside a fused chain.
-enum CompiledPred<P> {
-    Eq(P, Value),
-    Neq(P, Value),
-    EqCol(P, P),
-}
-
-impl<P: Copy> CompiledPred<P> {
-    fn matches(&self, value: impl Fn(P) -> Value) -> bool {
-        match self {
-            CompiledPred::Eq(p, v) => value(*p) == *v,
-            CompiledPred::Neq(p, v) => value(*p) != *v,
-            CompiledPred::EqCol(a, b) => value(*a) == value(*b),
-        }
-    }
-}
-
-/// Compiles predicates over `schema`, resolving every column to its
-/// operand through `locate`.
-fn compile_preds<P>(
-    schema: &Schema,
-    preds: &[Pred],
-    locate: impl Fn(Sym) -> P,
-) -> Result<Vec<CompiledPred<P>>> {
-    let mut out = Vec::with_capacity(preds.len());
-    for p in preds {
-        for c in p.columns() {
-            if !schema.contains(c) {
-                return Err(MuraError::UnknownColumn {
-                    column: c,
-                    schema: schema.clone(),
-                    context: "local filter",
-                });
-            }
-        }
-        out.push(match p {
-            Pred::Eq(c, v) => CompiledPred::Eq(locate(*c), *v),
-            Pred::Neq(c, v) => CompiledPred::Neq(locate(*c), *v),
-            Pred::EqCol(a, b) => CompiledPred::EqCol(locate(*a), locate(*b)),
-        });
-    }
-    Ok(out)
-}
-
-/// Compiles predicates to row positions of `schema`.
-fn positional_preds(schema: &Schema, preds: &[Pred]) -> Result<Vec<CompiledPred<usize>>> {
-    compile_preds(schema, preds, |c| schema.position(c).expect("column checked above"))
 }
 
 impl LocalRel for Relation {
@@ -268,27 +214,11 @@ impl LocalRel for Relation {
     fn is_empty(&self) -> bool {
         Relation::is_empty(self)
     }
-    fn filter_preds(&self, preds: &[Pred]) -> Result<Self> {
-        let compiled = positional_preds(Relation::schema(self), preds)?;
-        Ok(self.filter(|row| compiled.iter().all(|p| p.matches(|pos| row[pos]))))
-    }
-    fn rename_col(&self, from: Sym, to: Sym) -> Self {
-        self.rename(from, to)
-    }
-    fn antiproject_cols(&self, cols: &[Sym]) -> Self {
-        self.antiproject(cols)
-    }
     fn join_with(&self, other: &Self) -> Self {
         self.join(other)
     }
     fn antijoin_with(&self, other: &Self) -> Self {
         self.antijoin(other)
-    }
-    fn union_with(&self, other: &Self) -> Self {
-        self.union(other)
-    }
-    fn minus_with(&self, other: &Self) -> Self {
-        self.minus(other)
     }
     fn iter_rows(&self) -> impl Iterator<Item = &[Value]> {
         self.iter()
@@ -317,27 +247,11 @@ impl LocalRel for SortedRelation {
     fn is_empty(&self) -> bool {
         SortedRelation::is_empty(self)
     }
-    fn filter_preds(&self, preds: &[Pred]) -> Result<Self> {
-        let compiled = positional_preds(SortedRelation::schema(self), preds)?;
-        Ok(self.filter(|row| compiled.iter().all(|p| p.matches(|pos| row[pos]))))
-    }
-    fn rename_col(&self, from: Sym, to: Sym) -> Self {
-        self.rename(from, to)
-    }
-    fn antiproject_cols(&self, cols: &[Sym]) -> Self {
-        self.antiproject(cols)
-    }
     fn join_with(&self, other: &Self) -> Self {
         self.join(other)
     }
     fn antijoin_with(&self, other: &Self) -> Self {
         self.antijoin(other)
-    }
-    fn union_with(&self, other: &Self) -> Self {
-        self.union(other)
-    }
-    fn minus_with(&self, other: &Self) -> Self {
-        self.minus(other)
     }
     fn iter_rows(&self) -> impl Iterator<Item = &[Value]> {
         self.iter()
@@ -429,7 +343,7 @@ impl Chain {
     }
 
     fn filter(&mut self, preds: &[Pred]) -> Result<()> {
-        let compiled = compile_preds(&self.schema(), preds, |c| self.src_of(c))?;
+        let compiled = compile_preds(&self.schema(), preds, "local filter", |c| self.src_of(c))?;
         self.stages.push(Stage::Filter(compiled));
         Ok(())
     }
@@ -697,7 +611,7 @@ fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<
         }
         Term::Cst(r) => Prep::Const((**r).clone()),
         Term::Filter(ps, t) => match prep(t, x, delta_schema)? {
-            Prep::Const(r) => fold(LocalRel::filter_preds(&r, ps)?),
+            Prep::Const(r) => fold(apply_filter(&r, ps)?),
             Prep::Dyn(n) => {
                 let (input, mut chain) = n.into_chain();
                 chain.filter(ps)?;
@@ -915,122 +829,6 @@ pub fn local_fixpoint_supervised<R: LocalRel>(
     };
     let mut step = WorkerStep { prepared, worker };
     Ok(fixloop::run(sup, &mut step, init)?.total.into_relation())
-}
-
-/// The operator tree the reference kernel interprets, one relation per
-/// operator per iteration.
-enum Reference<R> {
-    Delta,
-    Const(R),
-    Filter(Vec<Pred>, Box<Reference<R>>),
-    Rename(Sym, Sym, Box<Reference<R>>),
-    AntiProject(Vec<Sym>, Box<Reference<R>>),
-    Join(Box<Reference<R>>, Box<Reference<R>>),
-    Antijoin(Box<Reference<R>>, Box<Reference<R>>),
-    Union(Box<Reference<R>>, Box<Reference<R>>),
-}
-
-/// Compiles a branch the way the pre-optimization kernel did: constants are
-/// converted but never folded, and joins rebuild their hash tables every
-/// iteration. Kept as a differential baseline for tests and benchmarks.
-fn prepare_reference<R: LocalRel>(term: &Term, x: Sym) -> Result<Reference<R>> {
-    Ok(match term {
-        Term::Var(v) if *v == x => Reference::Delta,
-        Term::Var(v) => {
-            return Err(MuraError::Other(format!(
-                "unhoisted variable {v} in local fixpoint branch"
-            )))
-        }
-        Term::Cst(r) => Reference::Const(R::from_relation(r)),
-        Term::Filter(ps, t) => Reference::Filter(ps.clone(), Box::new(prepare_reference(t, x)?)),
-        Term::Rename(a, b, t) => Reference::Rename(*a, *b, Box::new(prepare_reference(t, x)?)),
-        Term::AntiProject(cs, t) => {
-            Reference::AntiProject(cs.clone(), Box::new(prepare_reference(t, x)?))
-        }
-        Term::Join(a, b) => {
-            Reference::Join(Box::new(prepare_reference(a, x)?), Box::new(prepare_reference(b, x)?))
-        }
-        Term::Antijoin(a, b) => Reference::Antijoin(
-            Box::new(prepare_reference(a, x)?),
-            Box::new(prepare_reference(b, x)?),
-        ),
-        Term::Union(a, b) => {
-            Reference::Union(Box::new(prepare_reference(a, x)?), Box::new(prepare_reference(b, x)?))
-        }
-        Term::Fix(_, _) => {
-            return Err(MuraError::Other(
-                "nested fixpoint must be hoisted before local execution".into(),
-            ))
-        }
-    })
-}
-
-fn eval_reference<R: LocalRel>(p: &Reference<R>, delta: &R) -> Result<R> {
-    Ok(match p {
-        Reference::Delta => delta.clone(),
-        Reference::Const(r) => r.clone(),
-        Reference::Filter(ps, t) => eval_reference(t, delta)?.filter_preds(ps)?,
-        Reference::Rename(a, b, t) => eval_reference(t, delta)?.rename_col(*a, *b),
-        Reference::AntiProject(cs, t) => eval_reference(t, delta)?.antiproject_cols(cs),
-        Reference::Join(a, b) => eval_reference(a, delta)?.join_with(&eval_reference(b, delta)?),
-        Reference::Antijoin(a, b) => {
-            eval_reference(a, delta)?.antijoin_with(&eval_reference(b, delta)?)
-        }
-        Reference::Union(a, b) => eval_reference(a, delta)?.union_with(&eval_reference(b, delta)?),
-    })
-}
-
-/// The pre-optimization semi-naive loop: re-evaluates every constant
-/// subtree and rebuilds every join table each iteration. Used only as the
-/// baseline in differential tests and `BENCH_fixpoint.json`.
-pub fn local_fixpoint_reference(
-    seed: &Relation,
-    recs: &[Term],
-    x: Sym,
-    engine: LocalEngine,
-    budget: &Budget,
-) -> Result<Relation> {
-    match engine {
-        LocalEngine::SetRdd => local_fixpoint_reference_typed::<Relation>(seed, recs, x, budget),
-        LocalEngine::Sorted => {
-            local_fixpoint_reference_typed::<SortedRelation>(seed, recs, x, budget)
-        }
-    }
-}
-
-fn local_fixpoint_reference_typed<R: LocalRel>(
-    seed: &Relation,
-    recs: &[Term],
-    x: Sym,
-    budget: &Budget,
-) -> Result<Relation> {
-    let prepared: Vec<Reference<R>> =
-        recs.iter().map(|r| prepare_reference(r, x)).collect::<Result<_>>()?;
-    let mut acc = R::from_relation(seed);
-    let mut delta = acc.clone();
-    while !delta.is_empty() {
-        budget.check()?;
-        let mut new: Option<R> = None;
-        for p in &prepared {
-            let produced = eval_reference(p, &delta)?;
-            new = Some(match new {
-                None => produced,
-                Some(n) => n.union_with(&produced),
-            });
-        }
-        let new = match new {
-            None => break, // no recursive branch
-            Some(n) => n.minus_with(&acc),
-        };
-        budget.charge(new.len() as u64)?;
-        budget.charge_bytes(rel_bytes(new.len() as u64, new.schema().arity()))?;
-        if new.is_empty() {
-            break;
-        }
-        acc = acc.union_with(&new);
-        delta = new;
-    }
-    Ok(acc.into_relation())
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! position, never copied out.
 
 use mura_core::relation::join_plan;
-use mura_core::{Relation, Rows, Schema, Sym, Value};
+use mura_core::{Relation, Rows, Schema, Value};
 use std::cmp::Ordering;
 
 /// A relation stored as sorted rows (no duplicates) in one buffer.
@@ -108,28 +108,6 @@ impl SortedRelation {
     /// Rows satisfying `pred`.
     pub fn filter(&self, pred: impl Fn(&[Value]) -> bool) -> SortedRelation {
         SortedRelation { schema: self.schema.clone(), rows: self.rows.filter(pred) }
-    }
-
-    /// ρ_from^to.
-    pub fn rename(&self, from: Sym, to: Sym) -> SortedRelation {
-        let new_schema = self.schema.rename(from, to).expect("invalid rename");
-        let perm: Vec<usize> = new_schema
-            .columns()
-            .iter()
-            .map(|&c| {
-                let oc = if c == to { from } else { c };
-                self.schema.position(oc).unwrap()
-            })
-            .collect();
-        SortedRelation::from_rows(new_schema, self.rows.project(&perm))
-    }
-
-    /// π̃ of the given columns (sort + dedup).
-    pub fn antiproject(&self, drop: &[Sym]) -> SortedRelation {
-        let new_schema = self.schema.antiproject(drop).expect("invalid antiprojection");
-        let keep: Vec<usize> =
-            new_schema.columns().iter().map(|&c| self.schema.position(c).unwrap()).collect();
-        SortedRelation::from_rows(new_schema, self.rows.project(&keep))
     }
 
     /// Sort-merge natural join on the common columns.
@@ -257,14 +235,10 @@ mod tests {
         let s1 = SortedRelation::from_relation(&r1);
         let s2 = SortedRelation::from_relation(&r2);
 
-        assert_eq!(s1.rename(src, m).to_relation().sorted_rows(), r1.rename(src, m).sorted_rows());
-        assert_eq!(
-            s1.antiproject(&[src]).to_relation().sorted_rows(),
-            r1.antiproject(&[src]).sorted_rows()
-        );
         assert_eq!(s1.union(&s2).to_relation().sorted_rows(), r1.union(&r2).sorted_rows());
         assert_eq!(s1.minus(&s2).to_relation().sorted_rows(), r1.minus(&r2).sorted_rows());
-        let j_sorted = s1.rename(dst, m).join(&s2.rename(src, m));
+        let j_sorted = SortedRelation::from_relation(&r1.rename(dst, m))
+            .join(&SortedRelation::from_relation(&r2.rename(src, m)));
         let j_hash = r1.rename(dst, m).join(&r2.rename(src, m));
         assert_eq!(j_sorted.to_relation().sorted_rows(), j_hash.sorted_rows());
         assert_eq!(s1.antijoin(&s2).to_relation().sorted_rows(), r1.antijoin(&r2).sorted_rows());

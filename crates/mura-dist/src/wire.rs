@@ -34,7 +34,7 @@
 
 use crate::cluster::ReplicaId;
 use mura_core::codec::{self, put_bytes_with, put_u32, put_u64, CodecError, Cur};
-use mura_core::{MuraError, Relation, Row, Schema, Value};
+use mura_core::{MuraError, Relation, Schema, Value};
 use std::fmt;
 use std::io::{Read, Write};
 use std::ops::Range;
@@ -830,12 +830,6 @@ fn row_block(buf: &[u8], arity: usize) -> WireResult<codec::RowBlock<'_>> {
     Ok(block)
 }
 
-/// Decodes a bucket encoded by [`encode_rows`] into owned rows, checking
-/// the arity against `expected_arity`.
-pub fn decode_rows(buf: &[u8], expected_arity: usize) -> WireResult<Vec<Row>> {
-    Ok(row_block(buf, expected_arity)?.decode().iter().map(Row::from).collect())
-}
-
 /// Decodes a bucket — a block of distinct rows — into `dest`: one buffer,
 /// reserved for the block's row count, that an empty `dest` takes over as
 /// its own and a non-empty one inserts from.
@@ -861,7 +855,7 @@ pub fn decode_relation(buf: &[u8], schema: &Schema) -> WireResult<Relation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mura_core::{Sym, Value};
+    use mura_core::{Row, Sym, Value};
 
     fn round_trip(msg: Msg<'_>) {
         let body = msg.encode();
@@ -1171,7 +1165,7 @@ mod tests {
             let input = &garbage[start..];
             let _ = Msg::decode(input);
             for arity in [0, 1, 2, 5] {
-                if let Ok(rows) = decode_rows(input, arity) {
+                if let Ok(rows) = decoded(input, arity) {
                     assert!(rows.len() <= input.len());
                 }
             }
@@ -1183,9 +1177,15 @@ mod tests {
             put_u64(&mut block, u64::from_le_bytes(input[..8].try_into().unwrap()));
             block.extend_from_slice(&[0, 1]);
             block.extend_from_slice(&input[8..40]);
-            assert!(decode_rows(&block, 2).is_err());
+            assert!(decoded(&block, 2).is_err());
         }
         assert!(rel.len() <= garbage.len());
+    }
+
+    /// `buf` decoded as a block of `arity`-column rows.
+    fn decoded(buf: &[u8], arity: usize) -> WireResult<Relation> {
+        let mut rel = Relation::new(Schema::new((0..arity as u32).map(Sym).collect()));
+        decode_rows_into(buf, &mut rel).map(|()| rel)
     }
 
     #[test]
@@ -1195,12 +1195,12 @@ mod tests {
             vec![Value::Int(i64::MAX), Value::Str(Sym(0))].into_boxed_slice(),
         ];
         let buf = encode_rows(2, &rows);
-        assert_eq!(decode_rows(&buf, 2).unwrap(), rows);
-        assert!(matches!(decode_rows(&buf, 3), Err(WireError::Malformed(_))));
+        assert_eq!(decoded(&buf, 2).unwrap().sorted_rows(), rows);
+        assert!(matches!(decoded(&buf, 3), Err(WireError::Malformed(_))));
         // Bytes after the block are not silently ignored.
         let mut long = buf.clone();
         long.push(0);
-        assert!(matches!(decode_rows(&long, 2), Err(WireError::Malformed("trailing bytes"))));
+        assert!(matches!(decoded(&long, 2), Err(WireError::Malformed("trailing bytes"))));
     }
 
     #[test]
@@ -1230,7 +1230,7 @@ mod tests {
             let buf = encode_relation(rel);
             assert_eq!(buf.len(), 12);
             assert_eq!(&decode_relation(&buf, rel.schema()).unwrap(), rel);
-            assert_eq!(decode_rows(&buf, 0).unwrap().len(), rel.len());
+            assert_eq!(decoded(&buf, 0).unwrap().len(), rel.len());
             let (frame, payload) = bcast_frame(TraceCtx::default(), None, rel).unwrap();
             assert_eq!(payload.len(), 12);
             let mut read = Vec::new();
@@ -1254,7 +1254,6 @@ mod tests {
         buf.extend_from_slice(&2u32.to_le_bytes());
         buf.extend_from_slice(&(1u64 << 40).to_le_bytes());
         buf.extend_from_slice(&[0; 32]);
-        assert!(matches!(decode_rows(&buf, 2), Err(WireError::Malformed(_))));
         let mut rel = Relation::new(Schema::new(vec![Sym(0), Sym(1)]));
         assert!(matches!(decode_rows_into(&buf, &mut rel), Err(WireError::Malformed(_))));
         assert!(rel.is_empty());

@@ -1,13 +1,13 @@
 //! Property tests for the fixpoint kernels: on random Erdős–Rényi graphs,
 //! the fused, accumulate-in-place kernels must produce exactly the same
-//! fixpoint as (a) the centralized evaluator and (b) the naive
-//! re-evaluating reference kernel, across all distributed plans and both
-//! local engines. (Checkpoints and restored supersteps under hard faults
-//! are the oracle's `faults` route at the workspace root.)
+//! fixpoint as the centralized evaluator, run directly on both local
+//! engines and across all distributed plans. (Checkpoints and restored
+//! supersteps under hard faults are the oracle's `faults` route at the
+//! workspace root.)
 
 use mura_core::{eval as eval_central, Database, Pred, Relation, Sym, Term, Value};
 use mura_datagen::er::erdos_renyi;
-use mura_dist::localfix::{local_fixpoint, local_fixpoint_reference, Budget, LocalEngine};
+use mura_dist::localfix::{local_fixpoint, Budget, LocalEngine};
 use mura_dist::{DistEvaluator, ExecConfig, FixpointPlan};
 
 const PLANS: [FixpointPlan; 3] =
@@ -29,6 +29,12 @@ fn er_edges(db: &mut Database, n: u64, p: f64, seed: u64) -> Relation {
     let dst = db.intern("dst");
     let g = erdos_renyi(n, p, seed);
     Relation::from_pairs(src, dst, g.plain_edges())
+}
+
+/// The fixpoint `local_fixpoint` computes from `seed` and the recursive
+/// branches `recs`, as one term: `(seed ∪ rec₁ ∪ …).fix(x)`.
+fn fixpoint_term(seed: &Relation, recs: &[Term], x: Sym) -> Term {
+    recs.iter().fold(Term::cst(seed.clone()), |acc, r| acc.union(r.clone())).fix(x)
 }
 
 #[test]
@@ -56,10 +62,11 @@ fn indexed_kernels_match_centralized_on_random_graphs() {
 /// Recursive branches that compile to every shape of the fused step — a
 /// filter and two joins in one chain, a constant on the left of the join,
 /// an antijoin stage, a union under the chain (a pipeline breaker), two
-/// branches accumulating into one delta — against the reference kernel, and
-/// as whole fixpoints against centralized evaluation under `P_gld`.
+/// branches accumulating into one delta — against centralized evaluation,
+/// run by the local kernel on both engines and as whole fixpoints under
+/// `P_gld` and `P_plw`.
 #[test]
-fn fused_chain_shapes_match_reference_and_centralized() {
+fn fused_chain_shapes_match_centralized() {
     for seed in [3u64, 11, 99] {
         let mut db = Database::new();
         let (src, dst) = (db.intern("src"), db.intern("dst"));
@@ -98,19 +105,17 @@ fn fused_chain_shapes_match_reference_and_centralized() {
             ),
         ];
         for (shape, recs) in shapes {
+            let term = fixpoint_term(&e, &recs, x);
+            let expected = eval_central(&term, &db).unwrap();
             for engine in ENGINES {
                 let budget = Budget::new(None, None);
-                let fast = local_fixpoint(&e, &recs, x, engine, &budget).unwrap();
-                let slow = local_fixpoint_reference(&e, &recs, x, engine, &budget).unwrap();
+                let got = local_fixpoint(&e, &recs, x, engine, &budget).unwrap();
                 assert_eq!(
-                    fast.sorted_rows(),
-                    slow.sorted_rows(),
-                    "seed {seed}: {shape} under {engine:?} diverged from the reference kernel"
+                    got.sorted_rows(),
+                    expected.sorted_rows(),
+                    "seed {seed}: {shape} under {engine:?} diverged from centralized"
                 );
             }
-            let body = recs.iter().fold(Term::cst(e.clone()), |acc, r| acc.union(r.clone()));
-            let term = body.fix(x);
-            let expected = eval_central(&term, &db).unwrap();
             for plan in [FixpointPlan::ForceGld, FixpointPlan::ForcePlw] {
                 let mut ev = DistEvaluator::new(&db, ExecConfig { plan, ..Default::default() });
                 let got = ev.eval_collect(&term).unwrap();
@@ -125,9 +130,9 @@ fn fused_chain_shapes_match_reference_and_centralized() {
 }
 
 #[test]
-fn indexed_kernel_matches_reference_kernel() {
-    // The optimized local loop (folding + cached indexes + borrow eval)
-    // must be row-for-row identical to the naive re-evaluating loop.
+fn indexed_kernel_matches_centralized() {
+    // The local loop (folding + cached indexes + fused chains) must be
+    // row-for-row identical to centralized evaluation of the same fixpoint.
     for seed in [3u64, 11, 99] {
         let mut db = Database::new();
         let e = er_edges(&mut db, 20, 0.11, seed);
@@ -139,21 +144,21 @@ fn indexed_kernel_matches_reference_kernel() {
             },
             _ => unreachable!(),
         };
+        let expected = eval_central(&term, &db).unwrap();
         for engine in ENGINES {
             let budget = Budget::new(None, None);
-            let fast = local_fixpoint(&e, &recs, x, engine, &budget).unwrap();
-            let slow = local_fixpoint_reference(&e, &recs, x, engine, &budget).unwrap();
+            let got = local_fixpoint(&e, &recs, x, engine, &budget).unwrap();
             assert_eq!(
-                fast.sorted_rows(),
-                slow.sorted_rows(),
-                "seed {seed}: {engine:?} indexed kernel diverged from reference"
+                got.sorted_rows(),
+                expected.sorted_rows(),
+                "seed {seed}: {engine:?} indexed kernel diverged from centralized"
             );
         }
     }
 }
 
 #[test]
-fn antijoin_branch_matches_reference() {
+fn antijoin_branch_matches_centralized() {
     // A branch with an antijoin against a constant exercises the cached
     // key-set path: extend TC but exclude pairs present in a blocklist.
     for seed in [5u64, 21] {
@@ -170,14 +175,14 @@ fn antijoin_branch_matches_reference() {
             .antiproject(m)
             .antijoin(Term::cst(blocked.clone()));
         let recs = vec![step];
-        for engine in [LocalEngine::SetRdd, LocalEngine::Sorted] {
+        let expected = eval_central(&fixpoint_term(&e, &recs, x), &db).unwrap();
+        for engine in ENGINES {
             let budget = Budget::new(None, None);
-            let fast = local_fixpoint(&e, &recs, x, engine, &budget).unwrap();
-            let slow = local_fixpoint_reference(&e, &recs, x, engine, &budget).unwrap();
+            let got = local_fixpoint(&e, &recs, x, engine, &budget).unwrap();
             assert_eq!(
-                fast.sorted_rows(),
-                slow.sorted_rows(),
-                "seed {seed}: {engine:?} antijoin kernel diverged from reference"
+                got.sorted_rows(),
+                expected.sorted_rows(),
+                "seed {seed}: {engine:?} antijoin kernel diverged from centralized"
             );
         }
         let _ = src;

@@ -473,22 +473,6 @@ impl QueryTrace {
         out
     }
 
-    /// The bare Chrome-trace event array (`[{...}, ...]`), for tools that
-    /// want only the `traceEvents` payload.
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::with_capacity(2 + self.events.len() * 192);
-        out.push('[');
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            write_chrome_event(&mut out, e);
-        }
-        out.push_str("\n]\n");
-        out
-    }
-
     /// Renders the superstep timeline as an aligned text table (the
     /// `.profile` output): one row per event, canonical order.
     pub fn render_timeline(&self) -> String {
@@ -743,8 +727,6 @@ mod tests {
         assert_eq!(mura.get("version").and_then(|v| v.as_f64()), Some(2.0));
         assert_eq!(mura.get("trace_id").and_then(|v| v.as_f64()), Some(7.0));
         assert_eq!(mura.get("events").and_then(|v| v.as_array()).unwrap().len(), 2);
-        let chrome = crate::json::Json::parse(&t.to_chrome_trace()).unwrap();
-        assert_eq!(chrome.as_array().unwrap().len(), 2);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`anbn_term`], [`same_generation_term`], [`reach_term`] — the
 //!   non-regular μ-RA terms of §V-D c, built directly in the algebra.
 
-use mura_core::{Database, Result, Sym, Term, Value};
+use mura_core::{Database, Result, Term, Value};
 
 /// A query with its paper identifier.
 #[derive(Debug, Clone, Copy)]
@@ -199,16 +199,6 @@ pub fn reach_term(db: &mut Database, edge_label: &str, source: Value) -> Result<
     let seed = r.clone().filter_eq(src, source);
     let step = Term::var(x).rename(dst, m).join(r.rename(src, m)).antiproject(m);
     Ok(seed.union(step).fix(x).antiproject(src))
-}
-
-/// Symbol of the canonical `src` column (interning it if needed).
-pub fn src_col(db: &mut Database) -> Sym {
-    db.intern("src")
-}
-
-/// Symbol of the canonical `dst` column (interning it if needed).
-pub fn dst_col(db: &mut Database) -> Sym {
-    db.intern("dst")
 }
 
 #[cfg(test)]

@@ -125,13 +125,6 @@ pub fn concat_list(p: &Path) -> Vec<&Path> {
     }
 }
 
-/// Translates a normalized path into a μ-RA term over columns `src`/`dst`.
-pub fn path_term(p: &Path, db: &mut Database) -> Result<Term> {
-    let src = db.intern("src");
-    let dst = db.intern("dst");
-    path_term_inner(p, db, src, dst)
-}
-
 fn label_term(l: &str, db: &mut Database) -> Result<Term> {
     if db.relation_by_name(l).is_none() {
         return Err(MuraError::Frontend(format!("unknown edge label '{l}'")));
@@ -139,7 +132,8 @@ fn label_term(l: &str, db: &mut Database) -> Result<Term> {
     Ok(Term::var(db.intern(l)))
 }
 
-fn path_term_inner(p: &Path, db: &mut Database, src: Sym, dst: Sym) -> Result<Term> {
+/// Translates a normalized path into a μ-RA term over the columns `src`/`dst`.
+fn path_term(p: &Path, db: &mut Database, src: Sym, dst: Sym) -> Result<Term> {
     match p {
         Path::Label(l) => label_term(l, db),
         Path::Inverse(q) => {
@@ -151,18 +145,18 @@ fn path_term_inner(p: &Path, db: &mut Database, src: Sym, dst: Sym) -> Result<Te
             Ok(t.rename(src, tmp).rename(dst, src).rename(tmp, dst))
         }
         Path::Concat(a, b) => {
-            let ta = path_term_inner(a, db, src, dst)?;
-            let tb = path_term_inner(b, db, src, dst)?;
+            let ta = path_term(a, db, src, dst)?;
+            let tb = path_term(b, db, src, dst)?;
             let m = db.dict_mut().fresh("m");
             Ok(ta.rename(dst, m).join(tb.rename(src, m)).antiproject(m))
         }
         Path::Alt(a, b) => {
-            let ta = path_term_inner(a, db, src, dst)?;
-            let tb = path_term_inner(b, db, src, dst)?;
+            let ta = path_term(a, db, src, dst)?;
+            let tb = path_term(b, db, src, dst)?;
             Ok(ta.union(tb))
         }
         Path::Plus(q) => {
-            let inner = path_term_inner(q, db, src, dst)?;
+            let inner = path_term(q, db, src, dst)?;
             let x = db.dict_mut().fresh("X");
             let m = db.dict_mut().fresh("m");
             let step =
@@ -207,7 +201,7 @@ fn atom_term(atom: &Atom, db: &mut Database) -> Result<Term> {
     })?;
     let src = db.intern("src");
     let dst = db.intern("dst");
-    let mut t = path_term_inner(&core, db, src, dst)?;
+    let mut t = path_term(&core, db, src, dst)?;
     // Endpoints. Handle the ?x p ?x self-join with an explicit equality.
     match (&atom.left, &atom.right) {
         (Endpoint::Var(l), Endpoint::Var(r)) if l == r => {
