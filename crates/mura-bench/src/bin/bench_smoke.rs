@@ -48,7 +48,8 @@
 //! permuting rename, deep copy (clone, then the first mutation), drop, lazy
 //! split over four workers — and counts the allocations of building a
 //! 100,000-row relation row by row, gated at 64: the buffers double their
-//! way up, no row is an allocation.
+//! way up, no row is an allocation. The same build reports the live bytes
+//! it holds per row, gated at [`MAX_BUILD_BYTES_PER_ROW`].
 //!
 //! A `reply` section times the line protocol's response encoder on the
 //! serving tier's commonest read, a result-cache hit: microseconds per
@@ -90,26 +91,32 @@ const WAL_BATCHES: u64 = 64;
 const MAX_TRACE_ALLOCATIONS: u64 = 8;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator, counting calls (for the `relation` section's
-/// allocation gate; one relaxed increment per call).
+/// The system allocator, counting calls and live bytes (for the `relation`
+/// section's gates; relaxed increments, as the counts publish nothing).
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to the system allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `layout` is the caller's, passed on as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // The difference, wrapping when the block shrinks.
+        LIVE_BYTES
+            .fetch_add((new_size as u64).wrapping_sub(layout.size() as u64), Ordering::Relaxed);
         // SAFETY: as for `dealloc`, and `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -120,6 +127,12 @@ static GLOBAL: Counting = Counting;
 
 /// Rows of the allocation-gated build of the `relation` section.
 const BUILD_ROWS: usize = 100_000;
+
+/// Live bytes per row the [`BUILD_ROWS`]-row build may hold. Its store
+/// doubles up to 131,072 rows of two 8-byte values (21 B a row) and its
+/// table to 262,144 8-byte slots (21 B a row): 42 B. The gate leaves room
+/// for allocator slack, not for a 16-byte value (63 B).
+const MAX_BUILD_BYTES_PER_ROW: f64 = 48.0;
 
 /// Rows of the cached answer the `reply` section serves.
 const REPLY_ROWS: u64 = 10_000;
@@ -481,18 +494,22 @@ fn main() {
         .iter()
         .map(|&rows| relation_section(&mut db, rows, SAMPLES.max(5)))
         .collect();
-    let build_allocations = {
+    let (build_allocations, build_bytes_per_row) = {
         let schema = e.schema().clone();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let (before, live_before) =
+            (ALLOCATIONS.load(Ordering::Relaxed), LIVE_BYTES.load(Ordering::Relaxed));
         let mut rel = Relation::new(schema);
         for i in 0..BUILD_ROWS {
             rel.insert(bench_row(i, BUILD_ROWS));
         }
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let live = LIVE_BYTES.load(Ordering::Relaxed).wrapping_sub(live_before);
         assert_eq!(rel.len(), BUILD_ROWS);
-        allocations
+        (allocations, live as f64 / BUILD_ROWS as f64)
     };
-    println!("  relation:  {BUILD_ROWS}-row build by insert: {build_allocations} allocations");
+    println!(
+        "  relation:  {BUILD_ROWS}-row build by insert: {build_allocations} allocations, {build_bytes_per_row:.2} live bytes per row"
+    );
 
     // --- WAL overhead: the identical IVM mutation stream against a durable
     // serving tier (WAL on, fsync off — CI filesystems make fsync walls
@@ -622,7 +639,7 @@ fn main() {
         encoded.len() as f64 / full.len() as f64,
     );
     let relation_json = format!(
-        "  \"relation\": {{\"sizes\": [{}], \"build_rows\": {BUILD_ROWS}, \"build_allocations\": {build_allocations}}},\n",
+        "  \"relation\": {{\"sizes\": [{}], \"build_rows\": {BUILD_ROWS}, \"build_allocations\": {build_allocations}, \"build_bytes_per_row\": {build_bytes_per_row:.2}}},\n",
         relation_sizes.join(", "),
     );
     let json = format!(
@@ -672,6 +689,12 @@ fn main() {
     if build_allocations > 64 {
         eprintln!(
             "FAIL: building {BUILD_ROWS} rows took {build_allocations} allocations, above the 64 a handful of buffer doublings needs"
+        );
+        failed = true;
+    }
+    if build_bytes_per_row > MAX_BUILD_BYTES_PER_ROW {
+        eprintln!(
+            "FAIL: building {BUILD_ROWS} rows left {build_bytes_per_row:.2} live bytes per row, above the {MAX_BUILD_BYTES_PER_ROW} two 8-byte values and their table need"
         );
         failed = true;
     }

@@ -32,7 +32,7 @@
 //! a tag byte per value cost.
 
 use crate::relation::Rows;
-use crate::value::{Sym, Value};
+use crate::value::{Sym, Value, ValueKind, SYM_BASE};
 
 /// Decoding failure. Carries the buffer offset where decoding stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -239,10 +239,10 @@ const COL_ANY: u8 = 3;
 
 /// The narrowest column kind that holds `v`.
 fn kind_of(v: Value) -> u8 {
-    match v {
-        Value::Int(i) if u32::try_from(i).is_ok() => COL_U32,
-        Value::Int(_) => COL_I64,
-        Value::Str(_) => COL_SYM,
+    match v.kind() {
+        ValueKind::Int(i) if u32::try_from(i).is_ok() => COL_U32,
+        ValueKind::Int(_) => COL_I64,
+        ValueKind::Str(_) => COL_SYM,
     }
 }
 
@@ -295,15 +295,17 @@ where
             let row = row.as_ref();
             assert_eq!(row.len(), arity, "row arity {} != block arity {arity}", row.len());
             for (kind, &v) in kinds.iter_mut().zip(row.iter()) {
-                match (*kind, v) {
-                    (COL_U32, Value::Int(i)) if u32::try_from(i).is_ok() => put_u32(out, i as u32),
-                    (COL_I64, Value::Int(i)) => put_i64(out, i),
-                    (COL_SYM, Value::Str(s)) => put_u32(out, s.0),
-                    (COL_ANY, Value::Int(i)) => {
+                match (*kind, v.kind()) {
+                    (COL_U32, ValueKind::Int(i)) if u32::try_from(i).is_ok() => {
+                        put_u32(out, i as u32)
+                    }
+                    (COL_I64, ValueKind::Int(i)) => put_i64(out, i),
+                    (COL_SYM, ValueKind::Str(s)) => put_u32(out, s.0),
+                    (COL_ANY, ValueKind::Int(i)) => {
                         out.push(0);
                         put_i64(out, i);
                     }
-                    (COL_ANY, Value::Str(s)) => {
+                    (COL_ANY, ValueKind::Str(s)) => {
                         out.push(1);
                         put_i64(out, i64::from(s.0));
                     }
@@ -367,13 +369,14 @@ impl RowBlock<'_> {
         }
         for mut fields in self.data.chunks_exact(self.stride) {
             dest.push_values(self.kinds.iter().map(|&kind| {
+                // `get_rows` checked every integer to be in the domain
+                // and every mixed-column symbol to be a `u32`.
                 let (v, width) = match kind {
-                    COL_U32 => (Value::Int(i64::from(le_u32(fields))), 4),
-                    COL_I64 => (Value::Int(le_i64(fields)), 8),
-                    COL_SYM => (Value::Str(Sym(le_u32(fields))), 4),
-                    _ if fields[0] == 0 => (Value::Int(le_i64(&fields[1..])), 9),
-                    // Checked by `get_rows` to be a `u32`.
-                    _ => (Value::Str(Sym(le_i64(&fields[1..]) as u32)), 9),
+                    COL_U32 => (Value::from(le_u32(fields)), 4),
+                    COL_I64 => (Value::int(le_i64(fields)), 8),
+                    COL_SYM => (Value::sym(Sym(le_u32(fields))), 4),
+                    _ if fields[0] == 0 => (Value::int(le_i64(&fields[1..])), 9),
+                    _ => (Value::sym(Sym(le_i64(&fields[1..]) as u32)), 9),
                 };
                 fields = &fields[width..];
                 v
@@ -417,22 +420,24 @@ pub fn get_rows<'a>(cur: &mut Cur<'a>, arity: usize) -> Result<RowBlock<'a>, Cod
         .ok_or(CodecError::Invalid { at, what: "row block row count" })?;
     let data_at = cur.pos();
     let data = cur.take(bytes)?;
-    // Mixed columns carry the only per-value tags: check them here so that
-    // decoding stays infallible.
+    // Mixed columns carry the only per-value tags, and 8-byte integers can
+    // name a word of the symbol range: check them here so that decoding
+    // stays infallible.
     let mut offset = 0;
     for &kind in kinds {
-        if kind == COL_ANY {
+        if kind == COL_I64 || kind == COL_ANY {
             for (r, row) in data.chunks_exact(stride).enumerate() {
-                let field = &row[offset..offset + 9];
-                let ok = match field[0] {
-                    0 => true,
-                    1 => u32::try_from(le_i64(&field[1..])).is_ok(),
-                    _ => false,
+                let at = data_at + r * stride + offset;
+                let (tag, int) = match kind {
+                    COL_I64 => (0, le_i64(&row[offset..])),
+                    _ => (row[offset], le_i64(&row[offset + 1..])),
                 };
-                if !ok {
-                    let at = data_at + r * stride + offset;
-                    return Err(CodecError::BadTag { at, tag: field[0], what: "Value" });
-                }
+                return Err(match tag {
+                    0 if int < SYM_BASE => continue,
+                    1 if u32::try_from(int).is_ok() => continue,
+                    0 => CodecError::Invalid { at, what: "integer outside the value domain" },
+                    _ => CodecError::BadTag { at, tag, what: "Value" },
+                });
             }
         }
         offset += field_width(kind).expect("checked above");
@@ -485,13 +490,13 @@ mod tests {
     fn draw(shape: Shape, rng: &mut Rng) -> Value {
         let r = rng.next();
         match shape {
-            Shape::Small => Value::Int((r % 100_000) as i64),
-            Shape::Signed => Value::Int((r % 2_000) as i64 - 1_000),
+            Shape::Small => Value::int((r % 100_000) as i64),
+            Shape::Signed => Value::int((r % 2_000) as i64 - 1_000),
             // Just below, at and just above the u32 boundary.
-            Shape::Edge => Value::Int(i64::from(u32::MAX) - 2 + (r % 5) as i64),
-            Shape::Syms => Value::Str(Sym(r as u32)),
-            Shape::Mixed if r & 1 == 0 => Value::Int(r as i64 >> 8),
-            Shape::Mixed => Value::Str(Sym((r >> 8) as u32)),
+            Shape::Edge => Value::int(i64::from(u32::MAX) - 2 + (r % 5) as i64),
+            Shape::Syms => Value::sym(Sym(r as u32)),
+            Shape::Mixed if r & 1 == 0 => Value::int(r as i64 >> 8),
+            Shape::Mixed => Value::sym(Sym((r >> 8) as u32)),
         }
     }
 
@@ -521,14 +526,14 @@ mod tests {
 
     #[test]
     fn widths_follow_the_values_not_their_order() {
-        let int = |i: i64| -> Row { vec![Value::Int(i)].into_boxed_slice() };
+        let int = |i: i64| -> Row { vec![Value::int(i)].into_boxed_slice() };
         let big = i64::from(u32::MAX) + 1;
         // u32 until one value needs more, whichever row brings it.
         assert_eq!(round_trip(1, &[int(1), int(i64::from(u32::MAX))])[12], COL_U32);
         assert_eq!(round_trip(1, &[int(1), int(big)])[12], COL_I64);
         assert_eq!(round_trip(1, &[int(big), int(1)])[12], COL_I64);
         assert_eq!(round_trip(1, &[int(1), int(-1)])[12], COL_I64);
-        let sym: Row = vec![Value::Str(Sym(9))].into_boxed_slice();
+        let sym: Row = vec![Value::sym(Sym(9))].into_boxed_slice();
         assert_eq!(round_trip(1, &[sym.clone(), sym.clone()])[12], COL_SYM);
         assert_eq!(round_trip(1, &[int(1), sym.clone()])[12], COL_ANY);
         assert_eq!(round_trip(1, &[sym, int(big)])[12], COL_ANY);
@@ -541,7 +546,7 @@ mod tests {
 
     #[test]
     fn wrong_arity_and_unknown_kinds_are_typed_errors() {
-        let rows: Vec<Row> = vec![vec![Value::Int(1), Value::Int(2)].into_boxed_slice()];
+        let rows: Vec<Row> = vec![vec![Value::int(1), Value::int(2)].into_boxed_slice()];
         let mut out = Vec::new();
         put_rows(&mut out, 2, &rows);
         assert!(matches!(
@@ -555,8 +560,8 @@ mod tests {
         ));
         // A mixed column's value tags are checked before any row is built.
         let mixed: Vec<Row> = vec![
-            vec![Value::Int(1)].into_boxed_slice(),
-            vec![Value::Str(Sym(2))].into_boxed_slice(),
+            vec![Value::int(1)].into_boxed_slice(),
+            vec![Value::sym(Sym(2))].into_boxed_slice(),
         ];
         let mut out = Vec::new();
         put_rows(&mut out, 1, &mixed);
@@ -570,6 +575,19 @@ mod tests {
         out[tag_of_second] = 1;
         out[tag_of_second + 8] = 0x7F;
         assert!(get_rows(&mut Cur::new(&out), 1).is_err());
+        // An integer in the symbols' range, in a mixed column or an 8-byte
+        // one, is refused where it is read.
+        let reserved =
+            |at| Some(CodecError::Invalid { at, what: "integer outside the value domain" });
+        out[tag_of_second] = 0;
+        out[tag_of_second + 1..tag_of_second + 9].copy_from_slice(&SYM_BASE.to_le_bytes());
+        assert_eq!(get_rows(&mut Cur::new(&out), 1).err(), reserved(tag_of_second));
+        let wide: Vec<Row> = vec![vec![Value::int(2), Value::int(-1)].into_boxed_slice()];
+        let mut out = Vec::new();
+        put_rows(&mut out, 2, &wide);
+        assert_eq!(out[12..14], [COL_U32, COL_I64]);
+        out[14 + 4..].copy_from_slice(&i64::MAX.to_le_bytes());
+        assert_eq!(get_rows(&mut Cur::new(&out), 2).err(), reserved(14 + 4));
     }
 
     #[test]
@@ -602,7 +620,7 @@ mod tests {
     #[test]
     fn truncations_and_garbage_never_panic_and_stay_bounded() {
         let rows: Vec<Row> = (0..20)
-            .map(|i| vec![Value::Int(i), Value::Str(Sym(i as u32))].into_boxed_slice())
+            .map(|i| vec![Value::int(i), Value::sym(Sym(i as u32))].into_boxed_slice())
             .collect();
         let mut out = Vec::new();
         put_rows(&mut out, 2, &rows);

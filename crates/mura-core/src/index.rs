@@ -276,7 +276,7 @@ mod tests {
             .collect();
         Relation::from_rows(
             schema,
-            rows.iter().map(|r| perm.iter().map(|&p| Value::Int(r[p])).collect::<Row>()),
+            rows.iter().map(|r| perm.iter().map(|&p| Value::int(r[p])).collect::<Row>()),
         )
     }
 
@@ -312,7 +312,7 @@ mod tests {
         let build = rel(&[1], &[]);
         let idx = JoinIndex::build(probe.schema(), &build);
         assert_eq!(idx.build_len(), 0);
-        assert_eq!(probe_row(&idx, &[Value::Int(1)], |_| panic!("no match expected")), 0);
+        assert_eq!(probe_row(&idx, &[Value::int(1)], |_| panic!("no match expected")), 0);
     }
 
     #[test]
@@ -329,8 +329,8 @@ mod tests {
         let probe = rel(&[1], &[&[1]]);
         let empty = rel(&[9], &[]);
         let nonempty = rel(&[9], &[&[5]]);
-        assert!(!contains(&KeyIndex::build(probe.schema(), &empty), &[Value::Int(1)]));
-        assert!(contains(&KeyIndex::build(probe.schema(), &nonempty), &[Value::Int(1)]));
+        assert!(!contains(&KeyIndex::build(probe.schema(), &empty), &[Value::int(1)]));
+        assert!(contains(&KeyIndex::build(probe.schema(), &nonempty), &[Value::int(1)]));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use mem::{mem_gauge, rel_bytes, MemCharge, MemGauge};
 pub use relation::{Relation, Row, Rows};
 pub use schema::Schema;
 pub use term::{canon_key, shape_key, term_key, Pred, Term};
-pub use value::{Sym, Value};
+pub use value::{Sym, Value, ValueKind};
 
 /// SplitMix64 for this crate's seeded tests (`mura-core` sits below
 /// `mura-datagen`, whose generator this restates).

@@ -15,7 +15,8 @@
 //!
 //! Accounting is estimate-based, not allocator-hooked: a batch of `rows`
 //! tuples of arity `a` is charged [`rel_bytes`]`(rows, a)` =
-//! `rows × a × size_of::<Value>()` bytes. The estimate is deterministic
+//! `rows × a × size_of::<Value>()` bytes, 8 a value: a binary row is
+//! charged 16 B. The estimate is deterministic
 //! (identical across same-seed chaos runs) and deliberately ignores
 //! `Arc`-sharing so copy-on-write relations are never double-charged.
 //!

@@ -259,11 +259,7 @@ fn row_hash(row: &[Value]) -> u64 {
     const FINAL: u64 = 0x9e37_79b9_7f4a_7c15;
     let mut h = 0u64;
     for v in row {
-        let word = match *v {
-            Value::Int(i) => i as u64,
-            Value::Str(s) => !u64::from(s.0),
-        };
-        h = (h.rotate_left(5) ^ word).wrapping_mul(ROUND);
+        h = (h.rotate_left(5) ^ v.word() as u64).wrapping_mul(ROUND);
     }
     (h ^ (h >> 32)).wrapping_mul(FINAL)
 }

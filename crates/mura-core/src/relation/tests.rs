@@ -12,7 +12,7 @@ fn rel(cols: &[u32], rows: &[&[i64]]) -> Relation {
         schema.columns().iter().map(|c| cols.iter().position(|&x| sym(x) == *c).unwrap()).collect();
     Relation::from_rows(
         schema,
-        rows.iter().map(|r| perm.iter().map(|&p| Value::Int(r[p])).collect::<Row>()),
+        rows.iter().map(|r| perm.iter().map(|&p| Value::int(r[p])).collect::<Row>()),
     )
 }
 
@@ -27,7 +27,7 @@ fn filter_keeps_matching() {
     let r = rel(&[1], &[&[1], &[2], &[3]]);
     let f = r.filter(|row| row[0].as_int().unwrap() >= 2);
     assert_eq!(f.len(), 2);
-    assert!(f.contains(&[Value::Int(2)]));
+    assert!(f.contains(&[Value::int(2)]));
 }
 
 #[test]
@@ -36,7 +36,7 @@ fn rename_permutes_fields() {
     let r = rel(&[1, 2], &[&[10, 20]]);
     let rn = r.rename(sym(1), sym(5));
     assert_eq!(rn.schema().columns(), &[sym(2), sym(5)]);
-    assert!(rn.contains(&[Value::Int(20), Value::Int(10)]));
+    assert!(rn.contains(&[Value::int(20), Value::int(10)]));
 }
 
 #[test]
@@ -44,7 +44,7 @@ fn antiproject_dedups() {
     let r = rel(&[1, 2], &[&[1, 10], &[1, 20]]);
     let p = r.antiproject(&[sym(2)]);
     assert_eq!(p.len(), 1);
-    assert!(p.contains(&[Value::Int(1)]));
+    assert!(p.contains(&[Value::int(1)]));
 }
 
 #[test]
@@ -55,8 +55,8 @@ fn natural_join_basic() {
     let j = r.join(&s);
     assert_eq!(j.schema().columns(), &[sym(1), sym(2), sym(3)]);
     assert_eq!(j.len(), 2);
-    assert!(j.contains(&[Value::Int(1), Value::Int(10), Value::Int(100)]));
-    assert!(j.contains(&[Value::Int(1), Value::Int(10), Value::Int(101)]));
+    assert!(j.contains(&[Value::int(1), Value::int(10), Value::int(100)]));
+    assert!(j.contains(&[Value::int(1), Value::int(10), Value::int(101)]));
 }
 
 #[test]
@@ -72,7 +72,7 @@ fn join_same_schema_is_intersection() {
     let s = rel(&[1], &[&[2], &[3]]);
     let j = r.join(&s);
     assert_eq!(j.len(), 1);
-    assert!(j.contains(&[Value::Int(2)]));
+    assert!(j.contains(&[Value::int(2)]));
 }
 
 #[test]
@@ -81,7 +81,7 @@ fn antijoin_filters_matches() {
     let s = rel(&[2], &[&[10]]);
     let a = r.antijoin(&s);
     assert_eq!(a.len(), 1);
-    assert!(a.contains(&[Value::Int(2), Value::Int(20)]));
+    assert!(a.contains(&[Value::int(2), Value::int(20)]));
 }
 
 #[test]
@@ -100,7 +100,7 @@ fn union_minus() {
     assert_eq!(r.union(&s).len(), 3);
     let d = r.minus(&s);
     assert_eq!(d.len(), 1);
-    assert!(d.contains(&[Value::Int(1)]));
+    assert!(d.contains(&[Value::int(1)]));
 }
 
 #[test]
@@ -124,7 +124,7 @@ fn from_pairs_respects_column_order() {
     // (x, y) must still mean b=x, a=y.
     let r = Relation::from_pairs(sym(2), sym(1), [(10, 20)]);
     assert_eq!(r.schema().columns(), &[sym(1), sym(2)]);
-    assert!(r.contains(&[Value::Int(20), Value::Int(10)]));
+    assert!(r.contains(&[Value::int(20), Value::int(10)]));
 }
 
 #[test]
@@ -160,9 +160,9 @@ impl Rng {
             .map(|_| {
                 let r = self.next();
                 if r & 1 == 0 {
-                    Value::Int((r >> 8) as i64 % domain as i64 - 3)
+                    Value::int((r >> 8) as i64 % domain as i64 - 3)
                 } else {
-                    Value::Str(Sym(((r >> 8) % domain) as u32))
+                    Value::sym(Sym(((r >> 8) % domain) as u32))
                 }
             })
             .collect()
@@ -297,7 +297,7 @@ fn random_operations_match_a_set_model() {
 fn load_stays_at_or_under_one_half() {
     let mut r = Relation::new(Schema::new(vec![sym(0), sym(1)]));
     for i in 0..5_000i64 {
-        r.insert([Value::Int(i % 700), Value::Int(i / 3)]);
+        r.insert([Value::int(i % 700), Value::int(i / 3)]);
         let table = r.store.table.get().expect("insert builds the table");
         assert!(r.len() * 2 <= table.slots.len(), "{} rows in {}", r.len(), table.slots.len());
     }
@@ -319,13 +319,13 @@ fn load_stays_at_or_under_one_half() {
 fn relations_that_are_only_built_and_iterated_never_build_a_table() {
     let schema = Schema::new(vec![sym(1), sym(2)]);
     let mut rows = Rows::new(2);
-    (0..1_000i64).for_each(|i| rows.push(&[Value::Int(i), Value::Int(i % 37)]));
+    (0..1_000i64).for_each(|i| rows.push(&[Value::int(i), Value::int(i % 37)]));
     let r = Relation::from_distinct(schema, rows);
     let mut edges = Rows::new(2);
-    [[1, 100], [5, 500], [5, 501]].iter().for_each(|e| edges.push(&e.map(Value::Int)));
+    [[1, 100], [5, 500], [5, 501]].iter().for_each(|e| edges.push(&e.map(Value::int)));
     let edges = Relation::from_distinct(Schema::new(vec![sym(2), sym(3)]), edges);
     let renamed = r.rename(sym(1), sym(9));
-    let filtered = r.filter(|row| row[1] == Value::Int(5));
+    let filtered = r.filter(|row| row[1] == Value::int(5));
     let joined = r.join(&edges);
     let kept = r.antijoin(&edges);
     assert_eq!((renamed.len(), filtered.len(), joined.len()), (1_000, 27, 2 * 27 + 27));
@@ -346,7 +346,7 @@ fn relations_that_are_only_built_and_iterated_never_build_a_table() {
         assert!(!rel.has_table(), "{name} built a table");
     }
     // The first question does; set operations ask it of the right side.
-    assert!(r.contains(&[Value::Int(3), Value::Int(3)]));
+    assert!(r.contains(&[Value::int(3), Value::int(3)]));
     assert!(r.has_table());
     let _ = filtered.minus(&renamed.rename(sym(9), sym(1)));
     assert!(!filtered.has_table());

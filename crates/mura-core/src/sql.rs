@@ -19,7 +19,7 @@ use crate::analysis::{decompose_fixpoint, infer_schema, TypeEnv};
 use crate::catalog::Dictionary;
 use crate::error::{MuraError, Result};
 use crate::term::{Pred, Term};
-use crate::value::{Sym, Value};
+use crate::value::{Sym, Value, ValueKind};
 
 /// SQL generation context.
 pub struct SqlGen<'d> {
@@ -56,9 +56,9 @@ impl SqlGen<'_> {
     }
 
     fn val(&self, v: &Value) -> String {
-        match v {
-            Value::Int(i) => i.to_string(),
-            Value::Str(s) => format!("'{}'", self.dict.resolve(*s).replace('\'', "''")),
+        match v.kind() {
+            ValueKind::Int(i) => i.to_string(),
+            ValueKind::Str(s) => format!("'{}'", self.dict.resolve(s).replace('\'', "''")),
         }
     }
 
@@ -335,7 +335,7 @@ mod tests {
         let dst = db.intern("dst");
         let e = db.insert_relation("weird\"name", Relation::from_pairs(src, dst, [(1, 2)]));
         let odd = db.intern("it's");
-        let t = Term::var(e).filter(crate::term::Pred::Eq(src, Value::Str(odd)));
+        let t = Term::var(e).filter(crate::term::Pred::Eq(src, Value::sym(odd)));
         let sql = to_sql(&t, db.dict(), TypeEnv::from_db(&db)).unwrap();
         assert!(sql.contains("\"weird\"\"name\""), "{sql}");
         assert!(sql.contains("'it''s'"), "{sql}");

@@ -8,7 +8,7 @@
 
 use crate::fxhash::{FxHashMap, FxHasher};
 use crate::relation::Relation;
-use crate::value::{Sym, Value};
+use crate::value::{Sym, Value, ValueKind};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -413,7 +413,7 @@ pub fn shape_key(t: &Term) -> (u64, Vec<Value>) {
             binding.len() - 1
         });
         ordinal.hash(h);
-        std::mem::discriminant(&v).hash(h);
+        std::mem::discriminant(&v.kind()).hash(h);
     });
     (h.finish(), binding)
 }
@@ -509,9 +509,9 @@ pub struct TermDisplay<'a> {
 impl std::fmt::Display for TermDisplay<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         fn val(dict: &crate::catalog::Dictionary, v: &Value) -> String {
-            match v {
-                Value::Int(i) => i.to_string(),
-                Value::Str(s) => dict.resolve(*s).to_string(),
+            match v.kind() {
+                ValueKind::Int(i) => i.to_string(),
+                ValueKind::Str(s) => dict.resolve(s).to_string(),
             }
         }
         fn go(
@@ -635,7 +635,7 @@ mod tests {
     #[test]
     fn filter_builder_merges() {
         let e = s(1);
-        let t = Term::var(e).filter_eq(s(2), 5i64).filter(Pred::Neq(s(3), Value::Int(1)));
+        let t = Term::var(e).filter_eq(s(2), 5i64).filter(Pred::Neq(s(3), Value::int(1)));
         match t {
             Term::Filter(ps, _) => assert_eq!(ps.len(), 2),
             _ => panic!("expected merged filter"),
@@ -673,13 +673,13 @@ mod tests {
 
     #[test]
     fn shape_keys_the_constants_out_and_rebind_puts_others_in() {
-        let [a, b, c] = [7, 8, 9].map(Value::Int);
+        let [a, b, c] = [7, 8, 9].map(Value::int);
         let (shape, binding) = shape_key(&filtered(a, b));
         assert_eq!(binding, [a, b], "distinct constants in walk order");
         assert_eq!(shape_key(&filtered(c, a)), (shape, vec![c, a]), "which constants: not shape");
         assert_eq!(shape_key(&filtered(a, a)).1, [a]);
         assert_ne!(shape_key(&filtered(a, a)).0, shape, "the equality pattern is shape");
-        assert_ne!(shape_key(&filtered(a, Value::Str(Sym(8)))).0, shape, "the kind is shape");
+        assert_ne!(shape_key(&filtered(a, Value::sym(Sym(8)))).0, shape, "the kind is shape");
         let swapped = Term::var(Sym(1)).filter(Pred::Neq(Sym(2), a)).filter(Pred::Eq(Sym(3), b));
         assert_ne!(shape_key(&swapped).0, shape, "the rest of the term is shape");
         // Generated symbols hash as in `canon_key`.

@@ -84,7 +84,7 @@ fn measure() -> Vec<(&'static str, u64)> {
     assert_eq!(renamed.schema().columns(), &[c, a]);
     record("permuting rename", n);
 
-    let (kept, n) = allocations(|| rel.filter(|row| row[0] != Value::Int(3)));
+    let (kept, n) = allocations(|| rel.filter(|row| row[0] != Value::int(3)));
     assert_eq!(kept.len() as u64, ROWS - 100);
     record("filter", n);
 
@@ -95,7 +95,7 @@ fn measure() -> Vec<(&'static str, u64)> {
     assert_eq!(joined.len() as u64, ROWS);
     record("join", n);
 
-    let (minus, n) = allocations(|| rel.antijoin(&small.filter(|row| row[1] == Value::Int(5))));
+    let (minus, n) = allocations(|| rel.antijoin(&small.filter(|row| row[1] == Value::int(5))));
     assert_eq!(minus.len() as u64, ROWS - 100);
     record("antijoin", n);
 
@@ -108,8 +108,8 @@ fn measure() -> Vec<(&'static str, u64)> {
         let mut live = rel.clone();
         let cloned = allocations(|| live.clone());
         let (_, n_mutate) = allocations(|| {
-            live.insert([Value::Int(-1), Value::Int(-1)]);
-            live.remove(&[Value::Int(0), Value::Int(0)]);
+            live.insert([Value::int(-1), Value::int(-1)]);
+            live.remove(&[Value::int(0), Value::int(0)]);
         });
         assert_eq!(live.len() as u64, ROWS);
         (cloned, n_mutate)

@@ -18,7 +18,7 @@
 //! Two-column lines (`src dst`) are accepted too and get the label `edge`.
 
 use crate::graph::Graph;
-use mura_core::{MuraError, Result};
+use mura_core::{MuraError, Result, Value};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
 
@@ -41,11 +41,8 @@ pub fn parse_edge_list(text: &str) -> Result<Graph> {
         if let Some(rest) = line.strip_prefix("@node") {
             let mut it = rest.split_whitespace();
             let name = it.next().ok_or_else(|| bad("missing node name"))?;
-            let id: u64 = it
-                .next()
-                .ok_or_else(|| bad("missing node id"))?
-                .parse()
-                .map_err(|_| bad("invalid node id"))?;
+            let id = it.next().ok_or_else(|| bad("missing node id"))?;
+            let id = node_id(id).map_err(|e| bad(&format!("node id {e}")))?;
             named.push((name.to_string(), id));
             max_node = max_node.max(id);
             continue;
@@ -56,16 +53,22 @@ pub fn parse_edge_list(text: &str) -> Result<Graph> {
         if parts.next().is_some() {
             return Err(bad("too many fields"));
         }
-        let src: u64 = first.parse().map_err(|_| bad("invalid source id"))?;
+        let src = node_id(first).map_err(|e| bad(&format!("source id {e}")))?;
         let (label, dst_text) = match third {
             Some(t) => (second.to_string(), t),
             None => ("edge".to_string(), second),
         };
-        let dst: u64 = dst_text.parse().map_err(|_| bad("invalid target id"))?;
+        let dst = node_id(dst_text).map_err(|e| bad(&format!("target id {e}")))?;
         max_node = max_node.max(src).max(dst);
         pending.push((src, label, dst));
     }
-    g.n_nodes = if pending.is_empty() && named.is_empty() { 0 } else { max_node + 1 };
+    g.n_nodes = if pending.is_empty() && named.is_empty() {
+        0
+    } else {
+        max_node
+            .checked_add(1)
+            .ok_or_else(|| MuraError::Frontend("edge list: too many nodes".into()))?
+    };
     for (s, label, d) in pending {
         let l = g.add_label(&label);
         g.add_edge(s, l, d);
@@ -74,6 +77,15 @@ pub fn parse_edge_list(text: &str) -> Result<Graph> {
         g.name_node(&name, id);
     }
     Ok(g)
+}
+
+/// Reads a node id: a `u64` that [`Value::node`] can hold.
+fn node_id(text: &str) -> std::result::Result<u64, &'static str> {
+    let id: u64 = text.parse().map_err(|_| "is invalid")?;
+    match i64::try_from(id).ok().and_then(Value::try_int) {
+        Some(_) => Ok(id),
+        None => Err("is outside the value domain"),
+    }
 }
 
 /// Loads a graph from an edge-list file.
@@ -140,6 +152,27 @@ mod tests {
         assert!(parse_edge_list("x a 1").is_err());
         assert!(parse_edge_list("0 a y").is_err());
         assert!(parse_edge_list("@node onlyname").is_err());
+    }
+
+    #[test]
+    fn refuses_ids_outside_the_value_domain() {
+        for (text, what) in [
+            ("0 a 18446744073709551615", "line 1: target id is outside the value domain"),
+            (
+                "# big\n@node Big 18446744073709551615",
+                "line 2: node id is outside the value domain",
+            ),
+            ("0 a 9223372036854775808", "line 1: target id is outside the value domain"),
+            ("9223372036854775807 a 0", "line 1: source id is outside the value domain"),
+        ] {
+            match parse_edge_list(text) {
+                Err(MuraError::Frontend(msg)) => assert!(msg.contains(what), "{text}: {msg}"),
+                other => panic!("{text}: expected a Frontend error, got {other:?}"),
+            }
+        }
+        let top = mura_core::value::SYM_BASE - 1;
+        let g = parse_edge_list(&format!("0 a {top}")).unwrap();
+        assert_eq!(g.n_nodes, top as u64 + 1);
     }
 
     #[test]

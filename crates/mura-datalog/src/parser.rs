@@ -154,7 +154,9 @@ impl Parser<'_> {
             }
             let text = std::str::from_utf8(&self.input[start..self.pos]).expect("ascii");
             let n: i64 = text.parse().map_err(|_| self.err("invalid integer"))?;
-            return Ok(DlTerm::Cst(Value::Int(n)));
+            let v =
+                Value::try_int(n).ok_or_else(|| self.err("integer outside the value domain"))?;
+            return Ok(DlTerm::Cst(v));
         }
         let id = self.ident()?;
         if id.starts_with(|ch: char| ch.is_ascii_uppercase()) || id.starts_with('_') {
@@ -199,7 +201,7 @@ mod tests {
             "reach(Y) :- edge(0, Y).\nreach(Y) :- reach(X), edge(X, Y).\n?- reach(Y).",
         )
         .unwrap();
-        assert_eq!(p.rules[0].body[0].args[0], DlTerm::Cst(Value::Int(0)));
+        assert_eq!(p.rules[0].body[0].args[0], DlTerm::Cst(Value::int(0)));
     }
 
     #[test]
@@ -221,5 +223,7 @@ mod tests {
         assert!(parse_program("tc(X, Y) :- edge(X, Y).").is_err(), "missing query");
         assert!(parse_program("Tc(X) :- e(X, X). ?- Tc(X).").is_err(), "uppercase pred");
         assert!(parse_program("tc(X, Y) :- e(X, Y). ?- tc(X, Y). ?- tc(X, Y).").is_err());
+        let reserved = parse_program("r(X) :- e(9223372036854775807, X). ?- r(X).");
+        assert!(matches!(reserved, Err(MuraError::Frontend(_))), "{reserved:?}");
     }
 }

@@ -951,7 +951,7 @@ mod tests {
     }
 
     fn pair(a: i64, b: i64) -> Row {
-        vec![Value::Int(a), Value::Int(b)].into_boxed_slice()
+        vec![Value::int(a), Value::int(b)].into_boxed_slice()
     }
 
     #[test]
@@ -1191,8 +1191,8 @@ mod tests {
     #[test]
     fn rows_round_trip() {
         let rows: Vec<Row> = vec![
-            vec![Value::Int(-5), Value::Str(Sym(7))].into_boxed_slice(),
-            vec![Value::Int(i64::MAX), Value::Str(Sym(0))].into_boxed_slice(),
+            vec![Value::int(-5), Value::sym(Sym(7))].into_boxed_slice(),
+            vec![Value::int(mura_core::value::SYM_BASE - 1), Value::sym(Sym(0))].into_boxed_slice(),
         ];
         let buf = encode_rows(2, &rows);
         assert_eq!(decoded(&buf, 2).unwrap().sorted_rows(), rows);

@@ -12,7 +12,7 @@
 
 use mura_core::codec::{get_rows, put_rows};
 pub use mura_core::codec::{put_f64, put_i64, put_string, put_u32, put_u64, CodecError, Cur};
-use mura_core::{Database, Pred, Relation, Schema, Sym, Term, Value};
+use mura_core::{Database, Pred, Relation, Schema, Sym, Term, Value, ValueKind};
 use mura_ivm::{DeltaBatch, RelDelta};
 use mura_rewrite::FeedbackState;
 use std::sync::Arc;
@@ -32,12 +32,12 @@ pub fn get_sym(cur: &mut Cur) -> Result<Sym, CodecError> {
 
 /// Encodes a value (tag 0 = `Int`, 1 = `Str`).
 pub fn put_value(out: &mut Vec<u8>, v: Value) {
-    match v {
-        Value::Int(i) => {
+    match v.kind() {
+        ValueKind::Int(i) => {
             out.push(0);
             put_i64(out, i);
         }
-        Value::Str(s) => {
+        ValueKind::Str(s) => {
             out.push(1);
             put_sym(out, s);
         }
@@ -48,8 +48,9 @@ pub fn put_value(out: &mut Vec<u8>, v: Value) {
 pub fn get_value(cur: &mut Cur) -> Result<Value, CodecError> {
     let at = cur.pos();
     match cur.u8()? {
-        0 => Ok(Value::Int(cur.i64()?)),
-        1 => Ok(Value::Str(get_sym(cur)?)),
+        0 => Value::try_int(cur.i64()?)
+            .ok_or(CodecError::Invalid { at, what: "integer outside the value domain" }),
+        1 => Ok(Value::sym(get_sym(cur)?)),
         tag => Err(CodecError::BadTag { at, tag, what: "Value" }),
     }
 }
@@ -430,11 +431,11 @@ mod tests {
         let rel = Relation::from_rows(
             Schema::new(vec![Sym(3), Sym(5)]),
             [
-                [Value::Int(70_000), Value::Str(Sym(9))],
-                [Value::Int(-2), Value::Int(5)],
-                [Value::Int(12), Value::Int(-40)],
-                [Value::Str(Sym(1)), Value::Int(12)],
-                [Value::Int(12), Value::Int(-4)],
+                [Value::int(70_000), Value::sym(Sym(9))],
+                [Value::int(-2), Value::int(5)],
+                [Value::int(12), Value::int(-40)],
+                [Value::sym(Sym(1)), Value::int(12)],
+                [Value::int(12), Value::int(-4)],
             ],
         );
         let mut out = Vec::new();
@@ -546,6 +547,13 @@ mod tests {
         // Bad value tag.
         let mut cur = Cur::new(&[9, 0, 0, 0, 0, 0, 0, 0, 0]);
         assert!(matches!(get_value(&mut cur), Err(CodecError::BadTag { .. })));
+        // An integer in the symbols' range.
+        let mut reserved = vec![0];
+        put_i64(&mut reserved, mura_core::value::SYM_BASE);
+        assert!(matches!(
+            get_value(&mut Cur::new(&reserved)),
+            Err(CodecError::Invalid { at: 0, .. })
+        ));
         // Absurd sequence length cannot allocate.
         let mut huge = Vec::new();
         put_u32(&mut huge, u32::MAX);

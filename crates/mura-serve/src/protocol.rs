@@ -570,10 +570,10 @@ mod tests {
         let rel = Relation::from_rows(
             Schema::new(vec![Sym(0), Sym(1)]),
             [
-                [Value::Str(Sym(3)), Value::Int(7)],
-                [Value::Int(12), Value::Int(-4)],
-                [Value::Int(2), Value::Str(Sym(0))],
-                [Value::Int(12), Value::Int(-40)],
+                [Value::sym(Sym(3)), Value::int(7)],
+                [Value::int(12), Value::int(-4)],
+                [Value::int(2), Value::sym(Sym(0))],
+                [Value::int(12), Value::int(-40)],
             ],
         );
         let mut buf = String::from("OK 4 rows\n");

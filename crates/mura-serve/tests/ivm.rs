@@ -571,10 +571,13 @@ fn protocol_mutation_verbs() {
     let (status, _) = send(".insert");
     assert!(status.starts_with("ERR "), "empty mutation: {status}");
     // A value is read as a query reads a constant: a bound name or an
-    // `i64`. An id past `i64::MAX` is refused and moves no version; a
-    // negative one goes in, shows in a query and comes out again.
+    // `i64` of the value domain. An id past `i64::MAX`, or one of the top
+    // 2^32 that symbols take, is refused and moves no version; a negative
+    // one goes in, shows in a query and comes out again.
     let (status, _) = send(".insert edge 18446744073709551615 7");
     assert!(status.starts_with("ERR .insert: "), "wrapping id: {status}");
+    let (status, _) = send(".insert edge 9223372036854775807 7");
+    assert!(status.starts_with("ERR .insert: "), "id in the symbol range: {status}");
     let (status, _) = send(".insert edge -3 0");
     assert!(status.starts_with("OK v=3 +1 -0"), "negative id, version unmoved before: {status}");
     let (_, rows) = send("?x, ?y <- ?x edge ?y");

@@ -177,9 +177,11 @@ pub fn resolve_const(name: &str, db: &Database) -> Result<Value> {
     if let Some(v) = db.constant(name) {
         return Ok(v);
     }
-    name.parse::<i64>()
-        .map(Value::Int)
-        .map_err(|_| MuraError::Frontend(format!("unknown constant '{name}'")))
+    let i = name
+        .parse::<i64>()
+        .map_err(|_| MuraError::Frontend(format!("unknown constant '{name}'")))?;
+    Value::try_int(i)
+        .ok_or_else(|| MuraError::Frontend(format!("integer {i} is outside the value domain")))
 }
 
 /// Column symbol for a query variable (`?x` → column `?x`, which cannot
@@ -398,6 +400,9 @@ mod tests {
         assert!(to_mura(&q, &mut d).is_err());
         let q = parse_ucrpq("?x <- ?x a Nowhere").unwrap();
         assert!(to_mura(&q, &mut d).is_err());
+        // An integer that symbols' words take is no constant either.
+        let q = parse_ucrpq("?x <- ?x a 9223372036854775807").unwrap();
+        assert!(matches!(to_mura(&q, &mut d), Err(MuraError::Frontend(_))));
     }
 
     #[test]

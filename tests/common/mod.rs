@@ -183,7 +183,7 @@ pub fn build_db(edges: &[Edge]) -> Database {
         db.insert_relation(label, Relation::from_pairs(src, dst, pairs));
     }
     for name in NAMED {
-        let value = Value::Str(db.intern(name));
+        let value = Value::sym(db.intern(name));
         db.bind_constant(name, value);
     }
     db

@@ -15,10 +15,13 @@
 //!
 //! Where a checksum guards a body (WAL records, frames) it is recomputed
 //! after the mutation, so the body decoder is reached instead of the
-//! checksum stopping it. A private global allocator records the largest
+//! checksum stopping it. Each source also gets an integer from the top
+//! 2³² codes, which symbols take and no `Value` holds as an integer:
+//! random mutation almost never reaches them, so it is seeded. A private global allocator records the largest
 //! request; this binary holds nothing else, and the record is per thread,
 //! so the harness's own threads and the server's do not disturb it.
 
+use mura_core::value::SYM_BASE;
 use mura_core::{Database, Relation, Schema, Sym, Term, Value};
 use mura_datagen::SplitMix64;
 use mura_dist::wire::{self, decode_rows_into, framed, read_frame, Msg, TraceCtx, WireError};
@@ -74,12 +77,12 @@ struct Bound {
 /// count against the bytes that remain at the smallest encoding of one, so
 /// a request is bounded by the input's length times the largest ratio of an
 /// element's size in memory to its size on disk (a `ViewSnapshot` against
-/// its 25 bytes, a 16-byte `Value` against a 4-byte field, either with a
+/// its 25 bytes, an 8-byte `Value` against a 4-byte field, either with a
 /// hash table beside it); the slack covers tables that start at a fixed
 /// size (the dictionary's map).
 const DURABLE: Bound = Bound { factor: 16, slack: 4 * 1024 };
 /// As for `DURABLE`, where the largest ratio is a bucket entry (24 bytes
-/// against 8) or a decoded row value (16 bytes against 4), and the read
+/// against 8) or a decoded row value (8 bytes against 4), and the read
 /// buffer grows with what arrives; the slack is its first growth step and
 /// fixed-size tables.
 const FRAMES: Bound = Bound { factor: 4, slack: 1024 };
@@ -135,6 +138,25 @@ fn length_fields(valid: &[u8], values: impl Fn(u32) -> Vec<u32>) -> Vec<(String,
     out
 }
 
+/// A node id that is written as an 8-byte field, for [`reserved_ints`] to
+/// find in encoded bytes.
+const MARKER: u64 = 0x5eed_0000_0000_0001;
+
+/// `valid` with each 8-byte [`MARKER`] in turn replaced by the first
+/// integer of the symbols' range.
+fn reserved_ints(valid: &[u8]) -> Vec<(String, Vec<u8>)> {
+    let seeded: Vec<_> = (0..valid.len().saturating_sub(7))
+        .filter(|&at| valid[at..at + 8] == MARKER.to_le_bytes())
+        .map(|at| {
+            let mut bytes = valid.to_vec();
+            bytes[at..at + 8].copy_from_slice(&SYM_BASE.to_le_bytes());
+            (format!("reserved integer at {at}"), bytes)
+        })
+        .collect();
+    assert!(!seeded.is_empty(), "the valid input holds no marker");
+    seeded
+}
+
 /// A state with every section populated: names, a constant, two relations,
 /// a view with fixpoint totals, two observations, a plan.
 fn valid_payload() -> Vec<u8> {
@@ -142,8 +164,9 @@ fn valid_payload() -> Vec<u8> {
     let (src, dst) = (db.intern("src"), db.intern("dst"));
     let edge =
         db.insert_relation("edge", Relation::from_pairs(src, dst, (0..40).map(|i| (i, i + 1))));
-    db.insert_relation("other", Relation::from_pairs(src, dst, [(7, 7)]));
+    db.insert_relation("other", Relation::from_pairs(src, dst, [(7, 7), (MARKER, 7)]));
     db.bind_constant("Japan", Value::node(7));
+    db.bind_constant("Marker", Value::node(MARKER));
     let closure = |db: &mut Database| {
         let (x, m) = (db.dict_mut().fresh("X"), db.dict_mut().fresh("m"));
         let step = Term::var(x).rename(dst, m).join(Term::var(edge).rename(src, m)).antiproject(m);
@@ -188,6 +211,10 @@ fn mutated_snapshot_payloads_decode_to_a_typed_error_or_a_state() {
     }
     eprintln!("{} bytes valid; {total} mutations, {states} of them still a state", valid.len());
     assert!(total - states > 2_000, "mutations that break nothing test nothing");
+    for (what, bytes) in reserved_ints(&valid) {
+        let decoded = within_bounds(&bytes, &DURABLE, &what, decode_state);
+        assert!(decoded.is_err(), "{what}: decoded");
+    }
 }
 
 /// A log with both record kinds: the header, a load, then two deltas (one
@@ -199,6 +226,7 @@ fn valid_log() -> Vec<u8> {
         db.insert_relation("edge", Relation::from_pairs(src, dst, (0..20).map(|i| (i, i + 1))));
     let other = db.insert_relation("other", Relation::from_pairs(src, dst, [(7, 7)]));
     db.bind_constant("Japan", Value::node(7));
+    db.bind_constant("Marker", Value::node(MARKER));
     let row = |a, b| vec![Value::node(a), Value::node(b)].into_boxed_slice();
     let mut first = DeltaBatch::new();
     first.push_insert(&db, edge, row(30, 31)).unwrap();
@@ -206,6 +234,7 @@ fn valid_log() -> Vec<u8> {
     let mut second = DeltaBatch::new();
     second.push_insert(&db, edge, row(31, 32)).unwrap();
     second.push_insert(&db, other, row(8, 9)).unwrap();
+    second.push_insert(&db, other, row(MARKER, 9)).unwrap();
 
     let dir = std::env::temp_dir().join(format!("mura-decode-fuzz-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -255,6 +284,10 @@ fn mutated_wal_records_replay_to_a_typed_error_or_records() {
     }
     eprintln!("{} bytes valid; {total} mutations, {corrupt} of them corrupt", valid.len());
     assert!(corrupt > 1_000, "the record decoder must see the mutated bodies");
+    for (what, bytes) in reserved_ints(&valid) {
+        let replay = within_bounds(&resealed(bytes), &DURABLE, &what, replay_bytes);
+        assert!(matches!(replay, Err(WalError::Corrupt { .. })), "{what}: {replay:?}");
+    }
 }
 
 /// One valid frame of every opcode, with a real row block wherever a
@@ -262,7 +295,8 @@ fn mutated_wal_records_replay_to_a_typed_error_or_records() {
 fn valid_frames() -> Vec<Vec<u8>> {
     let ctx = TraceCtx { trace_id: 7, query_id: 9, fixpoint: 2, superstep: 3, level: 2 };
     let id = |term| ReplicaId { term, version: term + 1 };
-    let rel = Relation::from_pairs(Sym(0), Sym(1), (0..12).map(|i| (i, i + 1)));
+    let rel =
+        Relation::from_pairs(Sym(0), Sym(1), (0..12).map(|i| (i, i + 1)).chain([(MARKER, 1)]));
     let block = wire::encode_relation(&rel);
     let span = WorkerSpan { kind: 1, ctx, xid: 3, bytes: 40, t_us: 9, dur_us: 2 };
     let msgs = [
@@ -356,6 +390,31 @@ fn mutated_worker_frames_read_to_a_typed_error_or_a_message() {
     }
     eprintln!("{mutations} mutations, {messages} of them still a message");
     assert!(mutations - messages > 2_000, "mutations that break nothing test nothing");
+
+    // A payload is opaque to the frame: the seeded integer reaches the row
+    // decoder, which refuses it.
+    let mut refused = 0;
+    for frame in valid_frames().iter().filter(|f| f.windows(8).any(|w| w == MARKER.to_le_bytes())) {
+        for (what, body) in reserved_ints(&frame[4..frame.len() - 4]) {
+            let mut buf = Vec::new();
+            let msg = read_frame(&mut sealed(&body).as_slice(), &mut buf).expect(&what).0;
+            let payloads = match &msg {
+                Msg::TakeReply(buckets) | Msg::Relay { entries: buckets, .. } => {
+                    buckets.iter().map(|(_, payload)| *payload).collect()
+                }
+                Msg::Bcast { payload, .. } | Msg::Deliver { payload, .. } => vec![*payload],
+                other => panic!("{what}: no payload in {other:?}"),
+            };
+            for payload in
+                payloads.into_iter().filter(|p| p.windows(8).any(|w| w == SYM_BASE.to_le_bytes()))
+            {
+                let mut part = Relation::new(Schema::new(vec![Sym(0), Sym(1)]));
+                assert!(decode_rows_into(payload, &mut part).is_err(), "{what}: decoded");
+                refused += 1;
+            }
+        }
+    }
+    assert!(refused >= 4, "every payload opcode refuses the seeded integer: {refused}");
 }
 
 #[test]
@@ -371,8 +430,9 @@ fn a_length_prefix_is_not_an_allocation_request() {
 }
 
 /// Lines a client sends: queries, verbs with and without their argument,
-/// and mutations of both relations by node id and by named constant.
-const VALID_LINES: [&str; 12] = [
+/// and mutations of both relations by node id and by named constant, one
+/// of them by an integer in the symbols' range.
+const VALID_LINES: [&str; 13] = [
     "?x, ?y <- ?x a+ ?y",
     "?x <- 3 a/b+ ?x",
     "?x, ?y <- ?x a ?m, ?m -b+ ?y",
@@ -385,6 +445,7 @@ const VALID_LINES: [&str; 12] = [
     ".delete b 1 2",
     ".insert b S 3",
     ".delete 0 1",
+    ".insert a 9223372036854775807 1",
 ];
 
 #[test]
@@ -420,6 +481,9 @@ fn mutated_protocol_lines_read_to_a_reply_or_a_frame_error() {
             }
         }
     }
+    let reply = respond(&server, &mut session, VALID_LINES[12]);
+    let first = reply.lines().next().unwrap_or_default().to_string();
+    assert!(first.starts_with("ERR "), "an integer in the symbols' range: {first}");
     server.shutdown();
     eprintln!("{replies} lines answered, {refused} refused by the line reader");
     assert!(replies > 600 && refused > 100, "{replies} answered, {refused} refused");

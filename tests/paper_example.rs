@@ -90,7 +90,7 @@ fn stable_partitioning_gives_disjoint_local_fixpoints() {
     // Partition S by src = {1} vs {10} (the paper's two workers).
     let part = |keep: i64| {
         let pos = s_rel.schema().position(src).unwrap();
-        s_rel.filter(|row| row[pos] == Value::Int(keep))
+        s_rel.filter(|row| row[pos] == Value::int(keep))
     };
     let mut results = Vec::new();
     for part_rel in [part(1), part(10)] {
