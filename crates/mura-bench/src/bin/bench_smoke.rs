@@ -55,6 +55,11 @@
 //! serving tier's commonest read, a result-cache hit: microseconds per
 //! `protocol::respond` of a cached 10,000-row two-column answer (median of
 //! [`REPLY_SAMPLES`]), and the bytes of that reply. Reported, not gated.
+//!
+//! A `stage` section times what a parallel stage costs beyond its tasks:
+//! microseconds (median of [`STAGE_SAMPLES`]) and allocations per stage of
+//! two trivial heavy tasks on a 2-worker cluster — one task handed to a
+//! helper thread, one run by the caller. Reported, not gated.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,6 +144,33 @@ const REPLY_ROWS: u64 = 10_000;
 
 /// Protocol reads the `reply` section times.
 const REPLY_SAMPLES: usize = 200;
+
+/// Stages the `stage` section times.
+const STAGE_SAMPLES: usize = 2_000;
+
+/// The `stage` section: median µs and mean allocations per stage of two
+/// trivial heavy tasks on a 2-worker cluster.
+fn stage_section() -> (f64, f64) {
+    let cluster = Cluster::new(2);
+    let stage = || {
+        let out = cluster.par_map_sized(&[1u64, 2], |_| usize::MAX, |i, x| x + i as u64);
+        std::hint::black_box(out.expect("a trivial stage"));
+    };
+    // The first stages also start the helper threads.
+    (0..10).for_each(|_| stage());
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut walls: Vec<Duration> = (0..STAGE_SAMPLES)
+        .map(|_| {
+            let t = Instant::now();
+            stage();
+            t.elapsed()
+        })
+        .collect();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    walls.sort_unstable();
+    let median_us = walls[STAGE_SAMPLES / 2].as_secs_f64() * 1e6;
+    (median_us, allocations as f64 / STAGE_SAMPLES as f64)
+}
 
 /// The `reply` section: median µs per [`respond`] of a cached
 /// [`REPLY_ROWS`]-row answer, and the bytes of its reply.
@@ -561,6 +593,7 @@ fn main() {
     let wal_overhead_pct = (wal_on.as_secs_f64() / wal_off.as_secs_f64() - 1.0) * 100.0;
 
     let (reply_us, reply_bytes) = reply_section();
+    let (stage_us, stage_allocations) = stage_section();
 
     let optimized = summarize(&opt_samples);
     let ns_per_row = optimized.mean_ms * 1e6 / opt_rows as f64;
@@ -613,6 +646,9 @@ fn main() {
     println!(
         "  reply:     {REPLY_ROWS}-row cached answer: {reply_us:.1} µs per respond (median of {REPLY_SAMPLES}), {reply_bytes} bytes"
     );
+    println!(
+        "  stage:     2 trivial heavy tasks on 2 workers: {stage_us:.1} µs per stage (median of {STAGE_SAMPLES}), {stage_allocations:.1} allocations"
+    );
 
     let proc_json = proc_tracing
         .as_ref()
@@ -643,7 +679,7 @@ fn main() {
         relation_sizes.join(", "),
     );
     let json = format!(
-        "{{\n  \"bench\": \"fixpoint_tc_er\",\n  \"plan\": \"p_plw\",\n  \"engine\": \"set_rdd\",\n  \"workers\": {WORKERS},\n  \"graph\": {{\"nodes\": {NODES}, \"edge_prob\": {EDGE_PROB}, \"seed\": {SEED}, \"edges\": {}, \"tc_rows\": {opt_rows}}},\n  \"samples\": {SAMPLES},\n  \"iterations\": {loop_iterations},\n  \"optimized\": {},\n  \"ns_per_row\": {ns_per_row:.1},\n  \"tracing\": {{\"off_min_ms\": {:.3}, \"superstep_min_ms\": {:.3}, \"overhead_pct\": {overhead_pct:.2}, \"events\": {}, \"superstep_events\": {traced_supersteps}, \"kernel_iterations\": {traced_iterations}, \"allocations_beyond_off\": {trace_allocations}}},\n{proc_json}{wire_json}{relation_json}  \"wal\": {{\"off_min_ms\": {:.3}, \"on_min_ms\": {:.3}, \"overhead_pct\": {wal_overhead_pct:.2}, \"batches\": {WAL_BATCHES}}},\n  \"reply\": {{\"rows\": {REPLY_ROWS}, \"samples\": {REPLY_SAMPLES}, \"median_us\": {reply_us:.1}, \"bytes\": {reply_bytes}}},\n  \"comm\": {},\n  \"kernel\": {}\n}}\n",
+        "{{\n  \"bench\": \"fixpoint_tc_er\",\n  \"plan\": \"p_plw\",\n  \"engine\": \"set_rdd\",\n  \"workers\": {WORKERS},\n  \"graph\": {{\"nodes\": {NODES}, \"edge_prob\": {EDGE_PROB}, \"seed\": {SEED}, \"edges\": {}, \"tc_rows\": {opt_rows}}},\n  \"samples\": {SAMPLES},\n  \"iterations\": {loop_iterations},\n  \"optimized\": {},\n  \"ns_per_row\": {ns_per_row:.1},\n  \"tracing\": {{\"off_min_ms\": {:.3}, \"superstep_min_ms\": {:.3}, \"overhead_pct\": {overhead_pct:.2}, \"events\": {}, \"superstep_events\": {traced_supersteps}, \"kernel_iterations\": {traced_iterations}, \"allocations_beyond_off\": {trace_allocations}}},\n{proc_json}{wire_json}{relation_json}  \"wal\": {{\"off_min_ms\": {:.3}, \"on_min_ms\": {:.3}, \"overhead_pct\": {wal_overhead_pct:.2}, \"batches\": {WAL_BATCHES}}},\n  \"reply\": {{\"rows\": {REPLY_ROWS}, \"samples\": {REPLY_SAMPLES}, \"median_us\": {reply_us:.1}, \"bytes\": {reply_bytes}}},\n  \"stage\": {{\"workers\": 2, \"samples\": {STAGE_SAMPLES}, \"median_us\": {stage_us:.1}, \"allocations\": {stage_allocations:.1}}},\n  \"comm\": {},\n  \"kernel\": {}\n}}\n",
         e.len(),
         json_timings(&optimized),
         off_min.as_secs_f64() * 1e3,

@@ -687,21 +687,6 @@ impl Relation {
         self.extend(other.iter());
     }
 
-    /// Unions in a buffer of rows the caller knows are distinct from one
-    /// another — an exchange bucket, a block decoded from a set — though
-    /// not from the rows of `self`. An empty relation takes the buffer over
-    /// as it is; otherwise the rows are inserted one by one.
-    ///
-    /// # Panics
-    /// Panics if the rows' arity differs from the schema's.
-    pub fn absorb_rows(&mut self, rows: Rows) {
-        if self.is_empty() {
-            *self = Relation::from_distinct(std::mem::take(&mut self.schema), rows);
-        } else {
-            self.extend(&rows);
-        }
-    }
-
     /// Appends rows the caller knows are distinct from one another and from
     /// every row of `self`: partitions of one hash-placed set. No row is compared; if
     /// the table was never built, none is hashed either.

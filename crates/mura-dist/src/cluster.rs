@@ -1,11 +1,14 @@
 //! The simulated cluster: a worker pool plus shared communication metrics
 //! and the task-level half of the fault-tolerance subsystem.
 //!
-//! Workers are real OS threads (scoped), so partition-parallel operators
-//! genuinely run in parallel; "communication" is modeled as movement of
-//! rows between partitions and is charged to [`CommStats`]. A task that
-//! reads at most [`LIGHT_TASK_ROWS`] rows is not worth a thread and runs on
-//! the calling one (see [`Cluster::par_map_sized`]).
+//! Partition tasks run on real OS threads, so partition-parallel operators
+//! genuinely run in parallel: the calling thread runs one task of a stage
+//! and hands the others to a process-wide set of parked helper threads,
+//! which outlive the stage (see `join_tasks`). "Communication" is modeled
+//! as movement of rows between partitions and is charged to
+//! [`CommStats`]. A task that reads at most [`LIGHT_TASK_ROWS`] rows is not
+//! worth a hand-off and runs on the calling thread (see
+//! [`Cluster::par_map_sized`]).
 //!
 //! Every partition task runs under a **task supervisor**: each attempt is
 //! a [`FaultPlan::guarded`] one, so a panicking worker is captured as
@@ -15,13 +18,15 @@
 //! Cancellation and deadlines are re-checked before every attempt, so a
 //! cancelled query stops retrying immediately.
 
-use crate::fault::{join_worker, FaultPlan, RecoveryPolicy};
+use crate::fault::{worker_failed, FaultPlan, RecoveryPolicy};
 use crate::metrics::CommStats;
 use crate::wire::TraceCtx;
 use mura_core::{CancellationToken, Relation, Result, Rows, Schema};
 use mura_obs::TraceEvent;
 use std::cell::Cell;
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Everything a communication backend needs to run one exchange or
@@ -125,7 +130,7 @@ pub struct ReplicaId {
 /// [`Cluster::broadcast_rel`] and run unchanged on either backend.
 ///
 /// Implementations: [`SimBackend`] (the in-process simulator — buckets are
-/// merged driver-side, deterministic and dependency-free) and
+/// concatenated driver-side, deterministic and dependency-free) and
 /// [`crate::proc::ProcCluster`] (separate worker OS processes moving the
 /// same buckets over length-delimited TCP frames).
 pub trait CommBackend: Send + Sync + std::fmt::Debug {
@@ -139,17 +144,17 @@ pub trait CommBackend: Send + Sync + std::fmt::Debug {
     }
 
     /// Performs one hash exchange: `buckets[from][to]` holds the rows
-    /// worker `from` routed to worker `to` — cut from a set, so distinct
-    /// among themselves, though another source may route the same row; the
-    /// result is the merged partition of every destination. At-least-once
-    /// delivery with set semantics: injected drops are retransmitted,
-    /// injected duplicates are absorbed by the set merge.
+    /// worker `from` routed to worker `to`; the result is, per destination,
+    /// every row it received, as one bag in source order. At-least-once
+    /// delivery: injected drops are retransmitted, and injected duplicates
+    /// are delivered — the bag holds them twice. Set semantics are the
+    /// consumer's (see [`Cluster::exchange_at`]).
     fn exchange(
         &self,
         ctx: &ExchangeCtx<'_>,
         schema: &Schema,
         buckets: Vec<Vec<Rows>>,
-    ) -> Result<Vec<Relation>>;
+    ) -> Result<Vec<Rows>>;
 
     /// Replicates `rel` to every worker. `id` names the value across
     /// queries (`None`: it has no name and always ships); the process
@@ -171,9 +176,9 @@ pub trait CommBackend: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// The in-process simulator backend: buckets are merged on the driver;
-/// injected drops are counted-and-retransmitted and injected duplicates
-/// delivered twice, exactly as the exchange layer always behaved.
+/// The in-process simulator backend: the buckets bound for a destination
+/// are concatenated on the driver; injected drops are
+/// counted-and-retransmitted and injected duplicates delivered twice.
 #[derive(Debug, Default)]
 pub struct SimBackend;
 
@@ -187,11 +192,13 @@ impl CommBackend for SimBackend {
         ctx: &ExchangeCtx<'_>,
         schema: &Schema,
         buckets: Vec<Vec<Rows>>,
-    ) -> Result<Vec<Relation>> {
-        let mut parts: Vec<Relation> =
-            (0..ctx.workers).map(|_| Relation::new(schema.clone())).collect();
-        for (from, worker_buckets) in buckets.into_iter().enumerate() {
-            for (t, bucket) in worker_buckets.into_iter().enumerate() {
+    ) -> Result<Vec<Rows>> {
+        // How many copies of each bucket arrive, decided in source order.
+        let mut copies = Vec::with_capacity(ctx.workers * ctx.workers);
+        let mut sizes = vec![0; ctx.workers];
+        for (from, outgoing) in buckets.iter().enumerate() {
+            for (t, bucket) in outgoing.iter().enumerate() {
+                let mut n = 1;
                 if ctx.fault.is_active() && !bucket.is_empty() {
                     if ctx.fault.drop_exchange(ctx.site, from, t) {
                         // Lost in transit: the receiver's ack times out and
@@ -200,16 +207,20 @@ impl CommBackend for SimBackend {
                             bucket.len() as u64
                         ));
                     }
-                    if ctx.fault.duplicate_exchange(ctx.site, from, t) {
-                        parts[t].absorb_rows(bucket.clone());
-                    }
+                    n += usize::from(ctx.fault.duplicate_exchange(ctx.site, from, t));
                 }
-                // The first bucket to arrive becomes the partition;
-                // later ones are looked up row by row.
-                parts[t].absorb_rows(bucket);
+                copies.push(n);
+                sizes[t] += n * bucket.len();
             }
         }
-        Ok(parts)
+        let mut bags: Vec<Rows> =
+            sizes.iter().map(|&size| Rows::with_capacity(schema.arity(), size)).collect();
+        for (outgoing, copies) in buckets.iter().zip(copies.chunks(ctx.workers)) {
+            for ((bag, bucket), &n) in bags.iter_mut().zip(outgoing).zip(copies) {
+                (0..n).for_each(|_| bag.append(bucket));
+            }
+        }
+        Ok(bags)
     }
 
     fn broadcast(&self, _: &ExchangeCtx<'_>, _: &Relation, _: Option<ReplicaId>) -> Result<()> {
@@ -317,13 +328,30 @@ impl Cluster {
 
     /// Runs one hash exchange through the backend at fault site `site`:
     /// `buckets[from][to]` are the rows worker `from` routed to worker
-    /// `to`; returns the merged destination partitions.
+    /// `to`; returns the destination partitions, each deduplicated by its
+    /// own task ([`Relation::from_bag`]).
     pub fn exchange_at(
         &self,
         site: u64,
         schema: &Schema,
         buckets: Vec<Vec<Rows>>,
     ) -> Result<Vec<Relation>> {
+        let bags = self.exchange_bags_at(site, schema, buckets)?;
+        let tasks = bags.into_iter().map(|bag| {
+            let light = bag.len() <= LIGHT_TASK_ROWS;
+            (light, move || Ok(Relation::from_bag(schema.clone(), bag)))
+        });
+        join_tasks(tasks)
+    }
+
+    /// [`Cluster::exchange_at`] without the deduplication: per destination,
+    /// every row it received, injected duplicates included.
+    pub fn exchange_bags_at(
+        &self,
+        site: u64,
+        schema: &Schema,
+        buckets: Vec<Vec<Rows>>,
+    ) -> Result<Vec<Rows>> {
         self.backend.exchange(&self.exchange_ctx(site), schema, buckets)
     }
 
@@ -375,8 +403,8 @@ impl Cluster {
         self.try_par_map_sized(items, rows, |i, item| Ok(f(i, item)))
     }
 
-    /// [`Cluster::try_par_map_sized`] for tasks of unknown cost: each gets
-    /// a thread.
+    /// [`Cluster::try_par_map_sized`] for tasks of unknown cost: each is
+    /// heavy.
     pub fn try_par_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>>
     where
         T: Sync,
@@ -517,45 +545,195 @@ impl Cluster {
 }
 
 /// Input rows at or under which a task is *light*: it runs on the calling
-/// thread instead of one of its own. Starting a thread and waiting for it
-/// costs about as much as a join kernel spends on a thousand rows, and that
-/// cost is the part of a stage that depends on the machine rather than on
-/// the data (another core has to be woken twice); the tail supersteps of a
-/// fixpoint and the operators around a filtered seed are almost all light.
+/// thread instead of being handed to a helper. A stage that hands a task
+/// off costs 14–17 µs on a 2-vCPU host — another core has to be woken
+/// twice, the part of a stage that depends on the machine rather than on
+/// the data — about what a join kernel spends on a few hundred rows. End to
+/// end, thresholds of 256 and 4096 rows ran the benchmark's `classes_sim`
+/// within 3% of this one, none of them ahead in every round. The tail
+/// supersteps of a fixpoint and the operators around a filtered seed are
+/// almost all light.
 pub const LIGHT_TASK_ROWS: usize = 1024;
 
 /// Runs one task per worker — `(light, task)` — and collects the results
-/// in worker order. Every heavy task but the last gets a scoped thread of
-/// its own; the calling thread, which would otherwise only wait, runs the
-/// last heavy task and all the light ones. A stage of `h` heavy tasks costs
-/// `h − 1` thread spawns: none when at most one partition has real work.
+/// in worker order. The calling thread, which would otherwise only wait,
+/// runs the last heavy task and all the light ones; every other heavy task
+/// is handed to a helper thread ([`Helpers`]). A panic that escapes a
+/// handed-off task comes back as [`mura_core::MuraError::WorkerFailed`] of
+/// its worker; one that escapes a task of the caller unwinds — once every
+/// handed-off task has finished.
 fn join_tasks<R, Task>(tasks: impl Iterator<Item = (bool, Task)>) -> Result<Vec<R>>
 where
     R: Send,
     Task: FnOnce() -> Result<R> + Send,
 {
-    let tasks: Vec<(bool, Task)> = tasks.collect();
-    let last_heavy = tasks.iter().rposition(|(light, _)| !light);
-    let mut results: Vec<Option<Result<R>>> = tasks.iter().map(|_| None).collect();
-    std::thread::scope(|s| {
-        // Threads first, so that they run while the caller works.
-        let mut threads = Vec::new();
-        let mut mine = Vec::new();
-        for (i, (light, task)) in tasks.into_iter().enumerate() {
-            if light || Some(i) == last_heavy {
-                mine.push((i, task));
-            } else {
-                threads.push((i, s.spawn(task)));
+    HELPERS.join(tasks)
+}
+
+/// The helper threads every stage of the process hands its tasks to.
+static HELPERS: Helpers = Helpers::new();
+
+/// A set of parked helper threads. It starts empty and grows by one thread
+/// only when a task is handed off and no helper is free, so it never holds
+/// more threads than the most tasks ever handed off at once, and a stage
+/// never waits for a helper that another stage keeps busy. Helpers never
+/// exit.
+struct Helpers {
+    pool: Mutex<Pool>,
+    /// Signalled once per job queued for a free helper.
+    wake: Condvar,
+}
+
+struct Pool {
+    /// Jobs handed to free helpers and not yet taken; each was counted off
+    /// `free` when it was queued, so every one has a helper coming for it.
+    queue: VecDeque<Job>,
+    /// Parked helpers no queued job is counted against.
+    free: usize,
+    /// Helper threads started.
+    threads: usize,
+}
+
+/// A handed-off task, and the latch of its stage: `done` counts it down
+/// when the job has run, or when it is dropped without running.
+struct Job {
+    run: Box<dyn FnOnce() + Send>,
+    done: Done,
+}
+
+/// Counts its stage's latch down when dropped.
+struct Done(Arc<Latch>);
+
+impl Drop for Done {
+    fn drop(&mut self) {
+        let mut pending = lock(&self.0.pending);
+        *pending -= 1;
+        if *pending == 0 {
+            self.0.finished.notify_all();
+        }
+    }
+}
+
+/// The handed-off jobs of one stage that have not finished.
+#[derive(Default)]
+struct Latch {
+    pending: Mutex<usize>,
+    finished: Condvar,
+}
+
+/// Waits, when dropped — on return and on unwind alike — until every job
+/// counted on its latch has finished.
+struct WaitAll(Option<Arc<Latch>>);
+
+impl Drop for WaitAll {
+    fn drop(&mut self) {
+        if let Some(latch) = &self.0 {
+            let mut pending = lock(&latch.pending);
+            while *pending > 0 {
+                pending = latch.finished.wait(pending).unwrap_or_else(PoisonError::into_inner);
             }
         }
-        for (i, task) in mine {
-            results[i] = Some(task());
+    }
+}
+
+/// Locks `m`; no critical section here leaves its data half updated.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Helpers {
+    const fn new() -> Helpers {
+        Helpers {
+            pool: Mutex::new(Pool { queue: VecDeque::new(), free: 0, threads: 0 }),
+            wake: Condvar::new(),
         }
-        for (i, handle) in threads {
-            results[i] = Some(join_worker(i, handle));
+    }
+
+    /// `join_tasks` over this set of helpers.
+    fn join<R, Task>(&'static self, tasks: impl Iterator<Item = (bool, Task)>) -> Result<Vec<R>>
+    where
+        R: Send,
+        Task: FnOnce() -> Result<R> + Send,
+    {
+        let tasks: Vec<(bool, Task)> = tasks.collect();
+        let last_heavy = tasks.iter().rposition(|(light, _)| !light);
+        let mut results: Vec<Option<Result<R>>> = tasks.iter().map(|_| None).collect();
+        {
+            let mut wait = WaitAll(None);
+            let mut mine = Vec::new();
+            for ((i, (light, task)), slot) in tasks.into_iter().enumerate().zip(&mut results) {
+                if light || Some(i) == last_heavy {
+                    mine.push((task, slot));
+                    continue;
+                }
+                let run: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    let out = catch_unwind(AssertUnwindSafe(task));
+                    *slot = Some(out.unwrap_or_else(|payload| Err(worker_failed(i, payload))));
+                });
+                // SAFETY: `run` borrows `results` and what `task` borrows,
+                // all of which outlive this block. The job's `Done` is
+                // counted on the latch of `wait` before the job leaves this
+                // thread, and `wait` is dropped at the end of the block — on
+                // return and on unwind alike — where it blocks until every
+                // job counted has run and been dropped (or was dropped
+                // without running). So no job outlives what it borrows, and
+                // erasing the lifetime only lets it cross to a helper.
+                let run = unsafe {
+                    std::mem::transmute::<
+                        Box<dyn FnOnce() + Send + '_>,
+                        Box<dyn FnOnce() + Send + 'static>,
+                    >(run)
+                };
+                let latch = wait.0.get_or_insert_with(Default::default);
+                *lock(&latch.pending) += 1;
+                self.hand_off(Job { run, done: Done(Arc::clone(latch)) });
+            }
+            for (task, slot) in mine {
+                *slot = Some(task());
+            }
         }
-    });
-    results.into_iter().map(|r| r.expect("every task ran")).collect()
+        results.into_iter().map(|r| r.expect("every task ran")).collect()
+    }
+
+    /// Gives `job` to a free helper, or to a new one if none is free.
+    fn hand_off(&'static self, job: Job) {
+        let mut pool = lock(&self.pool);
+        if pool.free > 0 {
+            pool.free -= 1;
+            pool.queue.push_back(job);
+            drop(pool);
+            self.wake.notify_one();
+            return;
+        }
+        pool.threads += 1;
+        drop(pool);
+        // On failure the job is dropped unrun, which counts it down.
+        let spawned =
+            std::thread::Builder::new().name("mura-helper".into()).spawn(move || self.serve(job));
+        if let Err(e) = spawned {
+            lock(&self.pool).threads -= 1;
+            panic!("failed to start a helper thread: {e}");
+        }
+    }
+
+    /// A helper's life: run the job, become free, take the next one.
+    fn serve(&self, mut job: Job) {
+        loop {
+            let Job { run, done } = job;
+            run();
+            // Free before the stage learns that the job has finished: a
+            // stage started after this one finds the helper free.
+            lock(&self.pool).free += 1;
+            drop(done);
+            let mut pool = lock(&self.pool);
+            job = loop {
+                match pool.queue.pop_front() {
+                    Some(next) => break next,
+                    None => pool = self.wake.wait(pool).unwrap_or_else(PoisonError::into_inner),
+                }
+            };
+        }
+    }
 }
 
 impl Default for Cluster {
@@ -591,7 +769,8 @@ mod tests {
     #[test]
     fn light_tasks_run_on_the_calling_thread() {
         // Sized by the item itself. The caller takes the last heavy task
-        // and every light one; a stage with one heavy task spawns nothing.
+        // and every light one; a stage with one heavy task hands off
+        // nothing.
         let c = Cluster::new(4);
         let caller = std::thread::current().id();
         let on_caller = |items: [usize; 4]| {
@@ -708,6 +887,76 @@ mod tests {
             }
             other => panic!("expected WorkerFailed, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_handed_off_task_that_panics_outside_guarded_is_worker_failed() {
+        let tasks = (0..3usize).map(|i| {
+            let task = move || -> Result<usize> {
+                assert!(i != 1, "escaped the guard");
+                Ok(i)
+            };
+            (false, task)
+        });
+        let err = join_tasks(tasks).unwrap_err();
+        assert!(
+            matches!(&err, MuraError::WorkerFailed { worker: 1, payload } if payload.contains("escaped")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_panicking_caller_task_unwinds_after_every_handed_off_job() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let finished = AtomicUsize::new(0);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            join_tasks((0..3usize).map(|i| {
+                let finished = &finished;
+                let task = move || -> Result<()> {
+                    // The last task is the caller's.
+                    assert!(i != 2, "caller boom");
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    Ok(())
+                };
+                (false, task)
+            }))
+        }));
+        assert!(outcome.is_err(), "the caller's panic unwinds");
+        assert_eq!(finished.load(Ordering::SeqCst), 2, "both handed-off jobs ran first");
+    }
+
+    #[test]
+    fn a_stage_started_inside_a_helper_job_completes() {
+        let c = Cluster::new(2);
+        let caller = std::thread::current().id();
+        let out = c
+            .try_par_map(&[1u64, 2], |i, x| {
+                let inner = Cluster::new(2).try_par_map(&[10u64, 20], |_, y| Ok(x * y))?;
+                Ok((i == 0 && std::thread::current().id() != caller, inner.iter().sum::<u64>()))
+            })
+            .unwrap();
+        assert_eq!(out, vec![(true, 30), (false, 60)]);
+    }
+
+    #[test]
+    fn eight_threads_running_stages_at_once_share_at_most_eight_helpers() {
+        // A set of its own, so that other tests' stages do not count.
+        let helpers: &'static Helpers = Box::leak(Box::new(Helpers::new()));
+        std::thread::scope(|s| {
+            for t in 0..8u64 {
+                s.spawn(move || {
+                    for stage in 0..50u64 {
+                        let tasks =
+                            (0..2u64).map(|w| (false, move || Ok(t * 1000 + stage * 2 + w)));
+                        let want = vec![t * 1000 + stage * 2, t * 1000 + stage * 2 + 1];
+                        assert_eq!(helpers.join(tasks).unwrap(), want);
+                    }
+                });
+            }
+        });
+        let threads = lock(&helpers.pool).threads;
+        assert!((1..=8).contains(&threads), "{threads} helpers for 8 concurrent hand-offs");
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn key_positions(schema: &Schema, key: &[Sym]) -> Vec<usize> {
 /// Cuts `rows` into `n` buffers, row `r` going to `hash(key(r)) mod n`.
 /// Every row is hashed once and copied once, into a buffer allocated at
 /// its final size.
-fn split_by_key(rows: &Rows, key_pos: &[usize], n: usize) -> Vec<Rows> {
+pub(crate) fn split_by_key(rows: &Rows, key_pos: &[usize], n: usize) -> Vec<Rows> {
     let targets: Vec<u32> =
         rows.iter().map(|row| ((hash_key(row, key_pos) as usize) % n) as u32).collect();
     let mut sizes = vec![0usize; n];
@@ -221,7 +221,8 @@ impl DistRel {
     /// This is the exchange the fault plan targets for message drops and
     /// duplications: a dropped bucket is detected and retransmitted
     /// (at-least-once delivery — counted, no data lost), a duplicated
-    /// bucket is delivered twice and absorbed by set semantics.
+    /// bucket is delivered twice and squeezed out by the destination's
+    /// task, which builds its partition from the bag it received.
     pub fn repartition(&self, key: &[Sym], cluster: &Cluster) -> Result<DistRel> {
         if self.partitioned_by.as_deref() == Some(key) {
             return Ok(self.clone());
@@ -237,7 +238,7 @@ impl DistRel {
         cluster.metrics().record_shuffle(self.len() as u64);
         let exchange_site = cluster.fault().next_site();
         // Each worker buckets its partition; the backend moves the buckets
-        // (driver-side merge on the simulator, real sockets on ProcCluster).
+        // (driver-side on the simulator, real sockets on ProcCluster).
         let bucketed: Vec<Vec<Rows>> =
             cluster.par_map_sized(self.parts(), Relation::len, |_, p| {
                 split_by_key(p.rows(), &key_pos, n)
@@ -267,51 +268,44 @@ impl DistRel {
         Ok(DistRel::from_parts(a.schema, parts, a.partitioned_by))
     }
 
-    /// The accumulate step of `P_gld`: `self ∪= new` in place, returning
-    /// `new \ self` — the next delta — partitioned like the accumulator.
-    /// The two sides are co-partitioned the way a set difference followed
-    /// by a union would co-partition them (one shuffle of `new` unless it
-    /// already shares the accumulator's key); then every worker runs
+    /// The accumulate step of `P_gld`: `self ∪= bags` in place, returning
+    /// the rows that were new — the next delta — partitioned like the
+    /// accumulator. `bags[w]` is what an exchange delivered to worker `w`,
+    /// routed by the hash of the full row, duplicates and all. An
+    /// accumulator not yet placed by the full row moves once; in the plan of
+    /// §IV-A1 the difference and the union each co-partition it, so the
+    /// communication model charges that move twice. Then every worker runs
     /// [`Relation::absorb_new`] on its own partition, so the step costs
-    /// O(|new|) whatever the accumulator holds.
+    /// O(|bag|) whatever the accumulator holds.
     ///
     /// On an error `self` is left empty: its partitions were moved into
     /// the failed tasks. The superstep supervisor resets the accumulator
     /// from its checkpoint (or the seed) before it iterates again.
-    pub fn absorb_new(&mut self, new: DistRel, cluster: &Cluster) -> Result<DistRel> {
-        assert_eq!(self.schema, new.schema, "accumulating incompatible schemas");
-        let mut new = new;
-        if self.partitioned_by.is_none() || self.partitioned_by != new.partitioned_by {
-            let key: Vec<Sym> = self.schema.columns().to_vec();
-            new = new.repartition(&key, cluster)?;
-            if self.partitioned_by.as_deref() != Some(&key[..]) {
-                *self = self.repartition(&key, cluster)?;
-                // In the plan of §IV-A1 the difference and the union each
-                // co-partition the accumulator. Fused, it moves once; the
-                // communication model still charges both.
-                if cluster.workers() > 1 {
-                    cluster.metrics().record_shuffle(self.len() as u64);
-                }
+    pub fn absorb_new(&mut self, bags: Vec<Rows>, cluster: &Cluster) -> Result<DistRel> {
+        let key: Vec<Sym> = self.schema.columns().to_vec();
+        if self.partitioned_by.as_deref() != Some(&key[..]) {
+            *self = self.repartition(&key, cluster)?;
+            if cluster.workers() > 1 {
+                cluster.metrics().record_shuffle(self.len() as u64);
             }
         }
-        let (schema, key) = (self.schema.clone(), self.partitioned_by.clone());
+        let schema = self.schema.clone();
         let emptied = DistRel::from_relation(&Relation::new(schema.clone()), cluster);
         let acc_parts = std::mem::replace(self, emptied).into_parts();
-        let pairs: Vec<(Relation, Relation)> =
-            acc_parts.into_iter().zip(new.into_parts()).collect();
+        let pairs: Vec<(Relation, Rows)> = acc_parts.into_iter().zip(bags).collect();
         let site = cluster.fault().next_site();
         // Sized by what is absorbed: only the first absorb of a fixpoint
         // also builds the accumulator's table.
-        let new_rows = |(_, new): &(Relation, Relation)| new.len();
+        let bag_rows = |(_, bag): &(Relation, Rows)| bag.len();
         let absorbed =
-            cluster.try_par_map_owned_at(site, 0, pairs, new_rows, |_, (mut acc, new)| {
-                check_room(acc.len(), new.len())?;
-                let delta = acc.absorb_new(new.rows());
+            cluster.try_par_map_owned_at(site, 0, pairs, bag_rows, |_, (mut acc, bag)| {
+                check_room(acc.len(), bag.len())?;
+                let delta = acc.absorb_new(&bag);
                 Ok((acc, delta))
             })?;
         let (acc_parts, delta_parts): (Vec<Relation>, Vec<Relation>) = absorbed.into_iter().unzip();
-        *self = DistRel::from_parts(schema.clone(), acc_parts, key.clone());
-        Ok(DistRel::from_parts(schema, delta_parts, key))
+        *self = DistRel::from_parts(schema.clone(), acc_parts, Some(key.clone()));
+        Ok(DistRel::from_parts(schema, delta_parts, Some(key)))
     }
 
     /// The partitions, owned.
@@ -475,6 +469,12 @@ mod tests {
         assert_eq!(u.len(), 3);
     }
 
+    /// `r` routed by the hash of the full row, as a `P_gld` superstep
+    /// routes what its branches produced.
+    fn routed(r: &Relation, n: usize) -> Vec<Rows> {
+        split_by_key(r.rows(), &(0..r.schema().arity()).collect::<Vec<_>>(), n)
+    }
+
     #[test]
     fn absorb_new_accumulates_in_place_and_returns_the_new_rows() {
         let mut db = mura_core::Database::new();
@@ -484,10 +484,14 @@ mod tests {
         let mut acc = DistRel::from_relation(&r1, &c);
         let checkpoint = acc.clone();
         let before = c.metrics().snapshot();
-        let delta = acc.absorb_new(DistRel::from_relation(&r2, &c), &c).unwrap();
-        // Both sides loaded with the same full-row key → no shuffle.
+        // A row delivered twice is absorbed once.
+        let mut bags = routed(&r2, 4);
+        bags.iter_mut().for_each(|bag| bag.append(&bag.clone()));
+        let delta = acc.absorb_new(bags, &c).unwrap();
+        // Loaded with the full-row key → no shuffle.
         assert_eq!(c.metrics().snapshot().since(&before).shuffles, 0);
         assert_eq!(delta.collect().sorted_rows(), rel(&mut db, &[(7, 8), (9, 10)]).sorted_rows());
+        assert_eq!(delta.len(), 2);
         assert_eq!(acc.collect().sorted_rows(), r1.union(&r2).sorted_rows());
         assert_eq!(delta.partitioned_by(), acc.partitioned_by());
         // Every new row sits in the accumulator partition it was absorbed by.
@@ -500,30 +504,27 @@ mod tests {
 
     #[test]
     fn absorb_new_charges_what_difference_then_union_charged() {
-        // `new` without a key is shuffled once. An accumulator keyed in
-        // another order moves once and is charged twice: once for the
-        // difference, once for the union (see `DistRel::absorb_new`).
+        // An accumulator keyed in another order moves once and is charged
+        // twice: once for the difference, once for the union (see
+        // `DistRel::absorb_new`). The rows absorbed arrive routed: they are
+        // the exchange's, not the accumulator's, to charge.
         let mut db = mura_core::Database::new();
         let (src, dst) = (db.intern("src"), db.intern("dst"));
         let r1 = rel(&mut db, &[(1, 2), (3, 4), (5, 6)]);
         let r2 = rel(&mut db, &[(3, 4), (7, 8)]);
         let c = cluster();
-        let unkeyed = |r: &Relation| {
-            let parts = DistRel::from_relation(r, &c).parts().to_vec();
-            DistRel::from_parts(r.schema().clone(), parts, None)
-        };
         let mut acc = DistRel::from_relation(&r1, &c);
         let before = c.metrics().snapshot();
-        let delta = acc.absorb_new(unkeyed(&r2), &c).unwrap();
+        let delta = acc.absorb_new(routed(&r2, 4), &c).unwrap();
         let moved = c.metrics().snapshot().since(&before);
-        assert_eq!((moved.shuffles, moved.rows_shuffled), (1, 2));
+        assert_eq!((moved.shuffles, moved.rows_shuffled), (0, 0));
         assert_eq!(delta.len(), 1);
 
         let mut acc = DistRel::from_relation(&r1, &c).repartition(&[dst, src], &c).unwrap();
         let before = c.metrics().snapshot();
-        let delta = acc.absorb_new(unkeyed(&r2), &c).unwrap();
+        let delta = acc.absorb_new(routed(&r2, 4), &c).unwrap();
         let moved = c.metrics().snapshot().since(&before);
-        assert_eq!((moved.shuffles, moved.rows_shuffled), (3, 2 + 3 + 3));
+        assert_eq!((moved.shuffles, moved.rows_shuffled), (2, 3 + 3));
         assert_eq!(delta.len(), 1);
         assert_eq!(acc.collect().sorted_rows(), r1.union(&r2).sorted_rows());
     }

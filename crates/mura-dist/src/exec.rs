@@ -10,7 +10,7 @@
 //! iteration).*
 
 use crate::cluster::{Cluster, CommBackend, ReplicaId};
-use crate::distrel::DistRel;
+use crate::distrel::{split_by_key, DistRel};
 use crate::fault::{FaultConfig, FaultPlan, FaultSnapshot, RecoveryPolicy};
 use crate::fixloop::{self, Superstep, Supervision};
 use crate::localfix::{
@@ -23,7 +23,8 @@ use mura_core::analysis::{check_fcond, decompose_fixpoint, stable_columns, TypeE
 use mura_core::fxhash::FxHashMap;
 use mura_core::kernel::kernel_stats;
 use mura_core::{
-    CancellationToken, Database, KernelSnapshot, MuraError, Relation, Result, Schema, Sym, Term,
+    CancellationToken, Database, KernelSnapshot, MuraError, Relation, Result, Rows, Schema, Sym,
+    Term,
 };
 use mura_obs::trace::{EventKind, PlanKind, QueryTrace, TraceEvent, TraceLevel, TraceSink};
 use std::sync::Arc;
@@ -842,9 +843,11 @@ fn charge(budget: &Budget, produced: &mut u64, rows: usize, arity: usize) -> Res
     budget.charge_bytes(mura_core::rel_bytes(rows as u64, arity))
 }
 
-/// The `P_gld` superstep: applies the branches to the delta partition-wise,
-/// shuffles what they produced to the accumulator's partitioning and
-/// accumulates it into the accumulator in place.
+/// The `P_gld` superstep, two stages around one exchange: every worker
+/// applies the branches to its delta partition and routes what they
+/// produced by the accumulator's key, the full row; the exchange delivers
+/// each worker its rows; every worker accumulates them into its partition
+/// of the accumulator in place.
 struct DriverStep<'a, 'db> {
     ev: &'a DistEvaluator<'db>,
     prepared: &'a [Prepared<Relation>],
@@ -872,34 +875,53 @@ impl Superstep for DriverStep<'_, '_> {
         let window = ev.probe_superstep();
         // Frames shuffled by this superstep carry its 1-based number.
         ev.set_trace_step(sup.fixpoint, iteration as u32);
-        let mut new: Option<DistRel> = None;
-        for p in self.prepared {
-            let start = Instant::now();
-            // No stage-level rerun for the branch evaluation: a hard task
-            // failure here goes to the loop, which restores the last
-            // checkpoint (or restarts). Every attempt draws a fresh site.
-            let site = sup.fault.next_site();
-            let parts =
-                cluster.try_par_map_at(site, 0, delta.parts(), Relation::len, |_, part| {
-                    Ok(eval_branch(p, part))
-                })?;
-            kernel_stats().record_eval_time(start.elapsed());
-            let produced = DistRel::from_parts(p.schema().clone(), parts, None);
-            charge(sup.budget, &mut self.produced_rows, produced.len(), p.schema().arity())?;
-            new = Some(match new {
-                None => produced,
-                Some(n) => n.union(&produced, cluster)?,
-            });
-        }
-        let new = new.expect("at least one recursive branch");
-        if new.schema() != acc.schema() {
+        let (schema, workers) = (acc.schema().clone(), cluster.workers());
+        if let Some(p) = self.prepared.iter().find(|p| *p.schema() != schema) {
             return Err(MuraError::SchemaMismatch {
-                left: acc.schema().clone(),
-                right: new.schema().clone(),
+                left: schema,
+                right: p.schema().clone(),
                 context: "fixpoint recursive part",
             });
         }
-        let new = acc.absorb_new(new, cluster)?;
+        let full_row: Vec<usize> = (0..schema.arity()).collect();
+        let prepared = self.prepared;
+        let start = Instant::now();
+        // No stage-level rerun for the branch evaluation: a hard task
+        // failure here goes to the loop, which restores the last
+        // checkpoint (or restarts). Every attempt draws a fresh site.
+        let site = sup.fault.next_site();
+        let routed = cluster.try_par_map_at(site, 0, delta.parts(), Relation::len, |_, part| {
+            // Per branch the rows it produced, deduplicated: the rows the
+            // communication model counts as shuffled.
+            let mut produced = Vec::with_capacity(prepared.len());
+            let mut buckets: Vec<Rows> = Vec::new();
+            for p in prepared {
+                let rows = eval_branch(p, part);
+                produced.push(rows.len());
+                let split = split_by_key(rows.rows(), &full_row, workers);
+                if buckets.is_empty() {
+                    buckets = split;
+                } else {
+                    buckets.iter_mut().zip(&split).for_each(|(b, s)| b.append(s));
+                }
+            }
+            Ok((produced, buckets))
+        })?;
+        kernel_stats().record_eval_time(start.elapsed());
+        let (produced, buckets): (Vec<Vec<usize>>, Vec<Vec<Rows>>) = routed.into_iter().unzip();
+        for branch in 0..prepared.len() {
+            let rows: usize = produced.iter().map(|w| w[branch]).sum();
+            charge(sup.budget, &mut self.produced_rows, rows, schema.arity())?;
+            if workers > 1 {
+                cluster.metrics().record_shuffle(rows as u64);
+            }
+        }
+        let bags = if workers > 1 {
+            cluster.exchange_bags_at(sup.fault.next_site(), &schema, buckets)?
+        } else {
+            buckets.into_iter().flatten().collect()
+        };
+        let new = acc.absorb_new(bags, cluster)?;
         charge(sup.budget, &mut self.produced_rows, new.len(), new.schema().arity())?;
         let mut step_ev = TraceEvent::new(EventKind::Superstep, sup.fixpoint, sup.plan);
         step_ev.iteration = iteration;

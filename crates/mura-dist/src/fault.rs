@@ -608,7 +608,7 @@ impl FaultPlan {
 }
 
 /// The error a captured panic of `worker` comes back as.
-fn worker_failed(worker: usize, payload: Box<dyn std::any::Any + Send>) -> MuraError {
+pub(crate) fn worker_failed(worker: usize, payload: Box<dyn std::any::Any + Send>) -> MuraError {
     let payload = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -617,16 +617,6 @@ fn worker_failed(worker: usize, payload: Box<dyn std::any::Any + Send>) -> MuraE
         "worker panicked (non-string payload)".to_string()
     };
     MuraError::WorkerFailed { worker, payload }
-}
-
-/// Joins the thread of `worker`, whose body catches its own panics
-/// ([`FaultPlan::guarded`]): one that still escaped is the harness's, and is
-/// reported instead of aborting.
-pub(crate) fn join_worker<T>(
-    worker: usize,
-    handle: std::thread::ScopedJoinHandle<'_, Result<T>>,
-) -> Result<T> {
-    handle.join().unwrap_or_else(|payload| Err(worker_failed(worker, payload)))
 }
 
 #[cfg(test)]

@@ -885,10 +885,10 @@ impl ProcCluster {
     }
 
     /// One attempt of an exchange: seal every source's relay under the
-    /// fresh exchange id `xid`, send the relays and the takes, and decode
-    /// every destination's inbox into its partition in `parts` (which holds
-    /// the buckets that stayed on their worker; rows a failed attempt
-    /// decoded are absorbed again by the next). It is handed frames, not
+    /// fresh exchange id `xid`, send the relays and the takes, and append
+    /// every destination's inbox to its bag in `parts` (which holds the
+    /// buckets that stayed on their worker; the caller cuts what a failed
+    /// attempt appended back off). It is handed frames, not
     /// rows: nothing is encoded here, whichever attempt this is. Errors
     /// name the worker so the caller can repair it.
     ///
@@ -904,7 +904,7 @@ impl ProcCluster {
         &self,
         ctx: &ExchangeCtx<'_>,
         (xid, attempt): (u64, u32),
-        parts: &mut [Relation],
+        parts: &mut [Rows],
         relays: &mut [BucketFrame],
         expect: &[u32],
     ) -> std::result::Result<(), (usize, WireError)> {
@@ -1050,21 +1050,21 @@ impl CommBackend for ProcCluster {
         ctx: &ExchangeCtx<'_>,
         schema: &Schema,
         buckets: Vec<Vec<Rows>>,
-    ) -> Result<Vec<Relation>> {
+    ) -> Result<Vec<Rows>> {
         let n = self.inner.n;
         assert_eq!(ctx.workers, n, "exchange shape must match the process cluster");
         let arity = schema.arity();
         // Take the injection decisions once, up front, for every bucket as
         // the simulator does: retries of the same exchange must not re-roll
         // (or re-count) the same fault coordinates. A bucket that stays on
-        // its worker never leaves the coordinator: it is merged into its
-        // partition here, an injected duplicate absorbed like the
+        // its worker never leaves the coordinator: it is appended to its
+        // destination's bag here, an injected duplicate twice like the
         // simulator's. Every other bucket is encoded once, straight into
         // its source's relay frame; an injected drop is a first copy lost in
         // transit — we ship the retransmission too, so it costs real extra
         // bytes; an injected duplicate ships twice. Both extra copies are
-        // the encoded bytes again, and both are absorbed by the set merge.
-        let mut parts: Vec<Relation> = (0..n).map(|_| Relation::new(schema.clone())).collect();
+        // the encoded bytes again, and both land in the bag.
+        let mut parts: Vec<Rows> = (0..n).map(|_| Rows::new(arity)).collect();
         let mut relays: Vec<BucketFrame> = (0..n).map(|_| BucketFrame::relay(ctx.trace)).collect();
         let mut expect = vec![0u32; n];
         let mut inbound = vec![TAKE_REPLY_HEAD; n];
@@ -1080,10 +1080,12 @@ impl CommBackend for ProcCluster {
                     ctx.fault.record_time_lost(Duration::from_micros(bucket.len() as u64));
                 }
                 if from == to {
+                    // The first rows of the bag: it is empty until now.
+                    parts[to] = bucket;
                     if duplicated {
-                        parts[to].absorb_rows(bucket.clone());
+                        let again = parts[to].clone();
+                        parts[to].append(&again);
                     }
-                    parts[to].absorb_rows(bucket);
                     continue;
                 }
                 let before = relays[from].wire_len();
@@ -1105,6 +1107,7 @@ impl CommBackend for ProcCluster {
         let max_attempts = ctx.recovery.max_retries + ctx.fault.config().failures_per_site + 2;
         let mut last: (usize, WireError) = (0, WireError::Malformed("exchange never attempted"));
         let mut xids = Vec::new();
+        let local: Vec<usize> = parts.iter().map(Rows::len).collect();
         for attempt in 0..max_attempts {
             if let Some(c) = ctx.cancel {
                 if let Err(e) = c.check() {
@@ -1119,6 +1122,7 @@ impl CommBackend for ProcCluster {
                 Err((w, e @ WireError::FrameTooLarge { .. })) => return Err(e.into_mura_error(w)),
                 Err((w, e)) => {
                     last = (w, e);
+                    parts.iter_mut().zip(&local).for_each(|(bag, &len)| bag.truncate(len));
                     // Respawn whatever died, then re-announce the port map
                     // to everyone: the failure may be a live worker still
                     // delivering to a dead peer's old port (it missed the

@@ -20,7 +20,7 @@
 //! *borrows* its payloads from that buffer. Rows are encoded once, as
 //! [`mura_core::codec`] row blocks written straight into the outgoing frame
 //! ([`BucketFrame::push_rows`], [`bcast_frame`]), and decoded once, straight
-//! into the destination relation ([`decode_rows_into`]).
+//! onto the destination's bag ([`decode_rows_into`]).
 //!
 //! Exchange payloads (partition buckets, broadcast relations) are opaque
 //! byte blobs to the workers — only the coordinator encodes and decodes
@@ -34,7 +34,7 @@
 
 use crate::cluster::ReplicaId;
 use mura_core::codec::{self, put_bytes_with, put_u32, put_u64, CodecError, Cur};
-use mura_core::{MuraError, Relation, Schema, Value};
+use mura_core::{MuraError, Relation, Rows, Schema, Value};
 use std::fmt;
 use std::io::{Read, Write};
 use std::ops::Range;
@@ -830,11 +830,15 @@ fn row_block(buf: &[u8], arity: usize) -> WireResult<codec::RowBlock<'_>> {
     Ok(block)
 }
 
-/// Decodes a bucket — a block of distinct rows — into `dest`: one buffer,
-/// reserved for the block's row count, that an empty `dest` takes over as
-/// its own and a non-empty one inserts from.
-pub fn decode_rows_into(buf: &[u8], dest: &mut Relation) -> WireResult<()> {
-    dest.absorb_rows(row_block(buf, dest.schema().arity())?.decode());
+/// Decodes a bucket — a block of rows of `dest`'s arity — onto the end of
+/// `dest`. Nothing is deduplicated: the bag's consumer does that.
+pub fn decode_rows_into(buf: &[u8], dest: &mut Rows) -> WireResult<()> {
+    let rows = row_block(buf, dest.arity())?.decode();
+    if dest.is_empty() {
+        *dest = rows;
+    } else {
+        dest.append(&rows);
+    }
     Ok(())
 }
 
@@ -847,9 +851,9 @@ pub fn encode_relation(rel: &Relation) -> Vec<u8> {
 
 /// Decodes a relation payload against `schema`.
 pub fn decode_relation(buf: &[u8], schema: &Schema) -> WireResult<Relation> {
-    let mut rel = Relation::new(schema.clone());
-    decode_rows_into(buf, &mut rel)?;
-    Ok(rel)
+    let mut rows = Rows::new(schema.arity());
+    decode_rows_into(buf, &mut rows)?;
+    Ok(Relation::from_distinct(schema.clone(), rows))
 }
 
 #[cfg(test)]
@@ -1160,7 +1164,7 @@ mod tests {
         }
         // Decoding raw garbage as a body or as a row block is equally
         // safe, and what a block yields is bounded by its input.
-        let mut rel = Relation::new(Schema::new(vec![Sym(0), Sym(1)]));
+        let mut bag = Rows::new(2);
         for start in 0..64 {
             let input = &garbage[start..];
             let _ = Msg::decode(input);
@@ -1169,7 +1173,7 @@ mod tests {
                     assert!(rows.len() <= input.len());
                 }
             }
-            let _ = decode_rows_into(input, &mut rel);
+            let _ = decode_rows_into(input, &mut bag);
             // A well-formed header in front of the garbage: the claimed
             // row count is checked against what is actually there.
             let mut block = Vec::new();
@@ -1179,13 +1183,14 @@ mod tests {
             block.extend_from_slice(&input[8..40]);
             assert!(decoded(&block, 2).is_err());
         }
-        assert!(rel.len() <= garbage.len());
+        assert!(bag.len() <= 64 * garbage.len());
     }
 
     /// `buf` decoded as a block of `arity`-column rows.
     fn decoded(buf: &[u8], arity: usize) -> WireResult<Relation> {
-        let mut rel = Relation::new(Schema::new((0..arity as u32).map(Sym).collect()));
-        decode_rows_into(buf, &mut rel).map(|()| rel)
+        let mut bag = Rows::new(arity);
+        decode_rows_into(buf, &mut bag)?;
+        Ok(Relation::from_bag(Schema::new((0..arity as u32).map(Sym).collect()), bag))
     }
 
     #[test]
@@ -1214,10 +1219,11 @@ mod tests {
         assert_eq!(buf.len(), 12 + 2 + 3 * 8);
         let back = decode_relation(&buf, rel.schema()).unwrap();
         assert_eq!(back.sorted_rows(), rel.sorted_rows());
-        // Decoding into a relation that already holds rows merges.
-        let mut dest = Relation::from_pairs(src, dst, [(1, 2), (7, 8)]);
+        // Decoding onto a bag that already holds rows appends.
+        let mut dest = Relation::from_pairs(src, dst, [(1, 2), (7, 8)]).rows().clone();
         decode_rows_into(&buf, &mut dest).unwrap();
-        assert_eq!(dest.len(), 4);
+        assert_eq!(dest.len(), 5);
+        assert_eq!(Relation::from_bag(rel.schema().clone(), dest).len(), 4);
     }
 
     #[test]
@@ -1238,10 +1244,12 @@ mod tests {
             let Msg::Bcast { payload, .. } = msg else { panic!("not a broadcast: {msg:?}") };
             assert_eq!(&decode_relation(payload, rel.schema()).unwrap(), rel);
         }
-        // Decoding `true` into `true` leaves one row; two rows are a lie.
-        let mut dest = yes.clone();
+        // Decoding `true` onto `true` is a bag of two empty rows, one once
+        // deduplicated; a block of two rows is a lie.
+        let mut dest = yes.rows().clone();
         decode_rows_into(&encode_relation(&yes), &mut dest).unwrap();
-        assert_eq!(dest, yes);
+        assert_eq!(dest.len(), 2);
+        assert_eq!(Relation::from_bag(Schema::empty(), dest), yes);
         let mut lie = encode_relation(&yes);
         lie[4..12].copy_from_slice(&2u64.to_le_bytes());
         assert!(decode_relation(&lie, yes.schema()).is_err());
@@ -1254,8 +1262,8 @@ mod tests {
         buf.extend_from_slice(&2u32.to_le_bytes());
         buf.extend_from_slice(&(1u64 << 40).to_le_bytes());
         buf.extend_from_slice(&[0; 32]);
-        let mut rel = Relation::new(Schema::new(vec![Sym(0), Sym(1)]));
-        assert!(matches!(decode_rows_into(&buf, &mut rel), Err(WireError::Malformed(_))));
-        assert!(rel.is_empty());
+        let mut bag = Rows::new(2);
+        assert!(matches!(decode_rows_into(&buf, &mut bag), Err(WireError::Malformed(_))));
+        assert!(bag.is_empty());
     }
 }

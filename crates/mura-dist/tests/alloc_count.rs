@@ -5,9 +5,10 @@
 //! graph, on two workers — allocates less than once per twenty rows its
 //! kernels produce (with a box per row it was more than once per row).
 //!
-//! Counted by a private global allocator. Worker tasks run on threads of
-//! their own, so the counter is process-wide and the tests of this binary
-//! take turns.
+//! Counted by a private global allocator. Worker tasks run on helper
+//! threads, so the counter is process-wide and the tests of this binary
+//! take turns. The helpers are started by the first stage that needs them
+//! and then kept: each test runs its workload once before it counts.
 
 use mura_core::{Database, Relation, Term};
 use mura_datagen::er::erdos_renyi;
@@ -75,15 +76,22 @@ fn split_shuffle_gather() -> Vec<(&'static str, u64)> {
     counts
 }
 
+/// Allocations a 4-worker repartition may make: 65 are counted (78 when
+/// every stage started threads of its own).
+const LIMIT: u64 = 72;
+
 #[test]
 fn partitioning_100k_rows_allocates_per_partition_not_per_row() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    split_shuffle_gather();
     let first = split_shuffle_gather();
     for (name, n) in &first {
         // 100,000 rows over 4 workers. A split or a gather handles 4
-        // buffers; a shuffle cuts 16 buckets on 4 tasks (3 of them threads)
-        // and merges 4 of them into each destination.
-        let limit = if *name == "repartition" { 6 * 16 } else { 64 };
+        // buffers; a shuffle cuts 16 buckets on 4 tasks (3 of them handed
+        // to helpers), concatenates 4 of them into each destination's bag
+        // and deduplicates each bag in its destination's task (3 more
+        // hand-offs).
+        let limit = if *name == "repartition" { LIMIT } else { 64 };
         assert!(*n <= limit, "{name}: {n} allocations (limit {limit})");
     }
     assert_eq!(split_shuffle_gather(), first, "counts differ between two identical runs");
@@ -111,6 +119,7 @@ fn c1_allocates_less_than_once_per_twenty_produced_rows() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let mut answers = Vec::new();
     for plan in [FixpointPlan::Auto, FixpointPlan::ForceGld] {
+        closure_of_20k_edges(plan);
         let (allocations, produced, answer) = closure_of_20k_edges(plan);
         assert!(produced > 100_000, "{plan:?}: only {produced} rows produced");
         let per_row = allocations as f64 / produced as f64;

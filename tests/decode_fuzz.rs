@@ -22,7 +22,7 @@
 //! so the harness's own threads and the server's do not disturb it.
 
 use mura_core::value::SYM_BASE;
-use mura_core::{Database, Relation, Schema, Sym, Term, Value};
+use mura_core::{Database, Relation, Rows, Sym, Term, Value};
 use mura_datagen::SplitMix64;
 use mura_dist::wire::{self, decode_rows_into, framed, read_frame, Msg, TraceCtx, WireError};
 use mura_dist::{QueryEngine, ReplicaId, WorkerSnapshot, WorkerSpan};
@@ -344,7 +344,7 @@ fn reads_within_bounds(frame: &[u8], what: &str) -> Result<(), WireError> {
         let mut buf = Vec::new();
         let msg = read_frame(&mut &frame[..], &mut buf)?.0;
         if let Msg::TakeReply(buckets) | Msg::Relay { entries: buckets, .. } = &msg {
-            let mut part = Relation::new(Schema::new(vec![Sym(0), Sym(1)]));
+            let mut part = Rows::new(2);
             for (_, payload) in buckets {
                 let _ = decode_rows_into(payload, &mut part);
             }
@@ -408,7 +408,7 @@ fn mutated_worker_frames_read_to_a_typed_error_or_a_message() {
             for payload in
                 payloads.into_iter().filter(|p| p.windows(8).any(|w| w == SYM_BASE.to_le_bytes()))
             {
-                let mut part = Relation::new(Schema::new(vec![Sym(0), Sym(1)]));
+                let mut part = Rows::new(2);
                 assert!(decode_rows_into(payload, &mut part).is_err(), "{what}: decoded");
                 refused += 1;
             }
