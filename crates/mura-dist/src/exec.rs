@@ -839,6 +839,12 @@ impl<'db> DistEvaluator<'db> {
 /// it in `produced`.
 fn charge(budget: &Budget, produced: &mut u64, rows: usize, arity: usize) -> Result<()> {
     *produced += rows as u64;
+    charge_budget(budget, rows, arity)
+}
+
+/// Charges `rows` rows of `arity` columns against `budget`'s row and byte
+/// caps.
+fn charge_budget(budget: &Budget, rows: usize, arity: usize) -> Result<()> {
     budget.charge(rows as u64)?;
     budget.charge_bytes(mura_core::rel_bytes(rows as u64, arity))
 }
@@ -883,7 +889,8 @@ impl Superstep for DriverStep<'_, '_> {
                 context: "fixpoint recursive part",
             });
         }
-        let full_row: Vec<usize> = (0..schema.arity()).collect();
+        let (arity, budget) = (schema.arity(), sup.budget);
+        let full_row: Vec<usize> = (0..arity).collect();
         let prepared = self.prepared;
         let start = Instant::now();
         // No stage-level rerun for the branch evaluation: a hard task
@@ -897,6 +904,9 @@ impl Superstep for DriverStep<'_, '_> {
             let mut buckets: Vec<Rows> = Vec::new();
             for p in prepared {
                 let rows = eval_branch(p, part);
+                // Charged as soon as it exists: a superstep over its budget
+                // stops every worker before its next branch.
+                charge_budget(budget, rows.len(), arity)?;
                 produced.push(rows.len());
                 let split = split_by_key(rows.rows(), &full_row, workers);
                 if buckets.is_empty() {
@@ -911,7 +921,7 @@ impl Superstep for DriverStep<'_, '_> {
         let (produced, buckets): (Vec<Vec<usize>>, Vec<Vec<Rows>>) = routed.into_iter().unzip();
         for branch in 0..prepared.len() {
             let rows: usize = produced.iter().map(|w| w[branch]).sum();
-            charge(sup.budget, &mut self.produced_rows, rows, schema.arity())?;
+            self.produced_rows += rows as u64;
             if workers > 1 {
                 cluster.metrics().record_shuffle(rows as u64);
             }
