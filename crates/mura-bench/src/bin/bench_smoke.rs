@@ -45,10 +45,11 @@
 //!
 //! A `relation` section times the flat row store itself, in nanoseconds per
 //! row at 20,000 and 200,000 binary rows — insert, `contains` hit and miss,
-//! permuting rename, deep copy (clone, then the first mutation), drop, lazy
-//! split over four workers — and counts the allocations of building a
-//! 100,000-row relation row by row, gated at 64: the buffers double their
-//! way up, no row is an allocation. The same build reports the live bytes
+//! remove (each row removed and inserted again), permuting rename, deep
+//! copy (clone, then the first mutation), drop, lazy split over four
+//! workers — and counts the allocations of building a 100,000-row relation
+//! row by row, gated at 64: the buffers double their way up, no row is an
+//! allocation. The same build reports the live bytes
 //! it holds per row, gated at [`MAX_BUILD_BYTES_PER_ROW`].
 //!
 //! A `reply` section times the line protocol's response encoder on the
@@ -135,9 +136,10 @@ const BUILD_ROWS: usize = 100_000;
 
 /// Live bytes per row the [`BUILD_ROWS`]-row build may hold. Its store
 /// doubles up to 131,072 rows of two 8-byte values (21 B a row) and its
-/// table to 262,144 8-byte slots (21 B a row): 42 B. The gate leaves room
-/// for allocator slack, not for a 16-byte value (63 B).
-const MAX_BUILD_BYTES_PER_ROW: f64 = 48.0;
+/// table to 131,072 slots of a control byte and a `u32` row id (6.6 B a
+/// row): 27.5 B. The gate leaves room for allocator slack, not for 8-byte
+/// slots at a load of one half (42 B) or a 16-byte value (48 B).
+const MAX_BUILD_BYTES_PER_ROW: f64 = 32.0;
 
 /// Rows of the cached answer the `reply` section serves.
 const REPLY_ROWS: u64 = 10_000;
@@ -232,6 +234,13 @@ fn relation_section(db: &mut Database, rows: usize, samples: usize) -> String {
     assert_eq!((count(0), count(rows)), (rows, 0));
     let hit = per_row(min_time(samples, || count(0)));
     let miss = per_row(min_time(samples, || count(rows)));
+    // Every row out and back in: removals from full groups leave tombstones.
+    let mut churned = build();
+    let remove = per_row(min_time(samples, || {
+        for i in 0..rows {
+            assert!(churned.remove(&bench_row(i, rows)) && churned.insert(bench_row(i, rows)));
+        }
+    }));
     // `src → zz` moves the first column behind `dst`: every row is permuted.
     assert!(src < dst && dst < zz, "the renamed column must change places");
     let rename = per_row(min_time(samples, || rel.rename(src, zz)));
@@ -256,10 +265,10 @@ fn relation_section(db: &mut Database, rows: usize, samples: usize) -> String {
     let cluster = Cluster::new(WORKERS);
     let split = per_row(min_time(samples, || DistRel::from_relation(&rel, &cluster).parts().len()));
     println!(
-        "  relation:  {rows} rows, ns/row: insert {insert:.1}, contains hit {hit:.1} / miss {miss:.1}, rename {rename:.1}, clone {clone:.1}, drop {dropped:.2}, split {split:.1}"
+        "  relation:  {rows} rows, ns/row: insert {insert:.1}, contains hit {hit:.1} / miss {miss:.1}, remove {remove:.1}, rename {rename:.1}, clone {clone:.1}, drop {dropped:.2}, split {split:.1}"
     );
     format!(
-        "{{\"rows\": {rows}, \"insert_ns\": {insert:.2}, \"contains_hit_ns\": {hit:.2}, \"contains_miss_ns\": {miss:.2}, \"rename_ns\": {rename:.2}, \"clone_ns\": {clone:.2}, \"drop_ns\": {dropped:.3}, \"split_ns\": {split:.2}}}"
+        "{{\"rows\": {rows}, \"insert_ns\": {insert:.2}, \"contains_hit_ns\": {hit:.2}, \"contains_miss_ns\": {miss:.2}, \"remove_ns\": {remove:.2}, \"rename_ns\": {rename:.2}, \"clone_ns\": {clone:.2}, \"drop_ns\": {dropped:.3}, \"split_ns\": {split:.2}}}"
     )
 }
 
@@ -730,7 +739,7 @@ fn main() {
     }
     if build_bytes_per_row > MAX_BUILD_BYTES_PER_ROW {
         eprintln!(
-            "FAIL: building {BUILD_ROWS} rows left {build_bytes_per_row:.2} live bytes per row, above the {MAX_BUILD_BYTES_PER_ROW} two 8-byte values and their table need"
+            "FAIL: building {BUILD_ROWS} rows left {build_bytes_per_row:.2} live bytes per row, above the {MAX_BUILD_BYTES_PER_ROW} two 8-byte values and a 5-byte slot at a load of 7/8 need"
         );
         failed = true;
     }

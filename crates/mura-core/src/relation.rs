@@ -13,16 +13,24 @@
 //!
 //! Row `i` is `vals[i * arity..(i + 1) * arity]`; the row count is kept
 //! explicitly, so the relation of no columns (which holds zero rows or one)
-//! works like any other. The table is a power-of-two array of `u64` slots,
-//! `tag << 32 | id + 1` with `0` for an empty slot: the tag is 32 bits of
-//! the row's hash, so a probe that passes over another row's slot is decided
-//! by the slot alone and only a probable match touches row memory. Collisions
-//! are resolved by linear probing at a load of at most one half (at 7/8 a
-//! miss walks three times as far). The table's hash is its own function of
-//! the row, finalised so that it shares no bits with
-//! [`hash_key`]: that hash *placed* the rows of a
-//! partition, so all of them agree on it modulo the worker count, and a table
-//! indexed by it would leave the other slots empty.
+//! works like any other. The table keeps, per slot, one control byte —
+//! `EMPTY`, `DELETED`, or a 7-bit tag of the row's hash — and one `u32` row
+//! id, 5 bytes in all. Slots come in groups of eight, each group one `u64`
+//! of control bytes followed by its eight ids, and the groups in one
+//! power-of-two buffer. A lookup reads a group's control word and finds the
+//! bytes equal to its tag with portable SWAR arithmetic, eight slots at a
+//! time: only a tag match touches row memory, and a group that holds an
+//! `EMPTY` byte ends a miss. Groups are probed in triangular steps at a load
+//! of at most 7/8, which keeps a miss to about one group on a table just
+//! grown and three on one about to grow (linear probing, slot by slot, had
+//! to stay at one half: at 7/8 a miss walked three times as far). A removed
+//! row's slot becomes `EMPTY` again if its group still holds an `EMPTY`
+//! byte (no probe sequence ever ran on past such a group), and `DELETED`
+//! otherwise; tombstones count against the load until a rebuild drops
+//! them. The table's hash is its own function of the row, finalised so
+//! that it shares no bits with [`hash_key`]: that hash *placed* the rows of
+//! a partition, so all of them agree on it modulo the worker count, and a
+//! table indexed by it would leave the other groups empty.
 //!
 //! The table is **built on demand**: a relation that is only built and
 //! iterated — the result of a rename, filter or join, a partition cut from a
@@ -49,7 +57,7 @@ use std::sync::{Arc, OnceLock};
 pub type Row = Box<[Value]>;
 
 /// The most rows one relation (or [`Rows`]) holds: ids are `u32` and a
-/// table slot stores `id + 1`.
+/// bucket chain stores `id + 1`.
 pub const MAX_ROWS: usize = u32::MAX as usize - 1;
 
 /// A bag of rows of one arity in one buffer: row `i` is values
@@ -251,8 +259,8 @@ impl ExactSizeIterator for RowIter<'_> {}
 // ------------------------------------------------------------------ table
 
 /// The table's own hash of a row: one multiply-rotate round per value and a
-/// fold-and-multiply finaliser. The slot index is taken from its top bits,
-/// the tag from its bottom 32.
+/// fold-and-multiply finaliser. The group is taken from its top bits, the
+/// tag from its bottom 7.
 #[inline]
 fn row_hash(row: &[Value]) -> u64 {
     const ROUND: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -264,17 +272,101 @@ fn row_hash(row: &[Value]) -> u64 {
     (h ^ (h >> 32)).wrapping_mul(FINAL)
 }
 
-/// Open-addressing index of row ids: see the module docs for the slot
-/// format. `slots.len()` is `1 << (64 - shift)` and at least twice the
-/// number of rows indexed.
-#[derive(Debug, Clone)]
-struct Table {
-    slots: Vec<u64>,
-    shift: u32,
+/// Slots per group: one `u64` of control bytes.
+const GROUP: usize = 8;
+/// Control byte of a slot no row has used since the table was built.
+const EMPTY: u8 = 0xFF;
+/// Control byte of a slot whose row was removed while its group was full.
+const DELETED: u8 = 0x80;
+/// The low and the high bit of every byte of a group word.
+const LO: u64 = 0x0101_0101_0101_0101;
+const HI: u64 = 0x8080_8080_8080_8080;
+
+/// The 7-bit tag a full slot's control byte holds.
+#[inline]
+fn tag_of(hash: u64) -> u8 {
+    (hash & 0x7F) as u8
 }
 
-/// log2 of the slots a table or a bucket directory over `rows` rows has:
-/// the power of two that keeps its load at or under one half.
+/// The first slot of a group whose byte is set in `mask`.
+#[inline]
+fn first(mask: u64) -> usize {
+    mask.trailing_zeros() as usize / 8
+}
+
+/// Eight slots: their control bytes in one word (slot `i` in byte `i`,
+/// counting from the low end) and, beside them, their row ids.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    ctrl: u64,
+    ids: [u32; GROUP],
+}
+
+impl Group {
+    const EMPTY: Group = Group { ctrl: u64::MAX, ids: [0; GROUP] };
+
+    /// The slots whose byte is `tag`. A byte just above a match may be
+    /// reported too (the subtraction borrows across it); such a byte is
+    /// `tag ^ 1`, a full slot, and whoever reads the report compares rows.
+    #[inline]
+    fn matching(&self, tag: u8) -> u64 {
+        let x = self.ctrl ^ LO.wrapping_mul(tag as u64);
+        x.wrapping_sub(LO) & !x & HI
+    }
+
+    /// The `EMPTY` slots: the only bytes with both top bits set.
+    #[inline]
+    fn empty(&self) -> u64 {
+        self.ctrl & (self.ctrl << 1) & HI
+    }
+
+    /// The slots that take a row: `EMPTY` or `DELETED`, the bytes with
+    /// the top bit set.
+    #[inline]
+    fn open(&self) -> u64 {
+        self.ctrl & HI
+    }
+
+    #[inline]
+    fn byte(&self, i: usize) -> u8 {
+        (self.ctrl >> (8 * i)) as u8
+    }
+
+    #[inline]
+    fn set(&mut self, i: usize, byte: u8) {
+        self.ctrl = self.ctrl & !(0xFF << (8 * i)) | (byte as u64) << (8 * i);
+    }
+}
+
+/// A group index and the steps it took: triangular steps over a power of
+/// two of groups visit every group once before any twice.
+struct Seq {
+    at: usize,
+    stride: usize,
+    mask: usize,
+}
+
+impl Seq {
+    #[inline]
+    fn advance(&mut self) {
+        self.stride += 1;
+        self.at = (self.at + self.stride) & self.mask;
+    }
+}
+
+/// Index of row ids: see the module docs for the slot format. `groups` is
+/// a power of two long, `growth_left` is what the 7/8 load leaves after
+/// the full slots and the `DELETED` ones.
+#[derive(Debug, Clone)]
+struct Table {
+    groups: Vec<Group>,
+    /// log2 of `groups.len()`.
+    bits: u32,
+    growth_left: usize,
+}
+
+/// log2 of the heads a bucket directory over `rows` rows has: the power of
+/// two that keeps its load at or under one half.
 ///
 /// # Panics
 /// Panics if `rows` exceeds [`MAX_ROWS`].
@@ -283,21 +375,27 @@ pub(crate) fn slot_bits(rows: usize) -> u32 {
     (rows.max(4) * 2).next_power_of_two().trailing_zeros()
 }
 
+/// Rows a table of `slots` slots holds at a load of 7/8.
 #[inline]
-fn slot_of(hash: u64, id: usize) -> u64 {
-    (hash << 32) | (id as u64 + 1)
-}
-
-#[inline]
-fn slot_id(slot: u64) -> usize {
-    (slot as u32 - 1) as usize
+fn capacity(slots: usize) -> usize {
+    slots - slots / 8
 }
 
 impl Table {
-    /// An empty table able to index `rows` rows.
+    /// An empty table able to index `rows` rows: the fewest groups, a power
+    /// of two, whose 7/8 holds them.
+    ///
+    /// # Panics
+    /// Panics if `rows` exceeds [`MAX_ROWS`].
     fn for_rows(rows: usize) -> Table {
-        let bits = slot_bits(rows);
-        Table { slots: vec![0; 1 << bits], shift: 64 - bits }
+        assert!(rows <= MAX_ROWS, "{rows} rows exceed the u32 row-id space");
+        let slots = (rows * 8).div_ceil(7).max(GROUP).next_power_of_two();
+        let groups = slots / GROUP;
+        Table {
+            groups: vec![Group::EMPTY; groups],
+            bits: groups.trailing_zeros(),
+            growth_left: capacity(slots),
+        }
     }
 
     /// The table over `rows`, which must be distinct, with room to index
@@ -310,87 +408,143 @@ impl Table {
         table
     }
 
-    /// True if indexing `rows` rows keeps the load at or under one half.
-    #[inline]
-    fn fits(&self, rows: usize) -> bool {
-        rows * 2 <= self.slots.len()
+    /// Slots in all.
+    fn slots(&self) -> usize {
+        self.groups.len() * GROUP
     }
 
+    /// True if `additional` more rows go in without a rebuild.
     #[inline]
-    fn home(&self, hash: u64) -> usize {
-        (hash >> self.shift) as usize
+    fn fits(&self, additional: usize) -> bool {
+        additional <= self.growth_left
     }
 
-    /// Points the first empty slot of `hash`'s probe sequence at row `id`,
+    /// `hash`'s probe sequence, from its home group: the hash's top bits.
+    #[inline]
+    fn seq(&self, hash: u64) -> Seq {
+        let mask = self.groups.len() - 1;
+        Seq { at: hash.rotate_left(self.bits) as usize & mask, stride: 0, mask }
+    }
+
+    /// Points the first open slot of `hash`'s probe sequence at row `id`,
     /// which the caller knows is not in the table.
     #[inline]
     fn place(&mut self, hash: u64, id: usize) {
-        let mask = self.slots.len() - 1;
-        let mut at = self.home(hash);
-        while self.slots[at] != 0 {
-            at = (at + 1) & mask;
-        }
-        self.slots[at] = slot_of(hash, id);
+        let mut seq = self.seq(hash);
+        let at = loop {
+            let open = self.groups[seq.at].open();
+            if open != 0 {
+                break seq.at * GROUP + first(open);
+            }
+            seq.advance();
+        };
+        self.fill(at, hash, id);
+    }
+
+    /// True if open slot `at` may take a row: a `DELETED` one always, an
+    /// `EMPTY` one while the load stays at or under 7/8.
+    #[inline]
+    fn can_fill(&self, at: usize) -> bool {
+        self.growth_left > 0 || self.groups[at / GROUP].byte(at % GROUP) == DELETED
+    }
+
+    /// Points open slot `at` at row `id`, whose hash is `hash`.
+    #[inline]
+    fn fill(&mut self, at: usize, hash: u64, id: usize) {
+        let (group, i) = (&mut self.groups[at / GROUP], at % GROUP);
+        self.growth_left -= usize::from(group.byte(i) == EMPTY);
+        group.set(i, tag_of(hash));
+        group.ids[i] = id as u32;
+    }
+
+    /// The row id full slot `at` holds.
+    #[inline]
+    fn id(&self, at: usize) -> usize {
+        self.groups[at / GROUP].ids[at % GROUP] as usize
     }
 
     /// Replaces the table by one over `rows` with room for `capacity`,
-    /// releasing the old slots first: growing holds one table at a time.
+    /// releasing the old groups first: growing holds one table at a time.
     fn rebuild(&mut self, rows: &Rows, capacity: usize) {
-        self.slots = Vec::new();
+        self.groups = Vec::new();
         *self = Table::build(rows, capacity);
     }
 
-    /// Looks `row` up: the slot that holds it, or else the empty slot where
-    /// it belongs.
+    /// Rebuilds over `rows` when an `EMPTY` slot must be used and the load
+    /// allows none: at the same size if at most half of it holds rows (the
+    /// rebuild drops the tombstones), at twice the size otherwise.
+    fn grow(&mut self, rows: &Rows) {
+        let held = capacity(self.slots());
+        let want = if rows.len <= held / 2 { held } else { held + 1 };
+        self.rebuild(rows, want);
+    }
+
+    /// Looks `row` up: the slot that holds it, or else the first open slot
+    /// of its probe sequence, where it belongs. A group with an `EMPTY`
+    /// slot ends the sequence.
     #[inline]
     fn probe(&self, rows: &Rows, row: &[Value], hash: u64) -> std::result::Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let tag = hash << 32;
-        let mut at = self.home(hash);
+        let tag = tag_of(hash);
+        let mut seq = self.seq(hash);
+        let mut open = None;
         loop {
-            let slot = self.slots[at];
-            if slot == 0 {
-                return Err(at);
+            let group = &self.groups[seq.at];
+            let mut hits = group.matching(tag);
+            while hits != 0 {
+                let i = first(hits);
+                if rows.get(group.ids[i] as usize) == row {
+                    return Ok(seq.at * GROUP + i);
+                }
+                hits &= hits - 1;
             }
-            if (slot ^ tag) >> 32 == 0 && rows.get(slot_id(slot)) == row {
-                return Ok(at);
+            let free = group.open();
+            if free != 0 {
+                let slot = *open.get_or_insert(seq.at * GROUP + first(free));
+                if group.empty() != 0 {
+                    return Err(slot);
+                }
             }
-            at = (at + 1) & mask;
+            seq.advance();
         }
     }
 
     /// The slot that points at row `id`, whose hash is `hash`.
     fn slot_of_id(&self, hash: u64, id: usize) -> usize {
-        let mask = self.slots.len() - 1;
-        let want = slot_of(hash, id);
-        let mut at = self.home(hash);
-        while self.slots[at] != want {
-            debug_assert!(self.slots[at] != 0, "row {id} is not in the table");
-            at = (at + 1) & mask;
+        let (tag, want) = (tag_of(hash), id as u32);
+        let mut seq = self.seq(hash);
+        loop {
+            let group = &self.groups[seq.at];
+            let mut hits = group.matching(tag);
+            while hits != 0 {
+                let i = first(hits);
+                if group.ids[i] == want {
+                    return seq.at * GROUP + i;
+                }
+                hits &= hits - 1;
+            }
+            debug_assert!(group.empty() == 0, "row {id} is not in the table");
+            seq.advance();
         }
-        at
     }
 
-    /// Empties slot `hole` and closes the gap: every later entry of the
-    /// cluster that may move back towards its home does, so probe sequences
-    /// stay unbroken without tombstones.
-    fn delete(&mut self, rows: &Rows, mut hole: usize) {
-        let mask = self.slots.len() - 1;
-        let mut at = hole;
-        loop {
-            at = (at + 1) & mask;
-            let slot = self.slots[at];
-            if slot == 0 {
-                break;
-            }
-            let home = self.home(row_hash(rows.get(slot_id(slot))));
-            // The entry may move iff its home is not inside (hole, at].
-            if (at.wrapping_sub(home) & mask) >= (at.wrapping_sub(hole) & mask) {
-                self.slots[hole] = slot;
-                hole = at;
-            }
+    /// Re-points full slot `at` at row `id`.
+    #[inline]
+    fn set_id(&mut self, at: usize, id: usize) {
+        self.groups[at / GROUP].ids[at % GROUP] = id as u32;
+    }
+
+    /// Frees full slot `at`. A group that still has an `EMPTY` slot was
+    /// never full since the build, so no probe sequence runs on past it and
+    /// the slot becomes `EMPTY`; otherwise it becomes `DELETED`, which
+    /// probes pass over and which keeps counting against the load.
+    fn delete(&mut self, at: usize) {
+        let (group, i) = (&mut self.groups[at / GROUP], at % GROUP);
+        if group.empty() != 0 {
+            group.set(i, EMPTY);
+            self.growth_left += 1;
+        } else {
+            group.set(i, DELETED);
         }
-        self.slots[hole] = 0;
     }
 }
 
@@ -428,10 +582,10 @@ impl Store {
         };
         assert!(rows.len < MAX_ROWS, "relation exceeds the u32 row-id space");
         rows.push(row);
-        if table.fits(rows.len) {
-            table.slots[at] = slot_of(hash, rows.len - 1);
+        if table.can_fill(at) {
+            table.fill(at, hash, rows.len - 1);
         } else {
-            table.rebuild(rows, 0);
+            table.grow(rows);
         }
         true
     }
@@ -443,7 +597,7 @@ impl Store {
         assert!(from + more.len <= MAX_ROWS, "relation exceeds the u32 row-id space");
         self.rows.append(more);
         if let Some(table) = self.table.get_mut() {
-            if table.fits(self.rows.len) {
+            if table.fits(more.len) {
                 for (id, row) in more.iter().enumerate() {
                     table.place(row_hash(row), from + id);
                 }
@@ -459,7 +613,7 @@ impl Store {
         self.rows.reserve(additional);
         let want = self.rows.len + additional;
         if let Some(table) = self.table.get_mut() {
-            if !table.fits(want) {
+            if !table.fits(additional) {
                 table.rebuild(&self.rows, want);
             }
         }
@@ -469,15 +623,14 @@ impl Store {
     /// place (its slot is re-pointed), then the slot is deleted.
     fn remove_at(&mut self, at: usize) {
         let (rows, table) = self.parts_mut();
-        let id = slot_id(table.slots[at]);
+        let id = table.id(at);
         let last = rows.len - 1;
         if id != last {
-            let hash = row_hash(rows.get(last));
-            let moved = table.slot_of_id(hash, last);
-            table.slots[moved] = slot_of(hash, id);
+            let moved = table.slot_of_id(row_hash(rows.get(last)), last);
+            table.set_id(moved, id);
         }
         rows.swap_remove(id);
-        table.delete(rows, at);
+        table.delete(at);
     }
 }
 
@@ -574,7 +727,7 @@ impl Relation {
             let hash = row_hash(rows.get(read));
             if let Err(at) = table.probe(&rows, rows.get(read), hash) {
                 rows.vals.copy_within(read * arity..(read + 1) * arity, kept * arity);
-                table.slots[at] = slot_of(hash, kept);
+                table.fill(at, hash, kept);
                 kept += 1;
             }
         }

@@ -69,6 +69,13 @@ pub(crate) fn split_by_key(rows: &Rows, key_pos: &[usize], n: usize) -> Vec<Rows
     out
 }
 
+/// The items of a stage whose tasks read nothing: against an empty
+/// broadcast side a local join or antijoin knows its answer, but it still
+/// runs its stage, so that the fault sites after it stay where they were.
+fn no_rows(cluster: &Cluster) -> Vec<()> {
+    vec![(); cluster.workers()]
+}
+
 /// What a task over a pair of partitions reads (see
 /// [`Cluster::par_map_sized`]).
 fn pair_rows((x, y): &(Relation, Relation)) -> usize {
@@ -345,11 +352,16 @@ impl DistRel {
     /// broadcast variable) — no communication charged.
     pub fn join_local(&self, other: &Relation, cluster: &Cluster) -> Result<DistRel> {
         let plan = mura_core::relation::join_plan(&self.schema, other.schema());
-        let parts = cluster.par_map_sized(
-            self.parts(),
-            |p| p.len() + other.len(),
-            |_, p| plan.execute(p, other),
-        )?;
+        let parts = if other.is_empty() {
+            let empty = Relation::new(plan.out_schema.clone());
+            cluster.par_map_sized(&no_rows(cluster), |_| 0, |_, _| empty.clone())?
+        } else {
+            cluster.par_map_sized(
+                self.parts(),
+                |p| p.len() + other.len(),
+                |_, p| plan.execute(p, other),
+            )?
+        };
         // Output keeps big-side placement; metadata survives if the key is
         // still part of the output schema (it always is for natural joins).
         Ok(DistRel::from_parts(plan.out_schema, parts, self.partitioned_by.clone()))
@@ -358,6 +370,10 @@ impl DistRel {
     /// Antijoin against a relation every worker already holds — no
     /// communication charged.
     pub fn antijoin_local(&self, other: &Relation, cluster: &Cluster) -> Result<DistRel> {
+        if other.is_empty() {
+            cluster.par_map_sized(&no_rows(cluster), |_| 0, |_, _| ())?;
+            return Ok(self.clone());
+        }
         let parts = cluster.par_map_sized(
             self.parts(),
             |p| p.len() + other.len(),
@@ -648,6 +664,28 @@ mod tests {
         assert_eq!(d.rows_broadcast, 3 * 3);
         let expected = r.rename(dst, m).join(&r.rename(src, m));
         assert_eq!(j.collect().sorted_rows(), expected.sorted_rows());
+    }
+
+    #[test]
+    fn an_empty_broadcast_side_leaves_the_other_whole() {
+        let mut db = mura_core::Database::new();
+        let (src, m) = (db.intern("src"), db.intern("m"));
+        let r = rel(&mut db, &[(1, 2), (2, 3), (3, 4), (4, 5)]);
+        let none = Relation::new(Schema::new(vec![src, m]));
+        let c = cluster();
+        let whole = DistRel::from_relation(&r, &c);
+        let sites = || c.fault().next_site();
+        let before = sites();
+        let joined = whole.join_local(&none, &c).unwrap();
+        let kept = whole.antijoin_local(&none, &c).unwrap();
+        // One stage each, as against rows that do join.
+        assert_eq!(sites(), before + 3);
+        assert!(whole.parts.get().is_none(), "the big side was split");
+        assert_eq!(joined.collect(), r.join(&none));
+        assert_eq!(joined.schema(), r.join(&none).schema());
+        assert_eq!(joined.parts().len(), c.workers());
+        assert_eq!(kept.collect(), r.antijoin(&none));
+        assert!(kept.parts.get().is_none());
     }
 
     #[test]
