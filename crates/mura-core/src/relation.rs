@@ -179,17 +179,9 @@ impl Rows {
     /// The row ids in lexicographic order of their rows. Sorting the ids
     /// and reading through them moves no row at all.
     pub fn sorted_ids(&self) -> Vec<u32> {
-        self.sorted_ids_by(|a, b| a.cmp(b))
-    }
-
-    /// The row ids ordered by `cmp` over their rows.
-    pub fn sorted_ids_by(
-        &self,
-        mut cmp: impl FnMut(&[Value], &[Value]) -> std::cmp::Ordering,
-    ) -> Vec<u32> {
         assert!(self.len <= MAX_ROWS, "{} rows exceed the u32 row-id space", self.len);
         let mut ids: Vec<u32> = (0..self.len as u32).collect();
-        ids.sort_unstable_by(|&a, &b| cmp(self.get(a as usize), self.get(b as usize)));
+        ids.sort_unstable_by(|&a, &b| self.get(a as usize).cmp(self.get(b as usize)));
         ids
     }
 
@@ -1104,7 +1096,7 @@ pub fn join_plan(left: &Schema, right: &Schema) -> JoinPlan {
 impl JoinPlan {
     /// Appends to `out` the output row of one matching pair.
     #[inline]
-    pub fn push_joined(&self, out: &mut Rows, left: &[Value], right: &[Value]) {
+    fn push_joined(&self, out: &mut Rows, left: &[Value], right: &[Value]) {
         out.push_values(
             self.out_src.iter().map(|&(from_left, p)| if from_left { left[p] } else { right[p] }),
         );

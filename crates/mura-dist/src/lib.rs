@@ -18,8 +18,9 @@
 //! `P_plw` has two worker-local engines, mirroring the paper's two
 //! implementations (§IV-B): [`localfix::LocalEngine::SetRdd`] (hash-based,
 //! after BigDatalog's SetRDD) and [`localfix::LocalEngine::Sorted`]
-//! (sort-merge based, standing in for the per-worker PostgreSQL instances
-//! of `P_plw^pg`).
+//! (standing in for the per-worker PostgreSQL instances of `P_plw^pg`).
+//! Both run the same hash-indexed chains; the sorted engine accumulates
+//! into sorted, duplicate-free buffers instead of a hash table.
 //!
 //! The top-level entry point is [`QueryEngine`]: UCRPQ → μ-RA → rewrite →
 //! physical plan → distributed execution with [`CommStats`].

@@ -10,8 +10,8 @@
 //!
 //! * [`LocalEngine::SetRdd`] — hash-set relations (BigDatalog's SetRDD
 //!   style);
-//! * [`LocalEngine::Sorted`] — sort-merge relations standing in for the
-//!   per-worker PostgreSQL instances of `P_plw^pg`.
+//! * [`LocalEngine::Sorted`] — sorted, duplicate-free buffers standing in
+//!   for the per-worker PostgreSQL instances of `P_plw^pg`.
 //!
 //! Both run the same compiled branches ([`prepare`]): loop invariants are
 //! folded and indexed once per fixpoint, the operators over the delta are
@@ -43,7 +43,8 @@ pub enum LocalEngine {
     /// Hash-based sets (the paper's `P_plw^s`, the faster variant).
     #[default]
     SetRdd,
-    /// Sort-merge engine (the paper's `P_plw^pg` stand-in).
+    /// Sorted accumulator behind the same hash-indexed chains (the paper's
+    /// `P_plw^pg` stand-in).
     Sorted,
 }
 
@@ -176,18 +177,15 @@ impl Drop for Budget {
 /// Local relation operations shared by the two engines. `Send + Sync` so a
 /// branch prepared once can be shared by every worker of a fixpoint.
 ///
-/// The semi-naive loops need only [`LocalRel::iter_rows`],
-/// [`LocalRel::from_row_vec`] and [`LocalRel::absorb_new`]; the two
-/// relational operators serve the rare pipeline breakers of a prepared
-/// branch.
+/// A prepared branch reads its inputs through [`LocalRel::iter_rows`] and
+/// builds a union's value with [`LocalRel::from_row_vec`]; the semi-naive
+/// loops accumulate through [`LocalRel::absorb_new`].
 pub trait LocalRel: Sized + Clone + Send + Sync {
     fn from_relation(r: &Relation) -> Self;
     fn into_relation(self) -> Relation;
     fn schema(&self) -> &Schema;
     fn len(&self) -> usize;
     fn is_empty(&self) -> bool;
-    fn join_with(&self, other: &Self) -> Self;
-    fn antijoin_with(&self, other: &Self) -> Self;
     /// Iterates rows in the engine's native storage order.
     fn iter_rows(&self) -> impl Iterator<Item = &[Value]>;
     /// Builds from a bag of rows, deduplicating as the engine requires;
@@ -213,12 +211,6 @@ impl LocalRel for Relation {
     }
     fn is_empty(&self) -> bool {
         Relation::is_empty(self)
-    }
-    fn join_with(&self, other: &Self) -> Self {
-        self.join(other)
-    }
-    fn antijoin_with(&self, other: &Self) -> Self {
-        self.antijoin(other)
     }
     fn iter_rows(&self) -> impl Iterator<Item = &[Value]> {
         self.iter()
@@ -246,12 +238,6 @@ impl LocalRel for SortedRelation {
     }
     fn is_empty(&self) -> bool {
         SortedRelation::is_empty(self)
-    }
-    fn join_with(&self, other: &Self) -> Self {
-        self.join(other)
-    }
-    fn antijoin_with(&self, other: &Self) -> Self {
-        self.antijoin(other)
     }
     fn iter_rows(&self) -> impl Iterator<Item = &[Value]> {
         self.iter()
@@ -461,9 +447,15 @@ impl Chain {
 ///   **fused** into one `Chain`: the build-side [`JoinIndex`] / [`KeyIndex`]
 ///   is built once, and each iteration streams the delta's rows through the
 ///   chain, materialising only the rows that come out of it;
-/// * a union, or a join/antijoin whose two sides both depend on the delta,
-///   is a pipeline breaker: its inputs are materialized and combined with
-///   the engine's own operator.
+/// * a union under a chain is the one pipeline breaker: its two sides are
+///   materialized into one relation the chain then reads.
+///
+/// What F_cond rejects is rejected here too, with [`check_fcond`]'s errors:
+/// a join whose two sides both depend on the delta is
+/// [`MuraError::NotLinear`], an antijoin whose right side does is
+/// [`MuraError::NotPositive`].
+///
+/// [`check_fcond`]: mura_core::analysis::check_fcond
 pub struct Prepared<R> {
     root: Node<R>,
     schema: Schema,
@@ -477,18 +469,15 @@ enum Node<R> {
     /// A fused chain over the rows of its input.
     Chain(Box<Node<R>>, Chain),
     Union(Box<Node<R>>, Box<Node<R>>),
-    /// Two delta-dependent sides, with the join's output schema.
-    Join(Box<Node<R>>, Box<Node<R>>, Schema),
-    Antijoin(Box<Node<R>>, Box<Node<R>>),
 }
 
 impl<R: LocalRel> Node<R> {
     fn schema(&self) -> Schema {
         match self {
-            Node::Delta(schema) | Node::Join(_, _, schema) => schema.clone(),
+            Node::Delta(schema) => schema.clone(),
             Node::Const(r) => r.schema().clone(),
             Node::Chain(_, chain) => chain.schema(),
-            Node::Union(a, _) | Node::Antijoin(a, _) => a.schema(),
+            Node::Union(a, _) => a.schema(),
         }
     }
 
@@ -497,9 +486,7 @@ impl<R: LocalRel> Node<R> {
             Node::Delta(_) => 0,
             Node::Const(r) => rel_bytes(r.len() as u64, r.schema().arity()),
             Node::Chain(input, chain) => input.cached_bytes() + chain.cached_bytes(),
-            Node::Union(a, b) | Node::Join(a, b, _) | Node::Antijoin(a, b) => {
-                a.cached_bytes() + b.cached_bytes()
-            }
+            Node::Union(a, b) => a.cached_bytes() + b.cached_bytes(),
         }
     }
 
@@ -513,7 +500,7 @@ impl<R: LocalRel> Node<R> {
                 a.rows_into(delta, sink);
                 b.rows_into(delta, sink);
             }
-            breaker => breaker.materialize(delta).iter_rows().for_each(|row| sink.rows.push(row)),
+            leaf => leaf.materialize(delta).iter_rows().for_each(|row| sink.rows.push(row)),
         }
     }
 
@@ -523,12 +510,6 @@ impl<R: LocalRel> Node<R> {
         match self {
             Node::Delta(_) => Cow::Borrowed(delta),
             Node::Const(r) => Cow::Borrowed(r),
-            Node::Join(a, b, _) => {
-                Cow::Owned(a.materialize(delta).join_with(&b.materialize(delta)))
-            }
-            Node::Antijoin(a, b) => {
-                Cow::Owned(a.materialize(delta).antijoin_with(&b.materialize(delta)))
-            }
             Node::Chain(..) | Node::Union(..) => {
                 let schema = self.schema();
                 let mut sink = Sink::new(&schema);
@@ -590,7 +571,8 @@ fn fold<R>(r: Relation) -> Prep<R> {
 /// Compiles a hoisted recursive branch (all `x`-free subterms are `Cst`):
 /// folds loop-invariant subtrees, builds join/antijoin indexes against
 /// them and fuses the operators over the delta into chains. `delta_schema`
-/// is the schema bound to the recursion variable.
+/// is the schema bound to the recursion variable. A branch outside F_cond
+/// is refused with the error `check_fcond` gives it.
 pub fn prepare<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prepared<R>> {
     let root = match prep(term, x, delta_schema)? {
         Prep::Dyn(node) => node,
@@ -634,23 +616,15 @@ fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<
                 (Prep::Const(r), Prep::Dyn(n)) | (Prep::Dyn(n), Prep::Const(r)) => {
                     Prep::Dyn(n.fuse(|chain| chain.join(&r)))
                 }
-                (Prep::Dyn(na), Prep::Dyn(nb)) => {
-                    let out = na.schema().union(&nb.schema());
-                    Prep::Dyn(Node::Join(Box::new(na), Box::new(nb), out))
-                }
+                (Prep::Dyn(_), Prep::Dyn(_)) => return Err(MuraError::NotLinear(x)),
             }
         }
         Term::Antijoin(a, b) => {
-            match (prep(a, x, delta_schema)?, prep(b, x, delta_schema)?) {
+            match (prep(a, x, delta_schema)?, prep::<R>(b, x, delta_schema)?) {
                 (Prep::Const(ra), Prep::Const(rb)) => fold(ra.antijoin(&rb)),
                 // Loop-invariant right side: cache its key-set.
                 (Prep::Dyn(n), Prep::Const(r)) => Prep::Dyn(n.fuse(|chain| chain.antijoin(&r))),
-                (Prep::Const(ra), Prep::Dyn(nb)) => {
-                    Prep::Dyn(Node::Antijoin(lift(&ra), Box::new(nb)))
-                }
-                (Prep::Dyn(na), Prep::Dyn(nb)) => {
-                    Prep::Dyn(Node::Antijoin(Box::new(na), Box::new(nb)))
-                }
+                (_, Prep::Dyn(_)) => return Err(MuraError::NotPositive(x)),
             }
         }
         Term::Union(a, b) => match (prep(a, x, delta_schema)?, prep(b, x, delta_schema)?) {
@@ -834,6 +808,7 @@ pub fn local_fixpoint_supervised<R: LocalRel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mura_core::analysis::check_fcond;
     use mura_core::Database;
 
     fn setup() -> (Database, Relation, Vec<Term>, Sym) {
@@ -868,13 +843,38 @@ mod tests {
         assert!(matches!(err, MuraError::ResourceExhausted { .. }));
     }
 
+    /// Branches `local_fixpoint` refuses, on both engines: a variable left
+    /// unhoisted, and the shapes outside F_cond, with the error
+    /// `check_fcond` gives the fixpoint they would make.
     #[test]
     fn unhoisted_variable_rejected() {
-        let (mut db, e, _, x) = setup();
+        let (mut db, _, _, x) = setup();
+        let (src, dst, m) = (db.intern("src"), db.intern("dst"), db.intern("m"));
         let free = db.intern("FREE");
-        let recs = vec![Term::var(x).join(Term::var(free))];
-        let budget = Budget::new(None, None);
-        assert!(local_fixpoint(&e, &recs, x, LocalEngine::SetRdd, &budget).is_err());
+        let path = Relation::from_pairs(src, dst, (0..7).map(|i| (i, i + 1)));
+        let hop = Term::cst(path.clone());
+        let compose = |a: Term, b: Term| a.rename(dst, m).join(b.rename(src, m)).antiproject(m);
+        let table = [
+            ("unhoisted variable", Term::var(x).join(Term::var(free)), None),
+            ("X∘X", compose(Term::var(x), Term::var(x)), Some(MuraError::NotLinear(x))),
+            ("hop ▷ X", hop.clone().antijoin(Term::var(x)), Some(MuraError::NotPositive(x))),
+            ("X ▷ X", Term::var(x).antijoin(Term::var(x)), Some(MuraError::NotPositive(x))),
+        ];
+        for (name, branch, expected) in table {
+            if let Some(e) = &expected {
+                let fix = hop.clone().union(branch.clone()).fix(x);
+                assert_eq!(check_fcond(&fix).as_ref(), Err(e), "{name}");
+            }
+            for engine in [LocalEngine::SetRdd, LocalEngine::Sorted] {
+                let budget = Budget::new(None, None);
+                let err = local_fixpoint(&path, std::slice::from_ref(&branch), x, engine, &budget)
+                    .expect_err(&format!("{name} on {engine:?}"));
+                match &expected {
+                    Some(e) => assert_eq!(&err, e, "{name} on {engine:?}"),
+                    None => assert!(matches!(err, MuraError::Other(_)), "{name}: {err}"),
+                }
+            }
+        }
     }
 
     #[test]

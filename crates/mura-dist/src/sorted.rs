@@ -1,15 +1,16 @@
-//! A sort-based local relational engine.
+//! A sorted local relational engine.
 //!
 //! Stands in for the per-worker PostgreSQL instances of the paper's
 //! `P_plw^pg` plan (Fig. 7 compares it against the hash-based SetRDD
-//! implementation): a relation is one flat [`Rows`] buffer — the container
-//! the hash engine stores its rows in — kept sorted and duplicate-free
-//! instead of indexed by a table; joins are sort-merge joins; unions and
-//! differences are linear merges. Sorting orders a permutation of row ids
-//! and gathers the rows once; keys are compared where they are, by
-//! position, never copied out.
+//! implementation). Both engines run the same prepared branches — the
+//! hash-indexed chains of [`crate::localfix`] — and differ in the
+//! accumulator those chains feed: here a relation is one flat [`Rows`]
+//! buffer — the container the hash engine stores its rows in — kept sorted
+//! and duplicate-free instead of indexed by a table. Building one sorts and
+//! deduplicates; the difference and union that accumulate a superstep are
+//! linear merges. Sorting orders a permutation of row ids and gathers the
+//! rows once.
 
-use mura_core::relation::join_plan;
 use mura_core::{Relation, Rows, Schema, Value};
 use std::cmp::Ordering;
 
@@ -35,12 +36,6 @@ fn sort_dedup(bag: &Rows) -> Rows {
     out
 }
 
-/// Orders `a`'s values at `a_pos` against `b`'s at `b_pos`, position by
-/// position.
-fn cmp_keys(a: &[Value], a_pos: &[usize], b: &[Value], b_pos: &[usize]) -> Ordering {
-    a_pos.iter().map(|&p| a[p]).cmp(b_pos.iter().map(|&p| b[p]))
-}
-
 /// Walks two sorted, duplicate-free buffers in step: `visit` sees every
 /// row of either once, in order, with `Less` for a row only `a` has,
 /// `Greater` for one only `b` has and `Equal` for one they share.
@@ -62,12 +57,6 @@ fn merge_walk<'a>(a: &'a Rows, b: &'a Rows, mut visit: impl FnMut(Ordering, &'a 
 }
 
 impl SortedRelation {
-    /// Empty relation.
-    pub fn new(schema: Schema) -> Self {
-        let rows = Rows::new(schema.arity());
-        SortedRelation { schema, rows }
-    }
-
     /// Converts from a hash relation (sorts once).
     pub fn from_relation(rel: &Relation) -> Self {
         SortedRelation { schema: rel.schema().clone(), rows: sort_dedup(rel.rows()) }
@@ -103,48 +92,6 @@ impl SortedRelation {
     pub fn from_rows(schema: Schema, rows: Rows) -> Self {
         assert_eq!(rows.arity(), schema.arity(), "row arity != schema arity");
         SortedRelation { schema, rows: sort_dedup(&rows) }
-    }
-
-    /// Rows satisfying `pred`.
-    pub fn filter(&self, pred: impl Fn(&[Value]) -> bool) -> SortedRelation {
-        SortedRelation { schema: self.schema.clone(), rows: self.rows.filter(pred) }
-    }
-
-    /// Sort-merge natural join on the common columns.
-    pub fn join(&self, other: &SortedRelation) -> SortedRelation {
-        let plan = join_plan(&self.schema, &other.schema);
-        if self.is_empty() || other.is_empty() {
-            return SortedRelation::new(plan.out_schema);
-        }
-        let (lk, rk) = (&plan.left_key[..], &plan.right_key[..]);
-        // Both sides in join-key order, as permutations of their row ids.
-        let left = self.rows.sorted_ids_by(|a, b| cmp_keys(a, lk, b, lk));
-        let right = other.rows.sorted_ids_by(|a, b| cmp_keys(a, rk, b, rk));
-        let lrow = |i: usize| self.rows.get(left[i] as usize);
-        let rrow = |j: usize| other.rows.get(right[j] as usize);
-        let mut out = Rows::new(plan.out_src.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < left.len() && j < right.len() {
-            match cmp_keys(lrow(i), lk, rrow(j), rk) {
-                Ordering::Less => i += 1,
-                Ordering::Greater => j += 1,
-                Ordering::Equal => {
-                    // Emit the cross product of the equal-key groups.
-                    let same_left = |k: &usize| cmp_keys(lrow(*k), lk, lrow(i), lk).is_eq();
-                    let same_right = |k: &usize| cmp_keys(rrow(*k), rk, rrow(j), rk).is_eq();
-                    let i_end = i + (i..left.len()).take_while(same_left).count();
-                    let j_end = j + (j..right.len()).take_while(same_right).count();
-                    for l in (i..i_end).map(lrow) {
-                        for r in (j..j_end).map(rrow) {
-                            plan.push_joined(&mut out, l, r);
-                        }
-                    }
-                    i = i_end;
-                    j = j_end;
-                }
-            }
-        }
-        SortedRelation::from_rows(plan.out_schema, out)
     }
 
     /// Merge union (schemas must match).
@@ -186,30 +133,6 @@ impl SortedRelation {
         }
         new
     }
-
-    /// Antijoin on common columns (sorted key lookup).
-    pub fn antijoin(&self, other: &SortedRelation) -> SortedRelation {
-        let common = self.schema.intersection(&other.schema);
-        if common.is_empty() {
-            return if other.is_empty() {
-                self.clone()
-            } else {
-                SortedRelation::new(self.schema.clone())
-            };
-        }
-        let my_pos: Vec<usize> = common.iter().map(|&c| self.schema.position(c).unwrap()).collect();
-        let their_pos: Vec<usize> =
-            common.iter().map(|&c| other.schema.position(c).unwrap()).collect();
-        // The other side in key order; its keys are searched where they are.
-        let theirs = other.rows.sorted_ids_by(|a, b| cmp_keys(a, &their_pos, b, &their_pos));
-        self.filter(|r| {
-            theirs
-                .binary_search_by(|&id| {
-                    cmp_keys(other.rows.get(id as usize), &their_pos, r, &my_pos)
-                })
-                .is_err()
-        })
-    }
 }
 
 #[cfg(test)]
@@ -227,9 +150,6 @@ mod tests {
     #[test]
     fn agrees_with_hash_engine() {
         let mut db = Database::new();
-        let src = db.intern("src");
-        let dst = db.intern("dst");
-        let m = db.intern("m");
         let r1 = pair_rel(&mut db, &[(1, 2), (2, 3), (3, 4), (2, 5)]);
         let r2 = pair_rel(&mut db, &[(2, 3), (5, 6)]);
         let s1 = SortedRelation::from_relation(&r1);
@@ -237,30 +157,11 @@ mod tests {
 
         assert_eq!(s1.union(&s2).to_relation().sorted_rows(), r1.union(&r2).sorted_rows());
         assert_eq!(s1.minus(&s2).to_relation().sorted_rows(), r1.minus(&r2).sorted_rows());
-        let j_sorted = SortedRelation::from_relation(&r1.rename(dst, m))
-            .join(&SortedRelation::from_relation(&r2.rename(src, m)));
-        let j_hash = r1.rename(dst, m).join(&r2.rename(src, m));
-        assert_eq!(j_sorted.to_relation().sorted_rows(), j_hash.sorted_rows());
-        assert_eq!(s1.antijoin(&s2).to_relation().sorted_rows(), r1.antijoin(&r2).sorted_rows());
         let (mut acc_sorted, mut acc_hash) = (s1.clone(), r1.clone());
         let delta_sorted = acc_sorted.absorb_new(r2.rows().clone());
         let delta_hash = acc_hash.absorb_new(r2.rows());
         assert_eq!(delta_sorted.to_relation().sorted_rows(), delta_hash.sorted_rows());
         assert_eq!(acc_sorted, SortedRelation::from_relation(&acc_hash));
-    }
-
-    #[test]
-    fn join_emits_full_group_product() {
-        let mut db = Database::new();
-        let src = db.intern("src");
-        let dst = db.intern("dst");
-        let m = db.intern("m");
-        // Two rows ending at 2, two rows starting at 2 → 4 combinations.
-        let left = pair_rel(&mut db, &[(1, 2), (9, 2)]);
-        let right = pair_rel(&mut db, &[(2, 3), (2, 4)]);
-        let j = SortedRelation::from_relation(&left.rename(dst, m))
-            .join(&SortedRelation::from_relation(&right.rename(src, m)));
-        assert_eq!(j.len(), 4);
     }
 
     #[test]
@@ -270,31 +171,5 @@ mod tests {
         let s = SortedRelation::from_relation(&r);
         assert_eq!(s.len(), 2);
         assert_eq!(s.to_relation().sorted_rows(), r.sorted_rows());
-    }
-
-    #[test]
-    fn filter_by_position() {
-        let mut db = Database::new();
-        let src = db.intern("src");
-        let r = pair_rel(&mut db, &[(1, 2), (2, 3)]);
-        let s = SortedRelation::from_relation(&r);
-        let pos = r.schema().position(src).unwrap();
-        let f = s.filter(|row| row[pos] == Value::node(1));
-        assert_eq!(f.len(), 1);
-    }
-
-    #[test]
-    fn disjoint_antijoin_cases() {
-        let mut db = Database::new();
-        let a = db.intern("a");
-        let r = pair_rel(&mut db, &[(1, 2)]);
-        let empty_other = SortedRelation::new(Schema::new(vec![a]));
-        let s = SortedRelation::from_relation(&r);
-        assert_eq!(s.antijoin(&empty_other).len(), 1);
-        let nonempty = SortedRelation::from_relation(&Relation::from_rows(
-            Schema::new(vec![a]),
-            [[Value::node(9)]],
-        ));
-        assert_eq!(s.antijoin(&nonempty).len(), 0);
     }
 }
