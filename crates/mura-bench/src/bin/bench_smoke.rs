@@ -2,16 +2,22 @@
 //! fixpoint kernels, suitable for CI.
 //!
 //! Computes the transitive closure of an Erdős–Rényi graph on a 4-worker
-//! cluster along the `P_plw` SetRdd path: the branch is compiled once per
-//! fixpoint (`prepare`: constants folded, the join index built) and shared
-//! by every worker's `local_fixpoint_prepared` loop. Results (wall times,
-//! nanoseconds per closure row, iteration counts, communication and kernel
-//! counters) are written to `BENCH_fixpoint.json`; the ns per row across
-//! commits is the kernel's trajectory. What the compilation buys is gated
-//! by counts, which repeat: every round must build exactly one index and
-//! fold exactly one constant per prepared branch, whatever the number of
-//! iterations. (Correctness is the test suites' job: the kernel is held to
-//! centralized evaluation there.)
+//! cluster along the `P_plw` SetRdd path, its seed placed by the stable
+//! column: the fixpoint is compiled once (`prepare_local`: constants
+//! folded, then the closure kernel's adjacency built) and shared by every
+//! worker's loop. Results (wall times, nanoseconds per closure row,
+//! iteration counts, communication and kernel counters) are written to
+//! `BENCH_fixpoint.json`; the ns per row across commits is the kernel's
+//! trajectory. A `hash_chain` line runs the same loops through the
+//! semi-naive chains (`prepare`, which skips the kernel's recognition), and
+//! a `dense` line runs Table I's dense ER closures (`rnd_400_0.05`,
+//! `rnd_2000_0.002`) through both. What the compilation buys is gated by
+//! counts, which repeat: every flagship round must build exactly one index
+//! and fold exactly one constant per prepare, whatever the number of
+//! iterations, and the flagship and `rnd_400_0.05` must take the closure
+//! kernel and emit exactly [`FLAGSHIP_ROWS`] and [`RND_400_ROWS`] rows.
+//! Timings are reported, not gated. (Correctness is the test suites' job:
+//! the kernels are held to centralized evaluation there.)
 //!
 //! A second section runs the full `P_plw` plan through the evaluator with
 //! tracing off and at `TraceLevel::Superstep`. What tracing costs is gated
@@ -47,17 +53,18 @@
 //! row at 20,000 and 200,000 binary rows — insert, `contains` hit and miss,
 //! remove (each row removed and inserted again), permuting rename, deep
 //! copy (clone, then the first mutation), drop, lazy split over four
-//! workers — and counts the allocations of building a 100,000-row relation
-//! row by row, gated at 64: the buffers double their way up, no row is an
-//! allocation. The same build reports the live bytes
-//! it holds per row, gated at [`MAX_BUILD_BYTES_PER_ROW`].
+//! workers, each the median and quartiles of [`SPREAD_SAMPLES`] — and
+//! counts the allocations of building a 100,000-row relation row by row,
+//! gated at 64: the buffers double their way up, no row is an allocation.
+//! The same build reports the live bytes it holds per row, gated at
+//! [`MAX_BUILD_BYTES_PER_ROW`].
 //!
 //! A `reply` section times the line protocol's response encoder on the
 //! serving tier's commonest read, a result-cache hit: microseconds per
-//! `protocol::respond` of a cached 10,000-row two-column answer (median of
-//! [`REPLY_SAMPLES`]), and the bytes of that reply's body and terminator —
-//! the status line is left out, as its `planning=… execution=…` timings
-//! change width from run to run. Reported, not gated.
+//! `protocol::respond` of a cached 10,000-row two-column answer (median and
+//! quartiles of [`REPLY_SAMPLES`]), and the bytes of that reply's body and
+//! terminator — the status line is left out, as its `planning=…
+//! execution=…` timings change width from run to run. Reported, not gated.
 //!
 //! A `stage` section times what a parallel stage costs beyond its tasks:
 //! microseconds (median of [`STAGE_SAMPLES`]) and allocations per stage of
@@ -69,11 +76,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use mura_core::kernel::kernel_stats;
-use mura_core::{Database, Relation, Term};
+use mura_core::{Database, KernelSnapshot, Relation, Sym, Term};
 use mura_datagen::er::erdos_renyi;
-use mura_dist::localfix::{local_fixpoint_prepared, prepare, Budget, LocalEngine, Prepared};
+use mura_dist::fixloop::Supervision;
+use mura_dist::localfix::{
+    local_fixpoint_prepared, prepare, prepare_local, Budget, LocalEngine, Prepared,
+};
 use mura_dist::{
-    Cluster, DistEvaluator, DistRel, ExecConfig, FixpointPlan, QueryEngine, TraceLevel,
+    Cluster, DistEvaluator, DistRel, ExecConfig, FaultPlan, FixpointPlan, QueryEngine, TraceLevel,
 };
 use mura_obs::counters::json_object;
 use mura_serve::protocol::{respond, Session};
@@ -89,6 +99,19 @@ const SEED: u64 = 42;
 
 /// Timed rounds of each measurement (the kernel runs one more, untimed).
 const SAMPLES: usize = 3;
+
+/// Closure rows of the flagship graph (gated).
+const FLAGSHIP_ROWS: usize = 72_946;
+
+/// Table I's dense ER graphs `(nodes, edge probability)`, generated with
+/// seed 42 as `repro table1` does.
+const DENSE: [(u64, f64); 2] = [(400, 0.05), (2000, 0.002)];
+
+/// Closure rows of `rnd_400_0.05`: every pair of its 400 nodes (gated).
+const RND_400_ROWS: usize = 160_000;
+
+/// Samples behind each median and quartiles of the `relation` section.
+const SPREAD_SAMPLES: usize = 11;
 
 /// Mutation batches the WAL section replays.
 const WAL_BATCHES: u64 = 64;
@@ -176,10 +199,9 @@ fn stage_section() -> (f64, f64) {
     (median_us, allocations as f64 / STAGE_SAMPLES as f64)
 }
 
-/// The `reply` section: median µs per [`respond`] of a cached
-/// [`REPLY_ROWS`]-row answer, and the bytes of its reply after the status
-/// line.
-fn reply_section() -> (f64, usize) {
+/// The `reply` section: µs per [`respond`] of a cached [`REPLY_ROWS`]-row
+/// answer, and the bytes of its reply after the status line.
+fn reply_section() -> (Spread, usize) {
     let mut db = Database::new();
     let (src, dst) = (db.intern("src"), db.intern("dst"));
     let pairs = (0..REPLY_ROWS).map(|i| (i, i * 7_919 % REPLY_ROWS));
@@ -192,21 +214,62 @@ fn reply_section() -> (f64, usize) {
     }
     let hits = server.stats().result_hits;
     let mut bytes = 0;
-    let mut walls: Vec<Duration> = (0..REPLY_SAMPLES)
+    let walls: Vec<f64> = (0..REPLY_SAMPLES)
         .map(|_| {
             let t = Instant::now();
             let reply = respond(&server, session, text);
             let wall = t.elapsed();
             // Every body line and its newline, then the terminator's `.\n`.
             bytes = reply.lines().skip(1).map(|line| line.len() + 1).sum::<usize>() + 2;
-            wall
+            wall.as_secs_f64() * 1e6
         })
         .collect();
     let sampled = server.stats().result_hits - hits;
     assert_eq!(sampled, REPLY_SAMPLES as u64, "every timed read is a result-cache hit");
     server.shutdown();
-    walls.sort_unstable();
-    (walls[REPLY_SAMPLES / 2].as_secs_f64() * 1e6, bytes)
+    (Spread::of(walls), bytes)
+}
+
+/// The median and quartiles of a set of samples.
+#[derive(Debug, Clone, Copy)]
+struct Spread {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<f64>) -> Spread {
+        samples.sort_unstable_by(f64::total_cmp);
+        let at = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
+        Spread { q1: at(0.25), median: at(0.5), q3: at(0.75) }
+    }
+
+    /// [`SPREAD_SAMPLES`] runs of `f`, in ns per one of its `rows` rows.
+    fn ns_per_row<R>(rows: usize, mut f: impl FnMut() -> R) -> Spread {
+        Spread::of(
+            (0..SPREAD_SAMPLES)
+                .map(|_| {
+                    let t = Instant::now();
+                    std::hint::black_box(f());
+                    t.elapsed().as_secs_f64() * 1e9 / rows as f64
+                })
+                .collect(),
+        )
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"median\": {:.3}, \"q1\": {:.3}, \"q3\": {:.3}}}",
+            self.median, self.q1, self.q3
+        )
+    }
+}
+
+impl std::fmt::Display for Spread {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:.1} [{:.1}–{:.1}]", self.median, self.q1, self.q3)
+    }
 }
 
 /// `rows` distinct binary rows (and, from `rows` on, as many that are not
@@ -217,8 +280,8 @@ fn bench_row(i: usize, rows: usize) -> [mura_core::Value; 2] {
 }
 
 /// The `relation` section at one size: ns per row of each store operation,
-/// best of `samples`.
-fn relation_section(db: &mut Database, rows: usize, samples: usize) -> String {
+/// median and quartiles of [`SPREAD_SAMPLES`].
+fn relation_section(db: &mut Database, rows: usize) -> String {
     let (src, dst, zz) = (db.intern("src"), db.intern("dst"), db.intern("zz"));
     let schema = mura_core::Schema::new(vec![src, dst]);
     let build = || {
@@ -230,49 +293,125 @@ fn relation_section(db: &mut Database, rows: usize, samples: usize) -> String {
     };
     let rel = build();
     assert_eq!(rel.len(), rows);
-    let per_row = |d: Duration| d.as_secs_f64() * 1e9 / rows as f64;
-    let insert = per_row(min_time(samples, build));
+    let insert = Spread::ns_per_row(rows, build);
     let count =
         |from: usize| (from..from + rows).filter(|&i| rel.contains(&bench_row(i, rows))).count();
     assert_eq!((count(0), count(rows)), (rows, 0));
-    let hit = per_row(min_time(samples, || count(0)));
-    let miss = per_row(min_time(samples, || count(rows)));
+    let hit = Spread::ns_per_row(rows, || count(0));
+    let miss = Spread::ns_per_row(rows, || count(rows));
     // Every row out and back in: removals from full groups leave tombstones.
     let mut churned = build();
-    let remove = per_row(min_time(samples, || {
+    let remove = Spread::ns_per_row(rows, || {
         for i in 0..rows {
             assert!(churned.remove(&bench_row(i, rows)) && churned.insert(bench_row(i, rows)));
         }
-    }));
+    });
     // `src → zz` moves the first column behind `dst`: every row is permuted.
     assert!(src < dst && dst < zz, "the renamed column must change places");
-    let rename = per_row(min_time(samples, || rel.rename(src, zz)));
+    let rename = Spread::ns_per_row(rows, || rel.rename(src, zz));
     // A clone is a pointer until the first mutation copies the store.
     let deep_copy = || {
         let mut copy = rel.clone();
         copy.insert(bench_row(rows, rows));
         copy
     };
-    let clone = per_row(min_time(samples, deep_copy));
-    let dropped = per_row(
-        (0..samples)
-            .map(|_| {
-                let copy = deep_copy();
-                let t = Instant::now();
-                drop(copy);
-                t.elapsed()
-            })
-            .min()
-            .expect("at least one sample"),
-    );
+    let clone = Spread::ns_per_row(rows, deep_copy);
+    let mut copies = (0..SPREAD_SAMPLES).map(|_| deep_copy()).collect::<Vec<_>>();
+    let dropped = Spread::ns_per_row(rows, || drop(copies.pop()));
     let cluster = Cluster::new(WORKERS);
-    let split = per_row(min_time(samples, || DistRel::from_relation(&rel, &cluster).parts().len()));
+    let split = Spread::ns_per_row(rows, || DistRel::from_relation(&rel, &cluster).parts().len());
     println!(
-        "  relation:  {rows} rows, ns/row: insert {insert:.1}, contains hit {hit:.1} / miss {miss:.1}, remove {remove:.1}, rename {rename:.1}, clone {clone:.1}, drop {dropped:.2}, split {split:.1}"
+        "  relation:  {rows} rows, ns/row median [quartiles] of {SPREAD_SAMPLES}: insert {insert}, contains hit {hit} / miss {miss}, remove {remove}, rename {rename}, clone {clone}, drop {dropped}, split {split}"
     );
-    format!(
-        "{{\"rows\": {rows}, \"insert_ns\": {insert:.2}, \"contains_hit_ns\": {hit:.2}, \"contains_miss_ns\": {miss:.2}, \"remove_ns\": {remove:.2}, \"rename_ns\": {rename:.2}, \"clone_ns\": {clone:.2}, \"drop_ns\": {dropped:.3}, \"split_ns\": {split:.2}}}"
-    )
+    let ops = [
+        ("insert", insert),
+        ("contains_hit", hit),
+        ("contains_miss", miss),
+        ("remove", remove),
+        ("rename", rename),
+        ("clone", clone),
+        ("drop", dropped),
+        ("split", split),
+    ];
+    let ops: Vec<String> =
+        ops.iter().map(|(name, spread)| format!("\"{name}_ns\": {}", spread.json())).collect();
+    format!("{{\"rows\": {rows}, \"samples\": {SPREAD_SAMPLES}, {}}}", ops.join(", "))
+}
+
+/// What one set of local-loop rounds measured.
+struct Loops {
+    /// Wall of each timed round.
+    samples: Vec<Duration>,
+    /// Closure rows (the workers' outputs are disjoint).
+    rows: usize,
+    /// Supersteps of the workers' loops in one round, summed.
+    iterations: u64,
+    /// Kernel counters over every round, the untimed one included.
+    kernel: KernelSnapshot,
+    /// Rounds run, the untimed one included.
+    rounds: u64,
+}
+
+impl Loops {
+    fn mean_ms(&self) -> f64 {
+        summarize(&self.samples).mean_ms
+    }
+
+    fn ns_per_row(&self) -> f64 {
+        self.mean_ms() * 1e6 / self.rows as f64
+    }
+}
+
+/// The transitive closure of `e` through the `P_plw` SetRdd worker loops
+/// on a [`WORKERS`]-worker cluster, the seed placed by its stable column
+/// `src`, outside any query: one untimed round, then `samples` timed ones,
+/// each compiling the fixpoint once and sharing it among the workers.
+/// `kernel` compiles with [`prepare_local`], which takes the closure kernel
+/// for this shape; otherwise [`prepare`] compiles the semi-naive chain.
+fn local_loops(e: &Relation, step: &Term, x: Sym, src: Sym, kernel: bool, samples: usize) -> Loops {
+    let cluster = Cluster::new(WORKERS);
+    let seed = DistRel::from_relation(e, &cluster).repartition(&[src], &cluster).expect("placed");
+    let (budget, fault) = (Budget::new(None, None), FaultPlan::disabled());
+    let sup = Supervision::inert(&budget, &fault);
+    let kernel_before = kernel_stats().snapshot();
+    let mut out = Loops {
+        samples: Vec::with_capacity(samples),
+        rows: 0,
+        iterations: 0,
+        kernel: KernelSnapshot::default(),
+        rounds: samples as u64 + 1,
+    };
+    for round in 0..=samples {
+        let before = kernel_stats().snapshot();
+        let t = Instant::now();
+        let parts = if kernel {
+            let loops = prepare_local::<Relation>(
+                std::slice::from_ref(step),
+                x,
+                e.schema(),
+                Some(e.len()),
+                &budget,
+            )
+            .expect("prepare");
+            cluster.try_par_map(seed.parts(), |w, part| loops.run(part, &sup, w, None))
+        } else {
+            let prepared: Vec<Prepared<Relation>> =
+                vec![prepare(step, x, e.schema()).expect("prepare")];
+            cluster.try_par_map(seed.parts(), |_, part| {
+                local_fixpoint_prepared(part, &prepared, &budget)
+            })
+        };
+        let parts = parts.expect("local fixpoint");
+        let wall = t.elapsed();
+        // Round 0 is the untimed warmup.
+        if round > 0 {
+            out.samples.push(wall);
+        }
+        out.rows = parts.iter().map(Relation::len).sum();
+        out.iterations = kernel_stats().snapshot().since(&before).iterations;
+    }
+    out.kernel = kernel_stats().snapshot().since(&kernel_before);
+    out
 }
 
 /// Rows in the timed broadcast and exchange of the `wire` section.
@@ -356,46 +495,33 @@ fn main() {
     let x = db.intern("X");
     let g = erdos_renyi(NODES, EDGE_PROB, SEED);
     let e = Relation::from_pairs(src, dst, g.plain_edges());
-    let step = Term::var(x).rename(dst, m).join(Term::cst(e.clone()).rename(src, m)).antiproject(m);
-    let recs = [step.clone()];
-    let term = Term::cst(e.clone()).union(step).fix(x);
+    let dense_step = |e: &Relation| {
+        Term::var(x).rename(dst, m).join(Term::cst(e.clone()).rename(src, m)).antiproject(m)
+    };
+    let step = dense_step(&e);
+    let term = Term::cst(e.clone()).union(step.clone()).fix(x);
 
     println!("bench-smoke: TC of ER(n={NODES}, p={EDGE_PROB}, seed={SEED}), {WORKERS} workers, P_plw/SetRdd");
     println!("  edges: {}", e.len());
 
-    let cluster = Cluster::new(WORKERS);
-    let seed_rel = DistRel::from_relation(&e, &cluster);
-    let budget = Budget::new(None, None);
-
-    // --- the kernel: prepare once per fixpoint, probe the cached index ---
-    let kernel_before = kernel_stats().snapshot();
-    let mut opt_samples = Vec::with_capacity(SAMPLES);
-    let mut opt_rows = 0usize;
-    let mut loop_iterations = 0u64;
-    for round in 0..=SAMPLES {
-        let iters_before = kernel_stats().snapshot();
-        let t = Instant::now();
-        let prepared: Vec<Prepared<Relation>> =
-            recs.iter().map(|r| prepare(r, x, e.schema()).expect("prepare")).collect();
-        let parts = cluster
-            .try_par_map(seed_rel.parts(), |_, part| {
-                local_fixpoint_prepared(part, &prepared, &budget)
-            })
-            .expect("optimized fixpoint");
-        let wall = t.elapsed();
-        let mut acc = Relation::new(e.schema().clone());
-        for part in parts {
-            acc.absorb(part);
-        }
-        if round > 0 {
-            // Round 0 is the untimed warmup.
-            opt_samples.push(wall);
-        }
-        opt_rows = acc.len();
-        loop_iterations = kernel_stats().snapshot().since(&iters_before).iterations;
-    }
-    let kernel = kernel_stats().snapshot().since(&kernel_before);
-    let prepares = ((SAMPLES + 1) * recs.len()) as u64;
+    // --- the flagship: the closure kernel, compiled once per round; the
+    // same loops through the semi-naive chain; Table I's dense closures
+    // through both ---
+    let flagship = local_loops(&e, &step, x, src, true, SAMPLES);
+    let chain = local_loops(&e, &step, x, src, false, SAMPLES);
+    assert_eq!(chain.rows, flagship.rows, "the kernel and the chain disagree on the closure");
+    let (opt_rows, loop_iterations, kernel) = (flagship.rows, flagship.iterations, flagship.kernel);
+    let prepares = flagship.rounds;
+    let dense: Vec<(String, usize, Loops, Loops)> = DENSE
+        .iter()
+        .map(|&(n, p)| {
+            let edges = Relation::from_pairs(src, dst, erdos_renyi(n, p, 42).plain_edges());
+            let kernel = local_loops(&edges, &dense_step(&edges), x, src, true, SAMPLES);
+            let chain = local_loops(&edges, &dense_step(&edges), x, src, false, SAMPLES);
+            assert_eq!(kernel.rows, chain.rows, "rnd_{n}_{p}: the kernel and the chain disagree");
+            (format!("rnd_{n}_{p}"), edges.len(), kernel, chain)
+        })
+        .collect();
 
     // --- full P_plw plan through the evaluator, for comm + kernel stats
     // and for the cost of superstep tracing (traced vs untraced walls) ---
@@ -534,10 +660,8 @@ fn main() {
     }));
 
     // --- relation: the flat store, operation by operation. ---
-    let relation_sizes: Vec<String> = [20_000, 200_000]
-        .iter()
-        .map(|&rows| relation_section(&mut db, rows, SAMPLES.max(5)))
-        .collect();
+    let relation_sizes: Vec<String> =
+        [20_000, 200_000].iter().map(|&rows| relation_section(&mut db, rows)).collect();
     let (build_allocations, build_bytes_per_row) = {
         let schema = e.schema().clone();
         let (before, live_before) =
@@ -607,15 +731,35 @@ fn main() {
     let (reply_us, reply_body_bytes) = reply_section();
     let (stage_us, stage_allocations) = stage_section();
 
-    let optimized = summarize(&opt_samples);
-    let ns_per_row = optimized.mean_ms * 1e6 / opt_rows as f64;
+    let optimized = summarize(&flagship.samples);
+    let ns_per_row = flagship.ns_per_row();
+    let hash_chain = summarize(&chain.samples);
 
     println!("  tc rows: {opt_rows}");
-    println!("  per-worker loop iterations (sum): {loop_iterations}");
+    println!("  per-worker loop supersteps (sum): {loop_iterations}");
     println!(
-        "  optimized: {:.1} ms  [{:.1} .. {:.1}], {ns_per_row:.1} ns per row; {} index builds and {} constant folds over {prepares} prepares",
-        optimized.mean_ms, optimized.min_ms, optimized.max_ms, kernel.index_builds, kernel.const_folds
+        "  optimized: {:.1} ms  [{:.1} .. {:.1}], {ns_per_row:.1} ns per row; {} index builds and {} constant folds over {prepares} prepares, {} closure kernels",
+        optimized.mean_ms, optimized.min_ms, optimized.max_ms, kernel.index_builds, kernel.const_folds, kernel.closure_kernels
     );
+    println!(
+        "  hash chain: {:.1} ms  [{:.1} .. {:.1}], {:.1} ns per row ({:.1}x the kernel's), {} iterations",
+        hash_chain.mean_ms,
+        hash_chain.min_ms,
+        hash_chain.max_ms,
+        chain.ns_per_row(),
+        chain.ns_per_row() / ns_per_row,
+        chain.iterations,
+    );
+    for (name, edges, kernel, chain) in &dense {
+        println!(
+            "  dense:     {name} ({edges} edges, {} closure rows): kernel {:.1} ms, hash chain {:.1} ms ({:.1}x), {} closure kernels",
+            kernel.rows,
+            kernel.mean_ms(),
+            chain.mean_ms(),
+            chain.mean_ms() / kernel.mean_ms(),
+            kernel.kernel.closure_kernels,
+        );
+    }
     println!(
         "  plan comm: {} shuffles, {} rows shuffled; plan kernel: {} index builds, {} probes",
         comm.shuffles, comm.rows_shuffled, plan_kernel.index_builds, plan_kernel.join_probes
@@ -656,7 +800,7 @@ fn main() {
     );
 
     println!(
-        "  reply:     {REPLY_ROWS}-row cached answer: {reply_us:.1} µs per respond (median of {REPLY_SAMPLES}), {reply_body_bytes} body bytes"
+        "  reply:     {REPLY_ROWS}-row cached answer: {reply_us} µs per respond (median [quartiles] of {REPLY_SAMPLES}), {reply_body_bytes} body bytes"
     );
     println!(
         "  stage:     2 trivial heavy tasks on 2 workers: {stage_us:.1} µs per stage (median of {STAGE_SAMPLES}), {stage_allocations:.1} allocations"
@@ -686,19 +830,36 @@ fn main() {
         "  \"wire\": {{\"crc_sliced_mb_s\": {crc_sliced:.0}, \"crc_bytewise_mb_s\": {crc_bytewise:.0}, \"crc_speedup\": {crc_speedup:.2}, \"encode_rows_per_s\": {encode_rows_s:.0}, \"decode_rows_per_s\": {decode_rows_s:.0}, \"bytes_per_row\": {:.2}{wire_proc_json}}},\n",
         encoded.len() as f64 / full.len() as f64,
     );
+    let dense_json: Vec<String> = dense
+        .iter()
+        .map(|(name, edges, kernel, chain)| {
+            format!(
+                "{{\"graph\": \"{name}\", \"edges\": {edges}, \"tc_rows\": {}, \"kernel_ms\": {:.3}, \"hash_chain_ms\": {:.3}, \"speedup\": {:.2}}}",
+                kernel.rows,
+                kernel.mean_ms(),
+                chain.mean_ms(),
+                chain.mean_ms() / kernel.mean_ms(),
+            )
+        })
+        .collect();
     let relation_json = format!(
         "  \"relation\": {{\"sizes\": [{}], \"build_rows\": {BUILD_ROWS}, \"build_allocations\": {build_allocations}, \"build_bytes_per_row\": {build_bytes_per_row:.2}}},\n",
         relation_sizes.join(", "),
     );
     let json = format!(
-        "{{\n  \"bench\": \"fixpoint_tc_er\",\n  \"plan\": \"p_plw\",\n  \"engine\": \"set_rdd\",\n  \"workers\": {WORKERS},\n  \"graph\": {{\"nodes\": {NODES}, \"edge_prob\": {EDGE_PROB}, \"seed\": {SEED}, \"edges\": {}, \"tc_rows\": {opt_rows}}},\n  \"samples\": {SAMPLES},\n  \"iterations\": {loop_iterations},\n  \"optimized\": {},\n  \"ns_per_row\": {ns_per_row:.1},\n  \"tracing\": {{\"off_min_ms\": {:.3}, \"superstep_min_ms\": {:.3}, \"overhead_pct\": {overhead_pct:.2}, \"events\": {}, \"superstep_events\": {traced_supersteps}, \"kernel_iterations\": {traced_iterations}, \"allocations_beyond_off\": {trace_allocations}}},\n{proc_json}{wire_json}{relation_json}  \"wal\": {{\"off_min_ms\": {:.3}, \"on_min_ms\": {:.3}, \"overhead_pct\": {wal_overhead_pct:.2}, \"batches\": {WAL_BATCHES}}},\n  \"reply\": {{\"rows\": {REPLY_ROWS}, \"samples\": {REPLY_SAMPLES}, \"median_us\": {reply_us:.1}, \"body_bytes\": {reply_body_bytes}}},\n  \"stage\": {{\"workers\": 2, \"samples\": {STAGE_SAMPLES}, \"median_us\": {stage_us:.1}, \"allocations\": {stage_allocations:.1}}},\n  \"comm\": {},\n  \"kernel\": {}\n}}\n",
+        "{{\n  \"bench\": \"fixpoint_tc_er\",\n  \"plan\": \"p_plw\",\n  \"engine\": \"set_rdd\",\n  \"workers\": {WORKERS},\n  \"graph\": {{\"nodes\": {NODES}, \"edge_prob\": {EDGE_PROB}, \"seed\": {SEED}, \"edges\": {}, \"tc_rows\": {opt_rows}}},\n  \"samples\": {SAMPLES},\n  \"iterations\": {loop_iterations},\n  \"optimized\": {},\n  \"ns_per_row\": {ns_per_row:.1},\n  \"hash_chain\": {{\"timings\": {}, \"ns_per_row\": {:.1}, \"iterations\": {}}},\n  \"dense\": [{}],\n  \"tracing\": {{\"off_min_ms\": {:.3}, \"superstep_min_ms\": {:.3}, \"overhead_pct\": {overhead_pct:.2}, \"events\": {}, \"superstep_events\": {traced_supersteps}, \"kernel_iterations\": {traced_iterations}, \"allocations_beyond_off\": {trace_allocations}}},\n{proc_json}{wire_json}{relation_json}  \"wal\": {{\"off_min_ms\": {:.3}, \"on_min_ms\": {:.3}, \"overhead_pct\": {wal_overhead_pct:.2}, \"batches\": {WAL_BATCHES}}},\n  \"reply\": {{\"rows\": {REPLY_ROWS}, \"samples\": {REPLY_SAMPLES}, \"us\": {}, \"body_bytes\": {reply_body_bytes}}},\n  \"stage\": {{\"workers\": 2, \"samples\": {STAGE_SAMPLES}, \"median_us\": {stage_us:.1}, \"allocations\": {stage_allocations:.1}}},\n  \"comm\": {},\n  \"kernel\": {}\n}}\n",
         e.len(),
         json_timings(&optimized),
+        json_timings(&hash_chain),
+        chain.ns_per_row(),
+        chain.iterations,
+        dense_json.join(", "),
         off_min.as_secs_f64() * 1e3,
         traced_min.as_secs_f64() * 1e3,
         trace.events.len(),
         wal_off.as_secs_f64() * 1e3,
         wal_on.as_secs_f64() * 1e3,
+        reply_us.json(),
         json_object(&comm.rows()),
         json_object(&kernel.rows()),
     );
@@ -713,6 +874,24 @@ fn main() {
             kernel.index_builds, kernel.const_folds
         );
         failed = true;
+    }
+    if (kernel.closure_kernels, opt_rows) != (prepares, FLAGSHIP_ROWS) {
+        eprintln!(
+            "FAIL: the flagship took the closure kernel in {} of {prepares} rounds and emitted \
+             {opt_rows} rows; every round must take it and emit {FLAGSHIP_ROWS}",
+            kernel.closure_kernels
+        );
+        failed = true;
+    }
+    if let Some((name, _, kernel, _)) = dense.first() {
+        if (kernel.kernel.closure_kernels, kernel.rows) != (kernel.rounds, RND_400_ROWS) {
+            eprintln!(
+                "FAIL: {name} took the closure kernel in {} of {} rounds and emitted {} rows; \
+                 every round must take it and emit {RND_400_ROWS}",
+                kernel.kernel.closure_kernels, kernel.rounds, kernel.rows
+            );
+            failed = true;
+        }
     }
     if traced_supersteps != traced_iterations {
         eprintln!(

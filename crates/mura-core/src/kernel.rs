@@ -33,6 +33,9 @@ mura_obs::counter_set! {
             const_folds {event = "const_fold"},
             /// Semi-naive iterations executed by prepared fixpoint loops.
             iterations {event = "iteration"},
+            /// `P_plw` fixpoints run by the closure kernel (a traversal over
+            /// a CSR adjacency) instead of the semi-naive chains.
+            closure_kernels {event = "closure_kernel"},
         }
         counter "mura_kernel_eval_nanoseconds_total", "Time inside prepared kernel evaluation." {
             eval_nanos,

@@ -176,6 +176,13 @@ impl Rows {
         RowIter { vals: &self.vals, arity: self.arity, left: self.len }
     }
 
+    /// Every value of every row, row after row: row `i` is
+    /// `values()[i * arity..(i + 1) * arity]`.
+    #[inline]
+    pub fn values(&self) -> &[Value] {
+        &self.vals
+    }
+
     /// The row ids in lexicographic order of their rows. Sorting the ids
     /// and reading through them moves no row at all.
     pub fn sorted_ids(&self) -> Vec<u32> {

@@ -6,7 +6,7 @@
 
 use crate::exec::{DistEvaluator, ExecConfig, ExecStats};
 use crate::metrics::CommSnapshot;
-use mura_core::{Database, Relation, Result, Term};
+use mura_core::{Database, Relation, Result, Sym, Term};
 use mura_rewrite::{bracketed, EnumReport, ObservedCards, Rewriter};
 use mura_ucrpq::{parse_ucrpq, to_mura};
 use std::sync::Arc;
@@ -134,7 +134,9 @@ fn explain_rec(
             let note = match mura_core::analysis::stable_columns(*x, body, env) {
                 Ok(stable) if !stable.is_empty() => {
                     let cols: Vec<_> = stable.iter().map(|c| db.dict().resolve(*c)).collect();
-                    format!("stable: {} -> P_plw", cols.join(","))
+                    let kernel =
+                        if closure_shaped(t, *x, body, env) { ", closure kernel" } else { "" };
+                    format!("stable: {} -> P_plw{kernel}", cols.join(","))
                 }
                 Ok(_) => "no stable column -> P_gld".to_string(),
                 Err(e) => format!("analysis failed: {e}"),
@@ -149,6 +151,17 @@ fn explain_rec(
             }
         }
     }
+}
+
+/// Whether fixpoint `fix` = `μx. body` has the closure kernel's shape
+/// (`reach::shape`): on SetRDD its `P_plw` worker loops traverse
+/// `E`'s adjacency, unless its seed is too small to pay for it.
+fn closure_shaped(fix: &Term, x: Sym, body: &Term, env: &mut mura_core::analysis::TypeEnv) -> bool {
+    let Ok(schema) = mura_core::analysis::infer_schema(fix, env) else { return false };
+    let Ok((_, recs)) = mura_core::analysis::decompose_fixpoint(x, body) else { return false };
+    let [branch] = recs[..] else { return false };
+    let mut schema_of = |t: &Term| mura_core::analysis::infer_schema(t, env).ok();
+    crate::reach::shape(branch, x, &schema, &mut schema_of).is_some()
 }
 
 /// How [`QueryEngine::plan_ucrpq_with`] searches:
@@ -384,7 +397,7 @@ mod tests {
         let out = e.run_ucrpq("?x, ?y <- ?x a1+ ?y").unwrap();
         let plan = out.explain(e.db());
         assert!(plan.contains("fixpoint"), "{plan}");
-        assert!(plan.contains("P_plw"), "stable closure must pick P_plw:\n{plan}");
+        assert!(plan.contains("P_plw, closure kernel"), "a closure takes the kernel:\n{plan}");
         let out2 = e.run_ucrpq("?x, ?y <- ?x a1+/a2+ ?y").unwrap();
         let plan2 = out2.explain(e.db());
         assert!(plan2.contains("P_gld"), "merged fixpoint has no stable column:\n{plan2}");

@@ -14,7 +14,7 @@ use crate::distrel::{split_by_key, DistRel};
 use crate::fault::{FaultConfig, FaultPlan, FaultSnapshot, RecoveryPolicy};
 use crate::fixloop::{self, Superstep, Supervision};
 use crate::localfix::{
-    eval_branch, local_fixpoint_supervised, prepare_all, Budget, LocalEngine, LocalRel, Prepared,
+    eval_branch, prepare_all, prepare_local, Budget, LocalEngine, LocalRel, Prepared,
 };
 use crate::metrics::CommSnapshot;
 use crate::sorted::SortedRelation;
@@ -807,11 +807,12 @@ impl<'db> DistEvaluator<'db> {
 
     /// Runs the per-worker local loops of `P_plw` with one engine type.
     /// The branches are prepared **once per fixpoint** — constant folding
-    /// and join-index builds are shared by every worker, so `index_builds`
-    /// counts fixpoints, not workers or iterations.
+    /// and the join-index or adjacency build are shared by every worker, so
+    /// `index_builds` counts fixpoints, not workers or iterations.
     ///
-    /// Every worker runs [`local_fixpoint_supervised`]; all workers of one
-    /// fixpoint share one fault site, allocated driver-side.
+    /// Every worker runs [`LocalLoops::run`](crate::localfix::LocalLoops::run);
+    /// all workers of one fixpoint share one fault site, allocated
+    /// driver-side.
     fn run_plw_typed<R: LocalRel>(
         &self,
         seed: &DistRel,
@@ -820,7 +821,11 @@ impl<'db> DistEvaluator<'db> {
         fx: u32,
         resumed: Option<(&DistRel, &DistRel)>,
     ) -> Result<Vec<Relation>> {
-        let prepared = prepare_all::<R>(recs, x, seed.schema(), &self.budget)?;
+        // The closure kernel is SetRDD's, and a resumed fixpoint iterates
+        // from its maintained state, which only the chains take.
+        let kernel = (self.config.local_engine == LocalEngine::SetRdd && resumed.is_none())
+            .then(|| seed.len());
+        let loops = prepare_local::<R>(recs, x, seed.schema(), kernel, &self.budget)?;
         let sup = self.supervision(fx, PlanKind::Plw, self.cluster.fault().next_site());
         // A local fixpoint costs what it derives, which its seed does not
         // bound — unless there is no seed (and no frontier to resume).
@@ -830,7 +835,7 @@ impl<'db> DistEvaluator<'db> {
             // This worker's slice of the maintained accumulator/frontier,
             // co-partitioned with the seed above.
             let initial = resumed.map(|(a, d)| (&a.parts()[w], &d.parts()[w]));
-            local_fixpoint_supervised(part, &prepared, &sup, w, initial)
+            loops.run(part, &sup, w, initial)
         })
     }
 }

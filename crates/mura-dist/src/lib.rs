@@ -20,7 +20,9 @@
 //! after BigDatalog's SetRDD) and [`localfix::LocalEngine::Sorted`]
 //! (standing in for the per-worker PostgreSQL instances of `P_plw^pg`).
 //! Both run the same hash-indexed chains; the sorted engine accumulates
-//! into sorted, duplicate-free buffers instead of a hash table.
+//! into sorted, duplicate-free buffers instead of a hash table, and on
+//! SetRDD a closure-shaped fixpoint runs the closure kernel instead
+//! ([`reach`]).
 //!
 //! The top-level entry point is [`QueryEngine`]: UCRPQ → μ-RA → rewrite →
 //! physical plan → distributed execution with [`CommStats`].
@@ -34,6 +36,7 @@ pub mod fixloop;
 pub mod localfix;
 pub mod metrics;
 pub mod proc;
+pub mod reach;
 pub mod sorted;
 pub mod wire;
 pub mod worker;

@@ -19,9 +19,14 @@
 //! accumulates what the chains put out into the accumulator **in place**
 //! ([`LocalRel::absorb_new`]) — the rows that were new are the next delta.
 //! The `P_gld` driver applies the same branches through [`eval_branch`].
+//!
+//! On SetRDD, [`prepare_local`] compiles a fixpoint of the closure shape
+//! into the closure kernel ([`crate::reach`]) instead: a traversal with no
+//! accumulator and no delta.
 
 use crate::fault::FaultPlan;
 use crate::fixloop::{self, Superstep, Supervision};
+use crate::reach::{closure_fixpoint_supervised, Closure};
 use crate::sorted::SortedRelation;
 use mura_core::eval::{apply_filter, compile_preds, CompiledPred};
 use mura_core::index::hash_values;
@@ -667,9 +672,80 @@ pub fn prepare_all<R: LocalRel>(
     Ok(prepared)
 }
 
-/// Runs a worker-local semi-naive fixpoint (Algorithm 1) over this
-/// worker's `seed` with the given engine. Prepares the branches (constant
-/// folding + index builds) once, then iterates.
+/// What the worker loops of a `P_plw` fixpoint run: the compiled branches
+/// of the semi-naive loop, or the closure kernel.
+pub enum LocalLoops<R> {
+    /// The semi-naive loop over the prepared branches.
+    Chains(Vec<Prepared<R>>),
+    /// A traversal over `E`'s adjacency (see [`crate::reach`]).
+    Closure(Closure),
+}
+
+/// Compiles a fixpoint's recursive branches for its worker loops, charging
+/// what they cache against the byte budget. With `kernel` set to the
+/// fixpoint's seed rows, a fixpoint whose only branch has the closure shape
+/// takes the closure kernel when that seed is large enough to pay for it
+/// ([`Closure::recognise`]); without it, or otherwise, it takes the chains
+/// ([`prepare_all`]). Either way every `x`-free subterm is folded once.
+pub fn prepare_local<R: LocalRel>(
+    recs: &[Term],
+    x: Sym,
+    delta_schema: &Schema,
+    kernel: Option<usize>,
+    budget: &Budget,
+) -> Result<LocalLoops<R>> {
+    let (Some(seed_rows), [branch]) = (kernel, recs) else {
+        return prepare_all(recs, x, delta_schema, budget).map(LocalLoops::Chains);
+    };
+    let branch = fold_invariants(branch, x, delta_schema)?;
+    match Closure::recognise(&branch, x, delta_schema, seed_rows) {
+        Some(closure) => {
+            budget.charge_bytes(closure.cached_bytes())?;
+            Ok(LocalLoops::Closure(closure))
+        }
+        None => prepare_all(&[branch], x, delta_schema, budget).map(LocalLoops::Chains),
+    }
+}
+
+impl<R: LocalRel> LocalLoops<R> {
+    /// Worker `worker`'s loop over its `seed` share, or over its share of
+    /// resumed `(acc, delta)` state, which only the chains take.
+    pub fn run(
+        &self,
+        seed: &Relation,
+        sup: &Supervision<'_>,
+        worker: usize,
+        initial: Option<(&Relation, &Relation)>,
+    ) -> Result<Relation> {
+        match self {
+            LocalLoops::Chains(prepared) => {
+                local_fixpoint_supervised(seed, prepared, sup, worker, initial)
+            }
+            LocalLoops::Closure(closure) => {
+                assert!(initial.is_none(), "a resumed fixpoint runs the chains");
+                closure_fixpoint_supervised(seed, closure, sup, worker)
+            }
+        }
+    }
+}
+
+/// `term` with every maximal `x`-free subterm replaced by the constant
+/// [`prep`] folds it into — the same folds, counted the same way, as
+/// compiling `term` whole would make.
+fn fold_invariants(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Term> {
+    if term.has_free_var(x) {
+        return term.try_map_children(|t| fold_invariants(t, x, delta_schema));
+    }
+    match prep::<Relation>(term, x, delta_schema)? {
+        Prep::Const(r) => Ok(Term::cst(r)),
+        Prep::Dyn(_) => unreachable!("a term without the recursion variable folds"),
+    }
+}
+
+/// Runs a worker-local fixpoint (Algorithm 1) over this worker's `seed`
+/// with the given engine, outside any query: nothing injected,
+/// checkpointed or traced. Prepares once, then iterates; on SetRDD a
+/// closure-shaped fixpoint runs the closure kernel ([`prepare_local`]).
 pub fn local_fixpoint(
     seed: &Relation,
     recs: &[Term],
@@ -680,8 +756,9 @@ pub fn local_fixpoint(
     let schema = seed.schema();
     match engine {
         LocalEngine::SetRdd => {
-            let prepared = prepare_all::<Relation>(recs, x, schema, budget)?;
-            local_fixpoint_prepared(seed, &prepared, budget)
+            let loops = prepare_local::<Relation>(recs, x, schema, Some(seed.len()), budget)?;
+            let fault = FaultPlan::disabled();
+            loops.run(seed, &Supervision::inert(budget, &fault), 0, None)
         }
         LocalEngine::Sorted => {
             let prepared = prepare_all::<SortedRelation>(recs, x, schema, budget)?;
@@ -755,26 +832,41 @@ impl<R: LocalRel> Superstep for WorkerStep<'_, R> {
         iteration: u64,
         attempt: u32,
     ) -> Result<R> {
-        let traced = sup.trace.filter(|t| t.superstep_enabled());
-        let traced = traced.map(|sink| (sink, sink.now_us(), Instant::now()));
-        let new = sup.fault.guarded(sup.site, self.worker, iteration, attempt, || {
-            local_superstep(self.prepared, acc, delta, sup.budget)
-        })?;
-        // One superstep event per iteration per worker. `P_plw` loops never
-        // communicate, so the comm fields stay zero by construction — the
-        // trace-level counterpart of the paper's claim. Kernel counters are
-        // process-wide and racy across workers, so they are left zero here.
-        if let Some((sink, t_us, started)) = traced {
-            let mut ev = TraceEvent::new(EventKind::Superstep, sup.fixpoint, sup.plan);
-            ev.worker = self.lane();
-            ev.iteration = iteration;
-            ev.delta_rows = new.len() as u64;
-            ev.t_us = t_us;
-            ev.dur_us = started.elapsed().as_micros() as u64;
-            sink.record(ev);
-        }
-        Ok(new)
+        worker_superstep(sup, self.worker, iteration, attempt, || {
+            let new = local_superstep(self.prepared, acc, delta, sup.budget)?;
+            let rows = new.len() as u64;
+            Ok((new, rows))
+        })
     }
+}
+
+/// Runs `body`, one superstep of worker `worker`'s loop, as a fault-guarded
+/// attempt at the coordinate `(site, worker, iteration)`, and records one
+/// superstep event for it carrying the rows `body` reports deriving.
+/// `P_plw` loops never communicate, so the event's comm fields stay zero by
+/// construction — the trace-level counterpart of the paper's claim. Kernel
+/// counters are process-wide and racy across workers, so they are left
+/// zero here.
+pub(crate) fn worker_superstep<T>(
+    sup: &Supervision<'_>,
+    worker: usize,
+    iteration: u64,
+    attempt: u32,
+    body: impl FnOnce() -> Result<(T, u64)>,
+) -> Result<T> {
+    let traced = sup.trace.filter(|t| t.superstep_enabled());
+    let traced = traced.map(|sink| (sink, sink.now_us(), Instant::now()));
+    let (out, rows) = sup.fault.guarded(sup.site, worker, iteration, attempt, body)?;
+    if let Some((sink, t_us, started)) = traced {
+        let mut ev = TraceEvent::new(EventKind::Superstep, sup.fixpoint, sup.plan);
+        ev.worker = worker as i32;
+        ev.iteration = iteration;
+        ev.delta_rows = rows;
+        ev.t_us = t_us;
+        ev.dur_us = started.elapsed().as_micros() as u64;
+        sink.record(ev);
+    }
+    Ok(out)
 }
 
 /// Worker `worker`'s loop of a `P_plw` fixpoint: [`fixloop::run`] over

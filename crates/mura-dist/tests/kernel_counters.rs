@@ -89,8 +89,9 @@ fn const_folds_and_index_builds_happen_once_per_fixpoint() {
     assert_eq!(got.len(), 12 * 13 / 2);
     let k = ev.stats().kernel;
     assert_eq!(
-        k.index_builds, 1,
-        "P_plw with {workers} workers must build the join index once per fixpoint: {k:?}"
+        (k.index_builds, k.closure_kernels),
+        (1, 1),
+        "P_plw with {workers} workers must build the closure kernel's adjacency once per fixpoint: {k:?}"
     );
     // The distributed evaluator hoists x-free subtrees at the Term level
     // (evaluated once, bound to fresh constants) before `prepare` runs, so
@@ -105,7 +106,8 @@ fn const_folds_and_index_builds_happen_once_per_fixpoint() {
     assert_eq!(got.len(), 12 * 13 / 2);
     let k = ev.stats().kernel;
     assert_eq!(
-        k.index_builds, 1,
+        (k.index_builds, k.closure_kernels),
+        (1, 0),
         "P_gld must build the join index once per fixpoint, not per iteration: {k:?}"
     );
     assert_eq!(k.const_folds, 0, "hoisting already folded the invariant subtree: {k:?}");
@@ -169,18 +171,18 @@ fn pinned_counts_on_a_random_graph() {
     let step = Term::var(x).rename(dst, m).join(Term::cst(e.clone()).rename(src, m)).antiproject(m);
     let term = Term::cst(e.clone()).union(step).fix(x);
     let mut answers = Vec::new();
-    for (plan, engine) in [
-        (FixpointPlan::ForcePlw, LocalEngine::SetRdd),
-        (FixpointPlan::ForcePlw, LocalEngine::Sorted),
-        (FixpointPlan::ForceGld, LocalEngine::SetRdd),
+    for (plan, engine, pinned) in [
+        (FixpointPlan::ForcePlw, LocalEngine::SetRdd, KERNEL),
+        (FixpointPlan::ForcePlw, LocalEngine::Sorted, CHAINS),
+        (FixpointPlan::ForceGld, LocalEngine::SetRdd, CHAINS),
     ] {
         let config = ExecConfig { plan, local_engine: engine, workers: 3, ..Default::default() };
         let mut ev = DistEvaluator::new(&db, config);
         answers.push(ev.eval_collect(&term).unwrap());
         let k = ev.stats().kernel;
         assert_eq!(
-            (k.join_probes, k.index_builds, k.rows_allocated),
-            PINNED,
+            (k.join_probes, k.index_builds, k.rows_allocated, k.closure_kernels),
+            pinned,
             "{plan:?}/{engine:?} over {} edges, {} closure rows",
             e.len(),
             answers[0].len()
@@ -189,7 +191,13 @@ fn pinned_counts_on_a_random_graph() {
     assert!(answers.iter().all(|a| *a == answers[0]));
 }
 
-/// `(join_probes, index_builds, rows_allocated)` of the closure of the
-/// 409-edge graph: one probe per closure row, 32,350 derivations of its
-/// 23,923 rows. The same under every plan — the deltas are the same sets.
-const PINNED: (u64, u64, u64) = (23_923, 1, 32_350);
+/// `(join_probes, index_builds, rows_allocated, closure_kernels)` of the
+/// closure of the 409-edge graph through the semi-naive chains: one probe
+/// per closure row, 32,350 derivations of its 23,923 rows. The same under
+/// both plans and engines — the deltas are the same sets.
+const CHAINS: (u64, u64, u64, u64) = (23_923, 1, 32_350, 0);
+
+/// The same through the closure kernel (`P_plw` on SetRDD): one adjacency
+/// read per closure row (every target is a node of E), one adjacency build,
+/// and each of the 23,923 rows emitted once — no derivation is repeated.
+const KERNEL: (u64, u64, u64, u64) = (23_923, 1, 23_923, 1);

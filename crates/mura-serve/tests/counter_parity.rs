@@ -20,7 +20,7 @@ use common::ensure_worker_bin;
 use mura_core::{kernel_stats, Database, Relation, Term, Value};
 use mura_dist::exec::{ExecConfig, FixpointPlan, ResourceLimits};
 use mura_dist::localfix::{local_fixpoint_prepared, prepare, Budget, Prepared};
-use mura_dist::{FaultConfig, QueryEngine, RecoveryPolicy};
+use mura_dist::{FaultConfig, LocalEngine, QueryEngine, RecoveryPolicy};
 use mura_ivm::DeltaBatch;
 use mura_obs::counters::{families, stats_title, Kind};
 use mura_obs::prometheus::sample;
@@ -324,10 +324,19 @@ fn injected_faults(moved: &mut Moved) {
         FaultConfig { seed: 7, panic_prob: 0.15, failures_per_site: 4, ..Default::default() };
     // A restore replays iterations when checkpoints are a step apart; the
     // faults that outlast the retries need one at every step to get through.
+    // `P_plw` runs both of its worker loops: the closure kernel (SetRDD),
+    // whose few supersteps a restore seldom replays, and the semi-naive
+    // chains (the sorted engine), whose every iteration is one.
+    let loops = [
+        (FixpointPlan::ForceGld, LocalEngine::SetRdd),
+        (FixpointPlan::ForcePlw, LocalEngine::SetRdd),
+        (FixpointPlan::ForcePlw, LocalEngine::Sorted),
+    ];
     for (fault, checkpoint_every) in [(FaultConfig::chaos(7), 2), (pressure, 2), (hard, 1)] {
-        for plan in [FixpointPlan::ForceGld, FixpointPlan::ForcePlw] {
+        for (plan, local_engine) in loops {
             let config = ExecConfig {
                 plan,
+                local_engine,
                 fault,
                 recovery: RecoveryPolicy { max_restores: 64, ..Default::default() },
                 checkpoint_every,
