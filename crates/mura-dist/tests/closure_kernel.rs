@@ -3,8 +3,9 @@
 //! cycles, self-loops, isolated nodes, seed rows whose targets are outside
 //! `E`, integer nodes (direct ids), symbol nodes and sparse large integer
 //! ids (both through the id map), growth at either column, and 1–4
-//! workers. Then the budgets: `max_rows`, `max_bytes` and cancellation each
-//! stop the kernel with their typed error in the middle of a superstep.
+//! workers. Then the budgets: `max_rows` and `max_bytes` stop the kernel
+//! with their typed errors in the middle of a superstep, cancellation in
+//! the middle of its run, and a stopped walk leaves nothing behind.
 
 use mura_core::{
     eval as eval_central, CancellationToken, Database, MuraError, Relation, Sym, Term,
@@ -136,7 +137,7 @@ fn cycle(nodes: u64) -> (Database, Relation, Relation, Term, Sym) {
 }
 
 #[test]
-fn budgets_and_cancellation_stop_the_kernel_inside_a_superstep() {
+fn budgets_and_cancellation_stop_the_kernel_inside_its_run() {
     let (_db, e, seed, step, x) = cycle(800);
     let recs = std::slice::from_ref(&step);
     // A superstep walks a quarter of the 100 sources, 799 rows beyond the
