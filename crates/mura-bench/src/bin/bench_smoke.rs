@@ -11,7 +11,11 @@
 //! trajectory. A `hash_chain` line runs the same loops through the
 //! semi-naive chains (`prepare`, which skips the kernel's recognition), and
 //! a `dense` line runs Table I's dense ER closures (`rnd_400_0.05`,
-//! `rnd_2000_0.002`) through both. What the compilation buys is gated by
+//! `rnd_2000_0.002`) through both, and an `anchored` line the flagship's
+//! closure from its source of most edges (`?x <- s edge+ ?x`: a seed of a
+//! few rows over the whole `E`, which the kernel's seed cutoff leaves to the
+//! chain) through both, the median and quartiles of
+//! [`SPREAD_SAMPLES`] rounds each. What the compilation buys is gated by
 //! counts, which repeat: every flagship round must build exactly one index
 //! and fold exactly one constant per prepare, whatever the number of
 //! iterations, and the flagship and `rnd_400_0.05` must take the closure
@@ -360,17 +364,32 @@ impl Loops {
     fn ns_per_row(&self) -> f64 {
         self.mean_ms() * 1e6 / self.rows as f64
     }
+
+    /// The median and quartiles of the timed rounds, in microseconds.
+    fn us(&self) -> Spread {
+        Spread::of(self.samples.iter().map(|d| d.as_secs_f64() * 1e6).collect())
+    }
 }
 
-/// The transitive closure of `e` through the `P_plw` SetRdd worker loops
-/// on a [`WORKERS`]-worker cluster, the seed placed by its stable column
-/// `src`, outside any query: one untimed round, then `samples` timed ones,
-/// each compiling the fixpoint once and sharing it among the workers.
-/// `kernel` compiles with [`prepare_local`], which takes the closure kernel
-/// for this shape; otherwise [`prepare`] compiles the semi-naive chain.
-fn local_loops(e: &Relation, step: &Term, x: Sym, src: Sym, kernel: bool, samples: usize) -> Loops {
+/// The fixpoint `μX. seed ∪ step(X)` through the `P_plw` SetRdd worker
+/// loops on a [`WORKERS`]-worker cluster, the seed placed by its stable
+/// column `src`, outside any query: one untimed round, then `samples` timed
+/// ones, each compiling the fixpoint once and sharing it among the workers.
+/// With `kernel` set to a seed size, [`prepare_local`] compiles the
+/// fixpoint as it would for a seed of that size: the closure kernel for
+/// this shape, unless the size is under its cutoff. Otherwise [`prepare`]
+/// compiles the semi-naive chain.
+fn local_loops(
+    seed: &Relation,
+    step: &Term,
+    (x, src): (Sym, Sym),
+    kernel: Option<usize>,
+    samples: usize,
+) -> Loops {
     let cluster = Cluster::new(WORKERS);
-    let seed = DistRel::from_relation(e, &cluster).repartition(&[src], &cluster).expect("placed");
+    let schema = seed.schema();
+    let seed =
+        DistRel::from_relation(seed, &cluster).repartition(&[src], &cluster).expect("placed");
     let (budget, fault) = (Budget::new(None, None), FaultPlan::disabled());
     let sup = Supervision::inert(&budget, &fault);
     let kernel_before = kernel_stats().snapshot();
@@ -384,19 +403,14 @@ fn local_loops(e: &Relation, step: &Term, x: Sym, src: Sym, kernel: bool, sample
     for round in 0..=samples {
         let before = kernel_stats().snapshot();
         let t = Instant::now();
-        let parts = if kernel {
-            let loops = prepare_local::<Relation>(
-                std::slice::from_ref(step),
-                x,
-                e.schema(),
-                Some(e.len()),
-                &budget,
-            )
-            .expect("prepare");
+        let parts = if kernel.is_some() {
+            let loops =
+                prepare_local::<Relation>(std::slice::from_ref(step), x, schema, kernel, &budget)
+                    .expect("prepare");
             cluster.try_par_map(seed.parts(), |w, part| loops.run(part, &sup, w, None))
         } else {
             let prepared: Vec<Prepared<Relation>> =
-                vec![prepare(step, x, e.schema()).expect("prepare")];
+                vec![prepare(step, x, schema).expect("prepare")];
             cluster.try_par_map(seed.parts(), |_, part| {
                 local_fixpoint_prepared(part, &prepared, &budget)
             })
@@ -506,9 +520,9 @@ fn main() {
 
     // --- the flagship: the closure kernel, compiled once per round; the
     // same loops through the semi-naive chain; Table I's dense closures
-    // through both ---
-    let flagship = local_loops(&e, &step, x, src, true, SAMPLES);
-    let chain = local_loops(&e, &step, x, src, false, SAMPLES);
+    // through both; the flagship's closure from one source through both ---
+    let flagship = local_loops(&e, &step, (x, src), Some(e.len()), SAMPLES);
+    let chain = local_loops(&e, &step, (x, src), None, SAMPLES);
     assert_eq!(chain.rows, flagship.rows, "the kernel and the chain disagree on the closure");
     let (opt_rows, loop_iterations, kernel) = (flagship.rows, flagship.iterations, flagship.kernel);
     let prepares = flagship.rounds;
@@ -516,12 +530,24 @@ fn main() {
         .iter()
         .map(|&(n, p)| {
             let edges = Relation::from_pairs(src, dst, erdos_renyi(n, p, 42).plain_edges());
-            let kernel = local_loops(&edges, &dense_step(&edges), x, src, true, SAMPLES);
-            let chain = local_loops(&edges, &dense_step(&edges), x, src, false, SAMPLES);
+            let kernel =
+                local_loops(&edges, &dense_step(&edges), (x, src), Some(edges.len()), SAMPLES);
+            let chain = local_loops(&edges, &dense_step(&edges), (x, src), None, SAMPLES);
             assert_eq!(kernel.rows, chain.rows, "rnd_{n}_{p}: the kernel and the chain disagree");
             (format!("rnd_{n}_{p}"), edges.len(), kernel, chain)
         })
         .collect();
+    // The source of most edges: its closure reaches into the giant component.
+    let mut degree: std::collections::HashMap<mura_core::Value, usize> = Default::default();
+    e.iter().for_each(|r| *degree.entry(r[0]).or_default() += 1);
+    let source = degree.into_iter().max_by_key(|&(v, d)| (d, v)).expect("the flagship has edges").0;
+    let from_source: Vec<&[mura_core::Value]> = e.iter().filter(|r| r[0] == source).collect();
+    let anchored_seed = Relation::from_rows(e.schema().clone(), &from_source);
+    // The kernel as if the seed were large, against the chain its cutoff
+    // keeps for a seed this small.
+    let anchored = local_loops(&anchored_seed, &step, (x, src), Some(usize::MAX), SPREAD_SAMPLES);
+    let anchored_chain = local_loops(&anchored_seed, &step, (x, src), None, SPREAD_SAMPLES);
+    assert_eq!(anchored.rows, anchored_chain.rows, "anchored: the kernel and the chain disagree");
 
     // --- full P_plw plan through the evaluator, for comm + kernel stats
     // and for the cost of superstep tracing (traced vs untraced walls) ---
@@ -761,6 +787,14 @@ fn main() {
         );
     }
     println!(
+        "  anchored:  from one source ({} seed rows, {} closure rows): kernel {} µs, hash chain {} µs (median [quartiles] of {SPREAD_SAMPLES}), {} closure kernels",
+        anchored_seed.len(),
+        anchored.rows,
+        anchored.us(),
+        anchored_chain.us(),
+        anchored.kernel.closure_kernels,
+    );
+    println!(
         "  plan comm: {} shuffles, {} rows shuffled; plan kernel: {} index builds, {} probes",
         comm.shuffles, comm.rows_shuffled, plan_kernel.index_builds, plan_kernel.join_probes
     );
@@ -847,13 +881,17 @@ fn main() {
         relation_sizes.join(", "),
     );
     let json = format!(
-        "{{\n  \"bench\": \"fixpoint_tc_er\",\n  \"plan\": \"p_plw\",\n  \"engine\": \"set_rdd\",\n  \"workers\": {WORKERS},\n  \"graph\": {{\"nodes\": {NODES}, \"edge_prob\": {EDGE_PROB}, \"seed\": {SEED}, \"edges\": {}, \"tc_rows\": {opt_rows}}},\n  \"samples\": {SAMPLES},\n  \"iterations\": {loop_iterations},\n  \"optimized\": {},\n  \"ns_per_row\": {ns_per_row:.1},\n  \"hash_chain\": {{\"timings\": {}, \"ns_per_row\": {:.1}, \"iterations\": {}}},\n  \"dense\": [{}],\n  \"tracing\": {{\"off_min_ms\": {:.3}, \"superstep_min_ms\": {:.3}, \"overhead_pct\": {overhead_pct:.2}, \"events\": {}, \"superstep_events\": {traced_supersteps}, \"kernel_iterations\": {traced_iterations}, \"allocations_beyond_off\": {trace_allocations}}},\n{proc_json}{wire_json}{relation_json}  \"wal\": {{\"off_min_ms\": {:.3}, \"on_min_ms\": {:.3}, \"overhead_pct\": {wal_overhead_pct:.2}, \"batches\": {WAL_BATCHES}}},\n  \"reply\": {{\"rows\": {REPLY_ROWS}, \"samples\": {REPLY_SAMPLES}, \"us\": {}, \"body_bytes\": {reply_body_bytes}}},\n  \"stage\": {{\"workers\": 2, \"samples\": {STAGE_SAMPLES}, \"median_us\": {stage_us:.1}, \"allocations\": {stage_allocations:.1}}},\n  \"comm\": {},\n  \"kernel\": {}\n}}\n",
+        "{{\n  \"bench\": \"fixpoint_tc_er\",\n  \"plan\": \"p_plw\",\n  \"engine\": \"set_rdd\",\n  \"workers\": {WORKERS},\n  \"graph\": {{\"nodes\": {NODES}, \"edge_prob\": {EDGE_PROB}, \"seed\": {SEED}, \"edges\": {}, \"tc_rows\": {opt_rows}}},\n  \"samples\": {SAMPLES},\n  \"iterations\": {loop_iterations},\n  \"optimized\": {},\n  \"ns_per_row\": {ns_per_row:.1},\n  \"hash_chain\": {{\"timings\": {}, \"ns_per_row\": {:.1}, \"iterations\": {}}},\n  \"dense\": [{}],\n  \"anchored\": {{\"seed_rows\": {}, \"tc_rows\": {}, \"kernel_us\": {}, \"hash_chain_us\": {}}},\n  \"tracing\": {{\"off_min_ms\": {:.3}, \"superstep_min_ms\": {:.3}, \"overhead_pct\": {overhead_pct:.2}, \"events\": {}, \"superstep_events\": {traced_supersteps}, \"kernel_iterations\": {traced_iterations}, \"allocations_beyond_off\": {trace_allocations}}},\n{proc_json}{wire_json}{relation_json}  \"wal\": {{\"off_min_ms\": {:.3}, \"on_min_ms\": {:.3}, \"overhead_pct\": {wal_overhead_pct:.2}, \"batches\": {WAL_BATCHES}}},\n  \"reply\": {{\"rows\": {REPLY_ROWS}, \"samples\": {REPLY_SAMPLES}, \"us\": {}, \"body_bytes\": {reply_body_bytes}}},\n  \"stage\": {{\"workers\": 2, \"samples\": {STAGE_SAMPLES}, \"median_us\": {stage_us:.1}, \"allocations\": {stage_allocations:.1}}},\n  \"comm\": {},\n  \"kernel\": {}\n}}\n",
         e.len(),
         json_timings(&optimized),
         json_timings(&hash_chain),
         chain.ns_per_row(),
         chain.iterations,
         dense_json.join(", "),
+        anchored_seed.len(),
+        anchored.rows,
+        anchored.us().json(),
+        anchored_chain.us().json(),
         off_min.as_secs_f64() * 1e3,
         traced_min.as_secs_f64() * 1e3,
         trace.events.len(),

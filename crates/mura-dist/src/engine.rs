@@ -5,6 +5,7 @@
 //! execution/communication statistics.
 
 use crate::exec::{DistEvaluator, ExecConfig, ExecStats};
+use crate::localfix::LocalEngine;
 use crate::metrics::CommSnapshot;
 use mura_core::{Database, Relation, Result, Sym, Term};
 use mura_rewrite::{bracketed, EnumReport, ObservedCards, Rewriter};
@@ -68,20 +69,22 @@ impl QueryOutput {
 
     /// Renders a physical-plan explanation: the operator tree with every
     /// fixpoint annotated by its stable columns and the plan the
-    /// `PhysicalPlanGenerator` policy selects for it (§IV-B c).
-    pub fn explain(&self, db: &Database) -> String {
-        explain_plan(&self.plan, db)
+    /// `PhysicalPlanGenerator` policy selects for it (§IV-B c), as the
+    /// `engine` local engine runs it.
+    pub fn explain(&self, db: &Database, engine: LocalEngine) -> String {
+        explain_plan(&self.plan, db, engine)
     }
 }
 
 /// Renders the physical-plan explanation of an arbitrary plan (the
 /// operator tree with fixpoints annotated by stable columns and selected
-/// physical plan). Used by the server's `.explain`, which plans without
+/// physical plan, and on SetRDD by the closure kernel where their worker
+/// loops take it). Used by the server's `.explain`, which plans without
 /// executing.
-pub fn explain_plan(plan: &Term, db: &Database) -> String {
+pub fn explain_plan(plan: &Term, db: &Database, engine: LocalEngine) -> String {
     let mut out = String::new();
     let mut env = mura_core::analysis::TypeEnv::from_db(db);
-    explain_rec(plan, db, &mut env, 0, &mut out);
+    explain_rec(plan, db, &mut env, engine == LocalEngine::SetRdd, 0, &mut out);
     out
 }
 
@@ -89,6 +92,7 @@ fn explain_rec(
     t: &Term,
     db: &Database,
     env: &mut mura_core::analysis::TypeEnv,
+    kernel: bool,
     depth: usize,
     out: &mut String,
 ) {
@@ -103,40 +107,40 @@ fn explain_rec(
         }
         Term::Filter(ps, inner) => {
             let _ = writeln!(out, "{pad}filter ({} predicates)", ps.len());
-            explain_rec(inner, db, env, depth + 1, out);
+            explain_rec(inner, db, env, kernel, depth + 1, out);
         }
         Term::Rename(a, b, inner) => {
             let _ =
                 writeln!(out, "{pad}rename {} -> {}", db.dict().resolve(*a), db.dict().resolve(*b));
-            explain_rec(inner, db, env, depth + 1, out);
+            explain_rec(inner, db, env, kernel, depth + 1, out);
         }
         Term::AntiProject(cs, inner) => {
             let cols: Vec<_> = cs.iter().map(|c| db.dict().resolve(*c)).collect();
             let _ = writeln!(out, "{pad}drop {}", cols.join(","));
-            explain_rec(inner, db, env, depth + 1, out);
+            explain_rec(inner, db, env, kernel, depth + 1, out);
         }
         Term::Join(a, b) => {
             let _ = writeln!(out, "{pad}join");
-            explain_rec(a, db, env, depth + 1, out);
-            explain_rec(b, db, env, depth + 1, out);
+            explain_rec(a, db, env, kernel, depth + 1, out);
+            explain_rec(b, db, env, kernel, depth + 1, out);
         }
         Term::Antijoin(a, b) => {
             let _ = writeln!(out, "{pad}antijoin");
-            explain_rec(a, db, env, depth + 1, out);
-            explain_rec(b, db, env, depth + 1, out);
+            explain_rec(a, db, env, kernel, depth + 1, out);
+            explain_rec(b, db, env, kernel, depth + 1, out);
         }
         Term::Union(a, b) => {
             let _ = writeln!(out, "{pad}union");
-            explain_rec(a, db, env, depth + 1, out);
-            explain_rec(b, db, env, depth + 1, out);
+            explain_rec(a, db, env, kernel, depth + 1, out);
+            explain_rec(b, db, env, kernel, depth + 1, out);
         }
         Term::Fix(x, body) => {
             let note = match mura_core::analysis::stable_columns(*x, body, env) {
                 Ok(stable) if !stable.is_empty() => {
                     let cols: Vec<_> = stable.iter().map(|c| db.dict().resolve(*c)).collect();
-                    let kernel =
-                        if closure_shaped(t, *x, body, env) { ", closure kernel" } else { "" };
-                    format!("stable: {} -> P_plw{kernel}", cols.join(","))
+                    let mark = kernel && closure_shaped(t, *x, body, env);
+                    let mark = if mark { ", closure kernel" } else { "" };
+                    format!("stable: {} -> P_plw{mark}", cols.join(","))
                 }
                 Ok(_) => "no stable column -> P_gld".to_string(),
                 Err(e) => format!("analysis failed: {e}"),
@@ -145,7 +149,7 @@ fn explain_rec(
             // Bind the recursion variable's schema while explaining the body.
             let schema = mura_core::analysis::infer_schema(t, env).ok();
             let prev = schema.map(|s| (env.bind(*x, s.clone()), s));
-            explain_rec(body, db, env, depth + 1, out);
+            explain_rec(body, db, env, kernel, depth + 1, out);
             if let Some((prev, _)) = prev {
                 env.unbind(*x, prev);
             }
@@ -154,8 +158,8 @@ fn explain_rec(
 }
 
 /// Whether fixpoint `fix` = `μx. body` has the closure kernel's shape
-/// (`reach::shape`): on SetRDD its `P_plw` worker loops traverse
-/// `E`'s adjacency, unless its seed is too small to pay for it.
+/// (`reach::shape`): on SetRDD its `P_plw` worker loops traverse `E`'s
+/// adjacency.
 fn closure_shaped(fix: &Term, x: Sym, body: &Term, env: &mut mura_core::analysis::TypeEnv) -> bool {
     let Ok(schema) = mura_core::analysis::infer_schema(fix, env) else { return false };
     let Ok((_, recs)) = mura_core::analysis::decompose_fixpoint(x, body) else { return false };
@@ -395,11 +399,13 @@ mod tests {
     fn explain_annotates_fixpoints() {
         let mut e = engine();
         let out = e.run_ucrpq("?x, ?y <- ?x a1+ ?y").unwrap();
-        let plan = out.explain(e.db());
+        let plan = out.explain(e.db(), LocalEngine::SetRdd);
         assert!(plan.contains("fixpoint"), "{plan}");
         assert!(plan.contains("P_plw, closure kernel"), "a closure takes the kernel:\n{plan}");
+        let sorted = out.explain(e.db(), LocalEngine::Sorted);
+        assert!(sorted.contains("-> P_plw]"), "the sorted engine keeps the chains:\n{sorted}");
         let out2 = e.run_ucrpq("?x, ?y <- ?x a1+/a2+ ?y").unwrap();
-        let plan2 = out2.explain(e.db());
+        let plan2 = out2.explain(e.db(), LocalEngine::SetRdd);
         assert!(plan2.contains("P_gld"), "merged fixpoint has no stable column:\n{plan2}");
     }
 

@@ -15,9 +15,9 @@
 //!   of the chain's join index and counted as the fixpoint's one index
 //!   build;
 //! * each worker walks from the seed targets of each stable value with one
-//!   visited array, stamped with a new epoch per stable value, so every row
-//!   comes out once by construction: no accumulator table, no delta to
-//!   deduplicate.
+//!   visited array of its own, stamped with a new epoch per stable value,
+//!   so every row comes out once by construction: no accumulator table, no
+//!   delta to deduplicate.
 //!
 //! The walk runs under [`fixloop::run`] as one superstep per batch of stable
 //! values — the delta is the seed rows not yet traversed — so row and byte
@@ -35,7 +35,6 @@ use mura_core::kernel::kernel_stats;
 use mura_core::mem::rel_bytes;
 use mura_core::relation::check_room;
 use mura_core::{Relation, Result, Rows, Schema, Sym, Term, Value};
-use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,9 +42,19 @@ use std::time::Instant;
 /// values per edge of `E`.
 pub const RANGE_PER_EDGE: u64 = 4;
 
-/// A seed under `|E| / MIN_SEED_SHARE` rows keeps the chain: what so few
-/// rows reach may not pay for the adjacency and the visited arrays.
-pub const MIN_SEED_SHARE: usize = 8;
+/// A seed under `|E| / MIN_SEED_SHARE` rows keeps the chain. Below it the
+/// closure is small, and building the adjacency (a pass for the ids and two
+/// over `E`, into arrays as long as the node range) costs more than the
+/// chain's join index and the few probes the closure takes. Timed on the
+/// `bench_smoke` flagship `E` (16,031 edges over 20,000 nodes; 4 workers
+/// on a 2-vCPU VM; median µs of 11 rounds, kernel vs chain) with every
+/// `k`th row of `E` as the seed: k = 4096: 210 vs 98; 128: 236 vs 199;
+/// 64: 250 vs 245; 32: 267 vs 371; 16: 325 vs 565. The seed's share is a
+/// proxy for the closure's size: on the dense `rnd_400_0.05` and
+/// `rnd_2000_0.002` one seed row already reaches 400 and 1,529 nodes, and
+/// the kernel wins there from one row (215 vs 260 and 122 vs 296), which
+/// this cutoff leaves to the chain.
+pub const MIN_SEED_SHARE: usize = 64;
 
 /// A worker's traversal is cut into at most this many supersteps: the
 /// granularity of its checkpoints, restores and trace events. Each one is a
@@ -304,9 +313,9 @@ impl Closure {
     }
 
     /// `seed`'s row ids, those of each stable value next to each other:
-    /// radix-sorted by the value's node id when it has one (any value of
-    /// `E`, or with direct ids any integer in their range), sorted by value
-    /// after them otherwise.
+    /// sorted by the value's node id when it has one (any value of `E`, or
+    /// with direct ids any integer in their range), by value after them
+    /// otherwise.
     fn group(&self, seed: &Relation) -> Vec<u32> {
         let stable = self.stable;
         let mut keyed: Vec<(u32, u32)> = Vec::with_capacity(seed.len());
@@ -317,7 +326,7 @@ impl Closure {
                 None => others.push(i as u32),
             }
         }
-        radix_sort(&mut keyed, self.ids.len());
+        keyed.sort_unstable_by_key(|&(u, _)| u);
         others.sort_unstable_by_key(|&i| seed.rows().get(i as usize)[stable]);
         keyed.iter().map(|&(_, i)| i).chain(others).collect()
     }
@@ -333,7 +342,7 @@ impl Closure {
         out: &mut Rows,
         charge: &mut Charge<'_>,
     ) -> Result<u64> {
-        let epoch = walk.next_epoch(self.ids.len());
+        let epoch = walk.next_epoch();
         let mut row = [a, a];
         for b in seeds {
             row[self.step] = b;
@@ -431,64 +440,32 @@ fn adjacency(
     (offsets, targets)
 }
 
-/// Sorts `keyed` by its keys, all below `bound`, a byte at a time from the
-/// lowest (stable, so the byte sorts compose).
-fn radix_sort(keyed: &mut Vec<(u32, u32)>, bound: usize) {
-    let mut scratch = vec![(0, 0); keyed.len()];
-    let mut shift = 0;
-    while shift < 32 && bound > 1 << shift {
-        let mut starts = [0usize; 257];
-        keyed.iter().for_each(|&(k, _)| starts[(k >> shift) as usize % 256 + 1] += 1);
-        for b in 0..256 {
-            starts[b + 1] += starts[b];
-        }
-        for &(k, i) in keyed.iter() {
-            let at = &mut starts[(k >> shift) as usize % 256];
-            scratch[*at] = (k, i);
-            *at += 1;
-        }
-        std::mem::swap(keyed, &mut scratch);
-        shift += 8;
-    }
-}
-
-/// The traversal state of the worker loops a thread runs: the visited
-/// stamps, the last stamp handed out, and the stack. A stamp array outlives
-/// the fixpoint that made it — the next one on this thread neither
-/// allocates nor clears it — so a stamp is two bytes, and the array is
-/// cleared once every `u16::MAX` stable values.
-#[derive(Default)]
+/// The traversal state of one worker's run: a visited stamp per node, the
+/// last stamp handed out, and the stack. Made for the run and dropped with
+/// it; a run walks fewer stable values than it has seed rows, so the `u32`
+/// stamps never wrap.
 struct Walk {
-    visited: Vec<u16>,
-    epoch: u16,
+    visited: Vec<u32>,
+    epoch: u32,
     stack: Vec<u32>,
 }
 
-thread_local! {
-    static WALK: RefCell<Walk> = RefCell::default();
-}
-
 impl Walk {
-    /// Runs `f` with this thread's walk state (a fresh one if it is in use).
-    fn with<T>(f: impl FnOnce(&mut Walk) -> T) -> T {
-        WALK.with(|walk| match walk.try_borrow_mut() {
-            Ok(mut walk) => f(&mut walk),
-            Err(_) => f(&mut Walk::default()),
-        })
+    fn new(nodes: usize) -> Walk {
+        Walk { visited: vec![0; nodes], epoch: 0, stack: Vec::new() }
     }
 
-    /// A stamp no node of `nodes` carries yet, and an empty stack (a walk
-    /// that failed may have left nodes on it).
-    fn next_epoch(&mut self, nodes: usize) -> u16 {
+    /// What a walk over `nodes` nodes holds at most: a stamp per node and a
+    /// stack entry per node.
+    fn bytes(nodes: usize) -> u64 {
+        8 * nodes as u64
+    }
+
+    /// A stamp no node carries yet, and an empty stack (a walk that failed
+    /// may have left nodes on it).
+    fn next_epoch(&mut self) -> u32 {
         self.stack.clear();
-        if self.visited.len() < nodes {
-            self.visited.resize(nodes, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.visited.fill(0);
-            self.epoch = 1;
-        }
+        self.epoch += 1;
         self.epoch
     }
 }
@@ -533,6 +510,7 @@ struct ClosureStep<'a> {
     worker: usize,
     /// Stable values walked per superstep.
     groups: usize,
+    walk: Walk,
 }
 
 impl Superstep for ClosureStep<'_> {
@@ -560,20 +538,14 @@ impl Superstep for ClosureStep<'_> {
         let (Span::Emitted(acc), Span::Unwalked(order, from)) = (acc, delta) else {
             unreachable!("the accumulator holds emitted rows, the delta unwalked ones")
         };
-        let ClosureStep { closure, seed, worker, groups } = self;
+        let ClosureStep { closure, seed, worker, groups, walk } = self;
         worker_superstep(sup, *worker, iteration, attempt, || {
             // A checkpoint's copy shares the buffer until this first write.
             let out = Arc::make_mut(acc);
             let held = out.len();
             let unwalked = (seed.rows(), &order[..], *from);
-            let at =
-                Walk::with(|walk| closure.walk_batch(walk, *groups, out, unwalked, sup.budget))?;
-            let emitted = out.len() - held;
-            // Room for the rest at this batch's rate: a buffer grown by
-            // doubling copies its rows again and touches fresh pages twice.
-            let (walked, left) = (at - from, order.len() - at);
-            out.reserve(emitted.saturating_mul(left) / walked.max(1));
-            Ok((Span::Unwalked(Arc::clone(order), at), emitted as u64))
+            let at = closure.walk_batch(walk, *groups, out, unwalked, sup.budget)?;
+            Ok((Span::Unwalked(Arc::clone(order), at), (out.len() - held) as u64))
         })
     }
 }
@@ -586,12 +558,15 @@ pub fn closure_fixpoint_supervised(
     sup: &Supervision<'_>,
     worker: usize,
 ) -> Result<Relation> {
+    // A worker with no seed rows walks nothing.
+    let nodes = if seed.is_empty() { 0 } else { closure.ids.len() };
     sup.budget.charge_bytes(rel_bytes(seed.len() as u64, seed.schema().arity()))?;
+    sup.budget.charge_bytes(Walk::bytes(nodes))?;
     let order: Arc<[u32]> = closure.group(seed).into();
     let stable = |i: usize| seed.rows().get(order[i] as usize)[closure.stable];
     let stables = (0..order.len()).filter(|&i| i == 0 || stable(i) != stable(i - 1)).count();
     let groups = stables.div_ceil(BATCHES).max(1);
-    let mut step = ClosureStep { closure, seed, worker, groups };
+    let mut step = ClosureStep { closure, seed, worker, groups, walk: Walk::new(nodes) };
     let arity = seed.schema().arity();
     // Every seed row is emitted: room for them from the start.
     let init = || {

@@ -13,7 +13,7 @@ use mura_core::{
 use mura_core::{Schema, Value};
 use mura_datagen::SplitMix64;
 use mura_dist::localfix::{local_fixpoint, local_fixpoint_prepared, prepare, Budget, LocalEngine};
-use mura_dist::reach::Closure;
+use mura_dist::reach::{Closure, MIN_SEED_SHARE};
 use mura_dist::{DistEvaluator, ExecConfig, FixpointPlan};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -82,7 +82,7 @@ fn kernel_chain_and_centralized_agree() {
         // it is large enough for the kernel to take.
         let mut seed_rows: Vec<[Value; 2]> =
             edges.iter().filter(|_| rng.gen_bool(0.5)).copied().collect();
-        while seed_rows.len() < 2 || seed_rows.len() * 8 < e.len() {
+        while seed_rows.len() < 2 || seed_rows.len() * MIN_SEED_SHARE < e.len() {
             let (a, b) = (rng.gen_range(0..size + 3), rng.gen_range(size..size + 3));
             let row = [value(a, &mut db), value(b, &mut db)];
             seed_rows.push(if forward { row } else { [row[1], row[0]] });
@@ -150,8 +150,8 @@ fn budgets_and_cancellation_stop_the_kernel_inside_its_run() {
     let err = local_fixpoint(&seed, recs, x, LocalEngine::SetRdd, &budget).unwrap_err();
     let MuraError::ResourceExhausted { reached, .. } = err else { panic!("max_rows: {err}") };
     assert!(reached > 1_000 && reached < superstep, "max_rows: reached {reached}");
-    // The walk it stopped leaves nothing behind on this thread: the next
-    // fixpoint here is exact. Over a 1,000-node path, 125 sources each
+    // The walk it stopped leaves nothing behind: the next fixpoint on this
+    // thread is exact. Over a 1,000-node path, 125 sources each
     // reach only nodes 998 and 999, so a node left over from the cycle
     // would show as a row too many.
     let mut path = Database::new();

@@ -401,7 +401,8 @@ impl Planning {
             }
         }
         let _ = writeln!(out, "planning     {}", fmt_us(planned.planning.as_micros() as u64));
-        let _ = write!(out, "plan:\n{}", explain_plan(&planned.plan, db));
+        let _ =
+            write!(out, "plan:\n{}", explain_plan(&planned.plan, db, engine.config().local_engine));
         Ok(out)
     }
 }
