@@ -537,7 +537,8 @@ fn main() {
             (format!("rnd_{n}_{p}"), edges.len(), kernel, chain)
         })
         .collect();
-    // The source of most edges: its closure reaches into the giant component.
+    // The source of most edges (the greatest such value on a tie): a seed of
+    // a few rows, whose closure on this sparse graph is a few rows too.
     let mut degree: std::collections::HashMap<mura_core::Value, usize> = Default::default();
     e.iter().for_each(|r| *degree.entry(r[0]).or_default() += 1);
     let source = degree.into_iter().max_by_key(|&(v, d)| (d, v)).expect("the flagship has edges").0;
