@@ -404,8 +404,9 @@ fn local_loops(
         let before = kernel_stats().snapshot();
         let t = Instant::now();
         let parts = if kernel.is_some() {
+            let engine = LocalEngine::SetRdd;
             let loops =
-                prepare_local::<Relation>(std::slice::from_ref(step), x, schema, kernel, &budget)
+                prepare_local(std::slice::from_ref(step), x, schema, engine, kernel, &budget)
                     .expect("prepare");
             cluster.try_par_map(seed.parts(), |w, part| loops.run(part, &sup, w, None))
         } else {

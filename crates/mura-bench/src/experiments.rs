@@ -420,7 +420,6 @@ fn detailed_comm(
         workers: limits.workers,
         plan,
         local_engine: mura_dist::LocalEngine::SetRdd,
-        broadcast_threshold: 1_000_000,
         limits: ResourceLimits {
             max_rows: Some(limits.max_rows),
             max_bytes: None,

@@ -168,7 +168,6 @@ fn exec_config(limits: Limits, plan: FixpointPlan, engine: LocalEngine) -> ExecC
         workers: limits.workers,
         plan,
         local_engine: engine,
-        broadcast_threshold: 1_000_000,
         limits: ResourceLimits {
             max_rows: Some(limits.max_rows),
             max_bytes: None,

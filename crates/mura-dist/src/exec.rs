@@ -13,11 +13,8 @@ use crate::cluster::{Cluster, CommBackend, ReplicaId};
 use crate::distrel::{split_by_key, DistRel};
 use crate::fault::{FaultConfig, FaultPlan, FaultSnapshot, RecoveryPolicy};
 use crate::fixloop::{self, Superstep, Supervision};
-use crate::localfix::{
-    eval_branch, prepare_all, prepare_local, Budget, LocalEngine, LocalRel, Prepared,
-};
+use crate::localfix::{eval_branch, prepare_all, prepare_local, Budget, LocalEngine, Prepared};
 use crate::metrics::CommSnapshot;
-use crate::sorted::SortedRelation;
 use crate::wire::TraceCtx;
 use mura_core::analysis::{check_fcond, decompose_fixpoint, stable_columns, TypeEnv};
 use mura_core::fxhash::FxHashMap;
@@ -60,6 +57,9 @@ pub struct ResourceLimits {
     pub timeout: Option<Duration>,
 }
 
+/// Relations up to this many rows are broadcast instead of shuffled.
+const BROADCAST_THRESHOLD: usize = 1_000_000;
+
 /// Execution configuration.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
@@ -69,8 +69,6 @@ pub struct ExecConfig {
     pub plan: FixpointPlan,
     /// Local engine for `P_plw` loops.
     pub local_engine: LocalEngine,
-    /// Relations up to this many rows are broadcast instead of shuffled.
-    pub broadcast_threshold: usize,
     /// Budgets.
     pub limits: ResourceLimits,
     /// Cooperative cancellation / per-request deadline, checked at every
@@ -133,7 +131,6 @@ impl Default for ExecConfig {
             workers: 4,
             plan: FixpointPlan::Auto,
             local_engine: LocalEngine::SetRdd,
-            broadcast_threshold: 1_000_000,
             limits: ResourceLimits::default(),
             cancel: None,
             fault: FaultConfig::default(),
@@ -315,7 +312,7 @@ impl<'db> DistEvaluator<'db> {
                 None => return Err(MuraError::UnboundVariable(*v)),
             },
             Term::Cst(r) => {
-                if r.len() <= self.config.broadcast_threshold {
+                if r.len() <= BROADCAST_THRESHOLD {
                     // Driver-side constant shipped to every worker; no
                     // catalog version names its rows.
                     self.cluster.broadcast_rel(r, None)?;
@@ -433,7 +430,7 @@ impl<'db> DistEvaluator<'db> {
             }
             (DVal::Dist(x), DVal::Dist(y)) => {
                 let common = x.schema().intersection(y.schema());
-                if x.len().min(y.len()) <= self.config.broadcast_threshold || common.is_empty() {
+                if x.len().min(y.len()) <= BROADCAST_THRESHOLD || common.is_empty() {
                     let (small, big, t) = if x.len() <= y.len() { (x, y, a) } else { (y, x, b) };
                     let rel = small.into_relation();
                     self.cluster.broadcast_rel(&rel, self.replica_id(t))?;
@@ -456,7 +453,7 @@ impl<'db> DistEvaluator<'db> {
             }
             (DVal::Dist(x), DVal::Dist(y)) => {
                 let common = x.schema().intersection(y.schema());
-                if y.len() <= self.config.broadcast_threshold || common.is_empty() {
+                if y.len() <= BROADCAST_THRESHOLD || common.is_empty() {
                     let rel = y.into_relation();
                     self.cluster.broadcast_rel(&rel, self.replica_id(b))?;
                     DVal::Dist(x.antijoin_local(&rel, &self.cluster)?)
@@ -738,7 +735,7 @@ impl<'db> DistEvaluator<'db> {
         // join-index builds happen here, not inside the driver loop.
         // Branch-wise evaluation distributes over delta partitions because
         // F_cond guarantees linear recursion with `x` in monotone positions.
-        let setup = |ev: &mut Self| prepare_all::<Relation>(recs, x, seed.schema(), &ev.budget);
+        let setup = |ev: &mut Self| prepare_all(recs, x, seed.schema(), &ev.budget);
         self.in_bracket(PlanKind::Gld, seed.len(), owed, setup, |ev, fx, prepared| {
             let sup = ev.supervision(fx, PlanKind::Gld, 0);
             let mut step = DriverStep { ev, prepared: &prepared, produced_rows: 0 };
@@ -790,12 +787,7 @@ impl<'db> DistEvaluator<'db> {
         };
         self.in_bracket(PlanKind::Plw, seed_rows, owed, setup, |ev, fx, (seed, resumed)| {
             let resumed = resumed.as_ref().map(|(a, d)| (a, d));
-            let parts = match ev.config.local_engine {
-                LocalEngine::SetRdd => ev.run_plw_typed::<Relation>(&seed, recs, x, fx, resumed)?,
-                LocalEngine::Sorted => {
-                    ev.run_plw_typed::<SortedRelation>(&seed, recs, x, fx, resumed)?
-                }
-            };
+            let parts = ev.run_plw(&seed, recs, x, fx, resumed)?;
             ev.stats.fixpoint_iterations += 1; // the parallel local loops count once globally
             let by = (!stable.is_empty()).then(|| stable.to_vec());
             let out = DistRel::from_parts(seed.schema().clone(), parts, by);
@@ -805,15 +797,18 @@ impl<'db> DistEvaluator<'db> {
         })
     }
 
-    /// Runs the per-worker local loops of `P_plw` with one engine type.
-    /// The branches are prepared **once per fixpoint** — constant folding
-    /// and the join-index or adjacency build are shared by every worker, so
-    /// `index_builds` counts fixpoints, not workers or iterations.
+    /// Runs the per-worker local loops of `P_plw`. The branches are
+    /// prepared **once per fixpoint** — constant folding and the join-index
+    /// or adjacency build are shared by every worker, so `index_builds`
+    /// counts fixpoints, not workers or iterations — and not at all when
+    /// there is no seed and nothing to resume: every worker then returns
+    /// its empty part, in a stage that still runs, so that fault sites and
+    /// rolls stay where they are.
     ///
     /// Every worker runs [`LocalLoops::run`](crate::localfix::LocalLoops::run);
     /// all workers of one fixpoint share one fault site, allocated
     /// driver-side.
-    fn run_plw_typed<R: LocalRel>(
+    fn run_plw(
         &self,
         seed: &DistRel,
         recs: &[Term],
@@ -821,17 +816,23 @@ impl<'db> DistEvaluator<'db> {
         fx: u32,
         resumed: Option<(&DistRel, &DistRel)>,
     ) -> Result<Vec<Relation>> {
-        // The closure kernel is SetRDD's, and a resumed fixpoint iterates
-        // from its maintained state, which only the chains take.
-        let kernel = (self.config.local_engine == LocalEngine::SetRdd && resumed.is_none())
-            .then(|| seed.len());
-        let loops = prepare_local::<R>(recs, x, seed.schema(), kernel, &self.budget)?;
+        let no_seed = resumed.is_none() && seed.is_empty();
+        // A resumed fixpoint iterates from its maintained state, which only
+        // the chains take.
+        let kernel = resumed.is_none().then(|| seed.len());
+        let engine = self.config.local_engine;
+        let loops = if no_seed {
+            None
+        } else {
+            Some(prepare_local(recs, x, seed.schema(), engine, kernel, &self.budget)?)
+        };
         let sup = self.supervision(fx, PlanKind::Plw, self.cluster.fault().next_site());
         // A local fixpoint costs what it derives, which its seed does not
         // bound — unless there is no seed (and no frontier to resume).
         let idle = |part: &Relation| resumed.is_none() && part.is_empty();
         let rows = |part: &Relation| if idle(part) { 0 } else { usize::MAX };
         self.cluster.try_par_map_sized(seed.parts(), rows, |w, part| {
+            let Some(loops) = &loops else { return Ok(part.clone()) };
             // This worker's slice of the maintained accumulator/frontier,
             // co-partitioned with the seed above.
             let initial = resumed.map(|(a, d)| (&a.parts()[w], &d.parts()[w]));
@@ -861,7 +862,7 @@ fn charge_budget(budget: &Budget, rows: usize, arity: usize) -> Result<()> {
 /// of the accumulator in place.
 struct DriverStep<'a, 'db> {
     ev: &'a DistEvaluator<'db>,
-    prepared: &'a [Prepared<Relation>],
+    prepared: &'a [Prepared],
     /// Rows charged by the supersteps so far, owed to
     /// [`ExecStats::produced_rows`].
     produced_rows: u64,

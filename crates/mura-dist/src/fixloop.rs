@@ -5,8 +5,8 @@
 //! in what it is. [`run`] is that loop: budget check, one [`Superstep`],
 //! advance and checkpoint on success, restore or restart on a retryable
 //! failure. The two plans are the two implementations of [`Superstep`]: the
-//! worker step in [`crate::localfix`] over a [`crate::localfix::LocalRel`],
-//! the driver step in [`crate::exec`] over a [`crate::DistRel`].
+//! worker step in [`crate::localfix`] over a [`mura_core::Relation`], the
+//! driver step in [`crate::exec`] over a [`crate::DistRel`].
 
 use crate::fault::{FaultPlan, RecoveryPolicy};
 use crate::localfix::Budget;

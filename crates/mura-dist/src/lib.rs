@@ -19,10 +19,11 @@
 //! implementations (§IV-B): [`localfix::LocalEngine::SetRdd`] (hash-based,
 //! after BigDatalog's SetRDD) and [`localfix::LocalEngine::Sorted`]
 //! (standing in for the per-worker PostgreSQL instances of `P_plw^pg`).
-//! Both run the same hash-indexed chains; the sorted engine accumulates
-//! into sorted, duplicate-free buffers instead of a hash table, and on
-//! SetRDD a closure-shaped fixpoint runs the closure kernel instead
-//! ([`reach`]).
+//! Both run the same hash-indexed chains over the same relations and differ
+//! only in the accumulator: the sorted engine keeps its rows in order and
+//! merges each superstep's output in ([`sorted`]) instead of probing a
+//! hash table. On SetRDD a closure-shaped fixpoint runs the closure kernel
+//! instead ([`reach`]).
 //!
 //! The top-level entry point is [`QueryEngine`]: UCRPQ → μ-RA → rewrite →
 //! physical plan → distributed execution with [`CommStats`].

@@ -5,20 +5,23 @@
 //! recursive step locally — no cluster communication at all during the
 //! recursion (the paper's key advantage of `P_plw` over `P_gld`).
 //!
-//! Two interchangeable local engines implement the iteration, mirroring the
-//! paper's two `P_plw` implementations (§IV-B a):
+//! Two local engines implement the iteration, mirroring the paper's two
+//! `P_plw` implementations (§IV-B a):
 //!
 //! * [`LocalEngine::SetRdd`] — hash-set relations (BigDatalog's SetRDD
 //!   style);
-//! * [`LocalEngine::Sorted`] — sorted, duplicate-free buffers standing in
-//!   for the per-worker PostgreSQL instances of `P_plw^pg`.
+//! * [`LocalEngine::Sorted`] — a sorted, never-tabled accumulator
+//!   ([`crate::sorted`]) standing in for the per-worker PostgreSQL
+//!   instances of `P_plw^pg`.
 //!
-//! Both run the same compiled branches ([`prepare`]): loop invariants are
-//! folded and indexed once per fixpoint, the operators over the delta are
-//! fused into chains that build no intermediate row, and a superstep
-//! accumulates what the chains put out into the accumulator **in place**
-//! ([`LocalRel::absorb_new`]) — the rows that were new are the next delta.
-//! The `P_gld` driver applies the same branches through [`eval_branch`].
+//! Both run the same compiled branches ([`prepare`]) over the same
+//! [`Relation`]s: loop invariants are folded and indexed once per fixpoint,
+//! the operators over the delta are fused into chains that build no
+//! intermediate row, and a superstep accumulates what the chains put out
+//! into the accumulator ([`Relation::absorb_new`] in place, or the sorted
+//! engine's merge) — the rows that were new are the next delta. That
+//! absorb is the only place the engines differ. The `P_gld` driver applies
+//! the same branches through [`eval_branch`].
 //!
 //! On SetRDD, [`prepare_local`] compiles a fixpoint of the closure shape
 //! into the closure kernel ([`crate::reach`]) instead: a traversal with no
@@ -27,7 +30,7 @@
 use crate::fault::FaultPlan;
 use crate::fixloop::{self, Superstep, Supervision};
 use crate::reach::{closure_fixpoint_supervised, Closure};
-use crate::sorted::SortedRelation;
+use crate::sorted;
 use mura_core::eval::{apply_filter, compile_preds, CompiledPred};
 use mura_core::index::hash_values;
 use mura_core::kernel::kernel_stats;
@@ -39,6 +42,7 @@ use mura_core::{
 };
 use mura_obs::trace::{EventKind, TraceEvent};
 use std::borrow::Cow;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -176,82 +180,6 @@ impl Drop for Budget {
         if bytes > 0 {
             mem_gauge().sub(bytes);
         }
-    }
-}
-
-/// Local relation operations shared by the two engines. `Send + Sync` so a
-/// branch prepared once can be shared by every worker of a fixpoint.
-///
-/// A prepared branch reads its inputs through [`LocalRel::iter_rows`] and
-/// builds a union's value with [`LocalRel::from_row_vec`]; the semi-naive
-/// loops accumulate through [`LocalRel::absorb_new`].
-pub trait LocalRel: Sized + Clone + Send + Sync {
-    fn from_relation(r: &Relation) -> Self;
-    fn into_relation(self) -> Relation;
-    fn schema(&self) -> &Schema;
-    fn len(&self) -> usize;
-    fn is_empty(&self) -> bool;
-    /// Iterates rows in the engine's native storage order.
-    fn iter_rows(&self) -> impl Iterator<Item = &[Value]>;
-    /// Builds from a bag of rows, deduplicating as the engine requires;
-    /// the bag's buffer becomes the relation's.
-    fn from_row_vec(schema: Schema, rows: Rows) -> Self;
-    /// In-place accumulate: inserts the rows of `produced` that are absent
-    /// and returns exactly those — the next semi-naive delta.
-    fn absorb_new(&mut self, produced: Rows) -> Self;
-}
-
-impl LocalRel for Relation {
-    fn from_relation(r: &Relation) -> Self {
-        r.clone()
-    }
-    fn into_relation(self) -> Relation {
-        self
-    }
-    fn schema(&self) -> &Schema {
-        Relation::schema(self)
-    }
-    fn len(&self) -> usize {
-        Relation::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        Relation::is_empty(self)
-    }
-    fn iter_rows(&self) -> impl Iterator<Item = &[Value]> {
-        self.iter()
-    }
-    fn from_row_vec(schema: Schema, rows: Rows) -> Self {
-        Relation::from_bag(schema, rows)
-    }
-    fn absorb_new(&mut self, produced: Rows) -> Self {
-        Relation::absorb_new(self, &produced)
-    }
-}
-
-impl LocalRel for SortedRelation {
-    fn from_relation(r: &Relation) -> Self {
-        SortedRelation::from_relation(r)
-    }
-    fn into_relation(self) -> Relation {
-        self.to_relation()
-    }
-    fn schema(&self) -> &Schema {
-        SortedRelation::schema(self)
-    }
-    fn len(&self) -> usize {
-        SortedRelation::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        SortedRelation::is_empty(self)
-    }
-    fn iter_rows(&self) -> impl Iterator<Item = &[Value]> {
-        self.iter()
-    }
-    fn from_row_vec(schema: Schema, rows: Rows) -> Self {
-        SortedRelation::from_rows(schema, rows)
-    }
-    fn absorb_new(&mut self, produced: Rows) -> Self {
-        SortedRelation::absorb_new(self, produced)
     }
 }
 
@@ -460,23 +388,28 @@ impl Chain {
 /// [`MuraError::NotLinear`], an antijoin whose right side does is
 /// [`MuraError::NotPositive`].
 ///
+/// The type parameter is a compatibility default: a prepared branch holds
+/// plain [`Relation`]s whatever engine runs it, and `R` is only a marker
+/// (`PhantomData`), kept so that code naming `Prepared<Relation>` compiles.
+///
 /// [`check_fcond`]: mura_core::analysis::check_fcond
-pub struct Prepared<R> {
-    root: Node<R>,
+pub struct Prepared<R = Relation> {
+    root: Node,
     schema: Schema,
+    _compat: PhantomData<R>,
 }
 
-enum Node<R> {
+enum Node {
     /// The rows of the delta, of the given schema.
     Delta(Schema),
     /// A folded loop-invariant.
-    Const(R),
+    Const(Relation),
     /// A fused chain over the rows of its input.
-    Chain(Box<Node<R>>, Chain),
-    Union(Box<Node<R>>, Box<Node<R>>),
+    Chain(Box<Node>, Chain),
+    Union(Box<Node>, Box<Node>),
 }
 
-impl<R: LocalRel> Node<R> {
+impl Node {
     fn schema(&self) -> Schema {
         match self {
             Node::Delta(schema) => schema.clone(),
@@ -498,20 +431,20 @@ impl<R: LocalRel> Node<R> {
     /// Appends this node's rows over `delta` to `sink`. Duplicates may
     /// appear (a union is a concatenation here): whatever consumes the
     /// sink is a set.
-    fn rows_into(&self, delta: &R, sink: &mut Sink) {
+    fn rows_into(&self, delta: &Relation, sink: &mut Sink) {
         match self {
-            Node::Chain(input, chain) => chain.run(input.materialize(delta).iter_rows(), sink),
+            Node::Chain(input, chain) => chain.run(input.materialize(delta).iter(), sink),
             Node::Union(a, b) => {
                 a.rows_into(delta, sink);
                 b.rows_into(delta, sink);
             }
-            leaf => leaf.materialize(delta).iter_rows().for_each(|row| sink.rows.push(row)),
+            leaf => leaf.materialize(delta).iter().for_each(|row| sink.rows.push(row)),
         }
     }
 
     /// This node's value over `delta` as a relation: borrowed for the two
     /// leaves, built for everything else.
-    fn materialize<'a>(&'a self, delta: &'a R) -> Cow<'a, R> {
+    fn materialize<'a>(&'a self, delta: &'a Relation) -> Cow<'a, Relation> {
         match self {
             Node::Delta(_) => Cow::Borrowed(delta),
             Node::Const(r) => Cow::Borrowed(r),
@@ -519,14 +452,14 @@ impl<R: LocalRel> Node<R> {
                 let schema = self.schema();
                 let mut sink = Sink::new(&schema);
                 self.rows_into(delta, &mut sink);
-                Cow::Owned(R::from_row_vec(schema, sink.finish()))
+                Cow::Owned(Relation::from_bag(schema, sink.finish()))
             }
         }
     }
 
     /// Splits off the chain ending at this node — the identity chain if
     /// the node is not one — so that an operator can be appended to it.
-    fn into_chain(self) -> (Box<Node<R>>, Chain) {
+    fn into_chain(self) -> (Box<Node>, Chain) {
         match self {
             Node::Chain(input, chain) => (input, chain),
             other => {
@@ -537,14 +470,14 @@ impl<R: LocalRel> Node<R> {
     }
 
     /// This node with one more row-local operator fused onto it.
-    fn fuse(self, op: impl FnOnce(&mut Chain)) -> Node<R> {
+    fn fuse(self, op: impl FnOnce(&mut Chain)) -> Node {
         let (input, mut chain) = self.into_chain();
         op(&mut chain);
         Node::Chain(input, chain)
     }
 }
 
-impl<R: LocalRel> Prepared<R> {
+impl Prepared {
     /// Estimated bytes held for the whole fixpoint by this branch's cached
     /// state: build-side join/antijoin indexes plus folded constants.
     /// Charged against the byte budget once per fixpoint, right after
@@ -561,14 +494,14 @@ impl<R: LocalRel> Prepared<R> {
 }
 
 /// Result of `prep`: a fully folded constant, or a delta-dependent kernel.
-enum Prep<R> {
+enum Prep {
     Const(Relation),
-    Dyn(Node<R>),
+    Dyn(Node),
 }
 
 /// Evaluates a constant folding step, counting it so tests can assert the
 /// work happens at prepare time (once per fixpoint), not per iteration.
-fn fold<R>(r: Relation) -> Prep<R> {
+fn fold(r: Relation) -> Prep {
     kernel_stats().const_folds.inc();
     Prep::Const(r)
 }
@@ -578,17 +511,16 @@ fn fold<R>(r: Relation) -> Prep<R> {
 /// them and fuses the operators over the delta into chains. `delta_schema`
 /// is the schema bound to the recursion variable. A branch outside F_cond
 /// is refused with the error `check_fcond` gives it.
-pub fn prepare<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prepared<R>> {
+pub fn prepare(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prepared> {
     let root = match prep(term, x, delta_schema)? {
         Prep::Dyn(node) => node,
         // A branch without the recursion variable at all: constant forever.
-        Prep::Const(r) => Node::Const(R::from_relation(&r)),
+        Prep::Const(r) => Node::Const(r),
     };
-    Ok(Prepared { schema: root.schema(), root })
+    Ok(Prepared { schema: root.schema(), root, _compat: PhantomData })
 }
 
-fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<R>> {
-    let lift = |r: &Relation| Box::new(Node::Const(R::from_relation(r)));
+fn prep(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep> {
     Ok(match term {
         Term::Var(v) if *v == x => Prep::Dyn(Node::Delta(delta_schema.clone())),
         Term::Var(v) => {
@@ -625,7 +557,7 @@ fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<
             }
         }
         Term::Antijoin(a, b) => {
-            match (prep(a, x, delta_schema)?, prep::<R>(b, x, delta_schema)?) {
+            match (prep(a, x, delta_schema)?, prep(b, x, delta_schema)?) {
                 (Prep::Const(ra), Prep::Const(rb)) => fold(ra.antijoin(&rb)),
                 // Loop-invariant right side: cache its key-set.
                 (Prep::Dyn(n), Prep::Const(r)) => Prep::Dyn(n.fuse(|chain| chain.antijoin(&r))),
@@ -635,7 +567,7 @@ fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<
         Term::Union(a, b) => match (prep(a, x, delta_schema)?, prep(b, x, delta_schema)?) {
             (Prep::Const(ra), Prep::Const(rb)) => fold(ra.union(&rb)),
             (Prep::Const(r), Prep::Dyn(n)) | (Prep::Dyn(n), Prep::Const(r)) => {
-                Prep::Dyn(Node::Union(lift(&r), Box::new(n)))
+                Prep::Dyn(Node::Union(Box::new(Node::Const(r)), Box::new(n)))
             }
             (Prep::Dyn(na), Prep::Dyn(nb)) => Prep::Dyn(Node::Union(Box::new(na), Box::new(nb))),
         },
@@ -650,52 +582,58 @@ fn prep<R: LocalRel>(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Prep<
 /// Applies one prepared recursive branch to a delta, yielding the produced
 /// rows as a relation of their own (used by the `P_gld` driver, which
 /// exchanges them before they are accumulated).
-pub fn eval_branch<R: LocalRel>(p: &Prepared<R>, delta: &R) -> R {
+pub fn eval_branch(p: &Prepared, delta: &Relation) -> Relation {
     let mut sink = Sink::new(&p.schema);
     p.root.rows_into(delta, &mut sink);
-    R::from_row_vec(p.schema.clone(), sink.finish())
+    Relation::from_bag(p.schema.clone(), sink.finish())
 }
 
 /// Compiles every recursive branch of a fixpoint ([`prepare`]) and charges
 /// what they cache for its whole run — build-side indexes and folded
 /// constants, shared by all its workers — against the byte budget, so an
 /// over-budget setup fails typed before iteration starts.
-pub fn prepare_all<R: LocalRel>(
+pub(crate) fn prepare_all(
     recs: &[Term],
     x: Sym,
     delta_schema: &Schema,
     budget: &Budget,
-) -> Result<Vec<Prepared<R>>> {
-    let prepared: Vec<Prepared<R>> =
+) -> Result<Vec<Prepared>> {
+    let prepared: Vec<Prepared> =
         recs.iter().map(|r| prepare(r, x, delta_schema)).collect::<Result<_>>()?;
     budget.charge_bytes(prepared.iter().map(Prepared::cached_bytes).sum())?;
     Ok(prepared)
 }
 
 /// What the worker loops of a `P_plw` fixpoint run: the compiled branches
-/// of the semi-naive loop, or the closure kernel.
-pub enum LocalLoops<R> {
+/// of the semi-naive loop with the engine that accumulates them, or the
+/// closure kernel.
+pub enum LocalLoops {
     /// The semi-naive loop over the prepared branches.
-    Chains(Vec<Prepared<R>>),
+    Chains(Vec<Prepared>, LocalEngine),
     /// A traversal over `E`'s adjacency (see [`crate::reach`]).
     Closure(Closure),
 }
 
-/// Compiles a fixpoint's recursive branches for its worker loops, charging
-/// what they cache against the byte budget. With `kernel` set to the
-/// fixpoint's seed rows, a fixpoint whose only branch has the closure shape
-/// takes the closure kernel when that seed is large enough to pay for it
-/// ([`Closure::recognise`]); without it, or otherwise, it takes the chains
-/// ([`prepare_all`]). Either way every `x`-free subterm is folded once.
-pub fn prepare_local<R: LocalRel>(
+/// Compiles a fixpoint's recursive branches for `engine`'s worker loops,
+/// charging what they cache against the byte budget. On SetRDD, with
+/// `kernel` set to the fixpoint's seed rows, a fixpoint whose only branch
+/// has the closure shape takes the closure kernel when that seed is large
+/// enough to pay for it ([`Closure::recognise`]); otherwise it takes the
+/// chains ([`prepare`] per branch). Either way every `x`-free subterm is
+/// folded once.
+pub fn prepare_local(
     recs: &[Term],
     x: Sym,
     delta_schema: &Schema,
+    engine: LocalEngine,
     kernel: Option<usize>,
     budget: &Budget,
-) -> Result<LocalLoops<R>> {
-    let (Some(seed_rows), [branch]) = (kernel, recs) else {
-        return prepare_all(recs, x, delta_schema, budget).map(LocalLoops::Chains);
+) -> Result<LocalLoops> {
+    let chains = |recs: &[Term]| {
+        prepare_all(recs, x, delta_schema, budget).map(|p| LocalLoops::Chains(p, engine))
+    };
+    let (LocalEngine::SetRdd, Some(seed_rows), [branch]) = (engine, kernel, recs) else {
+        return chains(recs);
     };
     let branch = fold_invariants(branch, x, delta_schema)?;
     match Closure::recognise(&branch, x, delta_schema, seed_rows) {
@@ -703,11 +641,11 @@ pub fn prepare_local<R: LocalRel>(
             budget.charge_bytes(closure.cached_bytes())?;
             Ok(LocalLoops::Closure(closure))
         }
-        None => prepare_all(&[branch], x, delta_schema, budget).map(LocalLoops::Chains),
+        None => chains(&[branch]),
     }
 }
 
-impl<R: LocalRel> LocalLoops<R> {
+impl LocalLoops {
     /// Worker `worker`'s loop over its `seed` share, or over its share of
     /// resumed `(acc, delta)` state, which only the chains take.
     pub fn run(
@@ -718,8 +656,8 @@ impl<R: LocalRel> LocalLoops<R> {
         initial: Option<(&Relation, &Relation)>,
     ) -> Result<Relation> {
         match self {
-            LocalLoops::Chains(prepared) => {
-                local_fixpoint_supervised(seed, prepared, sup, worker, initial)
+            LocalLoops::Chains(prepared, engine) => {
+                local_fixpoint_supervised(seed, prepared, *engine, sup, worker, initial)
             }
             LocalLoops::Closure(closure) => {
                 assert!(initial.is_none(), "a resumed fixpoint runs the chains");
@@ -736,7 +674,7 @@ fn fold_invariants(term: &Term, x: Sym, delta_schema: &Schema) -> Result<Term> {
     if term.has_free_var(x) {
         return term.try_map_children(|t| fold_invariants(t, x, delta_schema));
     }
-    match prep::<Relation>(term, x, delta_schema)? {
+    match prep(term, x, delta_schema)? {
         Prep::Const(r) => Ok(Term::cst(r)),
         Prep::Dyn(_) => unreachable!("a term without the recursion variable folds"),
     }
@@ -753,31 +691,23 @@ pub fn local_fixpoint(
     engine: LocalEngine,
     budget: &Budget,
 ) -> Result<Relation> {
-    let schema = seed.schema();
-    match engine {
-        LocalEngine::SetRdd => {
-            let loops = prepare_local::<Relation>(recs, x, schema, Some(seed.len()), budget)?;
-            let fault = FaultPlan::disabled();
-            loops.run(seed, &Supervision::inert(budget, &fault), 0, None)
-        }
-        LocalEngine::Sorted => {
-            let prepared = prepare_all::<SortedRelation>(recs, x, schema, budget)?;
-            local_fixpoint_prepared(seed, &prepared, budget)
-        }
-    }
+    let loops = prepare_local(recs, x, seed.schema(), engine, Some(seed.len()), budget)?;
+    let fault = FaultPlan::disabled();
+    loops.run(seed, &Supervision::inert(budget, &fault), 0, None)
 }
 
 /// One semi-naive superstep: streams `delta` through every prepared branch
-/// and accumulates what comes out into `acc`, in place. Returns the next
-/// delta — the rows that were new to `acc`, none at the fixpoint. On an
-/// error `acc` may hold part of the superstep's rows: the caller must not
-/// iterate on it again without resetting it.
-fn local_superstep<R: LocalRel>(
-    prepared: &[Prepared<R>],
-    acc: &mut R,
-    delta: &R,
+/// and accumulates what comes out into `acc` the way `engine` does. Returns
+/// the next delta — the rows that were new to `acc`, none at the fixpoint.
+/// On an error `acc` may hold part of the superstep's rows: the caller must
+/// not iterate on it again without resetting it.
+fn local_superstep(
+    prepared: &[Prepared],
+    engine: LocalEngine,
+    acc: &mut Relation,
+    delta: &Relation,
     budget: &Budget,
-) -> Result<R> {
+) -> Result<Relation> {
     let start = Instant::now();
     let mut sink = Sink::new(acc.schema());
     for p in prepared {
@@ -786,37 +716,42 @@ fn local_superstep<R: LocalRel>(
     }
     let produced = sink.finish();
     check_room(acc.len(), produced.len())?;
-    let new = acc.absorb_new(produced);
+    let new = match engine {
+        LocalEngine::SetRdd => acc.absorb_new(&produced),
+        LocalEngine::Sorted => sorted::absorb_new(acc, &produced),
+    };
     kernel_stats().record_eval_time(start.elapsed());
     budget.charge(new.len() as u64)?;
     budget.charge_bytes(rel_bytes(new.len() as u64, new.schema().arity()))?;
     Ok(new)
 }
 
-/// Runs the semi-naive loop over already-prepared branches, outside any
-/// query: nothing injected, checkpointed or traced. Distributed callers
+/// Runs the SetRDD semi-naive loop over already-prepared branches, outside
+/// any query: nothing injected, checkpointed or traced. Distributed callers
 /// prepare once and share the branches (and their cached indexes) across
 /// all workers of the fixpoint.
-pub fn local_fixpoint_prepared<R: LocalRel>(
+pub fn local_fixpoint_prepared(
     seed: &Relation,
-    prepared: &[Prepared<R>],
+    prepared: &[Prepared],
     budget: &Budget,
 ) -> Result<Relation> {
     let fault = FaultPlan::disabled();
-    local_fixpoint_supervised(seed, prepared, &Supervision::inert(budget, &fault), 0, None)
+    let sup = Supervision::inert(budget, &fault);
+    local_fixpoint_supervised(seed, prepared, LocalEngine::SetRdd, &sup, 0, None)
 }
 
 /// The `P_plw` superstep: one worker's [`local_superstep`] as a
 /// fault-guarded attempt at the coordinate `(site, worker, iteration)`.
-struct WorkerStep<'a, R> {
-    prepared: &'a [Prepared<R>],
+struct WorkerStep<'a> {
+    prepared: &'a [Prepared],
+    engine: LocalEngine,
     worker: usize,
 }
 
-impl<R: LocalRel> Superstep for WorkerStep<'_, R> {
-    type State = R;
+impl Superstep for WorkerStep<'_> {
+    type State = Relation;
 
-    fn rows(state: &R) -> u64 {
+    fn rows(state: &Relation) -> u64 {
         state.len() as u64
     }
 
@@ -827,13 +762,13 @@ impl<R: LocalRel> Superstep for WorkerStep<'_, R> {
     fn step(
         &mut self,
         sup: &Supervision<'_>,
-        acc: &mut R,
-        delta: &R,
+        acc: &mut Relation,
+        delta: &Relation,
         iteration: u64,
         attempt: u32,
-    ) -> Result<R> {
+    ) -> Result<Relation> {
         worker_superstep(sup, self.worker, iteration, attempt, || {
-            let new = local_superstep(self.prepared, acc, delta, sup.budget)?;
+            let new = local_superstep(self.prepared, self.engine, acc, delta, sup.budget)?;
             let rows = new.len() as u64;
             Ok((new, rows))
         })
@@ -872,10 +807,12 @@ pub(crate) fn worker_superstep<T>(
 /// Worker `worker`'s loop of a `P_plw` fixpoint: [`fixloop::run`] over
 /// `WorkerStep`, from this worker's `seed` share — or from its share of
 /// resumed `(acc, delta)` state, the incremental view maintenance path; the
-/// resumed accumulator already contains the seed share.
-pub fn local_fixpoint_supervised<R: LocalRel>(
+/// resumed accumulator already contains the seed share. The sorted engine
+/// starts from a sorted copy of the accumulator ([`sorted::from_seed`]).
+pub(crate) fn local_fixpoint_supervised(
     seed: &Relation,
-    prepared: &[Prepared<R>],
+    prepared: &[Prepared],
+    engine: LocalEngine,
     sup: &Supervision<'_>,
     worker: usize,
     initial: Option<(&Relation, &Relation)>,
@@ -885,16 +822,14 @@ pub fn local_fixpoint_supervised<R: LocalRel>(
     // just the deltas produced later.
     let held = initial.map_or(seed.len(), |(a, d)| a.len() + d.len());
     sup.budget.charge_bytes(rel_bytes(held as u64, seed.schema().arity()))?;
-    let init = || match initial {
-        Some((a, d)) => (R::from_relation(a), R::from_relation(d)),
-        None => {
-            let acc = R::from_relation(seed);
-            let delta = acc.clone();
-            (acc, delta)
-        }
+    let (acc, delta) = initial.unwrap_or((seed, seed));
+    let acc = match engine {
+        LocalEngine::SetRdd => acc.clone(),
+        LocalEngine::Sorted => sorted::from_seed(acc),
     };
-    let mut step = WorkerStep { prepared, worker };
-    Ok(fixloop::run(sup, &mut step, init)?.total.into_relation())
+    let init = || (acc.clone(), delta.clone());
+    let mut step = WorkerStep { prepared, engine, worker };
+    Ok(fixloop::run(sup, &mut step, init)?.total)
 }
 
 #[cfg(test)]

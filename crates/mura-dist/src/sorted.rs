@@ -1,25 +1,17 @@
-//! A sorted local relational engine.
+//! The sorted local engine's accumulator.
 //!
 //! Stands in for the per-worker PostgreSQL instances of the paper's
 //! `P_plw^pg` plan (Fig. 7 compares it against the hash-based SetRDD
-//! implementation). Both engines run the same prepared branches — the
-//! hash-indexed chains of [`crate::localfix`] — and differ in the
-//! accumulator those chains feed: here a relation is one flat [`Rows`]
-//! buffer — the container the hash engine stores its rows in — kept sorted
-//! and duplicate-free instead of indexed by a table. Building one sorts and
-//! deduplicates; the difference and union that accumulate a superstep are
-//! linear merges. Sorting orders a permutation of row ids and gathers the
-//! rows once.
+//! implementation). Both engines run the same prepared branches over the
+//! same [`Relation`]s — the hash-indexed chains of [`crate::localfix`] —
+//! and differ only in how a superstep's output is accumulated: here the
+//! accumulator is a relation whose rows are kept in order and never
+//! tabled ([`Relation::from_distinct`]), and absorbing a bag sorts it once
+//! and merges it in, instead of probing a table per row. Sorting orders a
+//! permutation of row ids and gathers the rows once.
 
-use mura_core::{Relation, Rows, Schema, Value};
+use mura_core::{Relation, Rows, Value};
 use std::cmp::Ordering;
-
-/// A relation stored as sorted rows (no duplicates) in one buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SortedRelation {
-    schema: Schema,
-    rows: Rows,
-}
 
 /// The rows of `bag` in order, each once.
 fn sort_dedup(bag: &Rows) -> Rows {
@@ -56,83 +48,30 @@ fn merge_walk<'a>(a: &'a Rows, b: &'a Rows, mut visit: impl FnMut(Ordering, &'a 
     }
 }
 
-impl SortedRelation {
-    /// Converts from a hash relation (sorts once).
-    pub fn from_relation(rel: &Relation) -> Self {
-        SortedRelation { schema: rel.schema().clone(), rows: sort_dedup(rel.rows()) }
-    }
+/// A sorted accumulator holding the rows of `seed`: one sort, no table.
+pub fn from_seed(seed: &Relation) -> Relation {
+    Relation::from_distinct(seed.schema().clone(), sort_dedup(seed.rows()))
+}
 
-    /// Converts back to a hash relation (one copy of the buffer; the rows
-    /// are distinct already, so none is looked up).
-    pub fn to_relation(&self) -> Relation {
-        Relation::from_distinct(self.schema.clone(), self.rows.clone())
-    }
-
-    /// The schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Iterates rows in sorted order.
-    pub fn iter(&self) -> impl Iterator<Item = &[Value]> {
-        self.rows.iter()
-    }
-
-    /// Builds from a bag of rows (sorts and deduplicates once).
-    pub fn from_rows(schema: Schema, rows: Rows) -> Self {
-        assert_eq!(rows.arity(), schema.arity(), "row arity != schema arity");
-        SortedRelation { schema, rows: sort_dedup(&rows) }
-    }
-
-    /// Merge union (schemas must match).
-    pub fn union(&self, other: &SortedRelation) -> SortedRelation {
-        assert_eq!(self.schema, other.schema);
-        if other.is_empty() {
-            return self.clone();
+/// The merge form of [`Relation::absorb_new`] over an accumulator built by
+/// [`from_seed`]: merges in the rows of `produced` that are absent and returns
+/// exactly those — the next semi-naive delta, itself in order. One sort of
+/// `produced`, then two merges of flat buffers; `acc` is replaced, never
+/// written, so a checkpoint sharing it is not copied.
+pub fn absorb_new(acc: &mut Relation, produced: &Rows) -> Relation {
+    let schema = acc.schema().clone();
+    let mut new = Rows::new(schema.arity());
+    merge_walk(&sort_dedup(produced), acc.rows(), |side, row| {
+        if side == Ordering::Less {
+            new.push(row);
         }
-        if self.is_empty() {
-            return other.clone();
-        }
-        let mut rows = Rows::with_capacity(self.rows.arity(), self.len() + other.len());
-        merge_walk(&self.rows, &other.rows, |_, row| rows.push(row));
-        SortedRelation { schema: self.schema.clone(), rows }
+    });
+    if !new.is_empty() {
+        let mut merged = Rows::with_capacity(schema.arity(), acc.len() + new.len());
+        merge_walk(acc.rows(), &new, |_, row| merged.push(row));
+        *acc = Relation::from_distinct(schema.clone(), merged);
     }
-
-    /// Merge difference `self \ other`.
-    pub fn minus(&self, other: &SortedRelation) -> SortedRelation {
-        assert_eq!(self.schema, other.schema);
-        if other.is_empty() || self.is_empty() {
-            return self.clone();
-        }
-        let mut rows = Rows::new(self.rows.arity());
-        merge_walk(&self.rows, &other.rows, |side, row| {
-            if side == Ordering::Less {
-                rows.push(row);
-            }
-        });
-        SortedRelation { schema: self.schema.clone(), rows }
-    }
-
-    /// In-place accumulate: merges in the rows of `produced` that are
-    /// absent and returns exactly those — the next semi-naive delta. One
-    /// sort of `produced`, then two merges of flat buffers.
-    pub fn absorb_new(&mut self, produced: Rows) -> SortedRelation {
-        let new = SortedRelation::from_rows(self.schema.clone(), produced).minus(self);
-        if !new.is_empty() {
-            *self = self.union(&new);
-        }
-        new
-    }
+    Relation::from_distinct(schema, new)
 }
 
 #[cfg(test)]
@@ -146,30 +85,26 @@ mod tests {
         Relation::from_pairs(src, dst, pairs.iter().copied())
     }
 
-    /// Every sorted-engine op must agree with the hash engine.
+    fn in_order(rel: &Relation) -> bool {
+        let rows: Vec<&[Value]> = rel.iter().collect();
+        rows.windows(2).all(|w| w[0] < w[1])
+    }
+
+    /// The merge absorb must agree with the hash engine's and keep the
+    /// accumulator in order.
     #[test]
     fn agrees_with_hash_engine() {
         let mut db = Database::new();
-        let r1 = pair_rel(&mut db, &[(1, 2), (2, 3), (3, 4), (2, 5)]);
-        let r2 = pair_rel(&mut db, &[(2, 3), (5, 6)]);
-        let s1 = SortedRelation::from_relation(&r1);
-        let s2 = SortedRelation::from_relation(&r2);
-
-        assert_eq!(s1.union(&s2).to_relation().sorted_rows(), r1.union(&r2).sorted_rows());
-        assert_eq!(s1.minus(&s2).to_relation().sorted_rows(), r1.minus(&r2).sorted_rows());
-        let (mut acc_sorted, mut acc_hash) = (s1.clone(), r1.clone());
-        let delta_sorted = acc_sorted.absorb_new(r2.rows().clone());
-        let delta_hash = acc_hash.absorb_new(r2.rows());
-        assert_eq!(delta_sorted.to_relation().sorted_rows(), delta_hash.sorted_rows());
-        assert_eq!(acc_sorted, SortedRelation::from_relation(&acc_hash));
-    }
-
-    #[test]
-    fn round_trip_and_dedup() {
-        let mut db = Database::new();
-        let r = pair_rel(&mut db, &[(1, 2), (1, 2), (3, 4)]);
-        let s = SortedRelation::from_relation(&r);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.to_relation().sorted_rows(), r.sorted_rows());
+        let r1 = pair_rel(&mut db, &[(3, 4), (1, 2), (2, 5), (2, 3)]);
+        let r2 = pair_rel(&mut db, &[(5, 6), (2, 3)]);
+        let mut produced = r2.rows().clone();
+        produced.append(r2.rows());
+        let (mut acc_sorted, mut acc_hash) = (from_seed(&r1), r1.clone());
+        assert!(in_order(&acc_sorted));
+        let delta_sorted = absorb_new(&mut acc_sorted, &produced);
+        let delta_hash = acc_hash.absorb_new(&produced);
+        assert_eq!(delta_sorted.sorted_rows(), delta_hash.sorted_rows());
+        assert_eq!(acc_sorted, acc_hash);
+        assert!(in_order(&acc_sorted) && in_order(&delta_sorted));
     }
 }

@@ -105,7 +105,7 @@ fn kernel_chain_and_centralized_agree() {
         let recs = std::slice::from_ref(&step);
         let kernel = local_fixpoint(&seed, recs, n.x, LocalEngine::SetRdd, &budget).unwrap();
         assert_eq!(kernel.sorted_rows(), expected, "{what}: kernel");
-        let chain = vec![prepare::<Relation>(&step, n.x, &schema).unwrap()];
+        let chain = vec![prepare(&step, n.x, &schema).unwrap()];
         let chain = local_fixpoint_prepared(&seed, &chain, &budget).unwrap();
         assert_eq!(chain.sorted_rows(), expected, "{what}: hash chain");
         let workers = 1 + case as usize % 4;

@@ -114,6 +114,22 @@ fn const_folds_and_index_builds_happen_once_per_fixpoint() {
 
     pinned_counts_on_a_random_graph();
     a_failed_superstep_is_not_counted();
+    an_empty_seed_compiles_nothing();
+}
+
+/// A `P_plw` fixpoint whose seed is empty, and which resumes nothing,
+/// derives nothing: it builds neither the chain's join index nor the
+/// closure kernel's adjacency, and answers the empty relation.
+fn an_empty_seed_compiles_nothing() {
+    let (mut db, e, step, x) = tc_setup();
+    let src = db.intern("src");
+    let seed = Term::cst(e).filter_eq(src, 100i64);
+    let term = seed.union(step).fix(x);
+    let config = ExecConfig { plan: FixpointPlan::ForcePlw, workers: 4, ..Default::default() };
+    let mut ev = DistEvaluator::new(&db, config);
+    assert!(ev.eval_collect(&term).unwrap().is_empty());
+    let k = ev.stats().kernel;
+    assert_eq!((k.index_builds, k.closure_kernels), (0, 0), "{k:?}");
 }
 
 /// An iteration is counted when its superstep completes — by the loop, the
