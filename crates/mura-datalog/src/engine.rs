@@ -68,11 +68,6 @@ impl DatalogEngine {
         &mut self.db
     }
 
-    /// The emulated system.
-    pub fn style(&self) -> DatalogStyle {
-        self.style
-    }
-
     /// Runs a UCRPQ through the Datalog pipeline.
     pub fn run_ucrpq(&mut self, query: &str) -> Result<QueryOutput> {
         let q = parse_ucrpq(query)?;

@@ -304,11 +304,6 @@ impl Cluster {
         &self.fault
     }
 
-    /// The task recovery policy.
-    pub fn recovery(&self) -> &RecoveryPolicy {
-        &self.recovery
-    }
-
     /// The communication backend moving exchange/broadcast data.
     pub fn backend(&self) -> &Arc<dyn CommBackend> {
         &self.backend

@@ -33,7 +33,7 @@ mura_obs::counter_set! {
         }
         counter "mura_wire_exchange_bytes_total",
             "Payload bytes that crossed worker sockets: buckets that changed worker, twice, and replicas a worker lacked." {
-            /// Exchange buckets that change worker (relayed out, taken
+            /// Exchange buckets that change worker (sent out, echoed
             /// back) and broadcast replicas shipped to a worker that did
             /// not hold them — the counter behind the paper's `P_plw`
             /// zero-communication claim, measured instead of simulated.

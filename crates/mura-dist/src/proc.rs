@@ -8,20 +8,16 @@
 //!
 //! * `exchange`: a bucket that stays on its worker (`buckets[w][w]`) is
 //!   merged into partition `w` on the coordinator and never encoded. Every
-//!   other bucket is encoded once, straight into its source's [`Msg::Relay`]
-//!   frame; the relays go out to all source workers before any
-//!   acknowledgement is awaited (scatter/gather, `ProcInner::round`),
-//!   each worker forwards every bucket to its destination peer over a
-//!   worker↔worker connection, and the coordinator collects every
-//!   destination's inbox the same way ([`Msg::Take`]), decoding each reply
-//!   straight into the destination partition. On the first attempt the
-//!   take travels right behind the relay — one round trip per exchange
-//!   (`ProcInner::pipeline`). A retry re-seals the same frames under a
-//!   fresh exchange id; rows are never encoded twice. Every bucket that
-//!   changes worker genuinely crosses sockets, so the
-//!   [`crate::metrics::CommStats`] wire counters measure real traffic —
-//!   the basis of the paper's `P_plw` zero-communication claim, asserted
-//!   in measured bytes.
+//!   other bucket is encoded once, straight into its destination's
+//!   [`Msg::Exchange`] frame; the frames go out to every destination
+//!   before any reply is awaited (scatter/gather, `ProcInner::round`), each
+//!   worker sends its frame straight back, and the coordinator decodes the
+//!   reply straight into the destination partition. A destination whose
+//!   echo failed is sent the same sealed frame again, and no other; rows
+//!   are never encoded twice. Every bucket that changes worker genuinely
+//!   crosses a socket out and back, so the [`crate::metrics::CommStats`]
+//!   wire counters measure real traffic — the basis of the paper's `P_plw`
+//!   zero-communication claim, asserted in measured bytes.
 //! * `broadcast`: a worker keeps every replica it is sent under the value's
 //!   [`ReplicaId`], and the coordinator records in each worker's control
 //!   slot what that process holds. The relation is encoded into one
@@ -33,19 +29,19 @@
 //! are Rust closures and cannot cross a process boundary); the workers are
 //! the communication fabric, and they can *really die*. A supervisor
 //! thread heartbeats every worker; a worker that misses its liveness
-//! deadline (killed, or its connection dropped) is detected, respawned
-//! when dead, and re-announced to its peers. Exchanges ride an
-//! at-least-once retry loop with fresh exchange ids (stale buffers are
-//! pruned by watermark), and failures that out-live the local repair
-//! budget escalate as retryable [`mura_core::MuraError::WorkerFailed`] into the
-//! existing recovery ladder (task retry → stage rerun → checkpoint restore
-//! → restart).
+//! deadline (killed, or its connection dropped) is detected and respawned
+//! when dead. Exchanges and broadcasts share one at-least-once retry loop
+//! (`ProcInner::with_retries`) that sends again only what failed, and
+//! failures that out-live the local repair budget escalate as retryable
+//! [`mura_core::MuraError::WorkerFailed`] into the existing recovery
+//! ladder (task retry → stage rerun → checkpoint restore → restart).
 //!
 //! Fault injection: [`FaultPlan`] process-mode decisions map to real
-//! damage — [`FaultPlan::kill_worker`] is an actual `SIGKILL` of the
-//! worker process between the relay and collect phases (buffered data is
-//! genuinely lost), [`FaultPlan::drop_connection`] severs the control
-//! socket, [`FaultPlan::delay_socket`] stalls before the operation.
+//! damage, drawn per worker and attempt before its request goes out —
+//! [`FaultPlan::delay_socket`] stalls, [`FaultPlan::drop_connection`]
+//! severs the control socket, [`FaultPlan::corrupt_frame`] ships a frame
+//! with bit rot, and [`FaultPlan::kill_worker`] is an actual `SIGKILL` of
+//! the worker process, which fails exactly that worker's request.
 //! Orphans are impossible: each worker holds the read end of its stdin
 //! pipe and exits on EOF, so coordinator death (clean or not) reaps it.
 
@@ -56,8 +52,8 @@ use crate::cluster::{
 use crate::fault::FaultPlan;
 use crate::wire::{
     bcast_frame, decode_rows_into, framed, read_frame, write_corrupted_frame, write_frame,
-    BucketFrame, Msg, WireError, WireResult, WorkerCounters, WorkerSnapshot, WorkerSpan, MAX_FRAME,
-    REPLICA_CAP, SPAN_BCAST, SPAN_DELIVER, SPAN_RELAY, SPAN_TAKE, TAKE_REPLY_HEAD,
+    BucketFrame, Msg, WireError, WireResult, WorkerCounters, WorkerSnapshot, WorkerSpan,
+    REPLICA_CAP, SPAN_BCAST, SPAN_EXCHANGE,
 };
 use mura_core::{Relation, Result, Rows, Schema};
 use mura_obs::histogram::HistogramSnapshot;
@@ -69,7 +65,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU16, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -86,11 +82,6 @@ pub struct ProcClusterConfig {
     pub liveness_timeout: Duration,
     /// Read/write timeout on control sockets.
     pub io_timeout: Duration,
-    /// How long a worker blocks a [`Msg::Take`] waiting for in-flight
-    /// exchange buckets before handing back a short count (the coordinator
-    /// then retries the whole exchange). Must stay below
-    /// [`ProcClusterConfig::io_timeout`].
-    pub take_timeout: Duration,
     /// Bounded connection attempts (exponential backoff between them).
     pub connect_attempts: u32,
     /// Worker binary path override. Default resolution: `MURA_WORKER_BIN`
@@ -105,7 +96,6 @@ impl Default for ProcClusterConfig {
             heartbeat: Duration::from_millis(50),
             liveness_timeout: Duration::from_millis(500),
             io_timeout: Duration::from_secs(5),
-            take_timeout: Duration::from_millis(2000),
             connect_attempts: 5,
             worker_bin: None,
         }
@@ -113,13 +103,12 @@ impl Default for ProcClusterConfig {
 }
 
 /// Mutable control-plane state of one worker, behind one lock so spawn,
-/// kill and send never race. Never acquire two workers' `ctl` locks at
-/// once (peer-table refreshes go worker by worker).
+/// kill and send never race. Only a round holds two workers' `ctl` locks
+/// at once (see `ProcInner::round`).
 #[derive(Debug, Default)]
 struct CtlSlot {
     child: Option<Child>,
     conn: Option<TcpStream>,
-    port: u16,
     /// Every reply on `conn` is read into this one buffer.
     read_buf: Vec<u8>,
     /// What `child` holds of broadcast replicas; cleared wherever `child`
@@ -186,8 +175,10 @@ impl Replicas {
 #[derive(Debug)]
 struct Slot {
     ctl: Mutex<CtlSlot>,
-    /// Dedicated heartbeat connection: PING/PONG never interleaves with a
-    /// RELAY/TAKE round-trip on the control socket.
+    /// The worker process's listen port; replaced on respawn.
+    port: AtomicU16,
+    /// Dedicated heartbeat connection: PING/PONG never interleaves with an
+    /// exchange round trip on the control socket.
     hb: Mutex<Option<TcpStream>>,
     /// Answered the most recent heartbeat.
     live: AtomicBool,
@@ -212,6 +203,7 @@ impl Default for Slot {
     fn default() -> Self {
         Slot {
             ctl: Mutex::new(CtlSlot::default()),
+            port: AtomicU16::new(0),
             hb: Mutex::new(None),
             live: AtomicBool::new(false),
             offset_us: AtomicI64::new(0),
@@ -234,14 +226,6 @@ struct ProcInner {
     n: usize,
     cfg: ProcClusterConfig,
     slots: Vec<Slot>,
-    /// Current listen ports (index = worker); refreshed on respawn.
-    ports: Mutex<Vec<u16>>,
-    /// Exchange id generator.
-    next_xid: AtomicU64,
-    /// Exchange ids currently in flight. The prune watermark sent with a
-    /// relay is the *minimum* in-flight id, so concurrent queries sharing
-    /// this backend never evict each other's buffered buckets.
-    inflight: Mutex<std::collections::BTreeSet<u64>>,
     /// Held by a broadcast from deciding who lacks the replica to recording
     /// what was acknowledged, so two queries' broadcasts never interleave
     /// their updates of a worker's [`Replicas`].
@@ -369,126 +353,129 @@ impl ProcInner {
         journal.push_back(ev);
     }
 
-    /// Writes the request `frame` on worker `w`'s control socket,
-    /// (re)connecting — with a fresh [`Msg::Hello`] — as needed. Returns
-    /// the bytes `(written, read)`, handshake traffic included.
-    fn send(&self, w: usize, slot: &mut CtlSlot, frame: &[u8]) -> WireResult<(u64, u64)> {
-        let (mut tx, mut rx) = (0u64, 0u64);
-        if slot.conn.is_none() {
-            let port = self.ports.lock().unwrap()[w];
-            let mut conn = connect(port, self.cfg.io_timeout, self.cfg.connect_attempts)?;
-            tx = write_frame(&mut conn, &Msg::Hello { id: w as u32, n: self.n as u32 })?;
-            let (reply, k) = read_frame(&mut conn, &mut slot.read_buf)?;
-            rx = k;
-            if reply != Msg::Ok {
-                return Err(WireError::Malformed("hello rejected"));
-            }
-            if self.started.load(Ordering::Relaxed) {
-                self.counters.reconnects.inc();
-                self.journal_push(w, SupervisorEventKind::Reconnect);
-            }
-            slot.conn = Some(conn);
+    /// Opens worker `w`'s control connection with a [`Msg::Hello`]
+    /// handshake. Returns the bytes `(written, read)`.
+    fn hello(&self, w: usize, slot: &mut CtlSlot) -> WireResult<(u64, u64)> {
+        let port = self.slots[w].port.load(Ordering::Relaxed);
+        let mut conn = connect(port, self.cfg.io_timeout, self.cfg.connect_attempts)?;
+        let tx = write_frame(&mut conn, &Msg::Hello)?;
+        let (reply, rx) = read_frame(&mut conn, &mut slot.read_buf)?;
+        if reply != Msg::Ok {
+            return Err(WireError::Malformed("hello rejected"));
         }
+        if self.started.load(Ordering::Relaxed) {
+            self.counters.reconnects.inc();
+            self.journal_push(w, SupervisorEventKind::Reconnect);
+        }
+        slot.conn = Some(conn);
+        Ok((tx, rx))
+    }
+
+    /// Writes the request `frame` on worker `w`'s control socket,
+    /// (re)connecting as needed. Returns the bytes `(written, read)`,
+    /// handshake traffic included.
+    fn send(&self, w: usize, slot: &mut CtlSlot, frame: &[u8]) -> WireResult<(u64, u64)> {
+        let (tx, rx) = if slot.conn.is_none() { self.hello(w, slot)? } else { (0, 0) };
         slot.conn.as_mut().expect("just connected").write_all(frame)?;
         Ok((tx + frame.len() as u64, rx))
     }
 
     /// One scatter/gather round on the control sockets: every request frame
     /// `(worker, bytes)` is written before any reply is awaited, so the
-    /// workers verify, forward and answer concurrently; the replies are
-    /// then read in request order and handed to `on_reply(worker, reply,
-    /// tx, rx)` — the reply borrows the slot's read buffer, `tx`/`rx` are
-    /// the bytes this request put on and took off the wire. Requests must
-    /// name workers in ascending order: the round holds all their control
-    /// locks (taken in that order, so concurrent rounds cannot deadlock;
-    /// everything else takes one control lock at a time), which keeps any
-    /// other request from interleaving with a pending reply.
+    /// workers answer concurrently; the replies are then read in request
+    /// order and handed to `on_reply(worker, reply, tx, rx)` — the reply
+    /// borrows the slot's read buffer, `tx`/`rx` are the bytes this request
+    /// put on and took off the wire. Requests name distinct workers in
+    /// ascending order: the round holds all their control locks (taken in
+    /// that order, so concurrent rounds cannot deadlock; everything else
+    /// takes one control lock at a time), which keeps any other request
+    /// from interleaving with a pending reply.
     ///
     /// It cannot deadlock on the sockets either: a worker reads a request
-    /// frame whole before acting on it, forwards to peers over connections
-    /// that separate peer threads drain unconditionally, and writes a reply
-    /// that is either tiny (`Ok`) or read by the coordinator as soon as the
-    /// earlier workers' replies are in — nobody waits on a reader that
-    /// waits on them.
+    /// frame whole before it writes a byte of its reply, so every write of
+    /// the coordinator's completes, and each reply is read in its turn.
     ///
-    /// Returns one outcome per request. A request that failed — on the
-    /// socket or in `on_reply` — has had its connection dropped (the next
-    /// use reconnects); the others' replies were still read, so their
-    /// connections stay in step.
+    /// Returns each request's worker with its outcome. A request that
+    /// failed — on the socket or in `on_reply` — has had its connection
+    /// dropped (the next use reconnects); the others' replies were still
+    /// read, so their connections stay in step.
     fn round(
         &self,
         requests: &[(usize, &[u8])],
         mut on_reply: impl FnMut(usize, Msg<'_>, u64, u64) -> WireResult<()>,
-    ) -> Vec<WireResult<()>> {
+    ) -> Vec<(usize, WireResult<()>)> {
         debug_assert!(requests.windows(2).all(|p| p[0].0 < p[1].0), "one request per worker");
-        self.pipeline(requests, false, |i, reply, tx, rx| on_reply(requests[i].0, reply, tx, rx))
+        let mut slots: Vec<_> =
+            requests.iter().map(|&(w, _)| self.slots[w].ctl.lock().unwrap()).collect();
+        let sent: Vec<_> = requests
+            .iter()
+            .zip(&mut slots)
+            .map(|(&(w, frame), slot)| self.send(w, slot, frame))
+            .collect();
+        let replies = requests.iter().zip(&mut slots).zip(sent);
+        replies
+            .map(|((&(w, _), slot), sent)| {
+                let CtlSlot { conn, read_buf, .. } = &mut **slot;
+                let outcome = sent.and_then(|(tx, handshake_rx)| {
+                    let conn = conn.as_mut().expect("a sent request has its connection");
+                    let (reply, rx) = read_frame(conn, read_buf)?;
+                    on_reply(w, reply, tx, handshake_rx + rx)
+                });
+                if outcome.is_err() {
+                    *conn = None;
+                }
+                (w, outcome)
+            })
+            .collect()
     }
 
-    /// [`ProcInner::round`] with any number of requests per worker (still
-    /// in ascending worker order): a worker answers its requests in the
-    /// order they were written, so a request that needs no word from the
-    /// coordinator in between — a take behind a relay — goes out with the
-    /// one before it and costs no round trip of its own. The replies are
-    /// read rank by rank — every worker's first, then every worker's
-    /// second — and `on_reply` is given the index of the request answered.
-    ///
-    /// A failed request takes the later requests to the same worker with
-    /// it (their replies are behind a connection that is gone). When
-    /// `abandon` is set it takes the rest of the round too: the replies not
-    /// yet read are left unread and their connections dropped. That is for
-    /// requests that wait on each other's workers — a take waits for what
-    /// the other workers were told to relay — where the answer to a failure
-    /// elsewhere is a timeout; reading by rank finds the failure (a relay's
-    /// acknowledgement) before anything is asked to wait for it.
-    fn pipeline(
+    /// Runs `attempt` until no request it makes fails. `attempt` is handed
+    /// the workers still pending — every worker at first — sends requests
+    /// to those it has something for, and returns their outcomes (a round's
+    /// result); only the workers whose request failed go round again, each
+    /// with its own attempt count. Before every attempt each pending worker
+    /// gets the injections due at `(site, worker, attempt)` — a stall, a
+    /// severed connection, a corrupted frame, then a kill — whether or not
+    /// it is sent anything, so what is injected does not depend on the
+    /// data; a kill fails exactly that worker's request. A failed worker is
+    /// repaired (connection dropped, process respawned if dead). One that
+    /// fails past the budget fails the call with the retryable
+    /// [`mura_core::MuraError::WorkerFailed`], for the recovery ladder; a
+    /// cancelled query stops between attempts.
+    fn with_retries(
         &self,
-        requests: &[(usize, &[u8])],
-        abandon: bool,
-        mut on_reply: impl FnMut(usize, Msg<'_>, u64, u64) -> WireResult<()>,
-    ) -> Vec<WireResult<()>> {
-        debug_assert!(requests.windows(2).all(|p| p[0].0 <= p[1].0), "ascending workers");
-        // One lock per worker; request `i` is the `rank[i]`-th to its
-        // worker and finds the lock at `slot_of[i]`.
-        let mut slots = Vec::new();
-        let (mut slot_of, mut rank) = (Vec::new(), Vec::new());
-        for (i, &(w, _)) in requests.iter().enumerate() {
-            let again = i > 0 && requests[i - 1].0 == w;
-            if !again {
-                slots.push(self.slots[w].ctl.lock().unwrap());
+        ctx: &ExchangeCtx<'_>,
+        site: u64,
+        mut attempt: impl FnMut(&[usize]) -> Result<Vec<(usize, WireResult<()>)>>,
+    ) -> Result<()> {
+        let max_attempts = ctx.recovery.max_retries + ctx.fault.config().failures_per_site + 2;
+        let mut attempts = vec![0; self.n];
+        let mut pending: Vec<usize> = (0..self.n).collect();
+        loop {
+            if let Some(c) = ctx.cancel {
+                c.check()?;
             }
-            slot_of.push(slots.len() - 1);
-            rank.push(if again { rank[i - 1] + 1 } else { 0 });
-        }
-        let lost = || WireError::Io(std::io::Error::other("connection lost earlier in the round"));
-        let mut sent: Vec<Option<WireResult<(u64, u64)>>> = Vec::with_capacity(requests.len());
-        for (i, &(w, frame)) in requests.iter().enumerate() {
-            let follows_failure = rank[i] > 0 && !matches!(sent[i - 1], Some(Ok(_)));
-            sent.push(Some(if follows_failure {
-                Err(lost())
-            } else {
-                self.send(w, &mut slots[slot_of[i]], frame)
-            }));
-        }
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by_key(|&i| rank[i]);
-        let mut outcomes: Vec<WireResult<()>> = requests.iter().map(|_| Ok(())).collect();
-        let mut failed = false;
-        for i in order {
-            let CtlSlot { conn, read_buf, .. } = &mut *slots[slot_of[i]];
-            let sent = sent[i].take().expect("every request is gathered once");
-            outcomes[i] = sent.and_then(|(tx, handshake_rx)| {
-                let Some(conn) = conn.as_mut().filter(|_| !(abandon && failed)) else {
-                    return Err(lost());
-                };
-                let (reply, rx) = read_frame(conn, read_buf)?;
-                on_reply(i, reply, tx, handshake_rx + rx)
-            });
-            if outcomes[i].is_err() {
-                failed = true;
-                *conn = None;
+            for &w in &pending {
+                self.inject_socket_faults(ctx.fault, site, w, attempts[w]);
+                if ctx.fault.kill_worker(site, w, attempts[w]) {
+                    self.kill(w);
+                }
             }
+            let mut failed = Vec::new();
+            for (w, outcome) in attempt(&pending)? {
+                let Err(e) = outcome else { continue };
+                attempts[w] += 1;
+                if attempts[w] >= max_attempts {
+                    return Err(e.into_mura_error(w));
+                }
+                let _ = self.repair(w, Some(ctx.fault), true);
+                failed.push(w);
+            }
+            if failed.is_empty() {
+                return Ok(());
+            }
+            pending = failed;
         }
-        outcomes
     }
 
     /// Asks every worker for its spans of `trace_id` and the counters it
@@ -516,14 +503,6 @@ impl ProcInner {
         });
     }
 
-    /// Sends the control message `msg` to every worker in one round;
-    /// returns, per worker, whether it answered [`Msg::Ok`].
-    fn tell_all(&self, msg: &Msg<'_>) -> Vec<WireResult<()>> {
-        let frame = framed(msg).expect("a control message is a small frame");
-        let everyone: Vec<(usize, &[u8])> = (0..self.n).map(|w| (w, &frame[..])).collect();
-        self.round(&everyone, |_, reply, _, _| expect_ok(reply))
-    }
-
     /// Drops worker `w`'s control connection (next use reconnects).
     fn sever(&self, w: usize) {
         self.slots[w].ctl.lock().unwrap().conn = None;
@@ -539,6 +518,22 @@ impl ProcInner {
         let mut guard = self.slots[w].ctl.lock().unwrap();
         if let Some(conn) = guard.conn.as_mut() {
             let _ = write_corrupted_frame(conn, &Msg::Ping, entropy);
+        }
+    }
+
+    /// Applies the socket-level injections due at `(site, w, attempt)`
+    /// before a request goes out: a stall, a severed control connection
+    /// (the send re-establishes it), a frame with seeded bit rot.
+    fn inject_socket_faults(&self, fault: &FaultPlan, site: u64, w: usize, attempt: u32) {
+        if let Some(d) = fault.delay_socket(site, w, attempt) {
+            std::thread::sleep(d);
+        }
+        if fault.drop_connection(site, w, attempt) {
+            self.sever(w);
+            fault.stats.reconnects.inc();
+        }
+        if let Some(entropy) = fault.corrupt_frame(site, w, attempt) {
+            self.corrupt_control_frame(w, entropy);
         }
     }
 
@@ -562,9 +557,8 @@ impl ProcInner {
     }
 
     /// Repairs worker `w`: drops its control connection when `sever` is
-    /// set, and respawns the process if it is dead — then re-announces the
-    /// refreshed peer table to every worker (one control lock at a time).
-    /// `fault` (when given) receives the recovery accounting.
+    /// set, and respawns the process if it is dead. `fault` (when given)
+    /// receives the recovery accounting.
     fn repair(
         &self,
         w: usize,
@@ -588,8 +582,7 @@ impl ProcInner {
                 guard.child = None;
                 let (child, port) = spawn_worker(&self.cfg)?;
                 guard.child = Some(child);
-                guard.port = port;
-                self.ports.lock().unwrap()[w] = port;
+                self.slots[w].port.store(port, Ordering::Relaxed);
                 self.counters.respawns.inc();
                 self.journal_push(w, SupervisorEventKind::Respawn);
                 // A fresh process is a fresh monotonic clock: invalidate the
@@ -605,7 +598,6 @@ impl ProcInner {
             }
         };
         if respawned {
-            self.sync_peers();
             // Re-establish the clock offset right away instead of waiting a
             // supervisor period; spans recorded before the next heartbeat
             // would otherwise be merged with a stale (zero) offset.
@@ -614,32 +606,16 @@ impl ProcInner {
         Ok(())
     }
 
-    /// Re-announces the current port map to every worker and returns who
-    /// took it. Best-effort per worker: one being down does not stop the
-    /// sync — its own repair re-syncs. Called after every respawn and
-    /// after every failed exchange attempt, because a worker that missed a
-    /// respawn announcement (e.g. it was itself down at the time) would
-    /// otherwise keep delivering to the dead peer's old port forever.
-    fn sync_peers(&self) -> Vec<WireResult<()>> {
-        let ports = self.ports.lock().unwrap().clone();
-        let told = self.tell_all(&Msg::Peers(ports));
-        for (slot, outcome) in self.slots.iter().zip(&told) {
-            if outcome.is_ok() {
-                slot.live.store(true, Ordering::Relaxed);
-            }
-        }
-        told
-    }
-
     /// One PING/PONG on the dedicated heartbeat connection. The reply
     /// carries the worker's monotonic clock; the RTT midpoint gives a
     /// clock-offset sample (Cristian's algorithm), and the sample from the
     /// lowest RTT observed so far — the tightest bound — is kept as the
-    /// worker's offset estimate for span merging.
+    /// worker's offset estimate for span merging. A worker that answers is
+    /// live.
     fn heartbeat(&self, w: usize) -> bool {
         let mut hb = self.slots[w].hb.lock().unwrap();
         if hb.is_none() {
-            let port = self.ports.lock().unwrap()[w];
+            let port = self.slots[w].port.load(Ordering::Relaxed);
             match connect(port, self.cfg.liveness_timeout, 1) {
                 Ok(conn) => {
                     if self.started.load(Ordering::Relaxed) {
@@ -669,6 +645,7 @@ impl ProcInner {
                     let midpoint = t0 + rtt / 2;
                     slot.offset_us.store(t_us as i64 - midpoint as i64, Ordering::Relaxed);
                 }
+                slot.live.store(true, Ordering::Relaxed);
                 true
             }
             _ => false,
@@ -688,9 +665,7 @@ impl ProcInner {
                 if self.shutdown.load(Ordering::Relaxed) {
                     return;
                 }
-                if self.heartbeat(w) {
-                    self.slots[w].live.store(true, Ordering::Relaxed);
-                } else {
+                if !self.heartbeat(w) {
                     self.slots[w].live.store(false, Ordering::Relaxed);
                     self.counters.liveness_misses.inc();
                     self.journal_push(w, SupervisorEventKind::LivenessMiss);
@@ -721,8 +696,8 @@ impl ProcCluster {
         Self::spawn_with(ProcClusterConfig { workers, ..Default::default() })
     }
 
-    /// Spawns the cluster described by `cfg`: starts every worker, runs
-    /// the HELLO/PEERS handshake, then starts the heartbeat supervisor.
+    /// Spawns the cluster described by `cfg`: starts every worker and opens
+    /// its control connection, then starts the heartbeat supervisor.
     pub fn spawn_with(cfg: ProcClusterConfig) -> Result<Arc<ProcCluster>> {
         assert!(cfg.workers >= 1, "need at least one worker");
         let n = cfg.workers;
@@ -730,9 +705,6 @@ impl ProcCluster {
             n,
             cfg,
             slots: (0..n).map(|_| Slot::default()).collect(),
-            ports: Mutex::new(vec![0; n]),
-            next_xid: AtomicU64::new(1),
-            inflight: Mutex::new(std::collections::BTreeSet::new()),
             broadcasting: Mutex::new(()),
             counters: ClusterCounters::new(),
             epoch: Instant::now(),
@@ -745,19 +717,14 @@ impl ProcCluster {
             shutdown: AtomicBool::new(false),
         });
         let cluster = Arc::new(ProcCluster { inner, supervisor: Mutex::new(None) });
-        for w in 0..n {
-            let (child, port) = spawn_worker(&cluster.inner.cfg).map_err(|e| {
-                cluster.shutdown();
-                e.into_mura_error(w)
-            })?;
-            let mut guard = cluster.inner.slots[w].ctl.lock().unwrap();
-            guard.child = Some(child);
-            guard.port = port;
-            drop(guard);
-            cluster.inner.ports.lock().unwrap()[w] = port;
-        }
-        for (w, told) in cluster.inner.sync_peers().into_iter().enumerate() {
-            if let Err(e) = told {
+        for (w, slot) in cluster.inner.slots.iter().enumerate() {
+            let started = spawn_worker(&cluster.inner.cfg).and_then(|(child, port)| {
+                slot.port.store(port, Ordering::Relaxed);
+                let mut ctl = slot.ctl.lock().unwrap();
+                ctl.child = Some(child);
+                cluster.inner.hello(w, &mut ctl)
+            });
+            if let Err(e) = started {
                 cluster.shutdown();
                 return Err(e.into_mura_error(w));
             }
@@ -819,12 +786,6 @@ impl ProcCluster {
         self.inner.rtt_hist.snapshot()
     }
 
-    /// The supervisor event journal, oldest first (bounded; evicted
-    /// entries leave a gap in the `seq` numbering).
-    pub fn journal(&self) -> Vec<SupervisorEvent> {
-        self.inner.journal.lock().unwrap_or_else(|e| e.into_inner()).iter().copied().collect()
-    }
-
     /// Test hook: really `SIGKILL` worker `w`'s process. Returns whether a
     /// process was there to kill. The supervisor (or the next exchange)
     /// detects the death and respawns it.
@@ -840,18 +801,6 @@ impl ProcCluster {
     pub fn sever_connection(&self, w: usize) {
         self.inner.sever(w);
         *self.inner.slots[w].hb.lock().unwrap() = None;
-    }
-
-    /// Best-effort CANCEL to every worker of the exchange attempts `xids`:
-    /// what their relays left buffered goes now, not when the prune
-    /// watermark passes them — which waits for every older exchange in
-    /// flight, and on an idle fleet for the next query. Other exchanges'
-    /// buckets stay; an exchange cancelled before its first attempt has
-    /// nothing to say.
-    fn cancel(&self, xids: Vec<u64>) {
-        if !xids.is_empty() {
-            self.inner.tell_all(&Msg::Cancel { xids });
-        }
     }
 
     /// Stops the supervisor, asks workers to exit, and reaps them. Called
@@ -883,124 +832,6 @@ impl ProcCluster {
             *slot.hb.lock().unwrap() = None;
         }
     }
-
-    /// One attempt of an exchange: seal every source's relay under the
-    /// fresh exchange id `xid`, send the relays and the takes, and append
-    /// every destination's inbox to its bag in `parts` (which holds the
-    /// buckets that stayed on their worker; the caller cuts what a failed
-    /// attempt appended back off). It is handed frames, not
-    /// rows: nothing is encoded here, whichever attempt this is. Errors
-    /// name the worker so the caller can repair it.
-    ///
-    /// The first attempt of an exchange no fault plan is aimed at sends each
-    /// worker its take right behind its relay ([`ProcInner::pipeline`]): the
-    /// worker forwards, acknowledges and goes on to wait for its own inbox
-    /// without hearing from the coordinator in between, which sleeps once
-    /// per exchange instead of twice. Under a fault plan, and on every
-    /// retry, the two phases are two rounds, with the kill injection in
-    /// between (buffered data is genuinely lost) and no take sent to
-    /// workers that wait for a relay that failed.
-    fn try_exchange(
-        &self,
-        ctx: &ExchangeCtx<'_>,
-        (xid, attempt): (u64, u32),
-        parts: &mut [Rows],
-        relays: &mut [BucketFrame],
-        expect: &[u32],
-    ) -> std::result::Result<(), (usize, WireError)> {
-        let inner = &self.inner;
-        let watermark = {
-            let mut inflight = inner.inflight.lock().unwrap();
-            inflight.insert(xid);
-            *inflight.iter().next().expect("just inserted")
-        };
-        // Deregister the xid however this attempt ends.
-        struct Deregister<'a>(&'a ProcInner, u64);
-        impl Drop for Deregister<'_> {
-            fn drop(&mut self) {
-                self.0.inflight.lock().unwrap().remove(&self.1);
-            }
-        }
-        let _dereg = Deregister(inner, xid);
-        for w in 0..inner.n {
-            inject_socket_faults(inner, ctx.fault, ctx.site, w, attempt);
-        }
-        for (from, relay) in relays.iter_mut().enumerate() {
-            relay.seal_relay(xid, watermark).map_err(|e| (from, e))?;
-        }
-        let relays = &*relays;
-        let takes: Vec<Option<Vec<u8>>> = (0..inner.n)
-            .map(|to| {
-                let take = Msg::Take {
-                    xid,
-                    expect: expect[to],
-                    timeout_ms: inner.cfg.take_timeout.as_millis() as u64,
-                    ctx: ctx.trace,
-                };
-                (expect[to] > 0).then(|| framed(&take).expect("a take request is a small frame"))
-            })
-            .collect();
-        let relay_of =
-            |from: usize| (relays[from].count() > 0).then(|| (from, relays[from].bytes()));
-        let take_of = |to: usize| takes[to].as_deref().map(|frame| (to, frame));
-        let acked = |from: usize, reply: Msg<'_>, tx: u64, rx: u64| {
-            ctx.metrics.record_wire_tx(tx, relays[from].payload_bytes());
-            ctx.metrics.record_wire_rx(rx, 0);
-            expect_ok(reply)
-        };
-        let mut taken = |to: usize, reply: Msg<'_>, tx: u64, rx: u64| {
-            ctx.metrics.record_wire_tx(tx, 0);
-            let Msg::TakeReply(got) = reply else {
-                return Err(WireError::Malformed("unexpected take reply"));
-            };
-            let payload: u64 = got.iter().map(|(_, p)| p.len() as u64).sum();
-            ctx.metrics.record_wire_rx(rx, payload);
-            if (got.len() as u32) < expect[to] {
-                return Err(WireError::Io(std::io::Error::other(format!(
-                    "short exchange: {} of {} buckets",
-                    got.len(),
-                    expect[to]
-                ))));
-            }
-            got.iter().try_for_each(|(_, payload)| decode_rows_into(payload, &mut parts[to]))
-        };
-        if attempt == 0 && !ctx.fault.is_active() {
-            // Per worker its relay, then its take.
-            let (mut requests, mut is_take) = (Vec::new(), Vec::new());
-            for w in 0..inner.n {
-                if let Some(relay) = relay_of(w) {
-                    requests.push(relay);
-                    is_take.push(false);
-                }
-                if let Some(take) = take_of(w) {
-                    requests.push(take);
-                    is_take.push(true);
-                }
-            }
-            let outcomes = inner.pipeline(&requests, true, |i, reply, tx, rx| {
-                let w = requests[i].0;
-                if is_take[i] {
-                    taken(w, reply, tx, rx)
-                } else {
-                    acked(w, reply, tx, rx)
-                }
-            });
-            first_failure(&requests, outcomes)?;
-        } else {
-            let sources: Vec<(usize, &[u8])> = (0..inner.n).filter_map(relay_of).collect();
-            first_failure(&sources, inner.round(&sources, acked))?;
-            // Injection point: between relay and collect, so a killed
-            // worker takes its buffered buckets down with it.
-            for w in 0..inner.n {
-                if ctx.fault.kill_worker(ctx.site, w, attempt) {
-                    inner.kill(w);
-                }
-            }
-            let destinations: Vec<(usize, &[u8])> = (0..inner.n).filter_map(take_of).collect();
-            first_failure(&destinations, inner.round(&destinations, taken))?;
-        }
-        Ok(())
-    }
 }
 
 /// The reply to a request that has nothing to say but yes or no.
@@ -1009,30 +840,6 @@ fn expect_ok(reply: Msg<'_>) -> WireResult<()> {
         Msg::Ok => Ok(()),
         Msg::Err(e) => Err(WireError::Io(std::io::Error::other(e))),
         _ => Err(WireError::Malformed("unexpected reply")),
-    }
-}
-
-/// The first failed request of a round, with the worker it was sent to.
-fn first_failure(
-    requests: &[(usize, &[u8])],
-    outcomes: Vec<WireResult<()>>,
-) -> std::result::Result<(), (usize, WireError)> {
-    requests.iter().zip(outcomes).try_for_each(|(&(w, _), outcome)| outcome.map_err(|e| (w, e)))
-}
-
-/// Applies the socket-level injections due at `(site, w, attempt)` before a
-/// request goes out: a stall, a severed control connection (the send
-/// re-establishes it), a frame with seeded bit rot.
-fn inject_socket_faults(inner: &ProcInner, fault: &FaultPlan, site: u64, w: usize, attempt: u32) {
-    if let Some(d) = fault.delay_socket(site, w, attempt) {
-        std::thread::sleep(d);
-    }
-    if fault.drop_connection(site, w, attempt) {
-        inner.sever(w);
-        fault.stats.reconnects.inc();
-    }
-    if let Some(entropy) = fault.corrupt_frame(site, w, attempt) {
-        inner.corrupt_control_frame(w, entropy);
     }
 }
 
@@ -1060,14 +867,13 @@ impl CommBackend for ProcCluster {
         // its worker never leaves the coordinator: it is appended to its
         // destination's bag here, an injected duplicate twice like the
         // simulator's. Every other bucket is encoded once, straight into
-        // its source's relay frame; an injected drop is a first copy lost in
+        // its destination's exchange frame; an injected drop is a first copy lost in
         // transit — we ship the retransmission too, so it costs real extra
         // bytes; an injected duplicate ships twice. Both extra copies are
         // the encoded bytes again, and both land in the bag.
         let mut parts: Vec<Rows> = (0..n).map(|_| Rows::new(arity)).collect();
-        let mut relays: Vec<BucketFrame> = (0..n).map(|_| BucketFrame::relay(ctx.trace)).collect();
-        let mut expect = vec![0u32; n];
-        let mut inbound = vec![TAKE_REPLY_HEAD; n];
+        let mut frames: Vec<BucketFrame> =
+            (0..n).map(|_| BucketFrame::exchange(ctx.trace)).collect();
         for (from, worker_buckets) in buckets.into_iter().enumerate() {
             for (to, bucket) in worker_buckets.into_iter().enumerate() {
                 if bucket.is_empty() {
@@ -1088,57 +894,43 @@ impl CommBackend for ProcCluster {
                     }
                     continue;
                 }
-                let before = relays[from].wire_len();
-                relays[from].push_rows(to as u32, arity, &bucket);
+                frames[to].push_rows(from as u32, arity, &bucket);
                 self.inner.counters.rows_encoded.add(bucket.len() as u64);
                 let copies = 1 + u32::from(dropped) + u32::from(duplicated);
                 for _ in 1..copies {
-                    relays[from].repeat_last();
-                }
-                expect[to] += copies;
-                inbound[to] += relays[from].wire_len() - before;
-            }
-        }
-        // A destination whose inbox cannot come back in one frame: final,
-        // like a relay that cannot go out in one (see `try_exchange`).
-        if let Some((to, &len)) = inbound.iter().enumerate().find(|(_, &len)| len > MAX_FRAME) {
-            return Err(WireError::FrameTooLarge { len: len as u64 }.into_mura_error(to));
-        }
-        let max_attempts = ctx.recovery.max_retries + ctx.fault.config().failures_per_site + 2;
-        let mut last: (usize, WireError) = (0, WireError::Malformed("exchange never attempted"));
-        let mut xids = Vec::new();
-        let local: Vec<usize> = parts.iter().map(Rows::len).collect();
-        for attempt in 0..max_attempts {
-            if let Some(c) = ctx.cancel {
-                if let Err(e) = c.check() {
-                    self.cancel(xids);
-                    return Err(e);
-                }
-            }
-            let xid = self.inner.next_xid.fetch_add(1, Ordering::Relaxed);
-            xids.push(xid);
-            match self.try_exchange(ctx, (xid, attempt), &mut parts, &mut relays, &expect) {
-                Ok(()) => return Ok(parts),
-                Err((w, e @ WireError::FrameTooLarge { .. })) => return Err(e.into_mura_error(w)),
-                Err((w, e)) => {
-                    last = (w, e);
-                    parts.iter_mut().zip(&local).for_each(|(bag, &len)| bag.truncate(len));
-                    // Respawn whatever died, then re-announce the port map
-                    // to everyone: the failure may be a live worker still
-                    // delivering to a dead peer's old port (it missed the
-                    // respawn announcement while it was itself down).
-                    // Retry the whole exchange under a fresh xid.
-                    for v in 0..n {
-                        let sever = v == w;
-                        let _ = self.inner.repair(v, Some(ctx.fault), sever);
-                    }
-                    self.inner.sync_peers();
+                    frames[to].repeat_last();
                 }
             }
         }
-        // Retryable: escalates into the recovery ladder (stage rerun,
-        // checkpoint restore, restart) exactly like a task failure.
-        Err(last.1.into_mura_error(last.0))
+        // A destination whose buckets cannot go out in one frame: final.
+        for (to, frame) in frames.iter_mut().enumerate() {
+            frame.seal().map_err(|e| e.into_mura_error(to))?;
+        }
+        let inner = &self.inner;
+        inner.with_retries(ctx, ctx.site, |pending| {
+            let requests: Vec<(usize, &[u8])> = pending
+                .iter()
+                .filter(|&&to| frames[to].count() > 0)
+                .map(|&to| (to, frames[to].bytes()))
+                .collect();
+            Ok(inner.round(&requests, |to, reply, tx, rx| {
+                ctx.metrics.record_wire_tx(tx, frames[to].payload_bytes());
+                let Msg::Exchange { buckets, .. } = reply else {
+                    return Err(WireError::Malformed("unexpected exchange reply"));
+                };
+                let payload = buckets.iter().map(|(_, payload)| payload.len() as u64).sum();
+                ctx.metrics.record_wire_rx(rx, payload);
+                let before = parts[to].len();
+                let decoded = buckets
+                    .iter()
+                    .try_for_each(|(_, payload)| decode_rows_into(payload, &mut parts[to]));
+                if decoded.is_err() {
+                    parts[to].truncate(before);
+                }
+                decoded
+            }))
+        })?;
+        Ok(parts)
     }
 
     fn broadcast(
@@ -1152,37 +944,28 @@ impl CommBackend for ProcCluster {
         // ships: the simulator backend never consumes one here, and site
         // streams must stay aligned.
         let site = ctx.fault.next_site();
-        let max_attempts = ctx.recovery.max_retries + ctx.fault.config().failures_per_site + 2;
         let _one_at_a_time = inner.broadcasting.lock().unwrap();
         // Encoded and checksummed once, when a worker first lacks the
         // replica. Too large for a frame is final.
         let mut shared: Option<(Vec<u8>, Range<usize>)> = None;
-        // Scatter to every worker still owed the replica, gather the
-        // acknowledgements, repair and retry the ones that failed — each
-        // with its own attempt count, so a fault coordinate is rolled once.
-        // A worker's faults are rolled whether or not it lacks the replica:
-        // what is injected does not depend on what the fleet holds.
-        let mut pending: Vec<(usize, u32)> = (0..inner.n).map(|w| (w, 0)).collect();
-        while !pending.is_empty() {
-            if let Some(c) = ctx.cancel {
-                c.check()?;
-            }
-            for &(w, attempt) in &pending {
-                inject_socket_faults(inner, ctx.fault, site, w, attempt);
-                if ctx.fault.kill_worker(site, w, attempt) {
-                    inner.kill(w);
-                }
-            }
-            pending.retain(|&(w, _)| {
-                let held =
-                    id.is_some_and(|id| inner.slots[w].ctl.lock().unwrap().replicas.touch(id));
-                if held {
-                    inner.counters.rows_resident.add(rel.len() as u64);
-                }
-                !held
-            });
-            if pending.is_empty() {
-                break;
+        // Every worker still owed the replica is sent it. A worker's faults
+        // are rolled whether or not it lacks the replica: what is injected
+        // does not depend on what the fleet holds.
+        inner.with_retries(ctx, site, |pending| {
+            let lacking: Vec<usize> = pending
+                .iter()
+                .copied()
+                .filter(|&w| {
+                    let held =
+                        id.is_some_and(|id| inner.slots[w].ctl.lock().unwrap().replicas.touch(id));
+                    if held {
+                        inner.counters.rows_resident.add(rel.len() as u64);
+                    }
+                    !held
+                })
+                .collect();
+            if lacking.is_empty() {
+                return Ok(Vec::new());
             }
             if shared.is_none() {
                 shared = Some(bcast_frame(ctx.trace, id, rel).map_err(|e| e.into_mura_error(0))?);
@@ -1192,7 +975,7 @@ impl CommBackend for ProcCluster {
             let size = payload.len() as u64;
             // A worker with replicas to drop gets the payload in a frame of
             // its own that names them.
-            let frames = pending.iter().map(|&(w, _)| {
+            let frames = lacking.iter().map(|&w| {
                 let mut slot = inner.slots[w].ctl.lock().unwrap();
                 let evict = slot.replicas.make_room(id.map(|_| size));
                 if evict.is_empty() {
@@ -1205,35 +988,23 @@ impl CommBackend for ProcCluster {
             let frames: Vec<Cow<[u8]>> =
                 frames.collect::<WireResult<_>>().map_err(|e| e.into_mura_error(0))?;
             let requests: Vec<(usize, &[u8])> =
-                pending.iter().zip(&frames).map(|(&(w, _), f)| (w, &f[..])).collect();
+                lacking.iter().zip(&frames).map(|(&w, f)| (w, &f[..])).collect();
             let acks = inner.round(&requests, |_, reply, tx, rx| {
                 ctx.metrics.record_wire_tx(tx, size);
                 ctx.metrics.record_wire_rx(rx, 0);
                 expect_ok(reply)
             });
-            let mut failed = Vec::new();
-            for ((w, attempt), ack) in pending.into_iter().zip(acks) {
-                let mut slot = inner.slots[w].ctl.lock().unwrap();
-                let Err(e) = ack else {
-                    slot.replicas.acknowledged(id, size);
-                    continue;
-                };
-                // The worker may or may not have kept it: it is told to
-                // drop it with the next broadcast it is sent.
-                slot.replicas.evict.extend(id);
-                drop(slot);
-                if attempt + 1 >= max_attempts {
-                    return Err(e.into_mura_error(w));
+            for (w, ack) in &acks {
+                let mut slot = inner.slots[*w].ctl.lock().unwrap();
+                match ack {
+                    Ok(()) => slot.replicas.acknowledged(id, size),
+                    // The worker may or may not have kept it: it is told to
+                    // drop it with the next broadcast it is sent.
+                    Err(_) => slot.replicas.evict.extend(id),
                 }
-                let _ = inner.repair(w, Some(ctx.fault), true);
-                failed.push((w, attempt + 1));
             }
-            if !failed.is_empty() {
-                inner.sync_peers();
-            }
-            pending = failed;
-        }
-        Ok(())
+            Ok(acks)
+        })
     }
 
     /// Drains every worker's span ring and converts the spans into
@@ -1256,9 +1027,7 @@ impl CommBackend for ProcCluster {
                     continue;
                 }
                 let kind = match s.kind {
-                    SPAN_RELAY => EventKind::ExchangeSend,
-                    SPAN_DELIVER => EventKind::ExchangeRecv,
-                    SPAN_TAKE => EventKind::ExchangeWait,
+                    SPAN_EXCHANGE => EventKind::ExchangeRecv,
                     SPAN_BCAST => EventKind::BroadcastRecv,
                     _ => continue,
                 };
@@ -1366,7 +1135,7 @@ mod tests {
     #[test]
     fn config_timings_are_ordered() {
         let cfg = ProcClusterConfig::default();
-        assert!(cfg.take_timeout < cfg.io_timeout, "collect wait must fit inside socket timeout");
         assert!(cfg.heartbeat < cfg.liveness_timeout);
+        assert!(cfg.liveness_timeout < cfg.io_timeout, "a dead worker is missed before a timeout");
     }
 }

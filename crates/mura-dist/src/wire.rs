@@ -1,6 +1,6 @@
 //! Length-delimited wire protocol for the multi-process cluster backend.
 //!
-//! Every frame on a coordinator↔worker or worker↔worker connection is
+//! Every frame on a coordinator↔worker connection is
 //! `[u32 len LE][u8 opcode][body][u32 crc LE]` where `len` counts the
 //! opcode byte plus the body, and `crc` is the CRC-32 (IEEE) of exactly
 //! those `len` bytes. Frames are capped at [`MAX_FRAME`] on both sides: a
@@ -15,20 +15,19 @@
 //! dropped connection and corrupted rows are never delivered.
 //!
 //! A frame is built in **one buffer** — prefix, opcode, header, payload and
-//! trailer — and leaves in one `write_all`; a frame is read into a buffer
-//! the connection reuses, checksummed once, and decoded as a [`Msg`] that
-//! *borrows* its payloads from that buffer. Rows are encoded once, as
+//! trailer — and leaves in one `write_all`; a frame is read whole into a
+//! buffer the connection reuses, checksummed once, and decoded as a [`Msg`]
+//! that *borrows* its payloads from that buffer. Rows are encoded once, as
 //! [`mura_core::codec`] row blocks written straight into the outgoing frame
 //! ([`BucketFrame::push_rows`], [`bcast_frame`]), and decoded once, straight
 //! onto the destination's bag ([`decode_rows_into`]).
 //!
 //! Exchange payloads (partition buckets, broadcast relations) are opaque
 //! byte blobs to the workers — only the coordinator encodes and decodes
-//! rows. A worker moves the bytes: receive `Relay`, forward each bucket to
-//! its destination peer as `Deliver`, and hand buffered buckets back to the
-//! coordinator on `Take`; and it keeps each named broadcast (`Bcast` with a
-//! [`ReplicaId`]) until the coordinator names it for eviction. This keeps
-//! both fixpoint plans unchanged (computation stays with the
+//! rows. A worker sends each `Exchange` frame (the buckets bound for it)
+//! straight back as it read it, and keeps each named broadcast (`Bcast`
+//! with a [`ReplicaId`]) until the coordinator names it for eviction. This
+//! keeps both fixpoint plans unchanged (computation stays with the
 //! coordinator's task threads) while making hash-exchange and broadcast
 //! traffic *real* socket bytes.
 
@@ -152,29 +151,23 @@ impl WireError {
 /// Result alias for the frame layer.
 pub type WireResult<T> = std::result::Result<T, WireError>;
 
-// Opcodes. Coordinator → worker requests, worker replies, and the
-// worker → worker `Deliver` one-way frame.
+// Opcodes: coordinator → worker requests and worker replies (an `Exchange`
+// is both).
 const OP_HELLO: u8 = 1;
-const OP_PEERS: u8 = 2;
-const OP_PING: u8 = 3;
-const OP_PONG: u8 = 4;
-const OP_RELAY: u8 = 5;
-const OP_TAKE: u8 = 6;
-const OP_TAKE_REPLY: u8 = 7;
-const OP_BCAST: u8 = 8;
-const OP_CANCEL: u8 = 9;
-const OP_EXIT: u8 = 10;
-const OP_OK: u8 = 11;
-const OP_ERR: u8 = 12;
-const OP_DELIVER: u8 = 13;
-const OP_TRACE_FLUSH: u8 = 14;
-const OP_TRACE: u8 = 15;
+const OP_PING: u8 = 2;
+const OP_PONG: u8 = 3;
+const OP_EXCHANGE: u8 = 4;
+const OP_BCAST: u8 = 5;
+const OP_EXIT: u8 = 6;
+const OP_OK: u8 = 7;
+const OP_ERR: u8 = 8;
+const OP_TRACE_FLUSH: u8 = 9;
+const OP_TRACE: u8 = 10;
 
 /// Trace context propagated on every data-plane frame (Dapper-style): the
-/// coordinator stamps RELAY/TAKE/BCAST requests, and workers copy the
-/// context onto the DELIVER frames they forward, so a bucket arriving at a
-/// peer still knows which query/fixpoint/superstep produced it. All-zero
-/// when tracing is off (`level == 0`); workers record spans only at
+/// coordinator stamps EXCHANGE/BCAST requests, so a worker's span knows
+/// which query/fixpoint/superstep produced the bytes. All-zero when
+/// tracing is off (`level == 0`); workers record spans only at
 /// `level >= 2` (superstep granularity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceCtx {
@@ -213,14 +206,11 @@ impl TraceCtx {
     }
 }
 
-/// Span kinds recorded worker-side (the `kind` byte of a [`WorkerSpan`]).
-pub const SPAN_RELAY: u8 = 1;
-/// A bucket received from a peer (`Deliver`).
-pub const SPAN_DELIVER: u8 = 2;
-/// A `Take` served, duration = time spent waiting for stragglers.
-pub const SPAN_TAKE: u8 = 3;
+/// Span kinds recorded worker-side (the `kind` byte of a [`WorkerSpan`]):
+/// an exchange frame echoed, duration = the echo's write.
+pub const SPAN_EXCHANGE: u8 = 1;
 /// A broadcast replica received.
-pub const SPAN_BCAST: u8 = 4;
+pub const SPAN_BCAST: u8 = 2;
 
 mura_obs::counter_set! {
     /// What a worker process counts about itself. The worker `take`s the
@@ -236,9 +226,7 @@ mura_obs::counter_set! {
         }
         counter "mura_worker_frames_total",
             "Data-plane frames handled by workers, counted worker-side." {
-            relays {op = "relay"},
-            delivers {op = "deliver"},
-            takes {op = "take"},
+            exchanges {op = "exchange"},
             bcasts {op = "bcast"},
         }
         counter "mura_worker_replica_evictions_total",
@@ -260,13 +248,10 @@ mura_obs::counter_set! {
 /// onto its own clock using the PING/PONG RTT-midpoint offset estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerSpan {
-    /// One of [`SPAN_RELAY`], [`SPAN_DELIVER`], [`SPAN_TAKE`],
-    /// [`SPAN_BCAST`].
+    /// [`SPAN_EXCHANGE`] or [`SPAN_BCAST`].
     pub kind: u8,
     /// Trace context propagated on the frame that caused this span.
     pub ctx: TraceCtx,
-    /// Exchange id (0 for broadcasts).
-    pub xid: u64,
     /// Data-plane payload bytes handled by this span.
     pub bytes: u64,
     /// Start, in µs on the worker's clock.
@@ -276,13 +261,12 @@ pub struct WorkerSpan {
 }
 
 /// Encoded size of a [`WorkerSpan`] in bytes.
-const SPAN_BYTES: usize = 1 + TRACE_CTX_BYTES + 32;
+const SPAN_BYTES: usize = 1 + TRACE_CTX_BYTES + 24;
 
 impl WorkerSpan {
     fn put(&self, out: &mut Vec<u8>) {
         out.push(self.kind);
         self.ctx.put(out);
-        put_u64(out, self.xid);
         put_u64(out, self.bytes);
         put_u64(out, self.t_us);
         put_u64(out, self.dur_us);
@@ -292,7 +276,6 @@ impl WorkerSpan {
         Ok(WorkerSpan {
             kind: c.u8()?,
             ctx: TraceCtx::get(c)?,
-            xid: c.u64()?,
             bytes: c.u64()?,
             t_us: c.u64()?,
             dur_us: c.u64()?,
@@ -304,39 +287,25 @@ impl WorkerSpan {
 /// frame buffer it was read into; nothing is copied out of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Msg<'a> {
-    /// Coordinator introduces worker `id` of `n` on a fresh connection.
-    Hello { id: u32, n: u32 },
-    /// The (re-broadcast after every respawn) table of peer listen ports.
-    Peers(Vec<u16>),
+    /// The coordinator opens a fresh control connection.
+    Hello,
     /// Heartbeat request (supervisor liveness probe).
     Ping,
     /// Heartbeat reply, carrying the worker's monotonic clock (µs since
     /// its process start) for RTT-midpoint clock alignment.
     Pong { t_us: u64 },
-    /// Exchange `xid`: forward each `(to, payload)` bucket to its peer.
-    /// `watermark` is the lowest still-active exchange id; buffered buckets
-    /// of older exchanges are pruned (they belong to abandoned attempts).
-    Relay { xid: u64, watermark: u64, ctx: TraceCtx, entries: Vec<(u32, &'a [u8])> },
-    /// Collect `expect` buckets buffered for exchange `xid`, waiting up to
-    /// `timeout_ms` for stragglers.
-    Take { xid: u64, expect: u32, timeout_ms: u64, ctx: TraceCtx },
-    /// Reply to [`Msg::Take`]: the `(from, payload)` buckets received.
-    TakeReply(Vec<(u32, &'a [u8])>),
+    /// The `(from, payload)` buckets of one exchange bound for this
+    /// worker. The worker answers with the frame as it read it.
+    Exchange { ctx: TraceCtx, buckets: Vec<(u32, &'a [u8])> },
     /// A broadcast relation payload replicated to this worker, kept under
     /// `id` when it has one, after dropping the replicas `evict` names.
     Bcast { ctx: TraceCtx, id: Option<ReplicaId>, evict: Vec<ReplicaId>, payload: &'a [u8] },
-    /// A cancelled exchange: discard what is buffered under its attempts'
-    /// exchange ids, and nothing else.
-    Cancel { xids: Vec<u64> },
     /// Orderly shutdown request; the worker process exits.
     Exit,
     /// Generic success reply.
     Ok,
-    /// Generic failure reply (e.g. a peer connection could not be made).
+    /// Generic failure reply (e.g. a replica that does not fit).
     Err(String),
-    /// Worker → worker: bucket `payload` of exchange `xid` sent by `from`,
-    /// carrying the trace context of the originating relay.
-    Deliver { xid: u64, from: u32, ctx: TraceCtx, payload: &'a [u8] },
     /// Coordinator → worker: hand over buffered spans of `trace_id`
     /// (0 = everything), plus the worker's counters since the last flush.
     TraceFlush { trace_id: u64 },
@@ -345,29 +314,15 @@ pub enum Msg<'a> {
     TraceBatch { spans: Vec<WorkerSpan>, counters: WorkerSnapshot },
 }
 
-/// One `[u32 peer][u32 len][payload]` entry of a relay or take-reply body,
-/// its payload written in place by `fill`.
-fn put_entry(out: &mut Vec<u8>, peer: u32, fill: impl FnOnce(&mut Vec<u8>)) {
-    put_u32(out, peer);
-    put_bytes_with(out, fill);
-}
-
-fn put_entries(out: &mut Vec<u8>, entries: &[(u32, &[u8])]) {
-    put_u32(out, entries.len() as u32);
-    for &(peer, payload) in entries {
-        put_entry(out, peer, |out| out.extend_from_slice(payload));
-    }
-}
-
-fn get_entries<'a>(c: &mut Cur<'a>) -> WireResult<Vec<(u32, &'a [u8])>> {
-    // An entry is at least its two `u32`s: a count the frame cannot hold
+fn get_buckets<'a>(c: &mut Cur<'a>) -> WireResult<Vec<(u32, &'a [u8])>> {
+    // A bucket is at least its two `u32`s: a count the frame cannot hold
     // is refused before anything is allocated for it.
     let n = c.seq_len(8)?;
-    let mut entries = Vec::with_capacity(n);
+    let mut buckets = Vec::with_capacity(n);
     for _ in 0..n {
-        entries.push((c.u32()?, c.bytes()?));
+        buckets.push((c.u32()?, c.bytes()?));
     }
-    Ok(entries)
+    Ok(buckets)
 }
 
 fn put_replica(out: &mut Vec<u8>, id: ReplicaId) {
@@ -394,63 +349,31 @@ impl<'a> Msg<'a> {
     /// trailer not) to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Msg::Hello { id, n } => {
-                out.push(OP_HELLO);
-                put_u32(out, *id);
-                put_u32(out, *n);
-            }
-            Msg::Peers(ports) => {
-                out.push(OP_PEERS);
-                put_u32(out, ports.len() as u32);
-                for p in ports {
-                    out.extend_from_slice(&p.to_le_bytes());
-                }
-            }
+            Msg::Hello => out.push(OP_HELLO),
             Msg::Ping => out.push(OP_PING),
             Msg::Pong { t_us } => {
                 out.push(OP_PONG);
                 put_u64(out, *t_us);
             }
-            Msg::Relay { xid, watermark, ctx, entries } => {
-                out.push(OP_RELAY);
-                put_u64(out, *xid);
-                put_u64(out, *watermark);
+            Msg::Exchange { ctx, buckets } => {
+                out.push(OP_EXCHANGE);
                 ctx.put(out);
-                put_entries(out, entries);
-            }
-            Msg::Take { xid, expect, timeout_ms, ctx } => {
-                out.push(OP_TAKE);
-                put_u64(out, *xid);
-                put_u32(out, *expect);
-                put_u64(out, *timeout_ms);
-                ctx.put(out);
-            }
-            Msg::TakeReply(entries) => {
-                out.push(OP_TAKE_REPLY);
-                put_entries(out, entries);
+                put_u32(out, buckets.len() as u32);
+                for &(from, payload) in buckets {
+                    put_u32(out, from);
+                    put_bytes_with(out, |out| out.extend_from_slice(payload));
+                }
             }
             Msg::Bcast { ctx, id, evict, payload } => {
                 out.push(OP_BCAST);
                 put_bcast_head(out, *ctx, *id, evict);
                 put_bytes_with(out, |out| out.extend_from_slice(payload));
             }
-            Msg::Cancel { xids } => {
-                out.push(OP_CANCEL);
-                put_u32(out, xids.len() as u32);
-                xids.iter().for_each(|&xid| put_u64(out, xid));
-            }
             Msg::Exit => out.push(OP_EXIT),
             Msg::Ok => out.push(OP_OK),
             Msg::Err(msg) => {
                 out.push(OP_ERR);
                 codec::put_string(out, msg);
-            }
-            Msg::Deliver { xid, from, ctx, payload } => {
-                out.push(OP_DELIVER);
-                put_u64(out, *xid);
-                put_u32(out, *from);
-                ctx.put(out);
-                put_bytes_with(out, |out| out.extend_from_slice(payload));
             }
             Msg::TraceFlush { trace_id } => {
                 out.push(OP_TRACE_FLUSH);
@@ -481,30 +404,12 @@ impl<'a> Msg<'a> {
     pub fn decode(buf: &'a [u8]) -> WireResult<Msg<'a>> {
         let mut c = Cur::new(buf);
         let msg = match c.u8()? {
-            OP_HELLO => Msg::Hello { id: c.u32()?, n: c.u32()? },
-            OP_PEERS => {
-                let n = c.seq_len(2)?;
-                let mut ports = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ports.push(c.u16()?);
-                }
-                Msg::Peers(ports)
-            }
+            OP_HELLO => Msg::Hello,
             OP_PING => Msg::Ping,
             OP_PONG => Msg::Pong { t_us: c.u64()? },
-            OP_RELAY => Msg::Relay {
-                xid: c.u64()?,
-                watermark: c.u64()?,
-                ctx: TraceCtx::get(&mut c)?,
-                entries: get_entries(&mut c)?,
-            },
-            OP_TAKE => Msg::Take {
-                xid: c.u64()?,
-                expect: c.u32()?,
-                timeout_ms: c.u64()?,
-                ctx: TraceCtx::get(&mut c)?,
-            },
-            OP_TAKE_REPLY => Msg::TakeReply(get_entries(&mut c)?),
+            OP_EXCHANGE => {
+                Msg::Exchange { ctx: TraceCtx::get(&mut c)?, buckets: get_buckets(&mut c)? }
+            }
             OP_BCAST => Msg::Bcast {
                 ctx: TraceCtx::get(&mut c)?,
                 id: match c.u8()? {
@@ -517,18 +422,9 @@ impl<'a> Msg<'a> {
                     .collect::<WireResult<_>>()?,
                 payload: c.bytes()?,
             },
-            OP_CANCEL => {
-                Msg::Cancel { xids: (0..c.seq_len(8)?).map(|_| c.u64()).collect::<Result<_, _>>()? }
-            }
             OP_EXIT => Msg::Exit,
             OP_OK => Msg::Ok,
             OP_ERR => Msg::Err(c.string()?),
-            OP_DELIVER => Msg::Deliver {
-                xid: c.u64()?,
-                from: c.u32()?,
-                ctx: TraceCtx::get(&mut c)?,
-                payload: c.bytes()?,
-            },
             OP_TRACE_FLUSH => Msg::TraceFlush { trace_id: c.u64()? },
             OP_TRACE => {
                 let mut values = [0; WorkerSnapshot::N];
@@ -568,25 +464,18 @@ fn end_frame(buf: &mut Vec<u8>, cap: usize) -> WireResult<()> {
     Ok(())
 }
 
-fn frame_within(buf: &mut Vec<u8>, msg: &Msg<'_>, cap: usize) -> WireResult<()> {
-    recycle(buf);
-    put_u32(buf, 0);
-    msg.encode_into(buf);
-    end_frame(buf, cap)
-}
-
-/// Builds the complete frame of `msg` in `buf` (replacing its contents, so
-/// a connection can reuse one buffer for everything it sends). Fails with
-/// [`WireError::FrameTooLarge`] when the body exceeds [`MAX_FRAME`].
-pub fn frame(buf: &mut Vec<u8>, msg: &Msg<'_>) -> WireResult<()> {
-    frame_within(buf, msg, MAX_FRAME)
-}
-
-/// The complete frame of `msg` as a buffer of its own.
-pub fn framed(msg: &Msg<'_>) -> WireResult<Vec<u8>> {
+fn framed_within(msg: &Msg<'_>, cap: usize) -> WireResult<Vec<u8>> {
     let mut buf = Vec::new();
-    frame(&mut buf, msg)?;
+    put_u32(&mut buf, 0);
+    msg.encode_into(&mut buf);
+    end_frame(&mut buf, cap)?;
     Ok(buf)
+}
+
+/// The complete frame of `msg` as a buffer of its own. Fails with
+/// [`WireError::FrameTooLarge`] when the body exceeds [`MAX_FRAME`].
+pub fn framed(msg: &Msg<'_>) -> WireResult<Vec<u8>> {
+    framed_within(msg, MAX_FRAME)
 }
 
 /// Writes `msg` as one frame in one `write_all`. Returns the total bytes
@@ -619,7 +508,8 @@ pub fn write_corrupted_frame(w: &mut impl Write, msg: &Msg<'_>, entropy: u64) ->
 /// enforcing [`MAX_FRAME`] and the CRC-32 trailer — the one pass over the
 /// frame's bytes on the receiving side. Returns the decoded message, which
 /// borrows its payloads from `buf`, and the total bytes read (prefix and
-/// trailer included).
+/// trailer included). `buf` then holds the whole frame as it came off the
+/// wire, so it can be sent back unchanged.
 pub fn read_frame<'b>(r: &mut impl Read, buf: &'b mut Vec<u8>) -> WireResult<(Msg<'b>, u64)> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
@@ -632,6 +522,7 @@ pub fn read_frame<'b>(r: &mut impl Read, buf: &'b mut Vec<u8>) -> WireResult<(Ms
     }
     let rest = len + 4;
     recycle(buf);
+    buf.extend_from_slice(&len_buf);
     // Straight into the spare capacity, grown as the bytes arrive rather
     // than reserved for what the prefix claims: a lying prefix costs what
     // was sent, not up to `MAX_FRAME`. A connection's buffer keeps its
@@ -639,7 +530,7 @@ pub fn read_frame<'b>(r: &mut impl Read, buf: &'b mut Vec<u8>) -> WireResult<(Ms
     if r.by_ref().take(rest as u64).read_to_end(buf)? < rest {
         return Err(WireError::Truncated);
     }
-    let (body, trailer) = buf.split_at(len);
+    let (body, trailer) = buf[4..].split_at(len);
     let expected = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
     let got = mura_core::crc32(body);
     if got != expected {
@@ -648,12 +539,11 @@ pub fn read_frame<'b>(r: &mut impl Read, buf: &'b mut Vec<u8>) -> WireResult<(Ms
     Ok((Msg::decode(body)?, (FRAME_OVERHEAD + len) as u64))
 }
 
-/// A relay or take-reply frame under construction: a frame whose body ends
-/// in a counted list of `[u32 peer][u32 len][payload]` buckets, each written
-/// (or encoded from rows) exactly once, in place. Sealing patches the
-/// header and appends the trailer, so the bytes that go to the socket are
-/// the buffer itself; a relay can be sealed again under a fresh exchange
-/// id without touching its buckets.
+/// A [`Msg::Exchange`] frame under construction: a frame whose body ends in
+/// a counted list of `[u32 from][u32 len][payload]` buckets, each encoded
+/// from rows exactly once, in place. Sealing patches the count and the
+/// length prefix and appends the trailer, so the bytes that go to the
+/// socket — on every attempt — are the buffer itself.
 #[derive(Debug)]
 pub struct BucketFrame {
     buf: Vec<u8>,
@@ -666,62 +556,35 @@ pub struct BucketFrame {
     sealed: bool,
 }
 
-/// Body bytes of a [`Msg::TakeReply`] ahead of its buckets (opcode and
-/// count): with the buckets' own sizes, what the reply to a take will weigh.
-pub(crate) const TAKE_REPLY_HEAD: usize = 5;
-
-/// Offset of a relay frame's `xid` (the `watermark` follows it): behind
-/// the length prefix and the opcode.
-const RELAY_XID_AT: usize = 5;
-
 impl BucketFrame {
-    fn start(head: impl FnOnce(&mut Vec<u8>)) -> BucketFrame {
+    /// An empty [`Msg::Exchange`] frame stamped with `ctx`.
+    pub fn exchange(ctx: TraceCtx) -> BucketFrame {
         let mut buf = Vec::new();
         put_u32(&mut buf, 0);
-        head(&mut buf);
+        buf.push(OP_EXCHANGE);
+        ctx.put(&mut buf);
         let count_at = buf.len();
         put_u32(&mut buf, 0);
         BucketFrame { buf, count_at, count: 0, last_at: 0, payload_bytes: 0, sealed: false }
     }
 
-    /// An empty [`Msg::Relay`] frame; exchange id and watermark are set
-    /// when it is sealed.
-    pub fn relay(ctx: TraceCtx) -> BucketFrame {
-        BucketFrame::start(|buf| {
-            buf.push(OP_RELAY);
-            put_u64(buf, 0);
-            put_u64(buf, 0);
-            ctx.put(buf);
-        })
-    }
-
-    /// An empty [`Msg::TakeReply`] frame (a worker's inbox for one
-    /// exchange: buckets are appended as they arrive, and the reply is the
-    /// buffer itself).
-    pub fn take_reply() -> BucketFrame {
-        BucketFrame::start(|buf| buf.push(OP_TAKE_REPLY))
-    }
-
-    fn push_with(&mut self, peer: u32, fill: impl FnOnce(&mut Vec<u8>)) {
-        debug_assert!(!self.sealed, "bucket pushed into a sealed frame");
-        self.last_at = self.buf.len();
-        put_entry(&mut self.buf, peer, fill);
+    fn pushed(&mut self) {
         self.count += 1;
         self.payload_bytes += (self.buf.len() - self.last_at - 8) as u64;
     }
 
-    /// Appends the bucket `payload` for (or from) `peer`.
-    pub fn push(&mut self, peer: u32, payload: &[u8]) {
-        self.push_with(peer, |buf| buf.extend_from_slice(payload));
-    }
-
-    /// Encodes `rows` as the bucket for `peer`, straight into the frame.
-    pub fn push_rows<I>(&mut self, peer: u32, arity: usize, rows: I)
+    /// Encodes `rows` as the bucket from worker `from`, straight into the
+    /// frame.
+    pub fn push_rows<I>(&mut self, from: u32, arity: usize, rows: I)
     where
         I: IntoIterator + Clone,
         I::Item: AsRef<[Value]>,
     {
-        self.push_with(peer, |buf| codec::put_rows(buf, arity, rows));
+        debug_assert!(!self.sealed, "bucket pushed into a sealed frame");
+        self.last_at = self.buf.len();
+        put_u32(&mut self.buf, from);
+        put_bytes_with(&mut self.buf, |buf| codec::put_rows(buf, arity, rows));
+        self.pushed();
     }
 
     /// Appends a copy of the most recent bucket (an injected duplicate or
@@ -731,8 +594,7 @@ impl BucketFrame {
         let from = self.last_at;
         self.last_at = self.buf.len();
         self.buf.extend_from_within(from..self.last_at);
-        self.count += 1;
-        self.payload_bytes += (self.buf.len() - self.last_at - 8) as u64;
+        self.pushed();
     }
 
     /// Buckets in the frame.
@@ -746,16 +608,8 @@ impl BucketFrame {
         self.payload_bytes
     }
 
-    /// Size of the sealed frame on the wire.
-    pub fn wire_len(&self) -> usize {
-        self.buf.len() + if self.sealed { 0 } else { 4 }
-    }
-
     fn seal_within(&mut self, cap: usize) -> WireResult<()> {
-        if self.sealed {
-            self.buf.truncate(self.buf.len() - 4);
-            self.sealed = false;
-        }
+        debug_assert!(!self.sealed, "a frame is sealed once");
         self.buf[self.count_at..self.count_at + 4].copy_from_slice(&self.count.to_le_bytes());
         end_frame(&mut self.buf, cap)?;
         self.sealed = true;
@@ -767,17 +621,6 @@ impl BucketFrame {
     /// beyond [`MAX_FRAME`].
     pub fn seal(&mut self) -> WireResult<()> {
         self.seal_within(MAX_FRAME)
-    }
-
-    /// [`BucketFrame::seal`] for a relay, stamping this attempt's exchange
-    /// id and prune watermark into the header. A retry calls this again:
-    /// header and trailer are rewritten around the buckets, which stay as
-    /// they were encoded.
-    pub fn seal_relay(&mut self, xid: u64, watermark: u64) -> WireResult<()> {
-        debug_assert_eq!(self.buf[4], OP_RELAY);
-        self.buf[RELAY_XID_AT..RELAY_XID_AT + 8].copy_from_slice(&xid.to_le_bytes());
-        self.buf[RELAY_XID_AT + 8..RELAY_XID_AT + 16].copy_from_slice(&watermark.to_le_bytes());
-        self.seal()
     }
 
     /// The sealed frame, ready for one `write_all`.
@@ -884,21 +727,15 @@ mod tests {
 
     #[test]
     fn messages_round_trip() {
-        round_trip(Msg::Hello { id: 2, n: 4 });
-        round_trip(Msg::Peers(vec![4000, 4001, 65535]));
+        round_trip(Msg::Hello);
         round_trip(Msg::Ping);
         round_trip(Msg::Pong { t_us: 123_456_789 });
-        round_trip(Msg::Relay {
-            xid: 9,
-            watermark: 7,
+        round_trip(Msg::Exchange {
             ctx: test_ctx(),
-            entries: vec![(0, &[1, 2, 3][..]), (3, &[][..])],
+            buckets: vec![(0, &[1, 2, 3][..]), (3, &[][..])],
         });
-        round_trip(Msg::Take { xid: 9, expect: 3, timeout_ms: 2000, ctx: test_ctx() });
-        round_trip(Msg::TakeReply(vec![(1, &[0xFF; 32][..])]));
+        round_trip(Msg::Exchange { ctx: TraceCtx::default(), buckets: vec![] });
         round_trip(bcast(TraceCtx::default(), &[5; 100]));
-        round_trip(Msg::Cancel { xids: vec![] });
-        round_trip(Msg::Cancel { xids: vec![3, u64::MAX] });
         round_trip(Msg::Bcast {
             ctx: test_ctx(),
             id: Some(ReplicaId { term: 0xFEED, version: 12 }),
@@ -907,22 +744,20 @@ mod tests {
         });
         round_trip(Msg::Exit);
         round_trip(Msg::Ok);
-        round_trip(Msg::Err("no route to peer".into()));
-        round_trip(Msg::Deliver { xid: 1, from: 2, ctx: test_ctx(), payload: &[9, 9] });
+        round_trip(Msg::Err("replica store full".into()));
         round_trip(Msg::TraceFlush { trace_id: 0xDEAD_BEEF });
         round_trip(Msg::TraceBatch {
             spans: vec![
                 WorkerSpan {
-                    kind: SPAN_RELAY,
+                    kind: SPAN_EXCHANGE,
                     ctx: test_ctx(),
-                    xid: 11,
                     bytes: 4096,
                     t_us: 1_000_000,
                     dur_us: 250,
                 },
                 WorkerSpan::default(),
             ],
-            counters: WorkerSnapshot::decode([5, 2, 8, 2, 1, 3, 4, 4096]),
+            counters: WorkerSnapshot::decode([5, 8, 2, 3, 4, 4096]),
         });
     }
 
@@ -931,7 +766,8 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, &bcast(test_ctx(), &[7; 300])).unwrap();
         write_frame(&mut wire, &Msg::Ok).unwrap();
-        write_frame(&mut wire, &Msg::TakeReply(vec![(2, &[1; 40][..])])).unwrap();
+        let exchange = Msg::Exchange { ctx: test_ctx(), buckets: vec![(2, &[1; 40][..])] };
+        write_frame(&mut wire, &exchange).unwrap();
         let mut stream = wire.as_slice();
         let mut buf = Vec::new();
         let (first, _) = read_frame(&mut stream, &mut buf).unwrap();
@@ -939,7 +775,7 @@ mod tests {
         let cap = buf.capacity();
         assert_eq!(read_frame(&mut stream, &mut buf).unwrap().0, Msg::Ok);
         let (third, _) = read_frame(&mut stream, &mut buf).unwrap();
-        assert_eq!(third, Msg::TakeReply(vec![(2, &[1; 40][..])]));
+        assert_eq!(third, exchange);
         assert_eq!(buf.capacity(), cap, "smaller frames reuse the allocation");
         assert!(stream.is_empty());
         // A frame past the retention limit does not stay allocated.
@@ -962,40 +798,29 @@ mod tests {
     fn bucket_frames_are_the_messages_they_stand_for() {
         let rows = [pair(1, 2), pair(3, 4)];
         let block = encode_rows(2, &rows);
-        let mut relay = BucketFrame::relay(test_ctx());
-        relay.push_rows(1, 2, &rows);
-        relay.repeat_last();
-        relay.push(0, &[9, 9, 9]);
-        assert_eq!(relay.count(), 3);
-        assert_eq!(relay.payload_bytes(), 2 * block.len() as u64 + 3);
-        let expected_len = relay.wire_len();
-        relay.seal_relay(77, 70).unwrap();
-        let wire = relay.bytes().to_vec();
-        assert_eq!(wire.len(), expected_len);
-        assert_eq!(relay.wire_len(), expected_len);
+        let mut exchange = BucketFrame::exchange(test_ctx());
+        exchange.push_rows(1, 2, &rows);
+        exchange.repeat_last();
+        exchange.push_rows(0, 2, &rows[..1]);
+        let single = encode_rows(2, &rows[..1]);
+        assert_eq!(exchange.count(), 3);
+        assert_eq!(exchange.payload_bytes(), (2 * block.len() + single.len()) as u64);
+        exchange.seal().unwrap();
+        let wire = exchange.bytes().to_vec();
         let mut buf = Vec::new();
         let (msg, n) = read_frame(&mut wire.as_slice(), &mut buf).unwrap();
         assert_eq!(n as usize, wire.len());
-        let expected = Msg::Relay {
-            xid: 77,
-            watermark: 70,
+        let expected = Msg::Exchange {
             ctx: test_ctx(),
-            entries: vec![(1, &block[..]), (1, &block[..]), (0, &[9, 9, 9][..])],
+            buckets: vec![(1, &block[..]), (1, &block[..]), (0, &single[..])],
         };
         assert_eq!(msg, expected);
         // Byte for byte what the generic encoder writes.
-        let mut generic = Vec::new();
-        frame(&mut generic, &expected).unwrap();
-        assert_eq!(wire, generic);
-
-        let mut reply = BucketFrame::take_reply();
-        reply.seal().unwrap();
-        assert_eq!(read_frame(&mut reply.bytes(), &mut buf).unwrap().0, Msg::TakeReply(vec![]));
-        let mut reply = BucketFrame::take_reply();
-        reply.push(3, &block);
-        reply.seal().unwrap();
-        let (msg, _) = read_frame(&mut reply.bytes(), &mut buf).unwrap();
-        assert_eq!(msg, Msg::TakeReply(vec![(3, &block[..])]));
+        assert_eq!(wire, framed(&expected).unwrap());
+        let mut empty = BucketFrame::exchange(test_ctx());
+        empty.seal().unwrap();
+        let (msg, _) = read_frame(&mut empty.bytes(), &mut buf).unwrap();
+        assert_eq!(msg, Msg::Exchange { ctx: test_ctx(), buckets: vec![] });
 
         let rel = Relation::from_rows(Schema::new(vec![Sym(0), Sym(1)]), rows.iter().cloned());
         let id = Some(ReplicaId { term: 5, version: 6 });
@@ -1014,40 +839,41 @@ mod tests {
     }
 
     #[test]
-    fn resealing_a_relay_rewrites_header_and_trailer_only() {
-        let mut relay = BucketFrame::relay(test_ctx());
-        relay.push_rows(1, 2, &[pair(10, 20), pair(30, 40)]);
-        relay.push_rows(0, 2, &[pair(50, 60)]);
-        relay.seal_relay(5, 5).unwrap();
-        let first = relay.bytes().to_vec();
-        relay.seal_relay(6, 5).unwrap();
-        let second = relay.bytes().to_vec();
-        assert_eq!(first.len(), second.len());
-        let buckets = RELAY_XID_AT + 16..first.len() - 4;
-        assert_eq!(first[buckets.clone()], second[buckets], "buckets are not re-encoded");
-        assert_eq!(first[..RELAY_XID_AT], second[..RELAY_XID_AT]);
-        assert_ne!(first[RELAY_XID_AT..RELAY_XID_AT + 8], second[RELAY_XID_AT..RELAY_XID_AT + 8]);
+    fn a_frame_read_is_in_its_buffer_byte_for_byte() {
+        // What a worker echoes: the read buffer, not a frame built again.
+        let mut exchange = BucketFrame::exchange(test_ctx());
+        exchange.push_rows(1, 2, &[pair(10, 20), pair(30, 40)]);
+        exchange.push_rows(0, 2, &[pair(50, 60)]);
+        exchange.seal().unwrap();
+        let mut wire = exchange.bytes().to_vec();
+        write_frame(&mut wire, &Msg::Ok).unwrap();
+        let mut stream = wire.as_slice();
         let mut buf = Vec::new();
-        let (msg, _) = read_frame(&mut second.as_slice(), &mut buf).unwrap();
-        assert!(
-            matches!(msg, Msg::Relay { xid: 6, watermark: 5, ref entries, .. } if entries.len() == 2)
-        );
+        let (msg, n) = read_frame(&mut stream, &mut buf).unwrap();
+        assert!(matches!(msg, Msg::Exchange { ref buckets, .. } if buckets.len() == 2));
+        assert_eq!(n as usize, exchange.bytes().len());
+        assert_eq!(buf, exchange.bytes());
+        let (msg, _) = read_frame(&mut stream, &mut buf).unwrap();
+        assert_eq!(msg, Msg::Ok);
+        assert_eq!(buf, framed(&Msg::Ok).unwrap());
     }
 
     #[test]
     fn an_oversized_frame_is_refused_before_the_socket_is_touched() {
         // Lowered cap: the production path differs only in the constant.
         let msg = bcast(test_ctx(), &[1; 64]);
-        let mut buf = Vec::new();
-        match frame_within(&mut buf, &msg, 32) {
+        match framed_within(&msg, 32) {
             Err(WireError::FrameTooLarge { len }) => assert_eq!(len as usize, msg.encode().len()),
             other => panic!("expected FrameTooLarge, got {other:?}"),
         }
-        frame_within(&mut buf, &msg, 128).unwrap();
-        let mut relay = BucketFrame::relay(test_ctx());
-        relay.push(0, &[0; 100]);
-        assert!(matches!(relay.seal_within(64), Err(WireError::FrameTooLarge { .. })));
-        assert!(relay.seal_within(4096).is_ok());
+        framed_within(&msg, 128).unwrap();
+        let rows: Vec<Row> = (0..20).map(|i| pair(i, i)).collect();
+        let mut exchange = BucketFrame::exchange(test_ctx());
+        exchange.push_rows(0, 2, &rows);
+        assert!(matches!(exchange.seal_within(64), Err(WireError::FrameTooLarge { .. })));
+        let mut exchange = BucketFrame::exchange(test_ctx());
+        exchange.push_rows(0, 2, &rows);
+        assert!(exchange.seal_within(4096).is_ok());
         // Final, not retryable: resending the same rows cannot fit either.
         let err = WireError::FrameTooLarge { len: 1 << 30 }.into_mura_error(2);
         assert!(!err.is_retryable(), "{err:?}");
@@ -1065,13 +891,12 @@ mod tests {
         }
         buf.extend_from_slice(&(1u32 << 30).to_le_bytes());
         assert!(matches!(Msg::decode(&buf), Err(WireError::Malformed(_))));
-        // Likewise bucket and port counts.
-        for op in [OP_TAKE_REPLY, OP_PEERS] {
-            let mut buf = vec![op];
-            buf.extend_from_slice(&u32::MAX.to_le_bytes());
-            buf.extend_from_slice(&[0; 64]);
-            assert!(matches!(Msg::decode(&buf), Err(WireError::Malformed(_))));
-        }
+        // Likewise a bucket count.
+        let mut buf = vec![OP_EXCHANGE];
+        buf.extend_from_slice(&[0; TRACE_CTX_BYTES]);
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(&[0; 64]);
+        assert!(matches!(Msg::decode(&buf), Err(WireError::Malformed(_))));
     }
 
     #[test]
@@ -1090,7 +915,7 @@ mod tests {
 
     #[test]
     fn truncated_frame_is_typed() {
-        let body = Msg::Hello { id: 0, n: 2 }.encode();
+        let body = Msg::Pong { t_us: 2 }.encode();
         let mut wire = Vec::new();
         wire.extend_from_slice(&(body.len() as u32 + 10).to_le_bytes());
         wire.extend_from_slice(&body); // 10 bytes short of the claim
@@ -1103,12 +928,7 @@ mod tests {
 
     #[test]
     fn flipped_bit_fails_the_checksum() {
-        let msg = Msg::Relay {
-            xid: 4,
-            watermark: 1,
-            ctx: test_ctx(),
-            entries: vec![(1, &[0xAB; 64][..])],
-        };
+        let msg = Msg::Exchange { ctx: test_ctx(), buckets: vec![(1, &[0xAB; 64][..])] };
         let mut wire = Vec::new();
         write_frame(&mut wire, &msg).unwrap();
         // Flip one payload bit (past the length prefix, before the CRC).

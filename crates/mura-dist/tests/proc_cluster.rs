@@ -313,8 +313,8 @@ fn on_fresh_fleet(
 }
 
 /// Chaos: under a fixed seed the process cluster takes real `SIGKILL`s
-/// mid-exchange (between the relay and collect phases, so buffered
-/// buckets genuinely die with the worker) and severed control
+/// mid-exchange (just before a worker's request goes out, so the request
+/// fails and is sent again to the respawned process) and severed control
 /// connections — and still returns the exact centralized answer, with
 /// reproducible injection counts (each run from a fresh fleet) and
 /// recovery recorded in the snapshot.
@@ -430,8 +430,8 @@ fn moved_values_cost_at_most_five_bytes_and_bytes_repeat_for_a_seed() {
     let moved = placed.repartition(&[Sym(0)], &cluster).unwrap();
     assert_eq!(moved.collect().sorted_rows(), rel.sorted_rows());
     // A broadcast puts the relation on the wire once per worker; an
-    // exchange puts every row that changes worker on it twice (relay out,
-    // take back), and the rows that stay not at all.
+    // exchange puts every row that changes worker on it twice (out to its
+    // destination and echoed back), and the rows that stay not at all.
     let crossed: usize = (0..workers)
         .map(|w| moved.parts()[w].iter().filter(|row| !placed.parts()[w].contains(row)).count())
         .sum();
@@ -463,8 +463,8 @@ fn moved_values_cost_at_most_five_bytes_and_bytes_repeat_for_a_seed() {
     proc.shutdown();
 }
 
-/// Scatter/gather under each process-mode fault on its own: the relays,
-/// takes and broadcasts that go out to every worker before any reply is
+/// Scatter/gather under each process-mode fault on its own: the exchange
+/// frames and broadcasts that go out to every worker before any reply is
 /// read still recover from a real `SIGKILL`, a severed connection, a
 /// corrupted frame and a stalled socket — the answer equals the
 /// simulator's under the same fault plan, and so do the rows moved.
@@ -525,10 +525,10 @@ fn scatter_gather_survives_each_process_fault_with_the_simulators_rows_moved() {
 }
 
 /// An exchange that has to go round again — every control connection is
-/// severed before the first attempt and every worker killed between its
-/// relay and its take — encodes its rows once all the same: a retry
-/// re-seals the frames it already has, and an injected retransmission or
-/// duplicate is the encoded bytes again, not the rows encoded again. The
+/// severed and every worker killed before its first request goes out —
+/// encodes its rows once all the same: a retry sends the sealed frames it
+/// already has, and an injected retransmission or duplicate is the
+/// encoded bytes again, not the rows encoded again. The
 /// buckets that stay on their worker are not encoded at all: they never
 /// leave the coordinator, though their drops and duplicates are rolled
 /// like the simulator's.
@@ -573,18 +573,80 @@ fn a_retried_exchange_encodes_its_rows_exactly_once() {
     let faults = plan.snapshot();
     assert_eq!(faults.dropped_connections, workers as u64, "{faults}");
     assert_eq!(faults.killed_workers, workers as u64, "{faults}");
-    assert!(faults.worker_respawns > 0, "the first attempt must have failed: {faults}");
+    // Both processes died before their request went out, so the first
+    // attempt failed. Which of the exchange and the supervisor replaced
+    // them is a race (`FaultSnapshot::counts` leaves respawns out).
+    let respawns = proc.health_snapshot().respawns;
+    assert!(respawns >= workers as u64, "killed workers were not replaced: {respawns}");
     let every_bucket = (workers * workers) as u64;
     assert_eq!((faults.injected_drops, faults.injected_duplicates), (every_bucket, every_bucket));
-    // Three copies of every crossing bucket went out with the first
-    // attempt and again with the second, and came back once...
+    // The first attempt met dead workers and put nothing on the wire; the
+    // second sent three copies of every crossing bucket out and back...
     let comm = cluster.metrics().snapshot();
-    assert!(
-        comm.wire_exchange_bytes >= 9 * crossing * block,
-        "the exchange was not retried on the wire: {comm:?}"
-    );
+    assert_eq!(comm.wire_exchange_bytes, 6 * crossing * block, "{comm:?}");
     // ... but each of their rows was encoded once, and no other row.
     assert_eq!(proc.health_snapshot().rows_encoded - encoded_before, crossing * per_bucket);
+    proc.shutdown();
+}
+
+/// A retry goes to the destinations whose echo failed, and to no other.
+/// On a 3-worker fleet a seeded kill takes down one destination just
+/// before its frame goes out; once its process is respawned it is sent the
+/// same frame again, while the other two echo theirs once. The workers
+/// count one exchange frame per destination between them, the wire
+/// carries each crossing bucket out and back once, and each crossing row
+/// was encoded once.
+#[test]
+fn a_failed_echo_is_retried_for_its_destination_alone() {
+    let (workers, killed) = (3, 1);
+    let fault =
+        |seed| FaultConfig { seed, panic_prob: 0.5, failures_per_site: 1, ..Default::default() };
+    // A seed whose first site kills that destination alone, found on a
+    // probe plan: the plan the exchange runs under has counted nothing.
+    let seed = (0..)
+        .find(|&seed| {
+            let probe = FaultPlan::new(fault(seed));
+            let site = probe.next_site();
+            (0..workers).all(|w| probe.kill_worker(site, w, 0) == (w == killed))
+        })
+        .unwrap();
+    let plan = Arc::new(FaultPlan::new(fault(seed)));
+    let proc = proc_cluster(workers);
+    let cluster = Cluster::new(workers)
+        .with_backend(proc.clone() as Arc<dyn CommBackend>)
+        .with_faults(plan.clone(), RecoveryPolicy::default());
+    let schema = Schema::new(vec![Sym(0), Sym(1)]);
+    let bucket = |from: usize, to: usize| -> Rows {
+        let mut rows = Rows::new(2);
+        for i in 0..(5 + 3 * from + to) as u64 {
+            rows.push(&[Value::node((from * workers + to) as u64), Value::node(i)]);
+        }
+        rows
+    };
+    let buckets: Vec<Vec<Rows>> =
+        (0..workers).map(|from| (0..workers).map(|to| bucket(from, to)).collect()).collect();
+    let sim = Cluster::new(workers).exchange_at(0, &schema, buckets.clone()).unwrap();
+    proc.replica_audit(); // Takes what the workers counted so far.
+    let (frames, encoded) = (proc.worker_snapshot().exchanges, proc.health_snapshot().rows_encoded);
+
+    let parts = cluster.exchange_at(plan.next_site(), &schema, buckets.clone()).unwrap();
+
+    assert_eq!(parts, sim);
+    let faults = plan.snapshot();
+    assert_eq!(faults.killed_workers, 1, "{faults}");
+    assert!(proc.health_snapshot().respawns >= 1, "the killed destination was not replaced");
+    proc.replica_audit();
+    let echoed = proc.worker_snapshot().exchanges - frames;
+    assert_eq!(echoed, workers as u64, "one echo per destination, and no frame sent again");
+    let (mut bytes, mut rows) = (0, 0);
+    for (from, to) in (0..workers).flat_map(|f| (0..workers).map(move |t| (f, t))) {
+        if from != to {
+            bytes += wire::encode_rows(2, &buckets[from][to]).len() as u64;
+            rows += buckets[from][to].len() as u64;
+        }
+    }
+    assert_eq!(cluster.metrics().snapshot().wire_exchange_bytes, 2 * bytes);
+    assert_eq!(proc.health_snapshot().rows_encoded - encoded, rows);
     proc.shutdown();
 }
 
@@ -608,13 +670,13 @@ fn out_of_band_sigkill_is_detected_respawned_and_queries_stay_exact() {
 
     assert!(cluster.kill_worker_process(1), "worker 1 should be running");
     // Query issued while the worker is dead: the exchange path repairs it,
-    // and learns of the death from a relay that is not acknowledged, not
-    // from workers 0 and 2 waiting out a take for buckets that never come.
+    // and learns of the death from a request the dead worker cannot take,
+    // not from a socket timing out.
     let asked = Instant::now();
     let (got, _, _) = run_on(&db, TC_QUERY, config());
     assert_eq!(got.sorted_rows(), expected.sorted_rows(), "query during worker death diverged");
-    let take_timeout = ProcClusterConfig::default().take_timeout;
-    assert!(asked.elapsed() < take_timeout, "waited out a take: {:?}", asked.elapsed());
+    let io_timeout = ProcClusterConfig::default().io_timeout;
+    assert!(asked.elapsed() < io_timeout, "waited out a socket: {:?}", asked.elapsed());
 
     // The supervisor (or the exchange) must have respawned it.
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -930,7 +992,7 @@ fn replicas_past_the_cap_are_evicted_and_the_record_matches_the_worker() {
 
 /// A bucket that stays on its worker never leaves the coordinator: a
 /// 1-worker exchange moves no payload byte, and a 2-worker exchange moves
-/// exactly its crossing buckets, each twice (relay out, take back), and
+/// exactly its crossing buckets, each twice (out and echoed back), and
 /// encodes their rows alone — partitions equal to the simulator's.
 #[test]
 fn only_buckets_that_change_worker_cross_a_socket() {
@@ -972,15 +1034,13 @@ fn only_buckets_that_change_worker_cross_a_socket() {
     }
 }
 
-/// A cancelled exchange discards its own attempts' buckets and nobody
-/// else's. While one query runs, another keeps cancelling its exchanges
-/// before their first attempt — which used to clear every inbox on the
-/// fleet — and the survivor finishes with no retry: its answer, fault
+/// A cancelled exchange leaves other queries' exchanges alone. While one
+/// query runs, another keeps cancelling its exchanges before their first
+/// attempt, and the survivor finishes with no retry: its answer, fault
 /// counts, wire bytes and encoded rows equal an undisturbed run's (both
 /// on a warm fleet), and no control connection was made again. The
-/// survivor runs under a fault plan that only stalls for 0 ms: that makes
-/// each of its exchanges relay and take in two rounds, with its buckets
-/// buffered on the workers in between.
+/// survivor runs under a fault plan that only stalls for 0 ms, so its
+/// fault coordinates are rolled too.
 #[test]
 fn a_cancelled_exchange_leaves_other_queries_buckets_alone() {
     use mura_core::CancellationToken;

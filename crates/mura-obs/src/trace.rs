@@ -60,12 +60,15 @@ pub enum EventKind {
     Recovery,
     /// The fixpoint converged (carries the final size in `delta_rows`).
     FixpointEnd,
-    /// Worker lane: a relay fanned buckets out to peers (merged from a
-    /// worker-side span; `worker` is the relaying worker).
+    /// Worker lane: buckets a worker relayed to its peers. Workers no
+    /// longer record it (they echo exchange frames instead); it stays for
+    /// readers that name it.
     ExchangeSend,
-    /// Worker lane: a bucket arrived from a peer.
+    /// Worker lane: the buckets of an exchange bound for the worker, echoed
+    /// back to the coordinator (merged from a worker-side span).
     ExchangeRecv,
-    /// Worker lane: a `Take` was served; duration = straggler wait.
+    /// Worker lane: a wait for buckets from peers. Workers no longer
+    /// record it; it stays for readers that name it.
     ExchangeWait,
     /// Worker lane: a broadcast replica landed on the worker.
     BroadcastRecv,

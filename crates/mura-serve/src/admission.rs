@@ -377,12 +377,6 @@ impl Pending {
         self.token.cancel();
     }
 
-    /// The query's cancellation token (cloneable; share it to let others
-    /// cancel).
-    pub fn token(&self) -> &CancellationToken {
-        &self.token
-    }
-
     /// Blocks until the query resolves.
     pub fn wait(self) -> ServeResult<Arc<Answer>> {
         self.rx.recv().unwrap_or(Err(ServeError::Closed))

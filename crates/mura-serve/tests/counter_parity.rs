@@ -370,16 +370,14 @@ fn two_worker_processes(moved: &mut Moved) {
     assert!(out.trace().is_some());
     let page = server.metrics();
     let read = |series: &str| sample(&page, series).unwrap_or_else(|| panic!("{series}:\n{page}"));
-    // Every exchange is one relay to and one take from each of the two
+    // Every exchange is at most one frame echoed by each of the two
     // workers, and the coordinator's shuffle count says how many exchanges
     // there were: the workers' own count of the data plane stays within it
     // (it trails by what they handled since their last flush).
     let exchanges = read("mura_comm_shuffles_total");
     assert!(exchanges > 0.0);
-    for op in ["relay", "take"] {
-        let frames = read(&format!("mura_worker_frames_total{{op=\"{op}\"}}"));
-        assert!(0.0 < frames && frames <= 2.0 * exchanges, "{op}: {frames} of {exchanges}");
-    }
+    let frames = read("mura_worker_frames_total{op=\"exchange\"}");
+    assert!(0.0 < frames && frames <= 2.0 * exchanges, "{frames} of {exchanges}");
     // The workers keep the replicas they were sent: profiled again, the
     // query is sent none, and every row it broadcasts is spared on both.
     let (bcasts, broadcast) = (read("mura_worker_frames_total{op=\"bcast\"}"), read(ROWS_BCAST));

@@ -298,21 +298,16 @@ fn valid_frames() -> Vec<Vec<u8>> {
     let rel =
         Relation::from_pairs(Sym(0), Sym(1), (0..12).map(|i| (i, i + 1)).chain([(MARKER, 1)]));
     let block = wire::encode_relation(&rel);
-    let span = WorkerSpan { kind: 1, ctx, xid: 3, bytes: 40, t_us: 9, dur_us: 2 };
+    let span = WorkerSpan { kind: 1, ctx, bytes: 40, t_us: 9, dur_us: 2 };
     let msgs = [
-        Msg::Hello { id: 1, n: 2 },
-        Msg::Peers(vec![4000, 4001]),
+        Msg::Hello,
         Msg::Ping,
         Msg::Pong { t_us: 5 },
-        Msg::Relay { xid: 3, watermark: 2, ctx, entries: vec![(1, &block), (0, &block[..4])] },
-        Msg::Take { xid: 3, expect: 2, timeout_ms: 2000, ctx },
-        Msg::TakeReply(vec![(0, &block), (1, &block)]),
+        Msg::Exchange { ctx, buckets: vec![(0, &block), (1, &block)] },
         Msg::Bcast { ctx, id: Some(id(1)), evict: vec![id(2), id(3)], payload: &block },
-        Msg::Cancel { xids: vec![3, 4] },
         Msg::Exit,
         Msg::Ok,
-        Msg::Err("deliver to 1: connection refused".into()),
-        Msg::Deliver { xid: 3, from: 1, ctx, payload: &block },
+        Msg::Err("replica store full".into()),
         Msg::TraceFlush { trace_id: 7 },
         Msg::TraceBatch {
             spans: vec![span, span],
@@ -337,13 +332,13 @@ fn sealed(body: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// Reads `frame` and decodes the bucket payloads of a relay or take reply
-/// the way the coordinator decodes a take reply, within bounds.
+/// Reads `frame` and decodes the bucket payloads of an exchange the way the
+/// coordinator decodes an echoed one, within bounds.
 fn reads_within_bounds(frame: &[u8], what: &str) -> Result<(), WireError> {
     within_bounds(frame, &FRAMES, what, |frame| {
         let mut buf = Vec::new();
         let msg = read_frame(&mut &frame[..], &mut buf)?.0;
-        if let Msg::TakeReply(buckets) | Msg::Relay { entries: buckets, .. } = &msg {
+        if let Msg::Exchange { buckets, .. } = &msg {
             let mut part = Rows::new(2);
             for (_, payload) in buckets {
                 let _ = decode_rows_into(payload, &mut part);
@@ -399,10 +394,10 @@ fn mutated_worker_frames_read_to_a_typed_error_or_a_message() {
             let mut buf = Vec::new();
             let msg = read_frame(&mut sealed(&body).as_slice(), &mut buf).expect(&what).0;
             let payloads = match &msg {
-                Msg::TakeReply(buckets) | Msg::Relay { entries: buckets, .. } => {
+                Msg::Exchange { buckets, .. } => {
                     buckets.iter().map(|(_, payload)| *payload).collect()
                 }
-                Msg::Bcast { payload, .. } | Msg::Deliver { payload, .. } => vec![*payload],
+                Msg::Bcast { payload, .. } => vec![*payload],
                 other => panic!("{what}: no payload in {other:?}"),
             };
             for payload in
@@ -414,7 +409,8 @@ fn mutated_worker_frames_read_to_a_typed_error_or_a_message() {
             }
         }
     }
-    assert!(refused >= 4, "every payload opcode refuses the seeded integer: {refused}");
+    // Two exchange buckets and one broadcast payload carry the marker.
+    assert_eq!(refused, 3, "every payload opcode refuses the seeded integer");
 }
 
 #[test]
