@@ -1072,6 +1072,7 @@ fn a_cancelled_exchange_leaves_other_queries_buckets_alone() {
     };
     let undisturbed = measured();
     let stop = AtomicBool::new(false);
+    let started = std::sync::Barrier::new(2);
     let (disturbed, cancelled) = std::thread::scope(|s| {
         let canceller = s.spawn(|| {
             let cancel = CancellationToken::new();
@@ -1081,13 +1082,19 @@ fn a_cancelled_exchange_leaves_other_queries_buckets_alone() {
                 .with_cancel(Some(cancel));
             let schema = Schema::new(vec![Sym(0), Sym(1)]);
             let mut cancelled = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 let buckets = (0..workers).map(|_| vec![Rows::new(2); workers]).collect();
                 assert!(cluster.exchange_at(0, &schema, buckets).is_err());
                 cancelled += 1;
+                if cancelled == 1 {
+                    started.wait(); // The survivor starts after the first cancel.
+                }
+                if stop.load(Ordering::Relaxed) {
+                    return cancelled;
+                }
             }
-            cancelled
         });
+        started.wait();
         let disturbed = measured();
         stop.store(true, Ordering::Relaxed);
         (disturbed, canceller.join().unwrap())
