@@ -10,6 +10,11 @@
 //! worth a hand-off and runs on the calling thread (see
 //! [`Cluster::par_map_sized`]).
 //!
+//! An exchange's buckets are decided here, with a process fleet
+//! ([`CommBackend`]) or without one: [`Cluster::exchange_bags_at`] rolls each
+//! bucket's injected drop and duplicate once and fills the bags of what
+//! stays on the coordinator; a fleet only moves, and decodes, the rest.
+//!
 //! Every partition task runs under a **task supervisor**: each attempt is
 //! a [`FaultPlan::guarded`] one, so a panicking worker is captured as
 //! `MuraError::WorkerFailed` instead of aborting the process, and
@@ -27,15 +32,16 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Everything a communication backend needs to run one exchange or
 /// broadcast: the fault plan and site coordinates for deterministic
 /// injection, the metrics sink for traffic accounting, the recovery policy
 /// bounding repair loops, and the cancellation token.
 pub struct ExchangeCtx<'a> {
-    /// Fault plan driving injected drops/dups (both backends) and
-    /// kills/connection-drops/socket-delays (process backend).
+    /// Fault plan driving the fleet's kills, connection drops, socket
+    /// delays and corrupted frames (an exchange's drops and duplicates are
+    /// rolled by the [`Cluster`] before the fleet is called).
     pub fault: &'a FaultPlan,
     /// Driver-allocated fault site of this exchange.
     pub site: u64,
@@ -124,43 +130,38 @@ pub struct ReplicaId {
     pub version: u64,
 }
 
-/// The communication fabric behind a [`Cluster`]: how bucketed exchange
-/// data and broadcast relations move between partitions. The fixpoint
-/// drivers never see this seam — they call [`Cluster::exchange_at`] /
-/// [`Cluster::broadcast_rel`] and run unchanged on either backend.
+/// The process fleet behind a [`Cluster`]: how the buckets that change
+/// worker and the broadcast relations move between worker processes. The
+/// fixpoint drivers never see this seam — they call [`Cluster::exchange_at`]
+/// / [`Cluster::broadcast_rel`] and run unchanged with a fleet or without
+/// one. Without one the cluster keeps every row in process; what a bucket
+/// becomes (dropped, duplicated) is decided by the cluster either way, so
+/// the fleet only moves what it is handed.
 ///
-/// Implementations: [`SimBackend`] (the in-process simulator — buckets are
-/// concatenated driver-side, deterministic and dependency-free) and
-/// [`crate::proc::ProcCluster`] (separate worker OS processes moving the
-/// same buckets over length-delimited TCP frames).
+/// The one implementation is [`crate::proc::ProcCluster`] (separate worker
+/// OS processes moving the buckets over length-delimited TCP frames).
 pub trait CommBackend: Send + Sync + std::fmt::Debug {
-    /// Short backend name for diagnostics (`"sim"` / `"proc"`).
-    fn name(&self) -> &'static str;
+    /// Worker processes in the fleet; a [`Cluster`] given this backend has
+    /// as many workers.
+    fn worker_count(&self) -> usize;
 
-    /// Fixed worker count this backend supports, if any. [`Cluster`]
-    /// creation asserts compatibility when `Some`.
-    fn worker_count(&self) -> Option<usize> {
-        None
-    }
-
-    /// Performs one hash exchange: `buckets[from][to]` holds the rows
-    /// worker `from` routed to worker `to`; the result is, per destination,
-    /// every row it received, as one bag in source order. At-least-once
-    /// delivery: injected drops are retransmitted, and injected duplicates
-    /// are delivered — the bag holds them twice. Set semantics are the
-    /// consumer's (see [`Cluster::exchange_at`]).
+    /// Moves the buckets that change worker: `crossing` holds, in source
+    /// order, `(from, to, rows, shipped, decoded)` for each non-empty bucket
+    /// worker `from` routed to another worker `to`. `shipped` copies of
+    /// `rows` cross the sockets (an injected drop is a first copy lost in
+    /// transit and sent again, so it costs its bytes) and `decoded` of them
+    /// are appended to `bags[to]` (a lost copy never reaches a bag).
     fn exchange(
         &self,
         ctx: &ExchangeCtx<'_>,
-        schema: &Schema,
-        buckets: Vec<Vec<Rows>>,
-    ) -> Result<Vec<Rows>>;
+        crossing: Vec<(usize, usize, Rows, u32, u32)>,
+        bags: &mut [Rows],
+    ) -> Result<()>;
 
     /// Replicates `rel` to every worker. `id` names the value across
-    /// queries (`None`: it has no name and always ships); the process
-    /// backend ships it only to workers that do not hold it yet. Row
-    /// accounting is the caller's and counts every broadcast, shipped or
-    /// not.
+    /// queries (`None`: it has no name and always ships); it ships only to
+    /// workers that do not hold it yet. Row accounting is the caller's and
+    /// counts every broadcast, shipped or not.
     fn broadcast(&self, ctx: &ExchangeCtx<'_>, rel: &Relation, id: Option<ReplicaId>)
         -> Result<()>;
 
@@ -168,66 +169,8 @@ pub trait CommBackend: Send + Sync + std::fmt::Debug {
     /// [`TraceEvent`]s with timestamps relative to `base` (the trace
     /// sink's start instant), returning `(events, dropped)` where
     /// `dropped` counts spans evicted from worker rings before they could
-    /// be flushed. The simulator has no remote spans — its workers record
-    /// directly into the coordinator sink — so the default is empty,
-    /// which keeps sim and proc traces identical modulo worker lanes.
-    fn flush_trace(&self, _trace_id: u64, _base: Instant) -> (Vec<TraceEvent>, u64) {
-        (Vec::new(), 0)
-    }
-}
-
-/// The in-process simulator backend: the buckets bound for a destination
-/// are concatenated on the driver; injected drops are
-/// counted-and-retransmitted and injected duplicates delivered twice.
-#[derive(Debug, Default)]
-pub struct SimBackend;
-
-impl CommBackend for SimBackend {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn exchange(
-        &self,
-        ctx: &ExchangeCtx<'_>,
-        schema: &Schema,
-        buckets: Vec<Vec<Rows>>,
-    ) -> Result<Vec<Rows>> {
-        // How many copies of each bucket arrive, decided in source order.
-        let mut copies = Vec::with_capacity(ctx.workers * ctx.workers);
-        let mut sizes = vec![0; ctx.workers];
-        for (from, outgoing) in buckets.iter().enumerate() {
-            for (t, bucket) in outgoing.iter().enumerate() {
-                let mut n = 1;
-                if ctx.fault.is_active() && !bucket.is_empty() {
-                    if ctx.fault.drop_exchange(ctx.site, from, t) {
-                        // Lost in transit: the receiver's ack times out and
-                        // the sender retransmits — we deliver the retry.
-                        ctx.fault.record_time_lost(std::time::Duration::from_micros(
-                            bucket.len() as u64
-                        ));
-                    }
-                    n += usize::from(ctx.fault.duplicate_exchange(ctx.site, from, t));
-                }
-                copies.push(n);
-                sizes[t] += n * bucket.len();
-            }
-        }
-        let mut bags: Vec<Rows> =
-            sizes.iter().map(|&size| Rows::with_capacity(schema.arity(), size)).collect();
-        for (outgoing, copies) in buckets.iter().zip(copies.chunks(ctx.workers)) {
-            for ((bag, bucket), &n) in bags.iter_mut().zip(outgoing).zip(copies) {
-                (0..n).for_each(|_| bag.append(bucket));
-            }
-        }
-        Ok(bags)
-    }
-
-    fn broadcast(&self, _: &ExchangeCtx<'_>, _: &Relation, _: Option<ReplicaId>) -> Result<()> {
-        // Replication is free in the simulator: workers share the driver's
-        // address space, so the broadcast variable is the `Arc` itself.
-        Ok(())
-    }
+    /// be flushed.
+    fn flush_trace(&self, trace_id: u64, base: Instant) -> (Vec<TraceEvent>, u64);
 }
 
 /// A simulated Spark-like cluster.
@@ -238,7 +181,9 @@ pub struct Cluster {
     fault: Arc<FaultPlan>,
     recovery: RecoveryPolicy,
     cancel: Option<CancellationToken>,
-    backend: Arc<dyn CommBackend>,
+    /// The process fleet the rows that change worker cross; `None` keeps
+    /// every row in process.
+    backend: Option<Arc<dyn CommBackend>>,
     /// Current trace context, updated by the evaluator at fixpoint /
     /// superstep boundaries and stamped onto every exchange or broadcast
     /// the drivers run in between. Shared across clones like the metrics.
@@ -256,7 +201,7 @@ impl Cluster {
             fault: Arc::new(FaultPlan::disabled()),
             recovery: RecoveryPolicy::default(),
             cancel: None,
-            backend: Arc::new(SimBackend),
+            backend: None,
             trace_ctx: Arc::new(Mutex::new(TraceCtx::default())),
         }
     }
@@ -275,17 +220,14 @@ impl Cluster {
         self
     }
 
-    /// Swaps the communication backend (default: [`SimBackend`]). The
-    /// worker counts must agree — partitions map 1:1 onto backend workers.
+    /// Moves the rows that change worker through a process fleet (default:
+    /// none, every row stays in process). The worker counts must agree —
+    /// partitions map 1:1 onto the fleet's workers.
     pub fn with_backend(mut self, backend: Arc<dyn CommBackend>) -> Self {
-        if let Some(n) = backend.worker_count() {
-            assert_eq!(
-                n, self.workers,
-                "backend has {n} workers but the cluster was built for {}",
-                self.workers
-            );
-        }
-        self.backend = backend;
+        let n = backend.worker_count();
+        let workers = self.workers;
+        assert_eq!(n, workers, "backend has {n} workers but the cluster was built for {workers}");
+        self.backend = Some(backend);
         self
     }
 
@@ -304,9 +246,11 @@ impl Cluster {
         &self.fault
     }
 
-    /// The communication backend moving exchange/broadcast data.
-    pub fn backend(&self) -> &Arc<dyn CommBackend> {
-        &self.backend
+    /// Drains the fleet's worker-side spans of `trace_id` (see
+    /// [`CommBackend::flush_trace`]). In process there are none: the
+    /// workers record straight into the coordinator's sink.
+    pub fn flush_trace(&self, trace_id: u64, base: Instant) -> (Vec<TraceEvent>, u64) {
+        self.backend.as_ref().map_or_else(Default::default, |b| b.flush_trace(trace_id, base))
     }
 
     /// Updates the trace context stamped onto subsequent data-plane
@@ -321,7 +265,7 @@ impl Cluster {
         *self.trace_ctx.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Runs one hash exchange through the backend at fault site `site`:
+    /// Runs one hash exchange at fault site `site`:
     /// `buckets[from][to]` are the rows worker `from` routed to worker
     /// `to`; returns the destination partitions, each deduplicated by its
     /// own task ([`Relation::from_bag`]).
@@ -341,16 +285,62 @@ impl Cluster {
 
     /// [`Cluster::exchange_at`] without the deduplication: per destination,
     /// every row it received, injected duplicates included.
+    ///
+    /// Each non-empty bucket's fate is decided here, once, in source order:
+    /// an injected drop loses its first copy in transit (the sender sends it
+    /// again, so time and traffic are lost, never a row), an injected
+    /// duplicate delivers it twice. A bucket that stays on the coordinator —
+    /// every bucket without a fleet, one that stays on its worker with one —
+    /// goes into its destination's bag here; the fleet moves the others.
     pub fn exchange_bags_at(
         &self,
         site: u64,
         schema: &Schema,
         buckets: Vec<Vec<Rows>>,
     ) -> Result<Vec<Rows>> {
-        self.backend.exchange(&self.exchange_ctx(site), schema, buckets)
+        let fault = &self.fault;
+        let mut staying = Vec::with_capacity(self.workers * self.workers);
+        let mut crossing = Vec::new();
+        let mut sizes = vec![0; self.workers];
+        for (from, outgoing) in buckets.into_iter().enumerate() {
+            for (to, bucket) in outgoing.into_iter().enumerate() {
+                if bucket.is_empty() {
+                    continue;
+                }
+                let active = fault.is_active();
+                let dropped = active && fault.drop_exchange(site, from, to);
+                let duplicated = active && fault.duplicate_exchange(site, from, to);
+                if dropped {
+                    // The receiver's ack times out before the retransmission.
+                    fault.record_time_lost(Duration::from_micros(bucket.len() as u64));
+                }
+                let copies = 1 + u32::from(duplicated);
+                if self.backend.is_some() && from != to {
+                    crossing.push((from, to, bucket, copies + u32::from(dropped), copies));
+                } else {
+                    sizes[to] += copies as usize * bucket.len();
+                    staying.push((to, bucket, copies));
+                }
+            }
+        }
+        let mut bags: Vec<Rows> = (0..self.workers).map(|_| Rows::new(schema.arity())).collect();
+        for (to, bucket, copies) in staying {
+            if bucket.len() == sizes[to] {
+                // The one copy its bag holds: moved in, not copied.
+                bags[to] = bucket;
+                continue;
+            }
+            let bag = &mut bags[to];
+            bag.reserve(sizes[to] - bag.len());
+            (0..copies).for_each(|_| bag.append(&bucket));
+        }
+        if let Some(fleet) = &self.backend {
+            fleet.exchange(&self.exchange_ctx(site), crossing, &mut bags)?;
+        }
+        Ok(bags)
     }
 
-    /// What the backend runs an exchange or a broadcast at `site` under.
+    /// What the fleet runs an exchange or a broadcast at `site` under.
     fn exchange_ctx(&self, site: u64) -> ExchangeCtx<'_> {
         ExchangeCtx {
             fault: &self.fault,
@@ -364,15 +354,18 @@ impl Cluster {
     }
 
     /// Replicates `rel`, the value named `id` ([`ReplicaId`]), to every
-    /// worker through the backend, recording the row accounting: the
-    /// paper's broadcast, counted per query whatever crossed a socket. The
-    /// simulator's broadcast is free (shared address space); the process
-    /// backend ships the encoded relation to each worker that lacks it and
-    /// allocates its own fault site internally, so simulator fault streams
-    /// are unaffected by this call.
+    /// worker, recording the row accounting: the paper's broadcast, counted
+    /// per query whatever crossed a socket. In process it is free (the
+    /// workers share the driver's address space: the broadcast variable is
+    /// the `Arc` itself); a fleet ships the encoded relation to each worker
+    /// that lacks it and allocates its own fault site internally, so the
+    /// in-process fault streams are unaffected by this call.
     pub fn broadcast_rel(&self, rel: &Relation, id: Option<ReplicaId>) -> Result<()> {
         self.metrics.record_broadcast(rel.len() as u64, self.workers);
-        self.backend.broadcast(&self.exchange_ctx(0), rel, id)
+        match &self.backend {
+            Some(fleet) => fleet.broadcast(&self.exchange_ctx(0), rel, id),
+            None => Ok(()),
+        }
     }
 
     /// Runs `f(i, &items[i])` on every worker in parallel, collecting the

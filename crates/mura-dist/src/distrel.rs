@@ -244,8 +244,8 @@ impl DistRel {
         let n = cluster.workers();
         cluster.metrics().record_shuffle(self.len() as u64);
         let exchange_site = cluster.fault().next_site();
-        // Each worker buckets its partition; the backend moves the buckets
-        // (driver-side on the simulator, real sockets on ProcCluster).
+        // Each worker buckets its partition; the cluster moves the buckets
+        // (driver-side in process, over real sockets with a ProcCluster).
         let bucketed: Vec<Vec<Rows>> =
             cluster.par_map_sized(self.parts(), Relation::len, |_, p| {
                 split_by_key(p.rows(), &key_pos, n)

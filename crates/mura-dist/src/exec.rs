@@ -103,8 +103,8 @@ pub struct ExecConfig {
     /// `delta ∪ (seed \ acc)` instead of from the seed — the incremental
     /// maintenance path after a database delta.
     pub resume: Option<Arc<FxHashMap<u64, FixResume>>>,
-    /// Communication backend override. `None` (the default) uses the
-    /// in-process simulator; `Some` plugs in e.g. a
+    /// Process fleet. `None` (the default) keeps every row in process;
+    /// `Some` plugs in a
     /// [`crate::proc::ProcCluster`] so exchanges and broadcasts cross real
     /// sockets. The worker count must match [`ExecConfig::workers`].
     pub backend: Option<Arc<dyn CommBackend>>,
@@ -529,13 +529,12 @@ impl<'db> DistEvaluator<'db> {
         });
     }
 
-    /// Drains worker-side spans (process backend) into the coordinator
-    /// sink as clock-aligned worker-lane events. No-op when tracing is
-    /// off or the backend keeps no remote spans (the simulator).
+    /// Drains worker-side spans (process fleet) into the coordinator sink
+    /// as clock-aligned worker-lane events. No-op when tracing is off or
+    /// there is no fleet.
     fn flush_worker_trace(&self) {
         let Some(sink) = self.sink.as_deref() else { return };
-        let (events, dropped) =
-            self.cluster.backend().flush_trace(sink.trace_id(), sink.start_instant());
+        let (events, dropped) = self.cluster.flush_trace(sink.trace_id(), sink.start_instant());
         for ev in events {
             sink.record(ev);
         }

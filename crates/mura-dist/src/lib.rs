@@ -1,9 +1,11 @@
 //! # mura-dist — distributed evaluation of μ-RA terms
 //!
 //! This crate is the Rust substitute for the Spark substrate the paper
-//! deploys on: an in-process cluster simulator with explicit partitions,
-//! hash shuffles, broadcasts and **communication accounting**, plus the
-//! paper's two distributed fixpoint plans:
+//! deploys on: a cluster with explicit partitions, hash shuffles,
+//! broadcasts and **communication accounting** ([`cluster`]), in process or
+//! with the rows that change worker moved through a fleet of worker
+//! processes over TCP ([`proc`]), plus the paper's two distributed fixpoint
+//! plans:
 //!
 //! * `P_gld` — *global loop on the driver*: each semi-naive
 //!   iteration runs as distributed dataset operations; the union/distinct
@@ -43,7 +45,7 @@ pub mod wire;
 pub mod worker;
 
 pub use cluster::{
-    Cluster, ClusterHealth, CommBackend, ExchangeCtx, ReplicaId, SimBackend, SupervisorEvent,
+    Cluster, ClusterHealth, CommBackend, ExchangeCtx, ReplicaId, SupervisorEvent,
     SupervisorEventKind,
 };
 pub use distrel::DistRel;

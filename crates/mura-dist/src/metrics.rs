@@ -26,8 +26,7 @@ mura_obs::counter_set! {
         }
         counter "mura_comm_broadcasts_total", "Broadcast operations." { broadcasts }
         counter "mura_wire_bytes_total", "Measured bytes on worker sockets, frames included." {
-            /// Zero on the in-process simulator backend; real traffic on
-            /// `ProcCluster`.
+            /// Zero in process; real traffic on `ProcCluster`.
             wire_tx_bytes {dir = "tx"},
             wire_rx_bytes {dir = "rx"},
         }

@@ -6,18 +6,20 @@
 //! [`CommBackend`], so both fixpoint plans run **unchanged** — only
 //! the exchange/broadcast data plane moves:
 //!
-//! * `exchange`: a bucket that stays on its worker (`buckets[w][w]`) is
-//!   merged into partition `w` on the coordinator and never encoded. Every
-//!   other bucket is encoded once, straight into its destination's
-//!   [`Msg::Exchange`] frame; the frames go out to every destination
-//!   before any reply is awaited (scatter/gather, `ProcInner::round`), each
-//!   worker sends its frame straight back, and the coordinator decodes the
-//!   reply straight into the destination partition. A destination whose
-//!   echo failed is sent the same sealed frame again, and no other; rows
-//!   are never encoded twice. Every bucket that changes worker genuinely
-//!   crosses a socket out and back, so the [`crate::metrics::CommStats`]
-//!   wire counters measure real traffic — the basis of the paper's `P_plw`
-//!   zero-communication claim, asserted in measured bytes.
+//! * `exchange`: [`crate::Cluster::exchange_bags_at`] keeps a bucket that
+//!   stays on its worker on the coordinator and decides how many copies of
+//!   every other one are shipped and decoded. Each crossing bucket is
+//!   encoded once, straight into its destination's [`Msg::Exchange`]
+//!   frame, its further copies repeated as bytes; the frames go out to
+//!   every destination before any reply is awaited (scatter/gather,
+//!   `ProcInner::round`), each worker sends its frame straight back, and the
+//!   coordinator decodes the reply straight into the destination's bag,
+//!   skipping a copy lost in transit. A destination whose echo failed is
+//!   sent the same sealed frame again, and no other; rows are never encoded
+//!   twice. Every bucket that changes worker genuinely crosses a socket out
+//!   and back, so the [`crate::metrics::CommStats`] wire counters measure
+//!   real traffic — the basis of the paper's `P_plw` zero-communication
+//!   claim, asserted in measured bytes.
 //! * `broadcast`: a worker keeps every replica it is sent under the value's
 //!   [`ReplicaId`], and the coordinator records in each worker's control
 //!   slot what that process holds. The relation is encoded into one
@@ -36,12 +38,15 @@
 //! [`mura_core::MuraError::WorkerFailed`] into the existing recovery
 //! ladder (task retry → stage rerun → checkpoint restore → restart).
 //!
-//! Fault injection: [`FaultPlan`] process-mode decisions map to real
-//! damage, drawn per worker and attempt before its request goes out —
+//! Fault injection: an exchange's drops and duplicates are rolled by the
+//! [`crate::Cluster`], which hands over their copies; the fleet draws the
+//! [`FaultPlan`] process-mode decisions, which map to real damage, per
+//! worker and attempt before its request goes out —
 //! [`FaultPlan::delay_socket`] stalls, [`FaultPlan::drop_connection`]
 //! severs the control socket, [`FaultPlan::corrupt_frame`] ships a frame
 //! with bit rot, and [`FaultPlan::kill_worker`] is an actual `SIGKILL` of
-//! the worker process, which fails exactly that worker's request.
+//! the worker process, which fails exactly that worker's request (at once:
+//! a request to a worker whose process has exited is not connected).
 //! Orphans are impossible: each worker holds the read end of its stdin
 //! pipe and exits on EOF, so coordinator death (clean or not) reaps it.
 
@@ -55,7 +60,7 @@ use crate::wire::{
     BucketFrame, Msg, WireError, WireResult, WorkerCounters, WorkerSnapshot, WorkerSpan,
     REPLICA_CAP, SPAN_BCAST, SPAN_EXCHANGE,
 };
-use mura_core::{Relation, Result, Rows, Schema};
+use mura_core::{Relation, Result, Rows};
 use mura_obs::histogram::HistogramSnapshot;
 use mura_obs::{EventKind, Histogram, TraceEvent};
 use std::borrow::Cow;
@@ -314,6 +319,12 @@ fn spawn_worker(cfg: &ProcClusterConfig) -> std::result::Result<(Child, u16), Wi
     }
 }
 
+/// Whether a worker's process is gone: never started, killed, or exited
+/// (and now reaped).
+fn exited(child: &mut Option<Child>) -> bool {
+    child.as_mut().is_none_or(|c| c.try_wait().map_or(true, |status| status.is_some()))
+}
+
 /// Connects to a worker port with bounded exponential backoff.
 fn connect(
     port: u16,
@@ -373,9 +384,15 @@ impl ProcInner {
 
     /// Writes the request `frame` on worker `w`'s control socket,
     /// (re)connecting as needed. Returns the bytes `(written, read)`,
-    /// handshake traffic included.
+    /// handshake traffic included. A worker whose process has exited fails
+    /// at once instead of backing off against a refused port: the caller
+    /// respawns it.
     fn send(&self, w: usize, slot: &mut CtlSlot, frame: &[u8]) -> WireResult<(u64, u64)> {
-        let (tx, rx) = if slot.conn.is_none() { self.hello(w, slot)? } else { (0, 0) };
+        let (tx, rx) = match slot.conn {
+            Some(_) => (0, 0),
+            None if exited(&mut slot.child) => return Err(WireError::WorkerExited),
+            None => self.hello(w, slot)?,
+        };
         slot.conn.as_mut().expect("just connected").write_all(frame)?;
         Ok((tx + frame.len() as u64, rx))
     }
@@ -570,11 +587,7 @@ impl ProcInner {
             if sever {
                 guard.conn = None;
             }
-            let dead = match &mut guard.child {
-                None => true,
-                Some(c) => c.try_wait().map(|s| s.is_some()).unwrap_or(true),
-            };
-            if dead {
+            if exited(&mut guard.child) {
                 if self.shutdown.load(Ordering::Relaxed) {
                     return Ok(());
                 }
@@ -844,63 +857,28 @@ fn expect_ok(reply: Msg<'_>) -> WireResult<()> {
 }
 
 impl CommBackend for ProcCluster {
-    fn name(&self) -> &'static str {
-        "proc"
-    }
-
-    fn worker_count(&self) -> Option<usize> {
-        Some(self.inner.n)
+    fn worker_count(&self) -> usize {
+        self.inner.n
     }
 
     fn exchange(
         &self,
         ctx: &ExchangeCtx<'_>,
-        schema: &Schema,
-        buckets: Vec<Vec<Rows>>,
-    ) -> Result<Vec<Rows>> {
+        crossing: Vec<(usize, usize, Rows, u32, u32)>,
+        bags: &mut [Rows],
+    ) -> Result<()> {
         let n = self.inner.n;
-        assert_eq!(ctx.workers, n, "exchange shape must match the process cluster");
-        let arity = schema.arity();
-        // Take the injection decisions once, up front, for every bucket as
-        // the simulator does: retries of the same exchange must not re-roll
-        // (or re-count) the same fault coordinates. A bucket that stays on
-        // its worker never leaves the coordinator: it is appended to its
-        // destination's bag here, an injected duplicate twice like the
-        // simulator's. Every other bucket is encoded once, straight into
-        // its destination's exchange frame; an injected drop is a first copy lost in
-        // transit — we ship the retransmission too, so it costs real extra
-        // bytes; an injected duplicate ships twice. Both extra copies are
-        // the encoded bytes again, and both land in the bag.
-        let mut parts: Vec<Rows> = (0..n).map(|_| Rows::new(arity)).collect();
+        // Each bucket is encoded once, straight into its destination's
+        // frame; its further copies are the encoded bytes again. Per
+        // destination, whether each bucket of the frame reaches the bag.
         let mut frames: Vec<BucketFrame> =
             (0..n).map(|_| BucketFrame::exchange(ctx.trace)).collect();
-        for (from, worker_buckets) in buckets.into_iter().enumerate() {
-            for (to, bucket) in worker_buckets.into_iter().enumerate() {
-                if bucket.is_empty() {
-                    continue;
-                }
-                let active = ctx.fault.is_active();
-                let dropped = active && ctx.fault.drop_exchange(ctx.site, from, to);
-                let duplicated = active && ctx.fault.duplicate_exchange(ctx.site, from, to);
-                if dropped {
-                    ctx.fault.record_time_lost(Duration::from_micros(bucket.len() as u64));
-                }
-                if from == to {
-                    // The first rows of the bag: it is empty until now.
-                    parts[to] = bucket;
-                    if duplicated {
-                        let again = parts[to].clone();
-                        parts[to].append(&again);
-                    }
-                    continue;
-                }
-                frames[to].push_rows(from as u32, arity, &bucket);
-                self.inner.counters.rows_encoded.add(bucket.len() as u64);
-                let copies = 1 + u32::from(dropped) + u32::from(duplicated);
-                for _ in 1..copies {
-                    frames[to].repeat_last();
-                }
-            }
+        let mut kept: Vec<Vec<bool>> = vec![Vec::new(); n];
+        for (from, to, rows, shipped, decoded) in crossing {
+            frames[to].push_rows(from as u32, rows.arity(), &rows);
+            self.inner.counters.rows_encoded.add(rows.len() as u64);
+            (1..shipped).for_each(|_| frames[to].repeat_last());
+            kept[to].extend((0..shipped).map(|copy| copy < decoded));
         }
         // A destination whose buckets cannot go out in one frame: final.
         for (to, frame) in frames.iter_mut().enumerate() {
@@ -918,19 +896,22 @@ impl CommBackend for ProcCluster {
                 let Msg::Exchange { buckets, .. } = reply else {
                     return Err(WireError::Malformed("unexpected exchange reply"));
                 };
+                if buckets.len() != kept[to].len() {
+                    return Err(WireError::Malformed("exchange echo of another frame"));
+                }
                 let payload = buckets.iter().map(|(_, payload)| payload.len() as u64).sum();
                 ctx.metrics.record_wire_rx(rx, payload);
-                let before = parts[to].len();
-                let decoded = buckets
-                    .iter()
-                    .try_for_each(|(_, payload)| decode_rows_into(payload, &mut parts[to]));
+                let bag = &mut bags[to];
+                let before = bag.len();
+                let mut kept_payloads = buckets.iter().zip(&kept[to]).filter(|(_, &keep)| keep);
+                let decoded =
+                    kept_payloads.try_for_each(|((_, payload), _)| decode_rows_into(payload, bag));
                 if decoded.is_err() {
-                    parts[to].truncate(before);
+                    bag.truncate(before);
                 }
                 decoded
             }))
-        })?;
-        Ok(parts)
+        })
     }
 
     fn broadcast(
@@ -941,8 +922,8 @@ impl CommBackend for ProcCluster {
     ) -> Result<()> {
         let inner = &self.inner;
         // The broadcast allocates its own fault site whether or not anything
-        // ships: the simulator backend never consumes one here, and site
-        // streams must stay aligned.
+        // ships, so the sites a query draws do not depend on what the fleet
+        // holds.
         let site = ctx.fault.next_site();
         let _one_at_a_time = inner.broadcasting.lock().unwrap();
         // Encoded and checksummed once, when a worker first lacks the

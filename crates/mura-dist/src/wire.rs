@@ -84,6 +84,9 @@ pub enum WireError {
     Malformed(&'static str),
     /// An underlying socket error.
     Io(std::io::Error),
+    /// The worker process has exited: nothing listens on its port until it
+    /// is respawned.
+    WorkerExited,
 }
 
 impl fmt::Display for WireError {
@@ -102,6 +105,7 @@ impl fmt::Display for WireError {
             }
             WireError::Malformed(what) => write!(f, "malformed frame: {what}"),
             WireError::Io(e) => write!(f, "socket error: {e}"),
+            WireError::WorkerExited => write!(f, "worker process has exited"),
         }
     }
 }

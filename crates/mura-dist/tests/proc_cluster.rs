@@ -357,15 +357,14 @@ fn seeded_kills_and_connection_drops_recover_exactly() {
             f1.killed_workers + f1.dropped_connections > 0,
             "{plan:?}: chaos injected no process-mode faults: {f1}"
         );
+        assert_eq!((h1.workers, h2.workers), (4, 4));
+        // Which of the supervisor and the retry loop respawns a killed
+        // worker is a race; the fleet's own count sees either.
         if f1.killed_workers > 0 {
             assert!(
-                f1.worker_respawns + f2.worker_respawns > 0,
-                "{plan:?}: real kills must be answered by respawns: {f1} / {f2}"
+                h1.respawns > 0 && h2.respawns > 0,
+                "{plan:?}: real kills must be answered by respawns: {h1:?} / {h2:?}"
             );
-        }
-        assert_eq!((h1.workers, h2.workers), (4, 4));
-        if f1.killed_workers > 0 {
-            assert!(h1.respawns > 0, "supervisor recorded no respawns: {h1:?}");
         }
     }
 }
@@ -779,7 +778,7 @@ fn traced_run(
     plan: FixpointPlan,
     fleet: &Arc<ProcCluster>,
 ) -> (Relation, CommSnapshot, Vec<u64>) {
-    let workers = fleet.worker_count().unwrap();
+    let workers = fleet.worker_count();
     let backend = Some(fleet.clone() as Arc<dyn CommBackend>);
     let config =
         ExecConfig { workers, plan, trace: TraceLevel::Superstep, backend, ..Default::default() };
@@ -993,7 +992,10 @@ fn replicas_past_the_cap_are_evicted_and_the_record_matches_the_worker() {
 /// A bucket that stays on its worker never leaves the coordinator: a
 /// 1-worker exchange moves no payload byte, and a 2-worker exchange moves
 /// exactly its crossing buckets, each twice (out and echoed back), and
-/// encodes their rows alone — partitions equal to the simulator's.
+/// encodes their rows alone — partitions equal to the simulator's. Under
+/// injected drops and duplicates (every bucket, then a seeded half) each
+/// destination's bag holds the simulator's rows, copy for copy: a
+/// duplicate arrives twice, a copy lost in transit never.
 #[test]
 fn only_buckets_that_change_worker_cross_a_socket() {
     let schema = Schema::new(vec![Sym(0), Sym(1)]);
@@ -1029,6 +1031,28 @@ fn only_buckets_that_change_worker_cross_a_socket() {
         assert_eq!(fleet.health_snapshot().rows_encoded - encoded, rows);
         if workers == 1 {
             assert_eq!((comm.wire_tx_bytes, comm.wire_rx_bytes), (0, 0), "nothing on a socket");
+        }
+        for prob in [1.0, 0.5] {
+            let bags = |cluster: Cluster| -> Vec<Vec<Vec<Value>>> {
+                let faults = FaultConfig {
+                    seed: chaos_seed(),
+                    drop_prob: prob,
+                    duplicate_prob: prob,
+                    ..Default::default()
+                };
+                let plan = Arc::new(FaultPlan::new(faults));
+                let cluster = cluster.with_faults(plan, RecoveryPolicy::default());
+                let bags = cluster.exchange_bags_at(0, &schema, buckets.clone()).unwrap();
+                let multiset = |bag: Rows| {
+                    let mut rows: Vec<Vec<Value>> = bag.iter().map(<[Value]>::to_vec).collect();
+                    rows.sort();
+                    rows
+                };
+                bags.into_iter().map(multiset).collect()
+            };
+            let sim = bags(Cluster::new(workers));
+            let fleet_bags = bags(Cluster::new(workers).with_backend(fleet.clone()));
+            assert_eq!(fleet_bags, sim, "{workers} workers, drop = duplicate = {prob}");
         }
         fleet.shutdown();
     }

@@ -204,7 +204,7 @@ pub struct TraceEvent {
     /// Rows replicated by broadcasts during this event's window.
     pub rows_broadcast: u64,
     /// Data-plane payload bytes that crossed worker sockets during this
-    /// event's window (zero on the in-process simulator backend). Measured,
+    /// event's window (zero on the in-process simulator). Measured,
     /// not simulated — but excluded from [`QueryTrace::signature`] because
     /// repair-path retransmissions under real process kills are timing
     /// dependent.

@@ -294,9 +294,7 @@ impl ServerInner {
             config.capture_fixpoints = !traced;
             config.resume = resume;
             if let Some(proc) = &self.proc {
-                if let Some(n) = proc.worker_count() {
-                    config.workers = n;
-                }
+                config.workers = proc.worker_count();
                 config.backend = Some(Arc::clone(proc) as Arc<dyn CommBackend>);
             }
             let out = engine.execute_plan_with(&planned.query, config)?;
